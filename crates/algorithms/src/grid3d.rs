@@ -176,6 +176,7 @@ pub async fn alg1_on_a(
     let probe = PhaseProbe::begin(rank, "all-gather A");
     let a_flat = all_gather_v_a(rank, &comms[2], &a_own, &a_counts, AllGatherAlgo::Auto).await;
     let ph_a = probe.finish(rank);
+    drop(a_own);
     let a_block = Matrix::from_vec(h1, h2, a_flat);
 
     // ----- line 4: All-Gather B over fiber (:, p2', p3') -------------------
@@ -185,6 +186,7 @@ pub async fn alg1_on_a(
     let probe = PhaseProbe::begin(rank, "all-gather B");
     let b_flat = all_gather_v_a(rank, &comms[0], &b_own, &b_counts, AllGatherAlgo::Auto).await;
     let ph_b = probe.finish(rank);
+    drop(b_own);
     let b_block = Matrix::from_vec(h2, h3, b_flat);
 
     // ----- line 6: local computation D = A_block · B_block -----------------

@@ -182,8 +182,8 @@ async fn ring(rank: &mut Rank, comm: &Comm, mine: &[f64], counts: &[usize]) -> V
     for s in 0..p - 1 {
         let send_block = (me + p - s) % p;
         let recv_block = (me + p - 1 - s) % p;
-        let payload = out[off[send_block]..off[send_block + 1]].to_vec();
-        let msg = rank.exchange_a(comm, right, left, &payload).await;
+        let payload = &out[off[send_block]..off[send_block + 1]];
+        let msg = rank.exchange_a(comm, right, left, payload).await;
         assert_eq!(msg.payload.len(), counts[recv_block], "ring block size mismatch");
         out[off[recv_block]..off[recv_block + 1]].copy_from_slice(&msg.payload);
     }
@@ -210,8 +210,8 @@ async fn recursive_doubling(
         // [⌊me/mask⌋·mask, ⌊me/mask⌋·mask + mask).
         let g_mine = (me / mask) * mask;
         let g_theirs = (partner / mask) * mask;
-        let payload = out[off[g_mine]..off[g_mine + mask]].to_vec();
-        let msg = rank.exchange_a(comm, partner, partner, &payload).await;
+        let payload = &out[off[g_mine]..off[g_mine + mask]];
+        let msg = rank.exchange_a(comm, partner, partner, payload).await;
         let expect: usize = off[g_theirs + mask] - off[g_theirs];
         assert_eq!(msg.payload.len(), expect, "recursive-doubling block size mismatch");
         out[off[g_theirs]..off[g_theirs + mask]].copy_from_slice(&msg.payload);

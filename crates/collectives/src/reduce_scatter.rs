@@ -136,8 +136,8 @@ async fn ring(rank: &mut Rank, comm: &Comm, data: &[f64], counts: &[usize]) -> V
     for s in 0..p - 1 {
         let send_seg = (me + p - 1 - s) % p;
         let recv_seg = (me + 2 * p - 2 - s) % p;
-        let payload = acc[off[send_seg]..off[send_seg + 1]].to_vec();
-        let msg = rank.exchange_a(comm, right, left, &payload).await;
+        let payload = &acc[off[send_seg]..off[send_seg + 1]];
+        let msg = rank.exchange_a(comm, right, left, payload).await;
         assert_eq!(msg.payload.len(), counts[recv_seg], "ring segment size mismatch");
         axpy1(&mut acc[off[recv_seg]..off[recv_seg + 1]], &msg.payload);
         rank.compute(counts[recv_seg] as f64);
@@ -164,8 +164,8 @@ async fn recursive_halving(
         let (keep_lo, keep_hi, partner) =
             if me < mid { (lo, mid, me + size / 2) } else { (mid, hi, me - size / 2) };
         let (send_lo, send_hi) = if me < mid { (mid, hi) } else { (lo, mid) };
-        let payload = acc[off[send_lo]..off[send_hi]].to_vec();
-        let msg = rank.exchange_a(comm, partner, partner, &payload).await;
+        let payload = &acc[off[send_lo]..off[send_hi]];
+        let msg = rank.exchange_a(comm, partner, partner, payload).await;
         let keep_words = off[keep_hi] - off[keep_lo];
         assert_eq!(msg.payload.len(), keep_words, "halving segment size mismatch");
         axpy1(&mut acc[off[keep_lo]..off[keep_hi]], &msg.payload);

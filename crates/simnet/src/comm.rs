@@ -1,15 +1,15 @@
 //! Communicator descriptors.
 //!
 //! A [`Comm`] names a group of ranks and a context on the fabric; it is a
-//! cheap, clonable handle (the member list is shared). All messaging goes
-//! through [`Rank`](crate::Rank) methods that take a `&Comm`, because the
-//! rank owns the meters and the clock.
+//! cheap, clonable handle (the member list and the context's mailboxes
+//! are shared). All messaging goes through [`Rank`](crate::Rank) methods
+//! that take a `&Comm`, because the rank owns the meters and the clock.
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::fabric::Ctx;
+use crate::fabric::{Ctx, Mailboxes};
 
 /// A communicator: an ordered group of world ranks sharing a context.
 ///
@@ -21,17 +21,27 @@ pub struct Comm {
     pub(crate) ctx: Ctx,
     /// World ranks of the members, in communicator order.
     pub(crate) members: Arc<Vec<usize>>,
+    /// The context's mailboxes, in member order.
+    pub(crate) mailboxes: Mailboxes,
     /// This rank's index within `members`.
     pub(crate) my_index: usize,
-    /// Per-thread counter so successive splits on the same parent rendezvous
-    /// correctly (all members must issue splits in the same order).
+    /// This rank's count of splits issued on the context, shared by every
+    /// clone of the handle, so successive splits on the same parent
+    /// rendezvous correctly (all members must issue splits in the same
+    /// order).
     pub(crate) split_seq: Rc<Cell<u64>>,
 }
 
 impl Comm {
-    pub(crate) fn new(ctx: Ctx, members: Arc<Vec<usize>>, my_index: usize) -> Comm {
+    pub(crate) fn new(
+        ctx: Ctx,
+        members: Arc<Vec<usize>>,
+        mailboxes: Mailboxes,
+        my_index: usize,
+    ) -> Comm {
         debug_assert!(my_index < members.len());
-        Comm { ctx, members, my_index, split_seq: Rc::new(Cell::new(0)) }
+        debug_assert_eq!(mailboxes.len(), members.len());
+        Comm { ctx, members, mailboxes, my_index, split_seq: Rc::new(Cell::new(0)) }
     }
 
     /// Number of members.

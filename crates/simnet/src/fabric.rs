@@ -1,16 +1,22 @@
 //! The communication fabric shared by all ranks of a [`World`].
 //!
-//! The fabric owns, for every communicator context, one mailbox per
-//! member (a FIFO queue guarded by a mutex + condvar). Directed receive
-//! (`recv(from)`) is implemented by the receiving rank stashing
-//! out-of-order messages — messages from one sender to one receiver stay
-//! FIFO because they travel through a single queue and a FIFO stash.
+//! Every communicator context has one mailbox per member (a FIFO queue
+//! guarded by a mutex + condvar), allocated as one slab when the context
+//! is created — by `Fabric::new` for the world, by the split rendezvous
+//! for a group — and carried by every member's [`Comm`](crate::Comm), so
+//! a post or a take indexes the slab directly. The fabric keeps one map
+//! entry per *context* (never per message) for the cold paths that must
+//! see every mailbox: the strict-drain audit, the watchdog's wake-up
+//! hint, and the abort/fault wake-all. Directed receive (`recv(from)`)
+//! is implemented by the receiving rank stashing out-of-order messages —
+//! messages from one sender to one receiver stay FIFO because they
+//! travel through a single queue and a FIFO stash.
 //!
 //! The fabric also hosts the rendezvous state for **communicator splits**
 //! (the MPI `comm_split` equivalent): a split is a collective, so all
 //! members of the parent communicator deposit their `(color, key)` and the
 //! last one to arrive partitions the members into groups, allocates one
-//! fresh context per group, and wakes everyone.
+//! fresh context (and mailbox slab) per group, and wakes everyone.
 //!
 //! Every blocking point (mailbox receive, split rendezvous, the world
 //! barrier) is instrumented for the [`verify`](crate::verify) layer: the
@@ -20,11 +26,17 @@
 //! implements the deadlock detector that runs
 //! over those registrations.
 //!
-//! Lock ordering (to keep the fabric itself deadlock-free):
-//! mailbox map → mailbox queue → verify slot; splits map → split state →
-//! (state dropped) → splits map; barrier state → verify slot. The
-//! watchdog never holds a verify slot while taking a fabric lock — it
-//! snapshots the slots first.
+//! On the event-loop engine nothing ever parks on a condvar, so the
+//! per-event notifies (post, scheduler pick, split completion, barrier
+//! release) are skipped there — a `notify_all` is a futex syscall even
+//! with no waiter. The abort/fault wake-all notifies on both engines.
+//!
+//! Lock ordering (to keep the fabric itself deadlock-free): any
+//! primitive lock (mailbox queue, split state, barrier state) → verify
+//! slot or scheduler state, never the reverse; splits map → split state
+//! → (state dropped) → splits map; split state → mailbox map (a leaf,
+//! never held while taking another lock). The watchdog never holds a
+//! verify slot while taking a fabric lock — it snapshots the slots first.
 //!
 //! [`World`]: crate::world::World
 
@@ -33,9 +45,7 @@ use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll};
 use std::time::Duration;
 
@@ -66,14 +76,6 @@ const ABORT_POLL: Duration = Duration::from_millis(100);
 /// wait-for edges, irrelevant at thread-impossible P) degrades.
 const WAIT_LIST_MAX_WORLD: usize = 4096;
 
-fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A message in flight.
 #[derive(Debug, Clone)]
 pub struct Message {
@@ -92,22 +94,39 @@ pub struct Message {
     pub(crate) meta: Option<MsgMeta>,
 }
 
-struct Mailbox {
+/// One member's receive queue on one communicator context. Only its
+/// owner ever takes from (and so blocks on) it.
+pub(crate) struct Mailbox {
     q: Mutex<VecDeque<Message>>,
     cv: Condvar,
 }
 
+/// The mailboxes of one communicator context, indexed by member.
+pub(crate) type Mailboxes = Arc<[Mailbox]>;
+
 /// Result of a communicator split for a single color.
 ///
-/// `members` is shared behind an `Arc`: the group is computed once at the
-/// rendezvous and every member's `Comm` points at the same vector, so a
-/// world-sized split costs one member list per *group*, not one per rank
-/// (an O(P^2) memory term at 10^5–10^6 ranks otherwise).
-#[derive(Debug, Clone)]
+/// `members` and `mailboxes` are shared behind `Arc`s: the group is
+/// computed once at the rendezvous and every member's `Comm` points at
+/// the same allocations, so a world-sized split costs one member list per
+/// *group*, not one per rank (an O(P^2) memory term at 10^5–10^6 ranks
+/// otherwise).
+#[derive(Clone)]
 pub(crate) struct SplitGroup {
     pub ctx: Ctx,
     /// World ranks of the members, ordered by `(key, parent index)`.
     pub members: Arc<Vec<usize>>,
+    /// The group's mailboxes, in member order.
+    pub mailboxes: Mailboxes,
+}
+
+/// What a completed rendezvous computed.
+struct SplitResult {
+    /// color -> group.
+    groups: HashMap<i64, SplitGroup>,
+    /// Each depositor's index within its group, by parent index (unread
+    /// for members that opted out or never deposited).
+    index_in_group: Vec<usize>,
 }
 
 struct SplitState {
@@ -118,8 +137,13 @@ struct SplitState {
     parent_members: Vec<usize>,
     arrived: usize,
     consumed: usize,
-    /// color -> group; populated by the last live rank to arrive.
-    result: Option<Arc<HashMap<i64, SplitGroup>>>,
+    /// Dead parent members that never deposited, counted at fault epoch
+    /// `dead_epoch` (a corpse cannot deposit later, so the count holds
+    /// until the epoch moves).
+    dead_missing: usize,
+    dead_epoch: u64,
+    /// Populated by the last live rank to arrive.
+    result: Option<Arc<SplitResult>>,
 }
 
 struct SplitCell {
@@ -132,6 +156,9 @@ struct BarrierState {
     arrived: Vec<bool>,
     count: usize,
     generation: u64,
+    /// Fault epoch up to which corpses were counted into this
+    /// generation (0 = none yet; reset at every release).
+    swept_epoch: u64,
 }
 
 struct BarrierCell {
@@ -195,10 +222,13 @@ struct SchedInner {
     /// on each progress event (amortized O(1) per block, where scanning
     /// `status` would be O(P) per post).
     blocked_list: Vec<usize>,
-    /// What each blocked rank blocks on (wake-key; `None` when not
-    /// blocked). Guards stale targeted-wakeup registrations.
+    /// What each blocked rank blocks on (wake-key; `Some` exactly while
+    /// the rank is `Blocked`). Guards stale targeted-wakeup
+    /// registrations, and *is* the targeted wake list of a mailbox:
+    /// only its owner ever blocks on one.
     blocked_on: Vec<Option<Resource>>,
-    /// Targeted-policy wake lists, keyed by blocking resource.
+    /// Targeted-policy wake lists of the shared resources (split cells,
+    /// the barrier), keyed by blocking resource.
     waiters: HashMap<Resource, Vec<usize>>,
     /// Totally-ordered event log (appended under this mutex).
     events: Vec<SchedEvent>,
@@ -237,10 +267,10 @@ impl SchedInner {
         self.ready.remove(r);
         self.blocked += 1;
         self.blocked_on[r] = Some(key);
-        if self.targeted {
-            self.waiters.entry(key).or_default().push(r);
-        } else {
+        if !self.targeted {
             self.blocked_list.push(r);
+        } else if !matches!(key, Resource::Mailbox { .. }) {
+            self.waiters.entry(key).or_default().push(r);
         }
     }
 
@@ -271,12 +301,12 @@ impl SchedInner {
     /// in their own order preserves determinism.
     fn unblock_all(&mut self) {
         if self.targeted {
-            let waiters = std::mem::take(&mut self.waiters);
-            for (key, list) in waiters {
-                for r in list {
-                    if self.status[r] == RankStatus::Blocked && self.blocked_on[r] == Some(key) {
-                        self.mark_unblocked(r);
-                    }
+            // Rare (a rank died): scan instead of keeping a list that
+            // every mailbox block would have to maintain.
+            self.waiters.clear();
+            for r in 0..self.blocked_on.len() {
+                if self.blocked_on[r].is_some() {
+                    self.mark_unblocked(r);
                 }
             }
         } else {
@@ -289,7 +319,9 @@ impl SchedInner {
         }
     }
 
-    /// Re-ready only the ranks blocked on `key` (targeted policy).
+    /// Re-ready only the ranks blocked on the shared resource `key`
+    /// (targeted policy; mailboxes go through
+    /// [`SchedInner::unblock_mailbox_owner`]).
     fn unblock_key(&mut self, key: Resource) {
         if let Some(list) = self.waiters.remove(&key) {
             for r in list {
@@ -297,6 +329,14 @@ impl SchedInner {
                     self.mark_unblocked(r);
                 }
             }
+        }
+    }
+
+    /// Re-ready `owner` if it is blocked on its mailbox `key` (targeted
+    /// policy).
+    fn unblock_mailbox_owner(&mut self, owner: usize, key: Resource) {
+        if self.blocked_on[owner] == Some(key) {
+            self.mark_unblocked(owner);
         }
     }
 }
@@ -314,6 +354,8 @@ impl SchedInner {
 /// `(program, schedule)` pairs replay byte-identically.
 struct DetState {
     schedule: Schedule,
+    /// Copy of [`SchedInner::record`], readable without the lock.
+    record: bool,
     st: Mutex<SchedInner>,
     cv: Condvar,
 }
@@ -370,10 +412,11 @@ impl Future for BatonYield<'_> {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         // All fields are Unpin, so plain mutable access is fine.
         let me = &mut *self;
-        if let Some(action) = me.action.take() {
-            me.fabric.sched_yield_action(action);
-        }
-        if me.fabric.sched_baton_ready(me.rank) {
+        let holds_baton = match me.action.take() {
+            Some(action) => me.fabric.sched_yield_action(action),
+            None => me.fabric.sched_baton_ready(me.rank),
+        };
+        if holds_baton {
             Poll::Ready(())
         } else {
             Poll::Pending
@@ -385,7 +428,10 @@ impl Future for BatonYield<'_> {
 /// behind an `Arc`.
 pub struct Fabric {
     next_ctx: AtomicU64,
-    mailboxes: RwLock<HashMap<(Ctx, usize), Arc<Mailbox>>>,
+    /// Every context's mailbox slab — written once per communicator,
+    /// read only by the cold paths (drain audit, watchdog hint,
+    /// wake-all); messages go through the slab a `Comm` carries.
+    mailboxes: Mutex<HashMap<Ctx, Mailboxes>>,
     splits: Mutex<HashMap<(Ctx, u64), Arc<SplitCell>>>,
     /// Zero-cost world barrier, for callers that need to delimit phases
     /// without perturbing the metered costs.
@@ -407,15 +453,16 @@ pub struct Fabric {
 
 impl Fabric {
     pub(crate) fn new(world_size: usize) -> Fabric {
-        Fabric {
+        let fabric = Fabric {
             next_ctx: AtomicU64::new(1),
-            mailboxes: RwLock::new(HashMap::new()),
+            mailboxes: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
             barrier: BarrierCell {
                 st: Mutex::new(BarrierState {
                     arrived: vec![false; world_size],
                     count: 0,
                     generation: 0,
+                    swept_epoch: 0,
                 }),
                 cv: Condvar::new(),
             },
@@ -423,6 +470,37 @@ impl Fabric {
             det: None,
             fault: None,
             event_loop: false,
+        };
+        fabric.new_mailboxes(WORLD_CTX, world_size);
+        fabric
+    }
+
+    /// Allocate and register the mailbox slab of the `size`-member
+    /// context `ctx`.
+    fn new_mailboxes(&self, ctx: Ctx, size: usize) -> Mailboxes {
+        let slab: Mailboxes = (0..size)
+            .map(|_| Mailbox { q: Mutex::new(VecDeque::new()), cv: Condvar::new() })
+            .collect();
+        lock_unpoisoned(&self.mailboxes).insert(ctx, slab.clone());
+        slab
+    }
+
+    /// The registered mailbox slab of `ctx`, if the context exists.
+    fn mailboxes_of(&self, ctx: Ctx) -> Option<Mailboxes> {
+        lock_unpoisoned(&self.mailboxes).get(&ctx).cloned()
+    }
+
+    /// The world communicator's mailboxes.
+    pub(crate) fn world_mailboxes(&self) -> Mailboxes {
+        self.mailboxes_of(WORLD_CTX).expect("the world's mailboxes are created with the fabric")
+    }
+
+    /// Wake the threads parked on `cv`. Nothing ever parks on the event
+    /// loop, and a notify is a futex syscall even with no waiter, so the
+    /// per-event notifies are skipped there.
+    fn notify(&self, cv: &Condvar) {
+        if !self.event_loop {
+            cv.notify_all();
         }
     }
 
@@ -495,8 +573,19 @@ impl Fabric {
     /// Mark every dead, not-yet-arrived rank as arrived in the current
     /// barrier generation; release the barrier if that completes it.
     /// No-op without a fault plan.
+    ///
+    /// The O(P) scan runs only when the fault epoch moved since this
+    /// generation's last sweep — every corpse of an unmoved epoch is
+    /// already counted.
     fn barrier_sweep_dead_locked(&self, st: &mut BarrierState) {
         let Some(fault) = &self.fault else { return };
+        // Read the epoch before the dead set: a death is flagged before
+        // its epoch bump, so every death up to `epoch` is visible below.
+        let epoch = fault.epoch();
+        if epoch == st.swept_epoch {
+            return;
+        }
+        st.swept_epoch = epoch;
         let n = st.arrived.len();
         for r in 0..n {
             if !st.arrived[r] && fault.is_dead(r) {
@@ -505,19 +594,24 @@ impl Fabric {
             }
         }
         if st.count == n && n > 0 {
-            st.count = 0;
-            st.arrived.iter_mut().for_each(|a| *a = false);
-            st.generation += 1;
-            self.barrier.cv.notify_all();
+            self.barrier_release_locked(st);
         }
+    }
+
+    /// Open the next barrier generation and wake the waiters of this one.
+    fn barrier_release_locked(&self, st: &mut BarrierState) {
+        st.count = 0;
+        st.arrived.iter_mut().for_each(|a| *a = false);
+        st.generation += 1;
+        st.swept_epoch = 0;
+        self.notify(&self.barrier.cv);
     }
 
     /// Notify every fabric condvar (blocked receives, split rendezvous,
     /// the barrier, the scheduler baton) so parked ranks re-check state.
     fn wake_all_primitives(&self) {
-        let mailboxes: Vec<Arc<Mailbox>> =
-            read_unpoisoned(&self.mailboxes).values().cloned().collect();
-        for mb in mailboxes {
+        let slabs: Vec<Mailboxes> = lock_unpoisoned(&self.mailboxes).values().cloned().collect();
+        for mb in slabs.iter().flat_map(|slab| slab.iter()) {
             mb.cv.notify_all();
         }
         let cells: Vec<Arc<SplitCell>> = lock_unpoisoned(&self.splits).values().cloned().collect();
@@ -562,6 +656,7 @@ impl Fabric {
         };
         self.det = Some(DetState {
             schedule,
+            record,
             st: Mutex::new(SchedInner {
                 rng,
                 cursor: 0,
@@ -631,11 +726,15 @@ impl Fabric {
     /// resource-footprint hook behind every mailbox post/pop, split
     /// deposit, barrier arrival, and collective registration. Appends to
     /// the latest [`ChoicePoint`] (deduplicated). No-op in free-running
-    /// mode. Callers may hold a primitive lock: the established lock
-    /// order is primitive → scheduler, never the reverse.
+    /// mode and when schedule recording is off (there is no
+    /// `ChoicePoint` to append to). Callers may hold a primitive lock:
+    /// the established lock order is primitive → scheduler, never the
+    /// reverse.
     pub(crate) fn det_touch(&self, res: Resource) {
         let Some(det) = &self.det else { return };
-        lock_unpoisoned(&det.st).touch(res);
+        if det.record {
+            lock_unpoisoned(&det.st).touch(res);
+        }
     }
 
     // ----- deterministic scheduler ------------------------------------------
@@ -667,7 +766,7 @@ impl Fabric {
         for r in 0..n {
             st.mark_attached(r);
         }
-        match Self::sched_pick_locked(det, &mut st) {
+        match self.sched_pick_locked(det, &mut st) {
             PickOutcome::Picked | PickOutcome::Idle => {}
             // All ranks are ready, so the first pick cannot deadlock; a
             // prefix can still demand an out-of-range rank.
@@ -722,14 +821,32 @@ impl Fabric {
         lock_unpoisoned(&det.st).unblock_all();
     }
 
-    /// Progress event on `key`: under the default broadcast policy every
-    /// blocked rank is re-readied (what the golden traces pin); under
-    /// the opt-in targeted policy only the ranks blocked on `key` wake.
+    /// Progress event on the shared resource `key` (a split cell or the
+    /// barrier): under the default broadcast policy every blocked rank
+    /// is re-readied (what the golden traces pin); under the opt-in
+    /// targeted policy only the ranks blocked on `key` wake.
     fn sched_wake(&self, key: Resource) {
         let Some(det) = &self.det else { return };
         let mut st = lock_unpoisoned(&det.st);
         if st.targeted {
             st.unblock_key(key);
+        } else {
+            st.unblock_all();
+        }
+    }
+
+    /// A message landed in mailbox `index` of `ctx`, owned by world rank
+    /// `owner`: charge the mailbox to the running segment's footprint
+    /// and raise the progress event, under one scheduler lock. The
+    /// broadcast policy re-readies every blocked rank; the targeted one
+    /// only the owner, the one rank that can be blocked on a mailbox.
+    fn sched_delivered(&self, ctx: Ctx, index: usize, owner: usize) {
+        let Some(det) = &self.det else { return };
+        let key = Resource::Mailbox { ctx, index };
+        let mut st = lock_unpoisoned(&det.st);
+        st.touch(key);
+        if st.targeted {
+            st.unblock_mailbox_owner(owner, key);
         } else {
             st.unblock_all();
         }
@@ -784,7 +901,7 @@ impl Fabric {
                 det.cv.notify_all();
                 return;
             }
-            match Self::sched_pick_locked(det, &mut st) {
+            match self.sched_pick_locked(det, &mut st) {
                 PickOutcome::Picked | PickOutcome::Idle => {}
                 // No abort_panic on the failure arms: this may run inside
                 // a Drop while the rank is already unwinding. The blocked
@@ -822,7 +939,7 @@ impl Fabric {
     /// exactly what indexing the old ascending `ready` vector was, so
     /// pick streams are bit-identical to the seed-era O(P)-per-pick
     /// implementation.
-    fn sched_pick_locked(det: &DetState, st: &mut SchedInner) -> PickOutcome {
+    fn sched_pick_locked(&self, det: &DetState, st: &mut SchedInner) -> PickOutcome {
         let count = st.ready.len();
         if count == 0 {
             st.current = None;
@@ -856,7 +973,7 @@ impl Fabric {
             st.events.push(SchedEvent::Pick { rank: r });
         }
         st.current = Some(r);
-        det.cv.notify_all();
+        self.notify(&det.cv);
         PickOutcome::Picked
     }
 
@@ -876,7 +993,7 @@ impl Fabric {
     /// the baton or — on a provable deadlock / prefix divergence — abort
     /// the world and tear the calling rank down with an `AbortPanic`.
     fn sched_pick_and_wait(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>, r: usize) {
-        match Self::sched_pick_locked(det, &mut st) {
+        match self.sched_pick_locked(det, &mut st) {
             PickOutcome::Picked | PickOutcome::Idle => self.sched_wait_for_baton(det, st, r),
             outcome => self.sched_fail_pick(det, st, outcome, r),
         }
@@ -991,8 +1108,10 @@ impl Fabric {
     /// First-poll action of a [`BatonYield`]: log the event, update rank
     /// state, and hand the baton to the next pick — `sched_post_event` /
     /// `sched_collective_event` / `sched_block` minus the condvar wait.
-    fn sched_yield_action(&self, action: YieldAction) {
-        let Some(det) = &self.det else { return };
+    /// Returns whether the pick handed the baton straight back to the
+    /// yielding rank.
+    fn sched_yield_action(&self, action: YieldAction) -> bool {
+        let Some(det) = &self.det else { return true };
         let mut st = lock_unpoisoned(&det.st);
         let r = match action {
             YieldAction::Post { from_world, ctx, to_world, words } => {
@@ -1009,8 +1128,8 @@ impl Fabric {
                 rank
             }
         };
-        match Self::sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => {}
+        match self.sched_pick_locked(det, &mut st) {
+            PickOutcome::Picked | PickOutcome::Idle => st.current == Some(r),
             outcome => self.sched_fail_pick(det, st, outcome, r),
         }
     }
@@ -1029,8 +1148,10 @@ impl Fabric {
     /// Event-loop analogue of [`Fabric::take_any`]: the identical
     /// event/footprint sequence as the deterministic branch there, but
     /// suspending the continuation instead of parking a thread.
+    #[allow(clippy::too_many_arguments)] // the mailbox plus its deadlock-report metadata
     pub(crate) async fn take_any_a(
         &self,
+        mailboxes: &[Mailbox],
         ctx: Ctx,
         index: usize,
         me_world: usize,
@@ -1038,7 +1159,7 @@ impl Fabric {
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
     ) -> Option<Message> {
-        let mb = self.mailbox(ctx, index);
+        let mb = &mailboxes[index];
         {
             let mut q = lock_unpoisoned(&mb.q);
             if let Some(m) = q.pop_front() {
@@ -1051,12 +1172,7 @@ impl Fabric {
         }
         self.verify.set_wait(
             me_world,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world, ctx_index: index },
-                ctx,
-                waiting_on: vec![from_world],
-                site,
-            },
+            WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
         );
         loop {
             self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
@@ -1077,45 +1193,40 @@ impl Fabric {
         self.next_ctx.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn mailbox(&self, ctx: Ctx, index: usize) -> Arc<Mailbox> {
-        {
-            let map = read_unpoisoned(&self.mailboxes);
-            if let Some(mb) = map.get(&(ctx, index)) {
-                return mb.clone();
-            }
-        }
-        let mut map = write_unpoisoned(&self.mailboxes);
-        map.entry((ctx, index))
-            .or_insert_with(|| {
-                Arc::new(Mailbox { q: Mutex::new(VecDeque::new()), cv: Condvar::new() })
-            })
-            .clone()
-    }
-
-    /// Post `msg` to member `to` of context `ctx`. Never blocks (mailboxes
-    /// are unbounded).
-    pub(crate) fn post(&self, ctx: Ctx, to: usize, msg: Message) {
-        let mb = self.mailbox(ctx, to);
+    /// Post `msg` to member `to` (world rank `to_world`) of context `ctx`,
+    /// whose mailboxes are `mailboxes`. Never blocks (mailboxes are
+    /// unbounded).
+    pub(crate) fn post(
+        &self,
+        mailboxes: &[Mailbox],
+        ctx: Ctx,
+        to: usize,
+        to_world: usize,
+        msg: Message,
+    ) {
+        let mb = &mailboxes[to];
         lock_unpoisoned(&mb.q).push_back(msg);
-        mb.cv.notify_all();
-        self.det_touch(Resource::Mailbox { ctx, index: to });
+        self.notify(&mb.cv);
         // A delivery is a progress event: re-ready blocked ranks so the
         // deterministic scheduler lets them re-check their conditions.
-        self.sched_wake(Resource::Mailbox { ctx, index: to });
+        self.sched_delivered(ctx, to, to_world);
     }
 
     /// Blockingly take the next message from member `index`'s mailbox on
     /// context `ctx` (in arrival order; directed matching is done by the
-    /// rank's stash). `from_world` is the world rank of the sender the
-    /// caller is ultimately waiting for (deadlock-report metadata).
+    /// rank's stash). `mailboxes` is the context's slab; `from_world` is
+    /// the world rank of the sender the caller is ultimately waiting for
+    /// (deadlock-report metadata).
     ///
     /// `fault_watch` is the caller's fault-epoch watermark when it is
     /// inside a failure-catching scope: if a rank dies while we wait
     /// (epoch moves past the watermark) the wait returns `None` — after
     /// draining anything already queued — so the caller can surface a
     /// typed failure instead of hanging on a corpse.
+    #[allow(clippy::too_many_arguments)] // the mailbox plus its deadlock-report metadata
     pub(crate) fn take_any(
         &self,
+        mailboxes: &[Mailbox],
         ctx: Ctx,
         index: usize,
         me_world: usize,
@@ -1123,7 +1234,7 @@ impl Fabric {
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
     ) -> Option<Message> {
-        let mb = self.mailbox(ctx, index);
+        let mb = &mailboxes[index];
         let mut q = lock_unpoisoned(&mb.q);
         if let Some(m) = q.pop_front() {
             self.det_touch(Resource::Mailbox { ctx, index });
@@ -1134,12 +1245,7 @@ impl Fabric {
         }
         self.verify.set_wait(
             me_world,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world, ctx_index: index },
-                ctx,
-                waiting_on: vec![from_world],
-                site,
-            },
+            WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
         );
         if self.det.is_some() {
             // Deterministic mode: yield the baton instead of sleeping on
@@ -1191,14 +1297,11 @@ impl Fabric {
         st.count += 1;
         self.det_touch(Resource::Barrier);
         if st.count == world_size {
-            st.count = 0;
-            st.arrived.iter_mut().for_each(|a| *a = false);
-            st.generation += 1;
-            self.barrier.cv.notify_all();
+            self.barrier_release_locked(&mut st);
             self.sched_wake(Resource::Barrier);
             return None;
         }
-        let waiting_on: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
+        let missing: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
             Vec::new()
         } else {
             st.arrived.iter().enumerate().filter_map(|(r, &a)| (!a).then_some(r)).collect()
@@ -1206,9 +1309,8 @@ impl Fabric {
         self.verify.set_wait(
             me_world,
             WaitInfo {
-                kind: WaitKind::Barrier { generation: entered_gen },
+                kind: WaitKind::Barrier { generation: entered_gen, missing },
                 ctx: WORLD_CTX,
-                waiting_on,
                 site,
             },
         );
@@ -1265,19 +1367,30 @@ impl Fabric {
 
     /// Complete a split rendezvous if every still-alive parent member has
     /// deposited (with at least one deposit): partition the deposited
-    /// entries into groups and allocate their contexts. Without a fault
-    /// plan "every alive member" is "every member", which is exactly the
-    /// pre-fault-layer completion rule. Notifies waiters on completion.
+    /// entries into groups and allocate their contexts and mailboxes.
+    /// Without a fault plan "every alive member" is "every member", which
+    /// is exactly the pre-fault-layer completion rule.
+    ///
+    /// Decided from counts, so a deposit costs O(1): the per-member scan
+    /// for corpses runs only when the fault epoch moved since this
+    /// cell's last scan (a death is the only way a rendezvous completes
+    /// short of full attendance).
     fn split_try_complete(&self, st: &mut SplitState) {
-        if st.result.is_some() {
+        if st.result.is_some() || st.arrived == 0 {
             return;
         }
-        let all_live_arrived = st
-            .parent_members
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| st.entries[i].is_some() || self.is_dead_rank(w));
-        if st.arrived == 0 || !all_live_arrived {
+        // Epoch before dead set, as in `barrier_sweep_dead_locked`.
+        let epoch = self.fault_epoch();
+        if epoch != st.dead_epoch {
+            st.dead_epoch = epoch;
+            st.dead_missing = st
+                .parent_members
+                .iter()
+                .enumerate()
+                .filter(|&(i, &w)| st.entries[i].is_none() && self.is_dead_rank(w))
+                .count();
+        }
+        if st.arrived + st.dead_missing < st.parent_members.len() {
             return;
         }
         let mut by_color: HashMap<i64, Vec<(i64, usize, usize)>> = HashMap::new();
@@ -1290,6 +1403,7 @@ impl Fabric {
             }
         }
         let mut groups = HashMap::new();
+        let mut index_in_group = vec![0; st.entries.len()];
         let mut colors: Vec<i64> = by_color.keys().copied().collect();
         colors.sort_unstable(); // deterministic ctx assignment
         for c in colors {
@@ -1297,10 +1411,15 @@ impl Fabric {
                 panic!("split rendezvous: color {c} vanished while grouping — fabric bug")
             });
             v.sort_unstable(); // by (key, parent index)
+            for (i, &(_, parent_idx, _)) in v.iter().enumerate() {
+                index_in_group[parent_idx] = i;
+            }
             let members: Vec<usize> = v.into_iter().map(|(_, _, w)| w).collect();
-            groups.insert(c, SplitGroup { ctx: self.alloc_ctx(), members: Arc::new(members) });
+            let ctx = self.alloc_ctx();
+            let mailboxes = self.new_mailboxes(ctx, members.len());
+            groups.insert(c, SplitGroup { ctx, members: Arc::new(members), mailboxes });
         }
-        st.result = Some(Arc::new(groups));
+        st.result = Some(Arc::new(SplitResult { groups, index_in_group }));
     }
 
     /// Collective communicator split. Called by every member of the parent
@@ -1309,7 +1428,8 @@ impl Fabric {
     /// are the parent communicator's world ranks in communicator order.
     ///
     /// `color < 0` means "no new communicator for me" (MPI_UNDEFINED).
-    /// Returns the group for `color`, or `None` for negative colors.
+    /// Returns the group for `color` with the caller's index in it, or
+    /// `None` for negative colors.
     /// `fault_watch` works as in [`Fabric::take_any`]: `Err(FaultKick)`
     /// means a rank died mid-rendezvous while the caller was inside a
     /// failure-catching scope.
@@ -1325,7 +1445,7 @@ impl Fabric {
         key: i64,
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
-    ) -> Result<Option<SplitGroup>, FaultKick> {
+    ) -> Result<Option<(SplitGroup, usize)>, FaultKick> {
         let cell = self.split_cell(parent_ctx, parent_members, seq);
         let completed = self.split_deposit(
             &cell,
@@ -1369,7 +1489,7 @@ impl Fabric {
             }
             self.verify.clear_wait(my_world_rank);
         }
-        Ok(self.split_finish(&cell, parent_ctx, seq, my_world_rank, color))
+        Ok(self.split_finish(&cell, parent_ctx, seq, my_parent_index, my_world_rank, color))
     }
 
     /// Event-loop analogue of [`Fabric::split`]: identical deposit,
@@ -1387,7 +1507,7 @@ impl Fabric {
         key: i64,
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
-    ) -> Result<Option<SplitGroup>, FaultKick> {
+    ) -> Result<Option<(SplitGroup, usize)>, FaultKick> {
         let cell = self.split_cell(parent_ctx, parent_members, seq);
         let completed = self.split_deposit(
             &cell,
@@ -1413,7 +1533,7 @@ impl Fabric {
             }
             self.verify.clear_wait(my_world_rank);
         }
-        Ok(self.split_finish(&cell, parent_ctx, seq, my_world_rank, color))
+        Ok(self.split_finish(&cell, parent_ctx, seq, my_parent_index, my_world_rank, color))
     }
 
     /// Find or create the rendezvous cell for split `seq` of
@@ -1429,6 +1549,8 @@ impl Fabric {
                         parent_members: parent_members.to_vec(),
                         arrived: 0,
                         consumed: 0,
+                        dead_missing: 0,
+                        dead_epoch: 0,
                         result: None,
                     }),
                     cv: Condvar::new(),
@@ -1468,11 +1590,11 @@ impl Fabric {
         self.det_touch(Resource::SplitCell { ctx: parent_ctx, seq });
         self.split_try_complete(&mut st);
         if st.result.is_some() {
-            cell.cv.notify_all();
+            self.notify(&cell.cv);
             self.sched_wake(Resource::SplitCell { ctx: parent_ctx, seq });
             true
         } else {
-            let waiting_on: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
+            let missing: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
                 Vec::new()
             } else {
                 parent_members
@@ -1483,7 +1605,7 @@ impl Fabric {
             };
             self.verify.set_wait(
                 my_world_rank,
-                WaitInfo { kind: WaitKind::Split { seq }, ctx: parent_ctx, waiting_on, site },
+                WaitInfo { kind: WaitKind::Split { seq, missing }, ctx: parent_ctx, site },
             );
             false
         }
@@ -1491,15 +1613,16 @@ impl Fabric {
 
     /// Read the completed result, retire this consumer (freeing the
     /// rendezvous slot once every depositor has read it), and project out
-    /// the caller's color group.
+    /// the caller's color group and its index in it.
     fn split_finish(
         &self,
         cell: &SplitCell,
         parent_ctx: Ctx,
         seq: u64,
+        my_parent_index: usize,
         my_world_rank: usize,
         color: i64,
-    ) -> Option<SplitGroup> {
+    ) -> Option<(SplitGroup, usize)> {
         let mut st = lock_unpoisoned(&cell.state);
         let result = st
             .result
@@ -1523,20 +1646,15 @@ impl Fabric {
         }
 
         if color < 0 {
-            None
-        } else {
-            Some(
-                result
-                    .get(&color)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "split #{seq} on ctx {parent_ctx}: world rank {my_world_rank}'s \
-                             color {color} missing from the computed groups — fabric bug"
-                        )
-                    })
-                    .clone(),
-            )
+            return None;
         }
+        let group = result.groups.get(&color).unwrap_or_else(|| {
+            panic!(
+                "split #{seq} on ctx {parent_ctx}: world rank {my_world_rank}'s color {color} \
+                 missing from the computed groups — fabric bug"
+            )
+        });
+        Some((group.clone(), result.index_in_group[my_parent_index]))
     }
 
     /// Abort the world: store `report`, set the abort flag, and wake every
@@ -1552,10 +1670,11 @@ impl Fabric {
     /// Count of messages posted but never taken, per mailbox (strict-drain
     /// audit).
     pub(crate) fn residual_messages(&self) -> Vec<(Ctx, usize, usize)> {
-        let map = read_unpoisoned(&self.mailboxes);
+        let map = lock_unpoisoned(&self.mailboxes);
         let mut out: Vec<(Ctx, usize, usize)> = map
             .iter()
-            .filter_map(|(&(ctx, index), mb)| {
+            .flat_map(|(&ctx, slab)| slab.iter().enumerate().map(move |(i, mb)| (ctx, i, mb)))
+            .filter_map(|(ctx, index, mb)| {
                 let n = lock_unpoisoned(&mb.q).len();
                 (n > 0).then_some((ctx, index, n))
             })
@@ -1600,15 +1719,14 @@ impl Fabric {
         for (r, v) in views.iter().enumerate() {
             let Some(w) = &v.wait else { continue };
             let hinted = match &w.kind {
-                WaitKind::Recv { ctx_index, .. } => {
-                    let mb = read_unpoisoned(&self.mailboxes).get(&(w.ctx, *ctx_index)).cloned();
-                    mb.is_some_and(|mb| !lock_unpoisoned(&mb.q).is_empty())
-                }
-                WaitKind::Split { seq } => {
+                WaitKind::Recv { ctx_index, .. } => self
+                    .mailboxes_of(w.ctx)
+                    .is_some_and(|slab| !lock_unpoisoned(&slab[*ctx_index].q).is_empty()),
+                WaitKind::Split { seq, .. } => {
                     let cell = lock_unpoisoned(&self.splits).get(&(w.ctx, *seq)).cloned();
                     cell.is_some_and(|c| lock_unpoisoned(&c.state).result.is_some())
                 }
-                WaitKind::Barrier { generation } => {
+                WaitKind::Barrier { generation, .. } => {
                     lock_unpoisoned(&self.barrier.st).generation > *generation
                 }
             };
@@ -1624,7 +1742,7 @@ impl Fabric {
                     continue;
                 }
                 let Some(w) = &v.wait else { continue };
-                if w.waiting_on.iter().any(|&o| o < n && progressable[o]) {
+                if w.waiting_on().iter().any(|&o| o < n && progressable[o]) {
                     progressable[r] = true;
                     changed = true;
                 }
@@ -1682,7 +1800,10 @@ impl Fabric {
             if let Some(w) = &views[r].wait {
                 report.push_str(&format!(
                     "  rank {r}: blocked in {} on ctx {} at {}, waiting on ranks {:?}\n",
-                    w.kind, w.ctx, w.site, w.waiting_on
+                    w.kind,
+                    w.ctx,
+                    w.site,
+                    w.waiting_on()
                 ));
             }
         }
@@ -1714,7 +1835,7 @@ fn wait_cycle(views: &[SlotView], stuck: &HashSet<usize>) -> Option<Vec<usize>> 
     let mut cur = start;
     loop {
         let w = views[cur].wait.as_ref()?;
-        let next = *w.waiting_on.iter().find(|o| stuck.contains(o))?;
+        let next = *w.waiting_on().iter().find(|o| stuck.contains(o))?;
         if let Some(pos) = path.iter().position(|&r| r == next) {
             let mut cycle = path[pos..].to_vec();
             cycle.push(next);
@@ -1738,11 +1859,17 @@ mod tests {
         Message { from, sent_at, payload, vclock: None, meta: None }
     }
 
+    /// A directed-receive wait registration of `me` on world rank `from`.
+    fn recv_wait(from_world: usize, ctx_index: usize) -> WaitInfo {
+        WaitInfo { kind: WaitKind::Recv { from_world, ctx_index }, ctx: WORLD_CTX, site: here() }
+    }
+
     #[test]
     fn post_and_take_roundtrip() {
         let fabric = Fabric::new(1);
-        fabric.post(WORLD_CTX, 0, msg(3, 1.5, vec![1.0, 2.0]));
-        let m = fabric.take_any(WORLD_CTX, 0, 0, 0, here(), None).unwrap();
+        let world = fabric.world_mailboxes();
+        fabric.post(&world, WORLD_CTX, 0, 0, msg(3, 1.5, vec![1.0, 2.0]));
+        let m = fabric.take_any(&world, WORLD_CTX, 0, 0, 0, here(), None).unwrap();
         assert_eq!(m.from, 3);
         assert_eq!(m.sent_at, 1.5);
         assert_eq!(m.payload, vec![1.0, 2.0]);
@@ -1751,10 +1878,12 @@ mod tests {
     #[test]
     fn messages_between_contexts_are_isolated() {
         let fabric = Fabric::new(1);
-        fabric.post(7, 0, msg(0, 0.0, vec![7.0]));
-        fabric.post(8, 0, msg(0, 0.0, vec![8.0]));
-        assert_eq!(fabric.take_any(8, 0, 0, 0, here(), None).unwrap().payload, vec![8.0]);
-        assert_eq!(fabric.take_any(7, 0, 0, 0, here(), None).unwrap().payload, vec![7.0]);
+        let (seven, eight) = (fabric.new_mailboxes(7, 1), fabric.new_mailboxes(8, 1));
+        fabric.post(&seven, 7, 0, 0, msg(0, 0.0, vec![7.0]));
+        fabric.post(&eight, 8, 0, 0, msg(0, 0.0, vec![8.0]));
+        let take = |slab: &Mailboxes, ctx| fabric.take_any(slab, ctx, 0, 0, 0, here(), None);
+        assert_eq!(take(&eight, 8).unwrap().payload, vec![8.0]);
+        assert_eq!(take(&seven, 7).unwrap().payload, vec![7.0]);
     }
 
     #[test]
@@ -1769,16 +1898,22 @@ mod tests {
                 f.split(WORLD_CTX, &members, 0, r, r, (r % 2) as i64, -(r as i64), here(), None)
             }));
         }
-        let groups: Vec<_> =
-            handles.into_iter().map(|h| h.join().unwrap().unwrap().unwrap()).collect();
+        let (groups, indices): (Vec<_>, Vec<_>) =
+            handles.into_iter().map(|h| h.join().unwrap().unwrap().unwrap()).unzip();
         // ranks 0 and 2 share color 0; members sorted by key (descending rank)
         assert_eq!(*groups[0].members, vec![2, 0]);
         assert_eq!(*groups[2].members, vec![2, 0]);
         assert_eq!(*groups[1].members, vec![3, 1]);
         assert_eq!(*groups[3].members, vec![3, 1]);
+        // each member is handed its own index in that order
+        assert_eq!(indices, vec![1, 1, 0, 0]);
         // distinct colors got distinct contexts
         assert_ne!(groups[0].ctx, groups[1].ctx);
         assert_eq!(groups[0].ctx, groups[2].ctx);
+        // one mailbox per member, one slab per group, registered under its ctx
+        assert_eq!(groups[0].mailboxes.len(), 2);
+        assert!(Arc::ptr_eq(&groups[0].mailboxes, &groups[2].mailboxes));
+        assert!(Arc::ptr_eq(&groups[1].mailboxes, &fabric.mailboxes_of(groups[1].ctx).unwrap()));
     }
 
     #[test]
@@ -1789,7 +1924,7 @@ mod tests {
         let g0 = fabric.split(WORLD_CTX, &[0, 1], 0, 0, 0, 0, 0, here(), None).unwrap();
         let g1 = h.join().unwrap().unwrap();
         assert!(g1.is_none());
-        assert_eq!(*g0.unwrap().members, vec![0]);
+        assert_eq!(*g0.unwrap().0.members, vec![0]);
     }
 
     #[test]
@@ -1806,24 +1941,8 @@ mod tests {
     fn watchdog_scan_flags_mutual_recv_after_two_stable_scans() {
         // Two ranks each blocked receiving from the other, nothing queued.
         let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.set_wait(
-            1,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 0, ctx_index: 1 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![0],
-                site: here(),
-            },
-        );
+        fabric.verify.set_wait(0, recv_wait(1, 0));
+        fabric.verify.set_wait(1, recv_wait(0, 1));
         let mut prev = None;
         assert!(fabric.watchdog_scan(&mut prev).is_none(), "first scan only arms the candidate");
         let report = fabric.watchdog_scan(&mut prev).expect("second stable scan must confirm");
@@ -1839,25 +1958,9 @@ mod tests {
         // rank 0 is progressable, and rank 1 (waiting on rank 0) inherits
         // that via the fixpoint.
         let fabric = Fabric::new(2);
-        fabric.post(WORLD_CTX, 0, msg(1, 0.0, vec![1.0]));
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.set_wait(
-            1,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 0, ctx_index: 1 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![0],
-                site: here(),
-            },
-        );
+        fabric.post(&fabric.world_mailboxes(), WORLD_CTX, 0, 0, msg(1, 0.0, vec![1.0]));
+        fabric.verify.set_wait(0, recv_wait(1, 0));
+        fabric.verify.set_wait(1, recv_wait(0, 1));
         let mut prev = None;
         for _ in 0..3 {
             assert!(fabric.watchdog_scan(&mut prev).is_none());
@@ -1869,15 +1972,7 @@ mod tests {
         // Rank 0 blocked on rank 1; rank 1 is running (no wait) — no
         // deadlock, however many scans pass.
         let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
+        fabric.verify.set_wait(0, recv_wait(1, 0));
         let mut prev = None;
         for _ in 0..3 {
             assert!(fabric.watchdog_scan(&mut prev).is_none());
@@ -1888,15 +1983,7 @@ mod tests {
     fn watchdog_scan_flags_recv_from_finished_rank() {
         // Rank 1 exited without sending; rank 0 still waits on it.
         let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
+        fabric.verify.set_wait(0, recv_wait(1, 0));
         fabric.verify.mark_done(1);
         let mut prev = None;
         assert!(fabric.watchdog_scan(&mut prev).is_none());
@@ -1910,17 +1997,7 @@ mod tests {
         // The candidate set is armed, but the rank re-blocks (generation
         // bump) before the second scan: the confirmation must start over.
         let fabric = Fabric::new(1);
-        let block = |f: &Fabric| {
-            f.verify.set_wait(
-                0,
-                WaitInfo {
-                    kind: WaitKind::Recv { from_world: 0, ctx_index: 0 },
-                    ctx: WORLD_CTX,
-                    waiting_on: vec![0],
-                    site: here(),
-                },
-            )
-        };
+        let block = |f: &Fabric| f.verify.set_wait(0, recv_wait(0, 0));
         block(&fabric);
         let mut prev = None;
         assert!(fabric.watchdog_scan(&mut prev).is_none());
@@ -1936,7 +2013,7 @@ mod tests {
         let f2 = fabric.clone();
         let h = thread::spawn(move || {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                f2.take_any(WORLD_CTX, 0, 0, 1, here(), None);
+                f2.take_any(&f2.world_mailboxes(), WORLD_CTX, 0, 0, 1, here(), None);
             }));
             caught.expect_err("take_any must panic out of an aborted world")
         });
@@ -1953,11 +2030,12 @@ mod tests {
     #[test]
     fn residual_messages_reports_undrained_mailboxes() {
         let fabric = Fabric::new(2);
-        fabric.post(WORLD_CTX, 1, msg(0, 0.0, vec![1.0]));
-        fabric.post(WORLD_CTX, 1, msg(0, 0.0, vec![2.0]));
-        fabric.post(3, 0, msg(1, 0.0, vec![3.0]));
+        let (world, three) = (fabric.world_mailboxes(), fabric.new_mailboxes(3, 2));
+        fabric.post(&world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![1.0]));
+        fabric.post(&world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![2.0]));
+        fabric.post(&three, 3, 0, 0, msg(1, 0.0, vec![3.0]));
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2), (3, 0, 1)]);
-        fabric.take_any(3, 0, 0, 1, here(), None);
+        fabric.take_any(&three, 3, 0, 0, 1, here(), None);
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2)]);
     }
 
@@ -1978,8 +2056,44 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         fabric.mark_rank_dead(2, "rank 2 killed by fault-plan entry kill=2@1".to_string());
         for h in handles {
-            let group = h.join().unwrap().unwrap().unwrap();
+            let (group, _) = h.join().unwrap().unwrap().unwrap();
             assert_eq!(*group.members, vec![0, 1], "dead member must be excluded");
+        }
+    }
+
+    #[test]
+    fn dead_rank_completes_split_with_survivors_only_on_the_event_loop() {
+        // Under the canonical schedule rank 0 runs first: as the victim it
+        // dies before anyone deposits, so the last survivor's deposit must
+        // count it out; victim 2 dies after both survivors deposited and
+        // blocked, so its death must complete the rendezvous.
+        for victim in [0usize, 2] {
+            let out = crate::World::new(3, pmm_model::MachineParams::BANDWIDTH_ONLY)
+                .with_engine(crate::Engine::EventLoop)
+                .with_faults(FaultPlan::none().with_kill(victim, 1))
+                .run_async(move |rank| {
+                    Box::pin(async move {
+                        let wc = rank.world_comm();
+                        let key = rank.world_rank() as i64;
+                        if rank.world_rank() == victim {
+                            let died =
+                                crate::catch_failures_async!(rank, rank.split_a(&wc, 0, key));
+                            assert!(died.is_err(), "the victim is killed entering the split");
+                            return None;
+                        }
+                        let comm = rank.split_a(&wc, 0, key).await.expect("color 0 joins a group");
+                        Some((comm.members().to_vec(), comm.index()))
+                    })
+                });
+            let survivors: Vec<usize> = (0..3).filter(|&r| r != victim).collect();
+            for (i, &r) in survivors.iter().enumerate() {
+                assert_eq!(
+                    out.values[r],
+                    Some((survivors.clone(), i)),
+                    "victim {victim}, rank {r}"
+                );
+            }
+            assert_eq!(out.values[victim], None);
         }
     }
 
@@ -1990,7 +2104,9 @@ mod tests {
         let fabric = Arc::new(fabric);
         let f2 = fabric.clone();
         let watch = Some(fabric.fault_epoch());
-        let h = thread::spawn(move || f2.take_any(WORLD_CTX, 0, 0, 1, here(), watch));
+        let h = thread::spawn(move || {
+            f2.take_any(&f2.world_mailboxes(), WORLD_CTX, 0, 0, 1, here(), watch)
+        });
         thread::sleep(Duration::from_millis(20));
         fabric.mark_rank_dead(1, "rank 1 killed by fault-plan entry kill=1@1".to_string());
         assert!(h.join().unwrap().is_none(), "wait must be kicked, not served");
@@ -2002,15 +2118,7 @@ mod tests {
         fabric.verify.note_rank_failure(
             "rank 1 killed by fault-plan entry kill=1@3 (replay: PMM_SEED=7)".to_string(),
         );
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
+        fabric.verify.set_wait(0, recv_wait(1, 0));
         fabric.verify.mark_done(1);
         let mut prev = None;
         assert!(fabric.watchdog_scan(&mut prev).is_none());

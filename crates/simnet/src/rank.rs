@@ -181,13 +181,16 @@ macro_rules! catch_failures_async {
     }};
 }
 
-/// A simulated processor. Each rank runs on its own OS thread; the closure
-/// passed to [`World::run`](crate::World::run) receives `&mut Rank` and may
-/// keep arbitrary private state — the only inter-rank data path is
-/// [`Rank::send`] / [`Rank::recv`].
+/// A simulated processor: a continuation on the event loop
+/// ([`World::run_async`](crate::World::run_async)) or an OS thread of its
+/// own ([`World::run`](crate::World::run)). The rank program receives
+/// `&mut Rank` and may keep arbitrary private state — the only inter-rank
+/// data path is [`Rank::send`] / [`Rank::recv`].
 pub struct Rank {
     world_rank: usize,
-    world_members: Arc<Vec<usize>>,
+    /// The world communicator. [`Rank::world_comm`] hands out clones, so
+    /// every handle shares one split sequence.
+    world: Comm,
     fabric: Arc<Fabric>,
     params: MachineParams,
     time: f64,
@@ -236,6 +239,7 @@ impl Rank {
         vclock_audit: bool,
     ) -> Rank {
         let world_size = world_members.len();
+        let world = Comm::new(WORLD_CTX, world_members, fabric.world_mailboxes(), world_rank);
         let (kill_at, cascade_at, slowdown) = match fabric.fault() {
             Some(f) => (
                 f.plan.kill_at(world_rank),
@@ -246,7 +250,7 @@ impl Rank {
         };
         Rank {
             world_rank,
-            world_members,
+            world,
             fabric,
             params,
             time: 0.0,
@@ -427,17 +431,14 @@ impl Rank {
         let fabric = self.fabric.clone();
         let start = self.time;
         let from = comm.index();
+        let to_world = comm.world_rank_of(to);
+        let post = |msg: Message| fabric.post(&comm.mailboxes, comm.ctx, to, to_world, msg);
         let Some(fstate) = fabric.fault() else {
             let vclock = self.vclock_stamp();
-            fabric.post(
-                comm.ctx,
-                to,
-                Message { from, sent_at: start, payload: payload.to_vec(), vclock, meta: None },
-            );
+            post(Message { from, sent_at: start, payload: payload.to_vec(), vclock, meta: None });
             return start;
         };
         let w = payload.len() as u64;
-        let to_world = comm.world_rank_of(to);
         let seq = {
             let counter = self.send_seq.entry((comm.ctx, to)).or_insert(0);
             let seq = *counter;
@@ -459,28 +460,15 @@ impl Rank {
             match plan.decide(fstate.seed, tx) {
                 FaultAction::Deliver => {
                     let vclock = self.vclock_stamp();
-                    fabric.post(
-                        comm.ctx,
-                        to,
-                        Message { from, sent_at, payload: payload.to_vec(), vclock, meta },
-                    );
+                    post(Message { from, sent_at, payload: payload.to_vec(), vclock, meta });
                     return sent_at;
                 }
                 FaultAction::Delay(d) => {
                     // The copy loiters in flight; the sender's own clock
                     // is unaffected (the delay stays under the timeout).
                     let vclock = self.vclock_stamp();
-                    fabric.post(
-                        comm.ctx,
-                        to,
-                        Message {
-                            from,
-                            sent_at: sent_at + d,
-                            payload: payload.to_vec(),
-                            vclock,
-                            meta,
-                        },
-                    );
+                    let payload = payload.to_vec();
+                    post(Message { from, sent_at: sent_at + d, payload, vclock, meta });
                     return sent_at;
                 }
                 FaultAction::Duplicate => {
@@ -488,8 +476,8 @@ impl Rank {
                     // discards the second. The extra copy is overhead.
                     let vclock = self.vclock_stamp();
                     let msg = Message { from, sent_at, payload: payload.to_vec(), vclock, meta };
-                    fabric.post(comm.ctx, to, msg.clone());
-                    fabric.post(comm.ctx, to, msg);
+                    post(msg.clone());
+                    post(msg);
                     self.meter.retry_words_sent += w;
                     self.meter.retry_msgs_sent += 1;
                     return sent_at;
@@ -510,11 +498,7 @@ impl Rank {
                         *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
                     }
                     let vclock = self.vclock_stamp();
-                    fabric.post(
-                        comm.ctx,
-                        to,
-                        Message { from, sent_at, payload: damaged, vclock, meta },
-                    );
+                    post(Message { from, sent_at, payload: damaged, vclock, meta });
                     self.meter.retry_words_sent += w;
                     self.meter.retry_msgs_sent += 1;
                     sent_at += per_copy + plan.rto(attempt);
@@ -601,12 +585,14 @@ impl Rank {
     /// Number of ranks in the world.
     #[inline]
     pub fn world_size(&self) -> usize {
-        self.world_members.len()
+        self.world.size()
     }
 
-    /// The world communicator (all ranks, identity ordering).
+    /// The world communicator (all ranks, identity ordering). Every call
+    /// returns a handle to the same communicator: splits issued through
+    /// any of them count in one sequence.
     pub fn world_comm(&self) -> Comm {
-        Comm::new(WORLD_CTX, self.world_members.clone(), self.world_rank)
+        self.world.clone()
     }
 
     /// The machine parameters this world was created with.
@@ -961,6 +947,7 @@ impl Rank {
             let taken = if fabric.is_event_loop() {
                 fabric
                     .take_any_a(
+                        &comm.mailboxes,
                         comm.ctx,
                         comm.index(),
                         self.world_rank,
@@ -971,6 +958,7 @@ impl Rank {
                     .await
             } else {
                 fabric.take_any(
+                    &comm.mailboxes,
                     comm.ctx,
                     comm.index(),
                     self.world_rank,
@@ -1054,19 +1042,13 @@ impl Rank {
                     self.fault_watch,
                 )
             };
-            let group = match result {
+            match result {
                 Err(FaultKick) => self.raise_peer_failure(),
-                Ok(None) => return None,
-                Ok(Some(group)) => group,
-            };
-            let my_index =
-                group.members.iter().position(|&w| w == self.world_rank).unwrap_or_else(|| {
-                    panic!(
-                        "world rank {} missing from its own split group (ctx {}) — fabric bug",
-                        self.world_rank, group.ctx
-                    )
-                });
-            Some(Comm::new(group.ctx, group.members, my_index))
+                Ok(None) => None,
+                Ok(Some((group, my_index))) => {
+                    Some(Comm::new(group.ctx, group.members, group.mailboxes, my_index))
+                }
+            }
         }
     }
 
@@ -1120,22 +1102,16 @@ impl Rank {
                     None,
                 )
             };
-            let group = match result {
-                Ok(Some(group)) => group,
+            match result {
+                Ok(Some((group, my_index))) => {
+                    Comm::new(group.ctx, group.members, group.mailboxes, my_index)
+                }
                 Ok(None) | Err(FaultKick) => panic!(
                     "rank {}: recovery split round {round} failed — fabric bug (color 0 cannot \
                      opt out, and recovery splits do not watch the fault epoch)",
                     self.world_rank
                 ),
-            };
-            let my_index =
-                group.members.iter().position(|&w| w == self.world_rank).unwrap_or_else(|| {
-                    panic!(
-                        "world rank {} missing from its own recovery group (ctx {}) — fabric bug",
-                        self.world_rank, group.ctx
-                    )
-                });
-            Comm::new(group.ctx, group.members, my_index)
+            }
         }
     }
 

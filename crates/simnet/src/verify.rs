@@ -143,11 +143,17 @@ pub(crate) enum WaitKind {
     Split {
         /// Per-parent split sequence number (rendezvous key).
         seq: u64,
+        /// World ranks of the members yet to deposit (empty past
+        /// `WAIT_LIST_MAX_WORLD` members).
+        missing: Vec<usize>,
     },
     /// Blocked in the zero-cost world barrier.
     Barrier {
         /// Barrier generation the rank entered on.
         generation: u64,
+        /// World ranks yet to arrive (empty past `WAIT_LIST_MAX_WORLD`
+        /// ranks).
+        missing: Vec<usize>,
     },
 }
 
@@ -155,7 +161,7 @@ impl std::fmt::Display for WaitKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WaitKind::Recv { from_world, .. } => write!(f, "recv(from world rank {from_world})"),
-            WaitKind::Split { seq } => write!(f, "comm split rendezvous (split #{seq})"),
+            WaitKind::Split { seq, .. } => write!(f, "comm split rendezvous (split #{seq})"),
             WaitKind::Barrier { .. } => write!(f, "world barrier"),
         }
     }
@@ -167,10 +173,20 @@ pub(crate) struct WaitInfo {
     pub kind: WaitKind,
     /// Communicator context of the blocking operation.
     pub ctx: Ctx,
-    /// World ranks whose action could unblock this rank.
-    pub waiting_on: Vec<usize>,
     /// Source location of the user-level blocking call.
     pub site: &'static Location<'static>,
+}
+
+impl WaitInfo {
+    /// World ranks whose action could unblock this rank. A directed
+    /// receive waits on exactly its sender, so blocking in one allocates
+    /// nothing.
+    pub fn waiting_on(&self) -> &[usize] {
+        match &self.kind {
+            WaitKind::Recv { from_world, .. } => std::slice::from_ref(from_world),
+            WaitKind::Split { missing, .. } | WaitKind::Barrier { missing, .. } => missing,
+        }
+    }
 }
 
 /// Per-rank verify slot. `gen` counts wait-state transitions; the
@@ -326,11 +342,16 @@ impl VerifyState {
         let round = cl.rounds.entry(seq).or_insert_with(|| Round::new(comm_size));
         let desc = CallDesc { op, elems, world_rank, site };
 
-        let conflict = round
-            .descs
-            .iter()
-            .flatten()
-            .find(|prev| prev.op != op || (op.uniform_elems() && prev.elems != elems));
+        // Agreement is transitive and every earlier registrant agreed
+        // with the round's first (or the world aborted), so comparing
+        // with that one descriptor decides. Only a mismatch pays for the
+        // member-order scan, which names the lowest conflicting member.
+        let conflicts =
+            |prev: &CallDesc| prev.op != op || (op.uniform_elems() && prev.elems != elems);
+        let conflict = match round.first {
+            Some(first) if conflicts(&first) => round.descs.iter().flatten().find(|p| conflicts(p)),
+            _ => None,
+        };
         if let Some(prev) = conflict {
             let mut report = format!(
                 "pmm-verify: collective mismatch on communicator ctx {ctx} \
@@ -355,6 +376,7 @@ impl VerifyState {
         }
 
         round.descs[member_index] = Some(desc);
+        round.first.get_or_insert(desc);
         round.registered += 1;
         if round.registered == comm_size {
             cl.rounds.remove(&seq);
@@ -429,12 +451,15 @@ impl CommLedger {
 /// One collective's registrations across members.
 struct Round {
     descs: Vec<Option<CallDesc>>,
+    /// The first descriptor registered (the witness newcomers are
+    /// checked against).
+    first: Option<CallDesc>,
     registered: usize,
 }
 
 impl Round {
     fn new(size: usize) -> Round {
-        Round { descs: vec![None; size], registered: 0 }
+        Round { descs: vec![None; size], first: None, registered: 0 }
     }
 }
 
@@ -497,6 +522,33 @@ mod tests {
         assert!(err.contains("world rank 10"), "{err}");
         assert!(err.contains("world rank 12"), "{err}");
         assert!(err.contains("member 1: not yet entered"), "{err}");
+    }
+
+    #[test]
+    fn mismatch_report_names_the_lowest_conflicting_member_not_the_witness() {
+        // Members 3 then 1 agree; member 2 disagrees. The newcomer is
+        // checked against the first registrant (member 3) only, but the
+        // report must read exactly as a member-order scan wrote it: the
+        // conflict it names is member 1, neither the witness nor member 0.
+        let v = VerifyState::new(4);
+        let s = site();
+        v.register_collective(5, 4, 3, 13, CollectiveOp::AllReduce, 8, s).expect("first");
+        v.register_collective(5, 4, 1, 11, CollectiveOp::AllReduce, 8, s).expect("agrees");
+        let err = v
+            .register_collective(5, 4, 2, 12, CollectiveOp::AllReduce, 9, s)
+            .expect_err("element-count skew must be flagged");
+        let want = format!(
+            "pmm-verify: collective mismatch on communicator ctx 5 (collective #0 of this \
+             communicator)\n\
+             world rank 12 entered `all_reduce` with 9 element(s) at {s}, but world rank 11 had \
+             entered `all_reduce` with 8 element(s) at {s}\n\
+             descriptors registered so far for collective #0 on ctx 5:\n\
+             \x20 member 0: not yet entered\n\
+             \x20 member 1 (world rank 11): all_reduce [8 elems] at {s}\n\
+             \x20 member 2 (world rank 12): all_reduce [9 elems] at {s}\n\
+             \x20 member 3 (world rank 13): all_reduce [8 elems] at {s}\n"
+        );
+        assert_eq!(err, want);
     }
 
     #[test]

@@ -147,6 +147,59 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
     scale_point("p10k", MatMulDims::new(250, 200, 200), [25, 20, 20], true, false);
 }
 
+/// Host seconds of one rendezvous-only world of `p` ranks at the
+/// at-scale knobs: the three world-sized splits of Algorithm 1's fiber
+/// set-up (row-major fibers of a `p/16 × 16` layout, then one
+/// world-sized group) and a world barrier, no messages.
+fn rendezvous_only_secs(p: usize) -> f64 {
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
+        .with_engine(Engine::EventLoop)
+        .with_schedule_recording(false)
+        .with_targeted_wakeup(true)
+        .without_watchdog();
+    let t0 = Instant::now();
+    let out = world.run_async(|rank| {
+        Box::pin(async move {
+            let wc = rank.world_comm();
+            let r = rank.world_rank() as i64;
+            let rows = rank.split_a(&wc, r / 16, r).await.expect("row fiber");
+            let cols = rank.split_a(&wc, r % 16, r).await.expect("column fiber");
+            let all = rank.split_a(&wc, 0, r).await.expect("world-sized group");
+            rank.hard_sync_a().await;
+            (rows.size(), cols.size(), all.index())
+        })
+    });
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(out.values[p - 1], (16, p / 16, p - 1));
+    secs
+}
+
+/// Complexity guard for the rendezvous paths: a split deposit, a
+/// collective registration and a barrier arrival must cost O(1), so a
+/// splits-plus-barrier world at 4P takes about 4× the host time of one
+/// at P. An O(P) scan per deposit (what `split_try_complete` and
+/// `register_collective` used to do) makes it 16×. A ratio of
+/// best-of-three times, the two sizes measured alternately so a busy
+/// host slows both — not a wall-clock bound; both sizes sit above the
+/// 4096-rank cutoff of the wait lists.
+#[test]
+fn rendezvous_cost_is_linear_in_p() {
+    let p = 6_000;
+    let (mut small, mut large) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        small = small.min(rendezvous_only_secs(p));
+        large = large.min(rendezvous_only_secs(4 * p));
+    }
+    println!("SCALE: label=rendezvous p={p} secs={small:.4} secs_at_4p={large:.4}");
+    assert!(
+        large < 8.0 * small,
+        "rendezvous-only world: {large:.3} s at P = {} vs {small:.3} s at P = {p} — a ratio of \
+         {:.1}, linear is 4 and an O(P) scan per deposit is 16",
+        4 * p,
+        large / small
+    );
+}
+
 /// P = 10^5 on the integral §5.2 grid [50, 50, 40] of
 /// (1000, 1000, 800): t = 0.05, blocks 20×20, fiber chunks even. With
 /// the structured tracer armed. Release-mode cell of `cargo xtask
@@ -160,8 +213,10 @@ fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
 /// P = 10^6 on the integral §5.2 grid [100, 100, 100] of
 /// (100, 100, 100): t = 1, one element per block, so fiber chunks are
 /// uneven and eq. (3) holds in aggregate (the per-rank exact check
-/// needs even chunks). Release-mode cell of `cargo xtask scale-check`;
-/// measured on one core: ~6 640 s at ~151 ranks/sec, 24 GB peak RSS.
+/// needs even chunks). Release-mode cell of `cargo xtask scale-check`.
+/// Needs ~24 GB of RSS; last measured (one core, ~6 640 s at ~151
+/// ranks/sec) when every split deposit still scanned all 10^6 members,
+/// and not re-measured since those scans went away.
 #[test]
 #[ignore = "million-rank release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_6() {

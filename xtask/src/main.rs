@@ -54,10 +54,12 @@
 //!   gate (`tests/scale.rs`, release mode): Algorithm 1 end-to-end on
 //!   the event-loop engine at P = 10^4, 10^5, and 10^6 (ascending, each
 //!   cell started only while the wall-clock budget — default 300 s —
-//!   lasts), with per-rank per-phase eq. (3) checks against
-//!   `pmm_model::alg1_prediction` on integral §5.2 grids. Collects the
-//!   tests' `SCALE:` metric lines into `BENCH_scale.json` (ranks/sec
-//!   stepped, peak RSS, max executed P).
+//!   lasts and the host has the memory it needs), with per-rank
+//!   per-phase eq. (3) checks against `pmm_model::alg1_prediction` on
+//!   integral §5.2 grids. Collects the tests' `SCALE:` metric lines
+//!   into `BENCH_scale.json` (ranks/sec stepped, peak RSS, max executed
+//!   P) and fails if a re-run cell's ranks/sec fell below half of the
+//!   committed file's.
 //! * `cargo xtask serve-soak [budget-secs]` — the chaos load harness for
 //!   the `pmm serve` advisor service (`pmm-bench`'s `serve_chaos` bin,
 //!   release mode): mixed valid/burst/panic/malformed/oversized/slowloris
@@ -176,7 +178,9 @@ fn main() -> ExitCode {
                  \x20 scale-check     [budget-secs] execute Algorithm 1 at large P\n\
                  \x20                 (tests/scale.rs, release, event-loop engine):\n\
                  \x20                 P = 10^4, 10^5, 10^6 cells until the budget\n\
-                 \x20                 (default 300 s) is spent; emits BENCH_scale.json\n\
+                 \x20                 (default 300 s) is spent or memory is short;\n\
+                 \x20                 emits BENCH_scale.json, fails below 0.5x of the\n\
+                 \x20                 committed ranks/sec\n\
                  \x20 serve-soak      [budget-secs] run the pmm-serve chaos load harness\n\
                  \x20                 (mixed valid/malformed/overload/slowloris traffic,\n\
                  \x20                 default 10 s) and emit BENCH_serve.json"
@@ -615,31 +619,78 @@ fn dpor(budget: Duration) -> ExitCode {
 
 /// The large-P execution cells of `cargo xtask scale-check`, in
 /// ascending-P order so a spent budget drops the biggest cells first.
-/// Each entry is the exact `tests/scale.rs` test name and its pinned
-/// rank count.
-const SCALE_CELLS: [(&str, u64); 3] = [
-    ("alg1_executes_at_p_10_4_with_exact_eq3_attribution", 10_000),
-    ("alg1_executes_at_p_10_5_with_exact_eq3_attribution", 100_000),
-    ("alg1_executes_at_p_10_6", 1_000_000),
+/// Each entry is the exact `tests/scale.rs` test name, its pinned rank
+/// count, and the memory (GB) the cell peaks at — a cell the host cannot
+/// hold is skipped like one the budget cannot reach, not OOM-killed
+/// (the budget alone no longer keeps a 16 GB host off the 10^6 cell).
+const SCALE_CELLS: [(&str, u64, u64); 3] = [
+    ("alg1_executes_at_p_10_4_with_exact_eq3_attribution", 10_000, 1),
+    ("alg1_executes_at_p_10_5_with_exact_eq3_attribution", 100_000, 6),
+    ("alg1_executes_at_p_10_6", 1_000_000, 24),
 ];
+
+/// Linux `MemAvailable` in GB, or `None` where /proc is unavailable.
+fn mem_available_gb() -> Option<u64> {
+    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let kb: u64 = meminfo
+        .lines()
+        .find(|l| l.starts_with("MemAvailable:"))?
+        .split_whitespace()
+        .nth(1)?
+        .parse()
+        .ok()?;
+    Some(kb >> 20)
+}
+
+/// How far a scale cell's ranks/sec may fall below the committed
+/// `BENCH_scale.json` before the gate fails (fraction that must
+/// survive). Wider than [`KERNEL_BENCH_FLOOR`]: these cells are seconds
+/// to minutes of host time on a shared VM.
+const SCALE_CHECK_FLOOR: f64 = 0.5;
+
+/// `(label, ranks_per_sec)` of every cell line of a `BENCH_scale.json`
+/// (the one-cell-per-line format [`scale_check`] writes).
+fn scale_cell_rates(json: &str) -> Vec<(String, f64)> {
+    let field = |line: &str, key: &str| -> Option<String> {
+        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+        Some(rest.split(',').next()?.trim().trim_matches(|c| c == '"' || c == '}').to_string())
+    };
+    json.lines()
+        .filter_map(|l| Some((field(l, "label")?, field(l, "ranks_per_sec")?.parse().ok()?)))
+        .collect()
+}
 
 /// The executed-at-scale gate: run the `tests/scale.rs` cells (release
 /// mode, event-loop engine) in ascending-P order until the wall-clock
 /// budget is spent, collect each cell's `SCALE: key=value` metric line,
 /// and write `BENCH_scale.json` at the workspace root: ranks/sec
-/// stepped, peak RSS, and the maximum P actually executed.
+/// stepped, peak RSS, and the maximum P actually executed. Fails if a
+/// re-run cell's ranks/sec is below [`SCALE_CHECK_FLOOR`] of the
+/// committed file's.
 fn scale_check(budget: Duration) -> ExitCode {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let root = workspace_root();
+    let bench = root.join("BENCH_scale.json");
+    // Read the committed baseline before the new run overwrites it.
+    let baseline =
+        std::fs::read_to_string(&bench).map_or_else(|_| Vec::new(), |j| scale_cell_rates(&j));
     eprintln!("xtask: scale-check — executed-at-scale gate ({}s budget)", budget.as_secs());
     let start = Instant::now();
     let mut lines: Vec<Vec<(String, String)>> = Vec::new();
     let mut max_p = 0u64;
     let mut skipped = 0u32;
-    for (test, p) in SCALE_CELLS {
+    for (test, p, need_gb) in SCALE_CELLS {
         if start.elapsed() >= budget {
             skipped += 1;
             eprintln!("xtask: scale-check budget spent — skipping P = {p} cell");
+            continue;
+        }
+        if let Some(have_gb) = mem_available_gb().filter(|&have| have < need_gb) {
+            skipped += 1;
+            eprintln!(
+                "xtask: scale-check P = {p} cell needs ~{need_gb} GB, {have_gb} GB available — \
+                 skipping"
+            );
             continue;
         }
         eprintln!("xtask: scale-check cell P = {p} ({test})");
@@ -719,16 +770,30 @@ fn scale_check(budget: Duration) -> ExitCode {
         json.push_str(&format!("    {{{}}}{comma}\n", fields.join(", ")));
     }
     json.push_str("  ]\n}\n");
-    let bench = root.join("BENCH_scale.json");
     if let Err(e) = std::fs::write(&bench, &json) {
         eprintln!("xtask: could not write {}: {e}", bench.display());
+        return ExitCode::FAILURE;
+    }
+    let mut regressed = false;
+    for (label, rate) in scale_cell_rates(&json) {
+        let Some((_, base)) = baseline.iter().find(|(l, _)| *l == label) else { continue };
+        if rate < SCALE_CHECK_FLOOR * base {
+            eprintln!(
+                "xtask: scale-check FAILED — cell {label} regressed to {rate:.0} ranks/s, below \
+                 {:.0}% of the committed {base:.0}",
+                100.0 * SCALE_CHECK_FLOOR
+            );
+            regressed = true;
+        }
+    }
+    if regressed {
         return ExitCode::FAILURE;
     }
     eprintln!(
         "xtask: scale-check passed — max executed P = {max_p}, {best_rate:.0} ranks/s, \
          peak RSS {:.0} MB{}; metrics in {}",
         peak_rss / 1024.0,
-        if skipped > 0 { format!(" ({skipped} cell(s) skipped on budget)") } else { String::new() },
+        if skipped > 0 { format!(" ({skipped} cell(s) skipped)") } else { String::new() },
         bench.display()
     );
     ExitCode::SUCCESS
@@ -1091,6 +1156,18 @@ fn has_word(line: &str, needle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_cell_rates_reads_the_committed_cell_lines() {
+        let json = "{\n  \"best_ranks_per_sec\": 7277,\n  \"cells\": [\n    \
+            {\"label\": \"p10k\", \"p\": 10000, \"secs\": 1.374, \"ranks_per_sec\": 7277, \
+            \"peak_rss_kb\": 116764},\n    \
+            {\"label\": \"p100k\", \"p\": 100000, \"ranks_per_sec\": 846}\n  ]\n}\n";
+        assert_eq!(
+            scale_cell_rates(json),
+            vec![("p10k".to_string(), 7277.0), ("p100k".to_string(), 846.0)]
+        );
+    }
 
     #[test]
     fn word_match_respects_identifier_boundaries() {
