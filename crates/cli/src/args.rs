@@ -6,7 +6,7 @@
 use std::fmt;
 
 use pmm_model::MatMulDims;
-use pmm_simnet::{Engine, FaultPlan};
+use pmm_simnet::FaultPlan;
 
 /// A fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,14 +25,13 @@ pub enum Command {
         gamma: f64,
     },
     /// `pmm simulate --dims AxBxC --procs P [--grid AxBxC] [--seed S]
-    /// [--faults SPEC] [--engine E]`
+    /// [--faults SPEC]`
     Simulate {
         dims: MatMulDims,
         procs: usize,
         grid: Option<[usize; 3]>,
         seed: u64,
         faults: Option<FaultPlan>,
-        engine: Option<Engine>,
     },
     /// `pmm trace --dims AxBxC --procs P [--grid AxBxC] [--seed S]
     /// [--out FILE]`
@@ -225,7 +224,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         }
         "simulate" => {
             let flags = Flags::parse(rest)?;
-            flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults", "engine"])?;
+            flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults"])?;
             let procs = flags
                 .require("procs")?
                 .parse::<usize>()
@@ -239,17 +238,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 .get("faults")
                 .map(|s| FaultPlan::parse(s).map_err(|e| err(format!("--faults: {e}"))))
                 .transpose()?;
-            let engine = flags
-                .get("engine")
-                .map(|s| s.parse::<Engine>().map_err(|e| err(format!("--engine: {e}"))))
-                .transpose()?;
             Ok(Command::Simulate {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
                 grid,
                 seed,
                 faults,
-                engine,
             })
         }
         "trace" => {
@@ -350,14 +344,13 @@ USAGE:
                [--alpha A] [--beta B] [--gamma G]
       Rank execution strategies by predicted time on an α-β-γ machine.
   pmm simulate --dims N1xN2xN3 --procs P [--grid AxBxC] [--seed S]
-               [--faults SPEC] [--engine E]
-      Run Algorithm 1 on the simulated machine, verify the product, and
-      report measured communication vs the bound. --engine picks the
-      execution backend: 'event-loop' (default — single-threaded rank
-      continuations; executes P up to 10^5-10^6 for real) or 'threads'
-      (one OS thread per rank); PMM_ENGINE sets the default. --faults
-      injects seeded message faults and rank failures (recovered by
-      checkpointed re-planning onto the optimal grid of the survivors);
+               [--faults SPEC]
+      Run Algorithm 1 on the simulated machine (ranks are continuations
+      on a single-threaded event loop, so P up to 10^5-10^6 executes for
+      real), verify the product, and report measured communication vs
+      the bound. --faults injects seeded message faults and rank
+      failures (recovered by checkpointed re-planning onto the optimal
+      grid of the survivors);
       SPEC is comma-separated key=value pairs: drop/dup/corrupt/delay
       (rates), timeout, cap, retries, seed (fault seed),
       kill=RANK@OP (repeatable), cascade=RANK@EPOCH (kill RANK at its
@@ -439,26 +432,14 @@ mod tests {
                 grid: Some([4, 1, 1]),
                 seed: 7,
                 faults: None,
-                engine: None,
             }
         );
     }
 
     #[test]
-    fn parses_simulate_engine() {
-        for (spec, want) in [
-            ("event-loop", Engine::EventLoop),
-            ("eventloop", Engine::EventLoop),
-            ("threads", Engine::Threads),
-        ] {
-            let c = parse_args(&argv(&format!("simulate --dims 8x8x8 --procs 2 --engine {spec}")))
-                .unwrap();
-            match c {
-                Command::Simulate { engine, .. } => assert_eq!(engine, Some(want), "{spec}"),
-                other => panic!("wrong parse: {other:?}"),
-            }
-        }
-        assert!(parse_args(&argv("simulate --dims 8x8x8 --procs 2 --engine fibers")).is_err());
+    fn simulate_rejects_the_retired_engine_flag_as_unknown() {
+        let e = parse_args(&argv("simulate --dims 8x8x8 --procs 2 --engine threads")).unwrap_err();
+        assert!(e.to_string().contains("unknown flag --engine"), "{e}");
     }
 
     #[test]

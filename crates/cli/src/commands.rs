@@ -15,7 +15,7 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::{gemm, kernel_from_env, random_int_matrix, Kernel};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
-use pmm_simnet::{seed_from_env, Engine, FaultPlan, World};
+use pmm_simnet::{seed_from_env, FaultPlan, World};
 
 use crate::args::ServeOpts;
 
@@ -136,32 +136,22 @@ pub fn advise(
 /// `pmm simulate` (fault-free form): output only, for callers that don't
 /// care about the process exit code.
 pub fn simulate(dims: MatMulDims, procs: usize, grid: Option<[usize; 3]>, seed: u64) -> String {
-    simulate_run(dims, procs, grid, seed, None, None).0
+    simulate_run(dims, procs, grid, seed, None).0
 }
 
 /// `pmm simulate`, full form: returns the report and the process exit
 /// code (`0` = product verified, `1` = wrong product or a fault the run
-/// could not recover from). `engine` pins the execution backend
-/// (`--engine`); `None` defers to `PMM_ENGINE`, then the event loop.
+/// could not recover from).
 pub fn simulate_run(
     dims: MatMulDims,
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
     faults: Option<FaultPlan>,
-    engine: Option<Engine>,
 ) -> (String, u8) {
     match faults {
-        None => simulate_clean(dims, procs, grid, seed, engine),
-        Some(plan) => simulate_faulty(dims, procs, seed, plan, engine),
-    }
-}
-
-/// Apply an explicit `--engine` choice to a world, if any.
-fn with_engine_opt(world: World, engine: Option<Engine>) -> World {
-    match engine {
-        Some(e) => world.with_engine(e),
-        None => world,
+        None => simulate_clean(dims, procs, grid, seed),
+        Some(plan) => simulate_faulty(dims, procs, seed, plan),
     }
 }
 
@@ -170,7 +160,6 @@ fn simulate_clean(
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
-    engine: Option<Engine>,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
@@ -180,10 +169,7 @@ fn simulate_clean(
     // The data seed also seeds the schedule (overridable via PMM_SEED),
     // so a reported run replays rank interleaving and all.
     let sched_seed = seed_from_env(seed);
-    let world = with_engine_opt(
-        World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed),
-        engine,
-    );
+    let world = World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed);
     let out = world.run_async(move |rank| {
         let cfg = cfg.clone();
         Box::pin(async move {
@@ -217,25 +203,16 @@ fn simulate_clean(
     (s, u8::from(!correct))
 }
 
-fn simulate_faulty(
-    dims: MatMulDims,
-    procs: usize,
-    seed: u64,
-    plan: FaultPlan,
-    engine: Option<Engine>,
-) -> (String, u8) {
+fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -> (String, u8) {
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
     let sched_seed = seed_from_env(seed);
     // Recovery re-picks the §5.2 grid per attempt from the survivor
     // count, so no --grid applies here. An unrecoverable run (e.g.
     // retransmissions exhausted, or every rank killed) aborts the world
     // with a report; surface it as output + exit 1, not a panic.
-    let world = with_engine_opt(
-        World::new(procs, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(sched_seed)
-            .with_faults(plan.clone()),
-        engine,
-    );
+    let world = World::new(procs, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(sched_seed)
+        .with_faults(plan.clone());
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         world.run_async(move |rank| {
             Box::pin(async move {

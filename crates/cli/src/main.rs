@@ -14,8 +14,8 @@ fn main() {
         Ok(Command::Advise { dims, procs, memory, alpha, beta, gamma }) => {
             print!("{}", commands::advise(dims, procs, memory, alpha, beta, gamma));
         }
-        Ok(Command::Simulate { dims, procs, grid, seed, faults, engine }) => {
-            let (report, code) = commands::simulate_run(dims, procs, grid, seed, faults, engine);
+        Ok(Command::Simulate { dims, procs, grid, seed, faults }) => {
+            let (report, code) = commands::simulate_run(dims, procs, grid, seed, faults);
             print!("{report}");
             if code != 0 {
                 std::process::exit(code.into());

@@ -187,7 +187,7 @@ impl FromStr for Kernel {
 
 /// Resolve the kernel tier from [`KERNEL_ENV`], falling back to
 /// `default`. Malformed values fall back to `default` (matching
-/// `engine_from_env`'s forgiving behavior in `pmm-simnet`).
+/// `seed_from_env`'s forgiving behavior in `pmm-simnet`).
 pub fn kernel_from_env(default: Kernel) -> Kernel {
     match std::env::var(KERNEL_ENV) {
         Ok(s) => s.parse().unwrap_or(default),

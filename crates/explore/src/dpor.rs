@@ -198,11 +198,11 @@ where
 }
 
 /// [`explore_outcomes`] for **async** rank programs: every explored
-/// schedule runs through [`World::run_async`] on the world's resolved
-/// engine, so the same DPOR walk certifies the event-loop engine (or the
-/// thread backend under [`World::with_engine`]). The choice tree is
-/// engine-independent — both engines drive the identical deterministic
-/// scheduler — so certificates (schedule counts) carry across engines.
+/// schedule runs through [`World::run_async`], i.e. as continuations on
+/// the event loop. The choice tree is host-independent — thread-hosted
+/// and loop-hosted ranks drive the identical deterministic scheduler
+/// through the identical primitives — so certificates (schedule counts)
+/// are the same as [`explore_outcomes`] finds for the sync form.
 pub fn explore_outcomes_async<T, F, C>(
     world: &World,
     program: F,
@@ -221,10 +221,10 @@ where
     )
 }
 
-/// The engine-agnostic DPOR walk: `run_prefix` executes one world run
-/// under a given choice prefix (sync or async backend — the walk only
+/// The host-agnostic DPOR walk: `run_prefix` executes one world run
+/// under a given choice prefix (sync or async program — the walk only
 /// sees the [`WorldResult`] / [`RunFailure`] artifacts, which both
-/// engines produce identically).
+/// hosts produce identically).
 fn explore_with_runner<T, R, C>(
     cfg: &ExploreConfig,
     run_prefix: R,
@@ -496,7 +496,7 @@ where
 }
 
 /// [`explore`] for async rank programs: schedule-independence and
-/// failure-freedom over the world's resolved engine.
+/// failure-freedom on the event loop.
 pub fn explore_async<T, F>(
     world: &World,
     program: F,

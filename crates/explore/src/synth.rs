@@ -331,7 +331,6 @@ pub fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
 /// duplicates may legitimately linger), and the program's fault plan.
 pub fn world_for(prog: &GenProgram) -> World {
     let mut world = World::new(prog.world_size, MachineParams::BANDWIDTH_ONLY)
-        .without_watchdog()
         .with_schedule(Schedule::Seeded(prog.seed))
         .with_strict_drain(prog.faults.is_none());
     if let Some(plan) = &prog.faults {

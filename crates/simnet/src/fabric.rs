@@ -1,16 +1,16 @@
 //! The communication fabric shared by all ranks of a [`World`].
 //!
 //! Every communicator context has one mailbox per member (a FIFO queue
-//! guarded by a mutex + condvar), allocated as one slab when the context
-//! is created — by `Fabric::new` for the world, by the split rendezvous
-//! for a group — and carried by every member's [`Comm`](crate::Comm), so
-//! a post or a take indexes the slab directly. The fabric keeps one map
-//! entry per *context* (never per message) for the cold paths that must
-//! see every mailbox: the strict-drain audit, the watchdog's wake-up
-//! hint, and the abort/fault wake-all. Directed receive (`recv(from)`)
-//! is implemented by the receiving rank stashing out-of-order messages —
-//! messages from one sender to one receiver stay FIFO because they
-//! travel through a single queue and a FIFO stash.
+//! behind a mutex), allocated as one slab when the context is created —
+//! by `Fabric::new` for the world, by the split rendezvous for a group —
+//! and carried by every member's [`Comm`](crate::Comm), so a post or a
+//! take indexes the slab directly. The fabric keeps one map entry per
+//! *context* (never per message) for the cold paths that must see every
+//! mailbox: the strict-drain audit and the watchdog's wake-up hint.
+//! Directed receive (`recv(from)`) is implemented by the receiving rank
+//! stashing out-of-order messages — messages from one sender to one
+//! receiver stay FIFO because they travel through a single queue and a
+//! FIFO stash.
 //!
 //! The fabric also hosts the rendezvous state for **communicator splits**
 //! (the MPI `comm_split` equivalent): a split is a collective, so all
@@ -18,18 +18,32 @@
 //! last one to arrive partitions the members into groups, allocates one
 //! fresh context (and mailbox slab) per group, and wakes everyone.
 //!
-//! Every blocking point (mailbox receive, split rendezvous, the world
-//! barrier) is instrumented for the [`verify`](crate::verify) layer: the
-//! blocking rank registers what it waits for, waits with a short timeout
-//! so it can observe a verifier abort, and is torn down with an
-//! `AbortPanic` when the world is aborted. `Fabric::watchdog_scan`
-//! implements the deadlock detector that runs
-//! over those registrations.
+//! ## One implementation of every blocking primitive
 //!
-//! On the event-loop engine nothing ever parks on a condvar, so the
-//! per-event notifies (post, scheduler pick, split completion, barrier
-//! release) are skipped there — a `notify_all` is a futex syscall even
-//! with no waiter. The abort/fault wake-all notifies on both engines.
+//! A blocking primitive (mailbox take, split rendezvous, world barrier)
+//! is one `async` body: check the condition under the primitive's lock,
+//! register the wait with the [`verify`](crate::verify) layer, then loop
+//! `yield_block(..).await` → re-check. Sends and collective entries
+//! yield the same way (`yield_post`, `yield_collective`). What a yield
+//! *does* depends on who hosts the rank, and `BatonYield::poll` is the
+//! only code that knows:
+//!
+//! - **loop-hosted** (`World::run_async`): the continuation returns
+//!   `Pending`; the executor polls whoever the scheduler's pick named.
+//! - **thread-hosted under a schedule** (`World::run` with a seed or a
+//!   prefix): the pick unparks the thread of the rank it named, and the
+//!   yielding thread parks until the baton comes back.
+//! - **thread-hosted free-running** (`World::run` without a schedule):
+//!   there is no baton; a block parks the thread until a progress event
+//!   — a post unparks the mailbox owner, a split completion or barrier
+//!   release unparks its members, an abort or a death unparks everyone —
+//!   and the body re-checks its condition.
+//!
+//! `thread::park` keeps a token, so an unpark that lands between a
+//! failed check and the park is not lost; parks carry a timeout only as
+//! a safety net. `Fabric::watchdog_scan` implements the deadlock
+//! detector for free-running worlds (under a schedule a deadlock is
+//! proven at pick time).
 //!
 //! Lock ordering (to keep the fabric itself deadlock-free): any
 //! primitive lock (mailbox queue, split state, barrier state) → verify
@@ -37,6 +51,8 @@
 //! → (state dropped) → splits map; split state → mailbox map (a leaf,
 //! never held while taking another lock). The watchdog never holds a
 //! verify slot while taking a fabric lock — it snapshots the slots first.
+//! Nothing waits while holding a lock: hosts park on their own thread
+//! handle, with no lock held.
 //!
 //! [`World`]: crate::world::World
 
@@ -45,8 +61,9 @@ use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 use crate::fault::{FaultKick, FaultPlan, FaultState, MsgMeta};
@@ -62,18 +79,19 @@ pub type Ctx = u64;
 /// Context id of the world communicator (created by [`Fabric::new`]).
 pub(crate) const WORLD_CTX: Ctx = 0;
 
-/// How often a blocked primitive re-checks the abort flag. Waits are
-/// condvar-notified, so this only bounds the wake-up delay if a
-/// notification is missed — it is not a busy-wait interval.
+/// Safety-net timeout of a thread host's park. Every progress event,
+/// baton hand-off and abort unparks the threads it concerns, so this only
+/// bounds the delay if an unpark were ever missed — it is not a busy-wait
+/// interval.
 const ABORT_POLL: Duration = Duration::from_millis(100);
 
 /// Largest world for which barrier/split waits record their full
 /// `waiting_on` rank lists. Building the list is O(P) per blocked
 /// arrival and storing it O(P) per waiter — an O(P^2) time/memory term —
-/// so past this size waits record an empty list. Deadlock detection on
-/// the event-loop engine is counter-based and does not consult the
-/// lists; only report verbosity (and the thread-backend watchdog's
-/// wait-for edges, irrelevant at thread-impossible P) degrades.
+/// so past this size waits record an empty list. Deadlock detection
+/// under a schedule is counter-based and does not consult the lists;
+/// only report verbosity (and the free-running watchdog's wait-for
+/// edges, irrelevant at thread-impossible P) degrades.
 const WAIT_LIST_MAX_WORLD: usize = 4096;
 
 /// A message in flight.
@@ -98,7 +116,6 @@ pub struct Message {
 /// owner ever takes from (and so blocks on) it.
 pub(crate) struct Mailbox {
     q: Mutex<VecDeque<Message>>,
-    cv: Condvar,
 }
 
 /// The mailboxes of one communicator context, indexed by member.
@@ -146,10 +163,7 @@ struct SplitState {
     result: Option<Arc<SplitResult>>,
 }
 
-struct SplitCell {
-    state: Mutex<SplitState>,
-    cv: Condvar,
-}
+type SplitCell = Mutex<SplitState>;
 
 struct BarrierState {
     /// Which world ranks have arrived in the current generation.
@@ -159,11 +173,6 @@ struct BarrierState {
     /// Fault epoch up to which corpses were counted into this
     /// generation (0 = none yet; reset at every release).
     swept_epoch: u64,
-}
-
-struct BarrierCell {
-    st: Mutex<BarrierState>,
-    cv: Condvar,
 }
 
 /// SplitMix64 step — the scheduler's tie-breaking PRNG, also the mixer
@@ -180,8 +189,6 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 /// A rank's state in the deterministic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankStatus {
-    /// Thread not yet started; nobody runs until all ranks attach.
-    NotAttached,
     /// Runnable (or currently running, when it also holds the baton).
     Ready,
     /// Parked at a blocking point whose condition was unmet when checked.
@@ -198,7 +205,6 @@ struct SchedInner {
     /// [`Schedule::Prefix`]; counts picks either way.
     cursor: usize,
     status: Vec<RankStatus>,
-    attached: usize,
     /// The rank holding the execution baton, if any.
     current: Option<usize>,
     /// Whether to materialize the event log and [`ChoicePoint`] stream.
@@ -216,8 +222,6 @@ struct SchedInner {
     ready: ReadySet,
     /// Number of `Blocked` entries of `status`.
     blocked: usize,
-    /// Number of `NotAttached` entries of `status`.
-    not_attached: usize,
     /// Broadcast-policy wake list: every currently-blocked rank, drained
     /// on each progress event (amortized O(1) per block, where scanning
     /// `status` would be O(P) per post).
@@ -253,14 +257,6 @@ impl SchedInner {
         }
     }
 
-    fn mark_attached(&mut self, r: usize) {
-        debug_assert_eq!(self.status[r], RankStatus::NotAttached);
-        self.status[r] = RankStatus::Ready;
-        self.ready.insert(r);
-        self.not_attached -= 1;
-        self.attached += 1;
-    }
-
     fn mark_blocked(&mut self, r: usize, key: Resource) {
         debug_assert_eq!(self.status[r], RankStatus::Ready);
         self.status[r] = RankStatus::Blocked;
@@ -289,7 +285,6 @@ impl SchedInner {
                 self.blocked -= 1;
                 self.blocked_on[r] = None;
             }
-            RankStatus::NotAttached => self.not_attached -= 1,
             RankStatus::Done => {}
         }
         self.status[r] = RankStatus::Done;
@@ -357,7 +352,6 @@ struct DetState {
     /// Copy of [`SchedInner::record`], readable without the lock.
     record: bool,
     st: Mutex<SchedInner>,
-    cv: Condvar,
 }
 
 /// What [`Fabric::sched_pick_locked`] decided.
@@ -365,11 +359,10 @@ struct DetState {
 enum PickOutcome {
     /// The baton was handed to a runnable rank.
     Picked,
-    /// Nobody is runnable, but nobody is blocked either (everyone done
-    /// or still attaching) — nothing to do.
+    /// Nobody is runnable, but nobody is blocked either (everyone is
+    /// done) — nothing to do.
     Idle,
-    /// Provable deadlock: nobody runnable, nobody attaching, at least
-    /// one rank blocked.
+    /// Provable deadlock: nobody runnable, at least one rank blocked.
     Deadlock,
     /// Prefix replay named a rank that is not runnable at this pick —
     /// the prefix does not correspond to a reachable branch of this
@@ -386,20 +379,21 @@ enum PickOutcome {
 /// event of the yield point it encodes).
 #[derive(Debug, Clone, Copy)]
 enum YieldAction {
-    Post { from_world: usize, ctx: Ctx, to_world: usize, words: u64 },
-    Collective { rank: usize, ctx: Ctx, op: CollectiveOp, elems: u64 },
-    Block { rank: usize, point: BlockPoint },
+    Post { ctx: Ctx, to_world: usize, words: u64 },
+    Collective { ctx: Ctx, op: CollectiveOp, elems: u64 },
+    Block(BlockPoint),
 }
 
-/// The one suspension point of the event-loop engine: a future whose
-/// first poll performs a scheduler yield (recording the event and
-/// handing the baton to the next pick) and which completes when the
-/// scheduler hands the baton back to `rank`.
+/// The one suspension point of every rank program: a future whose first
+/// poll performs a scheduler yield (recording the event and handing the
+/// baton to the next pick) and which completes when `rank` may run again.
 ///
-/// The executor upholds the invariant that only the rank named by the
-/// scheduler's `current` is ever polled, so a poll observing
-/// `current == Some(rank)` *is* baton possession — the async analogue of
-/// returning from `sched_wait_for_baton`, with no condvar involved.
+/// This `poll` is the only code that knows how a rank is hosted (see the
+/// module docs). The loop executor upholds the invariant that only the
+/// rank named by the scheduler's `current` is ever polled, and a thread
+/// host under a schedule runs only between receiving the baton and its
+/// next yield, so observing `current == Some(rank)` *is* baton
+/// possession on both.
 pub(crate) struct BatonYield<'f> {
     fabric: &'f Fabric,
     rank: usize,
@@ -412,15 +406,37 @@ impl Future for BatonYield<'_> {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         // All fields are Unpin, so plain mutable access is fine.
         let me = &mut *self;
-        let holds_baton = match me.action.take() {
-            Some(action) => me.fabric.sched_yield_action(action),
-            None => me.fabric.sched_baton_ready(me.rank),
+        let (fabric, rank) = (me.fabric, me.rank);
+        let action = me.action.take();
+        let Some(det) = &fabric.det else {
+            // Free-running thread host: there is no baton and nothing to
+            // record. A block sleeps until a progress event unparks this
+            // thread (or the safety-net timeout) and hands control back
+            // so the caller re-checks its condition.
+            if matches!(action, Some(YieldAction::Block(_))) {
+                fabric.check_abort(rank);
+                thread::park_timeout(ABORT_POLL);
+                fabric.check_abort(rank);
+            }
+            return Poll::Ready(());
+        };
+        let holds_baton = match action {
+            Some(action) => fabric.sched_yield_action(det, rank, action),
+            None => fabric.sched_baton_ready(det, rank),
         };
         if holds_baton {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
+            return Poll::Ready(());
         }
+        if fabric.hosts.is_empty() {
+            // Loop-hosted: suspend; the executor polls the pick.
+            return Poll::Pending;
+        }
+        // Thread-hosted under a schedule: the pick unparked the thread of
+        // the rank it named; sleep until a later pick names this one.
+        while !fabric.sched_baton_ready(det, rank) {
+            thread::park_timeout(ABORT_POLL);
+        }
+        Poll::Ready(())
     }
 }
 
@@ -429,13 +445,13 @@ impl Future for BatonYield<'_> {
 pub struct Fabric {
     next_ctx: AtomicU64,
     /// Every context's mailbox slab — written once per communicator,
-    /// read only by the cold paths (drain audit, watchdog hint,
-    /// wake-all); messages go through the slab a `Comm` carries.
+    /// read only by the cold paths (drain audit, watchdog hint);
+    /// messages go through the slab a `Comm` carries.
     mailboxes: Mutex<HashMap<Ctx, Mailboxes>>,
     splits: Mutex<HashMap<(Ctx, u64), Arc<SplitCell>>>,
     /// Zero-cost world barrier, for callers that need to delimit phases
     /// without perturbing the metered costs.
-    barrier: BarrierCell,
+    barrier: Mutex<BarrierState>,
     /// Communication-correctness state (wait registry, collective ledger,
     /// abort flag).
     pub(crate) verify: VerifyState,
@@ -445,10 +461,10 @@ pub struct Fabric {
     /// (the default), in which case every fault hook is a no-op and the
     /// fabric behaves byte-identically to the pre-fault-layer code.
     fault: Option<FaultState>,
-    /// True when the single-threaded event-loop engine drives this world:
-    /// rank primitives suspend their continuation (return `Pending`) at
-    /// yield points instead of parking an OS thread on a condvar.
-    event_loop: bool,
+    /// The OS thread hosting each world rank, registered by the thread
+    /// itself when it starts ([`Fabric::register_host`]). Empty when the
+    /// world's ranks are continuations on the event loop.
+    hosts: Box<[OnceLock<Thread>]>,
 }
 
 impl Fabric {
@@ -457,19 +473,16 @@ impl Fabric {
             next_ctx: AtomicU64::new(1),
             mailboxes: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
-            barrier: BarrierCell {
-                st: Mutex::new(BarrierState {
-                    arrived: vec![false; world_size],
-                    count: 0,
-                    generation: 0,
-                    swept_epoch: 0,
-                }),
-                cv: Condvar::new(),
-            },
+            barrier: Mutex::new(BarrierState {
+                arrived: vec![false; world_size],
+                count: 0,
+                generation: 0,
+                swept_epoch: 0,
+            }),
             verify: VerifyState::new(world_size),
             det: None,
             fault: None,
-            event_loop: false,
+            hosts: Box::default(),
         };
         fabric.new_mailboxes(WORLD_CTX, world_size);
         fabric
@@ -478,9 +491,8 @@ impl Fabric {
     /// Allocate and register the mailbox slab of the `size`-member
     /// context `ctx`.
     fn new_mailboxes(&self, ctx: Ctx, size: usize) -> Mailboxes {
-        let slab: Mailboxes = (0..size)
-            .map(|_| Mailbox { q: Mutex::new(VecDeque::new()), cv: Condvar::new() })
-            .collect();
+        let slab: Mailboxes =
+            (0..size).map(|_| Mailbox { q: Mutex::new(VecDeque::new()) }).collect();
         lock_unpoisoned(&self.mailboxes).insert(ctx, slab.clone());
         slab
     }
@@ -495,29 +507,40 @@ impl Fabric {
         self.mailboxes_of(WORLD_CTX).expect("the world's mailboxes are created with the fabric")
     }
 
-    /// Wake the threads parked on `cv`. Nothing ever parks on the event
-    /// loop, and a notify is a futex syscall even with no waiter, so the
-    /// per-event notifies are skipped there.
-    fn notify(&self, cv: &Condvar) {
-        if !self.event_loop {
-            cv.notify_all();
+    /// Give every rank of this world an OS thread as host (sync-closure
+    /// worlds). Must run before any rank starts; each thread then
+    /// registers itself with [`Fabric::register_host`].
+    pub(crate) fn host_on_threads(&mut self) {
+        self.hosts = (0..self.verify.world_size()).map(|_| OnceLock::new()).collect();
+    }
+
+    /// Record the calling thread as the host of world rank `r`. A host
+    /// registers before its first condition check, so a progress event
+    /// that finds no handle has nobody to wake: the rank has not looked
+    /// yet and will see the event's effect when it does.
+    pub(crate) fn register_host(&self, r: usize) {
+        let fresh = self.hosts[r].set(thread::current()).is_ok();
+        debug_assert!(fresh, "rank {r} registered two host threads");
+    }
+
+    /// Unpark the thread hosting world rank `r`, if there is one.
+    fn unpark(&self, r: usize) {
+        if let Some(host) = self.hosts.get(r).and_then(OnceLock::get) {
+            host.unpark();
         }
     }
 
-    /// Switch this fabric into event-loop mode (see the `event_loop`
-    /// field). Requires a deterministic schedule; must run before any
-    /// rank program starts.
-    pub(crate) fn enable_event_loop(&mut self) {
-        assert!(
-            self.det.is_some(),
-            "pmm-simnet: the event-loop engine requires a deterministic schedule"
-        );
-        self.event_loop = true;
+    /// Unpark every host thread so parked ranks re-check their state (and
+    /// observe an abort or a moved fault epoch).
+    fn unpark_all(&self) {
+        self.hosts.iter().filter_map(OnceLock::get).for_each(Thread::unpark);
     }
 
-    /// Whether the event-loop engine drives this world.
-    pub(crate) fn is_event_loop(&self) -> bool {
-        self.event_loop
+    /// Tear rank `r` down with an `AbortPanic` if the world has aborted.
+    pub(crate) fn check_abort(&self, r: usize) {
+        if self.verify.is_aborted() {
+            self.verify.abort_panic(r);
+        }
     }
 
     /// Attach a fault plan (validated) with its resolved decision seed.
@@ -558,15 +581,14 @@ impl Fabric {
         }
         self.verify.note_rank_failure(note);
         {
-            let mut st = lock_unpoisoned(&self.barrier.st);
+            let mut st = lock_unpoisoned(&self.barrier);
             self.barrier_sweep_dead_locked(&mut st);
         }
         let cells: Vec<Arc<SplitCell>> = lock_unpoisoned(&self.splits).values().cloned().collect();
         for cell in cells {
-            let mut st = lock_unpoisoned(&cell.state);
-            self.split_try_complete(&mut st);
+            self.split_try_complete(&mut lock_unpoisoned(&cell));
         }
-        self.wake_all_primitives();
+        self.unpark_all();
         self.sched_unblock_all();
     }
 
@@ -594,34 +616,17 @@ impl Fabric {
             }
         }
         if st.count == n && n > 0 {
-            self.barrier_release_locked(st);
+            Self::barrier_release_locked(st);
         }
     }
 
-    /// Open the next barrier generation and wake the waiters of this one.
-    fn barrier_release_locked(&self, st: &mut BarrierState) {
+    /// Open the next barrier generation (the caller wakes the waiters
+    /// of this one).
+    fn barrier_release_locked(st: &mut BarrierState) {
         st.count = 0;
         st.arrived.iter_mut().for_each(|a| *a = false);
         st.generation += 1;
         st.swept_epoch = 0;
-        self.notify(&self.barrier.cv);
-    }
-
-    /// Notify every fabric condvar (blocked receives, split rendezvous,
-    /// the barrier, the scheduler baton) so parked ranks re-check state.
-    fn wake_all_primitives(&self) {
-        let slabs: Vec<Mailboxes> = lock_unpoisoned(&self.mailboxes).values().cloned().collect();
-        for mb in slabs.iter().flat_map(|slab| slab.iter()) {
-            mb.cv.notify_all();
-        }
-        let cells: Vec<Arc<SplitCell>> = lock_unpoisoned(&self.splits).values().cloned().collect();
-        for cell in cells {
-            cell.cv.notify_all();
-        }
-        self.barrier.cv.notify_all();
-        if let Some(det) = &self.det {
-            det.cv.notify_all();
-        }
     }
 
     /// Whether a rank inside a failure-catching scope (watching from
@@ -642,39 +647,39 @@ impl Fabric {
     }
 
     /// Switch this fabric into deterministic scheduling mode under a
-    /// [`Schedule`]. Must be called before any rank thread starts (the
-    /// world does this between constructing the fabric and spawning
-    /// ranks). `record` controls event-log/`ChoicePoint` materialization
-    /// and `targeted` the wake-up policy — see the `SchedInner` field
-    /// docs; `(true, false)` reproduces the seed-era behavior bit for
-    /// bit.
+    /// [`Schedule`]. Must be called before any rank starts (the world
+    /// does this between constructing the fabric and starting its
+    /// hosts); every rank begins runnable and [`Fabric::sched_start`]
+    /// makes the first pick. `record` controls event-log/`ChoicePoint`
+    /// materialization and `targeted` the wake-up policy — see the
+    /// `SchedInner` field docs; `(true, false)` reproduces the seed-era
+    /// behavior bit for bit.
     pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool, targeted: bool) {
         let n = self.verify.world_size();
         let rng = match &schedule {
             Schedule::Seeded(seed) => *seed,
             Schedule::Prefix(_) => 0,
         };
+        let mut ready = ReadySet::new(n);
+        (0..n).for_each(|r| ready.insert(r));
         self.det = Some(DetState {
             schedule,
             record,
             st: Mutex::new(SchedInner {
                 rng,
                 cursor: 0,
-                status: vec![RankStatus::NotAttached; n],
-                attached: 0,
+                status: vec![RankStatus::Ready; n],
                 current: None,
                 record,
                 targeted,
-                ready: ReadySet::new(n),
+                ready,
                 blocked: 0,
-                not_attached: n,
                 blocked_list: Vec::new(),
                 blocked_on: vec![None; n],
                 waiters: HashMap::new(),
                 events: Vec::new(),
                 choices: Vec::new(),
             }),
-            cv: Condvar::new(),
         });
     }
 
@@ -739,77 +744,13 @@ impl Fabric {
 
     // ----- deterministic scheduler ------------------------------------------
 
-    /// Rank start barrier: register this rank with the scheduler and wait
-    /// for the baton. The last rank to attach triggers the first pick, so
-    /// no program code runs before every rank is registered. No-op in
-    /// free-running mode.
-    pub(crate) fn sched_attach(&self, r: usize) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.mark_attached(r);
-        if st.attached == st.status.len() {
-            self.sched_pick_and_wait(det, st, r);
-        } else {
-            self.sched_wait_for_baton(det, st, r);
-        }
-    }
-
-    /// Event-loop analogue of per-thread [`Fabric::sched_attach`]:
-    /// register every rank at once and trigger the first pick (the same
-    /// pick, from the same PRNG state, that the last attaching thread
-    /// would have triggered). The executor then polls whichever rank
-    /// holds the baton.
-    pub(crate) fn sched_attach_all(&self) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        let n = st.status.len();
-        for r in 0..n {
-            st.mark_attached(r);
-        }
-        match self.sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => {}
-            // All ranks are ready, so the first pick cannot deadlock; a
-            // prefix can still demand an out-of-range rank.
-            PickOutcome::Deadlock => unreachable!("deadlock with every rank runnable"),
-            PickOutcome::Diverged { wanted, at } => {
-                let report = Self::diverged_report(det, &st, wanted, at);
-                drop(st);
-                self.abort(report);
-            }
-        }
-    }
-
-    /// Release the baton at a blocking point whose condition is unmet;
-    /// returns once this rank is picked again (the caller then re-checks
-    /// its condition and re-blocks if still unmet). Detects deadlock
-    /// synchronously: if no rank is runnable while some rank is blocked,
-    /// every blocked rank has re-checked its condition since the last
-    /// progress event (each progress event re-readies all blocked ranks),
-    /// so no wake-up can ever come — abort with a deadlock report.
-    fn sched_block(&self, r: usize, point: BlockPoint) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        Self::sched_block_locked(&mut st, r, point);
-        self.sched_pick_and_wait(det, st, r);
-    }
-
-    /// Shared body of the thread-backend [`Fabric::sched_block`] and the
-    /// event-loop block yield: park `r`, log the event, charge the
-    /// blocking resource to the running segment's footprint, and release
-    /// the baton. The failed condition check *read* the blocking
-    /// resource: a reordering against whoever writes it would change
-    /// what this segment observed, so it belongs to the footprint.
-    fn sched_block_locked(st: &mut SchedInner, r: usize, point: BlockPoint) {
-        let res = match point {
-            BlockPoint::Recv { ctx, index } => Resource::Mailbox { ctx, index },
-            BlockPoint::Split { ctx, seq } => Resource::SplitCell { ctx, seq },
-            BlockPoint::Barrier { .. } => Resource::Barrier,
-        };
-        st.mark_blocked(r, res);
-        st.push_event(SchedEvent::Block { rank: r, point });
-        st.touch(res);
-        if st.current == Some(r) {
-            st.current = None;
+    /// Make the first pick: every rank is runnable and none has run, so
+    /// whoever holds the baton afterwards is the first to execute. The
+    /// loop executor then polls that rank; a thread host finds the baton
+    /// waiting (or parks for it) when it starts.
+    pub(crate) fn sched_start(&self) {
+        if let Some(det) = &self.det {
+            self.sched_pick(det, lock_unpoisoned(&det.st));
         }
     }
 
@@ -822,11 +763,16 @@ impl Fabric {
     }
 
     /// Progress event on the shared resource `key` (a split cell or the
-    /// barrier): under the default broadcast policy every blocked rank
-    /// is re-readied (what the golden traces pin); under the opt-in
-    /// targeted policy only the ranks blocked on `key` wake.
-    fn sched_wake(&self, key: Resource) {
-        let Some(det) = &self.det else { return };
+    /// barrier), whose members are the world ranks `members`: under the
+    /// default broadcast policy every blocked rank is re-readied (what
+    /// the golden traces pin); under the opt-in targeted policy only the
+    /// ranks blocked on `key` wake. Without a schedule the members'
+    /// host threads are unparked instead.
+    fn sched_wake(&self, key: Resource, members: impl IntoIterator<Item = usize>) {
+        let Some(det) = &self.det else {
+            members.into_iter().for_each(|r| self.unpark(r));
+            return;
+        };
         let mut st = lock_unpoisoned(&det.st);
         if st.targeted {
             st.unblock_key(key);
@@ -840,8 +786,12 @@ impl Fabric {
     /// and raise the progress event, under one scheduler lock. The
     /// broadcast policy re-readies every blocked rank; the targeted one
     /// only the owner, the one rank that can be blocked on a mailbox.
+    /// Without a schedule the owner's host thread is unparked instead.
     fn sched_delivered(&self, ctx: Ctx, index: usize, owner: usize) {
-        let Some(det) = &self.det else { return };
+        let Some(det) = &self.det else {
+            self.unpark(owner);
+            return;
+        };
         let key = Resource::Mailbox { ctx, index };
         let mut st = lock_unpoisoned(&det.st);
         st.touch(key);
@@ -852,87 +802,38 @@ impl Fabric {
         }
     }
 
-    /// Record a message post in the schedule trace and yield the baton
-    /// (the sender stays runnable and may be re-picked immediately).
-    pub(crate) fn sched_post_event(
-        &self,
-        from_world: usize,
-        ctx: Ctx,
-        to_world: usize,
-        words: u64,
-    ) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.push_event(SchedEvent::Post { from_world, ctx, to_world, words });
-        self.sched_pick_and_wait(det, st, from_world);
-    }
-
-    /// Record a collective entry in the schedule trace and yield the
-    /// baton, exactly like [`Fabric::sched_post_event`]. The ledger
-    /// registration that precedes this call is part of the segment's
-    /// footprint.
-    pub(crate) fn sched_collective_event(
-        &self,
-        rank: usize,
-        ctx: Ctx,
-        op: CollectiveOp,
-        elems: u64,
-    ) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.push_event(SchedEvent::Collective { rank, ctx, op, elems });
-        st.touch(Resource::Ledger { ctx });
-        self.sched_pick_and_wait(det, st, rank);
-    }
-
-    /// Retire this rank from the scheduler (called from the world's rank
-    /// teardown guard, so it also runs when the program unwinds). If the
+    /// Retire rank `r` once its program has finished or unwound: hand
+    /// the baton on, then mark the rank done in the verify registry (so
+    /// the watchdog treats it as inert — anyone blocked on it is then
+    /// provably deadlocked, not "maybe about to be served"). If the
     /// departing rank held the baton and everyone left is blocked, that
     /// is a deadlock — abort so the blocked ranks tear down instead of
     /// waiting on a rank that no longer exists.
-    pub(crate) fn sched_finish(&self, r: usize) {
+    pub(crate) fn retire(&self, r: usize) {
+        self.sched_finish(r);
+        self.verify.mark_done(r);
+    }
+
+    fn sched_finish(&self, r: usize) {
         let Some(det) = &self.det else { return };
         let mut st = lock_unpoisoned(&det.st);
         st.mark_done(r);
         st.push_event(SchedEvent::Done { rank: r });
         if st.current == Some(r) {
             st.current = None;
-            if self.verify.is_aborted() {
-                det.cv.notify_all();
-                return;
-            }
-            match self.sched_pick_locked(det, &mut st) {
-                PickOutcome::Picked | PickOutcome::Idle => {}
-                // No abort_panic on the failure arms: this may run inside
-                // a Drop while the rank is already unwinding. The blocked
-                // ranks observe the abort flag in their baton waits and
-                // tear themselves down.
-                PickOutcome::Deadlock => {
-                    let stuck: Vec<usize> = st
-                        .status
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &s)| (s == RankStatus::Blocked).then_some(i))
-                        .collect();
-                    let repro = Self::sched_repro_locked(det, &st);
-                    drop(st);
-                    let views = self.verify.snapshot();
-                    let mut report = self.deadlock_report(&views, &stuck);
-                    report.push_str(&format!("deterministic schedule — {}\n", repro.hint()));
-                    self.abort(report);
-                }
-                PickOutcome::Diverged { wanted, at } => {
-                    let report = Self::diverged_report(det, &st, wanted, at);
-                    drop(st);
-                    self.abort(report);
-                }
+            // On a failed pick the rank is already gone, so nobody is
+            // torn down here: the blocked ranks observe the abort flag
+            // when they are woken and tear themselves down.
+            if !self.verify.is_aborted() {
+                self.sched_pick(det, st);
             }
         }
     }
 
     /// Hand the baton to the next runnable rank — drawn from the seeded
     /// PRNG, or dictated by the prefix (then the smallest runnable rank,
-    /// the canonical completion). Records the pick as a [`ChoicePoint`].
+    /// the canonical completion) — and unpark its host thread, if it has
+    /// one. Records the pick as a [`ChoicePoint`].
     ///
     /// The pick is a deterministic function of (ready set, schedule
     /// state): `ReadySet::select(k)` is the k-th smallest runnable rank,
@@ -943,11 +844,7 @@ impl Fabric {
         let count = st.ready.len();
         if count == 0 {
             st.current = None;
-            return if st.blocked == 0 || st.not_attached > 0 {
-                PickOutcome::Idle
-            } else {
-                PickOutcome::Deadlock
-            };
+            return if st.blocked == 0 { PickOutcome::Idle } else { PickOutcome::Deadlock };
         }
         let r = match &det.schedule {
             Schedule::Seeded(_) => {
@@ -973,7 +870,7 @@ impl Fabric {
             st.events.push(SchedEvent::Pick { rank: r });
         }
         st.current = Some(r);
-        self.notify(&det.cv);
+        self.unpark(r);
         PickOutcome::Picked
     }
 
@@ -989,30 +886,17 @@ impl Fabric {
         )
     }
 
-    /// Shared tail of every live pick site: pick, then either wait for
-    /// the baton or — on a provable deadlock / prefix divergence — abort
-    /// the world and tear the calling rank down with an `AbortPanic`.
-    fn sched_pick_and_wait(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>, r: usize) {
-        match self.sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => self.sched_wait_for_baton(det, st, r),
-            outcome => self.sched_fail_pick(det, st, outcome, r),
-        }
-    }
-
-    /// Abort the world for a failed pick (deadlock or prefix divergence)
-    /// and tear rank `r` down with an `AbortPanic`. Shared by the
-    /// thread-backend pick sites and the event-loop yield path (where the
-    /// panic unwinds out of `poll` into the executor's `catch_unwind`).
-    fn sched_fail_pick(
-        &self,
-        det: &DetState,
-        st: MutexGuard<'_, SchedInner>,
-        outcome: PickOutcome,
-        r: usize,
-    ) -> ! {
-        match outcome {
-            PickOutcome::Picked | PickOutcome::Idle => {
-                unreachable!("sched_fail_pick on a successful pick")
+    /// Hand the baton on ([`Fabric::sched_pick_locked`]) and return its
+    /// new holder. When no pick is possible — a provable deadlock, or a
+    /// prefix naming a rank that is not runnable — abort the world with
+    /// the report instead.
+    fn sched_pick(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>) -> Option<usize> {
+        let report = match self.sched_pick_locked(det, &mut st) {
+            PickOutcome::Picked | PickOutcome::Idle => return st.current,
+            PickOutcome::Diverged { wanted, at } => {
+                let report = Self::diverged_report(det, &st, wanted, at);
+                drop(st);
+                report
             }
             PickOutcome::Deadlock => {
                 let stuck: Vec<usize> = st
@@ -1023,50 +907,31 @@ impl Fabric {
                     .collect();
                 let repro = Self::sched_repro_locked(det, &st);
                 drop(st);
-                let views = self.verify.snapshot();
-                let mut report = self.deadlock_report(&views, &stuck);
+                let mut report = self.deadlock_report(&self.verify.snapshot(), &stuck);
                 report.push_str(&format!("deterministic schedule — {}\n", repro.hint()));
-                self.abort(report);
-                self.verify.abort_panic(r)
+                report
             }
-            PickOutcome::Diverged { wanted, at } => {
-                let report = Self::diverged_report(det, &st, wanted, at);
-                drop(st);
-                self.abort(report);
-                self.verify.abort_panic(r)
-            }
-        }
+        };
+        self.abort(report);
+        None
     }
 
-    /// Park until the scheduler hands this rank the baton (or the world
-    /// aborts). The timeout only bounds abort-observation latency —
-    /// hand-offs are condvar-notified.
-    fn sched_wait_for_baton(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>, r: usize) {
-        loop {
-            if self.verify.is_aborted() {
-                drop(st);
-                self.verify.abort_panic(r);
-            }
-            if st.current == Some(r) {
-                st.status[r] = RankStatus::Ready;
-                return;
-            }
-            st = det.cv.wait_timeout(st, ABORT_POLL).unwrap_or_else(PoisonError::into_inner).0;
-        }
-    }
-
-    // ----- event-loop engine hooks ------------------------------------------
-
-    /// The rank currently holding the baton (event-loop executor's poll
-    /// target). `None` while attaching, after the last rank finishes, or
-    /// when the world aborted mid-pick.
+    /// The rank currently holding the baton (the loop executor's poll
+    /// target). `None` after the last rank finishes or when the world
+    /// aborted mid-pick.
     pub(crate) fn sched_current(&self) -> Option<usize> {
         let det = self.det.as_ref()?;
         lock_unpoisoned(&det.st).current
     }
 
-    /// Yield the baton after posting a message (event-loop analogue of
-    /// [`Fabric::sched_post_event`]).
+    /// Wait for the baton without yielding it first — how a thread host
+    /// starts its rank (ready at once without a schedule).
+    pub(crate) fn baton(&self, rank: usize) -> BatonYield<'_> {
+        BatonYield { fabric: self, rank, action: None }
+    }
+
+    /// Record a message post in the schedule trace and yield the baton
+    /// (the sender stays runnable and may be re-picked immediately).
     pub(crate) fn yield_post(
         &self,
         from_world: usize,
@@ -1077,12 +942,14 @@ impl Fabric {
         BatonYield {
             fabric: self,
             rank: from_world,
-            action: Some(YieldAction::Post { from_world, ctx, to_world, words }),
+            action: Some(YieldAction::Post { ctx, to_world, words }),
         }
     }
 
-    /// Yield the baton after entering a collective (event-loop analogue
-    /// of [`Fabric::sched_collective_event`]).
+    /// Record a collective entry in the schedule trace and yield the
+    /// baton, exactly like [`Fabric::yield_post`]. The ledger
+    /// registration that precedes this call is part of the segment's
+    /// footprint.
     pub(crate) fn yield_collective(
         &self,
         rank: usize,
@@ -1090,64 +957,74 @@ impl Fabric {
         op: CollectiveOp,
         elems: u64,
     ) -> BatonYield<'_> {
-        BatonYield {
-            fabric: self,
-            rank,
-            action: Some(YieldAction::Collective { rank, ctx, op, elems }),
-        }
+        BatonYield { fabric: self, rank, action: Some(YieldAction::Collective { ctx, op, elems }) }
     }
 
-    /// Yield the baton at a blocking point whose condition is unmet
-    /// (event-loop analogue of [`Fabric::sched_block`]). The await
-    /// completes once this rank is picked again; the caller then
-    /// re-checks its condition and re-blocks if still unmet.
+    /// Release the baton at a blocking point whose condition is unmet.
+    /// The await completes once this rank may run again; the caller then
+    /// re-checks its condition and re-blocks if still unmet. Under a
+    /// schedule this detects deadlock synchronously: if no rank is
+    /// runnable while some rank is blocked, every blocked rank has
+    /// re-checked its condition since the last progress event (each
+    /// progress event re-readies all blocked ranks), so no wake-up can
+    /// ever come — abort with a deadlock report.
     pub(crate) fn yield_block(&self, rank: usize, point: BlockPoint) -> BatonYield<'_> {
-        BatonYield { fabric: self, rank, action: Some(YieldAction::Block { rank, point }) }
+        BatonYield { fabric: self, rank, action: Some(YieldAction::Block(point)) }
     }
 
     /// First-poll action of a [`BatonYield`]: log the event, update rank
-    /// state, and hand the baton to the next pick — `sched_post_event` /
-    /// `sched_collective_event` / `sched_block` minus the condvar wait.
-    /// Returns whether the pick handed the baton straight back to the
-    /// yielding rank.
-    fn sched_yield_action(&self, action: YieldAction) -> bool {
-        let Some(det) = &self.det else { return true };
+    /// state, and hand the baton to the next pick. Returns whether the
+    /// pick handed the baton straight back to the yielding rank.
+    fn sched_yield_action(&self, det: &DetState, rank: usize, action: YieldAction) -> bool {
         let mut st = lock_unpoisoned(&det.st);
-        let r = match action {
-            YieldAction::Post { from_world, ctx, to_world, words } => {
-                st.push_event(SchedEvent::Post { from_world, ctx, to_world, words });
-                from_world
+        match action {
+            YieldAction::Post { ctx, to_world, words } => {
+                st.push_event(SchedEvent::Post { from_world: rank, ctx, to_world, words });
             }
-            YieldAction::Collective { rank, ctx, op, elems } => {
+            YieldAction::Collective { ctx, op, elems } => {
                 st.push_event(SchedEvent::Collective { rank, ctx, op, elems });
                 st.touch(Resource::Ledger { ctx });
-                rank
             }
-            YieldAction::Block { rank, point } => {
-                Self::sched_block_locked(&mut st, rank, point);
-                rank
+            YieldAction::Block(point) => {
+                // The failed condition check *read* the blocking
+                // resource: a reordering against whoever writes it would
+                // change what this segment observed, so it belongs to the
+                // footprint.
+                let res = match point {
+                    BlockPoint::Recv { ctx, index } => Resource::Mailbox { ctx, index },
+                    BlockPoint::Split { ctx, seq } => Resource::SplitCell { ctx, seq },
+                    BlockPoint::Barrier { .. } => Resource::Barrier,
+                };
+                st.mark_blocked(rank, res);
+                st.push_event(SchedEvent::Block { rank, point });
+                st.touch(res);
             }
-        };
-        match self.sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => st.current == Some(r),
-            outcome => self.sched_fail_pick(det, st, outcome, r),
         }
+        let holder = self.sched_pick(det, st);
+        // A failed pick aborted the world: tear the yielding rank down
+        // (the panic unwinds out of `poll` into its host's `catch_unwind`).
+        self.check_abort(rank);
+        holder == Some(rank)
     }
 
-    /// Event-loop poll check: does `r` hold the baton? Tears the polled
-    /// continuation down with an `AbortPanic` if the world aborted (the
-    /// executor's `catch_unwind` classifies it).
-    fn sched_baton_ready(&self, r: usize) -> bool {
-        if self.verify.is_aborted() {
-            self.verify.abort_panic(r);
-        }
-        let Some(det) = &self.det else { return true };
+    /// Does `r` hold the baton? Tears the rank down with an `AbortPanic`
+    /// if the world aborted (its host's `catch_unwind` classifies it).
+    fn sched_baton_ready(&self, det: &DetState, r: usize) -> bool {
+        self.check_abort(r);
         lock_unpoisoned(&det.st).current == Some(r)
     }
 
-    /// Event-loop analogue of [`Fabric::take_any`]: the identical
-    /// event/footprint sequence as the deterministic branch there, but
-    /// suspending the continuation instead of parking a thread.
+    /// Take the next message from member `index`'s mailbox on context
+    /// `ctx`, waiting for one if none is queued (in arrival order;
+    /// directed matching is done by the rank's stash). `mailboxes` is the
+    /// context's slab; `from_world` is the world rank of the sender the
+    /// caller is ultimately waiting for (deadlock-report metadata).
+    ///
+    /// `fault_watch` is the caller's fault-epoch watermark when it is
+    /// inside a failure-catching scope: if a rank dies while we wait
+    /// (epoch moves past the watermark) the wait returns `None` — after
+    /// draining anything already queued — so the caller can surface a
+    /// typed failure instead of hanging on a corpse.
     #[allow(clippy::too_many_arguments)] // the mailbox plus its deadlock-report metadata
     pub(crate) async fn take_any_a(
         &self,
@@ -1204,91 +1081,18 @@ impl Fabric {
         to_world: usize,
         msg: Message,
     ) {
-        let mb = &mailboxes[to];
-        lock_unpoisoned(&mb.q).push_back(msg);
-        self.notify(&mb.cv);
-        // A delivery is a progress event: re-ready blocked ranks so the
-        // deterministic scheduler lets them re-check their conditions.
+        lock_unpoisoned(&mailboxes[to].q).push_back(msg);
+        // A delivery is a progress event: let the owner (or, under the
+        // broadcast policy, every blocked rank) re-check its condition.
         self.sched_delivered(ctx, to, to_world);
-    }
-
-    /// Blockingly take the next message from member `index`'s mailbox on
-    /// context `ctx` (in arrival order; directed matching is done by the
-    /// rank's stash). `mailboxes` is the context's slab; `from_world` is
-    /// the world rank of the sender the caller is ultimately waiting for
-    /// (deadlock-report metadata).
-    ///
-    /// `fault_watch` is the caller's fault-epoch watermark when it is
-    /// inside a failure-catching scope: if a rank dies while we wait
-    /// (epoch moves past the watermark) the wait returns `None` — after
-    /// draining anything already queued — so the caller can surface a
-    /// typed failure instead of hanging on a corpse.
-    #[allow(clippy::too_many_arguments)] // the mailbox plus its deadlock-report metadata
-    pub(crate) fn take_any(
-        &self,
-        mailboxes: &[Mailbox],
-        ctx: Ctx,
-        index: usize,
-        me_world: usize,
-        from_world: usize,
-        site: &'static Location<'static>,
-        fault_watch: Option<u64>,
-    ) -> Option<Message> {
-        let mb = &mailboxes[index];
-        let mut q = lock_unpoisoned(&mb.q);
-        if let Some(m) = q.pop_front() {
-            self.det_touch(Resource::Mailbox { ctx, index });
-            return Some(m);
-        }
-        if self.recv_fault_kicked(fault_watch, from_world) {
-            return None;
-        }
-        self.verify.set_wait(
-            me_world,
-            WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
-        );
-        if self.det.is_some() {
-            // Deterministic mode: yield the baton instead of sleeping on
-            // the mailbox condvar; re-check after every re-pick.
-            loop {
-                drop(q);
-                self.sched_block(me_world, BlockPoint::Recv { ctx, index });
-                q = lock_unpoisoned(&mb.q);
-                if let Some(m) = q.pop_front() {
-                    self.det_touch(Resource::Mailbox { ctx, index });
-                    self.verify.clear_wait(me_world);
-                    return Some(m);
-                }
-                if self.recv_fault_kicked(fault_watch, from_world) {
-                    self.verify.clear_wait(me_world);
-                    return None;
-                }
-            }
-        }
-        loop {
-            if self.verify.is_aborted() {
-                drop(q);
-                self.verify.abort_panic(me_world);
-            }
-            if let Some(m) = q.pop_front() {
-                self.verify.clear_wait(me_world);
-                return Some(m);
-            }
-            if self.recv_fault_kicked(fault_watch, from_world) {
-                self.verify.clear_wait(me_world);
-                return None;
-            }
-            q = mb.cv.wait_timeout(q, ABORT_POLL).unwrap_or_else(PoisonError::into_inner).0;
-        }
     }
 
     /// Arrive at the barrier: sweep corpses, deposit this rank, and
     /// either release the barrier (returns `None`, waiters woken) or
     /// register the verify wait and return the generation to wait out.
-    /// Shared head of the sync and async [`Fabric::hard_sync`] forms.
     fn barrier_arrive(&self, me_world: usize, site: &'static Location<'static>) -> Option<u64> {
         let world_size = self.verify.world_size();
-        let mut st = lock_unpoisoned(&self.barrier.st);
+        let mut st = lock_unpoisoned(&self.barrier);
         // Dead ranks can never arrive; count them so survivors are not
         // stuck waiting for a corpse (no-op without a fault plan).
         self.barrier_sweep_dead_locked(&mut st);
@@ -1297,8 +1101,8 @@ impl Fabric {
         st.count += 1;
         self.det_touch(Resource::Barrier);
         if st.count == world_size {
-            self.barrier_release_locked(&mut st);
-            self.sched_wake(Resource::Barrier);
+            Self::barrier_release_locked(&mut st);
+            self.sched_wake(Resource::Barrier, 0..world_size);
             return None;
         }
         let missing: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
@@ -1319,38 +1123,6 @@ impl Fabric {
 
     /// Zero-cost synchronization of all world ranks (not metered; test and
     /// phase-delimiting use only).
-    pub(crate) fn hard_sync(&self, me_world: usize, site: &'static Location<'static>) {
-        if self.verify.world_size() <= 1 || self.is_dead_rank(me_world) {
-            return;
-        }
-        let Some(entered_gen) = self.barrier_arrive(me_world, site) else { return };
-        let mut st = lock_unpoisoned(&self.barrier.st);
-        if self.det.is_some() {
-            while st.generation == entered_gen {
-                drop(st);
-                self.sched_block(me_world, BlockPoint::Barrier { generation: entered_gen });
-                st = lock_unpoisoned(&self.barrier.st);
-            }
-            self.verify.clear_wait(me_world);
-            return;
-        }
-        while st.generation == entered_gen {
-            if self.verify.is_aborted() {
-                drop(st);
-                self.verify.abort_panic(me_world);
-            }
-            st = self
-                .barrier
-                .cv
-                .wait_timeout(st, ABORT_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        self.verify.clear_wait(me_world);
-    }
-
-    /// Event-loop analogue of [`Fabric::hard_sync`]: identical arrival,
-    /// event, and wake sequence, suspending instead of parking.
     pub(crate) async fn hard_sync_a(&self, me_world: usize, site: &'static Location<'static>) {
         if self.verify.world_size() <= 1 || self.is_dead_rank(me_world) {
             return;
@@ -1358,7 +1130,7 @@ impl Fabric {
         let Some(entered_gen) = self.barrier_arrive(me_world, site) else { return };
         loop {
             self.yield_block(me_world, BlockPoint::Barrier { generation: entered_gen }).await;
-            if lock_unpoisoned(&self.barrier.st).generation != entered_gen {
+            if lock_unpoisoned(&self.barrier).generation != entered_gen {
                 break;
             }
         }
@@ -1430,71 +1202,9 @@ impl Fabric {
     /// `color < 0` means "no new communicator for me" (MPI_UNDEFINED).
     /// Returns the group for `color` with the caller's index in it, or
     /// `None` for negative colors.
-    /// `fault_watch` works as in [`Fabric::take_any`]: `Err(FaultKick)`
+    /// `fault_watch` works as in [`Fabric::take_any_a`]: `Err(FaultKick)`
     /// means a rank died mid-rendezvous while the caller was inside a
     /// failure-catching scope.
-    #[allow(clippy::too_many_arguments)] // a rendezvous genuinely needs all of these
-    pub(crate) fn split(
-        &self,
-        parent_ctx: Ctx,
-        parent_members: &[usize],
-        seq: u64,
-        my_parent_index: usize,
-        my_world_rank: usize,
-        color: i64,
-        key: i64,
-        site: &'static Location<'static>,
-        fault_watch: Option<u64>,
-    ) -> Result<Option<(SplitGroup, usize)>, FaultKick> {
-        let cell = self.split_cell(parent_ctx, parent_members, seq);
-        let completed = self.split_deposit(
-            &cell,
-            parent_ctx,
-            parent_members,
-            seq,
-            my_parent_index,
-            my_world_rank,
-            color,
-            key,
-            site,
-        );
-        if !completed {
-            let mut st = lock_unpoisoned(&cell.state);
-            if self.det.is_some() {
-                while st.result.is_none() {
-                    if self.fault_kicked(fault_watch) {
-                        self.verify.clear_wait(my_world_rank);
-                        return Err(FaultKick);
-                    }
-                    drop(st);
-                    self.sched_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq });
-                    st = lock_unpoisoned(&cell.state);
-                }
-            } else {
-                while st.result.is_none() {
-                    if self.verify.is_aborted() {
-                        drop(st);
-                        self.verify.abort_panic(my_world_rank);
-                    }
-                    if self.fault_kicked(fault_watch) {
-                        self.verify.clear_wait(my_world_rank);
-                        return Err(FaultKick);
-                    }
-                    st = cell
-                        .cv
-                        .wait_timeout(st, ABORT_POLL)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-            self.verify.clear_wait(my_world_rank);
-        }
-        Ok(self.split_finish(&cell, parent_ctx, seq, my_parent_index, my_world_rank, color))
-    }
-
-    /// Event-loop analogue of [`Fabric::split`]: identical deposit,
-    /// event, and wake sequence as the deterministic branch there,
-    /// suspending instead of parking.
     #[allow(clippy::too_many_arguments)] // a rendezvous genuinely needs all of these
     pub(crate) async fn split_a(
         &self,
@@ -1527,7 +1237,7 @@ impl Fabric {
                     return Err(FaultKick);
                 }
                 self.yield_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq }).await;
-                if lock_unpoisoned(&cell.state).result.is_some() {
+                if lock_unpoisoned(&cell).result.is_some() {
                     break;
                 }
             }
@@ -1543,18 +1253,15 @@ impl Fabric {
         splits
             .entry((parent_ctx, seq))
             .or_insert_with(|| {
-                Arc::new(SplitCell {
-                    state: Mutex::new(SplitState {
-                        entries: vec![None; parent_members.len()],
-                        parent_members: parent_members.to_vec(),
-                        arrived: 0,
-                        consumed: 0,
-                        dead_missing: 0,
-                        dead_epoch: 0,
-                        result: None,
-                    }),
-                    cv: Condvar::new(),
-                })
+                Arc::new(Mutex::new(SplitState {
+                    entries: vec![None; parent_members.len()],
+                    parent_members: parent_members.to_vec(),
+                    arrived: 0,
+                    consumed: 0,
+                    dead_missing: 0,
+                    dead_epoch: 0,
+                    result: None,
+                }))
             })
             .clone()
     }
@@ -1576,7 +1283,7 @@ impl Fabric {
         key: i64,
         site: &'static Location<'static>,
     ) -> bool {
-        let mut st = lock_unpoisoned(&cell.state);
+        let mut st = lock_unpoisoned(cell);
         if st.entries[my_parent_index].is_some() {
             drop(st);
             self.abort(format!(
@@ -1590,8 +1297,8 @@ impl Fabric {
         self.det_touch(Resource::SplitCell { ctx: parent_ctx, seq });
         self.split_try_complete(&mut st);
         if st.result.is_some() {
-            self.notify(&cell.cv);
-            self.sched_wake(Resource::SplitCell { ctx: parent_ctx, seq });
+            let key = Resource::SplitCell { ctx: parent_ctx, seq };
+            self.sched_wake(key, st.parent_members.iter().copied());
             true
         } else {
             let missing: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
@@ -1623,7 +1330,7 @@ impl Fabric {
         my_world_rank: usize,
         color: i64,
     ) -> Option<(SplitGroup, usize)> {
-        let mut st = lock_unpoisoned(&cell.state);
+        let mut st = lock_unpoisoned(cell);
         let result = st
             .result
             .as_ref()
@@ -1658,13 +1365,13 @@ impl Fabric {
     }
 
     /// Abort the world: store `report`, set the abort flag, and wake every
-    /// blocked primitive so ranks tear themselves down promptly. First
-    /// abort wins; later calls are no-ops.
+    /// parked host so ranks tear themselves down promptly (a suspended
+    /// continuation is dropped by the loop executor). First abort wins;
+    /// later calls are no-ops.
     pub(crate) fn abort(&self, report: String) {
-        if !self.verify.try_set_aborted(report) {
-            return;
+        if self.verify.try_set_aborted(report) {
+            self.unpark_all();
         }
-        self.wake_all_primitives();
     }
 
     /// Count of messages posted but never taken, per mailbox (strict-drain
@@ -1724,10 +1431,10 @@ impl Fabric {
                     .is_some_and(|slab| !lock_unpoisoned(&slab[*ctx_index].q).is_empty()),
                 WaitKind::Split { seq, .. } => {
                     let cell = lock_unpoisoned(&self.splits).get(&(w.ctx, *seq)).cloned();
-                    cell.is_some_and(|c| lock_unpoisoned(&c.state).result.is_some())
+                    cell.is_some_and(|c| lock_unpoisoned(&c).result.is_some())
                 }
                 WaitKind::Barrier { generation, .. } => {
-                    lock_unpoisoned(&self.barrier.st).generation > *generation
+                    lock_unpoisoned(&self.barrier).generation > *generation
                 }
             };
             if hinted {
@@ -1849,10 +1556,63 @@ fn wait_cycle(views: &[SlotView], stuck: &HashSet<usize>) -> Option<Vec<usize>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::engine::poll_now;
 
     fn here() -> &'static Location<'static> {
         Location::caller()
+    }
+
+    /// A free-running fabric of `n` thread-hosted ranks, with the empty
+    /// fault plan attached when `faults` is set.
+    fn hosted(n: usize, faults: bool) -> Arc<Fabric> {
+        let mut fabric = Fabric::new(n);
+        fabric.host_on_threads();
+        if faults {
+            fabric.enable_faults(FaultPlan::none(), 0);
+        }
+        Arc::new(fabric)
+    }
+
+    /// Run `body` as world rank `r` on a host thread of its own.
+    fn host<T: Send + 'static>(
+        fabric: &Arc<Fabric>,
+        r: usize,
+        body: impl FnOnce(&Fabric) -> T + Send + 'static,
+    ) -> thread::JoinHandle<T> {
+        let fabric = fabric.clone();
+        thread::spawn(move || {
+            fabric.register_host(r);
+            body(&fabric)
+        })
+    }
+
+    /// Spin until every rank in `ranks` has registered a wait — it is
+    /// then parked or about to park, and the park token covers both.
+    fn until_blocked(fabric: &Fabric, ranks: &[usize]) {
+        while !ranks.iter().all(|&r| fabric.verify.snapshot()[r].wait.is_some()) {
+            thread::yield_now();
+        }
+    }
+
+    fn take_now(
+        fabric: &Fabric,
+        slab: &Mailboxes,
+        ctx: Ctx,
+        watch: Option<u64>,
+    ) -> Option<Message> {
+        poll_now(fabric.take_any_a(slab, ctx, 0, 0, 1, here(), watch))
+    }
+
+    fn split_now(
+        fabric: &Fabric,
+        members: &[usize],
+        seq: u64,
+        r: usize,
+        color: i64,
+        key: i64,
+    ) -> Option<(SplitGroup, usize)> {
+        poll_now(fabric.split_a(WORLD_CTX, members, seq, r, r, color, key, here(), None))
+            .expect("no fault watch, so no kick")
     }
 
     fn msg(from: usize, sent_at: f64, payload: Vec<f64>) -> Message {
@@ -1869,7 +1629,7 @@ mod tests {
         let fabric = Fabric::new(1);
         let world = fabric.world_mailboxes();
         fabric.post(&world, WORLD_CTX, 0, 0, msg(3, 1.5, vec![1.0, 2.0]));
-        let m = fabric.take_any(&world, WORLD_CTX, 0, 0, 0, here(), None).unwrap();
+        let m = take_now(&fabric, &world, WORLD_CTX, None).unwrap();
         assert_eq!(m.from, 3);
         assert_eq!(m.sent_at, 1.5);
         assert_eq!(m.payload, vec![1.0, 2.0]);
@@ -1881,25 +1641,22 @@ mod tests {
         let (seven, eight) = (fabric.new_mailboxes(7, 1), fabric.new_mailboxes(8, 1));
         fabric.post(&seven, 7, 0, 0, msg(0, 0.0, vec![7.0]));
         fabric.post(&eight, 8, 0, 0, msg(0, 0.0, vec![8.0]));
-        let take = |slab: &Mailboxes, ctx| fabric.take_any(slab, ctx, 0, 0, 0, here(), None);
-        assert_eq!(take(&eight, 8).unwrap().payload, vec![8.0]);
-        assert_eq!(take(&seven, 7).unwrap().payload, vec![7.0]);
+        assert_eq!(take_now(&fabric, &eight, 8, None).unwrap().payload, vec![8.0]);
+        assert_eq!(take_now(&fabric, &seven, 7, None).unwrap().payload, vec![7.0]);
     }
 
     #[test]
     fn split_partitions_by_color_and_orders_by_key() {
         // 4 "ranks" split into color = rank % 2, key = -rank (reverse order).
-        let fabric = Arc::new(Fabric::new(4));
+        let fabric = hosted(4, false);
         let members = [0usize, 1, 2, 3];
-        let mut handles = Vec::new();
-        for r in 0..4usize {
-            let f = fabric.clone();
-            handles.push(thread::spawn(move || {
-                f.split(WORLD_CTX, &members, 0, r, r, (r % 2) as i64, -(r as i64), here(), None)
-            }));
-        }
+        let handles: Vec<_> = (0..4usize)
+            .map(|r| {
+                host(&fabric, r, move |f| split_now(f, &members, 0, r, (r % 2) as i64, -(r as i64)))
+            })
+            .collect();
         let (groups, indices): (Vec<_>, Vec<_>) =
-            handles.into_iter().map(|h| h.join().unwrap().unwrap().unwrap()).unzip();
+            handles.into_iter().map(|h| h.join().unwrap().unwrap()).unzip();
         // ranks 0 and 2 share color 0; members sorted by key (descending rank)
         assert_eq!(*groups[0].members, vec![2, 0]);
         assert_eq!(*groups[2].members, vec![2, 0]);
@@ -1918,22 +1675,19 @@ mod tests {
 
     #[test]
     fn split_with_negative_color_yields_none() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || f2.split(WORLD_CTX, &[0, 1], 0, 1, 1, -1, 0, here(), None));
-        let g0 = fabric.split(WORLD_CTX, &[0, 1], 0, 0, 0, 0, 0, here(), None).unwrap();
-        let g1 = h.join().unwrap().unwrap();
-        assert!(g1.is_none());
-        assert_eq!(*g0.unwrap().0.members, vec![0]);
+        let fabric = hosted(2, false);
+        let h0 = host(&fabric, 0, |f| split_now(f, &[0, 1], 0, 0, 0, 0));
+        let h1 = host(&fabric, 1, |f| split_now(f, &[0, 1], 0, 1, -1, 0));
+        assert!(h1.join().unwrap().is_none());
+        assert_eq!(*h0.join().unwrap().unwrap().0.members, vec![0]);
     }
 
     #[test]
     fn split_state_is_cleaned_up() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || f2.split(WORLD_CTX, &[0, 1], 5, 1, 1, 0, 0, here(), None));
-        fabric.split(WORLD_CTX, &[0, 1], 5, 0, 0, 0, 0, here(), None).unwrap();
-        h.join().unwrap().unwrap();
+        let fabric = hosted(2, false);
+        let handles =
+            [0usize, 1].map(|r| host(&fabric, r, move |f| split_now(f, &[0, 1], 5, r, 0, 0)));
+        handles.into_iter().for_each(|h| drop(h.join().unwrap()));
         assert!(lock_unpoisoned(&fabric.splits).is_empty());
     }
 
@@ -2009,16 +1763,14 @@ mod tests {
 
     #[test]
     fn abort_wakes_blocked_take_any() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || {
+        let fabric = hosted(2, false);
+        let h = host(&fabric, 0, |f| {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                f2.take_any(&f2.world_mailboxes(), WORLD_CTX, 0, 0, 1, here(), None);
+                take_now(f, &f.world_mailboxes(), WORLD_CTX, None);
             }));
-            caught.expect_err("take_any must panic out of an aborted world")
+            caught.expect_err("take_any_a must panic out of an aborted world")
         });
-        // Give the receiver a moment to block, then abort.
-        thread::sleep(Duration::from_millis(20));
+        until_blocked(&fabric, &[0]);
         fabric.abort("test abort".to_string());
         let payload = h.join().expect("receiver thread joins");
         let abort = payload
@@ -2035,28 +1787,21 @@ mod tests {
         fabric.post(&world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![2.0]));
         fabric.post(&three, 3, 0, 0, msg(1, 0.0, vec![3.0]));
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2), (3, 0, 1)]);
-        fabric.take_any(&three, 3, 0, 0, 1, here(), None);
+        take_now(&fabric, &three, 3, None);
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2)]);
     }
 
     #[test]
     fn dead_rank_completes_pending_split_with_survivors_only() {
         // Three ranks; rank 2 dies after ranks 0 and 1 have deposited.
-        let mut fabric = Fabric::new(3);
-        fabric.enable_faults(FaultPlan::none(), 0);
-        let fabric = Arc::new(fabric);
+        let fabric = hosted(3, true);
         let members = [0usize, 1, 2];
-        let mut handles = Vec::new();
-        for r in 0..2usize {
-            let f = fabric.clone();
-            handles.push(thread::spawn(move || {
-                f.split(WORLD_CTX, &members, 0, r, r, 0, r as i64, here(), None)
-            }));
-        }
-        thread::sleep(Duration::from_millis(20));
+        let handles = [0usize, 1]
+            .map(|r| host(&fabric, r, move |f| split_now(f, &members, 0, r, 0, r as i64)));
+        until_blocked(&fabric, &[0, 1]);
         fabric.mark_rank_dead(2, "rank 2 killed by fault-plan entry kill=2@1".to_string());
         for h in handles {
-            let (group, _) = h.join().unwrap().unwrap().unwrap();
+            let (group, _) = h.join().unwrap().unwrap();
             assert_eq!(*group.members, vec![0, 1], "dead member must be excluded");
         }
     }
@@ -2069,7 +1814,6 @@ mod tests {
         // blocked, so its death must complete the rendezvous.
         for victim in [0usize, 2] {
             let out = crate::World::new(3, pmm_model::MachineParams::BANDWIDTH_ONLY)
-                .with_engine(crate::Engine::EventLoop)
                 .with_faults(FaultPlan::none().with_kill(victim, 1))
                 .run_async(move |rank| {
                     Box::pin(async move {
@@ -2099,15 +1843,10 @@ mod tests {
 
     #[test]
     fn fault_kick_interrupts_blocked_take_any() {
-        let mut fabric = Fabric::new(2);
-        fabric.enable_faults(FaultPlan::none(), 0);
-        let fabric = Arc::new(fabric);
-        let f2 = fabric.clone();
+        let fabric = hosted(2, true);
         let watch = Some(fabric.fault_epoch());
-        let h = thread::spawn(move || {
-            f2.take_any(&f2.world_mailboxes(), WORLD_CTX, 0, 0, 1, here(), watch)
-        });
-        thread::sleep(Duration::from_millis(20));
+        let h = host(&fabric, 0, move |f| take_now(f, &f.world_mailboxes(), WORLD_CTX, watch));
+        until_blocked(&fabric, &[0]);
         fabric.mark_rank_dead(1, "rank 1 killed by fault-plan entry kill=1@1".to_string());
         assert!(h.join().unwrap().is_none(), "wait must be kicked, not served");
     }

@@ -2,11 +2,15 @@
 //!
 //! This crate is the workspace's substitute for an MPI cluster. It realizes
 //! the α-β-γ machine model of §3.1 of the paper as a *real concurrent
-//! execution*: every simulated processor ("rank") is an OS thread with
-//! private data, and the **only** way data moves between ranks is through
-//! explicit messages over channels. Consequently, the word counts metered
-//! here are exactly the communication volumes a distributed implementation
-//! would incur — which is the quantity the paper's lower bounds constrain.
+//! execution*: every simulated processor ("rank") is a program with
+//! private data — a continuation on a deterministic event loop
+//! ([`World::run_async`], 10^5–10^6 ranks) or a sync closure on an OS
+//! thread of its own ([`World::run`]) — and the **only** way data moves
+//! between ranks is through explicit messages over channels.
+//! Consequently, the word counts metered here are exactly the
+//! communication volumes a distributed implementation would incur — which
+//! is the quantity the paper's lower bounds constrain. Both hosts run the
+//! same single implementation of every primitive; see [`engine`].
 //!
 //! ## What is metered
 //!
@@ -53,16 +57,18 @@
 //! Deadlock note: mailboxes are unbounded, so `send` never blocks; `recv`
 //! blocks until the matching message arrives. A program that receives a
 //! message that was never sent would block forever — as under MPI — but
-//! the [`verify`] layer turns that into a *checked* failure: in debug
-//! builds a watchdog detects the deadlock and panics with a report naming
-//! every blocked rank, its operation, communicator context, and call
-//! site, and a collective-matching lint flags mismatched collectives
+//! the [`verify`] layer turns that into a *checked* failure: the
+//! scheduler (or, for free-running threads in debug builds, a watchdog)
+//! detects the deadlock and panics with a report naming every blocked
+//! rank, its operation, communicator context, and call site, and a
+//! collective-matching lint flags mismatched collectives
 //! deterministically before they hang. See [`World::with_watchdog`] and
 //! the `verify` module docs.
 //!
-//! Reproducibility note: by default ranks free-run on OS threads, so
-//! interleavings differ between runs. [`World::with_seed`] switches to a
-//! seeded cooperative scheduler that serializes rank progress at every
+//! Reproducibility note: by default the ranks of a sync-closure
+//! [`World::run`] free-run on their threads, so interleavings differ
+//! between runs (meters and clocks do not). [`World::with_seed`] switches
+//! to a seeded cooperative scheduler that serializes rank progress at every
 //! blocking point and records a byte-identical [`ScheduleTrace`] — see
 //! the [`trace`] module for golden-trace replay
 //! ([`ScheduleTrace::assert_matches`]), the [`fuzz_schedules`] harness,
@@ -92,7 +98,7 @@ pub mod verify;
 pub mod world;
 
 pub use comm::Comm;
-pub use engine::{engine_from_env, poll_now, Engine, LocalBoxFuture, ENGINE_ENV};
+pub use engine::{poll_now, LocalBoxFuture};
 pub use fabric::{Ctx, Message};
 pub use fault::{FaultPlan, KillSpec, RankFailed, Straggler};
 pub use meter::{MemTracker, Meter};

@@ -1,13 +1,14 @@
 //! The per-rank handle: messaging, clocks, meters, memory.
 //!
 //! Every communication primitive has two forms sharing one body: the
-//! async `_a` form (what event-loop programs and the async collectives
-//! call) and a sync wrapper that drives the same future to completion in
-//! a single poll via [`poll_now`]. On [`Engine::Threads`](crate::Engine::Threads)
-//! the body blocks inside `poll` exactly as the
-//! seed-era code did, so both forms behave identically there; on the
-//! event-loop engine the body suspends at the scheduler's yield points
-//! and only the `_a` forms may be used.
+//! async `_a` form (what [`World::run_async`](crate::World::run_async)
+//! programs and the async collectives call) and a sync wrapper that
+//! drives the same future to completion in a single poll via
+//! [`poll_now`]. Nothing here knows how the rank is hosted: the body
+//! awaits the fabric's yield points, which park the thread of a
+//! [`World::run`](crate::World::run) rank inside the poll and suspend the
+//! continuation of a `run_async` rank (where only the `_a` forms may be
+//! used).
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -33,10 +34,9 @@ const RECOVERY_SPLIT_SEQ_BASE: u64 = 1 << 32;
 
 thread_local! {
     /// Set by the event-loop executor while it drops the continuations of
-    /// ranks torn down by a world abort — the event-loop analogue of
-    /// `std::thread::panicking()` during a rank thread's unwind, which is
-    /// what keeps the leak checks in `Drop` impls quiet on the thread
-    /// backend.
+    /// ranks torn down by a world abort — the analogue of
+    /// `std::thread::panicking()` during a thread-hosted rank's unwind,
+    /// which is what keeps the leak checks in `Drop` impls quiet there.
     static ABORT_TEARDOWN: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -277,9 +277,7 @@ impl Rank {
     /// at every communication entry point so even compute-only ranks
     /// notice promptly once they next touch the fabric).
     fn check_abort(&self) {
-        if self.fabric.verify.is_aborted() {
-            self.fabric.verify.abort_panic(self.world_rank);
-        }
+        self.fabric.check_abort(self.world_rank);
     }
 
     // ----- fault injection ---------------------------------------------------
@@ -718,7 +716,7 @@ impl Rank {
         poll_now(self.send_a(comm, to, payload));
     }
 
-    /// Async form of [`Rank::send`] (event-loop programs).
+    /// Async form of [`Rank::send`].
     pub async fn send_a(&mut self, comm: &Comm, to: usize, payload: &[f64]) {
         self.check_abort();
         self.fault_tick();
@@ -736,12 +734,8 @@ impl Rank {
             let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
             self.trace_event(comm.ctx, op, w, retry, t0, t1);
         }
-        // Deterministic mode: record the post and yield the baton.
-        if self.fabric.is_event_loop() {
-            self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
-        } else {
-            self.fabric.sched_post_event(self.world_rank, comm.ctx, comm.world_rank_of(to), w);
-        }
+        // Under a schedule: record the post and yield the baton.
+        self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
     }
 
     /// Blockingly receive the next message from member `from` of `comm`.
@@ -750,7 +744,7 @@ impl Rank {
         poll_now(self.recv_a(comm, from))
     }
 
-    /// Async form of [`Rank::recv`] (event-loop programs).
+    /// Async form of [`Rank::recv`].
     #[track_caller]
     pub fn recv_a<'r>(
         &'r mut self,
@@ -797,7 +791,7 @@ impl Rank {
         self.exchange(comm, partner, partner, payload)
     }
 
-    /// Async form of [`Rank::sendrecv`] (event-loop programs).
+    /// Async form of [`Rank::sendrecv`].
     #[track_caller]
     pub fn sendrecv_a<'r>(
         &'r mut self,
@@ -820,7 +814,7 @@ impl Rank {
         poll_now(self.exchange_a(comm, to, from, payload))
     }
 
-    /// Async form of [`Rank::exchange`] (event-loop programs).
+    /// Async form of [`Rank::exchange`].
     #[track_caller]
     pub fn exchange_a<'r>(
         &'r mut self,
@@ -850,11 +844,7 @@ impl Rank {
                 let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
                 self.trace_event(comm.ctx, op, ws, retry, t_entry, t_entry);
             }
-            if self.fabric.is_event_loop() {
-                self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
-            } else {
-                self.fabric.sched_post_event(self.world_rank, comm.ctx, comm.world_rank_of(to), ws);
-            }
+            self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
             let msg = self.match_directed(comm, from, site).await;
             self.vclock_observe(comm.ctx, from, comm.world_rank_of(from), &msg);
             let wr = msg.payload.len() as u64;
@@ -895,7 +885,7 @@ impl Rank {
         poll_now(self.wait_a(req, comm))
     }
 
-    /// Async form of [`Rank::wait`] (event-loop programs).
+    /// Async form of [`Rank::wait`].
     #[track_caller]
     pub fn wait_a<'r>(
         &'r mut self,
@@ -943,21 +933,9 @@ impl Rank {
         }
         let from_world = comm.world_rank_of(from);
         loop {
-            let fabric = self.fabric.clone();
-            let taken = if fabric.is_event_loop() {
-                fabric
-                    .take_any_a(
-                        &comm.mailboxes,
-                        comm.ctx,
-                        comm.index(),
-                        self.world_rank,
-                        from_world,
-                        site,
-                        self.fault_watch,
-                    )
-                    .await
-            } else {
-                fabric.take_any(
+            let taken = self
+                .fabric
+                .take_any_a(
                     &comm.mailboxes,
                     comm.ctx,
                     comm.index(),
@@ -966,7 +944,7 @@ impl Rank {
                     site,
                     self.fault_watch,
                 )
-            };
+                .await;
             let Some(msg) = taken else {
                 // Kicked out of the blocking wait: a rank died while we
                 // were waiting inside a catch_failures scope.
@@ -998,7 +976,7 @@ impl Rank {
         poll_now(self.split_a(comm, color, key))
     }
 
-    /// Async form of [`Rank::split`] (event-loop programs).
+    /// Async form of [`Rank::split`].
     #[track_caller]
     pub fn split_a<'r>(
         &'r mut self,
@@ -1014,23 +992,9 @@ impl Rank {
             // different orders (relative to other collectives) are flagged.
             self.collective_begin_at(comm, CollectiveOp::Split, 0, site).await;
             let seq = comm.next_split_seq();
-            let fabric = self.fabric.clone();
-            let result = if fabric.is_event_loop() {
-                fabric
-                    .split_a(
-                        comm.ctx,
-                        comm.members(),
-                        seq,
-                        comm.index(),
-                        self.world_rank,
-                        color,
-                        key,
-                        site,
-                        self.fault_watch,
-                    )
-                    .await
-            } else {
-                fabric.split(
+            let result = self
+                .fabric
+                .split_a(
                     comm.ctx,
                     comm.members(),
                     seq,
@@ -1041,7 +1005,7 @@ impl Rank {
                     site,
                     self.fault_watch,
                 )
-            };
+                .await;
             match result {
                 Err(FaultKick) => self.raise_peer_failure(),
                 Ok(None) => None,
@@ -1067,30 +1031,16 @@ impl Rank {
         poll_now(self.recovery_split_a(round))
     }
 
-    /// Async form of [`Rank::recovery_split`] (event-loop programs).
+    /// Async form of [`Rank::recovery_split`].
     #[track_caller]
     pub fn recovery_split_a(&mut self, round: u64) -> impl Future<Output = Comm> + '_ {
         let site = Location::caller();
         async move {
             self.check_abort();
             let wc = self.world_comm();
-            let fabric = self.fabric.clone();
-            let result = if fabric.is_event_loop() {
-                fabric
-                    .split_a(
-                        wc.ctx,
-                        wc.members(),
-                        RECOVERY_SPLIT_SEQ_BASE + round,
-                        wc.index(),
-                        self.world_rank,
-                        0,
-                        self.world_rank as i64,
-                        site,
-                        None,
-                    )
-                    .await
-            } else {
-                fabric.split(
+            let result = self
+                .fabric
+                .split_a(
                     wc.ctx,
                     wc.members(),
                     RECOVERY_SPLIT_SEQ_BASE + round,
@@ -1101,7 +1051,7 @@ impl Rank {
                     site,
                     None,
                 )
-            };
+                .await;
             match result {
                 Ok(Some((group, my_index))) => {
                     Comm::new(group.ctx, group.members, group.mailboxes, my_index)
@@ -1125,19 +1075,14 @@ impl Rank {
         poll_now(self.hard_sync_a());
     }
 
-    /// Async form of [`Rank::hard_sync`] (event-loop programs).
+    /// Async form of [`Rank::hard_sync`].
     #[track_caller]
     pub fn hard_sync_a(&mut self) -> impl Future<Output = ()> + '_ {
         let site = Location::caller();
         async move {
             self.check_abort();
             self.fault_tick();
-            let fabric = self.fabric.clone();
-            if fabric.is_event_loop() {
-                fabric.hard_sync_a(self.world_rank, site).await;
-            } else {
-                fabric.hard_sync(self.world_rank, site);
-            }
+            self.fabric.hard_sync_a(self.world_rank, site).await;
         }
     }
 
@@ -1158,8 +1103,8 @@ impl Rank {
         poll_now(self.collective_begin_a(comm, op, elems));
     }
 
-    /// Async form of [`Rank::collective_begin`] (event-loop programs —
-    /// and the async collective implementations in `pmm-collectives`).
+    /// Async form of [`Rank::collective_begin`] (what the async collective
+    /// implementations in `pmm-collectives` call).
     #[track_caller]
     pub fn collective_begin_a<'r>(
         &'r mut self,
@@ -1201,13 +1146,9 @@ impl Rank {
             let now = self.time;
             self.trace_event(comm.ctx, TraceOp::Collective { op, elems }, 0, 0, now, now);
         }
-        // Deterministic mode: collective entries are trace events and
+        // Under a schedule: collective entries are trace events and
         // yield points, so schedules interleave across collectives too.
-        if self.fabric.is_event_loop() {
-            self.fabric.yield_collective(self.world_rank, comm.ctx(), op, elems).await;
-        } else {
-            self.fabric.sched_collective_event(self.world_rank, comm.ctx(), op, elems);
-        }
+        self.fabric.yield_collective(self.world_rank, comm.ctx(), op, elems).await;
     }
 
     /// Description of messages received but never consumed by a directed

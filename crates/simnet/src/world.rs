@@ -1,8 +1,11 @@
-//! World construction: run a rank program on an execution engine —
-//! the single-threaded deterministic event loop ([`Engine::EventLoop`],
-//! the primary engine for async programs) or one OS thread per rank
-//! ([`Engine::Threads`]) — and collect reports.
+//! World construction: give every rank of a program a host — a slot on
+//! the single-threaded deterministic event loop for an async program
+//! ([`World::run_async`]), an OS thread for a sync closure
+//! ([`World::run`]) — run it, and collect reports. See
+//! [`crate::engine`] for how the two hosts share one implementation of
+//! every primitive.
 
+use std::any::Any;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
@@ -12,52 +15,24 @@ use std::time::Duration;
 
 use pmm_model::{Cost, MachineParams};
 
-use crate::engine::{engine_from_env, poll_now, Engine, LocalBoxFuture};
+use crate::engine::{poll_now, LocalBoxFuture};
 use crate::fabric::Fabric;
 use crate::fault::{FaultPanic, FaultPlan};
 use crate::meter::Meter;
 use crate::rank::Rank;
 use crate::trace::{ChoicePoint, Repro, Schedule, ScheduleTrace};
 use crate::tracer::{TraceEvent, Tracer};
-use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig, VerifyState};
+use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig};
 
 /// Worlds at or below this size run the vector-clock happens-before
 /// audit by default; larger worlds skip it (each stamp copies an O(P)
 /// clock onto every message, which is O(P²) total — prohibitive at the
-/// 10^5–10^6 scales the event-loop engine targets). Override with
+/// 10^5–10^6 scales the event loop targets). Override with
 /// [`World::with_vclock_audit`].
 const VCLOCK_AUDIT_MAX_WORLD: usize = 4096;
 
-/// Marks a rank `done` in the verify registry on scope exit — including
-/// panics — so the watchdog treats dead ranks as inert (anyone blocked on
-/// them is then provably deadlocked, not "maybe about to be served").
-struct DoneGuard<'a> {
-    verify: &'a VerifyState,
-    rank: usize,
-}
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.verify.mark_done(self.rank);
-    }
-}
-
-/// Retires a rank from the deterministic scheduler on scope exit —
-/// including panics — so the baton is handed on (or a deadlock among the
-/// survivors is reported) when a rank dies. No-op in free-running mode.
-struct SchedGuard<'a> {
-    fabric: &'a Fabric,
-    rank: usize,
-}
-
-impl Drop for SchedGuard<'_> {
-    fn drop(&mut self) {
-        self.fabric.sched_finish(self.rank);
-    }
-}
-
-/// Rank threads torn down by a verifier abort die via a sentinel
-/// [`AbortPanic`] that `World::run` filters out — but each such death
+/// Ranks torn down by a verifier abort die via a sentinel
+/// [`AbortPanic`] that the runner filters out — but each such death
 /// would also print the default "thread panicked" message and backtrace,
 /// burying the one report that matters under per-rank teardown noise.
 /// Chain a process-wide panic hook (installed once; everything that is
@@ -70,8 +45,8 @@ fn silence_abort_teardown_panics() {
         std::panic::set_hook(Box::new(move |info| {
             // FaultPanic is the injected-kill sentinel: either the program
             // converts it to a typed error via Rank::catch_failures, or
-            // World::run raises a single rank-failure report after the
-            // joins. Per-thread noise helps neither case.
+            // the runner raises a single rank-failure report once every
+            // rank has finished. Per-rank noise helps neither case.
             if info.payload().downcast_ref::<AbortPanic>().is_none()
                 && info.payload().downcast_ref::<FaultPanic>().is_none()
             {
@@ -99,7 +74,6 @@ pub struct World {
     verify: VerifyConfig,
     schedule: Option<Schedule>,
     faults: Option<FaultPlan>,
-    engine: Option<Engine>,
     record_schedule: bool,
     targeted_wakeup: bool,
     vclock_audit: Option<bool>,
@@ -123,7 +97,6 @@ impl World {
             verify: VerifyConfig::default(),
             schedule: None,
             faults: None,
-            engine: None,
             record_schedule: true,
             targeted_wakeup: false,
             vclock_audit: None,
@@ -158,18 +131,6 @@ impl World {
         self
     }
 
-    /// Pin the execution engine for [`World::run_async`] /
-    /// [`World::try_run_async`], overriding the `PMM_ENGINE` environment
-    /// variable (see [`crate::engine`] for the selection precedence).
-    /// Sync-closure [`World::run`] / [`World::try_run`] always use the
-    /// thread backend: a sync closure cannot suspend, and blocking the
-    /// single event-loop thread would wedge the whole world.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> World {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Toggle recording of the [`ScheduleTrace`] / [`ChoicePoint`] stream
     /// on deterministic runs (on by default). Large-`P` runs turn this
     /// off: the recorded ready-set snapshot is O(P) *per pick*, which is
@@ -198,22 +159,11 @@ impl World {
     /// Force the vector-clock happens-before audit on or off. By default
     /// it is on for worlds of at most 4096 ranks and off above that
     /// (every message would carry an O(P) clock — O(P²) words of pure
-    /// bookkeeping at the scales the event engine targets).
+    /// bookkeeping at the scales the event loop targets).
     #[must_use]
     pub fn with_vclock_audit(mut self, audit: bool) -> World {
         self.vclock_audit = Some(audit);
         self
-    }
-
-    /// Whether ranks of this world stamp and audit vector clocks.
-    fn vclock_audit_on(&self) -> bool {
-        self.vclock_audit.unwrap_or(self.size <= VCLOCK_AUDIT_MAX_WORLD)
-    }
-
-    /// The engine [`World::run_async`] will use: explicit builder choice,
-    /// else `PMM_ENGINE`, else the event loop.
-    fn resolved_engine(&self) -> Engine {
-        self.engine.unwrap_or_else(|| engine_from_env(Engine::EventLoop))
     }
 
     /// Attach a fault plan: message-level faults (drop / duplicate /
@@ -251,7 +201,8 @@ impl World {
         self
     }
 
-    /// Per-rank thread stack size (default 4 MiB).
+    /// Stack size of the thread hosting each rank of a sync-closure run
+    /// (default 4 MiB; unused by [`World::run_async`]).
     #[must_use]
     pub fn with_stack_bytes(mut self, bytes: usize) -> World {
         self.stack_bytes = bytes;
@@ -264,6 +215,13 @@ impl World {
     /// method. A confirmed deadlock aborts the run with a report naming
     /// every blocked rank, its operation, communicator context, and call
     /// site — instead of hanging.
+    ///
+    /// The watchdog thread exists only for free-running worlds
+    /// ([`World::run`] without a schedule). Under a schedule —
+    /// [`World::with_seed`], [`World::with_schedule`], and every
+    /// [`World::run_async`] — deadlock and prefix divergence are proven
+    /// at pick time with the same report, so no watchdog is started and
+    /// this setting has no effect.
     #[must_use]
     pub fn with_watchdog(mut self, interval: Duration) -> World {
         self.verify.watchdog = Some(interval);
@@ -300,17 +258,28 @@ impl World {
         self.schedule.as_ref().map_or(Repro::Unseeded, Schedule::repro)
     }
 
-    /// Run `program` on every rank simultaneously and collect the results.
+    /// Run the sync closure `program` on every rank, each hosted by an OS
+    /// thread of its own, and collect the results. Without a schedule
+    /// the threads free-run (interleavings differ between runs; meters
+    /// and clocks do not); with [`World::with_seed`] /
+    /// [`World::with_schedule`] they pass the scheduler baton, one
+    /// running at a time, and reproduce [`World::run_async`]'s schedule
+    /// byte for byte.
     ///
     /// Panics in any rank propagate (with the rank id) after all threads
     /// are joined. If the verifier aborts the run (deadlock, collective
-    /// mismatch), `run` panics with the verifier's report.
+    /// mismatch), `run` panics with the verifier's report. A world with
+    /// more ranks than the OS grants threads fails the same way, with a
+    /// report naming the rank whose thread could not be spawned and
+    /// pointing at [`World::run_async`] (when the OS refuses only inside
+    /// the new thread's start-up, the Rust runtime aborts the process
+    /// before this crate sees an error).
     pub fn run<T, F>(&self, program: F) -> WorldResult<T>
     where
         T: Send,
         F: Fn(&mut Rank) -> T + Send + Sync,
     {
-        Self::unwrap_run(self.run_impl(program))
+        Self::unwrap_run(self.run_on_threads(program))
     }
 
     /// Panic with the canonical failure formatting (what [`World::run`]
@@ -348,17 +317,14 @@ impl World {
         }
     }
 
-    /// Run an **async** rank program on the selected [`Engine`].
-    ///
-    /// On [`Engine::EventLoop`] (the default) every rank is a resumable
+    /// Run an **async** rank program: every rank is a resumable
     /// continuation on a single-threaded deterministic event loop — this
     /// is what executes worlds of 10^5–10^6 ranks for real. The run is
     /// always deterministic: without an explicit schedule it uses the
     /// canonical [`Schedule::Prefix`]`(vec![])` (smallest runnable rank
-    /// at every pick). On [`Engine::Threads`] the same program runs on
-    /// the thread backend, where each async primitive completes in a
-    /// single poll — schedules, traces, meters, and clocks are
-    /// byte-identical across the two engines for the same [`Schedule`].
+    /// at every pick). Schedules, traces, meters, and clocks are
+    /// byte-identical to a [`World::run`] of the sync form of the same
+    /// program under the same [`Schedule`].
     ///
     /// `program` is a boxing closure:
     /// `world.run_async(|rank| Box::pin(async move { ... }))`.
@@ -367,10 +333,7 @@ impl World {
         T: Send,
         F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     {
-        match self.resolved_engine() {
-            Engine::EventLoop => Self::unwrap_run(self.run_event_impl(&program)),
-            Engine::Threads => Self::unwrap_run(self.run_impl(|rank| poll_now(program(rank)))),
-        }
+        Self::unwrap_run(self.run_on_loop(&program))
     }
 
     /// Like [`World::run_async`], but capture every failure as a
@@ -381,12 +344,7 @@ impl World {
         T: Send,
         F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     {
-        match self.resolved_engine() {
-            Engine::EventLoop => self.run_event_impl(&program).map_err(Self::raw_failure),
-            Engine::Threads => {
-                self.run_impl(|rank| poll_now(program(rank))).map_err(Self::raw_failure)
-            }
-        }
+        self.run_on_loop(&program).map_err(Self::raw_failure)
     }
 
     /// Like [`World::run`], but capture every failure — rank panic,
@@ -401,15 +359,17 @@ impl World {
         T: Send,
         F: Fn(&mut Rank) -> T + Send + Sync,
     {
-        self.run_impl(program).map_err(Self::raw_failure)
+        self.run_on_threads(program).map_err(Self::raw_failure)
     }
 
-    /// Build the fabric shared by both engines: deterministic schedule
-    /// (if any) and fault plan. No explicit fault seed: derive one from
-    /// the schedule seed's SplitMix64 stream (0 for unseeded and
-    /// prefix-replay worlds), so a single PMM_SEED pins both the
-    /// interleaving and the fault pattern.
-    fn make_fabric(&self, schedule: Option<Schedule>) -> Fabric {
+    /// Start a run: build the fabric — schedule (which makes its first
+    /// pick here), fault plan, thread-host table — and bundle it with
+    /// what every rank is constructed from. No explicit fault seed:
+    /// derive one from the schedule seed's SplitMix64 stream (0 for
+    /// unseeded and prefix-replay worlds), so a single PMM_SEED pins both
+    /// the interleaving and the fault pattern.
+    fn start_run(&self, schedule: Option<Schedule>, on_threads: bool) -> Run {
+        silence_abort_teardown_panics();
         let mut fabric = Fabric::new(self.size);
         if let Some(schedule) = schedule {
             fabric.enable_schedule(schedule, self.record_schedule, self.targeted_wakeup);
@@ -424,30 +384,42 @@ impl World {
             });
             fabric.enable_faults(plan.clone(), fault_seed);
         }
-        fabric
+        if on_threads {
+            fabric.host_on_threads();
+        }
+        fabric.sched_start();
+        Run {
+            fabric: Arc::new(fabric),
+            members: Arc::new((0..self.size).collect()),
+            params: self.params,
+            mem_limit: self.mem_limit,
+            trace: self.trace,
+            vclock_audit: self.vclock_audit.unwrap_or(self.size <= VCLOCK_AUDIT_MAX_WORLD),
+            strict_drain: self.verify.strict_drain,
+        }
     }
 
-    fn run_impl<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailureRaw>
+    /// Host every rank of a sync program on an OS thread of its own.
+    /// Each thread registers itself with the fabric, waits for the baton
+    /// (at once without a schedule), and runs the program; the sync
+    /// primitives park the thread at their yield points.
+    fn run_on_threads<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailureRaw>
     where
         T: Send,
         F: Fn(&mut Rank) -> T + Send + Sync,
     {
-        silence_abort_teardown_panics();
-        let fabric = Arc::new(self.make_fabric(self.schedule.clone()));
-        let members: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        let mut slots: Vec<Option<(T, RankReport)>> = Vec::with_capacity(self.size);
-        for _ in 0..self.size {
-            slots.push(None);
-        }
-        let strict_drain = self.verify.strict_drain;
-        let vclock_audit = self.vclock_audit_on();
+        let run = self.start_run(self.schedule.clone(), true);
+        let (run, program, fabric) = (&run, &program, &run.fabric);
+        let mut outcomes = Outcomes::new(self.size);
+        // Under a schedule deadlock is proven at pick time; only
+        // free-running threads need the watchdog.
+        let watchdog_interval = self.verify.watchdog.filter(|_| self.schedule.is_none());
 
-        let scope_result: Result<(), RunError> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Stop signal for the watchdog: flag + condvar so shutdown is
             // immediate rather than waiting out a scan interval.
             let watchdog_stop = Arc::new((Mutex::new(false), Condvar::new()));
-            let watchdog = self.verify.watchdog.map(|interval| {
-                let fabric = fabric.clone();
+            let watchdog = watchdog_interval.map(|interval| {
                 let stop = watchdog_stop.clone();
                 std::thread::Builder::new()
                     .name("pmm-watchdog".to_string())
@@ -474,74 +446,39 @@ impl World {
             });
 
             let mut handles = Vec::with_capacity(self.size);
-            for (r, slot) in slots.iter_mut().enumerate() {
-                let fabric = fabric.clone();
-                let members = members.clone();
-                let program = &program;
-                let params = self.params;
-                let mem_limit = self.mem_limit;
-                let trace = self.trace;
-                let builder = std::thread::Builder::new()
+            for r in 0..self.size {
+                let spawned = std::thread::Builder::new()
                     .name(format!("pmm-rank-{r}"))
-                    .stack_size(self.stack_bytes);
-                let handle = builder
+                    .stack_size(self.stack_bytes)
                     .spawn_scoped(scope, move || {
-                        let _done = DoneGuard { verify: &fabric.verify, rank: r };
-                        let _sched = SchedGuard { fabric: &fabric, rank: r };
-                        fabric.sched_attach(r);
-                        let mut rank = Rank::new(
-                            r,
-                            members,
-                            fabric.clone(),
-                            params,
-                            mem_limit,
-                            trace,
-                            vclock_audit,
-                        );
-                        let value = program(&mut rank);
-                        if strict_drain {
-                            if let Some(desc) = rank.undrained_stash() {
-                                // A verifier abort, not a rank panic: the
-                                // violation surfaces as a report and the
-                                // AbortPanic teardown stays quiet.
-                                fabric.abort(format!(
-                                    "pmm-verify: rank {r} finished with undrained receive \
-                                     stash: {desc}"
-                                ));
-                                fabric.verify.abort_panic(r);
-                            }
-                        }
-                        let report = RankReport {
-                            meter: rank.meter(),
-                            time: rank.time(),
-                            peak_mem_words: rank.mem().peak(),
-                            trace: rank.take_trace(),
-                            final_vclock: rank.final_vclock(),
-                        };
-                        *slot = Some((value, report));
-                    })
-                    .expect("failed to spawn rank thread");
-                handles.push(handle);
-            }
-
-            let mut first_panic = None;
-            let mut abort_note: Option<String> = None;
-            let mut fault_note: Option<String> = None;
-            for (r, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    // Ranks torn down by a verifier abort carry an
-                    // AbortPanic; the report is raised once, below. A
-                    // FaultPanic is an injected kill the program chose not
-                    // to catch — reported once, after genuine panics. Any
-                    // other panic is the program's own and wins.
-                    if let Some(AbortPanic(note)) = payload.downcast_ref::<AbortPanic>() {
-                        abort_note.get_or_insert_with(|| note.clone());
-                    } else if let Some(FaultPanic(failed)) = payload.downcast_ref::<FaultPanic>() {
-                        fault_note.get_or_insert_with(|| failed.to_string());
-                    } else {
-                        first_panic.get_or_insert((r, payload));
+                        fabric.register_host(r);
+                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            poll_now(fabric.baton(r));
+                            let mut rank = run.rank(r);
+                            let value = program(&mut rank);
+                            run.finish(rank, value)
+                        }));
+                        fabric.retire(r);
+                        result
+                    });
+                match spawned {
+                    Ok(handle) => handles.push(handle),
+                    Err(e) => {
+                        // The ranks already started can never be joined
+                        // by the missing ones: abort so they tear down.
+                        fabric.abort(format!(
+                            "pmm-simnet: could not spawn the thread hosting rank {r} of {}: {e}\n\
+                             (a sync-closure run needs one OS thread per rank; write the program \
+                             with the async `_a` primitives and use World::run_async, which \
+                             executes 10^5 ranks on a single thread)",
+                            self.size
+                        ));
+                        break;
                     }
                 }
+            }
+            for (r, handle) in handles.into_iter().enumerate() {
+                outcomes.record(r, handle.join().and_then(|result| result));
             }
 
             // All ranks are done; retire the watchdog before deciding the
@@ -551,93 +488,38 @@ impl World {
                 watchdog_stop.1.notify_all();
                 h.join().expect("watchdog thread panicked");
             }
-
-            if let Some((r, payload)) = first_panic {
-                return Err(RunError::RankPanic { rank: r, payload });
-            }
-            if fabric.verify.is_aborted() {
-                let report =
-                    fabric.verify.report_text().or(abort_note).unwrap_or_else(|| {
-                        "pmm-verify: world aborted with no stored report".into()
-                    });
-                return Err(RunError::Report(report));
-            }
-            if let Some(detail) = fault_note {
-                return Err(RunError::Report(format!(
-                    "pmm-fault: rank failure was not handled by the program — {detail}\n\
-                     (wrap the failable region in Rank::catch_failures to recover)"
-                )));
-            }
-            Ok(())
         });
 
-        self.collect(&fabric, slots, scope_result)
+        self.collect(fabric, outcomes)
     }
 
-    /// Run an async program on the single-threaded deterministic event
-    /// loop. Every rank is a pinned continuation in a slab
-    /// ([`RankCell`]s); the loop polls exactly the rank the scheduler's
-    /// baton names, so a blocked rank costs one suspended future, not a
-    /// parked OS thread. Deadlock and divergence are proven synchronously
-    /// at pick time (there is no watchdog thread — and no need for one).
-    fn run_event_impl<T, F>(&self, program: &F) -> Result<WorldResult<T>, RunFailureRaw>
+    /// Host every rank of an async program as a pinned continuation in a
+    /// slab ([`RankCell`]s) on the calling thread. The loop polls exactly
+    /// the rank the scheduler's baton names, so a blocked rank costs one
+    /// suspended future, not a parked OS thread.
+    fn run_on_loop<T, F>(&self, program: &F) -> Result<WorldResult<T>, RunFailureRaw>
     where
         T: Send,
         F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     {
-        silence_abort_teardown_panics();
         // The event loop *is* the deterministic scheduler; without an
         // explicit schedule, run under the canonical one (empty prefix:
         // smallest runnable rank at every pick).
         let schedule = self.schedule.clone().unwrap_or(Schedule::Prefix(Vec::new()));
-        let mut fabric = self.make_fabric(Some(schedule));
-        fabric.enable_event_loop();
-        let fabric = Arc::new(fabric);
-        let members: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        let strict_drain = self.verify.strict_drain;
-        let vclock_audit = self.vclock_audit_on();
-
-        let mut slots: Vec<Option<(T, RankReport)>> = Vec::with_capacity(self.size);
-        let mut cells: Vec<RankCell<'_, T>> = Vec::with_capacity(self.size);
-        for r in 0..self.size {
-            slots.push(None);
-            let fabric = fabric.clone();
-            let members = members.clone();
-            let params = self.params;
-            let mem_limit = self.mem_limit;
-            let trace = self.trace;
-            cells.push(Some(Box::pin(async move {
-                let mut rank =
-                    Rank::new(r, members, fabric.clone(), params, mem_limit, trace, vclock_audit);
-                let value = program(&mut rank).await;
-                if strict_drain {
-                    if let Some(desc) = rank.undrained_stash() {
-                        fabric.abort(format!(
-                            "pmm-verify: rank {r} finished with undrained receive \
-                             stash: {desc}"
-                        ));
-                        fabric.verify.abort_panic(r);
-                    }
-                }
-                let report = RankReport {
-                    meter: rank.meter(),
-                    time: rank.time(),
-                    peak_mem_words: rank.mem().peak(),
-                    trace: rank.take_trace(),
-                    final_vclock: rank.final_vclock(),
-                };
-                (value, report)
-            })));
-        }
-
-        // All ranks enter the scheduler at once; the first pick is made
-        // here (identical to the last thread attaching in thread mode).
-        fabric.sched_attach_all();
+        let run = self.start_run(Some(schedule), false);
+        let (run, fabric) = (&run, &run.fabric);
+        let mut outcomes = Outcomes::new(self.size);
+        let mut cells: Vec<RankCell<'_, T>> = (0..self.size)
+            .map(|r| -> RankCell<'_, T> {
+                Some(Box::pin(async move {
+                    let mut rank = run.rank(r);
+                    let value = program(&mut rank).await;
+                    run.finish(rank, value)
+                }))
+            })
+            .collect();
 
         let mut remaining = self.size;
-        let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        let mut abort_note: Option<String> = None;
-        let mut fault_note: Option<String> = None;
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         while remaining > 0 && !fabric.verify.is_aborted() {
@@ -646,48 +528,30 @@ impl World {
                     break;
                 }
                 panic!(
-                    "pmm-engine: event loop stalled with {remaining} unfinished rank(s) and \
+                    "pmm-simnet: event loop stalled with {remaining} unfinished rank(s) and \
                      no baton holder — scheduler bug"
                 );
             };
             let cell = cells[r].as_mut().expect("baton held by a finished rank");
-            match std::panic::catch_unwind(AssertUnwindSafe(|| cell.as_mut().poll(&mut cx))) {
-                Ok(Poll::Pending) => {
+            let result =
+                match std::panic::catch_unwind(AssertUnwindSafe(|| cell.as_mut().poll(&mut cx))) {
                     // The continuation yielded the baton; the pick it made
                     // on the way out tells the next iteration whom to poll.
-                }
-                Ok(Poll::Ready((value, report))) => {
-                    cells[r] = None;
-                    slots[r] = Some((value, report));
-                    remaining -= 1;
-                    // Same order as the thread backend's scope guards:
-                    // retire from the scheduler first, then mark done in
-                    // the verifier registry.
-                    fabric.sched_finish(r);
-                    fabric.verify.mark_done(r);
-                }
-                Err(payload) => {
-                    cells[r] = None;
-                    remaining -= 1;
-                    // Classification mirrors the thread-join loop below.
-                    if let Some(AbortPanic(note)) = payload.downcast_ref::<AbortPanic>() {
-                        abort_note.get_or_insert_with(|| note.clone());
-                    } else if let Some(FaultPanic(failed)) = payload.downcast_ref::<FaultPanic>() {
-                        fault_note.get_or_insert_with(|| failed.to_string());
-                    } else {
-                        first_panic.get_or_insert((r, payload));
-                    }
-                    fabric.sched_finish(r);
-                    fabric.verify.mark_done(r);
-                }
-            }
+                    Ok(Poll::Pending) => continue,
+                    Ok(Poll::Ready(done)) => Ok(done),
+                    Err(payload) => Err(payload),
+                };
+            cells[r] = None;
+            remaining -= 1;
+            outcomes.record(r, result);
+            fabric.retire(r);
         }
 
         // Continuations of ranks that never ran to completion (the world
         // aborted) are dropped here on a non-panicking thread; flag the
         // teardown so leak checks in Drop impls (RecvRequest) stay quiet,
-        // exactly as `std::thread::panicking()` keeps them quiet on the
-        // thread backend.
+        // exactly as `std::thread::panicking()` keeps them quiet on a
+        // thread host.
         if cells.iter().any(Option::is_some) {
             crate::rank::begin_abort_teardown();
             cells.clear();
@@ -695,36 +559,18 @@ impl World {
         }
         drop(cells);
 
-        let scope_result: Result<(), RunError> = if let Some((r, payload)) = first_panic {
-            Err(RunError::RankPanic { rank: r, payload })
-        } else if fabric.verify.is_aborted() {
-            let report = fabric
-                .verify
-                .report_text()
-                .or(abort_note)
-                .unwrap_or_else(|| "pmm-verify: world aborted with no stored report".into());
-            Err(RunError::Report(report))
-        } else if let Some(detail) = fault_note {
-            Err(RunError::Report(format!(
-                "pmm-fault: rank failure was not handled by the program — {detail}\n\
-                 (wrap the failable region in Rank::catch_failures to recover)"
-            )))
-        } else {
-            Ok(())
-        };
-        self.collect(&fabric, slots, scope_result)
+        self.collect(fabric, outcomes)
     }
 
-    /// Shared epilogue of both engines: harvest the scheduler's artifacts
-    /// and the canonical replay recipe exactly once on every failure path
+    /// Shared epilogue: classify how the run ended, harvest the
+    /// scheduler's artifacts and the canonical replay recipe exactly once on every failure path
     /// (prefix replays report the choices actually made, seeded runs
     /// their seed), run the strict-drain audits, and assemble the
     /// [`WorldResult`].
     fn collect<T>(
         &self,
         fabric: &Fabric,
-        slots: Vec<Option<(T, RankReport)>>,
-        scope_result: Result<(), RunError>,
+        outcomes: Outcomes<T>,
     ) -> Result<WorldResult<T>, RunFailureRaw> {
         let fail = |error: RunError| RunFailureRaw {
             error,
@@ -732,8 +578,24 @@ impl World {
             schedule_trace: fabric.take_sched_trace(),
             choice_points: fabric.take_choice_points(),
         };
-        if let Err(error) = scope_result {
-            return Err(fail(error));
+        // A genuine panic is the program's own and wins; then the
+        // verifier's report; then an injected kill nobody caught.
+        if let Some((rank, payload)) = outcomes.first_panic {
+            return Err(fail(RunError::RankPanic { rank, payload }));
+        }
+        if fabric.verify.is_aborted() {
+            let report = fabric
+                .verify
+                .report_text()
+                .or(outcomes.abort_note)
+                .unwrap_or_else(|| "pmm-verify: world aborted with no stored report".into());
+            return Err(fail(RunError::Report(report)));
+        }
+        if let Some(detail) = outcomes.fault_note {
+            return Err(fail(RunError::Report(format!(
+                "pmm-fault: rank failure was not handled by the program — {detail}\n\
+                 (wrap the failable region in Rank::catch_failures to recover)"
+            ))));
         }
 
         let strict_drain = self.verify.strict_drain;
@@ -748,8 +610,11 @@ impl World {
             }
         }
 
-        let (values, reports): (Vec<T>, Vec<RankReport>) =
-            slots.into_iter().map(|s| s.expect("rank completed without panicking")).unzip();
+        let (values, reports): (Vec<T>, Vec<RankReport>) = outcomes
+            .slots
+            .into_iter()
+            .map(|s| s.expect("rank completed without panicking"))
+            .unzip();
 
         if strict_drain {
             let sent: u64 = reports.iter().map(|r| r.meter.words_sent).sum();
@@ -773,16 +638,108 @@ impl World {
     }
 }
 
+/// What one run shares among its ranks' hosts: the fabric, and what each
+/// [`Rank`] is built from and closed with — the part of a rank's life
+/// that is the same on every host.
+struct Run {
+    fabric: Arc<Fabric>,
+    members: Arc<Vec<usize>>,
+    params: MachineParams,
+    mem_limit: Option<u64>,
+    trace: bool,
+    vclock_audit: bool,
+    strict_drain: bool,
+}
+
+impl Run {
+    fn rank(&self, r: usize) -> Rank {
+        Rank::new(
+            r,
+            self.members.clone(),
+            self.fabric.clone(),
+            self.params,
+            self.mem_limit,
+            self.trace,
+            self.vclock_audit,
+        )
+    }
+
+    /// Close a rank whose program returned `value`: run the per-rank
+    /// strict-drain audit and take its report.
+    fn finish<T>(&self, mut rank: Rank, value: T) -> (T, RankReport) {
+        if self.strict_drain {
+            if let Some(desc) = rank.undrained_stash() {
+                // A verifier abort, not a rank panic: the violation
+                // surfaces as a report and the AbortPanic teardown stays
+                // quiet.
+                let r = rank.world_rank();
+                self.fabric.abort(format!(
+                    "pmm-verify: rank {r} finished with undrained receive stash: {desc}"
+                ));
+                self.fabric.verify.abort_panic(r);
+            }
+        }
+        let report = RankReport {
+            meter: rank.meter(),
+            time: rank.time(),
+            peak_mem_words: rank.mem().peak(),
+            trace: rank.take_trace(),
+            final_vclock: rank.final_vclock(),
+        };
+        (value, report)
+    }
+}
+
+/// How the ranks of one run ended, as their hosts saw it.
+struct Outcomes<T> {
+    /// Value and report of every rank that ran to completion.
+    slots: Vec<Option<(T, RankReport)>>,
+    first_panic: Option<(usize, Box<dyn Any + Send>)>,
+    abort_note: Option<String>,
+    fault_note: Option<String>,
+}
+
+impl<T> Outcomes<T> {
+    fn new(size: usize) -> Outcomes<T> {
+        Outcomes {
+            slots: (0..size).map(|_| None).collect(),
+            first_panic: None,
+            abort_note: None,
+            fault_note: None,
+        }
+    }
+
+    /// Record how rank `r` ended. Ranks torn down by a verifier abort
+    /// carry an [`AbortPanic`]; the report is raised once, by
+    /// [`World::collect`]. A [`FaultPanic`] is an injected kill the
+    /// program chose not to catch — reported once, after genuine panics.
+    /// Any other panic is the program's own.
+    fn record(&mut self, r: usize, result: Result<(T, RankReport), Box<dyn Any + Send>>) {
+        match result {
+            Ok(done) => self.slots[r] = Some(done),
+            Err(payload) => {
+                if let Some(AbortPanic(note)) = payload.downcast_ref::<AbortPanic>() {
+                    self.abort_note.get_or_insert_with(|| note.clone());
+                } else if let Some(FaultPanic(failed)) = payload.downcast_ref::<FaultPanic>() {
+                    self.fault_note.get_or_insert_with(|| failed.to_string());
+                } else {
+                    self.first_panic.get_or_insert((r, payload));
+                }
+            }
+        }
+    }
+}
+
 /// How a run died, before formatting.
 enum RunError {
     /// A report-shaped failure (verifier abort, unhandled rank failure,
     /// strict-drain violation).
     Report(String),
     /// A rank's program panicked with its own payload.
-    RankPanic { rank: usize, payload: Box<dyn std::any::Any + Send> },
+    RankPanic { rank: usize, payload: Box<dyn Any + Send> },
 }
 
-/// [`World::run_impl`]'s error: the failure plus the scheduler artifacts
+/// A failed run before formatting: the failure plus the scheduler artifacts
 /// harvested from the fabric.
 struct RunFailureRaw {
     error: RunError,
@@ -792,7 +749,7 @@ struct RunFailureRaw {
 }
 
 /// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1113,7 +1070,7 @@ mod tests {
         assert!(!choices.is_empty());
     }
 
-    /// The async twin of `gather_program`, for cross-engine checks.
+    /// The async twin of `gather_program`.
     fn gather_program_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
         Box::pin(async move {
             let wc = rank.world_comm();
@@ -1132,63 +1089,14 @@ mod tests {
 
     #[test]
     fn event_loop_runs_async_programs() {
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
+        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run_async(gather_program_a);
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_some(), "event runs are always deterministic");
     }
 
     #[test]
-    fn engines_agree_on_seeded_gather_byte_for_byte() {
-        for seed in 0..4 {
-            let ev = World::new(6, MachineParams::BANDWIDTH_ONLY)
-                .with_seed(seed)
-                .with_engine(Engine::EventLoop)
-                .run_async(gather_program_a);
-            let th = World::new(6, MachineParams::BANDWIDTH_ONLY)
-                .with_seed(seed)
-                .with_engine(Engine::Threads)
-                .run_async(gather_program_a);
-            assert_eq!(ev.values, th.values, "seed {seed}");
-            let (te, tt) = (ev.schedule_trace.unwrap(), th.schedule_trace.unwrap());
-            assert_eq!(te.render(), tt.render(), "seed {seed}");
-            for (a, b) in ev.reports.iter().zip(&th.reports) {
-                assert_eq!(a.meter, b.meter, "seed {seed}");
-                assert_eq!(a.time, b.time, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn event_loop_splits_barriers_and_exchanges() {
-        let run = |engine| {
-            World::new(8, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_engine(engine).run_async(
-                |rank: &mut Rank| {
-                    Box::pin(async move {
-                        let wc = rank.world_comm();
-                        let r = rank.world_rank();
-                        let half = rank.split_a(&wc, (r / 4) as i64, r as i64).await.unwrap();
-                        rank.hard_sync_a().await;
-                        let m = rank
-                            .sendrecv_a(&half, half.size() - 1 - half.index(), &[r as f64])
-                            .await;
-                        m.payload[0] as usize
-                    }) as LocalBoxFuture<'_, usize>
-                },
-            )
-        };
-        let ev = run(Engine::EventLoop);
-        let th = run(Engine::Threads);
-        assert_eq!(ev.values, vec![3, 2, 1, 0, 7, 6, 5, 4]);
-        assert_eq!(ev.values, th.values);
-        assert_eq!(ev.schedule_trace.unwrap().render(), th.schedule_trace.unwrap().render());
-    }
-
-    #[test]
     fn event_loop_detects_deadlock_synchronously() {
         let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .with_engine(Engine::EventLoop)
             .try_run_async(|r: &mut Rank| {
                 Box::pin(async move {
                     let wc = r.world_comm();
@@ -1202,30 +1110,10 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_prefix_replay_matches_seeded_run() {
-        let seeded = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(3)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        let prefix: Vec<usize> =
-            seeded.choice_points.as_ref().expect("choices").iter().map(|c| c.chosen).collect();
-        let replay = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_schedule(Schedule::Prefix(prefix))
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        assert_eq!(replay.values, seeded.values);
-        assert_eq!(
-            seeded.schedule_trace.expect("trace").events,
-            replay.schedule_trace.expect("trace").events
-        );
-    }
-
-    #[test]
     fn schedule_recording_off_drops_artifacts_but_not_results() {
         let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
             .with_seed(9)
             .with_schedule_recording(false)
-            .with_engine(Engine::EventLoop)
             .run_async(gather_program_a);
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
@@ -1234,14 +1122,11 @@ mod tests {
 
     #[test]
     fn targeted_wakeup_changes_bookkeeping_not_results() {
-        let base = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(2)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
+        let base =
+            World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(2).run_async(gather_program_a);
         let targeted = World::new(6, MachineParams::BANDWIDTH_ONLY)
             .with_seed(2)
             .with_targeted_wakeup(true)
-            .with_engine(Engine::EventLoop)
             .run_async(gather_program_a);
         assert_eq!(base.values, targeted.values);
         for (a, b) in base.reports.iter().zip(&targeted.reports) {
@@ -1254,10 +1139,28 @@ mod tests {
     fn vclock_audit_off_empties_final_clocks() {
         let out = World::new(4, MachineParams::BANDWIDTH_ONLY)
             .with_vclock_audit(false)
-            .with_engine(Engine::EventLoop)
             .run_async(gather_program_a);
         assert_eq!(out.values[0], 6.0);
         assert!(out.reports.iter().all(|r| r.final_vclock.is_empty()));
+    }
+
+    #[test]
+    fn failed_thread_spawn_is_a_report_not_a_process_abort() {
+        // No OS grants a stack of half the address space, so the very
+        // first host thread cannot be created — under a schedule and
+        // free-running alike.
+        for world in [
+            World::new(3, MachineParams::BANDWIDTH_ONLY),
+            World::new(3, MachineParams::BANDWIDTH_ONLY).with_seed(1),
+        ] {
+            let failure = world
+                .with_stack_bytes(usize::MAX / 2)
+                .try_run(|r| r.world_rank())
+                .expect_err("a world whose host threads cannot be spawned must fail");
+            assert!(failure.report.contains("hosting rank 0 of 3"), "{}", failure.report);
+            assert!(failure.report.contains("os error"), "{}", failure.report);
+            assert!(failure.report.contains("World::run_async"), "{}", failure.report);
+        }
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub mod prelude {
         Strategy as ExploreStrategy,
     };
     pub use pmm_simnet::{
-        engine_from_env, fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution,
-        ChoicePoint, Comm, CriticalPath, Engine, FaultPlan, LocalBoxFuture, Meter, Rank,
-        RankFailed, Repro, Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp,
-        Tracer, World, WorldResult, ENGINE_ENV, SCHEDULE_ENV,
+        fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution, ChoicePoint, Comm,
+        CriticalPath, FaultPlan, LocalBoxFuture, Meter, Rank, RankFailed, Repro, Resource,
+        RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World, WorldResult,
+        SCHEDULE_ENV,
     };
 }

@@ -1,11 +1,13 @@
-//! Cross-engine differential suite: `Engine::EventLoop` vs
-//! `Engine::Threads`.
+//! Host-differential suite: a thread-hosted `World::run` of the sync
+//! form of a program vs a loop-hosted `World::run_async` of its `_a`
+//! form.
 //!
-//! The event-driven core is only trustworthy if it is *observationally
-//! identical* to the thread backend it replaced: same values, same
-//! meters, same simulated clocks, same memory peaks, same vector
-//! clocks, and a byte-identical `ScheduleTrace` for the same
-//! `(program, schedule)` pair. This suite pins that equivalence on
+//! Every primitive has one implementation and both hosts drive the one
+//! deterministic scheduler, so the two runs must be *observationally
+//! identical*: same values, same meters, same simulated clocks, same
+//! memory peaks, same vector clocks, and a byte-identical
+//! `ScheduleTrace` for the same `(program, schedule)` pair. This suite
+//! pins that on
 //!
 //! * the pinned `(program, seed)` workloads of `tests/determinism.rs`
 //!   (Algorithm 1 P = 12, Cannon P = 9, SUMMA P = 6, 2.5D P = 8);
@@ -15,7 +17,9 @@
 //!   interior (P = 64);
 //! * property-sweeps with the fault layer armed (message drops,
 //!   duplicates, delays): goodput *and* retry meters must agree
-//!   bit-for-bit across engines.
+//!   bit-for-bit across hosts;
+//! * kills, caught (`catch_failures` vs `catch_failures_async!`) and
+//!   recovered from (`run_recoverable`).
 
 use pmm::prelude::*;
 use proptest::prelude::*;
@@ -27,43 +31,49 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
     )
 }
 
-/// Run `program` on both engines and assert every observable artifact
-/// matches: values, per-rank meters/clocks/memory/vector clocks, and
-/// the rendered + event-level schedule trace. Returns the event-loop
-/// result for further checks.
-fn assert_engines_agree<T, F>(label: &str, world: &World, program: F) -> WorldResult<T>
+/// Assert every observable artifact of a thread-hosted and a loop-hosted
+/// run matches: values, per-rank meters/clocks/memory/vector clocks, and
+/// the rendered + event-level schedule trace.
+fn assert_same_run<T>(label: &str, threads: &WorldResult<T>, event: &WorldResult<T>)
 where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Clone,
+    T: PartialEq + std::fmt::Debug,
 {
-    let threads = world.clone().with_engine(Engine::Threads).run_async(program.clone());
-    let event = world.clone().with_engine(Engine::EventLoop).run_async(program);
-    assert_eq!(threads.values, event.values, "{label}: per-rank values diverge across engines");
+    assert_eq!(threads.values, event.values, "{label}: per-rank values diverge across hosts");
     assert_eq!(threads.reports.len(), event.reports.len(), "{label}: rank count");
     for (r, (t, e)) in threads.reports.iter().zip(&event.reports).enumerate() {
-        assert_eq!(t.meter, e.meter, "{label}: rank {r} meter diverges across engines");
-        assert_eq!(t.time, e.time, "{label}: rank {r} clock diverges across engines");
+        assert_eq!(t.meter, e.meter, "{label}: rank {r} meter diverges across hosts");
+        assert_eq!(t.time, e.time, "{label}: rank {r} clock diverges across hosts");
         assert_eq!(
             t.peak_mem_words, e.peak_mem_words,
-            "{label}: rank {r} memory peak diverges across engines"
+            "{label}: rank {r} memory peak diverges across hosts"
         );
         assert_eq!(
             t.final_vclock, e.final_vclock,
-            "{label}: rank {r} vector clock diverges across engines"
+            "{label}: rank {r} vector clock diverges across hosts"
         );
     }
-    match (&threads.schedule_trace, &event.schedule_trace) {
-        (Some(t), Some(e)) => {
-            assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
-            t.assert_matches(e);
-        }
-        (None, None) => {}
-        (t, e) => panic!(
-            "{label}: trace presence diverges (threads: {}, event loop: {})",
-            t.is_some(),
-            e.is_some()
-        ),
-    }
+    let (t, e) = (
+        threads.schedule_trace.as_ref().expect("seeded thread-hosted runs record a trace"),
+        event.schedule_trace.as_ref().expect("loop-hosted runs record a trace"),
+    );
+    assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
+    t.assert_matches(e);
+}
+
+/// Run `program` on both hosts and assert the runs are the same;
+/// returns the loop-hosted result for further checks. The sync form of
+/// every primitive, collective and algorithm is `poll_now(its _a form)`,
+/// so polling the async program once on a thread host *is* running its
+/// sync form (the cases below that spell a sync form out are the ones
+/// where it is written differently).
+fn assert_hosts_agree<T, F>(label: &str, world: &World, program: F) -> WorldResult<T>
+where
+    T: Send + PartialEq + std::fmt::Debug,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
+{
+    let threads = world.run(|rank| poll_now(program(rank)));
+    let event = world.run_async(program);
+    assert_same_run(label, &threads, &event);
     event
 }
 
@@ -80,18 +90,23 @@ fn engines_agree_on_the_pinned_alg1_workload() {
     };
     for seed in [0xA11CE_u64, 0xC1EA4, 0, 5] {
         let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(seed);
-        let cfg = cfg.clone();
-        let out = assert_engines_agree(&format!("alg1 seed {seed}"), &world, move |rank| {
+        // Compare the chunk bits *and* the per-phase meters.
+        let view = |out: Alg1Output| -> (Vec<f64>, Vec<(String, Meter)>) {
+            let phases = out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
+            (out.c_chunk, phases)
+        };
+        let threads = world.run(|rank| {
+            let (a, b) = inputs(dims);
+            view(alg1(rank, &cfg, &a, &b))
+        });
+        let out = world.run_async(|rank| {
             let cfg = cfg.clone();
             Box::pin(async move {
                 let (a, b) = inputs(dims);
-                let out = alg1_a(rank, &cfg, &a, &b).await;
-                // Compare the chunk bits *and* the per-phase meters.
-                let phases: Vec<(String, Meter)> =
-                    out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
-                (out.c_chunk, phases)
+                view(alg1_a(rank, &cfg, &a, &b).await)
             })
         });
+        assert_same_run(&format!("alg1 seed {seed}"), &threads, &out);
         assert!(
             out.schedule_trace.expect("seeded run records a trace").events.len() > 12,
             "seed {seed}: a 12-rank Algorithm 1 run schedules real events"
@@ -105,7 +120,7 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
 
     let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_engines_agree("cannon P=9", &world, move |rank| {
+    assert_hosts_agree("cannon P=9", &world, move |rank| {
         let ccfg = ccfg.clone();
         Box::pin(async move {
             let (a, b) = inputs(dims);
@@ -115,7 +130,7 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
 
     let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_engines_agree("summa P=6", &world, move |rank| {
+    assert_hosts_agree("summa P=6", &world, move |rank| {
         let scfg = scfg.clone();
         Box::pin(async move {
             let (a, b) = inputs(dims);
@@ -125,7 +140,7 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
 
     let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
     let world = World::new(8, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_engines_agree("2.5d P=8", &world, move |rank| {
+    assert_hosts_agree("2.5d P=8", &world, move |rank| {
         let tcfg = tcfg.clone();
         Box::pin(async move {
             let (a, b) = inputs(dims);
@@ -136,7 +151,7 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
 
 /// One Theorem 3 regime point of the conformance instance
 /// `(96, 24, 12)`: run every algorithm that admits the processor count
-/// on both engines and cross-check all observables.
+/// on both hosts and cross-check all observables.
 fn regime_point(p: usize, seed: u64, label: &str) {
     let dims = MatMulDims::new(96, 24, 12);
     let bw = MachineParams::BANDWIDTH_ONLY;
@@ -148,7 +163,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     for assembly in [Assembly::ReduceScatter, Assembly::AllToAllSum] {
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
         let world = World::new(p, bw).with_seed(seed);
-        assert_engines_agree(&format!("{label}: alg1/{assembly:?}"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: alg1/{assembly:?}"), &world, move |rank| {
             let cfg = cfg.clone();
             Box::pin(async move {
                 let (a, b) = inputs(dims);
@@ -162,7 +177,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
 
     // Streamed Algorithm 1 (double-buffered slabs).
     let world = World::new(p, bw).with_seed(seed);
-    assert_engines_agree(&format!("{label}: alg1/streamed"), &world, move |rank| {
+    assert_hosts_agree(&format!("{label}: alg1/streamed"), &world, move |rank| {
         Box::pin(async move {
             let (a, b) = inputs(dims);
             alg1_streamed_a(rank, dims, grid, 2, Kernel::Naive, &a, &b).await.c_chunk
@@ -174,7 +189,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     if q * q == p {
         let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
         let world = World::new(p, bw).with_seed(seed);
-        assert_engines_agree(&format!("{label}: cannon"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: cannon"), &world, move |rank| {
             let ccfg = ccfg.clone();
             Box::pin(async move {
                 let (a, b) = inputs(dims);
@@ -187,7 +202,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let (pr, pc) = near_square_factors(p);
     let scfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
     let world = World::new(p, bw).with_seed(seed);
-    assert_engines_agree(&format!("{label}: summa"), &world, move |rank| {
+    assert_hosts_agree(&format!("{label}: summa"), &world, move |rank| {
         let scfg = scfg.clone();
         Box::pin(async move {
             let (a, b) = inputs(dims);
@@ -202,7 +217,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     {
         let tcfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
         let world = World::new(p, bw).with_seed(seed);
-        assert_engines_agree(&format!("{label}: 2.5d"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: 2.5d"), &world, move |rank| {
             let tcfg = tcfg.clone();
             Box::pin(async move {
                 let (a, b) = inputs(dims);
@@ -214,7 +229,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     // CARMA on power-of-two processor counts.
     if p.is_power_of_two() {
         let world = World::new(p, bw).with_seed(seed);
-        assert_engines_agree(&format!("{label}: carma"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: carma"), &world, move |rank| {
             Box::pin(async move {
                 let (a, b) = inputs(dims);
                 let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
@@ -246,8 +261,8 @@ fn engines_agree_across_the_3d_regime() {
 #[test]
 fn engines_agree_with_a_fault_plan_armed() {
     // Message faults are decided by hashing (fault seed, channel, seq,
-    // attempt) — never by engine or arrival order — so an armed plan
-    // must leave the two engines bit-identical, including the retry
+    // attempt) — never by host or arrival order — so an armed plan
+    // must leave the two hosts bit-identical, including the retry
     // (waste) counters.
     let dims = MatMulDims::new(24, 12, 18);
     let cfg = Alg1Config {
@@ -262,7 +277,7 @@ fn engines_agree_with_a_fault_plan_armed() {
         .with_duplicate(0.05)
         .with_delay(0.05);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
-    let out = assert_engines_agree("alg1 with faults", &world, move |rank| {
+    let out = assert_hosts_agree("alg1 with faults", &world, move |rank| {
         let cfg = cfg.clone();
         Box::pin(async move {
             let (a, b) = inputs(dims);
@@ -281,7 +296,7 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
     // background message faults. Every per-rank Result (typed
     // RankFailed on the casualties, full Recovered on the survivors),
     // every meter, clock, and the rendered schedule trace must be
-    // byte-identical across engines.
+    // byte-identical across hosts.
     let dims = MatMulDims::new(24, 24, 24);
     let plan = FaultPlan::none()
         .with_seed(0xFA17)
@@ -292,7 +307,7 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         .with_partition(vec![0, 1], 5..20, 2)
         .with_storm(0.3, 2.0);
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
-    let out = assert_engines_agree("recovery multi-fault", &world, move |rank| {
+    let out = assert_hosts_agree("recovery multi-fault", &world, move |rank| {
         Box::pin(async move {
             let (a, b) = inputs(dims);
             let spec =
@@ -308,12 +323,73 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
     assert!(retries > 0, "the partition and drops must force retransmissions");
 }
 
+#[test]
+fn hosts_agree_on_a_kill_caught_and_rallied_from() {
+    // Rank 2 dies entering its second exchange of a 4-rank ring; the
+    // sync form catches it with `catch_failures`, the async form with
+    // `catch_failures_async!` (`catch_fault_panics`). Survivors are
+    // kicked out of the ring, rally at the barrier, rebuild a
+    // communicator over themselves and finish a second ring on it.
+    let plan = FaultPlan::none().with_seed(9).with_kill(2, 2);
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
+    let threads = world.run(|rank| {
+        let wc = rank.world_comm();
+        let (me, n) = (wc.index(), wc.size());
+        let first = rank.catch_failures(|rank| {
+            (0..3)
+                .map(|i| rank.exchange(&wc, (me + 1) % n, (me + n - 1) % n, &[i as f64; 4]))
+                .map(|m| m.payload[0])
+                .sum::<f64>()
+        });
+        if first.as_ref().is_err_and(|f| f.rank == me) {
+            return (first.map_err(|f| f.rank), Vec::new());
+        }
+        rank.hard_sync();
+        let survivors = rank.recovery_split(0);
+        let (i, k) = (survivors.index(), survivors.size());
+        let m = rank.exchange(&survivors, (i + 1) % k, (i + k - 1) % k, &[me as f64]);
+        (first.map_err(|f| f.rank), m.payload)
+    });
+    let out = world.run_async(|rank| {
+        Box::pin(async move {
+            let wc = rank.world_comm();
+            let (me, n) = (wc.index(), wc.size());
+            let first = pmm::simnet::catch_failures_async!(rank, async {
+                let mut sum = 0.0;
+                for i in 0..3 {
+                    let payload = [i as f64; 4];
+                    sum += rank
+                        .exchange_a(&wc, (me + 1) % n, (me + n - 1) % n, &payload)
+                        .await
+                        .payload[0];
+                }
+                sum
+            });
+            if first.as_ref().is_err_and(|f| f.rank == me) {
+                return (first.map_err(|f| f.rank), Vec::new());
+            }
+            rank.hard_sync_a().await;
+            let survivors = rank.recovery_split_a(0).await;
+            let (i, k) = (survivors.index(), survivors.size());
+            let m = rank.exchange_a(&survivors, (i + 1) % k, (i + k - 1) % k, &[me as f64]).await;
+            (first.map_err(|f| f.rank), m.payload)
+        })
+    });
+    assert_same_run("caught kill", &threads, &out);
+    assert_eq!(out.values[2], (Err(2), Vec::new()), "the victim reports its own death");
+    for r in [0, 1, 3] {
+        assert_eq!(out.values[r].0, Err(2), "rank {r} observes the death of rank 2");
+    }
+    let ring: Vec<f64> = [0, 1, 3].iter().map(|&r| out.values[r].1[0]).collect();
+    assert_eq!(ring, vec![3.0, 0.0, 1.0], "the survivors' ring skips the corpse");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Cross-engine invariance as a property: arbitrary schedule seeds x
+    // Cross-host invariance as a property: arbitrary schedule seeds x
     // arbitrary armed fault mixes on a messaging-heavy 4-rank exchange
-    // ring. Both engines must agree on every payload, every goodput
+    // ring. Both hosts must agree on every payload, every goodput
     // counter, every retry counter, and the simulated clock.
     #[test]
     fn engines_agree_under_random_seeds_and_faults(
@@ -333,7 +409,7 @@ proptest! {
         let world = World::new(4, MachineParams::BANDWIDTH_ONLY)
             .with_seed(seed)
             .with_faults(plan);
-        assert_engines_agree(
+        assert_hosts_agree(
             &format!("ring seed {seed} faults {fault_seed}"),
             &world,
             move |rank| {

@@ -107,7 +107,7 @@ where
 
 #[test]
 fn exhaustive_certificate_pins_the_gather3_schedule_space() {
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
     let gather = |rank: &mut Rank| {
         let comm = rank.world_comm();
         let me = rank.world_rank();
@@ -129,7 +129,7 @@ fn exhaustive_certificate_pins_the_gather3_schedule_space() {
 fn exhaustive_certificate_pins_the_barrier4_schedule_space() {
     // The pinned 4-rank collective workload of `cargo xtask dpor`: a
     // registered barrier collective followed by the barrier itself.
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
     let barrier = |rank: &mut Rank| {
         let comm = rank.world_comm();
         rank.collective_begin(&comm, CollectiveOp::Barrier, 0);
@@ -166,7 +166,7 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
     let budget = Duration::from_secs(env_u64("PMM_EXPLORE_BUDGET_SECS", 60).max(10) / 2);
     let t0 = Instant::now();
     let report = explore_checked(
@@ -215,7 +215,7 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
 
 #[test]
 fn budget_caps_the_frontier_sweep() {
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
     let report = explore(
         &world,
         |rank| {
@@ -236,7 +236,7 @@ fn budget_caps_the_frontier_sweep() {
 
 #[test]
 fn a_failing_schedule_names_its_choice_prefix() {
-    let world = World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
     let mut seen = 0u64;
     let failure = explore_outcomes(
         &world,
@@ -267,7 +267,7 @@ fn deadlocking_programs_are_explored_not_hung() {
     // must still walk the whole (tiny) tree, handing each deadlock to
     // the callback as a captured failure rather than hanging or
     // panicking.
-    let world = World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
     let mut outcomes = 0u64;
     let report = explore_outcomes(
         &world,
@@ -324,23 +324,21 @@ fn generator_soak_has_zero_false_reports() {
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop engine: the certificates carry across engines
+// Loop-hosted async programs: the certificates carry across hosts
 // ---------------------------------------------------------------------------
 
-/// Async analogue of [`certify`] running every replay on
-/// [`Engine::EventLoop`]: the choice tree is a property of the
-/// deterministic scheduler, not of the execution backend, so the
-/// exhaustive schedule counts pinned on the thread engine must
-/// reproduce exactly on the event loop.
+/// Async analogue of [`certify`], running every replay as continuations
+/// on the event loop: the choice tree is a property of the deterministic
+/// scheduler, not of how ranks are hosted, so the exhaustive schedule
+/// counts pinned on thread-hosted sync programs must reproduce exactly.
 fn certify_event<T, F>(label: &str, world: &World, program: F) -> (ExploreReport, ExploreReport)
 where
     T: Send + std::fmt::Debug,
     F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Copy,
 {
-    let world = world.clone().with_engine(Engine::EventLoop);
     let mut exhaustive_fps = BTreeSet::new();
     let full =
-        explore_outcomes_async(&world, program, &ExploreConfig::exhaustive(), |_, outcome| {
+        explore_outcomes_async(world, program, &ExploreConfig::exhaustive(), |_, outcome| {
             exhaustive_fps.insert(fingerprint(outcome));
             Ok(())
         })
@@ -350,7 +348,7 @@ where
 
     let mut sleep_fps = BTreeSet::new();
     let pruned =
-        explore_outcomes_async(&world, program, &ExploreConfig::sleep_sets(), |_, outcome| {
+        explore_outcomes_async(world, program, &ExploreConfig::sleep_sets(), |_, outcome| {
             sleep_fps.insert(fingerprint(outcome));
             Ok(())
         })
@@ -405,11 +403,11 @@ fn ring3_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
 #[test]
 fn event_loop_reproduces_the_gather3_certificate() {
     // Same workload as `exhaustive_certificate_pins_the_gather3_schedule_space`,
-    // expressed as an async rank program and explored on the event-loop
-    // engine: the 72-interleaving certificate must not move.
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    // expressed as an async rank program and explored on the event
+    // loop: the 72-interleaving certificate must not move.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
     let (full, pruned) = certify_event("gather3/event", &world, gather3_a);
-    assert_eq!(full.schedules, 72, "gather3 certificate drifted on the event-loop engine");
+    assert_eq!(full.schedules, 72, "gather3 certificate drifted on the event loop");
     assert!(pruned.pruned > 0, "gather3 must give sleep sets something to prune");
 }
 
@@ -417,9 +415,9 @@ fn event_loop_reproduces_the_gather3_certificate() {
 fn event_loop_reproduces_the_barrier4_certificate() {
     // The 4-rank barrier workload: all 15120 interleavings, replayed as
     // resumable continuations instead of parked threads.
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
     let (full, pruned) = certify_event("barrier4/event", &world, barrier4_a);
-    assert_eq!(full.schedules, 15120, "barrier4 certificate drifted on the event-loop engine");
+    assert_eq!(full.schedules, 15120, "barrier4 certificate drifted on the event loop");
     assert!(
         pruned.schedules < full.schedules / 10,
         "sleep sets should prune the barrier4 space by at least 10x on the event loop \
@@ -433,11 +431,9 @@ fn event_loop_reproduces_the_barrier4_certificate() {
 fn pmm_schedule_prefix_replays_on_the_event_loop() {
     // A `PMM_SCHEDULE=prefix:...` recipe (parsed through the same
     // `FromStr` that `schedule_from_env` uses) must replay an explored
-    // branch exactly on the event-loop engine: same values, same
-    // meters, same recorded choice stream.
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY)
-        .without_watchdog()
-        .with_engine(Engine::EventLoop);
+    // branch exactly on the event loop: same values, same meters, same
+    // recorded choice stream.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
     // Pick one explored schedule and remember its full choice prefix.
     let mut recipe: Option<(Vec<usize>, String)> = None;
     explore_outcomes_async(&world, ring3_a, &ExploreConfig::exhaustive(), |prefix, outcome| {

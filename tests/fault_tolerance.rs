@@ -10,9 +10,7 @@
 //! Around it:
 //! * a fault-rate × seed sweep across the three Theorem 3 regimes (1D /
 //!   2D / 3D-leaning processor counts), driven by `cargo xtask
-//!   fault-sweep` via the `PMM_FAULT_RATE` / `PMM_ENGINE` env knobs —
-//!   the recovery runs here go through `run_async` +
-//!   `engine_from_env`, so the same cells certify both engines;
+//!   fault-sweep` via the `PMM_FAULT_RATE` env knob;
 //! * property tests for exactly-once delivery under arbitrary
 //!   drop/duplicate/corrupt schedules, and for the `--faults` SPEC
 //!   grammar round-tripping through `Display`/`FromStr` (including the
@@ -22,9 +20,9 @@
 //!   construction, so values *and* retry meters agree across seeds;
 //! * SUMMA recovery on its near-square shrunken grid through the
 //!   generic [`run_recoverable`] wrapper;
-//! * the uncaught-kill path on **both** engines: `World::run` /
-//!   `run_async` report a typed rank failure naming the kill site and
-//!   the replay seed, never a deadlock.
+//! * the uncaught-kill path on **both** hosts: `World::try_run` and
+//!   `try_run_async` report the same typed rank failure naming the kill
+//!   site and the replay seed, never a deadlock.
 
 use pmm::prelude::*;
 use pmm_simnet::{FaultPlan, RankFailed};
@@ -52,26 +50,23 @@ fn fault_rate_from_env(default: f64) -> f64 {
 }
 
 /// Run Algorithm 1 under the generic recovery wrapper on a faulty world
-/// and return the per-rank results plus reports. Honors `PMM_ENGINE`
-/// (the fault-sweep matrix runs this on both backends).
+/// and return the per-rank results plus reports.
 fn run_recovery(
     dims: MatMulDims,
     p: usize,
     sched_seed: u64,
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
-    World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(sched_seed)
-        .with_faults(plan)
-        .with_engine(engine_from_env(Engine::Threads))
-        .run_async(move |rank| {
+    World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan).run_async(
+        move |rank| {
             Box::pin(async move {
                 let (a, b) = inputs(dims);
                 let spec =
                     Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
                 run_recoverable_a(rank, &spec, dims, &a, &b).await
             })
-        })
+        },
+    )
 }
 
 /// Assemble C from the survivors' shares and assert bitwise equality with
@@ -518,50 +513,64 @@ fn summa_recovers_on_near_square_survivor_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// Failure reporting (both engines)
+// Failure reporting (both hosts)
 // ---------------------------------------------------------------------------
 
 /// The uncaught-kill program: no `catch_failures` anywhere, so the kill
 /// must surface as a typed world-level failure naming the fault-plan
 /// entry and the replay seed — never as a deadlock or divergence abort.
-fn assert_uncaught_kill_reports_rank_failure(engine: Engine) {
-    let err = std::panic::catch_unwind(|| {
-        World::new(3, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(7)
-            .with_faults(FaultPlan::none().with_kill(1, 1))
-            .with_engine(engine)
-            .run_async(|rank| {
-                Box::pin(async move {
-                    let wc = rank.world_comm();
-                    let partner = (rank.world_rank() + 1) % 3;
-                    let from = (rank.world_rank() + 2) % 3;
-                    rank.exchange_a(&wc, partner, from, &[1.0]).await.payload[0]
-                })
+/// Runs it thread-hosted (`try_run`) or loop-hosted (`try_run_async`)
+/// and returns the checked failure text.
+fn assert_uncaught_kill_reports_rank_failure(on_threads: bool) -> String {
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(7)
+        .with_faults(FaultPlan::none().with_kill(1, 1));
+    let failure = if on_threads {
+        world.try_run(|rank| {
+            let wc = rank.world_comm();
+            let me = rank.world_rank();
+            rank.exchange(&wc, (me + 1) % 3, (me + 2) % 3, &[1.0]).payload[0]
+        })
+    } else {
+        world.try_run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let me = rank.world_rank();
+                rank.exchange_a(&wc, (me + 1) % 3, (me + 2) % 3, &[1.0]).await.payload[0]
             })
-    })
+        })
+    }
     .expect_err("uncaught kill must fail the run");
-    let msg = err.downcast_ref::<String>().expect("panic message is a String");
-    // Two reporters can win the race: the verifier (if survivors block on
-    // the dead rank first) or the world join loop (if the killed rank's
-    // panic surfaces first). Both must name the fault, never a deadlock.
-    assert!(msg.contains("rank failure"), "[{engine:?}] {msg}");
-    assert!(msg.contains("kill=1@1"), "[{engine:?}] {msg}");
-    assert!(
-        !msg.contains("deadlock detected"),
-        "[{engine:?}] must not misreport as deadlock: {msg}"
-    );
-    assert!(!msg.contains("diverged"), "[{engine:?}] must not misreport as divergence: {msg}");
-    assert!(msg.contains("PMM_SEED=7"), "[{engine:?}] report must carry the replay seed: {msg}");
+    let msg = failure.to_string();
+    // Two reporters exist: the verifier (if survivors block on the dead
+    // rank first) or the runner (if the killed rank's panic surfaces
+    // first). Both must name the fault, never a deadlock.
+    assert!(msg.contains("rank failure"), "{msg}");
+    assert!(msg.contains("kill=1@1"), "{msg}");
+    assert!(!msg.contains("deadlock detected"), "must not misreport as deadlock: {msg}");
+    assert!(!msg.contains("diverged"), "must not misreport as divergence: {msg}");
+    assert!(msg.contains("PMM_SEED=7"), "report must carry the replay seed: {msg}");
+    msg
 }
 
 #[test]
 fn uncaught_kill_reports_rank_failure_not_deadlock() {
-    assert_uncaught_kill_reports_rank_failure(Engine::Threads);
+    assert_uncaught_kill_reports_rank_failure(true);
 }
 
 #[test]
 fn uncaught_kill_reports_rank_failure_not_deadlock_on_event_loop() {
-    assert_uncaught_kill_reports_rank_failure(Engine::EventLoop);
+    // Same seed, same scheduler, same primitives: the loop-hosted report
+    // is the thread-hosted one to the byte, up to the line and column of
+    // the two forms' `exchange` call sites.
+    let sans_call_site = |report: String| {
+        let (head, tail) = report.split_once("fault_tolerance.rs:").expect("names a call site");
+        format!("{head}{}", tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == ':'))
+    };
+    assert_eq!(
+        sans_call_site(assert_uncaught_kill_reports_rank_failure(false)),
+        sans_call_site(assert_uncaught_kill_reports_rank_failure(true))
+    );
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Large-`P` scale conformance: Algorithm 1 *executed* (not predicted)
-//! at P = 10^4 … 10^6 on the event-loop engine.
+//! at P = 10^4 … 10^6 as continuations on the event loop.
 //!
-//! The paper's Fig. 1/Fig. 2 story spans `P` up to 10^6; with the
-//! thread backend anything past a few hundred ranks was out of reach,
-//! so the tight eq. (3) constants were never checked where the three
-//! regimes actually separate. These tests run Algorithm 1 end-to-end
-//! on `Engine::EventLoop` at scale, on **integral §5.2 optimal grids**
+//! The paper's Fig. 1/Fig. 2 story spans `P` up to 10^6; with a thread
+//! per rank anything past a few hundred ranks is out of reach, so the
+//! tight eq. (3) constants were never checked where the three regimes
+//! actually separate. These tests run Algorithm 1 end-to-end through
+//! `World::run_async` at scale, on **integral §5.2 optimal grids**
 //! (`best_grid` returns exactly the grid we pin, and it divides the
 //! dimensions), and hold the *measured* per-rank, per-phase traffic to
 //! the `pmm_model::alg1_prediction` eq. (3) terms exactly.
@@ -13,7 +13,7 @@
 //! Executed-path guarantees (no closed-form fallback): every rank
 //! returns a real `Alg1Output` with per-phase meters from the run, the
 //! world reports `P` per-rank meter/clock entries, and the verifier is
-//! live throughout (it is part of the fabric on every engine).
+//! live throughout (it is part of the fabric under every host).
 //!
 //! Each test prints a `SCALE: key=value ...` line; `cargo xtask
 //! scale-check` runs the `#[ignore]`d large cells in release mode and
@@ -37,7 +37,7 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Execute Algorithm 1 at `p` ranks on the event-loop engine and check
+/// Execute Algorithm 1 at `p` ranks on the event loop and check
 /// eq. (3) attribution. `exact` additionally pins every rank's
 /// per-phase duplex words to the prediction (requires evenly-chunked
 /// fiber collectives); aggregate per-phase traffic is checked always.
@@ -69,11 +69,9 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
     // event) — off at scale; targeted wakeup keeps the runnable-set
     // bookkeeping proportional to the active ranks.
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_engine(Engine::EventLoop)
         .with_schedule_recording(false)
         .with_targeted_wakeup(true)
-        .with_trace(trace)
-        .without_watchdog();
+        .with_trace(trace);
     let t0 = Instant::now();
     let out = world.run_async(|rank| {
         let cfg = cfg.clone();
@@ -153,10 +151,8 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
 /// world-sized group) and a world barrier, no messages.
 fn rendezvous_only_secs(p: usize) -> f64 {
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_engine(Engine::EventLoop)
         .with_schedule_recording(false)
-        .with_targeted_wakeup(true)
-        .without_watchdog();
+        .with_targeted_wakeup(true);
     let t0 = Instant::now();
     let out = world.run_async(|rank| {
         Box::pin(async move {

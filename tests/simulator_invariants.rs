@@ -2,6 +2,8 @@
 //! the critical-path clock, collective correctness on communicators carved
 //! out of grids, and property-based collective checks.
 
+use std::time::{Duration, Instant};
+
 use pmm::prelude::*;
 use proptest::prelude::*;
 
@@ -85,11 +87,11 @@ fn splits_through_separate_world_comm_handles_share_one_sequence() {
     let want: Vec<_> =
         (0..4).map(|r| (vec![r / 2 * 2, r / 2 * 2 + 1], vec![r % 2, r % 2 + 2])).collect();
     let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
-    assert_eq!(world.clone().run(sync).values, want, "sync thread engine");
+    assert_eq!(world.clone().run(sync).values, want, "free-running threads");
     for seed in 0..24 {
         assert_eq!(world.clone().with_seed(seed).run(sync).values, want, "seed {seed}");
     }
-    let out = world.with_engine(Engine::EventLoop).run_async(|rank| {
+    let out = world.run_async(|rank| {
         Box::pin(async move {
             let r = rank.world_rank() as i64;
             let halves = rank.split_a(&rank.world_comm(), r / 2, r).await.unwrap();
@@ -160,4 +162,82 @@ proptest! {
             prop_assert_eq!(sent as usize, (p - 1) * w);
         }
     }
+}
+
+/// Longest a thread host sleeps on a missed `unpark` before its
+/// safety-net timeout fires (`ABORT_POLL` in `fabric.rs`).
+const SAFETY_NET: Duration = Duration::from_millis(100);
+
+#[test]
+fn free_running_threads_do_not_lose_wakeups() {
+    // Free-running thread hosts sleep on `thread::park` and rely on every
+    // progress event unparking exactly the right thread; a lost unpark
+    // would not hang (the park has a safety-net timeout) but would cost
+    // 100 ms each, which wall-clock can see.
+    //
+    // Ping-pong: every wait is on the critical path, so a round trip that
+    // takes the safety net's 100 ms means some wait in it timed out
+    // (rank 0 then calls the game off). A stall that long can also come
+    // from the OS on a loaded host, so it must show up in three
+    // independent games to count.
+    let slow_trip = || {
+        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+            let wc = rank.world_comm();
+            for i in 0..20_000 {
+                if rank.world_rank() == 1 {
+                    let ball = rank.recv(&wc, 0).payload;
+                    rank.send(&wc, 0, &ball);
+                    if ball[0] < 0.0 {
+                        break;
+                    }
+                    continue;
+                }
+                let t0 = Instant::now();
+                rank.send(&wc, 1, &[i as f64]);
+                assert_eq!(rank.recv(&wc, 1).payload, [i as f64]);
+                if t0.elapsed() >= SAFETY_NET {
+                    rank.send(&wc, 1, &[-1.0]);
+                    rank.recv(&wc, 1);
+                    return Some((i, t0.elapsed()));
+                }
+            }
+            None
+        });
+        out.values[0]
+    };
+    let slow: Vec<_> = (0..3).map_while(|_| slow_trip()).collect();
+    assert!(slow.len() < 3, "a (round trip, time) waited out the park timeout, thrice: {slow:?}");
+
+    // All-to-all at P = 64, 200 times over, each on a fresh communicator:
+    // up to 64 × 63 × 200 mailbox waits plus 600 rendezvous, on far more
+    // threads than cores. Barrier, split, barrier come back to back so
+    // that no post papers over a rendezvous that forgot to wake its
+    // waiters. Here waits overlap and the OS decides who runs, so only
+    // the total is bounded (~4 s in a debug build): a wake-up lost now
+    // and then stays invisible, one lost systematically costs 100 ms a
+    // time and blows the ceiling.
+    let t0 = Instant::now();
+    let out = World::new(64, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let wc = rank.world_comm();
+        let (me, n) = (wc.index(), wc.size());
+        let mut sum = 0.0;
+        for rep in 0..200 {
+            rank.hard_sync();
+            let comm = rank.split(&wc, 0, me as i64).expect("color 0 joins");
+            rank.hard_sync();
+            for d in 1..n {
+                rank.send(&comm, (me + d) % n, &[(me * rep) as f64]);
+            }
+            for d in 1..n {
+                sum += rank.recv(&comm, (me + d) % n).payload[0];
+            }
+        }
+        sum
+    });
+    let want: f64 = (0..200).map(|rep| (rep * (63 * 64 / 2)) as f64).sum();
+    for (r, got) in out.values.iter().enumerate() {
+        let own: f64 = (0..200).map(|rep| (r * rep) as f64).sum();
+        assert_eq!(*got, want - own, "rank {r}");
+    }
+    assert!(t0.elapsed() < Duration::from_secs(20), "all-to-all took {:?}", t0.elapsed());
 }

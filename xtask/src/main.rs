@@ -31,16 +31,15 @@
 //!   budget (default 60 s) runs out, printing the failing `PMM_SEED` on
 //!   the first divergence;
 //! * `cargo xtask fault-sweep [budget-secs]` — the fault-injection suite
-//!   (`tests/fault_tolerance.rs`) under a pinned matrix of execution
-//!   engines × schedule seeds × message fault rates (exported as
-//!   `PMM_ENGINE` / `PMM_FAULT_RATE`), wall-clock capped (default 300 s);
+//!   (`tests/fault_tolerance.rs`) under a pinned matrix of schedule
+//!   seeds × message fault rates (exported as `PMM_SEED` /
+//!   `PMM_FAULT_RATE`), wall-clock capped (default 150 s);
 //! * `cargo xtask chaos-soak [budget-secs]` — the chaos certification
 //!   suite (`tests/chaos.rs`, release mode, `--include-ignored`): the
-//!   checkpointed-recovery wrapper for all six algorithms × both engines
+//!   checkpointed-recovery wrapper for all six algorithms
 //!   under kill / cascade / healing-partition / straggler-storm fault
 //!   plans, bitwise-checked against the fault-free reference and the
-//!   recovery goodput model, plus the fault-armed P = 10^4 event-loop
-//!   cell. Collects the tests' `CHAOS:` metric lines into
+//!   recovery goodput model, plus the fault-armed P = 10^4 cell. Collects the tests' `CHAOS:` metric lines into
 //!   `BENCH_chaos.json` (cells run, recovery success rate — the gate
 //!   requires 100%);
 //! * `cargo xtask dpor [budget-secs]` — the schedule-space race checker
@@ -52,7 +51,7 @@
 //!   generated). Failures print a `PMM_SCHEDULE=prefix:...` repro line.
 //! * `cargo xtask scale-check [budget-secs]` — the executed-at-scale
 //!   gate (`tests/scale.rs`, release mode): Algorithm 1 end-to-end on
-//!   the event-loop engine at P = 10^4, 10^5, and 10^6 (ascending, each
+//!   the event loop at P = 10^4, 10^5, and 10^6 (ascending, each
 //!   cell started only while the wall-clock budget — default 300 s —
 //!   lasts and the host has the memory it needs), with per-rank
 //!   per-phase eq. (3) checks against `pmm_model::alg1_prediction` on
@@ -100,7 +99,7 @@ fn main() -> ExitCode {
             let budget = args
                 .get(1)
                 .map(|s| s.parse().expect("budget must be a number of seconds"))
-                .unwrap_or(300);
+                .unwrap_or(150);
             fault_sweep(Duration::from_secs(budget))
         }
         Some("chaos-soak") => {
@@ -163,20 +162,19 @@ fn main() -> ExitCode {
                  \x20 fuzz-schedules  [budget-secs] run the schedule fuzzer with fresh\n\
                  \x20                 seeds until the budget (default 60 s) is spent\n\
                  \x20 fault-sweep     [budget-secs] run tests/fault_tolerance.rs under a\n\
-                 \x20                 pinned engine × seed × fault-rate matrix\n\
-                 \x20                 (PMM_ENGINE, PMM_FAULT_RATE), wall-clock capped\n\
-                 \x20                 (default 300 s)\n\
+                 \x20                 pinned seed × fault-rate matrix (PMM_SEED,\n\
+                 \x20                 PMM_FAULT_RATE), wall-clock capped (default 150 s)\n\
                  \x20 chaos-soak      [budget-secs] run the chaos certification suite\n\
                  \x20                 (tests/chaos.rs, release, --include-ignored):\n\
-                 \x20                 all six recoverable algorithms × both engines ×\n\
-                 \x20                 fault-plan classes plus the P = 10^4 event-loop\n\
-                 \x20                 cell (default 240 s); emits BENCH_chaos.json\n\
+                 \x20                 all six recoverable algorithms × fault-plan\n\
+                 \x20                 classes plus the P = 10^4 cell (default 240 s);\n\
+                 \x20                 emits BENCH_chaos.json\n\
                  \x20 dpor            [budget-secs] run the schedule-space race checker\n\
                  \x20                 (tests/explore.rs): exhaustive interleaving\n\
                  \x20                 certificates, budgeted frontier exploration, and a\n\
                  \x20                 1000-program generator soak; emits BENCH_explore.json\n\
                  \x20 scale-check     [budget-secs] execute Algorithm 1 at large P\n\
-                 \x20                 (tests/scale.rs, release, event-loop engine):\n\
+                 \x20                 (tests/scale.rs, release, event loop):\n\
                  \x20                 P = 10^4, 10^5, 10^6 cells until the budget\n\
                  \x20                 (default 300 s) is spent or memory is short;\n\
                  \x20                 emits BENCH_scale.json, fails below 0.5x of the\n\
@@ -360,8 +358,7 @@ fn fuzz_schedules(budget: Duration) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The fault-sweep matrix: execution engines × pinned schedule seeds ×
-/// message fault rates.
+/// The fault-sweep matrix: pinned schedule seeds × message fault rates.
 /// Rate 0.0 doubles as the "armed but silent" regression cell (the
 /// determinism suite separately asserts it is meter-identical to no plan
 /// at all). Failures replay with the printed `PMM_SEED` +
@@ -369,34 +366,26 @@ fn fuzz_schedules(budget: Duration) -> ExitCode {
 const FAULT_SWEEP_SEEDS: [u64; 2] = [7, 0x00C0_FFEE];
 const FAULT_SWEEP_RATES: [&str; 3] = ["0.0", "0.05", "0.15"];
 
-const FAULT_SWEEP_ENGINES: [&str; 2] = ["threads", "event-loop"];
-
 fn fault_sweep(budget: Duration) -> ExitCode {
     let start = Instant::now();
     let mut cells = 0u32;
     let mut skipped = 0u32;
-    for engine in FAULT_SWEEP_ENGINES {
-        for seed in FAULT_SWEEP_SEEDS {
-            for rate in FAULT_SWEEP_RATES {
-                if start.elapsed() >= budget {
-                    skipped += 1;
-                    continue;
-                }
-                eprintln!(
-                    "xtask: fault sweep, PMM_SEED={seed} PMM_FAULT_RATE={rate} \
-                     PMM_ENGINE={engine}"
-                );
-                let envs =
-                    [("PMM_FAULT_RATE", rate.to_string()), ("PMM_ENGINE", engine.to_string())];
-                if !run_seeded_test_env("fault_tolerance", seed, &[], &envs) {
-                    eprintln!(
-                        "xtask: fault sweep FAILED — replay with \
-                         PMM_SEED={seed} PMM_FAULT_RATE={rate} PMM_ENGINE={engine}"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                cells += 1;
+    for seed in FAULT_SWEEP_SEEDS {
+        for rate in FAULT_SWEEP_RATES {
+            if start.elapsed() >= budget {
+                skipped += 1;
+                continue;
             }
+            eprintln!("xtask: fault sweep, PMM_SEED={seed} PMM_FAULT_RATE={rate}");
+            let envs = [("PMM_FAULT_RATE", rate.to_string())];
+            if !run_seeded_test_env("fault_tolerance", seed, &[], &envs) {
+                eprintln!(
+                    "xtask: fault sweep FAILED — replay with \
+                     PMM_SEED={seed} PMM_FAULT_RATE={rate}"
+                );
+                return ExitCode::FAILURE;
+            }
+            cells += 1;
         }
     }
     if skipped > 0 {
@@ -411,8 +400,8 @@ fn fault_sweep(budget: Duration) -> ExitCode {
 
 /// The chaos certification soak: run `tests/chaos.rs` in release mode
 /// with `--include-ignored` (the tier-1 cert cells, the
-/// algorithm × regime × plan-class × engine soak, and the fault-armed
-/// P = 10^4 event-loop cell), export the wall-clock budget as
+/// algorithm × regime × plan-class soak, and the fault-armed
+/// P = 10^4 cell), export the wall-clock budget as
 /// `PMM_CHAOS_BUDGET_SECS`, collect the tests' `CHAOS: key=value`
 /// lines, and write them — plus the aggregate recovery success rate —
 /// to `BENCH_chaos.json` at the workspace root. The gate fails unless
@@ -661,7 +650,7 @@ fn scale_cell_rates(json: &str) -> Vec<(String, f64)> {
 }
 
 /// The executed-at-scale gate: run the `tests/scale.rs` cells (release
-/// mode, event-loop engine) in ascending-P order until the wall-clock
+/// mode, event loop) in ascending-P order until the wall-clock
 /// budget is spent, collect each cell's `SCALE: key=value` metric line,
 /// and write `BENCH_scale.json` at the workspace root: ranks/sec
 /// stepped, peak RSS, and the maximum P actually executed. Fails if a
