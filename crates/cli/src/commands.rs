@@ -15,7 +15,7 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::{gemm, kernel_from_env, random_int_matrix, Kernel};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
-use pmm_simnet::{seed_from_env, FaultPlan, World};
+use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, ScheduleTrace, World, WorldResult};
 
 use crate::args::ServeOpts;
 
@@ -189,18 +189,26 @@ fn simulate_clean(
     let bound = lower_bound(dims, procs as f64).bound;
     let mut s = String::new();
     let _ = writeln!(s, "simulated {dims} on grid {g} ({procs} ranks, seed {seed})");
-    let _ = writeln!(
-        s,
-        "schedule     : deterministic, seed {sched_seed} (replay with PMM_SEED={sched_seed}; \
-         {} events)",
-        out.schedule_trace.as_ref().map_or(0, |t| t.events.len())
-    );
+    let _ = writeln!(s, "{}", schedule_line(sched_seed, &out));
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let _ = writeln!(s, "measured     : {measured:.3} words/processor (critical path)");
     let _ = writeln!(s, "eq.(3) model : {predicted:.3}");
     let _ = writeln!(s, "lower bound  : {bound:.3}");
     let _ = writeln!(s, "peak memory  : {} words/rank (max)", out.max_peak_mem_words());
     (s, u8::from(!correct))
+}
+
+/// The schedule summary line of `pmm simulate` / `pmm trace`: the replay
+/// seed, and what the scheduler's two logs of the run hold.
+fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>) -> String {
+    let log = out.choice_points.as_ref();
+    format!(
+        "schedule     : deterministic, seed {sched_seed} (replay with PMM_SEED={sched_seed}; \
+         {} picks, choice-log bytes {}, schedule-trace bytes {})",
+        log.map_or(0, ChoiceLog::len),
+        log.map_or(0, ChoiceLog::heap_bytes),
+        out.schedule_trace.as_ref().map_or(0, ScheduleTrace::heap_bytes)
+    )
 }
 
 fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -> (String, u8) {
@@ -330,6 +338,7 @@ pub fn trace(
 
     let mut s = String::new();
     let _ = writeln!(s, "traced {dims} on grid {g} ({procs} ranks, seed {seed})");
+    let _ = writeln!(s, "{}", schedule_line(sched_seed, &out));
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let _ = writeln!(s);
     let _ = write!(s, "{}", tracer.render_text());

@@ -4,14 +4,14 @@
 //! ## The choice tree
 //!
 //! A deterministic [`World`] run is fully determined by the sequence of
-//! scheduler picks — the [`ChoicePoint`] stream the fabric records. The
+//! scheduler picks — the [`ChoiceLog`] the fabric records. The
 //! schedule space of a program is therefore a tree: each node is a choice
 //! prefix (the ranks picked so far), each edge one runnable rank picked
 //! next. [`Schedule::Prefix`] replays any prefix exactly and then
 //! completes *canonically* (always the smallest runnable rank), so every
 //! node of the tree can be visited by an ordinary `World` run — including
 //! nodes whose subtree ends in a deadlock or verifier abort, because
-//! [`World::try_run`] hands back the recorded choice points even when the
+//! [`World::try_run`] hands back the recorded choice log even when the
 //! run fails.
 //!
 //! ## Pruning
@@ -25,7 +25,7 @@
 //! footprint* overlaps `t`'s — two segments with disjoint footprints
 //! commute, so re-exploring `t` before a dependent step would only
 //! reproduce an already-explored Mazurkiewicz trace. Footprints come from
-//! the fabric's own instrumentation ([`ChoicePoint::touched`]): mailbox
+//! the fabric's own instrumentation ([`ChoiceLog::touched`]): mailbox
 //! posts/pops (including failed emptiness checks), split-cell deposits,
 //! barrier arrivals, and collective-ledger registrations.
 //!
@@ -42,7 +42,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use pmm_simnet::{
-    ChoicePoint, LocalBoxFuture, Rank, Repro, Resource, RunFailure, Schedule, World, WorldResult,
+    ChoiceLog, LocalBoxFuture, Rank, Repro, Resource, RunFailure, Schedule, World, WorldResult,
 };
 
 /// How the explorer walks the choice tree.
@@ -260,8 +260,9 @@ where
         let outcome = run_prefix(node.prefix.clone());
         report.runs += 1;
 
-        let cps: &[ChoicePoint] = match &outcome {
-            Ok(out) => out.choice_points.as_deref().unwrap_or_default(),
+        let unrecorded = ChoiceLog::default();
+        let log: &ChoiceLog = match &outcome {
+            Ok(out) => out.choice_points.as_ref().unwrap_or(&unrecorded),
             Err(fail) => {
                 if fail.report.contains("schedule prefix diverged") {
                     return Err(ScheduleFailure {
@@ -273,10 +274,10 @@ where
                         ),
                     });
                 }
-                fail.choice_points.as_deref().unwrap_or_default()
+                fail.choice_points.as_ref().unwrap_or(&unrecorded)
             }
         };
-        let choices: Vec<usize> = cps.iter().map(|c| c.chosen).collect();
+        let choices = log.chosen();
         if choices.len() < node.prefix.len() || choices[..node.prefix.len()] != node.prefix[..] {
             return Err(ScheduleFailure {
                 prefix: node.prefix,
@@ -291,9 +292,9 @@ where
 
         let sleeping = cfg.strategy == Strategy::SleepSets;
         if sleeping {
-            for (i, cp) in cps.iter().enumerate() {
-                memo.entry((choices[..i].to_vec(), cp.chosen))
-                    .or_insert_with(|| footprint(&cp.touched));
+            for (i, &chosen) in choices.iter().enumerate() {
+                memo.entry((choices[..i].to_vec(), chosen))
+                    .or_insert_with(|| footprint(log.touched(i)));
             }
         }
 
@@ -313,7 +314,7 @@ where
                 }
             }
             if let Some(d) = node.prefix.len().checked_sub(1) {
-                let own = footprint(&cps[d].touched);
+                let own = footprint(log.touched(d));
                 sleep.retain(|(_, fp)| !dependent(fp, &own));
             }
         }
@@ -321,8 +322,7 @@ where
         // Walk the run's choice points from this node's depth, pushing
         // unexplored siblings and advancing the sleep set step by step.
         let mut counted = true;
-        for i in node.prefix.len()..cps.len() {
-            let cp = &cps[i];
+        for (i, cp) in log.iter().enumerate().skip(node.prefix.len()) {
             let state = &choices[..i];
             let fp_c = footprint(&cp.touched);
             if sleep.iter().any(|(r, _)| *r == cp.chosen) {
@@ -354,8 +354,8 @@ where
 
         if counted {
             report.schedules += 1;
-            if let Err(detail) = on_schedule(&choices, outcome.as_ref()) {
-                return Err(ScheduleFailure { prefix: choices, detail });
+            if let Err(detail) = on_schedule(choices, outcome.as_ref()) {
+                return Err(ScheduleFailure { prefix: choices.to_vec(), detail });
             }
         }
     }

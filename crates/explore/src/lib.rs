@@ -2,8 +2,9 @@
 //!
 //! The deterministic scheduler in `pmm-simnet` makes every rank
 //! interleaving a replayable object: a run is a sequence of scheduler
-//! picks, each recorded as a [`ChoicePoint`] (runnable set, chosen rank,
-//! resources touched), and any pick prefix can be replayed exactly with
+//! picks, recorded as a [`ChoiceLog`] (per pick: chosen rank, resources
+//! touched, and the runnable set, rebuilt from logged changes), and any
+//! pick prefix can be replayed exactly with
 //! [`Schedule::Prefix`]. This crate turns that into a race checker:
 //!
 //! * [`dpor`] — DPOR-lite exploration of the choice tree. Depth-first
@@ -43,7 +44,7 @@
 //! assert!(report.schedules >= 1);
 //! ```
 //!
-//! [`ChoicePoint`]: pmm_simnet::ChoicePoint
+//! [`ChoiceLog`]: pmm_simnet::ChoiceLog
 //! [`Schedule::Prefix`]: pmm_simnet::Schedule::Prefix
 
 #![warn(missing_docs)]

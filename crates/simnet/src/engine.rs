@@ -24,7 +24,7 @@
 //!
 //! There is one implementation of every primitive and one deterministic
 //! scheduler (`SchedInner` in `fabric.rs`): picks, `SchedEvent` logs,
-//! `ChoicePoint`s, meters, and simulated clocks are byte-identical
+//! the `ChoiceLog`, meters, and simulated clocks are byte-identical
 //! between a loop-hosted and a thread-hosted run of the same program
 //! under the same `Schedule` (`tests/engine_equivalence.rs`).
 

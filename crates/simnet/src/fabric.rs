@@ -56,6 +56,7 @@
 //!
 //! [`World`]: crate::world::World
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::future::Future;
 use std::panic::Location;
@@ -68,7 +69,7 @@ use std::time::Duration;
 
 use crate::fault::{FaultKick, FaultPlan, FaultState, MsgMeta};
 use crate::readyset::ReadySet;
-use crate::trace::{BlockPoint, ChoicePoint, Repro, Resource, SchedEvent, Schedule, ScheduleTrace};
+use crate::trace::{BlockPoint, ChoiceLog, Repro, Resource, SchedEvent, Schedule, ScheduleTrace};
 use crate::verify::{lock_unpoisoned, CollectiveOp, SlotView, VerifyState, WaitInfo, WaitKind};
 
 /// Identifier of a communicator context. Every communicator created during
@@ -186,6 +187,23 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+thread_local! {
+    /// `Some` while this thread is inside [`probe_ready_sets`]; holds the
+    /// sets of the last world it finished there.
+    static READY_PROBE: RefCell<Option<Vec<Vec<usize>>>> = const { RefCell::new(None) };
+}
+
+/// Test hook: run `run`, which starts and finishes one scheduled world on
+/// the calling thread, and also return the runnable set (ascending) the
+/// scheduler held at each of that world's picks — read from its live
+/// state, independently of the [`ChoiceLog`] the world records.
+#[doc(hidden)]
+pub fn probe_ready_sets<R>(run: impl FnOnce() -> R) -> (R, Vec<Vec<usize>>) {
+    READY_PROBE.set(Some(Vec::new()));
+    let out = run();
+    (out, READY_PROBE.take().unwrap_or_default())
+}
+
 /// A rank's state in the deterministic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankStatus {
@@ -207,9 +225,9 @@ struct SchedInner {
     status: Vec<RankStatus>,
     /// The rank holding the execution baton, if any.
     current: Option<usize>,
-    /// Whether to materialize the event log and [`ChoicePoint`] stream.
-    /// Off for scale runs: recording is O(picks) memory plus an O(P)
-    /// runnable-set snapshot per pick.
+    /// Whether to keep the event log and the [`ChoiceLog`]: O(1) work
+    /// per pick and per status transition, O(picks) memory — which is
+    /// all that turning it off saves.
     record: bool,
     /// Opt-in targeted-wakeup policy: a progress event re-readies only
     /// the ranks blocked on the touched resource instead of every
@@ -236,10 +254,15 @@ struct SchedInner {
     waiters: HashMap<Resource, Vec<usize>>,
     /// Totally-ordered event log (appended under this mutex).
     events: Vec<SchedEvent>,
-    /// First-class pick stream: one entry per scheduler pick, carrying
-    /// the runnable set, the chosen rank, and (filled in as the segment
-    /// executes) the fabric resources the segment touched.
-    choices: Vec<ChoicePoint>,
+    /// First-class pick stream: the rank chosen at every pick, the
+    /// fabric resources its segment touched (filled in as it executes),
+    /// and every change `mark_blocked` / `mark_unblocked` / `mark_done`
+    /// made to the runnable set. Stays empty when `record` is off.
+    choices: ChoiceLog,
+    /// Test probe: the runnable set at every pick, read back from
+    /// `ready` member by member; `Some` iff the world was started inside
+    /// [`probe_ready_sets`].
+    ready_probe: Option<Vec<Vec<usize>>>,
 }
 
 impl SchedInner {
@@ -249,11 +272,10 @@ impl SchedInner {
         }
     }
 
-    fn touch(&mut self, res: Resource) {
-        if let Some(cp) = self.choices.last_mut() {
-            if !cp.touched.contains(&res) {
-                cp.touched.push(res);
-            }
+    /// Log that `r` joined (`ready`) or left the runnable set.
+    fn log_transition(&mut self, r: usize, ready: bool) {
+        if self.record {
+            self.choices.push_transition(r, ready);
         }
     }
 
@@ -261,6 +283,7 @@ impl SchedInner {
         debug_assert_eq!(self.status[r], RankStatus::Ready);
         self.status[r] = RankStatus::Blocked;
         self.ready.remove(r);
+        self.log_transition(r, false);
         self.blocked += 1;
         self.blocked_on[r] = Some(key);
         if !self.targeted {
@@ -274,13 +297,17 @@ impl SchedInner {
         debug_assert_eq!(self.status[r], RankStatus::Blocked);
         self.status[r] = RankStatus::Ready;
         self.ready.insert(r);
+        self.log_transition(r, true);
         self.blocked -= 1;
         self.blocked_on[r] = None;
     }
 
     fn mark_done(&mut self, r: usize) {
         match self.status[r] {
-            RankStatus::Ready => self.ready.remove(r),
+            RankStatus::Ready => {
+                self.ready.remove(r);
+                self.log_transition(r, false);
+            }
             RankStatus::Blocked => {
                 self.blocked -= 1;
                 self.blocked_on[r] = None;
@@ -650,8 +677,8 @@ impl Fabric {
     /// [`Schedule`]. Must be called before any rank starts (the world
     /// does this between constructing the fabric and starting its
     /// hosts); every rank begins runnable and [`Fabric::sched_start`]
-    /// makes the first pick. `record` controls event-log/`ChoicePoint`
-    /// materialization and `targeted` the wake-up policy — see the
+    /// makes the first pick. `record` controls whether the event log and
+    /// the [`ChoiceLog`] are kept and `targeted` the wake-up policy — see the
     /// `SchedInner` field docs; `(true, false)` reproduces the seed-era
     /// behavior bit for bit.
     pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool, targeted: bool) {
@@ -678,7 +705,8 @@ impl Fabric {
                 blocked_on: vec![None; n],
                 waiters: HashMap::new(),
                 events: Vec::new(),
-                choices: Vec::new(),
+                choices: ChoiceLog::new(n),
+                ready_probe: READY_PROBE.with_borrow(Option::is_some).then(Vec::new),
             }),
         });
     }
@@ -696,7 +724,7 @@ impl Fabric {
     fn sched_repro_locked(det: &DetState, st: &SchedInner) -> Repro {
         match &det.schedule {
             Schedule::Seeded(seed) => Repro::Seed(*seed),
-            Schedule::Prefix(_) => Repro::Prefix(st.choices.iter().map(|c| c.chosen).collect()),
+            Schedule::Prefix(_) => Repro::Prefix(st.choices.chosen().to_vec()),
         }
     }
 
@@ -716,11 +744,14 @@ impl Fabric {
         Some(ScheduleTrace { seed, events: std::mem::take(&mut st.events) })
     }
 
-    /// Extract the recorded [`ChoicePoint`] stream (deterministic mode
-    /// only).
-    pub(crate) fn take_choice_points(&self) -> Option<Vec<ChoicePoint>> {
+    /// Extract the recorded [`ChoiceLog`] (deterministic mode only), and
+    /// hand the probed runnable sets, if any, to [`probe_ready_sets`].
+    pub(crate) fn take_choice_log(&self) -> Option<ChoiceLog> {
         let det = self.det.as_ref()?;
         let mut st = lock_unpoisoned(&det.st);
+        if let Some(sets) = st.ready_probe.take() {
+            READY_PROBE.set(Some(sets));
+        }
         if !st.record {
             return None;
         }
@@ -730,15 +761,15 @@ impl Fabric {
     /// Record that the currently-running segment touched `res` — the
     /// resource-footprint hook behind every mailbox post/pop, split
     /// deposit, barrier arrival, and collective registration. Appends to
-    /// the latest [`ChoicePoint`] (deduplicated). No-op in free-running
-    /// mode and when schedule recording is off (there is no
-    /// `ChoicePoint` to append to). Callers may hold a primitive lock:
+    /// the latest pick's footprint in the [`ChoiceLog`] (deduplicated).
+    /// No-op in free-running mode and when schedule recording is off
+    /// (there is no pick to append to). Callers may hold a primitive lock:
     /// the established lock order is primitive → scheduler, never the
     /// reverse.
     pub(crate) fn det_touch(&self, res: Resource) {
         let Some(det) = &self.det else { return };
         if det.record {
-            lock_unpoisoned(&det.st).touch(res);
+            lock_unpoisoned(&det.st).choices.push_touch(res);
         }
     }
 
@@ -794,7 +825,7 @@ impl Fabric {
         };
         let key = Resource::Mailbox { ctx, index };
         let mut st = lock_unpoisoned(&det.st);
-        st.touch(key);
+        st.choices.push_touch(key);
         if st.targeted {
             st.unblock_mailbox_owner(owner, key);
         } else {
@@ -833,7 +864,9 @@ impl Fabric {
     /// Hand the baton to the next runnable rank — drawn from the seeded
     /// PRNG, or dictated by the prefix (then the smallest runnable rank,
     /// the canonical completion) — and unpark its host thread, if it has
-    /// one. Records the pick as a [`ChoicePoint`].
+    /// one. Records the pick in the [`ChoiceLog`]: O(1), the runnable set
+    /// it chose from is implied by the transitions logged since the last
+    /// pick.
     ///
     /// The pick is a deterministic function of (ready set, schedule
     /// state): `ReadySet::select(k)` is the k-th smallest runnable rank,
@@ -860,14 +893,11 @@ impl Fabric {
         };
         st.cursor += 1;
         if st.record {
-            let ready: Vec<usize> = st
-                .status
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &s)| (s == RankStatus::Ready).then_some(i))
-                .collect();
-            st.choices.push(ChoicePoint { ready, chosen: r, touched: Vec::new() });
+            st.choices.push_pick(r);
             st.events.push(SchedEvent::Pick { rank: r });
+        }
+        if let Some(sets) = &mut st.ready_probe {
+            sets.push(st.ready.members());
         }
         st.current = Some(r);
         self.unpark(r);
@@ -983,7 +1013,7 @@ impl Fabric {
             }
             YieldAction::Collective { ctx, op, elems } => {
                 st.push_event(SchedEvent::Collective { rank, ctx, op, elems });
-                st.touch(Resource::Ledger { ctx });
+                st.choices.push_touch(Resource::Ledger { ctx });
             }
             YieldAction::Block(point) => {
                 // The failed condition check *read* the blocking
@@ -997,7 +1027,7 @@ impl Fabric {
                 };
                 st.mark_blocked(rank, res);
                 st.push_event(SchedEvent::Block { rank, point });
-                st.touch(res);
+                st.choices.push_touch(res);
             }
         }
         let holder = self.sched_pick(det, st);

@@ -99,13 +99,14 @@ pub mod world;
 
 pub use comm::Comm;
 pub use engine::{poll_now, LocalBoxFuture};
-pub use fabric::{Ctx, Message};
+pub use fabric::{probe_ready_sets, Ctx, Message};
 pub use fault::{FaultPlan, KillSpec, RankFailed, Straggler};
 pub use meter::{MemTracker, Meter};
 pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank, RecvRequest};
 pub use trace::{
-    fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, BlockPoint, ChoicePoint, Repro,
-    Resource, SchedEvent, Schedule, ScheduleDivergence, ScheduleTrace, SCHEDULE_ENV, SEED_ENV,
+    fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, BlockPoint, ChoiceLog,
+    ChoicePoint, ChoicePoints, Repro, Resource, SchedEvent, Schedule, ScheduleDivergence,
+    ScheduleTrace, SCHEDULE_ENV, SEED_ENV,
 };
 pub use tracer::{Attribution, CriticalPath, PhaseDiff, PhaseTotals, TraceEvent, TraceOp, Tracer};
 pub use verify::{CollectiveOp, VerifyConfig};

@@ -202,7 +202,10 @@ pub struct Rank {
     /// Happens-before vector clock, indexed by world rank (see
     /// `crate::verify`). Ticks on every send and receive; merged
     /// elementwise on receive — i.e. only along communication edges.
-    vclock: Vec<u64>,
+    /// Shared copy-on-write with the stamps of this rank's messages: a
+    /// stamp is a reference, and the clock is copied only when it next
+    /// changes while such a stamp is still in flight.
+    vclock: Arc<[u64]>,
     /// Last sender-clock value observed per (ctx, sender index), to assert
     /// per-channel monotonicity (no duplicated or reordered delivery).
     last_seen: HashMap<(Ctx, usize), u64>,
@@ -261,7 +264,7 @@ impl Rank {
             // An empty clock disables the happens-before audit: stamps
             // are skipped entirely (O(P) per message otherwise — see
             // `World::with_vclock_audit`).
-            vclock: if vclock_audit { vec![0; world_size] } else { Vec::new() },
+            vclock: vec![0; if vclock_audit { world_size } else { 0 }].into(),
             last_seen: HashMap::new(),
             kill_at,
             cascade_at,
@@ -541,8 +544,8 @@ impl Rank {
         if self.vclock.is_empty() {
             return None;
         }
-        self.vclock[self.world_rank] += 1;
-        Some(self.vclock.clone().into())
+        Arc::make_mut(&mut self.vclock)[self.world_rank] += 1;
+        Some(self.vclock.clone())
     }
 
     /// Fold a received message's clock into ours: assert the sender's own
@@ -561,15 +564,16 @@ impl Rank {
              rank {sender_world} on ctx {ctx} did not increase (last seen {last:?})",
             self.world_rank
         );
-        for (mine, theirs) in self.vclock.iter_mut().zip(vc.iter()) {
+        let clock = Arc::make_mut(&mut self.vclock);
+        for (mine, theirs) in clock.iter_mut().zip(vc.iter()) {
             *mine = (*mine).max(*theirs);
         }
-        self.vclock[self.world_rank] += 1;
+        clock[self.world_rank] += 1;
     }
 
     /// Final happens-before clock (for [`RankReport`](crate::RankReport)).
     pub(crate) fn final_vclock(&self) -> Vec<u64> {
-        self.vclock.clone()
+        self.vclock.to_vec()
     }
 
     // ----- identity --------------------------------------------------------

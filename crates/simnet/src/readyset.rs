@@ -76,6 +76,12 @@ impl ReadySet {
         self.rank_below(i + 1) > self.rank_below(i)
     }
 
+    /// Every member, ascending, by asking each slot in turn (the test
+    /// probe's brute-force view; O(n log n)).
+    pub(crate) fn members(&self) -> Vec<usize> {
+        (0..self.n).filter(|&i| self.contains(i)).collect()
+    }
+
     /// The `k`-th smallest member (0-indexed). Panics if `k >= len`.
     pub(crate) fn select(&self, k: usize) -> usize {
         assert!(k < self.len, "ReadySet::select({k}) with only {} member(s)", self.len);

@@ -28,6 +28,7 @@
 //! [`WorldResult::schedule_trace`]: crate::WorldResult
 //! [`RankReport`]: crate::RankReport
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::fabric::Ctx;
@@ -80,12 +81,9 @@ pub enum Resource {
 /// One deterministic-scheduler pick, first-class: the runnable set the
 /// scheduler chose from, the rank it handed the baton to, and the fabric
 /// resources the chosen rank's segment touched before the next pick.
-/// [`WorldResult::choice_points`] returns the full stream for a
-/// deterministic run; replaying a *prefix* of chosen ranks (see
-/// [`Schedule::Prefix`]) steers a re-run down the same branch and then
-/// completes canonically — the substrate for schedule-space exploration.
-///
-/// [`WorldResult::choice_points`]: crate::WorldResult
+/// The scheduler does not store these: it records a [`ChoiceLog`], and
+/// [`ChoiceLog::iter`] materializes one `ChoicePoint` per pick for
+/// whoever asks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChoicePoint {
     /// Runnable ranks at the pick, ascending.
@@ -95,6 +93,158 @@ pub struct ChoicePoint {
     /// Resources touched by the chosen rank's segment (deduplicated,
     /// in first-touch order).
     pub touched: Vec<Resource>,
+}
+
+/// One change of the runnable set, as the scheduler made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Transition {
+    /// Picks made before the change: pick `pick` and every later one
+    /// choose from a set that includes it.
+    pick: usize,
+    rank: u32,
+    /// Whether `rank` became runnable (else it blocked or finished).
+    ready: bool,
+}
+
+/// The pick stream of one deterministic run, delta-encoded: the chosen
+/// rank and the resource footprint of every pick, plus every change of
+/// the runnable set against the initial all-runnable one. Recording a
+/// pick is O(1) — nothing here is proportional to the world size — and
+/// the runnable set of any pick is rebuilt on demand ([`ChoiceLog::iter`],
+/// [`ChoiceLog::ready_at`]).
+///
+/// [`WorldResult::choice_points`] returns the log of a deterministic
+/// run; replaying a *prefix* of [`ChoiceLog::chosen`] (see
+/// [`Schedule::Prefix`]) steers a re-run down the same branch and then
+/// completes canonically — the substrate for schedule-space exploration.
+///
+/// [`WorldResult::choice_points`]: crate::WorldResult
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChoiceLog {
+    world_size: usize,
+    chosen: Vec<usize>,
+    /// Every pick's footprint, back to back.
+    touched: Vec<Resource>,
+    /// Where pick `i`'s footprint starts in `touched` (it ends where the
+    /// next one starts).
+    touched_start: Vec<usize>,
+    /// In the order the scheduler made them, so ascending in `pick`.
+    transitions: Vec<Transition>,
+}
+
+impl ChoiceLog {
+    pub(crate) fn new(world_size: usize) -> ChoiceLog {
+        assert!(u32::try_from(world_size).is_ok(), "choice log ranks are stored as u32");
+        ChoiceLog { world_size, ..ChoiceLog::default() }
+    }
+
+    /// Record a pick of `rank`; its footprint starts empty.
+    pub(crate) fn push_pick(&mut self, rank: usize) {
+        self.touched_start.push(self.touched.len());
+        self.chosen.push(rank);
+    }
+
+    /// Add `res` to the latest pick's footprint unless it is already
+    /// there. No-op before the first pick.
+    pub(crate) fn push_touch(&mut self, res: Resource) {
+        let Some(&start) = self.touched_start.last() else { return };
+        if !self.touched[start..].contains(&res) {
+            self.touched.push(res);
+        }
+    }
+
+    /// Record that `rank` joined (`ready`) or left the runnable set.
+    pub(crate) fn push_transition(&mut self, rank: usize, ready: bool) {
+        // `new` checked that every rank of the world fits.
+        self.transitions.push(Transition { pick: self.chosen.len(), rank: rank as u32, ready });
+    }
+
+    /// Number of picks recorded.
+    pub fn len(&self) -> usize {
+        self.chosen.len()
+    }
+
+    /// Whether no pick was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.chosen.is_empty()
+    }
+
+    /// The rank chosen at every pick, in order — what
+    /// [`Schedule::Prefix`] replays.
+    pub fn chosen(&self) -> &[usize] {
+        &self.chosen
+    }
+
+    /// Resources touched by the segment pick `i` started (deduplicated,
+    /// in first-touch order). Panics if `i >= len()`.
+    pub fn touched(&self, i: usize) -> &[Resource] {
+        let end = self.touched_start.get(i + 1).copied().unwrap_or(self.touched.len());
+        &self.touched[self.touched_start[i]..end]
+    }
+
+    /// The runnable ranks pick `i` chose from, ascending. Replays the
+    /// transitions from the start, so O(world size + transitions before
+    /// `i`); walk [`ChoiceLog::iter`] to visit every pick. Panics if
+    /// `i >= len()`.
+    pub fn ready_at(&self, i: usize) -> Vec<usize> {
+        assert!(i < self.len(), "pick {i} of a {}-pick choice log", self.len());
+        let mut ready = vec![true; self.world_size];
+        for t in self.transitions.iter().take_while(|t| t.pick <= i) {
+            ready[t.rank as usize] = t.ready;
+        }
+        ready.iter().enumerate().filter_map(|(r, &is)| is.then_some(r)).collect()
+    }
+
+    /// Materialize one [`ChoicePoint`] per pick, in order. The runnable
+    /// set is carried from pick to pick, so a full walk costs the
+    /// transitions once plus the size of every set it yields.
+    pub fn iter(&self) -> ChoicePoints<'_> {
+        ChoicePoints { log: self, pick: 0, applied: 0, ready: (0..self.world_size).collect() }
+    }
+
+    /// Bytes this log holds on the heap (reserved capacity included).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.chosen.capacity() * size_of::<usize>()
+            + self.touched.capacity() * size_of::<Resource>()
+            + self.touched_start.capacity() * size_of::<usize>()
+            + self.transitions.capacity() * size_of::<Transition>()
+    }
+}
+
+/// Forward iterator over the picks of a [`ChoiceLog`]; see
+/// [`ChoiceLog::iter`].
+#[derive(Debug, Clone)]
+pub struct ChoicePoints<'a> {
+    log: &'a ChoiceLog,
+    /// Next pick to yield.
+    pick: usize,
+    /// Transitions already folded into `ready`.
+    applied: usize,
+    ready: BTreeSet<usize>,
+}
+
+impl Iterator for ChoicePoints<'_> {
+    type Item = ChoicePoint;
+
+    fn next(&mut self) -> Option<ChoicePoint> {
+        let i = self.pick;
+        let &chosen = self.log.chosen.get(i)?;
+        while let Some(t) = self.log.transitions.get(self.applied).filter(|t| t.pick <= i) {
+            if t.ready {
+                self.ready.insert(t.rank as usize);
+            } else {
+                self.ready.remove(&(t.rank as usize));
+            }
+            self.applied += 1;
+        }
+        self.pick += 1;
+        Some(ChoicePoint {
+            ready: self.ready.iter().copied().collect(),
+            chosen,
+            touched: self.log.touched(i).to_vec(),
+        })
+    }
 }
 
 /// How the deterministic scheduler resolves its pick points.
@@ -348,6 +498,12 @@ pub struct ScheduleTrace {
 }
 
 impl ScheduleTrace {
+    /// Bytes the event log holds on the heap (reserved capacity
+    /// included).
+    pub fn heap_bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<SchedEvent>()
+    }
+
     /// Canonical text rendering: a seed header plus one line per event.
     /// Two runs of the same `(program, seed)` pair render to identical
     /// bytes — the determinism contract tests compare these strings.

@@ -20,14 +20,14 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultPanic, FaultPlan};
 use crate::meter::Meter;
 use crate::rank::Rank;
-use crate::trace::{ChoicePoint, Repro, Schedule, ScheduleTrace};
+use crate::trace::{ChoiceLog, Repro, Schedule, ScheduleTrace};
 use crate::tracer::{TraceEvent, Tracer};
 use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig};
 
 /// Worlds at or below this size run the vector-clock happens-before
-/// audit by default; larger worlds skip it (each stamp copies an O(P)
-/// clock onto every message, which is O(P²) total — prohibitive at the
-/// 10^5–10^6 scales the event loop targets). Override with
+/// audit by default; larger worlds skip it (every receive merges an O(P)
+/// clock and most sends copy one, which is O(P²) total — prohibitive at
+/// the 10^5–10^6 scales the event loop targets). Override with
 /// [`World::with_vclock_audit`].
 const VCLOCK_AUDIT_MAX_WORLD: usize = 4096;
 
@@ -122,7 +122,7 @@ impl World {
     /// is sugar for) or [`Schedule::Prefix`] — replay a recorded choice
     /// prefix pick by pick, then complete canonically by always picking
     /// the smallest runnable rank. Prefix runs record the same trace and
-    /// [`ChoicePoint`] stream as seeded runs ([`WorldResult::choice_points`]),
+    /// [`ChoiceLog`] as seeded runs ([`WorldResult::choice_points`]),
     /// which is what schedule-space exploration (`pmm-explore`) drives:
     /// each explored branch is just a `World` run with a longer prefix.
     #[must_use]
@@ -131,12 +131,13 @@ impl World {
         self
     }
 
-    /// Toggle recording of the [`ScheduleTrace`] / [`ChoicePoint`] stream
-    /// on deterministic runs (on by default). Large-`P` runs turn this
-    /// off: the recorded ready-set snapshot is O(P) *per pick*, which is
-    /// the difference between executing 10^6 ranks and drowning in
-    /// bookkeeping. With recording off, [`WorldResult::schedule_trace`]
-    /// and [`WorldResult::choice_points`] are `None` even on seeded runs.
+    /// Toggle recording of the [`ScheduleTrace`] and the [`ChoiceLog`] on
+    /// deterministic runs (on by default). Recording costs O(1) host time
+    /// per pick and per event; what turning it off saves is the logs'
+    /// memory, a few tens of bytes per pick and per event, which the
+    /// 10^5–10^6-rank runs do without. With recording off,
+    /// [`WorldResult::schedule_trace`] and [`WorldResult::choice_points`]
+    /// are `None` even on seeded runs.
     #[must_use]
     pub fn with_schedule_recording(mut self, record: bool) -> World {
         self.record_schedule = record;
@@ -158,7 +159,7 @@ impl World {
 
     /// Force the vector-clock happens-before audit on or off. By default
     /// it is on for worlds of at most 4096 ranks and off above that
-    /// (every message would carry an O(P) clock — O(P²) words of pure
+    /// (every receive would merge an O(P) clock — O(P²) words of pure
     /// bookkeeping at the scales the event loop targets).
     #[must_use]
     pub fn with_vclock_audit(mut self, audit: bool) -> World {
@@ -351,7 +352,7 @@ impl World {
     /// verifier abort, unhandled rank failure, strict-drain violation —
     /// as a [`RunFailure`] value instead of panicking. The failure
     /// carries whatever the deterministic scheduler recorded before the
-    /// run died (trace, [`ChoicePoint`] stream, replay recipe), which is
+    /// run died (trace, [`ChoiceLog`], replay recipe), which is
     /// what lets schedule-space exploration keep walking the choice tree
     /// through failing branches.
     pub fn try_run<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
@@ -576,7 +577,7 @@ impl World {
             error,
             repro: fabric.sched_repro().unwrap_or(Repro::Unseeded),
             schedule_trace: fabric.take_sched_trace(),
-            choice_points: fabric.take_choice_points(),
+            choice_points: fabric.take_choice_log(),
         };
         // A genuine panic is the program's own and wins; then the
         // verifier's report; then an injected kill nobody caught.
@@ -633,7 +634,7 @@ impl World {
             values,
             reports,
             schedule_trace: fabric.take_sched_trace(),
-            choice_points: fabric.take_choice_points(),
+            choice_points: fabric.take_choice_log(),
         })
     }
 }
@@ -745,7 +746,7 @@ struct RunFailureRaw {
     error: RunError,
     repro: Repro,
     schedule_trace: Option<ScheduleTrace>,
-    choice_points: Option<Vec<ChoicePoint>>,
+    choice_points: Option<ChoiceLog>,
 }
 
 /// Best-effort text of a panic payload.
@@ -776,9 +777,9 @@ pub struct RunFailure {
     /// Schedule trace recorded up to the failure; `Some` iff the run was
     /// deterministic.
     pub schedule_trace: Option<ScheduleTrace>,
-    /// [`ChoicePoint`] stream recorded up to the failure; `Some` iff the
-    /// run was deterministic.
-    pub choice_points: Option<Vec<ChoicePoint>>,
+    /// [`ChoiceLog`] recorded up to the failure; `Some` iff the run was
+    /// deterministic.
+    pub choice_points: Option<ChoiceLog>,
 }
 
 impl std::fmt::Display for RunFailure {
@@ -822,12 +823,13 @@ pub struct WorldResult<T> {
     /// [`ScheduleTrace::render`].
     pub schedule_trace: Option<ScheduleTrace>,
     /// The recorded scheduler pick stream; `Some` iff the world ran
-    /// deterministically. One [`ChoicePoint`] per pick: the runnable
-    /// set, the chosen rank, and the fabric resources the chosen
-    /// segment touched — the raw material for schedule-space
-    /// exploration (replay any prefix of `chosen` values via
-    /// [`Schedule::Prefix`] to steer a re-run down the same branch).
-    pub choice_points: Option<Vec<ChoicePoint>>,
+    /// deterministically. Per pick: the chosen rank, the fabric
+    /// resources the chosen segment touched, and (rebuilt on demand from
+    /// the logged transitions) the runnable set — the raw material for
+    /// schedule-space exploration (replay any prefix of
+    /// [`ChoiceLog::chosen`] via [`Schedule::Prefix`] to steer a re-run
+    /// down the same branch).
+    pub choice_points: Option<ChoiceLog>,
 }
 
 impl<T> WorldResult<T> {
@@ -992,9 +994,14 @@ mod tests {
         let out = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(11).run(gather_program);
         let choices = out.choice_points.expect("deterministic run records choice points");
         assert!(!choices.is_empty());
-        for cp in &choices {
+        assert_eq!(choices.iter().count(), choices.len());
+        assert_eq!(choices.ready_at(0), vec![0, 1, 2, 3], "every rank starts runnable");
+        for (i, cp) in choices.iter().enumerate() {
             assert!(cp.ready.contains(&cp.chosen), "{cp:?}");
             assert!(cp.ready.windows(2).all(|w| w[0] < w[1]), "ready must be ascending: {cp:?}");
+            assert_eq!(cp.chosen, choices.chosen()[i]);
+            assert_eq!(cp.touched, choices.touched(i));
+            assert_eq!(cp.ready, choices.ready_at(i), "pick {i}");
         }
         assert!(
             choices.iter().any(|cp| !cp.touched.is_empty()),
@@ -1007,8 +1014,7 @@ mod tests {
     #[test]
     fn full_prefix_replay_reproduces_the_seeded_run() {
         let seeded = World::new(5, MachineParams::BANDWIDTH_ONLY).with_seed(3).run(gather_program);
-        let prefix: Vec<usize> =
-            seeded.choice_points.as_ref().expect("choices").iter().map(|c| c.chosen).collect();
+        let prefix = seeded.choice_points.as_ref().expect("choices").chosen().to_vec();
         let replay = World::new(5, MachineParams::BANDWIDTH_ONLY)
             .with_schedule(Schedule::Prefix(prefix.clone()))
             .run(gather_program);
@@ -1018,9 +1024,7 @@ mod tests {
             replay.schedule_trace.expect("trace").events,
             "replaying the full chosen prefix must reproduce the event log"
         );
-        let replayed: Vec<usize> =
-            replay.choice_points.expect("choices").iter().map(|c| c.chosen).collect();
-        assert_eq!(replayed, prefix);
+        assert_eq!(replay.choice_points.expect("choices").chosen(), prefix);
     }
 
     #[test]
@@ -1067,7 +1071,9 @@ mod tests {
         assert!(matches!(failure.repro, crate::trace::Repro::Prefix(_)), "{:?}", failure.repro);
         assert!(failure.to_string().contains("PMM_SCHEDULE=prefix:"), "{failure}");
         let choices = failure.choice_points.expect("choices recorded up to the failure");
-        assert!(!choices.is_empty());
+        // Rank 0 blocks on the receive, rank 1 finishes, nobody is left.
+        assert_eq!(choices.chosen(), [0, 1]);
+        assert_eq!(choices.ready_at(1), vec![1]);
     }
 
     /// The async twin of `gather_program`.

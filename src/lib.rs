@@ -97,9 +97,9 @@ pub mod prelude {
         Strategy as ExploreStrategy,
     };
     pub use pmm_simnet::{
-        fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution, ChoicePoint, Comm,
-        CriticalPath, FaultPlan, LocalBoxFuture, Meter, Rank, RankFailed, Repro, Resource,
-        RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World, WorldResult,
-        SCHEDULE_ENV,
+        fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution, ChoiceLog,
+        ChoicePoint, Comm, CriticalPath, FaultPlan, LocalBoxFuture, Meter, Rank, RankFailed, Repro,
+        Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World,
+        WorldResult, SCHEDULE_ENV,
     };
 }

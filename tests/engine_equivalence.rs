@@ -6,7 +6,8 @@
 //! deterministic scheduler, so the two runs must be *observationally
 //! identical*: same values, same meters, same simulated clocks, same
 //! memory peaks, same vector clocks, and a byte-identical
-//! `ScheduleTrace` for the same `(program, schedule)` pair. This suite
+//! `ScheduleTrace` and `ChoiceLog` for the same `(program, schedule)`
+//! pair. This suite
 //! pins that on
 //!
 //! * the pinned `(program, seed)` workloads of `tests/determinism.rs`
@@ -32,8 +33,8 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
 }
 
 /// Assert every observable artifact of a thread-hosted and a loop-hosted
-/// run matches: values, per-rank meters/clocks/memory/vector clocks, and
-/// the rendered + event-level schedule trace.
+/// run matches: values, per-rank meters/clocks/memory/vector clocks, the
+/// rendered + event-level schedule trace, and the whole `ChoiceLog`.
 fn assert_same_run<T>(label: &str, threads: &WorldResult<T>, event: &WorldResult<T>)
 where
     T: PartialEq + std::fmt::Debug,
@@ -58,6 +59,12 @@ where
     );
     assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
     t.assert_matches(e);
+    // Chosen ranks, footprints and every runnable-set transition.
+    assert!(threads.choice_points.is_some(), "{label}: seeded runs record a choice log");
+    assert!(
+        threads.choice_points == event.choice_points,
+        "{label}: choice logs diverge across hosts"
+    );
 }
 
 /// Run `program` on both hosts and assert the runs are the same;

@@ -28,7 +28,8 @@ use pmm::explore::{
     generate, soak, verdict, world_for, GenOutcome, Intent, ScheduleOutcome, Strategy,
 };
 use pmm::prelude::*;
-use pmm::simnet::CollectiveOp;
+use pmm::simnet::{probe_ready_sets, CollectiveOp};
+use proptest::prelude::*;
 
 /// Per-CI-run program batch for the generator soak; `cargo xtask dpor`
 /// raises it to ≥ 1000.
@@ -456,14 +457,12 @@ fn pmm_schedule_prefix_replays_on_the_event_loop() {
         .try_run_async(ring3_a)
         .expect("prefix replay must succeed");
     assert_eq!(fingerprint(Ok(&replay)), want_fp, "prefix replay diverged from the explored run");
-    let picks: Vec<usize> = replay
-        .choice_points
-        .expect("deterministic run records picks")
-        .iter()
-        .map(|c| c.chosen)
-        .take(prefix.len())
-        .collect();
-    assert_eq!(picks, prefix, "the replayed pick stream must start with the prefix");
+    let log = replay.choice_points.expect("deterministic run records picks");
+    assert_eq!(
+        log.chosen()[..prefix.len()],
+        prefix[..],
+        "the replayed pick stream must start with the prefix"
+    );
 }
 
 #[test]
@@ -512,6 +511,87 @@ fn explorer_cross_checks_generated_programs() {
             checked_valid += 1;
         } else {
             checked_defective += 1;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The delta-encoded choice log against the scheduler's live runnable set
+// ---------------------------------------------------------------------------
+
+/// Run `prog` on `world` with the runnable-set probe armed and hold the
+/// recorded `ChoiceLog` to it: the iterator must rebuild, pick by pick,
+/// exactly the sets the scheduler held, and `ready_at` must agree with
+/// the iterator. Returns the log, whether the run succeeded or failed.
+fn assert_log_matches_probe(
+    label: &str,
+    world: &World,
+    prog: &pmm::explore::GenProgram,
+) -> ChoiceLog {
+    let (outcome, probed) =
+        probe_ready_sets(|| world.try_run(|rank| pmm::explore::interpret(prog, rank)));
+    let log = match outcome {
+        Ok(out) => out.choice_points,
+        Err(failure) => failure.choice_points,
+    }
+    .expect("scheduled runs record their picks");
+    assert_eq!(log.len(), probed.len(), "{label}: one probed set per recorded pick");
+    assert_eq!(log.iter().count(), log.len(), "{label}: the iterator yields every pick");
+    for (i, (cp, want)) in log.iter().zip(&probed).enumerate() {
+        assert_eq!(&cp.ready, want, "{label}: runnable set at pick {i}");
+        assert_eq!(log.ready_at(i), cp.ready, "{label}: ready_at({i}) vs the iterator");
+        assert_eq!(cp.chosen, log.chosen()[i], "{label}: pick {i}");
+        assert_eq!(cp.touched, log.touched(i), "{label}: footprint of pick {i}");
+        assert!(cp.ready.contains(&cp.chosen), "{label}: pick {i} chose a blocked rank: {cp:?}");
+    }
+    log
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Synthesized programs (valid and defective, so some runs end in a
+    // deadlock or a verifier abort) x seeded and prefix schedules x both
+    // wake-up policies x fault plans: none, or a kill plus a healing
+    // partition — the kill retires a runnable rank (`mark_done`) and its
+    // death re-readies every blocked rank through the wake-up policy's
+    // own `unblock_all` arm.
+    #[test]
+    fn choice_log_rebuilds_the_runnable_set_of_every_pick(
+        prog_seed in 0u64..1_000_000,
+        sched_seed in 0u64..1_000_000,
+        targeted in 0u8..2,
+        faulty in 0u8..2,
+        victim in 0usize..6,
+        kill_at in 1u64..6,
+        prefix_quarters in 0usize..5,
+    ) {
+        let prog = generate(prog_seed);
+        let mut world = world_for(&prog)
+            .with_seed(sched_seed)
+            .with_targeted_wakeup(targeted == 1);
+        if faulty == 1 {
+            let plan = FaultPlan::none()
+                .with_seed(prog_seed)
+                .with_kill(victim % prog.world_size, kill_at)
+                .with_partition(vec![0], 0..2, 2);
+            world = world.with_strict_drain(false).with_faults(plan);
+        }
+        let label = format!(
+            "program {prog_seed} ({:?}, P = {}), schedule seed {sched_seed}, targeted {targeted}, \
+             faulty {faulty} (kill {victim}@{kill_at})",
+            prog.intent, prog.world_size
+        );
+        let seeded = assert_log_matches_probe(&label, &world, &prog);
+
+        // Replay a prefix of that run and complete it canonically.
+        let cut = seeded.len() * prefix_quarters / 4;
+        let prefix = seeded.chosen()[..cut].to_vec();
+        let replay = world.with_schedule(Schedule::Prefix(prefix.clone()));
+        let replayed = assert_log_matches_probe(&format!("{label}, prefix {cut}"), &replay, &prog);
+        prop_assert_eq!(&replayed.chosen()[..cut], &prefix[..], "{}: the replay left its prefix", label);
+        for i in 0..cut {
+            prop_assert_eq!(replayed.touched(i), seeded.touched(i), "{}: footprint {}", label, i);
         }
     }
 }

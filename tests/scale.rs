@@ -15,6 +15,11 @@
 //! world reports `P` per-rank meter/clock entries, and the verifier is
 //! live throughout (it is part of the fabric under every host).
 //!
+//! The `*-default` cells run the same check on the world `pmm simulate`
+//! builds — schedule recording and the happens-before audit on — so
+//! the path users take has a baseline too, and one cell pins the
+//! default *unseeded* P = 1024 world under 2 GB.
+//!
 //! Each test prints a `SCALE: key=value ...` line; `cargo xtask
 //! scale-check` runs the `#[ignore]`d large cells in release mode and
 //! collects those lines into `BENCH_scale.json`.
@@ -37,27 +42,45 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Execute Algorithm 1 at `p` ranks on the event loop and check
-/// eq. (3) attribution. `exact` additionally pins every rank's
-/// per-phase duplex words to the prediction (requires evenly-chunked
-/// fiber collectives); aggregate per-phase traffic is checked always.
-/// `trace` runs with the structured tracer armed and cross-checks its
-/// per-phase totals too.
-fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool, trace: bool) {
+/// The documented at-scale configuration: no schedule logs (their
+/// memory is the one cost of recording), and targeted wakeup, which
+/// keeps the runnable-set bookkeeping proportional to the active ranks.
+fn at_scale(p: usize) -> World {
+    World::new(p, MachineParams::BANDWIDTH_ONLY)
+        .with_schedule_recording(false)
+        .with_targeted_wakeup(true)
+}
+
+/// Execute Algorithm 1 on the event loop of `world`, one rank per grid
+/// point, and check the product and the eq. (3) attribution. `exact`
+/// additionally pins every rank's per-phase duplex words to the
+/// prediction (requires evenly-chunked fiber collectives); aggregate
+/// per-phase traffic is checked always, and the tracer's per-phase
+/// totals where the world arms it. `max_rss_kb` bounds the process's
+/// `VmHWM` after the run. Failures name the size of the schedule logs.
+fn scale_point(
+    label: &str,
+    dims: MatMulDims,
+    grid_arr: [usize; 3],
+    kernel: Kernel,
+    exact: bool,
+    world: World,
+    max_rss_kb: Option<u64>,
+) {
     let p: usize = grid_arr.iter().product();
-    // The pinned grid must be the integral §5.2 optimum, not just some
-    // divisible factorization.
-    let choice = best_grid(dims, p);
-    assert_eq!(choice.grid, grid_arr, "{label}: pinned grid is not the §5.2 optimum");
+    assert_eq!(world.size(), p, "{label}: one rank per grid point");
+    // The pinned grid must be an integral §5.2 optimum (`best_grid`'s
+    // pick, or tied with it), not just some divisible factorization.
+    assert_eq!(
+        alg1_cost_words(dims, grid_arr),
+        best_grid(dims, p).cost_words,
+        "{label}: pinned grid is not a §5.2 optimum"
+    );
     assert!(dims.divisible_by(grid_arr), "{label}: §5.2 grid must divide the dimensions");
     let pred = alg1_prediction(dims, grid_arr);
 
-    let cfg = Alg1Config {
-        dims,
-        grid: Grid3::from_dims(grid_arr),
-        kernel: Kernel::Naive,
-        assembly: Assembly::ReduceScatter,
-    };
+    let grid = Grid3::from_dims(grid_arr);
+    let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
     // Inputs are generated once and shared (`Arc`) across all P rank
     // programs, keeping input setup O(n1·n2 + n2·n3) rather than
     // O(P · matrix size).
@@ -65,13 +88,6 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
         std::sync::Arc::new(random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11)),
         std::sync::Arc::new(random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22)),
     );
-    // Schedule recording snapshots the runnable set per pick (O(P) per
-    // event) — off at scale; targeted wakeup keeps the runnable-set
-    // bookkeeping proportional to the active ranks.
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_schedule_recording(false)
-        .with_targeted_wakeup(true)
-        .with_trace(trace);
     let t0 = Instant::now();
     let out = world.run_async(|rank| {
         let cfg = cfg.clone();
@@ -79,6 +95,18 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
         Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
     let secs = t0.elapsed().as_secs_f64();
+    let rss_kb = peak_rss_kb();
+
+    let picks = out.choice_points.as_ref().map_or(0, ChoiceLog::len);
+    let choice_log_bytes = out.choice_points.as_ref().map_or(0, ChoiceLog::heap_bytes);
+    let schedule_trace_bytes = out.schedule_trace.as_ref().map_or(0, ScheduleTrace::heap_bytes);
+    let logs = format!(
+        "{picks} picks, choice log {choice_log_bytes} bytes, schedule trace \
+         {schedule_trace_bytes} bytes"
+    );
+    if let Some(max_kb) = max_rss_kb {
+        assert!(rss_kb < max_kb, "{label}: VmHWM {rss_kb} kB, budget {max_kb} kB ({logs})");
+    }
 
     // Executed, not predicted: P live per-rank reports with real
     // meters and per-phase attribution from the run itself.
@@ -93,7 +121,7 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
                 assert_eq!(
                     phase.meter.duplex_words() as f64,
                     want,
-                    "{label}: rank {r} phase '{}' missed the eq. (3) term",
+                    "{label}: rank {r} phase '{}' missed the eq. (3) term ({logs})",
                     phase.label
                 );
             }
@@ -116,23 +144,29 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
             p as f64 * want
         );
     }
-    if trace {
-        let tracer = out.tracer().expect("traced run assembles a tracer");
+    let tracer = out.tracer();
+    if let Some(tracer) = &tracer {
         let totals = tracer.phase_totals();
         assert!(!totals.is_empty(), "{label}: traced run attributes per-phase goodput");
     }
+    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
+    assert!(
+        assemble_c(dims, grid, &chunks) == gemm(&a, &b, Kernel::Blocked),
+        "{label}: the assembled product is wrong ({logs})"
+    );
 
     let rate = p as f64 / secs.max(1e-9);
     println!(
-        "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} exact={exact} trace={trace} \
-         secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={}",
+        "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} exact={exact} trace={} \
+         secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={rss_kb} picks={picks} \
+         choice_log_bytes={choice_log_bytes} schedule_trace_bytes={schedule_trace_bytes}",
         grid_arr[0],
         grid_arr[1],
         grid_arr[2],
         dims.n1,
         dims.n2,
         dims.n3,
-        peak_rss_kb()
+        tracer.is_some()
     );
 }
 
@@ -142,7 +176,8 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
 /// the ordinary (debug) test suite.
 #[test]
 fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
-    scale_point("p10k", MatMulDims::new(250, 200, 200), [25, 20, 20], true, false);
+    let dims = MatMulDims::new(250, 200, 200);
+    scale_point("p10k", dims, [25, 20, 20], Kernel::Naive, true, at_scale(10_000), None);
 }
 
 /// Host seconds of one rendezvous-only world of `p` ranks at the
@@ -150,11 +185,8 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
 /// set-up (row-major fibers of a `p/16 × 16` layout, then one
 /// world-sized group) and a world barrier, no messages.
 fn rendezvous_only_secs(p: usize) -> f64 {
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_schedule_recording(false)
-        .with_targeted_wakeup(true);
     let t0 = Instant::now();
-    let out = world.run_async(|rank| {
+    let out = at_scale(p).run_async(|rank| {
         Box::pin(async move {
             let wc = rank.world_comm();
             let r = rank.world_rank() as i64;
@@ -196,6 +228,73 @@ fn rendezvous_cost_is_linear_in_p() {
     );
 }
 
+/// Host seconds of one seeded messages-only world of `p` ranks — three
+/// rounds of a ring shift, no rendezvous — and, when it records its
+/// schedule, the pick count and the choice log's bytes. Above 4096
+/// ranks, so the happens-before audit (an O(P) clock merge per receive)
+/// is off by default.
+fn ring_secs(p: usize, record: bool) -> (f64, Option<(usize, usize)>) {
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(0x5eed)
+        .with_schedule_recording(record);
+    let t0 = Instant::now();
+    let out = world.run_async(|rank| {
+        Box::pin(async move {
+            let wc = rank.world_comm();
+            let (me, n) = (rank.world_rank(), wc.size());
+            let mut got = 0.0;
+            for _ in 0..3 {
+                rank.send_a(&wc, (me + 1) % n, &[me as f64]).await;
+                got = rank.recv_a(&wc, (me + n - 1) % n).await.payload[0];
+            }
+            got
+        })
+    });
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(out.values[0], (p - 1) as f64);
+    (secs, out.choice_points.map(|log| (log.len(), log.heap_bytes())))
+}
+
+/// Complexity guard for the scheduler pick with recording on: logging a
+/// pick must cost O(1) host time and memory, so at any P a recorded
+/// world takes little longer than the same world unrecorded (1.1–1.4×
+/// measured) and its choice log holds a bounded number of bytes per
+/// pick. Storing the runnable set at every pick (what recording used to
+/// do) costs 11× the unrecorded run at P = 6000 and 20× at 4P, with a
+/// log of gigabytes. Compared at equal P, not across sizes: the
+/// unrecorded world itself slows from 3.7 to 7.4 µs a rank between
+/// these sizes once its ranks no longer fit in cache. Best-of-three
+/// times, measured alternately so a busy host slows both.
+#[test]
+fn recorded_pick_cost_is_independent_of_p() {
+    let p = 5_000;
+    for p in [p, 4 * p] {
+        let (mut recorded, mut unrecorded, mut log) = (f64::INFINITY, f64::INFINITY, (0, 0));
+        for _ in 0..3 {
+            let (secs, picks) = ring_secs(p, true);
+            recorded = recorded.min(secs);
+            log = picks.expect("a seeded world records its picks");
+            unrecorded = unrecorded.min(ring_secs(p, false).0);
+        }
+        let (picks, bytes) = log;
+        println!(
+            "SCALE: label=recorded-picks p={p} secs={recorded:.4} secs_unrecorded={unrecorded:.4} \
+             picks={picks} choice_log_bytes={bytes}"
+        );
+        assert!(
+            recorded < 2.0 * unrecorded,
+            "ring world at P = {p}: {recorded:.3} s recorded vs {unrecorded:.3} s unrecorded — \
+             {picks} picks should cost a fraction of the run, an O(P) snapshot per pick costs \
+             several runs"
+        );
+        assert!(
+            bytes / picks <= 256,
+            "choice log holds {} bytes per pick at P = {p}",
+            bytes / picks
+        );
+    }
+}
+
 /// P = 10^5 on the integral §5.2 grid [50, 50, 40] of
 /// (1000, 1000, 800): t = 0.05, blocks 20×20, fiber chunks even. With
 /// the structured tracer armed. Release-mode cell of `cargo xtask
@@ -203,7 +302,8 @@ fn rendezvous_cost_is_linear_in_p() {
 #[test]
 #[ignore = "large-P release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
-    scale_point("p100k", MatMulDims::new(1000, 1000, 800), [50, 50, 40], true, true);
+    let (dims, world) = (MatMulDims::new(1000, 1000, 800), at_scale(100_000).with_trace(true));
+    scale_point("p100k", dims, [50, 50, 40], Kernel::Naive, true, world, None);
 }
 
 /// P = 10^6 on the integral §5.2 grid [100, 100, 100] of
@@ -216,5 +316,48 @@ fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
 #[test]
 #[ignore = "million-rank release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_6() {
-    scale_point("p1m", MatMulDims::new(100, 100, 100), [100, 100, 100], false, false);
+    let dims = MatMulDims::new(100, 100, 100);
+    scale_point("p1m", dims, [100, 100, 100], Kernel::Naive, false, at_scale(1_000_000), None);
+}
+
+/// The schedule seed of the default-world cells (the benchmark's).
+const DEFAULT_CELL_SEED: u64 = 0x5eed;
+
+/// The benchmark's `alg1_words_2d` program — P = 1024 on the §5.2 grid
+/// [32, 32, 1] of (4096, 4096, 64), Theorem 3's middle case — on the
+/// world `pmm simulate` builds: seeded, schedule recording and
+/// happens-before audit on. Release-mode cell of `cargo xtask
+/// scale-check`.
+#[test]
+#[ignore = "default-world release cell; run via cargo xtask scale-check"]
+fn alg1_executes_on_the_default_seeded_world_at_p_1024() {
+    let dims = MatMulDims::new(4096, 4096, 64);
+    let world = World::new(1024, MachineParams::BANDWIDTH_ONLY).with_seed(DEFAULT_CELL_SEED);
+    scale_point("p1k-default", dims, [32, 32, 1], Kernel::Blocked, true, world, None);
+}
+
+/// The same default seeded world at P = 4096 — the largest the
+/// happens-before audit covers by default — on the grid [64, 64, 1] of
+/// (2048, 2048, 64). Release-mode cell of `cargo xtask scale-check`;
+/// when every pick stored its runnable set this took 23 s and 5 GB.
+#[test]
+#[ignore = "default-world release cell; run via cargo xtask scale-check"]
+fn alg1_executes_on_the_default_seeded_world_at_p_4096() {
+    let dims = MatMulDims::new(2048, 2048, 64);
+    let world = World::new(4096, MachineParams::BANDWIDTH_ONLY).with_seed(DEFAULT_CELL_SEED);
+    scale_point("p4k-default", dims, [64, 64, 1], Kernel::Blocked, true, world, Some(1 << 20));
+}
+
+/// `run_async` on a `World` with *no* knob set: the canonical schedule,
+/// under which every post re-readies every blocked rank and the
+/// smallest one is picked next, so the P = 1024 program above makes
+/// 4.9 million picks. That is the world that ran out of memory while a
+/// pick stored its runnable set; the logs must keep it under 2 GB.
+/// Release-mode cell of `cargo xtask scale-check`.
+#[test]
+#[ignore = "default-world release cell; run via cargo xtask scale-check"]
+fn alg1_executes_on_the_default_unseeded_world_at_p_1024_under_2_gb() {
+    let dims = MatMulDims::new(4096, 4096, 64);
+    let world = World::new(1024, MachineParams::BANDWIDTH_ONLY);
+    scale_point("p1k-unseeded", dims, [32, 32, 1], Kernel::Blocked, true, world, Some(2 << 20));
 }

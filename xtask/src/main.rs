@@ -51,7 +51,9 @@
 //!   generated). Failures print a `PMM_SCHEDULE=prefix:...` repro line.
 //! * `cargo xtask scale-check [budget-secs]` — the executed-at-scale
 //!   gate (`tests/scale.rs`, release mode): Algorithm 1 end-to-end on
-//!   the event loop at P = 10^4, 10^5, and 10^6 (ascending, each
+//!   the event loop, first on default worlds (schedule recording and
+//!   happens-before audit on) at P = 1024 and 4096, then at the
+//!   at-scale knobs at P = 10^4, 10^5, and 10^6 (ascending, each
 //!   cell started only while the wall-clock budget — default 300 s —
 //!   lasts and the host has the memory it needs), with per-rank
 //!   per-phase eq. (3) checks against `pmm_model::alg1_prediction` on
@@ -175,6 +177,7 @@ fn main() -> ExitCode {
                  \x20                 1000-program generator soak; emits BENCH_explore.json\n\
                  \x20 scale-check     [budget-secs] execute Algorithm 1 at large P\n\
                  \x20                 (tests/scale.rs, release, event loop):\n\
+                 \x20                 default-world P = 1024, 4096 cells, then the\n\
                  \x20                 P = 10^4, 10^5, 10^6 cells until the budget\n\
                  \x20                 (default 300 s) is spent or memory is short;\n\
                  \x20                 emits BENCH_scale.json, fails below 0.5x of the\n\
@@ -612,7 +615,13 @@ fn dpor(budget: Duration) -> ExitCode {
 /// count, and the memory (GB) the cell peaks at — a cell the host cannot
 /// hold is skipped like one the budget cannot reach, not OOM-killed
 /// (the budget alone no longer keeps a 16 GB host off the 10^6 cell).
-const SCALE_CELLS: [(&str, u64, u64); 3] = [
+const SCALE_CELLS: [(&str, u64, u64); 6] = [
+    // The default-on cells: the world `pmm simulate` builds (seeded,
+    // schedule recording and happens-before audit on), and the unseeded
+    // `run_async` default that must stay under 2 GB.
+    ("alg1_executes_on_the_default_seeded_world_at_p_1024", 1_024, 1),
+    ("alg1_executes_on_the_default_unseeded_world_at_p_1024_under_2_gb", 1_024, 2),
+    ("alg1_executes_on_the_default_seeded_world_at_p_4096", 4_096, 1),
     ("alg1_executes_at_p_10_4_with_exact_eq3_attribution", 10_000, 1),
     ("alg1_executes_at_p_10_5_with_exact_eq3_attribution", 100_000, 6),
     ("alg1_executes_at_p_10_6", 1_000_000, 24),
