@@ -54,13 +54,13 @@ fn bench_algorithms(c: &mut Criterion) {
         bench.iter(|| {
             World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(alg1_streamed(rank, dims, grid, 4, Kernel::Tiled, &a, &b));
+                black_box(alg1_streamed(rank, dims, grid, 4, Kernel::Blocked, &a, &b));
             })
         })
     });
 
     group.bench_function(BenchmarkId::new("cannon", p), |bench| {
-        let cfg = CannonConfig { dims, q: 4, kernel: Kernel::Tiled };
+        let cfg = CannonConfig { dims, q: 4, kernel: Kernel::Blocked };
         bench.iter(|| {
             let cfg = cfg.clone();
             World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
@@ -71,7 +71,7 @@ fn bench_algorithms(c: &mut Criterion) {
     });
 
     group.bench_function(BenchmarkId::new("summa", p), |bench| {
-        let cfg = SummaConfig { dims, pr: 4, pc: 4, kernel: Kernel::Tiled };
+        let cfg = SummaConfig { dims, pr: 4, pc: 4, kernel: Kernel::Blocked };
         bench.iter(|| {
             let cfg = cfg.clone();
             World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
@@ -87,7 +87,7 @@ fn bench_algorithms(c: &mut Criterion) {
                 let (a, b) = inputs(dims);
                 let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
                 let comm = rank.world_comm();
-                black_box(carma(rank, &comm, dims, Kernel::Tiled, sa, sb));
+                black_box(carma(rank, &comm, dims, Kernel::Blocked, sa, sb));
             })
         })
     });

@@ -2,7 +2,7 @@
 //! the per-rank compute choice called out in DESIGN.md §7.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pmm_dense::{gemm, gemm_view, random_matrix, Kernel};
+use pmm_dense::{gemm, random_matrix, Kernel};
 use std::hint::black_box;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -22,33 +22,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_views_vs_copies(c: &mut Criterion) {
-    // The zero-copy question: multiplying an interior block via a strided
-    // view vs copying it out first.
-    let mut group = c.benchmark_group("block_matmul");
-    let parent_a = random_matrix(512, 512, 7);
-    let parent_b = random_matrix(512, 512, 8);
-    for blk in [64usize, 128, 256] {
-        group.throughput(Throughput::Elements((blk * blk * blk) as u64));
-        group.bench_with_input(BenchmarkId::new("copy_then_gemm", blk), &blk, |bench, &blk| {
-            bench.iter(|| {
-                let a = parent_a.sub(7, 11, blk, blk);
-                let b = parent_b.sub(3, 5, blk, blk);
-                black_box(gemm(&a, &b, Kernel::Tiled))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("view_gemm", blk), &blk, |bench, &blk| {
-            bench.iter(|| {
-                black_box(gemm_view(
-                    parent_a.subview(7, 11, blk, blk),
-                    parent_b.subview(3, 5, blk, blk),
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_rectangular(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_matmul_rect");
     // The shapes Algorithm 1's ranks actually see: skewed blocks.
@@ -56,7 +29,7 @@ fn bench_rectangular(c: &mut Criterion) {
         let a = random_matrix(m, k, 3);
         let b = random_matrix(k, n, 4);
         group.throughput(Throughput::Elements((m * k * n) as u64));
-        for kernel in [Kernel::Naive, Kernel::Tiled, Kernel::Blocked, Kernel::Recursive] {
+        for kernel in [Kernel::Naive, Kernel::Blocked] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{kernel:?}"), format!("{m}x{k}x{n}")),
                 &0,
@@ -67,5 +40,5 @@ fn bench_rectangular(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_views_vs_copies, bench_rectangular);
+criterion_group!(benches, bench_kernels, bench_rectangular);
 criterion_main!(benches);

@@ -41,7 +41,8 @@ fn main() {
     let m_words = 9_000.0;
     let mnk = (dims.n1 * dims.n2 * dims.n3) as f64;
 
-    let report = calibrate(budget, kernel_from_env(Kernel::default()));
+    let kernel = kernel_from_env(Kernel::default()).unwrap_or_else(|e| panic!("{e}"));
+    let report = calibrate(budget, kernel);
     let cal = report.cal;
     println!(
         "§6.2 crossover in calibrated seconds: {dims}, M = {m_words} words/processor\n\

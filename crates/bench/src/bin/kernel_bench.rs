@@ -11,7 +11,7 @@
 //! 2. **calibration** — the fitted α, β, γ, `rank_secs` and the stream
 //!    bandwidth diagnostic (see `pmm_bench::calibrate`);
 //! 3. **validation cells** — one per Theorem 3 regime: fit the
-//!    shape's effective per-word cost δ from a *half-scale probe run*
+//!    shape's effective per-word cost δ from a *smaller probe run*
 //!    (`fit_word_secs`), then run Algorithm 1 at full scale, predict its
 //!    wall time as `α·Σmsgs + δ·Σwords + γ·Σflops + rank_secs` from the
 //!    run's own meters, and compare against the measured wall time. The
@@ -37,7 +37,7 @@ use pmm_model::{MachineCalibration, MatMulDims};
 /// acceptance size (5× criterion).
 const SIZES: [usize; 3] = [256, 512, 1024];
 
-/// One Theorem 3 regime cell: a half-scale probe problem that fits the
+/// One Theorem 3 regime cell: a smaller probe problem that fits the
 /// shape's per-word cost δ, and the full-scale problem the calibrated
 /// prediction is validated against.
 struct Cell {
@@ -54,7 +54,13 @@ struct Cell {
 /// already exceed cache (per-word costs cliff when buffers first spill,
 /// so a cache-resident probe would not extrapolate). The one-large cell
 /// scales only the dominant dimension, which is exactly the regime's
-/// point: the words moved (only B) stay fixed while compute grows.
+/// point: the words moved (only B) stay fixed while compute grows. The
+/// two-large probe is 5/6 of full scale per dimension: first-touch page
+/// faults are part of δ, and a smaller probe's buffers can stay mapped
+/// between repetitions (whether the allocator trims them depends on the
+/// order the ranks free them, i.e. on the schedule), so its best
+/// repetition ran on warm pages the full-size run never sees — δ read
+/// 1.1–1.8e-8 where the full run pays 2.6e-8, a 15–28 % miss.
 fn cells() -> [Cell; 3] {
     [
         Cell {
@@ -71,7 +77,7 @@ fn cells() -> [Cell; 3] {
         },
         Cell {
             name: "two-large",
-            probe_dims: MatMulDims::new(1536, 1536, 192),
+            probe_dims: MatMulDims::new(1920, 1920, 240),
             dims: MatMulDims::new(2304, 2304, 288),
             grid: [4, 2, 1],
         },
@@ -208,7 +214,7 @@ fn main() {
     checks.finish();
 }
 
-/// Run one cell: fit δ from the half-scale probe, then predict and
+/// Run one cell: fit δ from the smaller probe, then predict and
 /// measure the full-scale run. Returns `(delta, predicted, measured)`.
 /// The prediction prices the run's own meter totals — not the analytic
 /// eq. (3) — so the check isolates the *calibration*; the analytic word

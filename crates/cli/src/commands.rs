@@ -2,6 +2,7 @@
 //! `String` (printed by `main`), so commands are unit-testable.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use pmm_algs::{
     alg1, alg1_a, assemble_c, assemble_recovered, run_recoverable_a, Alg1Config, Assembly, CShare,
@@ -12,7 +13,7 @@ use pmm_core::advisor::{recommend, Strategy};
 use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::{gemm, kernel_from_env, random_int_matrix, Kernel};
+use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, ScheduleTrace, World, WorldResult};
@@ -136,22 +137,36 @@ pub fn advise(
 /// `pmm simulate` (fault-free form): output only, for callers that don't
 /// care about the process exit code.
 pub fn simulate(dims: MatMulDims, procs: usize, grid: Option<[usize; 3]>, seed: u64) -> String {
-    simulate_run(dims, procs, grid, seed, None).0
+    simulate_run(dims, procs, grid, seed, None, Kernel::default()).0
+}
+
+/// The inputs of a simulated run, generated once and shared by every
+/// rank's program (a copy per rank is O(P·n²) host work and memory), and
+/// the product the run is checked against: computed by the pinned oracle
+/// `Kernel::Naive`, never by the kernel under test.
+fn inputs_and_reference(dims: MatMulDims, seed: u64) -> (Arc<Matrix>, Arc<Matrix>, Matrix) {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let a = random_int_matrix(n1, n2, -3..4, seed);
+    let b = random_int_matrix(n2, n3, -3..4, seed + 1);
+    let want = gemm(&a, &b, Kernel::Naive);
+    (Arc::new(a), Arc::new(b), want)
 }
 
 /// `pmm simulate`, full form: returns the report and the process exit
 /// code (`0` = product verified, `1` = wrong product or a fault the run
-/// could not recover from).
+/// could not recover from). `kernel` multiplies every rank's local
+/// blocks.
 pub fn simulate_run(
     dims: MatMulDims,
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
     faults: Option<FaultPlan>,
+    kernel: Kernel,
 ) -> (String, u8) {
     match faults {
-        None => simulate_clean(dims, procs, grid, seed),
-        Some(plan) => simulate_faulty(dims, procs, seed, plan),
+        None => simulate_clean(dims, procs, grid, seed, kernel),
+        Some(plan) => simulate_faulty(dims, procs, seed, plan, kernel),
     }
 }
 
@@ -160,27 +175,21 @@ fn simulate_clean(
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
+    kernel: Kernel,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
     assert_eq!(g.size(), procs, "grid {} has {} processors but --procs is {procs}", g, g.size());
-    let cfg = Alg1Config::new(dims, g);
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, g) };
+    let (a, b, want) = inputs_and_reference(dims, seed);
     // The data seed also seeds the schedule (overridable via PMM_SEED),
     // so a reported run replays rank interleaving and all.
     let sched_seed = seed_from_env(seed);
     let world = World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed);
-    let out = world.run_async(move |rank| {
-        let cfg = cfg.clone();
-        Box::pin(async move {
-            let a = random_int_matrix(n1, n2, -3..4, seed);
-            let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-            alg1_a(rank, &cfg, &a, &b).await
-        })
+    let out = world.run_async(|rank| {
+        let (cfg, a, b) = (cfg.clone(), a.clone(), b.clone());
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
-    let a = random_int_matrix(n1, n2, -3..4, seed);
-    let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-    let want = gemm(&a, &b, kernel_from_env(Kernel::default()));
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let correct = assemble_c(dims, g, &chunks) == want;
 
@@ -211,8 +220,14 @@ fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>) -> String {
     )
 }
 
-fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -> (String, u8) {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+fn simulate_faulty(
+    dims: MatMulDims,
+    procs: usize,
+    seed: u64,
+    plan: FaultPlan,
+    kernel: Kernel,
+) -> (String, u8) {
+    let (a, b, want) = inputs_and_reference(dims, seed);
     let sched_seed = seed_from_env(seed);
     // Recovery re-picks the §5.2 grid per attempt from the survivor
     // count, so no --grid applies here. An unrecoverable run (e.g.
@@ -221,15 +236,11 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
     let world = World::new(procs, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_faults(plan.clone());
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        world.run_async(move |rank| {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        world.run_async(|rank| {
+            let (a, b) = (a.clone(), b.clone());
             Box::pin(async move {
-                let a = random_int_matrix(n1, n2, -3..4, seed);
-                let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-                let spec = Recoverable::Alg1 {
-                    kernel: kernel_from_env(Kernel::default()),
-                    assembly: Assembly::ReduceScatter,
-                };
+                let spec = Recoverable::Alg1 { kernel, assembly: Assembly::ReduceScatter };
                 run_recoverable_a(rank, &spec, dims, &a, &b).await
             })
         })
@@ -273,10 +284,7 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
         .iter()
         .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
         .collect();
-    let a = random_int_matrix(n1, n2, -3..4, seed);
-    let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-    let correct = assemble_recovered(dims, &plan_used, &shares)
-        == gemm(&a, &b, kernel_from_env(Kernel::default()));
+    let correct = assemble_recovered(dims, &plan_used, &shares) == want;
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
     let goodput = out.reports[survivors[0]].meter.words_sent;
@@ -300,31 +308,27 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
 ///
 /// Exit code: `0` = product verified and (if requested) the trace file
 /// written; `1` = wrong product or the trace file could not be written.
+/// `kernel` multiplies every rank's local blocks.
 pub fn trace(
     dims: MatMulDims,
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
     out_path: Option<&str>,
+    kernel: Kernel,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
     assert_eq!(g.size(), procs, "grid {} has {} processors but --procs is {procs}", g, g.size());
-    let cfg = Alg1Config::new(dims, g);
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, g) };
+    let (a, b, want) = inputs_and_reference(dims, seed);
     let sched_seed = seed_from_env(seed);
     let out = World::new(procs, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_trace(true)
-        .run(move |rank| {
-            let a = random_int_matrix(n1, n2, -3..4, seed);
-            let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-            alg1(rank, &cfg, &a, &b)
-        });
-    let a = random_int_matrix(n1, n2, -3..4, seed);
-    let b = random_int_matrix(n2, n3, -3..4, seed + 1);
+        .run(|rank| alg1(rank, &cfg, &a, &b));
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    let correct = assemble_c(dims, g, &chunks) == gemm(&a, &b, kernel_from_env(Kernel::default()));
+    let correct = assemble_c(dims, g, &chunks) == want;
 
     let tracer = out.tracer().expect("tracing was enabled");
     let pred = alg1_prediction(dims, grid);
@@ -467,8 +471,8 @@ pub fn serve(opts: &ServeOpts) -> u8 {
 /// write them as calibration JSON.
 ///
 /// Exit code: `0` on success, `1` if `--out` could not be written.
-pub fn calibrate(budget_secs: f64, out_path: Option<&str>) -> (String, u8) {
-    let kernel = kernel_from_env(Kernel::default());
+/// `kernel` is the GEMM tier γ is fitted for.
+pub fn calibrate(budget_secs: f64, out_path: Option<&str>, kernel: Kernel) -> (String, u8) {
     let report = run_probes(budget_secs, kernel);
     let cal = report.cal;
     let mut s = String::new();
@@ -524,7 +528,7 @@ mod tests {
     #[test]
     fn calibrate_reports_constants_and_writes_json() {
         let path = std::env::temp_dir().join("pmm_cli_calibrate_test.json");
-        let (s, code) = calibrate(0.5, path.to_str());
+        let (s, code) = calibrate(0.5, path.to_str(), Kernel::default());
         assert_eq!(code, 0, "output was: {s}");
         assert!(s.contains("alpha"), "output was: {s}");
         assert!(s.contains("gamma"), "output was: {s}");
@@ -534,7 +538,7 @@ mod tests {
         assert!(parsed.gamma > 0.0);
         let _ = std::fs::remove_file(&path);
         // An unwritable path is a reported failure, not a panic.
-        let (s, code) = calibrate(0.5, Some("/nonexistent-dir/c.json"));
+        let (s, code) = calibrate(0.5, Some("/nonexistent-dir/c.json"), Kernel::default());
         assert_eq!(code, 1, "output was: {s}");
     }
 
@@ -569,7 +573,7 @@ mod tests {
     fn trace_attributes_phases_exactly_on_the_optimal_grid() {
         // §5.2 optimal grid for this instance divides the dims, so the
         // measured per-phase words must equal eq. (3) exactly.
-        let (s, code) = trace(MatMulDims::new(96, 24, 12), 8, None, 3, None);
+        let (s, code) = trace(MatMulDims::new(96, 24, 12), 8, None, 3, None, Kernel::default());
         assert_eq!(code, 0, "output was: {s}");
         assert!(s.contains("correct ✓"), "output was: {s}");
         assert!(s.contains("all phases match the prediction exactly"), "output was: {s}");

@@ -21,8 +21,65 @@ fn pmm_with_stdin(args: &[&str], input: &[u8]) -> Output {
     child.wait_with_output().expect("pmm binary runs")
 }
 
+/// Run `pmm` with `PMM_KERNEL` set to `kernel`.
+fn pmm_with_kernel(kernel: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pmm"))
+        .env("PMM_KERNEL", kernel)
+        .args(args)
+        .output()
+        .expect("pmm binary runs")
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn simulate_at_p_256_shares_its_inputs_across_ranks() {
+    // Inputs generated inside every rank's program cost O(P·n²): this
+    // run took 66 s (unoptimized build) when each of the 256 ranks built
+    // its own 2048×2048 A, and takes under 2 s with one shared copy.
+    let t0 = std::time::Instant::now();
+    let out = pmm(&["simulate", "--dims", "2048x2048x16", "--procs", "256"]);
+    let secs = t0.elapsed().as_secs_f64();
+    let text = stdout(&out);
+    assert!(out.status.success(), "exit: {:?}\n{text}", out.status);
+    assert!(text.contains("on grid 16x16x1 (256 ranks"), "{text}");
+    assert!(text.contains("correct ✓"), "{text}");
+    assert!(secs < 10.0, "pmm simulate at P = 256 took {secs:.1} s");
+}
+
+#[test]
+fn unknown_kernel_name_exits_two_naming_the_accepted_ones() {
+    // `tiled` was a tier once; it must not quietly run `auto`.
+    for cmd in ["simulate", "trace"] {
+        let out = pmm_with_kernel("tiled", &[cmd, "--dims", "24x12x18", "--procs", "4"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {:?}", out.status);
+        assert!(stdout(&out).is_empty(), "{cmd} must not run: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        for needle in ["PMM_KERNEL", "\"tiled\"", "naive|blocked|parallel|auto"] {
+            assert!(err.contains(needle), "{cmd}: stderr lacks {needle}: {err}");
+        }
+    }
+    // Commands that multiply nothing do not read the variable.
+    let out = pmm_with_kernel("tiled", &["bound", "--dims", "24x12x18", "--procs", "4"]);
+    assert!(out.status.success(), "{:?}", out.status);
+}
+
+#[test]
+fn every_kernel_name_runs_and_is_checked_against_the_naive_oracle() {
+    // PMM_KERNEL picks the kernel of the run; the reference product is
+    // always the naive oracle's, so a tier is never checked against
+    // itself.
+    for kernel in ["naive", "blocked", "parallel", "auto", " Blocked "] {
+        let out = pmm_with_kernel(kernel, &["simulate", "--dims", "48x36x24", "--procs", "8"]);
+        let text = stdout(&out);
+        assert!(out.status.success(), "PMM_KERNEL={kernel}: {:?}\n{text}", out.status);
+        assert!(text.contains("correct ✓"), "PMM_KERNEL={kernel}: {text}");
+    }
+    let faults = ["simulate", "--dims", "24x24x24", "--procs", "9", "--faults", "kill=4@5"];
+    let out = pmm_with_kernel("blocked", &faults);
+    assert!(out.status.success() && stdout(&out).contains("correct ✓"), "{}", stdout(&out));
 }
 
 #[test]

@@ -7,19 +7,15 @@
 //!   keeps the inner loop streaming over contiguous rows of `B` and `C`).
 //!   This is the **pinned oracle**: every other tier must produce a
 //!   bitwise-identical product (see below).
-//! * [`Kernel::Tiled`] — cache-blocked over all three loops (64×64 tiles).
 //! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled,
 //!   autovectorizable microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir`
 //!   loop nest in the `blocked` module). The fast tier.
-//! * [`Kernel::Recursive`] — cache-oblivious recursive splitting of the
-//!   largest dimension down to a small base case (the `recursive`
-//!   module).
 //! * [`Kernel::Parallel`] — the blocked kernel with row stripes
 //!   parallelized via Rayon (shared-memory, *within* one simulated rank;
 //!   does not touch the communication accounting).
-//! * [`Kernel::Auto`] — runtime selection by problem volume: `Naive` for
-//!   tiny products, `Tiled` for small ones, `Blocked` beyond
-//!   [`AUTO_BLOCKED_MIN_FLOPS`].
+//! * [`Kernel::Auto`] — runtime selection by arithmetic intensity:
+//!   `Naive` up to [`AUTO_NAIVE_MAX_INTENSITY`] multiply-adds per matrix
+//!   element touched, `Blocked` above it.
 //!
 //! # Bitwise identity across tiers
 //!
@@ -37,9 +33,9 @@
 //!
 //! # Selecting a tier
 //!
-//! Algorithm configs carry a `Kernel`; the CLI resolves the default from
-//! the [`KERNEL_ENV`] (`PMM_KERNEL`) environment variable via
-//! [`kernel_from_env`].
+//! Algorithm configs carry a `Kernel`; the CLI resolves the one its runs
+//! use from the [`KERNEL_ENV`] (`PMM_KERNEL`) environment variable via
+//! [`kernel_from_env`] and rejects a name that is not a tier.
 //!
 //! ```
 //! use pmm_dense::{gemm, random_matrix, Kernel};
@@ -51,7 +47,7 @@
 //!     assert_eq!(gemm(&a, &b, tier), oracle); // bitwise, not approximate
 //! }
 //! assert_eq!("blocked".parse::<Kernel>(), Ok(Kernel::Blocked));
-//! assert_eq!(Kernel::Recursive.to_string(), "recursive");
+//! assert_eq!(Kernel::Parallel.to_string(), "parallel");
 //! ```
 
 use std::fmt;
@@ -61,32 +57,29 @@ use rayon::prelude::*;
 
 use crate::blocked::gemm_blocked;
 use crate::matrix::Matrix;
-use crate::recursive::gemm_recursive;
-
-/// Tile edge (in elements) for the [`Kernel::Tiled`] kernel; 64×64 f64
-/// tiles ≈ 32 KiB per operand, a reasonable L1/L2 compromise.
-const TILE: usize = 64;
 
 /// Row-stripe height (in rows of `C`) handed to each Rayon worker by
 /// [`Kernel::Parallel`]. Matches the blocked kernel's `MC` so each stripe
 /// is exactly one packed row panel.
 const STRIPE: usize = 128;
 
-/// [`Kernel::Auto`] switches from `Naive` to `Tiled` at this many
-/// multiply-adds (`m·k·n`)…
-pub const AUTO_TILED_MIN_FLOPS: usize = 32 * 32 * 32;
-
-/// …and from `Tiled` to `Blocked` (which pays two pack-buffer
-/// allocations per call) at this many.
-pub const AUTO_BLOCKED_MIN_FLOPS: usize = 96 * 96 * 96;
+/// [`Kernel::Auto`] stays on `Naive` while the product does at most
+/// this many multiply-adds per element of `A`, `B` and `C`
+/// (`m·k·n / (m·k + k·n + m·n)`; `n/3` for a cube) and switches to
+/// `Blocked` above it. `Blocked` copies every element of `A` and `B`
+/// into a packed panel and pads `m` up to its register tile, which only
+/// pays off once each element is reused: the measured crossover of the
+/// sweep in `docs/PERFORMANCE.md` (cubes from n = 7 up; a 1 × k × n or
+/// m × 1 × n product never).
+pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 2.0;
 
 /// Environment variable selecting the default kernel tier
-/// (`naive | tiled | blocked | recursive | parallel | auto`), consulted
-/// by [`kernel_from_env`]. An explicit `Kernel` in an algorithm config
+/// (`naive | blocked | parallel | auto`), consulted by
+/// [`kernel_from_env`]. An explicit `Kernel` in an algorithm config
 /// always wins.
 pub const KERNEL_ENV: &str = "PMM_KERNEL";
 
-/// The one multiply-add every kernel tier (and the view kernel) uses per
+/// The one multiply-add every kernel tier uses per
 /// accumulated term. On targets with hardware FMA it compiles to a single
 /// fused `vfmadd` (one rounding); elsewhere it is a plain IEEE
 /// `mul`-then-`add` (two roundings) — `f64::mul_add` without hardware
@@ -109,16 +102,11 @@ pub(crate) fn madd(a: f64, b: f64, c: f64) -> f64 {
 pub enum Kernel {
     /// Triple loop, `i-k-j` order — the pinned oracle.
     Naive,
-    /// Cache-tiled triple loop.
-    Tiled,
     /// Packed-panel microkernel GEMM (the fast tier).
     Blocked,
-    /// Cache-oblivious recursive splitting.
-    Recursive,
     /// Blocked with Rayon row-stripe parallelism.
     Parallel,
-    /// Pick `Naive`/`Tiled`/`Blocked` from the problem volume at run
-    /// time.
+    /// Pick `Naive` or `Blocked` from the product's shape at run time.
     #[default]
     Auto,
 }
@@ -126,26 +114,18 @@ pub enum Kernel {
 impl Kernel {
     /// Every selectable tier, oracle first (handy for sweeps and
     /// conformance loops).
-    pub const ALL: [Kernel; 6] = [
-        Kernel::Naive,
-        Kernel::Tiled,
-        Kernel::Blocked,
-        Kernel::Recursive,
-        Kernel::Parallel,
-        Kernel::Auto,
-    ];
+    pub const ALL: [Kernel; 4] = [Kernel::Naive, Kernel::Blocked, Kernel::Parallel, Kernel::Auto];
 
     /// The concrete tier `Auto` resolves to for an `m·k·n`-flop product.
     pub fn resolve(self, m: usize, k: usize, n: usize) -> Kernel {
         match self {
             Kernel::Auto => {
-                let flops = m.saturating_mul(k).saturating_mul(n);
-                if flops < AUTO_TILED_MIN_FLOPS {
-                    Kernel::Naive
-                } else if flops < AUTO_BLOCKED_MIN_FLOPS {
-                    Kernel::Tiled
-                } else {
+                // Elements touched per multiply-add: (mk + kn + mn) / mkn.
+                let touched_per_madd = 1.0 / m as f64 + 1.0 / k as f64 + 1.0 / n as f64;
+                if AUTO_NAIVE_MAX_INTENSITY * touched_per_madd < 1.0 {
                     Kernel::Blocked
+                } else {
+                    Kernel::Naive
                 }
             }
             other => other,
@@ -157,9 +137,7 @@ impl fmt::Display for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Kernel::Naive => "naive",
-            Kernel::Tiled => "tiled",
             Kernel::Blocked => "blocked",
-            Kernel::Recursive => "recursive",
             Kernel::Parallel => "parallel",
             Kernel::Auto => "auto",
         })
@@ -172,26 +150,26 @@ impl FromStr for Kernel {
     fn from_str(s: &str) -> Result<Kernel, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(Kernel::Naive),
-            "tiled" => Ok(Kernel::Tiled),
             "blocked" | "micro" | "microkernel" => Ok(Kernel::Blocked),
-            "recursive" | "oblivious" => Ok(Kernel::Recursive),
             "parallel" | "rayon" => Ok(Kernel::Parallel),
             "auto" => Ok(Kernel::Auto),
             other => Err(format!(
                 "unrecognized kernel {other:?}: expected one of \
-                 naive|tiled|blocked|recursive|parallel|auto"
+                 naive|blocked|parallel|auto"
             )),
         }
     }
 }
 
-/// Resolve the kernel tier from [`KERNEL_ENV`], falling back to
-/// `default`. Malformed values fall back to `default` (matching
-/// `seed_from_env`'s forgiving behavior in `pmm-simnet`).
-pub fn kernel_from_env(default: Kernel) -> Kernel {
-    match std::env::var(KERNEL_ENV) {
-        Ok(s) => s.parse().unwrap_or(default),
-        Err(_) => default,
+/// Resolve the kernel tier from [`KERNEL_ENV`]: `default` when the
+/// variable is unset, otherwise the tier it names. A value that names no
+/// tier is an error (naming the variable, the value and the accepted
+/// names), never a silent fall-back to `default` — the caller asked for
+/// a specific kernel and would otherwise measure or verify another.
+pub fn kernel_from_env(default: Kernel) -> Result<Kernel, String> {
+    match std::env::var_os(KERNEL_ENV) {
+        None => Ok(default),
+        Some(v) => v.to_string_lossy().parse().map_err(|e| format!("{KERNEL_ENV}: {e}")),
     }
 }
 
@@ -215,11 +193,7 @@ pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
     }
     match kernel.resolve(m, k, n) {
         Kernel::Naive | Kernel::Auto => naive(c, a, b),
-        Kernel::Tiled => tiled(c, a, b),
         Kernel::Blocked => gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n),
-        Kernel::Recursive => {
-            gemm_recursive(c.as_mut_slice(), n, a.as_slice(), k, b.as_slice(), n, m, k, n);
-        }
         Kernel::Parallel => parallel(c, a, b),
     }
 }
@@ -236,41 +210,6 @@ fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
             }
         }
     }
-}
-
-fn tiled(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    for i0 in (0..m).step_by(TILE) {
-        let i1 = (i0 + TILE).min(m);
-        tiled_rows(c, a, b, i0, i1, k, n);
-    }
-}
-
-/// One horizontal stripe `[i0, i1)` of the tiled kernel.
-fn tiled_stripe(crows: &mut [f64], a: &Matrix, b: &Matrix, i0: usize, i1: usize) {
-    let (k, n) = (a.cols(), b.cols());
-    let ncols = n;
-    for l0 in (0..k).step_by(TILE) {
-        let l1 = (l0 + TILE).min(k);
-        for j0 in (0..n).step_by(TILE) {
-            let j1 = (j0 + TILE).min(n);
-            for i in i0..i1 {
-                let arow = a.row(i);
-                let crow = &mut crows[(i - i0) * ncols..][..ncols];
-                for (l, &ail) in arow.iter().enumerate().take(l1).skip(l0) {
-                    let brow = b.row(l);
-                    for j in j0..j1 {
-                        crow[j] = madd(ail, brow[j], crow[j]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn tiled_rows(c: &mut Matrix, a: &Matrix, b: &Matrix, i0: usize, i1: usize, _k: usize, n: usize) {
-    let crows = &mut c.as_mut_slice()[i0 * n..i1 * n];
-    tiled_stripe(crows, a, b, i0, i1);
 }
 
 /// Row-stripe parallel driver: each worker runs the packed blocked kernel
@@ -348,7 +287,7 @@ mod tests {
         let a = random_int_matrix(10, 10, 0..3, 7);
         let b = random_int_matrix(10, 10, 0..3, 8);
         let mut c = Matrix::from_fn(10, 10, |_, _| 1.0);
-        gemm_acc(&mut c, &a, &b, Kernel::Tiled);
+        gemm_acc(&mut c, &a, &b, Kernel::Blocked);
         let mut want = reference(&a, &b);
         for x in want.as_mut_slice() {
             *x += 1.0;
@@ -401,15 +340,25 @@ mod tests {
             assert_eq!(kern.to_string().parse::<Kernel>(), Ok(kern));
         }
         assert!("fused".parse::<Kernel>().is_err());
+        // The retired tiers' names are errors, not aliases of a survivor.
+        for gone in ["tiled", "recursive", "oblivious"] {
+            let err = gone.parse::<Kernel>().expect_err("retired tier name must not parse");
+            assert!(err.contains("naive|blocked|parallel|auto"), "{err}");
+        }
     }
 
     #[test]
-    fn auto_resolves_by_volume() {
-        assert_eq!(Kernel::Auto.resolve(8, 8, 8), Kernel::Naive);
-        assert_eq!(Kernel::Auto.resolve(64, 64, 64), Kernel::Tiled);
+    fn auto_resolves_by_intensity() {
+        assert_eq!(Kernel::Auto.resolve(6, 6, 6), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(7, 7, 7), Kernel::Blocked);
         assert_eq!(Kernel::Auto.resolve(512, 512, 512), Kernel::Blocked);
+        // No reuse to pay for packing, whatever the volume.
+        assert_eq!(Kernel::Auto.resolve(1, 4096, 4096), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(4096, 2, 4096), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(usize::MAX, usize::MAX, 1), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(0, 64, 64), Kernel::Naive);
         // Non-auto tiers resolve to themselves.
-        assert_eq!(Kernel::Recursive.resolve(8, 8, 8), Kernel::Recursive);
+        assert_eq!(Kernel::Parallel.resolve(2, 2, 2), Kernel::Parallel);
     }
 
     #[test]
@@ -419,7 +368,7 @@ mod tests {
         for (name, want) in [
             ("naive", Kernel::Naive),
             ("BLOCKED", Kernel::Blocked),
-            (" recursive ", Kernel::Recursive),
+            (" parallel ", Kernel::Parallel),
             ("rayon", Kernel::Parallel),
             ("auto", Kernel::Auto),
         ] {

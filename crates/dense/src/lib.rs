@@ -8,29 +8,25 @@
 //!
 //! The kernels form a tiered stack selected by [`Kernel`] (or the
 //! `PMM_KERNEL` environment variable via [`kernel_from_env`]): the pinned
-//! naive oracle, a cache-tiled loop, a packed-panel register-tiled
-//! microkernel GEMM, a cache-oblivious recursive variant,
-//! a Rayon row-stripe parallel driver, and an `Auto`
-//! tier that picks by problem volume. All tiers accumulate each output
-//! element over the contracted index in the same order, so their products
-//! are **bitwise identical** — tier choice can never alter a simulated
-//! run's verified product, meters, or traces. Measured GFLOP/s per tier
-//! and the fitted γ live in `BENCH_kernels.json` (see
+//! naive oracle, a packed-panel register-tiled microkernel GEMM, a Rayon
+//! row-stripe parallel driver over it, and an `Auto` tier that picks
+//! between the first two by the product's shape. All tiers accumulate
+//! each output element over the contracted index in the same order, so
+//! their products are **bitwise identical** — tier choice can never alter
+//! a simulated run's verified product, meters, or traces. Measured
+//! GFLOP/s per tier and the fitted γ live in `BENCH_kernels.json` (see
 //! `docs/PERFORMANCE.md`).
 
 #![warn(missing_docs)]
 
 mod blocked;
-mod recursive;
 
 pub mod gen;
 pub mod kernels;
 pub mod matrix;
 pub mod partition;
-pub mod views;
 
 pub use gen::{constant_matrix, identity, random_int_matrix, random_matrix};
 pub use kernels::{gemm, gemm_acc, kernel_from_env, Kernel, KERNEL_ENV};
 pub use matrix::Matrix;
 pub use partition::{block_len, block_range, chunk_of_block, Block2};
-pub use views::{gemm_view, gemm_view_acc, MatrixView};

@@ -17,15 +17,15 @@ proptest! {
         let a = random_int_matrix(m, k, -3..4, seed);
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let naive = gemm(&a, &b, Kernel::Naive);
-        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Tiled));
+        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Blocked));
         prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Parallel));
     }
 
     #[test]
     fn identity_is_neutral((m, _k, n) in dims(), seed in 0u64..1000) {
         let a = random_int_matrix(m, n, -5..6, seed);
-        prop_assert_eq!(&gemm(&a, &identity(n), Kernel::Tiled), &a);
-        prop_assert_eq!(&gemm(&identity(m), &a, Kernel::Tiled), &a);
+        prop_assert_eq!(&gemm(&a, &identity(n), Kernel::Blocked), &a);
+        prop_assert_eq!(&gemm(&identity(m), &a, Kernel::Blocked), &a);
     }
 
     #[test]
@@ -35,9 +35,9 @@ proptest! {
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let c = random_int_matrix(k, n, -3..4, seed + 2);
         let bc = Matrix::from_fn(k, n, |r, q| b[(r, q)] + c[(r, q)]);
-        let left = gemm(&a, &bc, Kernel::Tiled);
-        let mut right = gemm(&a, &b, Kernel::Tiled);
-        let ac = gemm(&a, &c, Kernel::Tiled);
+        let left = gemm(&a, &bc, Kernel::Blocked);
+        let mut right = gemm(&a, &b, Kernel::Blocked);
+        let ac = gemm(&a, &c, Kernel::Blocked);
         for (x, y) in right.as_mut_slice().iter_mut().zip(ac.as_slice()) {
             *x += y;
         }
@@ -75,8 +75,8 @@ proptest! {
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let init = random_int_matrix(m, n, -9..10, seed + 2);
         let mut acc = init.clone();
-        gemm_acc(&mut acc, &a, &b, Kernel::Tiled);
-        let prod = gemm(&a, &b, Kernel::Tiled);
+        gemm_acc(&mut acc, &a, &b, Kernel::Blocked);
+        let prod = gemm(&a, &b, Kernel::Blocked);
         let want = Matrix::from_fn(m, n, |r, q| init[(r, q)] + prod[(r, q)]);
         prop_assert_eq!(acc, want);
     }

@@ -229,28 +229,18 @@ struct SchedInner {
     /// per pick and per status transition, O(picks) memory — which is
     /// all that turning it off saves.
     record: bool,
-    /// Opt-in targeted-wakeup policy: a progress event re-readies only
-    /// the ranks blocked on the touched resource instead of every
-    /// blocked rank. Changes seeded pick streams (fewer spurious
-    /// re-checks), so the default stays broadcast — golden traces and
-    /// DPOR certificates pin the broadcast schedules.
-    targeted: bool,
     /// Order-statistics mirror of the `Ready` entries of `status`;
     /// `select(k)` is the k-th smallest runnable rank.
     ready: ReadySet,
     /// Number of `Blocked` entries of `status`.
     blocked: usize,
-    /// Broadcast-policy wake list: every currently-blocked rank, drained
-    /// on each progress event (amortized O(1) per block, where scanning
-    /// `status` would be O(P) per post).
-    blocked_list: Vec<usize>,
     /// What each blocked rank blocks on (wake-key; `Some` exactly while
-    /// the rank is `Blocked`). Guards stale targeted-wakeup
-    /// registrations, and *is* the targeted wake list of a mailbox:
-    /// only its owner ever blocks on one.
+    /// the rank is `Blocked`). Guards stale `waiters` registrations, and
+    /// *is* the wake list of a mailbox: only its owner ever blocks on
+    /// one.
     blocked_on: Vec<Option<Resource>>,
-    /// Targeted-policy wake lists of the shared resources (split cells,
-    /// the barrier), keyed by blocking resource.
+    /// Wake lists of the shared resources (split cells, the barrier),
+    /// keyed by blocking resource.
     waiters: HashMap<Resource, Vec<usize>>,
     /// Totally-ordered event log (appended under this mutex).
     events: Vec<SchedEvent>,
@@ -286,9 +276,7 @@ impl SchedInner {
         self.log_transition(r, false);
         self.blocked += 1;
         self.blocked_on[r] = Some(key);
-        if !self.targeted {
-            self.blocked_list.push(r);
-        } else if !matches!(key, Resource::Mailbox { .. }) {
+        if !matches!(key, Resource::Mailbox { .. }) {
             self.waiters.entry(key).or_default().push(r);
         }
     }
@@ -317,48 +305,28 @@ impl SchedInner {
         self.status[r] = RankStatus::Done;
     }
 
-    /// Re-ready every blocked rank (broadcast progress event). Unblock
-    /// order is irrelevant — readiness is a set, and the next pick is a
-    /// function of the set — so draining the policy-specific structures
-    /// in their own order preserves determinism.
+    /// Re-ready every blocked rank (a rank died, so any wait may have
+    /// become hopeless). Rare: scan instead of keeping a list that every
+    /// mailbox block would have to maintain. Unblock order is irrelevant
+    /// — readiness is a set, and the next pick is a function of the set.
     fn unblock_all(&mut self) {
-        if self.targeted {
-            // Rare (a rank died): scan instead of keeping a list that
-            // every mailbox block would have to maintain.
-            self.waiters.clear();
-            for r in 0..self.blocked_on.len() {
-                if self.blocked_on[r].is_some() {
-                    self.mark_unblocked(r);
-                }
-            }
-        } else {
-            let list = std::mem::take(&mut self.blocked_list);
-            for r in list {
-                if self.status[r] == RankStatus::Blocked {
-                    self.mark_unblocked(r);
-                }
+        self.waiters.clear();
+        for r in 0..self.blocked_on.len() {
+            if self.blocked_on[r].is_some() {
+                self.mark_unblocked(r);
             }
         }
     }
 
-    /// Re-ready only the ranks blocked on the shared resource `key`
-    /// (targeted policy; mailboxes go through
-    /// [`SchedInner::unblock_mailbox_owner`]).
+    /// Re-ready the ranks blocked on the shared resource `key` (a
+    /// mailbox has no list: see [`Fabric::sched_delivered`]).
     fn unblock_key(&mut self, key: Resource) {
         if let Some(list) = self.waiters.remove(&key) {
             for r in list {
-                if self.status[r] == RankStatus::Blocked && self.blocked_on[r] == Some(key) {
+                if self.blocked_on[r] == Some(key) {
                     self.mark_unblocked(r);
                 }
             }
-        }
-    }
-
-    /// Re-ready `owner` if it is blocked on its mailbox `key` (targeted
-    /// policy).
-    fn unblock_mailbox_owner(&mut self, owner: usize, key: Resource) {
-        if self.blocked_on[owner] == Some(key) {
-            self.mark_unblocked(owner);
         }
     }
 }
@@ -678,10 +646,8 @@ impl Fabric {
     /// does this between constructing the fabric and starting its
     /// hosts); every rank begins runnable and [`Fabric::sched_start`]
     /// makes the first pick. `record` controls whether the event log and
-    /// the [`ChoiceLog`] are kept and `targeted` the wake-up policy — see the
-    /// `SchedInner` field docs; `(true, false)` reproduces the seed-era
-    /// behavior bit for bit.
-    pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool, targeted: bool) {
+    /// the [`ChoiceLog`] are kept — see the `SchedInner` field docs.
+    pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool) {
         let n = self.verify.world_size();
         let rng = match &schedule {
             Schedule::Seeded(seed) => *seed,
@@ -698,10 +664,8 @@ impl Fabric {
                 status: vec![RankStatus::Ready; n],
                 current: None,
                 record,
-                targeted,
                 ready,
                 blocked: 0,
-                blocked_list: Vec::new(),
                 blocked_on: vec![None; n],
                 waiters: HashMap::new(),
                 events: Vec::new(),
@@ -785,39 +749,31 @@ impl Fabric {
         }
     }
 
-    /// Re-ready every blocked rank after a progress event (message post,
-    /// split result, barrier release). The caller keeps the baton; the
-    /// re-readied ranks re-check their conditions when next picked.
+    /// Re-ready every blocked rank after a death. The caller keeps the
+    /// baton; the re-readied ranks re-check their conditions when next
+    /// picked.
     fn sched_unblock_all(&self) {
         let Some(det) = &self.det else { return };
         lock_unpoisoned(&det.st).unblock_all();
     }
 
     /// Progress event on the shared resource `key` (a split cell or the
-    /// barrier), whose members are the world ranks `members`: under the
-    /// default broadcast policy every blocked rank is re-readied (what
-    /// the golden traces pin); under the opt-in targeted policy only the
-    /// ranks blocked on `key` wake. Without a schedule the members'
+    /// barrier), whose members are the world ranks `members`: the ranks
+    /// blocked on `key` are re-readied. Without a schedule the members'
     /// host threads are unparked instead.
     fn sched_wake(&self, key: Resource, members: impl IntoIterator<Item = usize>) {
         let Some(det) = &self.det else {
             members.into_iter().for_each(|r| self.unpark(r));
             return;
         };
-        let mut st = lock_unpoisoned(&det.st);
-        if st.targeted {
-            st.unblock_key(key);
-        } else {
-            st.unblock_all();
-        }
+        lock_unpoisoned(&det.st).unblock_key(key);
     }
 
     /// A message landed in mailbox `index` of `ctx`, owned by world rank
     /// `owner`: charge the mailbox to the running segment's footprint
-    /// and raise the progress event, under one scheduler lock. The
-    /// broadcast policy re-readies every blocked rank; the targeted one
-    /// only the owner, the one rank that can be blocked on a mailbox.
-    /// Without a schedule the owner's host thread is unparked instead.
+    /// and re-ready the owner — the one rank that can be blocked on a
+    /// mailbox — under one scheduler lock. Without a schedule the
+    /// owner's host thread is unparked instead.
     fn sched_delivered(&self, ctx: Ctx, index: usize, owner: usize) {
         let Some(det) = &self.det else {
             self.unpark(owner);
@@ -826,10 +782,8 @@ impl Fabric {
         let key = Resource::Mailbox { ctx, index };
         let mut st = lock_unpoisoned(&det.st);
         st.choices.push_touch(key);
-        if st.targeted {
-            st.unblock_mailbox_owner(owner, key);
-        } else {
-            st.unblock_all();
+        if st.blocked_on[owner] == Some(key) {
+            st.mark_unblocked(owner);
         }
     }
 
@@ -995,8 +949,9 @@ impl Fabric {
     /// re-checks its condition and re-blocks if still unmet. Under a
     /// schedule this detects deadlock synchronously: if no rank is
     /// runnable while some rank is blocked, every blocked rank has
-    /// re-checked its condition since the last progress event (each
-    /// progress event re-readies all blocked ranks), so no wake-up can
+    /// re-checked its condition since the last event that could have met
+    /// it (a post re-readies the mailbox owner, a split completion or
+    /// barrier release its waiters, a death everyone), so no wake-up can
     /// ever come — abort with a deadlock report.
     pub(crate) fn yield_block(&self, rank: usize, point: BlockPoint) -> BatonYield<'_> {
         BatonYield { fabric: self, rank, action: Some(YieldAction::Block(point)) }
@@ -1112,8 +1067,8 @@ impl Fabric {
         msg: Message,
     ) {
         lock_unpoisoned(&mailboxes[to].q).push_back(msg);
-        // A delivery is a progress event: let the owner (or, under the
-        // broadcast policy, every blocked rank) re-check its condition.
+        // A delivery is a progress event: let the owner re-check its
+        // condition.
         self.sched_delivered(ctx, to, to_world);
     }
 

@@ -75,7 +75,6 @@ pub struct World {
     schedule: Option<Schedule>,
     faults: Option<FaultPlan>,
     record_schedule: bool,
-    targeted_wakeup: bool,
     vclock_audit: Option<bool>,
 }
 
@@ -98,7 +97,6 @@ impl World {
             schedule: None,
             faults: None,
             record_schedule: true,
-            targeted_wakeup: false,
             vclock_audit: None,
         }
     }
@@ -144,16 +142,12 @@ impl World {
         self
     }
 
-    /// Opt into targeted wakeups in the deterministic scheduler: a rank
-    /// blocked on a mailbox / split / barrier becomes runnable only when
-    /// *that* resource is touched, instead of at every unblock broadcast.
-    /// This keeps the runnable set small at large `P` (fewer spurious
-    /// ready→blocked→ready round trips), but changes which ranks are
-    /// runnable at each pick and therefore the schedule stream — seeded
-    /// golden traces recorded without it will not match. Off by default.
+    /// Sets nothing: the scheduler has one wake-up rule (a blocked rank
+    /// becomes runnable when the resource it blocks on is touched). Kept
+    /// only because the frozen `benchmark/` package calls it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_targeted_wakeup(mut self, targeted: bool) -> World {
-        self.targeted_wakeup = targeted;
+    pub fn with_targeted_wakeup(self, _: bool) -> World {
         self
     }
 
@@ -373,7 +367,7 @@ impl World {
         silence_abort_teardown_panics();
         let mut fabric = Fabric::new(self.size);
         if let Some(schedule) = schedule {
-            fabric.enable_schedule(schedule, self.record_schedule, self.targeted_wakeup);
+            fabric.enable_schedule(schedule, self.record_schedule);
         }
         if let Some(plan) = &self.faults {
             let fault_seed = plan.seed.unwrap_or_else(|| {
@@ -1124,21 +1118,6 @@ mod tests {
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
         assert!(out.choice_points.is_none());
-    }
-
-    #[test]
-    fn targeted_wakeup_changes_bookkeeping_not_results() {
-        let base =
-            World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(2).run_async(gather_program_a);
-        let targeted = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(2)
-            .with_targeted_wakeup(true)
-            .run_async(gather_program_a);
-        assert_eq!(base.values, targeted.values);
-        for (a, b) in base.reports.iter().zip(&targeted.reports) {
-            assert_eq!(a.meter, b.meter);
-            assert_eq!(a.time, b.time);
-        }
     }
 
     #[test]

@@ -68,10 +68,9 @@ fn run_chaos(
     let mut world =
         World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan);
     if at_scale {
-        // Schedule recording snapshots the runnable set per pick (O(P)
-        // per event) — off at scale; targeted wakeup keeps the
-        // runnable-set bookkeeping proportional to the active ranks.
-        world = world.with_schedule_recording(false).with_targeted_wakeup(true);
+        // The schedule logs' memory (tens of bytes per pick and per
+        // event) is the one cost of recording — off at scale.
+        world = world.with_schedule_recording(false);
     }
     world.run_async(move |rank| {
         let spec = spec.clone();

@@ -551,25 +551,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Synthesized programs (valid and defective, so some runs end in a
-    // deadlock or a verifier abort) x seeded and prefix schedules x both
-    // wake-up policies x fault plans: none, or a kill plus a healing
-    // partition — the kill retires a runnable rank (`mark_done`) and its
-    // death re-readies every blocked rank through the wake-up policy's
-    // own `unblock_all` arm.
+    // deadlock or a verifier abort) x seeded and prefix schedules x
+    // fault plans: none, or a kill plus a healing partition — the kill
+    // retires a runnable rank (`mark_done`) and its death re-readies
+    // every blocked rank (`unblock_all`).
     #[test]
     fn choice_log_rebuilds_the_runnable_set_of_every_pick(
         prog_seed in 0u64..1_000_000,
         sched_seed in 0u64..1_000_000,
-        targeted in 0u8..2,
         faulty in 0u8..2,
         victim in 0usize..6,
         kill_at in 1u64..6,
         prefix_quarters in 0usize..5,
     ) {
         let prog = generate(prog_seed);
-        let mut world = world_for(&prog)
-            .with_seed(sched_seed)
-            .with_targeted_wakeup(targeted == 1);
+        let mut world = world_for(&prog).with_seed(sched_seed);
         if faulty == 1 {
             let plan = FaultPlan::none()
                 .with_seed(prog_seed)
@@ -578,7 +574,7 @@ proptest! {
             world = world.with_strict_drain(false).with_faults(plan);
         }
         let label = format!(
-            "program {prog_seed} ({:?}, P = {}), schedule seed {sched_seed}, targeted {targeted}, \
+            "program {prog_seed} ({:?}, P = {}), schedule seed {sched_seed}, \
              faulty {faulty} (kill {victim}@{kill_at})",
             prog.intent, prog.world_size
         );

@@ -88,9 +88,9 @@ fn kernel_choice_never_alters_outputs_meters_or_traces() {
 
 #[test]
 fn env_selected_kernel_is_output_invariant_for_the_cli_reference() {
-    // The CLI's reference product follows PMM_KERNEL via
-    // `kernel_from_env`; whatever it resolves to, the reference equals
-    // the pinned naive oracle bitwise.
+    // PMM_KERNEL (`kernel_from_env`) picks the kernel of a CLI run and
+    // the CLI checks the run against the pinned naive oracle: whatever
+    // tier the variable names equals that reference bitwise.
     let dims = MatMulDims::new(24, 12, 18);
     let (a, b) = inputs(dims);
     let oracle = gemm(&a, &b, Kernel::Naive);
