@@ -34,7 +34,7 @@ use pmm_dense::{gemm, random_matrix, Kernel};
 use pmm_model::{MachineCalibration, MatMulDims};
 
 /// Sizes for the per-kernel GFLOP/s table. The largest is the
-/// acceptance size (5× criterion).
+/// acceptance size (the ≥ 5× check).
 const SIZES: [usize; 3] = [256, 512, 1024];
 
 /// One Theorem 3 regime cell: a smaller probe problem that fits the

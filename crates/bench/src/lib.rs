@@ -1,4 +1,4 @@
-//! # pmm-bench — experiment harnesses and criterion benches
+//! # pmm-bench — experiment harnesses
 //!
 //! One binary per table/figure/claim of the paper (see DESIGN.md §4):
 //!
@@ -18,9 +18,8 @@
 //! | `kernel_bench` | kernel tiers + calibrated α-β-γ-δ prediction gate |
 //! | `calibrated_crossover` | §6.2 crossover re-expressed in calibrated seconds |
 //!
-//! Run all of them with `scripts/run_experiments.sh`. Criterion
-//! wall-clock benches live in `benches/`; the [`calibrate`] module holds
-//! the measured-hardware probes shared by `kernel_bench`,
+//! Run all of them with `scripts/run_experiments.sh`. The [`calibrate`]
+//! module holds the measured-hardware probes shared by `kernel_bench`,
 //! `calibrated_crossover`, `pmm calibrate`, and `cargo xtask calibrate`
 //! (see `docs/PERFORMANCE.md`).
 

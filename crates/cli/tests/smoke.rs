@@ -57,7 +57,7 @@ fn unknown_kernel_name_exits_two_naming_the_accepted_ones() {
         assert_eq!(out.status.code(), Some(2), "{cmd}: {:?}", out.status);
         assert!(stdout(&out).is_empty(), "{cmd} must not run: {}", stdout(&out));
         let err = String::from_utf8_lossy(&out.stderr);
-        for needle in ["PMM_KERNEL", "\"tiled\"", "naive|blocked|parallel|auto"] {
+        for needle in ["PMM_KERNEL", "\"tiled\"", "naive|blocked|auto"] {
             assert!(err.contains(needle), "{cmd}: stderr lacks {needle}: {err}");
         }
     }
@@ -71,7 +71,7 @@ fn every_kernel_name_runs_and_is_checked_against_the_naive_oracle() {
     // PMM_KERNEL picks the kernel of the run; the reference product is
     // always the naive oracle's, so a tier is never checked against
     // itself.
-    for kernel in ["naive", "blocked", "parallel", "auto", " Blocked "] {
+    for kernel in ["naive", "blocked", "auto", " Blocked "] {
         let out = pmm_with_kernel(kernel, &["simulate", "--dims", "48x36x24", "--procs", "8"]);
         let text = stdout(&out);
         assert!(out.status.success(), "PMM_KERNEL={kernel}: {:?}\n{text}", out.status);

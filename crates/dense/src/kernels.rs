@@ -10,9 +10,6 @@
 //! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled,
 //!   autovectorizable microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir`
 //!   loop nest in the `blocked` module). The fast tier.
-//! * [`Kernel::Parallel`] — the blocked kernel with row stripes
-//!   parallelized via Rayon (shared-memory, *within* one simulated rank;
-//!   does not touch the communication accounting).
 //! * [`Kernel::Auto`] — runtime selection by arithmetic intensity:
 //!   `Naive` up to [`AUTO_NAIVE_MAX_INTENSITY`] multiply-adds per matrix
 //!   element touched, `Blocked` above it.
@@ -47,21 +44,14 @@
 //!     assert_eq!(gemm(&a, &b, tier), oracle); // bitwise, not approximate
 //! }
 //! assert_eq!("blocked".parse::<Kernel>(), Ok(Kernel::Blocked));
-//! assert_eq!(Kernel::Parallel.to_string(), "parallel");
+//! assert_eq!(Kernel::Blocked.to_string(), "blocked");
 //! ```
 
 use std::fmt;
 use std::str::FromStr;
 
-use rayon::prelude::*;
-
 use crate::blocked::gemm_blocked;
 use crate::matrix::Matrix;
-
-/// Row-stripe height (in rows of `C`) handed to each Rayon worker by
-/// [`Kernel::Parallel`]. Matches the blocked kernel's `MC` so each stripe
-/// is exactly one packed row panel.
-const STRIPE: usize = 128;
 
 /// [`Kernel::Auto`] stays on `Naive` while the product does at most
 /// this many multiply-adds per element of `A`, `B` and `C`
@@ -74,7 +64,7 @@ const STRIPE: usize = 128;
 pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 2.0;
 
 /// Environment variable selecting the default kernel tier
-/// (`naive | blocked | parallel | auto`), consulted by
+/// (`naive | blocked | auto`), consulted by
 /// [`kernel_from_env`]. An explicit `Kernel` in an algorithm config
 /// always wins.
 pub const KERNEL_ENV: &str = "PMM_KERNEL";
@@ -104,8 +94,6 @@ pub enum Kernel {
     Naive,
     /// Packed-panel microkernel GEMM (the fast tier).
     Blocked,
-    /// Blocked with Rayon row-stripe parallelism.
-    Parallel,
     /// Pick `Naive` or `Blocked` from the product's shape at run time.
     #[default]
     Auto,
@@ -114,7 +102,7 @@ pub enum Kernel {
 impl Kernel {
     /// Every selectable tier, oracle first (handy for sweeps and
     /// conformance loops).
-    pub const ALL: [Kernel; 4] = [Kernel::Naive, Kernel::Blocked, Kernel::Parallel, Kernel::Auto];
+    pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Blocked, Kernel::Auto];
 
     /// The concrete tier `Auto` resolves to for an `m·k·n`-flop product.
     pub fn resolve(self, m: usize, k: usize, n: usize) -> Kernel {
@@ -138,7 +126,6 @@ impl fmt::Display for Kernel {
         f.write_str(match self {
             Kernel::Naive => "naive",
             Kernel::Blocked => "blocked",
-            Kernel::Parallel => "parallel",
             Kernel::Auto => "auto",
         })
     }
@@ -151,12 +138,10 @@ impl FromStr for Kernel {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(Kernel::Naive),
             "blocked" | "micro" | "microkernel" => Ok(Kernel::Blocked),
-            "parallel" | "rayon" => Ok(Kernel::Parallel),
             "auto" => Ok(Kernel::Auto),
-            other => Err(format!(
-                "unrecognized kernel {other:?}: expected one of \
-                 naive|blocked|parallel|auto"
-            )),
+            other => {
+                Err(format!("unrecognized kernel {other:?}: expected one of naive|blocked|auto"))
+            }
         }
     }
 }
@@ -194,7 +179,6 @@ pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
     match kernel.resolve(m, k, n) {
         Kernel::Naive | Kernel::Auto => naive(c, a, b),
         Kernel::Blocked => gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n),
-        Kernel::Parallel => parallel(c, a, b),
     }
 }
 
@@ -210,21 +194,6 @@ fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
             }
         }
     }
-}
-
-/// Row-stripe parallel driver: each worker runs the packed blocked kernel
-/// on a disjoint stripe of `C` rows (and the matching rows of `A`), so
-/// per-element accumulation order — and therefore the bitwise result —
-/// is independent of the worker count and schedule.
-fn parallel(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let a_slice = a.as_slice();
-    let b_slice = b.as_slice();
-    c.as_mut_slice().par_chunks_mut(STRIPE * n).enumerate().for_each(|(chunk, crows)| {
-        let i0 = chunk * STRIPE;
-        let i1 = (i0 + STRIPE).min(m);
-        gemm_blocked(crows, &a_slice[i0 * k..i1 * k], b_slice, i1 - i0, k, n);
-    });
 }
 
 #[cfg(test)]
@@ -341,9 +310,9 @@ mod tests {
         }
         assert!("fused".parse::<Kernel>().is_err());
         // The retired tiers' names are errors, not aliases of a survivor.
-        for gone in ["tiled", "recursive", "oblivious"] {
+        for gone in ["tiled", "recursive", "oblivious", "parallel", "rayon"] {
             let err = gone.parse::<Kernel>().expect_err("retired tier name must not parse");
-            assert!(err.contains("naive|blocked|parallel|auto"), "{err}");
+            assert!(err.contains("naive|blocked|auto"), "{err}");
         }
     }
 
@@ -358,20 +327,16 @@ mod tests {
         assert_eq!(Kernel::Auto.resolve(usize::MAX, usize::MAX, 1), Kernel::Naive);
         assert_eq!(Kernel::Auto.resolve(0, 64, 64), Kernel::Naive);
         // Non-auto tiers resolve to themselves.
-        assert_eq!(Kernel::Parallel.resolve(2, 2, 2), Kernel::Parallel);
+        assert_eq!(Kernel::Blocked.resolve(2, 2, 2), Kernel::Blocked);
     }
 
     #[test]
     fn env_selection_parses_all_names() {
         // `kernel_from_env` itself reads the process environment (covered
         // by the CLI tests); here pin the parser it relies on.
-        for (name, want) in [
-            ("naive", Kernel::Naive),
-            ("BLOCKED", Kernel::Blocked),
-            (" parallel ", Kernel::Parallel),
-            ("rayon", Kernel::Parallel),
-            ("auto", Kernel::Auto),
-        ] {
+        for (name, want) in
+            [("naive", Kernel::Naive), (" BLOCKED ", Kernel::Blocked), ("auto", Kernel::Auto)]
+        {
             assert_eq!(name.parse::<Kernel>(), Ok(want));
         }
     }

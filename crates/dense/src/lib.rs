@@ -8,14 +8,13 @@
 //!
 //! The kernels form a tiered stack selected by [`Kernel`] (or the
 //! `PMM_KERNEL` environment variable via [`kernel_from_env`]): the pinned
-//! naive oracle, a packed-panel register-tiled microkernel GEMM, a Rayon
-//! row-stripe parallel driver over it, and an `Auto` tier that picks
-//! between the first two by the product's shape. All tiers accumulate
-//! each output element over the contracted index in the same order, so
-//! their products are **bitwise identical** — tier choice can never alter
-//! a simulated run's verified product, meters, or traces. Measured
-//! GFLOP/s per tier and the fitted γ live in `BENCH_kernels.json` (see
-//! `docs/PERFORMANCE.md`).
+//! naive oracle, a packed-panel register-tiled microkernel GEMM, and an
+//! `Auto` tier that picks between the two by the product's shape. All
+//! tiers accumulate each output element over the contracted index in the
+//! same order, so their products are **bitwise identical** — tier choice
+//! can never alter a simulated run's verified product, meters, or traces.
+//! Measured GFLOP/s per tier and the fitted γ live in
+//! `BENCH_kernels.json` (see `docs/PERFORMANCE.md`).
 
 #![warn(missing_docs)]
 

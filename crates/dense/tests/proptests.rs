@@ -17,8 +17,9 @@ proptest! {
         let a = random_int_matrix(m, k, -3..4, seed);
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let naive = gemm(&a, &b, Kernel::Naive);
-        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Blocked));
-        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Parallel));
+        for tier in Kernel::ALL {
+            prop_assert_eq!(&naive, &gemm(&a, &b, tier));
+        }
     }
 
     #[test]

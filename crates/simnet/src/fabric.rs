@@ -70,7 +70,9 @@ use std::time::Duration;
 use crate::fault::{FaultKick, FaultPlan, FaultState, MsgMeta};
 use crate::readyset::ReadySet;
 use crate::trace::{BlockPoint, ChoiceLog, Repro, Resource, SchedEvent, Schedule, ScheduleTrace};
-use crate::verify::{lock_unpoisoned, CollectiveOp, SlotView, VerifyState, WaitInfo, WaitKind};
+use crate::verify::{
+    lock_unpoisoned, CollectiveOp, Missing, RankSlot, VerifyState, WaitInfo, WaitKind,
+};
 
 /// Identifier of a communicator context. Every communicator created during
 /// a run has a distinct context, so traffic on different communicators can
@@ -86,15 +88,6 @@ pub(crate) const WORLD_CTX: Ctx = 0;
 /// interval.
 const ABORT_POLL: Duration = Duration::from_millis(100);
 
-/// Largest world for which barrier/split waits record their full
-/// `waiting_on` rank lists. Building the list is O(P) per blocked
-/// arrival and storing it O(P) per waiter — an O(P^2) time/memory term —
-/// so past this size waits record an empty list. Deadlock detection
-/// under a schedule is counter-based and does not consult the lists;
-/// only report verbosity (and the free-running watchdog's wait-for
-/// edges, irrelevant at thread-impossible P) degrades.
-const WAIT_LIST_MAX_WORLD: usize = 4096;
-
 /// A message in flight.
 #[derive(Debug, Clone)]
 pub struct Message {
@@ -105,9 +98,9 @@ pub struct Message {
     pub sent_at: f64,
     /// The data; its length is the metered word count.
     pub payload: Vec<f64>,
-    /// Sender's vector clock at send time (happens-before audit; see
+    /// Sender's event count at send time (happens-before audit; see
     /// `crate::verify`).
-    pub(crate) vclock: Option<Arc<[u64]>>,
+    pub(crate) stamp: u64,
     /// Reliable-delivery metadata (sequence number + checksum); present
     /// iff the world runs with a fault plan.
     pub(crate) meta: Option<MsgMeta>,
@@ -1090,19 +1083,8 @@ impl Fabric {
             self.sched_wake(Resource::Barrier, 0..world_size);
             return None;
         }
-        let missing: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
-            Vec::new()
-        } else {
-            st.arrived.iter().enumerate().filter_map(|(r, &a)| (!a).then_some(r)).collect()
-        };
-        self.verify.set_wait(
-            me_world,
-            WaitInfo {
-                kind: WaitKind::Barrier { generation: entered_gen, missing },
-                ctx: WORLD_CTX,
-                site,
-            },
-        );
+        let kind = WaitKind::Barrier { generation: entered_gen };
+        self.verify.set_wait(me_world, WaitInfo { kind, ctx: WORLD_CTX, site });
         Some(entered_gen)
     }
 
@@ -1207,7 +1189,6 @@ impl Fabric {
         let completed = self.split_deposit(
             &cell,
             parent_ctx,
-            parent_members,
             seq,
             my_parent_index,
             my_world_rank,
@@ -1216,17 +1197,20 @@ impl Fabric {
             site,
         );
         if !completed {
-            loop {
-                if self.fault_kicked(fault_watch) {
-                    self.verify.clear_wait(my_world_rank);
-                    return Err(FaultKick);
-                }
+            while !self.fault_kicked(fault_watch) {
                 self.yield_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq }).await;
                 if lock_unpoisoned(&cell).result.is_some() {
                     break;
                 }
             }
             self.verify.clear_wait(my_world_rank);
+        }
+        // Kicked out of the wait — or a death is what completed the
+        // rendezvous (the dead member discounted), and the group is short
+        // of what a watched caller laid out. Unwatched callers (recovery
+        // splits) keep the survivors-only group.
+        if self.fault_kicked(fault_watch) {
+            return Err(FaultKick);
         }
         Ok(self.split_finish(&cell, parent_ctx, seq, my_parent_index, my_world_rank, color))
     }
@@ -1260,7 +1244,6 @@ impl Fabric {
         &self,
         cell: &SplitCell,
         parent_ctx: Ctx,
-        parent_members: &[usize],
         seq: u64,
         my_parent_index: usize,
         my_world_rank: usize,
@@ -1286,18 +1269,9 @@ impl Fabric {
             self.sched_wake(key, st.parent_members.iter().copied());
             true
         } else {
-            let missing: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
-                Vec::new()
-            } else {
-                parent_members
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &w)| st.entries[i].is_none().then_some(w))
-                    .collect()
-            };
             self.verify.set_wait(
                 my_world_rank,
-                WaitInfo { kind: WaitKind::Split { seq, missing }, ctx: parent_ctx, site },
+                WaitInfo { kind: WaitKind::Split { seq }, ctx: parent_ctx, site },
             );
             false
         }
@@ -1394,37 +1368,19 @@ impl Fabric {
             return None;
         }
         let views = self.verify.snapshot();
+        let missing = self.missing_members(&views);
         let n = views.len();
+        // Running ranks can progress, and so can blocked ranks whose wait
+        // condition is already met (the wake-up hints).
         let mut progressable = vec![false; n];
-        let mut any_blocked = false;
         for (r, v) in views.iter().enumerate() {
-            match &v.wait {
-                None => progressable[r] = !v.done,
-                Some(_) => any_blocked = true,
-            }
-        }
-        if !any_blocked {
-            *prev = None;
-            return None;
-        }
-        // Wake-up hints: blocked ranks whose wait condition is already met.
-        for (r, v) in views.iter().enumerate() {
-            let Some(w) = &v.wait else { continue };
-            let hinted = match &w.kind {
-                WaitKind::Recv { ctx_index, .. } => self
-                    .mailboxes_of(w.ctx)
+            progressable[r] = match &v.wait {
+                None => !v.done,
+                Some(WaitInfo { kind: WaitKind::Recv { ctx_index, .. }, ctx, .. }) => self
+                    .mailboxes_of(*ctx)
                     .is_some_and(|slab| !lock_unpoisoned(&slab[*ctx_index].q).is_empty()),
-                WaitKind::Split { seq, .. } => {
-                    let cell = lock_unpoisoned(&self.splits).get(&(w.ctx, *seq)).cloned();
-                    cell.is_some_and(|c| lock_unpoisoned(&c).result.is_some())
-                }
-                WaitKind::Barrier { generation, .. } => {
-                    lock_unpoisoned(&self.barrier).generation > *generation
-                }
+                Some(w) => missing[&(w.ctx, w.kind)].is_none(),
             };
-            if hinted {
-                progressable[r] = true;
-            }
         }
         // Propagate progress potential along wait-for edges.
         loop {
@@ -1434,7 +1390,7 @@ impl Fabric {
                     continue;
                 }
                 let Some(w) = &v.wait else { continue };
-                if w.waiting_on().iter().any(|&o| o < n && progressable[o]) {
+                if w.waiting_on(&missing).iter().any(|&o| o < n && progressable[o]) {
                     progressable[r] = true;
                     changed = true;
                 }
@@ -1463,7 +1419,38 @@ impl Fabric {
         Some(self.deadlock_report(&views, &stuck))
     }
 
-    fn deadlock_report(&self, views: &[SlotView], stuck: &[usize]) -> String {
+    /// For every rendezvous some rank in `views` waits in, who is still
+    /// missing from it now — one lock and one member scan per rendezvous,
+    /// however many ranks wait in it (a blocked arrival records nothing).
+    fn missing_members(&self, views: &[RankSlot]) -> Missing {
+        let mut missing = Missing::new();
+        for w in views.iter().filter_map(|v| v.wait.as_ref()) {
+            let list = match w.kind {
+                WaitKind::Recv { .. } => continue,
+                _ if missing.contains_key(&(w.ctx, w.kind)) => continue,
+                // A cell every depositor has consumed is gone from the map.
+                WaitKind::Split { seq } => {
+                    let cell = lock_unpoisoned(&self.splits).get(&(w.ctx, seq)).cloned();
+                    cell.and_then(|cell| {
+                        let st = lock_unpoisoned(&cell);
+                        let members = st.parent_members.iter().zip(&st.entries);
+                        let waited = members.filter_map(|(&w, e)| e.is_none().then_some(w));
+                        st.result.is_none().then(|| waited.collect())
+                    })
+                }
+                WaitKind::Barrier { generation } => {
+                    let st = lock_unpoisoned(&self.barrier);
+                    let waited = (0..st.arrived.len()).filter(|&r| !st.arrived[r]);
+                    (st.generation == generation).then(|| waited.collect())
+                }
+            };
+            missing.insert((w.ctx, w.kind), list);
+        }
+        missing
+    }
+
+    fn deadlock_report(&self, views: &[RankSlot], stuck: &[usize]) -> String {
+        let missing = self.missing_members(views);
         // When the fault plan killed a rank, blocked survivors are the
         // *consequence* of that injected failure, not a communication bug:
         // report the rank failure (naming the plan entry and replay seed)
@@ -1495,13 +1482,13 @@ impl Fabric {
                     w.kind,
                     w.ctx,
                     w.site,
-                    w.waiting_on()
+                    w.waiting_on(&missing)
                 ));
             }
         }
         if failures.is_empty() {
             let stuck_set: HashSet<usize> = stuck.iter().copied().collect();
-            if let Some(cycle) = wait_cycle(views, &stuck_set) {
+            if let Some(cycle) = wait_cycle(views, &missing, &stuck_set) {
                 let path: Vec<String> = cycle.iter().map(|r| format!("rank {r}")).collect();
                 report.push_str(&format!("wait-for cycle: {}\n", path.join(" -> ")));
             }
@@ -1521,13 +1508,13 @@ impl Fabric {
 /// Walk wait-for edges inside the stuck set from its smallest member and
 /// return the first cycle found, closed (first element repeated at the
 /// end).
-fn wait_cycle(views: &[SlotView], stuck: &HashSet<usize>) -> Option<Vec<usize>> {
+fn wait_cycle(views: &[RankSlot], missing: &Missing, stuck: &HashSet<usize>) -> Option<Vec<usize>> {
     let start = *stuck.iter().min()?;
     let mut path: Vec<usize> = vec![start];
     let mut cur = start;
     loop {
         let w = views[cur].wait.as_ref()?;
-        let next = *w.waiting_on().iter().find(|o| stuck.contains(o))?;
+        let next = *w.waiting_on(missing).iter().find(|o| stuck.contains(o))?;
         if let Some(pos) = path.iter().position(|&r| r == next) {
             let mut cycle = path[pos..].to_vec();
             cycle.push(next);
@@ -1601,7 +1588,7 @@ mod tests {
     }
 
     fn msg(from: usize, sent_at: f64, payload: Vec<f64>) -> Message {
-        Message { from, sent_at, payload, vclock: None, meta: None }
+        Message { from, sent_at, payload, stamp: 0, meta: None }
     }
 
     /// A directed-receive wait registration of `me` on world rank `from`.
@@ -1823,6 +1810,33 @@ mod tests {
                 );
             }
             assert_eq!(out.values[victim], None);
+        }
+    }
+
+    #[test]
+    fn watched_split_completed_by_a_death_raises_the_failure() {
+        // Rank 2 is killed entering the split; ranks 0 and 1 split inside
+        // a catching scope armed before the death. Canonical schedule:
+        // both survivors have deposited and blocked, and the death
+        // completes the rendezvous that wakes them. Second schedule: the
+        // kill lands between the two deposits, so rank 1's own deposit
+        // completes it. Either way the group is short of the layout, and
+        // a watched caller must get the failure, never the group.
+        for prefix in [vec![], vec![0, 0, 1, 2]] {
+            let out = crate::World::new(3, pmm_model::MachineParams::BANDWIDTH_ONLY)
+                .with_schedule(Schedule::Prefix(prefix.clone()))
+                .with_faults(FaultPlan::none().with_kill(2, 1))
+                .run_async(|rank| {
+                    Box::pin(async move {
+                        let wc = rank.world_comm();
+                        let key = rank.world_rank() as i64;
+                        let split = crate::catch_failures_async!(rank, rank.split_a(&wc, 0, key));
+                        split.map(|comm| comm.map(|c| c.members().to_vec()))
+                    })
+                });
+            for (r, split) in out.values.iter().enumerate() {
+                assert!(split.is_err(), "prefix {prefix:?}, rank {r}: got {split:?}");
+            }
         }
     }
 

@@ -199,14 +199,11 @@ pub struct Rank {
     /// Out-of-order stash for directed receives, keyed by (ctx, from index).
     pending: HashMap<(Ctx, usize), VecDeque<Message>>,
     trace: Option<Vec<TraceEvent>>,
-    /// Happens-before vector clock, indexed by world rank (see
-    /// `crate::verify`). Ticks on every send and receive; merged
-    /// elementwise on receive — i.e. only along communication edges.
-    /// Shared copy-on-write with the stamps of this rank's messages: a
-    /// stamp is a reference, and the clock is copied only when it next
-    /// changes while such a stamp is still in flight.
-    vclock: Arc<[u64]>,
-    /// Last sender-clock value observed per (ctx, sender index), to assert
+    /// Happens-before event count (see `crate::verify`): ticks on every
+    /// posted copy and every accepted receive; its value after a send's
+    /// tick is the stamp that message carries.
+    stamp: u64,
+    /// Last sender stamp observed per (ctx, sender index), to assert
     /// per-channel monotonicity (no duplicated or reordered delivery).
     last_seen: HashMap<(Ctx, usize), u64>,
     /// Operation index at which the fault plan kills this rank, if any.
@@ -231,7 +228,6 @@ pub struct Rank {
 }
 
 impl Rank {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor; World owns the knobs
     pub(crate) fn new(
         world_rank: usize,
         world_members: Arc<Vec<usize>>,
@@ -239,9 +235,7 @@ impl Rank {
         params: MachineParams,
         mem_limit: Option<u64>,
         trace: bool,
-        vclock_audit: bool,
     ) -> Rank {
-        let world_size = world_members.len();
         let world = Comm::new(WORLD_CTX, world_members, fabric.world_mailboxes(), world_rank);
         let (kill_at, cascade_at, slowdown) = match fabric.fault() {
             Some(f) => (
@@ -261,10 +255,7 @@ impl Rank {
             mem: MemTracker::new(mem_limit),
             pending: HashMap::new(),
             trace: if trace { Some(Vec::new()) } else { None },
-            // An empty clock disables the happens-before audit: stamps
-            // are skipped entirely (O(P) per message otherwise — see
-            // `World::with_vclock_audit`).
-            vclock: vec![0; if vclock_audit { world_size } else { 0 }].into(),
+            stamp: 0,
             last_seen: HashMap::new(),
             kill_at,
             cascade_at,
@@ -433,10 +424,12 @@ impl Rank {
         let start = self.time;
         let from = comm.index();
         let to_world = comm.world_rank_of(to);
-        let post = |msg: Message| fabric.post(&comm.mailboxes, comm.ctx, to, to_world, msg);
+        let post = |stamp, sent_at, payload: Vec<f64>, meta| {
+            let msg = Message { from, sent_at, payload, stamp, meta };
+            fabric.post(&comm.mailboxes, comm.ctx, to, to_world, msg);
+        };
         let Some(fstate) = fabric.fault() else {
-            let vclock = self.vclock_stamp();
-            post(Message { from, sent_at: start, payload: payload.to_vec(), vclock, meta: None });
+            post(self.next_stamp(), start, payload.to_vec(), None);
             return start;
         };
         let w = payload.len() as u64;
@@ -460,25 +453,21 @@ impl Rank {
             };
             match plan.decide(fstate.seed, tx) {
                 FaultAction::Deliver => {
-                    let vclock = self.vclock_stamp();
-                    post(Message { from, sent_at, payload: payload.to_vec(), vclock, meta });
+                    post(self.next_stamp(), sent_at, payload.to_vec(), meta);
                     return sent_at;
                 }
                 FaultAction::Delay(d) => {
                     // The copy loiters in flight; the sender's own clock
                     // is unaffected (the delay stays under the timeout).
-                    let vclock = self.vclock_stamp();
-                    let payload = payload.to_vec();
-                    post(Message { from, sent_at: sent_at + d, payload, vclock, meta });
+                    post(self.next_stamp(), sent_at + d, payload.to_vec(), meta);
                     return sent_at;
                 }
                 FaultAction::Duplicate => {
                     // Both copies arrive; the receiver's sequence check
                     // discards the second. The extra copy is overhead.
-                    let vclock = self.vclock_stamp();
-                    let msg = Message { from, sent_at, payload: payload.to_vec(), vclock, meta };
-                    post(msg.clone());
-                    post(msg);
+                    let stamp = self.next_stamp();
+                    post(stamp, sent_at, payload.to_vec(), meta);
+                    post(stamp, sent_at, payload.to_vec(), meta);
                     self.meter.retry_words_sent += w;
                     self.meter.retry_msgs_sent += 1;
                     return sent_at;
@@ -498,8 +487,7 @@ impl Rank {
                     if let Some(v) = damaged.get_mut(word) {
                         *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
                     }
-                    let vclock = self.vclock_stamp();
-                    post(Message { from, sent_at, payload: damaged, vclock, meta });
+                    post(self.next_stamp(), sent_at, damaged, meta);
                     self.meter.retry_words_sent += w;
                     self.meter.retry_msgs_sent += 1;
                     sent_at += per_copy + plan.rto(attempt);
@@ -537,26 +525,17 @@ impl Rank {
         false
     }
 
-    /// Tick the local component and snapshot the clock for attachment to
-    /// an outgoing message; `None` when the audit is disabled for this
-    /// world (large `P` — see `World::with_vclock_audit`).
-    fn vclock_stamp(&mut self) -> Option<Arc<[u64]>> {
-        if self.vclock.is_empty() {
-            return None;
-        }
-        Arc::make_mut(&mut self.vclock)[self.world_rank] += 1;
-        Some(self.vclock.clone())
+    /// Tick the event count for a posted copy; the new count is the
+    /// stamp the copy carries.
+    fn next_stamp(&mut self) -> u64 {
+        self.stamp += 1;
+        self.stamp
     }
 
-    /// Fold a received message's clock into ours: assert the sender's own
-    /// component strictly increased (per-channel FIFO, no duplication),
-    /// then take the elementwise max and tick our component.
-    fn vclock_observe(&mut self, ctx: Ctx, from_index: usize, sender_world: usize, msg: &Message) {
-        if self.vclock.is_empty() {
-            return; // audit disabled for this world
-        }
-        let Some(vc) = &msg.vclock else { return };
-        let stamp = vc[sender_world];
+    /// Audit an accepted message against its channel: the sender's stamps
+    /// must strictly increase (per-channel FIFO, no duplication). Ticks
+    /// the event count.
+    fn observe_stamp(&mut self, ctx: Ctx, from_index: usize, sender_world: usize, stamp: u64) {
         let last = self.last_seen.insert((ctx, from_index), stamp);
         assert!(
             last.is_none_or(|l| stamp > l),
@@ -564,16 +543,13 @@ impl Rank {
              rank {sender_world} on ctx {ctx} did not increase (last seen {last:?})",
             self.world_rank
         );
-        let clock = Arc::make_mut(&mut self.vclock);
-        for (mine, theirs) in clock.iter_mut().zip(vc.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
-        clock[self.world_rank] += 1;
+        self.stamp += 1;
     }
 
-    /// Final happens-before clock (for [`RankReport`](crate::RankReport)).
-    pub(crate) fn final_vclock(&self) -> Vec<u64> {
-        self.vclock.to_vec()
+    /// Final happens-before event count (for
+    /// [`RankReport`](crate::RankReport)).
+    pub(crate) fn final_stamp(&self) -> u64 {
+        self.stamp
     }
 
     // ----- identity --------------------------------------------------------
@@ -766,7 +742,7 @@ impl Rank {
             let t0 = self.time;
             let retry_before = self.meter.retry_words_recv;
             let msg = self.match_directed(comm, from, site).await;
-            self.vclock_observe(comm.ctx, from, comm.world_rank_of(from), &msg);
+            self.observe_stamp(comm.ctx, from, comm.world_rank_of(from), msg.stamp);
             let w = msg.payload.len() as u64;
             self.meter.words_recv += w;
             self.meter.msgs_recv += 1;
@@ -850,7 +826,7 @@ impl Rank {
             }
             self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
             let msg = self.match_directed(comm, from, site).await;
-            self.vclock_observe(comm.ctx, from, comm.world_rank_of(from), &msg);
+            self.observe_stamp(comm.ctx, from, comm.world_rank_of(from), msg.stamp);
             let wr = msg.payload.len() as u64;
             self.meter.words_recv += wr;
             self.meter.msgs_recv += 1;
@@ -909,7 +885,7 @@ impl Rank {
             let t0 = self.time;
             let retry_before = self.meter.retry_words_recv;
             let msg = self.match_directed(comm, req.from, site).await;
-            self.vclock_observe(comm.ctx, req.from, comm.world_rank_of(req.from), &msg);
+            self.observe_stamp(comm.ctx, req.from, comm.world_rank_of(req.from), msg.stamp);
             let w = msg.payload.len() as u64;
             self.meter.words_recv += w;
             self.meter.msgs_recv += 1;
@@ -1494,5 +1470,37 @@ mod tests {
             rank.phase_end("p");
         });
         assert!(out.reports[0].trace.is_none(), "tracing off ⇒ no buffer at all");
+    }
+
+    #[test]
+    fn duplicated_delivery_trips_the_happens_before_audit_at_any_p() {
+        // Rank 1 posts one stamped message twice below the fault layer (no
+        // `MsgMeta`, so `fault_accept` lets both copies through); rank 0's
+        // second receive must trip the audit, at P = 8192 as at P = 8.
+        for p in [8, 8192] {
+            let failure = World::new(p, bw())
+                .try_run_async(|rank| {
+                    Box::pin(async move {
+                        let wc = rank.world_comm();
+                        if rank.world_rank() == 0 {
+                            rank.recv_a(&wc, 1).await;
+                            rank.recv_a(&wc, 1).await;
+                        } else if rank.world_rank() == 1 {
+                            let m = Message {
+                                from: 1,
+                                sent_at: 0.0,
+                                payload: vec![1.0],
+                                stamp: rank.next_stamp(),
+                                meta: None,
+                            };
+                            rank.fabric.post(&wc.mailboxes, wc.ctx, 0, 0, m.clone());
+                            rank.fabric.post(&wc.mailboxes, wc.ctx, 0, 0, m);
+                        }
+                    })
+                })
+                .expect_err("a duplicated stamp must fail the run");
+            let want = "happens-before violation at rank 0: sender clock 1 from world rank 1";
+            assert!(failure.report.contains(want), "P = {p}: {}", failure.report);
+        }
     }
 }

@@ -7,14 +7,15 @@
 //!
 //! 1. **Waiting-on registry + watchdog.** Every blocking point in the
 //!    fabric (mailbox receive, split rendezvous, the hard-sync barrier)
-//!    registers a `WaitInfo` describing what the rank is waiting for
-//!    and which world ranks could unblock it. A watchdog thread (enabled
-//!    by default in debug builds; see [`World::with_watchdog`]) builds
-//!    the wait-for graph, runs a can-any-rank-progress fixpoint, and —
-//!    when a set of blocked ranks is provably stuck across two
-//!    consecutive scans — aborts the world with a report naming each
-//!    blocked rank, the operation kind, the communicator context, and
-//!    the call site, instead of hanging.
+//!    registers a `WaitInfo` naming what the rank waits in; which world
+//!    ranks could unblock it is read from the rendezvous state when a
+//!    scan or a report needs it. A watchdog thread (enabled by default
+//!    in debug builds; see [`World::with_watchdog`]) builds the wait-for
+//!    graph, runs a can-any-rank-progress fixpoint, and — when a set of
+//!    blocked ranks is provably stuck across two consecutive scans —
+//!    aborts the world with a report naming each blocked rank, the
+//!    operation kind, the communicator context, and the call site,
+//!    instead of hanging.
 //!
 //! 2. **Collective-matching lint.** Every collective registers a
 //!    `CallDesc` (op kind, element count, call site) against a
@@ -24,15 +25,18 @@
 //!    *deterministically* — before the mismatch turns into a hang — with
 //!    a diff of the disagreeing descriptors.
 //!
-//! 3. **Happens-before audit.** Each rank maintains a vector clock,
-//!    piggybacked on every message; receipt asserts per-sender clock
-//!    monotonicity (catching duplication or reordering inside the
-//!    fabric), and strict-drain worlds additionally verify at exit that
+//! 3. **Happens-before audit.** Each rank counts its own communication
+//!    events (posted copies and accepted receives) and stamps every
+//!    message with the count; receipt asserts that the stamps arriving on
+//!    one channel — one sender, one communicator — strictly increase
+//!    (catching duplication or reordering inside the fabric), at every
+//!    world size. Strict-drain worlds additionally verify at exit that
 //!    every metered send was matched by a metered receive — i.e. that
 //!    cost accounting only merges along communication edges.
 //!
 //! [`World::with_watchdog`]: crate::World::with_watchdog
 
+use std::collections::HashMap;
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -130,7 +134,7 @@ pub(crate) struct CallDesc {
 }
 
 /// What a blocked rank is waiting for.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum WaitKind {
     /// Blocked in a directed receive.
     Recv {
@@ -143,17 +147,11 @@ pub(crate) enum WaitKind {
     Split {
         /// Per-parent split sequence number (rendezvous key).
         seq: u64,
-        /// World ranks of the members yet to deposit (empty past
-        /// `WAIT_LIST_MAX_WORLD` members).
-        missing: Vec<usize>,
     },
     /// Blocked in the zero-cost world barrier.
     Barrier {
         /// Barrier generation the rank entered on.
         generation: u64,
-        /// World ranks yet to arrive (empty past `WAIT_LIST_MAX_WORLD`
-        /// ranks).
-        missing: Vec<usize>,
     },
 }
 
@@ -161,14 +159,14 @@ impl std::fmt::Display for WaitKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WaitKind::Recv { from_world, .. } => write!(f, "recv(from world rank {from_world})"),
-            WaitKind::Split { seq, .. } => write!(f, "comm split rendezvous (split #{seq})"),
+            WaitKind::Split { seq } => write!(f, "comm split rendezvous (split #{seq})"),
             WaitKind::Barrier { .. } => write!(f, "world barrier"),
         }
     }
 }
 
 /// A registered blocking wait.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitInfo {
     pub kind: WaitKind,
     /// Communicator context of the blocking operation.
@@ -177,31 +175,27 @@ pub(crate) struct WaitInfo {
     pub site: &'static Location<'static>,
 }
 
+/// Per rendezvous wait `(ctx, kind)` of a snapshot: the world ranks it
+/// still misses, read from the rendezvous state when a scan or a report
+/// needs them; `None` once it has released its waiters.
+pub(crate) type Missing = HashMap<(Ctx, WaitKind), Option<Vec<usize>>>;
+
 impl WaitInfo {
-    /// World ranks whose action could unblock this rank. A directed
-    /// receive waits on exactly its sender, so blocking in one allocates
-    /// nothing.
-    pub fn waiting_on(&self) -> &[usize] {
+    /// World ranks whose action could unblock this rank: the sender of a
+    /// directed receive, the members a rendezvous still misses.
+    pub fn waiting_on<'a>(&'a self, missing: &'a Missing) -> &'a [usize] {
         match &self.kind {
             WaitKind::Recv { from_world, .. } => std::slice::from_ref(from_world),
-            WaitKind::Split { missing, .. } | WaitKind::Barrier { missing, .. } => missing,
+            _ => missing.get(&(self.ctx, self.kind)).and_then(|m| m.as_deref()).unwrap_or(&[]),
         }
     }
 }
 
-/// Per-rank verify slot. `gen` counts wait-state transitions; the
-/// watchdog uses it to distinguish "still stuck in the same wait" from
-/// "briefly blocked again".
-#[derive(Debug, Default)]
-struct RankSlot {
-    wait: Option<WaitInfo>,
-    gen: u64,
-    done: bool,
-}
-
-/// Snapshot of one rank's verify slot, taken by the watchdog.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotView {
+/// Per-rank verify slot (the watchdog works on copies). `gen` counts
+/// wait-state transitions; the watchdog uses it to distinguish "still
+/// stuck in the same wait" from "briefly blocked again".
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RankSlot {
     pub wait: Option<WaitInfo>,
     pub gen: u64,
     pub done: bool,
@@ -217,7 +211,7 @@ pub(crate) struct VerifyState {
     slots: Vec<Mutex<RankSlot>>,
     aborted: AtomicBool,
     report: Mutex<Option<String>>,
-    ledger: Mutex<std::collections::HashMap<Ctx, CommLedger>>,
+    ledger: Mutex<HashMap<Ctx, CommLedger>>,
     /// One line per injected rank death, naming the fault-plan entry and
     /// the replay seed. Consulted by the watchdog and scheduler so a kill
     /// is reported as a rank failure, never as a spurious deadlock.
@@ -230,7 +224,7 @@ impl VerifyState {
             slots: (0..world_size).map(|_| Mutex::new(RankSlot::default())).collect(),
             aborted: AtomicBool::new(false),
             report: Mutex::new(None),
-            ledger: Mutex::new(std::collections::HashMap::new()),
+            ledger: Mutex::new(HashMap::new()),
             fault_notes: Mutex::new(Vec::new()),
         }
     }
@@ -305,14 +299,8 @@ impl VerifyState {
 
     /// Snapshot all slots (watchdog use; slot locks are leaves, taken one
     /// at a time).
-    pub fn snapshot(&self) -> Vec<SlotView> {
-        self.slots
-            .iter()
-            .map(|s| {
-                let slot = lock_unpoisoned(s);
-                SlotView { wait: slot.wait.clone(), gen: slot.gen, done: slot.done }
-            })
-            .collect()
+    pub fn snapshot(&self) -> Vec<RankSlot> {
+        self.slots.iter().map(|s| *lock_unpoisoned(s)).collect()
     }
 
     /// Register the next collective call of member `member_index` of the
@@ -439,12 +427,12 @@ struct CommLedger {
     /// Per-member count of collectives registered so far.
     next_seq: Vec<u64>,
     /// Partially-entered collectives, keyed by sequence number.
-    rounds: std::collections::HashMap<u64, Round>,
+    rounds: HashMap<u64, Round>,
 }
 
 impl CommLedger {
     fn new(size: usize) -> CommLedger {
-        CommLedger { size, next_seq: vec![0; size], rounds: std::collections::HashMap::new() }
+        CommLedger { size, next_seq: vec![0; size], rounds: HashMap::new() }
     }
 }
 

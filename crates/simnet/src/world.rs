@@ -24,13 +24,6 @@ use crate::trace::{ChoiceLog, Repro, Schedule, ScheduleTrace};
 use crate::tracer::{TraceEvent, Tracer};
 use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig};
 
-/// Worlds at or below this size run the vector-clock happens-before
-/// audit by default; larger worlds skip it (every receive merges an O(P)
-/// clock and most sends copy one, which is O(P²) total — prohibitive at
-/// the 10^5–10^6 scales the event loop targets). Override with
-/// [`World::with_vclock_audit`].
-const VCLOCK_AUDIT_MAX_WORLD: usize = 4096;
-
 /// Ranks torn down by a verifier abort die via a sentinel
 /// [`AbortPanic`] that the runner filters out — but each such death
 /// would also print the default "thread panicked" message and backtrace,
@@ -75,7 +68,6 @@ pub struct World {
     schedule: Option<Schedule>,
     faults: Option<FaultPlan>,
     record_schedule: bool,
-    vclock_audit: Option<bool>,
 }
 
 /// One rank's resumable continuation on the event loop: `Some` while the
@@ -97,7 +89,6 @@ impl World {
             schedule: None,
             faults: None,
             record_schedule: true,
-            vclock_audit: None,
         }
     }
 
@@ -148,16 +139,6 @@ impl World {
     #[doc(hidden)]
     #[must_use]
     pub fn with_targeted_wakeup(self, _: bool) -> World {
-        self
-    }
-
-    /// Force the vector-clock happens-before audit on or off. By default
-    /// it is on for worlds of at most 4096 ranks and off above that
-    /// (every receive would merge an O(P) clock — O(P²) words of pure
-    /// bookkeeping at the scales the event loop targets).
-    #[must_use]
-    pub fn with_vclock_audit(mut self, audit: bool) -> World {
-        self.vclock_audit = Some(audit);
         self
     }
 
@@ -220,15 +201,6 @@ impl World {
     #[must_use]
     pub fn with_watchdog(mut self, interval: Duration) -> World {
         self.verify.watchdog = Some(interval);
-        self
-    }
-
-    /// Disable the deadlock watchdog (debug builds enable it by default).
-    /// A program that deadlocks in such a world blocks forever, exactly
-    /// as under MPI.
-    #[must_use]
-    pub fn without_watchdog(mut self) -> World {
-        self.verify.watchdog = None;
         self
     }
 
@@ -389,7 +361,6 @@ impl World {
             params: self.params,
             mem_limit: self.mem_limit,
             trace: self.trace,
-            vclock_audit: self.vclock_audit.unwrap_or(self.size <= VCLOCK_AUDIT_MAX_WORLD),
             strict_drain: self.verify.strict_drain,
         }
     }
@@ -642,7 +613,6 @@ struct Run {
     params: MachineParams,
     mem_limit: Option<u64>,
     trace: bool,
-    vclock_audit: bool,
     strict_drain: bool,
 }
 
@@ -655,7 +625,6 @@ impl Run {
             self.params,
             self.mem_limit,
             self.trace,
-            self.vclock_audit,
         )
     }
 
@@ -679,7 +648,7 @@ impl Run {
             time: rank.time(),
             peak_mem_words: rank.mem().peak(),
             trace: rank.take_trace(),
-            final_vclock: rank.final_vclock(),
+            final_stamp: rank.final_stamp(),
         };
         (value, report)
     }
@@ -796,9 +765,10 @@ pub struct RankReport {
     /// Structured event trace, if the world ran with
     /// [`World::with_trace`]`(true)`.
     pub trace: Option<Vec<TraceEvent>>,
-    /// Final happens-before vector clock, indexed by world rank (see
-    /// `crate::verify`).
-    pub final_vclock: Vec<u64>,
+    /// Final happens-before event count (see `crate::verify`): the
+    /// copies this rank posted plus the messages it accepted, i.e.
+    /// `msgs_sent + msgs_recv` in a fault-free world.
+    pub final_stamp: u64,
 }
 
 /// Results of a [`World::run`]: per-rank return values and reports, plus
@@ -1052,7 +1022,6 @@ mod tests {
     #[test]
     fn try_run_captures_deadlock_as_a_value_with_choices() {
         let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .without_watchdog()
             .with_schedule(Schedule::Prefix(Vec::new()))
             .try_run(|r| {
                 let wc = r.world_comm();
@@ -1110,6 +1079,31 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_report_names_the_members_a_split_still_misses_at_any_p() {
+        // Everyone but `absent` deposits into a world-sized split. Each
+        // waiter's line must name who is missing when the report is
+        // written — not what the waiter saw on arrival (rank 0, first in,
+        // saw every other rank missing), and not nothing at large P.
+        for (p, absent) in [(4usize, 3usize), (8192, 5000)] {
+            let failure = World::new(p, MachineParams::BANDWIDTH_ONLY)
+                .try_run_async(move |r: &mut Rank| {
+                    Box::pin(async move {
+                        if r.world_rank() != absent {
+                            let wc = r.world_comm();
+                            r.split_a(&wc, 0, 0).await;
+                        }
+                    }) as LocalBoxFuture<'_, ()>
+                })
+                .expect_err("a split one member never enters must deadlock");
+            let waiters: Vec<&str> =
+                failure.report.lines().filter(|l| l.contains("comm split rendezvous")).collect();
+            assert_eq!(waiters.len(), p - 1, "P = {p}");
+            let want = format!("waiting on ranks [{absent}]");
+            assert!(waiters.iter().all(|l| l.ends_with(&want)), "P = {p}: {}", waiters[0]);
+        }
+    }
+
+    #[test]
     fn schedule_recording_off_drops_artifacts_but_not_results() {
         let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
             .with_seed(9)
@@ -1118,15 +1112,6 @@ mod tests {
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
         assert!(out.choice_points.is_none());
-    }
-
-    #[test]
-    fn vclock_audit_off_empties_final_clocks() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY)
-            .with_vclock_audit(false)
-            .run_async(gather_program_a);
-        assert_eq!(out.values[0], 6.0);
-        assert!(out.reports.iter().all(|r| r.final_vclock.is_empty()));
     }
 
     #[test]
@@ -1154,7 +1139,7 @@ mod tests {
         // mode the scheduler proves the deadlock at pick time — no
         // watchdog interval has to elapse.
         let err = std::panic::catch_unwind(|| {
-            World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog().with_seed(7).run(|r| {
+            World::new(2, MachineParams::BANDWIDTH_ONLY).with_seed(7).run(|r| {
                 let wc = r.world_comm();
                 if r.world_rank() == 0 {
                     r.recv(&wc, 1);

@@ -5,10 +5,9 @@
 //! Every primitive has one implementation and both hosts drive the one
 //! deterministic scheduler, so the two runs must be *observationally
 //! identical*: same values, same meters, same simulated clocks, same
-//! memory peaks, same vector clocks, and a byte-identical
+//! memory peaks, same happens-before event counts, and a byte-identical
 //! `ScheduleTrace` and `ChoiceLog` for the same `(program, schedule)`
-//! pair. This suite
-//! pins that on
+//! pair. This suite pins that on
 //!
 //! * the pinned `(program, seed)` workloads of `tests/determinism.rs`
 //!   (Algorithm 1 P = 12, Cannon P = 9, SUMMA P = 6, 2.5D P = 8);
@@ -33,7 +32,7 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
 }
 
 /// Assert every observable artifact of a thread-hosted and a loop-hosted
-/// run matches: values, per-rank meters/clocks/memory/vector clocks, the
+/// run matches: values, per-rank meters/clocks/memory/event counts, the
 /// rendered + event-level schedule trace, and the whole `ChoiceLog`.
 fn assert_same_run<T>(label: &str, threads: &WorldResult<T>, event: &WorldResult<T>)
 where
@@ -49,8 +48,8 @@ where
             "{label}: rank {r} memory peak diverges across hosts"
         );
         assert_eq!(
-            t.final_vclock, e.final_vclock,
-            "{label}: rank {r} vector clock diverges across hosts"
+            t.final_stamp, e.final_stamp,
+            "{label}: rank {r} happens-before event count diverges across hosts"
         );
     }
     let (t, e) = (

@@ -13,14 +13,15 @@
 //! Executed-path guarantees (no closed-form fallback): every rank
 //! returns a real `Alg1Output` with per-phase meters from the run, the
 //! world reports `P` per-rank meter/clock entries, and the verifier is
-//! live throughout (it is part of the fabric under every host).
+//! live throughout (it is part of the fabric under every host) — the
+//! happens-before audit included, which every cell proves by holding
+//! each rank's exported event count to `msgs_sent + msgs_recv`.
 //!
 //! The `*-default` cells run the same check on the world `pmm simulate`
-//! builds — schedule recording and the happens-before audit on — so
-//! the path users take has a baseline too, and one cell pins the
-//! default *unseeded* P = 1024 world under 1 GB. Every world that
-//! records its schedule is also held to a pick count linear in its
-//! messages.
+//! builds — schedule recording on — so the path users take has a
+//! baseline too, and one cell pins the default *unseeded* P = 1024
+//! world under 1 GB. Every world that records its schedule is also
+//! held to a pick count linear in its messages.
 //!
 //! Each test prints a `SCALE: key=value ...` line; `cargo xtask
 //! scale-check` runs the `#[ignore]`d large cells in release mode and
@@ -128,6 +129,16 @@ fn scale_point(
     assert_eq!(out.values.len(), p, "{label}: every rank must execute");
     assert_eq!(out.reports.len(), p, "{label}: every rank must report meters");
     assert!(out.total_words_sent() > 0.0, "{label}: an executed run moves real words");
+    // The happens-before audit ran on every message at this P: a rank's
+    // event count ticks once per copy it posted and once per receive the
+    // audit passed, which in a fault-free world is every message.
+    for (r, report) in out.reports.iter().enumerate() {
+        assert_eq!(
+            report.final_stamp,
+            report.meter.msgs_sent + report.meter.msgs_recv,
+            "{label}: rank {r}'s happens-before event count missed a message"
+        );
+    }
 
     // Eq. (3), per rank and per phase where the fiber chunks are even.
     if exact {
@@ -196,7 +207,7 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
 }
 
 /// Executed on a `World` with *no* knob set — the canonical schedule
-/// (the smallest runnable rank is picked next), recording and audit on —
+/// (the smallest runnable rank is picked next), recording on —
 /// Algorithm 1 verifies and stays under `scale_point`'s pick ceiling in
 /// the 3D regime (P = 64, 384 messages) and the 2D regime (P = 256,
 /// 2 048 messages).
@@ -236,8 +247,7 @@ fn rendezvous_only_secs(p: usize) -> f64 {
 /// at P. An O(P) scan per deposit (what `split_try_complete` and
 /// `register_collective` used to do) makes it 16×. A ratio of
 /// best-of-three times, the two sizes measured alternately so a busy
-/// host slows both — not a wall-clock bound; both sizes sit above the
-/// 4096-rank cutoff of the wait lists.
+/// host slows both — not a wall-clock bound.
 #[test]
 fn rendezvous_cost_is_linear_in_p() {
     let p = 6_000;
@@ -258,9 +268,7 @@ fn rendezvous_cost_is_linear_in_p() {
 
 /// Host seconds of one seeded messages-only world of `p` ranks — three
 /// rounds of a ring shift, no rendezvous — and, when it records its
-/// schedule, the pick count and the choice log's bytes. Above 4096
-/// ranks, so the happens-before audit (an O(P) clock merge per receive)
-/// is off by default.
+/// schedule, the pick count and the choice log's bytes.
 fn ring_secs(p: usize, record: bool) -> (f64, Option<(usize, usize)>) {
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
         .with_seed(0x5eed)
@@ -353,9 +361,8 @@ const DEFAULT_CELL_SEED: u64 = 0x5eed;
 
 /// The benchmark's `alg1_words_2d` program — P = 1024 on the §5.2 grid
 /// [32, 32, 1] of (4096, 4096, 64), Theorem 3's middle case — on the
-/// world `pmm simulate` builds: seeded, schedule recording and
-/// happens-before audit on. Release-mode cell of `cargo xtask
-/// scale-check`.
+/// world `pmm simulate` builds: seeded, schedule recording on.
+/// Release-mode cell of `cargo xtask scale-check`.
 #[test]
 #[ignore = "default-world release cell; run via cargo xtask scale-check"]
 fn alg1_executes_on_the_default_seeded_world_at_p_1024() {
@@ -364,8 +371,7 @@ fn alg1_executes_on_the_default_seeded_world_at_p_1024() {
     scale_point("p1k-default", dims, [32, 32, 1], Kernel::Blocked, true, world, None);
 }
 
-/// The same default seeded world at P = 4096 — the largest the
-/// happens-before audit covers by default — on the grid [64, 64, 1] of
+/// The same default seeded world at P = 4096, on the grid [64, 64, 1] of
 /// (2048, 2048, 64). Release-mode cell of `cargo xtask scale-check`;
 /// when every pick stored its runnable set this took 23 s and 5 GB.
 #[test]

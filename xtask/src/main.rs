@@ -51,13 +51,13 @@
 //!   generated). Failures print a `PMM_SCHEDULE=prefix:...` repro line.
 //! * `cargo xtask scale-check [budget-secs]` — the executed-at-scale
 //!   gate (`tests/scale.rs`, release mode): Algorithm 1 end-to-end on
-//!   the event loop, first on default worlds (schedule recording and
-//!   happens-before audit on) at P = 1024 and 4096, then at the
-//!   at-scale knobs at P = 10^4, 10^5, and 10^6 (ascending, each
-//!   cell started only while the wall-clock budget — default 300 s —
-//!   lasts and the host has the memory it needs), with per-rank
-//!   per-phase eq. (3) checks against `pmm_model::alg1_prediction` on
-//!   integral §5.2 grids. Collects the tests' `SCALE:` metric lines
+//!   the event loop, first on default worlds (schedule recording on)
+//!   at P = 1024 and 4096, then with recording off at P = 10^4, 10^5,
+//!   and 10^6 (ascending, each cell started only while the wall-clock
+//!   budget — default 300 s — lasts and the host has the memory it
+//!   needs), with per-rank per-phase eq. (3) checks against
+//!   `pmm_model::alg1_prediction` on integral §5.2 grids and the
+//!   happens-before audit on in every cell. Collects the tests' `SCALE:` metric lines
 //!   into `BENCH_scale.json` (ranks/sec stepped, peak RSS, max executed
 //!   P) and fails if a re-run cell's ranks/sec fell below half of the
 //!   committed file's.
@@ -617,8 +617,8 @@ fn dpor(budget: Duration) -> ExitCode {
 /// (the budget alone no longer keeps a 16 GB host off the 10^6 cell).
 const SCALE_CELLS: [(&str, u64, u64); 6] = [
     // The default-on cells: the world `pmm simulate` builds (seeded,
-    // schedule recording and happens-before audit on), and the unseeded
-    // `run_async` default that must stay under 1 GB.
+    // schedule recording on), and the unseeded `run_async` default that
+    // must stay under 1 GB.
     ("alg1_executes_on_the_default_seeded_world_at_p_1024", 1_024, 1),
     ("alg1_executes_on_the_default_unseeded_world_at_p_1024_under_1_gb", 1_024, 1),
     ("alg1_executes_on_the_default_seeded_world_at_p_4096", 4_096, 1),
