@@ -31,11 +31,11 @@ use pmm_collectives::{
     all_gather_v_a, all_to_all_a, reduce_scatter_v_a, AllGatherAlgo, AllToAllAlgo,
     ReduceScatterAlgo,
 };
-use pmm_dense::{block_range, chunk_of_block, gemm, Kernel, Matrix};
+use pmm_dense::{block_range, chunk_of_block, gemm, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
-use crate::common::{fiber_comms_on_a, flatten_block, PhaseMeter, PhaseProbe};
+use crate::common::{fiber_comms_on_a, PhaseMeter, PhaseProbe};
 
 /// How the partial products `D` are combined into `C` (line 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,21 +83,17 @@ pub struct Alg1Output {
 /// Extract the chunk of `A` owned initially by the processor at `coord`:
 /// the `p3`-way even split (by `coord[2]`) of block `A_{coord0, coord1}`.
 pub fn owned_a_chunk(dims: MatMulDims, grid: Grid3, coord: [usize; 3], a: &Matrix) -> Vec<f64> {
-    let _ = dims;
+    assert_eq!((a.rows() as u64, a.cols() as u64), (dims.n1, dims.n2), "A disagrees with dims");
     let [p1, p2, p3] = grid.dims();
-    let block = flatten_block(a, p1, p2, coord[0], coord[1]);
-    let r = chunk_of_block(block.len(), p3, coord[2]);
-    block[r].to_vec()
+    Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]).chunk(a, p3, coord[2])
 }
 
 /// Extract the chunk of `B` owned initially by the processor at `coord`:
 /// the `p1`-way even split (by `coord[0]`) of block `B_{coord1, coord2}`.
 pub fn owned_b_chunk(dims: MatMulDims, grid: Grid3, coord: [usize; 3], b: &Matrix) -> Vec<f64> {
+    assert_eq!((b.rows() as u64, b.cols() as u64), (dims.n2, dims.n3), "B disagrees with dims");
     let [p1, p2, p3] = grid.dims();
-    let _ = dims;
-    let block = flatten_block(b, p2, p3, coord[1], coord[2]);
-    let r = chunk_of_block(block.len(), p1, coord[0]);
-    block[r].to_vec()
+    Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]).chunk(b, p1, coord[0])
 }
 
 /// The chunk range of `C_{p1', p3'}` owned finally by `coord` (chunk index
@@ -174,9 +170,8 @@ pub async fn alg1_on_a(
         (0..p3).map(|t| chunk_of_block(a_block_words, p3, t).len()).collect();
     rank.mem_acquire(a_block_words as u64);
     let probe = PhaseProbe::begin(rank, "all-gather A");
-    let a_flat = all_gather_v_a(rank, &comms[2], &a_own, &a_counts, AllGatherAlgo::Auto).await;
+    let a_flat = all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await;
     let ph_a = probe.finish(rank);
-    drop(a_own);
     let a_block = Matrix::from_vec(h1, h2, a_flat);
 
     // ----- line 4: All-Gather B over fiber (:, p2', p3') -------------------
@@ -184,9 +179,8 @@ pub async fn alg1_on_a(
         (0..p1).map(|t| chunk_of_block(b_block_words, p1, t).len()).collect();
     rank.mem_acquire(b_block_words as u64);
     let probe = PhaseProbe::begin(rank, "all-gather B");
-    let b_flat = all_gather_v_a(rank, &comms[0], &b_own, &b_counts, AllGatherAlgo::Auto).await;
+    let b_flat = all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await;
     let ph_b = probe.finish(rank);
-    drop(b_own);
     let b_block = Matrix::from_vec(h2, h3, b_flat);
 
     // ----- line 6: local computation D = A_block · B_block -----------------
@@ -198,6 +192,10 @@ pub async fn alg1_on_a(
         rank.compute((h1 * h2 * h3) as f64);
         d
     });
+    // Last use of the gathered blocks: the host frees them before line 8,
+    // which never reads them. (The simulated machine's footprint is
+    // metered by `mem_acquire`/`mem_release` and keeps them to the end.)
+    drop((a_block, b_block));
 
     // ----- line 8: assemble C over fiber (p1', :, p3') ---------------------
     let c_counts: Vec<usize> =
@@ -208,7 +206,7 @@ pub async fn alg1_on_a(
             let c = reduce_scatter_v_a(
                 rank,
                 &comms[1],
-                d.as_slice(),
+                d.into_vec(),
                 &c_counts,
                 ReduceScatterAlgo::Auto,
             )
@@ -342,6 +340,22 @@ mod tests {
         let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
         let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
         serial_gemm(&a, &b, Kernel::Naive)
+    }
+
+    #[test]
+    #[should_panic(expected = "A disagrees with dims")]
+    fn owned_a_chunk_rejects_a_matrix_of_other_dims() {
+        // 12 × 8 under dims that say 8 × 12: same word count, another
+        // partition — silently accepted before.
+        let a = random_int_matrix(12, 8, -3..4, 1);
+        owned_a_chunk(MatMulDims::new(8, 12, 6), Grid3::new(2, 2, 3), [0, 0, 0], &a);
+    }
+
+    #[test]
+    #[should_panic(expected = "B disagrees with dims")]
+    fn owned_b_chunk_rejects_a_matrix_of_other_dims() {
+        let b = random_int_matrix(6, 8, -3..4, 2);
+        owned_b_chunk(MatMulDims::new(12, 8, 6), Grid3::new(2, 2, 3), [0, 0, 0], &b);
     }
 
     #[test]

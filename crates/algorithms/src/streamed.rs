@@ -16,7 +16,7 @@
 //! single-copy rule, so the variant is free to choose).
 
 use pmm_collectives::{all_gather_v_a, reduce_scatter_v_a, AllGatherAlgo, ReduceScatterAlgo};
-use pmm_dense::{block_range, chunk_of_block, gemm_acc, Kernel, Matrix};
+use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
@@ -97,14 +97,13 @@ pub async fn alg1_streamed_on_a(
         let a_slab_words = h1 * slab.len();
         let a_counts: Vec<usize> =
             (0..p3).map(|r| chunk_of_block(a_slab_words, p3, r).len()).collect();
-        let a_slab_global =
-            a.sub(rows_a.start, inner.start + slab.start, h1, slab.len()).into_vec();
-        let my_chunk = chunk_of_block(a_slab_words, p3, coord[2]);
-        let a_own = a_slab_global[my_chunk].to_vec();
+        let slab_inner = inner.start + slab.start..inner.start + slab.end;
+        let a_own =
+            Block2 { rows: rows_a.clone(), cols: slab_inner.clone() }.chunk(a, p3, coord[2]);
         rank.mem_acquire(a_slab_words as u64);
         let before = rank.meter();
         let a_flat = pmm_simnet::phase!(rank, "all-gather A (streamed)", {
-            all_gather_v_a(rank, &comms[2], &a_own, &a_counts, AllGatherAlgo::Auto).await
+            all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await
         });
         accumulate(&mut words_a_phase, rank.meter().diff(&before));
         let a_mat = Matrix::from_vec(h1, slab.len(), a_flat);
@@ -113,14 +112,11 @@ pub async fn alg1_streamed_on_a(
         let b_slab_words = slab.len() * h3;
         let b_counts: Vec<usize> =
             (0..p1).map(|r| chunk_of_block(b_slab_words, p1, r).len()).collect();
-        let b_slab_global =
-            b.sub(inner.start + slab.start, cols_b.start, slab.len(), h3).into_vec();
-        let my_chunk = chunk_of_block(b_slab_words, p1, coord[0]);
-        let b_own = b_slab_global[my_chunk].to_vec();
+        let b_own = Block2 { rows: slab_inner, cols: cols_b.clone() }.chunk(b, p1, coord[0]);
         rank.mem_acquire(b_slab_words as u64);
         let before = rank.meter();
         let b_flat = pmm_simnet::phase!(rank, "all-gather B (streamed)", {
-            all_gather_v_a(rank, &comms[0], &b_own, &b_counts, AllGatherAlgo::Auto).await
+            all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await
         });
         accumulate(&mut words_b_phase, rank.meter().diff(&before));
         let b_mat = Matrix::from_vec(slab.len(), h3, b_flat);
@@ -140,7 +136,7 @@ pub async fn alg1_streamed_on_a(
         (0..p2).map(|r| chunk_of_block(c_block_words, p2, r).len()).collect();
     let probe = PhaseProbe::begin(rank, "reduce-scatter C");
     let c_chunk =
-        reduce_scatter_v_a(rank, &comms[1], d.as_slice(), &c_counts, ReduceScatterAlgo::Auto).await;
+        reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
     let ph_c = probe.finish(rank);
     rank.mem_acquire(c_chunk.len() as u64);
     rank.mem_release(c_block_words as u64);

@@ -118,7 +118,7 @@ pub async fn summa_on_a(
         let a_panel = pmm_simnet::phase!(
             rank,
             "broadcast A",
-            bcast_panel(rank, &row, &a_data, root_col).await
+            bcast_panel(rank, &row, a_data, root_col).await
         );
         let a_panel = Matrix::from_vec(my_rows, panel.len(), a_panel);
 
@@ -133,7 +133,7 @@ pub async fn summa_on_a(
         let b_panel = pmm_simnet::phase!(
             rank,
             "broadcast B",
-            bcast_panel(rank, &col, &b_data, root_row).await
+            bcast_panel(rank, &col, b_data, root_row).await
         );
         let b_panel = Matrix::from_vec(panel.len(), my_cols, b_panel);
 
@@ -164,7 +164,7 @@ pub fn near_square_factors(p: usize) -> (usize, usize) {
 async fn bcast_panel(
     rank: &mut Rank,
     comm: &pmm_simnet::Comm,
-    data: &[f64],
+    data: Vec<f64>,
     root: usize,
 ) -> Vec<f64> {
     let algo = if comm.size() > 1 && !data.is_empty() && data.len().is_multiple_of(comm.size()) {

@@ -126,12 +126,12 @@ pub async fn twofived_on_a(
         let a = Matrix::from_vec(
             ra.len(),
             ca.len(),
-            bcast_a(rank, &fiber, &a0, 0, BcastAlgo::Binomial).await,
+            bcast_a(rank, &fiber, a0, 0, BcastAlgo::Binomial).await,
         );
         let b = Matrix::from_vec(
             rb.len(),
             cb.len(),
-            bcast_a(rank, &fiber, &b0, 0, BcastAlgo::Binomial).await,
+            bcast_a(rank, &fiber, b0, 0, BcastAlgo::Binomial).await,
         );
         (a, b)
     });
@@ -191,7 +191,7 @@ pub async fn twofived_on_a(
 
     // ---- step 3: sum partial C over the fiber to layer 0 ------------------
     let summed = pmm_simnet::phase!(rank, "reduce C over fiber", {
-        reduce_a(rank, &fiber, cmat.as_slice(), 0, ReduceAlgo::Binomial).await
+        reduce_a(rank, &fiber, cmat.into_vec(), 0, ReduceAlgo::Binomial).await
     });
     let c_block = (l == 0).then(|| Matrix::from_vec(my_rows, my_cols, summed));
     TwoFiveDOutput { c_block }

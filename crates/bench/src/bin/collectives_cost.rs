@@ -39,7 +39,7 @@ fn main() {
             }
             let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &vec![1.0; w], algo);
+                all_gather(rank, &comm, vec![1.0; w], algo);
                 rank.time()
             });
             let measured = out.critical_path_time();
@@ -56,7 +56,7 @@ fn main() {
         // Reduce-Scatter.
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto);
+            reduce_scatter(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
             rank.time()
         });
         let measured = out.critical_path_time();
@@ -70,7 +70,7 @@ fn main() {
         // All-Reduce (Rabenseifner): optimal 2(1 − 1/p)·w.
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce(rank, &comm, vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
             rank.time()
         });
         let measured = out.critical_path_time();
@@ -125,7 +125,7 @@ fn main() {
             World::new(p, MachineParams::BANDWIDTH_ONLY)
                 .run(move |rank| {
                     let comm = rank.world_comm();
-                    bcast(rank, &comm, &vec![1.0; w], 0, algo);
+                    bcast(rank, &comm, vec![1.0; w], 0, algo);
                 })
                 .critical_path_time()
         };

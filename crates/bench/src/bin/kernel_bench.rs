@@ -15,8 +15,8 @@
 //!    (`fit_word_secs`), then run Algorithm 1 at full scale, predict its
 //!    wall time as `α·Σmsgs + δ·Σwords + γ·Σflops + rank_secs` from the
 //!    run's own meters, and compare against the measured wall time. The
-//!    probe and validation runs share a grid shape but differ ~1.5-2x in
-//!    problem size, so the check exercises extrapolation, not self-fit.
+//!    probe and validation runs share a grid shape but differ 1.3-2x in
+//!    multiply-adds, so the check exercises extrapolation, not self-fit.
 //!
 //! Checks: the best kernel is ≥ 5× Naive at n = 1024, all tiers produce
 //! bitwise-identical products, and every validation cell's prediction
@@ -54,18 +54,27 @@ struct Cell {
 /// already exceed cache (per-word costs cliff when buffers first spill,
 /// so a cache-resident probe would not extrapolate). The one-large cell
 /// scales only the dominant dimension, which is exactly the regime's
-/// point: the words moved (only B) stay fixed while compute grows. The
-/// two-large probe is 5/6 of full scale per dimension: first-touch page
-/// faults are part of δ, and a smaller probe's buffers can stay mapped
-/// between repetitions (whether the allocator trims them depends on the
-/// order the ranks free them, i.e. on the schedule), so its best
-/// repetition ran on warm pages the full-size run never sees — δ read
-/// 1.1–1.8e-8 where the full run pays 2.6e-8, a 15–28 % miss.
+/// point: the words moved (only B) stay fixed while compute grows.
+///
+/// The two-large and cubic probes sit close to full scale (5/6 and 11/12
+/// per dimension): first-touch page faults are part of δ, and a smaller
+/// probe's buffers can stay mapped between repetitions, so its best
+/// repetition runs on warm pages the full-size run never sees. Whether
+/// the allocator gives the pages back is a cliff in *bytes*, not in
+/// scale: the calibration's 16 MiB stream buffers leave glibc's dynamic
+/// trim threshold at 32 MiB, and a world whose freed blocks stay under
+/// it keeps them. The two-large probe at 2/3 scale read δ 1.1–1.8e-8
+/// where the full run pays 2.6e-8 (a 15–28 % miss). The cubic probe fell
+/// under the cliff once Algorithm 1 freed its gathered blocks at last
+/// use (a rank's live peak went from three blocks to two): at 768³ and
+/// at 960³ (5/6) the process stays at its 50 MB peak between repetitions
+/// and δ reads 3–7e-9 against the full run's 1.1–1.4e-8, a 10–23 % miss;
+/// from 1056³ up the heap is trimmed between repetitions as at 1152³.
 fn cells() -> [Cell; 3] {
     [
         Cell {
             name: "cubic",
-            probe_dims: MatMulDims::new(768, 768, 768),
+            probe_dims: MatMulDims::new(1056, 1056, 1056),
             dims: MatMulDims::new(1152, 1152, 1152),
             grid: [2, 2, 2],
         },

@@ -103,11 +103,9 @@ fn round_trip(
     }
 }
 
-/// Resident-set size in bytes from `/proc/self/statm`, if available.
+/// Resident-set size in bytes, if `/proc` is available.
 fn rss_bytes() -> Option<u64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(pages * 4096)
+    pmm_simnet::HostMem::read().map(|m| m.rss_bytes)
 }
 
 /// The rotating pool of valid queries: repeats guarantee cache hits, and

@@ -16,7 +16,7 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
-use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, ScheduleTrace, World, WorldResult};
+use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, HostMem, ScheduleTrace, World, WorldResult};
 
 use crate::args::ServeOpts;
 
@@ -186,10 +186,12 @@ fn simulate_clean(
     // so a reported run replays rank interleaving and all.
     let sched_seed = seed_from_env(seed);
     let world = World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed);
+    let host_before = HostMem::read();
     let out = world.run_async(|rank| {
         let (cfg, a, b) = (cfg.clone(), a.clone(), b.clone());
         Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
+    let schedule = schedule_line(sched_seed, &out, host_before);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let correct = assemble_c(dims, g, &chunks) == want;
 
@@ -198,7 +200,7 @@ fn simulate_clean(
     let bound = lower_bound(dims, procs as f64).bound;
     let mut s = String::new();
     let _ = writeln!(s, "simulated {dims} on grid {g} ({procs} ranks, seed {seed})");
-    let _ = writeln!(s, "{}", schedule_line(sched_seed, &out));
+    let _ = writeln!(s, "{schedule}");
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let _ = writeln!(s, "measured     : {measured:.3} words/processor (critical path)");
     let _ = writeln!(s, "eq.(3) model : {predicted:.3}");
@@ -208,12 +210,23 @@ fn simulate_clean(
 }
 
 /// The schedule summary line of `pmm simulate` / `pmm trace`: the replay
-/// seed, and what the scheduler's two logs of the run hold.
-fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>) -> String {
+/// seed, what the scheduler's two logs of the run hold, and what the run
+/// cost the host in memory — the process's peak RSS and the bytes per
+/// rank the world run added to it (`host_before` is read ahead of the
+/// run; `n/a` where `/proc` is missing).
+fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>, host_before: Option<HostMem>) -> String {
     let log = out.choice_points.as_ref();
+    let (peak_mb, per_rank) = match HostMem::read().zip(host_before) {
+        Some((after, before)) => (
+            format!("{:.1}", after.peak_rss_bytes as f64 / 1e6),
+            after.bytes_per_rank_since(&before, out.reports.len()).to_string(),
+        ),
+        None => ("n/a".to_string(), "n/a".to_string()),
+    };
     format!(
         "schedule     : deterministic, seed {sched_seed} (replay with PMM_SEED={sched_seed}; \
-         {} picks, choice-log bytes {}, schedule-trace bytes {})",
+         {} picks, choice-log bytes {}, schedule-trace bytes {}, host peak RSS {peak_mb} MB, \
+         host bytes/rank {per_rank})",
         log.map_or(0, ChoiceLog::len),
         log.map_or(0, ChoiceLog::heap_bytes),
         out.schedule_trace.as_ref().map_or(0, ScheduleTrace::heap_bytes)
@@ -323,10 +336,12 @@ pub fn trace(
     let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, g) };
     let (a, b, want) = inputs_and_reference(dims, seed);
     let sched_seed = seed_from_env(seed);
+    let host_before = HostMem::read();
     let out = World::new(procs, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_trace(true)
         .run(|rank| alg1(rank, &cfg, &a, &b));
+    let schedule = schedule_line(sched_seed, &out, host_before);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let correct = assemble_c(dims, g, &chunks) == want;
 
@@ -342,7 +357,7 @@ pub fn trace(
 
     let mut s = String::new();
     let _ = writeln!(s, "traced {dims} on grid {g} ({procs} ranks, seed {seed})");
-    let _ = writeln!(s, "{}", schedule_line(sched_seed, &out));
+    let _ = writeln!(s, "{schedule}");
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let _ = writeln!(s);
     let _ = write!(s, "{}", tracer.render_text());

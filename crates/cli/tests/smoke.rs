@@ -240,6 +240,44 @@ fn trace_writes_chrome_json_and_exits_zero() {
 }
 
 #[test]
+fn schedule_line_reports_host_memory_next_to_the_scheduler_logs() {
+    // `… (replay with PMM_SEED=S; N picks, choice-log bytes N,
+    // schedule-trace bytes N, host peak RSS X MB, host bytes/rank N)`,
+    // the two host figures `n/a` only where /proc is missing.
+    let have_proc = std::path::Path::new("/proc/self/status").exists();
+    for cmd in ["simulate", "trace"] {
+        let out = pmm(&[cmd, "--dims", "96x24x12", "--procs", "16"]);
+        let text = stdout(&out);
+        assert!(out.status.success(), "exit: {:?}\n{text}", out.status);
+        let line = text.lines().find(|l| l.starts_with("schedule     :")).expect("schedule line");
+        let fields: Vec<&str> = line
+            .split_once("; ")
+            .and_then(|(_, tail)| tail.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("`(…; <fields>)` in {line}"))
+            .split(", ")
+            .collect();
+        let value = |i: usize, prefix: &str, suffix: &str| -> &str {
+            fields
+                .get(i)
+                .and_then(|f| f.strip_prefix(prefix)?.strip_suffix(suffix))
+                .unwrap_or_else(|| panic!("field {i} is not `{prefix}…{suffix}` in {line}"))
+        };
+        assert_eq!(fields.len(), 5, "{line}");
+        assert!(value(0, "", " picks").parse::<u64>().is_ok_and(|n| n > 0), "{line}");
+        assert!(value(1, "choice-log bytes ", "").parse::<u64>().is_ok(), "{line}");
+        assert!(value(2, "schedule-trace bytes ", "").parse::<u64>().is_ok(), "{line}");
+        let (peak_mb, per_rank) =
+            (value(3, "host peak RSS ", " MB"), value(4, "host bytes/rank ", ""));
+        if have_proc {
+            assert!(peak_mb.parse::<f64>().is_ok_and(|mb| mb > 0.0), "{line}");
+            assert!(per_rank.parse::<u64>().is_ok_and(|b| b > 0), "{line}");
+        } else {
+            assert_eq!((peak_mb, per_rank), ("n/a", "n/a"), "{line}");
+        }
+    }
+}
+
+#[test]
 fn trace_unwritable_out_exits_nonzero() {
     let out =
         pmm(&["trace", "--dims", "8x8x8", "--procs", "2", "--out", "/nonexistent-dir/run.json"]);

@@ -14,6 +14,7 @@
 //! Both move exactly `W − w_me` words per rank, i.e. `(1 − 1/p)·W` for
 //! uniform blocks, which is optimal.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -40,21 +41,29 @@ pub enum AllGatherAlgo {
 /// All-Gather with uniform block sizes.
 ///
 /// Every rank contributes `mine` (all contributions must have equal
-/// length); returns the concatenation in communicator order.
+/// length); returns the concatenation in communicator order. `mine` is a
+/// borrowed slice or a `Vec` handed over (see the crate docs, "Passing a
+/// buffer").
 #[track_caller]
-pub fn all_gather(rank: &mut Rank, comm: &Comm, mine: &[f64], algo: AllGatherAlgo) -> Vec<f64> {
+pub fn all_gather<'a>(
+    rank: &mut Rank,
+    comm: &Comm,
+    mine: impl Into<Cow<'a, [f64]>>,
+    algo: AllGatherAlgo,
+) -> Vec<f64> {
     poll_now(all_gather_a(rank, comm, mine, algo))
 }
 
 /// Async form of [`all_gather`] (event-loop programs).
 #[track_caller]
-pub fn all_gather_a<'r>(
+pub fn all_gather_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    mine: &'r [f64],
+    mine: impl Into<Cow<'d, [f64]>>,
     algo: AllGatherAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let mine = mine.into();
     async move {
         let counts = vec![mine.len(); comm.size()];
         all_gather_v_at(rank, comm, mine, &counts, algo, site).await
@@ -65,11 +74,12 @@ pub fn all_gather_a<'r>(
 ///
 /// `counts[i]` is the contribution length of member `i` and must be known
 /// (and identical) at every rank; `counts[comm.index()] == mine.len()`.
+/// On a one-member communicator a `Vec` handed over is returned as is.
 #[track_caller]
-pub fn all_gather_v(
+pub fn all_gather_v<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    mine: &[f64],
+    mine: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     algo: AllGatherAlgo,
 ) -> Vec<f64> {
@@ -78,20 +88,20 @@ pub fn all_gather_v(
 
 /// Async form of [`all_gather_v`] (event-loop programs).
 #[track_caller]
-pub fn all_gather_v_a<'r>(
+pub fn all_gather_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    mine: &'r [f64],
+    mine: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     algo: AllGatherAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    all_gather_v_at(rank, comm, mine, counts, algo, Location::caller())
+    all_gather_v_at(rank, comm, mine.into(), counts, algo, Location::caller())
 }
 
 pub(crate) async fn all_gather_v_at(
     rank: &mut Rank,
     comm: &Comm,
-    mine: &[f64],
+    mine: Cow<'_, [f64]>,
     counts: &[usize],
     algo: AllGatherAlgo,
     site: &'static Location<'static>,
@@ -101,7 +111,7 @@ pub(crate) async fn all_gather_v_at(
     assert_eq!(counts[comm.index()], mine.len(), "own count disagrees with contribution");
     rank.collective_begin_at(comm, CollectiveOp::AllGather, mine.len() as u64, site).await;
     if p == 1 {
-        return mine.to_vec();
+        return mine.into_owned();
     }
     match algo {
         AllGatherAlgo::Ring => ring(rank, comm, mine, counts).await,
@@ -125,12 +135,12 @@ pub(crate) async fn all_gather_v_at(
 /// `min(2^s, p − 2^s)` blocks to `r − 2^s` and receives the next blocks
 /// from `r + 2^s`. `⌈log2 p⌉` rounds for any `p`; moves the same
 /// `W − w_me` words as the ring.
-async fn bruck(rank: &mut Rank, comm: &Comm, mine: &[f64], counts: &[usize]) -> Vec<f64> {
+async fn bruck(rank: &mut Rank, comm: &Comm, mine: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     // Blocks held, in relative order starting at my own block.
     let mut have: Vec<Vec<f64>> = Vec::with_capacity(p);
-    have.push(mine.to_vec());
+    have.push(mine.into_owned());
 
     let mut dist = 1usize;
     while dist < p {
@@ -167,13 +177,20 @@ async fn bruck(rank: &mut Rank, comm: &Comm, mine: &[f64], counts: &[usize]) -> 
     out
 }
 
-async fn ring(rank: &mut Rank, comm: &Comm, mine: &[f64], counts: &[usize]) -> Vec<f64> {
+/// The output buffer of a gather with this rank's own block in place —
+/// the last read of `mine`, so a buffer handed over is freed here, before
+/// the first message.
+fn seeded_output(mine: Cow<'_, [f64]>, off: &[usize], me: usize) -> Vec<f64> {
+    let mut out = vec![0.0f64; off[off.len() - 1]];
+    out[off[me]..off[me + 1]].copy_from_slice(&mine);
+    out
+}
+
+async fn ring(rank: &mut Rank, comm: &Comm, mine: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     let off = offsets(counts);
-    let total = off[p];
-    let mut out = vec![0.0f64; total];
-    out[off[me]..off[me + 1]].copy_from_slice(mine);
+    let mut out = seeded_output(mine, &off, me);
 
     let right = (me + 1) % p;
     let left = (me + p - 1) % p;
@@ -193,15 +210,13 @@ async fn ring(rank: &mut Rank, comm: &Comm, mine: &[f64], counts: &[usize]) -> V
 async fn recursive_doubling(
     rank: &mut Rank,
     comm: &Comm,
-    mine: &[f64],
+    mine: Cow<'_, [f64]>,
     counts: &[usize],
 ) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     let off = offsets(counts);
-    let total = off[p];
-    let mut out = vec![0.0f64; total];
-    out[off[me]..off[me + 1]].copy_from_slice(mine);
+    let mut out = seeded_output(mine, &off, me);
 
     let mut mask = 1usize;
     while mask < p {
@@ -302,7 +317,7 @@ mod tests {
         let (p, w) = (6usize, 5usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &vec![1.0; w], AllGatherAlgo::Bruck);
+            all_gather(rank, &comm, vec![1.0; w], AllGatherAlgo::Bruck);
             rank.meter().words_sent
         });
         for &sent in &out.values {
@@ -318,6 +333,20 @@ mod tests {
         });
         assert_eq!(out.values[0], vec![9.0, 8.0]);
         assert_eq!(out.reports[0].meter.words_sent, 0);
+    }
+
+    #[test]
+    fn single_rank_returns_the_allocation_it_was_handed() {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+            let comm = rank.world_comm();
+            let mine = vec![9.0, 8.0, 7.0];
+            let ptr_before = mine.as_ptr();
+            let owned = all_gather_v(rank, &comm, mine, &[3], AllGatherAlgo::Auto);
+            // A borrowed argument stays the caller's: the result is a copy.
+            let borrowed = all_gather_v(rank, &comm, &owned, &[3], AllGatherAlgo::Auto);
+            (owned.as_ptr() == ptr_before, borrowed.as_ptr() != owned.as_ptr(), owned == borrowed)
+        });
+        assert_eq!(out.values[0], (true, true, true));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! All-Reduce: element-wise sum of every rank's buffer, delivered at every
 //! rank.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -24,26 +25,33 @@ pub enum AllReduceAlgo {
 }
 
 /// Sum-reduce `data` across the communicator; every rank returns the full
-/// element-wise sum.
+/// element-wise sum. A `Vec` handed over becomes the reduction's
+/// accumulator; a borrowed slice is copied into one.
 #[track_caller]
-pub fn all_reduce(rank: &mut Rank, comm: &Comm, data: &[f64], algo: AllReduceAlgo) -> Vec<f64> {
+pub fn all_reduce<'a>(
+    rank: &mut Rank,
+    comm: &Comm,
+    data: impl Into<Cow<'a, [f64]>>,
+    algo: AllReduceAlgo,
+) -> Vec<f64> {
     poll_now(all_reduce_a(rank, comm, data, algo))
 }
 
 /// Async form of [`all_reduce`] (event-loop programs).
 #[track_caller]
-pub fn all_reduce_a<'r>(
+pub fn all_reduce_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     algo: AllReduceAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let data = data.into();
     async move {
         let p = comm.size();
         rank.collective_begin_at(comm, CollectiveOp::AllReduce, data.len() as u64, site).await;
         if p == 1 {
-            return data.to_vec();
+            return data.into_owned();
         }
         match algo {
             AllReduceAlgo::ReduceScatterAllGather | AllReduceAlgo::Auto => {
@@ -57,7 +65,7 @@ pub fn all_reduce_a<'r>(
     }
 }
 
-async fn rsag(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
+async fn rsag(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>) -> Vec<f64> {
     let p = comm.size();
     // Split the buffer into p near-equal segments (first `rem` segments one
     // word longer) so any length works.
@@ -65,13 +73,13 @@ async fn rsag(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
     let rem = data.len() % p;
     let counts: Vec<usize> = (0..p).map(|i| base + usize::from(i < rem)).collect();
     let seg = reduce_scatter_v_a(rank, comm, data, &counts, ReduceScatterAlgo::Auto).await;
-    all_gather_v_a(rank, comm, &seg, &counts, AllGatherAlgo::Auto).await
+    all_gather_v_a(rank, comm, seg, &counts, AllGatherAlgo::Auto).await
 }
 
-async fn recursive_doubling(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
+async fn recursive_doubling(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
-    let mut acc = data.to_vec();
+    let mut acc = data.into_owned();
     let mut mask = 1usize;
     while mask < p {
         let partner = me ^ mask;
@@ -129,7 +137,7 @@ mod tests {
         let (p, w) = (8usize, 80usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce(rank, &comm, vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather);
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, w);
@@ -144,7 +152,7 @@ mod tests {
         let (p, w) = (8usize, 10usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; w], AllReduceAlgo::RecursiveDoubling);
+            all_reduce(rank, &comm, vec![1.0; w], AllReduceAlgo::RecursiveDoubling);
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::RecursiveDoubling, p, w);

@@ -1,5 +1,6 @@
 //! Broadcast: the root's buffer is replicated to every rank.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -23,28 +24,36 @@ pub enum BcastAlgo {
 /// Broadcast `data` from member `root`.
 ///
 /// On the root, `data` must hold the message; on other ranks `data` is
-/// ignored (pass `&[]`). Returns the broadcast message on every rank.
+/// ignored (pass `&[]`). Returns the broadcast message on every rank; a
+/// `Vec` handed over at the root is the root's copy of it.
 #[track_caller]
-pub fn bcast(rank: &mut Rank, comm: &Comm, data: &[f64], root: usize, algo: BcastAlgo) -> Vec<f64> {
+pub fn bcast<'a>(
+    rank: &mut Rank,
+    comm: &Comm,
+    data: impl Into<Cow<'a, [f64]>>,
+    root: usize,
+    algo: BcastAlgo,
+) -> Vec<f64> {
     poll_now(bcast_a(rank, comm, data, root, algo))
 }
 
 /// Async form of [`bcast`] (event-loop programs).
 #[track_caller]
-pub fn bcast_a<'r>(
+pub fn bcast_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     root: usize,
     algo: BcastAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let data = data.into();
     async move {
         let p = comm.size();
         assert!(root < p, "root out of communicator");
         rank.collective_begin_at(comm, CollectiveOp::Bcast, data.len() as u64, site).await;
         if p == 1 {
-            return data.to_vec();
+            return data.into_owned();
         }
         match algo {
             BcastAlgo::Binomial | BcastAlgo::Auto => binomial(rank, comm, data, root).await,
@@ -53,13 +62,20 @@ pub fn bcast_a<'r>(
     }
 }
 
-async fn binomial(rank: &mut Rank, comm: &Comm, data: &[f64], root: usize) -> Vec<f64> {
+async fn binomial(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>, root: usize) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     let vrank = (me + p - root) % p;
     let unvrank = |v: usize| (v + root) % p;
 
-    let mut buf: Vec<f64> = if me == root { data.to_vec() } else { Vec::new() };
+    // Only the root reads `data`; a buffer handed over elsewhere is freed
+    // here, not held across the receive.
+    let mut buf: Vec<f64> = if me == root {
+        data.into_owned()
+    } else {
+        drop(data);
+        Vec::new()
+    };
 
     // Receive phase: wait for the message from the subtree parent.
     let mut mask = 1usize;
@@ -83,7 +99,12 @@ async fn binomial(rank: &mut Rank, comm: &Comm, data: &[f64], root: usize) -> Ve
     buf
 }
 
-async fn scatter_allgather(rank: &mut Rank, comm: &Comm, data: &[f64], root: usize) -> Vec<f64> {
+async fn scatter_allgather(
+    rank: &mut Rank,
+    comm: &Comm,
+    data: Cow<'_, [f64]>,
+    root: usize,
+) -> Vec<f64> {
     let p = comm.size();
     // MPI convention: the message length is collective knowledge, so every
     // rank must pass a `data` slice of the same length (contents only
@@ -99,7 +120,7 @@ async fn scatter_allgather(rank: &mut Rank, comm: &Comm, data: &[f64], root: usi
     debug_assert_eq!(mine.len(), chunk);
     // Ring all-gather reassembles the full message everywhere. Blocks are
     // indexed by communicator order, matching the scatter.
-    all_gather_v_a(rank, comm, &mine, &counts, AllGatherAlgo::Ring).await
+    all_gather_v_a(rank, comm, mine, &counts, AllGatherAlgo::Ring).await
 }
 
 #[cfg(test)]

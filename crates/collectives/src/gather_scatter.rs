@@ -5,6 +5,7 @@
 //! ranks, so messages carry concatenations of whole blocks and receivers
 //! can split them using `counts`.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -28,12 +29,13 @@ pub enum ScatterAlgo {
 
 /// Gather: member `i` contributes `mine` (`counts[i]` words); the root
 /// returns the concatenation in communicator order, other ranks return an
-/// empty vector.
+/// empty vector. A `Vec` handed over becomes the buffer the subtree's
+/// blocks are appended to.
 #[track_caller]
-pub fn gather_v(
+pub fn gather_v<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    mine: &[f64],
+    mine: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     root: usize,
     algo: GatherAlgo,
@@ -43,15 +45,16 @@ pub fn gather_v(
 
 /// Async form of [`gather_v`] (event-loop programs).
 #[track_caller]
-pub fn gather_v_a<'r>(
+pub fn gather_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    mine: &'r [f64],
+    mine: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     root: usize,
     _algo: GatherAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let mine = mine.into();
     async move {
         let p = comm.size();
         assert_eq!(counts.len(), p, "counts length must equal communicator size");
@@ -59,7 +62,7 @@ pub fn gather_v_a<'r>(
         assert!(root < p, "root out of communicator");
         rank.collective_begin_at(comm, CollectiveOp::Gather, mine.len() as u64, site).await;
         if p == 1 {
-            return mine.to_vec();
+            return mine.into_owned();
         }
         let me = comm.index();
         let vrank = (me + p - root) % p;
@@ -70,7 +73,7 @@ pub fn gather_v_a<'r>(
 
         // Blocks held so far: virtual range [vrank, vrank + held).
         let mut held = 1usize;
-        let mut buf = mine.to_vec();
+        let mut buf = mine.into_owned();
 
         let mut mask = 1usize;
         while mask < p {
@@ -113,12 +116,13 @@ pub fn gather_v_a<'r>(
 
 /// Scatter: the root provides `data` as the concatenation of per-member
 /// blocks (`counts`, communicator order); every rank returns its own
-/// block. Non-roots pass any `data` (ignored).
+/// block. Non-roots pass any `data` (ignored). A `Vec` handed over at the
+/// root becomes the buffer the subtrees are peeled off.
 #[track_caller]
-pub fn scatter_v(
+pub fn scatter_v<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     root: usize,
     algo: ScatterAlgo,
@@ -128,22 +132,23 @@ pub fn scatter_v(
 
 /// Async form of [`scatter_v`] (event-loop programs).
 #[track_caller]
-pub fn scatter_v_a<'r>(
+pub fn scatter_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     root: usize,
     _algo: ScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let data = data.into();
     async move {
         let p = comm.size();
         assert_eq!(counts.len(), p, "counts length must equal communicator size");
         assert!(root < p, "root out of communicator");
         rank.collective_begin_at(comm, CollectiveOp::Scatter, data.len() as u64, site).await;
         if p == 1 {
-            return data.to_vec();
+            return data.into_owned();
         }
         let me = comm.index();
         let vrank = (me + p - root) % p;
@@ -151,22 +156,18 @@ pub fn scatter_v_a<'r>(
         let vcounts: Vec<usize> = (0..p).map(|v| counts[unvrank(v)]).collect();
         let voff = offsets(&vcounts);
 
-        // The root rearranges into virtual order; every holder owns a virtual
-        // range [vrank, vrank + span).
+        // The root rearranges into virtual order (members root, root + 1,
+        // …, wrapping: a rotation by the words ahead of the root's own
+        // block); every holder owns a virtual range [vrank, vrank + span).
         let mut buf: Vec<f64>;
         let mut span: usize;
         if me == root {
-            let off = offsets(counts);
-            assert_eq!(data.len(), off[p], "scatter data length disagrees with counts");
-            let mut v_ordered = vec![0.0f64; off[p]];
-            for v in 0..p {
-                let member = unvrank(v);
-                v_ordered[voff[v]..voff[v + 1]]
-                    .copy_from_slice(&data[off[member]..off[member + 1]]);
-            }
-            buf = v_ordered;
+            assert_eq!(data.len(), voff[p], "scatter data length disagrees with counts");
+            buf = data.into_owned();
+            buf.rotate_left(counts[..root].iter().sum());
             span = p;
         } else {
+            drop(data);
             buf = Vec::new();
             span = 0;
         }

@@ -19,6 +19,21 @@
 //! All "v" (vector) variants follow the MPI convention that every rank
 //! knows the full `counts` array a priori.
 //!
+//! ## Passing a buffer
+//!
+//! Every collective that needs a buffer of its own to start from — the
+//! result on a one-member communicator, the accumulator of a reduction,
+//! the root's tree buffer — takes its data as
+//! `impl Into<Cow<'_, [f64]>>`, so the argument's type says whether the
+//! caller is done with it. A borrowed `&[f64]`, `&Vec<f64>` or
+//! `&[f64; N]` is copied into that buffer and stays the caller's. A
+//! `Vec<f64>` passed by value *is* that buffer: it is returned as is on a
+//! one-member communicator, summed into in place by a reduction, and
+//! freed as soon as the collective has read it otherwise — no word of it
+//! is held twice on the host. Meters, clocks, traces and results are the
+//! same either way (`tests/proptests.rs` holds the two forms against each
+//! other); only the host allocation differs.
+//!
 //! ## Example
 //!
 //! ```

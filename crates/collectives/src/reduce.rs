@@ -1,5 +1,6 @@
 //! Reduce: element-wise sum of every rank's buffer, delivered at the root.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -16,12 +17,14 @@ pub enum ReduceAlgo {
 
 /// Sum-reduce `data` to member `root`. Every rank contributes a buffer of
 /// the same length; the root returns the element-wise sum, others return
-/// an empty vector. Reduction additions are metered as flops.
+/// an empty vector. Reduction additions are metered as flops. A `Vec`
+/// handed over becomes the accumulator; a borrowed slice is copied into
+/// one.
 #[track_caller]
-pub fn reduce(
+pub fn reduce<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: impl Into<Cow<'a, [f64]>>,
     root: usize,
     algo: ReduceAlgo,
 ) -> Vec<f64> {
@@ -30,26 +33,27 @@ pub fn reduce(
 
 /// Async form of [`reduce`] (event-loop programs).
 #[track_caller]
-pub fn reduce_a<'r>(
+pub fn reduce_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     root: usize,
     _algo: ReduceAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let data = data.into();
     async move {
         let p = comm.size();
         assert!(root < p, "root out of communicator");
         rank.collective_begin_at(comm, CollectiveOp::Reduce, data.len() as u64, site).await;
         if p == 1 {
-            return data.to_vec();
+            return data.into_owned();
         }
         let me = comm.index();
         let vrank = (me + p - root) % p;
         let unvrank = |v: usize| (v + root) % p;
 
-        let mut acc = data.to_vec();
+        let mut acc = data.into_owned();
         let mut mask = 1usize;
         while mask < p {
             if vrank & mask != 0 {
@@ -109,7 +113,7 @@ mod tests {
         let (p, w) = (8usize, 6usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce(rank, &comm, vec![1.0; w], 0, ReduceAlgo::Binomial);
             rank.time()
         });
         let model = costs::reduce_cost(ReduceAlgo::Binomial, p, w);
@@ -123,7 +127,7 @@ mod tests {
         let (p, w) = (4usize, 10usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce(rank, &comm, vec![1.0; w], 0, ReduceAlgo::Binomial);
             rank.meter().flops
         });
         // Total additions across ranks: (p-1)·w.

@@ -11,6 +11,7 @@
 //! words per rank for uniform segments and performing the same number of
 //! additions.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -32,10 +33,10 @@ pub enum ReduceScatterAlgo {
 /// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
 /// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
 #[track_caller]
-pub fn reduce_scatter(
+pub fn reduce_scatter<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: impl Into<Cow<'a, [f64]>>,
     algo: ReduceScatterAlgo,
 ) -> Vec<f64> {
     poll_now(reduce_scatter_a(rank, comm, data, algo))
@@ -43,13 +44,14 @@ pub fn reduce_scatter(
 
 /// Async form of [`reduce_scatter`] (event-loop programs).
 #[track_caller]
-pub fn reduce_scatter_a<'r>(
+pub fn reduce_scatter_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     algo: ReduceScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
+    let data = data.into();
     async move {
         let p = comm.size();
         assert!(
@@ -66,12 +68,14 @@ pub fn reduce_scatter_a<'r>(
 ///
 /// `data.len() == counts.iter().sum()` at every rank; rank `i` receives
 /// the element-wise sum of everyone's segment `i`. Reduction additions are
-/// metered as flops on the rank performing them.
+/// metered as flops on the rank performing them. A `Vec` handed over
+/// becomes the accumulator (and is returned as is on a one-member
+/// communicator); a borrowed slice is copied into one.
 #[track_caller]
-pub fn reduce_scatter_v(
+pub fn reduce_scatter_v<'a>(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     algo: ReduceScatterAlgo,
 ) -> Vec<f64> {
@@ -80,20 +84,20 @@ pub fn reduce_scatter_v(
 
 /// Async form of [`reduce_scatter_v`] (event-loop programs).
 #[track_caller]
-pub fn reduce_scatter_v_a<'r>(
+pub fn reduce_scatter_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     algo: ReduceScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    reduce_scatter_v_at(rank, comm, data, counts, algo, Location::caller())
+    reduce_scatter_v_at(rank, comm, data.into(), counts, algo, Location::caller())
 }
 
 pub(crate) async fn reduce_scatter_v_at(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: Cow<'_, [f64]>,
     counts: &[usize],
     algo: ReduceScatterAlgo,
     site: &'static Location<'static>,
@@ -104,7 +108,7 @@ pub(crate) async fn reduce_scatter_v_at(
     assert_eq!(data.len(), total, "data length disagrees with counts");
     rank.collective_begin_at(comm, CollectiveOp::ReduceScatter, total as u64, site).await;
     if p == 1 {
-        return data.to_vec();
+        return data.into_owned();
     }
     match algo {
         ReduceScatterAlgo::Ring => ring(rank, comm, data, counts).await,
@@ -122,11 +126,11 @@ pub(crate) async fn reduce_scatter_v_at(
     }
 }
 
-async fn ring(rank: &mut Rank, comm: &Comm, data: &[f64], counts: &[usize]) -> Vec<f64> {
+async fn ring(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     let off = offsets(counts);
-    let mut acc = data.to_vec();
+    let mut acc = data.into_owned();
 
     let right = (me + 1) % p;
     let left = (me + p - 1) % p;
@@ -148,13 +152,13 @@ async fn ring(rank: &mut Rank, comm: &Comm, data: &[f64], counts: &[usize]) -> V
 async fn recursive_halving(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: Cow<'_, [f64]>,
     counts: &[usize],
 ) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
     let off = offsets(counts);
-    let mut acc = data.to_vec();
+    let mut acc = data.into_owned();
 
     // Active segment-index window [lo, hi); halves every step.
     let (mut lo, mut hi) = (0usize, p);
@@ -239,6 +243,20 @@ mod tests {
             reduce_scatter(rank, &comm, &[3.0, 4.0], ReduceScatterAlgo::Auto)
         });
         assert_eq!(out.values[0], vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn single_rank_returns_the_allocation_it_was_handed() {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+            let comm = rank.world_comm();
+            let data = vec![3.0, 4.0, 5.0];
+            let ptr_before = data.as_ptr();
+            let owned = reduce_scatter_v(rank, &comm, data, &[3], ReduceScatterAlgo::Auto);
+            // A borrowed argument stays the caller's: the result is a copy.
+            let borrowed = reduce_scatter_v(rank, &comm, &owned, &[3], ReduceScatterAlgo::Auto);
+            (owned.as_ptr() == ptr_before, borrowed.as_ptr() != owned.as_ptr(), owned == borrowed)
+        });
+        assert_eq!(out.values[0], (true, true, true));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! over ranks): at step `s`, rank `r` receives from `r − 2^s` (if any) and
 //! sends to `r + 2^s` (if any); `⌈log2 p⌉` rounds, `w` words each.
 
+use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
@@ -14,32 +15,33 @@ use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
 use crate::util::axpy1;
 
 /// Inclusive prefix sum: rank `r` returns the element-wise sum of the
-/// contributions of ranks `0..=r`.
+/// contributions of ranks `0..=r`. A `Vec` handed over becomes the
+/// accumulator; a borrowed slice is copied into one.
 #[track_caller]
-pub fn scan(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
+pub fn scan<'a>(rank: &mut Rank, comm: &Comm, data: impl Into<Cow<'a, [f64]>>) -> Vec<f64> {
     poll_now(scan_a(rank, comm, data))
 }
 
 /// Async form of [`scan`] (event-loop programs).
 #[track_caller]
-pub fn scan_a<'r>(
+pub fn scan_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
-    data: &'r [f64],
+    data: impl Into<Cow<'d, [f64]>>,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    scan_at(rank, comm, data, Location::caller())
+    scan_at(rank, comm, data.into(), Location::caller())
 }
 
 async fn scan_at(
     rank: &mut Rank,
     comm: &Comm,
-    data: &[f64],
+    data: Cow<'_, [f64]>,
     site: &'static Location<'static>,
 ) -> Vec<f64> {
     let p = comm.size();
     rank.collective_begin_at(comm, CollectiveOp::Scan, data.len() as u64, site).await;
     let me = comm.index();
-    let mut acc = data.to_vec();
+    let mut acc = data.into_owned();
     let mut dist = 1usize;
     while dist < p {
         // Post before receiving: the outgoing value must be this round's
@@ -77,7 +79,7 @@ pub fn exscan_a<'r>(
     let site = Location::caller();
     async move {
         rank.collective_begin_at(comm, CollectiveOp::ExScan, data.len() as u64, site).await;
-        let incl = scan_at(rank, comm, data, site).await;
+        let incl = scan_at(rank, comm, data.into(), site).await;
         // exclusive = inclusive − own contribution (exact for the integer-
         // valued data used throughout; no extra communication).
         incl.iter().zip(data).map(|(s, d)| s - d).collect()

@@ -37,7 +37,7 @@ fn scan_matches_serial_prefix_sums_and_the_cost_model() {
         let w = 4;
         let (values, meters) = run_collective(p, move |rank| {
             let comm = rank.world_comm();
-            scan(rank, &comm, &contribution(rank.world_rank(), w))
+            scan(rank, &comm, contribution(rank.world_rank(), w))
         });
         let model = costs::scan_cost(p, w);
         let rounds = model.messages as u32;
@@ -112,7 +112,7 @@ fn bcast_delivers_root_data_from_any_root_and_meets_the_cost_model() {
             for algo in [BcastAlgo::Binomial, BcastAlgo::ScatterAllGather] {
                 let (values, meters) = run_collective(p, move |rank| {
                     let comm = rank.world_comm();
-                    bcast(rank, &comm, &contribution(root, w), root, algo)
+                    bcast(rank, &comm, contribution(root, w), root, algo)
                 });
                 let want = contribution(root, w);
                 for (r, v) in values.iter().enumerate() {
@@ -144,7 +144,7 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
         ] {
             let (values, meters) = run_collective(p, move |rank| {
                 let comm = rank.world_comm();
-                all_reduce(rank, &comm, &contribution(rank.world_rank(), w), algo)
+                all_reduce(rank, &comm, contribution(rank.world_rank(), w), algo)
             });
             let want: Vec<f64> =
                 (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
@@ -170,7 +170,7 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
         let w = 5;
         let (values, meters) = run_collective(p, move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &contribution(rank.world_rank(), w), AllReduceAlgo::Auto)
+            all_reduce(rank, &comm, contribution(rank.world_rank(), w), AllReduceAlgo::Auto)
         });
         let want: Vec<f64> = (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
         for (r, v) in values.iter().enumerate() {
@@ -193,8 +193,8 @@ fn collectives_on_split_subcommunicators_use_local_sizes() {
         let me = rank.world_rank();
         let color = usize::from(me >= 4);
         let sub = rank.split(&world, color as i64, me as i64).expect("member of a color");
-        let s = scan(rank, &sub, &contribution(me, w));
-        let b = bcast(rank, &sub, &contribution(100 + color, w), 0, BcastAlgo::Binomial);
+        let s = scan(rank, &sub, contribution(me, w));
+        let b = bcast(rank, &sub, contribution(100 + color, w), 0, BcastAlgo::Binomial);
         (s, b)
     });
     for (r, (s, b)) in values.iter().enumerate() {

@@ -2,11 +2,14 @@
 //! communicator sizes, block profiles (including empty blocks), roots and
 //! payload values — integer-valued data so results are exact.
 
+use std::borrow::Cow;
+
 use pmm_collectives::{
-    all_gather_v, all_to_all, bcast, gather_v, reduce, reduce_scatter_v, scatter_v, AllGatherAlgo,
-    AllToAllAlgo, BcastAlgo, GatherAlgo, ReduceAlgo, ReduceScatterAlgo, ScatterAlgo,
+    all_gather_v, all_reduce, all_to_all, bcast, gather_v, reduce, reduce_scatter_v, scatter_v,
+    AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
+    ReduceScatterAlgo, ScatterAlgo,
 };
-use pmm_simnet::{MachineParams, World};
+use pmm_simnet::{MachineParams, Rank, World, WorldResult};
 use proptest::prelude::*;
 
 fn counts(p: usize) -> impl Strategy<Value = Vec<usize>> {
@@ -17,8 +20,94 @@ fn block(owner: usize, c: usize) -> Vec<f64> {
     (0..c).map(|e| (owner * 64 + e) as f64).collect()
 }
 
+/// `buf` as a collective argument: handed over (the collective owns a
+/// `Vec`) or lent (it sees a slice).
+fn hand_or_lend(buf: &[f64], hand: bool) -> Cow<'_, [f64]> {
+    if hand {
+        Cow::Owned(buf.to_vec())
+    } else {
+        Cow::Borrowed(buf)
+    }
+}
+
+/// Run `program` twice on the same seeded, traced world — lending every
+/// rank's buffer, then handing it over, from one call site so the
+/// recorded collective site is the same — and hold everything the two
+/// runs expose against each other: values, per-rank meters, clocks,
+/// memory peaks and event counts, and the rendered schedule and event
+/// traces.
+fn assert_handing_over_changes_nothing<F>(label: &str, p: usize, seed: u64, program: F)
+where
+    F: Fn(&mut Rank, bool) -> Vec<f64> + Send + Sync,
+{
+    // α, β, γ all non-zero: the clock sees messages, words and flops.
+    let world = World::new(p, MachineParams::new(3.0, 1.0, 0.5)).with_seed(seed).with_trace(true);
+    let lent = world.run(|rank| program(rank, false));
+    let handed = world.run(|rank| program(rank, true));
+    assert_eq!(lent.values, handed.values, "{label}: values");
+    for (r, (l, h)) in lent.reports.iter().zip(&handed.reports).enumerate() {
+        assert_eq!(
+            (l.meter, l.time, l.peak_mem_words, l.final_stamp),
+            (h.meter, h.time, h.peak_mem_words, h.final_stamp),
+            "{label}: rank {r} meter / clock / memory peak / event count"
+        );
+    }
+    let rendered = |out: &WorldResult<Vec<f64>>| {
+        (
+            out.schedule_trace.as_ref().expect("seeded runs record a schedule").render(),
+            out.tracer().expect("traced run").chrome_json(),
+        )
+    };
+    assert_eq!(rendered(&lent), rendered(&handed), "{label}: rendered traces");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn handing_a_buffer_over_is_the_same_run_as_lending_it(
+        p in 2usize..9,
+        cs in proptest::collection::vec(0usize..8, 8),
+        seed in 0u64..1000,
+    ) {
+        let cs = &cs[..p];
+        let total: usize = cs.iter().sum();
+        let contribution = |r: usize| -> Vec<f64> { (0..total).map(|e| (r * total + e) as f64).collect() };
+
+        // Every selector valid at this p.
+        let mut gathers = vec![AllGatherAlgo::Ring, AllGatherAlgo::Bruck, AllGatherAlgo::Auto];
+        let mut scatters = vec![ReduceScatterAlgo::Ring, ReduceScatterAlgo::Auto];
+        let mut reduces = vec![AllReduceAlgo::ReduceScatterAllGather, AllReduceAlgo::Auto];
+        if p.is_power_of_two() {
+            gathers.push(AllGatherAlgo::RecursiveDoubling);
+            scatters.push(ReduceScatterAlgo::RecursiveHalving);
+            reduces.push(AllReduceAlgo::RecursiveDoubling);
+        }
+        for algo in gathers {
+            let label = format!("all_gather_v {algo:?} counts {cs:?}");
+            assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
+                let comm = rank.world_comm();
+                let mine = block(rank.world_rank(), cs[rank.world_rank()]);
+                all_gather_v(rank, &comm, hand_or_lend(&mine, hand), cs, algo)
+            });
+        }
+        for algo in scatters {
+            let label = format!("reduce_scatter_v {algo:?} counts {cs:?}");
+            assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
+                let comm = rank.world_comm();
+                let data = contribution(rank.world_rank());
+                reduce_scatter_v(rank, &comm, hand_or_lend(&data, hand), cs, algo)
+            });
+        }
+        for algo in reduces {
+            let label = format!("all_reduce {algo:?} len {total}");
+            assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
+                let comm = rank.world_comm();
+                let data = contribution(rank.world_rank());
+                all_reduce(rank, &comm, hand_or_lend(&data, hand), algo)
+            });
+        }
+    }
 
     #[test]
     fn all_gather_v_any_profile(p in 2usize..9, cs in (2usize..9).prop_flat_map(counts)) {
@@ -145,7 +234,7 @@ proptest! {
         for algo in algos {
             let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &vec![1.0; w], algo);
+                all_gather(rank, &comm, vec![1.0; w], algo);
                 rank.time()
             });
             let model = costs::all_gather_cost(algo, p, w);
@@ -160,7 +249,7 @@ proptest! {
         // Reduce-Scatter (auto) — words and flops.
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto);
+            reduce_scatter(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
             (rank.time(), rank.meter().flops)
         });
         let model = costs::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
@@ -173,7 +262,7 @@ proptest! {
         let total = p * w;
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; total], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce(rank, &comm, vec![1.0; total], AllReduceAlgo::ReduceScatterAllGather);
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, total);

@@ -67,6 +67,25 @@ impl Block2 {
         m.sub(self.rows.start, self.cols.start, self.height(), self.width())
     }
 
+    /// Copy out member `idx`'s [`chunk_of_block`] share of this block of
+    /// `m` — `self.extract(m).into_vec()[chunk_of_block(self.words(),
+    /// chunks, idx)]` without materializing the block: only the chunk's
+    /// elements are read, one run per block row it touches.
+    pub fn chunk(&self, m: &Matrix, chunks: usize, idx: usize) -> Vec<f64> {
+        assert!(self.rows.end <= m.rows() && self.cols.end <= m.cols(), "block out of range");
+        let w = self.width();
+        let range = chunk_of_block(self.words(), chunks, idx);
+        let mut out = Vec::with_capacity(range.len());
+        let mut e = range.start;
+        while e < range.end {
+            let (r, c) = (e / w, e % w);
+            let run = (w - c).min(range.end - e);
+            out.extend_from_slice(&m.row(self.rows.start + r)[self.cols.start + c..][..run]);
+            e += run;
+        }
+        out
+    }
+
     /// Paste `block` into `m` at this block's position.
     pub fn insert(&self, m: &mut Matrix, block: &Matrix) {
         assert_eq!((block.rows(), block.cols()), (self.height(), self.width()));
@@ -139,6 +158,18 @@ mod tests {
         b.insert(&mut z, &sub);
         assert_eq!(z[(4, 2)], m[(4, 2)]);
         assert_eq!(z[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn chunk_crosses_rows_mid_run() {
+        // Block rows 3..6 × cols 4..8 of a 6 × 8 matrix: 12 words in 5
+        // chunks of 3, 3, 2, 2, 2 — chunk 1 is elements 3..6, the last
+        // of block row 0 and the first two of block row 1.
+        let m = Matrix::from_fn(6, 8, |r, c| (r * 8 + c) as f64);
+        let b = Block2::of(6, 8, 2, 2, 1, 1);
+        assert_eq!(b.chunk(&m, 5, 1), vec![31.0, 36.0, 37.0]);
+        let all: Vec<f64> = (0..5).flat_map(|i| b.chunk(&m, 5, i)).collect();
+        assert_eq!(all, b.extract(&m).into_vec());
     }
 
     #[test]

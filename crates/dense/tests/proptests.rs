@@ -2,7 +2,10 @@
 //! identities on integer-valued matrices (f64 arithmetic on small
 //! integers is exact, so all assertions are bitwise).
 
-use pmm_dense::{block_range, gemm, gemm_acc, identity, random_int_matrix, Block2, Kernel, Matrix};
+use pmm_dense::{
+    block_range, chunk_of_block, gemm, gemm_acc, identity, random_int_matrix, Block2, Kernel,
+    Matrix,
+};
 use proptest::prelude::*;
 
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -98,6 +101,29 @@ proptest! {
             }
         }
         prop_assert_eq!(re, m);
+    }
+
+    #[test]
+    fn chunk_equals_slicing_the_flattened_block(
+        rows in 1usize..24, cols in 1usize..24,
+        pr in 1usize..6, pc in 1usize..26,
+        chunks in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // Ragged partitions (pr ∤ rows), one-column and empty blocks
+        // (pc up to and past cols), chunk boundaries in mid-row, and
+        // empty chunks (more chunks than block words).
+        let m = random_int_matrix(rows, cols, -9..10, seed);
+        for i in 0..pr {
+            for j in 0..pc {
+                let blk = Block2::of(rows, cols, pr, pc, i, j);
+                let flat = blk.extract(&m).into_vec();
+                for idx in 0..chunks {
+                    let want = &flat[chunk_of_block(flat.len(), chunks, idx)];
+                    prop_assert_eq!(&blk.chunk(&m, chunks, idx)[..], want, "block ({}, {}) chunk {}", i, j, idx);
+                }
+            }
+        }
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub mod comm;
 pub mod engine;
 pub mod fabric;
 pub mod fault;
+pub mod hostmem;
 pub mod meter;
 pub mod rank;
 mod readyset;
@@ -101,6 +102,7 @@ pub use comm::Comm;
 pub use engine::{poll_now, LocalBoxFuture};
 pub use fabric::{probe_ready_sets, Ctx, Message};
 pub use fault::{FaultPlan, KillSpec, RankFailed, Straggler};
+pub use hostmem::HostMem;
 pub use meter::{MemTracker, Meter};
 pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank, RecvRequest};
 pub use trace::{

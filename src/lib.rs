@@ -98,8 +98,8 @@ pub mod prelude {
     };
     pub use pmm_simnet::{
         fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution, ChoiceLog,
-        ChoicePoint, Comm, CriticalPath, FaultPlan, LocalBoxFuture, Meter, Rank, RankFailed, Repro,
-        Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World,
-        WorldResult, SCHEDULE_ENV,
+        ChoicePoint, Comm, CriticalPath, FaultPlan, HostMem, LocalBoxFuture, Meter, Rank,
+        RankFailed, Repro, Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp,
+        Tracer, World, WorldResult, SCHEDULE_ENV,
     };
 }

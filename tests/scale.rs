@@ -23,27 +23,17 @@
 //! world under 1 GB. Every world that records its schedule is also
 //! held to a pick count linear in its messages.
 //!
-//! Each test prints a `SCALE: key=value ...` line; `cargo xtask
-//! scale-check` runs the `#[ignore]`d large cells in release mode and
-//! collects those lines into `BENCH_scale.json`.
+//! Each test prints a `SCALE: key=value ...` line — host time
+//! (`ranks_per_sec`) and host memory (`peak_rss_kb`, and
+//! `host_bytes_per_rank`: what the world run added to the process at its
+//! peak, over P; both 0 where `/proc` is missing); `cargo xtask
+//! scale-check` runs the `#[ignore]`d large cells in release mode,
+//! collects those lines into `BENCH_scale.json`, and holds a re-run cell
+//! to the committed row's ranks/s floor and RSS ceiling.
 
 use std::time::Instant;
 
 use pmm::prelude::*;
-
-/// Peak resident set size of this test process in kB (Linux `VmHWM`),
-/// or 0 where /proc is unavailable.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
 
 /// The documented at-scale configuration: no schedule logs (their
 /// memory is the one cost of recording).
@@ -90,6 +80,7 @@ fn scale_point(
         std::sync::Arc::new(random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11)),
         std::sync::Arc::new(random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22)),
     );
+    let host_before = HostMem::read();
     let t0 = Instant::now();
     let out = world.run_async(|rank| {
         let cfg = cfg.clone();
@@ -97,7 +88,10 @@ fn scale_point(
         Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
     let secs = t0.elapsed().as_secs_f64();
-    let rss_kb = peak_rss_kb();
+    let host = HostMem::read();
+    let rss_kb = host.map_or(0, |h| h.peak_rss_bytes >> 10);
+    let host_bytes_per_rank =
+        host.zip(host_before).map_or(0, |(after, before)| after.bytes_per_rank_since(&before, p));
 
     let picks = out.choice_points.as_ref().map_or(0, ChoiceLog::len);
     let choice_log_bytes = out.choice_points.as_ref().map_or(0, ChoiceLog::heap_bytes);
@@ -184,7 +178,8 @@ fn scale_point(
     let rate = p as f64 / secs.max(1e-9);
     println!(
         "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} exact={exact} trace={} \
-         secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={rss_kb} picks={picks} \
+         secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={rss_kb} \
+         host_bytes_per_rank={host_bytes_per_rank} picks={picks} \
          choice_log_bytes={choice_log_bytes} schedule_trace_bytes={schedule_trace_bytes}",
         grid_arr[0],
         grid_arr[1],

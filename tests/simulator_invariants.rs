@@ -155,7 +155,7 @@ proptest! {
         // regardless of values.
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &vec![0.5; w], AllGatherAlgo::Ring);
+            all_gather(rank, &comm, vec![0.5; w], AllGatherAlgo::Ring);
             rank.meter().words_sent
         });
         for &sent in &out.values {

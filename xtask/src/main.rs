@@ -58,9 +58,10 @@
 //!   needs), with per-rank per-phase eq. (3) checks against
 //!   `pmm_model::alg1_prediction` on integral §5.2 grids and the
 //!   happens-before audit on in every cell. Collects the tests' `SCALE:` metric lines
-//!   into `BENCH_scale.json` (ranks/sec stepped, peak RSS, max executed
-//!   P) and fails if a re-run cell's ranks/sec fell below half of the
-//!   committed file's.
+//!   into `BENCH_scale.json` (ranks/sec stepped, peak RSS, host bytes per
+//!   rank, max executed P) and fails if a re-run cell's ranks/sec fell
+//!   below half of the committed file's or its peak RSS rose above 1.25×
+//!   of it.
 //! * `cargo xtask serve-soak [budget-secs]` — the chaos load harness for
 //!   the `pmm serve` advisor service (`pmm-bench`'s `serve_chaos` bin,
 //!   release mode): mixed valid/burst/panic/malformed/oversized/slowloris
@@ -181,7 +182,8 @@ fn main() -> ExitCode {
                  \x20                 P = 10^4, 10^5, 10^6 cells until the budget\n\
                  \x20                 (default 300 s) is spent or memory is short;\n\
                  \x20                 emits BENCH_scale.json, fails below 0.5x of the\n\
-                 \x20                 committed ranks/sec\n\
+                 \x20                 committed ranks/sec or above 1.25x of the\n\
+                 \x20                 committed peak RSS\n\
                  \x20 serve-soak      [budget-secs] run the pmm-serve chaos load harness\n\
                  \x20                 (mixed valid/malformed/overload/slowloris traffic,\n\
                  \x20                 default 10 s) and emit BENCH_serve.json"
@@ -612,9 +614,12 @@ fn dpor(budget: Duration) -> ExitCode {
 /// The large-P execution cells of `cargo xtask scale-check`, in
 /// ascending-P order so a spent budget drops the biggest cells first.
 /// Each entry is the exact `tests/scale.rs` test name, its pinned rank
-/// count, and the memory (GB) the cell peaks at — a cell the host cannot
+/// count, and the memory (GB) the cell needs — a cell the host cannot
 /// hold is skipped like one the budget cannot reach, not OOM-killed
 /// (the budget alone no longer keeps a 16 GB host off the 10^6 cell).
+/// Whole GB above the measured `VmHWM` (`BENCH_scale.json`: 0.33, 0.33,
+/// 0.20, 0.09 and 5.0 GB; the 10^6 cell's 24 GB is the last estimate,
+/// not re-measured on a host that cannot hold it).
 const SCALE_CELLS: [(&str, u64, u64); 6] = [
     // The default-on cells: the world `pmm simulate` builds (seeded,
     // schedule recording on), and the unseeded `run_async` default that
@@ -646,32 +651,78 @@ fn mem_available_gb() -> Option<u64> {
 /// to minutes of host time on a shared VM.
 const SCALE_CHECK_FLOOR: f64 = 0.5;
 
-/// `(label, ranks_per_sec)` of every cell line of a `BENCH_scale.json`
-/// (the one-cell-per-line format [`scale_check`] writes).
-fn scale_cell_rates(json: &str) -> Vec<(String, f64)> {
+/// How far a scale cell's `peak_rss_kb` may rise above the committed
+/// `BENCH_scale.json` before the gate fails. Tighter than the time
+/// floor: a cell's peak RSS repeats to a fraction of a percent (it is
+/// pinned by the schedule seed, not by the host's load), so 25 % is a
+/// copy of a block coming back, not noise.
+const SCALE_CHECK_RSS_CEILING: f64 = 1.25;
+
+/// `(label, ranks_per_sec, peak_rss_kb)` of every cell line of a
+/// `BENCH_scale.json` (the one-cell-per-line format [`scale_check`]
+/// writes).
+fn scale_cell_rows(json: &str) -> Vec<(String, f64, f64)> {
     let field = |line: &str, key: &str| -> Option<String> {
         let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
         Some(rest.split(',').next()?.trim().trim_matches(|c| c == '"' || c == '}').to_string())
     };
     json.lines()
-        .filter_map(|l| Some((field(l, "label")?, field(l, "ranks_per_sec")?.parse().ok()?)))
+        .filter_map(|l| {
+            Some((
+                field(l, "label")?,
+                field(l, "ranks_per_sec")?.parse().ok()?,
+                field(l, "peak_rss_kb")?.parse().ok()?,
+            ))
+        })
         .collect()
+}
+
+/// Every way a re-run cell of `rows` is worse than its committed row of
+/// `baseline` allows: ranks/sec under [`SCALE_CHECK_FLOOR`] of it, peak
+/// RSS over [`SCALE_CHECK_RSS_CEILING`] of it. Cells without a committed
+/// row pass.
+fn scale_cell_failures(
+    baseline: &[(String, f64, f64)],
+    rows: &[(String, f64, f64)],
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (label, rate, rss_kb) in rows {
+        let Some((_, base_rate, base_rss_kb)) = baseline.iter().find(|(l, ..)| l == label) else {
+            continue;
+        };
+        if *rate < SCALE_CHECK_FLOOR * base_rate {
+            failures.push(format!(
+                "cell {label} regressed to {rate:.0} ranks/s, below {:.0}% of the committed \
+                 {base_rate:.0}",
+                100.0 * SCALE_CHECK_FLOOR
+            ));
+        }
+        if *rss_kb > SCALE_CHECK_RSS_CEILING * base_rss_kb {
+            failures.push(format!(
+                "cell {label} peaked at {rss_kb:.0} kB resident, above {:.0}% of the committed \
+                 {base_rss_kb:.0} kB",
+                100.0 * SCALE_CHECK_RSS_CEILING
+            ));
+        }
+    }
+    failures
 }
 
 /// The executed-at-scale gate: run the `tests/scale.rs` cells (release
 /// mode, event loop) in ascending-P order until the wall-clock
 /// budget is spent, collect each cell's `SCALE: key=value` metric line,
 /// and write `BENCH_scale.json` at the workspace root: ranks/sec
-/// stepped, peak RSS, and the maximum P actually executed. Fails if a
-/// re-run cell's ranks/sec is below [`SCALE_CHECK_FLOOR`] of the
-/// committed file's.
+/// stepped, peak RSS and host bytes per rank, and the maximum P actually
+/// executed. Fails if a re-run cell's ranks/sec is below
+/// [`SCALE_CHECK_FLOOR`] of the committed file's, or its peak RSS above
+/// [`SCALE_CHECK_RSS_CEILING`] of it.
 fn scale_check(budget: Duration) -> ExitCode {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let root = workspace_root();
     let bench = root.join("BENCH_scale.json");
     // Read the committed baseline before the new run overwrites it.
     let baseline =
-        std::fs::read_to_string(&bench).map_or_else(|_| Vec::new(), |j| scale_cell_rates(&j));
+        std::fs::read_to_string(&bench).map_or_else(|_| Vec::new(), |j| scale_cell_rows(&j));
     eprintln!("xtask: scale-check — executed-at-scale gate ({}s budget)", budget.as_secs());
     let start = Instant::now();
     let mut lines: Vec<Vec<(String, String)>> = Vec::new();
@@ -772,19 +823,11 @@ fn scale_check(budget: Duration) -> ExitCode {
         eprintln!("xtask: could not write {}: {e}", bench.display());
         return ExitCode::FAILURE;
     }
-    let mut regressed = false;
-    for (label, rate) in scale_cell_rates(&json) {
-        let Some((_, base)) = baseline.iter().find(|(l, _)| *l == label) else { continue };
-        if rate < SCALE_CHECK_FLOOR * base {
-            eprintln!(
-                "xtask: scale-check FAILED — cell {label} regressed to {rate:.0} ranks/s, below \
-                 {:.0}% of the committed {base:.0}",
-                100.0 * SCALE_CHECK_FLOOR
-            );
-            regressed = true;
-        }
+    let failures = scale_cell_failures(&baseline, &scale_cell_rows(&json));
+    for failure in &failures {
+        eprintln!("xtask: scale-check FAILED — {failure}");
     }
-    if regressed {
+    if !failures.is_empty() {
         return ExitCode::FAILURE;
     }
     eprintln!(
@@ -1178,15 +1221,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_cell_rates_reads_the_committed_cell_lines() {
-        let json = "{\n  \"best_ranks_per_sec\": 7277,\n  \"cells\": [\n    \
+    fn scale_cell_rows_reads_the_committed_cell_lines() {
+        // The header's own `peak_rss_kb` line has no label and is skipped.
+        let json = "{\n  \"best_ranks_per_sec\": 7277,\n  \"peak_rss_kb\": 5376000,\n  \
+            \"cells\": [\n    \
             {\"label\": \"p10k\", \"p\": 10000, \"secs\": 1.374, \"ranks_per_sec\": 7277, \
-            \"peak_rss_kb\": 116764},\n    \
-            {\"label\": \"p100k\", \"p\": 100000, \"ranks_per_sec\": 846}\n  ]\n}\n";
+            \"peak_rss_kb\": 116764, \"host_bytes_per_rank\": 9630, \"picks\": 0},\n    \
+            {\"label\": \"p100k\", \"p\": 100000, \"ranks_per_sec\": 846, \
+            \"peak_rss_kb\": 5376000}\n  ]\n}\n";
         assert_eq!(
-            scale_cell_rates(json),
-            vec![("p10k".to_string(), 7277.0), ("p100k".to_string(), 846.0)]
+            scale_cell_rows(json),
+            vec![("p10k".to_string(), 7277.0, 116764.0), ("p100k".to_string(), 846.0, 5376000.0)]
         );
+    }
+
+    #[test]
+    fn scale_cells_are_held_to_a_rate_floor_and_an_rss_ceiling() {
+        let row = |label: &str, rate: f64, rss_kb: f64| (label.to_string(), rate, rss_kb);
+        let committed = [row("p1k-default", 3108.0, 325_580.0), row("p10k", 30_557.0, 94_160.0)];
+        // Half the rate and 1.25× the memory are still inside; a cell
+        // with no committed row has nothing to be held to.
+        let inside = [
+            row("p1k-default", 1554.0, 406_975.0),
+            row("p10k", 60_000.0, 1.0),
+            row("new", 1.0, 9e9),
+        ];
+        assert_eq!(scale_cell_failures(&committed, &inside), Vec::<String>::new());
+        // The parent's P = 1024 cell (501 004 kB) against this commit's row.
+        let outside = [row("p1k-default", 2463.0, 501_004.0), row("p10k", 15_000.0, 94_160.0)];
+        let failures = scale_cell_failures(&committed, &outside);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("p1k-default peaked at 501004 kB"), "{failures:?}");
+        assert!(failures[1].contains("p10k regressed to 15000 ranks/s"), "{failures:?}");
     }
 
     #[test]
