@@ -314,11 +314,16 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let budget_secs: u64 = std::env::var("PMM_SERVE_SOAK_SECS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(5)
-        .max(1);
+    let budget_secs: u64 = match std::env::var("PMM_SERVE_SOAK_SECS") {
+        Err(_) => 5,
+        Ok(v) => match v.trim().parse::<u64>() {
+            Ok(secs) => secs.max(1),
+            Err(_) => {
+                eprintln!("serve_chaos: PMM_SERVE_SOAK_SECS={v:?} is not a whole number of secs");
+                std::process::exit(2)
+            }
+        },
+    };
 
     // Deliberately tight knobs: 2 workers and a depth-4 queue against
     // ~15 concurrent in-flight requests is the ISSUE's "2× overload"

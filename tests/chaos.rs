@@ -222,10 +222,11 @@ fn plan_classes(p: usize) -> Vec<(&'static str, FaultPlan)> {
 #[test]
 #[ignore = "release soak; run via cargo xtask chaos-soak"]
 fn chaos_soak_algorithms_by_regime_by_plan_class() {
-    let budget = std::env::var("PMM_CHAOS_BUDGET_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(240);
+    let budget = std::env::var("PMM_CHAOS_BUDGET_SECS").map_or(240, |s| {
+        s.trim().parse::<u64>().unwrap_or_else(|_| {
+            panic!("PMM_CHAOS_BUDGET_SECS={s:?} is not a whole number of seconds")
+        })
+    });
     let budget = std::time::Duration::from_secs(budget);
     let dims = MatMulDims::new(96, 24, 12);
     let c_ref = reference(dims);

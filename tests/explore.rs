@@ -35,8 +35,12 @@ use proptest::prelude::*;
 /// raises it to ≥ 1000.
 const DEFAULT_SOAK_PROGRAMS: u64 = 300;
 
+/// `default` when `name` is unset; a value that is set but does not
+/// parse fails naming it (a typo must not quietly run the default soak).
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    std::env::var(name).map_or(default, |s| {
+        s.trim().parse().unwrap_or_else(|_| panic!("{name}={s:?} is not a non-negative integer"))
+    })
 }
 
 /// A stable digest of one explored schedule's outcome: per-rank values,
