@@ -6,10 +6,12 @@
 //! `cargo xtask kernel-bench` parses into `BENCH_kernels.json`:
 //!
 //! 1. **kernel table** — GFLOP/s per kernel tier × size (standard
-//!    `2mnk` flop convention), plus the bitwise cross-tier identity
-//!    check at each size;
-//! 2. **calibration** — the fitted α, β, γ, `rank_secs` and the stream
-//!    bandwidth diagnostic (see `pmm_bench::calibrate`);
+//!    `2mnk` flop convention) and its share of the one-core FMA roofline
+//!    (`pct_roofline`), plus the bitwise cross-tier identity check at
+//!    each size;
+//! 2. **calibration** — the fitted α, β, γ, `rank_secs` and the two
+//!    roofline diagnostics, stream bandwidth and FMA peak with the vector
+//!    width it was issued at (see `pmm_bench::calibrate`);
 //! 3. **validation cells** — one per Theorem 3 regime: fit the
 //!    shape's effective per-word cost δ from a *smaller probe run*
 //!    (`fit_word_secs`), then run Algorithm 1 at full scale, predict its
@@ -121,6 +123,7 @@ fn main() {
     // ---- 1. kernel table ------------------------------------------------
     println!("local GEMM kernels (GFLOP/s, 2·n³ flops):\n");
     let mut rows = Vec::new();
+    let mut measured: Vec<(Kernel, usize, f64)> = Vec::new();
     let mut best_at_1024 = (Kernel::Naive, 0.0f64);
     let mut naive_at_1024 = 0.0f64;
     for &n in &SIZES {
@@ -134,7 +137,7 @@ fn main() {
             let (madds, secs) = gemm_probe(n, k);
             let gflops = 2.0 * madds / secs / 1e9;
             row.push(format!("{gflops:.2}"));
-            markers.push(format!("KERNELS: kernel name={k} n={n} gflops={gflops:.3}"));
+            measured.push((k, n, gflops));
             if n == 1024 {
                 if k == Kernel::Naive {
                     naive_at_1024 = gflops;
@@ -169,9 +172,19 @@ fn main() {
         report.stream_gbps,
         100.0 * report.pingpong_fit_error()
     );
+    let fma_peak = report.fma_peak_gflops;
+    let vector_bits = pmm_dense::FMA_VECTOR_BITS;
+    println!("one-core FMA peak: {fma_peak:.1} GFLOP/s at {vector_bits} bit");
+    for (k, n, gflops) in measured {
+        markers.push(format!(
+            "KERNELS: kernel label={k}-n{n} name={k} n={n} gflops={gflops:.3} pct_roofline={:.1}",
+            100.0 * gflops / fma_peak
+        ));
+    }
     markers.push(format!(
         "KERNELS: calibration kernel={best_kernel} alpha={:.6e} beta={:.6e} gamma={:.6e} \
-         rank_secs={:.6e} stream_gbps={:.3}",
+         rank_secs={:.6e} stream_gbps={:.3} fma_peak_gflops={fma_peak:.3} \
+         vector_bits={vector_bits}",
         cal.alpha, cal.beta, cal.gamma, cal.rank_secs, report.stream_gbps
     ));
     checks.check("calibration: beta > 0", cal.beta > 0.0);

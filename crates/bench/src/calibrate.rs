@@ -14,6 +14,10 @@
 //! * **stream** ([`stream_probe`]) — a large `memcpy` loop reporting raw
 //!   copy bandwidth in GB/s, a sanity diagnostic for `beta` (the channel
 //!   cost is bounded below by the copy cost);
+//! * **FMA peak** (`pmm_dense::fma_peak_gflops`) — the local-GEMM
+//!   roofline: the fast tier's own multiply-add, at the vector width it
+//!   issues, with nothing else in the way; a diagnostic for `gamma` as
+//!   stream is for `beta`;
 //! * **GEMM** ([`gemm_probe`]) — timed local multiplies fit `gamma`
 //!   through the origin as seconds per *metered multiply-add* (the
 //!   `n1·n2·n3` count the algorithms charge via `Rank::compute`, i.e.
@@ -26,7 +30,7 @@
 //!   shape, which prices the staging copies and allocator traffic a bare
 //!   ping-pong never sees.
 //!
-//! [`calibrate`] runs all four under a wall-clock budget and returns the
+//! [`calibrate`] runs all of them under a wall-clock budget and returns the
 //! fitted calibration plus the raw probe points, so harnesses (the
 //! `kernel_bench` binary, `cargo xtask calibrate`, `pmm calibrate`) can
 //! report fit quality alongside the constants.
@@ -60,6 +64,10 @@ pub struct CalibrationReport {
     pub pingpong: Vec<(f64, f64)>,
     /// Raw memcpy bandwidth in GB/s (diagnostic; not a fitted constant).
     pub stream_gbps: f64,
+    /// One core's multiply-add ceiling in GFLOP/s, issued at
+    /// `pmm_dense::FMA_VECTOR_BITS` (diagnostic; `2 / gamma` over this is
+    /// the fitted kernel's share of the roofline).
+    pub fma_peak_gflops: f64,
     /// GEMM points: `(multiply-adds, seconds)` for the probed sizes.
     pub gemm: Vec<(f64, f64)>,
 }
@@ -258,12 +266,13 @@ pub fn calibrate(budget_secs: f64, kernel: Kernel) -> CalibrationReport {
     let (alpha, beta) = fit_affine(&pingpong);
 
     let stream_gbps = stream_probe(1 << 21, 8); // 16 MiB copies
+    let fma_peak_gflops = pmm_dense::fma_peak_gflops();
 
     let gemm: Vec<(f64, f64)> = GEMM_SIZES.iter().map(|&n| gemm_probe(n, kernel)).collect();
     let gamma = fit_through_origin(&gemm);
 
     let cal = MachineCalibration::new(alpha, beta, gamma).with_rank_secs(world_secs);
-    CalibrationReport { cal, pingpong, stream_gbps, gemm }
+    CalibrationReport { cal, pingpong, stream_gbps, fma_peak_gflops, gemm }
 }
 
 #[cfg(test)]
@@ -279,6 +288,7 @@ mod tests {
         assert!(report.cal.gamma > 0.0, "gamma: {}", report.cal.gamma);
         assert!(report.cal.rank_secs > 0.0);
         assert!(report.stream_gbps > 0.0);
+        assert!(report.fma_peak_gflops > 0.0);
         assert_eq!(report.pingpong.len(), PINGPONG_SIZES.len());
         assert_eq!(report.gemm.len(), GEMM_SIZES.len());
     }

@@ -504,6 +504,12 @@ pub fn calibrate(budget_secs: f64, out_path: Option<&str>, kernel: Kernel) -> (S
     let _ = writeln!(s, "  stream    : {:.1} GB/s (diagnostic, not fitted)", report.stream_gbps);
     let _ = writeln!(
         s,
+        "  fma peak  : {:.1} GFLOP/s on one core at {} bit (diagnostic, not fitted)",
+        report.fma_peak_gflops,
+        pmm_dense::FMA_VECTOR_BITS
+    );
+    let _ = writeln!(
+        s,
         "  fit       : ping-pong worst-point error {:.1}%",
         100.0 * report.pingpong_fit_error()
     );

@@ -7,9 +7,10 @@
 //!   keeps the inner loop streaming over contiguous rows of `B` and `C`).
 //!   This is the **pinned oracle**: every other tier must produce a
 //!   bitwise-identical product (see below).
-//! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled,
-//!   autovectorizable microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir`
-//!   loop nest in the `blocked` module). The fast tier.
+//! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled
+//!   microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir` loop nest in the
+//!   `blocked` module): an explicit AVX-512 tile where the build target
+//!   has one, a safe autovectorised tile everywhere else. The fast tier.
 //! * [`Kernel::Auto`] — runtime selection by arithmetic intensity:
 //!   `Naive` up to [`AUTO_NAIVE_MAX_INTENSITY`] multiply-adds per matrix
 //!   element touched, `Blocked` above it.
@@ -17,14 +18,16 @@
 //! # Bitwise identity across tiers
 //!
 //! Every tier accumulates each output element `C[i][j]` over the
-//! contracted index `k` in **strictly increasing order**, one
-//! `mul`-then-`add` per term, with no FMA contraction and no private
-//! re-associated partial sums (the blocked microkernel loads the live `C`
-//! tile into its accumulator registers before the `k` loop and stores it
-//! back after). IEEE-754 arithmetic is deterministic, so all tiers
-//! produce **bitwise-identical** products for arbitrary `f64` inputs —
-//! not merely for the exact integer matrices used by the conformance
-//! tests. `tests/proptests.rs` pins this on fractional inputs and the
+//! contracted index `k` in **strictly increasing order**, one `madd`
+//! per term — a single fused multiply-add where the build target has
+//! hardware FMA, a `mul` then an `add` where it has not, and the same one
+//! of the two in every tier of a build — with no private re-associated
+//! partial sums (the blocked microkernel loads the live `C` tile into its
+//! accumulator registers before the `k` loop and stores it back after).
+//! IEEE-754 arithmetic is deterministic, so all tiers produce
+//! **bitwise-identical** products for arbitrary `f64` inputs — not merely
+//! for the exact integer matrices used by the conformance tests.
+//! `tests/proptests.rs` pins this on fractional inputs and the
 //! kernel-invariance suite pins that tier choice never alters simulator
 //! meters or traces.
 //!

@@ -18,6 +18,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "fma"))]
+mod avx512;
 mod blocked;
 
 pub mod gen;
@@ -25,6 +27,7 @@ pub mod kernels;
 pub mod matrix;
 pub mod partition;
 
+pub use blocked::{fma_peak_gflops, FMA_VECTOR_BITS};
 pub use gen::{constant_matrix, identity, random_int_matrix, random_matrix};
 pub use kernels::{gemm, gemm_acc, kernel_from_env, Kernel, KERNEL_ENV};
 pub use matrix::Matrix;

@@ -181,19 +181,26 @@ proptest! {
 
     #[test]
     fn every_tier_is_bitwise_identical_on_degenerate_shapes(
-        sel in 0usize..4,
+        sel in 0usize..7,
         x in 1usize..80,
         y in 1usize..80,
         seed in 0u64..1000,
     ) {
         // Row vectors, column outputs, outer products, and odd sizes
         // crossing the blocked kernel's microtile edges — the shapes
-        // where packing/edge-case code earns its keep.
+        // where packing/edge-case code earns its keep. The last three
+        // straddle the blocking constants of `blocked.rs` (tiles 8×24
+        // and 6×8, `MC` = 120, `KC` = 512): one short of, exactly and one
+        // past a tile in each direction, a row past `MC` with an output
+        // narrower than one vector, a slab past `KC`.
         let (m, k, n) = match sel {
             0 => (1, x, y),          // (1×k)·(k×n)
             1 => (x, y, 1),          // (m×k)·(k×1)
             2 => (x, 1, y),          // outer product
-            _ => (x + 32, y + 32, 65), // odd, larger than one microtile
+            3 => (x + 32, y + 32, 65), // odd, larger than one microtile
+            4 => (7 + x % 3, y, 23 + y % 3),
+            5 => (121, 1 + y % 4, 1 + x % 7),
+            _ => (5 + x % 3, 513, 7 + y % 3),
         };
         let a = random_matrix(m, k, seed);
         let b = random_matrix(k, n, seed + 1);

@@ -318,38 +318,69 @@ fn resolve_workspace_root(manifest_dir: Option<&Path>, cwd: Option<&Path>) -> Pa
         .to_path_buf()
 }
 
-/// Scan all workspace `.rs` sources for forbidden tokens: `unsafe` (the
-/// workspace denies the `unsafe_code` lint and the policy is zero unsafe
-/// code) plus the `todo!`/`dbg!` leftover-macros (denied via
-/// `clippy::todo`/`clippy::dbg_macro`). The grep backstops all three
-/// lints against `#[allow]` escapes. Returns true when clean.
+/// The one file of the workspace allowed to say `unsafe`: the explicit
+/// AVX-512 microkernel of `pmm-dense`, which carries the
+/// `#![allow(unsafe_code)]` that lifts the workspace's `deny` for that
+/// module only.
+const UNSAFE_ALLOWED_IN: &str = "crates/dense/src/avx512.rs";
+
+/// Scan all workspace `.rs` sources for the tokens the lints deny:
+/// `unsafe` (the workspace denies the `unsafe_code` lint) plus the
+/// `todo!`/`dbg!` leftover-macros (denied via `clippy::todo` /
+/// `clippy::dbg_macro`). The grep backstops all three lints against
+/// `#[allow]` escapes. The policy on `unsafe` is one file, every use
+/// argued: the token is allowed in [`UNSAFE_ALLOWED_IN`] and nowhere
+/// else, and each use there must sit directly under a comment that says
+/// `SAFETY` and why. Returns true when clean.
 fn keyword_audit(root: &Path) -> bool {
-    // Needles built from parts so the audit does not flag its own source.
-    let needles: Vec<String> =
-        vec![["un", "safe"].concat(), ["to", "do", "!"].concat(), ["db", "g!"].concat()];
     let mut violations = Vec::new();
     for dir in ["src", "crates", "shims", "xtask"] {
         scan_dir(&root.join(dir), &mut |path, text| {
-            for (i, line) in text.lines().enumerate() {
-                // Comment lines are prose, not code: a commented-out token
-                // cannot compile, so it is not a policy violation.
-                if line.trim_start().starts_with("//") {
-                    continue;
-                }
-                if needles.iter().any(|needle| has_word(line, needle)) {
-                    violations.push((path.to_path_buf(), i + 1, line.to_string()));
-                }
+            let file = path.strip_prefix(root).unwrap_or(path);
+            for (line_no, why) in audit_file(file, text) {
+                violations.push(format!("{}:{line_no}: {why}", file.display()));
             }
         });
     }
     if violations.is_empty() {
         return true;
     }
-    eprintln!("xtask: {} forbidden token(s) found (policy: none allowed):", violations.len());
-    for (path, line_no, line) in &violations {
-        eprintln!("  {}:{line_no}: {}", path.display(), line.trim());
+    eprintln!("xtask: {} audit violation(s):", violations.len());
+    for violation in &violations {
+        eprintln!("  {violation}");
     }
     false
+}
+
+/// The audit of one file, `file` relative to the workspace root: the
+/// `(line number, what is wrong)` of every violation.
+fn audit_file(file: &Path, text: &str) -> Vec<(usize, String)> {
+    // Needles built from parts so the audit does not flag its own source.
+    let guarded = ["un", "safe"].concat();
+    let leftovers = [["to", "do", "!"].concat(), ["db", "g!"].concat()];
+    // Comment lines are prose, not code: a commented-out token cannot
+    // compile, so it is not a policy violation.
+    let is_comment = |line: &str| line.trim_start().starts_with("//");
+    let lines: Vec<&str> = text.lines().collect();
+    let mut violations = Vec::new();
+    for (i, line) in lines.iter().enumerate().filter(|(_, line)| !is_comment(line)) {
+        if let Some(token) = leftovers.iter().find(|needle| has_word(line, needle)) {
+            violations.push((i + 1, format!("`{token}` left in: {}", line.trim())));
+        }
+        if !has_word(line, &guarded) {
+            continue;
+        }
+        let mut above = lines[..i].iter().rev().take_while(|l| is_comment(l));
+        let why = if file != Path::new(UNSAFE_ALLOWED_IN) {
+            format!("outside {UNSAFE_ALLOWED_IN}")
+        } else if !above.any(|l| l.contains("SAFETY")) {
+            "without a SAFETY comment directly above".to_string()
+        } else {
+            continue;
+        };
+        violations.push((i + 1, format!("`{guarded}` {why}: {}", line.trim())));
+    }
+    violations
 }
 
 /// Call `visit(path, text)` on every `.rs` file under `dir`, build
@@ -509,6 +540,47 @@ mod tests {
         assert!(!has_word("totally safe code", &needle));
     }
 
+    /// A use of the guarded token (spelled in parts, as above) with the
+    /// three lines before it: line 4 of the text.
+    fn guarded_use(above: [&str; 3]) -> String {
+        let needle = ["un", "safe"].concat();
+        format!("{}\n{}\n{}\n    {needle} {{ *p }}\n}}\n", above[0], above[1], above[2])
+    }
+
+    const ARGUED: [&str; 3] = [
+        "fn f(p: *const f64) -> f64 {",
+        "    // SAFETY: `p` points into a slice whose length was",
+        "    // asserted above.",
+    ];
+
+    #[test]
+    fn the_guarded_token_outside_its_one_file_fails_the_audit() {
+        let argued = guarded_use(ARGUED);
+        assert_eq!(audit_file(Path::new(UNSAFE_ALLOWED_IN), &argued), Vec::new());
+        // The same argued block anywhere else is a violation.
+        let elsewhere = audit_file(Path::new("crates/dense/src/blocked.rs"), &argued);
+        assert_eq!(elsewhere.len(), 1, "{elsewhere:?}");
+        assert!(elsewhere[0].0 == 4 && elsewhere[0].1.contains("outside"), "{elsewhere:?}");
+        // The lint's own name is an identifier, not the token.
+        let lint = format!("#![deny({}_code)]", ["un", "safe"].concat());
+        assert_eq!(audit_file(Path::new("src/lib.rs"), &lint), Vec::new());
+        // The file the policy names exists.
+        assert!(workspace_root().join(UNSAFE_ALLOWED_IN).is_file());
+    }
+
+    #[test]
+    fn an_unargued_use_in_the_allowed_file_fails_the_audit() {
+        // A comment further up, past a line of code, does not count.
+        let stale = guarded_use([
+            "// SAFETY: about something else",
+            "fn f(p: *const f64) -> f64 {",
+            "    let x = 1;",
+        ]);
+        let unargued = audit_file(Path::new(UNSAFE_ALLOWED_IN), &stale);
+        assert_eq!(unargued.len(), 1, "{unargued:?}");
+        assert!(unargued[0].0 == 4 && unargued[0].1.contains("SAFETY"), "{unargued:?}");
+    }
+
     #[test]
     fn audit_needles_catch_leftover_macros() {
         // Spelled in parts for the same reason as above.
@@ -518,6 +590,9 @@ mod tests {
         assert!(has_word(&format!("let x = {dbg}(value);"), &dbg));
         assert!(!has_word(&format!("method_{todo}()"), &todo));
         assert!(!has_word("debug!(value)", &dbg));
+        let found = audit_file(Path::new("src/lib.rs"), &format!("fn f() {{\n    {todo}()\n}}\n"));
+        assert!(found.len() == 1 && found[0].0 == 2, "{found:?}");
+        assert_eq!(audit_file(Path::new("src/lib.rs"), &format!("// {todo}()")), Vec::new());
     }
 
     #[test]
