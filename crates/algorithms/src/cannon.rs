@@ -164,11 +164,10 @@ mod tests {
 
     fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CannonOutput>) {
         let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
-            let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
-            cannon(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| cannon(rank, &cfg, &a, &b));
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()
         });
@@ -241,11 +240,10 @@ mod tests {
         let choice = best_grid(dims, 4);
         let grid = Grid3::from_dims(choice.grid);
         let cfg = Alg1Config::new(dims, grid);
-        let alg1_out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(64, 16, -3..4, 5);
-            let b = random_int_matrix(16, 16, -3..4, 6);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(64, 16, -3..4, 5);
+        let b = random_int_matrix(16, 16, -3..4, 6);
+        let alg1_out =
+            World::new(4, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
         assert!(
             alg1_out.critical_path_time() < cannon_out.critical_path_time(),
             "Alg1 {} should beat Cannon {}",

@@ -28,8 +28,7 @@
 //! and with the §5.2 optimal grid this *equals* the Theorem 3 bound.
 
 use pmm_collectives::{
-    all_gather_v_a, all_to_all_a, reduce_scatter_v_a, AllGatherAlgo, AllToAllAlgo,
-    ReduceScatterAlgo,
+    all_gather_v_a, all_to_all_a, reduce_scatter_v_a, AllGatherAlgo, ReduceScatterAlgo,
 };
 use pmm_dense::{block_range, chunk_of_block, gemm, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
@@ -255,7 +254,7 @@ async fn all_to_all_sum(
     // Temporary memory for the p−1 received chunks (the ablation's cost).
     rank.mem_acquire((data.len() - acc.len()) as u64);
     if uniform && counts[0] > 0 {
-        let recv = all_to_all_a(rank, comm, data, AllToAllAlgo::Pairwise).await;
+        let recv = all_to_all_a(rank, comm, data).await;
         for src in 0..p {
             if src == me {
                 continue;
@@ -327,11 +326,10 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let grid = Grid3::from_dims(grid);
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
-            let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| alg1(rank, &cfg, &a, &b));
         let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, grid, &chunks), out)
     }

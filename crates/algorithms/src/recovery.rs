@@ -558,11 +558,8 @@ mod tests {
                 if matches!(spec, Recoverable::Carma { .. }) && p == 6 {
                     continue; // CARMA splits need even dims at each level
                 }
-                let spec2 = spec.clone();
-                let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                    let (a, b) = inputs(dims);
-                    run_recoverable(rank, &spec2, dims, &a, &b).expect("no faults")
-                });
+                let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+                    .run(|rank| run_recoverable(rank, &spec, dims, &a, &b).expect("no faults"));
                 let plan = out.values[0].plan.clone();
                 let shares: Vec<CShare> = out.values.iter().map(|v| v.share.clone()).collect();
                 let got = assemble_recovered(dims, &plan, &shares);
@@ -582,13 +579,9 @@ mod tests {
         let want = gemm(&a, &b, Kernel::Naive);
         for spec in all_specs() {
             let p = 5usize; // 4 survivors: power of two, square, 2×2
-            let spec2 = spec.clone();
             let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
                 .with_faults(FaultPlan::default().with_kill(2, 3))
-                .run(move |rank| {
-                    let (a, b) = inputs(dims);
-                    run_recoverable(rank, &spec2, dims, &a, &b)
-                });
+                .run(|rank| run_recoverable(rank, &spec, dims, &a, &b));
             let ok: Vec<&Recovered> = out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
             assert_eq!(ok.len(), 4, "{spec:?}: survivors return Ok");
             let plan = ok[0].plan.clone();
@@ -603,13 +596,11 @@ mod tests {
     fn restore_goodput_matches_the_model_exactly() {
         use pmm_model::restore_words_total;
         let dims = MatMulDims::new(12, 8, 16);
+        let (a, b) = inputs(dims);
         for spec in all_specs() {
             let p = 4usize;
-            let spec2 = spec.clone();
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let (a, b) = inputs(dims);
-                run_recoverable(rank, &spec2, dims, &a, &b).expect("no faults")
-            });
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+                .run(|rank| run_recoverable(rank, &spec, dims, &a, &b).expect("no faults"));
             let restore: u64 = out.values.iter().map(|v| v.restore_meter.words_sent).sum();
             assert_eq!(restore as f64, restore_words_total(dims, p), "{spec:?}");
         }

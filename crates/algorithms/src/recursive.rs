@@ -433,9 +433,9 @@ mod tests {
         seed: u64,
     ) -> (Matrix, pmm_simnet::WorldResult<Vec<f64>>) {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+        let a = random_int_matrix(n1, n2, -3..4, seed);
+        let b = random_int_matrix(n2, n3, -3..4, seed + 1);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1, n2, -3..4, seed);
-            let b = random_int_matrix(n2, n3, -3..4, seed + 1);
             let (a_share, b_share) = carma_shares(p, rank.world_rank(), &a, &b);
             let comm = rank.world_comm();
             carma(rank, &comm, dims, Kernel::Naive, a_share, b_share)

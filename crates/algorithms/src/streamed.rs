@@ -173,11 +173,10 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let g = Grid3::from_dims(grid);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1, n2, -3..4, 71);
-            let b = random_int_matrix(n2, n3, -3..4, 72);
-            alg1_streamed(rank, dims, g, slabs, Kernel::Naive, &a, &b)
-        });
+        let a = random_int_matrix(n1, n2, -3..4, 71);
+        let b = random_int_matrix(n2, n3, -3..4, 72);
+        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| alg1_streamed(rank, dims, g, slabs, Kernel::Naive, &a, &b));
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, g, &chunks), out)
     }
@@ -237,11 +236,10 @@ mod tests {
 
         let g = Grid3::from_dims(grid);
         let cfg = Alg1Config::new(dims, g);
-        let plain = World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(24, 24, -3..4, 71);
-            let b = random_int_matrix(24, 24, -3..4, 72);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(24, 24, -3..4, 71);
+        let b = random_int_matrix(24, 24, -3..4, 72);
+        let plain =
+            World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
         for r in 0..8 {
             assert_eq!(
                 streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,

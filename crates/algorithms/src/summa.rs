@@ -188,11 +188,10 @@ mod tests {
         pc: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<SummaOutput>) {
         let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
-            let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
-            summa(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
+        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| summa(rank, &cfg, &a, &b));
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
             out.values[i * pc + j].c_block.clone()
         });

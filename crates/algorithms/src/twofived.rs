@@ -18,7 +18,7 @@
 //! degenerates to Cannon; at `c = q` (i.e. `P = q³`) it is a 3D
 //! algorithm.
 
-use pmm_collectives::{bcast_a, reduce_a, BcastAlgo, ReduceAlgo};
+use pmm_collectives::{bcast_a, reduce_a, BcastAlgo};
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, Rank};
@@ -191,7 +191,7 @@ pub async fn twofived_on_a(
 
     // ---- step 3: sum partial C over the fiber to layer 0 ------------------
     let summed = pmm_simnet::phase!(rank, "reduce C over fiber", {
-        reduce_a(rank, &fiber, cmat.into_vec(), 0, ReduceAlgo::Binomial).await
+        reduce_a(rank, &fiber, cmat.into_vec(), 0).await
     });
     let c_block = (l == 0).then(|| Matrix::from_vec(my_rows, my_cols, summed));
     TwoFiveDOutput { c_block }
@@ -210,11 +210,10 @@ mod tests {
         c: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<TwoFiveDOutput>) {
         let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
-            let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
-            twofived(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
+        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| twofived(rank, &cfg, &a, &b));
         let cmat = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone().expect("layer 0 holds C")
         });
@@ -269,11 +268,10 @@ mod tests {
         let dims = MatMulDims::new(32, 32, 32);
         let (_, repl) = run(dims, 16, 4); // P = 1024
         let cfg = CannonConfig { dims, q: 32, kernel: Kernel::Naive };
-        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(32, 32, -3..4, 25);
-            let b = random_int_matrix(32, 32, -3..4, 26);
-            cannon(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(32, 32, -3..4, 25);
+        let b = random_int_matrix(32, 32, -3..4, 26);
+        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY)
+            .run(move |rank| cannon(rank, &cfg, &a, &b));
         assert!(
             repl.critical_path_time() < flat.critical_path_time(),
             "2.5D (c=4) {} should beat 2D (c=1) {}",
@@ -287,9 +285,9 @@ mod tests {
     fn rejects_c_not_dividing_q() {
         let dims = MatMulDims::new(8, 8, 8);
         let cfg = TwoFiveDConfig { dims, q: 3, c: 2, kernel: Kernel::Naive };
+        let a = random_int_matrix(8, 8, -1..2, 1);
+        let b = random_int_matrix(8, 8, -1..2, 2);
         World::new(18, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(8, 8, -1..2, 1);
-            let b = random_int_matrix(8, 8, -1..2, 2);
             twofived(rank, &cfg, &a, &b);
         });
     }

@@ -8,16 +8,10 @@ use pmm_algs::{
     SummaConfig,
 };
 use pmm_core::gridopt::alg1_cost_words;
-use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
+use pmm_dense::{gemm, random_int_matrix, Kernel};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{MachineParams, World};
 use proptest::prelude::*;
-
-fn reference(dims: MatMulDims, seed: u64) -> Matrix {
-    let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, seed);
-    let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, seed + 1);
-    gemm(&a, &b, Kernel::Naive)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -34,13 +28,13 @@ proptest! {
         let assembly =
             if assembly_pick == 0 { Assembly::ReduceScatter } else { Assembly::AllToAllSum };
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
-            let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
+        let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
+        let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(|rank| {
             alg1(rank, &cfg, &a, &b)
         });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        prop_assert_eq!(assemble_c(dims, grid, &chunks), reference(dims, seed));
+        prop_assert_eq!(assemble_c(dims, grid, &chunks), gemm(&a, &b, Kernel::Naive));
     }
 
     #[test]
@@ -63,9 +57,9 @@ proptest! {
         let cfg = Alg1Config::new(dims, g);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
         prop_assume!(n1 * n2 * n3 <= 200_000); // keep local gemm cheap
+        let a = random_int_matrix(n1, n2, -1..2, 1);
+        let b = random_int_matrix(n2, n3, -1..2, 2);
         let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1, n2, -1..2, 1);
-            let b = random_int_matrix(n2, n3, -1..2, 2);
             alg1(rank, &cfg, &a, &b);
             rank.time()
         });
@@ -82,12 +76,12 @@ proptest! {
         seed in 0u64..500,
     ) {
         let dims = MatMulDims::new(n1, n2, n3);
-        let want = reference(dims, seed);
+        let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
+        let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
+        let want = gemm(&a, &b, Kernel::Naive);
 
         let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
-            let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             cannon(rank, &ccfg, &a, &b)
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
@@ -96,9 +90,7 @@ proptest! {
         prop_assert_eq!(&got, &want, "cannon q={}", q);
 
         let scfg = SummaConfig { dims, pr: q, pc: q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
-            let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             summa(rank, &scfg, &a, &b)
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {

@@ -29,12 +29,12 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::{kernel_from_env, Kernel};
 use pmm_model::MatMulDims;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let budget: f64 = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("budget must be a number of seconds"))
         .unwrap_or(5.0);
-    let mut checks = Checks::new();
+    let mut checks = Checks::default();
 
     // The paper's §5.3/§6.2 instance and memory budget.
     let dims = MatMulDims::new(9600, 2400, 600);
@@ -143,5 +143,5 @@ fn main() {
         ),
     }
 
-    checks.finish();
+    checks.finish().into()
 }

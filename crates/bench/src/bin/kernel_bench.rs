@@ -100,12 +100,12 @@ fn tiers() -> Vec<Kernel> {
     Kernel::ALL.into_iter().filter(|&k| k != Kernel::Auto).collect()
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let budget: f64 = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("budget must be a number of seconds"))
         .unwrap_or(20.0);
-    let mut checks = Checks::new();
+    let mut checks = Checks::default();
     let mut markers: Vec<String> = Vec::new();
 
     // Warm-up: ~1s of sustained vector work before any timing, so every
@@ -233,7 +233,7 @@ fn main() {
         println!("{m}");
     }
 
-    checks.finish();
+    checks.finish().into()
 }
 
 /// Run one cell: fit δ from the smaller probe, then predict and

@@ -313,7 +313,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let budget_secs: u64 = match std::env::var("PMM_SERVE_SOAK_SECS") {
         Err(_) => 5,
         Ok(v) => match v.trim().parse::<u64>() {
@@ -455,7 +455,7 @@ fn main() {
         rss_growth.map_or_else(|| "unavailable".to_string(), |b| b.to_string()),
     );
 
-    let mut checks = Checks::new();
+    let mut checks = Checks::default();
     checks.check("service still answers PING after the storm", alive);
     checks.check(
         "every request on a surviving connection was answered",
@@ -481,5 +481,5 @@ fn main() {
         "SERVE: verdict={}",
         if tally.answered == tally.sent && alive { "pass" } else { "fail" }
     );
-    checks.finish();
+    checks.finish().into()
 }

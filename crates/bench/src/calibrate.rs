@@ -36,15 +36,15 @@
 //! report fit quality alongside the constants.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
-use pmm_algs::{alg1_a, Alg1Config};
 use pmm_dense::{gemm, random_matrix, Kernel};
 use pmm_model::{
-    fit_affine, fit_through_origin, Grid3, MachineCalibration, MachineParams, MatMulDims,
+    fit_affine, fit_through_origin, AlgPlan, MachineCalibration, MachineParams, MatMulDims,
 };
-use pmm_simnet::World;
+use pmm_simnet::{Meter, World};
+
+use crate::measure::Inputs;
 
 /// Payload sizes (words) the ping-pong probe sweeps. Spread over two
 /// orders of magnitude so the affine fit separates intercept from slope.
@@ -192,32 +192,26 @@ pub struct CellRun {
 /// the best wall time plus the run's meter totals.
 ///
 /// Inputs are generated once outside the timed region and shared across
-/// ranks via `Arc`, so the wall clock prices only the run itself. The
-/// event-loop simulator is single-threaded, so meters *summed over
+/// ranks ([`Inputs::run`]), so the wall clock prices only the run itself.
+/// The event-loop simulator is single-threaded, so meters *summed over
 /// ranks* (not critical-path maxima) are the right predictor basis.
 pub fn alg1_cell_run(dims: MatMulDims, grid: [usize; 3], kernel: Kernel, reps: usize) -> CellRun {
     let p: usize = grid.iter().product();
-    let a = Arc::new(random_matrix(dims.n1 as usize, dims.n2 as usize, 11));
-    let b = Arc::new(random_matrix(dims.n2 as usize, dims.n3 as usize, 13));
-    let mut cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-    cfg.kernel = kernel;
-    let cfg = Arc::new(cfg);
+    let inputs = Inputs::new(
+        dims,
+        random_matrix(dims.n1 as usize, dims.n2 as usize, 11),
+        random_matrix(dims.n2 as usize, dims.n3 as usize, 13),
+    );
+    let plan = AlgPlan::Alg1 { grid };
     let mut run = CellRun { wall_secs: f64::INFINITY, msgs: 0.0, words: 0.0, flops: 0.0 };
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (cfg, a, b) = (Arc::clone(&cfg), Arc::clone(&a), Arc::clone(&b));
-            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
-        });
+        let out = inputs.run(&World::new(p, MachineParams::BANDWIDTH_ONLY), &plan, kernel);
         run.wall_secs = run.wall_secs.min(t0.elapsed().as_secs_f64());
-        run.msgs = 0.0;
-        run.words = 0.0;
-        run.flops = 0.0;
-        for r in &out.reports {
-            run.msgs += r.meter.msgs_sent as f64;
-            run.words += r.meter.words_sent as f64;
-            run.flops += r.meter.flops;
-        }
+        let total = |of: fn(&Meter) -> f64| out.reports.iter().map(|r| of(&r.meter)).sum::<f64>();
+        run.msgs = total(|m| m.msgs_sent as f64);
+        run.words = total(|m| m.words_sent as f64);
+        run.flops = total(|m| m.flops);
     }
     run
 }

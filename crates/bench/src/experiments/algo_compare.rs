@@ -6,84 +6,20 @@
 //! competitive only for square-ish problems in the 2D regime; the 1D
 //! regime punishes anything that communicates the big matrix; crossovers
 //! track `P = m/n` and `P = mn/k²`.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin algo_compare
-//! ```
 
-use pmm_algs::{
-    alg1, cannon, carma, carma_cost_words, carma_shares, summa, twofived, Alg1Config, CannonConfig,
-    SummaConfig, TwoFiveDConfig,
-};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::Inputs;
+use crate::{fnum, print_table, Checks};
+use pmm_algs::carma_cost_words;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::{random_int_matrix, Kernel, Matrix};
-use pmm_model::MatMulDims;
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{AlgPlan, MatMulDims};
 
-fn inputs(dims: MatMulDims, seed: u64) -> (Matrix, Matrix) {
-    (
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -2..3, seed),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -2..3, seed + 1),
-    )
+/// Measured critical-path words of `plan`.
+fn words(inputs: &Inputs, plan: AlgPlan) -> f64 {
+    inputs.measure(&plan, false).critical_path_time()
 }
 
-fn run_alg1(dims: MatMulDims, p: usize) -> f64 {
-    let choice = best_grid(dims, p);
-    let cfg = Alg1Config::new(dims, choice.grid3());
-    World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
-            let (a, b) = inputs(dims, 50);
-            alg1(rank, &cfg, &a, &b);
-        })
-        .critical_path_time()
-}
-
-fn run_cannon(dims: MatMulDims, q: usize) -> f64 {
-    let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-    World::new(q * q, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
-            let (a, b) = inputs(dims, 50);
-            cannon(rank, &cfg, &a, &b);
-        })
-        .critical_path_time()
-}
-
-fn run_summa(dims: MatMulDims, pr: usize, pc: usize) -> f64 {
-    let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-    World::new(pr * pc, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
-            let (a, b) = inputs(dims, 50);
-            summa(rank, &cfg, &a, &b);
-        })
-        .critical_path_time()
-}
-
-fn run_25d(dims: MatMulDims, q: usize, c: usize) -> f64 {
-    let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-    World::new(c * q * q, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
-            let (a, b) = inputs(dims, 50);
-            twofived(rank, &cfg, &a, &b);
-        })
-        .critical_path_time()
-}
-
-fn run_carma_exec(dims: MatMulDims, p: usize) -> f64 {
-    World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
-            let (a, b) = inputs(dims, 50);
-            let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
-            let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, sa, sb);
-        })
-        .critical_path_time()
-}
-
-fn main() {
-    let mut checks = Checks::new();
-
+pub fn run(checks: &mut Checks) {
     // Three regimes, P = 64 everywhere (Cannon/SUMMA on 8×8, 2.5D at c=4).
     let p = 64usize;
     let regimes = [
@@ -96,12 +32,13 @@ fn main() {
     let mut rows = Vec::new();
     for (label, dims) in regimes {
         let bound = lower_bound(dims, p as f64).bound;
-        let a1 = run_alg1(dims, p);
-        let ca = run_cannon(dims, 8);
-        let su = run_summa(dims, 8, 8);
-        let t25 = run_25d(dims, 4, 4);
+        let inputs = Inputs::random_int(dims, 50);
+        let a1 = words(&inputs, AlgPlan::Alg1 { grid: best_grid(dims, p).grid });
+        let ca = words(&inputs, AlgPlan::Cannon { q: 8 });
+        let su = words(&inputs, AlgPlan::Summa { pr: 8, pc: 8 });
+        let t25 = words(&inputs, AlgPlan::TwoFiveD { q: 4, c: 4 });
         let carma_model = carma_cost_words(dims, p as u64);
-        let carma_meas = run_carma_exec(dims, p);
+        let carma_meas = words(&inputs, AlgPlan::Carma { p });
 
         for (name, t) in [("cannon", ca), ("summa", su), ("2.5d", t25)] {
             checks.check(format!("{label}: alg1 <= {name}"), a1 <= t + 1e-9);
@@ -143,12 +80,13 @@ fn main() {
     // case moves toward 3D.
     println!("\ncrossover sweep on the paper-shaped instance (768x192x48):");
     let dims = MatMulDims::new(768, 192, 48);
+    let inputs = Inputs::random_int(dims, 50);
     let mut rows = Vec::new();
     let mut prev_ratio = f64::INFINITY;
     for q in [2usize, 4, 8, 16] {
         let p = q * q;
-        let a1 = run_alg1(dims, p);
-        let ca = run_cannon(dims, q);
+        let a1 = words(&inputs, AlgPlan::Alg1 { grid: best_grid(dims, p).grid });
+        let ca = words(&inputs, AlgPlan::Cannon { q });
         let ratio = ca / a1.max(1.0);
         rows.push(vec![
             p.to_string(),
@@ -181,6 +119,4 @@ fn main() {
     println!("   optimality; Theorem 3 supplies the constants that certify runs like");
     println!("   these as exactly optimal (and quantifies the loss when alignment");
     println!("   fails — see the non-integral rows of the tightness experiment).");
-
-    checks.finish();
 }

@@ -7,21 +7,25 @@
 //! Sweeps `p` and `w`, measures every algorithm variant, and compares to
 //! the closed forms. Also shows the latency ablation (ring vs recursive
 //! doubling: same bandwidth, `p−1` vs `log2 p` messages).
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin collectives_cost
-//! ```
 
-use pmm_bench::{fnum, print_table, Checks};
+use crate::{fnum, print_table, Checks};
 use pmm_collectives::{
     all_gather, all_reduce, all_to_all, bcast, costs, reduce_scatter, AllGatherAlgo, AllReduceAlgo,
-    AllToAllAlgo, BcastAlgo, ReduceScatterAlgo,
+    BcastAlgo, ReduceScatterAlgo,
 };
-use pmm_simnet::{MachineParams, World};
+use pmm_simnet::{Comm, MachineParams, Rank, World};
 
-fn main() {
-    let mut checks = Checks::new();
+/// Critical-path cost of one collective, called by every rank of a
+/// `p`-rank world on the world communicator.
+fn cost(p: usize, params: MachineParams, op: impl Fn(&mut Rank, &Comm) + Send + Sync) -> f64 {
+    let out = World::new(p, params).run(|rank| {
+        let comm = rank.world_comm();
+        op(rank, &comm);
+    });
+    out.critical_path_time()
+}
 
+pub fn run(checks: &mut Checks) {
     println!("collective bandwidth per processor (measured on the simulator)");
     println!("vs the (1 − 1/p)·W optimum, W = total data\n");
 
@@ -37,12 +41,9 @@ fn main() {
             if matches!(algo, AllGatherAlgo::RecursiveDoubling) && !p.is_power_of_two() {
                 continue;
             }
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, vec![1.0; w], algo);
-                rank.time()
+            let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
+                all_gather(rank, comm, vec![1.0; w], algo);
             });
-            let measured = out.critical_path_time();
             let optimal = (1.0 - 1.0 / p as f64) * (p * w) as f64;
             let model = costs::all_gather_cost(algo, p, w);
             checks.check(format!("{name} p={p}: measured == model"), measured == model.words);
@@ -54,12 +55,9 @@ fn main() {
         }
 
         // Reduce-Scatter.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
-            rank.time()
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
+            reduce_scatter(rank, comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
         });
-        let measured = out.critical_path_time();
         let optimal = (1.0 - 1.0 / p as f64) * (p * w) as f64;
         checks.check(
             format!("reduce-scatter p={p}: bandwidth-optimal"),
@@ -68,23 +66,17 @@ fn main() {
         rows.push(vec!["reduce-scatter/auto".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-Reduce (Rabenseifner): optimal 2(1 − 1/p)·w.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_reduce(rank, &comm, vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
-            rank.time()
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
+            all_reduce(rank, comm, vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
         });
-        let measured = out.critical_path_time();
         let optimal = 2.0 * (1.0 - 1.0 / p as f64) * (p * w) as f64;
         checks.check(format!("all-reduce p={p}: 2(1-1/p)w"), (measured - optimal).abs() < 1e-9);
         rows.push(vec!["all-reduce/rsag".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-to-All (pairwise): (p−1)·w.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_to_all(rank, &comm, &vec![1.0; p * w], AllToAllAlgo::Pairwise);
-            rank.time()
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
+            all_to_all(rank, comm, &vec![1.0; p * w]);
         });
-        let measured = out.critical_path_time();
         let optimal = ((p - 1) * w) as f64;
         checks.check(format!("all-to-all p={p}: (p-1)w"), (measured - optimal).abs() < 1e-9);
         rows.push(vec!["all-to-all/pairwise".into(), p.to_string(), fnum(measured), fnum(optimal)]);
@@ -96,20 +88,12 @@ fn main() {
     let params = MachineParams::new(1.0, 0.0, 0.0);
     let mut rows = Vec::new();
     for p in [4usize, 8, 16, 32] {
-        let ring = World::new(p, params)
-            .run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0; 4], AllGatherAlgo::Ring);
-                rank.time()
-            })
-            .critical_path_time();
-        let rd = World::new(p, params)
-            .run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling);
-                rank.time()
-            })
-            .critical_path_time();
+        let ring = cost(p, params, |rank, comm| {
+            all_gather(rank, comm, &[1.0; 4], AllGatherAlgo::Ring);
+        });
+        let rd = cost(p, params, |rank, comm| {
+            all_gather(rank, comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling);
+        });
         checks.check(format!("latency p={p}: ring == p-1"), ring == (p - 1) as f64);
         checks.check(format!("latency p={p}: recdoubling == log2 p"), rd == (p.ilog2()) as f64);
         rows.push(vec![p.to_string(), fnum(ring), fnum(rd)]);
@@ -122,12 +106,9 @@ fn main() {
     for p in [4usize, 8, 16] {
         let w = 160usize;
         let run = |algo: BcastAlgo| {
-            World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .run(move |rank| {
-                    let comm = rank.world_comm();
-                    bcast(rank, &comm, vec![1.0; w], 0, algo);
-                })
-                .critical_path_time()
+            cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
+                bcast(rank, comm, vec![1.0; w], 0, algo);
+            })
         };
         let bin = run(BcastAlgo::Binomial);
         let sag = run(BcastAlgo::ScatterAllGather);
@@ -139,6 +120,4 @@ fn main() {
         rows.push(vec![p.to_string(), fnum(bin), fnum(sag)]);
     }
     print_table(&["p", "binomial", "scatter-allgather"], &rows);
-
-    checks.finish();
 }

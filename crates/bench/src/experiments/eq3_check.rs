@@ -8,26 +8,20 @@
 //! ```
 //!
 //! exactly. This cross-validates the executed simulator against the
-//! closed-form cost engine used by the larger sweeps.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin eq3_check
-//! ```
+//! closed form the other experiments assert their runs against.
 
-use pmm_algs::{alg1, Alg1Config};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::Inputs;
+use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::alg1_cost_words;
-use pmm_dense::random_int_matrix;
-use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{AlgPlan, Grid3, MatMulDims};
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     // 96 = 2^5·3, 48, 24: every factorization of the P values below gives
     // divisible blocks and fiber chunks.
     let dims = MatMulDims::new(96, 48, 24);
     println!("eq. (3) vs execution: {dims}, every factorization of P ∈ {{4, 8, 12, 24}}\n");
 
-    let mut checks = Checks::new();
+    let inputs = Inputs::random_int(dims, 3);
     let mut rows = Vec::new();
     let mut n_grids = 0;
     for p in [4usize, 8, 12, 24] {
@@ -37,21 +31,14 @@ fn main() {
             }
             n_grids += 1;
             let predicted = alg1_cost_words(dims, grid);
-            let g = Grid3::from_dims(grid);
-            let cfg = Alg1Config::new(dims, g);
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let a = random_int_matrix(96, 48, -2..3, 3);
-                let b = random_int_matrix(48, 24, -2..3, 4);
-                alg1(rank, &cfg, &a, &b)
-            });
-            let measured = out.critical_path_time();
+            let measured = inputs.measure(&AlgPlan::Alg1 { grid }, false).critical_path_time();
             let exact = (measured - predicted).abs() < 1e-9;
             checks.check(format!("P={p} grid {grid:?}: measured == eq3"), exact);
             // Show a representative subset to keep the table readable.
             if grid[0] >= grid[1] && grid[1] >= grid[2] {
                 rows.push(vec![
                     p.to_string(),
-                    g.to_string(),
+                    Grid3::from_dims(grid).to_string(),
                     fnum(predicted),
                     fnum(measured),
                     if exact { "exact".into() } else { "MISMATCH".into() },
@@ -63,6 +50,4 @@ fn main() {
     println!(
         "\nchecked all {n_grids} divisible factorizations (table shows sorted representatives)"
     );
-
-    checks.finish();
 }

@@ -7,20 +7,15 @@
 //! gathers from others (the light shading), and the three fibers along
 //! which its collectives run (the arrows). All quantities are *measured*
 //! from a traced simulator run.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin fig1
-//! ```
 
 use std::collections::BTreeSet;
 
-use pmm_algs::{alg1, Alg1Config};
-use pmm_bench::{print_table, Checks};
-use pmm_dense::random_int_matrix;
-use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{MachineParams, TraceOp, World};
+use crate::measure::{alg1_output, Inputs};
+use crate::{print_table, Checks};
+use pmm_model::{AlgPlan, Grid3, MatMulDims};
+use pmm_simnet::TraceOp;
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     // n1 = n2 = n3 as in the figure; 18 keeps every block and chunk even.
     let n = 18u64;
     let dims = MatMulDims::square(n);
@@ -30,35 +25,20 @@ fn main() {
     println!("Figure 1: Algorithm 1 on a 3x3x3 grid, n1 = n2 = n3 = {n}");
     println!("hero processor: (1,3,1) in the paper's 1-based coords = rank {hero}\n");
 
-    let cfg = Alg1Config::new(dims, grid);
-    let nn = n as usize;
-    let out = World::new(27, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(move |rank| {
-        let a = random_int_matrix(nn, nn, -2..3, 31);
-        let b = random_int_matrix(nn, nn, -2..3, 32);
-        alg1(rank, &cfg, &a, &b)
-    });
-
-    let mut checks = Checks::new();
+    let out = Inputs::random_int(dims, 31).measure(&AlgPlan::Alg1 { grid: grid.dims() }, true);
 
     // ---- owned vs gathered data sizes (dark vs light shading) -------------
     let block = n / 3 * n / 3; // 6x6 = 36 words per face block
     let chunk = block / 3; // spread over the 3-processor fiber
-    let hero_out = &out.values[hero];
-    let phases = &hero_out.phases;
-    let mut rows = Vec::new();
-    for (matrix, ph, comm_words) in [
-        ("A (block A_13)", &phases[0], phases[0].meter.words_recv),
-        ("B (block B_31)", &phases[1], phases[1].meter.words_recv),
-        ("C (block C_11)", &phases[2], phases[2].meter.words_recv),
-    ] {
-        let _ = ph;
-        rows.push(vec![
-            matrix.to_string(),
-            block.to_string(),
-            chunk.to_string(),
-            comm_words.to_string(),
-        ]);
-    }
+    let phases = &alg1_output(&out.values[hero]).phases;
+    let rows: Vec<Vec<String>> = ["A (block A_13)", "B (block B_31)", "C (block C_11)"]
+        .iter()
+        .zip(phases)
+        .map(|(matrix, ph)| {
+            let received = ph.meter.words_recv.to_string();
+            vec![matrix.to_string(), block.to_string(), chunk.to_string(), received]
+        })
+        .collect();
     print_table(
         &["matrix", "block words (light+dark)", "owned words (dark)", "received (light)"],
         &rows,
@@ -122,6 +102,4 @@ fn main() {
     // most 2 peers per collective (recursive doubling is not applicable at
     // p = 3; the ring touches both neighbors).
     checks.check("hero has 6 distinct partners (2 per fiber)", partners.len() == 6);
-
-    checks.finish();
 }

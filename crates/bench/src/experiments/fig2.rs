@@ -7,18 +7,12 @@
 //! communication pattern is then *executed and measured* on a 12.5×-scaled
 //! instance with identical aspect ratios (768×192×48 — same thresholds,
 //! same grids), confirming the per-matrix traffic the figure describes.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin fig2
-//! ```
 
-use pmm_algs::{alg1, Alg1Config};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::{alg1_output, Inputs};
+use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::random_int_matrix;
-use pmm_model::MatMulDims;
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{AlgPlan, MatMulDims};
 
 /// Per-matrix eq. 3 communication terms for a grid, in words/processor:
 /// `[A, B, C]`.
@@ -32,11 +26,10 @@ fn per_matrix_words(dims: MatMulDims, grid: [usize; 3]) -> [f64; 3] {
     ]
 }
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(9600, 2400, 600);
     println!("Figure 2: parallelizations of the {dims} iteration space\n");
 
-    let mut checks = Checks::new();
     let mut rows = Vec::new();
     for p in [3usize, 36, 512] {
         let choice = best_grid(dims, p);
@@ -93,19 +86,15 @@ fn main() {
     // ---- executed confirmation on the scaled instance ----------------------
     println!("\nmeasured per-phase traffic on the 12.5x-scaled instance (768x192x48):");
     let small = MatMulDims::new(768, 192, 48);
+    let inputs = Inputs::random_int(small, 1);
     let mut rows = Vec::new();
     for p in [3usize, 36, 512] {
         let choice = best_grid(small, p);
-        let cfg = Alg1Config::new(small, choice.grid3());
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(768, 192, -2..3, 1);
-            let b = random_int_matrix(192, 48, -2..3, 2);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let out = inputs.measure(&AlgPlan::Alg1 { grid: choice.grid }, false);
         // Traffic attributed per phase, max over ranks (balanced anyway).
         let mut per_phase = [0u64; 3];
         for v in &out.values {
-            for (i, ph) in v.phases.iter().enumerate() {
+            for (i, ph) in alg1_output(v).phases.iter().enumerate() {
                 per_phase[i] = per_phase[i].max(ph.meter.duplex_words());
             }
         }
@@ -130,6 +119,4 @@ fn main() {
     println!(" (a) P=3, 1D 3x1x1: only B moves — every processor needs all of B;");
     println!(" (b) P=36, 2D 12x3x1: B and C move, each A entry used by one processor;");
     println!(" (c) P=512, 3D 32x8x2: all three matrices move, local tile is a cube.");
-
-    checks.finish();
 }

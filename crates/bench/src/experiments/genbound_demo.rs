@@ -11,18 +11,12 @@
 //! 3. an uneven 4-array example (an MTTKRP-shaped footprint problem)
 //!    shows the case structure — which access bounds pin — shifting
 //!    with `P`, exactly as Lemma 2's three cases do for matmul.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin genbound_demo
-//! ```
 
-use pmm_bench::{fnum, print_table, Checks};
+use crate::{fnum, print_table, Checks};
 use pmm_core::genbound::GenBoundProblem;
 use pmm_core::optproblem::OptProblem;
 
-fn main() {
-    let mut checks = Checks::new();
-
+pub fn run(checks: &mut Checks) {
     // ---- 1. anchor: matmul == Lemma 2 --------------------------------------
     println!("anchor: generalized solver vs Lemma 2 on (9600, 2400, 600):\n");
     let mut rows = Vec::new();
@@ -102,6 +96,4 @@ fn main() {
     println!("analogues); as P grows they release one by one until the pure");
     println!("product regime (the 3D analogue) — the same mechanism as Lemma 2,");
     println!("now with four arrays. This is the §6.3 program made executable.");
-
-    checks.finish();
 }

@@ -5,22 +5,17 @@
 //!
 //! Regenerates the content of the Lemma 2 visualization (the three
 //! regimes separated at `P = m/n` and `P = mn/k²`).
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin lemma2_cases
-//! ```
 
-use pmm_bench::{fnum, print_table, Checks};
+use crate::{fnum, print_table, Checks};
 use pmm_core::kkt::{certificate_for, verify_kkt};
 use pmm_core::numeric::solve_numeric;
 use pmm_core::optproblem::OptProblem;
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     let (m, n, k) = (9600.0, 2400.0, 600.0);
     println!("Lemma 2 optimization problem, (m, n, k) = ({m}, {n}, {k})");
     println!("thresholds: P = m/n = {}, P = mn/k² = {}\n", m / n, m * n / (k * k));
 
-    let mut checks = Checks::new();
     let mut rows = Vec::new();
     for p in [1.0, 2.0, 4.0, 8.0, 16.0, 36.0, 64.0, 128.0, 512.0, 4096.0, 65536.0] {
         let prob = OptProblem::new(m, n, k, p);
@@ -78,6 +73,4 @@ fn main() {
         println!("continuity at P = {pb}: max relative jump {jump:.2e}");
         checks.check(format!("continuous at P={pb}"), jump < 1e-9);
     }
-
-    checks.finish();
 }

@@ -10,12 +10,8 @@
 //!  3. in the 1D/2D cases the memory-independent bound always dominates
 //!     (given the problem fits at all), so Theorem 3 is unconditionally
 //!     tight there.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin limited_memory
-//! ```
 
-use pmm_bench::{fnum, print_table, Checks};
+use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::memlimit::{
     alg1_memory_words, limited_memory_report, memory_dependent_dominance_range, min_memory_words,
@@ -23,10 +19,9 @@ use pmm_core::memlimit::{
 };
 use pmm_model::MatMulDims;
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(9600, 2400, 600);
     let m_words = 9_000.0;
-    let mut checks = Checks::new();
 
     println!("§6.2 limited-memory analysis: {dims}, M = {m_words} words/processor\n");
 
@@ -110,6 +105,4 @@ fn main() {
         }
     }
     print_table(&["P", "case", "M (min feasible)", "Theorem 3 D", "2mnk/(P√M)"], &rows);
-
-    checks.finish();
 }

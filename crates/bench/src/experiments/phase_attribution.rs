@@ -14,24 +14,18 @@
 //!   1D grid touches only `B`; the 2D grid also leaves `A` resident);
 //! * the critical path recovered from the trace equals the simulator's
 //!   clock, and its total equals the Theorem 3 lower bound.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin phase_attribution
-//! ```
 
-use pmm_algs::{alg1, Alg1Config};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::Inputs;
+use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::random_int_matrix;
-use pmm_model::{alg1_prediction, Grid3, MatMulDims};
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{alg1_prediction, AlgPlan, Grid3, MatMulDims};
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(768, 192, 48);
     println!("per-phase attribution: {dims}, one P per Theorem 3 regime\n");
+    let inputs = Inputs::random_int(dims, 7);
 
-    let mut checks = Checks::new();
     for p in [3usize, 36, 512] {
         let choice = best_grid(dims, p);
         let grid = choice.grid;
@@ -39,13 +33,7 @@ fn main() {
         let case = dims.sorted().classify(p as f64);
         checks.check(format!("P={p}: optimal grid {grid:?} divides"), dims.divisible_by(grid));
 
-        let cfg = Alg1Config::new(dims, g);
-        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(move |rank| {
-            let a = random_int_matrix(n1, n2, -2..3, 7);
-            let b = random_int_matrix(n2, n3, -2..3, 8);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let out = inputs.measure(&AlgPlan::Alg1 { grid }, true);
         let tracer = out.tracer().expect("tracing was on");
         let pred = alg1_prediction(dims, grid);
         let expected = [
@@ -98,6 +86,4 @@ fn main() {
             cp.end_rank
         );
     }
-
-    checks.finish();
 }

@@ -1,30 +1,25 @@
 //! **E8 — strong scaling** (the Ballard et al. 2012b context of §2.3):
 //! fix the problem, grow `P`, and watch how the per-processor and total
-//! communication scale, both measured (Algorithm 1 on the simulator, up
-//! to P = 512) and from the closed-form cost engine (beyond).
+//! communication scale: every row is Algorithm 1 executed on the
+//! simulator, to P = 262 144 (one rank per element of `C`), and asserted
+//! equal to the closed form of eq. (3).
 //!
 //! Headline shape: total communication `P · W(P)` *grows* like `P^{1/3}`
 //! in the 3D regime — perfect strong scaling of communication is
 //! impossible once the memory-independent bound binds.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin strong_scaling
-//! ```
 
-use pmm_algs::{alg1, Alg1Config};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::Inputs;
+use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::{alg1_cost_words, best_divisible_grid};
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::random_int_matrix;
-use pmm_model::MatMulDims;
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{AlgPlan, MatMulDims};
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     let n = 512u64;
     let dims = MatMulDims::square(n);
     println!("strong scaling of square matmul, n = {n}\n");
 
-    let mut checks = Checks::new();
+    let inputs = Inputs::random_int(dims, 7);
     let mut rows = Vec::new();
     let mut prev_total = 0.0f64;
     for p in [1usize, 8, 64, 512, 4096, 32768, 262144] {
@@ -32,23 +27,10 @@ fn main() {
         let predicted = alg1_cost_words(dims, choice.grid);
         let bound = lower_bound(dims, p as f64).bound;
 
-        // Execute up to 512 simulated ranks; the closed form (validated by
-        // eq3_check and by the executed rows here) extends the sweep.
-        let measured: Option<f64> = if p <= 512 {
-            let cfg = Alg1Config::new(dims, choice.grid3());
-            let nn = n as usize;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let a = random_int_matrix(nn, nn, -2..3, 7);
-                let b = random_int_matrix(nn, nn, -2..3, 8);
-                alg1(rank, &cfg, &a, &b)
-            });
-            Some(out.critical_path_time())
-        } else {
-            None
-        };
-        if let Some(m) = measured {
-            checks.check(format!("P={p}: measured == closed form"), (m - predicted).abs() < 1e-9);
-        }
+        let measured =
+            inputs.measure(&AlgPlan::Alg1 { grid: choice.grid }, false).critical_path_time();
+        checks
+            .check(format!("P={p}: measured == closed form"), (measured - predicted).abs() < 1e-9);
         let total = predicted * p as f64;
         if p > 1 {
             checks.check(format!("P={p}: total communication grows"), total > prev_total);
@@ -57,7 +39,7 @@ fn main() {
         rows.push(vec![
             p.to_string(),
             choice.grid3().to_string(),
-            measured.map(fnum).unwrap_or_else(|| "-".into()),
+            fnum(measured),
             fnum(predicted),
             fnum(bound),
             fnum(total),
@@ -82,6 +64,4 @@ fn main() {
     println!("only as P^(-2/3), so the aggregate volume — and with it the");
     println!("communication *time* at fixed per-link bandwidth — rises as P^(1/3).");
     println!("This is the memory-independent limit on strong scaling (§2.3).");
-
-    checks.finish();
 }

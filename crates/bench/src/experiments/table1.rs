@@ -6,17 +6,13 @@
 //! case we evaluate the bound on a sweep of instances inside the case and
 //! divide by the case's leading term; the harness checks the extracted
 //! ratio is constant across the sweep and equals the closed form.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin table1
-//! ```
 
-use pmm_bench::{print_table, Checks};
+use crate::{print_table, Checks};
 use pmm_core::prior::PriorBound;
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{Case, MatMulDims};
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     println!("Table 1: constants of the leading term, by case");
     println!("(leading terms: 1D = nk, 2D = (mnk²/P)^1/2, 3D = (mnk/P)^2/3)\n");
 
@@ -51,7 +47,6 @@ fn main() {
         ),
     ];
 
-    let mut checks = Checks::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     for prior in PriorBound::ALL {
         let mut row = vec![prior.label().to_string()];
@@ -125,6 +120,4 @@ fn main() {
         println!("improvement over best prior constant, {case} case: {:.3}x", ours / best_prior);
         checks.check(format!("{case}: Theorem 3 strictly improves"), ours > best_prior);
     }
-
-    checks.finish();
 }

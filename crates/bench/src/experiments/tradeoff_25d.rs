@@ -4,26 +4,20 @@
 //! factors `c` at fixed `P` and plot measured communication against
 //! memory use, bracketed by the 2D regime at `c = 1` and the
 //! memory-independent bound below.
-//!
-//! ```sh
-//! cargo run --release -p pmm-bench --bin tradeoff_25d
-//! ```
 
-use pmm_algs::{twofived, TwoFiveDConfig};
-use pmm_bench::{fnum, print_table, Checks};
+use crate::measure::Inputs;
+use crate::{fnum, print_table, Checks};
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::{random_int_matrix, Kernel};
-use pmm_model::MatMulDims;
-use pmm_simnet::{MachineParams, World};
+use pmm_model::{AlgPlan, MatMulDims};
 
-fn main() {
+pub fn run(checks: &mut Checks) {
     // P = 64: (q, c) ∈ {(8,1), (4,4)}; P = 256: {(16,1), (8,4)};
     // P = 1024: {(32,1), (16,4), (8,16)? 16∤8 → no} — c | q constrains the
     // ladder; we sweep what exists at each P.
     let dims = MatMulDims::new(64, 64, 64);
     println!("2.5D memory/communication trade-off, {dims}\n");
+    let inputs = Inputs::random_int(dims, 1);
 
-    let mut checks = Checks::new();
     let mut rows = Vec::new();
     let mut ratios = Vec::new(); // (P, words(c=4)/words(c=1))
     for (p, configs) in [
@@ -36,12 +30,7 @@ fn main() {
         let mut flat_mem = 0.0f64;
         for (q, c) in configs {
             assert_eq!(c * q * q, p);
-            let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let a = random_int_matrix(64, 64, -2..3, 1);
-                let b = random_int_matrix(64, 64, -2..3, 2);
-                twofived(rank, &cfg, &a, &b)
-            });
+            let out = inputs.measure(&AlgPlan::TwoFiveD { q, c }, false);
             let words = out.critical_path_time();
             let mem = out.max_peak_mem_words() as f64;
             checks.check(format!("P={p} q={q} c={c}: above the bound"), words >= bound - 1e-9);
@@ -87,6 +76,4 @@ fn main() {
     println!("the broadcast/reduce overhead — the crossover sits between P = 256");
     println!("and P = 1024 here. The bound itself needs the full 3D grid (c = q)");
     println!("and the §6.2 memory headroom.");
-
-    checks.finish();
 }

@@ -1,29 +1,22 @@
-//! # pmm-bench — experiment harnesses
+//! # pmm-bench — the experiment registry and the measuring harnesses
 //!
-//! One binary per table/figure/claim of the paper (see DESIGN.md §4):
-//!
-//! | binary | paper artifact |
-//! |--------|----------------|
-//! | `table1` | Table 1 — constants of prior vs. this work |
-//! | `lemma2_cases` | Lemma 2 — the three solution regimes |
-//! | `tightness` | Theorem 3 / Corollary 4 — measured == bound |
-//! | `fig2` | Figure 2 — optimal grids for the §5.3 instance |
-//! | `fig1` | Figure 1 — data/communication sets on a 3×3×3 grid |
-//! | `eq3_check` | eq. (3) — Alg 1 cost formula vs. execution |
-//! | `limited_memory` | §6.2 — bound crossover and memory footprints |
-//! | `strong_scaling` | strong-scaling behavior (Ballard et al. 2012b) |
-//! | `algo_compare` | §2.4 — Alg 1 vs Cannon/SUMMA/2.5D/CARMA |
-//! | `collectives_cost` | §3.1/§5.1 — collective cost optimality |
-//! | `phase_attribution` | eq. (3) per phase from the structured trace |
-//! | `kernel_bench` | kernel tiers + calibrated α-β-γ-δ prediction gate |
-//! | `calibrated_crossover` | §6.2 crossover re-expressed in calibrated seconds |
-//!
-//! Run all of them with `scripts/run_experiments.sh`. The [`calibrate`]
-//! module holds the measured-hardware probes shared by `kernel_bench`,
-//! `calibrated_crossover`, `pmm calibrate`, and `cargo xtask calibrate`
-//! (see `docs/PERFORMANCE.md`).
+//! * [`experiments`] — every table, figure and claim of the paper as one
+//!   entry of [`experiments::EXPERIMENTS`] (`pmm experiment --list` prints
+//!   the table; `cargo xtask experiments` holds each entry's output to
+//!   `results/<name>.txt`);
+//! * [`measure`] — the one path by which a harness executes an algorithm:
+//!   inputs generated once and shared by every rank, ranks hosted on the
+//!   event loop, the product checked against the naive oracle;
+//! * [`calibrate`] — the measured-hardware probes shared by `kernel_bench`,
+//!   `calibrated_crossover`, `pmm calibrate` and `cargo xtask calibrate`
+//!   (see `docs/PERFORMANCE.md`);
+//! * `src/bin/` — the three gate emitters, whose numbers depend on the
+//!   machine and a budget: `kernel_bench`, `calibrated_crossover`,
+//!   `serve_chaos`.
 
 pub mod calibrate;
+pub mod experiments;
+pub mod measure;
 
 use std::fmt::Display;
 
@@ -72,11 +65,6 @@ pub struct Checks {
 }
 
 impl Checks {
-    /// New empty check set.
-    pub fn new() -> Checks {
-        Checks::default()
-    }
-
     /// Record a named check.
     pub fn check(&mut self, name: impl Into<String>, ok: bool) {
         if ok {
@@ -86,17 +74,18 @@ impl Checks {
         }
     }
 
-    /// Print a summary; exits nonzero on failure so harnesses can gate CI.
-    pub fn finish(self) {
+    /// Print the summary and return the exit code it implies: 0 when
+    /// every check held, 1 otherwise.
+    pub fn finish(self) -> u8 {
         if self.failed.is_empty() {
             println!("\n[checks] {} passed", self.passed);
-        } else {
-            println!("\n[checks] {} passed, {} FAILED:", self.passed, self.failed.len());
-            for f in &self.failed {
-                println!("  FAIL: {f}");
-            }
-            std::process::exit(1);
+            return 0;
         }
+        println!("\n[checks] {} passed, {} FAILED:", self.passed, self.failed.len());
+        for f in &self.failed {
+            println!("  FAIL: {f}");
+        }
+        1
     }
 }
 
@@ -128,12 +117,12 @@ mod tests {
 
     #[test]
     fn checks_pass_counting() {
-        let mut c = Checks::new();
+        let mut c = Checks::default();
         c.check("a", true);
         c.check("b", true);
         assert_eq!(c.passed, 2);
         assert!(c.failed.is_empty());
-        c.finish();
+        assert_eq!(c.finish(), 0);
     }
 
     #[test]

@@ -49,6 +49,8 @@ pub enum Command {
     Serve(ServeOpts),
     /// `pmm calibrate [--budget-secs S] [--out FILE]`
     Calibrate { budget_secs: f64, out: Option<String> },
+    /// `pmm experiment <name> | all | --list` (`which`, resolved by the registry)
+    Experiment { which: String },
     /// `pmm help` / `-h` / `--help`
     Help,
 }
@@ -326,6 +328,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Calibrate { budget_secs, out: flags.get("out").map(String::from) })
         }
+        "experiment" => match rest {
+            [which] => Ok(Command::Experiment { which: which.clone() }),
+            _ => Err(err("experiment expects one of: <name>, all, --list")),
+        },
         other => Err(err(format!("unknown command '{other}' (try 'pmm help')"))),
     }
 }
@@ -389,6 +395,12 @@ USAGE:
       fitted constants, and with --out write them as the calibration
       JSON that turns eq. (3) word counts into predicted seconds. The
       GEMM probe uses the kernel PMM_KERNEL selects (default: auto).
+  pmm experiment <name> | all | --list
+      Regenerate a table, figure or claim of the paper (--list names
+      them) and verify it: every run is executed on the simulator and
+      checked against the closed forms; the output is what
+      results/<name>.txt holds. Exits 1 on a failed check, 2 on an
+      unlisted name.
   pmm help
 ";
 
@@ -560,6 +572,14 @@ mod tests {
         assert!(parse_args(&argv("calibrate --budget-secs 0")).is_err());
         assert!(parse_args(&argv("calibrate --budget-secs -1")).is_err());
         assert!(parse_args(&argv("calibrate --bogus 1")).is_err());
+    }
+
+    #[test]
+    fn parses_experiment() {
+        let parsed = parse_args(&argv("experiment --list")).unwrap();
+        assert_eq!(parsed, Command::Experiment { which: "--list".into() });
+        assert!(parse_args(&argv("experiment")).is_err());
+        assert!(parse_args(&argv("experiment table1 fig1")).is_err());
     }
 
     #[test]

@@ -4,17 +4,15 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pmm_algs::{
-    alg1, alg1_a, assemble_c, assemble_recovered, run_recoverable_a, Alg1Config, Assembly, CShare,
-    Recoverable,
-};
+use pmm_algs::{assemble_recovered, run_recoverable_a, Assembly, CShare, Recoverable};
 use pmm_bench::calibrate::calibrate as run_probes;
+use pmm_bench::measure::Inputs;
 use pmm_core::advisor::{recommend, Strategy};
 use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
-use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
+use pmm_dense::Kernel;
+use pmm_model::{alg1_prediction, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, HostMem, ScheduleTrace, World, WorldResult};
 
@@ -134,24 +132,6 @@ pub fn advise(
     out
 }
 
-/// `pmm simulate` (fault-free form): output only, for callers that don't
-/// care about the process exit code.
-pub fn simulate(dims: MatMulDims, procs: usize, grid: Option<[usize; 3]>, seed: u64) -> String {
-    simulate_run(dims, procs, grid, seed, None, Kernel::default()).0
-}
-
-/// The inputs of a simulated run, generated once and shared by every
-/// rank's program (a copy per rank is O(P·n²) host work and memory), and
-/// the product the run is checked against: computed by the pinned oracle
-/// `Kernel::Naive`, never by the kernel under test.
-fn inputs_and_reference(dims: MatMulDims, seed: u64) -> (Arc<Matrix>, Arc<Matrix>, Matrix) {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let a = random_int_matrix(n1, n2, -3..4, seed);
-    let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-    let want = gemm(&a, &b, Kernel::Naive);
-    (Arc::new(a), Arc::new(b), want)
-}
-
 /// `pmm simulate`, full form: returns the report and the process exit
 /// code (`0` = product verified, `1` = wrong product or a fault the run
 /// could not recover from). `kernel` multiplies every rank's local
@@ -180,20 +160,15 @@ fn simulate_clean(
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
     assert_eq!(g.size(), procs, "grid {} has {} processors but --procs is {procs}", g, g.size());
-    let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, g) };
-    let (a, b, want) = inputs_and_reference(dims, seed);
+    let (inputs, plan) = (Inputs::random_int(dims, seed), AlgPlan::Alg1 { grid });
     // The data seed also seeds the schedule (overridable via PMM_SEED),
     // so a reported run replays rank interleaving and all.
     let sched_seed = seed_from_env(seed);
     let world = World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed);
     let host_before = HostMem::read();
-    let out = world.run_async(|rank| {
-        let (cfg, a, b) = (cfg.clone(), a.clone(), b.clone());
-        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
-    });
+    let out = inputs.run(&world, &plan, kernel);
     let schedule = schedule_line(sched_seed, &out, host_before);
-    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    let correct = assemble_c(dims, g, &chunks) == want;
+    let correct = inputs.product_is_correct(&plan, &out);
 
     let measured = out.critical_path_time();
     let predicted = alg1_cost_words(dims, grid);
@@ -240,7 +215,7 @@ fn simulate_faulty(
     plan: FaultPlan,
     kernel: Kernel,
 ) -> (String, u8) {
-    let (a, b, want) = inputs_and_reference(dims, seed);
+    let inputs = Inputs::random_int(dims, seed);
     let sched_seed = seed_from_env(seed);
     // Recovery re-picks the §5.2 grid per attempt from the survivor
     // count, so no --grid applies here. An unrecoverable run (e.g.
@@ -251,7 +226,7 @@ fn simulate_faulty(
         .with_faults(plan.clone());
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         world.run_async(|rank| {
-            let (a, b) = (a.clone(), b.clone());
+            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
             Box::pin(async move {
                 let spec = Recoverable::Alg1 { kernel, assembly: Assembly::ReduceScatter };
                 run_recoverable_a(rank, &spec, dims, &a, &b).await
@@ -297,7 +272,7 @@ fn simulate_faulty(
         .iter()
         .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
         .collect();
-    let correct = assemble_recovered(dims, &plan_used, &shares) == want;
+    let correct = assemble_recovered(dims, &plan_used, &shares) == *inputs.want();
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
     let goodput = out.reports[survivors[0]].meter.words_sent;
@@ -333,17 +308,14 @@ pub fn trace(
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
     assert_eq!(g.size(), procs, "grid {} has {} processors but --procs is {procs}", g, g.size());
-    let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, g) };
-    let (a, b, want) = inputs_and_reference(dims, seed);
+    let (inputs, plan) = (Inputs::random_int(dims, seed), AlgPlan::Alg1 { grid });
     let sched_seed = seed_from_env(seed);
+    let world =
+        World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_trace(true);
     let host_before = HostMem::read();
-    let out = World::new(procs, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(sched_seed)
-        .with_trace(true)
-        .run(|rank| alg1(rank, &cfg, &a, &b));
+    let out = inputs.run(&world, &plan, kernel);
     let schedule = schedule_line(sched_seed, &out, host_before);
-    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    let correct = assemble_c(dims, g, &chunks) == want;
+    let correct = inputs.product_is_correct(&plan, &out);
 
     let tracer = out.tracer().expect("tracing was enabled");
     let pred = alg1_prediction(dims, grid);
@@ -579,14 +551,15 @@ mod tests {
 
     #[test]
     fn simulate_verifies_and_measures() {
-        let s = simulate(MatMulDims::new(48, 24, 12), 8, Some([2, 2, 2]), 3);
+        let dims = MatMulDims::new(48, 24, 12);
+        let (s, _) = simulate_run(dims, 8, Some([2, 2, 2]), 3, None, Kernel::default());
         assert!(s.contains("correct ✓"), "output was: {s}");
         assert!(s.contains("measured"));
     }
 
     #[test]
     fn simulate_defaults_to_best_grid() {
-        let s = simulate(MatMulDims::new(96, 24, 6), 3, None, 1);
+        let (s, _) = simulate_run(MatMulDims::new(96, 24, 6), 3, None, 1, None, Kernel::default());
         assert!(s.contains("3x1x1"), "output was: {s}");
     }
 

@@ -9,6 +9,7 @@
 //! pmm trace    --dims 768x192x48 --procs 36 [--grid 12x3x1] [--seed S]
 //!              [--out run.json]
 //! pmm sweep    --dims 9600x2400x600 --procs 1,4,36,512,4096
+//! pmm experiment table1 | all | --list
 //! ```
 //!
 //! Argument parsing is hand-rolled (no external dependency) and separated

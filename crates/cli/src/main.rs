@@ -1,5 +1,6 @@
 //! The `pmm` binary: see [`pmm_cli::args::HELP`].
 
+use pmm_bench::experiments::{dispatch, EXPERIMENTS};
 use pmm_cli::args::{parse_args, Command, HELP};
 use pmm_cli::commands;
 use pmm_dense::{kernel_from_env, Kernel};
@@ -43,6 +44,12 @@ fn main() {
         Ok(Command::Calibrate { budget_secs, out }) => {
             let (report, code) = commands::calibrate(budget_secs, out.as_deref(), kernel());
             print!("{report}");
+            if code != 0 {
+                std::process::exit(code.into());
+            }
+        }
+        Ok(Command::Experiment { which }) => {
+            let code = dispatch(EXPERIMENTS, &which);
             if code != 0 {
                 std::process::exit(code.into());
             }

@@ -166,11 +166,40 @@ fn help_covers_every_command_and_exits_zero() {
     let out = pmm(&["help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for cmd in
-        ["bound", "grid", "advise", "simulate", "trace", "sweep", "serve", "--faults", "--out"]
-    {
+    let cmds = "bound grid advise simulate trace sweep serve experiment --faults --out";
+    for cmd in cmds.split(' ') {
         assert!(text.contains(cmd), "help must mention {cmd}");
     }
+}
+
+#[test]
+fn experiment_list_names_the_registry_and_a_name_prints_its_results_file() {
+    let out = pmm(&["experiment", "--list"]);
+    assert!(out.status.success(), "{:?}", out.status);
+    let text = stdout(&out);
+    let listed: Vec<&str> = text.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    let registry: Vec<&str> = pmm_bench::experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(listed, registry);
+    assert_eq!(listed.len(), 13);
+
+    // What a name prints is, byte for byte, the committed artifact.
+    let out = pmm(&["experiment", "table1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/table1.txt");
+    assert_eq!(stdout(&out), std::fs::read_to_string(committed).expect("results/table1.txt"));
+}
+
+#[test]
+fn unknown_experiment_exits_two_listing_the_names() {
+    let out = pmm(&["experiment", "nope"]);
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    assert!(stdout(&out).is_empty(), "nothing runs: {}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    for needle in ["`nope`", "table1", "strong_scaling", "phase_attribution", "all"] {
+        assert!(err.contains(needle), "stderr lacks {needle}: {err}");
+    }
+    // No name at all is a usage error of the same code.
+    assert_eq!(pmm(&["experiment"]).status.code(), Some(2));
 }
 
 #[test]

@@ -12,21 +12,15 @@ use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
 
 use crate::util::is_pow2;
 
-/// Algorithm selector for [`all_to_all`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllToAllAlgo {
-    /// `p − 1` steps; step `s` exchanges with rank `me XOR s` (power-of-two
-    /// `p`) or sends to `me+s` while receiving from `me−s` (general `p`).
-    Pairwise,
-}
-
 /// All-to-All with uniform block size: `data` is the concatenation of `p`
 /// equal blocks (block `i` destined for member `i`); the result is the
 /// concatenation of the blocks received from each member (own block
-/// copied locally).
+/// copied locally). Pairwise exchange: `p − 1` steps, step `s` with rank
+/// `me XOR s` (power-of-two `p`) or sending to `me+s` while receiving
+/// from `me−s` (general `p`).
 #[track_caller]
-pub fn all_to_all(rank: &mut Rank, comm: &Comm, data: &[f64], algo: AllToAllAlgo) -> Vec<f64> {
-    poll_now(all_to_all_a(rank, comm, data, algo))
+pub fn all_to_all(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
+    poll_now(all_to_all_a(rank, comm, data))
 }
 
 /// Async form of [`all_to_all`] (event-loop programs).
@@ -35,7 +29,6 @@ pub fn all_to_all_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
     data: &'r [f64],
-    _algo: AllToAllAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
     async move {
@@ -84,7 +77,7 @@ mod tests {
             // block for destination d: value me*p + d, repeated w times
             let data: Vec<f64> =
                 (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all(rank, &comm, &data)
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -110,10 +103,10 @@ mod tests {
             let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
                 let comm = rank.world_comm();
                 let data = vec![1.0; p * w];
-                all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise);
+                all_to_all(rank, &comm, &data);
                 rank.time()
             });
-            let model = costs::all_to_all_cost(AllToAllAlgo::Pairwise, p, w);
+            let model = costs::all_to_all_cost(p, w);
             for r in 0..p {
                 assert_eq!(out.values[r], model.words, "clock at rank {r} (p={p})");
             }
@@ -125,7 +118,7 @@ mod tests {
     fn single_rank_identity() {
         let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &[9.0, 9.5], AllToAllAlgo::Pairwise)
+            all_to_all(rank, &comm, &[9.0, 9.5])
         });
         assert_eq!(out.values[0], vec![9.0, 9.5]);
     }

@@ -7,7 +7,7 @@ use std::panic::Location;
 use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
 
 use crate::allgather::{all_gather_v_a, AllGatherAlgo};
-use crate::gather_scatter::{scatter_v_a, ScatterAlgo};
+use crate::gather_scatter::scatter_v_a;
 
 /// Algorithm selector for [`bcast`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +116,7 @@ async fn scatter_allgather(
     );
     let chunk = data.len() / p;
     let counts = vec![chunk; p];
-    let mine = scatter_v_a(rank, comm, data, &counts, root, ScatterAlgo::Binomial).await;
+    let mine = scatter_v_a(rank, comm, data, &counts, root).await;
     debug_assert_eq!(mine.len(), chunk);
     // Ring all-gather reassembles the full message everywhere. Blocks are
     // indexed by communicator order, matching the scatter.

@@ -18,10 +18,7 @@ use pmm_model::Cost;
 
 use crate::allgather::AllGatherAlgo;
 use crate::allreduce::AllReduceAlgo;
-use crate::alltoall::AllToAllAlgo;
 use crate::bcast::BcastAlgo;
-use crate::gather_scatter::{GatherAlgo, ScatterAlgo};
-use crate::reduce::ReduceAlgo;
 use crate::reduce_scatter::ReduceScatterAlgo;
 use crate::util::{ceil_log2, is_pow2};
 
@@ -90,7 +87,7 @@ pub fn bcast_cost(algo: BcastAlgo, p: usize, w: usize) -> Cost {
         BcastAlgo::ScatterAllGather => {
             assert!(w.is_multiple_of(p), "scatter-allgather bcast requires p | w");
             let chunk = w / p;
-            let scatter = scatter_cost(ScatterAlgo::Binomial, p, chunk);
+            let scatter = scatter_cost(p, chunk);
             let ag = all_gather_cost(AllGatherAlgo::Ring, p, chunk);
             scatter + ag
         }
@@ -100,7 +97,7 @@ pub fn bcast_cost(algo: BcastAlgo, p: usize, w: usize) -> Cost {
 
 /// Cost of [`reduce`](crate::reduce()) of `w` words to the root (binomial):
 /// critical path `⌈log2 p⌉·(α + w·β + w γ-flops)`.
-pub fn reduce_cost(_algo: ReduceAlgo, p: usize, w: usize) -> Cost {
+pub fn reduce_cost(p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
@@ -152,7 +149,7 @@ pub fn all_reduce_cost(algo: AllReduceAlgo, p: usize, w: usize) -> Cost {
 
 /// Cost of [`gather_v`](crate::gather_v) with uniform block `w` (binomial,
 /// cost at the root): `⌈log2 p⌉·α + (p−1)·w·β`.
-pub fn gather_cost(_algo: GatherAlgo, p: usize, w: usize) -> Cost {
+pub fn gather_cost(p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
@@ -160,17 +157,14 @@ pub fn gather_cost(_algo: GatherAlgo, p: usize, w: usize) -> Cost {
 }
 
 /// Cost of [`scatter_v`](crate::scatter_v) with uniform block `w`
-/// (binomial, cost at the root): `⌈log2 p⌉·α + (p−1)·w·β`.
-pub fn scatter_cost(_algo: ScatterAlgo, p: usize, w: usize) -> Cost {
-    if p <= 1 {
-        return Cost::ZERO;
-    }
-    Cost { messages: ceil_log2(p) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
+/// (binomial, cost at the root): the gather tree run backwards.
+pub fn scatter_cost(p: usize, w: usize) -> Cost {
+    gather_cost(p, w)
 }
 
 /// Cost of [`all_to_all`](crate::all_to_all) with `w` words per
 /// destination (pairwise exchange): `(p−1)·(α + w·β)`.
-pub fn all_to_all_cost(_algo: AllToAllAlgo, p: usize, w: usize) -> Cost {
+pub fn all_to_all_cost(p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
@@ -277,7 +271,7 @@ mod tests {
 
     #[test]
     fn alltoall_pairwise() {
-        let c = all_to_all_cost(AllToAllAlgo::Pairwise, 8, 3);
+        let c = all_to_all_cost(8, 3);
         assert_eq!(c.messages, 7.0);
         assert_eq!(c.words, 21.0);
     }

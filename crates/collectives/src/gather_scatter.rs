@@ -13,24 +13,10 @@ use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
 
 use crate::util::offsets;
 
-/// Algorithm selector for [`gather_v`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherAlgo {
-    /// Binomial tree (`⌈log2 p⌉` rounds at the root).
-    Binomial,
-}
-
-/// Algorithm selector for [`scatter_v`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScatterAlgo {
-    /// Binomial tree.
-    Binomial,
-}
-
 /// Gather: member `i` contributes `mine` (`counts[i]` words); the root
 /// returns the concatenation in communicator order, other ranks return an
-/// empty vector. A `Vec` handed over becomes the buffer the subtree's
-/// blocks are appended to.
+/// empty vector (binomial tree, `⌈log2 p⌉` rounds at the root). A `Vec`
+/// handed over becomes the buffer the subtree's blocks are appended to.
 #[track_caller]
 pub fn gather_v<'a>(
     rank: &mut Rank,
@@ -38,9 +24,8 @@ pub fn gather_v<'a>(
     mine: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     root: usize,
-    algo: GatherAlgo,
 ) -> Vec<f64> {
-    poll_now(gather_v_a(rank, comm, mine, counts, root, algo))
+    poll_now(gather_v_a(rank, comm, mine, counts, root))
 }
 
 /// Async form of [`gather_v`] (event-loop programs).
@@ -51,7 +36,6 @@ pub fn gather_v_a<'r, 'd: 'r>(
     mine: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     root: usize,
-    _algo: GatherAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
     let mine = mine.into();
@@ -116,8 +100,8 @@ pub fn gather_v_a<'r, 'd: 'r>(
 
 /// Scatter: the root provides `data` as the concatenation of per-member
 /// blocks (`counts`, communicator order); every rank returns its own
-/// block. Non-roots pass any `data` (ignored). A `Vec` handed over at the
-/// root becomes the buffer the subtrees are peeled off.
+/// block (binomial tree). Non-roots pass any `data` (ignored). A `Vec`
+/// handed over at the root becomes the buffer the subtrees are peeled off.
 #[track_caller]
 pub fn scatter_v<'a>(
     rank: &mut Rank,
@@ -125,9 +109,8 @@ pub fn scatter_v<'a>(
     data: impl Into<Cow<'a, [f64]>>,
     counts: &[usize],
     root: usize,
-    algo: ScatterAlgo,
 ) -> Vec<f64> {
-    poll_now(scatter_v_a(rank, comm, data, counts, root, algo))
+    poll_now(scatter_v_a(rank, comm, data, counts, root))
 }
 
 /// Async form of [`scatter_v`] (event-loop programs).
@@ -138,7 +121,6 @@ pub fn scatter_v_a<'r, 'd: 'r>(
     data: impl Into<Cow<'d, [f64]>>,
     counts: &'r [usize],
     root: usize,
-    _algo: ScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
     let data = data.into();
@@ -236,7 +218,7 @@ mod tests {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             let comm = rank.world_comm();
             let mine = block(rank.world_rank(), counts[rank.world_rank()]);
-            gather_v(rank, &comm, &mine, &counts, root, GatherAlgo::Binomial)
+            gather_v(rank, &comm, &mine, &counts, root)
         });
         for (r, v) in out.values.iter().enumerate() {
             if r == root {
@@ -252,7 +234,7 @@ mod tests {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            scatter_v(rank, &comm, &data, &counts, root, ScatterAlgo::Binomial)
+            scatter_v(rank, &comm, &data, &counts, root)
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &block(r, counts[r]), "rank {r} block (p={p}, root={root})");
@@ -295,7 +277,7 @@ mod tests {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
             let mine = vec![1.0; w];
-            gather_v(rank, &comm, &mine, &vec![w; p], 0, GatherAlgo::Binomial);
+            gather_v(rank, &comm, &mine, &vec![w; p], 0);
         });
         assert_eq!(out.reports[0].meter.words_recv, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_sent, 0);
@@ -307,7 +289,7 @@ mod tests {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
             let data = vec![1.0; p * w];
-            scatter_v(rank, &comm, &data, &vec![w; p], 0, ScatterAlgo::Binomial);
+            scatter_v(rank, &comm, &data, &vec![w; p], 0);
         });
         assert_eq!(out.reports[0].meter.words_sent, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_recv, 0);
@@ -321,8 +303,8 @@ mod tests {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == 2 { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &counts, 2, ScatterAlgo::Binomial);
-            gather_v(rank, &comm, &mine, &counts, 2, GatherAlgo::Binomial)
+            let mine = scatter_v(rank, &comm, &data, &counts, 2);
+            gather_v(rank, &comm, &mine, &counts, 2)
         });
         assert_eq!(out.values[2], full);
     }

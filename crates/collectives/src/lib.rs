@@ -66,11 +66,11 @@ pub(crate) mod util;
 
 pub use allgather::{all_gather, all_gather_a, all_gather_v, all_gather_v_a, AllGatherAlgo};
 pub use allreduce::{all_reduce, all_reduce_a, AllReduceAlgo};
-pub use alltoall::{all_to_all, all_to_all_a, AllToAllAlgo};
+pub use alltoall::{all_to_all, all_to_all_a};
 pub use barrier::{barrier, barrier_a};
 pub use bcast::{bcast, bcast_a, BcastAlgo};
-pub use gather_scatter::{gather_v, gather_v_a, scatter_v, scatter_v_a, GatherAlgo, ScatterAlgo};
-pub use reduce::{reduce, reduce_a, ReduceAlgo};
+pub use gather_scatter::{gather_v, gather_v_a, scatter_v, scatter_v_a};
+pub use reduce::{reduce, reduce_a};
 pub use reduce_scatter::{
     reduce_scatter, reduce_scatter_a, reduce_scatter_v, reduce_scatter_v_a, ReduceScatterAlgo,
 };

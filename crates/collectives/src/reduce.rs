@@ -8,14 +8,8 @@ use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
 
 use crate::util::axpy1;
 
-/// Algorithm selector for [`reduce`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceAlgo {
-    /// Binomial tree (`⌈log2 p⌉` rounds).
-    Binomial,
-}
-
-/// Sum-reduce `data` to member `root`. Every rank contributes a buffer of
+/// Sum-reduce `data` to member `root` over a binomial tree (`⌈log2 p⌉`
+/// rounds). Every rank contributes a buffer of
 /// the same length; the root returns the element-wise sum, others return
 /// an empty vector. Reduction additions are metered as flops. A `Vec`
 /// handed over becomes the accumulator; a borrowed slice is copied into
@@ -26,9 +20,8 @@ pub fn reduce<'a>(
     comm: &Comm,
     data: impl Into<Cow<'a, [f64]>>,
     root: usize,
-    algo: ReduceAlgo,
 ) -> Vec<f64> {
-    poll_now(reduce_a(rank, comm, data, root, algo))
+    poll_now(reduce_a(rank, comm, data, root))
 }
 
 /// Async form of [`reduce`] (event-loop programs).
@@ -38,7 +31,6 @@ pub fn reduce_a<'r, 'd: 'r>(
     comm: &'r Comm,
     data: impl Into<Cow<'d, [f64]>>,
     root: usize,
-    _algo: ReduceAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
     let data = data.into();
@@ -86,7 +78,7 @@ mod tests {
             let comm = rank.world_comm();
             let data: Vec<f64> =
                 (0..len).map(|e| (rank.world_rank() + 1) as f64 * (e + 1) as f64).collect();
-            reduce(rank, &comm, &data, root, ReduceAlgo::Binomial)
+            reduce(rank, &comm, &data, root)
         });
         let s = (p * (p + 1) / 2) as f64;
         let want: Vec<f64> = (0..len).map(|e| s * (e + 1) as f64).collect();
@@ -113,10 +105,10 @@ mod tests {
         let (p, w) = (8usize, 6usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce(rank, &comm, vec![1.0; w], 0);
             rank.time()
         });
-        let model = costs::reduce_cost(ReduceAlgo::Binomial, p, w);
+        let model = costs::reduce_cost(p, w);
         // With α=γ=0 the root's clock is log2(p)·w.
         assert_eq!(out.values[0], model.words);
         assert_eq!(out.reports[0].meter.words_recv as f64, model.words);
@@ -127,7 +119,7 @@ mod tests {
         let (p, w) = (4usize, 10usize);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce(rank, &comm, vec![1.0; w], 0);
             rank.meter().flops
         });
         // Total additions across ranks: (p-1)·w.
@@ -139,7 +131,7 @@ mod tests {
     fn single_rank_identity() {
         let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &[2.0, 4.0], 0, ReduceAlgo::Binomial)
+            reduce(rank, &comm, &[2.0, 4.0], 0)
         });
         assert_eq!(out.values[0], vec![2.0, 4.0]);
     }

@@ -9,7 +9,7 @@
 //! deterministic scheduler (and any failure names a replayable seed).
 
 use pmm_collectives::{
-    all_reduce, all_to_all, bcast, costs, exscan, scan, AllReduceAlgo, AllToAllAlgo, BcastAlgo,
+    all_reduce, all_to_all, bcast, costs, exscan, scan, AllReduceAlgo, BcastAlgo,
 };
 use pmm_simnet::{MachineParams, Meter, World};
 
@@ -87,9 +87,9 @@ fn alltoall_transposes_blocks_and_every_rank_meets_the_cost_model() {
             let data: Vec<f64> =
                 (0..p * w).map(|i| (me * 1000 + (i / w) * 10 + i % w) as f64).collect();
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all(rank, &comm, &data)
         });
-        let model = costs::all_to_all_cost(AllToAllAlgo::Pairwise, p, w);
+        let model = costs::all_to_all_cost(p, w);
         for (r, v) in values.iter().enumerate() {
             // Oracle: slot j of rank r's output is rank j's block for r.
             let want: Vec<f64> =

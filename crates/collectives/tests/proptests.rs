@@ -6,8 +6,7 @@ use std::borrow::Cow;
 
 use pmm_collectives::{
     all_gather_v, all_reduce, all_to_all, bcast, gather_v, reduce, reduce_scatter_v, scatter_v,
-    AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
-    ReduceScatterAlgo, ScatterAlgo,
+    AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
 };
 use pmm_simnet::{MachineParams, Rank, World, WorldResult};
 use proptest::prelude::*;
@@ -163,8 +162,8 @@ proptest! {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &cs2, root, ScatterAlgo::Binomial);
-            gather_v(rank, &comm, &mine, &cs2, root, GatherAlgo::Binomial)
+            let mine = scatter_v(rank, &comm, &data, &cs2, root);
+            gather_v(rank, &comm, &mine, &cs2, root)
         });
         prop_assert_eq!(&out.values[root], &want);
     }
@@ -190,7 +189,7 @@ proptest! {
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
             let comm = rank.world_comm();
             let data: Vec<f64> = (0..w).map(|e| (rank.world_rank() + e) as f64).collect();
-            reduce(rank, &comm, &data, root, ReduceAlgo::Binomial)
+            reduce(rank, &comm, &data, root)
         });
         let sum_r = (p * (p - 1) / 2) as f64;
         let want: Vec<f64> = (0..w).map(|e| sum_r + (p * e) as f64).collect();
@@ -209,7 +208,7 @@ proptest! {
             let data: Vec<f64> =
                 (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all(rank, &comm, &data)
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =

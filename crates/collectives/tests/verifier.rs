@@ -4,8 +4,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use pmm_collectives::ReduceScatterAlgo;
 use pmm_collectives::{all_gather, gather_v, reduce_scatter, AllGatherAlgo};
-use pmm_collectives::{GatherAlgo, ReduceScatterAlgo};
 use pmm_simnet::{MachineParams, World};
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -57,7 +57,7 @@ fn disagreeing_gather_roots_deadlock_is_reported() {
             let wc = rank.world_comm();
             let mine = vec![rank.world_rank() as f64; 4];
             let root = rank.world_rank(); // everyone thinks *they* are root
-            gather_v(rank, &wc, &mine, &[4, 4], root, GatherAlgo::Binomial);
+            gather_v(rank, &wc, &mine, &[4, 4], root);
         });
     }));
     let report = panic_text(result.expect_err("disagreeing roots must deadlock and abort"));

@@ -51,11 +51,10 @@ fn main() {
     let best = &recs[0];
     if let Strategy::Alg1 { grid } = best.strategy {
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(512, 512, -2..3, 1);
-            let b = random_int_matrix(512, 512, -2..3, 2);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let a = random_int_matrix(512, 512, -2..3, 1);
+        let b = random_int_matrix(512, 512, -2..3, 2);
+        let out =
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
         let measured = out.critical_path_time();
         println!(
             "executed the winner ({}): predicted {:.0} words, measured {:.0}",

@@ -24,16 +24,14 @@ fn main() {
         Grid3::factorizations(p).into_iter().map(|g| (g, alg1_cost_words(dims, g))).collect();
     rows.sort_by(|a, b| a.1.total_cmp(&b.1));
 
+    let a = random_int_matrix(768, 96, -2..3, 3);
+    let b = random_int_matrix(96, 96, -2..3, 4);
     for (grid, predicted) in rows {
         if !dims.divisible_by(grid) {
             continue;
         }
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(768, 96, -2..3, 3);
-            let b = random_int_matrix(96, 96, -2..3, 4);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
         let measured = out.critical_path_time();
         println!(
             "{:>10} {:>14.0} {:>14.0} {:>9.2}x",

@@ -76,11 +76,11 @@ fn main() {
     for (label, grid) in [("optimal grid", grid3d), ("8x8x1 grid", grid2d)] {
         let cfg = Alg1Config::new(dims, grid);
         let result = std::panic::catch_unwind(|| {
+            let a = random_int_matrix(384, 96, -2..3, 1);
+            let b = random_int_matrix(96, 24, -2..3, 2);
             World::new(p, MachineParams::BANDWIDTH_ONLY)
                 .with_memory_limit(Some(budget))
                 .run(move |rank| {
-                    let a = random_int_matrix(384, 96, -2..3, 1);
-                    let b = random_int_matrix(96, 24, -2..3, 2);
                     alg1(rank, &cfg, &a, &b);
                     rank.mem().peak()
                 })

@@ -78,11 +78,10 @@ fn main() {
     let small = MatMulDims::new(768, 192, 48); // scaled §5.3 instance
     let choice = best_grid(small, 36);
     let cfg = Alg1Config::new(small, choice.grid3());
-    let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        let a = random_int_matrix(768, 192, -2..3, 1);
-        let b = random_int_matrix(192, 48, -2..3, 2);
-        alg1(rank, &cfg, &a, &b)
-    });
+    let a = random_int_matrix(768, 192, -2..3, 1);
+    let b = random_int_matrix(192, 48, -2..3, 2);
+    let out =
+        World::new(36, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
     let measured = out.critical_path_time();
     let bound = lower_bound(small, 36.0).bound;
     println!(

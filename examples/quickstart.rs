@@ -33,19 +33,15 @@ fn main() {
     println!("grid      : {} (predicted eq.3 cost {:.1})", choice.grid3(), choice.cost_words);
 
     // --- 3. run Algorithm 1 on a simulated 36-rank machine -------------------
-    let cfg = Alg1Config::new(dims, choice.grid3());
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        // Every rank generates the same global inputs deterministically and
-        // reads only its owned chunks; integer entries make the distributed
-        // result exactly comparable.
-        let a = random_int_matrix(768, 192, -4..5, 42);
-        let b = random_int_matrix(192, 48, -4..5, 43);
-        alg1(rank, &cfg, &a, &b)
-    });
-
-    // --- 4. verify correctness against a serial reference --------------------
+    // The global inputs are generated once and borrowed by every rank,
+    // which reads only its owned chunks; integer entries make the
+    // distributed result exactly comparable.
     let a = random_int_matrix(768, 192, -4..5, 42);
     let b = random_int_matrix(192, 48, -4..5, 43);
+    let cfg = Alg1Config::new(dims, choice.grid3());
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
+
+    // --- 4. verify correctness against a serial reference --------------------
     let want = gemm(&a, &b, Kernel::Naive);
     let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let got = assemble_c(dims, choice.grid3(), &chunks);

@@ -21,15 +21,13 @@ fn main() {
         "P", "grid", "measured", "corollary4", "ratio", "words×P (tot)"
     );
 
+    let nn = n as usize;
+    let a = random_int_matrix(nn, nn, -2..3, 7);
+    let b = random_int_matrix(nn, nn, -2..3, 8);
     for p in [1usize, 8, 27, 64, 216, 512] {
         let choice = best_divisible_grid(dims, p).expect("divisible grid exists");
         let cfg = Alg1Config::new(dims, choice.grid3());
-        let nn = n as usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(nn, nn, -2..3, 7);
-            let b = random_int_matrix(nn, nn, -2..3, 8);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
         let measured = out.critical_path_time();
         let bound = corollary4(n, p as f64);
         println!(

@@ -27,14 +27,12 @@
 //! let grid = best_grid(dims, 36);
 //! assert_eq!(grid.grid, [12, 3, 1]);
 //!
-//! // 3. Run Algorithm 1 on a simulated 36-rank machine and check that the
-//! //    measured communication equals the bound exactly.
+//! // 3. Run Algorithm 1 on a simulated 36-rank machine (the global inputs
+//! //    are built once; every rank borrows them and reads its own chunks)
+//! //    and check that the measured communication equals the bound exactly.
 //! let cfg = Alg1Config::new(dims, grid.grid3());
-//! let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-//!     let a = random_matrix(768, 192, 1);
-//!     let b = random_matrix(192, 48, 2);
-//!     alg1(rank, &cfg, &a, &b)
-//! });
+//! let (a, b) = (random_matrix(768, 192, 1), random_matrix(192, 48, 2));
+//! let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
 //! let measured = out.critical_path_time();
 //! assert!((measured - report.bound).abs() < 1e-6 * report.bound);
 //! ```

@@ -169,10 +169,10 @@ fn grid3d_traffic_matches_eq3_prediction_per_rank_and_phase() {
         );
         let cfg =
             Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-        let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run(move |r| {
-            let (a, b) = inputs(dims);
-            alg1(r, &cfg, &a, &b)
-        });
+        let (a, b) = inputs(dims);
+        let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY)
+            .with_seed(seed)
+            .run(move |r| alg1(r, &cfg, &a, &b));
         let exact = phase_exact(dims, grid_arr);
         // Per-rank, per-phase: each fiber collective moves exactly the
         // eq. 3 term on evenly-chunked grids.
@@ -231,18 +231,16 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 Assembly::ReduceScatter
             };
             let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
-                alg1(r, &cfg, &a, &b)
-            });
+            let (a, b) = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run(move |r| alg1(r, &cfg, &a, &b));
             let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
             Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
         }
         "alg1/streamed" => {
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
-                alg1_streamed(r, dims, grid, 2, Kernel::Naive, &a, &b)
-            });
+            let (a, b) = inputs(dims);
+            let out = World::new(p, bw)
+                .with_seed(seed)
+                .run(move |r| alg1_streamed(r, dims, grid, 2, Kernel::Naive, &a, &b));
             let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
             Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
         }
@@ -252,10 +250,8 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 return None;
             }
             let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
-                cannon(r, &cfg, &a, &b)
-            });
+            let (a, b) = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run(move |r| cannon(r, &cfg, &a, &b));
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
                 out.values[i * q + j].c_block.clone()
             });
@@ -271,10 +267,8 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 _ => return None,
             };
             let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
-                summa(r, &cfg, &a, &b)
-            });
+            let (a, b) = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run(move |r| summa(r, &cfg, &a, &b));
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
                 out.values[i * pc + j].c_block.clone()
             });
@@ -289,10 +283,8 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 _ => return None,
             };
             let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
-                twofived(r, &cfg, &a, &b)
-            });
+            let (a, b) = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run(move |r| twofived(r, &cfg, &a, &b));
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
                 out.values[i * q + j].c_block.clone().expect("layer 0 owns a C block")
             });
@@ -302,8 +294,8 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
             if !p.is_power_of_two() {
                 return None;
             }
+            let (a, b) = inputs(dims);
             let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (a, b) = inputs(dims);
                 let (sa, sb) = carma_shares(p, r.world_rank(), &a, &b);
                 let comm = r.world_comm();
                 carma(r, &comm, dims, Kernel::Naive, sa, sb)

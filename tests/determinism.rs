@@ -31,10 +31,8 @@ fn alg1_world_and_program() -> (World, impl Fn(&mut Rank) -> Vec<f64> + Send + S
     let dims = MatMulDims::new(24, 12, 18);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let program = move |rank: &mut Rank| {
-        let (a, b) = inputs(dims);
-        alg1(rank, &cfg, &a, &b).c_chunk
-    };
+    let (a, b) = inputs(dims);
+    let program = move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk;
     (World::new(12, MachineParams::BANDWIDTH_ONLY), program)
 }
 
@@ -84,26 +82,22 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     let dims = MatMulDims::new(24, 12, 18);
     let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
-        let (a, b) = inputs(dims);
-        cannon(rank, &ccfg, &a, &b).c_block
-    })
-    .unwrap_or_else(|d| panic!("{d}"));
+    let (a, b) = inputs(dims);
+    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| cannon(rank, &ccfg, &a, &b).c_block)
+        .unwrap_or_else(|d| panic!("{d}"));
 
     // SUMMA, P = 6 (broadcast pipelines).
     let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
-        let (a, b) = inputs(dims);
-        summa(rank, &scfg, &a, &b).c_block
-    })
-    .unwrap_or_else(|d| panic!("{d}"));
+    let (a, b) = inputs(dims);
+    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| summa(rank, &scfg, &a, &b).c_block)
+        .unwrap_or_else(|d| panic!("{d}"));
 
     // 2.5D, P = 8 (replicated layers + reduction).
     let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
     let world = World::new(8, MachineParams::BANDWIDTH_ONLY);
+    let (a, b) = inputs(dims);
     fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
-        let (a, b) = inputs(dims);
         twofived(rank, &tcfg, &a, &b).c_block
     })
     .unwrap_or_else(|d| panic!("{d}"));

@@ -23,12 +23,15 @@
 
 use pmm::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+/// The global inputs of a run, generated once and shared by every rank
+/// of both hosts' worlds.
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    )
+    ))
 }
 
 /// Assert every observable artifact of a thread-hosted and a loop-hosted
@@ -94,6 +97,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
+    let ab = inputs(dims);
     for seed in [0xA11CE_u64, 0xC1EA4, 0, 5] {
         let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(seed);
         // Compare the chunk bits *and* the per-phase meters.
@@ -101,15 +105,13 @@ fn engines_agree_on_the_pinned_alg1_workload() {
             let phases = out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
             (out.c_chunk, phases)
         };
-        let threads = world.run(|rank| {
-            let (a, b) = inputs(dims);
-            view(alg1(rank, &cfg, &a, &b))
-        });
+        let threads = world.run(|rank| view(alg1(rank, &cfg, &ab.0, &ab.1)));
         let out = world.run_async(|rank| {
             let cfg = cfg.clone();
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
-                view(alg1_a(rank, &cfg, &a, &b).await)
+                let (a, b) = &*ab;
+                view(alg1_a(rank, &cfg, a, b).await)
             })
         });
         assert_same_run(&format!("alg1 seed {seed}"), &threads, &out);
@@ -120,37 +122,63 @@ fn engines_agree_on_the_pinned_alg1_workload() {
     }
 }
 
+/// What licenses generating the inputs once per world: Algorithm 1 on
+/// the loop host with every rank reading one shared `A` and `B`, and on
+/// the thread host with a private copy per rank, are the same run —
+/// meters, clocks, memory peaks, schedule and `c_chunk` bits.
+#[test]
+fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
+    let dims = MatMulDims::new(24, 12, 18);
+    let cfg = Alg1Config::new(dims, Grid3::new(2, 3, 2));
+    let ab = inputs(dims);
+    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+    let per_rank = world.run(|rank| {
+        let (a, b) = (ab.0.clone(), ab.1.clone());
+        alg1(rank, &cfg, &a, &b)
+    });
+    let shared = world.run_async(|rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+    });
+    assert_same_run("alg1, shared vs per-rank inputs", &per_rank, &shared);
+    assert_eq!(Arc::strong_count(&ab), 1, "the shared run holds no copy past its end");
+}
+
 #[test]
 fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
     let dims = MatMulDims::new(24, 12, 18);
 
     let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_hosts_agree("cannon P=9", &world, move |rank| {
+    let ab = inputs(dims);
+    assert_hosts_agree("cannon P=9", &world, |rank| {
         let ccfg = ccfg.clone();
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            cannon_a(rank, &ccfg, &a, &b).await.c_block
+            let (a, b) = &*ab;
+            cannon_a(rank, &ccfg, a, b).await.c_block
         })
     });
 
     let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_hosts_agree("summa P=6", &world, move |rank| {
+    assert_hosts_agree("summa P=6", &world, |rank| {
         let scfg = scfg.clone();
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            summa_a(rank, &scfg, &a, &b).await.c_block
+            let (a, b) = &*ab;
+            summa_a(rank, &scfg, a, b).await.c_block
         })
     });
 
     let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
     let world = World::new(8, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_hosts_agree("2.5d P=8", &world, move |rank| {
+    assert_hosts_agree("2.5d P=8", &world, |rank| {
         let tcfg = tcfg.clone();
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            twofived_a(rank, &tcfg, &a, &b).await.c_block
+            let (a, b) = &*ab;
+            twofived_a(rank, &tcfg, a, b).await.c_block
         })
     });
 }
@@ -164,16 +192,18 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let choice = best_divisible_grid(dims, p)
         .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"));
     let grid = Grid3::from_dims(choice.grid);
+    let ab = inputs(dims);
 
     // Algorithm 1, both assembly strategies.
     for assembly in [Assembly::ReduceScatter, Assembly::AllToAllSum] {
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
         let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: alg1/{assembly:?}"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: alg1/{assembly:?}"), &world, |rank| {
             let cfg = cfg.clone();
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
-                let out = alg1_a(rank, &cfg, &a, &b).await;
+                let (a, b) = &*ab;
+                let out = alg1_a(rank, &cfg, a, b).await;
                 let phases: Vec<(String, Meter)> =
                     out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
                 (out.c_chunk, phases)
@@ -183,10 +213,11 @@ fn regime_point(p: usize, seed: u64, label: &str) {
 
     // Streamed Algorithm 1 (double-buffered slabs).
     let world = World::new(p, bw).with_seed(seed);
-    assert_hosts_agree(&format!("{label}: alg1/streamed"), &world, move |rank| {
+    assert_hosts_agree(&format!("{label}: alg1/streamed"), &world, |rank| {
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            alg1_streamed_a(rank, dims, grid, 2, Kernel::Naive, &a, &b).await.c_chunk
+            let (a, b) = &*ab;
+            alg1_streamed_a(rank, dims, grid, 2, Kernel::Naive, a, b).await.c_chunk
         })
     });
 
@@ -195,11 +226,12 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     if q * q == p {
         let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
         let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: cannon"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: cannon"), &world, |rank| {
             let ccfg = ccfg.clone();
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
-                cannon_a(rank, &ccfg, &a, &b).await.c_block
+                let (a, b) = &*ab;
+                cannon_a(rank, &ccfg, a, b).await.c_block
             })
         });
     }
@@ -208,11 +240,12 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let (pr, pc) = near_square_factors(p);
     let scfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
     let world = World::new(p, bw).with_seed(seed);
-    assert_hosts_agree(&format!("{label}: summa"), &world, move |rank| {
+    assert_hosts_agree(&format!("{label}: summa"), &world, |rank| {
         let scfg = scfg.clone();
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            summa_a(rank, &scfg, &a, &b).await.c_block
+            let (a, b) = &*ab;
+            summa_a(rank, &scfg, a, b).await.c_block
         })
     });
 
@@ -223,11 +256,12 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     {
         let tcfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
         let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: 2.5d"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: 2.5d"), &world, |rank| {
             let tcfg = tcfg.clone();
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
-                twofived_a(rank, &tcfg, &a, &b).await.c_block
+                let (a, b) = &*ab;
+                twofived_a(rank, &tcfg, a, b).await.c_block
             })
         });
     }
@@ -235,10 +269,11 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     // CARMA on power-of-two processor counts.
     if p.is_power_of_two() {
         let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: carma"), &world, move |rank| {
+        assert_hosts_agree(&format!("{label}: carma"), &world, |rank| {
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
-                let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
+                let (a, b) = &*ab;
+                let (sa, sb) = carma_shares(p, rank.world_rank(), a, b);
                 let comm = rank.world_comm();
                 carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await
             })
@@ -283,11 +318,13 @@ fn engines_agree_with_a_fault_plan_armed() {
         .with_duplicate(0.05)
         .with_delay(0.05);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
-    let out = assert_hosts_agree("alg1 with faults", &world, move |rank| {
+    let ab = inputs(dims);
+    let out = assert_hosts_agree("alg1 with faults", &world, |rank| {
         let cfg = cfg.clone();
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
-            alg1_a(rank, &cfg, &a, &b).await.c_chunk
+            let (a, b) = &*ab;
+            alg1_a(rank, &cfg, a, b).await.c_chunk
         })
     });
     let retries: u64 = out.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
@@ -313,12 +350,14 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         .with_partition(vec![0, 1], 5..20, 2)
         .with_storm(0.3, 2.0);
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
-    let out = assert_hosts_agree("recovery multi-fault", &world, move |rank| {
+    let ab = inputs(dims);
+    let out = assert_hosts_agree("recovery multi-fault", &world, |rank| {
+        let ab = Arc::clone(&ab);
         Box::pin(async move {
-            let (a, b) = inputs(dims);
+            let (a, b) = &*ab;
             let spec =
                 Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-            run_recoverable_a(rank, &spec, dims, &a, &b).await
+            run_recoverable_a(rank, &spec, dims, a, b).await
         })
     });
     assert!(out.values[4].is_err() && out.values[7].is_err(), "both casualties report failure");

@@ -173,12 +173,12 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
     };
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
     let budget = Duration::from_secs(env_u64("PMM_EXPLORE_BUDGET_SECS", 60).max(10) / 2);
+    let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
+    let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
     let t0 = Instant::now();
     let report = explore_checked(
         &world,
         move |rank| {
-            let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
-            let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
             let out = alg1(rank, &cfg, &a, &b);
             // Digest: C chunk bits + per-phase traffic (bitwise
             // comparable across schedules).

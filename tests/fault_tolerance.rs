@@ -27,6 +27,7 @@
 use pmm::prelude::*;
 use pmm_simnet::{FaultPlan, RankFailed};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
     (
@@ -57,13 +58,15 @@ fn run_recovery(
     sched_seed: u64,
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
+    let ab = Arc::new(inputs(dims));
     World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan).run_async(
         move |rank| {
+            let ab = Arc::clone(&ab);
             Box::pin(async move {
-                let (a, b) = inputs(dims);
+                let (a, b) = &*ab;
                 let spec =
                     Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-                run_recoverable_a(rank, &spec, dims, &a, &b).await
+                run_recoverable_a(rank, &spec, dims, a, b).await
             })
         },
     )
@@ -237,10 +240,8 @@ fn healing_partition_delays_but_does_not_break_delivery() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
-            let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
-        })
+        let (a, b) = inputs(dims);
+        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
     };
     let clean = run(None);
     // Ranks {0,1,2} cut off from the rest for seq window [0, 40), healing
@@ -267,10 +268,8 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
-            let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
-        })
+        let (a, b) = inputs(dims);
+        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
     };
     let clean = run(None);
     let stormed = run(Some(FaultPlan::none().with_seed(0x570).with_storm(0.5, 6.0)));
@@ -479,10 +478,8 @@ fn fault_decisions_are_schedule_independent_across_seeds() {
         .with_partition(vec![0, 1], 3..9, 2)
         .with_storm(0.25, 3.0);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_faults(plan);
-    let program = move |rank: &mut Rank| {
-        let (a, b) = inputs(dims);
-        alg1(rank, &cfg, &a, &b).c_chunk
-    };
+    let (a, b) = inputs(dims);
+    let program = move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk;
     fuzz_schedules(&world, &[1, 2, 3, 4], program).unwrap_or_else(|d| panic!("{d}"));
 }
 
@@ -495,9 +492,9 @@ fn summa_recovers_on_near_square_survivor_grid() {
     let dims = MatMulDims::new(12, 6, 8);
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
+    let (a, b) = inputs(dims);
     let out = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_faults(plan).run(
         move |rank| {
-            let (a, b) = inputs(dims);
             run_recoverable(rank, &Recoverable::Summa { kernel: Kernel::Naive }, dims, &a, &b)
         },
     );
@@ -584,10 +581,8 @@ fn straggler_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
-            let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
-        })
+        let (a, b) = inputs(dims);
+        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
     };
     let clean = run(None);
     let slowed = run(Some(FaultPlan::none().with_straggler(5, 4.0)));

@@ -29,12 +29,11 @@ fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
-    World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xBEEF).with_trace(true).run(
-        move |rank| {
-            let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b)
-        },
-    )
+    let (a, b) = inputs(dims);
+    World::new(12, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(0xBEEF)
+        .with_trace(true)
+        .run(move |rank| alg1(rank, &cfg, &a, &b))
 }
 
 #[test]

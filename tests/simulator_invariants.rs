@@ -13,9 +13,9 @@ fn words_sent_equals_words_received_globally() {
     let dims = MatMulDims::new(24, 18, 12);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config::new(dims, grid);
+    let a = random_int_matrix(24, 18, -2..3, 1);
+    let b = random_int_matrix(18, 12, -2..3, 2);
     let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        let a = random_int_matrix(24, 18, -2..3, 1);
-        let b = random_int_matrix(18, 12, -2..3, 2);
         alg1(rank, &cfg, &a, &b);
     });
     let sent: u64 = out.reports.iter().map(|r| r.meter.words_sent).sum();
@@ -33,9 +33,9 @@ fn clock_and_meters_are_deterministic_across_runs() {
         let dims = MatMulDims::new(20, 16, 12);
         let grid = Grid3::new(2, 2, 2);
         let cfg = Alg1Config::new(dims, grid);
+        let a = random_int_matrix(20, 16, -2..3, 5);
+        let b = random_int_matrix(16, 12, -2..3, 6);
         let out = World::new(8, MachineParams::TYPICAL_CLUSTER).run(move |rank| {
-            let a = random_int_matrix(20, 16, -2..3, 5);
-            let b = random_int_matrix(16, 12, -2..3, 6);
             alg1(rank, &cfg, &a, &b);
             (rank.time(), rank.meter())
         });

@@ -11,9 +11,9 @@ fn measure(dims: MatMulDims, grid: [usize; 3]) -> f64 {
     let cfg =
         Alg1Config { dims, grid: g, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let a = random_int_matrix(n1, n2, -2..3, 1);
+    let b = random_int_matrix(n2, n3, -2..3, 2);
     let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        let a = random_int_matrix(n1, n2, -2..3, 1);
-        let b = random_int_matrix(n2, n3, -2..3, 2);
         alg1(rank, &cfg, &a, &b);
     });
     out.critical_path_time()

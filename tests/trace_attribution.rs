@@ -74,12 +74,11 @@ fn traced_run(
 ) -> pmm::simnet::WorldResult<Alg1Output> {
     let g = Grid3::from_dims(grid);
     let cfg = Alg1Config::new(dims, g);
-    World::new(g.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).with_trace(true).run(
-        move |rank| {
-            let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b)
-        },
-    )
+    let (a, b) = inputs(dims);
+    World::new(g.size(), MachineParams::BANDWIDTH_ONLY)
+        .with_seed(seed)
+        .with_trace(true)
+        .run(move |rank| alg1(rank, &cfg, &a, &b))
 }
 
 #[test]

@@ -17,10 +17,9 @@ fn streamed_alg1_is_tight_too() {
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
     let grid = best_grid(dims, p).grid3();
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        let (a, b) = inputs(dims);
-        alg1_streamed(rank, dims, grid, 4, Kernel::Naive, &a, &b)
-    });
+    let (a, b) = inputs(dims);
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+        .run(move |rank| alg1_streamed(rank, dims, grid, 4, Kernel::Naive, &a, &b));
     let bound = lower_bound(dims, p as f64).bound;
     let measured = out.critical_path_time();
     assert!(
@@ -41,8 +40,8 @@ fn carma_is_tight_on_pow2_square_instances() {
     // enables.
     for (n, p) in [(64u64, 8usize), (64, 64), (128, 512)] {
         let dims = MatMulDims::square(n);
+        let (a, b) = inputs(dims);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let (a, b) = inputs(dims);
             let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
             let comm = rank.world_comm();
             carma(rank, &comm, dims, Kernel::Naive, sa, sb)
@@ -68,8 +67,8 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let best = recs.first().expect("at least one strategy");
     if let AdvisorStrategy::Alg1 { grid } = best.strategy {
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
+        let (a, b) = inputs(dims);
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let (a, b) = inputs(dims);
             alg1(rank, &cfg, &a, &b);
         });
         let measured = out.critical_path_time();
@@ -89,11 +88,10 @@ fn streamed_variant_trades_latency_for_memory_monotonically() {
     let grid = Grid3::new(2, 2, 2);
     let mut prev_msgs = 0u64;
     let mut prev_peak = u64::MAX;
+    let (a, b) = inputs(dims);
     for slabs in [1usize, 2, 4, 8] {
-        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let (a, b) = inputs(dims);
-            alg1_streamed(rank, dims, grid, slabs, Kernel::Naive, &a, &b)
-        });
+        let out = World::new(8, MachineParams::BANDWIDTH_ONLY)
+            .run(|rank| alg1_streamed(rank, dims, grid, slabs, Kernel::Naive, &a, &b));
         let msgs = out.reports[0].meter.msgs_sent;
         let peak = out.max_peak_mem_words();
         assert!(msgs >= prev_msgs, "slabs={slabs}: messages must not decrease");

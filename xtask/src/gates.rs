@@ -409,6 +409,17 @@ pub static GATES: &[Gate] = &[
         ..GATE
     },
     Gate {
+        name: "experiments",
+        help: "every entry of `pmm experiment --list` (release; the registry in\n\
+               crates/bench/src/experiments): standard output held byte for byte\n\
+               to results/<name>.txt, which is rewritten either way; fails on a\n\
+               failed self-check or a differing line, naming the file and the\n\
+               line; strong_scaling (P = 262 144 executed, 4.1 GB) is skipped and\n\
+               its file left alone when MemAvailable is under 5 GB",
+        run: Run::Fn(crate::experiments),
+        ..GATE
+    },
+    Gate {
         name: "bench",
         help: "every artifact gate above, in this order, each under its default\n\
                budget, then one verdict line per bound",

@@ -9,8 +9,9 @@
 //!
 //! * `main.rs` — dispatch, the step runner every cargo-backed gate shares
 //!   ([`run_cargo`]: steps → marker rows → artifact → bounds), and the
-//!   static gates that are functions rather than cargo calls (the
-//!   keyword audit, workspace-root resolution).
+//!   gates that are functions rather than cargo steps (the keyword audit,
+//!   the `results/` text artifacts of [`experiments`]), plus
+//!   workspace-root resolution.
 //! * [`gates`] — the table and the per-gate summary functions.
 //! * [`artifact`] — the row grammar, the one JSON writer and reader of
 //!   the `BENCH_*.json` schema, and the one bound check.
@@ -143,12 +144,8 @@ fn run_cargo(root: &Path, gate: &Gate, args: &str, budget: Option<u64>) -> Resul
             let replay: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let replay = replay.join(" ");
             let name = if step.label.is_empty() { &replay } else { step.label };
-            let skip = if spent() {
-                Some("budget spent".to_string())
-            } else {
-                let short = mem_available_gb().filter(|&have| have < step.need_gb);
-                short.map(|have| format!("needs ~{} GB, {have} GB available", step.need_gb))
-            };
+            let skip =
+                if spent() { Some("budget spent".to_string()) } else { short_of(step.need_gb) };
             if let Some(why) = skip {
                 eprintln!("xtask: {}: {why} — skipping {name}", gate.name);
                 skipped += 1;
@@ -232,7 +229,7 @@ fn run_step(
     env: &[(&str, &str)],
     budget: Option<u64>,
 ) -> Result<String, String> {
-    let mut cmd = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()));
+    let mut cmd = cargo();
     cmd.args(args.split_whitespace()).args(step.args.split_whitespace());
     cmd.envs(env.iter().copied());
     match (gate.budget, budget) {
@@ -264,6 +261,12 @@ fn run_step(
     }
 }
 
+/// The cargo that launched xtask (`cargo xtask` exports it), else the one
+/// on the path.
+fn cargo() -> Command {
+    Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()))
+}
+
 /// The one reader of a committed artifact: `None` when the file does not
 /// exist (nothing to be held to), an error when it does not parse.
 fn read_committed(path: &Path) -> Result<Option<Artifact>, String> {
@@ -273,6 +276,14 @@ fn read_committed(path: &Path) -> Result<Option<Artifact>, String> {
     Artifact::parse(&text)
         .map(Some)
         .map_err(|why| format!("{} does not parse: {why}", path.display()))
+}
+
+/// Why a run that needs `need_gb` of memory is skipped — not started and
+/// OOM-killed — on this host, or `None` when it fits (or /proc cannot
+/// say).
+fn short_of(need_gb: u64) -> Option<String> {
+    let have = mem_available_gb().filter(|&have| have < need_gb)?;
+    Some(format!("needs ~{need_gb} GB, {have} GB available"))
 }
 
 /// Linux `MemAvailable` in GB, or `None` where /proc is unavailable.
@@ -286,6 +297,93 @@ fn mem_available_gb() -> Option<u64> {
         .parse()
         .ok()?;
     Some(kb >> 20)
+}
+
+/// Whole GB above the measured peak RSS of the experiments that need more
+/// than a CI runner always has: `strong_scaling`'s P = 262 144 row peaks
+/// at 4.1 GB on the default (recording) world.
+const EXPERIMENT_NEED_GB: &[(&str, u64)] = &[("strong_scaling", 5)];
+
+/// The text-artifact gate: every name `pmm experiment --list` prints is
+/// run (release) and its standard output held byte for byte to
+/// `results/<name>.txt`, which is rewritten — the contract of the
+/// `BENCH_*.json` gates, with equality as the one bound. An experiment
+/// the host lacks the memory for is skipped and its file left alone.
+/// Returns true when every file matched and every check passed.
+fn experiments(root: &Path) -> bool {
+    let pmm = |arg: &str| -> Result<(String, bool), String> {
+        let out = cargo()
+            .args("run --release -q -p pmm-cli --bin pmm -- experiment".split_whitespace())
+            .arg(arg)
+            .current_dir(root)
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("could not launch cargo: {e}"))?;
+        Ok((String::from_utf8_lossy(&out.stdout).into_owned(), out.status.success()))
+    };
+    let fail = |why: &str| {
+        eprintln!("xtask: experiments FAILED — {why}");
+        false
+    };
+    let list = match pmm("--list") {
+        Ok((list, true)) => list,
+        Ok((_, false)) => return fail("`pmm experiment --list` exited non-zero"),
+        Err(why) => return fail(&why),
+    };
+    let mut failed = Vec::new();
+    for name in list.lines().filter_map(|line| line.split_whitespace().next()) {
+        let need_gb = EXPERIMENT_NEED_GB.iter().find(|(n, _)| *n == name).map_or(0, |(_, gb)| *gb);
+        if let Some(why) = short_of(need_gb) {
+            eprintln!("xtask: experiments: {why} — skipping {name}, results/{name}.txt untouched");
+            continue;
+        }
+        eprintln!("xtask: experiments {name}");
+        let held = pmm(name).and_then(|(fresh, clean)| {
+            let held = hold_to(&root.join("results").join(format!("{name}.txt")), &fresh);
+            if clean {
+                held
+            } else {
+                Err(format!("`pmm experiment {name}` exited non-zero"))
+            }
+        });
+        if let Err(why) = held {
+            fail(&why);
+            failed.push(name);
+        }
+    }
+    if !failed.is_empty() {
+        return fail(&failed.join(", "));
+    }
+    eprintln!("xtask: experiments passed — results/ is what the registry prints");
+    true
+}
+
+/// Hold `fresh` to the committed text at `path`, then rewrite the file
+/// with it either way. `Err` names the file and the first line that
+/// differs.
+fn hold_to(path: &Path, fresh: &str) -> Result<(), String> {
+    let committed = std::fs::read_to_string(path);
+    std::fs::write(path, fresh).map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    let committed = committed.map_err(|_| format!("{} is not committed", path.display()))?;
+    if committed == fresh {
+        return Ok(());
+    }
+    let (mut was, mut now) = (committed.lines(), fresh.lines());
+    let mut line_no = 1;
+    loop {
+        match (was.next(), now.next()) {
+            (Some(a), Some(b)) if a == b => line_no += 1,
+            (a, b) => {
+                let show = |line: Option<&str>| line.unwrap_or("<end of file>").to_string();
+                return Err(format!(
+                    "{} differs at line {line_no}:\n  committed: {}\n  printed:   {}",
+                    path.display(),
+                    show(a),
+                    show(b)
+                ));
+            }
+        }
+    }
 }
 
 /// The workspace this process was asked to work on, resolved at run
@@ -478,6 +576,41 @@ mod tests {
                 let verdicts = check(&[*bound], spec.id_field, &fresh, Some(&committed));
                 assert_eq!(verdicts.iter().filter(|v| !v.is("ok")).count(), 1, "{bound:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_results_file_is_held_byte_for_byte_and_rewritten_either_way() {
+        let dir = std::env::temp_dir().join(format!("pmm-xtask-results-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("table1.txt");
+        let printed = "Table 1\n  P  bound\n  8  96\n\n[checks] 3 passed\n";
+        // Untouched: passes, and the file is what was printed.
+        std::fs::write(&path, printed).expect("fixture");
+        assert_eq!(hold_to(&path, printed), Ok(()));
+        assert_eq!(std::fs::read_to_string(&path).expect("rewritten"), printed);
+        // One byte edited by hand: fails naming the file and the line, and
+        // the file is rewritten with what the run printed.
+        std::fs::write(&path, printed.replace("96", "97")).expect("fixture");
+        let why = hold_to(&path, printed).expect_err("a one-byte edit");
+        assert!(why.contains("table1.txt") && why.contains("line 3"), "{why}");
+        assert!(why.contains("8  97") && why.contains("8  96"), "{why}");
+        assert_eq!(std::fs::read_to_string(&path).expect("rewritten"), printed);
+        // A trailing line lost, and a file never committed, fail too.
+        let why = hold_to(&path, "Table 1\n").expect_err("truncated output");
+        assert!(why.contains("line 2") && why.contains("<end of file>"), "{why}");
+        let fresh = dir.join("new.txt");
+        assert!(hold_to(&fresh, printed).expect_err("no baseline").contains("not committed"));
+        assert_eq!(std::fs::read_to_string(&fresh).expect("written"), printed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_memory_hungry_experiment_names_a_committed_results_file() {
+        for (name, need_gb) in EXPERIMENT_NEED_GB {
+            assert!(*need_gb > 0, "{name}");
+            let file = workspace_root().join("results").join(format!("{name}.txt"));
+            assert!(file.is_file(), "{} is not committed", file.display());
         }
     }
 
