@@ -1,9 +1,11 @@
 //! Shared infrastructure for the distributed algorithms: fiber
-//! communicators, phase metering, and output reassembly for verification.
+//! communicators, phase metering, Algorithm 1's operand gathers, and
+//! output reassembly for verification.
 
-use pmm_dense::{block_range, Matrix};
-use pmm_model::Grid3;
-use pmm_simnet::{poll_now, Comm, Meter, Rank};
+use pmm_collectives::{all_gather_v_a, AllGatherAlgo};
+use pmm_dense::{block_range, chunk_of_block, Block2, MatRef, Matrix};
+use pmm_model::{Grid3, MatMulDims};
+use pmm_simnet::{poll_now, CollectiveOp, Comm, Meter, Rank};
 
 /// Traffic attributed to one named phase of an algorithm (diff of two
 /// meter snapshots).
@@ -112,6 +114,57 @@ pub async fn fiber_comms_on_a(rank: &mut Rank, base: &Comm, grid: Grid3) -> [Com
         make(rank, base, grid, coord, 1).await,
         make(rank, base, grid, coord, 2).await,
     ]
+}
+
+/// Panic unless the global inputs are `n1 × n2` and `n2 × n3`: Algorithm 1
+/// reads its blocks of them by `dims`, and a same-size mis-shaped input
+/// would otherwise be read as another partition.
+pub(crate) fn assert_inputs_match(dims: MatMulDims, a: &Matrix, b: &Matrix) {
+    let shapes = [a.rows(), a.cols(), b.rows(), b.cols()].map(|d| d as u64);
+    assert_eq!(shapes, [dims.n1, dims.n2, dims.n2, dims.n3], "global inputs disagree with dims");
+}
+
+/// One operand of Algorithm 1's local multiply: the block all-gathered
+/// over its fiber, or the block of the global input itself, read in place.
+pub(crate) enum Operand<'m> {
+    Gathered(Matrix),
+    InPlace(MatRef<'m>),
+}
+
+impl<'a> From<&'a Operand<'_>> for MatRef<'a> {
+    fn from(op: &'a Operand<'_>) -> MatRef<'a> {
+        match op {
+            Operand::Gathered(m) => m.as_ref(),
+            Operand::InPlace(v) => *v,
+        }
+    }
+}
+
+/// Lines 3–4 of Algorithm 1 for one operand: all-gather `block` of
+/// `global` over `fiber`, each member contributing its [`Block2::chunk`]
+/// (chunk index = fiber index) of the §5 initial distribution.
+///
+/// On a one-member fiber the gather moves nothing and would hand back the
+/// one chunk — the whole block — so the block is read in place instead of
+/// copied out. The collective is still entered exactly as
+/// `all_gather_v_a` enters it there (verifier registration, `Collective`
+/// trace event, scheduler yield, with the block's word count), so meters,
+/// clocks, traces and schedules are those of the gather.
+pub(crate) async fn gather_block<'m>(
+    rank: &mut Rank,
+    fiber: &Comm,
+    block: Block2,
+    global: &'m Matrix,
+) -> Operand<'m> {
+    let (p, words) = (fiber.size(), block.words());
+    if p == 1 {
+        rank.collective_begin_a(fiber, CollectiveOp::AllGather, words as u64).await;
+        return Operand::InPlace(block.view(global));
+    }
+    let counts: Vec<usize> = (0..p).map(|t| chunk_of_block(words, p, t).len()).collect();
+    let mine = block.chunk(global, p, fiber.index());
+    let flat = all_gather_v_a(rank, fiber, mine, &counts, AllGatherAlgo::Auto).await;
+    Operand::Gathered(Matrix::from_vec(block.height(), block.width(), flat))
 }
 
 /// Reassemble a global matrix from per-coordinate owned blocks.

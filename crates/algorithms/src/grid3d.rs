@@ -18,6 +18,17 @@
 //! `B_{p2'p3'}` over `(:, p2', p3')`. On output, `C_{p1'p3'}` is spread
 //! evenly over `(p1', :, p3')`.
 //!
+//! **Operands read in place.** A fiber with one member gathers nothing:
+//! its all-gather moves zero words and hands back the one chunk, which is
+//! the whole block. On every 1D and 2D grid of §5.2 that is `A`'s fiber
+//! (`p3 = 1`, so eq. (3)'s `A` term is zero); `B`'s is one member when
+//! `p1 = 1`. There the rank multiplies the block where it lies in the
+//! global input ([`Block2::view`], a strided GEMM operand) instead of
+//! copying it out, and still enters the degenerate all-gather with the
+//! block's word count, so every meter, clock, trace and schedule is the
+//! one the gather produces. The choice is read off the fiber's size —
+//! nothing selects it.
+//!
 //! With bandwidth-optimal collectives, the per-processor cost is exactly
 //! eq. (3):
 //!
@@ -27,14 +38,12 @@
 //!
 //! and with the §5.2 optimal grid this *equals* the Theorem 3 bound.
 
-use pmm_collectives::{
-    all_gather_v_a, all_to_all_a, reduce_scatter_v_a, AllGatherAlgo, ReduceScatterAlgo,
-};
-use pmm_dense::{block_range, chunk_of_block, gemm, Block2, Kernel, Matrix};
+use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, ReduceScatterAlgo};
+use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
-use crate::common::{fiber_comms_on_a, PhaseMeter, PhaseProbe};
+use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 
 /// How the partial products `D` are combined into `C` (line 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,7 +115,8 @@ pub fn owned_c_range(dims: MatMulDims, grid: Grid3, coord: [usize; 3]) -> std::o
 
 /// Run Algorithm 1. `a` and `b` are the *global* inputs (available to the
 /// closure only as a convenient source of this rank's owned chunks — the
-/// algorithm reads nothing else from them).
+/// algorithm reads nothing else from them, except on a one-member fiber,
+/// where the chunk is the whole block and is read in place).
 pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     poll_now(alg1_a(rank, cfg, a, b))
 }
@@ -142,50 +152,46 @@ pub async fn alg1_on_a(
 ) -> Alg1Output {
     let dims = cfg.dims;
     let grid = cfg.grid;
-    assert_eq!(
-        (a.rows() as u64, a.cols() as u64, b.cols() as u64),
-        (dims.n1, dims.n2, dims.n3),
-        "global inputs disagree with dims"
-    );
+    assert_inputs_match(dims, a, b);
     let [p1, p2, p3] = grid.dims();
     let coord = grid.coord_of(base.index());
     let comms = fiber_comms_on_a(rank, base, grid).await;
 
-    // ----- owned input chunks (initial distribution) -----------------------
-    let a_own = owned_a_chunk(dims, grid, coord, a);
-    let b_own = owned_b_chunk(dims, grid, coord, b);
-    rank.mem_acquire((a_own.len() + b_own.len()) as u64);
-
-    // Block shapes.
-    let h1 = block_range(dims.n1 as usize, p1, coord[0]).len(); // rows of A/C block
-    let h2 = block_range(dims.n2 as usize, p2, coord[1]).len(); // inner
-    let h3 = block_range(dims.n3 as usize, p3, coord[2]).len(); // cols of B/C block
+    // Blocks `A_{p1'p2'}` and `B_{p2'p3'}` of the global inputs.
+    let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
+    let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
+    let (h1, h2, h3) = (a_blk.height(), a_blk.width(), b_blk.width());
     let a_block_words = h1 * h2;
     let b_block_words = h2 * h3;
     let c_block_words = h1 * h3;
 
+    // ----- owned input chunks (initial distribution) -----------------------
+    // The §5 footprint: this rank's share of each block. The host copies
+    // a share out only where a gather needs it (see `gather_block`).
+    let a_own_words = chunk_of_block(a_block_words, p3, coord[2]).len();
+    let b_own_words = chunk_of_block(b_block_words, p1, coord[0]).len();
+    rank.mem_acquire((a_own_words + b_own_words) as u64);
+
     // ----- line 3: All-Gather A over fiber (p1', p2', :) -------------------
-    let a_counts: Vec<usize> =
-        (0..p3).map(|t| chunk_of_block(a_block_words, p3, t).len()).collect();
+    // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
+    // nothing, and the block is multiplied where it lies in `a`.
     rank.mem_acquire(a_block_words as u64);
     let probe = PhaseProbe::begin(rank, "all-gather A");
-    let a_flat = all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await;
+    let a_block = gather_block(rank, &comms[2], a_blk, a).await;
     let ph_a = probe.finish(rank);
-    let a_block = Matrix::from_vec(h1, h2, a_flat);
 
     // ----- line 4: All-Gather B over fiber (:, p2', p3') -------------------
-    let b_counts: Vec<usize> =
-        (0..p1).map(|t| chunk_of_block(b_block_words, p1, t).len()).collect();
+    // Read in place when p1 = 1.
     rank.mem_acquire(b_block_words as u64);
     let probe = PhaseProbe::begin(rank, "all-gather B");
-    let b_flat = all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await;
+    let b_block = gather_block(rank, &comms[0], b_blk, b).await;
     let ph_b = probe.finish(rank);
-    let b_block = Matrix::from_vec(h2, h3, b_flat);
 
     // ----- line 6: local computation D = A_block · B_block -----------------
     rank.mem_acquire(c_block_words as u64);
     let d = pmm_simnet::phase!(rank, "local multiply", {
-        let d = gemm(&a_block, &b_block, cfg.kernel);
+        let mut d = Matrix::zeros(h1, h3);
+        gemm_acc(&mut d, &a_block, &b_block, cfg.kernel);
         // The model meters scalar multiplications, matching the paper's
         // n1n2n3/P count (line 6 performs h1·h2·h3 of them).
         rank.compute((h1 * h2 * h3) as f64);
@@ -291,20 +297,11 @@ pub fn assemble_c(dims: MatMulDims, grid: Grid3, chunks: &[Vec<f64>]) -> Matrix 
     let (n1, n3) = (dims.n1 as usize, dims.n3 as usize);
     let mut c = Matrix::zeros(n1, n3);
     for i in 0..p1 {
-        let rrange = block_range(n1, p1, i);
         for l in 0..p3 {
-            let crange = block_range(n3, p3, l);
-            let words = rrange.len() * crange.len();
-            let mut flat = vec![0.0f64; words];
+            let block = Block2::of(n1, n3, p1, p3, i, l);
             for j in 0..p2 {
-                let rank = grid.rank_of([i, j, l]);
-                let chunk = &chunks[rank];
-                let range = chunk_of_block(words, p2, j);
-                assert_eq!(chunk.len(), range.len(), "rank {rank} chunk size");
-                flat[range].copy_from_slice(chunk);
+                block.put_chunk(&mut c, p2, j, &chunks[grid.rank_of([i, j, l])]);
             }
-            let block = Matrix::from_vec(rrange.len(), crange.len(), flat);
-            c.set_sub(rrange.start, crange.start, &block);
         }
     }
     c

@@ -14,13 +14,19 @@
 //! processor owns, for every slab, an even chunk of that slab across its
 //! fiber (the lower bound makes no assumption on distribution beyond the
 //! single-copy rule, so the variant is free to choose).
+//!
+//! A slab whose gathering fiber has one member (`A`'s when `p3 = 1`,
+//! `B`'s when `p1 = 1`) is multiplied where it lies in the global input,
+//! as in [`alg1`](crate::grid3d::alg1): the gather would move nothing and
+//! hand back the whole slab, so the host skips the copy and enters the
+//! degenerate collective alone — every simulated observable is unchanged.
 
-use pmm_collectives::{all_gather_v_a, reduce_scatter_v_a, AllGatherAlgo, ReduceScatterAlgo};
+use pmm_collectives::{reduce_scatter_v_a, ReduceScatterAlgo};
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
-use crate::common::{fiber_comms_on_a, PhaseMeter, PhaseProbe};
+use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 use crate::grid3d::Alg1Output;
 
 /// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
@@ -70,6 +76,7 @@ pub async fn alg1_streamed_on_a(
     b: &Matrix,
 ) -> Alg1Output {
     assert!(slabs >= 1, "need at least one slab");
+    assert_inputs_match(dims, a, b);
     let [p1, p2, p3] = grid.dims();
     let coord = grid.coord_of(base.index());
     let comms = fiber_comms_on_a(rank, base, grid).await;
@@ -94,32 +101,27 @@ pub async fn alg1_streamed_on_a(
             continue;
         }
         // --- gather slab of A over fiber (p1', p2', :) ----------------------
-        let a_slab_words = h1 * slab.len();
-        let a_counts: Vec<usize> =
-            (0..p3).map(|r| chunk_of_block(a_slab_words, p3, r).len()).collect();
+        // In place when p3 = 1, as in `alg1` (see `gather_block`).
         let slab_inner = inner.start + slab.start..inner.start + slab.end;
-        let a_own =
-            Block2 { rows: rows_a.clone(), cols: slab_inner.clone() }.chunk(a, p3, coord[2]);
+        let a_slab = Block2 { rows: rows_a.clone(), cols: slab_inner.clone() };
+        let a_slab_words = a_slab.words();
         rank.mem_acquire(a_slab_words as u64);
         let before = rank.meter();
-        let a_flat = pmm_simnet::phase!(rank, "all-gather A (streamed)", {
-            all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await
+        let a_mat = pmm_simnet::phase!(rank, "all-gather A (streamed)", {
+            gather_block(rank, &comms[2], a_slab, a).await
         });
         accumulate(&mut words_a_phase, rank.meter().diff(&before));
-        let a_mat = Matrix::from_vec(h1, slab.len(), a_flat);
 
         // --- gather slab of B over fiber (:, p2', p3') ----------------------
-        let b_slab_words = slab.len() * h3;
-        let b_counts: Vec<usize> =
-            (0..p1).map(|r| chunk_of_block(b_slab_words, p1, r).len()).collect();
-        let b_own = Block2 { rows: slab_inner, cols: cols_b.clone() }.chunk(b, p1, coord[0]);
+        // In place when p1 = 1.
+        let b_slab = Block2 { rows: slab_inner, cols: cols_b.clone() };
+        let b_slab_words = b_slab.words();
         rank.mem_acquire(b_slab_words as u64);
         let before = rank.meter();
-        let b_flat = pmm_simnet::phase!(rank, "all-gather B (streamed)", {
-            all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await
+        let b_mat = pmm_simnet::phase!(rank, "all-gather B (streamed)", {
+            gather_block(rank, &comms[0], b_slab, b).await
         });
         accumulate(&mut words_b_phase, rank.meter().diff(&before));
-        let b_mat = Matrix::from_vec(slab.len(), h3, b_flat);
 
         // --- accumulate ------------------------------------------------------
         pmm_simnet::phase!(rank, "local multiply", {
@@ -246,6 +248,18 @@ mod tests {
                 "rank {r}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "global inputs disagree with dims")]
+    fn rejects_global_inputs_of_other_dims() {
+        // 12 × 8 under dims that say 8 × 12: same word count, another
+        // partition.
+        let dims = MatMulDims::new(8, 12, 6);
+        let a = random_int_matrix(12, 8, -3..4, 1);
+        let b = random_int_matrix(12, 6, -3..4, 2);
+        World::new(2, MachineParams::BANDWIDTH_ONLY)
+            .run(|rank| alg1_streamed(rank, dims, Grid3::new(2, 1, 1), 2, Kernel::Naive, &a, &b));
     }
 
     #[test]

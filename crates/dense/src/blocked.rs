@@ -28,6 +28,13 @@
 //! Edge tiles are zero-padded at pack time, so the microkernel is the
 //! only compute path; padded lanes are discarded at store time.
 //!
+//! `A` and `B` are strided operands ([`MatRef`]): packing is where every
+//! element of both is copied anyway, so `pack_a` / `pack_b` read their
+//! source rows through the operand's row stride, and a block of a larger
+//! matrix is packed straight from where it lies. The packed panels, and
+//! everything downstream of them, are the same as for the block copied
+//! out.
+//!
 //! **Bitwise contract** (shared by every tier, see
 //! [`kernels`](crate::kernels)): the microkernel loads the live `C` tile
 //! into its accumulators before the `k` loop and stores it back after,
@@ -38,6 +45,7 @@
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "fma"))]
 use crate::avx512 as tile;
+use crate::matrix::MatRef;
 
 /// The portable tile: the safe [`microkernel`] at the shape that suits 16
 /// vector registers, and the roofline probe built from it.
@@ -124,14 +132,14 @@ pub fn fma_peak_gflops() -> f64 {
     flops / best_secs / 1e9
 }
 
-/// `C += A·B` on raw row-major slices: `c` is `m × n`, `a` is `m × k`,
-/// `b` is `k × n`, all densely packed (row stride = column count).
+/// `C += A·B`: `c` is the densely packed row-major `m × n` output, `a`
+/// (`m × k`) and `b` (`k × n`) are read through their row strides.
 ///
 /// This is the engine behind [`Kernel::Blocked`](crate::Kernel::Blocked).
-pub(crate) fn gemm_blocked(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_blocked(c: &mut [f64], a: MatRef<'_>, b: MatRef<'_>) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    debug_assert_eq!(b.rows(), k);
     debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -145,10 +153,10 @@ pub(crate) fn gemm_blocked(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usi
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(&mut bpack, b, n, pc, jc, kc, nc);
+            pack_b(&mut bpack, b.as_slice(), b.stride(), pc, jc, kc, nc);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(&mut apack, a, k, ic, pc, mc, kc);
+                pack_a(&mut apack, a.as_slice(), a.stride(), ic, pc, mc, kc);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
                     let bp = &bpack[(jr / NR) * kc * NR..][..kc * NR];
@@ -213,15 +221,16 @@ static ZERO_ROW: [f64; KC] = [0.0; KC];
 
 /// Pack the `mc × kc` block of `A` at `(ic, pc)` into micro-panels of
 /// `MR` rows, k-major within each panel (`apack[q·kc·MR + l·MR + r]` =
-/// `A[ic + q·MR + r][pc + l]`), zero-padding rows past `mc`. Each
-/// micro-panel is written front to back, `MR` contiguous elements at a
-/// time gathered from `MR` row streams.
-fn pack_a(apack: &mut [f64], a: &[f64], k: usize, ic: usize, pc: usize, mc: usize, kc: usize) {
+/// `A[ic + q·MR + r][pc + l]`, row `i` of `A` starting at `a[i·lda]`),
+/// zero-padding rows past `mc`. Each micro-panel is written front to
+/// back, `MR` contiguous elements at a time gathered from `MR` row
+/// streams.
+fn pack_a(apack: &mut [f64], a: &[f64], lda: usize, ic: usize, pc: usize, mc: usize, kc: usize) {
     for q in 0..mc.div_ceil(MR) {
         let panel = &mut apack[q * kc * MR..][..kc * MR];
         let rows: [&[f64]; MR] = std::array::from_fn(|r| {
             if q * MR + r < mc {
-                &a[(ic + q * MR + r) * k + pc..][..kc]
+                &a[(ic + q * MR + r) * lda + pc..][..kc]
             } else {
                 &ZERO_ROW[..kc]
             }
@@ -235,14 +244,14 @@ fn pack_a(apack: &mut [f64], a: &[f64], k: usize, ic: usize, pc: usize, mc: usiz
 }
 
 /// Pack the `kc × nc` block of `B` at `(pc, jc)` into micro-panels of
-/// `NR` columns (`bpack[q·kc·NR + l·NR + c]` = `B[pc + l][jc + q·NR + c]`),
-/// zero-padding columns past `nc`.
-fn pack_b(bpack: &mut [f64], b: &[f64], n: usize, pc: usize, jc: usize, kc: usize, nc: usize) {
+/// `NR` columns (`bpack[q·kc·NR + l·NR + c]` = `B[pc + l][jc + q·NR + c]`,
+/// row `l` of `B` starting at `b[l·ldb]`), zero-padding columns past `nc`.
+fn pack_b(bpack: &mut [f64], b: &[f64], ldb: usize, pc: usize, jc: usize, kc: usize, nc: usize) {
     for q in 0..nc.div_ceil(NR) {
         let panel = &mut bpack[q * kc * NR..][..kc * NR];
         let cols = NR.min(nc - q * NR);
         for l in 0..kc {
-            let brow = &b[(pc + l) * n + jc + q * NR..][..cols];
+            let brow = &b[(pc + l) * ldb + jc + q * NR..][..cols];
             let dst = &mut panel[l * NR..][..NR];
             dst[..cols].copy_from_slice(brow);
             for d in dst.iter_mut().skip(cols) {
@@ -297,7 +306,7 @@ mod tests {
             let b = random_matrix(k, n, 13);
             let want = oracle(&a, &b);
             let mut c = Matrix::zeros(m, n);
-            gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+            gemm_blocked(c.as_mut_slice(), a.as_ref(), b.as_ref());
             assert_eq!(c, want, "blocked diverges for {m}x{k}x{n}");
         }
     }
@@ -350,7 +359,7 @@ mod tests {
         let best_secs = (0..5)
             .map(|_| {
                 let t0 = std::time::Instant::now();
-                gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), n, n, n);
+                gemm_blocked(c.as_mut_slice(), a.as_ref(), b.as_ref());
                 t0.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min);
@@ -374,7 +383,7 @@ mod tests {
                 }
             }
         }
-        gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+        gemm_blocked(c.as_mut_slice(), a.as_ref(), b.as_ref());
         assert_eq!(c, want);
     }
 }

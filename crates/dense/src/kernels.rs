@@ -31,6 +31,18 @@
 //! kernel-invariance suite pins that tier choice never alters simulator
 //! meters or traces.
 //!
+//! # Strided operands
+//!
+//! [`gemm_acc`] reads `A` and `B` as [`MatRef`]s — rows `stride`
+//! elements apart — so a block of a larger matrix is multiplied where it
+//! lies ([`Block2::view`](crate::Block2::view)) instead of being copied
+//! out first. `Naive` steps through the operand's rows by its stride;
+//! `Blocked` already copies every element into packed panels and reads
+//! the source rows through the stride while packing. Neither body
+//! changes which `madd` terms an element sees or their order, so a block
+//! read in place and the same block copied out give bitwise-identical
+//! products. [`gemm`] is the `stride == cols` case on two matrices.
+//!
 //! # Selecting a tier
 //!
 //! Algorithm configs carry a `Kernel`; the CLI resolves the one its runs
@@ -54,7 +66,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::blocked::gemm_blocked;
-use crate::matrix::Matrix;
+use crate::matrix::{MatRef, Matrix};
 
 /// [`Kernel::Auto`] stays on `Naive` while the product does at most
 /// this many multiply-adds per element of `A`, `B` and `C`
@@ -168,10 +180,18 @@ pub fn gemm(a: &Matrix, b: &Matrix, kernel: Kernel) -> Matrix {
     c
 }
 
-/// `C += A·B`.
+/// `C += A·B`. `A` and `B` are a `&Matrix` or a [`MatRef`] — a block read
+/// in place through its row stride ([`Block2::view`](crate::Block2::view)),
+/// multiplied with the same `madd` sequence as the block copied out.
 ///
 /// Panics if shapes are incompatible.
-pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
+pub fn gemm_acc<'a, 'b>(
+    c: &mut Matrix,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    kernel: Kernel,
+) {
+    let (a, b) = (a.into(), b.into());
     assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
     assert_eq!(c.rows(), a.rows(), "C rows disagree");
     assert_eq!(c.cols(), b.cols(), "C cols disagree");
@@ -181,15 +201,14 @@ pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
     }
     match kernel.resolve(m, k, n) {
         Kernel::Naive | Kernel::Auto => naive(c, a, b),
-        Kernel::Blocked => gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n),
+        Kernel::Blocked => gemm_blocked(c.as_mut_slice(), a, b),
     }
 }
 
-fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    for i in 0..m {
-        for l in 0..k {
-            let aik = a[(i, l)];
+fn naive(c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
+    let n = b.cols();
+    for i in 0..a.rows() {
+        for (l, &aik) in a.row(i).iter().enumerate() {
             let brow = b.row(l);
             let crow = c.row_mut(i);
             for j in 0..n {

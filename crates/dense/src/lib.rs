@@ -4,7 +4,9 @@
 //! the "γ side" of the α-β-γ model. Every parallel algorithm in
 //! `pmm-algs` stores its local blocks as [`Matrix`] values, extracts and
 //! inserts sub-blocks with the [`partition`] helpers, and multiplies them
-//! with a [`kernels`] kernel.
+//! with a [`kernels`] kernel — which reads either operand through a row
+//! stride ([`MatRef`]), so a block can also be multiplied where it lies in
+//! a larger matrix ([`Block2::view`]).
 //!
 //! The kernels form a tiered stack selected by [`Kernel`] (or the
 //! `PMM_KERNEL` environment variable via [`kernel_from_env`]): the pinned
@@ -30,5 +32,5 @@ pub mod partition;
 pub use blocked::{fma_peak_gflops, FMA_VECTOR_BITS};
 pub use gen::{constant_matrix, identity, random_int_matrix, random_matrix};
 pub use kernels::{gemm, gemm_acc, kernel_from_env, Kernel, KERNEL_ENV};
-pub use matrix::Matrix;
+pub use matrix::{MatRef, Matrix};
 pub use partition::{block_len, block_range, chunk_of_block, Block2};

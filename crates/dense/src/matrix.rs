@@ -1,4 +1,5 @@
-//! Row-major dense matrices.
+//! Row-major dense matrices, and the borrowed strided operand
+//! ([`MatRef`]) the kernels read them through.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -77,6 +78,23 @@ impl Matrix {
         self.data
     }
 
+    /// The whole matrix as a borrowed GEMM operand (`stride == cols`).
+    #[inline]
+    pub fn as_ref(&self) -> MatRef<'_> {
+        self.view(0, 0, self.rows, self.cols)
+    }
+
+    /// The sub-block at rows `r0..r0+h`, cols `c0..c0+w`, borrowed in
+    /// place: what [`Matrix::sub`] copies out.
+    pub(crate) fn view(&self, r0: usize, c0: usize, h: usize, w: usize) -> MatRef<'_> {
+        assert!(r0 + h <= self.rows && c0 + w <= self.cols, "sub-block out of range");
+        let data = match h {
+            0 => &[][..],
+            _ => &self.data[r0 * self.cols + c0..][..(h - 1) * self.cols + w],
+        };
+        MatRef { data, rows: h, cols: w, stride: self.cols }
+    }
+
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -144,6 +162,60 @@ impl Matrix {
     /// True if every element differs from `other` by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.max_abs_diff(other) <= tol
+    }
+}
+
+/// A borrowed `rows × cols` row-major operand whose rows lie `stride`
+/// elements apart: a whole [`Matrix`] ([`Matrix::as_ref`], `stride ==
+/// cols`) or a block of one read where it lies
+/// ([`Block2::view`](crate::Block2::view), `stride` = the matrix's
+/// column count). What [`gemm_acc`](crate::gemm_acc) multiplies.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    /// From the first element of row 0 to the last of row `rows − 1`.
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Distance in elements between the starts of consecutive rows.
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row(&self, r: usize) -> &'a [f64] {
+        &self.data[r * self.stride..][..self.cols]
+    }
+
+    /// The rows and the gaps between them: element `(r, c)` is
+    /// `as_slice()[r·stride + c]`.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    #[inline]
+    fn from(m: &'a Matrix) -> MatRef<'a> {
+        m.as_ref()
     }
 }
 

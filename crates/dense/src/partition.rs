@@ -6,6 +6,14 @@
 //! per-rank chunks of the initial/final data distributions of
 //! Algorithm 1.
 //!
+//! A [`Block2`] of a global matrix is read three ways: copied out whole
+//! ([`Block2::extract`]), as one fiber member's contiguous share of its
+//! row-major elements ([`Block2::chunk`], the initial distribution;
+//! [`Block2::put_chunk`] writes a share back, which is how `C` is
+//! assembled), or in place ([`Block2::view`], a strided operand the
+//! kernels multiply without a copy — what Algorithm 1 does with an
+//! operand whose gathering fiber has one member).
+//!
 //! Conventions: `block_range(n, parts, i)` splits `0..n` into `parts`
 //! nearly-equal contiguous ranges, giving the first `n % parts` ranges one
 //! extra element. When `parts` divides `n` this is the exact uniform
@@ -13,7 +21,7 @@
 
 use std::ops::Range;
 
-use crate::matrix::Matrix;
+use crate::matrix::{MatRef, Matrix};
 
 /// The contiguous index range of part `i` of `0..n` split into `parts`.
 pub fn block_range(n: usize, parts: usize, i: usize) -> Range<usize> {
@@ -67,23 +75,62 @@ impl Block2 {
         m.sub(self.rows.start, self.cols.start, self.height(), self.width())
     }
 
+    /// This block of `m` read where it lies — what [`Block2::extract`]
+    /// copies out, as a [`MatRef`] the kernels multiply in place.
+    pub fn view<'m>(&self, m: &'m Matrix) -> MatRef<'m> {
+        m.view(self.rows.start, self.cols.start, self.height(), self.width())
+    }
+
     /// Copy out member `idx`'s [`chunk_of_block`] share of this block of
     /// `m` — `self.extract(m).into_vec()[chunk_of_block(self.words(),
     /// chunks, idx)]` without materializing the block: only the chunk's
     /// elements are read, one run per block row it touches.
     pub fn chunk(&self, m: &Matrix, chunks: usize, idx: usize) -> Vec<f64> {
-        assert!(self.rows.end <= m.rows() && self.cols.end <= m.cols(), "block out of range");
-        let w = self.width();
-        let range = chunk_of_block(self.words(), chunks, idx);
-        let mut out = Vec::with_capacity(range.len());
-        let mut e = range.start;
-        while e < range.end {
-            let (r, c) = (e / w, e % w);
-            let run = (w - c).min(range.end - e);
-            out.extend_from_slice(&m.row(self.rows.start + r)[self.cols.start + c..][..run]);
-            e += run;
+        self.assert_within(m);
+        let mut out = Vec::with_capacity(chunk_of_block(self.words(), chunks, idx).len());
+        for (r, cols) in self.chunk_runs(chunks, idx) {
+            out.extend_from_slice(&m.row(r)[cols]);
         }
         out
+    }
+
+    /// Write member `idx`'s share back into this block of `m`, one run
+    /// per block row it touches: the inverse of [`Block2::chunk`].
+    pub fn put_chunk(&self, m: &mut Matrix, chunks: usize, idx: usize, chunk: &[f64]) {
+        self.assert_within(m);
+        let want = chunk_of_block(self.words(), chunks, idx).len();
+        assert_eq!(chunk.len(), want, "chunk {idx} of {chunks} has the wrong length");
+        let mut rest = chunk;
+        for (r, cols) in self.chunk_runs(chunks, idx) {
+            let (run, tail) = rest.split_at(cols.len());
+            m.row_mut(r)[cols].copy_from_slice(run);
+            rest = tail;
+        }
+    }
+
+    fn assert_within(&self, m: &Matrix) {
+        assert!(self.rows.end <= m.rows() && self.cols.end <= m.cols(), "block out of range");
+    }
+
+    /// Member `idx`'s share as `(global row, global column range)` runs,
+    /// in the block's row-major order.
+    fn chunk_runs(
+        &self,
+        chunks: usize,
+        idx: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let w = self.width();
+        let range = chunk_of_block(self.words(), chunks, idx);
+        let mut e = range.start;
+        std::iter::from_fn(move || {
+            (e < range.end).then(|| {
+                let (r, c) = (e / w, e % w);
+                let run = (w - c).min(range.end - e);
+                e += run;
+                let c0 = self.cols.start + c;
+                (self.rows.start + r, c0..c0 + run)
+            })
+        })
     }
 
     /// Paste `block` into `m` at this block's position.
@@ -170,6 +217,44 @@ mod tests {
         assert_eq!(b.chunk(&m, 5, 1), vec![31.0, 36.0, 37.0]);
         let all: Vec<f64> = (0..5).flat_map(|i| b.chunk(&m, 5, i)).collect();
         assert_eq!(all, b.extract(&m).into_vec());
+    }
+
+    #[test]
+    fn put_chunk_inverts_chunk_on_ragged_blocks() {
+        // 13 × 11 in ragged 3 × 2 blocks (5/4/4 rows, 6/5 cols); chunk
+        // counts that divide no block, one that splits rows mid-run, and
+        // more chunks than a small block has words.
+        let m = Matrix::from_fn(13, 11, |r, c| (r * 11 + c) as f64 + 0.5);
+        for p2 in [1usize, 3, 7] {
+            let mut re = Matrix::zeros(13, 11);
+            for i in 0..3 {
+                for j in 0..2 {
+                    let b = Block2::of(13, 11, 3, 2, i, j);
+                    for idx in 0..p2 {
+                        b.put_chunk(&mut re, p2, idx, &b.chunk(&m, p2, idx));
+                    }
+                }
+            }
+            assert_eq!(re, m, "p2 = {p2}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn put_chunk_rejects_a_share_of_the_wrong_length() {
+        let b = Block2::of(6, 8, 2, 2, 1, 1);
+        b.put_chunk(&mut Matrix::zeros(6, 8), 5, 1, &[0.0; 2]);
+    }
+
+    #[test]
+    fn view_reads_the_block_in_place() {
+        let m = Matrix::from_fn(6, 8, |r, c| (r * 8 + c) as f64);
+        let v = Block2::of(6, 8, 2, 2, 1, 1).view(&m);
+        assert_eq!((v.rows(), v.cols(), v.stride()), (3, 4, 8));
+        assert_eq!(v.row(2), &m.row(5)[4..]);
+        // An empty block on the bottom-right edge is an empty view.
+        let e = Block2 { rows: 6..6, cols: 8..8 }.view(&m);
+        assert_eq!((e.rows(), e.cols()), (0, 0));
     }
 
     #[test]

@@ -229,6 +229,59 @@ proptest! {
     }
 }
 
+// ---- strided operands ---------------------------------------------------
+//
+// A block multiplied where it lies (`Block2::view`, rows `stride` apart)
+// must give the bits of the same block copied out (`Block2::extract`),
+// in every tier: the stride changes where a row is read, never which
+// `madd` terms an element sees or their order.
+
+/// An `h × w` block inside a larger random matrix: at least one column
+/// of the matrix lies left of it (so `stride > cols`), and with `at_edge`
+/// the block touches the matrix's right and bottom edges.
+fn embedded(h: usize, w: usize, at_edge: bool, seed: u64) -> (Matrix, Block2) {
+    let (top, left) = (seed as usize % 3, 1 + seed as usize % 5);
+    let (bottom, right) = if at_edge { (0, 0) } else { (2, 3) };
+    let m = random_matrix(top + h + bottom, left + w + right, seed);
+    (m, Block2 { rows: top..top + h, cols: left..left + w })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_block_read_in_place_multiplies_as_the_block_copied_out(
+        sel in 0usize..6,
+        x in 0usize..64,
+        y in 0usize..64,
+        seed in 0u64..1000,
+    ) {
+        // Fractional entries; empty and one-row blocks; and shapes that
+        // straddle the blocked kernel's constants (tiles 8×24 and 6×8,
+        // `MC` = 120, `KC` = 512) by one short of, exactly and one past.
+        let (m, k, n) = match sel {
+            0 => (1 + x % 13, 1 + y % 17, 1 + (x + y) % 11),
+            1 => [(0, 1 + y % 9, 1 + x % 9), (1 + x % 9, 0, 1 + y % 9), (1 + x % 9, 1 + y % 9, 0)]
+                [x % 3],
+            2 => (1, 1 + y, 1 + x),
+            3 => (5 + x % 5, 1 + y % 20, 7 + y % 3 + 16 * (x % 2)),
+            4 => (119 + x % 3, 1 + y % 5, 1 + x % 9),
+            _ => (3 + x % 3, 511 + y % 3, 5 + x % 4),
+        };
+        let (ma, ba) = embedded(m, k, x % 2 == 0, seed);
+        let (mb, bb) = embedded(k, n, y % 2 == 0, seed + 1);
+        let (a_copy, b_copy) = (ba.extract(&ma), bb.extract(&mb));
+        let init = random_matrix(m, n, seed + 2);
+        for kernel in Kernel::ALL {
+            let mut copied = init.clone();
+            gemm_acc(&mut copied, &a_copy, &b_copy, kernel);
+            let mut in_place = init.clone();
+            gemm_acc(&mut in_place, ba.view(&ma), bb.view(&mb), kernel);
+            prop_assert_eq!(&in_place, &copied, "tier {} diverged on {}x{}x{}", kernel, m, k, n);
+        }
+    }
+}
+
 #[test]
 fn every_tier_handles_empty_matrices() {
     // 0×n, n×0, and inner-dimension-0 products are all defined (an empty

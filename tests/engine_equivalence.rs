@@ -20,8 +20,17 @@
 //!   bit-for-bit across hosts;
 //! * kills, caught (`catch_failures` vs `catch_failures_async!`) and
 //!   recovered from (`run_recoverable`).
+//!
+//! The same comparison, on each host, also holds two *programs* to one
+//! run: Algorithm 1 and its streamed variant, which multiply an operand
+//! whose fiber has one member where it lies in the global input, against
+//! test-local programs that copy it out and all-gather it as before.
 
+use pmm::algs::{fiber_comms_a, PhaseMeter, PhaseProbe};
+use pmm::collectives::{all_gather_v_a, reduce_scatter_v_a};
+use pmm::dense::{block_range, chunk_of_block, gemm_acc, Block2};
 use pmm::prelude::*;
+use pmm::simnet::phase;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -34,39 +43,34 @@ fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
     ))
 }
 
-/// Assert every observable artifact of a thread-hosted and a loop-hosted
-/// run matches: values, per-rank meters/clocks/memory/event counts, the
-/// rendered + event-level schedule trace, and the whole `ChoiceLog`.
-fn assert_same_run<T>(label: &str, threads: &WorldResult<T>, event: &WorldResult<T>)
+/// Assert every observable artifact of two runs matches — a thread-hosted
+/// and a loop-hosted run of one program, or two programs that must be
+/// indistinguishable: values, per-rank meters/clocks/memory/event counts,
+/// the rendered + event-level schedule trace, and the whole `ChoiceLog`.
+fn assert_same_run<T>(label: &str, x: &WorldResult<T>, y: &WorldResult<T>)
 where
     T: PartialEq + std::fmt::Debug,
 {
-    assert_eq!(threads.values, event.values, "{label}: per-rank values diverge across hosts");
-    assert_eq!(threads.reports.len(), event.reports.len(), "{label}: rank count");
-    for (r, (t, e)) in threads.reports.iter().zip(&event.reports).enumerate() {
-        assert_eq!(t.meter, e.meter, "{label}: rank {r} meter diverges across hosts");
-        assert_eq!(t.time, e.time, "{label}: rank {r} clock diverges across hosts");
-        assert_eq!(
-            t.peak_mem_words, e.peak_mem_words,
-            "{label}: rank {r} memory peak diverges across hosts"
-        );
+    assert_eq!(x.values, y.values, "{label}: per-rank values diverge");
+    assert_eq!(x.reports.len(), y.reports.len(), "{label}: rank count");
+    for (r, (t, e)) in x.reports.iter().zip(&y.reports).enumerate() {
+        assert_eq!(t.meter, e.meter, "{label}: rank {r} meter diverges");
+        assert_eq!(t.time, e.time, "{label}: rank {r} clock diverges");
+        assert_eq!(t.peak_mem_words, e.peak_mem_words, "{label}: rank {r} memory peak diverges");
         assert_eq!(
             t.final_stamp, e.final_stamp,
-            "{label}: rank {r} happens-before event count diverges across hosts"
+            "{label}: rank {r} happens-before event count diverges"
         );
     }
     let (t, e) = (
-        threads.schedule_trace.as_ref().expect("seeded thread-hosted runs record a trace"),
-        event.schedule_trace.as_ref().expect("loop-hosted runs record a trace"),
+        x.schedule_trace.as_ref().expect("deterministic runs record a trace"),
+        y.schedule_trace.as_ref().expect("deterministic runs record a trace"),
     );
     assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
     t.assert_matches(e);
     // Chosen ranks, footprints and every runnable-set transition.
-    assert!(threads.choice_points.is_some(), "{label}: seeded runs record a choice log");
-    assert!(
-        threads.choice_points == event.choice_points,
-        "{label}: choice logs diverge across hosts"
-    );
+    assert!(x.choice_points.is_some(), "{label}: deterministic runs record a choice log");
+    assert!(x.choice_points == y.choice_points, "{label}: choice logs diverge");
 }
 
 /// Run `program` on both hosts and assert the runs are the same;
@@ -142,6 +146,198 @@ fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     });
     assert_same_run("alg1, shared vs per-rank inputs", &per_rank, &shared);
     assert_eq!(Arc::strong_count(&ab), 1, "the shared run holds no copy past its end");
+}
+
+/// Algorithm 1 the way it ran before operands were read in place (the
+/// frozen ladder's rung-5 program, with the library's phase scopes):
+/// every rank copies its share of both blocks out of the global inputs
+/// and all-gathers it — over a one-member fiber too.
+async fn alg1_extracting(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
+    let [p1, p2, p3] = cfg.grid.dims();
+    let coord = cfg.grid.coord_of(rank.world_rank());
+    let comms = fiber_comms_a(rank, cfg.grid).await;
+    let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
+    let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
+    let (h1, h2, h3) = (a_blk.height(), a_blk.width(), b_blk.width());
+    let a_own = a_blk.chunk(a, p3, coord[2]);
+    let b_own = b_blk.chunk(b, p1, coord[0]);
+    rank.mem_acquire((a_own.len() + b_own.len()) as u64);
+
+    let a_counts = counts(h1 * h2, p3);
+    rank.mem_acquire((h1 * h2) as u64);
+    let probe = PhaseProbe::begin(rank, "all-gather A");
+    let a_flat = all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await;
+    let ph_a = probe.finish(rank);
+
+    let b_counts = counts(h2 * h3, p1);
+    rank.mem_acquire((h2 * h3) as u64);
+    let probe = PhaseProbe::begin(rank, "all-gather B");
+    let b_flat = all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await;
+    let ph_b = probe.finish(rank);
+
+    rank.mem_acquire((h1 * h3) as u64);
+    let d = phase!(rank, "local multiply", {
+        let (a_block, b_block) =
+            (Matrix::from_vec(h1, h2, a_flat), Matrix::from_vec(h2, h3, b_flat));
+        let d = gemm(&a_block, &b_block, cfg.kernel);
+        rank.compute((h1 * h2 * h3) as f64);
+        d
+    });
+    let probe = PhaseProbe::begin(rank, "reduce-scatter C");
+    let c_counts = counts(h1 * h3, p2);
+    let c_chunk =
+        reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
+    let ph_c = probe.finish(rank);
+    rank.mem_acquire(c_chunk.len() as u64);
+    rank.mem_release((h1 * h2 + h2 * h3 + h1 * h3) as u64);
+    Alg1Output { c_chunk, phases: [ph_a, ph_b, ph_c] }
+}
+
+/// The streamed variant the same way: each slab's shares copied out and
+/// all-gathered, over a one-member fiber too.
+async fn streamed_extracting(
+    rank: &mut Rank,
+    dims: MatMulDims,
+    grid: Grid3,
+    slabs: usize,
+    a: &Matrix,
+    b: &Matrix,
+) -> Alg1Output {
+    let [p1, p2, p3] = grid.dims();
+    let coord = grid.coord_of(rank.world_rank());
+    let comms = fiber_comms_a(rank, grid).await;
+    let rows_a = block_range(dims.n1 as usize, p1, coord[0]);
+    let inner = block_range(dims.n2 as usize, p2, coord[1]);
+    let cols_b = block_range(dims.n3 as usize, p3, coord[2]);
+    let mut d = Matrix::zeros(rows_a.len(), cols_b.len());
+    rank.mem_acquire(d.words() as u64);
+    let (mut ph_a, mut ph_b) = (Meter::default(), Meter::default());
+    for s in 0..slabs {
+        let slab = block_range(inner.len(), slabs, s);
+        if slab.is_empty() {
+            continue;
+        }
+        let slab_inner = inner.start + slab.start..inner.start + slab.end;
+        let a_slab = Block2 { rows: rows_a.clone(), cols: slab_inner.clone() };
+        let b_slab = Block2 { rows: slab_inner, cols: cols_b.clone() };
+        let mut gathered = Vec::new();
+        for (blk, global, fiber, label, meter) in [
+            (&a_slab, a, &comms[2], "all-gather A (streamed)", &mut ph_a),
+            (&b_slab, b, &comms[0], "all-gather B (streamed)", &mut ph_b),
+        ] {
+            let (p, words) = (fiber.size(), blk.words());
+            let mine = blk.chunk(global, p, fiber.index());
+            rank.mem_acquire(words as u64);
+            let before = rank.meter();
+            let flat = phase!(rank, label, {
+                all_gather_v_a(rank, fiber, mine, &counts(words, p), AllGatherAlgo::Auto).await
+            });
+            let delta = rank.meter().diff(&before);
+            meter.words_sent += delta.words_sent;
+            meter.words_recv += delta.words_recv;
+            meter.msgs_sent += delta.msgs_sent;
+            meter.msgs_recv += delta.msgs_recv;
+            meter.flops += delta.flops;
+            gathered.push(Matrix::from_vec(blk.height(), blk.width(), flat));
+        }
+        phase!(rank, "local multiply", {
+            gemm_acc(&mut d, &gathered[0], &gathered[1], Kernel::Blocked);
+            rank.compute((a_slab.words() * cols_b.len()) as f64);
+        });
+        rank.mem_release((a_slab.words() + b_slab.words()) as u64);
+    }
+    let c_words = d.words();
+    let probe = PhaseProbe::begin(rank, "reduce-scatter C");
+    let c_counts = counts(c_words, p2);
+    let c_chunk =
+        reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
+    let ph_c = probe.finish(rank);
+    rank.mem_acquire(c_chunk.len() as u64);
+    rank.mem_release(c_words as u64);
+    let phases = [
+        PhaseMeter { label: "all-gather A (streamed)", meter: ph_a },
+        PhaseMeter { label: "all-gather B (streamed)", meter: ph_b },
+        ph_c,
+    ];
+    Alg1Output { c_chunk, phases }
+}
+
+/// Chunk lengths of a `words`-word block split over `p` members.
+fn counts(words: usize, p: usize) -> Vec<usize> {
+    (0..p).map(|t| chunk_of_block(words, p, t).len()).collect()
+}
+
+/// Run `in_place` and `extracting` on both hosts of `world` (which must
+/// be deterministic and traced) and assert the runs are indistinguishable,
+/// down to the Chrome trace export.
+fn assert_indistinguishable<T, F, G>(label: &str, world: &World, in_place: F, extracting: G)
+where
+    T: Send + PartialEq + std::fmt::Debug,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
+    G: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
+{
+    let runs = [
+        ("run", world.run(|r| poll_now(extracting(r))), world.run(|r| poll_now(in_place(r)))),
+        ("run_async", world.run_async(&extracting), world.run_async(&in_place)),
+    ];
+    for (host, want, got) in &runs {
+        let label = format!("{label}, {host}: in place vs extracting");
+        assert_same_run(&label, want, got);
+        let chrome = |out: &WorldResult<T>| out.tracer().expect("traced world").chrome_json();
+        assert!(chrome(want) == chrome(got), "{label}: Chrome JSON exports differ");
+    }
+}
+
+/// What licenses reading an operand in place: on grids where `A`'s fiber
+/// (p3 = 1) or `B`'s (p1 = 1) has one member, Algorithm 1 and its
+/// streamed variant are the same run as the programs that copy the block
+/// out and all-gather it — values, meters, clocks, memory peaks, event
+/// counts, schedule trace, choice log and Chrome export — under a seeded
+/// and the canonical schedule, on both hosts. A degenerate all-gather
+/// entered with another word count, or not at all, fails here.
+#[test]
+fn operands_read_in_place_are_indistinguishable_from_the_gather() {
+    let dims = MatMulDims::new(13, 7, 11);
+    let ab = inputs(dims);
+    for grid in [[4, 2, 1], [1, 3, 1], [2, 1, 1], [1, 2, 2]] {
+        let grid = Grid3::from_dims(grid);
+        let cfg =
+            Alg1Config { dims, grid, kernel: Kernel::Blocked, assembly: Assembly::ReduceScatter };
+        for schedule in [Schedule::Seeded(0xA11CE), Schedule::Prefix(vec![])] {
+            let world = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY)
+                .with_schedule(schedule.clone())
+                .with_trace(true);
+            let label = format!("{:?} under {schedule:?}", grid.dims());
+            assert_indistinguishable(
+                &format!("alg1 on {label}"),
+                &world,
+                |rank| {
+                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                    Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+                },
+                |rank| {
+                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                    Box::pin(async move { alg1_extracting(rank, &cfg, &ab.0, &ab.1).await })
+                },
+            );
+            assert_indistinguishable(
+                &format!("streamed on {label}"),
+                &world,
+                |rank| {
+                    let ab = Arc::clone(&ab);
+                    Box::pin(async move {
+                        alg1_streamed_a(rank, dims, grid, 3, Kernel::Blocked, &ab.0, &ab.1).await
+                    })
+                },
+                |rank| {
+                    let ab = Arc::clone(&ab);
+                    Box::pin(
+                        async move { streamed_extracting(rank, dims, grid, 3, &ab.0, &ab.1).await },
+                    )
+                },
+            );
+        }
+    }
 }
 
 #[test]
