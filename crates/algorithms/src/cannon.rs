@@ -15,6 +15,7 @@
 //! shows.
 
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
+
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, Rank};
 
@@ -54,13 +55,15 @@ fn owned_blocks(
     (a.sub(ra.start, ca.start, ra.len(), ca.len()), b.sub(rb.start, cb.start, rb.len(), cb.len()))
 }
 
-/// Run Cannon's algorithm. `a`/`b` are the global inputs, read only for
-/// this rank's owned blocks.
+/// [`cannon_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn cannon(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
     poll_now(cannon_a(rank, cfg, a, b))
 }
 
-/// Async form of [`cannon`] (event-loop programs).
+/// Run Cannon's algorithm. `a`/`b` are the global inputs, read only for
+/// this rank's owned blocks.
 pub async fn cannon_a(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
     let q = cfg.q;
     assert_eq!(rank.world_size(), q * q, "world size must be q²");
@@ -161,13 +164,18 @@ mod tests {
     use crate::common::assemble_from_blocks;
     use pmm_dense::{gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
 
     fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CannonOutput>) {
         let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| cannon(rank, &cfg, &a, &b));
+        let ab = Arc::new((
+            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5),
+            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6),
+        ));
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { cannon_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()
         });
@@ -229,7 +237,7 @@ mod tests {
     fn loses_to_alg1_grid_on_tall_skinny() {
         // Paper's 1D case: Cannon's square grid forces communication of the
         // big matrix; Alg1 with the optimal 1D grid only moves nk words.
-        use crate::grid3d::{alg1, Alg1Config};
+        use crate::grid3d::{alg1_a, Alg1Config};
         use pmm_core::gridopt::best_grid;
         use pmm_model::Grid3;
 
@@ -240,10 +248,12 @@ mod tests {
         let choice = best_grid(dims, 4);
         let grid = Grid3::from_dims(choice.grid);
         let cfg = Alg1Config::new(dims, grid);
-        let a = random_int_matrix(64, 16, -3..4, 5);
-        let b = random_int_matrix(16, 16, -3..4, 6);
-        let alg1_out =
-            World::new(4, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
+        let ab =
+            Arc::new((random_int_matrix(64, 16, -3..4, 5), random_int_matrix(16, 16, -3..4, 6)));
+        let alg1_out = World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         assert!(
             alg1_out.critical_path_time() < cannon_out.critical_path_time(),
             "Alg1 {} should beat Cannon {}",

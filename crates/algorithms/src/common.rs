@@ -5,7 +5,7 @@
 use pmm_collectives::{all_gather_v_a, AllGatherAlgo};
 use pmm_dense::{block_range, chunk_of_block, Block2, MatRef, Matrix};
 use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Meter, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Meter, Rank};
 
 /// Traffic attributed to one named phase of an algorithm (diff of two
 /// meter snapshots).
@@ -17,28 +17,11 @@ pub struct PhaseMeter {
     pub meter: Meter,
 }
 
-impl PhaseMeter {
-    /// Measure `f` as a phase on `rank`: the returned [`PhaseMeter`] is
-    /// the meter diff across `f`, and when tracing is on the phase is
-    /// additionally emitted as a labelled scope into the structured trace
-    /// (see `pmm_simnet::tracer`).
-    pub fn measure<T>(
-        rank: &mut Rank,
-        label: &'static str,
-        f: impl FnOnce(&mut Rank) -> T,
-    ) -> (T, PhaseMeter) {
-        let probe = PhaseProbe::begin(rank, label);
-        let out = f(rank);
-        (out, probe.finish(rank))
-    }
-}
-
-/// An in-flight phase measurement. [`PhaseMeter::measure`] wraps the
-/// phase body in a closure, which cannot hold the rank borrow across an
-/// `.await`; async algorithm bodies instead bracket the phase manually:
-/// [`PhaseProbe::begin`], run the body (awaiting freely), then
-/// [`PhaseProbe::finish`]. Both paths emit the same trace scope and meter
-/// diff.
+/// An in-flight phase measurement: [`PhaseProbe::begin`], run the phase
+/// body (awaiting freely), then [`PhaseProbe::finish`] returns the
+/// [`PhaseMeter`] — the meter diff across the body. When tracing is on
+/// the phase is also emitted as a labelled scope into the structured
+/// trace (see `pmm_simnet::tracer`).
 #[must_use = "a phase probe measures nothing until finished"]
 pub struct PhaseProbe {
     label: &'static str,
@@ -68,27 +51,16 @@ impl PhaseProbe {
 ///
 /// Every world rank must call this exactly once, and the world size must
 /// equal the grid size.
-pub fn fiber_comms(rank: &mut Rank, grid: Grid3) -> [Comm; 3] {
-    let world = rank.world_comm();
-    fiber_comms_on(rank, &world, grid)
-}
-
-/// Async form of [`fiber_comms`] (event-loop programs).
 pub async fn fiber_comms_a(rank: &mut Rank, grid: Grid3) -> [Comm; 3] {
     let world = rank.world_comm();
     fiber_comms_on_a(rank, &world, grid).await
 }
 
-/// [`fiber_comms`] generalized to an arbitrary base communicator: this
+/// [`fiber_comms_a`] generalized to an arbitrary base communicator: this
 /// rank's grid coordinate is derived from its index *in `base`*, whose
 /// size must equal the grid size. This is what failure recovery needs —
 /// after a rank dies, the survivors' communicator is no longer the world,
 /// and the shrunken grid is laid out over it.
-pub fn fiber_comms_on(rank: &mut Rank, base: &Comm, grid: Grid3) -> [Comm; 3] {
-    poll_now(fiber_comms_on_a(rank, base, grid))
-}
-
-/// Async form of [`fiber_comms_on`] (event-loop programs).
 pub async fn fiber_comms_on_a(rank: &mut Rank, base: &Comm, grid: Grid3) -> [Comm; 3] {
     assert_eq!(base.size(), grid.size(), "base communicator size must equal grid size");
     let coord = grid.coord_of(base.index());
@@ -215,10 +187,12 @@ mod tests {
     #[test]
     fn fiber_comms_have_right_shape_and_order() {
         let grid = Grid3::new(2, 3, 2);
-        let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comms = fiber_comms(rank, grid);
-            let coord = grid.coord_of(rank.world_rank());
-            (0..3).map(|a| (comms[a].size(), comms[a].index() == coord[a])).collect::<Vec<_>>()
+        let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comms = fiber_comms_a(rank, grid).await;
+                let coord = grid.coord_of(rank.world_rank());
+                (0..3).map(|a| (comms[a].size(), comms[a].index() == coord[a])).collect::<Vec<_>>()
+            })
         });
         for v in &out.values {
             assert_eq!(v[0].0, 2);
@@ -231,10 +205,13 @@ mod tests {
     #[test]
     fn fiber_comm_members_match_grid_fibers() {
         let grid = Grid3::new(3, 3, 3);
-        let out = World::new(27, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comms = fiber_comms(rank, grid);
-            let coord = grid.coord_of(rank.world_rank());
-            (0..3).map(|a| (comms[a].members().to_vec(), grid.fiber(coord, a))).collect::<Vec<_>>()
+        let out = World::new(27, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comms = fiber_comms_a(rank, grid).await;
+                let coord = grid.coord_of(rank.world_rank());
+                let fibers = (0..3).map(|a| (comms[a].members().to_vec(), grid.fiber(coord, a)));
+                fibers.collect::<Vec<_>>()
+            })
         });
         for v in &out.values {
             for (got, want) in v {
@@ -262,17 +239,19 @@ mod tests {
     }
 
     #[test]
-    fn phase_meter_attributes_traffic() {
-        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let wc = rank.world_comm();
-            let partner = 1 - wc.index();
-            let (_, p1) = PhaseMeter::measure(rank, "x", |r| {
-                r.sendrecv(&wc, partner, &[1.0; 5]);
-            });
-            let (_, p2) = PhaseMeter::measure(rank, "y", |r| {
-                r.sendrecv(&wc, partner, &[1.0; 7]);
-            });
-            (p1.meter.words_sent, p2.meter.words_sent)
+    fn phase_probe_attributes_traffic() {
+        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let partner = 1 - wc.index();
+                let probe = PhaseProbe::begin(rank, "x");
+                rank.sendrecv_a(&wc, partner, &[1.0; 5]).await;
+                let p1 = probe.finish(rank);
+                let probe = PhaseProbe::begin(rank, "y");
+                rank.sendrecv_a(&wc, partner, &[1.0; 7]).await;
+                let p2 = probe.finish(rank);
+                (p1.meter.words_sent, p2.meter.words_sent)
+            })
         });
         assert_eq!(out.values[0], (5, 7));
     }

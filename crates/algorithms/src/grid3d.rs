@@ -39,6 +39,7 @@
 //! and with the §5.2 optimal grid this *equals* the Theorem 3 bound.
 
 use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, ReduceScatterAlgo};
+
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
@@ -113,15 +114,17 @@ pub fn owned_c_range(dims: MatMulDims, grid: Grid3, coord: [usize; 3]) -> std::o
     chunk_of_block(h * w, p2, coord[1])
 }
 
-/// Run Algorithm 1. `a` and `b` are the *global* inputs (available to the
-/// closure only as a convenient source of this rank's owned chunks — the
-/// algorithm reads nothing else from them, except on a one-member fiber,
-/// where the chunk is the whole block and is read in place).
+/// [`alg1_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     poll_now(alg1_a(rank, cfg, a, b))
 }
 
-/// Async form of [`alg1`] (event-loop programs).
+/// Run Algorithm 1. `a` and `b` are the *global* inputs (available to the
+/// closure only as a convenient source of this rank's owned chunks — the
+/// algorithm reads nothing else from them, except on a one-member fiber,
+/// where the chunk is the whole block and is read in place).
 pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     let world = rank.world_comm();
     alg1_on_a(rank, &world, cfg, a, b).await
@@ -131,18 +134,7 @@ pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -
 /// must equal the grid size): this rank's grid position is its index in
 /// `base`, and all three fiber communicators are split from `base`. This
 /// is the entry point failure recovery uses to re-run the multiplication
-/// on the surviving ranks — see [`crate::recovery::run_recoverable`].
-pub fn alg1_on(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &Alg1Config,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    poll_now(alg1_on_a(rank, base, cfg, a, b))
-}
-
-/// Async form of [`alg1_on`] (event-loop programs).
+/// on the surviving ranks — see [`crate::recovery::run_recoverable_a`].
 pub async fn alg1_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -314,6 +306,7 @@ mod tests {
     use pmm_core::theorem3::lower_bound;
     use pmm_dense::{gemm as serial_gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
 
     /// Run Algorithm 1 on a world sized to `grid`, return (C, result).
     fn run(
@@ -323,10 +316,14 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let grid = Grid3::from_dims(grid);
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| alg1(rank, &cfg, &a, &b));
+        let ab = Arc::new((
+            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
+            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
+        ));
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, grid, &chunks), out)
     }

@@ -1,6 +1,6 @@
 //! Algorithm-agnostic checkpointed failure recovery.
 //!
-//! [`run_recoverable`] wraps any of the six executable algorithms in the
+//! [`run_recoverable_a`] wraps any of the six executable algorithms in the
 //! same fault-tolerance protocol:
 //!
 //! 1. **Checkpoint / redistribute.** Each attempt opens with a ring
@@ -43,7 +43,7 @@
 use pmm_core::gridopt::best_grid;
 use pmm_dense::{Kernel, Matrix};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Meter, Rank, RankFailed};
+use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
 use crate::cannon::{cannon_on_a, CannonConfig, CannonOutput};
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
@@ -52,10 +52,10 @@ use crate::grid3d::{
 };
 use crate::recursive::{carma_a, carma_assemble_c, carma_shares};
 use crate::streamed::alg1_streamed_on_a;
-use crate::summa::{near_square_factors, summa_on_a, SummaConfig};
+use crate::summa::{lcm, near_square_factors, summa_on_a, SummaConfig};
 use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
-/// Which algorithm a [`run_recoverable`] call wraps, with its
+/// Which algorithm a [`run_recoverable_a`] call wraps, with its
 /// per-algorithm knobs. The layout (grid shape, torus side, …) is *not*
 /// part of the spec: [`plan_for`] re-derives it for every attempt from
 /// the survivor count.
@@ -114,7 +114,7 @@ pub enum CShare {
     Flat(Option<Vec<f64>>),
 }
 
-/// Result of a successful [`run_recoverable`] call on one survivor.
+/// Result of a successful [`run_recoverable_a`] call on one survivor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
     /// This rank's share of `C` under `plan` (positioned by this rank's
@@ -145,16 +145,8 @@ impl Recovered {
     }
 }
 
-fn isqrt(p: usize) -> usize {
-    let mut q = 1usize;
-    while (q + 1) * (q + 1) <= p {
-        q += 1;
-    }
-    q
-}
-
 /// The layout an algorithm runs with on `p` survivors — the single
-/// policy both the execution ([`run_recoverable`]) and the prediction
+/// policy both the execution ([`run_recoverable_a`]) and the prediction
 /// (`pmm_model::recovery_prediction`) price.
 pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
     assert!(p >= 1, "need at least one survivor");
@@ -167,12 +159,12 @@ pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
             let (pr, pc) = near_square_factors(p);
             AlgPlan::Summa { pr, pc }
         }
-        Recoverable::Cannon { .. } => AlgPlan::Cannon { q: isqrt(p) },
+        Recoverable::Cannon { .. } => AlgPlan::Cannon { q: p.isqrt() },
         Recoverable::TwoFiveD { .. } => {
             // Largest active count c·q² with c | q; ties prefer more
             // replication (larger c — fewer shift steps).
             let mut best = (1usize, 1usize); // (q, c)
-            for q in 1..=isqrt(p) {
+            for q in 1..=p.isqrt() {
                 let mut c = 1;
                 for d in 1..=q {
                     if q.is_multiple_of(d) && d * q * q <= p {
@@ -187,24 +179,8 @@ pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
             }
             AlgPlan::TwoFiveD { q: best.0, c: best.1 }
         }
-        Recoverable::Carma { .. } => {
-            let mut p2 = 1usize;
-            while p2 * 2 <= p {
-                p2 *= 2;
-            }
-            AlgPlan::Carma { p: p2 }
-        }
+        Recoverable::Carma { .. } => AlgPlan::Carma { p: 1 << p.ilog2() },
     }
-}
-
-fn lcm(a: usize, b: usize) -> usize {
-    fn gcd(mut a: usize, mut b: usize) -> usize {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    }
-    a / gcd(a, b) * b
 }
 
 /// The input blocks member `idx` of the attempt communicator owns under
@@ -344,17 +320,6 @@ async fn run_attempt_a(
 /// survivor once an attempt completes with no new deaths. Kills placed
 /// after the final attempt completes are not handled here — they surface
 /// wherever the program communicates next.
-pub fn run_recoverable(
-    rank: &mut Rank,
-    spec: &Recoverable,
-    dims: MatMulDims,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<Recovered, RankFailed> {
-    poll_now(run_recoverable_a(rank, spec, dims, a, b))
-}
-
-/// Async form of [`run_recoverable`] (event-loop programs).
 pub async fn run_recoverable_a(
     rank: &mut Rank,
     spec: &Recoverable,
@@ -495,14 +460,30 @@ fn block_share(share: &CShare, i: usize, j: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use pmm_dense::{gemm, random_int_matrix};
-    use pmm_simnet::{FaultPlan, MachineParams, World};
+    use pmm_simnet::{FaultPlan, MachineParams, World, WorldResult};
 
     fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
         (
             random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 91),
             random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 92),
         )
+    }
+
+    /// Run `spec` with checkpointed recovery on `world`, every rank
+    /// reading the one shared pair of inputs.
+    fn run_spec(
+        world: &World,
+        spec: &Recoverable,
+        dims: MatMulDims,
+        ab: &Arc<(Matrix, Matrix)>,
+    ) -> WorldResult<Result<Recovered, RankFailed>> {
+        world.run_async(|rank| {
+            let (spec, ab) = (spec.clone(), Arc::clone(ab));
+            Box::pin(async move { run_recoverable_a(rank, &spec, dims, &ab.0, &ab.1).await })
+        })
     }
 
     fn all_specs() -> Vec<Recoverable> {
@@ -551,20 +532,21 @@ mod tests {
     #[test]
     fn fault_free_recovery_is_bitwise_correct_for_all_six() {
         let dims = MatMulDims::new(12, 8, 16);
-        let (a, b) = inputs(dims);
-        let want = gemm(&a, &b, Kernel::Naive);
+        let ab = Arc::new(inputs(dims));
+        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
         for spec in all_specs() {
             for p in [4usize, 6] {
                 if matches!(spec, Recoverable::Carma { .. }) && p == 6 {
                     continue; // CARMA splits need even dims at each level
                 }
-                let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
-                    .run(|rank| run_recoverable(rank, &spec, dims, &a, &b).expect("no faults"));
-                let plan = out.values[0].plan.clone();
-                let shares: Vec<CShare> = out.values.iter().map(|v| v.share.clone()).collect();
+                let out = run_spec(&World::new(p, MachineParams::BANDWIDTH_ONLY), &spec, dims, &ab);
+                let ok: Vec<Recovered> =
+                    out.values.into_iter().map(|v| v.expect("no faults")).collect();
+                let plan = ok[0].plan.clone();
+                let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
                 let got = assemble_recovered(dims, &plan, &shares);
                 assert_eq!(got, want, "{plan} on p={p}");
-                for v in &out.values {
+                for v in &ok {
                     assert_eq!(v.attempts(), 1);
                     assert_eq!(v.survivors, (0..p).collect::<Vec<_>>());
                 }
@@ -575,20 +557,31 @@ mod tests {
     #[test]
     fn kill_recovers_on_all_six() {
         let dims = MatMulDims::new(12, 8, 16);
-        let (a, b) = inputs(dims);
-        let want = gemm(&a, &b, Kernel::Naive);
-        for spec in all_specs() {
-            let p = 5usize; // 4 survivors: power of two, square, 2×2
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .with_faults(FaultPlan::default().with_kill(2, 3))
-                .run(|rank| run_recoverable(rank, &spec, dims, &a, &b));
-            let ok: Vec<&Recovered> = out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
-            assert_eq!(ok.len(), 4, "{spec:?}: survivors return Ok");
-            let plan = ok[0].plan.clone();
-            assert_eq!(ok[0].survivors, vec![0, 1, 3, 4]);
-            assert!(ok[0].attempts() >= 2, "{spec:?}: retried after the kill");
-            let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
-            assert_eq!(assemble_recovered(dims, &plan, &shares), want, "{plan}");
+        let ab = Arc::new(inputs(dims));
+        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
+        // The canonical schedule and a fixed handful of seeded ones: the
+        // kill lands at a different point of the survivors' progress in
+        // each. Seeds 2 and 4 are schedules on which Cannon's row split
+        // is completed by the death, which must raise the failure, not
+        // hand back a communicator short of the layout.
+        let base = World::new(5, MachineParams::BANDWIDTH_ONLY)
+            .with_faults(FaultPlan::default().with_kill(2, 3));
+        let seeded = [1, 2, 3, 4].map(|s| base.clone().with_seed(s));
+        let worlds = [base.clone()].into_iter().chain(seeded);
+        for world in worlds {
+            for spec in all_specs() {
+                // 4 survivors: power of two, square, 2×2.
+                let out = run_spec(&world, &spec, dims, &ab);
+                let label = format!("{spec:?} [{}]", world.repro().note());
+                let ok: Vec<&Recovered> =
+                    out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
+                assert_eq!(ok.len(), 4, "{label}: survivors return Ok");
+                let plan = ok[0].plan.clone();
+                assert_eq!(ok[0].survivors, vec![0, 1, 3, 4], "{label}");
+                assert!(ok[0].attempts() >= 2, "{label}: retried after the kill");
+                let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
+                assert_eq!(assemble_recovered(dims, &plan, &shares), want, "{label}: {plan}");
+            }
         }
     }
 
@@ -596,12 +589,15 @@ mod tests {
     fn restore_goodput_matches_the_model_exactly() {
         use pmm_model::restore_words_total;
         let dims = MatMulDims::new(12, 8, 16);
-        let (a, b) = inputs(dims);
+        let ab = Arc::new(inputs(dims));
         for spec in all_specs() {
             let p = 4usize;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .run(|rank| run_recoverable(rank, &spec, dims, &a, &b).expect("no faults"));
-            let restore: u64 = out.values.iter().map(|v| v.restore_meter.words_sent).sum();
+            let out = run_spec(&World::new(p, MachineParams::BANDWIDTH_ONLY), &spec, dims, &ab);
+            let restore: u64 = out
+                .values
+                .iter()
+                .map(|v| v.as_ref().expect("no faults").restore_meter.words_sent)
+                .sum();
             assert_eq!(restore as f64, restore_words_total(dims, p), "{spec:?}");
         }
     }

@@ -30,6 +30,7 @@
 //! two, and every split dimension must be even along the recursion.
 
 use pmm_dense::{gemm, Kernel, Matrix};
+
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, LocalBoxFuture, Rank};
 
@@ -124,10 +125,9 @@ pub fn carma_shares(p: usize, idx: usize, a: &Matrix, b: &Matrix) -> (Vec<f64>, 
     }
 }
 
-/// Run the executed CARMA recursion on communicator `comm` (its size must
-/// be a power of two). `a_share`/`b_share` are this rank's CARMA-layout
-/// shares (from [`carma_shares`]). Returns this rank's share of `C`
-/// (CARMA layout; reassemble with [`carma_assemble_c`]).
+/// [`carma_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn carma(
     rank: &mut Rank,
     comm: &Comm,
@@ -139,8 +139,13 @@ pub fn carma(
     poll_now(carma_a(rank, comm, dims, kernel, a_share, b_share))
 }
 
-/// Async form of [`carma`] (event-loop programs). Boxed because the
-/// recursion would otherwise make the future type infinitely sized.
+/// Run the executed CARMA recursion on communicator `comm` (its size must
+/// be a power of two). `a_share`/`b_share` are this rank's CARMA-layout
+/// shares (from [`carma_shares`]). Returns this rank's share of `C`
+/// (CARMA layout; reassemble with [`carma_assemble_c`]).
+///
+/// Boxed because the recursion would otherwise make the future type
+/// infinitely sized.
 pub fn carma_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -365,6 +370,7 @@ fn place_c_n2(
 mod tests {
     use super::*;
     use pmm_core::theorem3::lower_bound;
+    use std::sync::Arc;
 
     #[test]
     fn zero_for_single_processor() {
@@ -433,12 +439,17 @@ mod tests {
         seed: u64,
     ) -> (Matrix, pmm_simnet::WorldResult<Vec<f64>>) {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let a = random_int_matrix(n1, n2, -3..4, seed);
-        let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let (a_share, b_share) = carma_shares(p, rank.world_rank(), &a, &b);
-            let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, a_share, b_share)
+        let ab = Arc::new((
+            random_int_matrix(n1, n2, -3..4, seed),
+            random_int_matrix(n2, n3, -3..4, seed + 1),
+        ));
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                let (a_share, b_share) = carma_shares(p, rank.world_rank(), &ab.0, &ab.1);
+                let comm = rank.world_comm();
+                carma_a(rank, &comm, dims, Kernel::Naive, a_share, b_share).await
+            })
         });
         let c = carma_assemble_c(dims, p, &out.values);
         (c, out)
@@ -487,10 +498,12 @@ mod tests {
         // Every rank's input share is exactly 1/P of each matrix.
         let dims = MatMulDims::new(32, 16, 8);
         let p = 8usize;
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -1..2, 5);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -1..2, 6);
+        let ab = Arc::new((
+            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -1..2, 5),
+            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -1..2, 6),
+        ));
         for r in 0..p {
-            let (sa, sb) = carma_shares(p, r, &a, &b);
+            let (sa, sb) = carma_shares(p, r, &ab.0, &ab.1);
             assert_eq!(sa.len() as f64, dims.words_of(pmm_model::MatrixId::A) / p as f64);
             assert_eq!(sb.len() as f64, dims.words_of(pmm_model::MatrixId::B) / p as f64);
         }

@@ -22,6 +22,7 @@
 //! degenerate collective alone — every simulated observable is unchanged.
 
 use pmm_collectives::{reduce_scatter_v_a, ReduceScatterAlgo};
+
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
@@ -29,11 +30,9 @@ use pmm_simnet::{poll_now, Comm, Rank};
 use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 use crate::grid3d::Alg1Output;
 
-/// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
-/// (`slabs = 1` is semantically plain Algorithm 1 modulo the input
-/// distribution). Returns the same output shape as
-/// [`alg1`](crate::grid3d::alg1) — chunks assemble with
-/// [`assemble_c`](crate::grid3d::assemble_c).
+/// [`alg1_streamed_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn alg1_streamed(
     rank: &mut Rank,
     dims: MatMulDims,
@@ -46,7 +45,11 @@ pub fn alg1_streamed(
     poll_now(alg1_streamed_a(rank, dims, grid, slabs, kernel, a, b))
 }
 
-/// Async form of [`alg1_streamed`] (event-loop programs).
+/// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
+/// (`slabs = 1` is semantically plain Algorithm 1 modulo the input
+/// distribution). Returns the same output shape as
+/// [`alg1`](crate::grid3d::alg1) — chunks assemble with
+/// [`assemble_c`](crate::grid3d::assemble_c).
 pub async fn alg1_streamed_a(
     rank: &mut Rank,
     dims: MatMulDims,
@@ -164,9 +167,10 @@ fn accumulate(into: &mut pmm_simnet::Meter, delta: pmm_simnet::Meter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid3d::{alg1, assemble_c, Alg1Config};
+    use crate::grid3d::{alg1_a, assemble_c, Alg1Config};
     use pmm_dense::{gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
 
     fn run(
         dims: MatMulDims,
@@ -175,10 +179,14 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let g = Grid3::from_dims(grid);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let a = random_int_matrix(n1, n2, -3..4, 71);
-        let b = random_int_matrix(n2, n3, -3..4, 72);
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| alg1_streamed(rank, dims, g, slabs, Kernel::Naive, &a, &b));
+        let ab =
+            Arc::new((random_int_matrix(n1, n2, -3..4, 71), random_int_matrix(n2, n3, -3..4, 72)));
+        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                alg1_streamed_a(rank, dims, g, slabs, Kernel::Naive, &ab.0, &ab.1).await
+            })
+        });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, g, &chunks), out)
     }
@@ -238,10 +246,12 @@ mod tests {
 
         let g = Grid3::from_dims(grid);
         let cfg = Alg1Config::new(dims, g);
-        let a = random_int_matrix(24, 24, -3..4, 71);
-        let b = random_int_matrix(24, 24, -3..4, 72);
-        let plain =
-            World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
+        let ab =
+            Arc::new((random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72)));
+        let plain = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         for r in 0..8 {
             assert_eq!(
                 streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,
@@ -256,10 +266,14 @@ mod tests {
         // 12 × 8 under dims that say 8 × 12: same word count, another
         // partition.
         let dims = MatMulDims::new(8, 12, 6);
-        let a = random_int_matrix(12, 8, -3..4, 1);
-        let b = random_int_matrix(12, 6, -3..4, 2);
-        World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .run(|rank| alg1_streamed(rank, dims, Grid3::new(2, 1, 1), 2, Kernel::Naive, &a, &b));
+        let ab = Arc::new((random_int_matrix(12, 8, -3..4, 1), random_int_matrix(12, 6, -3..4, 2)));
+        World::new(2, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                alg1_streamed_a(rank, dims, Grid3::new(2, 1, 1), 2, Kernel::Naive, &ab.0, &ab.1)
+                    .await
+            })
+        });
     }
 
     #[test]

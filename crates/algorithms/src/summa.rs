@@ -17,6 +17,7 @@
 //! communicates only the matrices that must move.
 
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
+
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, Rank};
 
@@ -42,7 +43,8 @@ pub struct SummaOutput {
     pub c_block: Matrix,
 }
 
-fn lcm(a: usize, b: usize) -> usize {
+/// Least common multiple: the number of SUMMA panels on a `pr × pc` grid.
+pub(crate) fn lcm(a: usize, b: usize) -> usize {
     fn gcd(mut a: usize, mut b: usize) -> usize {
         while b != 0 {
             (a, b) = (b, a % b);
@@ -52,13 +54,15 @@ fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// Run SUMMA. `a`/`b` are the global inputs, read only for this rank's
-/// owned panels.
+/// [`summa_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn summa(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
     poll_now(summa_a(rank, cfg, a, b))
 }
 
-/// Async form of [`summa`] (event-loop programs).
+/// Run SUMMA. `a`/`b` are the global inputs, read only for this rank's
+/// owned panels.
 pub async fn summa_a(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
     let world = rank.world_comm();
     summa_on_a(rank, &world, cfg, a, b).await
@@ -68,18 +72,7 @@ pub async fn summa_a(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix)
 /// `pr·pc`: this rank's grid position is its index in `base`, and the
 /// row/column communicators are split from `base`. Failure recovery uses
 /// this to re-run SUMMA on the surviving ranks — see
-/// [`crate::recovery::run_recoverable`].
-pub fn summa_on(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &SummaConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> SummaOutput {
-    poll_now(summa_on_a(rank, base, cfg, a, b))
-}
-
-/// Async form of [`summa_on`] (event-loop programs).
+/// [`crate::recovery::run_recoverable_a`].
 pub async fn summa_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -181,6 +174,7 @@ mod tests {
     use crate::common::assemble_from_blocks;
     use pmm_dense::{gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
 
     fn run(
         dims: MatMulDims,
@@ -188,10 +182,14 @@ mod tests {
         pc: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<SummaOutput>) {
         let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
-        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| summa(rank, &cfg, &a, &b));
+        let ab = Arc::new((
+            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15),
+            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16),
+        ));
+        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { summa_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
             out.values[i * pc + j].c_block.clone()
         });

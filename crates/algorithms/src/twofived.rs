@@ -19,6 +19,7 @@
 //! algorithm.
 
 use pmm_collectives::{bcast_a, reduce_a, BcastAlgo};
+
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, Rank};
@@ -44,13 +45,15 @@ pub struct TwoFiveDOutput {
     pub c_block: Option<Matrix>,
 }
 
-/// Run the 2.5D algorithm. `a`/`b` are the global inputs, read only by
-/// the layer-0 owner of each block.
+/// [`twofived_a`] driven to completion in one [`poll_now`]: the sync entry
+/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
+/// for the frozen benchmark.
 pub fn twofived(rank: &mut Rank, cfg: &TwoFiveDConfig, a: &Matrix, b: &Matrix) -> TwoFiveDOutput {
     poll_now(twofived_a(rank, cfg, a, b))
 }
 
-/// Async form of [`twofived`] (event-loop programs).
+/// Run the 2.5D algorithm. `a`/`b` are the global inputs, read only by
+/// the layer-0 owner of each block.
 pub async fn twofived_a(
     rank: &mut Rank,
     cfg: &TwoFiveDConfig,
@@ -203,6 +206,7 @@ mod tests {
     use crate::common::assemble_from_blocks;
     use pmm_dense::{gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
 
     fn run(
         dims: MatMulDims,
@@ -210,10 +214,14 @@ mod tests {
         c: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<TwoFiveDOutput>) {
         let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
-        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| twofived(rank, &cfg, &a, &b));
+        let ab = Arc::new((
+            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25),
+            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26),
+        ));
+        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { twofived_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let cmat = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone().expect("layer 0 holds C")
         });
@@ -264,14 +272,16 @@ mod tests {
         // The replicated version does q/c shift steps instead of q; at this
         // P the saving exceeds the replication + reduction overhead, the
         // memory-for-communication trade §6.2 discusses.
-        use crate::cannon::{cannon, CannonConfig};
+        use crate::cannon::{cannon_a, CannonConfig};
         let dims = MatMulDims::new(32, 32, 32);
         let (_, repl) = run(dims, 16, 4); // P = 1024
         let cfg = CannonConfig { dims, q: 32, kernel: Kernel::Naive };
-        let a = random_int_matrix(32, 32, -3..4, 25);
-        let b = random_int_matrix(32, 32, -3..4, 26);
-        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY)
-            .run(move |rank| cannon(rank, &cfg, &a, &b));
+        let ab =
+            Arc::new((random_int_matrix(32, 32, -3..4, 25), random_int_matrix(32, 32, -3..4, 26)));
+        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { cannon_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         assert!(
             repl.critical_path_time() < flat.critical_path_time(),
             "2.5D (c=4) {} should beat 2D (c=1) {}",
@@ -285,10 +295,12 @@ mod tests {
     fn rejects_c_not_dividing_q() {
         let dims = MatMulDims::new(8, 8, 8);
         let cfg = TwoFiveDConfig { dims, q: 3, c: 2, kernel: Kernel::Naive };
-        let a = random_int_matrix(8, 8, -1..2, 1);
-        let b = random_int_matrix(8, 8, -1..2, 2);
-        World::new(18, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            twofived(rank, &cfg, &a, &b);
+        let ab = Arc::new((random_int_matrix(8, 8, -1..2, 1), random_int_matrix(8, 8, -1..2, 2)));
+        World::new(18, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                twofived_a(rank, &cfg, &ab.0, &ab.1).await;
+            })
         });
     }
 }

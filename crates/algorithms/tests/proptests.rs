@@ -4,14 +4,15 @@
 //! on random instances.
 
 use pmm_algs::{
-    alg1, assemble_c, assemble_from_blocks, cannon, summa, Alg1Config, Assembly, CannonConfig,
-    SummaConfig,
+    alg1_a, assemble_c, assemble_from_blocks, cannon_a, summa_a, Alg1Config, Assembly,
+    CannonConfig, SummaConfig,
 };
 use pmm_core::gridopt::alg1_cost_words;
 use pmm_dense::{gemm, random_int_matrix, Kernel};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{MachineParams, World};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -28,13 +29,18 @@ proptest! {
         let assembly =
             if assembly_pick == 0 { Assembly::ReduceScatter } else { Assembly::AllToAllSum };
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
-        let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            alg1(rank, &cfg, &a, &b)
+        let ab = Arc::new((
+            random_int_matrix(n1 as usize, n2 as usize, -3..4, seed),
+            random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1),
+        ));
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                alg1_a(rank, &cfg, &ab.0, &ab.1).await
+            })
         });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        prop_assert_eq!(assemble_c(dims, grid, &chunks), gemm(&a, &b, Kernel::Naive));
+        prop_assert_eq!(assemble_c(dims, grid, &chunks), gemm(&ab.0, &ab.1, Kernel::Naive));
     }
 
     #[test]
@@ -57,11 +63,16 @@ proptest! {
         let cfg = Alg1Config::new(dims, g);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
         prop_assume!(n1 * n2 * n3 <= 200_000); // keep local gemm cheap
-        let a = random_int_matrix(n1, n2, -1..2, 1);
-        let b = random_int_matrix(n2, n3, -1..2, 2);
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            alg1(rank, &cfg, &a, &b);
-            rank.time()
+        let ab = Arc::new((
+            random_int_matrix(n1, n2, -1..2, 1),
+            random_int_matrix(n2, n3, -1..2, 2),
+        ));
+        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+                rank.time()
+            })
         });
         let want = alg1_cost_words(dims, grid);
         for (r, &t) in out.values.iter().enumerate() {
@@ -76,13 +87,18 @@ proptest! {
         seed in 0u64..500,
     ) {
         let dims = MatMulDims::new(n1, n2, n3);
-        let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
-        let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
-        let want = gemm(&a, &b, Kernel::Naive);
+        let ab = Arc::new((
+            random_int_matrix(n1 as usize, n2 as usize, -3..4, seed),
+            random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1),
+        ));
+        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
 
         let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            cannon(rank, &ccfg, &a, &b)
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                cannon_a(rank, &ccfg, &ab.0, &ab.1).await
+            })
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()
@@ -90,8 +106,11 @@ proptest! {
         prop_assert_eq!(&got, &want, "cannon q={}", q);
 
         let scfg = SummaConfig { dims, pr: q, pc: q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            summa(rank, &scfg, &a, &b)
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                summa_a(rank, &scfg, &ab.0, &ab.1).await
+            })
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()

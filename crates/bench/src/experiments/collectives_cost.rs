@@ -10,17 +10,26 @@
 
 use crate::{fnum, print_table, Checks};
 use pmm_collectives::{
-    all_gather, all_reduce, all_to_all, bcast, costs, reduce_scatter, AllGatherAlgo, AllReduceAlgo,
-    BcastAlgo, ReduceScatterAlgo,
+    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, costs, reduce_scatter_a, AllGatherAlgo,
+    AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
 };
-use pmm_simnet::{Comm, MachineParams, Rank, World};
+use pmm_simnet::{Comm, LocalBoxFuture, MachineParams, Rank, World};
 
 /// Critical-path cost of one collective, called by every rank of a
 /// `p`-rank world on the world communicator.
-fn cost(p: usize, params: MachineParams, op: impl Fn(&mut Rank, &Comm) + Send + Sync) -> f64 {
-    let out = World::new(p, params).run(|rank| {
-        let comm = rank.world_comm();
-        op(rank, &comm);
+fn cost<F>(p: usize, params: MachineParams, op: F) -> f64
+where
+    F: for<'a> Fn(&'a mut Rank, &'a Comm) -> LocalBoxFuture<'a, Vec<f64>>
+        + Copy
+        + Send
+        + Sync
+        + 'static,
+{
+    let out = World::new(p, params).run_async(|rank| {
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            op(rank, &comm).await;
+        })
     });
     out.critical_path_time()
 }
@@ -41,8 +50,8 @@ pub fn run(checks: &mut Checks) {
             if matches!(algo, AllGatherAlgo::RecursiveDoubling) && !p.is_power_of_two() {
                 continue;
             }
-            let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
-                all_gather(rank, comm, vec![1.0; w], algo);
+            let measured = cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
+                Box::pin(all_gather_a(rank, comm, vec![1.0; w], algo))
             });
             let optimal = (1.0 - 1.0 / p as f64) * (p * w) as f64;
             let model = costs::all_gather_cost(algo, p, w);
@@ -55,8 +64,8 @@ pub fn run(checks: &mut Checks) {
         }
 
         // Reduce-Scatter.
-        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
-            reduce_scatter(rank, comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
+            Box::pin(reduce_scatter_a(rank, comm, vec![1.0; p * w], ReduceScatterAlgo::Auto))
         });
         let optimal = (1.0 - 1.0 / p as f64) * (p * w) as f64;
         checks.check(
@@ -66,16 +75,21 @@ pub fn run(checks: &mut Checks) {
         rows.push(vec!["reduce-scatter/auto".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-Reduce (Rabenseifner): optimal 2(1 − 1/p)·w.
-        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
-            all_reduce(rank, comm, vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
+            Box::pin(all_reduce_a(
+                rank,
+                comm,
+                vec![1.0; p * w],
+                AllReduceAlgo::ReduceScatterAllGather,
+            ))
         });
         let optimal = 2.0 * (1.0 - 1.0 / p as f64) * (p * w) as f64;
         checks.check(format!("all-reduce p={p}: 2(1-1/p)w"), (measured - optimal).abs() < 1e-9);
         rows.push(vec!["all-reduce/rsag".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-to-All (pairwise): (p−1)·w.
-        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
-            all_to_all(rank, comm, &vec![1.0; p * w]);
+        let measured = cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
+            Box::pin(async move { all_to_all_a(rank, comm, &vec![1.0; p * w]).await })
         });
         let optimal = ((p - 1) * w) as f64;
         checks.check(format!("all-to-all p={p}: (p-1)w"), (measured - optimal).abs() < 1e-9);
@@ -88,11 +102,11 @@ pub fn run(checks: &mut Checks) {
     let params = MachineParams::new(1.0, 0.0, 0.0);
     let mut rows = Vec::new();
     for p in [4usize, 8, 16, 32] {
-        let ring = cost(p, params, |rank, comm| {
-            all_gather(rank, comm, &[1.0; 4], AllGatherAlgo::Ring);
+        let ring = cost(p, params, move |rank, comm| {
+            Box::pin(all_gather_a(rank, comm, &[1.0; 4], AllGatherAlgo::Ring))
         });
-        let rd = cost(p, params, |rank, comm| {
-            all_gather(rank, comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling);
+        let rd = cost(p, params, move |rank, comm| {
+            Box::pin(all_gather_a(rank, comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling))
         });
         checks.check(format!("latency p={p}: ring == p-1"), ring == (p - 1) as f64);
         checks.check(format!("latency p={p}: recdoubling == log2 p"), rd == (p.ilog2()) as f64);
@@ -106,8 +120,8 @@ pub fn run(checks: &mut Checks) {
     for p in [4usize, 8, 16] {
         let w = 160usize;
         let run = |algo: BcastAlgo| {
-            cost(p, MachineParams::BANDWIDTH_ONLY, |rank, comm| {
-                bcast(rank, comm, vec![1.0; w], 0, algo);
+            cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
+                Box::pin(bcast_a(rank, comm, vec![1.0; w], 0, algo))
             })
         };
         let bin = run(BcastAlgo::Binomial);

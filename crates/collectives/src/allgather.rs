@@ -18,11 +18,11 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::{is_pow2, offsets};
 
-/// Algorithm selector for [`all_gather_v`].
+/// Algorithm selector for [`all_gather_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllGatherAlgo {
     /// Bidirectional ring; any `p`.
@@ -45,17 +45,6 @@ pub enum AllGatherAlgo {
 /// borrowed slice or a `Vec` handed over (see the crate docs, "Passing a
 /// buffer").
 #[track_caller]
-pub fn all_gather<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: impl Into<Cow<'a, [f64]>>,
-    algo: AllGatherAlgo,
-) -> Vec<f64> {
-    poll_now(all_gather_a(rank, comm, mine, algo))
-}
-
-/// Async form of [`all_gather`] (event-loop programs).
-#[track_caller]
 pub fn all_gather_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -75,18 +64,6 @@ pub fn all_gather_a<'r, 'd: 'r>(
 /// `counts[i]` is the contribution length of member `i` and must be known
 /// (and identical) at every rank; `counts[comm.index()] == mine.len()`.
 /// On a one-member communicator a `Vec` handed over is returned as is.
-#[track_caller]
-pub fn all_gather_v<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: impl Into<Cow<'a, [f64]>>,
-    counts: &[usize],
-    algo: AllGatherAlgo,
-) -> Vec<f64> {
-    poll_now(all_gather_v_a(rank, comm, mine, counts, algo))
-}
-
-/// Async form of [`all_gather_v`] (event-loop programs).
 #[track_caller]
 pub fn all_gather_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -251,10 +228,13 @@ mod tests {
 
     fn check(p: usize, counts: Vec<usize>, algo: AllGatherAlgo) {
         let want = expected(&counts);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let mine = vec![rank.world_rank() as f64 + 0.5; counts[rank.world_rank()]];
-            all_gather_v(rank, &comm, &mine, &counts, algo)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let counts = counts.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![rank.world_rank() as f64 + 0.5; counts[rank.world_rank()]];
+                all_gather_v_a(rank, &comm, &mine, &counts, algo).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &want, "rank {r} gathered wrong data (p={p}, {algo:?})");
@@ -300,10 +280,12 @@ mod tests {
     fn bruck_latency_is_ceil_log2_for_any_p() {
         let params = MachineParams::new(1.0, 0.0, 0.0);
         for (p, want) in [(5usize, 3.0), (6, 3.0), (7, 3.0), (8, 3.0), (9, 4.0)] {
-            let out = World::new(p, params).run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0], AllGatherAlgo::Bruck);
-                rank.time()
+            let out = World::new(p, params).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    all_gather_a(rank, &comm, &[1.0], AllGatherAlgo::Bruck).await;
+                    rank.time()
+                })
             });
             for r in 0..p {
                 assert_eq!(out.values[r], want, "p={p} rank {r}");
@@ -315,10 +297,12 @@ mod tests {
     fn bruck_moves_same_words_as_ring() {
         // Both send exactly W − w_me per rank (uniform case): (p−1)·w.
         let (p, w) = (6usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_gather(rank, &comm, vec![1.0; w], AllGatherAlgo::Bruck);
-            rank.meter().words_sent
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_gather_a(rank, &comm, vec![1.0; w], AllGatherAlgo::Bruck).await;
+                rank.meter().words_sent
+            })
         });
         for &sent in &out.values {
             assert_eq!(sent as usize, (p - 1) * w);
@@ -327,9 +311,11 @@ mod tests {
 
     #[test]
     fn single_rank_is_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            all_gather(rank, &comm, &[9.0, 8.0], AllGatherAlgo::Auto)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_gather_a(rank, &comm, &[9.0, 8.0], AllGatherAlgo::Auto).await
+            })
         });
         assert_eq!(out.values[0], vec![9.0, 8.0]);
         assert_eq!(out.reports[0].meter.words_sent, 0);
@@ -337,14 +323,20 @@ mod tests {
 
     #[test]
     fn single_rank_returns_the_allocation_it_was_handed() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let mine = vec![9.0, 8.0, 7.0];
-            let ptr_before = mine.as_ptr();
-            let owned = all_gather_v(rank, &comm, mine, &[3], AllGatherAlgo::Auto);
-            // A borrowed argument stays the caller's: the result is a copy.
-            let borrowed = all_gather_v(rank, &comm, &owned, &[3], AllGatherAlgo::Auto);
-            (owned.as_ptr() == ptr_before, borrowed.as_ptr() != owned.as_ptr(), owned == borrowed)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![9.0, 8.0, 7.0];
+                let ptr_before = mine.as_ptr();
+                let owned = all_gather_v_a(rank, &comm, mine, &[3], AllGatherAlgo::Auto).await;
+                // A borrowed argument stays the caller's: the result is a copy.
+                let borrowed = all_gather_v_a(rank, &comm, &owned, &[3], AllGatherAlgo::Auto).await;
+                (
+                    owned.as_ptr() == ptr_before,
+                    borrowed.as_ptr() != owned.as_ptr(),
+                    owned == borrowed,
+                )
+            })
         });
         assert_eq!(out.values[0], (true, true, true));
     }
@@ -352,11 +344,13 @@ mod tests {
     #[test]
     fn bandwidth_matches_cost_model_ring() {
         let (p, w) = (6usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let mine = vec![1.0; w];
-            all_gather(rank, &comm, &mine, AllGatherAlgo::Ring);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![1.0; w];
+                all_gather_a(rank, &comm, &mine, AllGatherAlgo::Ring).await;
+                rank.time()
+            })
         });
         let model = costs::all_gather_cost(AllGatherAlgo::Ring, p, w);
         // words moved per rank: (p-1) * w, both directions; duplex clock = (p-1)*w
@@ -371,11 +365,13 @@ mod tests {
     #[test]
     fn bandwidth_matches_cost_model_recursive_doubling() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let mine = vec![1.0; w];
-            all_gather(rank, &comm, &mine, AllGatherAlgo::RecursiveDoubling);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![1.0; w];
+                all_gather_a(rank, &comm, &mine, AllGatherAlgo::RecursiveDoubling).await;
+                rank.time()
+            })
         });
         let model = costs::all_gather_cost(AllGatherAlgo::RecursiveDoubling, p, w);
         for r in 0..p {
@@ -390,10 +386,12 @@ mod tests {
     fn latency_matches_cost_model() {
         let params = MachineParams::new(1.0, 0.0, 0.0); // count messages only
         for (algo, p) in [(AllGatherAlgo::Ring, 6), (AllGatherAlgo::RecursiveDoubling, 8)] {
-            let out = World::new(p, params).run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0, 2.0], algo);
-                rank.time()
+            let out = World::new(p, params).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    all_gather_a(rank, &comm, &[1.0, 2.0], algo).await;
+                    rank.time()
+                })
             });
             let model = costs::all_gather_cost(algo, p, 2);
             for r in 0..p {
@@ -405,11 +403,13 @@ mod tests {
     #[test]
     fn works_on_subcommunicators() {
         // Split 6 ranks into two groups of 3 and all-gather within groups.
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let wc = rank.world_comm();
-            let color = (rank.world_rank() % 2) as i64;
-            let sub = rank.split(&wc, color, rank.world_rank() as i64).unwrap();
-            all_gather(rank, &sub, &[rank.world_rank() as f64], AllGatherAlgo::Ring)
+        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let color = (rank.world_rank() % 2) as i64;
+                let sub = rank.split_a(&wc, color, rank.world_rank() as i64).await.unwrap();
+                all_gather_a(rank, &sub, &[rank.world_rank() as f64], AllGatherAlgo::Ring).await
+            })
         });
         assert_eq!(out.values[0], vec![0.0, 2.0, 4.0]);
         assert_eq!(out.values[3], vec![1.0, 3.0, 5.0]);
@@ -418,9 +418,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn recursive_doubling_rejects_non_pow2() {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            all_gather(rank, &comm, &[0.0], AllGatherAlgo::RecursiveDoubling);
+        World::new(3, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_gather_a(rank, &comm, &[0.0], AllGatherAlgo::RecursiveDoubling).await;
+            })
         });
     }
 }

@@ -5,13 +5,13 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::{all_gather_v_a, AllGatherAlgo};
 use crate::reduce_scatter::{reduce_scatter_v_a, ReduceScatterAlgo};
 use crate::util::{axpy1, is_pow2};
 
-/// Algorithm selector for [`all_reduce`].
+/// Algorithm selector for [`all_reduce_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllReduceAlgo {
     /// Rabenseifner: Reduce-Scatter then All-Gather. Bandwidth-optimal
@@ -27,17 +27,6 @@ pub enum AllReduceAlgo {
 /// Sum-reduce `data` across the communicator; every rank returns the full
 /// element-wise sum. A `Vec` handed over becomes the reduction's
 /// accumulator; a borrowed slice is copied into one.
-#[track_caller]
-pub fn all_reduce<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    algo: AllReduceAlgo,
-) -> Vec<f64> {
-    poll_now(all_reduce_a(rank, comm, data, algo))
-}
-
-/// Async form of [`all_reduce`] (event-loop programs).
 #[track_caller]
 pub fn all_reduce_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -99,11 +88,13 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, len: usize, algo: AllReduceAlgo) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data: Vec<f64> =
-                (0..len).map(|e| (rank.world_rank() + 1) as f64 + e as f64).collect();
-            all_reduce(rank, &comm, &data, algo)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data: Vec<f64> =
+                    (0..len).map(|e| (rank.world_rank() + 1) as f64 + e as f64).collect();
+                all_reduce_a(rank, &comm, &data, algo).await
+            })
         });
         let s = (p * (p + 1) / 2) as f64;
         let want: Vec<f64> = (0..len).map(|e| s + (p as f64) * e as f64).collect();
@@ -135,10 +126,13 @@ mod tests {
     #[test]
     fn rabenseifner_matches_cost_model() {
         let (p, w) = (8usize, 80usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_reduce(rank, &comm, vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_reduce_a(rank, &comm, vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather)
+                    .await;
+                rank.time()
+            })
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, w);
         for r in 0..p {
@@ -150,10 +144,12 @@ mod tests {
     #[test]
     fn recursive_doubling_matches_cost_model() {
         let (p, w) = (8usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_reduce(rank, &comm, vec![1.0; w], AllReduceAlgo::RecursiveDoubling);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_reduce_a(rank, &comm, vec![1.0; w], AllReduceAlgo::RecursiveDoubling).await;
+                rank.time()
+            })
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::RecursiveDoubling, p, w);
         for r in 0..p {
@@ -164,9 +160,11 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            all_reduce(rank, &comm, &[1.0, 2.0], AllReduceAlgo::Auto)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_reduce_a(rank, &comm, &[1.0, 2.0], AllReduceAlgo::Auto).await
+            })
         });
         assert_eq!(out.values[0], vec![1.0, 2.0]);
     }

@@ -8,7 +8,7 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::is_pow2;
 
@@ -18,12 +18,6 @@ use crate::util::is_pow2;
 /// copied locally). Pairwise exchange: `p − 1` steps, step `s` with rank
 /// `me XOR s` (power-of-two `p`) or sending to `me+s` while receiving
 /// from `me−s` (general `p`).
-#[track_caller]
-pub fn all_to_all(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
-    poll_now(all_to_all_a(rank, comm, data))
-}
-
-/// Async form of [`all_to_all`] (event-loop programs).
 #[track_caller]
 pub fn all_to_all_a<'r>(
     rank: &'r mut Rank,
@@ -71,13 +65,15 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, w: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let me = rank.world_rank();
-            // block for destination d: value me*p + d, repeated w times
-            let data: Vec<f64> =
-                (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
-            all_to_all(rank, &comm, &data)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let me = rank.world_rank();
+                // block for destination d: value me*p + d, repeated w times
+                let data: Vec<f64> =
+                    (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
+                all_to_all_a(rank, &comm, &data).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -100,11 +96,13 @@ mod tests {
     fn matches_cost_model() {
         for p in [8usize, 6] {
             let w = 5usize;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let comm = rank.world_comm();
-                let data = vec![1.0; p * w];
-                all_to_all(rank, &comm, &data);
-                rank.time()
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = vec![1.0; p * w];
+                    all_to_all_a(rank, &comm, &data).await;
+                    rank.time()
+                })
             });
             let model = costs::all_to_all_cost(p, w);
             for r in 0..p {
@@ -116,9 +114,11 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            all_to_all(rank, &comm, &[9.0, 9.5])
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_to_all_a(rank, &comm, &[9.0, 9.5]).await
+            })
         });
         assert_eq!(out.values[0], vec![9.0, 9.5]);
     }

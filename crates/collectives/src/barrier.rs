@@ -4,17 +4,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 /// Synchronize all members of `comm`. Unlike
-/// [`Rank::hard_sync`](pmm_simnet::Rank::hard_sync) this is a *metered*
+/// [`Rank::hard_sync_a`](pmm_simnet::Rank::hard_sync_a) this is a *metered*
 /// barrier: it exchanges real (empty) messages and pays `⌈log2 p⌉·α`.
-#[track_caller]
-pub fn barrier(rank: &mut Rank, comm: &Comm) {
-    poll_now(barrier_a(rank, comm));
-}
-
-/// Async form of [`barrier`] (event-loop programs).
 #[track_caller]
 pub fn barrier_a<'r>(rank: &'r mut Rank, comm: &'r Comm) -> impl Future<Output = ()> + 'r {
     let site = Location::caller();
@@ -49,12 +43,14 @@ mod tests {
         // has incremented the pre-barrier counter.
         let pre = Arc::new(AtomicUsize::new(0));
         let p = 8usize;
-        let pre2 = pre.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            pre2.fetch_add(1, Ordering::SeqCst);
-            barrier(rank, &comm);
-            pre2.load(Ordering::SeqCst)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let pre = Arc::clone(&pre);
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                pre.fetch_add(1, Ordering::SeqCst);
+                barrier_a(rank, &comm).await;
+                pre.load(Ordering::SeqCst)
+            })
         });
         for v in out.values {
             assert_eq!(v, p, "barrier released a rank early");
@@ -65,10 +61,12 @@ mod tests {
     fn cost_is_log_latency_only() {
         for p in [2usize, 3, 5, 8, 16] {
             let params = MachineParams::new(1.0, 1.0, 1.0);
-            let out = World::new(p, params).run(|rank| {
-                let comm = rank.world_comm();
-                barrier(rank, &comm);
-                (rank.time(), rank.meter().words_sent)
+            let out = World::new(p, params).run_async(|rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    barrier_a(rank, &comm).await;
+                    (rank.time(), rank.meter().words_sent)
+                })
             });
             let model = costs::barrier_cost(p);
             for r in 0..p {
@@ -80,10 +78,12 @@ mod tests {
 
     #[test]
     fn single_rank_noop() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            barrier(rank, &comm);
-            rank.meter().msgs_sent
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                barrier_a(rank, &comm).await;
+                rank.meter().msgs_sent
+            })
         });
         assert_eq!(out.values[0], 0);
     }

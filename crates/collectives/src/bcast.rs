@@ -4,12 +4,12 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::{all_gather_v_a, AllGatherAlgo};
 use crate::gather_scatter::scatter_v_a;
 
-/// Algorithm selector for [`bcast`].
+/// Algorithm selector for [`bcast_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BcastAlgo {
     /// Binomial tree: `⌈log2 p⌉` rounds, good for small messages.
@@ -26,18 +26,6 @@ pub enum BcastAlgo {
 /// On the root, `data` must hold the message; on other ranks `data` is
 /// ignored (pass `&[]`). Returns the broadcast message on every rank; a
 /// `Vec` handed over at the root is the root's copy of it.
-#[track_caller]
-pub fn bcast<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    root: usize,
-    algo: BcastAlgo,
-) -> Vec<f64> {
-    poll_now(bcast_a(rank, comm, data, root, algo))
-}
-
-/// Async form of [`bcast`] (event-loop programs).
 #[track_caller]
 pub fn bcast_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -131,14 +119,16 @@ mod tests {
 
     fn check(p: usize, root: usize, len: usize, algo: BcastAlgo) {
         let msg: Vec<f64> = (0..len).map(|i| i as f64 * 1.5).collect();
-        let want = msg.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = if rank.world_rank() == root { msg.clone() } else { vec![0.0; len] };
-            bcast(rank, &comm, &data, root, algo)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let msg = msg.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = if rank.world_rank() == root { msg } else { vec![0.0; len] };
+                bcast_a(rank, &comm, &data, root, algo).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
-            assert_eq!(v, &want, "rank {r} (p={p}, root={root}, {algo:?})");
+            assert_eq!(v, &msg, "rank {r} (p={p}, root={root}, {algo:?})");
         }
     }
 
@@ -161,11 +151,13 @@ mod tests {
     #[test]
     fn root_cost_matches_binomial_model() {
         let (p, w) = (8usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data = vec![1.0; w];
-            bcast(rank, &comm, &data, 0, BcastAlgo::Binomial);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = vec![1.0; w];
+                bcast_a(rank, &comm, &data, 0, BcastAlgo::Binomial).await;
+                rank.time()
+            })
         });
         let model = costs::bcast_cost(BcastAlgo::Binomial, p, w);
         // The root sends log2 p messages of w words; its clock is the model.
@@ -180,10 +172,12 @@ mod tests {
         let (p, w) = (8usize, 64usize);
         let run = |algo: BcastAlgo| {
             World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .run(move |rank| {
-                    let comm = rank.world_comm();
-                    let data = vec![1.0; w];
-                    bcast(rank, &comm, &data, 0, algo);
+                .run_async(move |rank| {
+                    Box::pin(async move {
+                        let comm = rank.world_comm();
+                        let data = vec![1.0; w];
+                        bcast_a(rank, &comm, &data, 0, algo).await;
+                    })
                 })
                 .critical_path_time()
         };
@@ -194,9 +188,11 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            bcast(rank, &comm, &[5.0], 0, BcastAlgo::Auto)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                bcast_a(rank, &comm, &[5.0], 0, BcastAlgo::Auto).await
+            })
         });
         assert_eq!(out.values[0], vec![5.0]);
     }

@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::offsets;
 
@@ -17,18 +17,6 @@ use crate::util::offsets;
 /// returns the concatenation in communicator order, other ranks return an
 /// empty vector (binomial tree, `⌈log2 p⌉` rounds at the root). A `Vec`
 /// handed over becomes the buffer the subtree's blocks are appended to.
-#[track_caller]
-pub fn gather_v<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: impl Into<Cow<'a, [f64]>>,
-    counts: &[usize],
-    root: usize,
-) -> Vec<f64> {
-    poll_now(gather_v_a(rank, comm, mine, counts, root))
-}
-
-/// Async form of [`gather_v`] (event-loop programs).
 #[track_caller]
 pub fn gather_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -102,18 +90,6 @@ pub fn gather_v_a<'r, 'd: 'r>(
 /// blocks (`counts`, communicator order); every rank returns its own
 /// block (binomial tree). Non-roots pass any `data` (ignored). A `Vec`
 /// handed over at the root becomes the buffer the subtrees are peeled off.
-#[track_caller]
-pub fn scatter_v<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    counts: &[usize],
-    root: usize,
-) -> Vec<f64> {
-    poll_now(scatter_v_a(rank, comm, data, counts, root))
-}
-
-/// Async form of [`scatter_v`] (event-loop programs).
 #[track_caller]
 pub fn scatter_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -215,10 +191,13 @@ mod tests {
 
     fn check_gather(p: usize, counts: Vec<usize>, root: usize) {
         let want: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let mine = block(rank.world_rank(), counts[rank.world_rank()]);
-            gather_v(rank, &comm, &mine, &counts, root)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let counts = counts.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = block(rank.world_rank(), counts[rank.world_rank()]);
+                gather_v_a(rank, &comm, &mine, &counts, root).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             if r == root {
@@ -231,10 +210,13 @@ mod tests {
 
     fn check_scatter(p: usize, counts: Vec<usize>, root: usize) {
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            scatter_v(rank, &comm, &data, &counts, root)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (counts, full) = (counts.clone(), full.clone());
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = if rank.world_rank() == root { full } else { Vec::new() };
+                scatter_v_a(rank, &comm, &data, &counts, root).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &block(r, counts[r]), "rank {r} block (p={p}, root={root})");
@@ -274,10 +256,12 @@ mod tests {
     #[test]
     fn gather_root_bandwidth_is_total_minus_own() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine = vec![1.0; w];
-            gather_v(rank, &comm, &mine, &vec![w; p], 0);
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![1.0; w];
+                gather_v_a(rank, &comm, &mine, &vec![w; p], 0).await;
+            })
         });
         assert_eq!(out.reports[0].meter.words_recv, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_sent, 0);
@@ -286,10 +270,12 @@ mod tests {
     #[test]
     fn scatter_root_bandwidth_is_total_minus_own() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data = vec![1.0; p * w];
-            scatter_v(rank, &comm, &data, &vec![w; p], 0);
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = vec![1.0; p * w];
+                scatter_v_a(rank, &comm, &data, &vec![w; p], 0).await;
+            })
         });
         assert_eq!(out.reports[0].meter.words_sent, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_recv, 0);
@@ -300,11 +286,14 @@ mod tests {
         let p = 7usize;
         let counts: Vec<usize> = (0..p).map(|i| (i * 3) % 5).collect();
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = if rank.world_rank() == 2 { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &counts, 2);
-            gather_v(rank, &comm, &mine, &counts, 2)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (counts, full) = (counts.clone(), full.clone());
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = if rank.world_rank() == 2 { full } else { Vec::new() };
+                let mine = scatter_v_a(rank, &comm, &data, &counts, 2).await;
+                gather_v_a(rank, &comm, &mine, &counts, 2).await
+            })
         });
         assert_eq!(out.values[2], full);
     }

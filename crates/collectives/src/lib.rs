@@ -38,12 +38,14 @@
 //!
 //! ```
 //! use pmm_simnet::{World, MachineParams};
-//! use pmm_collectives::{all_gather, AllGatherAlgo};
+//! use pmm_collectives::{all_gather_a, AllGatherAlgo};
 //!
-//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-//!     let comm = rank.world_comm();
-//!     let mine = [rank.world_rank() as f64; 2];
-//!     all_gather(rank, &comm, &mine, AllGatherAlgo::Auto)
+//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+//!     Box::pin(async move {
+//!         let comm = rank.world_comm();
+//!         let mine = [rank.world_rank() as f64; 2];
+//!         all_gather_a(rank, &comm, &mine, AllGatherAlgo::Auto).await
+//!     })
 //! });
 //! assert_eq!(out.values[3], vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
 //! // bandwidth-optimal: each rank moves (1 - 1/p) * W = 6 words
@@ -64,14 +66,12 @@ pub mod reduce_scatter;
 pub mod scan;
 pub(crate) mod util;
 
-pub use allgather::{all_gather, all_gather_a, all_gather_v, all_gather_v_a, AllGatherAlgo};
-pub use allreduce::{all_reduce, all_reduce_a, AllReduceAlgo};
-pub use alltoall::{all_to_all, all_to_all_a};
-pub use barrier::{barrier, barrier_a};
-pub use bcast::{bcast, bcast_a, BcastAlgo};
-pub use gather_scatter::{gather_v, gather_v_a, scatter_v, scatter_v_a};
-pub use reduce::{reduce, reduce_a};
-pub use reduce_scatter::{
-    reduce_scatter, reduce_scatter_a, reduce_scatter_v, reduce_scatter_v_a, ReduceScatterAlgo,
-};
-pub use scan::{exscan, exscan_a, scan, scan_a};
+pub use allgather::{all_gather_a, all_gather_v_a, AllGatherAlgo};
+pub use allreduce::{all_reduce_a, AllReduceAlgo};
+pub use alltoall::all_to_all_a;
+pub use barrier::barrier_a;
+pub use bcast::{bcast_a, BcastAlgo};
+pub use gather_scatter::{gather_v_a, scatter_v_a};
+pub use reduce::reduce_a;
+pub use reduce_scatter::{reduce_scatter_a, reduce_scatter_v_a, ReduceScatterAlgo};
+pub use scan::{exscan_a, scan_a};

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::axpy1;
 
@@ -14,17 +14,6 @@ use crate::util::axpy1;
 /// an empty vector. Reduction additions are metered as flops. A `Vec`
 /// handed over becomes the accumulator; a borrowed slice is copied into
 /// one.
-#[track_caller]
-pub fn reduce<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    root: usize,
-) -> Vec<f64> {
-    poll_now(reduce_a(rank, comm, data, root))
-}
-
-/// Async form of [`reduce`] (event-loop programs).
 #[track_caller]
 pub fn reduce_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -74,11 +63,13 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, root: usize, len: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data: Vec<f64> =
-                (0..len).map(|e| (rank.world_rank() + 1) as f64 * (e + 1) as f64).collect();
-            reduce(rank, &comm, &data, root)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data: Vec<f64> =
+                    (0..len).map(|e| (rank.world_rank() + 1) as f64 * (e + 1) as f64).collect();
+                reduce_a(rank, &comm, &data, root).await
+            })
         });
         let s = (p * (p + 1) / 2) as f64;
         let want: Vec<f64> = (0..len).map(|e| s * (e + 1) as f64).collect();
@@ -103,10 +94,12 @@ mod tests {
     #[test]
     fn root_critical_path_matches_model_for_pow2() {
         let (p, w) = (8usize, 6usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            reduce(rank, &comm, vec![1.0; w], 0);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_a(rank, &comm, vec![1.0; w], 0).await;
+                rank.time()
+            })
         });
         let model = costs::reduce_cost(p, w);
         // With α=γ=0 the root's clock is log2(p)·w.
@@ -117,10 +110,12 @@ mod tests {
     #[test]
     fn flops_are_metered() {
         let (p, w) = (4usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            reduce(rank, &comm, vec![1.0; w], 0);
-            rank.meter().flops
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_a(rank, &comm, vec![1.0; w], 0).await;
+                rank.meter().flops
+            })
         });
         // Total additions across ranks: (p-1)·w.
         let total: f64 = out.values.iter().sum();
@@ -129,9 +124,11 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            reduce(rank, &comm, &[2.0, 4.0], 0)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_a(rank, &comm, &[2.0, 4.0], 0).await
+            })
         });
         assert_eq!(out.values[0], vec![2.0, 4.0]);
     }

@@ -15,11 +15,11 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::{axpy1, is_pow2, offsets};
 
-/// Algorithm selector for [`reduce_scatter_v`].
+/// Algorithm selector for [`reduce_scatter_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceScatterAlgo {
     /// Ring; any `p`.
@@ -32,17 +32,6 @@ pub enum ReduceScatterAlgo {
 
 /// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
 /// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
-#[track_caller]
-pub fn reduce_scatter<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    algo: ReduceScatterAlgo,
-) -> Vec<f64> {
-    poll_now(reduce_scatter_a(rank, comm, data, algo))
-}
-
-/// Async form of [`reduce_scatter`] (event-loop programs).
 #[track_caller]
 pub fn reduce_scatter_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -71,18 +60,6 @@ pub fn reduce_scatter_a<'r, 'd: 'r>(
 /// metered as flops on the rank performing them. A `Vec` handed over
 /// becomes the accumulator (and is returned as is on a one-member
 /// communicator); a borrowed slice is copied into one.
-#[track_caller]
-pub fn reduce_scatter_v<'a>(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: impl Into<Cow<'a, [f64]>>,
-    counts: &[usize],
-    algo: ReduceScatterAlgo,
-) -> Vec<f64> {
-    poll_now(reduce_scatter_v_a(rank, comm, data, counts, algo))
-}
-
-/// Async form of [`reduce_scatter_v`] (event-loop programs).
 #[track_caller]
 pub fn reduce_scatter_v_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -200,10 +177,13 @@ mod tests {
 
     fn check(p: usize, counts: Vec<usize>, algo: ReduceScatterAlgo) {
         let total: usize = counts.iter().sum();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = contribution(rank.world_rank(), total);
-            reduce_scatter_v(rank, &comm, &data, &counts, algo)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let counts = counts.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = contribution(rank.world_rank(), total);
+                reduce_scatter_v_a(rank, &comm, &data, &counts, algo).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &expected_segment(r, p, &counts), "rank {r} (p={p}, {algo:?})");
@@ -238,23 +218,33 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &[3.0, 4.0], ReduceScatterAlgo::Auto)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_scatter_a(rank, &comm, &[3.0, 4.0], ReduceScatterAlgo::Auto).await
+            })
         });
         assert_eq!(out.values[0], vec![3.0, 4.0]);
     }
 
     #[test]
     fn single_rank_returns_the_allocation_it_was_handed() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = vec![3.0, 4.0, 5.0];
-            let ptr_before = data.as_ptr();
-            let owned = reduce_scatter_v(rank, &comm, data, &[3], ReduceScatterAlgo::Auto);
-            // A borrowed argument stays the caller's: the result is a copy.
-            let borrowed = reduce_scatter_v(rank, &comm, &owned, &[3], ReduceScatterAlgo::Auto);
-            (owned.as_ptr() == ptr_before, borrowed.as_ptr() != owned.as_ptr(), owned == borrowed)
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = vec![3.0, 4.0, 5.0];
+                let ptr_before = data.as_ptr();
+                let owned =
+                    reduce_scatter_v_a(rank, &comm, data, &[3], ReduceScatterAlgo::Auto).await;
+                // A borrowed argument stays the caller's: the result is a copy.
+                let borrowed =
+                    reduce_scatter_v_a(rank, &comm, &owned, &[3], ReduceScatterAlgo::Auto).await;
+                (
+                    owned.as_ptr() == ptr_before,
+                    borrowed.as_ptr() != owned.as_ptr(),
+                    owned == borrowed,
+                )
+            })
         });
         assert_eq!(out.values[0], (true, true, true));
     }
@@ -266,11 +256,13 @@ mod tests {
         {
             let w = 4usize; // words per segment
             let total = p * w;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let comm = rank.world_comm();
-                let data = vec![1.0; total];
-                reduce_scatter(rank, &comm, &data, algo);
-                rank.time()
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = vec![1.0; total];
+                    reduce_scatter_a(rank, &comm, &data, algo).await;
+                    rank.time()
+                })
             });
             let model = costs::reduce_scatter_cost(algo, p, w);
             for r in 0..p {
@@ -290,11 +282,13 @@ mod tests {
         for (algo, p, want) in
             [(ReduceScatterAlgo::Ring, 6usize, 5.0), (ReduceScatterAlgo::RecursiveHalving, 8, 3.0)]
         {
-            let out = World::new(p, params).run(move |rank| {
-                let comm = rank.world_comm();
-                let data = vec![1.0; p];
-                reduce_scatter(rank, &comm, &data, algo);
-                rank.time()
+            let out = World::new(p, params).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = vec![1.0; p];
+                    reduce_scatter_a(rank, &comm, &data, algo).await;
+                    rank.time()
+                })
             });
             let model = costs::reduce_scatter_cost(algo, p, 1);
             assert_eq!(model.messages, want);
@@ -307,13 +301,15 @@ mod tests {
     #[test]
     fn reduce_scatter_then_allgather_is_allreduce() {
         // Sanity composition: RS + AG should give every rank the full sum.
-        use crate::allgather::{all_gather, AllGatherAlgo};
+        use crate::allgather::{all_gather_a, AllGatherAlgo};
         let p = 4usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            let data = vec![(rank.world_rank() + 1) as f64; 8];
-            let seg = reduce_scatter(rank, &comm, &data, ReduceScatterAlgo::Auto);
-            all_gather(rank, &comm, &seg, AllGatherAlgo::Auto)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = vec![(rank.world_rank() + 1) as f64; 8];
+                let seg = reduce_scatter_a(rank, &comm, &data, ReduceScatterAlgo::Auto).await;
+                all_gather_a(rank, &comm, &seg, AllGatherAlgo::Auto).await
+            })
         });
         let want = vec![10.0; 8]; // 1+2+3+4
         for v in &out.values {
@@ -324,9 +320,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "not divisible")]
     fn uniform_requires_divisible_length() {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &[1.0; 4], ReduceScatterAlgo::Ring);
+        World::new(3, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_scatter_a(rank, &comm, &[1.0; 4], ReduceScatterAlgo::Ring).await;
+            })
         });
     }
 }

@@ -10,19 +10,13 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::axpy1;
 
 /// Inclusive prefix sum: rank `r` returns the element-wise sum of the
 /// contributions of ranks `0..=r`. A `Vec` handed over becomes the
 /// accumulator; a borrowed slice is copied into one.
-#[track_caller]
-pub fn scan<'a>(rank: &mut Rank, comm: &Comm, data: impl Into<Cow<'a, [f64]>>) -> Vec<f64> {
-    poll_now(scan_a(rank, comm, data))
-}
-
-/// Async form of [`scan`] (event-loop programs).
 #[track_caller]
 pub fn scan_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -65,12 +59,6 @@ async fn scan_at(
 /// Exclusive prefix sum: rank `r` returns the element-wise sum of the
 /// contributions of ranks `0..r` (zeros on rank 0).
 #[track_caller]
-pub fn exscan(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
-    poll_now(exscan_a(rank, comm, data))
-}
-
-/// Async form of [`exscan`] (event-loop programs).
-#[track_caller]
 pub fn exscan_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -96,10 +84,12 @@ mod tests {
     }
 
     fn check_scan(p: usize, w: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine = contribution(rank.world_rank(), w);
-            scan(rank, &comm, &mine)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = contribution(rank.world_rank(), w);
+                scan_a(rank, &comm, &mine).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -118,10 +108,12 @@ mod tests {
     #[test]
     fn exscan_shifts_by_one_rank() {
         let p = 6usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine = contribution(rank.world_rank(), 2);
-            exscan(rank, &comm, &mine)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = contribution(rank.world_rank(), 2);
+                exscan_a(rank, &comm, &mine).await
+            })
         });
         assert_eq!(out.values[0], vec![0.0, 0.0]);
         for r in 1..p {
@@ -136,9 +128,11 @@ mod tests {
         // The motivating use: each rank contributes its chunk length; the
         // exclusive scan is its offset.
         let lens = [3usize, 0, 5, 2, 7];
-        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            exscan(rank, &comm, &[lens[rank.world_rank()] as f64])[0] as usize
+        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                exscan_a(rank, &comm, &[lens[rank.world_rank()] as f64]).await[0] as usize
+            })
         });
         assert_eq!(out.values, vec![0, 3, 3, 8, 10]);
     }
@@ -151,10 +145,12 @@ mod tests {
         // linear like a naive chain scan.
         let params = MachineParams::new(1.0, 0.0, 0.0);
         for (p, rounds) in [(8usize, 3.0), (16, 4.0), (32, 5.0)] {
-            let out = World::new(p, params).run(|rank| {
-                let comm = rank.world_comm();
-                scan(rank, &comm, &[1.0]);
-                rank.time()
+            let out = World::new(p, params).run_async(|rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    scan_a(rank, &comm, &[1.0]).await;
+                    rank.time()
+                })
             });
             let t = out.critical_path_time();
             assert!(t >= rounds && t <= 2.0 * rounds + 1e-9, "p={p}: {t}");
@@ -163,9 +159,11 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-            let comm = rank.world_comm();
-            scan(rank, &comm, &[4.0, 5.0])
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                scan_a(rank, &comm, &[4.0, 5.0]).await
+            })
         });
         assert_eq!(out.values[0], vec![4.0, 5.0]);
     }

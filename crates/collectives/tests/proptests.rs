@@ -5,10 +5,10 @@
 use std::borrow::Cow;
 
 use pmm_collectives::{
-    all_gather_v, all_reduce, all_to_all, bcast, gather_v, reduce, reduce_scatter_v, scatter_v,
-    AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
+    all_gather_v_a, all_reduce_a, all_to_all_a, bcast_a, gather_v_a, reduce_a, reduce_scatter_v_a,
+    scatter_v_a, AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
 };
-use pmm_simnet::{MachineParams, Rank, World, WorldResult};
+use pmm_simnet::{LocalBoxFuture, MachineParams, Rank, World, WorldResult};
 use proptest::prelude::*;
 
 fn counts(p: usize) -> impl Strategy<Value = Vec<usize>> {
@@ -37,12 +37,12 @@ fn hand_or_lend(buf: &[f64], hand: bool) -> Cow<'_, [f64]> {
 /// traces.
 fn assert_handing_over_changes_nothing<F>(label: &str, p: usize, seed: u64, program: F)
 where
-    F: Fn(&mut Rank, bool) -> Vec<f64> + Send + Sync,
+    F: for<'a> Fn(&'a mut Rank, bool) -> LocalBoxFuture<'a, Vec<f64>> + Send + Sync,
 {
     // α, β, γ all non-zero: the clock sees messages, words and flops.
     let world = World::new(p, MachineParams::new(3.0, 1.0, 0.5)).with_seed(seed).with_trace(true);
-    let lent = world.run(|rank| program(rank, false));
-    let handed = world.run(|rank| program(rank, true));
+    let lent = world.run_async(|rank| program(rank, false));
+    let handed = world.run_async(|rank| program(rank, true));
     assert_eq!(lent.values, handed.values, "{label}: values");
     for (r, (l, h)) in lent.reports.iter().zip(&handed.reports).enumerate() {
         assert_eq!(
@@ -71,7 +71,8 @@ proptest! {
     ) {
         let cs = &cs[..p];
         let total: usize = cs.iter().sum();
-        let contribution = |r: usize| -> Vec<f64> { (0..total).map(|e| (r * total + e) as f64).collect() };
+        let contribution =
+            move |r: usize| -> Vec<f64> { (0..total).map(|e| (r * total + e) as f64).collect() };
 
         // Every selector valid at this p.
         let mut gathers = vec![AllGatherAlgo::Ring, AllGatherAlgo::Bruck, AllGatherAlgo::Auto];
@@ -85,25 +86,33 @@ proptest! {
         for algo in gathers {
             let label = format!("all_gather_v {algo:?} counts {cs:?}");
             assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
-                let comm = rank.world_comm();
-                let mine = block(rank.world_rank(), cs[rank.world_rank()]);
-                all_gather_v(rank, &comm, hand_or_lend(&mine, hand), cs, algo)
+                let cs = cs.to_vec();
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let mine = block(rank.world_rank(), cs[rank.world_rank()]);
+                    all_gather_v_a(rank, &comm, hand_or_lend(&mine, hand), &cs, algo).await
+                })
             });
         }
         for algo in scatters {
             let label = format!("reduce_scatter_v {algo:?} counts {cs:?}");
             assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
-                let comm = rank.world_comm();
-                let data = contribution(rank.world_rank());
-                reduce_scatter_v(rank, &comm, hand_or_lend(&data, hand), cs, algo)
+                let cs = cs.to_vec();
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = contribution(rank.world_rank());
+                    reduce_scatter_v_a(rank, &comm, hand_or_lend(&data, hand), &cs, algo).await
+                })
             });
         }
         for algo in reduces {
             let label = format!("all_reduce {algo:?} len {total}");
             assert_handing_over_changes_nothing(&label, p, seed, |rank, hand| {
-                let comm = rank.world_comm();
-                let data = contribution(rank.world_rank());
-                all_reduce(rank, &comm, hand_or_lend(&data, hand), algo)
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = contribution(rank.world_rank());
+                    all_reduce_a(rank, &comm, hand_or_lend(&data, hand), algo).await
+                })
             });
         }
     }
@@ -115,11 +124,13 @@ proptest! {
         let cs = cs.to_vec();
         let want: Vec<f64> = (0..p).flat_map(|i| block(i, cs[i])).collect();
         for algo in [AllGatherAlgo::Ring, AllGatherAlgo::Bruck] {
-            let cs2 = cs.clone();
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let comm = rank.world_comm();
-                let mine = block(rank.world_rank(), cs2[rank.world_rank()]);
-                all_gather_v(rank, &comm, &mine, &cs2, algo)
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+                let cs = cs.clone();
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let mine = block(rank.world_rank(), cs[rank.world_rank()]);
+                    all_gather_v_a(rank, &comm, &mine, &cs, algo).await
+                })
             });
             for v in &out.values {
                 prop_assert_eq!(v, &want, "{:?}", algo);
@@ -131,12 +142,14 @@ proptest! {
     fn reduce_scatter_v_any_profile(p in 2usize..9, seed in 0u64..100) {
         let cs: Vec<usize> = (0..p).map(|i| (seed as usize + i * 3) % 5).collect();
         let total: usize = cs.iter().sum();
-        let cs2 = cs.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let data: Vec<f64> =
-                (0..total).map(|e| (rank.world_rank() * total + e) as f64).collect();
-            let comm = rank.world_comm();
-            reduce_scatter_v(rank, &comm, &data, &cs2, ReduceScatterAlgo::Auto)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let cs = cs.clone();
+            Box::pin(async move {
+                let data: Vec<f64> =
+                    (0..total).map(|e| (rank.world_rank() * total + e) as f64).collect();
+                let comm = rank.world_comm();
+                reduce_scatter_v_a(rank, &comm, &data, &cs, ReduceScatterAlgo::Auto).await
+            })
         });
         let mut off = 0usize;
         for (r, c) in cs.iter().enumerate() {
@@ -157,39 +170,44 @@ proptest! {
         let root = root % p;
         let cs: Vec<usize> = (0..p).map(|i| (seed as usize + i) % 4).collect();
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, cs[i])).collect();
-        let want = full.clone();
-        let cs2 = cs.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &cs2, root);
-            gather_v(rank, &comm, &mine, &cs2, root)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (full, cs) = (full.clone(), cs.clone());
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = if rank.world_rank() == root { full } else { Vec::new() };
+                let mine = scatter_v_a(rank, &comm, &data, &cs, root).await;
+                gather_v_a(rank, &comm, &mine, &cs, root).await
+            })
         });
-        prop_assert_eq!(&out.values[root], &want);
+        prop_assert_eq!(&out.values[root], &full);
     }
 
     #[test]
     fn bcast_from_any_root(p in 2usize..9, root in 0usize..9, w in 0usize..12) {
         let root = root % p;
         let msg: Vec<f64> = (0..w).map(|e| e as f64 * 3.0).collect();
-        let want = msg.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data = if rank.world_rank() == root { msg.clone() } else { vec![0.0; w] };
-            bcast(rank, &comm, &data, root, BcastAlgo::Binomial)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let msg = msg.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data = if rank.world_rank() == root { msg } else { vec![0.0; w] };
+                bcast_a(rank, &comm, &data, root, BcastAlgo::Binomial).await
+            })
         });
         for v in &out.values {
-            prop_assert_eq!(v, &want);
+            prop_assert_eq!(v, &msg);
         }
     }
 
     #[test]
     fn reduce_to_any_root(p in 2usize..9, root in 0usize..9, w in 1usize..10) {
         let root = root % p;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let data: Vec<f64> = (0..w).map(|e| (rank.world_rank() + e) as f64).collect();
-            reduce(rank, &comm, &data, root)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let data: Vec<f64> = (0..w).map(|e| (rank.world_rank() + e) as f64).collect();
+                reduce_a(rank, &comm, &data, root).await
+            })
         });
         let sum_r = (p * (p - 1) / 2) as f64;
         let want: Vec<f64> = (0..w).map(|e| sum_r + (p * e) as f64).collect();
@@ -203,12 +221,14 @@ proptest! {
 
     #[test]
     fn all_to_all_is_a_transpose(p in 2usize..9, w in 1usize..6) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let me = rank.world_rank();
-            let data: Vec<f64> =
-                (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
-            let comm = rank.world_comm();
-            all_to_all(rank, &comm, &data)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let me = rank.world_rank();
+                let data: Vec<f64> =
+                    (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
+                let comm = rank.world_comm();
+                all_to_all_a(rank, &comm, &data).await
+            })
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -222,7 +242,7 @@ proptest! {
         p in 2usize..10,
         w in 1usize..24,
     ) {
-        use pmm_collectives::{costs, all_gather, reduce_scatter, all_reduce, barrier};
+        use pmm_collectives::{costs, all_gather_a, reduce_scatter_a, all_reduce_a, barrier_a};
         use pmm_collectives::AllReduceAlgo;
 
         // All-Gather (every algorithm valid at this p).
@@ -231,10 +251,12 @@ proptest! {
             algos.push(AllGatherAlgo::RecursiveDoubling);
         }
         for algo in algos {
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let comm = rank.world_comm();
-                all_gather(rank, &comm, vec![1.0; w], algo);
-                rank.time()
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    all_gather_a(rank, &comm, vec![1.0; w], algo).await;
+                    rank.time()
+                })
             });
             let model = costs::all_gather_cost(algo, p, w);
             for (r, &t) in out.values.iter().enumerate() {
@@ -246,10 +268,12 @@ proptest! {
         }
 
         // Reduce-Scatter (auto) — words and flops.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto);
-            (rank.time(), rank.meter().flops)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                reduce_scatter_a(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto).await;
+                (rank.time(), rank.meter().flops)
+            })
         });
         let model = costs::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
         for (r, &(t, f)) in out.values.iter().enumerate() {
@@ -259,10 +283,13 @@ proptest! {
 
         // All-Reduce Rabenseifner when p | total (always true here).
         let total = p * w;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_reduce(rank, &comm, vec![1.0; total], AllReduceAlgo::ReduceScatterAllGather);
-            rank.time()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let algo = AllReduceAlgo::ReduceScatterAllGather;
+                all_reduce_a(rank, &comm, vec![1.0; total], algo).await;
+                rank.time()
+            })
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, total);
         for &t in &out.values {
@@ -270,10 +297,12 @@ proptest! {
         }
 
         // Barrier: latency only.
-        let out = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).run(|rank| {
-            let comm = rank.world_comm();
-            barrier(rank, &comm);
-            rank.time()
+        let out = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).run_async(|rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                barrier_a(rank, &comm).await;
+                rank.time()
+            })
         });
         let model = costs::barrier_cost(p);
         for &t in &out.values {
@@ -284,13 +313,15 @@ proptest! {
     #[test]
     fn conservation_of_words_across_any_collective(p in 2usize..8, w in 1usize..10) {
         // Whatever the collective, globally sent == received.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine = vec![1.0; w];
-            all_gather_v(rank, &comm, &mine, &vec![w; p], AllGatherAlgo::Ring);
-            let data = vec![1.0; p * w];
-            reduce_scatter_v(rank, &comm, &data, &vec![w; p], ReduceScatterAlgo::Auto);
-            rank.meter()
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine = vec![1.0; w];
+                all_gather_v_a(rank, &comm, &mine, &vec![w; p], AllGatherAlgo::Ring).await;
+                let data = vec![1.0; p * w];
+                reduce_scatter_v_a(rank, &comm, &data, &vec![w; p], ReduceScatterAlgo::Auto).await;
+                rank.meter()
+            })
         });
         let sent: u64 = out.values.iter().map(|m| m.words_sent).sum();
         let recv: u64 = out.values.iter().map(|m| m.words_recv).sum();

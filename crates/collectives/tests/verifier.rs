@@ -5,7 +5,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use pmm_collectives::ReduceScatterAlgo;
-use pmm_collectives::{all_gather, gather_v, reduce_scatter, AllGatherAlgo};
+use pmm_collectives::{all_gather_a, gather_v_a, reduce_scatter_a, AllGatherAlgo};
 use pmm_simnet::{MachineParams, World};
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -18,8 +18,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-const WATCHDOG: Duration = Duration::from_millis(50);
-
 #[test]
 fn allgather_vs_reduce_scatter_aborts_with_report() {
     // The classic mismatched collective: rank 0 enters an All-Gather
@@ -28,14 +26,16 @@ fn allgather_vs_reduce_scatter_aborts_with_report() {
     // and aborts the world; without it the suite would hang.
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        World::new(4, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
-            let wc = rank.world_comm();
-            let data = vec![1.0f64; 8];
-            if rank.world_rank() == 0 {
-                all_gather(rank, &wc, &data, AllGatherAlgo::Auto);
-            } else {
-                reduce_scatter(rank, &wc, &data, ReduceScatterAlgo::Auto);
-            }
+        World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let data = vec![1.0f64; 8];
+                if rank.world_rank() == 0 {
+                    all_gather_a(rank, &wc, &data, AllGatherAlgo::Auto).await;
+                } else {
+                    reduce_scatter_a(rank, &wc, &data, ReduceScatterAlgo::Auto).await;
+                }
+            })
         });
     }));
     let report = panic_text(result.expect_err("mismatched collectives must abort, not hang"));
@@ -51,13 +51,15 @@ fn disagreeing_gather_roots_deadlock_is_reported() {
     // Both ranks call the *same* collective with the same counts, so the
     // matching lint is satisfied — but they disagree on the root, so each
     // waits for the other's contribution: a genuine communication
-    // deadlock that only the watchdog can catch.
+    // deadlock, which the scheduler proves at pick time.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        World::new(2, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
-            let wc = rank.world_comm();
-            let mine = vec![rank.world_rank() as f64; 4];
-            let root = rank.world_rank(); // everyone thinks *they* are root
-            gather_v(rank, &wc, &mine, &[4, 4], root);
+        World::new(2, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let mine = vec![rank.world_rank() as f64; 4];
+                let root = rank.world_rank(); // everyone thinks *they* are root
+                gather_v_a(rank, &wc, &mine, &[4, 4], root).await;
+            })
         });
     }));
     let report = panic_text(result.expect_err("disagreeing roots must deadlock and abort"));

@@ -11,8 +11,8 @@
 //! completes *canonically* (always the smallest runnable rank), so every
 //! node of the tree can be visited by an ordinary `World` run — including
 //! nodes whose subtree ends in a deadlock or verifier abort, because
-//! [`World::try_run`] hands back the recorded choice log even when the
-//! run fails.
+//! [`World::try_run_async`] hands back the recorded choice log even when
+//! the run fails.
 //!
 //! ## Pruning
 //!
@@ -35,7 +35,7 @@
 //! choice prefix in canonical `PMM_SCHEDULE=prefix:...` form.
 //!
 //! [`World`]: pmm_simnet::World
-//! [`World::try_run`]: pmm_simnet::World::try_run
+//! [`World::try_run_async`]: pmm_simnet::World::try_run_async
 //! [`Schedule::Prefix`]: pmm_simnet::Schedule
 
 use std::collections::{BTreeSet, HashMap};
@@ -169,70 +169,29 @@ struct Node {
     sleep: Vec<SleepEntry>,
 }
 
-/// Explore the schedule space of `program` on `world`, invoking
-/// `on_schedule` once per explored maximal schedule with the full choice
-/// sequence and the run's outcome — a [`WorldResult`] or, for schedules
-/// that end in a verifier abort / deadlock / rank panic, the captured
-/// [`RunFailure`]. Returning `Err` from the callback stops the walk and
-/// surfaces a [`ScheduleFailure`] naming the choice prefix.
+/// Explore the schedule space of the async `program` on `world`,
+/// invoking `on_schedule` once per explored maximal schedule with the
+/// full choice sequence and the run's outcome — a [`WorldResult`] or, for
+/// schedules that end in a verifier abort / deadlock / rank panic, the
+/// captured [`RunFailure`]. Returning `Err` from the callback stops the
+/// walk and surfaces a [`ScheduleFailure`] naming the choice prefix.
+/// Every explored schedule is one [`World::run_async`] under a
+/// [`Schedule::Prefix`].
 ///
 /// This is the engine; [`explore`] and [`explore_checked`] wrap it with
 /// the standard schedule-independence checks. `world` must **not**
 /// already carry a schedule — the explorer owns that knob.
+///
+/// [`World::run_async`]: pmm_simnet::World::run_async
 pub fn explore_outcomes<T, F, C>(
     world: &World,
     program: F,
     cfg: &ExploreConfig,
-    on_schedule: C,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send,
-    F: Fn(&mut Rank) -> T + Send + Sync,
-    C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
-{
-    explore_with_runner(
-        cfg,
-        |prefix| world.clone().with_schedule(Schedule::Prefix(prefix)).try_run(&program),
-        on_schedule,
-    )
-}
-
-/// [`explore_outcomes`] for **async** rank programs: every explored
-/// schedule runs through [`World::run_async`], i.e. as continuations on
-/// the event loop. The choice tree is host-independent — thread-hosted
-/// and loop-hosted ranks drive the identical deterministic scheduler
-/// through the identical primitives — so certificates (schedule counts)
-/// are the same as [`explore_outcomes`] finds for the sync form.
-pub fn explore_outcomes_async<T, F, C>(
-    world: &World,
-    program: F,
-    cfg: &ExploreConfig,
-    on_schedule: C,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-    C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
-{
-    explore_with_runner(
-        cfg,
-        |prefix| world.clone().with_schedule(Schedule::Prefix(prefix)).try_run_async(&program),
-        on_schedule,
-    )
-}
-
-/// The host-agnostic DPOR walk: `run_prefix` executes one world run
-/// under a given choice prefix (sync or async program — the walk only
-/// sees the [`WorldResult`] / [`RunFailure`] artifacts, which both
-/// hosts produce identically).
-fn explore_with_runner<T, R, C>(
-    cfg: &ExploreConfig,
-    run_prefix: R,
     mut on_schedule: C,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
     T: Send,
-    R: Fn(Vec<usize>) -> Result<WorldResult<T>, RunFailure>,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
 {
     let started = Instant::now();
@@ -257,7 +216,8 @@ where
             return Ok(report);
         }
 
-        let outcome = run_prefix(node.prefix.clone());
+        let schedule = Schedule::Prefix(node.prefix.clone());
+        let outcome = world.clone().with_schedule(schedule).try_run_async(&program);
         report.runs += 1;
 
         let unrecorded = ChoiceLog::default();
@@ -463,7 +423,7 @@ pub fn explore_checked<T, F, C>(
 ) -> Result<ExploreReport, ScheduleFailure>
 where
     T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     C: FnMut(&WorldResult<T>) -> Result<(), String>,
 {
     let mut indep = IndependenceChecker::default();
@@ -472,41 +432,6 @@ where
         indep.check(out)?;
         check(out)
     })
-}
-
-/// [`explore_checked`] for async rank programs (see
-/// [`explore_outcomes_async`]).
-pub fn explore_checked_async<T, F, C>(
-    world: &World,
-    program: F,
-    cfg: &ExploreConfig,
-    mut check: C,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-    C: FnMut(&WorldResult<T>) -> Result<(), String>,
-{
-    let mut indep = IndependenceChecker::default();
-    explore_outcomes_async(world, program, cfg, |_choices, outcome| {
-        let out = outcome.map_err(|fail| format!("schedule fails: {}", fail.report))?;
-        indep.check(out)?;
-        check(out)
-    })
-}
-
-/// [`explore`] for async rank programs: schedule-independence and
-/// failure-freedom on the event loop.
-pub fn explore_async<T, F>(
-    world: &World,
-    program: F,
-    cfg: &ExploreConfig,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-{
-    explore_checked_async(world, program, cfg, |_| Ok(()))
 }
 
 /// [`explore_checked`] with no extra oracle: schedule-independence and
@@ -518,7 +443,7 @@ pub fn explore<T, F>(
 ) -> Result<ExploreReport, ScheduleFailure>
 where
     T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
 {
     explore_checked(world, program, cfg, |_| Ok(()))
 }

@@ -31,11 +31,13 @@
 //! let report = explore(
 //!     &world,
 //!     |rank| {
-//!         let comm = rank.world_comm();
-//!         let me = rank.world_rank();
-//!         let n = comm.size();
-//!         let msg = rank.exchange(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]);
-//!         msg.payload[0]
+//!         Box::pin(async move {
+//!             let comm = rank.world_comm();
+//!             let me = rank.world_rank();
+//!             let n = comm.size();
+//!             let (to, from) = ((me + 1) % n, (me + n - 1) % n);
+//!             rank.exchange_a(&comm, to, from, &[me as f64]).await.payload[0]
+//!         })
 //!     },
 //!     &ExploreConfig::exhaustive(),
 //! )
@@ -53,9 +55,8 @@ pub mod dpor;
 pub mod synth;
 
 pub use dpor::{
-    explore, explore_async, explore_checked, explore_checked_async, explore_outcomes,
-    explore_outcomes_async, ExploreConfig, ExploreReport, ScheduleFailure, ScheduleOutcome,
-    Strategy,
+    explore, explore_checked, explore_outcomes, ExploreConfig, ExploreReport, ScheduleFailure,
+    ScheduleOutcome, Strategy,
 };
 pub use synth::{
     generate, interpret, run_generated, soak, verdict, world_for, GStep, GenOutcome, GenProgram,

@@ -25,7 +25,9 @@
 //! | [`Intent::SplitDisorder`] | one member reorders a collective against a `split` on the same communicator | `collective mismatch` |
 //! | [`Intent::UndrainedTraffic`] | a message sent that no one receives, under strict drain | `undrained` / conservation |
 
-use pmm_simnet::{CollectiveOp, Comm, FaultPlan, MachineParams, Rank, Schedule, World};
+use pmm_simnet::{
+    CollectiveOp, Comm, FaultPlan, LocalBoxFuture, MachineParams, Rank, Schedule, World,
+};
 
 /// What a generated program is *supposed* to do — the oracle label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,81 +250,89 @@ pub fn generate(seed: u64) -> GenProgram {
 }
 
 /// Interpret `steps` over `comm`, returning a checksum of received
-/// payloads (so results are comparable across schedules).
-fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
-    let me = comm.index();
-    let n = comm.size();
-    let mut acc = 0.0;
-    for step in steps {
-        match step {
-            GStep::Compute(flops) => rank.compute(f64::from(*flops)),
-            GStep::RingShift { words } => {
-                if n >= 2 {
-                    let to = (me + 1) % n;
-                    let from = (me + n - 1) % n;
-                    let payload = vec![me as f64 + 1.0; *words];
-                    acc += rank.exchange(comm, to, from, &payload).payload.iter().sum::<f64>();
-                }
-            }
-            GStep::GatherToRoot { root, words, skip_sender } => {
-                let root = root % n;
-                if me == root {
-                    // The root receives from every member — including a
-                    // skipped sender, whose missing message is the
-                    // injected deadlock.
-                    for from in (0..n).filter(|f| *f != root) {
-                        acc += rank.recv(comm, from).payload.iter().sum::<f64>();
+/// payloads (so results are comparable across schedules). Boxed because
+/// a split phase interprets its steps recursively.
+fn run_steps<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    steps: &'a [GStep],
+) -> LocalBoxFuture<'a, f64> {
+    Box::pin(async move {
+        let me = comm.index();
+        let n = comm.size();
+        let mut acc = 0.0;
+        for step in steps {
+            match step {
+                GStep::Compute(flops) => rank.compute(f64::from(*flops)),
+                GStep::RingShift { words } => {
+                    if n >= 2 {
+                        let to = (me + 1) % n;
+                        let from = (me + n - 1) % n;
+                        let payload = vec![me as f64 + 1.0; *words];
+                        let msg = rank.exchange_a(comm, to, from, &payload).await;
+                        acc += msg.payload.iter().sum::<f64>();
                     }
-                } else if *skip_sender != Some(me) {
-                    rank.send(comm, root, &vec![me as f64 + 1.0; *words]);
                 }
-            }
-            GStep::PairExchange { words } => {
-                let partner = if me.is_multiple_of(2) { me + 1 } else { me - 1 };
-                if partner < n {
-                    let payload = vec![me as f64 + 1.0; *words];
-                    acc +=
-                        rank.exchange(comm, partner, partner, &payload).payload.iter().sum::<f64>();
+                GStep::GatherToRoot { root, words, skip_sender } => {
+                    let root = root % n;
+                    if me == root {
+                        // The root receives from every member — including a
+                        // skipped sender, whose missing message is the
+                        // injected deadlock.
+                        for from in (0..n).filter(|f| *f != root) {
+                            acc += rank.recv_a(comm, from).await.payload.iter().sum::<f64>();
+                        }
+                    } else if *skip_sender != Some(me) {
+                        rank.send_a(comm, root, &vec![me as f64 + 1.0; *words]).await;
+                    }
                 }
-            }
-            GStep::Register { op, elems, odd_one } => match odd_one {
-                Some((victim, vop, velems)) if *victim % n == me => {
-                    rank.collective_begin(comm, *vop, *velems);
+                GStep::PairExchange { words } => {
+                    let partner = if me.is_multiple_of(2) { me + 1 } else { me - 1 };
+                    if partner < n {
+                        let payload = vec![me as f64 + 1.0; *words];
+                        let msg = rank.exchange_a(comm, partner, partner, &payload).await;
+                        acc += msg.payload.iter().sum::<f64>();
+                    }
                 }
-                _ => rank.collective_begin(comm, *op, *elems),
-            },
-            GStep::Barrier => rank.hard_sync(),
-            GStep::SplitPhase { steps, disorder } => {
-                if n < 2 {
-                    acc += run_steps(rank, comm, steps);
-                    continue;
+                GStep::Register { op, elems, odd_one } => match odd_one {
+                    Some((victim, vop, velems)) if *victim % n == me => {
+                        rank.collective_begin_a(comm, *vop, *velems).await;
+                    }
+                    _ => rank.collective_begin_a(comm, *op, *elems).await,
+                },
+                GStep::Barrier => rank.hard_sync_a().await,
+                GStep::SplitPhase { steps, disorder } => {
+                    if n < 2 {
+                        acc += run_steps(rank, comm, steps).await;
+                        continue;
+                    }
+                    if *disorder && me == 0 {
+                        rank.collective_begin_a(comm, CollectiveOp::AllReduce, 8).await;
+                    }
+                    let sub = rank.split_a(comm, (me % 2) as i64, me as i64).await;
+                    if *disorder && me != 0 {
+                        rank.collective_begin_a(comm, CollectiveOp::AllReduce, 8).await;
+                    }
+                    if let Some(sub) = sub {
+                        acc += run_steps(rank, &sub, steps).await;
+                    }
                 }
-                if *disorder && me == 0 {
-                    rank.collective_begin(comm, CollectiveOp::AllReduce, 8);
-                }
-                let sub = rank.split(comm, (me % 2) as i64, me as i64);
-                if *disorder && me != 0 {
-                    rank.collective_begin(comm, CollectiveOp::AllReduce, 8);
-                }
-                if let Some(sub) = sub {
-                    acc += run_steps(rank, &sub, steps);
-                }
-            }
-            GStep::OrphanSend { words } => {
-                if n >= 2 && me == n - 1 {
-                    rank.send(comm, 0, &vec![1.0; *words]);
+                GStep::OrphanSend { words } => {
+                    if n >= 2 && me == n - 1 {
+                        rank.send_a(comm, 0, &vec![1.0; *words]).await;
+                    }
                 }
             }
         }
-    }
-    acc
+        acc
+    })
 }
 
-/// Run `prog` as an SPMD program on a rank (the entry point handed to
-/// [`World::run`] / the explorer).
-pub fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
+/// Run `prog` as an SPMD program on a rank (the body a
+/// [`World::run_async`] program or the explorer awaits).
+pub async fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
     let world = rank.world_comm();
-    run_steps(rank, &world, &prog.steps)
+    run_steps(rank, &world, &prog.steps).await
 }
 
 /// Build the world a generated program is meant to run under: the
@@ -349,7 +359,11 @@ pub struct GenOutcome {
 /// Execute `prog` once under [`world_for`] and capture whether any check
 /// flagged it.
 pub fn run_generated(prog: &GenProgram) -> GenOutcome {
-    match world_for(prog).try_run(|rank| interpret(prog, rank)) {
+    let run = world_for(prog).try_run_async(|rank| {
+        let prog = prog.clone();
+        Box::pin(async move { interpret(&prog, rank).await })
+    });
+    match run {
         Ok(_) => GenOutcome { flagged: None },
         Err(failure) => GenOutcome { flagged: Some(failure.report) },
     }

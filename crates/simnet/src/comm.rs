@@ -14,7 +14,7 @@ use crate::fabric::{Ctx, Mailboxes};
 /// A communicator: an ordered group of world ranks sharing a context.
 ///
 /// Indices *within* the communicator (`0..size()`) are the addressing used
-/// by [`Rank::send`](crate::Rank::send) and friends, exactly like MPI
+/// by [`Rank::send_a`](crate::Rank::send_a) and friends, exactly like MPI
 /// ranks within a sub-communicator.
 #[derive(Clone)]
 pub struct Comm {

@@ -1,26 +1,25 @@
-//! How rank programs are driven: continuations, their hosts, and the
-//! bridge from sync code.
+//! How rank programs are driven: continuations and their hosts.
 //!
 //! Every rank program is a resumable continuation: a plain Rust future
 //! built from the async `_a` primitives (`Rank::recv_a` etc.), which
 //! suspend at exactly one kind of point — a scheduler yield
-//! (`BatonYield` in `fabric.rs`). A [`World`](crate::World) gives each
-//! continuation a *host*, chosen by the form of the program, never by a
-//! knob:
+//! (`BatonYield` in `fabric.rs`). Everything the workspace runs is
+//! hosted by [`World::run_async`](crate::World::run_async): the
+//! continuations live in a slab and the calling thread polls exactly the
+//! rank that holds the scheduler baton, so a world of P ranks costs P
+//! futures, not P OS threads, and worlds of 10^5–10^6 ranks execute for
+//! real.
 //!
-//! - [`World::run_async`](crate::World::run_async) (an async closure)
-//!   stores the continuations in a slab and polls, on the calling
-//!   thread, exactly the rank that holds the scheduler baton — a world
-//!   of P ranks costs P futures, not P OS threads, so worlds of
-//!   10^5–10^6 ranks execute for real.
-//! - [`World::run`](crate::World::run) (a sync closure, which cannot
-//!   suspend) gives every rank an OS thread. The sync primitives
-//!   (`Rank::recv` etc.) are `poll_now(self.recv_a(..))`: on a thread
-//!   host a yield *parks the thread* inside the poll instead of
-//!   returning `Pending`, so the same body completes in one poll. With
-//!   [`with_seed`](crate::World::with_seed) /
-//!   [`with_schedule`](crate::World::with_schedule) the threads pass the
-//!   scheduler baton among themselves; without, they free-run.
+//! A second host, [`World::run`](crate::World::run), gives every rank of
+//! a *sync* closure an OS thread. It is kept only as the compatibility
+//! host of the frozen benchmark, whose six sync algorithm entry points
+//! (`alg1`, `alg1_streamed`, `cannon`, `summa`, `twofived`, `carma`)
+//! are each [`poll_now`] over their `_a` body: on a thread host a yield
+//! *parks the thread* inside the poll instead of returning `Pending`, so
+//! the same body completes in one poll. With
+//! [`with_seed`](crate::World::with_seed) /
+//! [`with_schedule`](crate::World::with_schedule) the threads pass the
+//! scheduler baton among themselves; without, they free-run.
 //!
 //! There is one implementation of every primitive and one deterministic
 //! scheduler (`SchedInner` in `fabric.rs`): picks, `SchedEvent` logs,
@@ -40,14 +39,14 @@ pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// Drive `fut` to completion in a single poll.
 ///
-/// This is how every sync wrapper (e.g. [`Rank::recv`](crate::Rank::recv)
-/// wrapping `recv_a`) executes its async body: on a thread host the
-/// yield points park the thread *inside* `poll`, so the future always
-/// completes in one poll.
+/// This is how the benchmark's sync algorithm entry points (e.g.
+/// `pmm_algs::alg1` wrapping `alg1_a`) execute their async body on a
+/// [`World::run`](crate::World::run) thread: the yield points park the
+/// thread *inside* `poll`, so the future always completes in one poll.
 ///
 /// # Panics
 ///
-/// Panics if the future suspends, which means a sync primitive was
+/// Panics if the future suspends, which means a sync entry point was
 /// called from a continuation on the event loop
 /// ([`World::run_async`](crate::World::run_async)) — a bug in the caller.
 pub fn poll_now<F: Future>(fut: F) -> F::Output {
@@ -57,8 +56,8 @@ pub fn poll_now<F: Future>(fut: F) -> F::Output {
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(v) => v,
         Poll::Pending => panic!(
-            "pmm-simnet: future suspended outside the event loop (a sync primitive was \
-             called inside World::run_async; use the async `_a` form of it and await it)"
+            "pmm-simnet: future suspended outside the event loop (a sync algorithm entry \
+             point was called inside World::run_async; await its async `_a` form instead)"
         ),
     }
 }

@@ -28,8 +28,13 @@
 //! *does* depends on who hosts the rank, and `BatonYield::poll` is the
 //! only code that knows:
 //!
-//! - **loop-hosted** (`World::run_async`): the continuation returns
-//!   `Pending`; the executor polls whoever the scheduler's pick named.
+//! - **loop-hosted** (`World::run_async`, every program the workspace
+//!   owns): the continuation returns `Pending`; the executor polls
+//!   whoever the scheduler's pick named.
+//!
+//! The other two cases exist only for `World::run`, the OS-thread host
+//! kept for the frozen benchmark's sync algorithm entry points:
+//!
 //! - **thread-hosted under a schedule** (`World::run` with a seed or a
 //!   prefix): the pick unparks the thread of the rank it named, and the
 //!   yielding thread parks until the baton comes back.
@@ -42,8 +47,8 @@
 //! `thread::park` keeps a token, so an unpark that lands between a
 //! failed check and the park is not lost; parks carry a timeout only as
 //! a safety net. `Fabric::watchdog_scan` implements the deadlock
-//! detector for free-running worlds (under a schedule a deadlock is
-//! proven at pick time).
+//! detector for free-running worlds (under a schedule — every loop-hosted
+//! run — a deadlock is proven at pick time).
 //!
 //! Lock ordering (to keep the fabric itself deadlock-free): any
 //! primitive lock (mailbox queue, split state, barrier state) → verify

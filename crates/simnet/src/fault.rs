@@ -7,7 +7,7 @@
 //! operation. Every per-copy decision is a pure hash of
 //! `(fault seed, ctx, sender, receiver, channel sequence, attempt)`
 //! through the same SplitMix64 mixer the deterministic scheduler uses —
-//! so outcomes are independent of thread interleaving, and the triple
+//! so outcomes are independent of the interleaving, and the triple
 //! `(program, seed, plan)` replays byte-identically.
 //!
 //! Beyond the single-copy faults, a plan composes three multi-fault
@@ -29,7 +29,7 @@
 //!   is independently slowed by `FACTOR` with probability `RATE`,
 //!   drawn from a pure hash of (fault seed, rank).
 //!
-//! On top of the lossy fabric, [`Rank::send`] runs a reliable-delivery
+//! On top of the lossy fabric, [`Rank::send_a`] runs a reliable-delivery
 //! protocol: sends are sequence-numbered and acknowledged, with a
 //! configurable retransmission timeout and capped exponential backoff.
 //! The receive side discards duplicates (by sequence number) and
@@ -39,14 +39,14 @@
 //! add on top of the tight bound.
 //!
 //! Rank death is surfaced as a typed [`RankFailed`] error through
-//! [`Rank::catch_failures`] instead of a hang: survivors blocked on the
-//! dead rank are kicked out of their waits, and the watchdog/scheduler
+//! [`catch_failures_async!`] instead of a hang: survivors blocked on the
+//! dead rank are kicked out of their waits, and the scheduler
 //! report the failure (naming the fault-plan entry and replay seed)
 //! rather than a spurious deadlock.
 //!
 //! [`World::with_faults`]: crate::World::with_faults
-//! [`Rank::send`]: crate::Rank::send
-//! [`Rank::catch_failures`]: crate::Rank::catch_failures
+//! [`Rank::send_a`]: crate::Rank::send_a
+//! [`catch_failures_async!`]: crate::catch_failures_async
 //! [`Meter`]: crate::Meter
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,9 +156,12 @@ pub struct Storm {
 /// let out = World::new(2, MachineParams::BANDWIDTH_ONLY)
 ///     .with_seed(42)
 ///     .with_faults(plan)
-///     .run(|rank| {
-///         let wc = rank.world_comm();
-///         rank.sendrecv(&wc, 1 - wc.index(), &[rank.world_rank() as f64; 4]).payload
+///     .run_async(|rank| {
+///         Box::pin(async move {
+///             let wc = rank.world_comm();
+///             let mine = [rank.world_rank() as f64; 4];
+///             rank.sendrecv_a(&wc, 1 - wc.index(), &mine).await.payload
+///         })
 ///     });
 /// assert_eq!(out.values[0], vec![1.0; 4]); // payload intact despite drops
 /// assert_eq!(out.reports[0].meter.words_sent, 4); // goodput excludes retries
@@ -676,7 +679,7 @@ pub(crate) struct MsgMeta {
 }
 
 /// Typed error surfaced when a rank dies under the fault plan: returned
-/// by [`Rank::catch_failures`](crate::Rank::catch_failures) both on the
+/// by [`catch_failures_async!`](crate::catch_failures_async) both on the
 /// killed rank itself and on survivors whose communication can no longer
 /// complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -696,8 +699,8 @@ impl std::fmt::Display for RankFailed {
 impl std::error::Error for RankFailed {}
 
 /// Panic payload used to unwind a rank to its
-/// [`catch_failures`](crate::Rank::catch_failures) boundary on a fault.
-/// `World::run` converts an uncaught one into a typed failure report
+/// fault-catching scope ([`catch_fault_panics`](crate::catch_fault_panics))
+/// on a fault. The runners convert an uncaught one into a typed failure report
 /// instead of a bare "rank panicked".
 pub(crate) struct FaultPanic(pub(crate) RankFailed);
 

@@ -2,15 +2,15 @@
 //!
 //! This crate is the workspace's substitute for an MPI cluster. It realizes
 //! the α-β-γ machine model of §3.1 of the paper as a *real concurrent
-//! execution*: every simulated processor ("rank") is a program with
-//! private data — a continuation on a deterministic event loop
-//! ([`World::run_async`], 10^5–10^6 ranks) or a sync closure on an OS
-//! thread of its own ([`World::run`]) — and the **only** way data moves
-//! between ranks is through explicit messages over channels.
-//! Consequently, the word counts metered here are exactly the
-//! communication volumes a distributed implementation would incur — which
-//! is the quantity the paper's lower bounds constrain. Both hosts run the
-//! same single implementation of every primitive; see [`engine`].
+//! execution*: every simulated processor ("rank") is an async program
+//! with private data, a continuation on a deterministic event loop
+//! ([`World::run_async`], 10^5–10^6 ranks on one thread), and the
+//! **only** way data moves between ranks is through explicit messages
+//! over channels. Consequently, the word counts metered here are exactly
+//! the communication volumes a distributed implementation would incur —
+//! which is the quantity the paper's lower bounds constrain. A second,
+//! OS-thread host ([`World::run`]) survives only for the frozen
+//! benchmark's sync entry points; see [`engine`].
 //!
 //! ## What is metered
 //!
@@ -37,40 +37,40 @@
 //! use pmm_simnet::World;
 //!
 //! // 4 ranks; each sends its rank to rank 0.
-//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(|rank| {
-//!     let world = rank.world_comm();
-//!     if rank.world_rank() == 0 {
-//!         let mut sum = 0.0;
-//!         for from in 1..4 {
-//!             sum += rank.recv(&world, from).payload[0];
+//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+//!     Box::pin(async move {
+//!         let world = rank.world_comm();
+//!         if rank.world_rank() == 0 {
+//!             let mut sum = 0.0;
+//!             for from in 1..4 {
+//!                 sum += rank.recv_a(&world, from).await.payload[0];
+//!             }
+//!             sum
+//!         } else {
+//!             rank.send_a(&world, 0, &[rank.world_rank() as f64]).await;
+//!             0.0
 //!         }
-//!         sum
-//!     } else {
-//!         rank.send(&world, 0, &[rank.world_rank() as f64]);
-//!         0.0
-//!     }
+//!     })
 //! });
 //! assert_eq!(out.values[0], 6.0);
 //! assert_eq!(out.total_words_sent(), 3.0);
 //! ```
 //!
-//! Deadlock note: mailboxes are unbounded, so `send` never blocks; `recv`
-//! blocks until the matching message arrives. A program that receives a
-//! message that was never sent would block forever — as under MPI — but
-//! the [`verify`] layer turns that into a *checked* failure: the
-//! scheduler (or, for free-running threads in debug builds, a watchdog)
-//! detects the deadlock and panics with a report naming every blocked
-//! rank, its operation, communicator context, and call site, and a
-//! collective-matching lint flags mismatched collectives
-//! deterministically before they hang. See [`World::with_watchdog`] and
-//! the `verify` module docs.
+//! Deadlock note: mailboxes are unbounded, so `send_a` never blocks;
+//! `recv_a` suspends until the matching message arrives. A program that
+//! receives a message that was never sent would block forever — as under
+//! MPI — but the [`verify`] layer turns that into a *checked* failure:
+//! the scheduler proves the deadlock at pick time and panics with a
+//! report naming every blocked rank, its operation, communicator context,
+//! and call site, and a collective-matching lint flags mismatched
+//! collectives deterministically before they hang. See the `verify`
+//! module docs.
 //!
-//! Reproducibility note: by default the ranks of a sync-closure
-//! [`World::run`] free-run on their threads, so interleavings differ
-//! between runs (meters and clocks do not). [`World::with_seed`] switches
-//! to a seeded cooperative scheduler that serializes rank progress at every
-//! blocking point and records a byte-identical [`ScheduleTrace`] — see
-//! the [`trace`] module for golden-trace replay
+//! Reproducibility note: every run is scheduled by one deterministic
+//! scheduler — the canonical schedule (smallest runnable rank first) by
+//! default, a seeded one under [`World::with_seed`] — which serializes
+//! rank progress at every blocking point and records a byte-identical
+//! [`ScheduleTrace`]. See the [`trace`] module for golden-trace replay
 //! ([`ScheduleTrace::assert_matches`]), the [`fuzz_schedules`] harness,
 //! and the `PMM_SEED` replay knob ([`seed_from_env`]).
 //!
@@ -79,9 +79,9 @@
 //! sequence-numbered, checksummed reliable-delivery layer whose
 //! retransmissions are metered separately from goodput), slows ranks into
 //! stragglers, or kills ranks outright — with killed ranks surfacing as
-//! typed [`RankFailed`] errors via [`Rank::catch_failures`] so programs
+//! typed [`RankFailed`] errors via [`catch_failures_async!`] so programs
 //! can rebuild a communicator over the survivors
-//! ([`Rank::recovery_split`]) and recompute. See the [`fault`] module.
+//! ([`Rank::recovery_split_a`]) and recompute. See the [`fault`] module.
 
 #![warn(missing_docs)]
 

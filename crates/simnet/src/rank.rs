@@ -1,14 +1,12 @@
 //! The per-rank handle: messaging, clocks, meters, memory.
 //!
-//! Every communication primitive has two forms sharing one body: the
-//! async `_a` form (what [`World::run_async`](crate::World::run_async)
-//! programs and the async collectives call) and a sync wrapper that
-//! drives the same future to completion in a single poll via
-//! [`poll_now`]. Nothing here knows how the rank is hosted: the body
-//! awaits the fabric's yield points, which park the thread of a
-//! [`World::run`](crate::World::run) rank inside the poll and suspend the
-//! continuation of a `run_async` rank (where only the `_a` forms may be
-//! used).
+//! Every communication primitive is one async `_a` method, awaited by
+//! [`World::run_async`](crate::World::run_async) programs and the async
+//! collectives. Nothing here knows how the rank is hosted: the body
+//! awaits the fabric's yield points, which suspend the continuation of a
+//! loop-hosted rank and park the thread of a
+//! [`World::run`](crate::World::run) rank inside
+//! [`poll_now`](crate::poll_now).
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -20,14 +18,13 @@ use std::task::Poll;
 use pmm_model::MachineParams;
 
 use crate::comm::Comm;
-use crate::engine::poll_now;
 use crate::fabric::{Ctx, Fabric, Message, WORLD_CTX};
 use crate::fault::{self, FaultAction, FaultKick, FaultPanic, MsgMeta, RankFailed};
 use crate::meter::{MemTracker, Meter};
 use crate::tracer::{TraceEvent, TraceOp};
 use crate::verify::CollectiveOp;
 
-/// Base sequence number of [`Rank::recovery_split`] rendezvous, far above
+/// Base sequence number of [`Rank::recovery_split_a`] rendezvous, far above
 /// any per-communicator split counter a program could reach, so recovery
 /// splits can never collide with a rendezvous abandoned at a kill.
 const RECOVERY_SPLIT_SEQ_BASE: u64 = 1 << 32;
@@ -141,9 +138,19 @@ pub async fn catch_fault_panics<T>(fut: impl Future<Output = T>) -> Result<T, Ra
     }
 }
 
-/// Async form of [`Rank::catch_failures`]: run a future-producing
-/// expression in a fault-catching scope on `rank`, yielding
-/// `Result<T, RankFailed>`.
+/// Run a future-producing expression in a fault-catching scope on
+/// `rank`, yielding `Result<T, RankFailed>`: an injected rank failure —
+/// this rank killed by the plan, or a peer dying while this rank was
+/// blocked on it — becomes a typed [`RankFailed`] error instead of a
+/// panic. While the scope is active, every blocking operation watches
+/// the fault epoch and is kicked out promptly when any rank dies; outside
+/// a scope a death surfaces through the scheduler's failure report.
+/// Panics that are not injected faults propagate unchanged.
+///
+/// After an `Err` the program must not reuse communicators that may have
+/// been abandoned mid-collective: synchronize the survivors with
+/// [`Rank::hard_sync_a`] and rebuild communicators from a
+/// [`Rank::recovery_split_a`].
 ///
 /// ```
 /// use pmm_simnet::{catch_failures_async, FaultPlan, MachineParams, World};
@@ -169,8 +176,7 @@ pub async fn catch_fault_panics<T>(fut: impl Future<Output = T>) -> Result<T, Ra
 ///
 /// The expansion brackets the body with [`Rank::fault_watch_arm`] /
 /// [`Rank::fault_watch_restore`] and polls it through
-/// [`catch_fault_panics`], so the scope semantics match the sync form
-/// exactly.
+/// [`catch_fault_panics`].
 #[macro_export]
 macro_rules! catch_failures_async {
     ($rank:expr, $body:expr) => {{
@@ -185,7 +191,7 @@ macro_rules! catch_failures_async {
 /// ([`World::run_async`](crate::World::run_async)) or an OS thread of its
 /// own ([`World::run`](crate::World::run)). The rank program receives
 /// `&mut Rank` and may keep arbitrary private state — the only inter-rank
-/// data path is [`Rank::send`] / [`Rank::recv`].
+/// data path is [`Rank::send_a`] / [`Rank::recv_a`].
 pub struct Rank {
     world_rank: usize,
     /// The world communicator. [`Rank::world_comm`] hands out clones, so
@@ -217,7 +223,8 @@ pub struct Rank {
     /// Communication operations entered so far (the kill schedule's
     /// clock; only ticked when a fault plan is attached).
     op_count: u64,
-    /// Fault-epoch watermark while inside [`Rank::catch_failures`]; when
+    /// Fault-epoch watermark while inside a fault-catching scope
+    /// ([`catch_failures_async!`](crate::catch_failures_async)); when
     /// the fabric's epoch moves past it, blocking operations raise a
     /// typed failure instead of waiting on a dead rank.
     fault_watch: Option<u64>,
@@ -327,7 +334,7 @@ impl Rank {
         self.fault_watch.is_some_and(|watch| self.fabric.fault_epoch() > watch)
     }
 
-    /// Unwind to the nearest [`Rank::catch_failures`] boundary because a
+    /// Unwind to the nearest fault-catching scope because a
     /// peer died under us.
     fn raise_peer_failure(&self) -> ! {
         let dead = self.fabric.dead_ranks();
@@ -339,32 +346,9 @@ impl Rank {
         std::panic::panic_any(FaultPanic(RankFailed { rank, detail }));
     }
 
-    /// Run `f`, converting an injected rank failure — this rank killed by
-    /// the plan, or a peer dying while this rank was blocked on it — into
-    /// a typed [`RankFailed`] error instead of a thread panic. While the
-    /// scope is active, every blocking operation watches the fault epoch
-    /// and is kicked out promptly when any rank dies; outside a scope a
-    /// death surfaces through the watchdog / scheduler failure report.
-    /// Panics that are not injected faults propagate unchanged.
-    ///
-    /// After an `Err` the program must not reuse communicators that may
-    /// have been abandoned mid-collective: synchronize the survivors with
-    /// [`Rank::hard_sync`] and rebuild communicators from a
-    /// [`Rank::recovery_split`].
-    pub fn catch_failures<T>(&mut self, f: impl FnOnce(&mut Rank) -> T) -> Result<T, RankFailed> {
-        let watch = self.fault_watch_arm();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-        self.fault_watch_restore(watch);
-        match result {
-            Ok(v) => Ok(v),
-            Err(payload) => Err(fault_panic_payload(payload)),
-        }
-    }
-
-    /// Open a fault-catching scope by hand: the async counterpart of
-    /// [`Rank::catch_failures`]. A closure-based async scope cannot be
-    /// expressed without `'static` bounds (the scoped future would have
-    /// to borrow both the rank and the closure's captures), so async
+    /// Open a fault-catching scope by hand. A closure-based async scope
+    /// cannot be expressed without `'static` bounds (the scoped future
+    /// would have to borrow both the rank and the closure's captures), so
     /// programs bracket the scope explicitly:
     ///
     /// ```text
@@ -374,9 +358,8 @@ impl Rank {
     /// ```
     ///
     /// or use the [`catch_failures_async!`](crate::catch_failures_async)
-    /// macro, which expands to exactly that. The scope contract (armed
-    /// ranks are kicked out of blocking operations promptly when a peer
-    /// dies) is identical to the sync form.
+    /// macro, which expands to exactly that: armed ranks are kicked out of
+    /// blocking operations promptly when a peer dies.
     pub fn fault_watch_arm(&mut self) -> FaultWatch {
         let prev = self.fault_watch;
         self.fault_watch = Some(self.fabric.fault_epoch());
@@ -692,11 +675,6 @@ impl Rank {
     /// Cost model (eager/postal): the sender is busy for `α + βw`; the
     /// message arrives at `send_start + α + βw`, and the receiver is busy
     /// for `α + βw` after the later of (its own readiness, the send start).
-    pub fn send(&mut self, comm: &Comm, to: usize, payload: &[f64]) {
-        poll_now(self.send_a(comm, to, payload));
-    }
-
-    /// Async form of [`Rank::send`].
     pub async fn send_a(&mut self, comm: &Comm, to: usize, payload: &[f64]) {
         self.check_abort();
         self.fault_tick();
@@ -718,13 +696,8 @@ impl Rank {
         self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
     }
 
-    /// Blockingly receive the next message from member `from` of `comm`.
-    #[track_caller]
-    pub fn recv(&mut self, comm: &Comm, from: usize) -> Message {
-        poll_now(self.recv_a(comm, from))
-    }
-
-    /// Async form of [`Rank::recv`].
+    /// Receive the next message from member `from` of `comm`, suspending
+    /// until it arrives.
     #[track_caller]
     pub fn recv_a<'r>(
         &'r mut self,
@@ -761,17 +734,11 @@ impl Rank {
     /// Full-duplex exchange with `partner`: send `payload` and receive the
     /// partner's message *in the same transfer step*.
     ///
-    /// Both sides must call `sendrecv` for the duplex costing to be
+    /// Both sides must call `sendrecv_a` for the duplex costing to be
     /// symmetric. Cost: `α + β·max(w_sent, w_recv)` starting when both
     /// sides are ready — this is the §3.1 "pair of processors can exchange
     /// data with no contention" rule, and what bandwidth-optimal collectives
     /// (recursive doubling/halving, bidirectional ring) rely on.
-    #[track_caller]
-    pub fn sendrecv(&mut self, comm: &Comm, partner: usize, payload: &[f64]) -> Message {
-        self.exchange(comm, partner, partner, payload)
-    }
-
-    /// Async form of [`Rank::sendrecv`].
     #[track_caller]
     pub fn sendrecv_a<'r>(
         &'r mut self,
@@ -789,12 +756,6 @@ impl Rank {
     /// the incoming message are ready — §3.1 allows simultaneous send and
     /// receive on the bidirectional links, and every rank is engaged in at
     /// most one send and one receive.
-    #[track_caller]
-    pub fn exchange(&mut self, comm: &Comm, to: usize, from: usize, payload: &[f64]) -> Message {
-        poll_now(self.exchange_a(comm, to, from, payload))
-    }
-
-    /// Async form of [`Rank::exchange`].
     #[track_caller]
     pub fn exchange_a<'r>(
         &'r mut self,
@@ -844,7 +805,7 @@ impl Rank {
 
     /// Post a nonblocking receive for the next message from member `from`
     /// of `comm`. The returned handle must be redeemed with
-    /// [`Rank::wait`]; handles from the same `(comm, from)` pair redeem in
+    /// [`Rank::wait_a`]; handles from the same `(comm, from)` pair redeem in
     /// FIFO order.
     ///
     /// The point of the nonblocking form is **overlap**: computation
@@ -852,7 +813,7 @@ impl Rank {
     /// the clock advances to `max(now, sent_at + α + βw)` — the receiver
     /// pays only the part of the transfer not already covered by its own
     /// elapsed work, instead of the full `α + βw` the blocking
-    /// [`Rank::recv`] charges after the rendezvous.
+    /// [`Rank::recv_a`] charges after the rendezvous.
     pub fn irecv(&mut self, comm: &Comm, from: usize) -> RecvRequest {
         assert!(from < comm.size(), "irecv source out of communicator");
         assert_ne!(from, comm.index(), "irecv from self is not allowed");
@@ -860,12 +821,6 @@ impl Rank {
     }
 
     /// Complete a nonblocking receive (see [`Rank::irecv`]).
-    #[track_caller]
-    pub fn wait(&mut self, req: RecvRequest, comm: &Comm) -> Message {
-        poll_now(self.wait_a(req, comm))
-    }
-
-    /// Async form of [`Rank::wait`].
     #[track_caller]
     pub fn wait_a<'r>(
         &'r mut self,
@@ -927,7 +882,7 @@ impl Rank {
                 .await;
             let Some(msg) = taken else {
                 // Kicked out of the blocking wait: a rank died while we
-                // were waiting inside a catch_failures scope.
+                // were waiting inside a fault-catching scope.
                 self.raise_peer_failure();
             };
             if !self.fault_accept(comm.ctx, &msg) {
@@ -945,18 +900,12 @@ impl Rank {
     /// Collective split of `comm` into sub-communicators by `color`
     /// (members with equal color land in the same sub-communicator, ordered
     /// by `(key, parent index)`). Negative color opts out and yields
-    /// `None`. All members of `comm` must call `split` the same number of
+    /// `None`. All members of `comm` must call `split_a` the same number of
     /// times in the same order.
     ///
     /// Splits are bookkeeping, not communication: they are **not** metered
     /// and do not advance the clock (an implementation on a real machine
     /// would piggyback the group agreement on the setup phase).
-    #[track_caller]
-    pub fn split(&mut self, comm: &Comm, color: i64, key: i64) -> Option<Comm> {
-        poll_now(self.split_a(comm, color, key))
-    }
-
-    /// Async form of [`Rank::split`].
     #[track_caller]
     pub fn split_a<'r>(
         &'r mut self,
@@ -997,7 +946,7 @@ impl Rank {
     }
 
     /// Rebuild a communicator over the **surviving** world ranks after a
-    /// fault (color 0, ordered by world rank). Unlike [`Rank::split`] this
+    /// fault (color 0, ordered by world rank). Unlike [`Rank::split_a`] this
     /// rendezvous lives outside the regular split-sequence and collective
     /// ledgers — survivors of a kill may have diverged arbitrarily in how
     /// many splits they issued before the failure, so recovery must not
@@ -1006,12 +955,6 @@ impl Rank {
     ///
     /// All survivors must call this with the same `round`; dead ranks are
     /// counted as opted out.
-    #[track_caller]
-    pub fn recovery_split(&mut self, round: u64) -> Comm {
-        poll_now(self.recovery_split_a(round))
-    }
-
-    /// Async form of [`Rank::recovery_split`].
     #[track_caller]
     pub fn recovery_split_a(&mut self, round: u64) -> impl Future<Output = Comm> + '_ {
         let site = Location::caller();
@@ -1051,12 +994,6 @@ impl Rank {
     /// plan are counted as arrived, so survivors can rally here after a
     /// failure.
     #[track_caller]
-    pub fn hard_sync(&mut self) {
-        poll_now(self.hard_sync_a());
-    }
-
-    /// Async form of [`Rank::hard_sync`].
-    #[track_caller]
     pub fn hard_sync_a(&mut self) -> impl Future<Output = ()> + '_ {
         let site = Location::caller();
         async move {
@@ -1078,13 +1015,6 @@ impl Rank {
     /// Collective implementations (e.g. `pmm-collectives`) call this once
     /// at their entry point; user programs composed of raw sends/receives
     /// don't need it.
-    #[track_caller]
-    pub fn collective_begin(&mut self, comm: &Comm, op: CollectiveOp, elems: u64) {
-        poll_now(self.collective_begin_a(comm, op, elems));
-    }
-
-    /// Async form of [`Rank::collective_begin`] (what the async collective
-    /// implementations in `pmm-collectives` call).
     #[track_caller]
     pub fn collective_begin_a<'r>(
         &'r mut self,
@@ -1161,18 +1091,20 @@ mod tests {
 
     #[test]
     fn ping_pong_content_and_meters() {
-        let out = World::new(2, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0, 2.0, 3.0]);
-                let m = rank.recv(&wc, 1);
-                m.payload.iter().sum::<f64>()
-            } else {
-                let m = rank.recv(&wc, 0);
-                let back: Vec<f64> = m.payload.iter().map(|x| x * 10.0).collect();
-                rank.send(&wc, 0, &back);
-                0.0
-            }
+        let out = World::new(2, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[1.0, 2.0, 3.0]).await;
+                    let m = rank.recv_a(&wc, 1).await;
+                    m.payload.iter().sum::<f64>()
+                } else {
+                    let m = rank.recv_a(&wc, 0).await;
+                    let back: Vec<f64> = m.payload.iter().map(|x| x * 10.0).collect();
+                    rank.send_a(&wc, 0, &back).await;
+                    0.0
+                }
+            })
         });
         assert_eq!(out.values[0], 60.0);
         assert_eq!(out.reports[0].meter.words_sent, 3);
@@ -1185,16 +1117,18 @@ mod tests {
     fn clock_ping_pong_bandwidth_only() {
         // 0 sends 5 words (t: 0→5); 1 receives (t = max(0,0)+5 = 5), sends
         // 7 words back (t: 5→12); 0 receives (t = max(5,5)+7 = 12).
-        let out = World::new(2, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 5]);
-                rank.recv(&wc, 1);
-            } else {
-                rank.recv(&wc, 0);
-                rank.send(&wc, 0, &[0.0; 7]);
-            }
-            rank.time()
+        let out = World::new(2, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[0.0; 5]).await;
+                    rank.recv_a(&wc, 1).await;
+                } else {
+                    rank.recv_a(&wc, 0).await;
+                    rank.send_a(&wc, 0, &[0.0; 7]).await;
+                }
+                rank.time()
+            })
         });
         assert_eq!(out.values[0], 12.0);
         assert_eq!(out.values[1], 12.0);
@@ -1203,15 +1137,17 @@ mod tests {
     #[test]
     fn clock_includes_latency_and_flops() {
         let params = MachineParams::new(100.0, 1.0, 0.5);
-        let out = World::new(2, params).run(|rank| {
-            let wc = rank.world_comm();
-            rank.compute(10.0); // t = 5
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 20]); // t = 5 + 100 + 20 = 125
-            } else {
-                rank.recv(&wc, 0); // t = max(5, 5) + 120 = 125
-            }
-            rank.time()
+        let out = World::new(2, params).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                rank.compute(10.0); // t = 5
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[0.0; 20]).await; // t = 5 + 100 + 20 = 125
+                } else {
+                    rank.recv_a(&wc, 0).await; // t = max(5, 5) + 120 = 125
+                }
+                rank.time()
+            })
         });
         assert_eq!(out.values[0], 125.0);
         assert_eq!(out.values[1], 125.0);
@@ -1220,11 +1156,13 @@ mod tests {
     #[test]
     fn sendrecv_duplex_costs_once() {
         // Symmetric 8-word exchange: each side's clock advances by β·8 once.
-        let out = World::new(2, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            let partner = 1 - rank.world_rank();
-            let m = rank.sendrecv(&wc, partner, &[rank.world_rank() as f64; 8]);
-            (rank.time(), m.payload[0])
+        let out = World::new(2, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let partner = 1 - rank.world_rank();
+                let m = rank.sendrecv_a(&wc, partner, &[rank.world_rank() as f64; 8]).await;
+                (rank.time(), m.payload[0])
+            })
         });
         assert_eq!(out.values[0], (8.0, 1.0));
         assert_eq!(out.values[1], (8.0, 0.0));
@@ -1237,19 +1175,21 @@ mod tests {
         // (arrival t = 100) hides behind the compute (t = 100) → t = 100.
         let params = MachineParams::new(0.0, 1.0, 1.0);
         let run = |overlap: bool| {
-            World::new(2, params).run(move |rank| {
-                let wc = rank.world_comm();
-                if rank.world_rank() == 0 {
-                    rank.send(&wc, 1, &[0.0; 100]);
-                } else if overlap {
-                    let req = rank.irecv(&wc, 0);
-                    rank.compute(100.0);
-                    rank.wait(req, &wc);
-                } else {
-                    rank.recv(&wc, 0);
-                    rank.compute(100.0);
-                }
-                rank.time()
+            World::new(2, params).run_async(move |rank| {
+                Box::pin(async move {
+                    let wc = rank.world_comm();
+                    if rank.world_rank() == 0 {
+                        rank.send_a(&wc, 1, &[0.0; 100]).await;
+                    } else if overlap {
+                        let req = rank.irecv(&wc, 0);
+                        rank.compute(100.0);
+                        rank.wait_a(req, &wc).await;
+                    } else {
+                        rank.recv_a(&wc, 0).await;
+                        rank.compute(100.0);
+                    }
+                    rank.time()
+                })
             })
         };
         let blocking = run(false);
@@ -1262,19 +1202,21 @@ mod tests {
 
     #[test]
     fn irecv_requests_redeem_in_fifo_order() {
-        let out = World::new(2, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0]);
-                rank.send(&wc, 1, &[2.0]);
-                Vec::new()
-            } else {
-                let r1 = rank.irecv(&wc, 0);
-                let r2 = rank.irecv(&wc, 0);
-                let a = rank.wait(r1, &wc).payload[0];
-                let b = rank.wait(r2, &wc).payload[0];
-                vec![a, b]
-            }
+        let out = World::new(2, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[1.0]).await;
+                    rank.send_a(&wc, 1, &[2.0]).await;
+                    Vec::new()
+                } else {
+                    let r1 = rank.irecv(&wc, 0);
+                    let r2 = rank.irecv(&wc, 0);
+                    let a = rank.wait_a(r1, &wc).await.payload[0];
+                    let b = rank.wait_a(r2, &wc).await.payload[0];
+                    vec![a, b]
+                }
+            })
         });
         assert_eq!(out.values[1], vec![1.0, 2.0]);
     }
@@ -1285,16 +1227,18 @@ mod tests {
         // charges the remainder: compute 30 then wait on a 100-word message
         // ⇒ t = max(30, 100) = 100.
         let params = MachineParams::new(0.0, 1.0, 1.0);
-        let out = World::new(2, params).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 100]);
-            } else {
-                let req = rank.irecv(&wc, 0);
-                rank.compute(30.0);
-                rank.wait(req, &wc);
-            }
-            rank.time()
+        let out = World::new(2, params).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[0.0; 100]).await;
+                } else {
+                    let req = rank.irecv(&wc, 0);
+                    rank.compute(30.0);
+                    rank.wait_a(req, &wc).await;
+                }
+                rank.time()
+            })
         });
         assert_eq!(out.values[1], 100.0);
     }
@@ -1303,12 +1247,14 @@ mod tests {
     fn exchange_shifts_around_a_ring() {
         // Each of 5 ranks sends to the right, receives from the left; the
         // duplex clock advances by one β·w step.
-        let out = World::new(5, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            let p = wc.size();
-            let me = wc.index();
-            let m = rank.exchange(&wc, (me + 1) % p, (me + p - 1) % p, &[me as f64; 4]);
-            (m.payload[0] as usize, rank.time())
+        let out = World::new(5, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let p = wc.size();
+                let me = wc.index();
+                let m = rank.exchange_a(&wc, (me + 1) % p, (me + p - 1) % p, &[me as f64; 4]).await;
+                (m.payload[0] as usize, rank.time())
+            })
         });
         for r in 0..5 {
             assert_eq!(out.values[r].0, (r + 4) % 5);
@@ -1318,36 +1264,41 @@ mod tests {
 
     #[test]
     fn out_of_order_senders_are_matched_by_source() {
-        let out = World::new(3, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            match rank.world_rank() {
-                0 => {
-                    // Receive from 2 first even though 1 may arrive earlier.
-                    let a = rank.recv(&wc, 2).payload[0];
-                    let b = rank.recv(&wc, 1).payload[0];
-                    a * 100.0 + b
+        let out = World::new(3, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                match rank.world_rank() {
+                    0 => {
+                        // Receive from 2 first even though 1 may arrive earlier.
+                        let a = rank.recv_a(&wc, 2).await.payload[0];
+                        let b = rank.recv_a(&wc, 1).await.payload[0];
+                        a * 100.0 + b
+                    }
+                    r => {
+                        rank.send_a(&wc, 0, &[r as f64]).await;
+                        0.0
+                    }
                 }
-                r => {
-                    rank.send(&wc, 0, &[r as f64]);
-                    0.0
-                }
-            }
+            })
         });
         assert_eq!(out.values[0], 201.0);
     }
 
     #[test]
     fn fifo_per_sender_is_preserved() {
-        let out = World::new(2, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 1 {
+        let out = World::new(2, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let mut got = Vec::new();
                 for i in 0..10 {
-                    rank.send(&wc, 0, &[i as f64]);
+                    if rank.world_rank() == 1 {
+                        rank.send_a(&wc, 0, &[i as f64]).await;
+                    } else {
+                        got.push(rank.recv_a(&wc, 1).await.payload[0]);
+                    }
                 }
-                Vec::new()
-            } else {
-                (0..10).map(|_| rank.recv(&wc, 1).payload[0]).collect::<Vec<_>>()
-            }
+                got
+            })
         });
         assert_eq!(out.values[0], (0..10).map(|i| i as f64).collect::<Vec<_>>());
     }
@@ -1355,14 +1306,16 @@ mod tests {
     #[test]
     fn split_into_rows_and_exchange() {
         // 4 ranks in a 2x2 grid; split by row, exchange within row.
-        let out = World::new(4, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            let row = (rank.world_rank() / 2) as i64;
-            let comm = rank.split(&wc, row, rank.world_rank() as i64).unwrap();
-            assert_eq!(comm.size(), 2);
-            let partner = 1 - comm.index();
-            let m = rank.sendrecv(&comm, partner, &[rank.world_rank() as f64]);
-            m.payload[0]
+        let out = World::new(4, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let row = (rank.world_rank() / 2) as i64;
+                let comm = rank.split_a(&wc, row, rank.world_rank() as i64).await.unwrap();
+                assert_eq!(comm.size(), 2);
+                let partner = 1 - comm.index();
+                let m = rank.sendrecv_a(&comm, partner, &[rank.world_rank() as f64]).await;
+                m.payload[0]
+            })
         });
         assert_eq!(out.values, vec![1.0, 0.0, 3.0, 2.0]);
     }
@@ -1370,61 +1323,72 @@ mod tests {
     #[test]
     fn nested_splits() {
         // 8 ranks → split into halves → split each half into pairs.
-        let out = World::new(8, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            let r = rank.world_rank();
-            let half = rank.split(&wc, (r / 4) as i64, r as i64).unwrap();
-            assert_eq!(half.size(), 4);
-            let pair = rank.split(&half, (half.index() / 2) as i64, half.index() as i64).unwrap();
-            assert_eq!(pair.size(), 2);
-            let m = rank.sendrecv(&pair, 1 - pair.index(), &[r as f64]);
-            m.payload[0] as usize
+        let out = World::new(8, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let r = rank.world_rank();
+                let half = rank.split_a(&wc, (r / 4) as i64, r as i64).await.unwrap();
+                assert_eq!(half.size(), 4);
+                let (color, key) = ((half.index() / 2) as i64, half.index() as i64);
+                let pair = rank.split_a(&half, color, key).await.unwrap();
+                assert_eq!(pair.size(), 2);
+                let m = rank.sendrecv_a(&pair, 1 - pair.index(), &[r as f64]).await;
+                m.payload[0] as usize
+            })
         });
         assert_eq!(out.values, vec![1, 0, 3, 2, 5, 4, 7, 6]);
     }
 
     #[test]
     fn split_opt_out_with_negative_color() {
-        let out = World::new(4, bw()).run(|rank| {
-            let wc = rank.world_comm();
-            let color = if rank.world_rank() < 2 { 0 } else { -1 };
-            rank.split(&wc, color, 0).map(|c| c.size())
+        let out = World::new(4, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let color = if rank.world_rank() < 2 { 0 } else { -1 };
+                rank.split_a(&wc, color, 0).await.map(|c| c.size())
+            })
         });
         assert_eq!(out.values, vec![Some(2), Some(2), None, None]);
     }
 
     #[test]
     fn memory_tracking_and_limit() {
-        let out = World::new(1, bw()).with_memory_limit(Some(1000)).run(|rank| {
-            rank.mem_acquire(600);
-            let err = rank.try_mem_acquire(500).unwrap_err();
-            assert_eq!(err.limit, 1000);
-            rank.mem_acquire(400);
-            rank.mem_release(1000);
-            rank.mem().peak()
+        let out = World::new(1, bw()).with_memory_limit(Some(1000)).run_async(|rank| {
+            Box::pin(async move {
+                rank.mem_acquire(600);
+                let err = rank.try_mem_acquire(500).unwrap_err();
+                assert_eq!(err.limit, 1000);
+                rank.mem_acquire(400);
+                rank.mem_release(1000);
+                rank.mem().peak()
+            })
         });
         assert_eq!(out.values[0], 1000);
     }
 
     #[test]
     fn compute_meters_flops() {
-        let out = World::new(1, MachineParams::new(0.0, 0.0, 2.0)).run(|rank| {
-            rank.compute(21.0);
-            (rank.meter().flops, rank.time())
+        let out = World::new(1, MachineParams::new(0.0, 0.0, 2.0)).run_async(|rank| {
+            Box::pin(async move {
+                rank.compute(21.0);
+                (rank.meter().flops, rank.time())
+            })
         });
         assert_eq!(out.values[0], (21.0, 42.0));
     }
 
     #[test]
     fn traces_record_sends_and_recvs() {
-        let out = World::new(2, bw()).with_trace(true).run(|rank| {
-            let wc = rank.world_comm();
-            rank.mark("phase-1");
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0, 2.0]);
-            } else {
-                rank.recv(&wc, 0);
-            }
+        let out = World::new(2, bw()).with_trace(true).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                rank.mark("phase-1");
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[1.0, 2.0]).await;
+                } else {
+                    rank.recv_a(&wc, 0).await;
+                }
+            })
         });
         let t0 = out.reports[0].trace.as_ref().unwrap();
         assert_eq!(t0[0].op, TraceOp::Mark("phase-1".into()));
@@ -1447,11 +1411,13 @@ mod tests {
 
     #[test]
     fn phase_scopes_bracket_events_at_no_cost() {
-        let out = World::new(2, bw()).with_trace(true).run(|rank| {
-            let wc = rank.world_comm();
-            let partner = 1 - rank.world_rank();
-            crate::phase!(rank, "swap", rank.sendrecv(&wc, partner, &[0.0; 3]));
-            rank.time()
+        let out = World::new(2, bw()).with_trace(true).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let partner = 1 - rank.world_rank();
+                crate::phase!(rank, "swap", rank.sendrecv_a(&wc, partner, &[0.0; 3]).await);
+                rank.time()
+            })
         });
         assert_eq!(out.values[0], 3.0, "phase scopes must not advance the clock");
         let t0 = out.reports[0].trace.as_ref().unwrap();
@@ -1464,10 +1430,12 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let out = World::new(1, bw()).run(|rank| {
-            rank.phase_begin("p");
-            rank.compute(4.0);
-            rank.phase_end("p");
+        let out = World::new(1, bw()).run_async(|rank| {
+            Box::pin(async move {
+                rank.phase_begin("p");
+                rank.compute(4.0);
+                rank.phase_end("p");
+            })
         });
         assert!(out.reports[0].trace.is_none(), "tracing off ⇒ no buffer at all");
     }

@@ -31,6 +31,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use crate::engine::LocalBoxFuture;
 use crate::fabric::Ctx;
 use crate::rank::Rank;
 use crate::verify::CollectiveOp;
@@ -610,9 +611,9 @@ impl std::fmt::Display for ScheduleDivergence {
 
 impl std::error::Error for ScheduleDivergence {}
 
-/// Schedule fuzzer: run `program` on (a clone of) `world` once per seed
-/// and diff the final per-rank values, meters, clocks, and memory peaks
-/// against the first seed's run. A correct program's *results* must not
+/// Schedule fuzzer: run the async `program` on (a clone of) `world` once
+/// per seed and diff the final per-rank values, meters, clocks, and
+/// memory peaks against the first seed's run. A correct program's *results* must not
 /// depend on the schedule even though its event trace does; any
 /// divergence is returned with the failing seed and a repro command.
 pub fn fuzz_schedules<T, F>(
@@ -622,12 +623,12 @@ pub fn fuzz_schedules<T, F>(
 ) -> Result<(), ScheduleDivergence>
 where
     T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
 {
     assert!(!seeds.is_empty(), "fuzz_schedules needs at least one seed");
     let mut baseline: Option<(u64, crate::world::WorldResult<T>)> = None;
     for &seed in seeds {
-        let out = world.clone().with_seed(seed).run(&program);
+        let out = world.clone().with_seed(seed).run_async(&program);
         let Some((seed0, base)) = &baseline else {
             baseline = Some((seed, out));
             continue;

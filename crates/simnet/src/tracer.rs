@@ -27,15 +27,17 @@
 //! use pmm_simnet::{Tracer, World};
 //!
 //! // Rank 0 streams 4 words to rank 1 inside a labelled phase.
-//! let out = World::new(2, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(|rank| {
-//!     let wc = rank.world_comm();
-//!     rank.phase_begin("exchange");
-//!     if rank.world_rank() == 0 {
-//!         rank.send(&wc, 1, &[1.0; 4]);
-//!     } else {
-//!         rank.recv(&wc, 0);
-//!     }
-//!     rank.phase_end("exchange");
+//! let out = World::new(2, MachineParams::BANDWIDTH_ONLY).with_trace(true).run_async(|rank| {
+//!     Box::pin(async move {
+//!         let wc = rank.world_comm();
+//!         rank.phase_begin("exchange");
+//!         if rank.world_rank() == 0 {
+//!             rank.send_a(&wc, 1, &[1.0; 4]).await;
+//!         } else {
+//!             rank.recv_a(&wc, 0).await;
+//!         }
+//!         rank.phase_end("exchange");
+//!     })
 //! });
 //! let tracer = Tracer::from_streams(
 //!     out.reports.iter().map(|r| r.trace.clone().unwrap()).collect(),
@@ -74,7 +76,7 @@ pub enum TraceOp {
         flops: f64,
     },
     /// Entry into a collective (emitted by
-    /// [`Rank::collective_begin`](crate::Rank::collective_begin), which every
+    /// [`Rank::collective_begin_a`](crate::Rank::collective_begin_a), which every
     /// `pmm-collectives` entry point calls).
     Collective {
         /// The collective kind.
@@ -611,19 +613,21 @@ fn json_str(s: &str) -> String {
 /// Run a block as a named phase scope on `rank`: emits
 /// [`TraceOp::PhaseBegin`]/[`TraceOp::PhaseEnd`] trace events around the
 /// block (no cost, no-op when tracing is off) and evaluates to the
-/// block's value.
+/// block's value. The block may `.await`.
 ///
 /// ```
 /// use pmm_model::MachineParams;
 /// use pmm_simnet::{phase, World};
 ///
-/// let out = World::new(1, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(|rank| {
-///     phase!(rank, "local multiply", {
-///         rank.compute(8.0);
-///         42
+/// let out = World::new(2, MachineParams::BANDWIDTH_ONLY).with_trace(true).run_async(|rank| {
+///     Box::pin(async move {
+///         let wc = rank.world_comm();
+///         let partner = 1 - rank.world_rank();
+///         phase!(rank, "swap", rank.sendrecv_a(&wc, partner, &[1.0; 4]).await.payload.len())
 ///     })
 /// });
-/// assert_eq!(out.values[0], 42);
+/// assert_eq!(out.values, [4, 4]);
+/// assert_eq!(out.tracer().expect("traced").phase_totals()[0].label, "swap");
 /// ```
 #[macro_export]
 macro_rules! phase {

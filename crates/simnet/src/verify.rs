@@ -51,9 +51,9 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The kind of collective operation, as registered with the
-/// collective-matching lint by [`Rank::collective_begin`].
+/// collective-matching lint by [`Rank::collective_begin_a`].
 ///
-/// [`Rank::collective_begin`]: crate::Rank::collective_begin
+/// [`Rank::collective_begin_a`]: crate::Rank::collective_begin_a
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveOp {
     /// All-Gather (uniform or `v`-variant; per-rank contributions may

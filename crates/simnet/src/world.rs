@@ -1,9 +1,8 @@
-//! World construction: give every rank of a program a host — a slot on
-//! the single-threaded deterministic event loop for an async program
-//! ([`World::run_async`]), an OS thread for a sync closure
-//! ([`World::run`]) — run it, and collect reports. See
-//! [`crate::engine`] for how the two hosts share one implementation of
-//! every primitive.
+//! World construction: give every rank of a program a slot on the
+//! single-threaded deterministic event loop ([`World::run_async`]), run
+//! it, and collect reports. [`World::run`] hosts a sync closure on OS
+//! threads instead; it is kept only for the frozen benchmark's sync
+//! entry points (see [`crate::engine`]).
 
 use std::any::Any;
 use std::future::Future;
@@ -37,7 +36,7 @@ fn silence_abort_teardown_panics() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             // FaultPanic is the injected-kill sentinel: either the program
-            // converts it to a typed error via Rank::catch_failures, or
+            // converts it to a typed error via catch_failures_async!, or
             // the runner raises a single rank-failure report once every
             // rank has finished. Per-rank noise helps neither case.
             if info.payload().downcast_ref::<AbortPanic>().is_none()
@@ -54,7 +53,7 @@ fn silence_abort_teardown_panics() {
 /// ```
 /// use pmm_simnet::{World, MachineParams};
 /// let result = World::new(8, MachineParams::BANDWIDTH_ONLY)
-///     .run(|rank| rank.world_rank() * 2);
+///     .run_async(|rank| Box::pin(async move { rank.world_rank() * 2 }));
 /// assert_eq!(result.values[3], 6);
 /// ```
 #[derive(Clone)]
@@ -149,8 +148,9 @@ impl World {
     /// the schedule seed's SplitMix64 stream — either way
     /// `(program, seed, plan)` replays byte-identically.
     ///
-    /// Panics (on [`World::run`]) if the plan is malformed — rates
-    /// outside `[0, 1)`, nonpositive straggler factors, etc.
+    /// The run panics (from [`World::run_async`], as from [`World::run`])
+    /// if the plan is malformed — rates outside `[0, 1)`, nonpositive
+    /// straggler factors, etc.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> World {
         self.faults = Some(plan);
@@ -226,12 +226,14 @@ impl World {
     }
 
     /// Run the sync closure `program` on every rank, each hosted by an OS
-    /// thread of its own, and collect the results. Without a schedule
-    /// the threads free-run (interleavings differ between runs; meters
-    /// and clocks do not); with [`World::with_seed`] /
-    /// [`World::with_schedule`] they pass the scheduler baton, one
-    /// running at a time, and reproduce [`World::run_async`]'s schedule
-    /// byte for byte.
+    /// thread of its own, and collect the results. This host exists for
+    /// the frozen benchmark's sync entry points (`alg1`, `cannon`, ...,
+    /// each one [`poll_now`] over its `_a` body); everything else runs on
+    /// [`World::run_async`]. Without a schedule the threads free-run
+    /// (interleavings differ between runs; meters and clocks do not);
+    /// with [`World::with_seed`] / [`World::with_schedule`] they pass the
+    /// scheduler baton, one running at a time, and reproduce
+    /// [`World::run_async`]'s schedule byte for byte.
     ///
     /// Panics in any rank propagate (with the rank id) after all threads
     /// are joined. If the verifier aborts the run (deadlock, collective
@@ -290,8 +292,8 @@ impl World {
     /// always deterministic: without an explicit schedule it uses the
     /// canonical [`Schedule::Prefix`]`(vec![])` (smallest runnable rank
     /// at every pick). Schedules, traces, meters, and clocks are
-    /// byte-identical to a [`World::run`] of the sync form of the same
-    /// program under the same [`Schedule`].
+    /// byte-identical to a [`World::run`] that drives the same program
+    /// through [`poll_now`] under the same [`Schedule`].
     ///
     /// `program` is a boxing closure:
     /// `world.run_async(|rank| Box::pin(async move { ... }))`.
@@ -303,30 +305,19 @@ impl World {
         Self::unwrap_run(self.run_on_loop(&program))
     }
 
-    /// Like [`World::run_async`], but capture every failure as a
-    /// [`RunFailure`] value instead of panicking (the async analogue of
-    /// [`World::try_run`]).
+    /// Like [`World::run_async`], but capture every failure — rank
+    /// panic, verifier abort, unhandled rank failure, strict-drain
+    /// violation — as a [`RunFailure`] value instead of panicking. The
+    /// failure carries whatever the scheduler recorded before the run
+    /// died (trace, [`ChoiceLog`], replay recipe), which is what lets
+    /// schedule-space exploration keep walking the choice tree through
+    /// failing branches.
     pub fn try_run_async<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
     where
         T: Send,
         F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     {
         self.run_on_loop(&program).map_err(Self::raw_failure)
-    }
-
-    /// Like [`World::run`], but capture every failure — rank panic,
-    /// verifier abort, unhandled rank failure, strict-drain violation —
-    /// as a [`RunFailure`] value instead of panicking. The failure
-    /// carries whatever the deterministic scheduler recorded before the
-    /// run died (trace, [`ChoiceLog`], replay recipe), which is
-    /// what lets schedule-space exploration keep walking the choice tree
-    /// through failing branches.
-    pub fn try_run<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
-    where
-        T: Send,
-        F: Fn(&mut Rank) -> T + Send + Sync,
-    {
-        self.run_on_threads(program).map_err(Self::raw_failure)
     }
 
     /// Start a run: build the fabric — schedule (which makes its first
@@ -560,7 +551,7 @@ impl World {
         if let Some(detail) = outcomes.fault_note {
             return Err(fail(RunError::Report(format!(
                 "pmm-fault: rank failure was not handled by the program — {detail}\n\
-                 (wrap the failable region in Rank::catch_failures to recover)"
+                 (wrap the failable region in catch_failures_async! to recover)"
             ))));
         }
 
@@ -727,7 +718,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A failed [`World::try_run`], as a value: the failure report, the
+/// A failed [`World::try_run_async`], as a value: the failure report, the
 /// canonical replay recipe ([`Repro`]), and the schedule artifacts
 /// recorded before the run died.
 #[derive(Debug)]
@@ -771,7 +762,7 @@ pub struct RankReport {
     pub final_stamp: u64,
 }
 
-/// Results of a [`World::run`]: per-rank return values and reports, plus
+/// Results of a world run: per-rank return values and reports, plus
 /// aggregate views.
 #[derive(Debug)]
 pub struct WorldResult<T> {
@@ -857,16 +848,20 @@ impl<T> WorldResult<T> {
 mod tests {
     use super::*;
 
+    fn bw() -> MachineParams {
+        MachineParams::BANDWIDTH_ONLY
+    }
+
     #[test]
     fn values_are_indexed_by_world_rank() {
-        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run(|r| r.world_rank());
+        let out = World::new(5, bw()).run_async(|r| Box::pin(async move { r.world_rank() }));
         assert_eq!(out.values, vec![0, 1, 2, 3, 4]);
         assert_eq!(out.reports.len(), 5);
     }
 
     #[test]
     fn aggregates_on_idle_world_are_zero() {
-        let out = World::new(3, MachineParams::BANDWIDTH_ONLY).run(|_| ());
+        let out = World::new(3, bw()).run_async(|_| Box::pin(async {}));
         assert_eq!(out.critical_path_time(), 0.0);
         assert_eq!(out.total_words_sent(), 0.0);
         assert_eq!(out.max_duplex_words(), 0);
@@ -876,7 +871,7 @@ mod tests {
     #[test]
     fn critical_path_is_max_over_ranks() {
         let out = World::new(4, MachineParams::new(0.0, 0.0, 1.0))
-            .run(|r| r.compute((r.world_rank() * 10) as f64));
+            .run_async(|r| Box::pin(async move { r.compute((r.world_rank() * 10) as f64) }));
         assert_eq!(out.critical_path_time(), 30.0);
         assert_eq!(out.max_flops(), 30.0);
     }
@@ -884,163 +879,35 @@ mod tests {
     #[test]
     #[should_panic]
     fn rank_panic_propagates() {
-        World::new(2, MachineParams::BANDWIDTH_ONLY).run(|r| {
-            if r.world_rank() == 1 {
-                panic!("boom");
-            }
+        World::new(2, bw()).run_async(|r| {
+            Box::pin(async move {
+                if r.world_rank() == 1 {
+                    panic!("boom");
+                }
+            })
         });
     }
 
     #[test]
     fn many_ranks_spawn_and_join() {
-        let out = World::new(128, MachineParams::BANDWIDTH_ONLY)
-            .with_stack_bytes(1 << 20)
-            .run(|r| r.world_rank());
+        let out = World::new(128, bw()).with_stack_bytes(1 << 20).run(|r| r.world_rank());
         assert_eq!(out.values.len(), 128);
     }
 
     #[test]
     fn hard_sync_allows_phase_delimiting() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(|r| {
-            r.hard_sync();
-            r.time()
+        let out = World::new(4, bw()).run_async(|r| {
+            Box::pin(async move {
+                r.hard_sync_a().await;
+                r.time()
+            })
         });
         assert_eq!(out.values, vec![0.0; 4], "hard_sync is not metered");
     }
 
     /// An all-to-one program with enough concurrency for schedules to
     /// actually differ between seeds.
-    fn gather_program(rank: &mut Rank) -> f64 {
-        let wc = rank.world_comm();
-        if rank.world_rank() == 0 {
-            (1..wc.size()).map(|from| rank.recv(&wc, from).payload[0]).sum()
-        } else {
-            rank.send(&wc, 0, &[rank.world_rank() as f64]);
-            0.0
-        }
-    }
-
-    #[test]
-    fn same_seed_gives_byte_identical_traces() {
-        let run = || World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(42).run(gather_program);
-        let (a, b) = (run(), run());
-        let ta = a.schedule_trace.expect("seeded run records a trace");
-        let tb = b.schedule_trace.expect("seeded run records a trace");
-        assert!(!ta.events.is_empty());
-        assert_eq!(ta.render(), tb.render(), "same (program, seed) must replay byte-identically");
-        ta.assert_matches(&tb);
-    }
-
-    #[test]
-    fn different_seeds_change_the_schedule_but_not_the_result() {
-        let run = |s| World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(s).run(gather_program);
-        let outs: Vec<_> = (0u64..8).map(run).collect();
-        assert!(
-            outs.windows(2).any(|w| {
-                let (x, y) = (w[0].schedule_trace.as_ref(), w[1].schedule_trace.as_ref());
-                x.expect("trace").events != y.expect("trace").events
-            }),
-            "8 seeds on a 6-rank gather should exercise more than one schedule"
-        );
-        for o in &outs {
-            assert_eq!(o.values[0], 15.0, "result must not depend on the schedule");
-        }
-    }
-
-    #[test]
-    fn unseeded_runs_record_no_trace() {
-        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run(gather_program);
-        assert!(out.schedule_trace.is_none());
-    }
-
-    #[test]
-    fn choice_points_record_ready_sets_and_footprints() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(11).run(gather_program);
-        let choices = out.choice_points.expect("deterministic run records choice points");
-        assert!(!choices.is_empty());
-        assert_eq!(choices.iter().count(), choices.len());
-        assert_eq!(choices.ready_at(0), vec![0, 1, 2, 3], "every rank starts runnable");
-        for (i, cp) in choices.iter().enumerate() {
-            assert!(cp.ready.contains(&cp.chosen), "{cp:?}");
-            assert!(cp.ready.windows(2).all(|w| w[0] < w[1]), "ready must be ascending: {cp:?}");
-            assert_eq!(cp.chosen, choices.chosen()[i]);
-            assert_eq!(cp.touched, choices.touched(i));
-            assert_eq!(cp.ready, choices.ready_at(i), "pick {i}");
-        }
-        assert!(
-            choices.iter().any(|cp| !cp.touched.is_empty()),
-            "a gather must touch mailboxes somewhere"
-        );
-        let unseeded = World::new(2, MachineParams::BANDWIDTH_ONLY).run(gather_program);
-        assert!(unseeded.choice_points.is_none());
-    }
-
-    #[test]
-    fn full_prefix_replay_reproduces_the_seeded_run() {
-        let seeded = World::new(5, MachineParams::BANDWIDTH_ONLY).with_seed(3).run(gather_program);
-        let prefix = seeded.choice_points.as_ref().expect("choices").chosen().to_vec();
-        let replay = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_schedule(Schedule::Prefix(prefix.clone()))
-            .run(gather_program);
-        assert_eq!(replay.values, seeded.values);
-        assert_eq!(
-            seeded.schedule_trace.expect("trace").events,
-            replay.schedule_trace.expect("trace").events,
-            "replaying the full chosen prefix must reproduce the event log"
-        );
-        assert_eq!(replay.choice_points.expect("choices").chosen(), prefix);
-    }
-
-    #[test]
-    fn empty_prefix_is_the_canonical_schedule_and_is_deterministic() {
-        let run = || {
-            World::new(4, MachineParams::BANDWIDTH_ONLY)
-                .with_schedule(Schedule::Prefix(Vec::new()))
-                .run(gather_program)
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.values, b.values);
-        assert_eq!(
-            a.schedule_trace.expect("trace").events,
-            b.schedule_trace.expect("trace").events
-        );
-    }
-
-    #[test]
-    fn diverging_prefix_aborts_with_a_prefix_repro() {
-        let err = std::panic::catch_unwind(|| {
-            World::new(2, MachineParams::BANDWIDTH_ONLY)
-                .with_schedule(Schedule::Prefix(vec![1, 1, 1, 1, 1, 1, 1, 1]))
-                .run(|_| ())
-        })
-        .expect_err("a prefix that demands a finished rank must abort");
-        let msg = err.downcast_ref::<String>().expect("panic message is a String");
-        assert!(msg.contains("schedule prefix diverged"), "{msg}");
-        assert!(msg.contains("PMM_SCHEDULE=prefix:1"), "{msg}");
-    }
-
-    #[test]
-    fn try_run_captures_deadlock_as_a_value_with_choices() {
-        let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .with_schedule(Schedule::Prefix(Vec::new()))
-            .try_run(|r| {
-                let wc = r.world_comm();
-                if r.world_rank() == 0 {
-                    r.recv(&wc, 1);
-                }
-            })
-            .expect_err("deadlocked run must fail");
-        assert!(failure.report.contains("deadlock detected"), "{}", failure.report);
-        assert!(matches!(failure.repro, crate::trace::Repro::Prefix(_)), "{:?}", failure.repro);
-        assert!(failure.to_string().contains("PMM_SCHEDULE=prefix:"), "{failure}");
-        let choices = failure.choice_points.expect("choices recorded up to the failure");
-        // Rank 0 blocks on the receive, rank 1 finishes, nobody is left.
-        assert_eq!(choices.chosen(), [0, 1]);
-        assert_eq!(choices.ready_at(1), vec![1]);
-    }
-
-    /// The async twin of `gather_program`.
-    fn gather_program_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
+    fn gather_program(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
         Box::pin(async move {
             let wc = rank.world_comm();
             if rank.world_rank() == 0 {
@@ -1057,25 +924,125 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_runs_async_programs() {
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run_async(gather_program_a);
-        assert_eq!(out.values[0], 15.0);
-        assert!(out.schedule_trace.is_some(), "event runs are always deterministic");
+    fn same_seed_gives_byte_identical_traces() {
+        let run = || World::new(6, bw()).with_seed(42).run_async(gather_program);
+        let (a, b) = (run(), run());
+        let ta = a.schedule_trace.expect("seeded run records a trace");
+        let tb = b.schedule_trace.expect("seeded run records a trace");
+        assert!(!ta.events.is_empty());
+        assert_eq!(ta.render(), tb.render(), "same (program, seed) must replay byte-identically");
+        ta.assert_matches(&tb);
     }
 
     #[test]
-    fn event_loop_detects_deadlock_synchronously() {
-        let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .try_run_async(|r: &mut Rank| {
-                Box::pin(async move {
-                    let wc = r.world_comm();
-                    if r.world_rank() == 0 {
-                        r.recv_a(&wc, 1).await;
-                    }
-                }) as LocalBoxFuture<'_, ()>
-            })
-            .expect_err("deadlocked event run must fail");
+    fn different_seeds_change_the_schedule_but_not_the_result() {
+        let run = |s| World::new(6, bw()).with_seed(s).run_async(gather_program);
+        let outs: Vec<_> = (0u64..8).map(run).collect();
+        assert!(
+            outs.windows(2).any(|w| {
+                let (x, y) = (w[0].schedule_trace.as_ref(), w[1].schedule_trace.as_ref());
+                x.expect("trace").events != y.expect("trace").events
+            }),
+            "8 seeds on a 6-rank gather should exercise more than one schedule"
+        );
+        for o in &outs {
+            assert_eq!(o.values[0], 15.0, "result must not depend on the schedule");
+        }
+    }
+
+    #[test]
+    fn free_running_threads_record_no_schedule() {
+        let out = World::new(2, bw()).run(|r| poll_now(gather_program(r)));
+        assert!(out.schedule_trace.is_none());
+        assert!(out.choice_points.is_none());
+    }
+
+    #[test]
+    fn choice_points_record_ready_sets_and_footprints() {
+        let out = World::new(4, bw()).with_seed(11).run_async(gather_program);
+        let choices = out.choice_points.expect("deterministic run records choice points");
+        assert!(!choices.is_empty());
+        assert_eq!(choices.iter().count(), choices.len());
+        assert_eq!(choices.ready_at(0), vec![0, 1, 2, 3], "every rank starts runnable");
+        for (i, cp) in choices.iter().enumerate() {
+            assert!(cp.ready.contains(&cp.chosen), "{cp:?}");
+            assert!(cp.ready.windows(2).all(|w| w[0] < w[1]), "ready must be ascending: {cp:?}");
+            assert_eq!(cp.chosen, choices.chosen()[i]);
+            assert_eq!(cp.touched, choices.touched(i));
+            assert_eq!(cp.ready, choices.ready_at(i), "pick {i}");
+        }
+        assert!(
+            choices.iter().any(|cp| !cp.touched.is_empty()),
+            "a gather must touch mailboxes somewhere"
+        );
+    }
+
+    #[test]
+    fn full_prefix_replay_reproduces_the_seeded_run() {
+        let seeded = World::new(5, bw()).with_seed(3).run_async(gather_program);
+        let prefix = seeded.choice_points.as_ref().expect("choices").chosen().to_vec();
+        let replay = World::new(5, bw())
+            .with_schedule(Schedule::Prefix(prefix.clone()))
+            .run_async(gather_program);
+        assert_eq!(replay.values, seeded.values);
+        assert_eq!(
+            seeded.schedule_trace.expect("trace").events,
+            replay.schedule_trace.expect("trace").events,
+            "replaying the full chosen prefix must reproduce the event log"
+        );
+        assert_eq!(replay.choice_points.expect("choices").chosen(), prefix);
+    }
+
+    #[test]
+    fn empty_prefix_is_the_canonical_schedule_and_is_deterministic() {
+        let run = || {
+            World::new(4, bw())
+                .with_schedule(Schedule::Prefix(Vec::new()))
+                .run_async(gather_program)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.values, b.values);
+        assert_eq!(
+            a.schedule_trace.expect("trace").events,
+            b.schedule_trace.expect("trace").events
+        );
+    }
+
+    #[test]
+    fn diverging_prefix_aborts_with_a_prefix_repro() {
+        let err = std::panic::catch_unwind(|| {
+            World::new(2, bw())
+                .with_schedule(Schedule::Prefix(vec![1, 1, 1, 1, 1, 1, 1, 1]))
+                .run_async(|_| Box::pin(async {}))
+        })
+        .expect_err("a prefix that demands a finished rank must abort");
+        let msg = err.downcast_ref::<String>().expect("panic message is a String");
+        assert!(msg.contains("schedule prefix diverged"), "{msg}");
+        assert!(msg.contains("PMM_SCHEDULE=prefix:1"), "{msg}");
+    }
+
+    /// Rank 0 receives from rank 1, which never sends.
+    fn recv_from_silent_peer(r: &mut Rank) -> LocalBoxFuture<'_, ()> {
+        Box::pin(async move {
+            let wc = r.world_comm();
+            if r.world_rank() == 0 {
+                r.recv_a(&wc, 1).await;
+            }
+        })
+    }
+
+    #[test]
+    fn try_run_async_captures_deadlock_as_a_value_with_choices() {
+        let failure = World::new(2, bw())
+            .try_run_async(recv_from_silent_peer)
+            .expect_err("deadlocked run must fail");
         assert!(failure.report.contains("deadlock detected"), "{}", failure.report);
+        assert!(matches!(failure.repro, crate::trace::Repro::Prefix(_)), "{:?}", failure.repro);
+        assert!(failure.to_string().contains("PMM_SCHEDULE=prefix:"), "{failure}");
+        let choices = failure.choice_points.expect("choices recorded up to the failure");
+        // Rank 0 blocks on the receive, rank 1 finishes, nobody is left.
+        assert_eq!(choices.chosen(), [0, 1]);
+        assert_eq!(choices.ready_at(1), vec![1]);
     }
 
     #[test]
@@ -1085,7 +1052,7 @@ mod tests {
         // written — not what the waiter saw on arrival (rank 0, first in,
         // saw every other rank missing), and not nothing at large P.
         for (p, absent) in [(4usize, 3usize), (8192, 5000)] {
-            let failure = World::new(p, MachineParams::BANDWIDTH_ONLY)
+            let failure = World::new(p, bw())
                 .try_run_async(move |r: &mut Rank| {
                     Box::pin(async move {
                         if r.world_rank() != absent {
@@ -1105,10 +1072,10 @@ mod tests {
 
     #[test]
     fn schedule_recording_off_drops_artifacts_but_not_results() {
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
+        let out = World::new(6, bw())
             .with_seed(9)
             .with_schedule_recording(false)
-            .run_async(gather_program_a);
+            .run_async(gather_program);
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
         assert!(out.choice_points.is_none());
@@ -1119,32 +1086,23 @@ mod tests {
         // No OS grants a stack of half the address space, so the very
         // first host thread cannot be created — under a schedule and
         // free-running alike.
-        for world in [
-            World::new(3, MachineParams::BANDWIDTH_ONLY),
-            World::new(3, MachineParams::BANDWIDTH_ONLY).with_seed(1),
-        ] {
-            let failure = world
-                .with_stack_bytes(usize::MAX / 2)
-                .try_run(|r| r.world_rank())
+        for world in [World::new(3, bw()), World::new(3, bw()).with_seed(1)] {
+            let world = world.with_stack_bytes(usize::MAX / 2);
+            let err = std::panic::catch_unwind(|| world.run(|r| r.world_rank()))
                 .expect_err("a world whose host threads cannot be spawned must fail");
-            assert!(failure.report.contains("hosting rank 0 of 3"), "{}", failure.report);
-            assert!(failure.report.contains("os error"), "{}", failure.report);
-            assert!(failure.report.contains("World::run_async"), "{}", failure.report);
+            let report = err.downcast_ref::<String>().expect("panic message is a String");
+            assert!(report.contains("hosting rank 0 of 3"), "{report}");
+            assert!(report.contains("os error"), "{report}");
+            assert!(report.contains("World::run_async"), "{report}");
         }
     }
 
     #[test]
     fn det_mode_detects_deadlock_synchronously_and_names_the_seed() {
-        // Rank 0 receives from rank 1, which never sends: in deterministic
-        // mode the scheduler proves the deadlock at pick time — no
-        // watchdog interval has to elapse.
+        // The scheduler proves the deadlock at pick time — no watchdog
+        // interval has to elapse.
         let err = std::panic::catch_unwind(|| {
-            World::new(2, MachineParams::BANDWIDTH_ONLY).with_seed(7).run(|r| {
-                let wc = r.world_comm();
-                if r.world_rank() == 0 {
-                    r.recv(&wc, 1);
-                }
-            })
+            World::new(2, bw()).with_seed(7).run_async(recv_from_silent_peer)
         })
         .expect_err("deadlocked deterministic run must abort");
         let msg = err.downcast_ref::<String>().expect("panic message is a String");

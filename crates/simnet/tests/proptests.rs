@@ -33,29 +33,32 @@ proptest! {
         // verifiable.
         let p = s.p;
         let rounds = s.rounds.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let me = rank.world_rank();
-            let mut received: Vec<(usize, usize, usize)> = Vec::new(); // (round, from, words)
-            for (ri, round) in rounds.iter().enumerate() {
-                let (target, words) = round[me];
-                if target != me {
-                    let payload: Vec<f64> =
-                        std::iter::repeat_n((me * 1000 + ri) as f64, words).collect();
-                    rank.send(&comm, target, &payload);
-                }
-                for (src, &(tgt, w)) in round.iter().enumerate() {
-                    if src != me && tgt == me {
-                        let m = rank.recv(&comm, src);
-                        assert_eq!(m.payload.len(), w, "payload length");
-                        if w > 0 {
-                            assert_eq!(m.payload[0], (src * 1000 + ri) as f64, "payload tag");
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let rounds = rounds.clone();
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let me = rank.world_rank();
+                let mut received: Vec<(usize, usize, usize)> = Vec::new(); // (round, from, words)
+                for (ri, round) in rounds.iter().enumerate() {
+                    let (target, words) = round[me];
+                    if target != me {
+                        let payload: Vec<f64> =
+                            std::iter::repeat_n((me * 1000 + ri) as f64, words).collect();
+                        rank.send_a(&comm, target, &payload).await;
+                    }
+                    for (src, &(tgt, w)) in round.iter().enumerate() {
+                        if src != me && tgt == me {
+                            let m = rank.recv_a(&comm, src).await;
+                            assert_eq!(m.payload.len(), w, "payload length");
+                            if w > 0 {
+                                assert_eq!(m.payload[0], (src * 1000 + ri) as f64, "payload tag");
+                            }
+                            received.push((ri, src, w));
                         }
-                        received.push((ri, src, w));
                     }
                 }
-            }
-            (received, rank.meter())
+                (received, rank.meter())
+            })
         });
         let results = out.values;
 
@@ -84,21 +87,24 @@ proptest! {
             let rounds = s.rounds.clone();
             let p = s.p;
             World::new(p, MachineParams::TYPICAL_CLUSTER)
-                .run(move |rank| {
-                    let comm = rank.world_comm();
-                    let me = rank.world_rank();
-                    for round in &rounds {
-                        let (target, words) = round[me];
-                        if target != me {
-                            rank.send(&comm, target, &vec![0.0; words]);
-                        }
-                        for (src, &(tgt, _)) in round.iter().enumerate() {
-                            if src != me && tgt == me {
-                                rank.recv(&comm, src);
+                .run_async(move |rank| {
+                    let rounds = rounds.clone();
+                    Box::pin(async move {
+                        let comm = rank.world_comm();
+                        let me = rank.world_rank();
+                        for round in &rounds {
+                            let (target, words) = round[me];
+                            if target != me {
+                                rank.send_a(&comm, target, &vec![0.0; words]).await;
+                            }
+                            for (src, &(tgt, _)) in round.iter().enumerate() {
+                                if src != me && tgt == me {
+                                    rank.recv_a(&comm, src).await;
+                                }
                             }
                         }
-                    }
-                    rank.time()
+                        rank.time()
+                    })
                 })
                 .values
         };
@@ -113,12 +119,14 @@ proptest! {
         colors in proptest::collection::vec(0i64..4, 8),
     ) {
         let colors = colors[..p].to_vec();
-        let colors2 = colors.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let me = rank.world_rank();
-            let sub = rank.split(&comm, colors2[me], me as i64).unwrap();
-            (sub.size(), sub.index(), sub.members().to_vec())
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let color = colors[rank.world_rank()];
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let me = rank.world_rank();
+                let sub = rank.split_a(&comm, color, me as i64).await.unwrap();
+                (sub.size(), sub.index(), sub.members().to_vec())
+            })
         });
         for me in 0..p {
             let group: Vec<usize> =
@@ -135,23 +143,25 @@ proptest! {
         ops in proptest::collection::vec((0usize..2, 1u64..100), 1..30)
     ) {
         // Replay acquire/release ops; peak must equal the running max.
-        let ops2 = ops.clone();
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let mut cur = 0u64;
-            let mut peak = 0u64;
-            let mut held = Vec::new();
-            for &(kind, w) in &ops2 {
-                if kind == 0 {
-                    rank.mem_acquire(w);
-                    held.push(w);
-                    cur += w;
-                    peak = peak.max(cur);
-                } else if let Some(w) = held.pop() {
-                    rank.mem_release(w);
-                    cur -= w;
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let ops = ops.clone();
+            Box::pin(async move {
+                let mut cur = 0u64;
+                let mut peak = 0u64;
+                let mut held = Vec::new();
+                for &(kind, w) in &ops {
+                    if kind == 0 {
+                        rank.mem_acquire(w);
+                        held.push(w);
+                        cur += w;
+                        peak = peak.max(cur);
+                    } else if let Some(w) = held.pop() {
+                        rank.mem_release(w);
+                        cur -= w;
+                    }
                 }
-            }
-            (rank.mem().peak(), peak, rank.mem().current(), cur)
+                (rank.mem().peak(), peak, rank.mem().current(), cur)
+            })
         });
         let (got_peak, want_peak, got_cur, want_cur) = out.values[0];
         prop_assert_eq!(got_peak, want_peak);

@@ -1,12 +1,12 @@
 //! Integration tests for the communication-correctness verifier: the
-//! deadlock watchdog, the collective-matching lint, and strict-drain
-//! checks, exercised through the public `World` API exactly as user
-//! programs hit them.
+//! collective-matching lint and strict-drain checks on the event loop,
+//! and the deadlock watchdog of the free-running thread host, exercised
+//! through the public `World` API exactly as user programs hit them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use pmm_simnet::{CollectiveOp, MachineParams, World};
+use pmm_simnet::{poll_now, CollectiveOp, MachineParams, World};
 
 /// Extract the panic message from a `catch_unwind` payload.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -25,13 +25,14 @@ const WATCHDOG: Duration = Duration::from_millis(50);
 fn circular_recv_terminates_with_cycle_report() {
     // Every rank receives from its right neighbor before anyone sends:
     // a 3-cycle in the wait-for graph. Under MPI this hangs forever; the
-    // watchdog must abort with a report naming the cycle.
+    // watchdog of free-running threads must abort with a report naming
+    // the cycle.
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         World::new(3, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
             let wc = rank.world_comm();
             let from = (rank.world_rank() + 1) % 3;
-            rank.recv(&wc, from);
+            poll_now(rank.recv_a(&wc, from));
         });
     }));
     let report = panic_text(result.expect_err("a circular wait must abort the world"));
@@ -54,7 +55,7 @@ fn recv_from_finished_rank_is_reported() {
         World::new(2, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 1 {
-                rank.recv(&wc, 0);
+                poll_now(rank.recv_a(&wc, 0));
             }
         });
     }));
@@ -69,13 +70,15 @@ fn mismatched_collective_op_aborts_with_diff() {
     // the same communicator: the matching lint must flag the round
     // without waiting for the resulting hang to mature.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        World::new(4, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.collective_begin(&wc, CollectiveOp::AllGather, 8);
-            } else {
-                rank.split(&wc, 0, 0);
-            }
+        World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.collective_begin_a(&wc, CollectiveOp::AllGather, 8).await;
+                } else {
+                    rank.split_a(&wc, 0, 0).await;
+                }
+            })
         });
     }));
     let report = panic_text(result.expect_err("a mismatched collective must abort"));
@@ -89,10 +92,12 @@ fn uniform_count_skew_aborts_with_diff() {
     // Same op everywhere, but one rank disagrees on the element count of
     // a count-uniform collective (all-reduce).
     let result = catch_unwind(AssertUnwindSafe(|| {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(|rank| {
-            let wc = rank.world_comm();
-            let elems = if rank.world_rank() == 2 { 7 } else { 64 };
-            rank.collective_begin(&wc, CollectiveOp::AllReduce, elems);
+        World::new(3, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let elems = if rank.world_rank() == 2 { 7 } else { 64 };
+                rank.collective_begin_a(&wc, CollectiveOp::AllReduce, elems).await;
+            })
         });
     }));
     let report = panic_text(result.expect_err("skewed counts must abort"));
@@ -104,11 +109,13 @@ fn uniform_count_skew_aborts_with_diff() {
 #[test]
 fn strict_drain_flags_unreceived_traffic() {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        World::new(2, MachineParams::BANDWIDTH_ONLY).with_strict_drain(true).run(|rank| {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0, 2.0]);
-            }
+        World::new(2, MachineParams::BANDWIDTH_ONLY).with_strict_drain(true).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                if rank.world_rank() == 0 {
+                    rank.send_a(&wc, 1, &[1.0, 2.0]).await;
+                }
+            })
         });
     }));
     let report = panic_text(result.expect_err("strict drain must flag the lost message"));
@@ -117,18 +124,19 @@ fn strict_drain_flags_unreceived_traffic() {
 
 #[test]
 fn matching_program_runs_clean_under_full_verification() {
-    // The flip side: a correct program must pass with the watchdog AND
-    // strict drain on — no false positives from the verifier.
-    let out = World::new(4, MachineParams::BANDWIDTH_ONLY)
-        .with_watchdog(WATCHDOG)
-        .with_strict_drain(true)
-        .run(|rank| {
-            let wc = rank.world_comm();
-            rank.collective_begin(&wc, CollectiveOp::AllReduce, 4);
-            let partner = rank.world_rank() ^ 1;
-            let msg = rank.exchange(&wc, partner, partner, &[rank.world_rank() as f64]);
-            rank.hard_sync();
-            msg.payload[0]
+    // The flip side: a correct program must pass with strict drain on —
+    // no false positives from the verifier.
+    let out =
+        World::new(4, MachineParams::BANDWIDTH_ONLY).with_strict_drain(true).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                rank.collective_begin_a(&wc, CollectiveOp::AllReduce, 4).await;
+                let partner = rank.world_rank() ^ 1;
+                let mine = [rank.world_rank() as f64];
+                let msg = rank.exchange_a(&wc, partner, partner, &mine).await;
+                rank.hard_sync_a().await;
+                msg.payload[0]
+            })
         });
     for (r, v) in out.values.iter().enumerate() {
         assert_eq!(*v, (r ^ 1) as f64);
@@ -157,24 +165,27 @@ mod split_subcomms_with_faults {
     fn run(skewed_elems: bool) -> Result<f64, String> {
         let result = catch_unwind(AssertUnwindSafe(move || {
             World::new(4, MachineParams::BANDWIDTH_ONLY)
-                .with_watchdog(WATCHDOG)
                 .with_seed(0xC0DE)
                 .with_faults(faults())
-                .run(move |rank| {
-                    let wc = rank.world_comm();
-                    let me = rank.world_rank();
-                    let sub = rank
-                        .split(&wc, (me % 2) as i64, me as i64)
-                        .expect("non-negative colors always yield a subcomm");
-                    // Subcomm traffic under faults: dropped messages are
-                    // retransmitted, interleaving with the collective
-                    // registrations below.
-                    let peer = 1 - sub.index();
-                    let got = rank.exchange(&sub, peer, peer, &[me as f64; 8]).payload[0];
-                    let elems = if skewed_elems && me == 3 { 7 } else { 64 };
-                    rank.collective_begin(&sub, CollectiveOp::AllReduce, elems);
-                    rank.hard_sync();
-                    got
+                .run_async(move |rank| {
+                    Box::pin(async move {
+                        let wc = rank.world_comm();
+                        let me = rank.world_rank();
+                        let sub = rank
+                            .split_a(&wc, (me % 2) as i64, me as i64)
+                            .await
+                            .expect("non-negative colors always yield a subcomm");
+                        // Subcomm traffic under faults: dropped messages are
+                        // retransmitted, interleaving with the collective
+                        // registrations below.
+                        let peer = 1 - sub.index();
+                        let got =
+                            rank.exchange_a(&sub, peer, peer, &[me as f64; 8]).await.payload[0];
+                        let elems = if skewed_elems && me == 3 { 7 } else { 64 };
+                        rank.collective_begin_a(&sub, CollectiveOp::AllReduce, elems).await;
+                        rank.hard_sync_a().await;
+                        got
+                    })
                 })
         }));
         match result {
@@ -209,23 +220,25 @@ mod split_order {
 
     /// One rank issues its world-communicator collectives in a different
     /// order (split first vs. barrier-style registration first). Detection
-    /// must not depend on thread scheduling: registration happens
-    /// synchronously on entry, so whichever side reaches the skewed round
-    /// first, the round holds conflicting descriptors and the lint fires.
-    fn run_skewed(p: usize, skew: usize) -> String {
+    /// must not depend on the schedule: registration happens on entry, so
+    /// whichever side reaches the skewed round first, the round holds
+    /// conflicting descriptors and the lint fires.
+    fn run_skewed(p: usize, skew: usize, seed: u64) -> String {
         let result = catch_unwind(AssertUnwindSafe(move || {
-            World::new(p, MachineParams::BANDWIDTH_ONLY).with_watchdog(WATCHDOG).run(move |rank| {
-                let wc = rank.world_comm();
-                if rank.world_rank() == skew {
-                    // Skewed issue order: the collective that the rest
-                    // of the world issues *second* comes first here, so
-                    // this rank's split_seq for the split is 1, not 0.
-                    rank.collective_begin(&wc, CollectiveOp::Barrier, 0);
-                    rank.split(&wc, 0, 0);
-                } else {
-                    rank.split(&wc, 0, 0);
-                    rank.collective_begin(&wc, CollectiveOp::Barrier, 0);
-                }
+            World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(move |rank| {
+                Box::pin(async move {
+                    let wc = rank.world_comm();
+                    if rank.world_rank() == skew {
+                        // Skewed issue order: the collective that the rest
+                        // of the world issues *second* comes first here, so
+                        // this rank's split_seq for the split is 1, not 0.
+                        rank.collective_begin_a(&wc, CollectiveOp::Barrier, 0).await;
+                        rank.split_a(&wc, 0, 0).await;
+                    } else {
+                        rank.split_a(&wc, 0, 0).await;
+                        rank.collective_begin_a(&wc, CollectiveOp::Barrier, 0).await;
+                    }
+                })
             });
         }));
         panic_text(result.expect_err("skewed split order must abort"))
@@ -235,10 +248,14 @@ mod split_order {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn skewed_split_seq_is_flagged_deterministically(p in 2usize..6, skew_raw in 0usize..6) {
+        fn skewed_split_seq_is_flagged_deterministically(
+            p in 2usize..6,
+            skew_raw in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
             let skew = skew_raw % p;
-            let report = run_skewed(p, skew);
-            // Same detection on every run regardless of interleaving:
+            let report = run_skewed(p, skew, seed);
+            // Same detection on every schedule:
             // round 0 mixes a split with a barrier registration.
             prop_assert!(report.contains("collective mismatch"), "{}", report);
             prop_assert!(report.contains("split"), "{}", report);

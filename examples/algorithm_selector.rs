@@ -9,6 +9,7 @@
 
 use pmm::bounds::advisor::{recommend, Strategy};
 use pmm::prelude::*;
+use std::sync::Arc;
 
 fn describe(s: &Strategy) -> String {
     match s {
@@ -51,10 +52,14 @@ fn main() {
     let best = &recs[0];
     if let Strategy::Alg1 { grid } = best.strategy {
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let a = random_int_matrix(512, 512, -2..3, 1);
-        let b = random_int_matrix(512, 512, -2..3, 2);
-        let out =
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
+        let ab = Arc::new((
+            random_int_matrix(512, 512, -2..3, 1),
+            random_int_matrix(512, 512, -2..3, 2),
+        ));
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let measured = out.critical_path_time();
         println!(
             "executed the winner ({}): predicted {:.0} words, measured {:.0}",

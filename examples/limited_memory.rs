@@ -12,6 +12,7 @@
 
 use pmm::bounds::memlimit::{memory_dependent_dominance_range, Dominant};
 use pmm::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let dims = MatMulDims::new(9600, 2400, 600);
@@ -69,29 +70,27 @@ fn main() {
 
     // Budget chosen between the two grids' peak footprints: the leaner
     // (optimal) grid fits, the hungrier one is rejected by the simulator's
-    // memory tracker. Silence the expected panic's backtrace.
+    // memory tracker. Silence the expected panic's message.
     let budget = 2_600u64;
+    let ab = Arc::new((random_int_matrix(384, 96, -2..3, 1), random_int_matrix(96, 24, -2..3, 2)));
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     for (label, grid) in [("optimal grid", grid3d), ("8x8x1 grid", grid2d)] {
         let cfg = Alg1Config::new(dims, grid);
-        let result = std::panic::catch_unwind(|| {
-            let a = random_int_matrix(384, 96, -2..3, 1);
-            let b = random_int_matrix(96, 24, -2..3, 2);
-            World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .with_memory_limit(Some(budget))
-                .run(move |rank| {
-                    alg1(rank, &cfg, &a, &b);
+        let result = World::new(p, MachineParams::BANDWIDTH_ONLY)
+            .with_memory_limit(Some(budget))
+            .try_run_async(|rank| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move {
+                    alg1_a(rank, &cfg, &ab.0, &ab.1).await;
                     rank.mem().peak()
                 })
-                .values
-                .iter()
-                .copied()
-                .max()
-                .unwrap()
-        });
+            });
         match result {
-            Ok(peak) => println!("  {label:<13} fits in {budget}: peak {peak} words/rank"),
+            Ok(out) => {
+                let peak = out.values.iter().max().expect("p >= 1");
+                println!("  {label:<13} fits in {budget}: peak {peak} words/rank");
+            }
             Err(_) => println!("  {label:<13} EXCEEDS the {budget}-word limit (run aborted)"),
         }
     }

@@ -10,6 +10,7 @@ use pmm::bounds::kkt::{certificate_for, verify_kkt};
 use pmm::bounds::loomis::LatticeSet;
 use pmm::bounds::memlimit::{limited_memory_report, memory_dependent_dominance_range, Dominant};
 use pmm::prelude::*;
+use std::sync::Arc;
 
 fn heading(s: &str) {
     println!("\n━━━ {s} ━━━");
@@ -78,10 +79,12 @@ fn main() {
     let small = MatMulDims::new(768, 192, 48); // scaled §5.3 instance
     let choice = best_grid(small, 36);
     let cfg = Alg1Config::new(small, choice.grid3());
-    let a = random_int_matrix(768, 192, -2..3, 1);
-    let b = random_int_matrix(192, 48, -2..3, 2);
-    let out =
-        World::new(36, MachineParams::BANDWIDTH_ONLY).run(move |rank| alg1(rank, &cfg, &a, &b));
+    let ab =
+        Arc::new((random_int_matrix(768, 192, -2..3, 1), random_int_matrix(192, 48, -2..3, 2)));
+    let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+    });
     let measured = out.critical_path_time();
     let bound = lower_bound(small, 36.0).bound;
     println!(

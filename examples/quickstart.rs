@@ -6,6 +6,7 @@
 //! ```
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // The multiplication from the paper's §5.3 example, scaled down 12.5×
@@ -33,16 +34,20 @@ fn main() {
     println!("grid      : {} (predicted eq.3 cost {:.1})", choice.grid3(), choice.cost_words);
 
     // --- 3. run Algorithm 1 on a simulated 36-rank machine -------------------
-    // The global inputs are generated once and borrowed by every rank,
-    // which reads only its owned chunks; integer entries make the
-    // distributed result exactly comparable.
-    let a = random_int_matrix(768, 192, -4..5, 42);
-    let b = random_int_matrix(192, 48, -4..5, 43);
+    // The global inputs are generated once and shared by every rank, which
+    // reads only its owned chunks; integer entries make the distributed
+    // result exactly comparable. Each rank is an async program on the
+    // simulator's event loop.
+    let ab =
+        Arc::new((random_int_matrix(768, 192, -4..5, 42), random_int_matrix(192, 48, -4..5, 43)));
     let cfg = Alg1Config::new(dims, choice.grid3());
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+    });
 
     // --- 4. verify correctness against a serial reference --------------------
-    let want = gemm(&a, &b, Kernel::Naive);
+    let want = gemm(&ab.0, &ab.1, Kernel::Naive);
     let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let got = assemble_c(dims, choice.grid3(), &chunks);
     assert_eq!(got, want, "distributed result must equal the serial product");

@@ -11,6 +11,7 @@
 //! ```
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let n = 192u64;
@@ -22,12 +23,14 @@ fn main() {
     );
 
     let nn = n as usize;
-    let a = random_int_matrix(nn, nn, -2..3, 7);
-    let b = random_int_matrix(nn, nn, -2..3, 8);
+    let ab = Arc::new((random_int_matrix(nn, nn, -2..3, 7), random_int_matrix(nn, nn, -2..3, 8)));
     for p in [1usize, 8, 27, 64, 216, 512] {
         let choice = best_divisible_grid(dims, p).expect("divisible grid exists");
         let cfg = Alg1Config::new(dims, choice.grid3());
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| alg1(rank, &cfg, &a, &b));
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        });
         let measured = out.critical_path_time();
         let bound = corollary4(n, p as f64);
         println!(

@@ -23,6 +23,7 @@
 //! conformance`.
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
 /// Default schedule seed of the sweep; override with `PMM_SEED`.
 const DEFAULT_SEED: u64 = 0x00C0_FFEE;
@@ -33,16 +34,16 @@ fn seed() -> u64 {
     s
 }
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    )
+    ))
 }
 
 fn reference(dims: MatMulDims) -> Matrix {
-    let (a, b) = inputs(dims);
-    gemm(&a, &b, Kernel::Naive)
+    let ab = inputs(dims);
+    gemm(&ab.0, &ab.1, Kernel::Naive)
 }
 
 /// One sweep point. `interior` is the Theorem 3 case strictly containing
@@ -169,10 +170,12 @@ fn grid3d_traffic_matches_eq3_prediction_per_rank_and_phase() {
         );
         let cfg =
             Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-        let (a, b) = inputs(dims);
-        let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(seed)
-            .run(move |r| alg1(r, &cfg, &a, &b));
+        let ab = inputs(dims);
+        let out =
+            World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(move |r| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
+            });
         let exact = phase_exact(dims, grid_arr);
         // Per-rank, per-phase: each fiber collective moves exactly the
         // eq. 3 term on evenly-chunked grids.
@@ -231,16 +234,22 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 Assembly::ReduceScatter
             };
             let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run(move |r| alg1(r, &cfg, &a, &b));
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
+            });
             let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
             Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
         }
         "alg1/streamed" => {
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw)
-                .with_seed(seed)
-                .run(move |r| alg1_streamed(r, dims, grid, 2, Kernel::Naive, &a, &b));
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let ab = Arc::clone(&ab);
+                Box::pin(async move {
+                    alg1_streamed_a(r, dims, grid, 2, Kernel::Naive, &ab.0, &ab.1).await
+                })
+            });
             let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
             Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
         }
@@ -250,8 +259,11 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 return None;
             }
             let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run(move |r| cannon(r, &cfg, &a, &b));
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move { cannon_a(r, &cfg, &ab.0, &ab.1).await })
+            });
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
                 out.values[i * q + j].c_block.clone()
             });
@@ -267,8 +279,11 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 _ => return None,
             };
             let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run(move |r| summa(r, &cfg, &a, &b));
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move { summa_a(r, &cfg, &ab.0, &ab.1).await })
+            });
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
                 out.values[i * pc + j].c_block.clone()
             });
@@ -283,8 +298,11 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
                 _ => return None,
             };
             let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run(move |r| twofived(r, &cfg, &a, &b));
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                Box::pin(async move { twofived_a(r, &cfg, &ab.0, &ab.1).await })
+            });
             let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
                 out.values[i * q + j].c_block.clone().expect("layer 0 owns a C block")
             });
@@ -294,11 +312,14 @@ fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matr
             if !p.is_power_of_two() {
                 return None;
             }
-            let (a, b) = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run(move |r| {
-                let (sa, sb) = carma_shares(p, r.world_rank(), &a, &b);
-                let comm = r.world_comm();
-                carma(r, &comm, dims, Kernel::Naive, sa, sb)
+            let ab = inputs(dims);
+            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
+                let ab = Arc::clone(&ab);
+                Box::pin(async move {
+                    let (sa, sb) = carma_shares(p, r.world_rank(), &ab.0, &ab.1);
+                    let comm = r.world_comm();
+                    carma_a(r, &comm, dims, Kernel::Naive, sa, sb).await
+                })
             });
             Some((carma_assemble_c(dims, p, &out.values), out.critical_path_time()))
         }

@@ -18,29 +18,37 @@
 //!    replay locally with one env var.
 
 use pmm::prelude::*;
+use std::sync::{Arc, OnceLock};
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+/// The global inputs of a workload, generated once and shared by every
+/// rank.
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    )
+    ))
 }
 
-/// The `algorithms_agree` Algorithm 1 workload: P = 12, 2 × 3 × 2 grid.
-fn alg1_world_and_program() -> (World, impl Fn(&mut Rank) -> Vec<f64> + Send + Sync + Clone) {
+/// The world of the `algorithms_agree` Algorithm 1 workload: P = 12.
+fn alg1_world() -> World {
+    World::new(12, MachineParams::BANDWIDTH_ONLY)
+}
+
+/// Its program: Algorithm 1 on a 2 × 3 × 2 grid, every rank reading the
+/// one shared pair of inputs; returns the rank's C chunk.
+fn alg1_program(rank: &mut Rank) -> LocalBoxFuture<'_, Vec<f64>> {
+    static INPUTS: OnceLock<Arc<(Matrix, Matrix)>> = OnceLock::new();
     let dims = MatMulDims::new(24, 12, 18);
+    let ab = Arc::clone(INPUTS.get_or_init(|| inputs(dims)));
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let (a, b) = inputs(dims);
-    let program = move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk;
-    (World::new(12, MachineParams::BANDWIDTH_ONLY), program)
+    Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
 }
 
 #[test]
 fn same_seed_replays_a_byte_identical_trace_on_alg1() {
-    let (world, program) = alg1_world_and_program();
-    let golden = world.clone().with_seed(0xA11CE).run(program.clone());
-    let replay = world.with_seed(0xA11CE).run(program);
+    let golden = alg1_world().with_seed(0xA11CE).run_async(alg1_program);
+    let replay = alg1_world().with_seed(0xA11CE).run_async(alg1_program);
     let golden_trace = golden.schedule_trace.expect("seeded run records a trace");
     let replay_trace = replay.schedule_trace.expect("seeded run records a trace");
     // Byte-identical renders, and the event-level golden assertion.
@@ -53,19 +61,19 @@ fn same_seed_replays_a_byte_identical_trace_on_alg1() {
 
 #[test]
 fn different_seeds_schedule_differently_but_compute_identically() {
-    let (world, program) = alg1_world_and_program();
+    let world = alg1_world();
     let seeds: Vec<u64> = (0..6).collect();
 
     // fuzz_schedules: every seed must produce the same values, meters,
     // times and peak memories as the first.
-    fuzz_schedules(&world, &seeds, &program).unwrap_or_else(|d| panic!("{d}"));
+    fuzz_schedules(&world, &seeds, alg1_program).unwrap_or_else(|d| panic!("{d}"));
 
     // ... while at least one seed actually picks a different
     // interleaving (otherwise the fuzzer would be vacuous).
     let traces: Vec<String> = seeds
         .iter()
         .map(|&s| {
-            let out = world.clone().with_seed(s).run(program.clone());
+            let out = world.clone().with_seed(s).run_async(alg1_program);
             out.schedule_trace.expect("seeded").render()
         })
         .collect();
@@ -82,23 +90,28 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     let dims = MatMulDims::new(24, 12, 18);
     let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY);
-    let (a, b) = inputs(dims);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| cannon(rank, &ccfg, &a, &b).c_block)
-        .unwrap_or_else(|d| panic!("{d}"));
+    let ab = inputs(dims);
+    fuzz_schedules(&world, &[1, 2, 3], |rank| {
+        let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { cannon_a(rank, &ccfg, &ab.0, &ab.1).await.c_block })
+    })
+    .unwrap_or_else(|d| panic!("{d}"));
 
     // SUMMA, P = 6 (broadcast pipelines).
     let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY);
-    let (a, b) = inputs(dims);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| summa(rank, &scfg, &a, &b).c_block)
-        .unwrap_or_else(|d| panic!("{d}"));
+    fuzz_schedules(&world, &[1, 2, 3], |rank| {
+        let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { summa_a(rank, &scfg, &ab.0, &ab.1).await.c_block })
+    })
+    .unwrap_or_else(|d| panic!("{d}"));
 
     // 2.5D, P = 8 (replicated layers + reduction).
     let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
     let world = World::new(8, MachineParams::BANDWIDTH_ONLY);
-    let (a, b) = inputs(dims);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
-        twofived(rank, &tcfg, &a, &b).c_block
+    fuzz_schedules(&world, &[1, 2, 3], |rank| {
+        let (tcfg, ab) = (tcfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { twofived_a(rank, &tcfg, &ab.0, &ab.1).await.c_block })
     })
     .unwrap_or_else(|d| panic!("{d}"));
 }
@@ -112,8 +125,7 @@ fn schedule_fuzz_smoke() {
     let base = seed_from_env(0);
     eprintln!("schedule_fuzz_smoke: base seed {base} (replay with PMM_SEED={base})");
     let seeds: Vec<u64> = (0..4).map(|i| base.wrapping_add(i)).collect();
-    let (world, program) = alg1_world_and_program();
-    fuzz_schedules(&world, &seeds, program).unwrap_or_else(|d| panic!("{d}"));
+    fuzz_schedules(&alg1_world(), &seeds, alg1_program).unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
@@ -123,9 +135,9 @@ fn zero_fault_plan_is_meter_identical_to_no_plan() {
     // indistinguishable from a plain world: same values, same meters, same
     // clocks, byte-identical schedule trace. This is the CI guard that the
     // fault layer costs nothing — in results *or* determinism — when off.
-    let (world, program) = alg1_world_and_program();
-    let plain = world.clone().with_seed(0xC1EA4).run(program.clone());
-    let armed = world.with_seed(0xC1EA4).with_faults(FaultPlan::none()).run(program);
+    let plain = alg1_world().with_seed(0xC1EA4).run_async(alg1_program);
+    let armed =
+        alg1_world().with_seed(0xC1EA4).with_faults(FaultPlan::none()).run_async(alg1_program);
     assert_eq!(plain.values, armed.values, "values must match bitwise");
     for (r, (p, a)) in plain.reports.iter().zip(&armed.reports).enumerate() {
         assert_eq!(p.meter, a.meter, "every meter field must match, rank {r}");

@@ -1,6 +1,7 @@
-//! Host-differential suite: a thread-hosted `World::run` of the sync
-//! form of a program vs a loop-hosted `World::run_async` of its `_a`
-//! form.
+//! Host-differential suite: a loop-hosted `World::run_async` of a
+//! program vs a thread-hosted `World::run` that drives the same `_a`
+//! body through `poll_now` — the way the frozen benchmark's six sync
+//! entry points run.
 //!
 //! Every primitive has one implementation and both hosts drive the one
 //! deterministic scheduler, so the two runs must be *observationally
@@ -18,8 +19,8 @@
 //! * property-sweeps with the fault layer armed (message drops,
 //!   duplicates, delays): goodput *and* retry meters must agree
 //!   bit-for-bit across hosts;
-//! * kills, caught (`catch_failures` vs `catch_failures_async!`) and
-//!   recovered from (`run_recoverable`).
+//! * kills, caught (`catch_failures_async!`), recovered from
+//!   (`run_recoverable_a`), and uncaught (the failure report).
 //!
 //! The same comparison, on each host, also holds two *programs* to one
 //! run: Algorithm 1 and its streamed variant, which multiply an operand
@@ -30,7 +31,7 @@ use pmm::algs::{fiber_comms_a, PhaseMeter, PhaseProbe};
 use pmm::collectives::{all_gather_v_a, reduce_scatter_v_a};
 use pmm::dense::{block_range, chunk_of_block, gemm_acc, Block2};
 use pmm::prelude::*;
-use pmm::simnet::phase;
+use pmm::simnet::{phase, poll_now};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -74,11 +75,9 @@ where
 }
 
 /// Run `program` on both hosts and assert the runs are the same;
-/// returns the loop-hosted result for further checks. The sync form of
-/// every primitive, collective and algorithm is `poll_now(its _a form)`,
-/// so polling the async program once on a thread host *is* running its
-/// sync form (the cases below that spell a sync form out are the ones
-/// where it is written differently).
+/// returns the loop-hosted result for further checks. Polling the async
+/// program once on a thread host is what the benchmark's sync entry
+/// points (`alg1` = `poll_now(alg1_a(..))`, ...) do.
 fn assert_hosts_agree<T, F>(label: &str, world: &World, program: F) -> WorldResult<T>
 where
     T: Send + PartialEq + std::fmt::Debug,
@@ -109,7 +108,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
             let phases = out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
             (out.c_chunk, phases)
         };
-        let threads = world.run(|rank| view(alg1(rank, &cfg, &ab.0, &ab.1)));
+        let threads = world.run(|rank| view(poll_now(alg1_a(rank, &cfg, &ab.0, &ab.1))));
         let out = world.run_async(|rank| {
             let cfg = cfg.clone();
             let ab = Arc::clone(&ab);
@@ -138,7 +137,7 @@ fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
     let per_rank = world.run(|rank| {
         let (a, b) = (ab.0.clone(), ab.1.clone());
-        alg1(rank, &cfg, &a, &b)
+        poll_now(alg1_a(rank, &cfg, &a, &b))
     });
     let shared = world.run_async(|rank| {
         let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
@@ -566,32 +565,13 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
 
 #[test]
 fn hosts_agree_on_a_kill_caught_and_rallied_from() {
-    // Rank 2 dies entering its second exchange of a 4-rank ring; the
-    // sync form catches it with `catch_failures`, the async form with
-    // `catch_failures_async!` (`catch_fault_panics`). Survivors are
+    // Rank 2 dies entering its second exchange of a 4-rank ring, caught
+    // with `catch_failures_async!` (`catch_fault_panics`). Survivors are
     // kicked out of the ring, rally at the barrier, rebuild a
     // communicator over themselves and finish a second ring on it.
     let plan = FaultPlan::none().with_seed(9).with_kill(2, 2);
     let world = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
-    let threads = world.run(|rank| {
-        let wc = rank.world_comm();
-        let (me, n) = (wc.index(), wc.size());
-        let first = rank.catch_failures(|rank| {
-            (0..3)
-                .map(|i| rank.exchange(&wc, (me + 1) % n, (me + n - 1) % n, &[i as f64; 4]))
-                .map(|m| m.payload[0])
-                .sum::<f64>()
-        });
-        if first.as_ref().is_err_and(|f| f.rank == me) {
-            return (first.map_err(|f| f.rank), Vec::new());
-        }
-        rank.hard_sync();
-        let survivors = rank.recovery_split(0);
-        let (i, k) = (survivors.index(), survivors.size());
-        let m = rank.exchange(&survivors, (i + 1) % k, (i + k - 1) % k, &[me as f64]);
-        (first.map_err(|f| f.rank), m.payload)
-    });
-    let out = world.run_async(|rank| {
+    let out = assert_hosts_agree("caught kill", &world, |rank| {
         Box::pin(async move {
             let wc = rank.world_comm();
             let (me, n) = (wc.index(), wc.size());
@@ -616,13 +596,36 @@ fn hosts_agree_on_a_kill_caught_and_rallied_from() {
             (first.map_err(|f| f.rank), m.payload)
         })
     });
-    assert_same_run("caught kill", &threads, &out);
     assert_eq!(out.values[2], (Err(2), Vec::new()), "the victim reports its own death");
     for r in [0, 1, 3] {
         assert_eq!(out.values[r].0, Err(2), "rank {r} observes the death of rank 2");
     }
     let ring: Vec<f64> = [0, 1, 3].iter().map(|&r| out.values[r].1[0]).collect();
     assert_eq!(ring, vec![3.0, 0.0, 1.0], "the survivors' ring skips the corpse");
+}
+
+/// A 3-rank ring whose rank 1 is killed and nobody catches it.
+fn uncaught_kill_ring(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
+    Box::pin(async move {
+        let wc = rank.world_comm();
+        let me = rank.world_rank();
+        rank.exchange_a(&wc, (me + 1) % 3, (me + 2) % 3, &[1.0]).await.payload[0]
+    })
+}
+
+#[test]
+fn hosts_agree_on_an_uncaught_kill_report() {
+    // Same seed, same scheduler, same primitives: the thread host panics
+    // with the loop's failure report, byte for byte.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(7)
+        .with_faults(FaultPlan::none().with_kill(1, 1));
+    let event = world.try_run_async(uncaught_kill_ring).expect_err("uncaught kill fails the run");
+    let threads = std::panic::catch_unwind(|| world.run(|rank| poll_now(uncaught_kill_ring(rank))))
+        .expect_err("uncaught kill fails the thread-hosted run");
+    let threads = threads.downcast_ref::<String>().expect("the report is a String");
+    assert!(event.report.contains("kill=1@1"), "{event}");
+    assert_eq!(*threads, event.to_string(), "the hosts report the uncaught kill differently");
 }
 
 proptest! {

@@ -6,6 +6,8 @@
 //!   workloads the exhaustive walk visits *every* interleaving of the
 //!   deterministic scheduler and the schedule count is pinned, so any
 //!   change to the scheduler's pick-point structure is caught here.
+//!   Every certified schedule must also replay from its pick stream
+//!   alone to the outcome it was explored with.
 //! * **Pruning soundness** — the sleep-set walk must reach exactly the
 //!   same set of distinct outcomes as the exhaustive walk, while
 //!   visiting fewer schedules.
@@ -22,6 +24,7 @@
 //! dpor` collects into `BENCH_explore.json`.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmm::explore::{
@@ -65,7 +68,7 @@ fn fingerprint<T: std::fmt::Debug>(outcome: ScheduleOutcome<'_, T>) -> String {
 fn certify<T, F>(label: &str, world: &World, program: F) -> (ExploreReport, ExploreReport)
 where
     T: Send + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync + Copy,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Copy,
 {
     let mut exhaustive_fps = BTreeSet::new();
     let t0 = Instant::now();
@@ -110,20 +113,100 @@ where
     (full, pruned)
 }
 
-#[test]
-fn exhaustive_certificate_pins_the_gather3_schedule_space() {
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
-    let gather = |rank: &mut Rank| {
+/// Replay every schedule of the exhaustive walk from its recorded pick
+/// stream alone, as a `PMM_SCHEDULE=prefix:...` recipe would, on a fresh
+/// event-loop run. Each replay must reproduce the explored outcome and
+/// the same pick stream, and the streams must be pairwise distinct (the
+/// certificate counts interleavings, not repeats). Returns the number
+/// of schedules replayed.
+fn replay_certificate<T, F>(label: &str, world: &World, program: F) -> u64
+where
+    T: Send + std::fmt::Debug,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Copy,
+{
+    let mut explored: Vec<(Vec<usize>, String)> = Vec::new();
+    let full =
+        explore_outcomes(world, program, &ExploreConfig::exhaustive(), |choices, outcome| {
+            explored.push((choices.to_vec(), fingerprint(outcome)));
+            Ok(())
+        })
+        .unwrap_or_else(|f| panic!("{label} exhaustive walk failed: {f}"));
+    assert!(full.complete, "{label}: exhaustive walk must drain the frontier");
+    assert_eq!(explored.len() as u64, full.schedules, "{label}: one callback per schedule");
+
+    let distinct: BTreeSet<&[usize]> = explored.iter().map(|(c, _)| c.as_slice()).collect();
+    assert_eq!(distinct.len(), explored.len(), "{label}: explored pick streams must be distinct");
+
+    for (choices, want_fp) in &explored {
+        let replay =
+            world.clone().with_schedule(Schedule::Prefix(choices.clone())).try_run_async(program);
+        assert_eq!(
+            fingerprint(replay.as_ref()),
+            *want_fp,
+            "{label}: replay of {choices:?} diverged from the explored run"
+        );
+        let log = match &replay {
+            Ok(out) => out.choice_points.as_ref(),
+            Err(fail) => fail.choice_points.as_ref(),
+        }
+        .expect("scheduled runs record their picks");
+        assert_eq!(log.chosen(), &choices[..], "{label}: replay left its recorded pick stream");
+    }
+    full.schedules
+}
+
+/// The gather3 workload: ranks 1 and 2 send to rank 0, which sums.
+fn gather3(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
+    Box::pin(async move {
         let comm = rank.world_comm();
         let me = rank.world_rank();
         if me == 0 {
-            (1..comm.size()).map(|from| rank.recv(&comm, from).payload[0]).sum()
+            let mut sum = 0.0;
+            for from in 1..comm.size() {
+                sum += rank.recv_a(&comm, from).await.payload[0];
+            }
+            sum
         } else {
-            rank.send(&comm, 0, &[me as f64]);
+            rank.send_a(&comm, 0, &[me as f64]).await;
             0.0
         }
-    };
-    let (full, pruned) = certify("gather3", &world, gather);
+    })
+}
+
+/// The barrier4 workload: a registered barrier collective followed by
+/// the barrier itself.
+fn barrier4(rank: &mut Rank) -> LocalBoxFuture<'_, usize> {
+    Box::pin(async move {
+        let comm = rank.world_comm();
+        rank.collective_begin_a(&comm, CollectiveOp::Barrier, 0).await;
+        rank.hard_sync_a().await;
+        rank.world_rank()
+    })
+}
+
+/// A 3-rank exchange ring.
+fn ring3(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
+    Box::pin(async move {
+        let comm = rank.world_comm();
+        let me = rank.world_rank();
+        let n = comm.size();
+        let msg = rank.exchange_a(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]).await;
+        msg.payload[0]
+    })
+}
+
+/// A rank that only reaches the world barrier.
+fn hard_sync_only(rank: &mut Rank) -> LocalBoxFuture<'_, usize> {
+    Box::pin(async move {
+        rank.hard_sync_a().await;
+        rank.world_rank()
+    })
+}
+
+#[test]
+fn exhaustive_certificate_pins_the_gather3_schedule_space() {
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
+    let (full, pruned) = certify("gather3", &world, gather3);
     // The certificate: a 3-rank root gather has exactly 72 maximal
     // interleavings under the cooperative scheduler's pick points.
     assert_eq!(full.schedules, 72, "gather3 interleaving certificate drifted");
@@ -132,16 +215,9 @@ fn exhaustive_certificate_pins_the_gather3_schedule_space() {
 
 #[test]
 fn exhaustive_certificate_pins_the_barrier4_schedule_space() {
-    // The pinned 4-rank collective workload of `cargo xtask dpor`: a
-    // registered barrier collective followed by the barrier itself.
+    // The pinned 4-rank collective workload of `cargo xtask dpor`.
     let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
-    let barrier = |rank: &mut Rank| {
-        let comm = rank.world_comm();
-        rank.collective_begin(&comm, CollectiveOp::Barrier, 0);
-        rank.hard_sync();
-        rank.world_rank()
-    };
-    let (full, pruned) = certify("barrier4", &world, barrier);
+    let (full, pruned) = certify("barrier4", &world, barrier4);
     // The certificate: all 15120 interleavings explored, every one
     // bitwise equivalent (the fingerprint sets collapse to size 1 via
     // `certify`'s cross-check, and the counts below pin the space).
@@ -153,6 +229,24 @@ fn exhaustive_certificate_pins_the_barrier4_schedule_space() {
         pruned.schedules,
         full.schedules
     );
+}
+
+#[test]
+fn event_loop_reproduces_the_gather3_certificate() {
+    // Every one of the 72 certified interleavings is its own repro: a
+    // fresh run from its pick stream lands on the explored outcome.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
+    let replayed = replay_certificate("gather3/replay", &world, gather3);
+    assert_eq!(replayed, 72, "gather3 certificate drifted under replay");
+}
+
+#[test]
+fn event_loop_reproduces_the_barrier4_certificate() {
+    // All 15120 barrier4 interleavings, each replayed from its recorded
+    // pick stream as a resumable continuation on the event loop.
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
+    let replayed = replay_certificate("barrier4/replay", &world, barrier4);
+    assert_eq!(replayed, 15120, "barrier4 certificate drifted under replay");
 }
 
 #[test]
@@ -173,19 +267,27 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
     };
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
     let budget = Duration::from_secs(env_u64("PMM_EXPLORE_BUDGET_SECS", 60).max(10) / 2);
-    let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
-    let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
+    let ab = Arc::new((
+        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
+        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
+    ));
     let t0 = Instant::now();
     let report = explore_checked(
         &world,
-        move |rank| {
-            let out = alg1(rank, &cfg, &a, &b);
-            // Digest: C chunk bits + per-phase traffic (bitwise
-            // comparable across schedules).
-            let c_bits: Vec<u64> = out.c_chunk.iter().map(|x| x.to_bits()).collect();
-            let phase_words: Vec<(u64, u64)> =
-                out.phases.iter().map(|ph| (ph.meter.words_recv, ph.meter.words_sent)).collect();
-            (c_bits, phase_words)
+        |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                let out = alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+                // Digest: C chunk bits + per-phase traffic (bitwise
+                // comparable across schedules).
+                let c_bits: Vec<u64> = out.c_chunk.iter().map(|x| x.to_bits()).collect();
+                let phase_words: Vec<(u64, u64)> = out
+                    .phases
+                    .iter()
+                    .map(|ph| (ph.meter.words_recv, ph.meter.words_sent))
+                    .collect();
+                (c_bits, phase_words)
+            })
         },
         &ExploreConfig::budgeted(48, budget),
         |out| {
@@ -223,10 +325,7 @@ fn budget_caps_the_frontier_sweep() {
     let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
     let report = explore(
         &world,
-        |rank| {
-            rank.hard_sync();
-            rank.world_rank()
-        },
+        hard_sync_only,
         &ExploreConfig {
             strategy: Strategy::Exhaustive,
             max_schedules: Some(25),
@@ -243,22 +342,14 @@ fn budget_caps_the_frontier_sweep() {
 fn a_failing_schedule_names_its_choice_prefix() {
     let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
     let mut seen = 0u64;
-    let failure = explore_outcomes(
-        &world,
-        |rank| {
-            rank.hard_sync();
-            rank.world_rank()
-        },
-        &ExploreConfig::exhaustive(),
-        |_, _| {
-            seen += 1;
-            if seen == 2 {
-                Err("synthetic oracle failure".to_string())
-            } else {
-                Ok(())
-            }
-        },
-    )
+    let failure = explore_outcomes(&world, hard_sync_only, &ExploreConfig::exhaustive(), |_, _| {
+        seen += 1;
+        if seen == 2 {
+            Err("synthetic oracle failure".to_string())
+        } else {
+            Ok(())
+        }
+    })
     .expect_err("the failing oracle must surface");
     assert!(!failure.prefix.is_empty(), "failure must carry the full choice sequence");
     let shown = failure.to_string();
@@ -277,10 +368,12 @@ fn deadlocking_programs_are_explored_not_hung() {
     let report = explore_outcomes(
         &world,
         |rank| {
-            let comm = rank.world_comm();
-            let peer = 1 - rank.world_rank();
-            let got = rank.recv(&comm, peer).payload[0];
-            rank.send(&comm, peer, &[got]);
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let peer = 1 - rank.world_rank();
+                let got = rank.recv_a(&comm, peer).await.payload[0];
+                rank.send_a(&comm, peer, &[got]).await;
+            })
         },
         &ExploreConfig::exhaustive(),
         |prefix, outcome| {
@@ -328,110 +421,6 @@ fn generator_soak_has_zero_false_reports() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Loop-hosted async programs: the certificates carry across hosts
-// ---------------------------------------------------------------------------
-
-/// Async analogue of [`certify`], running every replay as continuations
-/// on the event loop: the choice tree is a property of the deterministic
-/// scheduler, not of how ranks are hosted, so the exhaustive schedule
-/// counts pinned on thread-hosted sync programs must reproduce exactly.
-fn certify_event<T, F>(label: &str, world: &World, program: F) -> (ExploreReport, ExploreReport)
-where
-    T: Send + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Copy,
-{
-    let mut exhaustive_fps = BTreeSet::new();
-    let full =
-        explore_outcomes_async(world, program, &ExploreConfig::exhaustive(), |_, outcome| {
-            exhaustive_fps.insert(fingerprint(outcome));
-            Ok(())
-        })
-        .unwrap_or_else(|f| panic!("{label} event-loop exhaustive walk failed: {f}"));
-    assert!(full.complete, "{label}: event-loop exhaustive walk must drain the frontier");
-    assert_eq!(full.pruned, 0, "{label}: exhaustive walk must not prune");
-
-    let mut sleep_fps = BTreeSet::new();
-    let pruned =
-        explore_outcomes_async(world, program, &ExploreConfig::sleep_sets(), |_, outcome| {
-            sleep_fps.insert(fingerprint(outcome));
-            Ok(())
-        })
-        .unwrap_or_else(|f| panic!("{label} event-loop sleep-set walk failed: {f}"));
-    assert!(pruned.complete, "{label}: event-loop sleep-set walk must drain the frontier");
-    assert_eq!(
-        sleep_fps, exhaustive_fps,
-        "{label}: sleep-set pruning must cover every distinct outcome on the event loop"
-    );
-    (full, pruned)
-}
-
-/// The gather3 workload as an async rank program.
-fn gather3_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        let me = rank.world_rank();
-        if me == 0 {
-            let mut sum = 0.0;
-            for from in 1..comm.size() {
-                sum += rank.recv_a(&comm, from).await.payload[0];
-            }
-            sum
-        } else {
-            rank.send_a(&comm, 0, &[me as f64]).await;
-            0.0
-        }
-    })
-}
-
-/// The barrier4 workload as an async rank program.
-fn barrier4_a(rank: &mut Rank) -> LocalBoxFuture<'_, usize> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        rank.collective_begin_a(&comm, CollectiveOp::Barrier, 0).await;
-        rank.hard_sync_a().await;
-        rank.world_rank()
-    })
-}
-
-/// A 3-rank exchange ring as an async rank program.
-fn ring3_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        let me = rank.world_rank();
-        let n = comm.size();
-        let msg = rank.exchange_a(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]).await;
-        msg.payload[0]
-    })
-}
-
-#[test]
-fn event_loop_reproduces_the_gather3_certificate() {
-    // Same workload as `exhaustive_certificate_pins_the_gather3_schedule_space`,
-    // expressed as an async rank program and explored on the event
-    // loop: the 72-interleaving certificate must not move.
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
-    let (full, pruned) = certify_event("gather3/event", &world, gather3_a);
-    assert_eq!(full.schedules, 72, "gather3 certificate drifted on the event loop");
-    assert!(pruned.pruned > 0, "gather3 must give sleep sets something to prune");
-}
-
-#[test]
-fn event_loop_reproduces_the_barrier4_certificate() {
-    // The 4-rank barrier workload: all 15120 interleavings, replayed as
-    // resumable continuations instead of parked threads.
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
-    let (full, pruned) = certify_event("barrier4/event", &world, barrier4_a);
-    assert_eq!(full.schedules, 15120, "barrier4 certificate drifted on the event loop");
-    assert!(
-        pruned.schedules < full.schedules / 10,
-        "sleep sets should prune the barrier4 space by at least 10x on the event loop \
-         (got {} of {})",
-        pruned.schedules,
-        full.schedules
-    );
-}
-
 #[test]
 fn pmm_schedule_prefix_replays_on_the_event_loop() {
     // A `PMM_SCHEDULE=prefix:...` recipe (parsed through the same
@@ -441,7 +430,7 @@ fn pmm_schedule_prefix_replays_on_the_event_loop() {
     let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
     // Pick one explored schedule and remember its full choice prefix.
     let mut recipe: Option<(Vec<usize>, String)> = None;
-    explore_outcomes_async(&world, ring3_a, &ExploreConfig::exhaustive(), |prefix, outcome| {
+    explore_outcomes(&world, ring3, &ExploreConfig::exhaustive(), |prefix, outcome| {
         if recipe.is_none() && !prefix.is_empty() {
             recipe = Some((prefix.to_vec(), fingerprint(outcome)));
         }
@@ -458,7 +447,7 @@ fn pmm_schedule_prefix_replays_on_the_event_loop() {
     let replay = world
         .clone()
         .with_schedule(parsed)
-        .try_run_async(ring3_a)
+        .try_run_async(ring3)
         .expect("prefix replay must succeed");
     assert_eq!(fingerprint(Ok(&replay)), want_fp, "prefix replay diverged from the explored run");
     let log = replay.choice_points.expect("deterministic run records picks");
@@ -480,7 +469,7 @@ fn explorer_cross_checks_generated_programs() {
     let mut seed = 0x5EED_BA5E_u64;
     while checked_valid < 2 || checked_defective < 3 {
         seed = seed.wrapping_add(1);
-        let prog = generate(seed);
+        let prog = Arc::new(generate(seed));
         if prog.world_size > 4 || prog.faults.is_some() {
             continue;
         }
@@ -495,7 +484,10 @@ fn explorer_cross_checks_generated_programs() {
         let cfg = ExploreConfig::budgeted(20, Duration::from_secs(20));
         let report = explore_outcomes(
             &world,
-            |rank| pmm::explore::interpret(&prog, rank),
+            |rank| {
+                let prog = Arc::clone(&prog);
+                Box::pin(async move { pmm::explore::interpret(&prog, rank).await })
+            },
             &cfg,
             |prefix, outcome| {
                 let gen_outcome = GenOutcome {
@@ -532,8 +524,12 @@ fn assert_log_matches_probe(
     world: &World,
     prog: &pmm::explore::GenProgram,
 ) -> ChoiceLog {
-    let (outcome, probed) =
-        probe_ready_sets(|| world.try_run(|rank| pmm::explore::interpret(prog, rank)));
+    let (outcome, probed) = probe_ready_sets(|| {
+        world.try_run_async(|rank| {
+            let prog = prog.clone();
+            Box::pin(async move { pmm::explore::interpret(&prog, rank).await })
+        })
+    });
     let log = match outcome {
         Ok(out) => out.choice_points,
         Err(failure) => failure.choice_points,

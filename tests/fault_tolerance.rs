@@ -19,26 +19,27 @@
 //!   fault plan — fault decisions are schedule-independent by
 //!   construction, so values *and* retry meters agree across seeds;
 //! * SUMMA recovery on its near-square shrunken grid through the
-//!   generic [`run_recoverable`] wrapper;
-//! * the uncaught-kill path on **both** hosts: `World::try_run` and
-//!   `try_run_async` report the same typed rank failure naming the kill
-//!   site and the replay seed, never a deadlock.
+//!   generic [`run_recoverable_a`] wrapper;
+//! * the uncaught-kill path: `try_run_async` reports a typed rank
+//!   failure naming the kill site and the replay seed, never a deadlock
+//!   (`tests/engine_equivalence.rs` holds the thread host's report to
+//!   the same text).
 
 use pmm::prelude::*;
 use pmm_simnet::{FaultPlan, RankFailed};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    )
+    ))
 }
 
 fn reference(dims: MatMulDims) -> Matrix {
-    let (a, b) = inputs(dims);
-    gemm(&a, &b, Kernel::Naive)
+    let ab = inputs(dims);
+    gemm(&ab.0, &ab.1, Kernel::Naive)
 }
 
 /// Fault rate for the sweep tests: `PMM_FAULT_RATE` (a float) when set —
@@ -58,7 +59,7 @@ fn run_recovery(
     sched_seed: u64,
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
-    let ab = Arc::new(inputs(dims));
+    let ab = inputs(dims);
     World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan).run_async(
         move |rank| {
             let ab = Arc::clone(&ab);
@@ -240,8 +241,11 @@ fn healing_partition_delays_but_does_not_break_delivery() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let (a, b) = inputs(dims);
-        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
+        let ab = inputs(dims);
+        world.run_async(move |rank: &mut Rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        })
     };
     let clean = run(None);
     // Ranks {0,1,2} cut off from the rest for seq window [0, 40), healing
@@ -268,8 +272,11 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let (a, b) = inputs(dims);
-        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
+        let ab = inputs(dims);
+        world.run_async(move |rank: &mut Rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        })
     };
     let clean = run(None);
     let stormed = run(Some(FaultPlan::none().with_seed(0x570).with_storm(0.5, 6.0)));
@@ -370,21 +377,25 @@ proptest! {
         let out = World::new(2, MachineParams::BANDWIDTH_ONLY)
             .with_seed(9)
             .with_faults(plan)
-            .run(move |rank| {
-                let wc = rank.world_comm();
-                if rank.world_rank() == 0 {
-                    for i in 0..n_msgs {
-                        // Distinct sizes and values so reordering,
-                        // duplication, or corruption cannot cancel out.
-                        let w = 1 + (i % 5);
-                        rank.send(&wc, 1, &vec![i as f64 + 0.25; w]);
+            .run_async(move |rank| {
+                Box::pin(async move {
+                    let wc = rank.world_comm();
+                    if rank.world_rank() == 0 {
+                        for i in 0..n_msgs {
+                            // Distinct sizes and values so reordering,
+                            // duplication, or corruption cannot cancel out.
+                            let w = 1 + (i % 5);
+                            rank.send_a(&wc, 1, &vec![i as f64 + 0.25; w]).await;
+                        }
+                        Vec::new()
+                    } else {
+                        let mut got = Vec::new();
+                        for _ in 0..n_msgs {
+                            got.push(rank.recv_a(&wc, 0).await.payload);
+                        }
+                        got
                     }
-                    Vec::new()
-                } else {
-                    (0..n_msgs)
-                        .map(|_| rank.recv(&wc, 0).payload)
-                        .collect::<Vec<_>>()
-                }
+                })
             });
         let got = &out.values[1];
         prop_assert_eq!(got.len(), n_msgs);
@@ -478,9 +489,12 @@ fn fault_decisions_are_schedule_independent_across_seeds() {
         .with_partition(vec![0, 1], 3..9, 2)
         .with_storm(0.25, 3.0);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_faults(plan);
-    let (a, b) = inputs(dims);
-    let program = move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk;
-    fuzz_schedules(&world, &[1, 2, 3, 4], program).unwrap_or_else(|d| panic!("{d}"));
+    let ab = inputs(dims);
+    fuzz_schedules(&world, &[1, 2, 3, 4], |rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+    })
+    .unwrap_or_else(|d| panic!("{d}"));
 }
 
 // ---------------------------------------------------------------------------
@@ -492,12 +506,23 @@ fn summa_recovers_on_near_square_survivor_grid() {
     let dims = MatMulDims::new(12, 6, 8);
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
-    let (a, b) = inputs(dims);
-    let out = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_faults(plan).run(
-        move |rank| {
-            run_recoverable(rank, &Recoverable::Summa { kernel: Kernel::Naive }, dims, &a, &b)
-        },
-    );
+    let ab = inputs(dims);
+    let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(5)
+        .with_faults(plan)
+        .run_async(move |rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                run_recoverable_a(
+                    rank,
+                    &Recoverable::Summa { kernel: Kernel::Naive },
+                    dims,
+                    &ab.0,
+                    &ab.1,
+                )
+                .await
+            })
+        });
     assert!(out.values[3].is_err(), "killed rank reports failure");
     let ok = out.values[0].as_ref().expect("rank 0 survives");
     let (pr, pc) = pmm_algs::near_square_factors(5);
@@ -510,35 +535,26 @@ fn summa_recovers_on_near_square_survivor_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// Failure reporting (both hosts)
+// Failure reporting
 // ---------------------------------------------------------------------------
 
-/// The uncaught-kill program: no `catch_failures` anywhere, so the kill
-/// must surface as a typed world-level failure naming the fault-plan
-/// entry and the replay seed — never as a deadlock or divergence abort.
-/// Runs it thread-hosted (`try_run`) or loop-hosted (`try_run_async`)
-/// and returns the checked failure text.
-fn assert_uncaught_kill_reports_rank_failure(on_threads: bool) -> String {
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY)
+#[test]
+fn uncaught_kill_reports_rank_failure_not_deadlock() {
+    // No fault-catching scope anywhere, so the kill must surface as a
+    // typed world-level failure naming the fault-plan entry and the
+    // replay seed — never as a deadlock or divergence abort.
+    let msg = World::new(3, MachineParams::BANDWIDTH_ONLY)
         .with_seed(7)
-        .with_faults(FaultPlan::none().with_kill(1, 1));
-    let failure = if on_threads {
-        world.try_run(|rank| {
-            let wc = rank.world_comm();
-            let me = rank.world_rank();
-            rank.exchange(&wc, (me + 1) % 3, (me + 2) % 3, &[1.0]).payload[0]
-        })
-    } else {
-        world.try_run_async(|rank| {
+        .with_faults(FaultPlan::none().with_kill(1, 1))
+        .try_run_async(|rank| {
             Box::pin(async move {
                 let wc = rank.world_comm();
                 let me = rank.world_rank();
                 rank.exchange_a(&wc, (me + 1) % 3, (me + 2) % 3, &[1.0]).await.payload[0]
             })
         })
-    }
-    .expect_err("uncaught kill must fail the run");
-    let msg = failure.to_string();
+        .expect_err("uncaught kill must fail the run")
+        .to_string();
     // Two reporters exist: the verifier (if survivors block on the dead
     // rank first) or the runner (if the killed rank's panic surfaces
     // first). Both must name the fault, never a deadlock.
@@ -547,27 +563,6 @@ fn assert_uncaught_kill_reports_rank_failure(on_threads: bool) -> String {
     assert!(!msg.contains("deadlock detected"), "must not misreport as deadlock: {msg}");
     assert!(!msg.contains("diverged"), "must not misreport as divergence: {msg}");
     assert!(msg.contains("PMM_SEED=7"), "report must carry the replay seed: {msg}");
-    msg
-}
-
-#[test]
-fn uncaught_kill_reports_rank_failure_not_deadlock() {
-    assert_uncaught_kill_reports_rank_failure(true);
-}
-
-#[test]
-fn uncaught_kill_reports_rank_failure_not_deadlock_on_event_loop() {
-    // Same seed, same scheduler, same primitives: the loop-hosted report
-    // is the thread-hosted one to the byte, up to the line and column of
-    // the two forms' `exchange` call sites.
-    let sans_call_site = |report: String| {
-        let (head, tail) = report.split_once("fault_tolerance.rs:").expect("names a call site");
-        format!("{head}{}", tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == ':'))
-    };
-    assert_eq!(
-        sans_call_site(assert_uncaught_kill_reports_rank_failure(false)),
-        sans_call_site(assert_uncaught_kill_reports_rank_failure(true))
-    );
 }
 
 #[test]
@@ -581,8 +576,11 @@ fn straggler_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let (a, b) = inputs(dims);
-        world.run(move |rank: &mut Rank| alg1(rank, &cfg, &a, &b).c_chunk)
+        let ab = inputs(dims);
+        world.run_async(move |rank: &mut Rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        })
     };
     let clean = run(None);
     let slowed = run(Some(FaultPlan::none().with_straggler(5, 4.0)));

@@ -15,12 +15,13 @@
 //!    critical path (simulated time) are tier-independent.
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    )
+    ))
 }
 
 /// Run Algorithm 1 on a 2×3×2 grid with the given kernel, seeded and
@@ -29,11 +30,13 @@ fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
-    let (a, b) = inputs(dims);
-    World::new(12, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(0xBEEF)
-        .with_trace(true)
-        .run(move |rank| alg1(rank, &cfg, &a, &b))
+    let ab = inputs(dims);
+    World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xBEEF).with_trace(true).run_async(
+        move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        },
+    )
 }
 
 #[test]
@@ -91,9 +94,9 @@ fn env_selected_kernel_is_output_invariant_for_the_cli_reference() {
     // the CLI checks the run against the pinned naive oracle: whatever
     // tier the variable names equals that reference bitwise.
     let dims = MatMulDims::new(24, 12, 18);
-    let (a, b) = inputs(dims);
-    let oracle = gemm(&a, &b, Kernel::Naive);
+    let ab = inputs(dims);
+    let oracle = gemm(&ab.0, &ab.1, Kernel::Naive);
     for kernel in Kernel::ALL {
-        assert_eq!(oracle, gemm(&a, &b, kernel), "tier {kernel} diverged from the oracle");
+        assert_eq!(oracle, gemm(&ab.0, &ab.1, kernel), "tier {kernel} diverged from the oracle");
     }
 }

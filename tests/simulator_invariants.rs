@@ -2,9 +2,11 @@
 //! the critical-path clock, collective correctness on communicators carved
 //! out of grids, and property-based collective checks.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmm::prelude::*;
+use pmm::simnet::poll_now;
 use proptest::prelude::*;
 
 #[test]
@@ -13,10 +15,12 @@ fn words_sent_equals_words_received_globally() {
     let dims = MatMulDims::new(24, 18, 12);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config::new(dims, grid);
-    let a = random_int_matrix(24, 18, -2..3, 1);
-    let b = random_int_matrix(18, 12, -2..3, 2);
-    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        alg1(rank, &cfg, &a, &b);
+    let ab = Arc::new((random_int_matrix(24, 18, -2..3, 1), random_int_matrix(18, 12, -2..3, 2)));
+    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+        })
     });
     let sent: u64 = out.reports.iter().map(|r| r.meter.words_sent).sum();
     let recv: u64 = out.reports.iter().map(|r| r.meter.words_recv).sum();
@@ -28,22 +32,25 @@ fn words_sent_equals_words_received_globally() {
 
 #[test]
 fn clock_and_meters_are_deterministic_across_runs() {
-    // OS scheduling must not leak into any metered quantity.
-    let run = || {
-        let dims = MatMulDims::new(20, 16, 12);
-        let grid = Grid3::new(2, 2, 2);
-        let cfg = Alg1Config::new(dims, grid);
-        let a = random_int_matrix(20, 16, -2..3, 5);
-        let b = random_int_matrix(16, 12, -2..3, 6);
-        let out = World::new(8, MachineParams::TYPICAL_CLUSTER).run(move |rank| {
-            alg1(rank, &cfg, &a, &b);
-            (rank.time(), rank.meter())
+    // The schedule must not leak into any metered quantity: the canonical
+    // run and three seeded ones agree on every clock and meter.
+    let dims = MatMulDims::new(20, 16, 12);
+    let cfg = Alg1Config::new(dims, Grid3::new(2, 2, 2));
+    let ab = Arc::new((random_int_matrix(20, 16, -2..3, 5), random_int_matrix(16, 12, -2..3, 6)));
+    let run = |world: World| {
+        let out = world.run_async(|rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+                (rank.time(), rank.meter())
+            })
         });
         out.values
     };
-    let first = run();
-    for _ in 0..3 {
-        let again = run();
+    let world = World::new(8, MachineParams::TYPICAL_CLUSTER);
+    let first = run(world.clone());
+    for seed in 1..4 {
+        let again = run(world.clone().with_seed(seed));
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.0, b.0, "clock must be deterministic");
             assert_eq!(a.1, b.1, "meters must be deterministic");
@@ -56,15 +63,20 @@ fn collectives_compose_on_grid_fibers() {
     // Within each fiber of a 3x2x2 grid, all-reduce over row-fibers then
     // broadcast over column-fibers — data arrives intact everywhere.
     let grid = Grid3::new(3, 2, 2);
-    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        let world = rank.world_comm();
-        let coord = grid.coord_of(rank.world_rank());
-        let axis0 = rank.split(&world, grid.fiber_color(coord, 0) as i64, coord[0] as i64).unwrap();
-        let sum = all_reduce(rank, &axis0, &[coord[0] as f64 + 1.0], AllReduceAlgo::Auto);
-        // fiber along axis 0 has coords {0,1,2} → sum = 6.
-        let axis2 = rank.split(&world, grid.fiber_color(coord, 2) as i64, coord[2] as i64).unwrap();
-        let got = bcast(rank, &axis2, &sum, 0, BcastAlgo::Binomial);
-        got[0]
+    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+        Box::pin(async move {
+            let world = rank.world_comm();
+            let coord = grid.coord_of(rank.world_rank());
+            let (color, key) = (grid.fiber_color(coord, 0) as i64, coord[0] as i64);
+            let axis0 = rank.split_a(&world, color, key).await.unwrap();
+            let sum =
+                all_reduce_a(rank, &axis0, &[coord[0] as f64 + 1.0], AllReduceAlgo::Auto).await;
+            // fiber along axis 0 has coords {0,1,2} → sum = 6.
+            let (color, key) = (grid.fiber_color(coord, 2) as i64, coord[2] as i64);
+            let axis2 = rank.split_a(&world, color, key).await.unwrap();
+            let got = bcast_a(rank, &axis2, &sum, 0, BcastAlgo::Binomial).await;
+            got[0]
+        })
     });
     assert!(out.values.iter().all(|&v| v == 6.0));
 }
@@ -78,28 +90,21 @@ fn splits_through_separate_world_comm_handles_share_one_sequence() {
     fn groups(halves: &Comm, parity: &Comm) -> (Vec<usize>, Vec<usize>) {
         (halves.members().to_vec(), parity.members().to_vec())
     }
-    let sync = |rank: &mut Rank| {
-        let r = rank.world_rank() as i64;
-        let halves = rank.split(&rank.world_comm(), r / 2, r).unwrap();
-        let parity = rank.split(&rank.world_comm(), r % 2, r).unwrap();
-        groups(&halves, &parity)
-    };
-    let want: Vec<_> =
-        (0..4).map(|r| (vec![r / 2 * 2, r / 2 * 2 + 1], vec![r % 2, r % 2 + 2])).collect();
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
-    assert_eq!(world.clone().run(sync).values, want, "free-running threads");
-    for seed in 0..24 {
-        assert_eq!(world.clone().with_seed(seed).run(sync).values, want, "seed {seed}");
-    }
-    let out = world.run_async(|rank| {
+    fn program(rank: &mut Rank) -> LocalBoxFuture<'_, (Vec<usize>, Vec<usize>)> {
         Box::pin(async move {
             let r = rank.world_rank() as i64;
             let halves = rank.split_a(&rank.world_comm(), r / 2, r).await.unwrap();
             let parity = rank.split_a(&rank.world_comm(), r % 2, r).await.unwrap();
             groups(&halves, &parity)
         })
-    });
-    assert_eq!(out.values, want, "run_async");
+    }
+    let want: Vec<_> =
+        (0..4).map(|r| (vec![r / 2 * 2, r / 2 * 2 + 1], vec![r % 2, r % 2 + 2])).collect();
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
+    assert_eq!(world.run_async(program).values, want, "canonical schedule");
+    for seed in 0..24 {
+        assert_eq!(world.clone().with_seed(seed).run_async(program).values, want, "seed {seed}");
+    }
 }
 
 proptest! {
@@ -111,17 +116,19 @@ proptest! {
         w in 1usize..20,
         seed in 0u64..1000,
     ) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine: Vec<f64> = (0..w)
-                .map(|e| ((rank.world_rank() as u64 * 31 + e as u64 + seed) % 17) as f64)
-                .collect();
-            let gathered = all_gather(rank, &comm, &mine, AllGatherAlgo::Auto);
-            let local: Vec<f64> = (0..w)
-                .map(|e| (0..p).map(|r| gathered[r * w + e]).sum())
-                .collect();
-            let ar = all_reduce(rank, &comm, &mine, AllReduceAlgo::Auto);
-            (local, ar)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine: Vec<f64> = (0..w)
+                    .map(|e| ((rank.world_rank() as u64 * 31 + e as u64 + seed) % 17) as f64)
+                    .collect();
+                let gathered = all_gather_a(rank, &comm, &mine, AllGatherAlgo::Auto).await;
+                let local: Vec<f64> = (0..w)
+                    .map(|e| (0..p).map(|r| gathered[r * w + e]).sum())
+                    .collect();
+                let ar = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
+                (local, ar)
+            })
         });
         for (local, ar) in &out.values {
             prop_assert_eq!(local, ar);
@@ -134,12 +141,14 @@ proptest! {
         wper in 1usize..8,
     ) {
         let w = p * wper;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            let mine: Vec<f64> = (0..w).map(|e| (rank.world_rank() * w + e) as f64).collect();
-            let seg = reduce_scatter(rank, &comm, &mine, ReduceScatterAlgo::Auto);
-            let full = all_reduce(rank, &comm, &mine, AllReduceAlgo::Auto);
-            (seg, full)
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                let mine: Vec<f64> = (0..w).map(|e| (rank.world_rank() * w + e) as f64).collect();
+                let seg = reduce_scatter_a(rank, &comm, &mine, ReduceScatterAlgo::Auto).await;
+                let full = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
+                (seg, full)
+            })
         });
         for (r, (seg, full)) in out.values.iter().enumerate() {
             prop_assert_eq!(seg.as_slice(), &full[r * wper..(r + 1) * wper]);
@@ -153,10 +162,12 @@ proptest! {
     ) {
         // All-gather of w words per rank must move exactly (p−1)·w per rank
         // regardless of values.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let comm = rank.world_comm();
-            all_gather(rank, &comm, vec![0.5; w], AllGatherAlgo::Ring);
-            rank.meter().words_sent
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_gather_a(rank, &comm, vec![0.5; w], AllGatherAlgo::Ring).await;
+                rank.meter().words_sent
+            })
         });
         for &sent in &out.values {
             prop_assert_eq!(sent as usize, (p - 1) * w);
@@ -185,19 +196,19 @@ fn free_running_threads_do_not_lose_wakeups() {
             let wc = rank.world_comm();
             for i in 0..20_000 {
                 if rank.world_rank() == 1 {
-                    let ball = rank.recv(&wc, 0).payload;
-                    rank.send(&wc, 0, &ball);
+                    let ball = poll_now(rank.recv_a(&wc, 0)).payload;
+                    poll_now(rank.send_a(&wc, 0, &ball));
                     if ball[0] < 0.0 {
                         break;
                     }
                     continue;
                 }
                 let t0 = Instant::now();
-                rank.send(&wc, 1, &[i as f64]);
-                assert_eq!(rank.recv(&wc, 1).payload, [i as f64]);
+                poll_now(rank.send_a(&wc, 1, &[i as f64]));
+                assert_eq!(poll_now(rank.recv_a(&wc, 1)).payload, [i as f64]);
                 if t0.elapsed() >= SAFETY_NET {
-                    rank.send(&wc, 1, &[-1.0]);
-                    rank.recv(&wc, 1);
+                    poll_now(rank.send_a(&wc, 1, &[-1.0]));
+                    poll_now(rank.recv_a(&wc, 1));
                     return Some((i, t0.elapsed()));
                 }
             }
@@ -222,14 +233,14 @@ fn free_running_threads_do_not_lose_wakeups() {
         let (me, n) = (wc.index(), wc.size());
         let mut sum = 0.0;
         for rep in 0..200 {
-            rank.hard_sync();
-            let comm = rank.split(&wc, 0, me as i64).expect("color 0 joins");
-            rank.hard_sync();
+            poll_now(rank.hard_sync_a());
+            let comm = poll_now(rank.split_a(&wc, 0, me as i64)).expect("color 0 joins");
+            poll_now(rank.hard_sync_a());
             for d in 1..n {
-                rank.send(&comm, (me + d) % n, &[(me * rep) as f64]);
+                poll_now(rank.send_a(&comm, (me + d) % n, &[(me * rep) as f64]));
             }
             for d in 1..n {
-                sum += rank.recv(&comm, (me + d) % n).payload[0];
+                sum += poll_now(rank.recv_a(&comm, (me + d) % n)).payload[0];
             }
         }
         sum

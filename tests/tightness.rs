@@ -3,6 +3,7 @@
 //! (pmm-simnet) — across all three cases and several shapes.
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
 /// Run Algorithm 1 with the given grid and return the measured per-rank
 /// critical-path words.
@@ -11,10 +12,12 @@ fn measure(dims: MatMulDims, grid: [usize; 3]) -> f64 {
     let cfg =
         Alg1Config { dims, grid: g, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let a = random_int_matrix(n1, n2, -2..3, 1);
-    let b = random_int_matrix(n2, n3, -2..3, 2);
-    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-        alg1(rank, &cfg, &a, &b);
+    let ab = Arc::new((random_int_matrix(n1, n2, -2..3, 1), random_int_matrix(n2, n3, -2..3, 2)));
+    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+        })
     });
     out.critical_path_time()
 }

@@ -19,6 +19,7 @@
 //! so `cargo xtask trace-check` can sweep the pinned replay seeds.
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
 /// Default schedule seed; override with `PMM_SEED`.
 const DEFAULT_SEED: u64 = 0x00C0_FFEE;
@@ -29,11 +30,11 @@ fn seed() -> u64 {
     s
 }
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    )
+    ))
 }
 
 /// The conformance sweep's (dims, P) points: instance A walks
@@ -74,11 +75,13 @@ fn traced_run(
 ) -> pmm::simnet::WorldResult<Alg1Output> {
     let g = Grid3::from_dims(grid);
     let cfg = Alg1Config::new(dims, g);
-    let (a, b) = inputs(dims);
-    World::new(g.size(), MachineParams::BANDWIDTH_ONLY)
-        .with_seed(seed)
-        .with_trace(true)
-        .run(move |rank| alg1(rank, &cfg, &a, &b))
+    let ab = inputs(dims);
+    World::new(g.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).with_trace(true).run_async(
+        move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        },
+    )
 }
 
 #[test]

@@ -2,12 +2,13 @@
 //! executed CARMA, and the advisor — all against the Theorem 3 bound.
 
 use pmm::prelude::*;
+use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
+fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
+    Arc::new((
         random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 301),
         random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 302),
-    )
+    ))
 }
 
 #[test]
@@ -17,9 +18,13 @@ fn streamed_alg1_is_tight_too() {
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
     let grid = best_grid(dims, p).grid3();
-    let (a, b) = inputs(dims);
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| alg1_streamed(rank, dims, grid, 4, Kernel::Naive, &a, &b));
+    let ab = inputs(dims);
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+        let ab = Arc::clone(&ab);
+        Box::pin(
+            async move { alg1_streamed_a(rank, dims, grid, 4, Kernel::Naive, &ab.0, &ab.1).await },
+        )
+    });
     let bound = lower_bound(dims, p as f64).bound;
     let measured = out.critical_path_time();
     assert!(
@@ -27,8 +32,8 @@ fn streamed_alg1_is_tight_too() {
         "streamed measured {measured} vs bound {bound}"
     );
     // And the product is right.
-    let (a, b) = inputs(dims);
-    let want = gemm(&a, &b, Kernel::Naive);
+    let ab = inputs(dims);
+    let want = gemm(&ab.0, &ab.1, Kernel::Naive);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     assert_eq!(assemble_c(dims, grid, &chunks), want);
 }
@@ -40,11 +45,14 @@ fn carma_is_tight_on_pow2_square_instances() {
     // enables.
     for (n, p) in [(64u64, 8usize), (64, 64), (128, 512)] {
         let dims = MatMulDims::square(n);
-        let (a, b) = inputs(dims);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
-            let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, sa, sb)
+        let ab = inputs(dims);
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                let (sa, sb) = carma_shares(p, rank.world_rank(), &ab.0, &ab.1);
+                let comm = rank.world_comm();
+                carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await
+            })
         });
         let bound = corollary4(n, p as f64);
         let measured = out.critical_path_time();
@@ -53,8 +61,8 @@ fn carma_is_tight_on_pow2_square_instances() {
             "n={n} P={p}: CARMA measured {measured} vs bound {bound}"
         );
         // Reassembled product matches the serial reference.
-        let (a, b) = inputs(dims);
-        let want = gemm(&a, &b, Kernel::Naive);
+        let ab = inputs(dims);
+        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
         assert_eq!(carma_assemble_c(dims, p, &out.values), want, "n={n} P={p}");
     }
 }
@@ -67,9 +75,12 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let best = recs.first().expect("at least one strategy");
     if let AdvisorStrategy::Alg1 { grid } = best.strategy {
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let (a, b) = inputs(dims);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            alg1(rank, &cfg, &a, &b);
+        let ab = inputs(dims);
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+            })
         });
         let measured = out.critical_path_time();
         assert!(
@@ -88,10 +99,14 @@ fn streamed_variant_trades_latency_for_memory_monotonically() {
     let grid = Grid3::new(2, 2, 2);
     let mut prev_msgs = 0u64;
     let mut prev_peak = u64::MAX;
-    let (a, b) = inputs(dims);
+    let ab = inputs(dims);
     for slabs in [1usize, 2, 4, 8] {
-        let out = World::new(8, MachineParams::BANDWIDTH_ONLY)
-            .run(|rank| alg1_streamed(rank, dims, grid, slabs, Kernel::Naive, &a, &b));
+        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let ab = Arc::clone(&ab);
+            Box::pin(async move {
+                alg1_streamed_a(rank, dims, grid, slabs, Kernel::Naive, &ab.0, &ab.1).await
+            })
+        });
         let msgs = out.reports[0].meter.msgs_sent;
         let peak = out.max_peak_mem_words();
         assert!(msgs >= prev_msgs, "slabs={slabs}: messages must not decrease");
