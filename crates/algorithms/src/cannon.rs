@@ -55,26 +55,20 @@ fn owned_blocks(
     (a.sub(ra.start, ca.start, ra.len(), ca.len()), b.sub(rb.start, cb.start, rb.len(), cb.len()))
 }
 
-/// [`cannon_a`] driven to completion in one [`poll_now`]: the sync entry
-/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
-/// for the frozen benchmark.
+/// [`cannon_on_a`] on a `q²` world, driven to completion in one
+/// [`poll_now`]: the sync entry point of a
+/// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
+/// frozen benchmark.
 pub fn cannon(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
-    poll_now(cannon_a(rank, cfg, a, b))
-}
-
-/// Run Cannon's algorithm. `a`/`b` are the global inputs, read only for
-/// this rank's owned blocks.
-pub async fn cannon_a(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
-    let q = cfg.q;
-    assert_eq!(rank.world_size(), q * q, "world size must be q²");
+    assert_eq!(rank.world_size(), cfg.q * cfg.q, "world size must be q²");
     let world = rank.world_comm();
-    cannon_on_a(rank, &world, cfg, a, b).await.expect("a q² world has no idle ranks")
+    poll_now(cannon_on_a(rank, &world, cfg, a, b)).expect("a q² world has no idle ranks")
 }
 
-/// Run Cannon's algorithm on communicator `base` instead of the world
-/// (recovery runs use a survivor communicator). The first `q²` members
-/// are active; later members participate in the two splits with a
-/// negative color and return `None`.
+/// Run Cannon's algorithm on communicator `base`. `a`/`b` are the global
+/// inputs, read only for this rank's owned blocks. The first `q²`
+/// members are active; later members participate in the two splits with
+/// a negative color and return `None`.
 pub async fn cannon_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -161,25 +155,14 @@ pub async fn cannon_on_a(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::assemble_from_blocks;
+    use crate::recovery::{run_on_world, CShare};
     use pmm_dense::{gemm, random_int_matrix};
-    use pmm_simnet::{MachineParams, World};
-    use std::sync::Arc;
+    use pmm_model::AlgPlan;
 
-    fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CannonOutput>) {
-        let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let ab = Arc::new((
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6),
-        ));
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { cannon_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
-        let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
-            out.values[i * q + j].c_block.clone()
-        });
-        (c, out)
+    fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
+        run_on_world(&AlgPlan::Cannon { q }, dims, a, b)
     }
 
     fn reference(dims: MatMulDims) -> Matrix {
@@ -237,23 +220,15 @@ mod tests {
     fn loses_to_alg1_grid_on_tall_skinny() {
         // Paper's 1D case: Cannon's square grid forces communication of the
         // big matrix; Alg1 with the optimal 1D grid only moves nk words.
-        use crate::grid3d::{alg1_a, Alg1Config};
         use pmm_core::gridopt::best_grid;
-        use pmm_model::Grid3;
 
         let dims = MatMulDims::new(64, 16, 16); // m/n = 4 ⇒ P=4 is 1D case
         let q = 2usize; // P = 4
         let (_, cannon_out) = run(dims, q);
 
-        let choice = best_grid(dims, 4);
-        let grid = Grid3::from_dims(choice.grid);
-        let cfg = Alg1Config::new(dims, grid);
-        let ab =
-            Arc::new((random_int_matrix(64, 16, -3..4, 5), random_int_matrix(16, 16, -3..4, 6)));
-        let alg1_out = World::new(4, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
+        let plan = AlgPlan::Alg1 { grid: best_grid(dims, 4).grid };
+        let (a, b) = (random_int_matrix(64, 16, -3..4, 5), random_int_matrix(16, 16, -3..4, 6));
+        let (_, alg1_out) = run_on_world(&plan, dims, a, b);
         assert!(
             alg1_out.critical_path_time() < cannon_out.critical_path_time(),
             "Alg1 {} should beat Cannon {}",

@@ -121,10 +121,11 @@ pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Ou
     poll_now(alg1_a(rank, cfg, a, b))
 }
 
-/// Run Algorithm 1. `a` and `b` are the *global* inputs (available to the
-/// closure only as a convenient source of this rank's owned chunks — the
-/// algorithm reads nothing else from them, except on a one-member fiber,
-/// where the chunk is the whole block and is read in place).
+/// Run Algorithm 1 on the world communicator. `a` and `b` are the
+/// *global* inputs (available to the closure only as a convenient source
+/// of this rank's owned chunks — the algorithm reads nothing else from
+/// them, except on a one-member fiber, where the chunk is the whole block
+/// and is read in place).
 pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     let world = rank.world_comm();
     alg1_on_a(rank, &world, cfg, a, b).await
@@ -133,8 +134,8 @@ pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -
 /// [`alg1`] generalized to an arbitrary base communicator (whose size
 /// must equal the grid size): this rank's grid position is its index in
 /// `base`, and all three fiber communicators are split from `base`. This
-/// is the entry point failure recovery uses to re-run the multiplication
-/// on the surviving ranks — see [`crate::recovery::run_recoverable_a`].
+/// is what [`crate::recovery::run_plan_a`] runs for an Algorithm 1 plan,
+/// on the world or on the surviving ranks of a recovery attempt.
 pub async fn alg1_on_a(
     rank: &mut Rank,
     base: &Comm,

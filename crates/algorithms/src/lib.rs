@@ -17,19 +17,24 @@
 //!   algorithm baseline, broadcast-based).
 //! * [`mod@twofived`] — the 2.5D algorithm of Solomonik & Demmel 2011 with
 //!   replication factor `c` (memory-for-communication trade-off).
-//! * [`recursive`] — closed-form communication cost of the CARMA-style
-//!   recursive algorithm (Demmel et al. 2013), used as an analytic
-//!   baseline in the comparison experiments.
-//! * [`recovery`] — algorithm-agnostic checkpointed failure recovery
-//!   ([`recovery::run_recoverable_a`]) wrapping all six executable
-//!   algorithms: checkpoint ring, typed rank-failure detection, re-plan
-//!   onto the survivors, redistribute, resume.
+//! * [`streamed`] — the §6.2 low-memory variant of Algorithm 1: the
+//!   contracted dimension streamed in slabs, same words, more messages.
+//! * [`recursive`] — the CARMA-style recursive algorithm (Demmel et al.
+//!   2013), executed; its closed-form cost is [`carma_cost_words`]
+//!   (from `pmm-model`, re-exported here).
+//! * [`recovery`] — the one executor [`run_plan_a`], which runs any
+//!   [`AlgPlan`](pmm_model::AlgPlan) (one of the six algorithms with its
+//!   layout) on any large enough communicator, and algorithm-agnostic
+//!   checkpointed failure recovery ([`run_recoverable_a`]) on top of it:
+//!   checkpoint ring, typed rank-failure detection, re-plan onto the
+//!   survivors, redistribute, resume.
 //!
 //! Every executed algorithm consumes the *initial distribution* it
 //! specifies (each rank extracts only its owned part of the input),
 //! returns its owned part of `C`, and reports per-phase traffic meters.
-//! Tests reassemble the distributed output and compare it bit-for-bit
-//! against a serial reference on integer-valued inputs.
+//! Tests reassemble the distributed output ([`assemble_recovered`]) and
+//! compare it bit-for-bit against a serial reference on integer-valued
+//! inputs.
 
 #![warn(missing_docs)]
 
@@ -42,13 +47,14 @@ pub mod streamed;
 pub mod summa;
 pub mod twofived;
 
-pub use cannon::{cannon, cannon_a, cannon_on_a, CannonConfig, CannonOutput};
+pub use cannon::{cannon, cannon_on_a, CannonConfig, CannonOutput};
 pub use common::{assemble_from_blocks, fiber_comms_a, fiber_comms_on_a, PhaseMeter, PhaseProbe};
 pub use grid3d::{alg1, alg1_a, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
+pub use pmm_model::carma_cost_words;
 pub use recovery::{
-    assemble_recovered, plan_for, run_recoverable_a, CShare, Recoverable, Recovered,
+    assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };
-pub use recursive::{carma, carma_a, carma_assemble_c, carma_cost_words, carma_shares};
-pub use streamed::{alg1_streamed, alg1_streamed_a, alg1_streamed_on_a};
-pub use summa::{near_square_factors, summa, summa_a, summa_on_a, SummaConfig, SummaOutput};
-pub use twofived::{twofived, twofived_a, twofived_on_a, TwoFiveDConfig, TwoFiveDOutput};
+pub use recursive::{carma, carma_a, carma_assemble_c, carma_shares};
+pub use streamed::{alg1_streamed, alg1_streamed_on_a};
+pub use summa::{near_square_factors, summa, summa_on_a, SummaConfig, SummaOutput};
+pub use twofived::{twofived, twofived_on_a, TwoFiveDConfig, TwoFiveDOutput};

@@ -1,7 +1,14 @@
-//! Algorithm-agnostic checkpointed failure recovery.
+//! One way to run an algorithm, and algorithm-agnostic checkpointed
+//! failure recovery on top of it.
 //!
-//! [`run_recoverable_a`] wraps any of the six executable algorithms in the
-//! same fault-tolerance protocol:
+//! [`run_plan_a`] is the one executor: it runs any [`AlgPlan`] — the six
+//! algorithms, each with its layout — on any communicator large enough
+//! for it, and every member returns a [`CShare`] that
+//! [`assemble_recovered`] turns back into `C`. Harnesses, the CLI, the
+//! experiments and the tests all run algorithms through it.
+//!
+//! [`run_recoverable_a`] wraps any plan's algorithm in the same
+//! fault-tolerance protocol:
 //!
 //! 1. **Checkpoint / redistribute.** Each attempt opens with a ring
 //!    exchange over the attempt's communicator: member `i` sends the
@@ -12,11 +19,11 @@
 //!    checkpoints onto the shrunken layout. Either way the goodput total
 //!    across members is exactly `n1n2 + n2n3` words
 //!    ([`restore_words_total`](pmm_model::restore_words_total)).
-//! 2. **Run.** The algorithm executes on the attempt communicator via
-//!    its `*_on_a` entry point, laid out by [`plan_for`] (the §5.2
-//!    optimal grid for Algorithm 1 and its streamed variant, near-square
-//!    factors for SUMMA, the largest square / `c·q²` / power-of-two
-//!    sub-machine for Cannon, 2.5D and CARMA — extra survivors idle).
+//! 2. **Run.** [`run_plan_a`] executes the attempt's layout on the
+//!    attempt communicator. [`plan_for`] lays it out: the §5.2 optimal
+//!    grid for Algorithm 1 and its streamed variant, near-square factors
+//!    for SUMMA, the largest square / `c·q²` / power-of-two sub-machine
+//!    for Cannon, 2.5D and CARMA — extra survivors idle.
 //! 3. **Rally.** A fault-aware barrier ([`Rank::hard_sync_a`]) makes
 //!    every survivor observe the same post-attempt dead set. If a
 //!    member of the attempt's communicator died, every survivor
@@ -45,7 +52,7 @@ use pmm_dense::{Kernel, Matrix};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
-use crate::cannon::{cannon_on_a, CannonConfig, CannonOutput};
+use crate::cannon::{cannon_on_a, CannonConfig};
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
 use crate::grid3d::{
     alg1_on_a, assemble_c, owned_a_chunk, owned_b_chunk, Alg1Config, Alg1Output, Assembly,
@@ -55,62 +62,19 @@ use crate::streamed::alg1_streamed_on_a;
 use crate::summa::{lcm, near_square_factors, summa_on_a, SummaConfig};
 use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
-/// Which algorithm a [`run_recoverable_a`] call wraps, with its
-/// per-algorithm knobs. The layout (grid shape, torus side, …) is *not*
-/// part of the spec: [`plan_for`] re-derives it for every attempt from
-/// the survivor count.
-#[derive(Debug, Clone)]
-pub enum Recoverable {
-    /// Algorithm 1 on the §5.2-optimal grid of the survivors.
-    Alg1 {
-        /// Local compute kernel.
-        kernel: Kernel,
-        /// Output assembly strategy.
-        assembly: Assembly,
-    },
-    /// Streamed Algorithm 1 (same grid policy, `slabs` inner slabs).
-    Alg1Streamed {
-        /// Local compute kernel.
-        kernel: Kernel,
-        /// Number of inner-dimension slabs.
-        slabs: usize,
-    },
-    /// SUMMA on the near-square factorization of the survivor count.
-    Summa {
-        /// Local compute kernel.
-        kernel: Kernel,
-    },
-    /// Cannon on the largest `q × q` torus that fits the survivors.
-    Cannon {
-        /// Local compute kernel.
-        kernel: Kernel,
-    },
-    /// 2.5D on the largest `c` layers of `q × q` (with `c | q`) that fit
-    /// the survivors.
-    TwoFiveD {
-        /// Local compute kernel.
-        kernel: Kernel,
-    },
-    /// CARMA on the largest power-of-two sub-machine of the survivors.
-    Carma {
-        /// Local compute kernel.
-        kernel: Kernel,
-    },
-}
-
-/// One rank's share of the recovered `C` — the per-algorithm output
-/// shape, unified so [`assemble_recovered`] can rebuild the global
+/// One rank's share of `C` from [`run_plan_a`] — the per-algorithm
+/// output shape, unified so [`assemble_recovered`] can rebuild the global
 /// product from any algorithm's shares.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CShare {
     /// Algorithm 1 (plain or streamed): the owned `C` chunk plus its
     /// per-phase meters (chunk index = this rank's position in the
-    /// attempt communicator).
+    /// communicator the plan ran on).
     Chunk(Box<Alg1Output>),
     /// SUMMA / Cannon / 2.5D: the owned `C` block, `None` on ranks that
-    /// hold no output (idle survivors, non-layer-0 2.5D ranks).
+    /// hold no output (idle members, non-layer-0 2.5D ranks).
     Block(Option<Matrix>),
-    /// CARMA: the flat recursive share, `None` on idle survivors.
+    /// CARMA: the flat recursive share, `None` on idle members.
     Flat(Option<Vec<f64>>),
 }
 
@@ -145,22 +109,23 @@ impl Recovered {
     }
 }
 
-/// The layout an algorithm runs with on `p` survivors — the single
+/// The layout `plan`'s algorithm runs with on `p` survivors — the single
 /// policy both the execution ([`run_recoverable_a`]) and the prediction
-/// (`pmm_model::recovery_prediction`) price.
-pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
+/// (`pmm_model::recovery_prediction`) price. Only `plan`'s variant (and
+/// the streamed variant's slab count) is read; its layout is re-derived.
+pub fn plan_for(plan: &AlgPlan, dims: MatMulDims, p: usize) -> AlgPlan {
     assert!(p >= 1, "need at least one survivor");
-    match *spec {
-        Recoverable::Alg1 { .. } => AlgPlan::Alg1 { grid: best_grid(dims, p).grid },
-        Recoverable::Alg1Streamed { slabs, .. } => {
+    match *plan {
+        AlgPlan::Alg1 { .. } => AlgPlan::Alg1 { grid: best_grid(dims, p).grid },
+        AlgPlan::Alg1Streamed { slabs, .. } => {
             AlgPlan::Alg1Streamed { grid: best_grid(dims, p).grid, slabs }
         }
-        Recoverable::Summa { .. } => {
+        AlgPlan::Summa { .. } => {
             let (pr, pc) = near_square_factors(p);
             AlgPlan::Summa { pr, pc }
         }
-        Recoverable::Cannon { .. } => AlgPlan::Cannon { q: p.isqrt() },
-        Recoverable::TwoFiveD { .. } => {
+        AlgPlan::Cannon { .. } => AlgPlan::Cannon { q: p.isqrt() },
+        AlgPlan::TwoFiveD { .. } => {
             // Largest active count c·q² with c | q; ties prefer more
             // replication (larger c — fewer shift steps).
             let mut best = (1usize, 1usize); // (q, c)
@@ -179,7 +144,7 @@ pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
             }
             AlgPlan::TwoFiveD { q: best.0, c: best.1 }
         }
-        Recoverable::Carma { .. } => AlgPlan::Carma { p: 1 << p.ilog2() },
+        AlgPlan::Carma { .. } => AlgPlan::Carma { p: 1 << p.ilog2() },
     }
 }
 
@@ -248,9 +213,9 @@ fn owned_inputs(plan: &AlgPlan, dims: MatMulDims, idx: usize, a: &Matrix, b: &Ma
 async fn run_attempt_a(
     rank: &mut Rank,
     base: &Comm,
-    spec: &Recoverable,
     plan: &AlgPlan,
     dims: MatMulDims,
+    kernel: Kernel,
     a: &Matrix,
     b: &Matrix,
     restore_label: &'static str,
@@ -272,58 +237,88 @@ async fn run_attempt_a(
 
     // ---- run the algorithm on the attempt communicator ---------------------
     let before = rank.meter();
-    let share = match (spec, plan) {
-        (&Recoverable::Alg1 { kernel, assembly }, &AlgPlan::Alg1 { grid }) => {
-            let cfg = Alg1Config { dims, grid: Grid3::from_dims(grid), kernel, assembly };
-            CShare::Chunk(Box::new(alg1_on_a(rank, base, &cfg, a, b).await))
+    let share = run_plan_a(rank, base, plan, dims, kernel, a, b).await;
+    let run_meter = rank.meter().diff(&before);
+    (share, restore_meter, run_meter)
+}
+
+/// Run `plan` on `comm`, multiplying local blocks with `kernel`: the one
+/// place that selects among the six algorithms. `a` and `b` are the
+/// global inputs, read only for this rank's share. Each member's position
+/// in the layout is its index in `comm`; members past
+/// [`AlgPlan::active`] idle (Cannon, 2.5D and CARMA accept them; the
+/// other three need exactly `active` members) and hold no share of `C`.
+/// Algorithm 1 assembles `C` with [`Assembly::ReduceScatter`].
+///
+/// CARMA first splits its active sub-machine, the first `p` members,
+/// off `comm` (the idle rest opt out), even when no member idles: one
+/// unmetered split more than [`carma_a`] on `comm` itself.
+pub async fn run_plan_a(
+    rank: &mut Rank,
+    comm: &Comm,
+    plan: &AlgPlan,
+    dims: MatMulDims,
+    kernel: Kernel,
+    a: &Matrix,
+    b: &Matrix,
+) -> CShare {
+    assert!(
+        plan.active() <= comm.size(),
+        "{plan} needs {} ranks, the communicator has {}",
+        plan.active(),
+        comm.size()
+    );
+    match *plan {
+        AlgPlan::Alg1 { grid } => {
+            let grid = Grid3::from_dims(grid);
+            let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
+            CShare::Chunk(Box::new(alg1_on_a(rank, comm, &cfg, a, b).await))
         }
-        (&Recoverable::Alg1Streamed { kernel, .. }, &AlgPlan::Alg1Streamed { grid, slabs }) => {
+        AlgPlan::Alg1Streamed { grid, slabs } => {
             let grid = Grid3::from_dims(grid);
             CShare::Chunk(Box::new(
-                alg1_streamed_on_a(rank, base, dims, grid, slabs, kernel, a, b).await,
+                alg1_streamed_on_a(rank, comm, dims, grid, slabs, kernel, a, b).await,
             ))
         }
-        (&Recoverable::Summa { kernel }, &AlgPlan::Summa { pr, pc }) => {
+        AlgPlan::Summa { pr, pc } => {
             let cfg = SummaConfig { dims, pr, pc, kernel };
-            CShare::Block(Some(summa_on_a(rank, base, &cfg, a, b).await.c_block))
+            CShare::Block(Some(summa_on_a(rank, comm, &cfg, a, b).await.c_block))
         }
-        (&Recoverable::Cannon { kernel }, &AlgPlan::Cannon { q }) => {
+        AlgPlan::Cannon { q } => {
             let cfg = CannonConfig { dims, q, kernel };
-            let out: Option<CannonOutput> = cannon_on_a(rank, base, &cfg, a, b).await;
-            CShare::Block(out.map(|o| o.c_block))
+            CShare::Block(cannon_on_a(rank, comm, &cfg, a, b).await.map(|o| o.c_block))
         }
-        (&Recoverable::TwoFiveD { kernel }, &AlgPlan::TwoFiveD { q, c }) => {
+        AlgPlan::TwoFiveD { q, c } => {
             let cfg = TwoFiveDConfig { dims, q, c, kernel };
-            CShare::Block(twofived_on_a(rank, base, &cfg, a, b).await.c_block)
+            CShare::Block(twofived_on_a(rank, comm, &cfg, a, b).await.c_block)
         }
-        (&Recoverable::Carma { kernel }, &AlgPlan::Carma { p: active }) => {
-            // Active sub-machine: the first `active` members; the rest
-            // opt out of the split (MPI_UNDEFINED) and idle.
-            let color = if me < active { 0 } else { -1 };
-            match rank.split_a(base, color, me as i64).await {
+        AlgPlan::Carma { p } => {
+            let me = comm.index();
+            let color = if me < p { 0 } else { -1 };
+            match rank.split_a(comm, color, me as i64).await {
                 Some(sub) => {
-                    let (a_share, b_share) = carma_shares(active, me, a, b);
+                    let (a_share, b_share) = carma_shares(p, me, a, b);
                     CShare::Flat(Some(carma_a(rank, &sub, dims, kernel, a_share, b_share).await))
                 }
                 None => CShare::Flat(None),
             }
         }
-        _ => unreachable!("plan_for always returns the spec's plan variant"),
-    };
-    let run_meter = rank.meter().diff(&before);
-    (share, restore_meter, run_meter)
+    }
 }
 
-/// Run `spec`'s algorithm with checkpointed rank-failure recovery (see
-/// the [module docs](self) for the protocol). Returns `Err` on the
-/// killed rank (which must stop communicating) and `Ok` on every
+/// Run `plan`'s algorithm with checkpointed rank-failure recovery (see
+/// the [module docs](self) for the protocol), multiplying local blocks
+/// with `kernel`. Only `plan`'s variant (and the streamed variant's slab
+/// count) is read: [`plan_for`] lays out every attempt. Returns `Err` on
+/// the killed rank (which must stop communicating) and `Ok` on every
 /// survivor once an attempt completes with no new deaths. Kills placed
 /// after the final attempt completes are not handled here — they surface
 /// wherever the program communicates next.
 pub async fn run_recoverable_a(
     rank: &mut Rank,
-    spec: &Recoverable,
+    plan: &AlgPlan,
     dims: MatMulDims,
+    kernel: Kernel,
     a: &Matrix,
     b: &Matrix,
 ) -> Result<Recovered, RankFailed> {
@@ -342,8 +337,8 @@ pub async fn run_recoverable_a(
         // the round's membership.
         let base = if round == 0 { rank.world_comm() } else { rank.recovery_split_a(round).await };
         let survivors: Vec<usize> = base.members().to_vec();
-        let plan = plan_for(spec, dims, survivors.len());
-        attempt_plans.push(plan.clone());
+        let layout = plan_for(plan, dims, survivors.len());
+        attempt_plans.push(layout.clone());
         attempt_survivors.push(survivors.len());
         let restore_label: &'static str = if round == 0 { "checkpoint" } else { "redistribute" };
         // Arm the attempt's fault watch at the round's basis (the death
@@ -359,9 +354,9 @@ pub async fn run_recoverable_a(
         let attempt = pmm_simnet::catch_fault_panics(run_attempt_a(
             &mut *rank,
             &base,
-            spec,
-            &plan,
+            &layout,
             dims,
+            kernel,
             a,
             b,
             restore_label,
@@ -397,7 +392,7 @@ pub async fn run_recoverable_a(
             if !survivors.iter().any(|r| dead_now.contains(r)) {
                 return Ok(Recovered {
                     share,
-                    plan,
+                    plan: layout,
                     survivors,
                     attempt_plans,
                     attempt_survivors,
@@ -457,6 +452,31 @@ fn block_share(share: &CShare, i: usize, j: usize) -> Matrix {
     }
 }
 
+/// Unit-test helper: run `plan` with the naive kernel on a bandwidth-only
+/// world of its own size, every rank reading the one shared pair of
+/// inputs; returns the assembled `C` and the run.
+#[cfg(test)]
+pub(crate) fn run_on_world(
+    plan: &AlgPlan,
+    dims: MatMulDims,
+    a: Matrix,
+    b: Matrix,
+) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
+    use pmm_simnet::{MachineParams, World};
+    use std::sync::Arc;
+
+    let ab = Arc::new((a, b));
+    let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
+    let out = world.run_async(|rank| {
+        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+        })
+    });
+    (assemble_recovered(dims, plan, &out.values), out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,47 +492,51 @@ mod tests {
         )
     }
 
-    /// Run `spec` with checkpointed recovery on `world`, every rank
-    /// reading the one shared pair of inputs.
-    fn run_spec(
+    /// Run `plan`'s algorithm with checkpointed recovery on `world`,
+    /// every rank reading the one shared pair of inputs.
+    fn run_plan(
         world: &World,
-        spec: &Recoverable,
+        plan: &AlgPlan,
         dims: MatMulDims,
         ab: &Arc<(Matrix, Matrix)>,
     ) -> WorldResult<Result<Recovered, RankFailed>> {
         world.run_async(|rank| {
-            let (spec, ab) = (spec.clone(), Arc::clone(ab));
-            Box::pin(async move { run_recoverable_a(rank, &spec, dims, &ab.0, &ab.1).await })
+            let (plan, ab) = (plan.clone(), Arc::clone(ab));
+            Box::pin(async move {
+                run_recoverable_a(rank, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+            })
         })
     }
 
-    fn all_specs() -> Vec<Recoverable> {
+    /// One plan per algorithm, in one-rank layouts (recovery re-lays
+    /// each out per attempt).
+    fn all_plans() -> Vec<AlgPlan> {
         vec![
-            Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter },
-            Recoverable::Alg1Streamed { kernel: Kernel::Naive, slabs: 2 },
-            Recoverable::Summa { kernel: Kernel::Naive },
-            Recoverable::Cannon { kernel: Kernel::Naive },
-            Recoverable::TwoFiveD { kernel: Kernel::Naive },
-            Recoverable::Carma { kernel: Kernel::Naive },
+            AlgPlan::Alg1 { grid: [1, 1, 1] },
+            AlgPlan::Alg1Streamed { grid: [1, 1, 1], slabs: 2 },
+            AlgPlan::Summa { pr: 1, pc: 1 },
+            AlgPlan::Cannon { q: 1 },
+            AlgPlan::TwoFiveD { q: 1, c: 1 },
+            AlgPlan::Carma { p: 1 },
         ]
     }
 
     #[test]
     fn plan_for_fills_the_survivor_count_sensibly() {
         let dims = MatMulDims::new(16, 16, 16);
-        for spec in all_specs() {
+        for alg in all_plans() {
             for p in 1..=12usize {
-                let plan = plan_for(&spec, dims, p);
+                let plan = plan_for(&alg, dims, p);
                 assert!(plan.active() <= p, "{plan} overfills p={p}");
                 assert!(plan.active() >= 1);
             }
         }
         // Spot checks of the layout policies.
-        assert_eq!(plan_for(&all_specs()[3], dims, 10), AlgPlan::Cannon { q: 3 });
-        assert_eq!(plan_for(&all_specs()[4], dims, 8), AlgPlan::TwoFiveD { q: 2, c: 2 });
-        assert_eq!(plan_for(&all_specs()[4], dims, 9), AlgPlan::TwoFiveD { q: 3, c: 1 });
-        assert_eq!(plan_for(&all_specs()[5], dims, 13), AlgPlan::Carma { p: 8 });
-        assert_eq!(plan_for(&all_specs()[2], dims, 6), AlgPlan::Summa { pr: 2, pc: 3 });
+        assert_eq!(plan_for(&all_plans()[3], dims, 10), AlgPlan::Cannon { q: 3 });
+        assert_eq!(plan_for(&all_plans()[4], dims, 8), AlgPlan::TwoFiveD { q: 2, c: 2 });
+        assert_eq!(plan_for(&all_plans()[4], dims, 9), AlgPlan::TwoFiveD { q: 3, c: 1 });
+        assert_eq!(plan_for(&all_plans()[5], dims, 13), AlgPlan::Carma { p: 8 });
+        assert_eq!(plan_for(&all_plans()[2], dims, 6), AlgPlan::Summa { pr: 2, pc: 3 });
     }
 
     #[test]
@@ -520,9 +544,9 @@ mod tests {
         let dims = MatMulDims::new(12, 8, 10);
         let (a, b) = inputs(dims);
         let total = (dims.n1 * dims.n2 + dims.n2 * dims.n3) as usize;
-        for spec in all_specs() {
+        for alg in all_plans() {
             for p in [1usize, 4, 6, 9] {
-                let plan = plan_for(&spec, dims, p);
+                let plan = plan_for(&alg, dims, p);
                 let words: usize = (0..p).map(|i| owned_inputs(&plan, dims, i, &a, &b).len()).sum();
                 assert_eq!(words, total, "{plan} on p={p}");
             }
@@ -534,12 +558,12 @@ mod tests {
         let dims = MatMulDims::new(12, 8, 16);
         let ab = Arc::new(inputs(dims));
         let want = gemm(&ab.0, &ab.1, Kernel::Naive);
-        for spec in all_specs() {
+        for alg in all_plans() {
             for p in [4usize, 6] {
-                if matches!(spec, Recoverable::Carma { .. }) && p == 6 {
+                if matches!(alg, AlgPlan::Carma { .. }) && p == 6 {
                     continue; // CARMA splits need even dims at each level
                 }
-                let out = run_spec(&World::new(p, MachineParams::BANDWIDTH_ONLY), &spec, dims, &ab);
+                let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, dims, &ab);
                 let ok: Vec<Recovered> =
                     out.values.into_iter().map(|v| v.expect("no faults")).collect();
                 let plan = ok[0].plan.clone();
@@ -569,10 +593,10 @@ mod tests {
         let seeded = [1, 2, 3, 4].map(|s| base.clone().with_seed(s));
         let worlds = [base.clone()].into_iter().chain(seeded);
         for world in worlds {
-            for spec in all_specs() {
+            for alg in all_plans() {
                 // 4 survivors: power of two, square, 2×2.
-                let out = run_spec(&world, &spec, dims, &ab);
-                let label = format!("{spec:?} [{}]", world.repro().note());
+                let out = run_plan(&world, &alg, dims, &ab);
+                let label = format!("{} [{}]", alg.algorithm(), world.repro().note());
                 let ok: Vec<&Recovered> =
                     out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
                 assert_eq!(ok.len(), 4, "{label}: survivors return Ok");
@@ -590,15 +614,15 @@ mod tests {
         use pmm_model::restore_words_total;
         let dims = MatMulDims::new(12, 8, 16);
         let ab = Arc::new(inputs(dims));
-        for spec in all_specs() {
+        for alg in all_plans() {
             let p = 4usize;
-            let out = run_spec(&World::new(p, MachineParams::BANDWIDTH_ONLY), &spec, dims, &ab);
+            let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, dims, &ab);
             let restore: u64 = out
                 .values
                 .iter()
                 .map(|v| v.as_ref().expect("no faults").restore_meter.words_sent)
                 .sum();
-            assert_eq!(restore as f64, restore_words_total(dims, p), "{spec:?}");
+            assert_eq!(restore as f64, restore_words_total(dims, p), "{}", alg.algorithm());
         }
     }
 }

@@ -1,6 +1,5 @@
-//! The CARMA-style recursive algorithm (Demmel et al. 2013): both the
-//! closed-form communication cost used as an analytic baseline, and a
-//! full **executed implementation** on the simulated machine.
+//! The CARMA-style recursive algorithm (Demmel et al. 2013), **executed**
+//! on the simulated machine.
 //!
 //! The algorithm repeatedly splits the *largest* of the three dimensions
 //! in half, assigning half the processors to each subproblem (a BFS
@@ -8,12 +7,8 @@
 //! halves need the matrix that does **not** contain that dimension, so
 //! each processor exchanges its share of it (`words/P`); splitting the
 //! contracted dimension `n2` means the two halves' partial `C`s must be
-//! combined (`|C|/P` per processor).
-//!
-//! ```text
-//!   W(m, n, k, 1) = 0
-//!   W(m, n, k, P) = |shared matrix|/P + W(split dims, P/2)
-//! ```
+//! combined (`|C|/P` per processor). The recursion's closed form is
+//! [`carma_cost_words`](pmm_model::carma_cost_words).
 //!
 //! The executed version uses the **CARMA layout**: a processor's share of
 //! each matrix is defined by its path down the recursion tree — split
@@ -21,8 +16,7 @@
 //! halved *flat* between the paired processors of the two halves, so a
 //! single pairwise exchange per level reconstitutes exactly the share the
 //! subproblem's layout requires. Consequently the executed communication
-//! matches the closed form to the word (see tests), which is what lets
-//! the `algo_compare` experiment use the cheap recursion at scale.
+//! matches the closed form to the word (see tests).
 //!
 //! Demmel et al. prove this algorithm attains all three cases of the
 //! memory-independent bound *asymptotically* (their Table I); it does not
@@ -33,38 +27,6 @@ use pmm_dense::{gemm, Kernel, Matrix};
 
 use pmm_model::MatMulDims;
 use pmm_simnet::{poll_now, Comm, LocalBoxFuture, Rank};
-
-/// Per-processor communication (words) of the recursive CARMA-style
-/// algorithm, unlimited memory. Panics unless `p` is a power of two.
-pub fn carma_cost_words(dims: MatMulDims, p: u64) -> f64 {
-    assert!(p >= 1 && p & (p - 1) == 0, "CARMA cost model requires power-of-two P");
-    recurse(dims.n1 as f64, dims.n2 as f64, dims.n3 as f64, p as f64)
-}
-
-fn recurse(n1: f64, n2: f64, n3: f64, p: f64) -> f64 {
-    if p <= 1.0 {
-        return 0.0;
-    }
-    // Largest dimension; ties prefer the non-contracted dimensions (so
-    // square problems defer the k-split reductions — matches the BFS
-    // description).
-    let step;
-    let rec;
-    if n1 >= n2 && n1 >= n3 {
-        // split m = n1: both halves need all of B (n2×n3)
-        step = n2 * n3 / p;
-        rec = recurse(n1 / 2.0, n2, n3, p / 2.0);
-    } else if n3 >= n1 && n3 >= n2 {
-        // split the other non-contracted dim n3: both halves need A
-        step = n1 * n2 / p;
-        rec = recurse(n1, n2, n3 / 2.0, p / 2.0);
-    } else {
-        // split contracted dim n2: combine partial C (n1×n3)
-        step = n1 * n3 / p;
-        rec = recurse(n1, n2 / 2.0, n3, p / 2.0);
-    }
-    step + rec
-}
 
 /// Which dimension the deterministic split rule picks for `(n1, n2, n3)`:
 /// the largest, preferring `n1`, then `n3`, then `n2` on ties (so square
@@ -370,7 +332,7 @@ fn place_c_n2(
 mod tests {
     use super::*;
     use pmm_core::theorem3::lower_bound;
-    use std::sync::Arc;
+    use pmm_model::carma_cost_words;
 
     #[test]
     fn zero_for_single_processor() {
@@ -430,29 +392,19 @@ mod tests {
 
     // ----- executed CARMA ---------------------------------------------------
 
+    use crate::recovery::{run_on_world, CShare};
     use pmm_dense::random_int_matrix;
-    use pmm_simnet::{MachineParams, World};
+    use pmm_model::AlgPlan;
 
     fn run_carma(
         dims: MatMulDims,
         p: usize,
         seed: u64,
-    ) -> (Matrix, pmm_simnet::WorldResult<Vec<f64>>) {
+    ) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let ab = Arc::new((
-            random_int_matrix(n1, n2, -3..4, seed),
-            random_int_matrix(n2, n3, -3..4, seed + 1),
-        ));
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a_share, b_share) = carma_shares(p, rank.world_rank(), &ab.0, &ab.1);
-                let comm = rank.world_comm();
-                carma_a(rank, &comm, dims, Kernel::Naive, a_share, b_share).await
-            })
-        });
-        let c = carma_assemble_c(dims, p, &out.values);
-        (c, out)
+        let a = random_int_matrix(n1, n2, -3..4, seed);
+        let b = random_int_matrix(n2, n3, -3..4, seed + 1);
+        run_on_world(&AlgPlan::Carma { p }, dims, a, b)
     }
 
     fn reference(dims: MatMulDims, seed: u64) -> Matrix {
@@ -498,12 +450,10 @@ mod tests {
         // Every rank's input share is exactly 1/P of each matrix.
         let dims = MatMulDims::new(32, 16, 8);
         let p = 8usize;
-        let ab = Arc::new((
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -1..2, 5),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -1..2, 6),
-        ));
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -1..2, 5);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -1..2, 6);
         for r in 0..p {
-            let (sa, sb) = carma_shares(p, r, &ab.0, &ab.1);
+            let (sa, sb) = carma_shares(p, r, &a, &b);
             assert_eq!(sa.len() as f64, dims.words_of(pmm_model::MatrixId::A) / p as f64);
             assert_eq!(sb.len() as f64, dims.words_of(pmm_model::MatrixId::B) / p as f64);
         }

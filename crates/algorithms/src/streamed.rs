@@ -30,9 +30,10 @@ use pmm_simnet::{poll_now, Comm, Rank};
 use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 use crate::grid3d::Alg1Output;
 
-/// [`alg1_streamed_a`] driven to completion in one [`poll_now`]: the sync entry
-/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
-/// for the frozen benchmark.
+/// [`alg1_streamed_on_a`] on the world, driven to completion in one
+/// [`poll_now`]: the sync entry point of a
+/// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
+/// frozen benchmark.
 pub fn alg1_streamed(
     rank: &mut Rank,
     dims: MatMulDims,
@@ -42,31 +43,17 @@ pub fn alg1_streamed(
     a: &Matrix,
     b: &Matrix,
 ) -> Alg1Output {
-    poll_now(alg1_streamed_a(rank, dims, grid, slabs, kernel, a, b))
+    let world = rank.world_comm();
+    poll_now(alg1_streamed_on_a(rank, &world, dims, grid, slabs, kernel, a, b))
 }
 
 /// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
 /// (`slabs = 1` is semantically plain Algorithm 1 modulo the input
-/// distribution). Returns the same output shape as
+/// distribution) on communicator `base`, which must have exactly
+/// `grid.size()` members; this rank's grid coordinate is derived from its
+/// index in `base`. Returns the same output shape as
 /// [`alg1`](crate::grid3d::alg1) — chunks assemble with
 /// [`assemble_c`](crate::grid3d::assemble_c).
-pub async fn alg1_streamed_a(
-    rank: &mut Rank,
-    dims: MatMulDims,
-    grid: Grid3,
-    slabs: usize,
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    let world = rank.world_comm();
-    alg1_streamed_on_a(rank, &world, dims, grid, slabs, kernel, a, b).await
-}
-
-/// Run the streamed variant on communicator `base` instead of the world
-/// (recovery runs use a survivor communicator). `base` must have exactly
-/// `grid.size()` members; this rank's grid coordinate is derived from its
-/// index in `base`.
 #[allow(clippy::too_many_arguments)]
 pub async fn alg1_streamed_on_a(
     rank: &mut Rank,
@@ -167,28 +154,18 @@ fn accumulate(into: &mut pmm_simnet::Meter, delta: pmm_simnet::Meter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid3d::{alg1_a, assemble_c, Alg1Config};
+    use crate::recovery::{run_on_world, CShare};
     use pmm_dense::{gemm, random_int_matrix};
-    use pmm_simnet::{MachineParams, World};
-    use std::sync::Arc;
+    use pmm_model::AlgPlan;
 
     fn run(
         dims: MatMulDims,
         grid: [usize; 3],
         slabs: usize,
-    ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
-        let g = Grid3::from_dims(grid);
+    ) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let ab =
-            Arc::new((random_int_matrix(n1, n2, -3..4, 71), random_int_matrix(n2, n3, -3..4, 72)));
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                alg1_streamed_a(rank, dims, g, slabs, Kernel::Naive, &ab.0, &ab.1).await
-            })
-        });
-        let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        (assemble_c(dims, g, &chunks), out)
+        let (a, b) = (random_int_matrix(n1, n2, -3..4, 71), random_int_matrix(n2, n3, -3..4, 72));
+        run_on_world(&AlgPlan::Alg1Streamed { grid, slabs }, dims, a, b)
     }
 
     fn reference(dims: MatMulDims) -> Matrix {
@@ -244,14 +221,8 @@ mod tests {
         let grid = [2usize, 2, 2];
         let (_, streamed) = run(dims, grid, 3);
 
-        let g = Grid3::from_dims(grid);
-        let cfg = Alg1Config::new(dims, g);
-        let ab =
-            Arc::new((random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72)));
-        let plain = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
+        let (a, b) = (random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72));
+        let (_, plain) = run_on_world(&AlgPlan::Alg1 { grid }, dims, a, b);
         for r in 0..8 {
             assert_eq!(
                 streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,
@@ -266,14 +237,8 @@ mod tests {
         // 12 × 8 under dims that say 8 × 12: same word count, another
         // partition.
         let dims = MatMulDims::new(8, 12, 6);
-        let ab = Arc::new((random_int_matrix(12, 8, -3..4, 1), random_int_matrix(12, 6, -3..4, 2)));
-        World::new(2, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                alg1_streamed_a(rank, dims, Grid3::new(2, 1, 1), 2, Kernel::Naive, &ab.0, &ab.1)
-                    .await
-            })
-        });
+        let (a, b) = (random_int_matrix(12, 8, -3..4, 1), random_int_matrix(12, 6, -3..4, 2));
+        run_on_world(&AlgPlan::Alg1Streamed { grid: [2, 1, 1], slabs: 2 }, dims, a, b);
     }
 
     #[test]

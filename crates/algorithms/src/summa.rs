@@ -54,25 +54,19 @@ pub(crate) fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// [`summa_a`] driven to completion in one [`poll_now`]: the sync entry
-/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
-/// for the frozen benchmark.
+/// [`summa_on_a`] on the world, driven to completion in one
+/// [`poll_now`]: the sync entry point of a
+/// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
+/// frozen benchmark.
 pub fn summa(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
-    poll_now(summa_a(rank, cfg, a, b))
-}
-
-/// Run SUMMA. `a`/`b` are the global inputs, read only for this rank's
-/// owned panels.
-pub async fn summa_a(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
     let world = rank.world_comm();
-    summa_on_a(rank, &world, cfg, a, b).await
+    poll_now(summa_on_a(rank, &world, cfg, a, b))
 }
 
-/// [`summa`] generalized to an arbitrary base communicator of size
-/// `pr·pc`: this rank's grid position is its index in `base`, and the
-/// row/column communicators are split from `base`. Failure recovery uses
-/// this to re-run SUMMA on the surviving ranks — see
-/// [`crate::recovery::run_recoverable_a`].
+/// Run SUMMA on a base communicator of size `pr·pc`: this rank's grid
+/// position is its index in `base`, and the row/column communicators are
+/// split from `base`. `a`/`b` are the global inputs, read only for this
+/// rank's owned panels.
 pub async fn summa_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -171,29 +165,14 @@ async fn bcast_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::assemble_from_blocks;
+    use crate::recovery::{run_on_world, CShare};
     use pmm_dense::{gemm, random_int_matrix};
-    use pmm_simnet::{MachineParams, World};
-    use std::sync::Arc;
+    use pmm_model::AlgPlan;
 
-    fn run(
-        dims: MatMulDims,
-        pr: usize,
-        pc: usize,
-    ) -> (Matrix, pmm_simnet::WorldResult<SummaOutput>) {
-        let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-        let ab = Arc::new((
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16),
-        ));
-        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { summa_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
-        let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
-            out.values[i * pc + j].c_block.clone()
-        });
-        (c, out)
+    fn run(dims: MatMulDims, pr: usize, pc: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
+        run_on_world(&AlgPlan::Summa { pr, pc }, dims, a, b)
     }
 
     fn reference(dims: MatMulDims) -> Matrix {

@@ -45,32 +45,21 @@ pub struct TwoFiveDOutput {
     pub c_block: Option<Matrix>,
 }
 
-/// [`twofived_a`] driven to completion in one [`poll_now`]: the sync entry
-/// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
-/// for the frozen benchmark.
+/// [`twofived_on_a`] on a `c·q²` world, driven to completion in one
+/// [`poll_now`]: the sync entry point of a
+/// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
+/// frozen benchmark.
 pub fn twofived(rank: &mut Rank, cfg: &TwoFiveDConfig, a: &Matrix, b: &Matrix) -> TwoFiveDOutput {
-    poll_now(twofived_a(rank, cfg, a, b))
-}
-
-/// Run the 2.5D algorithm. `a`/`b` are the global inputs, read only by
-/// the layer-0 owner of each block.
-pub async fn twofived_a(
-    rank: &mut Rank,
-    cfg: &TwoFiveDConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> TwoFiveDOutput {
-    let (q, c) = (cfg.q, cfg.c);
-    assert_eq!(rank.world_size(), c * q * q, "world size must be c·q²");
+    assert_eq!(rank.world_size(), cfg.c * cfg.q * cfg.q, "world size must be c·q²");
     let world = rank.world_comm();
-    twofived_on_a(rank, &world, cfg, a, b).await
+    poll_now(twofived_on_a(rank, &world, cfg, a, b))
 }
 
-/// Run the 2.5D algorithm on communicator `base` instead of the world
-/// (recovery runs use a survivor communicator). The first `c·q²`
-/// members are active; later members participate in the three splits
-/// with a negative color and return `c_block: None` like non-layer-0
-/// ranks.
+/// Run the 2.5D algorithm on communicator `base`. `a`/`b` are the global
+/// inputs, read only by the layer-0 owner of each block. The first
+/// `c·q²` members are active; later members participate in the three
+/// splits with a negative color and return `c_block: None` like
+/// non-layer-0 ranks.
 pub async fn twofived_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -203,29 +192,14 @@ pub async fn twofived_on_a(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::assemble_from_blocks;
+    use crate::recovery::{run_on_world, CShare};
     use pmm_dense::{gemm, random_int_matrix};
-    use pmm_simnet::{MachineParams, World};
-    use std::sync::Arc;
+    use pmm_model::AlgPlan;
 
-    fn run(
-        dims: MatMulDims,
-        q: usize,
-        c: usize,
-    ) -> (Matrix, pmm_simnet::WorldResult<TwoFiveDOutput>) {
-        let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-        let ab = Arc::new((
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26),
-        ));
-        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { twofived_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
-        let cmat = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
-            out.values[i * q + j].c_block.clone().expect("layer 0 holds C")
-        });
-        (cmat, out)
+    fn run(dims: MatMulDims, q: usize, c: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
+        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
+        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
+        run_on_world(&AlgPlan::TwoFiveD { q, c }, dims, a, b)
     }
 
     fn reference(dims: MatMulDims) -> Matrix {
@@ -262,7 +236,7 @@ mod tests {
         let dims = MatMulDims::new(8, 8, 8);
         let (_, out) = run(dims, 2, 2);
         for (r, v) in out.values.iter().enumerate() {
-            assert_eq!(v.c_block.is_some(), r < 4, "rank {r}");
+            assert_eq!(matches!(v, CShare::Block(Some(_))), r < 4, "rank {r}");
         }
     }
 
@@ -272,16 +246,10 @@ mod tests {
         // The replicated version does q/c shift steps instead of q; at this
         // P the saving exceeds the replication + reduction overhead, the
         // memory-for-communication trade §6.2 discusses.
-        use crate::cannon::{cannon_a, CannonConfig};
         let dims = MatMulDims::new(32, 32, 32);
         let (_, repl) = run(dims, 16, 4); // P = 1024
-        let cfg = CannonConfig { dims, q: 32, kernel: Kernel::Naive };
-        let ab =
-            Arc::new((random_int_matrix(32, 32, -3..4, 25), random_int_matrix(32, 32, -3..4, 26)));
-        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { cannon_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
+        let (a, b) = (random_int_matrix(32, 32, -3..4, 25), random_int_matrix(32, 32, -3..4, 26));
+        let (_, flat) = run_on_world(&AlgPlan::Cannon { q: 32 }, dims, a, b);
         assert!(
             repl.critical_path_time() < flat.critical_path_time(),
             "2.5D (c=4) {} should beat 2D (c=1) {}",
@@ -294,13 +262,7 @@ mod tests {
     #[should_panic(expected = "c | q")]
     fn rejects_c_not_dividing_q() {
         let dims = MatMulDims::new(8, 8, 8);
-        let cfg = TwoFiveDConfig { dims, q: 3, c: 2, kernel: Kernel::Naive };
-        let ab = Arc::new((random_int_matrix(8, 8, -1..2, 1), random_int_matrix(8, 8, -1..2, 2)));
-        World::new(18, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                twofived_a(rank, &cfg, &ab.0, &ab.1).await;
-            })
-        });
+        let (a, b) = (random_int_matrix(8, 8, -1..2, 1), random_int_matrix(8, 8, -1..2, 2));
+        run_on_world(&AlgPlan::TwoFiveD { q: 3, c: 2 }, dims, a, b);
     }
 }

@@ -3,13 +3,10 @@
 //! dimensions and random grids (divisible or not), and Cannon/SUMMA agree
 //! on random instances.
 
-use pmm_algs::{
-    alg1_a, assemble_c, assemble_from_blocks, cannon_a, summa_a, Alg1Config, Assembly,
-    CannonConfig, SummaConfig,
-};
+use pmm_algs::{alg1_a, assemble_c, assemble_recovered, run_plan_a, Alg1Config, Assembly};
 use pmm_core::gridopt::alg1_cost_words;
 use pmm_dense::{gemm, random_int_matrix, Kernel};
-use pmm_model::{Grid3, MatMulDims};
+use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{MachineParams, World};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -93,28 +90,15 @@ proptest! {
         ));
         let want = gemm(&ab.0, &ab.1, Kernel::Naive);
 
-        let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                cannon_a(rank, &ccfg, &ab.0, &ab.1).await
-            })
-        });
-        let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
-            out.values[i * q + j].c_block.clone()
-        });
-        prop_assert_eq!(&got, &want, "cannon q={}", q);
-
-        let scfg = SummaConfig { dims, pr: q, pc: q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                summa_a(rank, &scfg, &ab.0, &ab.1).await
-            })
-        });
-        let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
-            out.values[i * q + j].c_block.clone()
-        });
-        prop_assert_eq!(&got, &want, "summa q={}", q);
+        for plan in [AlgPlan::Cannon { q }, AlgPlan::Summa { pr: q, pc: q }] {
+            let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+                let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+                })
+            });
+            prop_assert_eq!(&assemble_recovered(dims, &plan, &out.values), &want, "{}", plan);
+        }
     }
 }

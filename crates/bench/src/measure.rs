@@ -1,5 +1,6 @@
-//! How a harness obtains a measured row: the one path from a problem and
-//! a layout to an executed [`WorldResult`].
+//! How a harness obtains a measured row: a problem's shared inputs, an
+//! [`AlgPlan`], and `pmm_algs`'s one executor ([`run_plan_a`]) give an
+//! executed [`WorldResult`].
 //!
 //! The global inputs are generated once per problem ([`Inputs`]) and
 //! shared by every rank of every world run on them — a copy per rank is
@@ -11,12 +12,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pmm_algs::{
-    alg1_a, alg1_streamed_a, assemble_recovered, cannon_a, carma_a, carma_shares, summa_a,
-    twofived_a, Alg1Config, Alg1Output, CShare, CannonConfig, SummaConfig, TwoFiveDConfig,
-};
+use pmm_algs::{assemble_recovered, run_plan_a, Alg1Output, CShare};
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
-use pmm_model::{AlgPlan, Grid3, MachineParams, MatMulDims};
+use pmm_model::{AlgPlan, MachineParams, MatMulDims};
 use pmm_simnet::{World, WorldResult};
 
 /// The global `A` and `B` of one problem, held once on the host, and (on
@@ -53,46 +51,18 @@ impl Inputs {
         self.want.get_or_init(|| gemm(&self.a, &self.b, Kernel::Naive))
     }
 
-    /// Execute `plan` on `world` (whose size must be the plan's processor
-    /// count): every rank a continuation on the event loop, all of them
-    /// reading the one shared copy of the inputs. `world` carries the
-    /// caller's choices (seed, tracing, faults); `kernel` multiplies the
-    /// local blocks.
+    /// Execute `plan` on `world` through [`run_plan_a`] on the world
+    /// communicator (ranks past the plan's active count idle): every rank
+    /// a continuation on the event loop, all of them reading the one
+    /// shared copy of the inputs. `world` carries the caller's choices
+    /// (seed, tracing, faults); `kernel` multiplies the local blocks.
     pub fn run(&self, world: &World, plan: &AlgPlan, kernel: Kernel) -> WorldResult<CShare> {
         let dims = self.dims;
         world.run_async(|rank| {
             let (a, b, plan) = (Arc::clone(&self.a), Arc::clone(&self.b), plan.clone());
             Box::pin(async move {
-                match plan {
-                    AlgPlan::Alg1 { grid } => {
-                        let grid = Grid3::from_dims(grid);
-                        let cfg = Alg1Config { kernel, ..Alg1Config::new(dims, grid) };
-                        CShare::Chunk(Box::new(alg1_a(rank, &cfg, &a, &b).await))
-                    }
-                    AlgPlan::Alg1Streamed { grid, slabs } => {
-                        let grid = Grid3::from_dims(grid);
-                        CShare::Chunk(Box::new(
-                            alg1_streamed_a(rank, dims, grid, slabs, kernel, &a, &b).await,
-                        ))
-                    }
-                    AlgPlan::Summa { pr, pc } => {
-                        let cfg = SummaConfig { dims, pr, pc, kernel };
-                        CShare::Block(Some(summa_a(rank, &cfg, &a, &b).await.c_block))
-                    }
-                    AlgPlan::Cannon { q } => {
-                        let cfg = CannonConfig { dims, q, kernel };
-                        CShare::Block(Some(cannon_a(rank, &cfg, &a, &b).await.c_block))
-                    }
-                    AlgPlan::TwoFiveD { q, c } => {
-                        let cfg = TwoFiveDConfig { dims, q, c, kernel };
-                        CShare::Block(twofived_a(rank, &cfg, &a, &b).await.c_block)
-                    }
-                    AlgPlan::Carma { p } => {
-                        let comm = rank.world_comm();
-                        let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
-                        CShare::Flat(Some(carma_a(rank, &comm, dims, kernel, sa, sb).await))
-                    }
-                }
+                let comm = rank.world_comm();
+                run_plan_a(rank, &comm, &plan, dims, kernel, &a, &b).await
             })
         })
     }

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pmm_algs::{assemble_recovered, run_recoverable_a, Assembly, CShare, Recoverable};
+use pmm_algs::{assemble_recovered, run_recoverable_a, CShare};
 use pmm_bench::calibrate::calibrate as run_probes;
 use pmm_bench::measure::Inputs;
 use pmm_core::advisor::{recommend, Strategy};
@@ -228,8 +228,8 @@ fn simulate_faulty(
         world.run_async(|rank| {
             let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
             Box::pin(async move {
-                let spec = Recoverable::Alg1 { kernel, assembly: Assembly::ReduceScatter };
-                run_recoverable_a(rank, &spec, dims, &a, &b).await
+                let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
+                run_recoverable_a(rank, &alg1, dims, kernel, &a, &b).await
             })
         })
     }));

@@ -50,14 +50,26 @@ fn ceil_log2(p: usize) -> f64 {
     }
 }
 
-/// Full predicted cost of Algorithm 1 on `grid`: eq. (3) words,
-/// `Σ ⌈log2 p_i⌉` messages (recursive doubling/halving collectives),
-/// `n1n2n3/P` multiply-adds plus the reduce-scatter additions.
+/// Messages of one of Algorithm 1's fiber collectives on `p` members: its
+/// all-gathers and reduce-scatter run recursive doubling / halving
+/// (`log2 p` messages) on a power of two and the ring (`p − 1`)
+/// otherwise.
+fn fiber_messages(p: usize) -> f64 {
+    if p.is_power_of_two() {
+        p.ilog2() as f64
+    } else {
+        (p - 1) as f64
+    }
+}
+
+/// Full predicted cost of Algorithm 1 on `grid`: eq. (3) words, the
+/// messages of its three fiber collectives, `n1n2n3/P` multiply-adds
+/// plus the reduce-scatter additions.
 pub fn alg1_full_cost(dims: MatMulDims, grid: [usize; 3]) -> Cost {
     let [p1, p2, p3] = grid;
     let p = (p1 * p2 * p3) as f64;
     let words = alg1_cost_words(dims, grid);
-    let messages = ceil_log2(p1) + ceil_log2(p2) + ceil_log2(p3);
+    let messages = fiber_messages(p1) + fiber_messages(p2) + fiber_messages(p3);
     let rs_adds =
         (1.0 - 1.0 / p2 as f64) * dims.n1 as f64 * dims.n3 as f64 / (p1 as f64 * p3 as f64);
     Cost { messages, words, flops: dims.mults() / p + rs_adds }

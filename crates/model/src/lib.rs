@@ -31,6 +31,6 @@ pub use cost::{Cost, MachineParams};
 pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
-    alg1_prediction, recovery_prediction, restore_words_total, run_words_total, Alg1Prediction,
-    AlgPlan, AttemptPrediction, RecoveryPrediction,
+    alg1_prediction, carma_cost_words, recovery_prediction, restore_words_total, run_words_total,
+    Alg1Prediction, AlgPlan, AttemptPrediction, RecoveryPrediction,
 };

@@ -76,11 +76,12 @@ pub fn alg1_prediction(dims: MatMulDims, grid: [usize; 3]) -> Alg1Prediction {
     }
 }
 
-/// The layout one recovery attempt runs on — one variant per algorithm
-/// the generic `Recoverable` wrapper in `pmm-algs` can drive. The model
-/// prices each variant's full-run goodput in closed form
-/// ([`run_words_total`]), which is what makes recovery goodput
-/// assertions exact per algorithm.
+/// One of the six executable algorithms together with its layout: the
+/// one value that names a run. `pmm_algs::run_plan_a` executes any plan
+/// on any communicator of at least [`AlgPlan::active`] members (the rest
+/// idle), and a recovery attempt is laid out as one. The model prices
+/// each variant's full-run goodput in closed form ([`run_words_total`]),
+/// which is what makes recovery goodput assertions exact per algorithm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgPlan {
     /// Algorithm 1 on a `p1 × p2 × p3` grid (§5.2 optimum of the
@@ -209,19 +210,35 @@ fn bcast_words_total(w: u64, k: u64) -> u64 {
     }
 }
 
-/// Per-rank words of the CARMA recursion (mirrors
-/// `pmm_algs::carma_cost_words`, which lives above this crate).
-fn carma_words_per_rank(n1: f64, n2: f64, n3: f64, p: f64) -> f64 {
-    if p <= 1.0 {
-        return 0.0;
+/// Per-processor communication (words) of the recursive CARMA-style
+/// algorithm (Demmel et al. 2013), unlimited memory: each level halves
+/// the largest dimension and the processors, and every processor
+/// exchanges its share of the matrix both halves need (`B` on an `n1`
+/// split, `A` on an `n3` split, partial `C` on an `n2` split):
+///
+/// ```text
+///   W(m, n, k, 1) = 0
+///   W(m, n, k, P) = |shared matrix|/P + W(split dims, P/2)
+/// ```
+///
+/// Ties prefer the non-contracted dimensions (`n1`, then `n3`), so square
+/// problems defer the `n2` split — the rule the executed CARMA in
+/// `pmm-algs` follows, which moves exactly these words per rank. Panics
+/// unless `p` is a power of two.
+pub fn carma_cost_words(dims: MatMulDims, p: u64) -> f64 {
+    assert!(p.is_power_of_two(), "CARMA cost model requires power-of-two P");
+    fn recurse(n1: f64, n2: f64, n3: f64, p: f64) -> f64 {
+        if p <= 1.0 {
+            0.0
+        } else if n1 >= n2 && n1 >= n3 {
+            n2 * n3 / p + recurse(n1 / 2.0, n2, n3, p / 2.0)
+        } else if n3 >= n1 && n3 >= n2 {
+            n1 * n2 / p + recurse(n1, n2, n3 / 2.0, p / 2.0)
+        } else {
+            n1 * n3 / p + recurse(n1, n2 / 2.0, n3, p / 2.0)
+        }
     }
-    if n1 >= n2 && n1 >= n3 {
-        n2 * n3 / p + carma_words_per_rank(n1 / 2.0, n2, n3, p / 2.0)
-    } else if n3 >= n1 && n3 >= n2 {
-        n1 * n2 / p + carma_words_per_rank(n1, n2, n3 / 2.0, p / 2.0)
-    } else {
-        n1 * n3 / p + carma_words_per_rank(n1, n2 / 2.0, n3, p / 2.0)
-    }
+    recurse(dims.n1 as f64, dims.n2 as f64, dims.n3 as f64, p as f64)
 }
 
 /// Total goodput words **sent across all ranks** by one clean run of
@@ -241,7 +258,8 @@ fn carma_words_per_rank(n1: f64, n2: f64, n3: f64, p: f64) -> f64 {
 /// - `twofived`: binomial input replication over the `c` fibers, the
 ///   per-layer skew, `q/c − 1` rotations on all layers, and the
 ///   binomial C reduction back to layer 0.
-/// - `carma`: `p ×` the recursion's per-rank closed form.
+/// - `carma`: `p ×` the recursion's per-rank closed form
+///   ([`carma_cost_words`]).
 pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
     let (n1, n2, n3) = (dims.n1, dims.n2, dims.n3);
     match *plan {
@@ -289,9 +307,7 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
             let reduce = (c - 1) * n1 * n3;
             (replicate + skew + rotate + reduce) as f64
         }
-        AlgPlan::Carma { p } => {
-            p as f64 * carma_words_per_rank(n1 as f64, n2 as f64, n3 as f64, p as f64)
-        }
+        AlgPlan::Carma { p } => p as f64 * carma_cost_words(dims, p as u64),
     }
 }
 
@@ -352,8 +368,8 @@ impl RecoveryPrediction {
 /// Price every attempt of a checkpointed recovery run: `plans` is the
 /// layout each attempt used, first to last, and `survivors` the number
 /// of ranks that participated in each attempt (the checkpoint /
-/// redistribution ring size) — both recorded by the `Recoverable`
-/// wrapper in `pmm-algs`.
+/// redistribution ring size) — both recorded by
+/// `pmm_algs::run_recoverable_a`.
 ///
 /// Panics if `plans` is empty or the lengths disagree.
 pub fn recovery_prediction(
@@ -457,8 +473,9 @@ mod tests {
     #[test]
     fn carma_total_is_p_times_the_recursion() {
         let dims = MatMulDims::new(32, 8, 16);
-        // One n1 split (share |B|/p), then n3 (|A|/p), then balanced.
-        let per_rank = carma_words_per_rank(32.0, 8.0, 16.0, 4.0);
+        // An n1 split (|B|/4), then the tie n1 = n3 = 16 goes to n1 (|B|/2).
+        let per_rank = carma_cost_words(dims, 4);
+        assert_eq!(per_rank, 8.0 * 16.0 / 4.0 + 16.0 * 8.0 / 2.0);
         assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 4 }), 4.0 * per_rank);
         assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 1 }), 0.0);
     }

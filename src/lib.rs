@@ -67,10 +67,10 @@ pub use pmm_simnet as simnet;
 /// run).
 pub mod prelude {
     pub use pmm_algs::{
-        alg1_a, alg1_streamed_a, assemble_c, assemble_from_blocks, assemble_recovered, cannon_a,
-        carma_a, carma_assemble_c, carma_cost_words, carma_shares, near_square_factors, plan_for,
-        run_recoverable_a, summa_a, twofived_a, Alg1Config, Alg1Output, Assembly, CShare,
-        CannonConfig, Recoverable, Recovered, SummaConfig, TwoFiveDConfig,
+        alg1_a, assemble_c, assemble_from_blocks, assemble_recovered, carma_a, carma_assemble_c,
+        carma_cost_words, carma_shares, near_square_factors, plan_for, run_plan_a,
+        run_recoverable_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig, Recovered,
+        SummaConfig, TwoFiveDConfig,
     };
     pub use pmm_collectives::{
         all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, AllReduceAlgo,

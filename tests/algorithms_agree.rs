@@ -17,23 +17,42 @@ fn reference(dims: MatMulDims) -> Matrix {
     gemm(&ab.0, &ab.1, Kernel::Naive)
 }
 
+/// Run `plan` with `kernel` on a bandwidth-only world of the plan's size.
+fn run_plan(
+    plan: &AlgPlan,
+    dims: MatMulDims,
+    kernel: Kernel,
+    ab: &Arc<(Matrix, Matrix)>,
+) -> WorldResult<CShare> {
+    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+        let (plan, ab) = (plan.clone(), Arc::clone(ab));
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            run_plan_a(rank, &comm, &plan, dims, kernel, &ab.0, &ab.1).await
+        })
+    })
+}
+
 #[test]
 fn all_algorithms_produce_the_same_product() {
     let dims = MatMulDims::new(24, 12, 18);
     let want = reference(dims);
-
-    // Algorithm 1, reduce-scatter assembly, P = 12.
-    let grid = Grid3::new(2, 3, 2);
-    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let ab = inputs(dims);
-    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-    });
-    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    assert_eq!(assemble_c(dims, grid, &chunks), want, "alg1/reduce-scatter");
+
+    // Algorithm 1 with reduce-scatter assembly (P = 12), Cannon (P = 9),
+    // SUMMA (P = 6, 2×3) and 2.5D (q = 2, c = 2 → P = 8).
+    for plan in [
+        AlgPlan::Alg1 { grid: [2, 3, 2] },
+        AlgPlan::Cannon { q: 3 },
+        AlgPlan::Summa { pr: 2, pc: 3 },
+        AlgPlan::TwoFiveD { q: 2, c: 2 },
+    ] {
+        let out = run_plan(&plan, dims, Kernel::Naive, &ab);
+        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{plan}");
+    }
 
     // Algorithm 1, all-to-all assembly.
+    let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
     let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
         let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
@@ -41,36 +60,6 @@ fn all_algorithms_produce_the_same_product() {
     });
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     assert_eq!(assemble_c(dims, grid, &chunks), want, "alg1/all-to-all");
-
-    // Cannon, P = 9.
-    let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
-    let out = World::new(9, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { cannon_a(rank, &ccfg, &ab.0, &ab.1).await })
-    });
-    let got = assemble_from_blocks(24, 18, 3, 3, |i, j| out.values[i * 3 + j].c_block.clone());
-    assert_eq!(got, want, "cannon");
-
-    // SUMMA, P = 6 (2×3).
-    let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
-    let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { summa_a(rank, &scfg, &ab.0, &ab.1).await })
-    });
-    let got = assemble_from_blocks(24, 18, 2, 3, |i, j| out.values[i * 3 + j].c_block.clone());
-    assert_eq!(got, want, "summa");
-
-    // 2.5D, P = 18 (3×3 grid, 2 layers → requires c | q? c=3,q=3: 27)…
-    // use q = 2, c = 2 → P = 8.
-    let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
-    let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (tcfg, ab) = (tcfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { twofived_a(rank, &tcfg, &ab.0, &ab.1).await })
-    });
-    let got = assemble_from_blocks(24, 18, 2, 2, |i, j| {
-        out.values[i * 2 + j].c_block.clone().expect("layer 0")
-    });
-    assert_eq!(got, want, "2.5d");
 }
 
 #[test]
@@ -79,69 +68,30 @@ fn alg1_beats_or_matches_every_baseline_on_its_optimal_grid() {
     // critical-path words never exceed any baseline's at equal P.
     let dims = MatMulDims::new(48, 24, 24);
     let p = 64usize;
-
-    let choice = best_grid(dims, p);
-    let cfg = Alg1Config::new(dims, choice.grid3());
     let ab = inputs(dims);
-    let alg1_t = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run_async(|rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
-            })
-        })
-        .critical_path_time();
+    let time = |plan: &AlgPlan| run_plan(plan, dims, Kernel::Naive, &ab).critical_path_time();
 
-    let ccfg = CannonConfig { dims, q: 8, kernel: Kernel::Naive };
-    let cannon_t = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run_async(|rank| {
-            let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                cannon_a(rank, &ccfg, &ab.0, &ab.1).await;
-            })
-        })
-        .critical_path_time();
-
-    let scfg = SummaConfig { dims, pr: 8, pc: 8, kernel: Kernel::Naive };
-    let summa_t = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run_async(|rank| {
-            let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                summa_a(rank, &scfg, &ab.0, &ab.1).await;
-            })
-        })
-        .critical_path_time();
-
-    let tcfg = TwoFiveDConfig { dims, q: 4, c: 4, kernel: Kernel::Naive };
-    let t25_t = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run_async(|rank| {
-            let (tcfg, ab) = (tcfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                twofived_a(rank, &tcfg, &ab.0, &ab.1).await;
-            })
-        })
-        .critical_path_time();
-
+    let alg1_t = time(&AlgPlan::Alg1 { grid: best_grid(dims, p).grid });
     let bound = lower_bound(dims, p as f64).bound;
-    for (name, t) in [("cannon", cannon_t), ("summa", summa_t), ("2.5d", t25_t)] {
-        assert!(alg1_t <= t + 1e-9, "alg1 {alg1_t} vs {name} {t}");
-        assert!(t >= bound - 1e-9, "{name} {t} below the bound {bound}?!");
+    for plan in [
+        AlgPlan::Cannon { q: 8 },
+        AlgPlan::Summa { pr: 8, pc: 8 },
+        AlgPlan::TwoFiveD { q: 4, c: 4 },
+    ] {
+        let t = time(&plan);
+        assert!(alg1_t <= t + 1e-9, "alg1 {alg1_t} vs {plan} {t}");
+        assert!(t >= bound - 1e-9, "{plan} {t} below the bound {bound}?!");
     }
 }
 
 #[test]
 fn kernels_do_not_change_distributed_results() {
     let dims = MatMulDims::new(40, 24, 16);
-    let grid = Grid3::new(2, 2, 2);
+    let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
     let want = reference(dims);
     let ab = inputs(dims);
     for kernel in Kernel::ALL {
-        let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
-        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
-        let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        assert_eq!(assemble_c(dims, grid, &chunks), want, "{kernel:?}");
+        let out = run_plan(&plan, dims, kernel, &ab);
+        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{kernel:?}");
     }
 }

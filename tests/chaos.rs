@@ -41,41 +41,42 @@ fn reference(dims: MatMulDims) -> Matrix {
     gemm(&a, &b, Kernel::Naive)
 }
 
-fn all_specs() -> Vec<(&'static str, Recoverable)> {
-    vec![
-        ("alg1", Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter }),
-        ("alg1_streamed", Recoverable::Alg1Streamed { kernel: Kernel::Naive, slabs: 2 }),
-        ("summa", Recoverable::Summa { kernel: Kernel::Naive }),
-        ("cannon", Recoverable::Cannon { kernel: Kernel::Naive }),
-        ("twofived", Recoverable::TwoFiveD { kernel: Kernel::Naive }),
-        ("carma", Recoverable::Carma { kernel: Kernel::Naive }),
+/// One plan per algorithm, in one-rank layouts (recovery lays out every
+/// attempt itself).
+fn all_plans() -> [AlgPlan; 6] {
+    [
+        AlgPlan::Alg1 { grid: [1, 1, 1] },
+        AlgPlan::Alg1Streamed { grid: [1, 1, 1], slabs: 2 },
+        AlgPlan::Summa { pr: 1, pc: 1 },
+        AlgPlan::Cannon { q: 1 },
+        AlgPlan::TwoFiveD { q: 1, c: 1 },
+        AlgPlan::Carma { p: 1 },
     ]
 }
 
-/// Run `spec` under recovery on a faulty world. Inputs are generated
-/// once and `Arc`-shared across rank programs (required at large `P`).
+/// Run `plan`'s algorithm under recovery on a faulty world. Inputs are
+/// generated once and `Arc`-shared across rank programs (required at
+/// large `P`).
 fn run_chaos(
-    spec: &Recoverable,
+    plan: &AlgPlan,
     dims: MatMulDims,
     p: usize,
     sched_seed: u64,
-    plan: FaultPlan,
+    faults: FaultPlan,
     at_scale: bool,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
     let (a, b) = inputs(dims);
     let (a, b) = (Arc::new(a), Arc::new(b));
-    let spec = spec.clone();
     let mut world =
-        World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan);
+        World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(faults);
     if at_scale {
         // The schedule logs' memory (tens of bytes per pick and per
         // event) is the one cost of recording — off at scale.
         world = world.with_schedule_recording(false);
     }
     world.run_async(move |rank| {
-        let spec = spec.clone();
-        let (a, b) = (a.clone(), b.clone());
-        Box::pin(async move { run_recoverable_a(rank, &spec, dims, &a, &b).await })
+        let (plan, a, b) = (plan.clone(), a.clone(), b.clone());
+        Box::pin(async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await })
     })
 }
 
@@ -162,9 +163,10 @@ fn chaos_cert_all_six_algorithms() {
     // 8 (power of two).
     let dims = MatMulDims::new(24, 24, 24);
     let c_ref = reference(dims);
-    for (alg, spec) in all_specs() {
+    for plan in all_plans() {
+        let alg = plan.algorithm();
         let t0 = Instant::now();
-        let out = run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), false);
+        let out = run_chaos(&plan, dims, 10, 0xC0DE, tier1_plan(), false);
         let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
         assert!(killed.detail.contains("kill=2@3"), "{alg}: {}", killed.detail);
         let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
@@ -187,8 +189,8 @@ fn chaos_cert_replays_byte_identically() {
     // hashes, so the whole chaos run is a deterministic function of the
     // triple.
     let dims = MatMulDims::new(24, 24, 24);
-    let spec = Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let run = || run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), false);
+    let run =
+        || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, 10, 0xC0DE, tier1_plan(), false);
     let (first, again) = (run(), run());
     assert_eq!(first.values, again.values, "per-rank results must replay byte-identically");
     for (w, (x, y)) in first.reports.iter().zip(&again.reports).enumerate() {
@@ -232,16 +234,17 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
     let c_ref = reference(dims);
     let start = Instant::now();
     let (mut ran, mut skipped) = (0u32, 0u32);
-    for (alg, spec) in all_specs() {
+    for plan in all_plans() {
+        let alg = plan.algorithm();
         for p in [3usize, 16, 64] {
-            for (class, plan) in plan_classes(p) {
+            for (class, faults) in plan_classes(p) {
                 if start.elapsed() >= budget {
                     skipped += 1;
                     continue;
                 }
                 let label = format!("{alg}/p{p}/{class}");
                 let t0 = Instant::now();
-                let out = run_chaos(&spec, dims, p, 0x50AB, plan, false);
+                let out = run_chaos(&plan, dims, p, 0x50AB, faults, false);
                 // Run goodput exactness is asserted on the tier-1
                 // cert's divisible grid; the soak checks bitwise
                 // correctness, exact restore goodput, and the upper
@@ -280,9 +283,8 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
         0..6,
         2,
     );
-    let spec = Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let t0 = Instant::now();
-    let out = run_chaos(&spec, dims, p, 3, plan, true);
+    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, p, 3, plan, true);
     let secs = t0.elapsed().as_secs_f64();
 
     let killed = out.values[10_000].as_ref().expect_err("rank 10000 was killed");

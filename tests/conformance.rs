@@ -220,115 +220,47 @@ fn grid3d_traffic_matches_eq3_prediction_per_rank_and_phase() {
     }
 }
 
-/// Run one algorithm at a sweep point: returns the assembled product and
-/// the measured critical-path words (bandwidth-only machine).
-fn run_algorithm(name: &str, pt: &Point, grid: Grid3, seed: u64) -> Option<(Matrix, f64)> {
-    let dims = pt.dims;
-    let p = pt.p;
-    let bw = MachineParams::BANDWIDTH_ONLY;
-    match name {
-        "alg1/reduce-scatter" | "alg1/all-to-all" => {
-            let assembly = if name.ends_with("all-to-all") {
-                Assembly::AllToAllSum
-            } else {
-                Assembly::ReduceScatter
-            };
-            let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
-            });
-            let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-            Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
-        }
-        "alg1/streamed" => {
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let ab = Arc::clone(&ab);
-                Box::pin(async move {
-                    alg1_streamed_a(r, dims, grid, 2, Kernel::Naive, &ab.0, &ab.1).await
-                })
-            });
-            let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-            Some((assemble_c(dims, grid, &chunks), out.critical_path_time()))
-        }
-        "cannon" => {
-            let q = (p as f64).sqrt() as usize;
-            if q * q != p {
-                return None;
-            }
-            let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                Box::pin(async move { cannon_a(r, &cfg, &ab.0, &ab.1).await })
-            });
-            let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
-                out.values[i * q + j].c_block.clone()
-            });
-            Some((got, out.critical_path_time()))
-        }
-        "summa" => {
-            let (pr, pc) = match p {
-                2 => (1, 2),
-                4 => (2, 2),
-                8 => (2, 4),
-                16 => (4, 4),
-                64 => (8, 8),
-                _ => return None,
-            };
-            let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                Box::pin(async move { summa_a(r, &cfg, &ab.0, &ab.1).await })
-            });
-            let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
-                out.values[i * pc + j].c_block.clone()
-            });
-            Some((got, out.critical_path_time()))
-        }
-        "2.5d" => {
-            let (q, c) = match p {
-                4 => (2, 1),
-                8 => (2, 2),
-                16 => (4, 1),
-                64 => (4, 4),
-                _ => return None,
-            };
-            let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                Box::pin(async move { twofived_a(r, &cfg, &ab.0, &ab.1).await })
-            });
-            let got = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
-                out.values[i * q + j].c_block.clone().expect("layer 0 owns a C block")
-            });
-            Some((got, out.critical_path_time()))
-        }
-        "carma" => {
-            if !p.is_power_of_two() {
-                return None;
-            }
-            let ab = inputs(dims);
-            let out = World::new(p, bw).with_seed(seed).run_async(move |r| {
-                let ab = Arc::clone(&ab);
-                Box::pin(async move {
-                    let (sa, sb) = carma_shares(p, r.world_rank(), &ab.0, &ab.1);
-                    let comm = r.world_comm();
-                    carma_a(r, &comm, dims, Kernel::Naive, sa, sb).await
-                })
-            });
-            Some((carma_assemble_c(dims, p, &out.values), out.critical_path_time()))
-        }
-        other => panic!("unknown algorithm {other}"),
-    }
+/// Every plan a sweep point runs: Algorithm 1 and its streamed variant
+/// on the point's grid, and each baseline laid out by [`plan_for`] where
+/// that layout fills all `P` ranks.
+fn plans(pt: &Point, grid: [usize; 3]) -> Vec<AlgPlan> {
+    let baselines = [
+        AlgPlan::Summa { pr: 1, pc: 1 },
+        AlgPlan::Cannon { q: 1 },
+        AlgPlan::TwoFiveD { q: 1, c: 1 },
+        AlgPlan::Carma { p: 1 },
+    ]
+    .map(|alg| plan_for(&alg, pt.dims, pt.p));
+    let alg1 = [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }];
+    alg1.into_iter().chain(baselines.into_iter().filter(|plan| plan.active() == pt.p)).collect()
 }
 
-const ALGORITHMS: [&str; 7] =
-    ["alg1/reduce-scatter", "alg1/all-to-all", "alg1/streamed", "cannon", "summa", "2.5d", "carma"];
+/// Run `plan` at a sweep point: returns the assembled product and the
+/// measured critical-path words (bandwidth-only machine).
+fn run_plan(pt: &Point, plan: &AlgPlan, seed: u64) -> (Matrix, f64) {
+    let (dims, ab) = (pt.dims, inputs(pt.dims));
+    let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
+        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            let comm = r.world_comm();
+            run_plan_a(r, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+        })
+    });
+    (assemble_recovered(dims, plan, &out.values), out.critical_path_time())
+}
+
+/// Algorithm 1 with the all-to-all assembly ablation, which no plan names.
+fn run_alg1_all_to_all(pt: &Point, grid: Grid3, seed: u64) -> (Matrix, f64) {
+    let dims = pt.dims;
+    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
+    let ab = inputs(dims);
+    let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
+    });
+    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
+    (assemble_c(dims, grid, &chunks), out.critical_path_time())
+}
 
 #[test]
 fn all_algorithms_agree_bitwise_and_respect_theorem3() {
@@ -337,11 +269,12 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
         let (grid, grid_arr, _) = chosen_grid(&pt);
         let want = reference(pt.dims);
         let report = lower_bound(pt.dims, pt.p as f64);
+        let runs = plans(&pt, grid_arr)
+            .into_iter()
+            .map(|plan| (plan.to_string(), run_plan(&pt, &plan, seed)))
+            .chain([("alg1/all-to-all".to_string(), run_alg1_all_to_all(&pt, grid, seed))]);
         let mut ran = 0;
-        for name in ALGORITHMS {
-            let Some((got, measured)) = run_algorithm(name, &pt, grid, seed) else {
-                continue;
-            };
+        for (name, (got, measured)) in runs {
             ran += 1;
             // (a) bitwise agreement: integer inputs make f64 arithmetic
             // exact, so every schedule and summation order must produce
@@ -366,8 +299,7 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
         // Tight points: Algorithm 1 on the §5.2 grid attains the bound
         // exactly — the paper's constants 1/2/3, not just the Θ-class.
         if pt.tight {
-            let (_, t) = run_algorithm("alg1/reduce-scatter", &pt, grid, seed)
-                .expect("alg1 runs at every point");
+            let (_, t) = run_plan(&pt, &AlgPlan::Alg1 { grid: grid_arr }, seed);
             assert!(
                 (t - report.bound).abs() <= 1e-9 * report.bound.max(1.0),
                 "{} ({} P={} grid {grid_arr:?}): measured {t} must equal the bound {} \

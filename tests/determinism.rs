@@ -86,34 +86,26 @@ fn different_seeds_schedule_differently_but_compute_identically() {
 
 #[test]
 fn fuzz_schedules_covers_the_other_agree_workloads() {
-    // Cannon, P = 9 (torus exchanges stress the split + sendrecv paths).
+    // Cannon, P = 9 (torus exchanges stress the split + sendrecv paths);
+    // SUMMA, P = 6 (broadcast pipelines); 2.5D, P = 8 (replicated layers
+    // + reduction).
     let dims = MatMulDims::new(24, 12, 18);
-    let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
-    let world = World::new(9, MachineParams::BANDWIDTH_ONLY);
     let ab = inputs(dims);
-    fuzz_schedules(&world, &[1, 2, 3], |rank| {
-        let (ccfg, ab) = (ccfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { cannon_a(rank, &ccfg, &ab.0, &ab.1).await.c_block })
-    })
-    .unwrap_or_else(|d| panic!("{d}"));
-
-    // SUMMA, P = 6 (broadcast pipelines).
-    let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
-    let world = World::new(6, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], |rank| {
-        let (scfg, ab) = (scfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { summa_a(rank, &scfg, &ab.0, &ab.1).await.c_block })
-    })
-    .unwrap_or_else(|d| panic!("{d}"));
-
-    // 2.5D, P = 8 (replicated layers + reduction).
-    let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
-    let world = World::new(8, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], |rank| {
-        let (tcfg, ab) = (tcfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { twofived_a(rank, &tcfg, &ab.0, &ab.1).await.c_block })
-    })
-    .unwrap_or_else(|d| panic!("{d}"));
+    for plan in [
+        AlgPlan::Cannon { q: 3 },
+        AlgPlan::Summa { pr: 2, pc: 3 },
+        AlgPlan::TwoFiveD { q: 2, c: 2 },
+    ] {
+        let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
+        fuzz_schedules(&world, &[1, 2, 3], |rank| {
+            let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+            })
+        })
+        .unwrap_or_else(|d| panic!("{plan}: {d}"));
+    }
 }
 
 /// Short-budget schedule-fuzz entry point (the `cargo xtask

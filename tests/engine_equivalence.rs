@@ -20,14 +20,20 @@
 //!   duplicates, delays): goodput *and* retry meters must agree
 //!   bit-for-bit across hosts;
 //! * kills, caught (`catch_failures_async!`), recovered from
-//!   (`run_recoverable_a`), and uncaught (the failure report).
+//!   (`run_recoverable_a`), and uncaught (the failure report);
+//! * the frozen benchmark's six sync entry points (`alg1`, …, `carma`)
+//!   against `run_plan_a` of the same plan — the program
+//!   `six_algs_small` runs.
 //!
 //! The same comparison, on each host, also holds two *programs* to one
 //! run: Algorithm 1 and its streamed variant, which multiply an operand
 //! whose fiber has one member where it lies in the global input, against
 //! test-local programs that copy it out and all-gather it as before.
 
-use pmm::algs::{fiber_comms_a, PhaseMeter, PhaseProbe};
+use pmm::algs::{
+    alg1, alg1_streamed, alg1_streamed_on_a, cannon, carma, fiber_comms_a, summa, twofived,
+    PhaseMeter, PhaseProbe,
+};
 use pmm::collectives::{all_gather_v_a, reduce_scatter_v_a};
 use pmm::dense::{block_range, chunk_of_block, gemm_acc, Block2};
 use pmm::prelude::*;
@@ -44,11 +50,46 @@ fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
     ))
 }
 
+/// `run_plan_a` of `plan` on the world communicator, every rank reading
+/// the one shared pair of inputs.
+fn plan_program(
+    plan: AlgPlan,
+    dims: MatMulDims,
+    ab: &Arc<(Matrix, Matrix)>,
+) -> impl for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, CShare> + Send + Sync {
+    let ab = Arc::clone(ab);
+    move |rank| {
+        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+        })
+    }
+}
+
 /// Assert every observable artifact of two runs matches — a thread-hosted
 /// and a loop-hosted run of one program, or two programs that must be
 /// indistinguishable: values, per-rank meters/clocks/memory/event counts,
 /// the rendered + event-level schedule trace, and the whole `ChoiceLog`.
 fn assert_same_run<T>(label: &str, x: &WorldResult<T>, y: &WorldResult<T>)
+where
+    T: PartialEq + std::fmt::Debug,
+{
+    assert_same_outcome(label, x, y);
+    let (t, e) = (
+        x.schedule_trace.as_ref().expect("deterministic runs record a trace"),
+        y.schedule_trace.as_ref().expect("deterministic runs record a trace"),
+    );
+    assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
+    t.assert_matches(e);
+    // Chosen ranks, footprints and every runnable-set transition.
+    assert!(x.choice_points.is_some(), "{label}: deterministic runs record a choice log");
+    assert!(x.choice_points == y.choice_points, "{label}: choice logs diverge");
+}
+
+/// The schedule-free half of [`assert_same_run`]: values and per-rank
+/// meters, clocks, memory peaks and happens-before event counts.
+fn assert_same_outcome<T>(label: &str, x: &WorldResult<T>, y: &WorldResult<T>)
 where
     T: PartialEq + std::fmt::Debug,
 {
@@ -63,15 +104,6 @@ where
             "{label}: rank {r} happens-before event count diverges"
         );
     }
-    let (t, e) = (
-        x.schedule_trace.as_ref().expect("deterministic runs record a trace"),
-        y.schedule_trace.as_ref().expect("deterministic runs record a trace"),
-    );
-    assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
-    t.assert_matches(e);
-    // Chosen ranks, footprints and every runnable-set transition.
-    assert!(x.choice_points.is_some(), "{label}: deterministic runs record a choice log");
-    assert!(x.choice_points == y.choice_points, "{label}: choice logs diverge");
 }
 
 /// Run `program` on both hosts and assert the runs are the same;
@@ -325,7 +357,9 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
                 |rank| {
                     let ab = Arc::clone(&ab);
                     Box::pin(async move {
-                        alg1_streamed_a(rank, dims, grid, 3, Kernel::Blocked, &ab.0, &ab.1).await
+                        let comm = rank.world_comm();
+                        let (a, b) = &*ab;
+                        alg1_streamed_on_a(rank, &comm, dims, grid, 3, Kernel::Blocked, a, b).await
                     })
                 },
                 |rank| {
@@ -342,137 +376,110 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
 #[test]
 fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
     let dims = MatMulDims::new(24, 12, 18);
-
-    let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
-    let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
     let ab = inputs(dims);
-    assert_hosts_agree("cannon P=9", &world, |rank| {
-        let ccfg = ccfg.clone();
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            cannon_a(rank, &ccfg, a, b).await.c_block
-        })
-    });
+    for plan in [
+        AlgPlan::Cannon { q: 3 },
+        AlgPlan::Summa { pr: 2, pc: 3 },
+        AlgPlan::TwoFiveD { q: 2, c: 2 },
+    ] {
+        let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+        assert_hosts_agree(&format!("{plan}"), &world, plan_program(plan, dims, &ab));
+    }
+}
 
-    let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
-    let world = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_hosts_agree("summa P=6", &world, |rank| {
-        let scfg = scfg.clone();
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            summa_a(rank, &scfg, a, b).await.c_block
-        })
-    });
-
-    let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
-    let world = World::new(8, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
-    assert_hosts_agree("2.5d P=8", &world, |rank| {
-        let tcfg = tcfg.clone();
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            twofived_a(rank, &tcfg, a, b).await.c_block
-        })
-    });
+/// What licenses driving the frozen benchmark's sync entry points
+/// through the `_on_a` bodies: on the thread host, each of the six runs
+/// the same program as `run_plan_a` of its plan on the loop — values (as
+/// the executor's `CShare`), meters, clocks, memory peaks, event counts,
+/// and the schedule trace. CARMA's trace is exempt: the executor first
+/// splits off its active sub-machine, one unmetered collective more.
+#[test]
+fn benchmark_sync_entry_points_run_the_executors_programs() {
+    let dims = MatMulDims::new(24, 12, 18);
+    let ab = inputs(dims);
+    let (grid, kernel) = (Grid3::new(2, 3, 2), Kernel::Naive);
+    let alg1_cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
+    let cannon_cfg = CannonConfig { dims, q: 3, kernel };
+    let summa_cfg = SummaConfig { dims, pr: 2, pc: 3, kernel };
+    let twofived_cfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel };
+    type SyncEntry<'c> = Box<dyn Fn(&mut Rank, &Matrix, &Matrix) -> CShare + Send + Sync + 'c>;
+    let cells: [(AlgPlan, SyncEntry); 6] = [
+        (
+            AlgPlan::Alg1 { grid: grid.dims() },
+            Box::new(|r, a, b| CShare::Chunk(Box::new(alg1(r, &alg1_cfg, a, b)))),
+        ),
+        (
+            AlgPlan::Alg1Streamed { grid: grid.dims(), slabs: 2 },
+            Box::new(|r, a, b| {
+                CShare::Chunk(Box::new(alg1_streamed(r, dims, grid, 2, kernel, a, b)))
+            }),
+        ),
+        (
+            AlgPlan::Cannon { q: 3 },
+            Box::new(|r, a, b| CShare::Block(Some(cannon(r, &cannon_cfg, a, b).c_block))),
+        ),
+        (
+            AlgPlan::Summa { pr: 2, pc: 3 },
+            Box::new(|r, a, b| CShare::Block(Some(summa(r, &summa_cfg, a, b).c_block))),
+        ),
+        (
+            AlgPlan::TwoFiveD { q: 2, c: 2 },
+            Box::new(|r, a, b| CShare::Block(twofived(r, &twofived_cfg, a, b).c_block)),
+        ),
+        (
+            AlgPlan::Carma { p: 8 },
+            Box::new(|r, a, b| {
+                let comm = r.world_comm();
+                let (sa, sb) = carma_shares(8, comm.index(), a, b);
+                CShare::Flat(Some(carma(r, &comm, dims, kernel, sa, sb)))
+            }),
+        ),
+    ];
+    for (plan, sync_entry) in cells {
+        let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+        let label = format!("{plan}: sync entry point vs run_plan_a");
+        let threads = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
+        let event = world.run_async(plan_program(plan.clone(), dims, &ab));
+        if matches!(plan, AlgPlan::Carma { .. }) {
+            assert_same_outcome(&label, &threads, &event);
+        } else {
+            assert_same_run(&label, &threads, &event);
+        }
+    }
 }
 
 /// One Theorem 3 regime point of the conformance instance
 /// `(96, 24, 12)`: run every algorithm that admits the processor count
-/// on both hosts and cross-check all observables.
+/// on both hosts and cross-check all observables. The baselines run in
+/// the layout [`plan_for`] gives them wherever it fills all `P` ranks.
 fn regime_point(p: usize, seed: u64, label: &str) {
     let dims = MatMulDims::new(96, 24, 12);
-    let bw = MachineParams::BANDWIDTH_ONLY;
-    let choice = best_divisible_grid(dims, p)
-        .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"));
-    let grid = Grid3::from_dims(choice.grid);
+    let grid = best_divisible_grid(dims, p)
+        .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"))
+        .grid;
     let ab = inputs(dims);
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(seed);
 
-    // Algorithm 1, both assembly strategies.
-    for assembly in [Assembly::ReduceScatter, Assembly::AllToAllSum] {
-        let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: alg1/{assembly:?}"), &world, |rank| {
-            let cfg = cfg.clone();
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a, b) = &*ab;
-                let out = alg1_a(rank, &cfg, a, b).await;
-                let phases: Vec<(String, Meter)> =
-                    out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
-                (out.c_chunk, phases)
-            })
-        });
-    }
-
-    // Streamed Algorithm 1 (double-buffered slabs).
-    let world = World::new(p, bw).with_seed(seed);
-    assert_hosts_agree(&format!("{label}: alg1/streamed"), &world, |rank| {
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            alg1_streamed_a(rank, dims, grid, 2, Kernel::Naive, a, b).await.c_chunk
-        })
+    // Algorithm 1 with the all-to-all assembly ablation, which no plan
+    // names.
+    let grid3 = Grid3::from_dims(grid);
+    let cfg =
+        Alg1Config { dims, grid: grid3, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
+    assert_hosts_agree(&format!("{label}: alg1/all-to-all"), &world, |rank| {
+        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
     });
 
-    // Cannon needs a square process grid.
-    let q = (p as f64).sqrt() as usize;
-    if q * q == p {
-        let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: cannon"), &world, |rank| {
-            let ccfg = ccfg.clone();
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a, b) = &*ab;
-                cannon_a(rank, &ccfg, a, b).await.c_block
-            })
-        });
-    }
-
-    // SUMMA on a near-square factorization.
-    let (pr, pc) = near_square_factors(p);
-    let scfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-    let world = World::new(p, bw).with_seed(seed);
-    assert_hosts_agree(&format!("{label}: summa"), &world, |rank| {
-        let scfg = scfg.clone();
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            summa_a(rank, &scfg, a, b).await.c_block
-        })
-    });
-
-    // 2.5D wherever q²c = p has a solution with c ≤ q.
-    if let Some((q, c)) = [(2usize, 2usize), (4, 1), (4, 4), (2, 1), (8, 1)]
-        .into_iter()
-        .find(|&(q, c)| q * q * c == p)
-    {
-        let tcfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-        let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: 2.5d"), &world, |rank| {
-            let tcfg = tcfg.clone();
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a, b) = &*ab;
-                twofived_a(rank, &tcfg, a, b).await.c_block
-            })
-        });
-    }
-
-    // CARMA on power-of-two processor counts.
-    if p.is_power_of_two() {
-        let world = World::new(p, bw).with_seed(seed);
-        assert_hosts_agree(&format!("{label}: carma"), &world, |rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a, b) = &*ab;
-                let (sa, sb) = carma_shares(p, rank.world_rank(), a, b);
-                let comm = rank.world_comm();
-                carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await
-            })
-        });
+    let baselines = [
+        AlgPlan::Summa { pr: 1, pc: 1 },
+        AlgPlan::Cannon { q: 1 },
+        AlgPlan::TwoFiveD { q: 1, c: 1 },
+        AlgPlan::Carma { p: 1 },
+    ]
+    .map(|alg| plan_for(&alg, dims, p));
+    let alg1 = [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }];
+    for plan in alg1.into_iter().chain(baselines.into_iter().filter(|plan| plan.active() == p)) {
+        assert_hosts_agree(&format!("{label}: {plan}"), &world, plan_program(plan, dims, &ab));
     }
 }
 
@@ -550,9 +557,8 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         let ab = Arc::clone(&ab);
         Box::pin(async move {
             let (a, b) = &*ab;
-            let spec =
-                Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-            run_recoverable_a(rank, &spec, dims, a, b).await
+            let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
+            run_recoverable_a(rank, &alg1, dims, Kernel::Naive, a, b).await
         })
     });
     assert!(out.values[4].is_err() && out.values[7].is_err(), "both casualties report failure");

@@ -65,9 +65,8 @@ fn run_recovery(
             let ab = Arc::clone(&ab);
             Box::pin(async move {
                 let (a, b) = &*ab;
-                let spec =
-                    Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-                run_recoverable_a(rank, &spec, dims, a, b).await
+                let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
+                run_recoverable_a(rank, &alg1, dims, Kernel::Naive, a, b).await
             })
         },
     )
@@ -513,14 +512,8 @@ fn summa_recovers_on_near_square_survivor_grid() {
         .run_async(move |rank| {
             let ab = Arc::clone(&ab);
             Box::pin(async move {
-                run_recoverable_a(
-                    rank,
-                    &Recoverable::Summa { kernel: Kernel::Naive },
-                    dims,
-                    &ab.0,
-                    &ab.1,
-                )
-                .await
+                let summa = AlgPlan::Summa { pr: 1, pc: 1 };
+                run_recoverable_a(rank, &summa, dims, Kernel::Naive, &ab.0, &ab.1).await
             })
         });
     assert!(out.values[3].is_err(), "killed rank reports failure");

@@ -1,6 +1,7 @@
 //! Cross-crate checks for the extension variants: streamed Algorithm 1,
 //! executed CARMA, and the advisor — all against the Theorem 3 bound.
 
+use pmm::bounds::advisor::alg1_full_cost;
 use pmm::prelude::*;
 use std::sync::Arc;
 
@@ -11,20 +12,31 @@ fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
     ))
 }
 
+/// Run `plan` on a bandwidth-only world of the plan's size.
+fn run_plan(plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
+    let ab = inputs(dims);
+    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+        })
+    })
+}
+
+fn reference(dims: MatMulDims) -> Matrix {
+    let ab = inputs(dims);
+    gemm(&ab.0, &ab.1, Kernel::Naive)
+}
+
 #[test]
 fn streamed_alg1_is_tight_too() {
     // The §6.2 low-memory variant moves exactly the same words, so it also
     // attains the bound on the optimal divisible grid.
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
-    let grid = best_grid(dims, p).grid3();
-    let ab = inputs(dims);
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-        let ab = Arc::clone(&ab);
-        Box::pin(
-            async move { alg1_streamed_a(rank, dims, grid, 4, Kernel::Naive, &ab.0, &ab.1).await },
-        )
-    });
+    let plan = AlgPlan::Alg1Streamed { grid: best_grid(dims, p).grid, slabs: 4 };
+    let out = run_plan(&plan, dims);
     let bound = lower_bound(dims, p as f64).bound;
     let measured = out.critical_path_time();
     assert!(
@@ -32,10 +44,7 @@ fn streamed_alg1_is_tight_too() {
         "streamed measured {measured} vs bound {bound}"
     );
     // And the product is right.
-    let ab = inputs(dims);
-    let want = gemm(&ab.0, &ab.1, Kernel::Naive);
-    let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    assert_eq!(assemble_c(dims, grid, &chunks), want);
+    assert_eq!(assemble_recovered(dims, &plan, &out.values), reference(dims));
 }
 
 #[test]
@@ -45,15 +54,8 @@ fn carma_is_tight_on_pow2_square_instances() {
     // enables.
     for (n, p) in [(64u64, 8usize), (64, 64), (128, 512)] {
         let dims = MatMulDims::square(n);
-        let ab = inputs(dims);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (sa, sb) = carma_shares(p, rank.world_rank(), &ab.0, &ab.1);
-                let comm = rank.world_comm();
-                carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await
-            })
-        });
+        let plan = AlgPlan::Carma { p };
+        let out = run_plan(&plan, dims);
         let bound = corollary4(n, p as f64);
         let measured = out.critical_path_time();
         assert!(
@@ -61,9 +63,7 @@ fn carma_is_tight_on_pow2_square_instances() {
             "n={n} P={p}: CARMA measured {measured} vs bound {bound}"
         );
         // Reassembled product matches the serial reference.
-        let ab = inputs(dims);
-        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
-        assert_eq!(carma_assemble_c(dims, p, &out.values), want, "n={n} P={p}");
+        assert_eq!(assemble_recovered(dims, &plan, &out.values), reference(dims), "n={n} P={p}");
     }
 }
 
@@ -74,15 +74,7 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let recs = recommend(dims, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY);
     let best = recs.first().expect("at least one strategy");
     if let AdvisorStrategy::Alg1 { grid } = best.strategy {
-        let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let ab = inputs(dims);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
-            })
-        });
-        let measured = out.critical_path_time();
+        let measured = run_plan(&AlgPlan::Alg1 { grid }, dims).critical_path_time();
         assert!(
             (measured - best.cost.words).abs() < 1e-9,
             "advisor predicted {} words, measured {measured}",
@@ -94,19 +86,26 @@ fn advisor_prediction_matches_execution_for_the_winner() {
 }
 
 #[test]
+fn advisor_prices_alg1_messages_and_words_as_executed() {
+    // Algorithm 1's collectives run recursive doubling / halving on a
+    // power-of-two fiber (log2 p messages) and the ring otherwise
+    // (p − 1): the advisor must price each fiber by the same rule.
+    let dims = MatMulDims::new(120, 24, 30);
+    for grid in [[5, 1, 1], [6, 2, 1], [2, 2, 2], [3, 1, 1]] {
+        let executed = run_plan(&AlgPlan::Alg1 { grid }, dims).critical_path_cost();
+        let advised = alg1_full_cost(dims, grid);
+        assert_eq!(advised.messages, executed.messages, "grid {grid:?}: messages");
+        assert!((advised.words - executed.words).abs() < 1e-9, "grid {grid:?}: words");
+    }
+}
+
+#[test]
 fn streamed_variant_trades_latency_for_memory_monotonically() {
     let dims = MatMulDims::new(64, 96, 64);
-    let grid = Grid3::new(2, 2, 2);
     let mut prev_msgs = 0u64;
     let mut prev_peak = u64::MAX;
-    let ab = inputs(dims);
     for slabs in [1usize, 2, 4, 8] {
-        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                alg1_streamed_a(rank, dims, grid, slabs, Kernel::Naive, &ab.0, &ab.1).await
-            })
-        });
+        let out = run_plan(&AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs }, dims);
         let msgs = out.reports[0].meter.msgs_sent;
         let peak = out.max_peak_mem_words();
         assert!(msgs >= prev_msgs, "slabs={slabs}: messages must not decrease");
