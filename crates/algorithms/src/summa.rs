@@ -154,11 +154,7 @@ async fn bcast_panel(
     data: Vec<f64>,
     root: usize,
 ) -> Vec<f64> {
-    let algo = if comm.size() > 1 && !data.is_empty() && data.len().is_multiple_of(comm.size()) {
-        BcastAlgo::ScatterAllGather
-    } else {
-        BcastAlgo::Binomial
-    };
+    let algo = BcastAlgo::by_length(comm.size(), data.len());
     bcast_a(rank, comm, data, root, algo).await
 }
 

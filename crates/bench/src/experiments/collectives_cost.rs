@@ -10,9 +10,10 @@
 
 use crate::{fnum, print_table, Checks};
 use pmm_collectives::{
-    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, costs, reduce_scatter_a, AllGatherAlgo,
+    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, reduce_scatter_a, AllGatherAlgo,
     AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
 };
+use pmm_model::collective;
 use pmm_simnet::{Comm, LocalBoxFuture, MachineParams, Rank, World};
 
 /// Critical-path cost of one collective, called by every rank of a
@@ -54,7 +55,7 @@ pub fn run(checks: &mut Checks) {
                 Box::pin(all_gather_a(rank, comm, vec![1.0; w], algo))
             });
             let optimal = (1.0 - 1.0 / p as f64) * (p * w) as f64;
-            let model = costs::all_gather_cost(algo, p, w);
+            let model = collective::all_gather_cost(algo, p, w);
             checks.check(format!("{name} p={p}: measured == model"), measured == model.words);
             checks.check(
                 format!("{name} p={p}: bandwidth-optimal"),

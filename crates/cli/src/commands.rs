@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pmm_algs::{assemble_recovered, run_recoverable_a, CShare};
 use pmm_bench::calibrate::calibrate as run_probes;
 use pmm_bench::measure::Inputs;
-use pmm_core::advisor::{recommend, Strategy};
+use pmm_core::advisor::recommend;
 use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
@@ -116,17 +116,18 @@ pub fn advise(
     let _ = writeln!(
         out,
         "{:<4} {:<28} {:>14} {:>12} {:>8} {:>12}",
-        "#", "strategy", "pred. time", "words", "msgs", "mem (words)"
+        "#", "plan", "pred. time", "words", "msgs", "mem (words)"
     );
     for (i, r) in recs.iter().take(6).enumerate() {
-        let name = match &r.strategy {
-            Strategy::Alg1 { grid } => format!("Alg1 {}x{}x{}", grid[0], grid[1], grid[2]),
-            Strategy::TwoFiveD { q, c } => format!("2.5D {q}x{q} c={c}"),
-        };
         let _ = writeln!(
             out,
             "{:<4} {:<28} {:>14.1} {:>12.0} {:>8.0} {:>12.0}",
-            i, name, r.time, r.cost.words, r.cost.messages, r.memory_words
+            i,
+            r.plan.to_string(),
+            r.time,
+            r.cost.words,
+            r.cost.messages,
+            r.memory_words
         );
     }
     out
@@ -546,7 +547,7 @@ mod tests {
     fn advise_ranks_strategies() {
         let s = advise(MatMulDims::square(512), 64, None, 0.0, 1.0, 0.0);
         let first = s.lines().nth(2).expect("at least one recommendation");
-        assert!(first.contains("Alg1 4x4x4"), "winner line: {first}");
+        assert!(first.contains("alg1[4x4x4]"), "winner line: {first}");
     }
 
     #[test]

@@ -18,25 +18,10 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
+use pmm_model::collective::AllGatherAlgo;
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::{is_pow2, offsets};
-
-/// Algorithm selector for [`all_gather_v_a`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllGatherAlgo {
-    /// Bidirectional ring; any `p`.
-    Ring,
-    /// Recursive doubling; requires power-of-two `p`.
-    RecursiveDoubling,
-    /// Bruck's algorithm: `⌈log2 p⌉` rounds for **any** `p` (each round
-    /// sends everything held to rank `−2^s` and receives from `+2^s`),
-    /// at the price of a final local rotation. Latency-optimal where the
-    /// ring is bandwidth-optimal-but-slow to start.
-    Bruck,
-    /// Recursive doubling when `p` is a power of two, ring otherwise.
-    Auto,
-}
+use crate::util::offsets;
 
 /// All-Gather with uniform block sizes.
 ///
@@ -90,19 +75,13 @@ pub(crate) async fn all_gather_v_at(
     if p == 1 {
         return mine.into_owned();
     }
-    match algo {
+    match algo.resolve(p) {
         AllGatherAlgo::Ring => ring(rank, comm, mine, counts).await,
-        AllGatherAlgo::RecursiveDoubling => {
-            assert!(is_pow2(p), "recursive doubling requires power-of-two communicator");
-            recursive_doubling(rank, comm, mine, counts).await
-        }
         AllGatherAlgo::Bruck => bruck(rank, comm, mine, counts).await,
-        AllGatherAlgo::Auto => {
-            if is_pow2(p) {
-                recursive_doubling(rank, comm, mine, counts).await
-            } else {
-                ring(rank, comm, mine, counts).await
-            }
+        // Recursive doubling (`resolve` never returns `Auto`).
+        _ => {
+            assert!(p.is_power_of_two(), "recursive doubling requires power-of-two communicator");
+            recursive_doubling(rank, comm, mine, counts).await
         }
     }
 }
@@ -215,7 +194,7 @@ async fn recursive_doubling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     fn expected(counts: &[usize]) -> Vec<f64> {
@@ -352,7 +331,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::all_gather_cost(AllGatherAlgo::Ring, p, w);
+        let model = collective::all_gather_cost(AllGatherAlgo::Ring, p, w);
         // words moved per rank: (p-1) * w, both directions; duplex clock = (p-1)*w
         for r in 0..p {
             assert_eq!(out.reports[r].meter.words_sent, ((p - 1) * w) as u64);
@@ -373,7 +352,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::all_gather_cost(AllGatherAlgo::RecursiveDoubling, p, w);
+        let model = collective::all_gather_cost(AllGatherAlgo::RecursiveDoubling, p, w);
         for r in 0..p {
             assert_eq!(out.values[r], model.words, "clock vs model at rank {r}");
             assert_eq!(out.reports[r].meter.words_sent, model.words as u64);
@@ -393,7 +372,7 @@ mod tests {
                     rank.time()
                 })
             });
-            let model = costs::all_gather_cost(algo, p, 2);
+            let model = collective::all_gather_cost(algo, p, 2);
             for r in 0..p {
                 assert_eq!(out.values[r], model.messages, "{algo:?} latency at rank {r}");
             }

@@ -5,24 +5,12 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
+use pmm_model::collective::{AllGatherAlgo, AllReduceAlgo, ReduceScatterAlgo};
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::allgather::{all_gather_v_a, AllGatherAlgo};
-use crate::reduce_scatter::{reduce_scatter_v_a, ReduceScatterAlgo};
-use crate::util::{axpy1, is_pow2};
-
-/// Algorithm selector for [`all_reduce_a`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllReduceAlgo {
-    /// Rabenseifner: Reduce-Scatter then All-Gather. Bandwidth-optimal
-    /// `2(1 − 1/p)·w`; any `p` (uneven trailing segment allowed).
-    ReduceScatterAllGather,
-    /// Recursive doubling: `log2 p` rounds of whole-buffer exchanges;
-    /// latency-optimal, bandwidth `log2(p)·w`. Power-of-two `p` only.
-    RecursiveDoubling,
-    /// Rabenseifner (the bandwidth-optimal default).
-    Auto,
-}
+use crate::allgather::all_gather_v_a;
+use crate::reduce_scatter::reduce_scatter_v_a;
+use crate::util::axpy1;
 
 /// Sum-reduce `data` across the communicator; every rank returns the full
 /// element-wise sum. A `Vec` handed over becomes the reduction's
@@ -42,14 +30,15 @@ pub fn all_reduce_a<'r, 'd: 'r>(
         if p == 1 {
             return data.into_owned();
         }
-        match algo {
-            AllReduceAlgo::ReduceScatterAllGather | AllReduceAlgo::Auto => {
-                rsag(rank, comm, data).await
-            }
+        match algo.resolve() {
             AllReduceAlgo::RecursiveDoubling => {
-                assert!(is_pow2(p), "recursive-doubling all-reduce requires power-of-two p");
+                assert!(
+                    p.is_power_of_two(),
+                    "recursive-doubling all-reduce requires power-of-two p"
+                );
                 recursive_doubling(rank, comm, data).await
             }
+            _ => rsag(rank, comm, data).await,
         }
     }
 }
@@ -84,7 +73,7 @@ async fn recursive_doubling(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, len: usize, algo: AllReduceAlgo) {
@@ -134,7 +123,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, w);
+        let model = collective::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, w);
         for r in 0..p {
             assert_eq!(out.values[r], model.words, "clock at rank {r}");
         }
@@ -151,7 +140,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::all_reduce_cost(AllReduceAlgo::RecursiveDoubling, p, w);
+        let model = collective::all_reduce_cost(AllReduceAlgo::RecursiveDoubling, p, w);
         for r in 0..p {
             assert_eq!(out.values[r], model.words);
         }

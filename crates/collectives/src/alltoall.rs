@@ -10,8 +10,6 @@ use std::panic::Location;
 
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::is_pow2;
-
 /// All-to-All with uniform block size: `data` is the concatenation of `p`
 /// equal blocks (block `i` destined for member `i`); the result is the
 /// concatenation of the blocks received from each member (own block
@@ -36,7 +34,7 @@ pub fn all_to_all_a<'r>(
         if p == 1 {
             return out;
         }
-        if is_pow2(p) {
+        if p.is_power_of_two() {
             for s in 1..p {
                 let partner = me ^ s;
                 let msg = rank
@@ -61,7 +59,7 @@ pub fn all_to_all_a<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, w: usize) {
@@ -104,7 +102,7 @@ mod tests {
                     rank.time()
                 })
             });
-            let model = costs::all_to_all_cost(p, w);
+            let model = collective::all_to_all_cost(p, w);
             for r in 0..p {
                 assert_eq!(out.values[r], model.words, "clock at rank {r} (p={p})");
             }

@@ -32,7 +32,7 @@ pub fn barrier_a<'r>(rank: &'r mut Rank, comm: &'r Comm) -> impl Future<Output =
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -68,7 +68,7 @@ mod tests {
                     (rank.time(), rank.meter().words_sent)
                 })
             });
-            let model = costs::barrier_cost(p);
+            let model = collective::barrier_cost(p);
             for r in 0..p {
                 assert_eq!(out.values[r].0, model.messages, "p={p} rank {r}");
                 assert_eq!(out.values[r].1, 0);

@@ -4,22 +4,11 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
+use pmm_model::collective::{AllGatherAlgo, BcastAlgo};
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::allgather::{all_gather_v_a, AllGatherAlgo};
+use crate::allgather::all_gather_v_a;
 use crate::gather_scatter::scatter_v_a;
-
-/// Algorithm selector for [`bcast_a`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BcastAlgo {
-    /// Binomial tree: `⌈log2 p⌉` rounds, good for small messages.
-    Binomial,
-    /// Scatter followed by ring All-Gather (van de Geijn): near-optimal
-    /// bandwidth `2(1 − 1/p)·w` for large messages. Requires `p | w`.
-    ScatterAllGather,
-    /// Binomial (latency-optimal default).
-    Auto,
-}
 
 /// Broadcast `data` from member `root`.
 ///
@@ -43,9 +32,9 @@ pub fn bcast_a<'r, 'd: 'r>(
         if p == 1 {
             return data.into_owned();
         }
-        match algo {
-            BcastAlgo::Binomial | BcastAlgo::Auto => binomial(rank, comm, data, root).await,
+        match algo.resolve() {
             BcastAlgo::ScatterAllGather => scatter_allgather(rank, comm, data, root).await,
+            _ => binomial(rank, comm, data, root).await,
         }
     }
 }
@@ -114,7 +103,7 @@ async fn scatter_allgather(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, root: usize, len: usize, algo: BcastAlgo) {
@@ -159,7 +148,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::bcast_cost(BcastAlgo::Binomial, p, w);
+        let model = collective::bcast_cost(BcastAlgo::Binomial, p, w);
         // The root sends log2 p messages of w words; its clock is the model.
         assert_eq!(out.values[0], model.words);
         assert_eq!(out.reports[0].meter.words_sent as f64, model.words);

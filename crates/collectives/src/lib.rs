@@ -11,10 +11,12 @@
 //! This crate implements those collectives (plus the rest of the standard
 //! family: broadcast, reduce, all-reduce, gather, scatter, all-to-all,
 //! barrier) as *executable message-passing programs* over
-//! [`pmm_simnet`], and pairs each with a **closed-form cost model** in
-//! [`costs`]. Tests assert that the measured meters of the executed
-//! collective match the closed form exactly — that agreement is what lets
-//! the bound-tightness experiments trust the simulator.
+//! [`pmm_simnet`]. Each is paired with a **closed-form cost model** in
+//! [`pmm_model::collective`], which also holds the algorithm selectors
+//! and the one rule each `Auto` selector resolves by. Tests assert that
+//! the measured meters of the executed collective match the closed form
+//! exactly — that agreement is what lets the bound-tightness experiments
+//! trust the simulator.
 //!
 //! All "v" (vector) variants follow the MPI convention that every rank
 //! knows the full `counts` array a priori.
@@ -59,19 +61,19 @@ pub mod allreduce;
 pub mod alltoall;
 pub mod barrier;
 pub mod bcast;
-pub mod costs;
 pub mod gather_scatter;
 pub mod reduce;
 pub mod reduce_scatter;
 pub mod scan;
 pub(crate) mod util;
 
-pub use allgather::{all_gather_a, all_gather_v_a, AllGatherAlgo};
-pub use allreduce::{all_reduce_a, AllReduceAlgo};
+pub use allgather::{all_gather_a, all_gather_v_a};
+pub use allreduce::all_reduce_a;
 pub use alltoall::all_to_all_a;
 pub use barrier::barrier_a;
-pub use bcast::{bcast_a, BcastAlgo};
+pub use bcast::bcast_a;
 pub use gather_scatter::{gather_v_a, scatter_v_a};
+pub use pmm_model::collective::{AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo};
 pub use reduce::reduce_a;
-pub use reduce_scatter::{reduce_scatter_a, reduce_scatter_v_a, ReduceScatterAlgo};
+pub use reduce_scatter::{reduce_scatter_a, reduce_scatter_v_a};
 pub use scan::{exscan_a, scan_a};

@@ -59,7 +59,7 @@ pub fn reduce_a<'r, 'd: 'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, root: usize, len: usize) {
@@ -101,7 +101,7 @@ mod tests {
                 rank.time()
             })
         });
-        let model = costs::reduce_cost(p, w);
+        let model = collective::reduce_cost(p, w);
         // With α=γ=0 the root's clock is log2(p)·w.
         assert_eq!(out.values[0], model.words);
         assert_eq!(out.reports[0].meter.words_recv as f64, model.words);

@@ -15,20 +15,10 @@ use std::borrow::Cow;
 use std::future::Future;
 use std::panic::Location;
 
+use pmm_model::collective::ReduceScatterAlgo;
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::{axpy1, is_pow2, offsets};
-
-/// Algorithm selector for [`reduce_scatter_v_a`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceScatterAlgo {
-    /// Ring; any `p`.
-    Ring,
-    /// Recursive halving; requires power-of-two `p`.
-    RecursiveHalving,
-    /// Recursive halving when `p` is a power of two, ring otherwise.
-    Auto,
-}
+use crate::util::{axpy1, offsets};
 
 /// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
 /// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
@@ -87,18 +77,12 @@ pub(crate) async fn reduce_scatter_v_at(
     if p == 1 {
         return data.into_owned();
     }
-    match algo {
+    match algo.resolve(p) {
         ReduceScatterAlgo::Ring => ring(rank, comm, data, counts).await,
-        ReduceScatterAlgo::RecursiveHalving => {
-            assert!(is_pow2(p), "recursive halving requires power-of-two communicator");
+        // Recursive halving (`resolve` never returns `Auto`).
+        _ => {
+            assert!(p.is_power_of_two(), "recursive halving requires power-of-two communicator");
             recursive_halving(rank, comm, data, counts).await
-        }
-        ReduceScatterAlgo::Auto => {
-            if is_pow2(p) {
-                recursive_halving(rank, comm, data, counts).await
-            } else {
-                ring(rank, comm, data, counts).await
-            }
         }
     }
 }
@@ -161,7 +145,7 @@ async fn recursive_halving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs;
+    use pmm_model::collective;
     use pmm_simnet::{MachineParams, World};
 
     /// Contribution of rank r: element e of the full vector is r·1000 + e.
@@ -264,7 +248,7 @@ mod tests {
                     rank.time()
                 })
             });
-            let model = costs::reduce_scatter_cost(algo, p, w);
+            let model = collective::reduce_scatter_cost(algo, p, w);
             for r in 0..p {
                 assert_eq!(out.values[r], model.words, "{algo:?} clock at rank {r}");
                 assert_eq!(out.reports[r].meter.words_sent, model.words as u64);
@@ -290,7 +274,7 @@ mod tests {
                     rank.time()
                 })
             });
-            let model = costs::reduce_scatter_cost(algo, p, 1);
+            let model = collective::reduce_scatter_cost(algo, p, 1);
             assert_eq!(model.messages, want);
             for r in 0..p {
                 assert_eq!(out.values[r], want, "{algo:?} latency at rank {r}");
@@ -301,7 +285,8 @@ mod tests {
     #[test]
     fn reduce_scatter_then_allgather_is_allreduce() {
         // Sanity composition: RS + AG should give every rank the full sum.
-        use crate::allgather::{all_gather_a, AllGatherAlgo};
+        use crate::allgather::all_gather_a;
+        use pmm_model::collective::AllGatherAlgo;
         let p = 4usize;
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
             Box::pin(async move {

@@ -13,19 +13,6 @@ pub(crate) fn offsets(counts: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Is `p` a power of two?
-#[inline]
-pub(crate) fn is_pow2(p: usize) -> bool {
-    p != 0 && p & (p - 1) == 0
-}
-
-/// `⌈log2 p⌉` for `p ≥ 1`.
-#[inline]
-pub(crate) fn ceil_log2(p: usize) -> u32 {
-    debug_assert!(p >= 1);
-    usize::BITS - (p - 1).leading_zeros()
-}
-
 /// Element-wise `acc[i] += src[i]`; panics on length mismatch.
 #[inline]
 pub(crate) fn axpy1(acc: &mut [f64], src: &[f64]) {
@@ -44,22 +31,6 @@ mod tests {
         assert_eq!(offsets(&[2, 3, 1]), vec![0, 2, 5, 6]);
         assert_eq!(offsets(&[]), vec![0]);
         assert_eq!(offsets(&[0, 0, 4]), vec![0, 0, 0, 4]);
-    }
-
-    #[test]
-    fn pow2_detection() {
-        assert!(is_pow2(1) && is_pow2(2) && is_pow2(64));
-        assert!(!is_pow2(0) && !is_pow2(3) && !is_pow2(96));
-    }
-
-    #[test]
-    fn ceil_log2_values() {
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(4), 2);
-        assert_eq!(ceil_log2(5), 3);
-        assert_eq!(ceil_log2(1024), 10);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! Each test compares a simulated run against an oracle computed
 //! serially from the full input set, then holds the per-rank meters
-//! against the closed forms in `pmm_collectives::costs`. Runs use
+//! against the closed forms in `pmm_model::collective`. Runs use
 //! `World::with_seed`, so the collectives are also exercised under the
 //! deterministic scheduler (and any failure names a replayable seed).
 
 use pmm_collectives::{
-    all_reduce_a, all_to_all_a, bcast_a, costs, exscan_a, scan_a, AllReduceAlgo, BcastAlgo,
+    all_reduce_a, all_to_all_a, bcast_a, exscan_a, scan_a, AllReduceAlgo, BcastAlgo,
 };
+use pmm_model::collective;
 use pmm_simnet::{LocalBoxFuture, MachineParams, Meter, Rank, World};
 
 const SEED: u64 = 0x5EED;
@@ -39,7 +40,7 @@ fn scan_matches_serial_prefix_sums_and_the_cost_model() {
                 scan_a(rank, &comm, contribution(rank.world_rank(), w)).await
             })
         });
-        let model = costs::scan_cost(p, w);
+        let model = collective::scan_cost(p, w);
         let rounds = model.messages as u32;
         for (r, v) in values.iter().enumerate() {
             // Serial oracle: element-wise sum of contributions 0..=r.
@@ -74,7 +75,7 @@ fn exscan_shifts_the_scan_by_one_rank_at_the_same_cost() {
         let want: Vec<f64> = (0..w).map(|e| (0..r).map(|q| contribution(q, w)[e]).sum()).collect();
         assert_eq!(v, &want, "exscan rank {r}");
     }
-    let model = costs::exscan_cost(p, w);
+    let model = collective::exscan_cost(p, w);
     let max_duplex = meters.iter().map(Meter::duplex_words).max().unwrap_or(0);
     assert_eq!(max_duplex as f64, model.words, "exscan duplex vs model");
 }
@@ -93,7 +94,7 @@ fn alltoall_transposes_blocks_and_every_rank_meets_the_cost_model() {
                 all_to_all_a(rank, &comm, &data).await
             })
         });
-        let model = costs::all_to_all_cost(p, w);
+        let model = collective::all_to_all_cost(p, w);
         for (r, v) in values.iter().enumerate() {
             // Oracle: slot j of rank r's output is rank j's block for r.
             let want: Vec<f64> =
@@ -127,7 +128,7 @@ fn bcast_delivers_root_data_from_any_root_and_meets_the_cost_model() {
                 // The model reports the critical-path rank: the root for
                 // the binomial tree (⌈log2 p⌉ sends of w), any rank for
                 // scatter–all-gather (duplex (p−1)/p·2w).
-                let model = costs::bcast_cost(algo, p, w);
+                let model = collective::bcast_cost(algo, p, w);
                 let max_duplex = meters.iter().map(Meter::duplex_words).max().unwrap_or(0);
                 assert_eq!(
                     max_duplex as f64, model.words,
@@ -161,7 +162,7 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
             }
             // Both power-of-two algorithms are rank-symmetric: every
             // rank's duplex volume equals the model exactly.
-            let model = costs::all_reduce_cost(algo, p, w);
+            let model = collective::all_reduce_cost(algo, p, w);
             for (r, m) in meters.iter().enumerate() {
                 assert_eq!(
                     m.duplex_words() as f64,
@@ -171,25 +172,33 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
             }
         }
     }
-    // Non-power-of-two p exercises the v-collective fallback; the uniform
-    // cost model is an approximation there, so only semantics + global
-    // conservation are exact.
-    for p in [3usize, 6] {
-        let w = 5;
-        let (values, meters) = run_collective(p, move |rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                all_reduce_a(rank, &comm, contribution(rank.world_rank(), w), AllReduceAlgo::Auto)
-                    .await
-            })
-        });
-        let want: Vec<f64> = (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
-        for (r, v) in values.iter().enumerate() {
-            assert_eq!(v, &want, "allreduce auto p={p} rank {r}");
+    // `Auto` runs Rabenseifner at every `p` and length, uneven segments
+    // included, and is priced by that schedule: every message counted,
+    // the makespan exact on the ring (any `p`) and on `p | w`, never
+    // under-priced otherwise.
+    let params = MachineParams::new(1000.0, 1.0, 0.5);
+    for p in 2usize..=8 {
+        for w in [1, 3 * p, 3 * p + 1, 4 * p - 1] {
+            let out = World::new(p, params).with_seed(SEED).run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let mine = contribution(rank.world_rank(), w);
+                    all_reduce_a(rank, &comm, mine, AllReduceAlgo::Auto).await
+                })
+            });
+            let want: Vec<f64> =
+                (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
+            assert!(out.values.iter().all(|v| v == &want), "allreduce auto p={p} w={w}");
+            let model = collective::all_reduce_cost(AllReduceAlgo::Auto, p, w);
+            let (measured, predicted) = (out.critical_path_time(), params.time(model));
+            let label = format!("p={p} w={w}: measured {measured}, model {predicted}");
+            assert_eq!(out.critical_path_cost().messages, model.messages, "{label}");
+            if w.is_multiple_of(p) || !p.is_power_of_two() {
+                assert!((measured - predicted).abs() <= 1e-9 * predicted, "{label}");
+            } else {
+                assert!(measured <= predicted * (1.0 + 1e-9), "{label}");
+            }
         }
-        let sent: u64 = meters.iter().map(|m| m.words_sent).sum();
-        let recv: u64 = meters.iter().map(|m| m.words_recv).sum();
-        assert_eq!(sent, recv, "allreduce auto p={p} conservation");
     }
 }
 
@@ -221,7 +230,8 @@ fn collectives_on_split_subcommunicators_use_local_sizes() {
     }
     // Meters reflect the subgroup size, not the world size: the largest
     // duplex in the 2-rank group is the 2-rank model, not the 6-rank one.
-    let small_model = costs::scan_cost(2, w) + costs::bcast_cost(BcastAlgo::Binomial, 2, w);
+    let small_model =
+        collective::scan_cost(2, w) + collective::bcast_cost(BcastAlgo::Binomial, 2, w);
     let small_max = meters[4..].iter().map(Meter::duplex_words).max().unwrap_or(0);
     assert_eq!(small_max as f64, small_model.words);
 }

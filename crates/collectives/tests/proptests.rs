@@ -242,7 +242,8 @@ proptest! {
         p in 2usize..10,
         w in 1usize..24,
     ) {
-        use pmm_collectives::{costs, all_gather_a, reduce_scatter_a, all_reduce_a, barrier_a};
+        use pmm_collectives::{all_gather_a, reduce_scatter_a, all_reduce_a, barrier_a};
+        use pmm_model::collective;
         use pmm_collectives::AllReduceAlgo;
 
         // All-Gather (every algorithm valid at this p).
@@ -258,7 +259,7 @@ proptest! {
                     rank.time()
                 })
             });
-            let model = costs::all_gather_cost(algo, p, w);
+            let model = collective::all_gather_cost(algo, p, w);
             for (r, &t) in out.values.iter().enumerate() {
                 prop_assert!(
                     (t - model.words).abs() < 1e-9,
@@ -275,7 +276,7 @@ proptest! {
                 (rank.time(), rank.meter().flops)
             })
         });
-        let model = costs::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
+        let model = collective::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
         for (r, &(t, f)) in out.values.iter().enumerate() {
             prop_assert!((t - model.words).abs() < 1e-9, "RS p={} rank {}", p, r);
             prop_assert!((f - model.flops).abs() < 1e-9, "RS flops p={} rank {}", p, r);
@@ -291,7 +292,7 @@ proptest! {
                 rank.time()
             })
         });
-        let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, total);
+        let model = collective::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, total);
         for &t in &out.values {
             prop_assert!((t - model.words).abs() < 1e-9, "AR p={}", p);
         }
@@ -304,7 +305,7 @@ proptest! {
                 rank.time()
             })
         });
-        let model = costs::barrier_cost(p);
+        let model = collective::barrier_cost(p);
         for &t in &out.values {
             prop_assert!((t - model.messages).abs() < 1e-9, "barrier p={}", p);
         }

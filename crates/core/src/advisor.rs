@@ -9,98 +9,33 @@
 //! between strategies are real decision boundaries, not asymptotic
 //! hand-waving.
 //!
-//! Cost models used here are the exact ones validated against execution
-//! by the `eq3_check` and `collectives_cost` experiments (words) plus the
-//! standard latency terms of the collectives used.
+//! Each candidate is an [`AlgPlan`], priced by `pmm-model`'s
+//! [`plan_cost`]: the cost of the collectives and shifts the executed
+//! algorithm runs, each by the same rule the executed collective resolves
+//! its `Auto` selector by. On a grid that divides the dimensions,
+//! `params.time(cost)` is the executed makespan exactly.
 
 use std::fmt;
 
-use pmm_model::{Cost, Grid3, MachineParams, MatMulDims};
+use pmm_model::{plan_cost, AlgPlan, Cost, Grid3, MachineParams, MatMulDims};
 
 use crate::gridopt::alg1_cost_words;
 use crate::memlimit::{alg1_memory_words, min_memory_words};
 
-/// A candidate execution strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Strategy {
-    /// Algorithm 1 on the given grid.
-    Alg1 { grid: [usize; 3] },
-    /// 2.5D (layered Cannon) with `c` layers of a `q × q` grid.
-    TwoFiveD { q: usize, c: usize },
-}
-
 /// A costed candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
-    /// The strategy.
-    pub strategy: Strategy,
+    /// The candidate run: Algorithm 1 on a grid, or 2.5D on a layout.
+    pub plan: AlgPlan,
     /// Predicted α-β-γ cost (per processor, critical path).
     pub cost: Cost,
     /// Predicted time under the machine parameters used for ranking.
     pub time: f64,
-    /// Peak memory words per processor this strategy needs.
+    /// Peak memory words per processor this candidate needs.
     pub memory_words: f64,
 }
 
-fn ceil_log2(p: usize) -> f64 {
-    if p <= 1 {
-        0.0
-    } else {
-        (usize::BITS - (p - 1).leading_zeros()) as f64
-    }
-}
-
-/// Messages of one of Algorithm 1's fiber collectives on `p` members: its
-/// all-gathers and reduce-scatter run recursive doubling / halving
-/// (`log2 p` messages) on a power of two and the ring (`p − 1`)
-/// otherwise.
-fn fiber_messages(p: usize) -> f64 {
-    if p.is_power_of_two() {
-        p.ilog2() as f64
-    } else {
-        (p - 1) as f64
-    }
-}
-
-/// Full predicted cost of Algorithm 1 on `grid`: eq. (3) words, the
-/// messages of its three fiber collectives, `n1n2n3/P` multiply-adds
-/// plus the reduce-scatter additions.
-pub fn alg1_full_cost(dims: MatMulDims, grid: [usize; 3]) -> Cost {
-    let [p1, p2, p3] = grid;
-    let p = (p1 * p2 * p3) as f64;
-    let words = alg1_cost_words(dims, grid);
-    let messages = fiber_messages(p1) + fiber_messages(p2) + fiber_messages(p3);
-    let rs_adds =
-        (1.0 - 1.0 / p2 as f64) * dims.n1 as f64 * dims.n3 as f64 / (p1 as f64 * p3 as f64);
-    Cost { messages, words, flops: dims.mults() / p + rs_adds }
-}
-
-/// Predicted per-processor words of the 2.5D algorithm (square-ish
-/// problems; `P = c·q²`, `c | q`): replication (`2(1−1/c)` of an `A` and
-/// a `B` block via scatter–all-gather), `q/c` Cannon shifts of each
-/// input block, and the layer reduction of the `C` block.
-pub fn twofived_cost(dims: MatMulDims, q: usize, c: usize) -> Cost {
-    assert!(c >= 1 && q >= 1 && q.is_multiple_of(c), "2.5D requires c | q");
-    let (n1, n2, n3) = (dims.n1 as f64, dims.n2 as f64, dims.n3 as f64);
-    let qf = q as f64;
-    let cf = c as f64;
-    let a_block = n1 * n2 / (qf * qf);
-    let b_block = n2 * n3 / (qf * qf);
-    let c_block = n1 * n3 / (qf * qf);
-    let repl = if c > 1 { 2.0 * (1.0 - 1.0 / cf) * (a_block + b_block) } else { 0.0 };
-    let shifts = (qf / cf - 1.0).max(0.0) + 1.0; // q/c − 1 rotations + skew
-    let shift_words = if q > 1 { shifts * (a_block + b_block) } else { 0.0 };
-    let reduce = if c > 1 { ceil_log2(c) * c_block } else { 0.0 };
-    let messages = if c > 1 { 2.0 * ceil_log2(c) + 2.0 * ceil_log2(c) } else { 0.0 }
-        + if q > 1 { 2.0 * shifts } else { 0.0 }
-        + if c > 1 { ceil_log2(c) } else { 0.0 };
-    let flops = dims.mults() / (cf * qf * qf) * cf // each layer multiplies its share
-        / cf // … of 1/c of the inner dimension
-        + if c > 1 { ceil_log2(c) * c_block } else { 0.0 };
-    Cost { messages, words: repl + shift_words + reduce, flops }
-}
-
-/// Peak memory of the 2.5D strategy: replicated input blocks + C block
+/// Peak memory of the 2.5D algorithm: replicated input blocks + C block
 /// (the `c×` replication is the memory price).
 pub fn twofived_memory_words(dims: MatMulDims, q: usize) -> f64 {
     let (n1, n2, n3) = (dims.n1 as f64, dims.n2 as f64, dims.n3 as f64);
@@ -258,51 +193,32 @@ pub fn recommend(
     params: MachineParams,
 ) -> Vec<Recommendation> {
     let mut out = Vec::new();
+    let mut rank = |plan: AlgPlan, memory_words: f64| {
+        let cost = plan_cost(dims, &plan).expect("the model prices Algorithm 1 and 2.5D");
+        out.push(Recommendation { plan, cost, time: params.time(cost), memory_words });
+    };
 
     // Algorithm 1 on every factorization that fits in memory; keep the
-    // best few distinct grids (always including the unconstrained best).
+    // cheapest three feasible grids (always including the unconstrained
+    // best when it fits).
     let mut grids: Vec<[usize; 3]> = Grid3::factorizations(p);
     grids.sort_by(|a, b| alg1_cost_words(dims, *a).total_cmp(&alg1_cost_words(dims, *b)));
-    let mut kept = 0;
-    for grid in grids {
-        let mem = alg1_memory_words(dims, grid);
-        if mem > m_words {
-            continue;
-        }
-        let cost = alg1_full_cost(dims, grid);
-        out.push(Recommendation {
-            strategy: Strategy::Alg1 { grid },
-            time: params.time(cost),
-            cost,
-            memory_words: mem,
-        });
-        kept += 1;
-        if kept >= 3 {
-            break; // cheapest three feasible grids suffice for ranking
-        }
+    for (grid, mem) in grids
+        .into_iter()
+        .map(|grid| (grid, alg1_memory_words(dims, grid)))
+        .filter(|&(_, mem)| mem <= m_words)
+        .take(3)
+    {
+        rank(AlgPlan::Alg1 { grid }, mem);
     }
 
     // 2.5D at every feasible (q, c) with c·q² = P, c | q.
-    for c in 1..=p {
-        if !p.is_multiple_of(c) {
-            continue;
-        }
-        let qq = p / c;
-        let q = (qq as f64).sqrt().round() as usize;
-        if q * q != qq || !q.is_multiple_of(c.min(q.max(1))) || (c > 1 && !q.is_multiple_of(c)) {
-            continue;
-        }
+    for c in (1..=p).filter(|c| p.is_multiple_of(*c)) {
+        let q = ((p / c) as f64).sqrt().round() as usize;
         let mem = twofived_memory_words(dims, q);
-        if mem > m_words {
-            continue;
+        if c * q * q == p && q.is_multiple_of(c) && mem <= m_words {
+            rank(AlgPlan::TwoFiveD { q, c }, mem);
         }
-        let cost = twofived_cost(dims, q, c);
-        out.push(Recommendation {
-            strategy: Strategy::TwoFiveD { q, c },
-            time: params.time(cost),
-            cost,
-            memory_words: mem,
-        });
     }
 
     out.sort_by(|a, b| a.time.total_cmp(&b.time));
@@ -317,24 +233,11 @@ mod tests {
     const SQ: MatMulDims = MatMulDims { n1: 4096, n2: 4096, n3: 4096 };
 
     #[test]
-    fn alg1_full_cost_matches_eq3_words() {
-        let dims = MatMulDims::new(9600, 2400, 600);
-        for grid in [[3usize, 1, 1], [12, 3, 1], [32, 8, 2]] {
-            let c = alg1_full_cost(dims, grid);
-            assert_eq!(c.words, alg1_cost_words(dims, grid));
-            assert!(c.flops >= dims.mults() / grid.iter().product::<usize>() as f64);
-        }
-    }
-
-    #[test]
     fn with_ample_memory_the_best_grid_wins() {
         let p = 512usize;
         let recs = recommend(SQ, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY);
         assert!(!recs.is_empty());
-        match recs[0].strategy {
-            Strategy::Alg1 { grid } => assert_eq!(grid, [8, 8, 8]),
-            ref s => panic!("expected Alg1 cubic grid, got {s:?}"),
-        }
+        assert_eq!(recs[0].plan, AlgPlan::Alg1 { grid: [8, 8, 8] });
         // And its words equal the Theorem 3 bound.
         let bound = lower_bound(SQ, p as f64).bound;
         assert!((recs[0].cost.words - bound).abs() < 1e-6 * bound);
@@ -349,10 +252,8 @@ mod tests {
         let recs = recommend(SQ, p, m, MachineParams::BANDWIDTH_ONLY);
         assert!(!recs.is_empty(), "2D-ish strategies should still fit");
         for r in &recs {
-            assert!(r.memory_words <= m, "{:?} exceeds memory", r.strategy);
-            if let Strategy::Alg1 { grid } = r.strategy {
-                assert_ne!(grid, [8, 8, 8], "cubic grid must be excluded");
-            }
+            assert!(r.memory_words <= m, "{} exceeds memory", r.plan);
+            assert_ne!(r.plan, AlgPlan::Alg1 { grid: [8, 8, 8] }, "cubic grid must be excluded");
         }
         // The winner must cost more words than the unconstrained bound —
         // the §6.2 memory/communication trade-off.
@@ -377,31 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn twofived_cost_degenerates_to_cannon_at_c1() {
-        let c = twofived_cost(SQ, 8, 1);
-        // q shifts of A and B blocks (skew + q−1 rotations), no repl/reduce.
-        let block = 2.0 * (4096.0f64 * 4096.0) / 64.0;
-        assert!((c.words - 8.0 * block).abs() < 1e-6);
-    }
-
-    #[test]
-    fn twofived_words_improve_with_c_at_scale() {
-        // At P = 4096: c = 4 (q = 32) moves fewer words than c = 1 (q = 64).
-        let flat = twofived_cost(SQ, 64, 1).words;
-        let repl = twofived_cost(SQ, 32, 4).words;
-        assert!(repl < flat, "2.5D c=4 {repl} should beat c=1 {flat}");
-    }
-
-    #[test]
     fn nothing_fits_returns_empty() {
         let recs = recommend(SQ, 8, 10.0, MachineParams::BANDWIDTH_ONLY);
         assert!(recs.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "c | q")]
-    fn twofived_cost_rejects_bad_layers() {
-        twofived_cost(SQ, 9, 2);
     }
 
     #[test]
@@ -457,7 +336,7 @@ mod tests {
         let cold = recommend(SQ, 512, f64::INFINITY, MachineParams::TYPICAL_CLUSTER);
         assert_eq!(recs.len(), cold.len());
         for (a, b) in recs.iter().zip(&cold) {
-            assert_eq!(a.strategy, b.strategy);
+            assert_eq!(a.plan, b.plan);
             assert_eq!(a.time.to_bits(), b.time.to_bits());
             assert_eq!(a.cost.words.to_bits(), b.cost.words.to_bits());
         }

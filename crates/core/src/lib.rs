@@ -49,7 +49,7 @@ pub mod optproblem;
 pub mod prior;
 pub mod theorem3;
 
-pub use advisor::{recommend, try_recommend, AdvisorError, Recommendation, Strategy};
+pub use advisor::{recommend, try_recommend, AdvisorError, Recommendation};
 pub use genbound::{GenBoundProblem, GenBoundSolution};
 pub use gridopt::{alg1_cost_words, best_grid, continuous_grid, GridChoice};
 pub use kkt::{certificate_for, verify_kkt, KktReport};

@@ -44,7 +44,7 @@
 
 use crate::cost::{Cost, MachineParams};
 use crate::dims::MatMulDims;
-use crate::predict::alg1_prediction;
+use crate::predict::{plan_cost, AlgPlan};
 
 /// A measured machine: α, β, γ in seconds, fitted from timed probes.
 ///
@@ -112,16 +112,13 @@ impl MachineCalibration {
     }
 
     /// Predicted wall-clock seconds of one Algorithm 1 run of `dims` on
-    /// `grid`: eq. (3) word counts priced at `beta`, ring-collective
-    /// message counts (`(p1−1) + (p2−1) + (p3−1)` per rank) priced at
-    /// `alpha`, the per-rank multiply-add share `n1·n2·n3 / P` priced at
-    /// `gamma`, plus the fixed `rank_secs` overhead.
+    /// `grid`: its [`plan_cost`] (eq. (3) words, the messages of the
+    /// fiber collectives as they execute, the multiply-adds and the
+    /// reduce-scatter's additions) in seconds, plus the fixed
+    /// `rank_secs` overhead.
     pub fn alg1_seconds(&self, dims: MatMulDims, grid: [usize; 3]) -> f64 {
-        let p: usize = grid.iter().product();
-        let words = alg1_prediction(dims, grid).total();
-        let msgs = grid.iter().map(|&g| g as f64 - 1.0).sum::<f64>();
-        let flops = (dims.n1 * dims.n2 * dims.n3) as f64 / p as f64;
-        self.seconds(Cost { messages: msgs, words, flops }) + self.rank_secs
+        let cost = plan_cost(dims, &AlgPlan::Alg1 { grid }).expect("the model prices Algorithm 1");
+        self.seconds(cost) + self.rank_secs
     }
 
     /// Serialize as a small flat JSON object (stable key order, full
@@ -224,10 +221,12 @@ mod tests {
     #[test]
     fn alg1_seconds_is_eq3_plus_latency_plus_compute() {
         let dims = MatMulDims::new(8, 8, 8);
-        let grid = [2, 2, 2];
+        let grid = [4, 2, 1];
         let cal = MachineCalibration::new(1e-3, 1e-6, 1e-9).with_rank_secs(0.5);
-        let want =
-            1e-3 * 3.0 + 1e-6 * alg1_prediction(dims, grid).total() + 1e-9 * (512.0 / 8.0) + 0.5;
+        // Recursive doubling over the 4-fiber (2 messages) and halving
+        // over the 2-fiber (1); 64 multiply-adds and 8 reduction adds.
+        let words = crate::alg1_prediction(dims, grid).total();
+        let want = 1e-3 * 3.0 + 1e-6 * words + 1e-9 * (512.0 / 8.0 + 8.0) + 0.5;
         assert!((cal.alg1_seconds(dims, grid) - want).abs() < 1e-12);
     }
 

@@ -1,0 +1,333 @@
+//! The collectives' schedules and their closed-form costs, stated once.
+//!
+//! Each collective of `pmm-collectives` takes one of the selectors below.
+//! Its `Auto` variant names a concrete schedule through `resolve`, and the
+//! executed collective and its cost function here both go through that
+//! one rule. The cost functions match the executed schedules **exactly**
+//! (the unit tests of each collective assert this), and the advisor
+//! candidates of [`plan_cost`](crate::plan_cost) are priced from them.
+//!
+//! Conventions: `p` is the communicator size, `w` the per-rank block /
+//! segment size in words (uniform case). Word counts are the per-rank
+//! duplex volume, i.e. what the critical-path clock accrues under
+//! [`MachineParams::BANDWIDTH_ONLY`](crate::MachineParams::BANDWIDTH_ONLY);
+//! for every algorithm here the per-rank sent and received volumes are
+//! equal, so this is also the per-rank send volume.
+//!
+//! These are the formulas of Thakur et al. (2005) / Chan et al. (2007)
+//! that §5.1 of the paper relies on: the bandwidth-optimal All-Gather and
+//! Reduce-Scatter on `p` ranks cost `(1 − 1/p)·W` words, where `W = p·w`
+//! is the gathered (resp. reduced) data volume per rank.
+
+use crate::cost::Cost;
+
+/// `⌈log2 p⌉` for `p ≥ 1`.
+fn ceil_log2(p: usize) -> f64 {
+    (usize::BITS - (p - 1).leading_zeros()) as f64
+}
+
+/// Schedule of an All-Gather (`pmm_collectives::all_gather_v_a`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllGatherAlgo {
+    /// Bidirectional ring; any `p`.
+    Ring,
+    /// Recursive doubling; requires power-of-two `p`.
+    RecursiveDoubling,
+    /// Bruck's algorithm: `⌈log2 p⌉` rounds for **any** `p` (each round
+    /// sends everything held to rank `−2^s` and receives from `+2^s`),
+    /// at the price of a final local rotation. Latency-optimal where the
+    /// ring is bandwidth-optimal-but-slow to start.
+    Bruck,
+    /// Recursive doubling when `p` is a power of two, ring otherwise.
+    Auto,
+}
+
+impl AllGatherAlgo {
+    /// The schedule this selector runs on `p` members: `Auto` resolved,
+    /// every other selector as is.
+    pub fn resolve(self, p: usize) -> AllGatherAlgo {
+        match self {
+            AllGatherAlgo::Auto if p.is_power_of_two() => AllGatherAlgo::RecursiveDoubling,
+            AllGatherAlgo::Auto => AllGatherAlgo::Ring,
+            algo => algo,
+        }
+    }
+
+    /// Messages on the critical path on `p` members: `p − 1` for the
+    /// ring, `⌈log2 p⌉` for the two logarithmic schedules.
+    pub(crate) fn messages(self, p: usize) -> f64 {
+        match self.resolve(p) {
+            AllGatherAlgo::Ring => (p - 1) as f64,
+            AllGatherAlgo::RecursiveDoubling => {
+                assert!(p.is_power_of_two(), "recursive doubling requires power-of-two p");
+                ceil_log2(p)
+            }
+            _ => ceil_log2(p),
+        }
+    }
+}
+
+/// Schedule of a Reduce-Scatter (`pmm_collectives::reduce_scatter_v_a`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReduceScatterAlgo {
+    /// Ring; any `p`.
+    Ring,
+    /// Recursive halving; requires power-of-two `p`.
+    RecursiveHalving,
+    /// Recursive halving when `p` is a power of two, ring otherwise.
+    Auto,
+}
+
+impl ReduceScatterAlgo {
+    /// The schedule this selector runs on `p` members: `Auto` resolved,
+    /// every other selector as is.
+    pub fn resolve(self, p: usize) -> ReduceScatterAlgo {
+        match self {
+            ReduceScatterAlgo::Auto if p.is_power_of_two() => ReduceScatterAlgo::RecursiveHalving,
+            ReduceScatterAlgo::Auto => ReduceScatterAlgo::Ring,
+            algo => algo,
+        }
+    }
+
+    /// Messages on the critical path on `p` members: those of the
+    /// matching All-Gather (ring `p − 1`, recursive halving `log2 p`).
+    pub(crate) fn messages(self, p: usize) -> f64 {
+        match self.resolve(p) {
+            ReduceScatterAlgo::Ring => AllGatherAlgo::Ring.messages(p),
+            _ => AllGatherAlgo::RecursiveDoubling.messages(p),
+        }
+    }
+}
+
+/// Schedule of a broadcast (`pmm_collectives::bcast_a`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BcastAlgo {
+    /// Binomial tree: `⌈log2 p⌉` rounds, good for small messages.
+    Binomial,
+    /// Scatter followed by ring All-Gather (van de Geijn): near-optimal
+    /// bandwidth `2(1 − 1/p)·w` for large messages. Requires `p | w`.
+    ScatterAllGather,
+    /// Binomial (latency-optimal default).
+    Auto,
+}
+
+impl BcastAlgo {
+    /// The schedule this selector runs: `Auto` is the binomial tree.
+    pub fn resolve(self) -> BcastAlgo {
+        match self {
+            BcastAlgo::Auto => BcastAlgo::Binomial,
+            algo => algo,
+        }
+    }
+
+    /// The broadcast of a `w`-word message on `p` members when every
+    /// member knows `w`: scatter–all-gather where it is legal (`p | w`,
+    /// `w > 0`), the binomial tree otherwise. SUMMA broadcasts its panels
+    /// this way, and its goodput model prices them by the same rule.
+    pub fn by_length(p: usize, w: usize) -> BcastAlgo {
+        if p > 1 && w > 0 && w.is_multiple_of(p) {
+            BcastAlgo::ScatterAllGather
+        } else {
+            BcastAlgo::Binomial
+        }
+    }
+}
+
+/// Schedule of an All-Reduce (`pmm_collectives::all_reduce_a`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllReduceAlgo {
+    /// Rabenseifner: Reduce-Scatter then All-Gather. Bandwidth-optimal
+    /// `2(1 − 1/p)·w`; any `p` (uneven trailing segment allowed).
+    ReduceScatterAllGather,
+    /// Recursive doubling: `log2 p` rounds of whole-buffer exchanges;
+    /// latency-optimal, bandwidth `log2(p)·w`. Power-of-two `p` only.
+    RecursiveDoubling,
+    /// Rabenseifner (the bandwidth-optimal default).
+    Auto,
+}
+
+impl AllReduceAlgo {
+    /// The schedule this selector runs: `Auto` is Rabenseifner's.
+    pub fn resolve(self) -> AllReduceAlgo {
+        match self {
+            AllReduceAlgo::Auto => AllReduceAlgo::ReduceScatterAllGather,
+            algo => algo,
+        }
+    }
+}
+
+/// Cost of an All-Gather with per-rank block size `w`.
+///
+/// Ring: `(p−1)·α + (p−1)·w·β`. Recursive doubling (`p = 2^d`) and Bruck:
+/// `⌈log2 p⌉·α + (p−1)·w·β`. All achieve the optimal `(1 − 1/p)·W`
+/// bandwidth.
+pub fn all_gather_cost(algo: AllGatherAlgo, p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    Cost { messages: algo.messages(p), words: ((p - 1) * w) as f64, flops: 0.0 }
+}
+
+/// Cost of a Reduce-Scatter with per-rank segment size `w` (input length
+/// `p·w`).
+///
+/// Same message/word counts as the matching All-Gather, plus
+/// `(p−1)·w` reduction flops per rank.
+pub fn reduce_scatter_cost(algo: ReduceScatterAlgo, p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    let n = ((p - 1) * w) as f64;
+    Cost { messages: algo.messages(p), words: n, flops: n }
+}
+
+/// Cost of a broadcast of `w` words from the root.
+///
+/// Binomial tree: `⌈log2 p⌉·(α + w·β)` (cost at the root; leaves pay one
+/// message less — the model reports the critical path).
+/// Scatter–All-Gather: `(⌈log2 p⌉ + p − 1)·α + 2·(1 − 1/p)·w·β`, requires
+/// `p | w` in this implementation.
+pub fn bcast_cost(algo: BcastAlgo, p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    match algo.resolve() {
+        BcastAlgo::ScatterAllGather => {
+            assert!(w.is_multiple_of(p), "scatter-allgather bcast requires p | w");
+            let chunk = w / p;
+            scatter_cost(p, chunk) + all_gather_cost(AllGatherAlgo::Ring, p, chunk)
+        }
+        _ => Cost { messages: ceil_log2(p), words: ceil_log2(p) * w as f64, flops: 0.0 },
+    }
+}
+
+/// Cost of a binomial reduce of `w` words to the root: critical path
+/// `⌈log2 p⌉·(α + w·β + w γ-flops)`.
+pub fn reduce_cost(p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    let d = ceil_log2(p);
+    Cost { messages: d, words: d * w as f64, flops: d * w as f64 }
+}
+
+/// Cost of an All-Reduce of `w` words.
+///
+/// Rabenseifner (reduce-scatter + all-gather, both `Auto`): the messages
+/// of the two, `2(1 − 1/p)·w` words and `(1 − 1/p)·w` flops when `p | w`.
+/// Uneven segments are priced at the largest, `⌈w/p⌉`: exact on the ring
+/// (`p` not a power of two), an upper bound under recursive halving.
+/// Recursive doubling (`p = 2^d`): `d·(α + w·β + w flops)`.
+pub fn all_reduce_cost(algo: AllReduceAlgo, p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    match algo.resolve() {
+        AllReduceAlgo::RecursiveDoubling => {
+            assert!(p.is_power_of_two(), "recursive-doubling all-reduce requires power-of-two p");
+            reduce_cost(p, w)
+        }
+        _ => {
+            let chunk = w.div_ceil(p);
+            reduce_scatter_cost(ReduceScatterAlgo::Auto, p, chunk)
+                + all_gather_cost(AllGatherAlgo::Auto, p, chunk)
+        }
+    }
+}
+
+/// Cost of a binomial gather with uniform block `w` (cost at the root):
+/// `⌈log2 p⌉·α + (p−1)·w·β`.
+pub fn gather_cost(p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    Cost { messages: ceil_log2(p), words: ((p - 1) * w) as f64, flops: 0.0 }
+}
+
+/// Cost of a binomial scatter with uniform block `w` (cost at the root):
+/// the gather tree run backwards.
+pub fn scatter_cost(p: usize, w: usize) -> Cost {
+    gather_cost(p, w)
+}
+
+/// Cost of an All-to-All with `w` words per destination (pairwise
+/// exchange): `(p−1)·(α + w·β)`.
+pub fn all_to_all_cost(p: usize, w: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    Cost { messages: (p - 1) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
+}
+
+/// Cost of an inclusive scan of `w` words per rank (Hillis–Steele
+/// doubling): critical path `⌈log2 p⌉·(α + w·β)` plus `⌈log2 p⌉·w`
+/// reduction flops.
+///
+/// The last rank attains this exactly — it receives in every one of the
+/// `⌈log2 p⌉` rounds (and never sends); every other rank communicates in
+/// a subset of the rounds, so this is the per-rank maximum the
+/// critical-path clock accrues.
+pub fn scan_cost(p: usize, w: usize) -> Cost {
+    reduce_cost(p, w)
+}
+
+/// Cost of an exclusive scan: identical to [`scan_cost`] — the exclusive
+/// prefix is derived from the inclusive one locally, with no extra
+/// communication.
+pub fn exscan_cost(p: usize, w: usize) -> Cost {
+    scan_cost(p, w)
+}
+
+/// Cost of a dissemination barrier: `⌈log2 p⌉·α`.
+pub fn barrier_cost(p: usize) -> Cost {
+    if p <= 1 {
+        return Cost::ZERO;
+    }
+    Cost { messages: ceil_log2(p), words: 0.0, flops: 0.0 }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ceil_log2_values() {
+        for (p, d) in [(1, 0.0), (2, 1.0), (3, 2.0), (4, 2.0), (5, 3.0), (1024, 10.0)] {
+            assert_eq!(ceil_log2(p), d, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn auto_resolves_by_the_one_rule_of_each_collective() {
+        assert_eq!(AllGatherAlgo::Auto.resolve(8), AllGatherAlgo::RecursiveDoubling);
+        assert_eq!(AllGatherAlgo::Auto.resolve(6), AllGatherAlgo::Ring);
+        assert_eq!(AllGatherAlgo::Bruck.resolve(6), AllGatherAlgo::Bruck);
+        assert_eq!(ReduceScatterAlgo::Auto.resolve(4), ReduceScatterAlgo::RecursiveHalving);
+        assert_eq!(ReduceScatterAlgo::Auto.resolve(5), ReduceScatterAlgo::Ring);
+        assert_eq!(BcastAlgo::Auto.resolve(), BcastAlgo::Binomial);
+        assert_eq!(AllReduceAlgo::Auto.resolve(), AllReduceAlgo::ReduceScatterAllGather);
+        assert_eq!(BcastAlgo::by_length(4, 8), BcastAlgo::ScatterAllGather);
+        assert_eq!(BcastAlgo::by_length(4, 6), BcastAlgo::Binomial);
+        assert_eq!(BcastAlgo::by_length(4, 0), BcastAlgo::Binomial);
+        assert_eq!(BcastAlgo::by_length(1, 8), BcastAlgo::Binomial);
+    }
+
+    #[test]
+    fn trivial_communicators_are_free() {
+        assert_eq!(all_gather_cost(AllGatherAlgo::Auto, 1, 100), Cost::ZERO);
+        assert_eq!(reduce_scatter_cost(ReduceScatterAlgo::Auto, 1, 100), Cost::ZERO);
+        assert_eq!(bcast_cost(BcastAlgo::Auto, 1, 100), Cost::ZERO);
+        assert_eq!(barrier_cost(1), Cost::ZERO);
+    }
+
+    #[test]
+    fn allreduce_rabenseifner_vs_recursive_doubling() {
+        let rab = all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, 8, 80);
+        let rd = all_reduce_cost(AllReduceAlgo::RecursiveDoubling, 8, 80);
+        assert_eq!(rab.words, 140.0); // 2 (1-1/8)·80
+        assert_eq!(rd.words, 240.0); // 3·80
+        assert!(rab.words < rd.words);
+        assert!(rab.messages > rd.messages);
+        assert_eq!(all_reduce_cost(AllReduceAlgo::Auto, 8, 80), rab);
+    }
+}

@@ -5,7 +5,11 @@
 //! model (§3.1 of the paper), **3-dimensional logical processor grids** with
 //! their fibers and planes (§5), and **matrix-multiplication dimension
 //! triples** together with the paper's three-case classification
-//! (Theorem 3).
+//! (Theorem 3). It is also the one cost model of the workspace: what each
+//! collective schedule costs ([`collective`], with the one rule each
+//! `Auto` selector resolves by) and what a run of each [`AlgPlan`] costs
+//! ([`predict`]), which the advisor ranks and the executed runs are held
+//! to.
 //!
 //! The machine model: `P` processors, each with local memory, connected by a
 //! fully connected network of bidirectional links. A message of `w` words
@@ -21,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod calib;
+pub mod collective;
 pub mod cost;
 pub mod dims;
 pub mod grid;
@@ -31,6 +36,6 @@ pub use cost::{Cost, MachineParams};
 pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
-    alg1_prediction, carma_cost_words, recovery_prediction, restore_words_total, run_words_total,
-    Alg1Prediction, AlgPlan, AttemptPrediction, RecoveryPrediction,
+    alg1_prediction, carma_cost_words, plan_cost, recovery_prediction, restore_words_total,
+    run_words_total, Alg1Prediction, AlgPlan, AttemptPrediction, RecoveryPrediction,
 };

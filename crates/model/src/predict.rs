@@ -19,7 +19,14 @@
 //! All three terms are exact (not asymptotic) when the grid divides the
 //! dimensions, because the bandwidth-optimal collectives move exactly
 //! `(1 − 1/p) · data` words per processor.
+//!
+//! The module also prices whole runs of an [`AlgPlan`]: its goodput
+//! ([`run_words_total`]), the recovery attempts built on it
+//! ([`recovery_prediction`]), and its critical-path α-β-γ cost
+//! ([`plan_cost`]), by which the advisor ranks candidates.
 
+use crate::collective::{bcast_cost, reduce_cost, AllGatherAlgo, BcastAlgo, ReduceScatterAlgo};
+use crate::cost::Cost;
 use crate::dims::MatMulDims;
 
 /// Predicted per-processor communication words of Algorithm 1, split by
@@ -197,16 +204,16 @@ fn binomial_scatter_words(w: u64, k: u64) -> u64 {
 }
 
 /// Total words one broadcast of `w` words over `k` ranks sends, summed
-/// over all ranks, for the collective-selection rule the SUMMA panel
-/// broadcast uses: scatter + ring all-gather when `k | w` (scatter as
-/// above, all-gather `(k−1)·w`), binomial tree (`(k−1)·w`) otherwise.
+/// over all ranks, under [`BcastAlgo::by_length`], the rule the SUMMA
+/// panel broadcast runs: scatter (as above) + ring all-gather
+/// (`(k−1)·w`), or the binomial tree (`(k−1)·w`).
 fn bcast_words_total(w: u64, k: u64) -> u64 {
     if k <= 1 || w == 0 {
-        0
-    } else if w.is_multiple_of(k) {
-        binomial_scatter_words(w, k) + (k - 1) * w
-    } else {
-        (k - 1) * w
+        return 0;
+    }
+    match BcastAlgo::by_length(k as usize, w as usize) {
+        BcastAlgo::ScatterAllGather => binomial_scatter_words(w, k) + (k - 1) * w,
+        _ => (k - 1) * w,
     }
 }
 
@@ -308,6 +315,57 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
             (replicate + skew + rotate + reduce) as f64
         }
         AlgPlan::Carma { p } => p as f64 * carma_cost_words(dims, p as u64),
+    }
+}
+
+/// Critical-path α-β-γ cost of one clean run of `plan` on `dims`, composed
+/// from the [`collective`](crate::collective) costs of the schedules the
+/// executed algorithm runs: the price of an advisor candidate.
+///
+/// - `alg1`: the eq. (3) words; the messages of the `Auto` all-gathers
+///   and reduce-scatter; `n1n2n3/P` multiply-adds plus the
+///   reduce-scatter's additions.
+/// - `twofived`: binomial replication of the A and B blocks over the `c`
+///   layers, `q/c` shifts of both (skew, then rotations), `n1n2n3/P`
+///   multiply-adds, and the binomial reduction of the C block to layer 0.
+///
+/// `params.time` of it is the executed makespan exactly when the grid
+/// divides the dimensions; a ragged 2.5D layout is priced at its largest
+/// blocks. `None` for the plans the advisor does not rank.
+///
+/// ```
+/// use pmm_model::{plan_cost, AlgPlan, MatMulDims};
+///
+/// let dims = MatMulDims::new(48, 48, 48);
+/// // Fibers of 3 run the ring (2 messages), of 2 recursive doubling (1).
+/// let cost = plan_cost(dims, &AlgPlan::Alg1 { grid: [3, 2, 1] }).unwrap();
+/// assert_eq!(cost.messages, 3.0);
+/// assert!(plan_cost(dims, &AlgPlan::Carma { p: 8 }).is_none());
+/// ```
+pub fn plan_cost(dims: MatMulDims, plan: &AlgPlan) -> Option<Cost> {
+    match *plan {
+        AlgPlan::Alg1 { grid: [p1, p2, p3] } => {
+            let eq3 = alg1_prediction(dims, [p1, p2, p3]);
+            let gathers = AllGatherAlgo::Auto.messages(p3) + AllGatherAlgo::Auto.messages(p1);
+            Some(Cost {
+                messages: gathers + ReduceScatterAlgo::Auto.messages(p2),
+                words: eq3.total(),
+                flops: dims.mults() / (p1 * p2 * p3) as f64 + eq3.reduce_c,
+            })
+        }
+        AlgPlan::TwoFiveD { q, c } => {
+            assert!(c >= 1 && q.is_multiple_of(c), "2.5D requires c | q");
+            let block = |x: u64, y: u64| (x.div_ceil(q as u64) * y.div_ceil(q as u64)) as usize;
+            let (n1, n2, n3) = (dims.n1, dims.n2, dims.n3);
+            let (a, b, c_block) = (block(n1, n2), block(n2, n3), block(n1, n3));
+            let replicate =
+                bcast_cost(BcastAlgo::Binomial, c, a) + bcast_cost(BcastAlgo::Binomial, c, b);
+            let shift =
+                if q > 1 { Cost::message(a as f64) + Cost::message(b as f64) } else { Cost::ZERO };
+            let multiply = Cost::flops(dims.mults() / (c * q * q) as f64);
+            Some(replicate + shift * (q / c) as f64 + multiply + reduce_cost(c, c_block))
+        }
+        _ => None,
     }
 }
 
@@ -478,6 +536,31 @@ mod tests {
         assert_eq!(per_rank, 8.0 * 16.0 / 4.0 + 16.0 * 8.0 / 2.0);
         assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 4 }), 4.0 * per_rank);
         assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 1 }), 0.0);
+    }
+
+    #[test]
+    fn twofived_with_one_layer_prices_cannons_shifts() {
+        // q shifts of A and B blocks (skew + q−1 rotations), no
+        // replication or reduction.
+        let dims = MatMulDims::square(4096);
+        let cost = plan_cost(dims, &AlgPlan::TwoFiveD { q: 8, c: 1 }).unwrap();
+        let block = 2.0 * (4096.0f64 * 4096.0) / 64.0;
+        assert_eq!((cost.words, cost.messages), (8.0 * block, 2.0 * 8.0));
+    }
+
+    #[test]
+    fn twofived_words_improve_with_c_at_scale() {
+        // At P = 4096: c = 4 (q = 32) moves fewer words than c = 1 (q = 64).
+        let dims = MatMulDims::square(4096);
+        let flat = plan_cost(dims, &AlgPlan::TwoFiveD { q: 64, c: 1 }).unwrap().words;
+        let repl = plan_cost(dims, &AlgPlan::TwoFiveD { q: 32, c: 4 }).unwrap().words;
+        assert!(repl < flat, "2.5D c=4 {repl} should beat c=1 {flat}");
+    }
+
+    #[test]
+    #[should_panic(expected = "c | q")]
+    fn plan_cost_rejects_twofived_layers_with_c_not_dividing_q() {
+        plan_cost(MatMulDims::square(36), &AlgPlan::TwoFiveD { q: 9, c: 2 });
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use pmm_core::advisor::{Recommendation, Strategy};
+use pmm_core::advisor::Recommendation;
+use pmm_model::AlgPlan;
 
 use crate::cache::{cached_recommend, CacheOutcome, RecCache};
 use crate::protocol::{parse_request, Request, Response};
@@ -26,11 +27,13 @@ pub struct Engine {
     started: Instant,
 }
 
-/// Render a strategy as wire tokens (`algo=… grid=…` / `algo=… q=… c=…`).
-fn strategy_tokens(s: &Strategy) -> String {
-    match s {
-        Strategy::Alg1 { grid } => format!("algo=alg1 grid={}x{}x{}", grid[0], grid[1], grid[2]),
-        Strategy::TwoFiveD { q, c } => format!("algo=2.5d q={q} c={c}"),
+/// Render an advised plan as wire tokens (`algo=alg1 grid=…` /
+/// `algo=2.5d q=… c=…`, the two kinds the advisor ranks).
+fn plan_tokens(plan: &AlgPlan) -> String {
+    match *plan {
+        AlgPlan::Alg1 { grid: [p1, p2, p3] } => format!("algo=alg1 grid={p1}x{p2}x{p3}"),
+        AlgPlan::TwoFiveD { q, c } => format!("algo=2.5d q={q} c={c}"),
+        _ => format!("algo={} plan={plan}", plan.algorithm()),
     }
 }
 
@@ -108,7 +111,7 @@ impl Engine {
     }
 }
 
-/// The `OK advise …` payload: the winning strategy, its full predicted
+/// The `OK advise …` payload: the winning plan, its full predicted
 /// cost, the regime, and whether the ranking came from the cache.
 fn render_advice(
     recs: &[Recommendation],
@@ -127,7 +130,7 @@ fn render_advice(
     };
     format!(
         "advise case={case} {} time={} words={} msgs={} flops={} mem={} alts={} cache={cache}",
-        strategy_tokens(&best.strategy),
+        plan_tokens(&best.plan),
         best.time,
         best.cost.words,
         best.cost.messages,

@@ -31,8 +31,8 @@ const REGIME_PROBES: [(u64, Case); 5] = [
 fn assert_bitwise_identical(cold: &[Recommendation], hot: &[Recommendation]) {
     assert_eq!(cold.len(), hot.len(), "ranking lengths differ");
     for (c, h) in cold.iter().zip(hot) {
-        assert_eq!(c.strategy, h.strategy);
-        assert_eq!(c.time.to_bits(), h.time.to_bits(), "time differs for {:?}", c.strategy);
+        assert_eq!(c.plan, h.plan);
+        assert_eq!(c.time.to_bits(), h.time.to_bits(), "time differs for {}", c.plan);
         assert_eq!(c.cost.words.to_bits(), h.cost.words.to_bits());
         assert_eq!(c.cost.messages.to_bits(), h.cost.messages.to_bits());
         assert_eq!(c.cost.flops.to_bits(), h.cost.flops.to_bits());

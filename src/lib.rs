@@ -76,9 +76,7 @@ pub mod prelude {
         all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, AllReduceAlgo,
         BcastAlgo, ReduceScatterAlgo,
     };
-    // `Strategy` is aliased so the prelude can coexist with proptest's
-    // `Strategy` trait in downstream glob imports.
-    pub use pmm_core::advisor::{recommend, Recommendation, Strategy as AdvisorStrategy};
+    pub use pmm_core::advisor::{recommend, Recommendation};
     pub use pmm_core::genbound::{GenBoundProblem, GenBoundSolution};
     pub use pmm_core::gridopt::{alg1_cost_words, best_divisible_grid, best_grid};
     pub use pmm_core::memlimit::{alg1_memory_words, limited_memory_report, min_memory_words};
@@ -87,11 +85,12 @@ pub mod prelude {
     pub use pmm_core::theorem3::{corollary4, lower_bound, BoundReport};
     pub use pmm_dense::{gemm, random_int_matrix, random_matrix, Kernel, Matrix};
     pub use pmm_model::{
-        alg1_prediction, recovery_prediction, restore_words_total, run_words_total, Alg1Prediction,
-        AlgPlan, AttemptPrediction, Case, Cost, Grid3, MachineParams, MatMulDims, MatrixId,
-        RecoveryPrediction, SortedDims,
+        alg1_prediction, plan_cost, recovery_prediction, restore_words_total, run_words_total,
+        Alg1Prediction, AlgPlan, AttemptPrediction, Case, Cost, Grid3, MachineParams, MatMulDims,
+        MatrixId, RecoveryPrediction, SortedDims,
     };
-    // `Strategy` is aliased here for the same reason as the advisor's.
+    // `Strategy` is aliased so the prelude can coexist with proptest's
+    // `Strategy` trait in downstream glob imports.
     pub use pmm_explore::{
         explore, explore_checked, explore_outcomes, ExploreConfig, ExploreReport, ScheduleFailure,
         Strategy as ExploreStrategy,

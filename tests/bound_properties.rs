@@ -208,7 +208,7 @@ proptest! {
         let mem = min_mem * mem_factor;
         let recs = recommend(dims, p, mem, MachineParams::BANDWIDTH_ONLY);
         for r in &recs {
-            prop_assert!(r.memory_words <= mem, "{:?} over budget", r.strategy);
+            prop_assert!(r.memory_words <= mem, "{} over budget", r.plan);
             prop_assert!(r.cost.is_valid());
         }
         for w in recs.windows(2) {

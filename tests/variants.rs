@@ -1,7 +1,6 @@
 //! Cross-crate checks for the extension variants: streamed Algorithm 1,
 //! executed CARMA, and the advisor — all against the Theorem 3 bound.
 
-use pmm::bounds::advisor::alg1_full_cost;
 use pmm::prelude::*;
 use std::sync::Arc;
 
@@ -14,8 +13,13 @@ fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
 
 /// Run `plan` on a bandwidth-only world of the plan's size.
 fn run_plan(plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
+    run_plan_on(plan, dims, MachineParams::BANDWIDTH_ONLY)
+}
+
+/// Run `plan` on a world of the plan's size under `params`.
+fn run_plan_on(plan: &AlgPlan, dims: MatMulDims, params: MachineParams) -> WorldResult<CShare> {
     let ab = inputs(dims);
-    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+    World::new(plan.active(), params).run_async(|rank| {
         let (plan, ab) = (plan.clone(), Arc::clone(&ab));
         Box::pin(async move {
             let comm = rank.world_comm();
@@ -72,17 +76,14 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let dims = MatMulDims::new(256, 128, 64);
     let p = 32usize;
     let recs = recommend(dims, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY);
-    let best = recs.first().expect("at least one strategy");
-    if let AdvisorStrategy::Alg1 { grid } = best.strategy {
-        let measured = run_plan(&AlgPlan::Alg1 { grid }, dims).critical_path_time();
-        assert!(
-            (measured - best.cost.words).abs() < 1e-9,
-            "advisor predicted {} words, measured {measured}",
-            best.cost.words
-        );
-    } else {
-        panic!("expected an Alg1 winner with unlimited memory");
-    }
+    let best = recs.first().expect("at least one plan");
+    assert_eq!(best.plan.algorithm(), "alg1", "unlimited memory: Algorithm 1 wins");
+    let measured = run_plan(&best.plan, dims).critical_path_time();
+    assert!(
+        (measured - best.cost.words).abs() < 1e-9,
+        "advisor predicted {} words, measured {measured}",
+        best.cost.words
+    );
 }
 
 #[test]
@@ -92,11 +93,36 @@ fn advisor_prices_alg1_messages_and_words_as_executed() {
     // (p − 1): the advisor must price each fiber by the same rule.
     let dims = MatMulDims::new(120, 24, 30);
     for grid in [[5, 1, 1], [6, 2, 1], [2, 2, 2], [3, 1, 1]] {
-        let executed = run_plan(&AlgPlan::Alg1 { grid }, dims).critical_path_cost();
-        let advised = alg1_full_cost(dims, grid);
+        let plan = AlgPlan::Alg1 { grid };
+        let executed = run_plan(&plan, dims).critical_path_cost();
+        let advised = plan_cost(dims, &plan).expect("the model prices Algorithm 1");
         assert_eq!(advised.messages, executed.messages, "grid {grid:?}: messages");
         assert!((advised.words - executed.words).abs() < 1e-9, "grid {grid:?}: words");
     }
+}
+
+#[test]
+fn advisor_predicts_every_candidates_executed_makespan() {
+    // Under a full α-β-γ machine every ranked plan — Algorithm 1 grids
+    // and 2.5D layouts, c = 1, 2 and 4 — runs exactly as long as the
+    // advisor predicts: its collectives are priced by the rules they
+    // execute (binomial replication and reduction for 2.5D).
+    let dims = MatMulDims::square(48);
+    let params = MachineParams::new(4.0, 1.0, 0.25);
+    let mut twofived = 0;
+    for p in [32usize, 64] {
+        for rec in recommend(dims, p, f64::INFINITY, params) {
+            let measured = run_plan_on(&rec.plan, dims, params).critical_path_time();
+            assert!(
+                (measured - rec.time).abs() <= 1e-9 * rec.time,
+                "P={p} {}: advisor predicted {}, executed {measured}",
+                rec.plan,
+                rec.time
+            );
+            twofived += usize::from(rec.plan.algorithm() == "twofived");
+        }
+    }
+    assert_eq!(twofived, 3, "2.5D on 4x4x2, 8x8x1 and 4x4x4");
 }
 
 #[test]
