@@ -20,9 +20,10 @@
 //!    probe and validation runs share a grid shape but differ 1.3-2x in
 //!    multiply-adds, so the check exercises extrapolation, not self-fit.
 //!
-//! Checks: the best kernel is ≥ 5× Naive at n = 1024, all tiers produce
-//! bitwise-identical products, and every validation cell's prediction
-//! lands within 25% of the measured wall-clock.
+//! Checks: `Blocked` reaches ≥ 40 % of the FMA roofline at n = 1024
+//! (`pct_roofline`), all tiers produce bitwise-identical products, and
+//! every validation cell's prediction lands within 25% of the measured
+//! wall-clock.
 //!
 //! ```sh
 //! cargo run --release -p pmm-bench --bin kernel_bench [budget-secs]
@@ -36,8 +37,14 @@ use pmm_dense::{gemm, random_matrix, Kernel};
 use pmm_model::{MachineCalibration, MatMulDims};
 
 /// Sizes for the per-kernel GFLOP/s table. The largest is the
-/// acceptance size (the ≥ 5× check).
+/// acceptance size (the roofline check).
 const SIZES: [usize; 3] = [256, 512, 1024];
+
+/// The least share of the FMA roofline, in percent, `Blocked` must reach
+/// at n = 1024. The seven runs behind the committed baseline read 49–80 %
+/// with the zmm tile and a fall-back to ymm reads under 40 %. A ratio to
+/// `Naive` would be no floor at all: it moves with the oracle.
+const MIN_PCT_ROOFLINE: f64 = 40.0;
 
 /// One Theorem 3 regime cell: a smaller probe problem that fits the
 /// shape's per-word cost δ, and the full-scale problem the calibrated
@@ -156,7 +163,6 @@ fn main() -> std::process::ExitCode {
     let (best_kernel, best_gflops) = best_at_1024;
     let speedup = best_gflops / naive_at_1024;
     println!("\nbest at n=1024: {best_kernel} at {best_gflops:.2} GFLOP/s = {speedup:.1}x naive");
-    checks.check(format!("best tier {speedup:.1}x >= 5x naive at n=1024"), speedup >= 5.0);
 
     // ---- 2. calibration -------------------------------------------------
     // γ is fitted for the best tier — the one the validation cells run.
@@ -176,10 +182,17 @@ fn main() -> std::process::ExitCode {
     let vector_bits = pmm_dense::FMA_VECTOR_BITS;
     println!("one-core FMA peak: {fma_peak:.1} GFLOP/s at {vector_bits} bit");
     for (k, n, gflops) in measured {
+        let pct_roofline = 100.0 * gflops / fma_peak;
         markers.push(format!(
-            "KERNELS: kernel label={k}-n{n} name={k} n={n} gflops={gflops:.3} pct_roofline={:.1}",
-            100.0 * gflops / fma_peak
+            "KERNELS: kernel label={k}-n{n} name={k} n={n} gflops={gflops:.3} \
+             pct_roofline={pct_roofline:.1}"
         ));
+        if (k, n) == (Kernel::Blocked, 1024) {
+            checks.check(
+                format!("blocked at n=1024: {pct_roofline:.1}% >= {MIN_PCT_ROOFLINE}% of roofline"),
+                pct_roofline >= MIN_PCT_ROOFLINE,
+            );
+        }
     }
     markers.push(format!(
         "KERNELS: calibration kernel={best_kernel} alpha={:.6e} beta={:.6e} gamma={:.6e} \

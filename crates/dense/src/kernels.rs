@@ -3,9 +3,12 @@
 //! These perform the per-processor computation of every parallel algorithm
 //! (line 6 of Algorithm 1). The tiers, from pinned oracle to fastest:
 //!
-//! * [`Kernel::Naive`] — textbook `i-k-j` triple loop (the `k` middle loop
-//!   keeps the inner loop streaming over contiguous rows of `B` and `C`).
-//!   This is the **pinned oracle**: every other tier must produce a
+//! * [`Kernel::Naive`] — `i-k-j` over groups of four rows of `C`: each
+//!   pass over a row of `B` (contiguous, as are the rows of `C`) updates
+//!   four rows, so `B` is read once per four rows of `A` rather than once
+//!   per row. It stays the **pinned oracle** because it is still the
+//!   textbook sum — one `madd` per term, `k` increasing, nothing packed,
+//!   padded or re-associated — and every other tier must produce a
 //!   bitwise-identical product (see below).
 //! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled
 //!   microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir` loop nest in the
@@ -74,9 +77,11 @@ use crate::matrix::{MatRef, Matrix};
 /// `Blocked` above it. `Blocked` copies every element of `A` and `B`
 /// into a packed panel and pads `m` up to its register tile, which only
 /// pays off once each element is reused: the measured crossover of the
-/// sweep in `docs/PERFORMANCE.md` (cubes from n = 7 up; a 1 × k × n or
-/// m × 1 × n product never).
-pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 2.0;
+/// sweep in `docs/PERFORMANCE.md` (cubes from n = 10 up; a 1 × k × n or
+/// m × 1 × n product never). `Naive` reads `B` once per four rows of
+/// `C`, which keeps it 1.3–2.3× ahead of `Blocked` on every product of
+/// intensity 2–3 in that sweep.
+pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 3.0;
 
 /// Environment variable selecting the default kernel tier
 /// (`naive | blocked | auto`), consulted by
@@ -105,7 +110,7 @@ pub(crate) fn madd(a: f64, b: f64, c: f64) -> f64 {
 /// Kernel selector. See the [module docs](self) for the tier guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {
-    /// Triple loop, `i-k-j` order — the pinned oracle.
+    /// `i-k-j` over groups of four rows of `C` — the pinned oracle.
     Naive,
     /// Packed-panel microkernel GEMM (the fast tier).
     Blocked,
@@ -205,14 +210,41 @@ pub fn gemm_acc<'a, 'b>(
     }
 }
 
+/// Rows of `C` the oracle updates per pass over a row of `B`: the pass
+/// reads `B` once per this many rows of `A` instead of once per row.
+const NAIVE_ROWS: usize = 4;
+
+/// The oracle: `i-k-j` over groups of [`NAIVE_ROWS`] rows of `C`. For
+/// each `k`, one pass over row `k` of `B` adds `A[i][k]·B[k][j]` to every
+/// row `i` of the group; the `m mod 4` rows left at the bottom take the
+/// same loop one row at a time. Either way each `C[i][j]` sees one `madd`
+/// per term in strictly increasing `k` — the textbook loop's sequence.
 fn naive(c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
     let n = b.cols();
-    for i in 0..a.rows() {
-        for (l, &aik) in a.row(i).iter().enumerate() {
-            let brow = b.row(l);
-            let crow = c.row_mut(i);
-            for j in 0..n {
-                crow[j] = madd(aik, brow[j], crow[j]);
+    let b_rows = || (0..b.rows()).map(|l| b.row(l));
+    let mut groups = c.as_mut_slice().chunks_exact_mut(NAIVE_ROWS * n);
+    for (g, cg) in (&mut groups).enumerate() {
+        let i = g * NAIVE_ROWS;
+        let (c0, rest) = cg.split_at_mut(n);
+        let (c1, rest) = rest.split_at_mut(n);
+        let (c2, c3) = rest.split_at_mut(n);
+        let a_cols = a.row(i).iter().zip(a.row(i + 1)).zip(a.row(i + 2)).zip(a.row(i + 3));
+        for ((((&x0, &x1), &x2), &x3), brow) in a_cols.zip(b_rows()) {
+            let cols = c0.iter_mut().zip(c1.iter_mut()).zip(c2.iter_mut()).zip(c3.iter_mut());
+            for ((((y0, y1), y2), y3), &bj) in cols.zip(brow) {
+                *y0 = madd(x0, bj, *y0);
+                *y1 = madd(x1, bj, *y1);
+                *y2 = madd(x2, bj, *y2);
+                *y3 = madd(x3, bj, *y3);
+            }
+        }
+    }
+    let rest = groups.into_remainder();
+    let first = a.rows() - rest.len() / n;
+    for (i, crow) in (first..).zip(rest.chunks_exact_mut(n)) {
+        for (&aik, brow) in a.row(i).iter().zip(b_rows()) {
+            for (y, &bj) in crow.iter_mut().zip(brow) {
+                *y = madd(aik, bj, *y);
             }
         }
     }
@@ -222,6 +254,45 @@ fn naive(c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
 mod tests {
     use super::*;
     use crate::gen::{random_int_matrix, random_matrix};
+    use crate::Block2;
+
+    /// The one-row textbook loop `naive` replaced — its oracle.
+    fn textbook(c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
+        let n = b.cols();
+        for i in 0..a.rows() {
+            for (l, &aik) in a.row(i).iter().enumerate() {
+                let brow = b.row(l);
+                let crow = c.row_mut(i);
+                for j in 0..n {
+                    crow[j] = madd(aik, brow[j], crow[j]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn naive_is_the_textbook_loop_bitwise() {
+        // Every remainder of m mod 4, strided operands (blocks of wider
+        // matrices read in place) and a live fractional C.
+        for m in 0..=9usize {
+            for k in [1usize, 3, 8, 33] {
+                for n in [1usize, 3, 8, 33] {
+                    let seed = (100 * m + 10 * k + n) as u64;
+                    let big_a = random_matrix(m + 2, k + 5, seed);
+                    let big_b = random_matrix(k + 1, n + 7, seed + 1);
+                    let a = Block2 { rows: 1..m + 1, cols: 2..k + 2 }.view(&big_a);
+                    let b = Block2 { rows: 1..k + 1, cols: 3..n + 3 }.view(&big_b);
+                    assert!(a.stride() > a.cols() && b.stride() > b.cols());
+                    let init = random_matrix(m, n, seed + 2);
+                    let mut want = init.clone();
+                    textbook(&mut want, a, b);
+                    let mut got = init;
+                    gemm_acc(&mut got, a, b, Kernel::Naive);
+                    assert_eq!(got, want, "naive is not the textbook loop at {m}x{k}x{n}");
+                }
+            }
+        }
+    }
 
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.cols(), |i, j| {
@@ -340,8 +411,9 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_intensity() {
-        assert_eq!(Kernel::Auto.resolve(6, 6, 6), Kernel::Naive);
-        assert_eq!(Kernel::Auto.resolve(7, 7, 7), Kernel::Blocked);
+        assert_eq!(Kernel::Auto.resolve(9, 9, 9), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(10, 10, 10), Kernel::Blocked);
+        assert_eq!(Kernel::Auto.resolve(64, 3, 64), Kernel::Naive);
         assert_eq!(Kernel::Auto.resolve(512, 512, 512), Kernel::Blocked);
         // No reuse to pay for packing, whatever the volume.
         assert_eq!(Kernel::Auto.resolve(1, 4096, 4096), Kernel::Naive);

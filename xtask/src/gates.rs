@@ -255,9 +255,9 @@ pub static GATES: &[Gate] = &[
         name: "kernel-bench",
         help: "the kernel_bench harness (release), whose own checks gate the\n\
                exit status: bitwise identity of the blocked tier vs the pinned\n\
-               naive oracle, >= 5x blocked speedup at n = 1024, and the\n\
-               calibrated alpha-beta-gamma-delta prediction within 25% of\n\
-               measured wall-clock on one cell per Theorem 3 regime",
+               naive oracle, blocked >= 40% of the FMA roofline at n = 1024,\n\
+               and the calibrated alpha-beta-gamma-delta prediction within\n\
+               25% of measured wall-clock on one cell per Theorem 3 regime",
         budget: Some((20, Via::Arg)),
         run: Run::Cargo("run --release -p pmm-bench --bin kernel_bench --"),
         artifact: Some(Spec {
