@@ -7,6 +7,12 @@
 //! multiply-accumulate steps, rotating `A` left and `B` up by one between
 //! steps.
 //!
+//! That is the 2.5D algorithm with one layer (Solomonik & Demmel 2011;
+//! Demmel et al. 2013), and it runs as one: [`cannon`] is
+//! [`twofived_on_a`] with `c = 1`, which skips the fiber split, the
+//! replication and the reduction, leaving exactly the skew and the
+//! `q − 1` rotations.
+//!
 //! Per-processor communication: the skew plus `q − 1` rotations of one
 //! `A`-block and one `B`-block each — `Θ(q·(n1n2 + n2n3)/P)` words. For
 //! square matrices this matches the 2D-optimal `Θ(n²/√P)`; for rectangular
@@ -14,10 +20,12 @@
 //! with the §5.2 grid, which is exactly what the `algo_compare` experiment
 //! shows.
 
-use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
+use pmm_dense::{Kernel, Matrix};
 
 use pmm_model::MatMulDims;
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{poll_now, Rank};
+
+use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
 /// Configuration for [`cannon`].
 #[derive(Debug, Clone)]
@@ -37,119 +45,17 @@ pub struct CannonOutput {
     pub c_block: Matrix,
 }
 
-/// Extract the `(i, j)` blocks of `A` and `B` owned initially by rank
-/// `(i, j)`.
-fn owned_blocks(
-    dims: MatMulDims,
-    q: usize,
-    i: usize,
-    j: usize,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, Matrix) {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let ra = block_range(n1, q, i);
-    let ca = block_range(n2, q, j);
-    let rb = block_range(n2, q, i);
-    let cb = block_range(n3, q, j);
-    (a.sub(ra.start, ca.start, ra.len(), ca.len()), b.sub(rb.start, cb.start, rb.len(), cb.len()))
-}
-
-/// [`cannon_on_a`] on a `q²` world, driven to completion in one
-/// [`poll_now`]: the sync entry point of a
+/// Cannon's algorithm on a `q²` world — [`twofived_on_a`] with one layer
+/// — driven to completion in one [`poll_now`]: the sync entry point of a
 /// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
-/// frozen benchmark.
+/// frozen benchmark. `a`/`b` are the global inputs, read only for this
+/// rank's owned blocks.
 pub fn cannon(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
     assert_eq!(rank.world_size(), cfg.q * cfg.q, "world size must be q²");
     let world = rank.world_comm();
-    poll_now(cannon_on_a(rank, &world, cfg, a, b)).expect("a q² world has no idle ranks")
-}
-
-/// Run Cannon's algorithm on communicator `base`. `a`/`b` are the global
-/// inputs, read only for this rank's owned blocks. The first `q²`
-/// members are active; later members participate in the two splits with
-/// a negative color and return `None`.
-pub async fn cannon_on_a(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &CannonConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Option<CannonOutput> {
-    let q = cfg.q;
-    assert!(base.size() >= q * q, "communicator too small for a q × q torus");
-    let dims = cfg.dims;
-    let (n1, n3) = (dims.n1 as usize, dims.n3 as usize);
-    let me = base.index();
-    if me >= q * q {
-        // Idle member: opt out of both splits (MPI_UNDEFINED) and hold
-        // no block.
-        let none = rank.split_a(base, -1, me as i64).await;
-        debug_assert!(none.is_none());
-        let none = rank.split_a(base, -1, me as i64).await;
-        debug_assert!(none.is_none());
-        return None;
-    }
-    let (i, j) = (me / q, me % q);
-
-    let row = rank.split_a(base, i as i64, j as i64).await.expect("row comm");
-    let col = rank.split_a(base, (q + j) as i64, i as i64).await.expect("col comm");
-    debug_assert_eq!(row.size(), q);
-    debug_assert_eq!(col.size(), q);
-
-    let (mut a_cur, mut b_cur) = owned_blocks(dims, q, i, j, a, b);
-    rank.mem_acquire((a_cur.words() + b_cur.words()) as u64);
-
-    let my_rows = block_range(n1, q, i).len();
-    let my_cols = block_range(n3, q, j).len();
-    let inner_len = |idx: usize| block_range(dims.n2 as usize, q, idx).len();
-    let mut c = Matrix::zeros(my_rows, my_cols);
-    rank.mem_acquire(c.words() as u64);
-
-    // The inner-dimension block index this rank holds after the skew
-    // (tracked explicitly so shapes are well-defined even for empty
-    // blocks). The skew leaves rank (i, j) holding block (i + j) mod q —
-    // with i == 0 that is its own block and no data moves.
-    let mut inner = (i + j) % q;
-
-    // Initial skew (only when it moves data).
-    pmm_simnet::phase!(rank, "skew", {
-        if q > 1 && i > 0 {
-            let to = (j + q - i) % q;
-            let from = (j + i) % q;
-            let msg = rank.exchange_a(&row, to, from, a_cur.as_slice()).await;
-            a_cur = Matrix::from_vec(my_rows, inner_len(inner), msg.payload);
-        }
-        if q > 1 && j > 0 {
-            let to = (i + q - j) % q;
-            let from = (i + j) % q;
-            let msg = rank.exchange_a(&col, to, from, b_cur.as_slice()).await;
-            b_cur = Matrix::from_vec(inner_len(inner), my_cols, msg.payload);
-        }
-    });
-
-    for t in 0..q {
-        assert_eq!(a_cur.cols(), b_cur.rows(), "inner blocks misaligned at step {t}");
-        pmm_simnet::phase!(rank, "local multiply", {
-            gemm_acc(&mut c, &a_cur, &b_cur, cfg.kernel);
-            rank.compute((a_cur.rows() * a_cur.cols() * b_cur.cols()) as f64);
-        });
-        if t + 1 < q {
-            // Rotate A left by one, B up by one.
-            pmm_simnet::phase!(rank, "rotate", {
-                let next_inner = (inner + 1) % q;
-                let msg =
-                    rank.exchange_a(&row, (j + q - 1) % q, (j + 1) % q, a_cur.as_slice()).await;
-                a_cur = Matrix::from_vec(my_rows, inner_len(next_inner), msg.payload);
-                let msg =
-                    rank.exchange_a(&col, (i + q - 1) % q, (i + 1) % q, b_cur.as_slice()).await;
-                b_cur = Matrix::from_vec(inner_len(next_inner), my_cols, msg.payload);
-                inner = next_inner;
-            });
-        }
-    }
-
-    Some(CannonOutput { c_block: c })
+    let cfg = TwoFiveDConfig { dims: cfg.dims, q: cfg.q, c: 1, kernel: cfg.kernel };
+    let c_block = poll_now(twofived_on_a(rank, &world, &cfg, a, b)).c_block;
+    CannonOutput { c_block: c_block.expect("one layer: every rank of a q² world holds a block") }
 }
 
 #[cfg(test)]

@@ -37,12 +37,19 @@
 //! ```
 //!
 //! and with the §5.2 optimal grid this *equals* the Theorem 3 bound.
+//!
+//! **One body, `t` slabs.** Lines 3–6 run once per slab of the contracted
+//! dimension (`A`-columns / `B`-rows of the blocks), accumulating into
+//! `D`; line 8 runs once. [`alg1_on_a`] runs one slab — the algorithm
+//! above — and the §6.2 streamed variant
+//! ([`alg1_streamed_on_a`](crate::streamed::alg1_streamed_on_a)) runs
+//! `t`, with the same words and `t×` the gather messages.
 
 use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, ReduceScatterAlgo};
 
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{poll_now, Comm, Meter, Rank};
 
 use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 
@@ -85,7 +92,8 @@ pub struct Alg1Output {
     /// This rank's chunk of `C_{p1'p3'}` (a contiguous run of the block's
     /// row-major elements; chunk index = `p2'`).
     pub c_chunk: Vec<f64>,
-    /// Traffic per phase: `[All-Gather A, All-Gather B, assemble C]`.
+    /// Traffic per phase: `[All-Gather A, All-Gather B, assemble C]`, the
+    /// two gathers summed over the slabs of a streamed run.
     pub phases: [PhaseMeter; 3],
 }
 
@@ -136,10 +144,33 @@ pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -
 /// `base`, and all three fiber communicators are split from `base`. This
 /// is what [`crate::recovery::run_plan_a`] runs for an Algorithm 1 plan,
 /// on the world or on the surviving ranks of a recovery attempt.
-pub async fn alg1_on_a(
+///
+/// Not an `async fn`: it hands back the one body's future as is, so a
+/// rank's future holds no second copy of the arguments.
+pub fn alg1_on_a<'a>(
+    rank: &'a mut Rank,
+    base: &'a Comm,
+    cfg: &'a Alg1Config,
+    a: &'a Matrix,
+    b: &'a Matrix,
+) -> impl std::future::Future<Output = Alg1Output> + 'a {
+    alg1_slabs_on_a(rank, base, cfg, 1, a, b)
+}
+
+/// The one body of Algorithm 1 (see the [module docs](self)). `slabs` is
+/// clamped to `[1, max(h2, 1)]` (`h2` = this rank's inner extent), so no
+/// slab is empty.
+///
+/// The footprint is declared as the §5 one: the owned chunks of every
+/// slab first, then each slab's two gather buffers before its gathers
+/// (released when the next slab's are acquired), `D` after the first
+/// slab's gathers, and the last slab's buffers released with `D` after
+/// assembly.
+pub(crate) async fn alg1_slabs_on_a(
     rank: &mut Rank,
     base: &Comm,
     cfg: &Alg1Config,
+    slabs: usize,
     a: &Matrix,
     b: &Matrix,
 ) -> Alg1Output {
@@ -150,52 +181,71 @@ pub async fn alg1_on_a(
     let coord = grid.coord_of(base.index());
     let comms = fiber_comms_on_a(rank, base, grid).await;
 
-    // Blocks `A_{p1'p2'}` and `B_{p2'p3'}` of the global inputs.
+    // Blocks `A_{p1'p2'}` and `B_{p2'p3'}` of the global inputs, cut
+    // into `slabs` slabs of `A`-columns / `B`-rows.
     let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
     let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
     let (h1, h2, h3) = (a_blk.height(), a_blk.width(), b_blk.width());
-    let a_block_words = h1 * h2;
-    let b_block_words = h2 * h3;
+    let slabs = slabs.clamp(1, h2.max(1));
     let c_block_words = h1 * h3;
 
     // ----- owned input chunks (initial distribution) -----------------------
-    // The §5 footprint: this rank's share of each block. The host copies
-    // a share out only where a gather needs it (see `gather_block`).
-    let a_own_words = chunk_of_block(a_block_words, p3, coord[2]).len();
-    let b_own_words = chunk_of_block(b_block_words, p1, coord[0]).len();
-    rank.mem_acquire((a_own_words + b_own_words) as u64);
+    // The §5 footprint: this rank's share of each slab of each block. The
+    // host copies a share out only where a gather needs it (see
+    // `gather_block`).
+    let owned_words: usize = (0..slabs)
+        .map(|s| {
+            let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
+            chunk_of_block(a_slab.words(), p3, coord[2]).len()
+                + chunk_of_block(b_slab.words(), p1, coord[0]).len()
+        })
+        .sum();
+    rank.mem_acquire(owned_words as u64);
 
-    // ----- line 3: All-Gather A over fiber (p1', p2', :) -------------------
-    // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
-    // nothing, and the block is multiplied where it lies in `a`.
-    rank.mem_acquire(a_block_words as u64);
-    let probe = PhaseProbe::begin(rank, "all-gather A");
-    let a_block = gather_block(rank, &comms[2], a_blk, a).await;
-    let ph_a = probe.finish(rank);
+    // D is allocated once the first slab's operands are in hand: a rank
+    // waiting in its gathers holds no accumulator.
+    let mut d = None;
+    let (mut meter_a, mut meter_b) = (Meter::default(), Meter::default());
+    let mut held = 0;
+    for s in 0..slabs {
+        let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
+        let (a_words, b_words) = (a_slab.words(), b_slab.words());
+        rank.mem_release(held);
+        held = (a_words + b_words) as u64;
 
-    // ----- line 4: All-Gather B over fiber (:, p2', p3') -------------------
-    // Read in place when p1 = 1.
-    rank.mem_acquire(b_block_words as u64);
-    let probe = PhaseProbe::begin(rank, "all-gather B");
-    let b_block = gather_block(rank, &comms[0], b_blk, b).await;
-    let ph_b = probe.finish(rank);
+        // ----- line 3: All-Gather A over fiber (p1', p2', :) ---------------
+        // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
+        // nothing, and the slab is multiplied where it lies in `a`.
+        rank.mem_acquire(a_words as u64);
+        let probe = PhaseProbe::begin(rank, "all-gather A");
+        let a_op = gather_block(rank, &comms[2], a_slab, a).await;
+        meter_a += probe.finish(rank).meter;
 
-    // ----- line 6: local computation D = A_block · B_block -----------------
-    rank.mem_acquire(c_block_words as u64);
-    let d = pmm_simnet::phase!(rank, "local multiply", {
-        let mut d = Matrix::zeros(h1, h3);
-        gemm_acc(&mut d, &a_block, &b_block, cfg.kernel);
-        // The model meters scalar multiplications, matching the paper's
-        // n1n2n3/P count (line 6 performs h1·h2·h3 of them).
-        rank.compute((h1 * h2 * h3) as f64);
-        d
-    });
-    // Last use of the gathered blocks: the host frees them before line 8,
-    // which never reads them. (The simulated machine's footprint is
-    // metered by `mem_acquire`/`mem_release` and keeps them to the end.)
-    drop((a_block, b_block));
+        // ----- line 4: All-Gather B over fiber (:, p2', p3') ---------------
+        // Read in place when p1 = 1.
+        rank.mem_acquire(b_words as u64);
+        let probe = PhaseProbe::begin(rank, "all-gather B");
+        let b_op = gather_block(rank, &comms[0], b_slab, b).await;
+        meter_b += probe.finish(rank).meter;
+
+        // ----- line 6: local computation D += A_slab · B_slab --------------
+        if s == 0 {
+            rank.mem_acquire(c_block_words as u64);
+        }
+        let d = d.get_or_insert_with(|| Matrix::zeros(h1, h3));
+        pmm_simnet::phase!(rank, "local multiply", {
+            gemm_acc(d, &a_op, &b_op, cfg.kernel);
+            // The model meters scalar multiplications, matching the
+            // paper's n1n2n3/P count (h1·h2·h3 of them over all slabs).
+            rank.compute((a_words * h3) as f64);
+        });
+        // Last use of the slab's operands: the host frees them here,
+        // before line 8, which never reads them. (The simulated machine's
+        // footprint is metered by `mem_acquire`/`mem_release`.)
+    }
 
     // ----- line 8: assemble C over fiber (p1', :, p3') ---------------------
+    let d = d.expect("at least one slab");
     let c_counts: Vec<usize> =
         (0..p2).map(|t| chunk_of_block(c_block_words, p2, t).len()).collect();
     let (c_chunk, ph_c) = match cfg.assembly {
@@ -218,11 +268,28 @@ pub async fn alg1_on_a(
         }
     };
 
-    // Release gathered blocks and D; retain owned inputs + owned C chunk.
+    // Release the last slab's buffers and D; retain owned inputs + owned
+    // C chunk.
     rank.mem_acquire(c_chunk.len() as u64);
-    rank.mem_release((a_block_words + b_block_words + c_block_words) as u64);
+    rank.mem_release(held + c_block_words as u64);
 
-    Alg1Output { c_chunk, phases: [ph_a, ph_b, ph_c] }
+    let phases = [
+        PhaseMeter { label: "all-gather A", meter: meter_a },
+        PhaseMeter { label: "all-gather B", meter: meter_b },
+        ph_c,
+    ];
+    Alg1Output { c_chunk, phases }
+}
+
+/// Slab `s` of `slabs` of the blocks `A_{p1'p2'}` and `B_{p2'p3'}`: the
+/// `s`-th [`block_range`] of `A`'s columns and the same rows of `B`.
+fn slab_of(a_blk: &Block2, b_blk: &Block2, slabs: usize, s: usize) -> (Block2, Block2) {
+    let r = block_range(a_blk.width(), slabs, s);
+    let inner = a_blk.cols.start + r.start..a_blk.cols.start + r.end;
+    (
+        Block2 { rows: a_blk.rows.clone(), cols: inner.clone() },
+        Block2 { rows: inner, cols: b_blk.cols.clone() },
+    )
 }
 
 /// Reduce-scatter semantics via All-to-All + local summation (the

@@ -2,7 +2,10 @@
 //!
 //! Executable, fully metered implementations of parallel matrix
 //! multiplication on the simulated distributed machine
-//! ([`pmm_simnet`]):
+//! ([`pmm_simnet`]). The six [`AlgPlan`](pmm_model::AlgPlan)s run on four
+//! algorithm bodies — Algorithm 1, 2.5D, SUMMA and CARMA — because two
+//! plans are special cases of others: streamed Algorithm 1 with one slab
+//! is Algorithm 1, and 2.5D with one layer is Cannon.
 //!
 //! * [`grid3d`] — **Algorithm 1** of the paper: two All-Gathers and one
 //!   Reduce-Scatter on a `p1 × p2 × p3` logical grid. With the §5.2
@@ -10,15 +13,16 @@
 //!   the tightness half of the paper — which the tests and the
 //!   `tightness` experiment verify to the word. An ablation variant
 //!   assembles `C` with All-to-All + local summation (the Agarwal et al.
-//!   1995 style) instead of Reduce-Scatter.
-//! * [`mod@cannon`] — Cannon's algorithm on a square `√P × √P` grid (classic
-//!   2D baseline).
-//! * [`mod@summa`] — SUMMA on a general `pr × pc` grid (the standard library
-//!   algorithm baseline, broadcast-based).
+//!   1995 style) instead of Reduce-Scatter. Its body loops over slabs of
+//!   the contracted dimension and runs one.
+//! * [`streamed`] — the §6.2 low-memory variant of Algorithm 1: the same
+//!   body run with `t` slabs, same words, more messages.
 //! * [`mod@twofived`] — the 2.5D algorithm of Solomonik & Demmel 2011 with
 //!   replication factor `c` (memory-for-communication trade-off).
-//! * [`streamed`] — the §6.2 low-memory variant of Algorithm 1: the
-//!   contracted dimension streamed in slabs, same words, more messages.
+//! * [`mod@cannon`] — Cannon's algorithm on a square `√P × √P` grid (classic
+//!   2D baseline): 2.5D with `c = 1`.
+//! * [`mod@summa`] — SUMMA on a general `pr × pc` grid (the standard library
+//!   algorithm baseline, broadcast-based).
 //! * [`recursive`] — the CARMA-style recursive algorithm (Demmel et al.
 //!   2013), executed; its closed-form cost is [`carma_cost_words`]
 //!   (from `pmm-model`, re-exported here).
@@ -47,7 +51,7 @@ pub mod streamed;
 pub mod summa;
 pub mod twofived;
 
-pub use cannon::{cannon, cannon_on_a, CannonConfig, CannonOutput};
+pub use cannon::{cannon, CannonConfig, CannonOutput};
 pub use common::{assemble_from_blocks, fiber_comms_a, fiber_comms_on_a, PhaseMeter, PhaseProbe};
 pub use grid3d::{alg1, alg1_a, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
 pub use pmm_model::carma_cost_words;

@@ -52,7 +52,6 @@ use pmm_dense::{Kernel, Matrix};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
-use crate::cannon::{cannon_on_a, CannonConfig};
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
 use crate::grid3d::{
     alg1_on_a, assemble_c, owned_a_chunk, owned_b_chunk, Alg1Config, Alg1Output, Assembly,
@@ -177,16 +176,7 @@ fn owned_inputs(plan: &AlgPlan, dims: MatMulDims, idx: usize, a: &Matrix, b: &Ma
             }
             v
         }
-        AlgPlan::Cannon { q } => {
-            if idx >= q * q {
-                return Vec::new();
-            }
-            let (i, j) = (idx / q, idx % q);
-            let mut v = flatten_block(a, q, q, i, j);
-            v.extend(flatten_block(b, q, q, i, j));
-            v
-        }
-        AlgPlan::TwoFiveD { q, .. } => {
+        AlgPlan::Cannon { q } | AlgPlan::TwoFiveD { q, .. } => {
             // One copy of the inputs lives on layer 0 (indices < q²).
             if idx >= q * q {
                 return Vec::new();
@@ -284,11 +274,9 @@ pub async fn run_plan_a(
             let cfg = SummaConfig { dims, pr, pc, kernel };
             CShare::Block(Some(summa_on_a(rank, comm, &cfg, a, b).await.c_block))
         }
-        AlgPlan::Cannon { q } => {
-            let cfg = CannonConfig { dims, q, kernel };
-            CShare::Block(cannon_on_a(rank, comm, &cfg, a, b).await.map(|o| o.c_block))
-        }
-        AlgPlan::TwoFiveD { q, c } => {
+        AlgPlan::Cannon { q } | AlgPlan::TwoFiveD { q, .. } => {
+            // Cannon is 2.5D with one layer.
+            let c = if let AlgPlan::TwoFiveD { c, .. } = *plan { c } else { 1 };
             let cfg = TwoFiveDConfig { dims, q, c, kernel };
             CShare::Block(twofived_on_a(rank, comm, &cfg, a, b).await.c_block)
         }

@@ -10,25 +10,19 @@
 //! collective runs `t` times, so the latency term grows `t×`; the words
 //! moved are identical (each element still travels exactly once).
 //!
-//! The initial distribution is the natural slab-aligned one: each
-//! processor owns, for every slab, an even chunk of that slab across its
-//! fiber (the lower bound makes no assumption on distribution beyond the
-//! single-copy rule, so the variant is free to choose).
-//!
-//! A slab whose gathering fiber has one member (`A`'s when `p3 = 1`,
-//! `B`'s when `p1 = 1`) is multiplied where it lies in the global input,
-//! as in [`alg1`](crate::grid3d::alg1): the gather would move nothing and
-//! hand back the whole slab, so the host skips the copy and enters the
-//! degenerate collective alone — every simulated observable is unchanged.
+//! It is not a second algorithm: Algorithm 1's one body
+//! ([`alg1_on_a`](crate::grid3d::alg1_on_a)) already loops over slabs, and
+//! runs one. This module names the entry points that run `t`. The initial
+//! distribution is the natural slab-aligned one: each processor owns, for
+//! every slab, an even chunk of that slab across its fiber (the lower bound
+//! makes no assumption on distribution beyond the single-copy rule, so the
+//! variant is free to choose); with one slab that is Algorithm 1's.
 
-use pmm_collectives::{reduce_scatter_v_a, ReduceScatterAlgo};
-
-use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
+use pmm_dense::{Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
-use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
-use crate::grid3d::Alg1Output;
+use crate::grid3d::{alg1_slabs_on_a, Alg1Config, Alg1Output, Assembly};
 
 /// [`alg1_streamed_on_a`] on the world, driven to completion in one
 /// [`poll_now`]: the sync entry point of a
@@ -47,12 +41,12 @@ pub fn alg1_streamed(
     poll_now(alg1_streamed_on_a(rank, &world, dims, grid, slabs, kernel, a, b))
 }
 
-/// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
-/// (`slabs = 1` is semantically plain Algorithm 1 modulo the input
-/// distribution) on communicator `base`, which must have exactly
-/// `grid.size()` members; this rank's grid coordinate is derived from its
-/// index in `base`. Returns the same output shape as
-/// [`alg1`](crate::grid3d::alg1) — chunks assemble with
+/// Run Algorithm 1 with `slabs` inner-dimension slabs on communicator
+/// `base`, which must have exactly `grid.size()` members; this rank's grid
+/// coordinate is its index in `base`. `slabs` is clamped to each rank's
+/// inner extent, so no slab is empty, and `slabs = 1` is
+/// [`alg1_on_a`](crate::grid3d::alg1_on_a), event for event. Assembles `C`
+/// with [`Assembly::ReduceScatter`]; the chunks assemble with
 /// [`assemble_c`](crate::grid3d::assemble_c).
 #[allow(clippy::too_many_arguments)]
 pub async fn alg1_streamed_on_a(
@@ -65,90 +59,8 @@ pub async fn alg1_streamed_on_a(
     a: &Matrix,
     b: &Matrix,
 ) -> Alg1Output {
-    assert!(slabs >= 1, "need at least one slab");
-    assert_inputs_match(dims, a, b);
-    let [p1, p2, p3] = grid.dims();
-    let coord = grid.coord_of(base.index());
-    let comms = fiber_comms_on_a(rank, base, grid).await;
-
-    let rows_a = block_range(dims.n1 as usize, p1, coord[0]);
-    let cols_b = block_range(dims.n3 as usize, p3, coord[2]);
-    let inner = block_range(dims.n2 as usize, p2, coord[1]);
-    let h1 = rows_a.len();
-    let h2 = inner.len();
-    let h3 = cols_b.len();
-
-    let mut d = Matrix::zeros(h1, h3);
-    rank.mem_acquire((h1 * h3) as u64);
-
-    let mut words_a_phase = pmm_simnet::Meter::default();
-    let mut words_b_phase = pmm_simnet::Meter::default();
-
-    for s in 0..slabs {
-        // Slab s of the local inner range.
-        let slab = block_range(h2, slabs, s);
-        if slab.is_empty() {
-            continue;
-        }
-        // --- gather slab of A over fiber (p1', p2', :) ----------------------
-        // In place when p3 = 1, as in `alg1` (see `gather_block`).
-        let slab_inner = inner.start + slab.start..inner.start + slab.end;
-        let a_slab = Block2 { rows: rows_a.clone(), cols: slab_inner.clone() };
-        let a_slab_words = a_slab.words();
-        rank.mem_acquire(a_slab_words as u64);
-        let before = rank.meter();
-        let a_mat = pmm_simnet::phase!(rank, "all-gather A (streamed)", {
-            gather_block(rank, &comms[2], a_slab, a).await
-        });
-        accumulate(&mut words_a_phase, rank.meter().diff(&before));
-
-        // --- gather slab of B over fiber (:, p2', p3') ----------------------
-        // In place when p1 = 1.
-        let b_slab = Block2 { rows: slab_inner, cols: cols_b.clone() };
-        let b_slab_words = b_slab.words();
-        rank.mem_acquire(b_slab_words as u64);
-        let before = rank.meter();
-        let b_mat = pmm_simnet::phase!(rank, "all-gather B (streamed)", {
-            gather_block(rank, &comms[0], b_slab, b).await
-        });
-        accumulate(&mut words_b_phase, rank.meter().diff(&before));
-
-        // --- accumulate ------------------------------------------------------
-        pmm_simnet::phase!(rank, "local multiply", {
-            gemm_acc(&mut d, &a_mat, &b_mat, kernel);
-            rank.compute((h1 * slab.len() * h3) as f64);
-        });
-
-        // Slab buffers dropped here — that's the whole point.
-        rank.mem_release((a_slab_words + b_slab_words) as u64);
-    }
-    // --- reduce-scatter C over fiber (p1', :, p3') --------------------------
-    let c_block_words = h1 * h3;
-    let c_counts: Vec<usize> =
-        (0..p2).map(|r| chunk_of_block(c_block_words, p2, r).len()).collect();
-    let probe = PhaseProbe::begin(rank, "reduce-scatter C");
-    let c_chunk =
-        reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
-    let ph_c = probe.finish(rank);
-    rank.mem_acquire(c_chunk.len() as u64);
-    rank.mem_release(c_block_words as u64);
-
-    Alg1Output {
-        c_chunk,
-        phases: [
-            PhaseMeter { label: "all-gather A (streamed)", meter: words_a_phase },
-            PhaseMeter { label: "all-gather B (streamed)", meter: words_b_phase },
-            ph_c,
-        ],
-    }
-}
-
-fn accumulate(into: &mut pmm_simnet::Meter, delta: pmm_simnet::Meter) {
-    into.words_sent += delta.words_sent;
-    into.words_recv += delta.words_recv;
-    into.msgs_sent += delta.msgs_sent;
-    into.msgs_recv += delta.msgs_recv;
-    into.flops += delta.flops;
+    let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
+    alg1_slabs_on_a(rank, base, &cfg, slabs, a, b).await
 }
 
 #[cfg(test)]
@@ -214,24 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_plain_alg1_bandwidth_on_divisible_instances() {
-        // Streamed with divisible slabs moves exactly the same words as
-        // plain Algorithm 1 (different distribution, same traffic).
-        let dims = MatMulDims::new(24, 24, 24);
-        let grid = [2usize, 2, 2];
-        let (_, streamed) = run(dims, grid, 3);
-
-        let (a, b) = (random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72));
-        let (_, plain) = run_on_world(&AlgPlan::Alg1 { grid }, dims, a, b);
-        for r in 0..8 {
-            assert_eq!(
-                streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,
-                "rank {r}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "global inputs disagree with dims")]
     fn rejects_global_inputs_of_other_dims() {
         // 12 × 8 under dims that say 8 × 12: same word count, another
@@ -243,8 +137,16 @@ mod tests {
 
     #[test]
     fn more_slabs_than_inner_dim_degenerates_gracefully() {
+        // Inner extent h2 = 4 / 2 = 2: 64 slabs clamp to 2, one column
+        // each, and send exactly the messages 2 slabs send.
         let dims = MatMulDims::new(6, 4, 6);
-        let (c, _) = run(dims, [2, 2, 1], 64);
+        let (c, many) = run(dims, [2, 2, 1], 64);
         assert_eq!(c, reference(dims));
+        let (_, two) = run(dims, [2, 2, 1], 2);
+        assert_eq!(many.values, two.values);
+        for (r, (x, y)) in many.reports.iter().zip(&two.reports).enumerate() {
+            assert_eq!(x.meter, y.meter, "rank {r}");
+            assert_eq!(x.peak_mem_words, y.peak_mem_words, "rank {r}");
+        }
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! Per-processor bandwidth is `Θ(n²/√(cP))` for square problems — a
 //! `√c` improvement over 2D algorithms, at `c×` the memory. At `c = 1` it
-//! degenerates to Cannon; at `c = q` (i.e. `P = q³`) it is a 3D
-//! algorithm.
+//! is Cannon's algorithm — steps 1 and 3 have nothing to do and are
+//! skipped, and [`cannon`](crate::cannon::cannon) runs this body; at
+//! `c = q` (i.e. `P = q³`) it is a 3D algorithm.
 
 use pmm_collectives::{bcast_a, reduce_a, BcastAlgo};
 
@@ -57,9 +58,14 @@ pub fn twofived(rank: &mut Rank, cfg: &TwoFiveDConfig, a: &Matrix, b: &Matrix) -
 
 /// Run the 2.5D algorithm on communicator `base`. `a`/`b` are the global
 /// inputs, read only by the layer-0 owner of each block. The first
-/// `c·q²` members are active; later members participate in the three
-/// splits with a negative color and return `c_block: None` like
-/// non-layer-0 ranks.
+/// `c·q²` members are active; later members participate in the splits
+/// with a negative color and return `c_block: None` like non-layer-0
+/// ranks.
+///
+/// With one layer (`c = 1`, Cannon's algorithm) there is nothing to
+/// replicate or reduce: the fiber split, the replication and the
+/// reduction are skipped, so idle members opt out of two splits, not
+/// three.
 pub async fn twofived_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -72,12 +78,13 @@ pub async fn twofived_on_a(
     assert!(q % c == 0, "2.5D requires c | q (got q={q}, c={c})");
     let dims = cfg.dims;
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let layered = c > 1;
 
     // Rank layout: base index = l·q² + i·q + j.
     let me = base.index();
     if me >= c * q * q {
-        // Idle member: opt out of all three splits (MPI_UNDEFINED).
-        for _ in 0..3 {
+        // Idle member: opt out of every split (MPI_UNDEFINED).
+        for _ in 0..2 + usize::from(layered) {
             let none = rank.split_a(base, -1, me as i64).await;
             debug_assert!(none.is_none());
         }
@@ -87,14 +94,17 @@ pub async fn twofived_on_a(
     let (i, j) = ((me % (q * q)) / q, me % q);
 
     // Row comm within my layer (vary j), column comm within my layer
-    // (vary i), fiber comm across layers (vary l).
+    // (vary i), fiber comm across layers (vary l; none with one layer).
     let row = rank.split_a(base, (l * q + i) as i64, j as i64).await.expect("row comm");
     let col = rank.split_a(base, (q * q + l * q + j) as i64, i as i64).await.expect("col comm");
-    let fiber =
-        rank.split_a(base, (2 * q * q + i * q + j) as i64, l as i64).await.expect("fiber comm");
+    let fiber = if layered {
+        rank.split_a(base, (2 * q * q + i * q + j) as i64, l as i64).await
+    } else {
+        None
+    };
     debug_assert_eq!(row.size(), q);
     debug_assert_eq!(col.size(), q);
-    debug_assert_eq!(fiber.size(), c);
+    debug_assert_eq!(fiber.as_ref().map_or(1, Comm::size), c);
 
     // ---- step 1: replicate the layer-0 blocks over the fiber --------------
     let ra = block_range(n1, q, i);
@@ -114,19 +124,15 @@ pub async fn twofived_on_a(
         vec![0.0; b_words]
     };
     rank.mem_acquire((a_words + b_words) as u64);
-    let (mut a_cur, mut b_cur) = pmm_simnet::phase!(rank, "replicate inputs", {
-        let a = Matrix::from_vec(
-            ra.len(),
-            ca.len(),
-            bcast_a(rank, &fiber, a0, 0, BcastAlgo::Binomial).await,
-        );
-        let b = Matrix::from_vec(
-            rb.len(),
-            cb.len(),
-            bcast_a(rank, &fiber, b0, 0, BcastAlgo::Binomial).await,
-        );
-        (a, b)
-    });
+    let (a0, b0) = match &fiber {
+        Some(fiber) => pmm_simnet::phase!(rank, "replicate inputs", {
+            let a = bcast_a(rank, fiber, a0, 0, BcastAlgo::Binomial).await;
+            (a, bcast_a(rank, fiber, b0, 0, BcastAlgo::Binomial).await)
+        }),
+        None => (a0, b0),
+    };
+    let mut a_cur = Matrix::from_vec(ra.len(), ca.len(), a0);
+    let mut b_cur = Matrix::from_vec(rb.len(), cb.len(), b0);
 
     // ---- step 2: shifted Cannon over my layer's q/c inner positions -------
     // Layer l covers inner positions {l·q/c + t : t in 0..q/c} (mod q,
@@ -182,6 +188,9 @@ pub async fn twofived_on_a(
     }
 
     // ---- step 3: sum partial C over the fiber to layer 0 ------------------
+    let Some(fiber) = fiber else {
+        return TwoFiveDOutput { c_block: Some(cmat) };
+    };
     let summed = pmm_simnet::phase!(rank, "reduce C over fiber", {
         reduce_a(rank, &fiber, cmat.into_vec(), 0).await
     });
@@ -206,13 +215,6 @@ mod tests {
         let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
         let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
         gemm(&a, &b, Kernel::Naive)
-    }
-
-    #[test]
-    fn correct_at_c1_degenerates_to_cannon() {
-        let dims = MatMulDims::new(12, 12, 12);
-        let (cmat, _) = run(dims, 3, 1);
-        assert_eq!(cmat, reference(dims));
     }
 
     #[test]

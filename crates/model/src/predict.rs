@@ -260,11 +260,12 @@ pub fn carma_cost_words(dims: MatMulDims, p: u64) -> f64 {
 /// - `summa`: per-panel broadcasts priced by the collective cost model
 ///   (scatter–all-gather when the panel length divides the
 ///   communicator, binomial otherwise).
-/// - `cannon`: skew exchanges (every rank off the zero row/column
-///   sends its block once) plus `q − 1` full-block rotations.
 /// - `twofived`: binomial input replication over the `c` fibers, the
 ///   per-layer skew, `q/c − 1` rotations on all layers, and the
 ///   binomial C reduction back to layer 0.
+/// - `cannon`: `twofived` with one layer — the skew exchanges (every
+///   rank off the zero row/column sends its block once) plus `q − 1`
+///   full-block rotations.
 /// - `carma`: `p ×` the recursion's per-rank closed form
 ///   ([`carma_cost_words`]).
 pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
@@ -289,15 +290,7 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
             }
             total as f64
         }
-        AlgPlan::Cannon { q } => {
-            let q = q as u64;
-            if q <= 1 {
-                return 0.0;
-            }
-            let skew = (n1 - part_len(n1, q, 0)) * n2 + n2 * (n3 - part_len(n3, q, 0));
-            let rotate = (q - 1) * (n1 * n2 + n2 * n3);
-            (skew + rotate) as f64
-        }
+        AlgPlan::Cannon { q } => run_words_total(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
         AlgPlan::TwoFiveD { q, c } => {
             let (q, c) = (q as u64, c as u64);
             let inputs = n1 * n2 + n2 * n3;

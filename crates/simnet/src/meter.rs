@@ -2,6 +2,7 @@
 //! structured event trace lives in [`crate::tracer`]).
 
 use std::fmt;
+use std::ops::AddAssign;
 
 /// Cumulative traffic and compute counters for one rank.
 ///
@@ -91,6 +92,23 @@ impl Meter {
     /// goodput that [`Meter::total_words`] reports.
     pub fn retry_overhead_words(&self) -> u64 {
         self.retry_words_sent + self.retry_words_recv
+    }
+}
+
+/// Counter-wise sum over all nine counters: the traffic of a phase that
+/// runs in several pieces (one per slab of a streamed run) is the sum of
+/// the pieces' [`Meter::diff`]s.
+impl AddAssign for Meter {
+    fn add_assign(&mut self, rhs: Meter) {
+        self.words_sent += rhs.words_sent;
+        self.words_recv += rhs.words_recv;
+        self.msgs_sent += rhs.msgs_sent;
+        self.msgs_recv += rhs.msgs_recv;
+        self.flops += rhs.flops;
+        self.retry_words_sent += rhs.retry_words_sent;
+        self.retry_msgs_sent += rhs.retry_msgs_sent;
+        self.retry_words_recv += rhs.retry_words_recv;
+        self.retry_msgs_recv += rhs.retry_msgs_recv;
     }
 }
 
@@ -211,6 +229,25 @@ mod tests {
                 ..Meter::default()
             }
         );
+    }
+
+    #[test]
+    fn add_assign_undoes_diff_on_every_counter() {
+        let earlier = Meter { words_sent: 3, flops: 1.0, retry_msgs_recv: 2, ..Meter::default() };
+        let later = Meter {
+            words_sent: 9,
+            words_recv: 8,
+            msgs_sent: 7,
+            msgs_recv: 6,
+            flops: 5.0,
+            retry_words_sent: 4,
+            retry_msgs_sent: 3,
+            retry_words_recv: 2,
+            retry_msgs_recv: 5,
+        };
+        let mut sum = earlier;
+        sum += later.diff(&earlier);
+        assert_eq!(sum, later);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   `six_algs_small` runs.
 //!
 //! The same comparison, on each host, also holds two *programs* to one
-//! run: Algorithm 1 and its streamed variant, which multiply an operand
+//! run: Algorithm 1, plain and streamed, which multiplies an operand
 //! whose fiber has one member where it lies in the global input, against
-//! test-local programs that copy it out and all-gather it as before.
+//! one test-local slab-loop program that copies it out and all-gathers
+//! it as before.
 
 use pmm::algs::{
     alg1, alg1_streamed, alg1_streamed_on_a, cannon, carma, fiber_comms_a, summa, twofived,
@@ -179,115 +180,75 @@ fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     assert_eq!(Arc::strong_count(&ab), 1, "the shared run holds no copy past its end");
 }
 
-/// Algorithm 1 the way it ran before operands were read in place (the
-/// frozen ladder's rung-5 program, with the library's phase scopes):
-/// every rank copies its share of both blocks out of the global inputs
-/// and all-gathers it — over a one-member fiber too.
-async fn alg1_extracting(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
+/// Algorithm 1 the way it ran before operands were read in place: every
+/// rank copies its share of each slab of both blocks out of the global
+/// inputs and all-gathers it — over a one-member fiber too — with the
+/// library's slab clamp, memory rule and phase scopes. With one slab it
+/// is the frozen ladder's rung-5 program.
+async fn alg1_extracting(
+    rank: &mut Rank,
+    cfg: &Alg1Config,
+    slabs: usize,
+    a: &Matrix,
+    b: &Matrix,
+) -> Alg1Output {
     let [p1, p2, p3] = cfg.grid.dims();
     let coord = cfg.grid.coord_of(rank.world_rank());
     let comms = fiber_comms_a(rank, cfg.grid).await;
     let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
     let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
     let (h1, h2, h3) = (a_blk.height(), a_blk.width(), b_blk.width());
-    let a_own = a_blk.chunk(a, p3, coord[2]);
-    let b_own = b_blk.chunk(b, p1, coord[0]);
-    rank.mem_acquire((a_own.len() + b_own.len()) as u64);
+    let slabs = slabs.clamp(1, h2.max(1));
+    let slabs: Vec<[Block2; 2]> = (0..slabs)
+        .map(|s| {
+            let r = block_range(h2, slabs, s);
+            let inner = a_blk.cols.start + r.start..a_blk.cols.start + r.end;
+            let a_slab = Block2 { rows: a_blk.rows.clone(), cols: inner.clone() };
+            [a_slab, Block2 { rows: inner, cols: b_blk.cols.clone() }]
+        })
+        .collect();
+    let owned: Vec<[Vec<f64>; 2]> = slabs
+        .iter()
+        .map(|[a_slab, b_slab]| [a_slab.chunk(a, p3, coord[2]), b_slab.chunk(b, p1, coord[0])])
+        .collect();
+    rank.mem_acquire(owned.iter().flatten().map(Vec::len).sum::<usize>() as u64);
 
-    let a_counts = counts(h1 * h2, p3);
-    rank.mem_acquire((h1 * h2) as u64);
-    let probe = PhaseProbe::begin(rank, "all-gather A");
-    let a_flat = all_gather_v_a(rank, &comms[2], a_own, &a_counts, AllGatherAlgo::Auto).await;
-    let ph_a = probe.finish(rank);
-
-    let b_counts = counts(h2 * h3, p1);
-    rank.mem_acquire((h2 * h3) as u64);
-    let probe = PhaseProbe::begin(rank, "all-gather B");
-    let b_flat = all_gather_v_a(rank, &comms[0], b_own, &b_counts, AllGatherAlgo::Auto).await;
-    let ph_b = probe.finish(rank);
-
-    rank.mem_acquire((h1 * h3) as u64);
-    let d = phase!(rank, "local multiply", {
-        let (a_block, b_block) =
-            (Matrix::from_vec(h1, h2, a_flat), Matrix::from_vec(h2, h3, b_flat));
-        let d = gemm(&a_block, &b_block, cfg.kernel);
-        rank.compute((h1 * h2 * h3) as f64);
-        d
-    });
+    let mut d = Matrix::zeros(h1, h3);
+    let mut meters = [Meter::default(); 2];
+    let mut held = 0;
+    for (s, (blocks, shares)) in slabs.iter().zip(owned).enumerate() {
+        rank.mem_release(held);
+        held = blocks.iter().map(Block2::words).sum::<usize>() as u64;
+        let mut gathered = Vec::new();
+        for (i, (blk, mine)) in blocks.iter().zip(shares).enumerate() {
+            let (fiber, label) = [(&comms[2], "all-gather A"), (&comms[0], "all-gather B")][i];
+            let (p, words) = (fiber.size(), blk.words());
+            rank.mem_acquire(words as u64);
+            let probe = PhaseProbe::begin(rank, label);
+            let flat =
+                all_gather_v_a(rank, fiber, mine, &counts(words, p), AllGatherAlgo::Auto).await;
+            meters[i] += probe.finish(rank).meter;
+            gathered.push(Matrix::from_vec(blk.height(), blk.width(), flat));
+        }
+        if s == 0 {
+            rank.mem_acquire((h1 * h3) as u64);
+        }
+        phase!(rank, "local multiply", {
+            gemm_acc(&mut d, &gathered[0], &gathered[1], cfg.kernel);
+            rank.compute((blocks[0].words() * h3) as f64);
+        });
+    }
     let probe = PhaseProbe::begin(rank, "reduce-scatter C");
     let c_counts = counts(h1 * h3, p2);
     let c_chunk =
         reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
     let ph_c = probe.finish(rank);
     rank.mem_acquire(c_chunk.len() as u64);
-    rank.mem_release((h1 * h2 + h2 * h3 + h1 * h3) as u64);
-    Alg1Output { c_chunk, phases: [ph_a, ph_b, ph_c] }
-}
-
-/// The streamed variant the same way: each slab's shares copied out and
-/// all-gathered, over a one-member fiber too.
-async fn streamed_extracting(
-    rank: &mut Rank,
-    dims: MatMulDims,
-    grid: Grid3,
-    slabs: usize,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    let [p1, p2, p3] = grid.dims();
-    let coord = grid.coord_of(rank.world_rank());
-    let comms = fiber_comms_a(rank, grid).await;
-    let rows_a = block_range(dims.n1 as usize, p1, coord[0]);
-    let inner = block_range(dims.n2 as usize, p2, coord[1]);
-    let cols_b = block_range(dims.n3 as usize, p3, coord[2]);
-    let mut d = Matrix::zeros(rows_a.len(), cols_b.len());
-    rank.mem_acquire(d.words() as u64);
-    let (mut ph_a, mut ph_b) = (Meter::default(), Meter::default());
-    for s in 0..slabs {
-        let slab = block_range(inner.len(), slabs, s);
-        if slab.is_empty() {
-            continue;
-        }
-        let slab_inner = inner.start + slab.start..inner.start + slab.end;
-        let a_slab = Block2 { rows: rows_a.clone(), cols: slab_inner.clone() };
-        let b_slab = Block2 { rows: slab_inner, cols: cols_b.clone() };
-        let mut gathered = Vec::new();
-        for (blk, global, fiber, label, meter) in [
-            (&a_slab, a, &comms[2], "all-gather A (streamed)", &mut ph_a),
-            (&b_slab, b, &comms[0], "all-gather B (streamed)", &mut ph_b),
-        ] {
-            let (p, words) = (fiber.size(), blk.words());
-            let mine = blk.chunk(global, p, fiber.index());
-            rank.mem_acquire(words as u64);
-            let before = rank.meter();
-            let flat = phase!(rank, label, {
-                all_gather_v_a(rank, fiber, mine, &counts(words, p), AllGatherAlgo::Auto).await
-            });
-            let delta = rank.meter().diff(&before);
-            meter.words_sent += delta.words_sent;
-            meter.words_recv += delta.words_recv;
-            meter.msgs_sent += delta.msgs_sent;
-            meter.msgs_recv += delta.msgs_recv;
-            meter.flops += delta.flops;
-            gathered.push(Matrix::from_vec(blk.height(), blk.width(), flat));
-        }
-        phase!(rank, "local multiply", {
-            gemm_acc(&mut d, &gathered[0], &gathered[1], Kernel::Blocked);
-            rank.compute((a_slab.words() * cols_b.len()) as f64);
-        });
-        rank.mem_release((a_slab.words() + b_slab.words()) as u64);
-    }
-    let c_words = d.words();
-    let probe = PhaseProbe::begin(rank, "reduce-scatter C");
-    let c_counts = counts(c_words, p2);
-    let c_chunk =
-        reduce_scatter_v_a(rank, &comms[1], d.into_vec(), &c_counts, ReduceScatterAlgo::Auto).await;
-    let ph_c = probe.finish(rank);
-    rank.mem_acquire(c_chunk.len() as u64);
-    rank.mem_release(c_words as u64);
+    rank.mem_release(held + (h1 * h3) as u64);
+    let [ph_a, ph_b] = meters;
     let phases = [
-        PhaseMeter { label: "all-gather A (streamed)", meter: ph_a },
-        PhaseMeter { label: "all-gather B (streamed)", meter: ph_b },
+        PhaseMeter { label: "all-gather A", meter: ph_a },
+        PhaseMeter { label: "all-gather B", meter: ph_b },
         ph_c,
     ];
     Alg1Output { c_chunk, phases }
@@ -348,7 +309,7 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
                 },
                 |rank| {
                     let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                    Box::pin(async move { alg1_extracting(rank, &cfg, &ab.0, &ab.1).await })
+                    Box::pin(async move { alg1_extracting(rank, &cfg, 1, &ab.0, &ab.1).await })
                 },
             );
             assert_indistinguishable(
@@ -363,10 +324,8 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
                     })
                 },
                 |rank| {
-                    let ab = Arc::clone(&ab);
-                    Box::pin(
-                        async move { streamed_extracting(rank, dims, grid, 3, &ab.0, &ab.1).await },
-                    )
+                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                    Box::pin(async move { alg1_extracting(rank, &cfg, 3, &ab.0, &ab.1).await })
                 },
             );
         }

@@ -1,5 +1,7 @@
 //! Cross-crate checks for the extension variants: streamed Algorithm 1,
-//! executed CARMA, and the advisor — all against the Theorem 3 bound.
+//! executed CARMA, and the advisor — all against the Theorem 3 bound —
+//! and the two plans that are special cases of others: Algorithm 1 is
+//! streamed Algorithm 1 with one slab, Cannon is 2.5D with one layer.
 
 use pmm::prelude::*;
 use std::sync::Arc;
@@ -18,8 +20,13 @@ fn run_plan(plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
 
 /// Run `plan` on a world of the plan's size under `params`.
 fn run_plan_on(plan: &AlgPlan, dims: MatMulDims, params: MachineParams) -> WorldResult<CShare> {
+    run_plan_in(&World::new(plan.active(), params), plan, dims)
+}
+
+/// Run `plan` on the world communicator of `world`.
+fn run_plan_in(world: &World, plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
     let ab = inputs(dims);
-    World::new(plan.active(), params).run_async(|rank| {
+    world.run_async(|rank| {
         let (plan, ab) = (plan.clone(), Arc::clone(&ab));
         Box::pin(async move {
             let comm = rank.world_comm();
@@ -138,5 +145,88 @@ fn streamed_variant_trades_latency_for_memory_monotonically() {
         assert!(peak <= prev_peak, "slabs={slabs}: peak memory must not increase");
         prev_msgs = msgs;
         prev_peak = peak;
+    }
+}
+
+/// Assert `general` and `special` run as the same program on `p` ranks
+/// (α = β = γ = 1, seeded schedule, traced): values (phase labels
+/// included), per-rank meters, clocks, memory peaks and event counts, the
+/// schedule trace and the Chrome export.
+fn assert_same_program(dims: MatMulDims, p: usize, general: AlgPlan, special: AlgPlan) {
+    let world = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).with_seed(11).with_trace(true);
+    let (x, y) = (run_plan_in(&world, &general, dims), run_plan_in(&world, &special, dims));
+    let label = format!("{general} vs {special} on {dims}, P = {p}");
+    assert_eq!(x.values, y.values, "{label}: values");
+    for (r, (g, s)) in x.reports.iter().zip(&y.reports).enumerate() {
+        assert_eq!(g.meter, s.meter, "{label}: rank {r} meter");
+        assert_eq!(g.time, s.time, "{label}: rank {r} clock");
+        assert_eq!(g.peak_mem_words, s.peak_mem_words, "{label}: rank {r} memory peak");
+        assert_eq!(g.final_stamp, s.final_stamp, "{label}: rank {r} event count");
+    }
+    let render = |out: &WorldResult<CShare>| out.schedule_trace.as_ref().expect("seeded").render();
+    assert_eq!(render(&x), render(&y), "{label}: schedule traces");
+    let chrome = |out: &WorldResult<CShare>| out.tracer().expect("traced").chrome_json();
+    assert!(chrome(&x) == chrome(&y), "{label}: Chrome exports");
+}
+
+#[test]
+fn streamed_alg1_with_one_slab_is_alg1() {
+    // Divisible, ragged, and a 1D grid whose A operand is read in place.
+    for (dims, grid) in [
+        (MatMulDims::new(24, 12, 18), [2, 3, 2]),
+        (MatMulDims::new(25, 13, 17), [2, 2, 3]),
+        (MatMulDims::new(64, 16, 16), [4, 1, 1]),
+    ] {
+        let p = grid.iter().product();
+        let streamed = AlgPlan::Alg1Streamed { grid, slabs: 1 };
+        assert_same_program(dims, p, streamed, AlgPlan::Alg1 { grid });
+    }
+}
+
+#[test]
+fn twofived_with_one_layer_is_cannon() {
+    // Divisible, ragged, and three idle members past the 2 × 2 torus.
+    for (dims, q, p) in [
+        (MatMulDims::new(24, 12, 18), 3, 9),
+        (MatMulDims::new(25, 13, 17), 3, 9),
+        (MatMulDims::new(10, 7, 9), 2, 7),
+    ] {
+        assert_same_program(dims, p, AlgPlan::TwoFiveD { q, c: 1 }, AlgPlan::Cannon { q });
+    }
+}
+
+#[test]
+fn streamed_phase_meters_keep_every_retransmitted_word() {
+    // Under message drops the three phases of Algorithm 1, plain or
+    // streamed, carry all of the run's traffic: goodput and retries.
+    let dims = MatMulDims::new(24, 12, 18);
+    let faults = FaultPlan::none().with_seed(9).with_drop(0.2);
+    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(3).with_faults(faults);
+    let counters = |m: &Meter| {
+        [
+            m.words_sent,
+            m.words_recv,
+            m.msgs_sent,
+            m.msgs_recv,
+            m.retry_words_sent,
+            m.retry_msgs_sent,
+            m.retry_words_recv,
+            m.retry_msgs_recv,
+        ]
+    };
+    for plan in
+        [AlgPlan::Alg1 { grid: [2, 3, 2] }, AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 }]
+    {
+        let out = run_plan_in(&world, &plan, dims);
+        let (mut phases, mut meters) = (Meter::default(), Meter::default());
+        for (share, report) in out.values.iter().zip(&out.reports) {
+            let CShare::Chunk(alg1) = share else { panic!("{plan}: expected a chunk") };
+            for phase in &alg1.phases {
+                phases += phase.meter;
+            }
+            meters += report.meter;
+        }
+        assert!(meters.retry_words_sent > 0, "{plan}: the drops cost retransmissions");
+        assert_eq!(counters(&phases), counters(&meters), "{plan}: phases vs meters");
     }
 }
