@@ -40,10 +40,10 @@
 //!
 //! **One body, `t` slabs.** Lines 3–6 run once per slab of the contracted
 //! dimension (`A`-columns / `B`-rows of the blocks), accumulating into
-//! `D`; line 8 runs once. [`alg1_on_a`] runs one slab — the algorithm
-//! above — and the §6.2 streamed variant
-//! ([`alg1_streamed_on_a`](crate::streamed::alg1_streamed_on_a)) runs
-//! `t`, with the same words and `t×` the gather messages.
+//! `D`; line 8 runs once. [`alg1_on_a`] with one slab is the algorithm
+//! above; with `t` it is the §6.2 streamed variant
+//! ([`alg1_streamed`](crate::streamed::alg1_streamed)), with the same
+//! words and `t×` the gather messages.
 
 use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, ReduceScatterAlgo};
 
@@ -136,37 +136,24 @@ pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Ou
 /// and is read in place).
 pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     let world = rank.world_comm();
-    alg1_on_a(rank, &world, cfg, a, b).await
+    alg1_on_a(rank, &world, cfg, 1, a, b).await
 }
 
-/// [`alg1`] generalized to an arbitrary base communicator (whose size
-/// must equal the grid size): this rank's grid position is its index in
-/// `base`, and all three fiber communicators are split from `base`. This
-/// is what [`crate::recovery::run_plan_a`] runs for an Algorithm 1 plan,
-/// on the world or on the surviving ranks of a recovery attempt.
+/// The one body of Algorithm 1 (see the [module docs](self)), on an
+/// arbitrary base communicator (whose size must equal the grid size):
+/// this rank's grid position is its index in `base`, and all three fiber
+/// communicators are split from `base`. This is what
+/// [`crate::recovery::run_plan_a`] runs for an Algorithm 1 plan, plain or
+/// streamed, on the world or on the surviving ranks of a recovery attempt.
 ///
-/// Not an `async fn`: it hands back the one body's future as is, so a
-/// rank's future holds no second copy of the arguments.
-pub fn alg1_on_a<'a>(
-    rank: &'a mut Rank,
-    base: &'a Comm,
-    cfg: &'a Alg1Config,
-    a: &'a Matrix,
-    b: &'a Matrix,
-) -> impl std::future::Future<Output = Alg1Output> + 'a {
-    alg1_slabs_on_a(rank, base, cfg, 1, a, b)
-}
-
-/// The one body of Algorithm 1 (see the [module docs](self)). `slabs` is
-/// clamped to `[1, max(h2, 1)]` (`h2` = this rank's inner extent), so no
-/// slab is empty.
-///
+/// `slabs` is clamped to `[1, max(h2, 1)]` (`h2` = this rank's inner
+/// extent), so no slab is empty; one slab is the paper's Algorithm 1.
 /// The footprint is declared as the §5 one: the owned chunks of every
 /// slab first, then each slab's two gather buffers before its gathers
 /// (released when the next slab's are acquired), `D` after the first
 /// slab's gathers, and the last slab's buffers released with `D` after
 /// assembly.
-pub(crate) async fn alg1_slabs_on_a(
+pub async fn alg1_on_a(
     rank: &mut Rank,
     base: &Comm,
     cfg: &Alg1Config,
@@ -229,10 +216,10 @@ pub(crate) async fn alg1_slabs_on_a(
         meter_b += probe.finish(rank).meter;
 
         // ----- line 6: local computation D += A_slab · B_slab --------------
-        if s == 0 {
+        let d = d.get_or_insert_with(|| {
             rank.mem_acquire(c_block_words as u64);
-        }
-        let d = d.get_or_insert_with(|| Matrix::zeros(h1, h3));
+            Matrix::zeros(h1, h3)
+        });
         pmm_simnet::phase!(rank, "local multiply", {
             gemm_acc(d, &a_op, &b_op, cfg.kernel);
             // The model meters scalar multiplications, matching the

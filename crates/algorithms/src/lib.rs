@@ -59,6 +59,6 @@ pub use recovery::{
     assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };
 pub use recursive::{carma, carma_a, carma_assemble_c, carma_shares};
-pub use streamed::{alg1_streamed, alg1_streamed_on_a};
+pub use streamed::alg1_streamed;
 pub use summa::{near_square_factors, summa, summa_on_a, SummaConfig, SummaOutput};
 pub use twofived::{twofived, twofived_on_a, TwoFiveDConfig, TwoFiveDOutput};

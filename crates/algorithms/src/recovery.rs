@@ -57,7 +57,6 @@ use crate::grid3d::{
     alg1_on_a, assemble_c, owned_a_chunk, owned_b_chunk, Alg1Config, Alg1Output, Assembly,
 };
 use crate::recursive::{carma_a, carma_assemble_c, carma_shares};
-use crate::streamed::alg1_streamed_on_a;
 use crate::summa::{lcm, near_square_factors, summa_on_a, SummaConfig};
 use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
@@ -259,16 +258,12 @@ pub async fn run_plan_a(
         comm.size()
     );
     match *plan {
-        AlgPlan::Alg1 { grid } => {
+        AlgPlan::Alg1 { grid } | AlgPlan::Alg1Streamed { grid, .. } => {
+            // Algorithm 1 is streamed Algorithm 1 with one slab.
+            let slabs = if let AlgPlan::Alg1Streamed { slabs, .. } = *plan { slabs } else { 1 };
             let grid = Grid3::from_dims(grid);
             let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
-            CShare::Chunk(Box::new(alg1_on_a(rank, comm, &cfg, a, b).await))
-        }
-        AlgPlan::Alg1Streamed { grid, slabs } => {
-            let grid = Grid3::from_dims(grid);
-            CShare::Chunk(Box::new(
-                alg1_streamed_on_a(rank, comm, dims, grid, slabs, kernel, a, b).await,
-            ))
+            CShare::Chunk(Box::new(alg1_on_a(rank, comm, &cfg, slabs, a, b).await))
         }
         AlgPlan::Summa { pr, pc } => {
             let cfg = SummaConfig { dims, pr, pc, kernel };

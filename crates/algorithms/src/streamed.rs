@@ -10,9 +10,9 @@
 //! collective runs `t` times, so the latency term grows `t×`; the words
 //! moved are identical (each element still travels exactly once).
 //!
-//! It is not a second algorithm: Algorithm 1's one body
-//! ([`alg1_on_a`](crate::grid3d::alg1_on_a)) already loops over slabs, and
-//! runs one. This module names the entry points that run `t`. The initial
+//! It is not a second algorithm: Algorithm 1's one body ([`alg1_on_a`])
+//! loops over slabs, and runs one for the paper's Algorithm 1. This module
+//! keeps the benchmark's sync entry point that runs `t`. The initial
 //! distribution is the natural slab-aligned one: each processor owns, for
 //! every slab, an even chunk of that slab across its fiber (the lower bound
 //! makes no assumption on distribution beyond the single-copy rule, so the
@@ -20,14 +20,18 @@
 
 use pmm_dense::{Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{poll_now, Rank};
 
-use crate::grid3d::{alg1_slabs_on_a, Alg1Config, Alg1Output, Assembly};
+use crate::grid3d::{alg1_on_a, Alg1Config, Alg1Output, Assembly};
 
-/// [`alg1_streamed_on_a`] on the world, driven to completion in one
-/// [`poll_now`]: the sync entry point of a
+/// Algorithm 1 with `slabs` inner-dimension slabs on the world, driven to
+/// completion in one [`poll_now`]: the sync entry point of a
 /// [`World::run`](pmm_simnet::World::run) thread host, kept only for the
-/// frozen benchmark.
+/// frozen benchmark. `slabs` is clamped to each rank's inner extent, so no
+/// slab is empty, and `slabs = 1` is [`alg1`](crate::grid3d::alg1), event
+/// for event. Assembles `C` with [`Assembly::ReduceScatter`]; the chunks
+/// assemble with [`assemble_c`](crate::grid3d::assemble_c). On another
+/// communicator, run [`alg1_on_a`] with `slabs`.
 pub fn alg1_streamed(
     rank: &mut Rank,
     dims: MatMulDims,
@@ -38,29 +42,8 @@ pub fn alg1_streamed(
     b: &Matrix,
 ) -> Alg1Output {
     let world = rank.world_comm();
-    poll_now(alg1_streamed_on_a(rank, &world, dims, grid, slabs, kernel, a, b))
-}
-
-/// Run Algorithm 1 with `slabs` inner-dimension slabs on communicator
-/// `base`, which must have exactly `grid.size()` members; this rank's grid
-/// coordinate is its index in `base`. `slabs` is clamped to each rank's
-/// inner extent, so no slab is empty, and `slabs = 1` is
-/// [`alg1_on_a`](crate::grid3d::alg1_on_a), event for event. Assembles `C`
-/// with [`Assembly::ReduceScatter`]; the chunks assemble with
-/// [`assemble_c`](crate::grid3d::assemble_c).
-#[allow(clippy::too_many_arguments)]
-pub async fn alg1_streamed_on_a(
-    rank: &mut Rank,
-    base: &Comm,
-    dims: MatMulDims,
-    grid: Grid3,
-    slabs: usize,
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
     let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
-    alg1_slabs_on_a(rank, base, &cfg, slabs, a, b).await
+    poll_now(alg1_on_a(rank, &world, &cfg, slabs, a, b))
 }
 
 #[cfg(test)]
@@ -123,6 +106,24 @@ mod tests {
             eight.max_peak_mem_words(),
             one.max_peak_mem_words()
         );
+    }
+
+    #[test]
+    fn matches_plain_alg1_bandwidth_on_divisible_instances() {
+        // Streamed with divisible slabs moves exactly the same words as
+        // plain Algorithm 1 (different distribution, same traffic).
+        let dims = MatMulDims::new(24, 24, 24);
+        let grid = [2usize, 2, 2];
+        let (_, streamed) = run(dims, grid, 3);
+
+        let (a, b) = (random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72));
+        let (_, plain) = run_on_world(&AlgPlan::Alg1 { grid }, dims, a, b);
+        for r in 0..8 {
+            assert_eq!(
+                streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,
+                "rank {r}"
+            );
+        }
     }
 
     #[test]

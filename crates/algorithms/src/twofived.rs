@@ -218,6 +218,13 @@ mod tests {
     }
 
     #[test]
+    fn correct_at_c1_degenerates_to_cannon() {
+        let dims = MatMulDims::new(12, 12, 12);
+        let (cmat, _) = run(dims, 3, 1);
+        assert_eq!(cmat, reference(dims));
+    }
+
+    #[test]
     fn correct_with_replication() {
         let dims = MatMulDims::new(8, 8, 8);
         for (q, c) in [(2usize, 2usize), (4, 2), (4, 4)] {

@@ -32,8 +32,8 @@
 //! it as before.
 
 use pmm::algs::{
-    alg1, alg1_streamed, alg1_streamed_on_a, cannon, carma, fiber_comms_a, summa, twofived,
-    PhaseMeter, PhaseProbe,
+    alg1, alg1_on_a, alg1_streamed, cannon, carma, fiber_comms_a, summa, twofived, PhaseMeter,
+    PhaseProbe,
 };
 use pmm::collectives::{all_gather_v_a, reduce_scatter_v_a};
 use pmm::dense::{block_range, chunk_of_block, gemm_acc, Block2};
@@ -316,11 +316,10 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
                 &format!("streamed on {label}"),
                 &world,
                 |rank| {
-                    let ab = Arc::clone(&ab);
+                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
                     Box::pin(async move {
                         let comm = rank.world_comm();
-                        let (a, b) = &*ab;
-                        alg1_streamed_on_a(rank, &comm, dims, grid, 3, Kernel::Blocked, a, b).await
+                        alg1_on_a(rank, &comm, &cfg, 3, &ab.0, &ab.1).await
                     })
                 },
                 |rank| {

@@ -1,7 +1,8 @@
 //! Cross-crate checks for the extension variants: streamed Algorithm 1,
 //! executed CARMA, and the advisor — all against the Theorem 3 bound —
 //! and the two plans that are special cases of others: Algorithm 1 is
-//! streamed Algorithm 1 with one slab, Cannon is 2.5D with one layer.
+//! streamed Algorithm 1 with one slab, Cannon is 2.5D with one layer,
+//! each pinned to its recorded run.
 
 use pmm::prelude::*;
 use std::sync::Arc;
@@ -148,50 +149,97 @@ fn streamed_variant_trades_latency_for_memory_monotonically() {
     }
 }
 
-/// Assert `general` and `special` run as the same program on `p` ranks
-/// (α = β = γ = 1, seeded schedule, traced): values (phase labels
-/// included), per-rank meters, clocks, memory peaks and event counts, the
-/// schedule trace and the Chrome export.
-fn assert_same_program(dims: MatMulDims, p: usize, general: AlgPlan, special: AlgPlan) {
+/// FNV-1a (64 bit) of `s`: a fingerprint that no toolchain update moves.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Fingerprint of `plan` on `p` ranks (α = β = γ = 1, seeded schedule,
+/// traced): hashes of the values (phase labels included), of every
+/// rank's `(meter, clock, memory peak, event count)`, of the schedule
+/// trace and of the Chrome export.
+fn fingerprint(plan: &AlgPlan, dims: MatMulDims, p: usize) -> [u64; 4] {
     let world = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).with_seed(11).with_trace(true);
-    let (x, y) = (run_plan_in(&world, &general, dims), run_plan_in(&world, &special, dims));
-    let label = format!("{general} vs {special} on {dims}, P = {p}");
-    assert_eq!(x.values, y.values, "{label}: values");
-    for (r, (g, s)) in x.reports.iter().zip(&y.reports).enumerate() {
-        assert_eq!(g.meter, s.meter, "{label}: rank {r} meter");
-        assert_eq!(g.time, s.time, "{label}: rank {r} clock");
-        assert_eq!(g.peak_mem_words, s.peak_mem_words, "{label}: rank {r} memory peak");
-        assert_eq!(g.final_stamp, s.final_stamp, "{label}: rank {r} event count");
+    let out = run_plan_in(&world, plan, dims);
+    let ranks: Vec<_> =
+        out.reports.iter().map(|r| (r.meter, r.time, r.peak_mem_words, r.final_stamp)).collect();
+    [
+        fnv1a(&format!("{:?}", out.values)),
+        fnv1a(&format!("{ranks:?}")),
+        fnv1a(&out.schedule_trace.as_ref().expect("seeded").render()),
+        fnv1a(&out.tracer().expect("traced").chrome_json()),
+    ]
+}
+
+/// Assert each of `plans` runs on `p` ranks as the recorded program:
+/// `want` is the [`fingerprint`] recorded while Cannon and streamed
+/// Algorithm 1 still had bodies of their own. A change that moves a
+/// fingerprint on purpose records the new one and says why.
+fn assert_runs_as_recorded(plans: &[AlgPlan], dims: MatMulDims, p: usize, want: [u64; 4]) {
+    for plan in plans {
+        let got = fingerprint(plan, dims, p);
+        for (part, (g, w)) in
+            ["values", "ranks", "schedule", "chrome"].iter().zip(got.iter().zip(want))
+        {
+            assert_eq!(*g, w, "{plan} on {dims}, P = {p}: {part} fingerprint {g:#018x}");
+        }
     }
-    let render = |out: &WorldResult<CShare>| out.schedule_trace.as_ref().expect("seeded").render();
-    assert_eq!(render(&x), render(&y), "{label}: schedule traces");
-    let chrome = |out: &WorldResult<CShare>| out.tracer().expect("traced").chrome_json();
-    assert!(chrome(&x) == chrome(&y), "{label}: Chrome exports");
 }
 
 #[test]
 fn streamed_alg1_with_one_slab_is_alg1() {
     // Divisible, ragged, and a 1D grid whose A operand is read in place.
-    for (dims, grid) in [
-        (MatMulDims::new(24, 12, 18), [2, 3, 2]),
-        (MatMulDims::new(25, 13, 17), [2, 2, 3]),
-        (MatMulDims::new(64, 16, 16), [4, 1, 1]),
-    ] {
-        let p = grid.iter().product();
-        let streamed = AlgPlan::Alg1Streamed { grid, slabs: 1 };
-        assert_same_program(dims, p, streamed, AlgPlan::Alg1 { grid });
+    let d = MatMulDims::new;
+    let plans = |grid| [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 1 }];
+    #[rustfmt::skip]
+    let recorded = [
+        ([2, 3, 2], d(24, 12, 18),
+         [0x4fc816d4b90819ff, 0x1fd2a35aac5d52f9, 0x42e91e489d5eb8ac, 0x3f3ea4f5e085ff34]),
+        ([2, 2, 3], d(25, 13, 17),
+         [0x12d938e37b77f45a, 0x743184345d710c9a, 0x2a2c21af93f6dff0, 0x819a6ff444602c39]),
+        ([4, 1, 1], d(64, 16, 16),
+         [0x84ad5d2068445b69, 0x583a6607fd169db1, 0x8303e68d6f6908e3, 0x0fdab8a32ae55fa1]),
+    ];
+    for (grid, dims, want) in recorded {
+        assert_runs_as_recorded(&plans(grid), dims, grid.iter().product(), want);
     }
 }
 
 #[test]
 fn twofived_with_one_layer_is_cannon() {
     // Divisible, ragged, and three idle members past the 2 × 2 torus.
-    for (dims, q, p) in [
-        (MatMulDims::new(24, 12, 18), 3, 9),
-        (MatMulDims::new(25, 13, 17), 3, 9),
-        (MatMulDims::new(10, 7, 9), 2, 7),
-    ] {
-        assert_same_program(dims, p, AlgPlan::TwoFiveD { q, c: 1 }, AlgPlan::Cannon { q });
+    let d = MatMulDims::new;
+    let plans = |q| [AlgPlan::Cannon { q }, AlgPlan::TwoFiveD { q, c: 1 }];
+    #[rustfmt::skip]
+    let recorded = [
+        (3, d(24, 12, 18), 9,
+         [0x6d308be7de022481, 0x0b97180d4d3bceb0, 0x0db1e90dbcb784b0, 0x51596a2a95cb80ec]),
+        (3, d(25, 13, 17), 9,
+         [0x1482275bddc25374, 0x3751b9dd5555d6ed, 0x99fe33a63718f0c2, 0xb82f2be16e0c18ee]),
+        (2, d(10, 7, 9), 7,
+         [0xbce42bce01823094, 0x004c349eef25bd64, 0xc2d62705be5ddfaf, 0x8d4e9e815fbbc4bc]),
+    ];
+    for (q, dims, p, want) in recorded {
+        assert_runs_as_recorded(&plans(q), dims, p, want);
+    }
+}
+
+#[test]
+fn the_other_bodies_run_as_recorded() {
+    // Folding Cannon into 2.5D and streaming into Algorithm 1 moves no
+    // event of 2.5D with layers, SUMMA or CARMA.
+    let d = MatMulDims::new;
+    #[rustfmt::skip]
+    let recorded = [
+        (AlgPlan::TwoFiveD { q: 2, c: 2 }, d(16, 16, 16), 8,
+         [0x1e04551af474528d, 0x147e6d2b5d167191, 0xdb4d0f70ca2e4201, 0x38a2e59a68a7d072]),
+        (AlgPlan::Summa { pr: 2, pc: 3 }, d(24, 12, 18), 6,
+         [0x4b1f4efd9dc7c6fc, 0xce01025d3d6dd4a1, 0x5131c0507c67623d, 0xd735d8dfdb68de0d]),
+        (AlgPlan::Carma { p: 8 }, d(16, 16, 16), 8,
+         [0x63bf00e7664fd4e3, 0x59d58bfd75fc1e11, 0xaa8fd6600a001e89, 0x4aabff3496937681]),
+    ];
+    for (plan, dims, p, want) in recorded {
+        assert_runs_as_recorded(&[plan], dims, p, want);
     }
 }
 
