@@ -3,13 +3,14 @@
 //! These perform the per-processor computation of every parallel algorithm
 //! (line 6 of Algorithm 1). The tiers, from pinned oracle to fastest:
 //!
-//! * [`Kernel::Naive`] — `i-k-j` over groups of four rows of `C`: each
-//!   pass over a row of `B` (contiguous, as are the rows of `C`) updates
-//!   four rows, so `B` is read once per four rows of `A` rather than once
-//!   per row. It stays the **pinned oracle** because it is still the
-//!   textbook sum — one `madd` per term, `k` increasing, nothing packed,
-//!   padded or re-associated — and every other tier must produce a
-//!   bitwise-identical product (see below).
+//! * [`Kernel::Naive`] — the textbook dot products, one 4×16 block of
+//!   `C` at a time: the block is loaded into 64 accumulators, gets one
+//!   `madd` per term over a slab of `k`, and is stored back, so `C` is
+//!   not loaded and stored per multiply-add. It stays the **pinned
+//!   oracle** because it is still the textbook sum — one `madd` per term,
+//!   `k` increasing, nothing packed, padded or re-associated, no buffer
+//!   allocated — and every other tier must produce a bitwise-identical
+//!   product (see below).
 //! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled
 //!   microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir` loop nest in the
 //!   `blocked` module): an explicit AVX-512 tile where the build target
@@ -25,8 +26,9 @@
 //! per term — a single fused multiply-add where the build target has
 //! hardware FMA, a `mul` then an `add` where it has not, and the same one
 //! of the two in every tier of a build — with no private re-associated
-//! partial sums (the blocked microkernel loads the live `C` tile into its
-//! accumulator registers before the `k` loop and stores it back after).
+//! partial sums (both register tiles, `Naive`'s and the blocked
+//! microkernel's, load the live `C` values into their accumulators before
+//! the `k` loop and store them back after).
 //! IEEE-754 arithmetic is deterministic, so all tiers produce
 //! **bitwise-identical** products for arbitrary `f64` inputs — not merely
 //! for the exact integer matrices used by the conformance tests.
@@ -76,12 +78,13 @@ use crate::matrix::{MatRef, Matrix};
 /// (`m·k·n / (m·k + k·n + m·n)`; `n/3` for a cube) and switches to
 /// `Blocked` above it. `Blocked` copies every element of `A` and `B`
 /// into a packed panel and pads `m` up to its register tile, which only
-/// pays off once each element is reused: the measured crossover of the
-/// sweep in `docs/PERFORMANCE.md` (cubes from n = 10 up; a 1 × k × n or
-/// m × 1 × n product never). `Naive` reads `B` once per four rows of
-/// `C`, which keeps it 1.3–2.3× ahead of `Blocked` on every product of
-/// intensity 2–3 in that sweep.
-pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 3.0;
+/// pays off once each element is reused. `Naive` holds a 4 × 16 block of
+/// `C` in registers as well, without the copies, so it keeps up with
+/// `Blocked` until the product is large enough for `Blocked`'s wider
+/// tile and deeper reuse to count: the measured crossover of the sweep
+/// in `docs/PERFORMANCE.md` §1 (cubes from n = 67 up; a 1 × k × n or
+/// m × 1 × n product never).
+pub const AUTO_NAIVE_MAX_INTENSITY: f64 = 22.0;
 
 /// Environment variable selecting the default kernel tier
 /// (`naive | blocked | auto`), consulted by
@@ -110,7 +113,7 @@ pub(crate) fn madd(a: f64, b: f64, c: f64) -> f64 {
 /// Kernel selector. See the [module docs](self) for the tier guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {
-    /// `i-k-j` over groups of four rows of `C` — the pinned oracle.
+    /// Dot products over 4×16 blocks of `C` — the pinned oracle.
     Naive,
     /// Packed-panel microkernel GEMM (the fast tier).
     Blocked,
@@ -210,43 +213,102 @@ pub fn gemm_acc<'a, 'b>(
     }
 }
 
-/// Rows of `C` the oracle updates per pass over a row of `B`: the pass
-/// reads `B` once per this many rows of `A` instead of once per row.
+/// Rows and columns of the block of `C` the oracle holds in registers
+/// while it runs over a slab of `k`: 64 accumulators, 16 ymm or 8 zmm
+/// registers. Per multiply-add the block reads 1/16 of a word of `A` and
+/// 1/4 of a word of `B`, where a loop over rows of `C` loads and stores a
+/// word of `C` per multiply-add.
 const NAIVE_ROWS: usize = 4;
+const NAIVE_COLS: usize = 16;
+/// Columns and rows of the block of `B` every row group of `A` passes
+/// over before the next block: 256 × 128 words (256 KB), which stay in
+/// L2. The slab is what keeps them there: the 16 columns a block of `C`
+/// reads from each row of `B` lie a row stride apart, and at a stride of
+/// a power of two (8 KB at n = 1024) they fall into a few dozen of a 2 MB
+/// L2's sets, so a whole pass over `k = 1024` thrashes them (8–9 GFLOP/s
+/// at 1024³, against 17–20 with the slab; `docs/PERFORMANCE.md` §1 has
+/// the measured sizes). A slab costs one load and one store of the block
+/// per 128 multiply-adds into each accumulator.
+const NAIVE_PANEL: usize = 256;
+const NAIVE_DEPTH: usize = 128;
 
-/// The oracle: `i-k-j` over groups of [`NAIVE_ROWS`] rows of `C`. For
-/// each `k`, one pass over row `k` of `B` adds `A[i][k]·B[k][j]` to every
-/// row `i` of the group; the `m mod 4` rows left at the bottom take the
-/// same loop one row at a time. Either way each `C[i][j]` sees one `madd`
-/// per term in strictly increasing `k` — the textbook loop's sequence.
+/// The oracle: the textbook dot products `C[i][j] += Σ_k A[i][k]·B[k][j]`,
+/// one [`NAIVE_ROWS`] × [`NAIVE_COLS`] block of `C` at a time, over
+/// [`NAIVE_PANEL`]-column panels and [`NAIVE_DEPTH`]-row slabs of `B`
+/// taken in increasing `k`. A row group's last `n mod 16` columns take
+/// 4- and 1-column blocks of the same body; the `m mod 4` rows left at the
+/// bottom take the one-row `i-k-j` loop. Either way each `C[i][j]` sees
+/// one `madd` per term in strictly increasing `k` — the textbook loop's
+/// sequence.
 fn naive(c: &mut Matrix, a: MatRef<'_>, b: MatRef<'_>) {
-    let n = b.cols();
-    let b_rows = || (0..b.rows()).map(|l| b.row(l));
-    let mut groups = c.as_mut_slice().chunks_exact_mut(NAIVE_ROWS * n);
-    for (g, cg) in (&mut groups).enumerate() {
-        let i = g * NAIVE_ROWS;
-        let (c0, rest) = cg.split_at_mut(n);
-        let (c1, rest) = rest.split_at_mut(n);
-        let (c2, c3) = rest.split_at_mut(n);
-        let a_cols = a.row(i).iter().zip(a.row(i + 1)).zip(a.row(i + 2)).zip(a.row(i + 3));
-        for ((((&x0, &x1), &x2), &x3), brow) in a_cols.zip(b_rows()) {
-            let cols = c0.iter_mut().zip(c1.iter_mut()).zip(c2.iter_mut()).zip(c3.iter_mut());
-            for ((((y0, y1), y2), y3), &bj) in cols.zip(brow) {
-                *y0 = madd(x0, bj, *y0);
-                *y1 = madd(x1, bj, *y1);
-                *y2 = madd(x2, bj, *y2);
-                *y3 = madd(x3, bj, *y3);
+    let (k, n) = (a.cols(), b.cols());
+    let groups = a.rows() / NAIVE_ROWS;
+    let (grouped, rest) = c.as_mut_slice().split_at_mut(groups * NAIVE_ROWS * n);
+    for j0 in (0..n).step_by(NAIVE_PANEL) {
+        let end = n.min(j0 + NAIVE_PANEL);
+        for l0 in (0..k).step_by(NAIVE_DEPTH) {
+            let slab = l0..k.min(l0 + NAIVE_DEPTH);
+            for (g, cg) in grouped.chunks_exact_mut(NAIVE_ROWS * n).enumerate() {
+                let a_rows = std::array::from_fn(|r| &a.row(g * NAIVE_ROWS + r)[slab.clone()]);
+                let mut j = j0;
+                while j + NAIVE_COLS <= end {
+                    dot_block::<NAIVE_COLS>(cg, n, j, a_rows, b, l0);
+                    j += NAIVE_COLS;
+                }
+                while j + 4 <= end {
+                    dot_block::<4>(cg, n, j, a_rows, b, l0);
+                    j += 4;
+                }
+                while j < end {
+                    dot_block::<1>(cg, n, j, a_rows, b, l0);
+                    j += 1;
+                }
             }
         }
     }
-    let rest = groups.into_remainder();
-    let first = a.rows() - rest.len() / n;
-    for (i, crow) in (first..).zip(rest.chunks_exact_mut(n)) {
+    let b_rows = || (0..k).map(|l| b.row(l));
+    for (i, crow) in (groups * NAIVE_ROWS..).zip(rest.chunks_exact_mut(n)) {
         for (&aik, brow) in a.row(i).iter().zip(b_rows()) {
             for (y, &bj) in crow.iter_mut().zip(brow) {
                 *y = madd(aik, bj, *y);
             }
         }
+    }
+}
+
+/// One `NAIVE_ROWS × W` block of `C` at column `j` of the row group `cg`
+/// (`n` columns a row), over the slab of `k` that starts at row `l0` of
+/// `B` and that `a_rows` (the group's rows of `A`, cut to the slab) span:
+/// load the block into registers, add one `madd` per term in increasing
+/// `k`, and store it.
+#[inline(always)]
+fn dot_block<const W: usize>(
+    cg: &mut [f64],
+    n: usize,
+    j: usize,
+    a_rows: [&[f64]; NAIVE_ROWS],
+    b: MatRef<'_>,
+    l0: usize,
+) {
+    // Loaded and stored by value: copied in or out through a slice
+    // (`copy_from_slice`) the array stays in memory, and the loop over it
+    // is not vectorised.
+    let mut acc: [[f64; W]; NAIVE_ROWS] = std::array::from_fn(|r| {
+        *cg[r * n + j..].first_chunk().expect("the block lies inside C's row")
+    });
+    let [a0, a1, a2, a3] = a_rows;
+    for (l, (((&x0, &x1), &x2), &x3)) in a0.iter().zip(a1).zip(a2).zip(a3).enumerate() {
+        let bv: &[f64; W] =
+            b.row(l0 + l)[j..].first_chunk().expect("the block lies inside B's row");
+        let x = [x0, x1, x2, x3];
+        for (tr, &xr) in acc.iter_mut().zip(&x) {
+            for (y, &bj) in tr.iter_mut().zip(bv) {
+                *y = madd(xr, bj, *y);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        *cg[r * n + j..].first_chunk_mut().expect("the block lies inside C's row") = *accr;
     }
 }
 
@@ -272,12 +334,18 @@ mod tests {
 
     #[test]
     fn naive_is_the_textbook_loop_bitwise() {
-        // Every remainder of m mod 4, strided operands (blocks of wider
-        // matrices read in place) and a live fractional C.
+        // Every remainder of m mod 4; n across every block width (16, 4
+        // and 1 columns), their rims and the panel edge; k across the slab
+        // edge; strided operands (blocks of wider matrices read in place)
+        // and a live fractional C.
+        let p = NAIVE_PANEL;
+        let ns = [1, 3, 4, 5, 15, 16, 17, 20, 33, 63, 64, 65, 80, 130, p - 1, p, p + 1, p + 21];
+        let d = NAIVE_DEPTH;
+        let ks = [1, 3, 8, 33, d - 1, d, d + 1];
         for m in 0..=9usize {
-            for k in [1usize, 3, 8, 33] {
-                for n in [1usize, 3, 8, 33] {
-                    let seed = (100 * m + 10 * k + n) as u64;
+            for k in ks {
+                for n in ns {
+                    let seed = (1000 * m + 10 * k + n) as u64;
                     let big_a = random_matrix(m + 2, k + 5, seed);
                     let big_b = random_matrix(k + 1, n + 7, seed + 1);
                     let a = Block2 { rows: 1..m + 1, cols: 2..k + 2 }.view(&big_a);
@@ -411,9 +479,13 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_intensity() {
-        assert_eq!(Kernel::Auto.resolve(9, 9, 9), Kernel::Naive);
-        assert_eq!(Kernel::Auto.resolve(10, 10, 10), Kernel::Blocked);
+        assert_eq!(Kernel::Auto.resolve(66, 66, 66), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(67, 67, 67), Kernel::Blocked);
         assert_eq!(Kernel::Auto.resolve(64, 3, 64), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(20, 20, 20), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(97, 33, 65), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(128, 128, 32), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(256, 32, 256), Kernel::Blocked);
         assert_eq!(Kernel::Auto.resolve(512, 512, 512), Kernel::Blocked);
         // No reuse to pay for packing, whatever the volume.
         assert_eq!(Kernel::Auto.resolve(1, 4096, 4096), Kernel::Naive);
