@@ -225,8 +225,8 @@ const NAIVE_COLS: usize = 16;
 /// L2. The slab is what keeps them there: the 16 columns a block of `C`
 /// reads from each row of `B` lie a row stride apart, and at a stride of
 /// a power of two (8 KB at n = 1024) they fall into a few dozen of a 2 MB
-/// L2's sets, so a whole pass over `k = 1024` thrashes them (8–9 GFLOP/s
-/// at 1024³, against 17–20 with the slab; `docs/PERFORMANCE.md` §1 has
+/// L2's sets, so a whole pass over `k = 1024` thrashes them (9–10 GFLOP/s
+/// at 1024³, against 19–20 with the slab; `docs/PERFORMANCE.md` §1 has
 /// the measured sizes). A slab costs one load and one store of the block
 /// per 128 multiply-adds into each accumulator.
 const NAIVE_PANEL: usize = 256;
@@ -290,9 +290,9 @@ fn dot_block<const W: usize>(
     b: MatRef<'_>,
     l0: usize,
 ) {
-    // Loaded and stored by value: copied in or out through a slice
-    // (`copy_from_slice`) the array stays in memory, and the loop over it
-    // is not vectorised.
+    // Loaded and stored by value: an array filled or emptied with
+    // `copy_from_slice` stays in memory, and the loop over it is not
+    // vectorised.
     let mut acc: [[f64; W]; NAIVE_ROWS] = std::array::from_fn(|r| {
         *cg[r * n + j..].first_chunk().expect("the block lies inside C's row")
     });
