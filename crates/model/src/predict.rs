@@ -321,10 +321,12 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
 /// - `twofived`: binomial replication of the A and B blocks over the `c`
 ///   layers, `q/c` shifts of both (skew, then rotations), `n1n2n3/P`
 ///   multiply-adds, and the binomial reduction of the C block to layer 0.
+/// - `cannon`: `twofived` with one layer, which is how it runs.
 ///
 /// `params.time` of it is the executed makespan exactly when the grid
 /// divides the dimensions; a ragged 2.5D layout is priced at its largest
-/// blocks. `None` for the plans the advisor does not rank.
+/// blocks. `None` for the other plans (streamed Algorithm 1, SUMMA,
+/// CARMA).
 ///
 /// ```
 /// use pmm_model::{plan_cost, AlgPlan, MatMulDims};
@@ -333,6 +335,8 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
 /// // Fibers of 3 run the ring (2 messages), of 2 recursive doubling (1).
 /// let cost = plan_cost(dims, &AlgPlan::Alg1 { grid: [3, 2, 1] }).unwrap();
 /// assert_eq!(cost.messages, 3.0);
+/// // Cannon on a 4 × 4 torus: the skew and three rotations of A and B.
+/// assert_eq!(plan_cost(dims, &AlgPlan::Cannon { q: 4 }).unwrap().messages, 8.0);
 /// assert!(plan_cost(dims, &AlgPlan::Carma { p: 8 }).is_none());
 /// ```
 pub fn plan_cost(dims: MatMulDims, plan: &AlgPlan) -> Option<Cost> {
@@ -358,6 +362,7 @@ pub fn plan_cost(dims: MatMulDims, plan: &AlgPlan) -> Option<Cost> {
             let multiply = Cost::flops(dims.mults() / (c * q * q) as f64);
             Some(replicate + shift * (q / c) as f64 + multiply + reduce_cost(c, c_block))
         }
+        AlgPlan::Cannon { q } => plan_cost(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
         _ => None,
     }
 }
@@ -539,6 +544,16 @@ mod tests {
         let cost = plan_cost(dims, &AlgPlan::TwoFiveD { q: 8, c: 1 }).unwrap();
         let block = 2.0 * (4096.0f64 * 4096.0) / 64.0;
         assert_eq!((cost.words, cost.messages), (8.0 * block, 2.0 * 8.0));
+    }
+
+    #[test]
+    fn cannon_is_priced_as_twofived_with_one_layer() {
+        let dims = MatMulDims::new(48, 36, 24);
+        for q in 1..=3 {
+            let cannon = plan_cost(dims, &AlgPlan::Cannon { q });
+            assert!(cannon.is_some());
+            assert_eq!(cannon, plan_cost(dims, &AlgPlan::TwoFiveD { q, c: 1 }), "q = {q}");
+        }
     }
 
     #[test]

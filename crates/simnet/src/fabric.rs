@@ -39,16 +39,19 @@
 //!   prefix): the pick unparks the thread of the rank it named, and the
 //!   yielding thread parks until the baton comes back.
 //! - **thread-hosted free-running** (`World::run` without a schedule):
-//!   there is no baton; a block parks the thread until a progress event
-//!   — a post unparks the mailbox owner, a split completion or barrier
-//!   release unparks its members, an abort or a death unparks everyone —
-//!   and the body re-checks its condition.
+//!   there is no baton; a block waits until a progress event — a post
+//!   wakes the mailbox owner, a split completion or barrier release its
+//!   members, an abort or a death everyone — and the body re-checks its
+//!   condition. The wait first yields the CPU up to `BLOCK_SPINS`
+//!   times, returning as soon as the rank's `woken` flag shows an event,
+//!   and only then parks the thread.
 //!
-//! `thread::park` keeps a token, so an unpark that lands between a
-//! failed check and the park is not lost; parks carry a timeout only as
-//! a safety net. `Fabric::watchdog_scan` implements the deadlock
-//! detector for free-running worlds (under a schedule — every loop-hosted
-//! run — a deadlock is proven at pick time).
+//! A wake-up sets the flag before it unparks, and `thread::park` keeps a
+//! token, so an event that lands between a failed check and the park is
+//! not lost; parks carry a timeout only as a safety net.
+//! `Fabric::watchdog_scan` implements the deadlock detector for
+//! free-running worlds (under a schedule — every loop-hosted run — a
+//! deadlock is proven at pick time).
 //!
 //! Lock ordering (to keep the fabric itself deadlock-free): any
 //! primitive lock (mailbox queue, split state, barrier state) → verify
@@ -66,7 +69,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll};
 use std::thread::{self, Thread};
@@ -92,6 +95,14 @@ pub(crate) const WORLD_CTX: Ctx = 0;
 /// bounds the delay if an unpark were ever missed — it is not a busy-wait
 /// interval.
 const ABORT_POLL: Duration = Duration::from_millis(100);
+
+/// How many times a blocked free-running host yields the CPU
+/// (`thread::yield_now`) before it parks. Most waits of a small world
+/// last a few microseconds — the sender is one time slice behind — and a
+/// yield that sees the wake-up costs no futex sleep and no wake-up
+/// syscall. The bound caps what a long wait burns: after the last yield
+/// the thread parks, so a rank that waits for long sleeps off the CPU.
+const BLOCK_SPINS: u32 = 16;
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -403,12 +414,12 @@ impl Future for BatonYield<'_> {
         let action = me.action.take();
         let Some(det) = &fabric.det else {
             // Free-running thread host: there is no baton and nothing to
-            // record. A block sleeps until a progress event unparks this
-            // thread (or the safety-net timeout) and hands control back
-            // so the caller re-checks its condition.
+            // record. A block waits for a progress event (a few yields,
+            // then a park bounded by the safety-net timeout) and hands
+            // control back so the caller re-checks its condition.
             if matches!(action, Some(YieldAction::Block(_))) {
                 fabric.check_abort(rank);
-                thread::park_timeout(ABORT_POLL);
+                fabric.wait_for_progress(rank);
                 fabric.check_abort(rank);
             }
             return Poll::Ready(());
@@ -458,6 +469,10 @@ pub struct Fabric {
     /// itself when it starts ([`Fabric::register_host`]). Empty when the
     /// world's ranks are continuations on the event loop.
     hosts: Box<[OnceLock<Thread>]>,
+    /// Per host: a progress event concerning the rank arrived since its
+    /// host last waited. Set before every unpark; read by the
+    /// free-running wait's yields ([`Fabric::wait_for_progress`]).
+    woken: Box<[AtomicBool]>,
 }
 
 impl Fabric {
@@ -476,6 +491,7 @@ impl Fabric {
             det: None,
             fault: None,
             hosts: Box::default(),
+            woken: Box::default(),
         };
         fabric.new_mailboxes(WORLD_CTX, world_size);
         fabric
@@ -504,7 +520,9 @@ impl Fabric {
     /// worlds). Must run before any rank starts; each thread then
     /// registers itself with [`Fabric::register_host`].
     pub(crate) fn host_on_threads(&mut self) {
-        self.hosts = (0..self.verify.world_size()).map(|_| OnceLock::new()).collect();
+        let size = self.verify.world_size();
+        self.hosts = (0..size).map(|_| OnceLock::new()).collect();
+        self.woken = (0..size).map(|_| AtomicBool::new(false)).collect();
     }
 
     /// Record the calling thread as the host of world rank `r`. A host
@@ -516,17 +534,41 @@ impl Fabric {
         debug_assert!(fresh, "rank {r} registered two host threads");
     }
 
-    /// Unpark the thread hosting world rank `r`, if there is one.
+    /// Wake the thread hosting world rank `r`, if there is one: flag the
+    /// event for a host that is yielding, then unpark one that is parked.
     fn unpark(&self, r: usize) {
         if let Some(host) = self.hosts.get(r).and_then(OnceLock::get) {
+            self.woken[r].store(true, Ordering::Release);
             host.unpark();
         }
     }
 
-    /// Unpark every host thread so parked ranks re-check their state (and
+    /// Wake every host thread so blocked ranks re-check their state (and
     /// observe an abort or a moved fault epoch).
     fn unpark_all(&self) {
-        self.hosts.iter().filter_map(OnceLock::get).for_each(Thread::unpark);
+        (0..self.hosts.len()).for_each(|r| self.unpark(r));
+    }
+
+    /// Block the free-running host of world rank `r` until a progress
+    /// event concerning it (or the safety-net timeout): yield the CPU up
+    /// to [`BLOCK_SPINS`] times, returning as soon as the `woken` flag is
+    /// set, then park. The caller re-checks its condition either way, so
+    /// a stale flag costs one spurious re-check, never a lost wake-up.
+    ///
+    /// The flag's `Release` store in [`Fabric::unpark`] pairs with the
+    /// `Acquire` swap here. The re-check reads the condition under the
+    /// primitive's lock, so the flag publishes nothing else, and the
+    /// store that clears it after a park is `Relaxed`.
+    fn wait_for_progress(&self, r: usize) {
+        let woken = &self.woken[r];
+        for _ in 0..BLOCK_SPINS {
+            if woken.swap(false, Ordering::Acquire) {
+                return;
+            }
+            thread::yield_now();
+        }
+        thread::park_timeout(ABORT_POLL);
+        woken.store(false, Ordering::Relaxed);
     }
 
     /// Tear rank `r` down with an `AbortPanic` if the world has aborted.

@@ -69,6 +69,9 @@ pub struct World {
     record_schedule: bool,
 }
 
+/// Default stack of a rank's host thread ([`World::with_stack_bytes`]).
+const DEFAULT_STACK_BYTES: usize = 512 << 10;
+
 /// One rank's resumable continuation on the event loop: `Some` while the
 /// program is still suspended, `None` once it has produced its value and
 /// report.
@@ -76,6 +79,9 @@ type RankCell<'f, T> = Option<Pin<Box<dyn Future<Output = (T, RankReport)> + 'f>
 
 impl World {
     /// A world of `size` ranks with machine parameters `params`.
+    ///
+    /// A sync-closure run ([`World::run`]) hosts each rank on a thread
+    /// with a 512 KiB stack ([`World::with_stack_bytes`] to change it).
     pub fn new(size: usize, params: MachineParams) -> World {
         assert!(size >= 1, "world size must be >= 1");
         World {
@@ -83,7 +89,7 @@ impl World {
             params,
             mem_limit: None,
             trace: false,
-            stack_bytes: 4 << 20,
+            stack_bytes: DEFAULT_STACK_BYTES,
             verify: VerifyConfig::default(),
             schedule: None,
             faults: None,
@@ -178,7 +184,15 @@ impl World {
     }
 
     /// Stack size of the thread hosting each rank of a sync-closure run
-    /// (default 4 MiB; unused by [`World::run_async`]).
+    /// (unused by [`World::run_async`]). The default, 512 KiB, is about
+    /// 6.7× the deepest of the benchmark's six sync entry points at
+    /// P = 64 in a debug build (CARMA, 72–76 KiB; the other five need
+    /// at most 46 KiB), and small enough that the stacks of a 64-rank world
+    /// (64 × 516 KiB with the guard page) fit glibc's 40 MiB cache of
+    /// thread stacks: a world's threads then reuse the stacks of the
+    /// previous world's instead of each paying an `mmap`, a guard-page
+    /// `mprotect` and an `munmap`. A program that recurses deeper needs
+    /// more.
     #[must_use]
     pub fn with_stack_bytes(mut self, bytes: usize) -> World {
         self.stack_bytes = bytes;
@@ -243,6 +257,12 @@ impl World {
     /// pointing at [`World::run_async`] (when the OS refuses only inside
     /// the new thread's start-up, the Rust runtime aborts the process
     /// before this crate sees an error).
+    ///
+    /// Thread creation is this host's main cost at small `P`: the default
+    /// stack ([`World::with_stack_bytes`]) is sized so that a world of up
+    /// to 64 ranks draws its stacks from glibc's cache. A free-running
+    /// rank that blocks yields the CPU a few times before it parks, so a
+    /// wait of microseconds costs no futex sleep.
     pub fn run<T, F>(&self, program: F) -> WorldResult<T>
     where
         T: Send,

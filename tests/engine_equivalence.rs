@@ -345,6 +345,46 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
     }
 }
 
+/// One of the frozen benchmark's six sync entry points (`alg1`, …,
+/// `carma`), called the way `six_algs_small` calls it, with its output
+/// wrapped as the `CShare` that `run_plan_a` of the same plan returns.
+type SyncEntry = Box<dyn Fn(&mut Rank, &Matrix, &Matrix) -> CShare + Send + Sync>;
+
+/// The sync entry point that runs `plan` on `dims` with the `Naive` kernel.
+fn sync_entry(plan: &AlgPlan, dims: MatMulDims) -> SyncEntry {
+    let kernel = Kernel::Naive;
+    match *plan {
+        AlgPlan::Alg1 { grid } => {
+            let grid = Grid3::from_dims(grid);
+            let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
+            Box::new(move |r, a, b| CShare::Chunk(Box::new(alg1(r, &cfg, a, b))))
+        }
+        AlgPlan::Alg1Streamed { grid, slabs } => {
+            let grid = Grid3::from_dims(grid);
+            Box::new(move |r, a, b| {
+                CShare::Chunk(Box::new(alg1_streamed(r, dims, grid, slabs, kernel, a, b)))
+            })
+        }
+        AlgPlan::Cannon { q } => {
+            let cfg = CannonConfig { dims, q, kernel };
+            Box::new(move |r, a, b| CShare::Block(Some(cannon(r, &cfg, a, b).c_block)))
+        }
+        AlgPlan::Summa { pr, pc } => {
+            let cfg = SummaConfig { dims, pr, pc, kernel };
+            Box::new(move |r, a, b| CShare::Block(Some(summa(r, &cfg, a, b).c_block)))
+        }
+        AlgPlan::TwoFiveD { q, c } => {
+            let cfg = TwoFiveDConfig { dims, q, c, kernel };
+            Box::new(move |r, a, b| CShare::Block(twofived(r, &cfg, a, b).c_block))
+        }
+        AlgPlan::Carma { p } => Box::new(move |r, a, b| {
+            let comm = r.world_comm();
+            let (sa, sb) = carma_shares(p, comm.index(), a, b);
+            CShare::Flat(Some(carma(r, &comm, dims, kernel, sa, sb)))
+        }),
+    }
+}
+
 /// What licenses driving the frozen benchmark's sync entry points
 /// through the `_on_a` bodies: on the thread host, each of the six runs
 /// the same program as `run_plan_a` of its plan on the loop — values (as
@@ -355,47 +395,17 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
 fn benchmark_sync_entry_points_run_the_executors_programs() {
     let dims = MatMulDims::new(24, 12, 18);
     let ab = inputs(dims);
-    let (grid, kernel) = (Grid3::new(2, 3, 2), Kernel::Naive);
-    let alg1_cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
-    let cannon_cfg = CannonConfig { dims, q: 3, kernel };
-    let summa_cfg = SummaConfig { dims, pr: 2, pc: 3, kernel };
-    let twofived_cfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel };
-    type SyncEntry<'c> = Box<dyn Fn(&mut Rank, &Matrix, &Matrix) -> CShare + Send + Sync + 'c>;
-    let cells: [(AlgPlan, SyncEntry); 6] = [
-        (
-            AlgPlan::Alg1 { grid: grid.dims() },
-            Box::new(|r, a, b| CShare::Chunk(Box::new(alg1(r, &alg1_cfg, a, b)))),
-        ),
-        (
-            AlgPlan::Alg1Streamed { grid: grid.dims(), slabs: 2 },
-            Box::new(|r, a, b| {
-                CShare::Chunk(Box::new(alg1_streamed(r, dims, grid, 2, kernel, a, b)))
-            }),
-        ),
-        (
-            AlgPlan::Cannon { q: 3 },
-            Box::new(|r, a, b| CShare::Block(Some(cannon(r, &cannon_cfg, a, b).c_block))),
-        ),
-        (
-            AlgPlan::Summa { pr: 2, pc: 3 },
-            Box::new(|r, a, b| CShare::Block(Some(summa(r, &summa_cfg, a, b).c_block))),
-        ),
-        (
-            AlgPlan::TwoFiveD { q: 2, c: 2 },
-            Box::new(|r, a, b| CShare::Block(twofived(r, &twofived_cfg, a, b).c_block)),
-        ),
-        (
-            AlgPlan::Carma { p: 8 },
-            Box::new(|r, a, b| {
-                let comm = r.world_comm();
-                let (sa, sb) = carma_shares(8, comm.index(), a, b);
-                CShare::Flat(Some(carma(r, &comm, dims, kernel, sa, sb)))
-            }),
-        ),
-    ];
-    for (plan, sync_entry) in cells {
+    for plan in [
+        AlgPlan::Alg1 { grid: [2, 3, 2] },
+        AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 },
+        AlgPlan::Cannon { q: 3 },
+        AlgPlan::Summa { pr: 2, pc: 3 },
+        AlgPlan::TwoFiveD { q: 2, c: 2 },
+        AlgPlan::Carma { p: 8 },
+    ] {
         let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
         let label = format!("{plan}: sync entry point vs run_plan_a");
+        let sync_entry = sync_entry(&plan, dims);
         let threads = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
         let event = world.run_async(plan_program(plan.clone(), dims, &ab));
         if matches!(plan, AlgPlan::Carma { .. }) {
@@ -403,6 +413,32 @@ fn benchmark_sync_entry_points_run_the_executors_programs() {
         } else {
             assert_same_run(&label, &threads, &event);
         }
+    }
+}
+
+/// The six sync entry points at `six_algs_small`'s largest point, 64³ at
+/// P = 64, on the world that benchmark builds: unseeded (free-running
+/// threads) on the default stack. Each assembled product must equal the
+/// `Naive` reference bit for bit. In a debug build this is what catches a
+/// default stack too small for the deepest entry point, and a wake-up the
+/// free-running host loses at the size the benchmark runs.
+#[test]
+fn sync_entry_points_run_free_at_p64_on_the_default_stack() {
+    let dims = MatMulDims::square(64);
+    let ab = inputs(dims);
+    let want = gemm(&ab.0, &ab.1, Kernel::Naive);
+    let world = World::new(64, MachineParams::BANDWIDTH_ONLY);
+    for plan in [
+        AlgPlan::Alg1 { grid: [4, 4, 4] },
+        AlgPlan::Alg1Streamed { grid: [4, 4, 4], slabs: 2 },
+        AlgPlan::Cannon { q: 8 },
+        AlgPlan::Summa { pr: 8, pc: 8 },
+        AlgPlan::TwoFiveD { q: 4, c: 4 },
+        AlgPlan::Carma { p: 64 },
+    ] {
+        let sync_entry = sync_entry(&plan, dims);
+        let out = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
+        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{plan}");
     }
 }
 

@@ -175,6 +175,46 @@ proptest! {
     }
 }
 
+/// On-CPU nanoseconds of the calling thread (the first field of
+/// `/proc/thread-self/schedstat`); `None` where the file is absent.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().next()?.parse().ok()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_waiting_free_running_rank_parks() {
+    // A blocked free-running rank yields the CPU a bounded number of
+    // times and then parks, so a receive that waits 300 ms costs its
+    // thread a few yields of CPU time, not 300 ms of spinning.
+    if thread_cpu_ns().is_none() {
+        eprintln!("skipped: /proc/thread-self/schedstat is absent");
+        return;
+    }
+    let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let wc = rank.world_comm();
+        if rank.world_rank() == 0 {
+            std::thread::sleep(Duration::from_millis(300));
+            for to in 1..8 {
+                poll_now(rank.send_a(&wc, to, &[to as f64]));
+            }
+            return Duration::ZERO;
+        }
+        let before = thread_cpu_ns().expect("schedstat was readable");
+        let got = poll_now(rank.recv_a(&wc, 0)).payload;
+        assert_eq!(got, [rank.world_rank() as f64]);
+        Duration::from_nanos(thread_cpu_ns().expect("schedstat was readable") - before)
+    });
+    for (r, on_cpu) in out.values.iter().enumerate().skip(1) {
+        assert!(
+            *on_cpu < Duration::from_millis(50),
+            "rank {r} spent {on_cpu:?} on the CPU waiting 300 ms for a message"
+        );
+    }
+}
+
 /// Longest a thread host sleeps on a missed `unpark` before its
 /// safety-net timeout fires (`ABORT_POLL` in `fabric.rs`).
 const SAFETY_NET: Duration = Duration::from_millis(100);
