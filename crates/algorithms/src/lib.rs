@@ -24,8 +24,9 @@
 //! * [`mod@summa`] — SUMMA on a general `pr × pc` grid (the standard library
 //!   algorithm baseline, broadcast-based).
 //! * [`recursive`] — the CARMA-style recursive algorithm (Demmel et al.
-//!   2013), executed; its closed-form cost is [`carma_cost_words`]
-//!   (from `pmm-model`, re-exported here).
+//!   2013), executed; `pmm-model` prices it
+//!   ([`plan_prediction`](pmm_model::plan_prediction)) by the same split
+//!   rule ([`carma_split_dim`](pmm_model::carma_split_dim)).
 //! * [`recovery`] — the one executor [`run_plan_a`], which runs any
 //!   [`AlgPlan`](pmm_model::AlgPlan) (one of the six algorithms with its
 //!   layout) on any large enough communicator, and algorithm-agnostic
@@ -54,7 +55,6 @@ pub mod twofived;
 pub use cannon::{cannon, CannonConfig, CannonOutput};
 pub use common::{assemble_from_blocks, fiber_comms_a, fiber_comms_on_a, PhaseMeter, PhaseProbe};
 pub use grid3d::{alg1, alg1_a, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
-pub use pmm_model::carma_cost_words;
 pub use recovery::{
     assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };

@@ -7,8 +7,9 @@
 //! halves need the matrix that does **not** contain that dimension, so
 //! each processor exchanges its share of it (`words/P`); splitting the
 //! contracted dimension `n2` means the two halves' partial `C`s must be
-//! combined (`|C|/P` per processor). The recursion's closed form is
-//! [`carma_cost_words`](pmm_model::carma_cost_words).
+//! combined (`|C|/P` per processor). Both the split rule
+//! ([`carma_split_dim`]) and the recursion's closed form (the CARMA arm of
+//! [`plan_prediction`](pmm_model::plan_prediction)) live in `pmm-model`.
 //!
 //! The executed version uses the **CARMA layout**: a processor's share of
 //! each matrix is defined by its path down the recursion tree — split
@@ -25,22 +26,8 @@
 
 use pmm_dense::{gemm, Kernel, Matrix};
 
-use pmm_model::MatMulDims;
+use pmm_model::{carma_split_dim, MatMulDims};
 use pmm_simnet::{poll_now, Comm, LocalBoxFuture, Rank};
-
-/// Which dimension the deterministic split rule picks for `(n1, n2, n3)`:
-/// the largest, preferring `n1`, then `n3`, then `n2` on ties (so square
-/// problems defer the contracted-dimension split, matching the BFS
-/// description).
-fn split_dim(n1: usize, n2: usize, n3: usize) -> usize {
-    if n1 >= n3 && n1 >= n2 {
-        0
-    } else if n3 >= n2 {
-        2
-    } else {
-        1
-    }
-}
 
 /// Extract the CARMA-layout initial shares of `A` and `B` for the
 /// processor with index `idx` in a group of `p` (both power-of-two
@@ -55,7 +42,7 @@ pub fn carma_shares(p: usize, idx: usize, a: &Matrix, b: &Matrix) -> (Vec<f64>, 
     let half = p / 2;
     let lower = idx < half;
     let sub_idx = if lower { idx } else { idx - half };
-    match split_dim(n1, n2, n3) {
+    match carma_split_dim(n1, n2, n3) {
         0 => {
             // split n1: A halved semantically; B shared (flat-halved).
             assert!(n1 % 2 == 0, "split dimension n1 = {n1} must be even");
@@ -133,7 +120,7 @@ pub fn carma_a<'r>(
         let lower = me < half;
         let partner = if lower { me + half } else { me - half };
         let sub_color = if lower { 0 } else { 1 };
-        match split_dim(n1, n2, n3) {
+        match carma_split_dim(n1, n2, n3) {
             0 => {
                 // split n1: exchange B shares so both halves hold the full
                 // (p/2)-distribution of B.
@@ -232,7 +219,7 @@ fn place_c(
     let half = p / 2;
     let lower = idx < half;
     let sub_idx = if lower { idx } else { idx - half };
-    match split_dim(n1, n2, n3) {
+    match carma_split_dim(n1, n2, n3) {
         0 => {
             let r0 = if lower { r0 } else { r0 + n1 / 2 };
             place_c(half, sub_idx, n1 / 2, n2, n3, share, out, r0, c0);
@@ -300,7 +287,7 @@ fn place_c_n2(
         let half = p / 2;
         let lower = idx < half;
         let sub_idx = if lower { idx } else { idx - half };
-        match split_dim(n1, n2, n3) {
+        match carma_split_dim(n1, n2, n3) {
             0 => {
                 if !lower {
                     r0 += n1 / 2;
@@ -332,11 +319,16 @@ fn place_c_n2(
 mod tests {
     use super::*;
     use pmm_core::theorem3::lower_bound;
-    use pmm_model::carma_cost_words;
+    use pmm_model::plan_prediction;
+
+    /// Words per rank the CARMA recursion moves on `p` ranks.
+    fn words_per_rank(dims: MatMulDims, p: u64) -> f64 {
+        plan_prediction(dims, &AlgPlan::Carma { p: p as usize }).cost.words
+    }
 
     #[test]
     fn zero_for_single_processor() {
-        assert_eq!(carma_cost_words(MatMulDims::square(1000), 1), 0.0);
+        assert_eq!(words_per_rank(MatMulDims::square(1000), 1), 0.0);
     }
 
     #[test]
@@ -345,7 +337,7 @@ mod tests {
         // Table I). Check a generous constant across the three cases.
         let dims = MatMulDims::new(8192, 2048, 512);
         for p in [2u64, 4, 32, 256, 4096, 65536] {
-            let w = carma_cost_words(dims, p);
+            let w = words_per_rank(dims, p);
             let b = lower_bound(dims, p as f64).bound;
             assert!(w >= b * 0.99, "P={p}: CARMA {w} below bound {b}?!");
             assert!(w <= 8.0 * b.max(1.0), "P={p}: CARMA {w} not within 8× of bound {b}");
@@ -359,7 +351,7 @@ mod tests {
             (MatMulDims::new(16384, 256, 64), vec![2, 16, 128]),
         ] {
             for p in ps {
-                let w = carma_cost_words(dims, p);
+                let w = words_per_rank(dims, p);
                 let b = lower_bound(dims, p as f64).bound;
                 assert!(w >= b * (1.0 - 1e-9), "{dims} P={p}: {w} < bound {b}");
             }
@@ -371,23 +363,17 @@ mod tests {
         // Tall-skinny: first split is m, cost |B|/P each level while m
         // dominates.
         let dims = MatMulDims::new(1 << 20, 4, 4);
-        let w = carma_cost_words(dims, 2);
+        let w = words_per_rank(dims, 2);
         assert_eq!(w, 16.0 / 2.0, "one m-split exchanges B/P");
     }
 
     #[test]
     fn cost_is_monotone_in_problem_size() {
         for p in [8u64, 64] {
-            let small = carma_cost_words(MatMulDims::square(512), p);
-            let big = carma_cost_words(MatMulDims::square(1024), p);
+            let small = words_per_rank(MatMulDims::square(512), p);
+            let big = words_per_rank(MatMulDims::square(1024), p);
             assert!(big > small);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn rejects_non_pow2() {
-        carma_cost_words(MatMulDims::square(64), 3);
     }
 
     // ----- executed CARMA ---------------------------------------------------
@@ -432,16 +418,19 @@ mod tests {
     fn executed_carma_matches_the_cost_model_exactly() {
         // The closed form used by algo_compare is exactly what the
         // execution pays: shares are equal-sized, exchanges are duplex, so
-        // the critical-path clock equals the recursion sum.
+        // the critical-path clock equals the recursion sum, and every
+        // rank sends its share once per level.
         for (dims, p) in [
             (MatMulDims::square(32), 8usize),
             (MatMulDims::new(64, 16, 32), 16),
             (MatMulDims::new(128, 8, 8), 8),
         ] {
             let (_, out) = run_carma(dims, p, 13);
-            let want = carma_cost_words(dims, p as u64);
+            let want = plan_prediction(dims, &AlgPlan::Carma { p });
             let got = out.critical_path_time();
-            assert!((got - want).abs() < 1e-9, "{dims} P={p}: measured {got} vs model {want}");
+            let words = want.cost.words;
+            assert!((got - words).abs() < 1e-9, "{dims} P={p}: measured {got} vs model {words}");
+            assert_eq!(out.total_words_sent(), want.words_total, "{dims} P={p}");
         }
     }
 

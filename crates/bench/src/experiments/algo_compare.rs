@@ -9,10 +9,9 @@
 
 use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
-use pmm_algs::carma_cost_words;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_model::{AlgPlan, MatMulDims};
+use pmm_model::{plan_prediction, AlgPlan, MatMulDims};
 
 /// Measured critical-path words of `plan`.
 fn words(inputs: &Inputs, plan: AlgPlan) -> f64 {
@@ -37,7 +36,7 @@ pub fn run(checks: &mut Checks) {
         let ca = words(&inputs, AlgPlan::Cannon { q: 8 });
         let su = words(&inputs, AlgPlan::Summa { pr: 8, pc: 8 });
         let t25 = words(&inputs, AlgPlan::TwoFiveD { q: 4, c: 4 });
-        let carma_model = carma_cost_words(dims, p as u64);
+        let carma_model = plan_prediction(dims, &AlgPlan::Carma { p }).cost.words;
         let carma_meas = words(&inputs, AlgPlan::Carma { p });
 
         for (name, t) in [("cannon", ca), ("summa", su), ("2.5d", t25)] {

@@ -158,6 +158,38 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// `--procs` as a processor count: a positive integer.
+fn parse_procs(flags: &Flags) -> Result<usize, ParseError> {
+    match flags.require("procs")?.parse::<usize>() {
+        Ok(p) if p >= 1 => Ok(p),
+        _ => Err(err("--procs expects a positive integer")),
+    }
+}
+
+/// A real processor count (`bound`, `sweep`): finite and at least 1.
+fn real_procs(p: f64) -> Result<f64, ParseError> {
+    if p.is_finite() && p >= 1.0 {
+        Ok(p)
+    } else {
+        Err(err(format!("processor count must be a finite number >= 1, got {p}")))
+    }
+}
+
+/// `--grid`, if given, as a grid of exactly `procs` processors.
+fn parse_grid_of(flags: &Flags, procs: usize) -> Result<Option<[usize; 3]>, ParseError> {
+    let Some(grid) = flags.get("grid").map(parse_grid).transpose()? else {
+        return Ok(None);
+    };
+    let size: usize = grid.iter().product();
+    if size != procs {
+        let [p1, p2, p3] = grid;
+        return Err(err(format!(
+            "--grid {p1}x{p2}x{p3} has {size} processors but --procs is {procs}"
+        )));
+    }
+    Ok(Some(grid))
+}
+
 fn parse_opt_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ParseError> {
     match flags.get(name) {
         None => Ok(None),
@@ -191,27 +223,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             flags.reject_unknown(&["dims", "procs", "memory"])?;
             Ok(Command::Bound {
                 dims: parse_dims(flags.require("dims")?)?,
-                procs: parse_f64(&flags, "procs", None)?
-                    .ok_or_else(|| err("missing required flag --procs"))?,
+                procs: real_procs(
+                    parse_f64(&flags, "procs", None)?
+                        .ok_or_else(|| err("missing required flag --procs"))?,
+                )?,
                 memory: parse_f64(&flags, "memory", None)?,
             })
         }
         "grid" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
+            let procs = parse_procs(&flags)?;
             Ok(Command::Grid { dims: parse_dims(flags.require("dims")?)?, procs })
         }
         "advise" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory", "alpha", "beta", "gamma"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
+            let procs = parse_procs(&flags)?;
             Ok(Command::Advise {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
@@ -227,11 +255,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         "simulate" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
-            let grid = flags.get("grid").map(parse_grid).transpose()?;
+            let procs = parse_procs(&flags)?;
+            let grid = parse_grid_of(&flags, procs)?;
             let seed = match flags.get("seed") {
                 None => 42,
                 Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
@@ -251,11 +276,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         "trace" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "grid", "seed", "out"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
-            let grid = flags.get("grid").map(parse_grid).transpose()?;
+            let procs = parse_procs(&flags)?;
+            let grid = parse_grid_of(&flags, procs)?;
             let seed = match flags.get("seed") {
                 None => 42,
                 Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
@@ -277,6 +299,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 .map(|s| {
                     s.parse::<f64>()
                         .map_err(|_| err(format!("bad processor count '{s}' in --procs list")))
+                        .and_then(real_procs)
                 })
                 .collect::<Result<_, _>>()?;
             if procs.is_empty() {
@@ -600,6 +623,19 @@ mod tests {
         assert!(parse_args(&argv("bound --dims 10x10x10 --procs 4 --bogus 1")).is_err());
         assert!(parse_args(&argv("grid --dims 10x10x10 --procs 4.5")).is_err());
         assert!(parse_args(&argv("sweep --dims 10x10x10 --procs 1,x")).is_err());
+        for procs in ["0", "-3", "nan", "inf"] {
+            let cmd = format!("bound --dims 8x8x8 --procs {procs}");
+            assert!(parse_args(&argv(&cmd)).is_err(), "{cmd}");
+        }
+        assert!(parse_args(&argv("sweep --dims 8x8x8 --procs 0.5,4")).is_err());
+        for cmd in ["grid", "advise", "simulate", "trace"] {
+            let cmd = format!("{cmd} --dims 12x12x12 --procs 0");
+            assert!(parse_args(&argv(&cmd)).is_err(), "{cmd}");
+        }
+        for cmd in ["simulate", "trace"] {
+            let cmd = format!("{cmd} --dims 12x12x12 --grid 3x3x3 --procs 4");
+            assert!(parse_args(&argv(&cmd)).is_err(), "{cmd}");
+        }
     }
 
     #[test]

@@ -162,6 +162,20 @@ fn bad_faults_spec_exits_two() {
 }
 
 #[test]
+fn bad_procs_grid_or_fault_plan_exits_two_not_a_panic() {
+    for args in [
+        &["bound", "--dims", "8x8x8", "--procs", "0"][..],
+        &["simulate", "--dims", "12x12x12", "--grid", "3x3x3", "--procs", "4"],
+        &["simulate", "--dims", "8x8x8", "--procs", "2", "--faults", "drop=1.5"],
+    ] {
+        let out = pmm(args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn help_covers_every_command_and_exits_zero() {
     let out = pmm(&["help"]);
     assert!(out.status.success());

@@ -10,14 +10,14 @@
 //! hand-waving.
 //!
 //! Each candidate is an [`AlgPlan`], priced by `pmm-model`'s
-//! [`plan_cost`]: the cost of the collectives and shifts the executed
+//! [`plan_prediction`]: the cost of the collectives and shifts the executed
 //! algorithm runs, each by the same rule the executed collective resolves
 //! its `Auto` selector by. On a grid that divides the dimensions,
 //! `params.time(cost)` is the executed makespan exactly.
 
 use std::fmt;
 
-use pmm_model::{plan_cost, AlgPlan, Cost, Grid3, MachineParams, MatMulDims};
+use pmm_model::{plan_prediction, AlgPlan, Cost, Grid3, MachineParams, MatMulDims};
 
 use crate::gridopt::alg1_cost_words;
 use crate::memlimit::{alg1_memory_words, min_memory_words};
@@ -194,7 +194,7 @@ pub fn recommend(
 ) -> Vec<Recommendation> {
     let mut out = Vec::new();
     let mut rank = |plan: AlgPlan, memory_words: f64| {
-        let cost = plan_cost(dims, &plan).expect("the model prices Algorithm 1 and 2.5D");
+        let cost = plan_prediction(dims, &plan).cost;
         out.push(Recommendation { plan, cost, time: params.time(cost), memory_words });
     };
 

@@ -44,7 +44,7 @@
 
 use crate::cost::{Cost, MachineParams};
 use crate::dims::MatMulDims;
-use crate::predict::{plan_cost, AlgPlan};
+use crate::predict::{plan_prediction, AlgPlan};
 
 /// A measured machine: α, β, γ in seconds, fitted from timed probes.
 ///
@@ -112,12 +112,12 @@ impl MachineCalibration {
     }
 
     /// Predicted wall-clock seconds of one Algorithm 1 run of `dims` on
-    /// `grid`: its [`plan_cost`] (eq. (3) words, the messages of the
+    /// `grid`: its [`plan_prediction`] cost (eq. (3) words, the messages of the
     /// fiber collectives as they execute, the multiply-adds and the
     /// reduce-scatter's additions) in seconds, plus the fixed
     /// `rank_secs` overhead.
     pub fn alg1_seconds(&self, dims: MatMulDims, grid: [usize; 3]) -> f64 {
-        let cost = plan_cost(dims, &AlgPlan::Alg1 { grid }).expect("the model prices Algorithm 1");
+        let cost = plan_prediction(dims, &AlgPlan::Alg1 { grid }).cost;
         self.seconds(cost) + self.rank_secs
     }
 

@@ -4,8 +4,8 @@
 //! Its `Auto` variant names a concrete schedule through `resolve`, and the
 //! executed collective and its cost function here both go through that
 //! one rule. The cost functions match the executed schedules **exactly**
-//! (the unit tests of each collective assert this), and the advisor
-//! candidates of [`plan_cost`](crate::plan_cost) are priced from them.
+//! (the unit tests of each collective assert this), and the six
+//! plans of [`plan_prediction`](crate::plan_prediction) are priced from them.
 //!
 //! Conventions: `p` is the communicator size, `w` the per-rank block /
 //! segment size in words (uniform case). Word counts are the per-rank

@@ -36,6 +36,6 @@ pub use cost::{Cost, MachineParams};
 pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
-    alg1_prediction, carma_cost_words, plan_cost, recovery_prediction, restore_words_total,
-    run_words_total, Alg1Prediction, AlgPlan, AttemptPrediction, RecoveryPrediction,
+    alg1_prediction, carma_split_dim, plan_prediction, recovery_prediction, restore_words_total,
+    Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction, RecoveryPrediction,
 };

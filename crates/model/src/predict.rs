@@ -20,10 +20,12 @@
 //! dimensions, because the bandwidth-optimal collectives move exactly
 //! `(1 − 1/p) · data` words per processor.
 //!
-//! The module also prices whole runs of an [`AlgPlan`]: its goodput
-//! ([`run_words_total`]), the recovery attempts built on it
-//! ([`recovery_prediction`]), and its critical-path α-β-γ cost
-//! ([`plan_cost`]), by which the advisor ranks candidates.
+//! The module also prices whole runs of each of the six [`AlgPlan`]s, in
+//! one place: [`plan_prediction`] states each plan's schedule once and
+//! yields its goodput total across ranks (exact on every layout) and its
+//! critical-path α-β-γ cost (exact on layouts the grid divides), by
+//! which the advisor ranks candidates. [`recovery_prediction`] prices
+//! the attempts of a recovery run from it.
 
 use crate::collective::{bcast_cost, reduce_cost, AllGatherAlgo, BcastAlgo, ReduceScatterAlgo};
 use crate::cost::Cost;
@@ -87,8 +89,8 @@ pub fn alg1_prediction(dims: MatMulDims, grid: [usize; 3]) -> Alg1Prediction {
 /// one value that names a run. `pmm_algs::run_plan_a` executes any plan
 /// on any communicator of at least [`AlgPlan::active`] members (the rest
 /// idle), and a recovery attempt is laid out as one. The model prices
-/// each variant's full-run goodput in closed form ([`run_words_total`]),
-/// which is what makes recovery goodput assertions exact per algorithm.
+/// each variant's run in closed form ([`plan_prediction`]), which is what
+/// makes recovery goodput assertions exact per algorithm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgPlan {
     /// Algorithm 1 on a `p1 × p2 × p3` grid (§5.2 optimum of the
@@ -217,81 +219,137 @@ fn bcast_words_total(w: u64, k: u64) -> u64 {
     }
 }
 
-/// Per-processor communication (words) of the recursive CARMA-style
-/// algorithm (Demmel et al. 2013), unlimited memory: each level halves
-/// the largest dimension and the processors, and every processor
-/// exchanges its share of the matrix both halves need (`B` on an `n1`
-/// split, `A` on an `n3` split, partial `C` on an `n2` split):
+/// The dimension the CARMA recursion halves on an `n1 × n2 × n3`
+/// subproblem (`0` = `n1`, `1` = `n2`, `2` = `n3`): the largest, ties
+/// going to `n1`, then `n3`, so square problems defer the split of the
+/// contracted dimension. The executed recursion in `pmm-algs` and the
+/// CARMA arm of [`plan_prediction`] both split by it.
 ///
-/// ```text
-///   W(m, n, k, 1) = 0
-///   W(m, n, k, P) = |shared matrix|/P + W(split dims, P/2)
 /// ```
+/// use pmm_model::carma_split_dim;
 ///
-/// Ties prefer the non-contracted dimensions (`n1`, then `n3`), so square
-/// problems defer the `n2` split — the rule the executed CARMA in
-/// `pmm-algs` follows, which moves exactly these words per rank. Panics
-/// unless `p` is a power of two.
-pub fn carma_cost_words(dims: MatMulDims, p: u64) -> f64 {
-    assert!(p.is_power_of_two(), "CARMA cost model requires power-of-two P");
-    fn recurse(n1: f64, n2: f64, n3: f64, p: f64) -> f64 {
-        if p <= 1.0 {
-            0.0
-        } else if n1 >= n2 && n1 >= n3 {
-            n2 * n3 / p + recurse(n1 / 2.0, n2, n3, p / 2.0)
-        } else if n3 >= n1 && n3 >= n2 {
-            n1 * n2 / p + recurse(n1, n2, n3 / 2.0, p / 2.0)
-        } else {
-            n1 * n3 / p + recurse(n1, n2 / 2.0, n3, p / 2.0)
-        }
+/// assert_eq!(carma_split_dim(8, 8, 8), 0);
+/// assert_eq!(carma_split_dim(4, 8, 8), 2);
+/// assert_eq!(carma_split_dim(4, 8, 2), 1);
+/// ```
+pub fn carma_split_dim<T: PartialOrd>(n1: T, n2: T, n3: T) -> usize {
+    if n1 >= n3 && n1 >= n2 {
+        0
+    } else if n3 >= n2 {
+        2
+    } else {
+        1
     }
-    recurse(dims.n1 as f64, dims.n2 as f64, dims.n3 as f64, p as f64)
 }
 
-/// Total goodput words **sent across all ranks** by one clean run of
-/// `plan` on `dims` — the exact sum of the surviving ranks' `words_sent`
-/// meters (excluding fault retries, which are metered separately).
+/// What one clean run of an [`AlgPlan`] moves and costs
+/// ([`plan_prediction`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanPrediction {
+    /// Critical-path α-β-γ cost: `params.time(cost)` is the executed
+    /// makespan exactly when the layout divides the dimensions (a ragged
+    /// layout is priced at its largest blocks, which is not exact).
+    pub cost: Cost,
+    /// Goodput words sent, summed over all ranks: the exact sum of the
+    /// ranks' `words_sent` meters on every layout (fault retries are
+    /// metered apart).
+    pub words_total: f64,
+}
+
+/// What one clean run of `plan` on `dims` moves and costs. Each arm
+/// states its plan's schedule once, composed from the
+/// [`collective`](crate::collective) costs of what the executed algorithm
+/// runs:
 ///
-/// Every term mirrors the executed communication structure:
+/// - `alg1`: eq. (3) per rank; the messages of the `Auto` all-gathers
+///   and reduce-scatter; `n1n2n3/P` multiply-adds plus the
+///   reduce-scatter's additions. The goodput is `P ×` eq. (3): each
+///   fiber member sends its chunk to every other member.
+/// - `alg1_streamed`: Algorithm 1's words and flops; the two gathers
+///   run once per slab, the slab count clamped to the (largest) inner
+///   extent `⌈n2/p2⌉` as the executor clamps it.
+/// - `summa`: one broadcast of the row's `A` panel and one of the
+///   column's `B` panel per panel of `n2` (`lcm(pr, pc)` of them), each
+///   by [`BcastAlgo::by_length`]; `n1n2n3/P` multiply-adds.
+/// - `twofived`: binomial replication of the A and B blocks over the `c`
+///   layers, `q/c` shifts of both (skew, then rotations), `n1n2n3/P`
+///   multiply-adds, and the binomial reduction of the C block to layer 0.
+/// - `cannon`: `twofived` with one layer, which is how it runs.
+/// - `carma`: one pairwise exchange per halving (`log2 P` of them), of
+///   the rank's share of the matrix both halves need (`B` on an `n1`
+///   split, `A` on an `n3` split, partial `C` on an `n2` split, whose
+///   `|C|/P` words are also added); `n1n2n3/P` multiply-adds.
 ///
-/// - `alg1` / `alg1_streamed`: `P ×` eq. (3) (exact when the grid
-///   divides the dimensions; the streamed variant moves identical
-///   totals, slab by slab).
-/// - `summa`: per-panel broadcasts priced by the collective cost model
-///   (scatter–all-gather when the panel length divides the
-///   communicator, binomial otherwise).
-/// - `twofived`: binomial input replication over the `c` fibers, the
-///   per-layer skew, `q/c − 1` rotations on all layers, and the
-///   binomial C reduction back to layer 0.
-/// - `cannon`: `twofived` with one layer — the skew exchanges (every
-///   rank off the zero row/column sends its block once) plus `q − 1`
-///   full-block rotations.
-/// - `carma`: `p ×` the recursion's per-rank closed form
-///   ([`carma_cost_words`]).
-pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
+/// ```
+/// use pmm_model::{plan_prediction, AlgPlan, MatMulDims};
+///
+/// let dims = MatMulDims::new(48, 48, 48);
+/// // Fibers of 3 run the ring (2 messages), of 2 recursive doubling (1).
+/// let alg1 = plan_prediction(dims, &AlgPlan::Alg1 { grid: [3, 2, 1] });
+/// assert_eq!(alg1.cost.messages, 3.0);
+/// // Cannon on a 4 × 4 torus: the skew and three rotations of A and B.
+/// assert_eq!(plan_prediction(dims, &AlgPlan::Cannon { q: 4 }).cost.messages, 8.0);
+/// // CARMA on 8 ranks halves n1, n3, then n2: three exchanges.
+/// let carma = plan_prediction(dims, &AlgPlan::Carma { p: 8 });
+/// assert_eq!(carma.cost.messages, 3.0);
+/// assert_eq!(carma.words_total, 8.0 * carma.cost.words);
+/// ```
+pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
     let (n1, n2, n3) = (dims.n1, dims.n2, dims.n3);
     match *plan {
-        AlgPlan::Alg1 { grid } | AlgPlan::Alg1Streamed { grid, .. } => {
-            let p: usize = grid.iter().product();
-            p as f64 * alg1_prediction(dims, grid).total()
+        AlgPlan::Alg1 { grid: [p1, p2, p3] } | AlgPlan::Alg1Streamed { grid: [p1, p2, p3], .. } => {
+            let eq3 = alg1_prediction(dims, [p1, p2, p3]);
+            let slabs = match *plan {
+                AlgPlan::Alg1Streamed { slabs, .. } => {
+                    slabs.clamp(1, n2.div_ceil(p2 as u64).max(1) as usize)
+                }
+                _ => 1,
+            };
+            let gathers = AllGatherAlgo::Auto.messages(p3) + AllGatherAlgo::Auto.messages(p1);
+            let p = p1 * p2 * p3;
+            PlanPrediction {
+                cost: Cost {
+                    messages: gathers * slabs as f64 + ReduceScatterAlgo::Auto.messages(p2),
+                    words: eq3.total(),
+                    flops: dims.mults() / p as f64 + eq3.reduce_c,
+                },
+                words_total: p as f64 * eq3.total(),
+            }
         }
         AlgPlan::Summa { pr, pc } => {
-            let (pr, pc) = (pr as u64, pc as u64);
-            let s = lcm(pr, pc);
+            let bcast =
+                |k: usize, w: u64| bcast_cost(BcastAlgo::by_length(k, w as usize), k, w as usize);
+            let (rows, cols) = (pr as u64, pc as u64);
+            let s = lcm(rows, cols);
+            // The critical path is priced at rank (0, 0), which holds the
+            // largest blocks.
+            let (h1, h3) = (part_len(n1, rows, 0), part_len(n3, cols, 0));
+            let mut cost = Cost::flops(dims.mults() / (pr * pc) as f64);
             let mut total = 0u64;
             for t in 0..s {
                 let w = part_len(n2, s, t);
-                for i in 0..pr {
-                    total += bcast_words_total(part_len(n1, pr, i) * w, pc);
+                cost += bcast(pc, h1 * w) + bcast(pr, w * h3);
+                for i in 0..rows {
+                    total += bcast_words_total(part_len(n1, rows, i) * w, cols);
                 }
-                for j in 0..pc {
-                    total += bcast_words_total(w * part_len(n3, pc, j), pr);
+                for j in 0..cols {
+                    total += bcast_words_total(w * part_len(n3, cols, j), rows);
                 }
             }
-            total as f64
+            PlanPrediction { cost, words_total: total as f64 }
         }
-        AlgPlan::Cannon { q } => run_words_total(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
+        AlgPlan::Cannon { q } => plan_prediction(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
         AlgPlan::TwoFiveD { q, c } => {
+            assert!(c >= 1 && q.is_multiple_of(c), "2.5D requires c | q");
+            let block = |x: u64, y: u64| (x.div_ceil(q as u64) * y.div_ceil(q as u64)) as usize;
+            let (a, b, c_block) = (block(n1, n2), block(n2, n3), block(n1, n3));
+            let replicate =
+                bcast_cost(BcastAlgo::Binomial, c, a) + bcast_cost(BcastAlgo::Binomial, c, b);
+            let shift =
+                if q > 1 { Cost::message(a as f64) + Cost::message(b as f64) } else { Cost::ZERO };
+            let multiply = Cost::flops(dims.mults() / (c * q * q) as f64);
+            let cost = replicate + shift * (q / c) as f64 + multiply + reduce_cost(c, c_block);
+
             let (q, c) = (q as u64, c as u64);
             let inputs = n1 * n2 + n2 * n3;
             let replicate = (c - 1) * inputs;
@@ -305,65 +363,25 @@ pub fn run_words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
             }
             let rotate = (q - c) * inputs;
             let reduce = (c - 1) * n1 * n3;
-            (replicate + skew + rotate + reduce) as f64
+            PlanPrediction { cost, words_total: (replicate + skew + rotate + reduce) as f64 }
         }
-        AlgPlan::Carma { p } => p as f64 * carma_cost_words(dims, p as u64),
-    }
-}
-
-/// Critical-path α-β-γ cost of one clean run of `plan` on `dims`, composed
-/// from the [`collective`](crate::collective) costs of the schedules the
-/// executed algorithm runs: the price of an advisor candidate.
-///
-/// - `alg1`: the eq. (3) words; the messages of the `Auto` all-gathers
-///   and reduce-scatter; `n1n2n3/P` multiply-adds plus the
-///   reduce-scatter's additions.
-/// - `twofived`: binomial replication of the A and B blocks over the `c`
-///   layers, `q/c` shifts of both (skew, then rotations), `n1n2n3/P`
-///   multiply-adds, and the binomial reduction of the C block to layer 0.
-/// - `cannon`: `twofived` with one layer, which is how it runs.
-///
-/// `params.time` of it is the executed makespan exactly when the grid
-/// divides the dimensions; a ragged 2.5D layout is priced at its largest
-/// blocks. `None` for the other plans (streamed Algorithm 1, SUMMA,
-/// CARMA).
-///
-/// ```
-/// use pmm_model::{plan_cost, AlgPlan, MatMulDims};
-///
-/// let dims = MatMulDims::new(48, 48, 48);
-/// // Fibers of 3 run the ring (2 messages), of 2 recursive doubling (1).
-/// let cost = plan_cost(dims, &AlgPlan::Alg1 { grid: [3, 2, 1] }).unwrap();
-/// assert_eq!(cost.messages, 3.0);
-/// // Cannon on a 4 × 4 torus: the skew and three rotations of A and B.
-/// assert_eq!(plan_cost(dims, &AlgPlan::Cannon { q: 4 }).unwrap().messages, 8.0);
-/// assert!(plan_cost(dims, &AlgPlan::Carma { p: 8 }).is_none());
-/// ```
-pub fn plan_cost(dims: MatMulDims, plan: &AlgPlan) -> Option<Cost> {
-    match *plan {
-        AlgPlan::Alg1 { grid: [p1, p2, p3] } => {
-            let eq3 = alg1_prediction(dims, [p1, p2, p3]);
-            let gathers = AllGatherAlgo::Auto.messages(p3) + AllGatherAlgo::Auto.messages(p1);
-            Some(Cost {
-                messages: gathers + ReduceScatterAlgo::Auto.messages(p2),
-                words: eq3.total(),
-                flops: dims.mults() / (p1 * p2 * p3) as f64 + eq3.reduce_c,
-            })
+        AlgPlan::Carma { p } => {
+            assert!(p.is_power_of_two(), "CARMA requires power-of-two P");
+            let mut cost = Cost::flops(dims.mults() / p as f64);
+            let (mut sub, mut ranks) = ([n1, n2, n3], p as u64);
+            while ranks > 1 {
+                let [m, k, n] = sub;
+                let split = carma_split_dim(m, k, n);
+                let w = [k * n, m * n, m * k][split] as f64 / ranks as f64;
+                cost += Cost::message(w);
+                if split == 1 {
+                    cost += Cost::flops(w);
+                }
+                sub[split] /= 2;
+                ranks /= 2;
+            }
+            PlanPrediction { cost, words_total: p as f64 * cost.words }
         }
-        AlgPlan::TwoFiveD { q, c } => {
-            assert!(c >= 1 && q.is_multiple_of(c), "2.5D requires c | q");
-            let block = |x: u64, y: u64| (x.div_ceil(q as u64) * y.div_ceil(q as u64)) as usize;
-            let (n1, n2, n3) = (dims.n1, dims.n2, dims.n3);
-            let (a, b, c_block) = (block(n1, n2), block(n2, n3), block(n1, n3));
-            let replicate =
-                bcast_cost(BcastAlgo::Binomial, c, a) + bcast_cost(BcastAlgo::Binomial, c, b);
-            let shift =
-                if q > 1 { Cost::message(a as f64) + Cost::message(b as f64) } else { Cost::ZERO };
-            let multiply = Cost::flops(dims.mults() / (c * q * q) as f64);
-            Some(replicate + shift * (q / c) as f64 + multiply + reduce_cost(c, c_block))
-        }
-        AlgPlan::Cannon { q } => plan_cost(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
-        _ => None,
     }
 }
 
@@ -390,7 +408,7 @@ pub struct AttemptPrediction {
     /// ones — both are priced by [`restore_words_total`].
     pub restore_words_total: f64,
     /// Algorithm-run goodput total across ranks
-    /// ([`run_words_total`]); exact for the successful attempt, an
+    /// ([`PlanPrediction::words_total`]); exact for the successful attempt, an
     /// upper bound for abandoned ones (a kill truncates them partway).
     pub run_words_total: f64,
     /// Per-rank eq. (3) phase terms when the plan is an Algorithm 1
@@ -442,7 +460,7 @@ pub fn recovery_prediction(
             .map(|(plan, &s)| AttemptPrediction {
                 plan: plan.clone(),
                 restore_words_total: restore_words_total(dims, s),
-                run_words_total: run_words_total(dims, plan),
+                run_words_total: plan_prediction(dims, plan).words_total,
                 alg1_phases: match *plan {
                     AlgPlan::Alg1 { grid } | AlgPlan::Alg1Streamed { grid, .. } => {
                         Some(alg1_prediction(dims, grid))
@@ -457,6 +475,10 @@ pub fn recovery_prediction(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn words_total(dims: MatMulDims, plan: &AlgPlan) -> f64 {
+        plan_prediction(dims, plan).words_total
+    }
 
     #[test]
     fn phase_terms_match_eq3_by_hand() {
@@ -481,9 +503,9 @@ mod tests {
     fn alg1_run_total_is_p_times_eq3() {
         let dims = MatMulDims::new(24, 24, 24);
         let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
-        assert_eq!(run_words_total(dims, &plan), 8.0 * alg1_prediction(dims, [2, 2, 2]).total());
+        assert_eq!(words_total(dims, &plan), 8.0 * alg1_prediction(dims, [2, 2, 2]).total());
         let streamed = AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs: 3 };
-        assert_eq!(run_words_total(dims, &streamed), run_words_total(dims, &plan));
+        assert_eq!(words_total(dims, &streamed), words_total(dims, &plan));
     }
 
     #[test]
@@ -493,17 +515,17 @@ mod tests {
         let dims = MatMulDims::new(6, 6, 6);
         let skew = 2.0 * (36.0 - 12.0);
         let rotate = 2.0 * (36.0 + 36.0);
-        assert_eq!(run_words_total(dims, &AlgPlan::Cannon { q: 3 }), skew + rotate);
+        assert_eq!(words_total(dims, &AlgPlan::Cannon { q: 3 }), skew + rotate);
         // q = 1 is a purely local run.
-        assert_eq!(run_words_total(dims, &AlgPlan::Cannon { q: 1 }), 0.0);
+        assert_eq!(words_total(dims, &AlgPlan::Cannon { q: 1 }), 0.0);
     }
 
     #[test]
     fn twofived_with_one_layer_degenerates_to_cannon() {
         let dims = MatMulDims::new(12, 8, 4);
         assert_eq!(
-            run_words_total(dims, &AlgPlan::TwoFiveD { q: 2, c: 1 }),
-            run_words_total(dims, &AlgPlan::Cannon { q: 2 }),
+            words_total(dims, &AlgPlan::TwoFiveD { q: 2, c: 1 }),
+            words_total(dims, &AlgPlan::Cannon { q: 2 }),
         );
     }
 
@@ -530,10 +552,40 @@ mod tests {
     fn carma_total_is_p_times_the_recursion() {
         let dims = MatMulDims::new(32, 8, 16);
         // An n1 split (|B|/4), then the tie n1 = n3 = 16 goes to n1 (|B|/2).
-        let per_rank = carma_cost_words(dims, 4);
-        assert_eq!(per_rank, 8.0 * 16.0 / 4.0 + 16.0 * 8.0 / 2.0);
-        assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 4 }), 4.0 * per_rank);
-        assert_eq!(run_words_total(dims, &AlgPlan::Carma { p: 1 }), 0.0);
+        let per_rank = plan_prediction(dims, &AlgPlan::Carma { p: 4 }).cost;
+        assert_eq!(per_rank.words, 8.0 * 16.0 / 4.0 + 16.0 * 8.0 / 2.0);
+        assert_eq!(per_rank.messages, 2.0);
+        assert_eq!(per_rank.flops, 32.0 * 8.0 * 16.0 / 4.0, "no n2 split, no additions");
+        assert_eq!(words_total(dims, &AlgPlan::Carma { p: 4 }), 4.0 * per_rank.words);
+        assert_eq!(words_total(dims, &AlgPlan::Carma { p: 1 }), 0.0);
+    }
+
+    #[test]
+    fn carma_adds_the_partial_c_it_receives_at_an_n2_split() {
+        // 8 × 32 × 8 on 2 ranks halves n2: each rank sends and adds |C|/2.
+        let cost = plan_prediction(MatMulDims::new(8, 32, 8), &AlgPlan::Carma { p: 2 }).cost;
+        assert_eq!((cost.messages, cost.words), (1.0, 32.0));
+        assert_eq!(cost.flops, 8.0 * 16.0 * 8.0 + 32.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn carma_requires_a_power_of_two() {
+        plan_prediction(MatMulDims::square(64), &AlgPlan::Carma { p: 3 });
+    }
+
+    #[test]
+    fn streamed_alg1_runs_both_gathers_once_per_slab() {
+        // 2 × 2 × 2: each gather is one message. The slab count is clamped
+        // to the inner extent n2/p2 = 4.
+        let dims = MatMulDims::new(8, 8, 8);
+        let alg1 = plan_prediction(dims, &AlgPlan::Alg1 { grid: [2, 2, 2] }).cost;
+        for (slabs, messages) in [(1, 3.0), (3, 7.0), (4, 9.0), (9, 9.0)] {
+            let plan = AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs };
+            let streamed = plan_prediction(dims, &plan).cost;
+            assert_eq!(streamed.messages, messages, "slabs = {slabs}");
+            assert_eq!((streamed.words, streamed.flops), (alg1.words, alg1.flops));
+        }
     }
 
     #[test]
@@ -541,7 +593,7 @@ mod tests {
         // q shifts of A and B blocks (skew + q−1 rotations), no
         // replication or reduction.
         let dims = MatMulDims::square(4096);
-        let cost = plan_cost(dims, &AlgPlan::TwoFiveD { q: 8, c: 1 }).unwrap();
+        let cost = plan_prediction(dims, &AlgPlan::TwoFiveD { q: 8, c: 1 }).cost;
         let block = 2.0 * (4096.0f64 * 4096.0) / 64.0;
         assert_eq!((cost.words, cost.messages), (8.0 * block, 2.0 * 8.0));
     }
@@ -550,9 +602,8 @@ mod tests {
     fn cannon_is_priced_as_twofived_with_one_layer() {
         let dims = MatMulDims::new(48, 36, 24);
         for q in 1..=3 {
-            let cannon = plan_cost(dims, &AlgPlan::Cannon { q });
-            assert!(cannon.is_some());
-            assert_eq!(cannon, plan_cost(dims, &AlgPlan::TwoFiveD { q, c: 1 }), "q = {q}");
+            let cannon = plan_prediction(dims, &AlgPlan::Cannon { q });
+            assert_eq!(cannon, plan_prediction(dims, &AlgPlan::TwoFiveD { q, c: 1 }), "q = {q}");
         }
     }
 
@@ -560,15 +611,15 @@ mod tests {
     fn twofived_words_improve_with_c_at_scale() {
         // At P = 4096: c = 4 (q = 32) moves fewer words than c = 1 (q = 64).
         let dims = MatMulDims::square(4096);
-        let flat = plan_cost(dims, &AlgPlan::TwoFiveD { q: 64, c: 1 }).unwrap().words;
-        let repl = plan_cost(dims, &AlgPlan::TwoFiveD { q: 32, c: 4 }).unwrap().words;
+        let flat = plan_prediction(dims, &AlgPlan::TwoFiveD { q: 64, c: 1 }).cost.words;
+        let repl = plan_prediction(dims, &AlgPlan::TwoFiveD { q: 32, c: 4 }).cost.words;
         assert!(repl < flat, "2.5D c=4 {repl} should beat c=1 {flat}");
     }
 
     #[test]
     #[should_panic(expected = "c | q")]
-    fn plan_cost_rejects_twofived_layers_with_c_not_dividing_q() {
-        plan_cost(MatMulDims::square(36), &AlgPlan::TwoFiveD { q: 9, c: 2 });
+    fn plan_prediction_rejects_twofived_layers_with_c_not_dividing_q() {
+        plan_prediction(MatMulDims::square(36), &AlgPlan::TwoFiveD { q: 9, c: 2 });
     }
 
     #[test]
@@ -589,8 +640,8 @@ mod tests {
         assert_eq!(
             pred.total_upper_bound_words(),
             2.0 * restore_words_total(dims, 9)
-                + run_words_total(dims, &plans[0])
-                + run_words_total(dims, &plans[1])
+                + words_total(dims, &plans[0])
+                + words_total(dims, &plans[1])
         );
     }
 }

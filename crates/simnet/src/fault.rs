@@ -353,39 +353,49 @@ impl FaultPlan {
         self.drop + self.duplicate + self.corrupt + self.delay > 0.0
     }
 
-    /// Panic on a malformed plan (negative rates, rate mass > 1, zero
-    /// timeout with a nonzero drop rate, non-positive straggler factor).
-    pub(crate) fn validate(&self) {
+    /// The rules a plan must satisfy to build a world: rates in `[0, 1)`
+    /// summing to at most 1, non-negative timeouts, positive straggler
+    /// factors, 1-based kill and cascade points, non-empty partitions
+    /// that heal within `max_retries`, and a storm rate in `[0, 1)` with
+    /// a positive factor. [`FaultPlan::parse`] returns the first broken
+    /// rule; building a world with a plan that breaks one panics.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let rule = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
         let rates = [self.drop, self.duplicate, self.corrupt, self.delay];
-        assert!(rates.iter().all(|r| (0.0..1.0).contains(r)), "fault rates must be in [0, 1)");
-        assert!(rates.iter().sum::<f64>() <= 1.0, "fault rates must sum to at most 1");
-        assert!(self.timeout >= 0.0 && self.backoff_cap >= 0.0, "timeouts must be non-negative");
-        assert!(
-            self.stragglers.iter().all(|s| s.factor > 0.0),
-            "straggler factors must be positive"
-        );
-        assert!(
+        rule(rates.iter().all(|r| (0.0..1.0).contains(r)), "fault rates must be in [0, 1)")?;
+        rule(rates.iter().sum::<f64>() <= 1.0, "fault rates must sum to at most 1")?;
+        rule(self.timeout >= 0.0 && self.backoff_cap >= 0.0, "timeouts must be non-negative")?;
+        rule(self.stragglers.iter().all(|s| s.factor > 0.0), "straggler factors must be positive")?;
+        rule(
             self.kills.iter().all(|k| k.at_op >= 1),
-            "kill operation indices are 1-based (at_op >= 1)"
-        );
-        assert!(
+            "kill operation indices are 1-based (at_op >= 1)",
+        )?;
+        rule(
             self.cascades.iter().all(|c| c.at_epoch >= 1),
-            "cascade epochs are 1-based (at_epoch >= 1)"
-        );
+            "cascade epochs are 1-based (at_epoch >= 1)",
+        )?;
         for p in &self.partitions {
-            assert!(!p.ranks.is_empty(), "a partition must name at least one rank");
-            assert!(p.from_seq < p.until_seq, "partition sequence window must be non-empty");
-            assert!(p.heal_attempt >= 1, "partition heal attempt is 1-based (>= 1)");
-            assert!(
-                p.heal_attempt <= self.max_retries,
-                "partition must heal within max_retries ({} > {}) or delivery cannot complete",
-                p.heal_attempt,
-                self.max_retries
-            );
+            rule(!p.ranks.is_empty(), "a partition must name at least one rank")?;
+            rule(p.from_seq < p.until_seq, "partition sequence window must be non-empty")?;
+            rule(p.heal_attempt >= 1, "partition heal attempt is 1-based (>= 1)")?;
+            if p.heal_attempt > self.max_retries {
+                return Err(format!(
+                    "partition must heal within max_retries ({} > {}) or delivery cannot complete",
+                    p.heal_attempt, self.max_retries
+                ));
+            }
         }
         if let Some(s) = self.storm {
-            assert!((0.0..1.0).contains(&s.rate), "storm rate must be in [0, 1)");
-            assert!(s.factor > 0.0, "storm factor must be positive");
+            rule((0.0..1.0).contains(&s.rate), "storm rate must be in [0, 1)")?;
+            rule(s.factor > 0.0, "storm factor must be positive")?;
+        }
+        Ok(())
+    }
+
+    /// Panic on a plan that breaks a rule of [`FaultPlan::check`].
+    pub(crate) fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 
@@ -471,7 +481,9 @@ impl FaultPlan {
     /// comma-separated `key=value` pairs (`drop`, `dup`, `corrupt`,
     /// `delay`, `timeout`, `cap`, `retries`, `seed`, `storm=RATExFACTOR`,
     /// repeatable `kill=R@OP`, `slow=RxFACTOR`, `cascade=R@EPOCH` and
-    /// `part=R1+R2@LO..HI#HEAL`), or the literal `none`.
+    /// `part=R1+R2@LO..HI#HEAL`), or the literal `none`. A spec whose
+    /// plan could not build a world (a rate outside `[0, 1)`, an empty
+    /// partition window, …) is an error too.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         let spec = spec.trim();
@@ -571,6 +583,7 @@ impl FaultPlan {
                 other => return Err(format!("fault spec key {other:?} is not recognized")),
             }
         }
+        plan.check().map_err(|e| format!("fault spec {spec:?}: {e}"))?;
         Ok(plan)
     }
 }
@@ -919,6 +932,9 @@ mod tests {
         assert!(FaultPlan::parse("part=1+2@4#3").is_err(), "missing sequence window");
         assert!(FaultPlan::parse("part=x@4..64#3").is_err(), "non-numeric rank");
         assert!(FaultPlan::parse("storm=0.25").is_err(), "missing factor");
+        assert!(FaultPlan::parse("drop=1.5").is_err(), "rate above 1");
+        assert!(FaultPlan::parse("part=0+9@2..1#0").is_err(), "empty window, heal attempt 0");
+        assert!(FaultPlan::parse("drop=0.5,dup=0.3,delay=0.4").is_err(), "rates sum past 1");
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use fabric::{probe_ready_sets, Ctx, Message};
 pub use fault::{FaultPlan, KillSpec, RankFailed, Straggler};
 pub use hostmem::HostMem;
 pub use meter::{MemTracker, Meter};
-pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank, RecvRequest};
+pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank};
 pub use trace::{
     fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, BlockPoint, ChoiceLog,
     ChoicePoint, ChoicePoints, Repro, Resource, SchedEvent, Schedule, ScheduleDivergence,

@@ -8,7 +8,6 @@
 //! [`World::run`](crate::World::run) rank inside
 //! [`poll_now`](crate::poll_now).
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::panic::Location;
@@ -28,26 +27,6 @@ use crate::verify::CollectiveOp;
 /// any per-communicator split counter a program could reach, so recovery
 /// splits can never collide with a rendezvous abandoned at a kill.
 const RECOVERY_SPLIT_SEQ_BASE: u64 = 1 << 32;
-
-thread_local! {
-    /// Set by the event-loop executor while it drops the continuations of
-    /// ranks torn down by a world abort — the analogue of
-    /// `std::thread::panicking()` during a thread-hosted rank's unwind,
-    /// which is what keeps the leak checks in `Drop` impls quiet there.
-    static ABORT_TEARDOWN: Cell<bool> = const { Cell::new(false) };
-}
-
-pub(crate) fn begin_abort_teardown() {
-    ABORT_TEARDOWN.with(|t| t.set(true));
-}
-
-pub(crate) fn end_abort_teardown() {
-    ABORT_TEARDOWN.with(|t| t.set(false));
-}
-
-fn in_abort_teardown() -> bool {
-    ABORT_TEARDOWN.with(Cell::get)
-}
 
 /// Error returned by [`Rank::try_mem_acquire`] when the configured local
 /// memory `M` would be exceeded (§6.2 limited-memory scenarios).
@@ -70,29 +49,6 @@ impl std::fmt::Display for MemoryLimitExceeded {
 }
 
 impl std::error::Error for MemoryLimitExceeded {}
-
-/// A pending nonblocking receive (see [`Rank::irecv`]). Dropping a
-/// never-redeemed request panics in debug form via the `Drop` check —
-/// a leaked request means a message is silently never accounted.
-#[derive(Debug)]
-pub struct RecvRequest {
-    ctx: u64,
-    from: usize,
-    #[allow(dead_code)]
-    comm_size: usize,
-    redeemed: bool,
-}
-
-impl Drop for RecvRequest {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.redeemed || std::thread::panicking() || in_abort_teardown(),
-            "RecvRequest dropped without wait() — a message from {} on ctx {} was leaked",
-            self.from,
-            self.ctx
-        );
-    }
-}
 
 /// Token of an open fault-catching scope (see [`Rank::fault_watch_arm`]).
 /// Holds the enclosing scope's watermark so scopes nest correctly.
@@ -803,58 +759,6 @@ impl Rank {
         }
     }
 
-    /// Post a nonblocking receive for the next message from member `from`
-    /// of `comm`. The returned handle must be redeemed with
-    /// [`Rank::wait_a`]; handles from the same `(comm, from)` pair redeem in
-    /// FIFO order.
-    ///
-    /// The point of the nonblocking form is **overlap**: computation
-    /// performed between `irecv` and `wait` hides the transfer. At `wait`
-    /// the clock advances to `max(now, sent_at + α + βw)` — the receiver
-    /// pays only the part of the transfer not already covered by its own
-    /// elapsed work, instead of the full `α + βw` the blocking
-    /// [`Rank::recv_a`] charges after the rendezvous.
-    pub fn irecv(&mut self, comm: &Comm, from: usize) -> RecvRequest {
-        assert!(from < comm.size(), "irecv source out of communicator");
-        assert_ne!(from, comm.index(), "irecv from self is not allowed");
-        RecvRequest { ctx: comm.ctx(), from, comm_size: comm.size(), redeemed: false }
-    }
-
-    /// Complete a nonblocking receive (see [`Rank::irecv`]).
-    #[track_caller]
-    pub fn wait_a<'r>(
-        &'r mut self,
-        req: RecvRequest,
-        comm: &'r Comm,
-    ) -> impl Future<Output = Message> + 'r {
-        let site = Location::caller();
-        async move {
-            // Rebind to move the whole request into the continuation —
-            // disjoint field capture would copy out the `Copy` fields and
-            // drop the request (unredeemed) at future construction.
-            let mut req = req;
-            self.check_abort();
-            self.fault_tick();
-            assert_eq!(req.ctx, comm.ctx(), "wait called with a different communicator");
-            req.redeemed = true;
-            let t0 = self.time;
-            let retry_before = self.meter.retry_words_recv;
-            let msg = self.match_directed(comm, req.from, site).await;
-            self.observe_stamp(comm.ctx, req.from, comm.world_rank_of(req.from), msg.stamp);
-            let w = msg.payload.len() as u64;
-            self.meter.words_recv += w;
-            self.meter.msgs_recv += 1;
-            let arrival = msg.sent_at + self.params.alpha + self.params.beta * w as f64;
-            self.time = self.time.max(arrival);
-            if self.trace.is_some() {
-                let (t1, retry) = (self.time, self.meter.retry_words_recv - retry_before);
-                let op = TraceOp::Recv { from_world: comm.world_rank_of(req.from) };
-                self.trace_event(comm.ctx, op, w, retry, t0, t1);
-            }
-            msg
-        }
-    }
-
     async fn match_directed(
         &mut self,
         comm: &Comm,
@@ -1166,81 +1070,6 @@ mod tests {
         });
         assert_eq!(out.values[0], (8.0, 1.0));
         assert_eq!(out.values[1], (8.0, 0.0));
-    }
-
-    #[test]
-    fn irecv_overlaps_compute_with_transfer() {
-        // Sender ships 100 words at t = 0; receiver computes 100 flops.
-        // Blocking: t = max(100, 0) + 100 = 200. Overlapped: the transfer
-        // (arrival t = 100) hides behind the compute (t = 100) → t = 100.
-        let params = MachineParams::new(0.0, 1.0, 1.0);
-        let run = |overlap: bool| {
-            World::new(2, params).run_async(move |rank| {
-                Box::pin(async move {
-                    let wc = rank.world_comm();
-                    if rank.world_rank() == 0 {
-                        rank.send_a(&wc, 1, &[0.0; 100]).await;
-                    } else if overlap {
-                        let req = rank.irecv(&wc, 0);
-                        rank.compute(100.0);
-                        rank.wait_a(req, &wc).await;
-                    } else {
-                        rank.recv_a(&wc, 0).await;
-                        rank.compute(100.0);
-                    }
-                    rank.time()
-                })
-            })
-        };
-        let blocking = run(false);
-        let overlapped = run(true);
-        assert_eq!(blocking.values[1], 200.0);
-        assert_eq!(overlapped.values[1], 100.0);
-        // Meters are identical either way.
-        assert_eq!(blocking.reports[1].meter.words_recv, overlapped.reports[1].meter.words_recv);
-    }
-
-    #[test]
-    fn irecv_requests_redeem_in_fifo_order() {
-        let out = World::new(2, bw()).run_async(|rank| {
-            Box::pin(async move {
-                let wc = rank.world_comm();
-                if rank.world_rank() == 0 {
-                    rank.send_a(&wc, 1, &[1.0]).await;
-                    rank.send_a(&wc, 1, &[2.0]).await;
-                    Vec::new()
-                } else {
-                    let r1 = rank.irecv(&wc, 0);
-                    let r2 = rank.irecv(&wc, 0);
-                    let a = rank.wait_a(r1, &wc).await.payload[0];
-                    let b = rank.wait_a(r2, &wc).await.payload[0];
-                    vec![a, b]
-                }
-            })
-        });
-        assert_eq!(out.values[1], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn wait_still_blocks_until_arrival() {
-        // If the receiver has done less work than the transfer takes, wait
-        // charges the remainder: compute 30 then wait on a 100-word message
-        // ⇒ t = max(30, 100) = 100.
-        let params = MachineParams::new(0.0, 1.0, 1.0);
-        let out = World::new(2, params).run_async(|rank| {
-            Box::pin(async move {
-                let wc = rank.world_comm();
-                if rank.world_rank() == 0 {
-                    rank.send_a(&wc, 1, &[0.0; 100]).await;
-                } else {
-                    let req = rank.irecv(&wc, 0);
-                    rank.compute(30.0);
-                    rank.wait_a(req, &wc).await;
-                }
-                rank.time()
-            })
-        });
-        assert_eq!(out.values[1], 100.0);
     }
 
     #[test]

@@ -62,14 +62,22 @@ pub struct World {
     params: MachineParams,
     mem_limit: Option<u64>,
     trace: bool,
-    stack_bytes: usize,
     verify: VerifyConfig,
     schedule: Option<Schedule>,
     faults: Option<FaultPlan>,
     record_schedule: bool,
 }
 
-/// Default stack of a rank's host thread ([`World::with_stack_bytes`]).
+/// Stack of the thread hosting each rank of a sync-closure run
+/// ([`World::run`]; unused by [`World::run_async`]). 512 KiB is about
+/// 6.7× the deepest of the benchmark's six sync entry points at P = 64
+/// in a debug build (CARMA, 72–76 KiB; the other five need at most
+/// 46 KiB), and small enough that the stacks of a 64-rank world
+/// (64 × 516 KiB with the guard page) fit glibc's 40 MiB cache of thread
+/// stacks: a world's threads then reuse the stacks of the previous
+/// world's instead of each paying an `mmap`, a guard-page `mprotect` and
+/// an `munmap`. A program that recurses deeper runs on
+/// [`World::run_async`].
 const DEFAULT_STACK_BYTES: usize = 512 << 10;
 
 /// One rank's resumable continuation on the event loop: `Some` while the
@@ -81,7 +89,7 @@ impl World {
     /// A world of `size` ranks with machine parameters `params`.
     ///
     /// A sync-closure run ([`World::run`]) hosts each rank on a thread
-    /// with a 512 KiB stack ([`World::with_stack_bytes`] to change it).
+    /// with a 512 KiB stack.
     pub fn new(size: usize, params: MachineParams) -> World {
         assert!(size >= 1, "world size must be >= 1");
         World {
@@ -89,7 +97,6 @@ impl World {
             params,
             mem_limit: None,
             trace: false,
-            stack_bytes: DEFAULT_STACK_BYTES,
             verify: VerifyConfig::default(),
             schedule: None,
             faults: None,
@@ -183,22 +190,6 @@ impl World {
         self
     }
 
-    /// Stack size of the thread hosting each rank of a sync-closure run
-    /// (unused by [`World::run_async`]). The default, 512 KiB, is about
-    /// 6.7× the deepest of the benchmark's six sync entry points at
-    /// P = 64 in a debug build (CARMA, 72–76 KiB; the other five need
-    /// at most 46 KiB), and small enough that the stacks of a 64-rank world
-    /// (64 × 516 KiB with the guard page) fit glibc's 40 MiB cache of
-    /// thread stacks: a world's threads then reuse the stacks of the
-    /// previous world's instead of each paying an `mmap`, a guard-page
-    /// `mprotect` and an `munmap`. A program that recurses deeper needs
-    /// more.
-    #[must_use]
-    pub fn with_stack_bytes(mut self, bytes: usize) -> World {
-        self.stack_bytes = bytes;
-        self
-    }
-
     /// Run the deadlock watchdog with the given scan interval. In debug
     /// builds (which is what `cargo test` exercises) the watchdog is on by
     /// default with a 2 s interval; release builds opt in with this
@@ -258,9 +249,9 @@ impl World {
     /// the new thread's start-up, the Rust runtime aborts the process
     /// before this crate sees an error).
     ///
-    /// Thread creation is this host's main cost at small `P`: the default
-    /// stack ([`World::with_stack_bytes`]) is sized so that a world of up
-    /// to 64 ranks draws its stacks from glibc's cache. A free-running
+    /// Thread creation is this host's main cost at small `P`: each
+    /// rank's 512 KiB stack is sized so that a world of up to 64 ranks
+    /// draws its stacks from glibc's cache. A free-running
     /// rank that blocks yields the CPU a few times before it parks, so a
     /// wait of microseconds costs no futex sleep.
     pub fn run<T, F>(&self, program: F) -> WorldResult<T>
@@ -268,7 +259,7 @@ impl World {
         T: Send,
         F: Fn(&mut Rank) -> T + Send + Sync,
     {
-        Self::unwrap_run(self.run_on_threads(program))
+        Self::unwrap_run(self.run_on_threads(program, DEFAULT_STACK_BYTES))
     }
 
     /// Panic with the canonical failure formatting (what [`World::run`]
@@ -379,8 +370,13 @@ impl World {
     /// Host every rank of a sync program on an OS thread of its own.
     /// Each thread registers itself with the fabric, waits for the baton
     /// (at once without a schedule), and runs the program; the sync
-    /// primitives park the thread at their yield points.
-    fn run_on_threads<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailureRaw>
+    /// primitives park the thread at their yield points. Each thread
+    /// gets a stack of `stack_bytes`.
+    fn run_on_threads<T, F>(
+        &self,
+        program: F,
+        stack_bytes: usize,
+    ) -> Result<WorldResult<T>, RunFailureRaw>
     where
         T: Send,
         F: Fn(&mut Rank) -> T + Send + Sync,
@@ -426,7 +422,7 @@ impl World {
             for r in 0..self.size {
                 let spawned = std::thread::Builder::new()
                     .name(format!("pmm-rank-{r}"))
-                    .stack_size(self.stack_bytes)
+                    .stack_size(stack_bytes)
                     .spawn_scoped(scope, move || {
                         fabric.register_host(r);
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -525,15 +521,7 @@ impl World {
         }
 
         // Continuations of ranks that never ran to completion (the world
-        // aborted) are dropped here on a non-panicking thread; flag the
-        // teardown so leak checks in Drop impls (RecvRequest) stay quiet,
-        // exactly as `std::thread::panicking()` keeps them quiet on a
-        // thread host.
-        if cells.iter().any(Option::is_some) {
-            crate::rank::begin_abort_teardown();
-            cells.clear();
-            crate::rank::end_abort_teardown();
-        }
+        // aborted) are dropped here.
         drop(cells);
 
         self.collect(fabric, outcomes)
@@ -910,7 +898,7 @@ mod tests {
 
     #[test]
     fn many_ranks_spawn_and_join() {
-        let out = World::new(128, bw()).with_stack_bytes(1 << 20).run(|r| r.world_rank());
+        let out = World::new(128, bw()).run(|r| r.world_rank());
         assert_eq!(out.values.len(), 128);
     }
 
@@ -1107,8 +1095,9 @@ mod tests {
         // first host thread cannot be created — under a schedule and
         // free-running alike.
         for world in [World::new(3, bw()), World::new(3, bw()).with_seed(1)] {
-            let world = world.with_stack_bytes(usize::MAX / 2);
-            let err = std::panic::catch_unwind(|| world.run(|r| r.world_rank()))
+            let run =
+                || World::unwrap_run(world.run_on_threads(|r| r.world_rank(), usize::MAX / 2));
+            let err = std::panic::catch_unwind(run)
                 .expect_err("a world whose host threads cannot be spawned must fail");
             let report = err.downcast_ref::<String>().expect("panic message is a String");
             assert!(report.contains("hosting rank 0 of 3"), "{report}");

@@ -1,6 +1,7 @@
 //! Cross-crate checks for the extension variants: streamed Algorithm 1,
 //! executed CARMA, and the advisor — all against the Theorem 3 bound —
-//! and the two plans that are special cases of others: Algorithm 1 is
+//! every plan kind against its predicted makespan and goodput, and the
+//! two plans that are special cases of others: Algorithm 1 is
 //! streamed Algorithm 1 with one slab, Cannon is 2.5D with one layer,
 //! each pinned to its recorded run.
 
@@ -103,7 +104,7 @@ fn advisor_prices_alg1_messages_and_words_as_executed() {
     for grid in [[5, 1, 1], [6, 2, 1], [2, 2, 2], [3, 1, 1]] {
         let plan = AlgPlan::Alg1 { grid };
         let executed = run_plan(&plan, dims).critical_path_cost();
-        let advised = plan_cost(dims, &plan).expect("the model prices Algorithm 1");
+        let advised = plan_prediction(dims, &plan).cost;
         assert_eq!(advised.messages, executed.messages, "grid {grid:?}: messages");
         assert!((advised.words - executed.words).abs() < 1e-9, "grid {grid:?}: words");
     }
@@ -131,6 +132,52 @@ fn advisor_predicts_every_candidates_executed_makespan() {
         }
     }
     assert_eq!(twofived, 3, "2.5D on 4x4x2, 8x8x1 and 4x4x4");
+}
+
+#[test]
+fn every_plan_kind_is_priced_at_its_executed_makespan() {
+    // Each of the six plan kinds at two layouts that divide the
+    // dimensions: the predicted cost is the executed makespan under a
+    // full α-β-γ machine, and the goodput total is every rank's sent
+    // words to the word.
+    let d = MatMulDims::new;
+    let params = MachineParams::new(4.0, 1.0, 0.25);
+    let divisible = [
+        (AlgPlan::Alg1 { grid: [2, 2, 2] }, d(24, 24, 24)),
+        (AlgPlan::Alg1 { grid: [2, 3, 2] }, d(24, 12, 18)),
+        (AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs: 3 }, d(24, 24, 24)),
+        (AlgPlan::Alg1Streamed { grid: [4, 2, 1], slabs: 4 }, d(32, 32, 16)),
+        (AlgPlan::Summa { pr: 2, pc: 3 }, d(24, 24, 24)),
+        (AlgPlan::Summa { pr: 2, pc: 4 }, d(96, 24, 12)),
+        (AlgPlan::Cannon { q: 2 }, d(24, 24, 24)),
+        (AlgPlan::Cannon { q: 3 }, d(24, 12, 18)),
+        (AlgPlan::TwoFiveD { q: 2, c: 2 }, d(24, 24, 24)),
+        (AlgPlan::TwoFiveD { q: 4, c: 2 }, d(32, 16, 32)),
+        (AlgPlan::Carma { p: 8 }, d(32, 32, 32)),
+        (AlgPlan::Carma { p: 16 }, d(64, 16, 32)),
+    ];
+    for (plan, dims) in divisible {
+        let out = run_plan_on(&plan, dims, params);
+        let pred = plan_prediction(dims, &plan);
+        let (want, got) = (params.time(pred.cost), out.critical_path_time());
+        assert!((got - want).abs() <= 1e-9 * want, "{plan} on {dims}: predicted {want}, ran {got}");
+        assert_eq!(pred.words_total, out.total_words_sent(), "{plan} on {dims}: goodput");
+    }
+    // One ragged layout per kind (CARMA: dimensions that are not powers
+    // of two): the goodput total stays exact.
+    let ragged = [
+        AlgPlan::Alg1 { grid: [2, 2, 3] },
+        AlgPlan::Alg1Streamed { grid: [2, 2, 3], slabs: 2 },
+        AlgPlan::Summa { pr: 2, pc: 3 },
+        AlgPlan::Cannon { q: 3 },
+        AlgPlan::TwoFiveD { q: 2, c: 2 },
+    ];
+    let carma = (AlgPlan::Carma { p: 8 }, d(48, 20, 12));
+    for (plan, dims) in ragged.into_iter().map(|plan| (plan, d(25, 13, 17))).chain([carma]) {
+        let out = run_plan_on(&plan, dims, params);
+        let pred = plan_prediction(dims, &plan);
+        assert_eq!(pred.words_total, out.total_words_sent(), "{plan} on {dims}: goodput");
+    }
 }
 
 #[test]
