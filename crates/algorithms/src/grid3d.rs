@@ -113,15 +113,6 @@ pub fn owned_b_chunk(dims: MatMulDims, grid: Grid3, coord: [usize; 3], b: &Matri
     Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]).chunk(b, p1, coord[0])
 }
 
-/// The chunk range of `C_{p1', p3'}` owned finally by `coord` (chunk index
-/// = `coord[1]`), as a range into the block's row-major elements.
-pub fn owned_c_range(dims: MatMulDims, grid: Grid3, coord: [usize; 3]) -> std::ops::Range<usize> {
-    let [p1, p2, p3] = grid.dims();
-    let h = block_range(dims.n1 as usize, p1, coord[0]).len();
-    let w = block_range(dims.n3 as usize, p3, coord[2]).len();
-    chunk_of_block(h * w, p2, coord[1])
-}
-
 /// [`alg1_a`] driven to completion in one [`poll_now`]: the sync entry
 /// point of a [`World::run`](pmm_simnet::World::run) thread host, kept only
 /// for the frozen benchmark.

@@ -10,8 +10,8 @@
 
 use crate::{fnum, print_table, Checks};
 use pmm_collectives::{
-    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, reduce_scatter_a, AllGatherAlgo,
-    AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
+    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, reduce_scatter_a, AllGatherAlgo, BcastAlgo,
+    ReduceScatterAlgo,
 };
 use pmm_model::collective;
 use pmm_simnet::{Comm, LocalBoxFuture, MachineParams, Rank, World};
@@ -77,12 +77,7 @@ pub fn run(checks: &mut Checks) {
 
         // All-Reduce (Rabenseifner): optimal 2(1 − 1/p)·w.
         let measured = cost(p, MachineParams::BANDWIDTH_ONLY, move |rank, comm| {
-            Box::pin(all_reduce_a(
-                rank,
-                comm,
-                vec![1.0; p * w],
-                AllReduceAlgo::ReduceScatterAllGather,
-            ))
+            Box::pin(all_reduce_a(rank, comm, vec![1.0; p * w]))
         });
         let optimal = 2.0 * (1.0 - 1.0 / p as f64) * (p * w) as f64;
         checks.check(format!("all-reduce p={p}: 2(1-1/p)w"), (measured - optimal).abs() < 1e-9);

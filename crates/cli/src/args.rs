@@ -5,6 +5,7 @@
 
 use std::fmt;
 
+use pmm_core::advisor::MAX_PROCS;
 use pmm_model::MatMulDims;
 use pmm_simnet::FaultPlan;
 
@@ -166,6 +167,16 @@ fn parse_procs(flags: &Flags) -> Result<usize, ParseError> {
     }
 }
 
+/// `--procs` as a count the grid optimizer and the advisor plan for
+/// (`grid`, `advise`): a positive integer no larger than [`MAX_PROCS`].
+fn parse_plannable_procs(flags: &Flags) -> Result<usize, ParseError> {
+    let p = parse_procs(flags)?;
+    if p as u64 > MAX_PROCS {
+        return Err(err(format!("--procs {p} exceeds the largest plannable P = {MAX_PROCS}")));
+    }
+    Ok(p)
+}
+
 /// A real processor count (`bound`, `sweep`): finite and at least 1.
 fn real_procs(p: f64) -> Result<f64, ParseError> {
     if p.is_finite() && p >= 1.0 {
@@ -233,13 +244,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         "grid" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs"])?;
-            let procs = parse_procs(&flags)?;
+            let procs = parse_plannable_procs(&flags)?;
             Ok(Command::Grid { dims: parse_dims(flags.require("dims")?)?, procs })
         }
         "advise" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory", "alpha", "beta", "gamma"])?;
-            let procs = parse_procs(&flags)?;
+            let procs = parse_plannable_procs(&flags)?;
             Ok(Command::Advise {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
@@ -368,10 +379,11 @@ USAGE:
       Evaluate the Theorem 3 lower bound (and, with --memory, the §6.2
       memory-dependent comparison).
   pmm grid     --dims N1xN2xN3 --procs P
-      The optimal processor grid (§5.2), exact integer search.
+      The optimal processor grid (§5.2), exact integer search; P ≤ 2^40.
   pmm advise   --dims N1xN2xN3 --procs P [--memory M]
                [--alpha A] [--beta B] [--gamma G]
-      Rank execution strategies by predicted time on an α-β-γ machine.
+      Rank execution strategies by predicted time on an α-β-γ machine;
+      P ≤ 2^40.
   pmm simulate --dims N1xN2xN3 --procs P [--grid AxBxC] [--seed S]
                [--faults SPEC]
       Run Algorithm 1 on the simulated machine (ranks are continuations
@@ -635,6 +647,19 @@ mod tests {
         for cmd in ["simulate", "trace"] {
             let cmd = format!("{cmd} --dims 12x12x12 --grid 3x3x3 --procs 4");
             assert!(parse_args(&argv(&cmd)).is_err(), "{cmd}");
+        }
+    }
+
+    #[test]
+    fn grid_and_advise_plan_for_at_most_max_procs() {
+        for cmd in ["grid", "advise"] {
+            let at = format!("{cmd} --dims 12x12x12 --procs {MAX_PROCS}");
+            assert!(parse_args(&argv(&at)).is_ok(), "{at}");
+            for p in [MAX_PROCS + 1, u64::MAX] {
+                let above = format!("{cmd} --dims 12x12x12 --procs {p}");
+                let e = parse_args(&argv(&above)).unwrap_err();
+                assert!(e.to_string().contains("largest plannable P"), "{above}: {e}");
+            }
         }
     }
 

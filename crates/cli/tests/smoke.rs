@@ -245,6 +245,49 @@ fn serve_oneshot_malformed_query_exits_nonzero_with_structured_error() {
 }
 
 #[test]
+fn advise_and_grid_answer_a_highly_composite_p_in_bounded_time() {
+    // P = 963 761 198 400 has 6720 divisors and 1.8 million grids; the
+    // 2.5D walk over every divisor c of P used not to finish in 60 s.
+    for (cmd, best) in [("advise", "alg1[9867x9792x9975]"), ("grid", "grid     : 9792x9975x9867")] {
+        let t0 = std::time::Instant::now();
+        let out = pmm(&[cmd, "--dims", "4096x4096x4096", "--procs", "963761198400"]);
+        let secs = t0.elapsed().as_secs_f64();
+        let text = stdout(&out);
+        assert!(out.status.success(), "{cmd}: {:?}\n{text}", out.status);
+        assert!(text.contains(best), "{cmd}: {text}");
+        assert!(secs < 20.0, "pmm {cmd} took {secs:.1} s");
+    }
+}
+
+#[test]
+fn grid_advise_and_serve_reject_p_beyond_two_to_the_forty() {
+    let huge = "18446744073709551615";
+    for cmd in ["grid", "advise"] {
+        let out = pmm(&[cmd, "--dims", "64x64x64", "--procs", huge]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {:?}", out.status);
+        assert!(stdout(&out).is_empty(), "{cmd}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: --procs"), "{cmd}: {err}");
+        assert!(err.contains("largest plannable P = 1099511627776"), "{cmd}: {err}");
+    }
+    let out =
+        pmm_with_stdin(&["serve", "--oneshot"], format!("ADVISE 64 64 64 {huge} inf\n").as_bytes());
+    let text = stdout(&out);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.starts_with("ERR advisor: processor count"), "{text}");
+}
+
+#[test]
+fn advise_prices_giga_dims_without_overflow() {
+    // The 2.5D goodput of a 10^9-cubed product passes 2^64 words; this
+    // test binary is unoptimized, so an integer overflow would panic.
+    let out = pmm(&["advise", "--dims", "1000000000x1000000000x1000000000", "--procs", "1024"]);
+    let text = stdout(&out);
+    assert!(out.status.success(), "{:?}\n{text}", out.status);
+    assert!(text.contains("twofived[16x16x4]"), "{text}");
+}
+
+#[test]
 fn serve_stdio_answers_each_line_and_drains_at_eof() {
     let out = pmm_with_stdin(&["serve"], b"PING\nADVISE 96 24 6 36 inf\nSTATS\n");
     let text = stdout(&out);

@@ -77,60 +77,12 @@ pub(crate) async fn all_gather_v_at(
     }
     match algo.resolve(p) {
         AllGatherAlgo::Ring => ring(rank, comm, mine, counts).await,
-        AllGatherAlgo::Bruck => bruck(rank, comm, mine, counts).await,
         // Recursive doubling (`resolve` never returns `Auto`).
         _ => {
             assert!(p.is_power_of_two(), "recursive doubling requires power-of-two communicator");
             recursive_doubling(rank, comm, mine, counts).await
         }
     }
-}
-
-/// Bruck's all-gather: rank `r` accumulates blocks in *relative* order
-/// `r, r+1, r+2, …` (mod `p`); at step `s` it sends its current prefix of
-/// `min(2^s, p − 2^s)` blocks to `r − 2^s` and receives the next blocks
-/// from `r + 2^s`. `⌈log2 p⌉` rounds for any `p`; moves the same
-/// `W − w_me` words as the ring.
-async fn bruck(rank: &mut Rank, comm: &Comm, mine: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.index();
-    // Blocks held, in relative order starting at my own block.
-    let mut have: Vec<Vec<f64>> = Vec::with_capacity(p);
-    have.push(mine.into_owned());
-
-    let mut dist = 1usize;
-    while dist < p {
-        // We hold `have.len() = min(2^s, p)` blocks and need `p − have.len()`
-        // more; this round provides up to `dist` of them. The partner at
-        // `me − dist` holds blocks `me−dist … me−dist+have.len()−1` and is
-        // missing our prefix next, so the payload is our first
-        // `n_this_round` blocks.
-        let n_this_round = (p - have.len()).min(dist);
-        let payload: Vec<f64> = have[..n_this_round].iter().flatten().copied().collect();
-        let to = (me + p - dist) % p;
-        let from = (me + dist) % p;
-        let msg = rank.exchange_a(comm, to, from, &payload).await;
-        // Received: blocks (me + dist), (me + dist + 1), … in relative
-        // order — split by their global counts.
-        let mut off = 0usize;
-        for i in 0..n_this_round {
-            let owner = (me + dist + i) % p;
-            let len = counts[owner];
-            have.push(msg.payload[off..off + len].to_vec());
-            off += len;
-        }
-        assert_eq!(off, msg.payload.len(), "Bruck round size mismatch");
-        dist <<= 1;
-    }
-
-    // Local rotation into absolute block order.
-    let off = offsets(counts);
-    let mut out = vec![0.0f64; off[p]];
-    for (i, block) in have.into_iter().enumerate() {
-        let owner = (me + i) % p;
-        out[off[owner]..off[owner + 1]].copy_from_slice(&block);
-    }
-    out
 }
 
 /// The output buffer of a gather with this rank's own block in place —
@@ -244,48 +196,6 @@ mod tests {
     fn auto_picks_valid_algorithm() {
         check(6, vec![1; 6], AllGatherAlgo::Auto);
         check(8, vec![1; 8], AllGatherAlgo::Auto);
-    }
-
-    #[test]
-    fn bruck_any_p_and_uneven_blocks() {
-        for p in [2usize, 3, 5, 6, 7, 8, 13] {
-            check(p, vec![2; p], AllGatherAlgo::Bruck);
-        }
-        check(5, vec![0, 3, 1, 0, 4], AllGatherAlgo::Bruck);
-        check(7, vec![1, 2, 0, 3, 1, 0, 2], AllGatherAlgo::Bruck);
-    }
-
-    #[test]
-    fn bruck_latency_is_ceil_log2_for_any_p() {
-        let params = MachineParams::new(1.0, 0.0, 0.0);
-        for (p, want) in [(5usize, 3.0), (6, 3.0), (7, 3.0), (8, 3.0), (9, 4.0)] {
-            let out = World::new(p, params).run_async(move |rank| {
-                Box::pin(async move {
-                    let comm = rank.world_comm();
-                    all_gather_a(rank, &comm, &[1.0], AllGatherAlgo::Bruck).await;
-                    rank.time()
-                })
-            });
-            for r in 0..p {
-                assert_eq!(out.values[r], want, "p={p} rank {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn bruck_moves_same_words_as_ring() {
-        // Both send exactly W − w_me per rank (uniform case): (p−1)·w.
-        let (p, w) = (6usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                all_gather_a(rank, &comm, vec![1.0; w], AllGatherAlgo::Bruck).await;
-                rank.meter().words_sent
-            })
-        });
-        for &sent in &out.values {
-            assert_eq!(sent as usize, (p - 1) * w);
-        }
     }
 
     #[test]

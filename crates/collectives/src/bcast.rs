@@ -8,7 +8,7 @@ use pmm_model::collective::{AllGatherAlgo, BcastAlgo};
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::all_gather_v_a;
-use crate::gather_scatter::scatter_v_a;
+use crate::scatter::scatter_v_a;
 
 /// Broadcast `data` from member `root`.
 ///
@@ -32,9 +32,9 @@ pub fn bcast_a<'r, 'd: 'r>(
         if p == 1 {
             return data.into_owned();
         }
-        match algo.resolve() {
+        match algo {
             BcastAlgo::ScatterAllGather => scatter_allgather(rank, comm, data, root).await,
-            _ => binomial(rank, comm, data, root).await,
+            BcastAlgo::Binomial => binomial(rank, comm, data, root).await,
         }
     }
 }
@@ -180,7 +180,7 @@ mod tests {
         let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
             Box::pin(async move {
                 let comm = rank.world_comm();
-                bcast_a(rank, &comm, &[5.0], 0, BcastAlgo::Auto).await
+                bcast_a(rank, &comm, &[5.0], 0, BcastAlgo::Binomial).await
             })
         });
         assert_eq!(out.values[0], vec![5.0]);

@@ -8,9 +8,10 @@
 //! data held by each processor after the All-Gather (resp. before the
 //! Reduce-Scatter) (Thakur et al. 2005; Chan et al. 2007).
 //!
-//! This crate implements those collectives (plus the rest of the standard
-//! family: broadcast, reduce, all-reduce, gather, scatter, all-to-all,
-//! barrier) as *executable message-passing programs* over
+//! This crate implements those collectives, plus the ones the baselines
+//! and ablations run — broadcast (SUMMA; binomial, or van de Geijn's
+//! scatter–all-gather), reduce (2.5D), all-to-all (the assembly ablation)
+//! and all-reduce — as *executable message-passing programs* over
 //! [`pmm_simnet`]. Each is paired with a **closed-form cost model** in
 //! [`pmm_model::collective`], which also holds the algorithm selectors
 //! and the one rule each `Auto` selector resolves by. Tests assert that
@@ -59,21 +60,16 @@
 pub mod allgather;
 pub mod allreduce;
 pub mod alltoall;
-pub mod barrier;
 pub mod bcast;
-pub mod gather_scatter;
 pub mod reduce;
 pub mod reduce_scatter;
-pub mod scan;
+pub(crate) mod scatter;
 pub(crate) mod util;
 
 pub use allgather::{all_gather_a, all_gather_v_a};
 pub use allreduce::all_reduce_a;
 pub use alltoall::all_to_all_a;
-pub use barrier::barrier_a;
 pub use bcast::bcast_a;
-pub use gather_scatter::{gather_v_a, scatter_v_a};
-pub use pmm_model::collective::{AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo};
+pub use pmm_model::collective::{AllGatherAlgo, BcastAlgo, ReduceScatterAlgo};
 pub use reduce::reduce_a;
 pub use reduce_scatter::{reduce_scatter_a, reduce_scatter_v_a};
-pub use scan::{exscan_a, scan_a};

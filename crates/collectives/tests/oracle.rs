@@ -1,6 +1,6 @@
 //! Serial-reference oracles and cost-meter checks for the collectives
-//! that the matmul algorithms do **not** exercise: `scan`/`exscan`,
-//! `all_to_all`, `bcast` and `all_reduce`.
+//! beyond Algorithm 1's All-Gather and Reduce-Scatter: `all_to_all`,
+//! `bcast` and `all_reduce`.
 //!
 //! Each test compares a simulated run against an oracle computed
 //! serially from the full input set, then holds the per-rank meters
@@ -8,9 +8,7 @@
 //! `World::with_seed`, so the collectives are also exercised under the
 //! deterministic scheduler (and any failure names a replayable seed).
 
-use pmm_collectives::{
-    all_reduce_a, all_to_all_a, bcast_a, exscan_a, scan_a, AllReduceAlgo, BcastAlgo,
-};
+use pmm_collectives::{all_reduce_a, all_to_all_a, bcast_a, BcastAlgo};
 use pmm_model::collective;
 use pmm_simnet::{LocalBoxFuture, MachineParams, Meter, Rank, World};
 
@@ -28,56 +26,6 @@ where
 {
     let out = World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(SEED).run_async(program);
     (out.values, out.reports.iter().map(|r| r.meter).collect())
-}
-
-#[test]
-fn scan_matches_serial_prefix_sums_and_the_cost_model() {
-    for p in [2usize, 3, 5, 8, 16] {
-        let w = 4;
-        let (values, meters) = run_collective(p, move |rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                scan_a(rank, &comm, contribution(rank.world_rank(), w)).await
-            })
-        });
-        let model = collective::scan_cost(p, w);
-        let rounds = model.messages as u32;
-        for (r, v) in values.iter().enumerate() {
-            // Serial oracle: element-wise sum of contributions 0..=r.
-            let want: Vec<f64> =
-                (0..w).map(|e| (0..=r).map(|q| contribution(q, w)[e]).sum()).collect();
-            assert_eq!(v, &want, "scan p={p} rank {r}");
-            // Exact per-rank traffic: rank r sends in rounds where
-            // r + 2^s < p and receives where r ≥ 2^s.
-            let sent = (0..rounds).filter(|s| r + (1usize << s) < p).count();
-            let recv = (0..rounds).filter(|s| r >= (1usize << s)).count();
-            assert_eq!(meters[r].words_sent as usize, sent * w, "scan p={p} rank {r} sent");
-            assert_eq!(meters[r].words_recv as usize, recv * w, "scan p={p} rank {r} recv");
-        }
-        // The closed form is the per-rank maximum, attained by rank p−1.
-        let max_duplex = meters.iter().map(Meter::duplex_words).max().unwrap_or(0);
-        assert_eq!(max_duplex as f64, model.words, "scan p={p} duplex vs model");
-        let max_flops = meters.iter().map(|m| m.flops).fold(0.0, f64::max);
-        assert_eq!(max_flops, model.flops, "scan p={p} flops vs model");
-    }
-}
-
-#[test]
-fn exscan_shifts_the_scan_by_one_rank_at_the_same_cost() {
-    let (p, w) = (7usize, 3usize);
-    let (values, meters) = run_collective(p, move |rank| {
-        Box::pin(async move {
-            let comm = rank.world_comm();
-            exscan_a(rank, &comm, &contribution(rank.world_rank(), w)).await
-        })
-    });
-    for (r, v) in values.iter().enumerate() {
-        let want: Vec<f64> = (0..w).map(|e| (0..r).map(|q| contribution(q, w)[e]).sum()).collect();
-        assert_eq!(v, &want, "exscan rank {r}");
-    }
-    let model = collective::exscan_cost(p, w);
-    let max_duplex = meters.iter().map(Meter::duplex_words).max().unwrap_or(0);
-    assert_eq!(max_duplex as f64, model.words, "exscan duplex vs model");
 }
 
 #[test]
@@ -140,39 +88,28 @@ fn bcast_delivers_root_data_from_any_root_and_meets_the_cost_model() {
 }
 
 #[test]
-fn allreduce_all_algorithms_match_the_serial_sum() {
-    // Power-of-two p with p | w: all three selectable algorithms.
+fn allreduce_matches_the_serial_sum() {
+    // Power-of-two p with p | w.
     for p in [2usize, 4, 8] {
         let w = p * 3;
-        for algo in [
-            AllReduceAlgo::ReduceScatterAllGather,
-            AllReduceAlgo::RecursiveDoubling,
-            AllReduceAlgo::Auto,
-        ] {
-            let (values, meters) = run_collective(p, move |rank| {
-                Box::pin(async move {
-                    let comm = rank.world_comm();
-                    all_reduce_a(rank, &comm, contribution(rank.world_rank(), w), algo).await
-                })
-            });
-            let want: Vec<f64> =
-                (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
-            for (r, v) in values.iter().enumerate() {
-                assert_eq!(v, &want, "allreduce {algo:?} p={p} rank {r}");
-            }
-            // Both power-of-two algorithms are rank-symmetric: every
-            // rank's duplex volume equals the model exactly.
-            let model = collective::all_reduce_cost(algo, p, w);
-            for (r, m) in meters.iter().enumerate() {
-                assert_eq!(
-                    m.duplex_words() as f64,
-                    model.words,
-                    "allreduce {algo:?} p={p} rank {r} duplex vs model"
-                );
-            }
+        let (values, meters) = run_collective(p, move |rank| {
+            Box::pin(async move {
+                let comm = rank.world_comm();
+                all_reduce_a(rank, &comm, contribution(rank.world_rank(), w)).await
+            })
+        });
+        let want: Vec<f64> = (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
+        for (r, v) in values.iter().enumerate() {
+            assert_eq!(v, &want, "allreduce p={p} rank {r}");
+        }
+        // Rank-symmetric: every rank's duplex volume equals the model
+        // exactly.
+        let model = collective::all_reduce_cost(p, w);
+        for (r, m) in meters.iter().enumerate() {
+            assert_eq!(m.duplex_words() as f64, model.words, "allreduce p={p} rank {r} duplex");
         }
     }
-    // `Auto` runs Rabenseifner at every `p` and length, uneven segments
+    // Rabenseifner runs at every `p` and length, uneven segments
     // included, and is priced by that schedule: every message counted,
     // the makespan exact on the ring (any `p`) and on `p | w`, never
     // under-priced otherwise.
@@ -183,13 +120,13 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
                 Box::pin(async move {
                     let comm = rank.world_comm();
                     let mine = contribution(rank.world_rank(), w);
-                    all_reduce_a(rank, &comm, mine, AllReduceAlgo::Auto).await
+                    all_reduce_a(rank, &comm, mine).await
                 })
             });
             let want: Vec<f64> =
                 (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
-            assert!(out.values.iter().all(|v| v == &want), "allreduce auto p={p} w={w}");
-            let model = collective::all_reduce_cost(AllReduceAlgo::Auto, p, w);
+            assert!(out.values.iter().all(|v| v == &want), "allreduce p={p} w={w}");
+            let model = collective::all_reduce_cost(p, w);
             let (measured, predicted) = (out.critical_path_time(), params.time(model));
             let label = format!("p={p} w={w}: measured {measured}, model {predicted}");
             assert_eq!(out.critical_path_cost().messages, model.messages, "{label}");
@@ -205,7 +142,7 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
 #[test]
 fn collectives_on_split_subcommunicators_use_local_sizes() {
     // Two color groups of different sizes (4 and 2): each runs its own
-    // scan + bcast; oracles and meters are per-subcommunicator.
+    // all-reduce + bcast; oracles and meters are per-subcommunicator.
     let p = 6usize;
     let w = 2usize;
     let (values, meters) = run_collective(p, move |rank| {
@@ -215,23 +152,23 @@ fn collectives_on_split_subcommunicators_use_local_sizes() {
             let color = usize::from(me >= 4);
             let sub =
                 rank.split_a(&world, color as i64, me as i64).await.expect("member of a color");
-            let s = scan_a(rank, &sub, contribution(me, w)).await;
+            let s = all_reduce_a(rank, &sub, contribution(me, w)).await;
             let b = bcast_a(rank, &sub, contribution(100 + color, w), 0, BcastAlgo::Binomial).await;
             (s, b)
         })
     });
     for (r, (s, b)) in values.iter().enumerate() {
-        let lo = if r < 4 { 0 } else { 4 };
-        let want_scan: Vec<f64> =
-            (0..w).map(|e| (lo..=r).map(|q| contribution(q, w)[e]).sum()).collect();
-        assert_eq!(s, &want_scan, "sub-scan rank {r}");
+        let group = if r < 4 { 0..4 } else { 4..6 };
+        let want_sum: Vec<f64> =
+            (0..w).map(|e| group.clone().map(|q| contribution(q, w)[e]).sum()).collect();
+        assert_eq!(s, &want_sum, "sub-all-reduce rank {r}");
         let color = usize::from(r >= 4);
         assert_eq!(b, &contribution(100 + color, w), "sub-bcast rank {r}");
     }
     // Meters reflect the subgroup size, not the world size: the largest
     // duplex in the 2-rank group is the 2-rank model, not the 6-rank one.
     let small_model =
-        collective::scan_cost(2, w) + collective::bcast_cost(BcastAlgo::Binomial, 2, w);
+        collective::all_reduce_cost(2, w) + collective::bcast_cost(BcastAlgo::Binomial, 2, w);
     let small_max = meters[4..].iter().map(Meter::duplex_words).max().unwrap_or(0);
     assert_eq!(small_max as f64, small_model.words);
 }

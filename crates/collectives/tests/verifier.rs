@@ -5,7 +5,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use pmm_collectives::ReduceScatterAlgo;
-use pmm_collectives::{all_gather_a, gather_v_a, reduce_scatter_a, AllGatherAlgo};
+use pmm_collectives::{all_gather_a, reduce_a, reduce_scatter_a, AllGatherAlgo};
 use pmm_simnet::{MachineParams, World};
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -47,8 +47,8 @@ fn allgather_vs_reduce_scatter_aborts_with_report() {
 }
 
 #[test]
-fn disagreeing_gather_roots_deadlock_is_reported() {
-    // Both ranks call the *same* collective with the same counts, so the
+fn disagreeing_reduce_roots_deadlock_is_reported() {
+    // Both ranks call the *same* collective with the same length, so the
     // matching lint is satisfied — but they disagree on the root, so each
     // waits for the other's contribution: a genuine communication
     // deadlock, which the scheduler proves at pick time.
@@ -58,7 +58,7 @@ fn disagreeing_gather_roots_deadlock_is_reported() {
                 let wc = rank.world_comm();
                 let mine = vec![rank.world_rank() as f64; 4];
                 let root = rank.world_rank(); // everyone thinks *they* are root
-                gather_v_a(rank, &wc, &mine, &[4, 4], root).await;
+                reduce_a(rank, &wc, &mine, root).await;
             })
         });
     }));

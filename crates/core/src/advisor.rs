@@ -43,6 +43,12 @@ pub fn twofived_memory_words(dims: MatMulDims, q: usize) -> f64 {
     (n1 * n2 + n2 * n3 + n1 * n3) / (qf * qf)
 }
 
+/// The largest processor count the advisor (and `pmm grid`) plans for,
+/// `2^40`. Above it, listing the grids of `P` by trial division no longer
+/// ends in bounded time; below it, even a highly composite `P` such as
+/// 963 761 198 400 is answered in well under a second.
+pub const MAX_PROCS: u64 = 1 << 40;
+
 /// Why an advisor query cannot be answered.
 ///
 /// Every way a raw `(n1, n2, n3, P, M)` query can be invalid — zero
@@ -60,6 +66,11 @@ pub enum AdvisorError {
     },
     /// The processor count was zero.
     ZeroProcs,
+    /// The processor count exceeded [`MAX_PROCS`].
+    TooManyProcs {
+        /// The offending count.
+        p: u64,
+    },
     /// The memory budget was NaN or not positive.
     InvalidMemory {
         /// The offending value.
@@ -98,6 +109,9 @@ impl fmt::Display for AdvisorError {
                 write!(f, "dimension {which} must be >= 1")
             }
             AdvisorError::ZeroProcs => write!(f, "processor count must be >= 1"),
+            AdvisorError::TooManyProcs { p } => {
+                write!(f, "processor count {p} exceeds the largest plannable P = {MAX_PROCS}")
+            }
             AdvisorError::InvalidMemory { value } => {
                 write!(f, "memory budget must be a positive number of words, got {value}")
             }
@@ -155,6 +169,10 @@ pub fn try_recommend(
     if p == 0 {
         return Err(AdvisorError::ZeroProcs);
     }
+    let p = match usize::try_from(p) {
+        Ok(p) if p as u64 <= MAX_PROCS => p,
+        _ => return Err(AdvisorError::TooManyProcs { p }),
+    };
     if m_words.is_nan() || m_words <= 0.0 {
         return Err(AdvisorError::InvalidMemory { value: m_words });
     }
@@ -164,10 +182,6 @@ pub fn try_recommend(
         }
     }
     let dims = MatMulDims::new(n1, n2, n3);
-    let p = usize::try_from(p).map_err(|_| AdvisorError::NoFeasibleStrategy {
-        floor: min_memory_words(dims, p as f64),
-        have: m_words,
-    })?;
     let floor = min_memory_words(dims, p as f64);
     if floor > m_words {
         return Err(AdvisorError::InfeasibleMemory { need: floor, have: m_words });
@@ -200,20 +214,29 @@ pub fn recommend(
 
     // Algorithm 1 on every factorization that fits in memory; keep the
     // cheapest three feasible grids (always including the unconstrained
-    // best when it fits).
-    let mut grids: Vec<[usize; 3]> = Grid3::factorizations(p);
-    grids.sort_by(|a, b| alg1_cost_words(dims, *a).total_cmp(&alg1_cost_words(dims, *b)));
-    for (grid, mem) in grids
-        .into_iter()
-        .map(|grid| (grid, alg1_memory_words(dims, grid)))
-        .filter(|&(_, mem)| mem <= m_words)
-        .take(3)
-    {
+    // best when it fits), ties in factorization order. One pass, no
+    // sort: a highly composite P has millions of grids.
+    let mut cheapest: Vec<(f64, [usize; 3], f64)> = Vec::with_capacity(4);
+    for grid in Grid3::factorizations(p) {
+        let mem = alg1_memory_words(dims, grid);
+        if mem > m_words {
+            continue;
+        }
+        let cost = alg1_cost_words(dims, grid);
+        let at = cheapest.partition_point(|kept| kept.0.total_cmp(&cost).is_le());
+        if at < 3 {
+            cheapest.insert(at, (cost, grid, mem));
+            cheapest.truncate(3);
+        }
+    }
+    for (_, grid, mem) in cheapest {
         rank(AlgPlan::Alg1 { grid }, mem);
     }
 
-    // 2.5D at every feasible (q, c) with c·q² = P, c | q.
-    for c in (1..=p).filter(|c| p.is_multiple_of(*c)) {
+    // 2.5D at every feasible (q, c) with c·q² = P, c | q. Since c ≤ q,
+    // c³ ≤ c·q² = P: no larger c can match.
+    let cubed_fits = |c: &usize| c.checked_pow(3).is_some_and(|c3| c3 <= p);
+    for c in (1..).take_while(cubed_fits).filter(|c| p.is_multiple_of(*c)) {
         let q = ((p / c) as f64).sqrt().round() as usize;
         let mem = twofived_memory_words(dims, q);
         if c * q * q == p && q.is_multiple_of(c) && mem <= m_words {
@@ -312,6 +335,38 @@ mod tests {
             try_recommend(4, 4, 4, 2, f64::INFINITY, bad),
             Err(AdvisorError::InvalidMachine { which: "alpha", .. })
         ));
+    }
+
+    #[test]
+    fn try_recommend_rejects_p_beyond_max_procs() {
+        let bw = MachineParams::BANDWIDTH_ONLY;
+        for p in [MAX_PROCS + 1, u64::MAX] {
+            assert_eq!(
+                try_recommend(4, 4, 4, p, f64::INFINITY, bw),
+                Err(AdvisorError::TooManyProcs { p })
+            );
+        }
+        assert!(try_recommend(4096, 4096, 4096, MAX_PROCS, f64::INFINITY, bw).is_ok());
+    }
+
+    #[test]
+    fn twofived_candidates_are_every_layout_of_p() {
+        // The walk over c³ ≤ P finds what a walk over every divisor finds.
+        for p in 1usize..=1100 {
+            let got: Vec<AlgPlan> = recommend(SQ, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY)
+                .into_iter()
+                .filter(|r| matches!(r.plan, AlgPlan::TwoFiveD { .. }))
+                .map(|r| r.plan)
+                .collect();
+            let want: Vec<AlgPlan> = (1..=p)
+                .filter(|c| p.is_multiple_of(*c))
+                .map(|c| (((p / c) as f64).sqrt().round() as usize, c))
+                .filter(|&(q, c)| c * q * q == p && q.is_multiple_of(c))
+                .map(|(q, c)| AlgPlan::TwoFiveD { q, c })
+                .collect();
+            assert_eq!(got.len(), want.len(), "P = {p}");
+            assert!(want.iter().all(|plan| got.contains(plan)), "P = {p}: {got:?} vs {want:?}");
+        }
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub fn identity(n: usize) -> Matrix {
     Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
 }
 
-/// A constant matrix.
-pub fn constant_matrix(rows: usize, cols: usize, value: f64) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +57,5 @@ mod tests {
         let i = identity(6);
         assert_eq!(gemm(&a, &i, Kernel::Naive), a);
         assert_eq!(gemm(&i, &a, Kernel::Naive), a);
-    }
-
-    #[test]
-    fn constant_matrix_values() {
-        let m = constant_matrix(2, 3, 2.5);
-        assert!(m.as_slice().iter().all(|&x| x == 2.5));
-        assert_eq!(m.words(), 6);
     }
 }

@@ -30,7 +30,7 @@ pub mod matrix;
 pub mod partition;
 
 pub use blocked::{fma_peak_gflops, FMA_VECTOR_BITS};
-pub use gen::{constant_matrix, identity, random_int_matrix, random_matrix};
+pub use gen::{identity, random_int_matrix, random_matrix};
 pub use kernels::{gemm, gemm_acc, kernel_from_env, Kernel, KERNEL_ENV};
 pub use matrix::{MatRef, Matrix};
 pub use partition::{block_len, block_range, chunk_of_block, Block2};

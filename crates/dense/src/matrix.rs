@@ -128,40 +128,9 @@ impl Matrix {
         }
     }
 
-    /// Element-wise addition of `block` into position `(r0, c0)`.
-    pub fn add_sub(&mut self, r0: usize, c0: usize, block: &Matrix) {
-        assert!(
-            r0 + block.rows <= self.rows && c0 + block.cols <= self.cols,
-            "sub-block out of range"
-        );
-        for r in 0..block.rows {
-            let dst = &mut self.data[(r0 + r) * self.cols + c0..][..block.cols];
-            for (d, &s) in dst.iter_mut().zip(block.row(r)) {
-                *d += s;
-            }
-        }
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute element-wise difference to `other` (must have the
-    /// same shape).
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
-
-    /// True if every element differs from `other` by at most `tol`.
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
-        self.max_abs_diff(other) <= tol
     }
 }
 
@@ -287,32 +256,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_accumulates() {
-        let mut m = Matrix::from_fn(2, 2, |_, _| 1.0);
-        let b = Matrix::from_fn(2, 1, |r, _| (r + 1) as f64);
-        m.add_sub(0, 1, &b);
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 1)], 3.0);
-        assert_eq!(m[(0, 0)], 1.0);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = Matrix::from_fn(3, 5, |r, c| (r * 7 + c * 3) as f64);
         let t = m.transpose();
         assert_eq!(t.rows(), 5);
         assert_eq!(t[(4, 2)], m[(2, 4)]);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn norms_and_diffs() {
-        let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert_eq!(a.frob_norm(), 5.0);
-        let b = Matrix::from_vec(1, 2, vec![3.0, 4.5]);
-        assert_eq!(a.max_abs_diff(&b), 0.5);
-        assert!(a.approx_eq(&b, 0.5));
-        assert!(!a.approx_eq(&b, 0.4));
     }
 
     #[test]

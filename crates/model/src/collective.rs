@@ -1,11 +1,12 @@
 //! The collectives' schedules and their closed-form costs, stated once.
 //!
-//! Each collective of `pmm-collectives` takes one of the selectors below.
-//! Its `Auto` variant names a concrete schedule through `resolve`, and the
-//! executed collective and its cost function here both go through that
-//! one rule. The cost functions match the executed schedules **exactly**
-//! (the unit tests of each collective assert this), and the six
-//! plans of [`plan_prediction`](crate::plan_prediction) are priced from them.
+//! Each collective of `pmm-collectives` with more than one schedule takes
+//! one of the selectors below. An `Auto` variant names a concrete schedule
+//! through `resolve`, and the executed collective and its cost function
+//! here both go through that one rule. The cost functions match the
+//! executed schedules **exactly** (the unit tests of each collective
+//! assert this), and the six plans of
+//! [`plan_prediction`](crate::plan_prediction) are priced from them.
 //!
 //! Conventions: `p` is the communicator size, `w` the per-rank block /
 //! segment size in words (uniform case). Word counts are the per-rank
@@ -33,11 +34,6 @@ pub enum AllGatherAlgo {
     Ring,
     /// Recursive doubling; requires power-of-two `p`.
     RecursiveDoubling,
-    /// Bruck's algorithm: `⌈log2 p⌉` rounds for **any** `p` (each round
-    /// sends everything held to rank `−2^s` and receives from `+2^s`),
-    /// at the price of a final local rotation. Latency-optimal where the
-    /// ring is bandwidth-optimal-but-slow to start.
-    Bruck,
     /// Recursive doubling when `p` is a power of two, ring otherwise.
     Auto,
 }
@@ -54,15 +50,14 @@ impl AllGatherAlgo {
     }
 
     /// Messages on the critical path on `p` members: `p − 1` for the
-    /// ring, `⌈log2 p⌉` for the two logarithmic schedules.
+    /// ring, `log2 p` for recursive doubling.
     pub(crate) fn messages(self, p: usize) -> f64 {
         match self.resolve(p) {
             AllGatherAlgo::Ring => (p - 1) as f64,
-            AllGatherAlgo::RecursiveDoubling => {
+            _ => {
                 assert!(p.is_power_of_two(), "recursive doubling requires power-of-two p");
                 ceil_log2(p)
             }
-            _ => ceil_log2(p),
         }
     }
 }
@@ -107,19 +102,9 @@ pub enum BcastAlgo {
     /// Scatter followed by ring All-Gather (van de Geijn): near-optimal
     /// bandwidth `2(1 − 1/p)·w` for large messages. Requires `p | w`.
     ScatterAllGather,
-    /// Binomial (latency-optimal default).
-    Auto,
 }
 
 impl BcastAlgo {
-    /// The schedule this selector runs: `Auto` is the binomial tree.
-    pub fn resolve(self) -> BcastAlgo {
-        match self {
-            BcastAlgo::Auto => BcastAlgo::Binomial,
-            algo => algo,
-        }
-    }
-
     /// The broadcast of a `w`-word message on `p` members when every
     /// member knows `w`: scatter–all-gather where it is legal (`p | w`,
     /// `w > 0`), the binomial tree otherwise. SUMMA broadcasts its panels
@@ -133,33 +118,10 @@ impl BcastAlgo {
     }
 }
 
-/// Schedule of an All-Reduce (`pmm_collectives::all_reduce_a`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllReduceAlgo {
-    /// Rabenseifner: Reduce-Scatter then All-Gather. Bandwidth-optimal
-    /// `2(1 − 1/p)·w`; any `p` (uneven trailing segment allowed).
-    ReduceScatterAllGather,
-    /// Recursive doubling: `log2 p` rounds of whole-buffer exchanges;
-    /// latency-optimal, bandwidth `log2(p)·w`. Power-of-two `p` only.
-    RecursiveDoubling,
-    /// Rabenseifner (the bandwidth-optimal default).
-    Auto,
-}
-
-impl AllReduceAlgo {
-    /// The schedule this selector runs: `Auto` is Rabenseifner's.
-    pub fn resolve(self) -> AllReduceAlgo {
-        match self {
-            AllReduceAlgo::Auto => AllReduceAlgo::ReduceScatterAllGather,
-            algo => algo,
-        }
-    }
-}
-
 /// Cost of an All-Gather with per-rank block size `w`.
 ///
-/// Ring: `(p−1)·α + (p−1)·w·β`. Recursive doubling (`p = 2^d`) and Bruck:
-/// `⌈log2 p⌉·α + (p−1)·w·β`. All achieve the optimal `(1 − 1/p)·W`
+/// Ring: `(p−1)·α + (p−1)·w·β`. Recursive doubling (`p = 2^d`):
+/// `log2 p·α + (p−1)·w·β`. Both achieve the optimal `(1 − 1/p)·W`
 /// bandwidth.
 pub fn all_gather_cost(algo: AllGatherAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
@@ -191,13 +153,15 @@ pub fn bcast_cost(algo: BcastAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
-    match algo.resolve() {
+    match algo {
         BcastAlgo::ScatterAllGather => {
             assert!(w.is_multiple_of(p), "scatter-allgather bcast requires p | w");
             let chunk = w / p;
             scatter_cost(p, chunk) + all_gather_cost(AllGatherAlgo::Ring, p, chunk)
         }
-        _ => Cost { messages: ceil_log2(p), words: ceil_log2(p) * w as f64, flops: 0.0 },
+        BcastAlgo::Binomial => {
+            Cost { messages: ceil_log2(p), words: ceil_log2(p) * w as f64, flops: 0.0 }
+        }
     }
 }
 
@@ -211,43 +175,27 @@ pub fn reduce_cost(p: usize, w: usize) -> Cost {
     Cost { messages: d, words: d * w as f64, flops: d * w as f64 }
 }
 
-/// Cost of an All-Reduce of `w` words.
-///
-/// Rabenseifner (reduce-scatter + all-gather, both `Auto`): the messages
-/// of the two, `2(1 − 1/p)·w` words and `(1 − 1/p)·w` flops when `p | w`.
-/// Uneven segments are priced at the largest, `⌈w/p⌉`: exact on the ring
-/// (`p` not a power of two), an upper bound under recursive halving.
-/// Recursive doubling (`p = 2^d`): `d·(α + w·β + w flops)`.
-pub fn all_reduce_cost(algo: AllReduceAlgo, p: usize, w: usize) -> Cost {
+/// Cost of an All-Reduce of `w` words (Rabenseifner: reduce-scatter +
+/// all-gather, both `Auto`): the messages of the two, `2(1 − 1/p)·w`
+/// words and `(1 − 1/p)·w` flops when `p | w`. Uneven segments are priced
+/// at the largest, `⌈w/p⌉`: exact on the ring (`p` not a power of two),
+/// an upper bound under recursive halving.
+pub fn all_reduce_cost(p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
-    match algo.resolve() {
-        AllReduceAlgo::RecursiveDoubling => {
-            assert!(p.is_power_of_two(), "recursive-doubling all-reduce requires power-of-two p");
-            reduce_cost(p, w)
-        }
-        _ => {
-            let chunk = w.div_ceil(p);
-            reduce_scatter_cost(ReduceScatterAlgo::Auto, p, chunk)
-                + all_gather_cost(AllGatherAlgo::Auto, p, chunk)
-        }
-    }
+    let chunk = w.div_ceil(p);
+    reduce_scatter_cost(ReduceScatterAlgo::Auto, p, chunk)
+        + all_gather_cost(AllGatherAlgo::Auto, p, chunk)
 }
 
-/// Cost of a binomial gather with uniform block `w` (cost at the root):
+/// Cost of a binomial scatter with uniform block `w` (cost at the root):
 /// `⌈log2 p⌉·α + (p−1)·w·β`.
-pub fn gather_cost(p: usize, w: usize) -> Cost {
+pub fn scatter_cost(p: usize, w: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;
     }
     Cost { messages: ceil_log2(p), words: ((p - 1) * w) as f64, flops: 0.0 }
-}
-
-/// Cost of a binomial scatter with uniform block `w` (cost at the root):
-/// the gather tree run backwards.
-pub fn scatter_cost(p: usize, w: usize) -> Cost {
-    gather_cost(p, w)
 }
 
 /// Cost of an All-to-All with `w` words per destination (pairwise
@@ -257,33 +205,6 @@ pub fn all_to_all_cost(p: usize, w: usize) -> Cost {
         return Cost::ZERO;
     }
     Cost { messages: (p - 1) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
-}
-
-/// Cost of an inclusive scan of `w` words per rank (Hillis–Steele
-/// doubling): critical path `⌈log2 p⌉·(α + w·β)` plus `⌈log2 p⌉·w`
-/// reduction flops.
-///
-/// The last rank attains this exactly — it receives in every one of the
-/// `⌈log2 p⌉` rounds (and never sends); every other rank communicates in
-/// a subset of the rounds, so this is the per-rank maximum the
-/// critical-path clock accrues.
-pub fn scan_cost(p: usize, w: usize) -> Cost {
-    reduce_cost(p, w)
-}
-
-/// Cost of an exclusive scan: identical to [`scan_cost`] — the exclusive
-/// prefix is derived from the inclusive one locally, with no extra
-/// communication.
-pub fn exscan_cost(p: usize, w: usize) -> Cost {
-    scan_cost(p, w)
-}
-
-/// Cost of a dissemination barrier: `⌈log2 p⌉·α`.
-pub fn barrier_cost(p: usize) -> Cost {
-    if p <= 1 {
-        return Cost::ZERO;
-    }
-    Cost { messages: ceil_log2(p), words: 0.0, flops: 0.0 }
 }
 
 #[cfg(test)]
@@ -301,11 +222,9 @@ mod tests {
     fn auto_resolves_by_the_one_rule_of_each_collective() {
         assert_eq!(AllGatherAlgo::Auto.resolve(8), AllGatherAlgo::RecursiveDoubling);
         assert_eq!(AllGatherAlgo::Auto.resolve(6), AllGatherAlgo::Ring);
-        assert_eq!(AllGatherAlgo::Bruck.resolve(6), AllGatherAlgo::Bruck);
+        assert_eq!(AllGatherAlgo::Ring.resolve(8), AllGatherAlgo::Ring);
         assert_eq!(ReduceScatterAlgo::Auto.resolve(4), ReduceScatterAlgo::RecursiveHalving);
         assert_eq!(ReduceScatterAlgo::Auto.resolve(5), ReduceScatterAlgo::Ring);
-        assert_eq!(BcastAlgo::Auto.resolve(), BcastAlgo::Binomial);
-        assert_eq!(AllReduceAlgo::Auto.resolve(), AllReduceAlgo::ReduceScatterAllGather);
         assert_eq!(BcastAlgo::by_length(4, 8), BcastAlgo::ScatterAllGather);
         assert_eq!(BcastAlgo::by_length(4, 6), BcastAlgo::Binomial);
         assert_eq!(BcastAlgo::by_length(4, 0), BcastAlgo::Binomial);
@@ -316,18 +235,15 @@ mod tests {
     fn trivial_communicators_are_free() {
         assert_eq!(all_gather_cost(AllGatherAlgo::Auto, 1, 100), Cost::ZERO);
         assert_eq!(reduce_scatter_cost(ReduceScatterAlgo::Auto, 1, 100), Cost::ZERO);
-        assert_eq!(bcast_cost(BcastAlgo::Auto, 1, 100), Cost::ZERO);
-        assert_eq!(barrier_cost(1), Cost::ZERO);
+        assert_eq!(bcast_cost(BcastAlgo::Binomial, 1, 100), Cost::ZERO);
+        assert_eq!(all_reduce_cost(1, 100), Cost::ZERO);
     }
 
     #[test]
-    fn allreduce_rabenseifner_vs_recursive_doubling() {
-        let rab = all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, 8, 80);
-        let rd = all_reduce_cost(AllReduceAlgo::RecursiveDoubling, 8, 80);
+    fn allreduce_is_reduce_scatter_then_all_gather() {
+        let rab = all_reduce_cost(8, 80);
         assert_eq!(rab.words, 140.0); // 2 (1-1/8)·80
-        assert_eq!(rd.words, 240.0); // 3·80
-        assert!(rab.words < rd.words);
-        assert!(rab.messages > rd.messages);
-        assert_eq!(all_reduce_cost(AllReduceAlgo::Auto, 8, 80), rab);
+        assert_eq!(rab.messages, 6.0); // 2·log2 8
+        assert_eq!(rab.flops, 70.0); // (1-1/8)·80
     }
 }

@@ -38,17 +38,6 @@ impl MatrixId {
             MatrixId::C => 1,
         }
     }
-
-    /// The matrix whose face is perpendicular to `axis`.
-    #[inline]
-    pub fn perpendicular_to(axis: usize) -> MatrixId {
-        match axis {
-            0 => MatrixId::B,
-            1 => MatrixId::C,
-            2 => MatrixId::A,
-            _ => panic!("axis must be 0, 1 or 2"),
-        }
-    }
 }
 
 impl fmt::Display for MatrixId {
@@ -214,16 +203,6 @@ impl SortedDims {
         }
     }
 
-    /// Map sorted-order grid dimensions `(p, q, r)` — aligned with
-    /// `(m, n, k)` — back to iteration-space order `[p1, p2, p3]`.
-    pub fn grid_in_axis_order(&self, p: usize, q: usize, r: usize) -> [usize; 3] {
-        let mut out = [0usize; 3];
-        out[self.axes[0]] = p;
-        out[self.axes[1]] = q;
-        out[self.axes[2]] = r;
-        out
-    }
-
     /// Product `m·n·k` as `f64`.
     #[inline]
     pub fn mults(&self) -> f64 {
@@ -300,19 +279,6 @@ mod tests {
         assert_eq!(d.words_of(MatrixId::A), 20.0);
         assert_eq!(d.total_words(), 20.0 + 30.0 + 24.0);
         assert_eq!(d.mults(), 120.0);
-    }
-
-    #[test]
-    fn missing_axis_is_consistent_with_perpendicular() {
-        for m in MatrixId::ALL {
-            assert_eq!(MatrixId::perpendicular_to(m.missing_axis()), m);
-        }
-    }
-
-    #[test]
-    fn grid_in_axis_order_places_factors() {
-        let s = MatMulDims::new(2400, 600, 9600).sorted(); // m on axis 2, n on 0, k on 1
-        assert_eq!(s.grid_in_axis_order(32, 8, 2), [8, 2, 32]);
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl Grid3 {
             .collect()
     }
 
-    /// Index of `coord` within its own fiber along `axis` (just the
-    /// coordinate on that axis).
-    #[inline]
-    pub fn fiber_index(&self, coord: Coord3, axis: usize) -> usize {
-        coord[axis]
-    }
-
     /// A stable color identifying the fiber through `coord` along `axis`:
     /// processors share a color iff they share a fiber. Useful as a
     /// communicator-split key.

@@ -199,23 +199,24 @@ fn lcm(a: u64, b: u64) -> u64 {
 /// sends: each non-root receives its subtree's payload exactly once, so
 /// the total is `chunk · Σ_{v=1}^{k-1} min(lowbit(v), k − v)` for
 /// uniform chunks `w / k`.
-fn binomial_scatter_words(w: u64, k: u64) -> u64 {
+fn binomial_scatter_words(w: u64, k: u64) -> f64 {
     let chunk = w / k;
     let subtree_sum: u64 = (1..k).map(|v| (v & v.wrapping_neg()).min(k - v)).sum();
-    chunk * subtree_sum
+    chunk as f64 * subtree_sum as f64
 }
 
 /// Total words one broadcast of `w` words over `k` ranks sends, summed
 /// over all ranks, under [`BcastAlgo::by_length`], the rule the SUMMA
 /// panel broadcast runs: scatter (as above) + ring all-gather
 /// (`(k−1)·w`), or the binomial tree (`(k−1)·w`).
-fn bcast_words_total(w: u64, k: u64) -> u64 {
+fn bcast_words_total(w: u64, k: u64) -> f64 {
     if k <= 1 || w == 0 {
-        return 0;
+        return 0.0;
     }
+    let relay = (k - 1) as f64 * w as f64;
     match BcastAlgo::by_length(k as usize, w as usize) {
-        BcastAlgo::ScatterAllGather => binomial_scatter_words(w, k) + (k - 1) * w,
-        _ => (k - 1) * w,
+        BcastAlgo::ScatterAllGather => binomial_scatter_words(w, k) + relay,
+        BcastAlgo::Binomial => relay,
     }
 }
 
@@ -259,7 +260,9 @@ pub struct PlanPrediction {
 /// What one clean run of `plan` on `dims` moves and costs. Each arm
 /// states its plan's schedule once, composed from the
 /// [`collective`](crate::collective) costs of what the executed algorithm
-/// runs:
+/// runs. Goodput totals are summed in `f64`, as `cost` is, so no total
+/// overflows; they stay exact below `2^53` words, which covers every run
+/// that can execute (one block's word count is still a `u64` product):
 ///
 /// - `alg1`: eq. (3) per rank; the messages of the `Auto` all-gathers
 ///   and reduce-scatter; `n1n2n3/P` multiply-adds plus the
@@ -325,7 +328,7 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             // largest blocks.
             let (h1, h3) = (part_len(n1, rows, 0), part_len(n3, cols, 0));
             let mut cost = Cost::flops(dims.mults() / (pr * pc) as f64);
-            let mut total = 0u64;
+            let mut total = 0.0;
             for t in 0..s {
                 let w = part_len(n2, s, t);
                 cost += bcast(pc, h1 * w) + bcast(pr, w * h3);
@@ -336,7 +339,7 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
                     total += bcast_words_total(w * part_len(n3, cols, j), rows);
                 }
             }
-            PlanPrediction { cost, words_total: total as f64 }
+            PlanPrediction { cost, words_total: total }
         }
         AlgPlan::Cannon { q } => plan_prediction(dims, &AlgPlan::TwoFiveD { q, c: 1 }),
         AlgPlan::TwoFiveD { q, c } => {
@@ -351,19 +354,21 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             let cost = replicate + shift * (q / c) as f64 + multiply + reduce_cost(c, c_block);
 
             let (q, c) = (q as u64, c as u64);
-            let inputs = n1 * n2 + n2 * n3;
-            let replicate = (c - 1) * inputs;
+            let [f1, f2, f3] = [n1, n2, n3].map(|n| n as f64);
+            let inputs = f1 * f2 + f2 * f3;
+            let replicate = (c - 1) as f64 * inputs;
             // Layer l skews by (l·q/c) mod q; exactly one row (and one
             // column) index sits at shift 0 and keeps its block.
-            let mut skew = 0u64;
+            let mut skew = 0.0;
             for l in 0..c {
                 let shift = (l * (q / c)) % q;
                 let home = (q - shift) % q;
-                skew += (n1 - part_len(n1, q, home)) * n2 + n2 * (n3 - part_len(n3, q, home));
+                skew += (n1 - part_len(n1, q, home)) as f64 * f2
+                    + f2 * (n3 - part_len(n3, q, home)) as f64;
             }
-            let rotate = (q - c) * inputs;
-            let reduce = (c - 1) * n1 * n3;
-            PlanPrediction { cost, words_total: (replicate + skew + rotate + reduce) as f64 }
+            let rotate = (q - c) as f64 * inputs;
+            let reduce = (c - 1) as f64 * f1 * f3;
+            PlanPrediction { cost, words_total: replicate + skew + rotate + reduce }
         }
         AlgPlan::Carma { p } => {
             assert!(p.is_power_of_two(), "CARMA requires power-of-two P");
@@ -372,7 +377,8 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             while ranks > 1 {
                 let [m, k, n] = sub;
                 let split = carma_split_dim(m, k, n);
-                let w = [k * n, m * n, m * k][split] as f64 / ranks as f64;
+                let [m, k, n] = [m, k, n].map(|x| x as f64);
+                let w = [k * n, m * n, m * k][split] / ranks as f64;
                 cost += Cost::message(w);
                 if split == 1 {
                     cost += Cost::flops(w);
@@ -533,19 +539,19 @@ mod tests {
     fn binomial_scatter_counts_subtree_payloads() {
         // p = 4, w = 8: root sends 2 chunks to vrank 2, then 1 chunk to
         // vrank 1; vrank 2 sends 1 chunk to vrank 3 → 4 chunks of 2 words.
-        assert_eq!(binomial_scatter_words(8, 4), 8);
+        assert_eq!(binomial_scatter_words(8, 4), 8.0);
         // p = 2: one chunk travels once.
-        assert_eq!(binomial_scatter_words(8, 2), 4);
+        assert_eq!(binomial_scatter_words(8, 2), 4.0);
     }
 
     #[test]
     fn bcast_total_picks_sag_only_on_divisible_lengths() {
         // Indivisible: binomial, (k-1)·w.
-        assert_eq!(bcast_words_total(7, 4), 21);
+        assert_eq!(bcast_words_total(7, 4), 21.0);
         // Divisible: scatter + ring all-gather.
-        assert_eq!(bcast_words_total(8, 4), 8 + 3 * 8);
-        assert_eq!(bcast_words_total(0, 4), 0);
-        assert_eq!(bcast_words_total(9, 1), 0);
+        assert_eq!(bcast_words_total(8, 4), 8.0 + 3.0 * 8.0);
+        assert_eq!(bcast_words_total(0, 4), 0.0);
+        assert_eq!(bcast_words_total(9, 1), 0.0);
     }
 
     #[test]
@@ -614,6 +620,45 @@ mod tests {
         let flat = plan_prediction(dims, &AlgPlan::TwoFiveD { q: 64, c: 1 }).cost.words;
         let repl = plan_prediction(dims, &AlgPlan::TwoFiveD { q: 32, c: 4 }).cost.words;
         assert!(repl < flat, "2.5D c=4 {repl} should beat c=1 {flat}");
+    }
+
+    #[test]
+    fn every_plan_is_priced_at_giga_dims_without_overflow() {
+        // At 10^9-cubed the goodput totals pass 2^64 words (2.5D's
+        // rotations alone move (q − c)·2n²); summed in f64 they are
+        // within rounding of their closed forms.
+        let n = 1e9;
+        let dims = MatMulDims::square(1_000_000_000);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want;
+        let plans = [
+            AlgPlan::Alg1 { grid: [8, 8, 16] },
+            AlgPlan::Alg1Streamed { grid: [8, 8, 16], slabs: 4 },
+            AlgPlan::Summa { pr: 32, pc: 32 },
+            AlgPlan::Cannon { q: 32 },
+            AlgPlan::TwoFiveD { q: 16, c: 4 },
+            AlgPlan::Carma { p: 1024 },
+        ];
+        for plan in &plans {
+            let pred = plan_prediction(dims, plan);
+            let per_rank = [pred.cost.messages, pred.cost.words, pred.cost.flops];
+            assert!(per_rank.iter().all(|x| x.is_finite() && *x > 0.0), "{plan}: {pred:?}");
+            assert!(pred.words_total > pred.cost.words, "{plan}: {pred:?}");
+        }
+        let total = |plan: &AlgPlan| plan_prediction(dims, plan).words_total;
+        // Each rank sends eq. (3): (1 − 1/16)·n²/64 + 2·(1 − 1/8)·n²/128.
+        let eq3 = (15.0 / 16.0) * n * n / 64.0 + 2.0 * (7.0 / 8.0) * n * n / 128.0;
+        assert!(close(total(&plans[0]), 1024.0 * eq3));
+        assert_eq!(total(&plans[1]), total(&plans[0]));
+        // Every panel broadcast is a scatter (80 of 32 chunks) and a ring
+        // all-gather ((32 − 1)·w) of A's and of B's panels: 2·33.5·n².
+        assert!(close(total(&plans[2]), 67.0 * n * n));
+        // Skew 2·(1 − 1/32)·n², then 31 rotations of both inputs.
+        assert!(close(total(&plans[3]), 2.0 * (31.0 / 32.0 + 31.0) * n * n));
+        // Replicate 3·2n², skew 4 layers × 2·(15/16)·n², 12 rotations
+        // of both inputs, reduce 3·n².
+        assert!(close(total(&plans[4]), (6.0 + 7.5 + 24.0 + 3.0) * n * n));
+        let carma = plan_prediction(dims, &plans[5]);
+        assert_eq!(carma.words_total, 1024.0 * carma.cost.words);
     }
 
     #[test]

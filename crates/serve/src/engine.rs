@@ -190,6 +190,28 @@ mod tests {
     }
 
     #[test]
+    fn any_processor_count_is_answered_in_bounded_time() {
+        // A highly composite P has 1.8 million grids and is ranked; a P
+        // past the advisor's 2^40 is a typed error, not a divisor search
+        // up to 2^32.
+        let e = engine(false);
+        let t0 = std::time::Instant::now();
+        match e.handle(b"ADVISE 4096 4096 4096 963761198400 inf") {
+            Response::Ok(p) => assert!(p.contains("algo="), "{p}"),
+            other => panic!("expected OK, got {other:?}"),
+        }
+        match e.handle(b"ADVISE 4096 4096 4096 18446744073709551615 inf") {
+            Response::Err { code, detail } => {
+                assert_eq!(code, ErrCode::Advisor);
+                assert!(detail.contains("largest plannable P"), "{detail}");
+            }
+            other => panic!("expected ERR, got {other:?}"),
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(secs < 20.0, "two queries took {secs:.1} s");
+    }
+
+    #[test]
     fn stats_verb_reports_counters_and_config() {
         let e = engine(false);
         let _ = e.handle(b"ADVISE 8 8 8 4 inf");

@@ -892,11 +892,10 @@ impl Rank {
         }
     }
 
-    /// Zero-cost synchronization of **all world ranks** (not metered). For
-    /// delimiting test phases; real synchronization should use the metered
-    /// barrier collective from `pmm-collectives`. Ranks killed by a fault
-    /// plan are counted as arrived, so survivors can rally here after a
-    /// failure.
+    /// Zero-cost synchronization of **all world ranks**: no message is
+    /// sent and no meter or clock moves. For delimiting test phases. Ranks
+    /// killed by a fault plan are counted as arrived, so survivors can
+    /// rally here after a failure.
     #[track_caller]
     pub fn hard_sync_a(&mut self) -> impl Future<Output = ()> + '_ {
         let site = Location::caller();

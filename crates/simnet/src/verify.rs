@@ -67,17 +67,11 @@ pub enum CollectiveOp {
     Barrier,
     /// Broadcast.
     Bcast,
-    /// Gather (root collects; per-rank contributions may differ).
-    Gather,
     /// Reduce to a root (element counts must agree).
     Reduce,
     /// Reduce-Scatter (every rank contributes a full vector; element
     /// counts must agree).
     ReduceScatter,
-    /// Inclusive scan (element counts must agree).
-    Scan,
-    /// Exclusive scan (element counts must agree).
-    ExScan,
     /// Scatter from a root (per-rank shares may differ).
     Scatter,
     /// Communicator split (a collective over the parent communicator).
@@ -94,8 +88,6 @@ impl CollectiveOp {
                 | CollectiveOp::Barrier
                 | CollectiveOp::Reduce
                 | CollectiveOp::ReduceScatter
-                | CollectiveOp::Scan
-                | CollectiveOp::ExScan
         )
     }
 }
@@ -108,11 +100,8 @@ impl std::fmt::Display for CollectiveOp {
             CollectiveOp::AllToAll => "all_to_all",
             CollectiveOp::Barrier => "barrier",
             CollectiveOp::Bcast => "bcast",
-            CollectiveOp::Gather => "gather",
             CollectiveOp::Reduce => "reduce",
             CollectiveOp::ReduceScatter => "reduce_scatter",
-            CollectiveOp::Scan => "scan",
-            CollectiveOp::ExScan => "exscan",
             CollectiveOp::Scatter => "scatter",
             CollectiveOp::Split => "split",
         };

@@ -809,12 +809,6 @@ impl<T> WorldResult<T> {
         self.reports.iter().map(|r| r.meter.words_sent as f64).sum()
     }
 
-    /// Maximum over ranks of `max(words_sent, words_recv)` — the per-rank
-    /// duplex communication volume.
-    pub fn max_duplex_words(&self) -> u64 {
-        self.reports.iter().map(|r| r.meter.duplex_words()).max().unwrap_or(0)
-    }
-
     /// Maximum flops performed by any rank.
     pub fn max_flops(&self) -> f64 {
         self.reports.iter().map(|r| r.meter.flops).fold(0.0, f64::max)
@@ -872,7 +866,6 @@ mod tests {
         let out = World::new(3, bw()).run_async(|_| Box::pin(async {}));
         assert_eq!(out.critical_path_time(), 0.0);
         assert_eq!(out.total_words_sent(), 0.0);
-        assert_eq!(out.max_duplex_words(), 0);
         assert_eq!(out.max_peak_mem_words(), 0);
     }
 

@@ -72,8 +72,8 @@ pub mod prelude {
         Alg1Output, Assembly, CShare, CannonConfig, Recovered, SummaConfig, TwoFiveDConfig,
     };
     pub use pmm_collectives::{
-        all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, AllReduceAlgo,
-        BcastAlgo, ReduceScatterAlgo,
+        all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, BcastAlgo,
+        ReduceScatterAlgo,
     };
     pub use pmm_core::advisor::{recommend, Recommendation};
     pub use pmm_core::genbound::{GenBoundProblem, GenBoundSolution};

@@ -69,8 +69,7 @@ fn collectives_compose_on_grid_fibers() {
             let coord = grid.coord_of(rank.world_rank());
             let (color, key) = (grid.fiber_color(coord, 0) as i64, coord[0] as i64);
             let axis0 = rank.split_a(&world, color, key).await.unwrap();
-            let sum =
-                all_reduce_a(rank, &axis0, &[coord[0] as f64 + 1.0], AllReduceAlgo::Auto).await;
+            let sum = all_reduce_a(rank, &axis0, &[coord[0] as f64 + 1.0]).await;
             // fiber along axis 0 has coords {0,1,2} → sum = 6.
             let (color, key) = (grid.fiber_color(coord, 2) as i64, coord[2] as i64);
             let axis2 = rank.split_a(&world, color, key).await.unwrap();
@@ -126,7 +125,7 @@ proptest! {
                 let local: Vec<f64> = (0..w)
                     .map(|e| (0..p).map(|r| gathered[r * w + e]).sum())
                     .collect();
-                let ar = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
+                let ar = all_reduce_a(rank, &comm, &mine).await;
                 (local, ar)
             })
         });
@@ -146,7 +145,7 @@ proptest! {
                 let comm = rank.world_comm();
                 let mine: Vec<f64> = (0..w).map(|e| (rank.world_rank() * w + e) as f64).collect();
                 let seg = reduce_scatter_a(rank, &comm, &mine, ReduceScatterAlgo::Auto).await;
-                let full = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
+                let full = all_reduce_a(rank, &comm, &mine).await;
                 (seg, full)
             })
         });
