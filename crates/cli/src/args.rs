@@ -201,6 +201,62 @@ fn parse_grid_of(flags: &Flags, procs: usize) -> Result<Option<[usize; 3]>, Pars
     Ok(Some(grid))
 }
 
+/// The largest world `simulate` and `trace` execute: 2·10^6 ranks. The
+/// P = 10^6 cell of `tests/scale.rs` adds 6.7 KB per rank to the host with
+/// schedule recording off, so twice its P fills 13 GB before the logs a
+/// seeded world records.
+pub const MAX_SIM_PROCS: usize = 2_000_000;
+
+/// The most words `simulate` and `trace` hold for the three matrices of
+/// one run, `A` + `B` + `C`: 2^28 words, 2 GiB of `f64`. A run keeps its
+/// inputs, the ranks' blocks of them and the assembled product with its
+/// oracle, about twice these words.
+pub const MAX_SIM_WORDS: usize = 1 << 28;
+
+/// The `--dims` and `--procs` of a world `simulate` and `trace` execute,
+/// with its `--grid` if given: refused when the host cannot hold it
+/// (above [`MAX_SIM_WORDS`] or [`MAX_SIM_PROCS`]).
+fn parse_sim_world(flags: &Flags) -> Result<(MatMulDims, usize, Option<[usize; 3]>), ParseError> {
+    let spec = flags.require("dims")?;
+    let dims = parse_dims(spec)?;
+    let [n1, n2, n3] = [dims.n1, dims.n2, dims.n3].map(|n| usize::try_from(n).ok());
+    let words = n1.zip(n2).zip(n3).and_then(|((n1, n2), n3)| {
+        let (a, b, c) = (n1.checked_mul(n2)?, n2.checked_mul(n3)?, n1.checked_mul(n3)?);
+        a.checked_add(b)?.checked_add(c)
+    });
+    if words.is_none_or(|w| w > MAX_SIM_WORDS) {
+        return Err(err(format!(
+            "--dims {spec}: A, B and C exceed the {MAX_SIM_WORDS} words a simulated run may hold"
+        )));
+    }
+    let procs = parse_procs(flags)?;
+    if procs > MAX_SIM_PROCS {
+        return Err(err(format!(
+            "--procs {procs} exceeds the largest simulated world, P = {MAX_SIM_PROCS}"
+        )));
+    }
+    Ok((dims, procs, parse_grid_of(flags, procs)?))
+}
+
+fn parse_seed(flags: &Flags) -> Result<u64, ParseError> {
+    match flags.get("seed") {
+        None => Ok(42),
+        Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer")),
+    }
+}
+
+/// A machine parameter of `advise` (`--alpha`, `--beta`, `--gamma`): a
+/// finite number >= 0, as the α-β-γ model requires.
+fn parse_machine_param(flags: &Flags, name: &str, default: f64) -> Result<f64, ParseError> {
+    let v = parse_f64(flags, name, Some(default))?
+        .expect("parse_f64 returns Some when a default is supplied");
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(err(format!("--{name} must be a finite number >= 0, got {v}")))
+    }
+}
+
 fn parse_opt_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ParseError> {
     match flags.get(name) {
         None => Ok(None),
@@ -255,51 +311,31 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
                 memory: parse_f64(&flags, "memory", None)?,
-                alpha: parse_f64(&flags, "alpha", Some(1e4))?
-                    .expect("parse_f64 returns Some when a default is supplied"),
-                beta: parse_f64(&flags, "beta", Some(10.0))?
-                    .expect("parse_f64 returns Some when a default is supplied"),
-                gamma: parse_f64(&flags, "gamma", Some(1.0))?
-                    .expect("parse_f64 returns Some when a default is supplied"),
+                alpha: parse_machine_param(&flags, "alpha", 1e4)?,
+                beta: parse_machine_param(&flags, "beta", 10.0)?,
+                gamma: parse_machine_param(&flags, "gamma", 1.0)?,
             })
         }
         "simulate" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults"])?;
-            let procs = parse_procs(&flags)?;
-            let grid = parse_grid_of(&flags, procs)?;
-            let seed = match flags.get("seed") {
-                None => 42,
-                Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
-            };
+            let (dims, procs, grid) = parse_sim_world(&flags)?;
             let faults = flags
                 .get("faults")
-                .map(|s| FaultPlan::parse(s).map_err(|e| err(format!("--faults: {e}"))))
-                .transpose()?;
-            Ok(Command::Simulate {
-                dims: parse_dims(flags.require("dims")?)?,
-                procs,
-                grid,
-                seed,
-                faults,
-            })
+                .map(|s| {
+                    let plan = FaultPlan::parse(s)?;
+                    plan.check_ranks(procs).map(|()| plan)
+                })
+                .transpose()
+                .map_err(|e| err(format!("--faults: {e}")))?;
+            Ok(Command::Simulate { dims, procs, grid, seed: parse_seed(&flags)?, faults })
         }
         "trace" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "grid", "seed", "out"])?;
-            let procs = parse_procs(&flags)?;
-            let grid = parse_grid_of(&flags, procs)?;
-            let seed = match flags.get("seed") {
-                None => 42,
-                Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
-            };
-            Ok(Command::Trace {
-                dims: parse_dims(flags.require("dims")?)?,
-                procs,
-                grid,
-                seed,
-                out: flags.get("out").map(String::from),
-            })
+            let (dims, procs, grid) = parse_sim_world(&flags)?;
+            let (seed, out) = (parse_seed(&flags)?, flags.get("out").map(String::from));
+            Ok(Command::Trace { dims, procs, grid, seed, out })
         }
         "sweep" => {
             let flags = Flags::parse(rest)?;
@@ -647,6 +683,28 @@ mod tests {
         for cmd in ["simulate", "trace"] {
             let cmd = format!("{cmd} --dims 12x12x12 --grid 3x3x3 --procs 4");
             assert!(parse_args(&argv(&cmd)).is_err(), "{cmd}");
+        }
+        for (flag, value) in [("alpha", "-1"), ("beta", "nan"), ("gamma", "inf")] {
+            let cmd = format!("advise --dims 8x8x8 --procs 8 --{flag} {value}");
+            let e = parse_args(&argv(&cmd)).unwrap_err();
+            assert!(e.to_string().contains(&format!("--{flag} must be")), "{cmd}: {e}");
+        }
+    }
+
+    #[test]
+    fn simulate_and_trace_take_worlds_up_to_their_ceilings() {
+        let edge = (MAX_SIM_WORDS / 3).isqrt();
+        for cmd in ["simulate", "trace"] {
+            let fits = format!("{cmd} --dims {edge}x{edge}x{edge} --procs {MAX_SIM_PROCS}");
+            assert!(parse_args(&argv(&fits)).is_ok(), "{fits}");
+            for (dims, procs, why) in [
+                (format!("{edge}x{edge}x{}", 2 * edge), 2, "words"),
+                ("4x4x4".to_string(), MAX_SIM_PROCS + 1, "largest simulated world"),
+            ] {
+                let above = format!("{cmd} --dims {dims} --procs {procs}");
+                let e = parse_args(&argv(&above)).unwrap_err();
+                assert!(e.to_string().contains(why), "{above}: {e}");
+            }
         }
     }
 

@@ -167,11 +167,31 @@ fn bad_procs_grid_or_fault_plan_exits_two_not_a_panic() {
         &["bound", "--dims", "8x8x8", "--procs", "0"][..],
         &["simulate", "--dims", "12x12x12", "--grid", "3x3x3", "--procs", "4"],
         &["simulate", "--dims", "8x8x8", "--procs", "2", "--faults", "drop=1.5"],
+        &["simulate", "--dims", "4x4x4", "--procs", "8", "--faults", "kill=99@1"],
+        &["advise", "--dims", "8x8x8", "--procs", "8", "--alpha", "-1"],
+        &["advise", "--dims", "8x8x8", "--procs", "8", "--beta", "nan"],
+        &["advise", "--dims", "8x8x8", "--procs", "8", "--gamma", "inf"],
     ] {
         let out = pmm(args);
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.starts_with("error:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn worlds_the_host_cannot_hold_exit_two_before_allocating() {
+    // Before the ceilings: a capacity-overflow panic (101), an allocator
+    // abort (134) and the OOM killer (137).
+    for cmd in ["simulate", "trace"] {
+        for (dims, procs) in
+            [("18446744073709551615x2x2", "2"), ("100000x100000x2", "2"), ("4x4x4", "100000000")]
+        {
+            let out = pmm(&[cmd, "--dims", dims, "--procs", procs]);
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(2), "{cmd} {dims} on {procs}: {err}");
+            assert!(err.starts_with("error:"), "{cmd} {dims} on {procs}: {err}");
+        }
     }
 }
 

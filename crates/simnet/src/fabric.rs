@@ -128,6 +128,24 @@ pub(crate) struct Mailbox {
     q: Mutex<VecDeque<Message>>,
 }
 
+/// Slots a drained queue may keep: `VecDeque`'s first allocation for a
+/// 72-byte [`Message`]. A backlog grows a queue past it (a ring all-gather
+/// backs up f − 1 messages at one member of a fiber of f), and
+/// [`pop_front`] gives that buffer back once the backlog drains, so a
+/// world holds memory for the messages in flight rather than for every
+/// queue's deepest backlog.
+const DRAINED_SLOTS: usize = 4;
+
+/// The front of `q`, returning a grown buffer to the allocator when it
+/// leaves `q` empty.
+fn pop_front(q: &mut VecDeque<Message>) -> Option<Message> {
+    let m = q.pop_front();
+    if q.is_empty() && q.capacity() > DRAINED_SLOTS {
+        *q = VecDeque::new();
+    }
+    m
+}
+
 /// The mailboxes of one communicator context, indexed by member.
 pub(crate) type Mailboxes = Arc<[Mailbox]>;
 
@@ -581,7 +599,7 @@ impl Fabric {
     /// Attach a fault plan (validated) with its resolved decision seed.
     /// Like [`Fabric::enable_det`], must run before any rank starts.
     pub(crate) fn enable_faults(&mut self, plan: FaultPlan, seed: u64) {
-        plan.validate();
+        plan.validate(self.verify.world_size());
         self.fault = Some(FaultState::new(plan, seed, self.verify.world_size()));
     }
 
@@ -1064,7 +1082,7 @@ impl Fabric {
         let mb = &mailboxes[index];
         {
             let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = q.pop_front() {
+            if let Some(m) = pop_front(&mut q) {
                 self.det_touch(Resource::Mailbox { ctx, index });
                 return Some(m);
             }
@@ -1079,7 +1097,7 @@ impl Fabric {
         loop {
             self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
             let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = q.pop_front() {
+            if let Some(m) = pop_front(&mut q) {
                 self.det_touch(Resource::Mailbox { ctx, index });
                 self.verify.clear_wait(me_world);
                 return Some(m);
@@ -1652,6 +1670,27 @@ mod tests {
         assert_eq!(m.from, 3);
         assert_eq!(m.sent_at, 1.5);
         assert_eq!(m.payload, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_drained_mailbox_gives_back_its_backlog_and_stays_fifo() {
+        let fabric = Fabric::new(1);
+        let world = fabric.world_mailboxes();
+        let capacity = || lock_unpoisoned(&world[0].q).capacity();
+        fabric.post(&world, WORLD_CTX, 0, 0, msg(0, 0.0, vec![]));
+        let first = capacity();
+        take_now(&fabric, &world, WORLD_CTX, None).unwrap();
+        for round in 0..2 {
+            for from in 0..32 {
+                fabric.post(&world, WORLD_CTX, 0, 0, msg(from, 0.0, vec![from as f64]));
+            }
+            assert!(capacity() >= 32);
+            for from in 0..32 {
+                let m = take_now(&fabric, &world, WORLD_CTX, None).unwrap();
+                assert_eq!((m.from, m.payload[0]), (from, from as f64), "round {round}");
+            }
+            assert!(capacity() <= first, "round {round}: {} slots kept, {first} first", capacity());
+        }
     }
 
     #[test]

@@ -392,9 +392,25 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Panic on a plan that breaks a rule of [`FaultPlan::check`].
-    pub(crate) fn validate(&self) {
-        if let Err(e) = self.check() {
+    /// Whether every rank the plan's `kill`, `cascade`, `slow` and `part`
+    /// entries name is a rank of a world of `p`. An entry naming another
+    /// never fires, so the run would pass for a recovered one while being
+    /// the fault-free run.
+    pub fn check_ranks(&self, p: usize) -> Result<(), String> {
+        let named = (self.kills.iter().map(|k| k.rank))
+            .chain(self.cascades.iter().map(|c| c.rank))
+            .chain(self.stragglers.iter().map(|s| s.rank))
+            .chain(self.partitions.iter().flat_map(|q| q.ranks.iter().copied()));
+        match named.max() {
+            Some(r) if r >= p => Err(format!("fault plan names rank {r}, outside a world of {p}")),
+            _ => Ok(()),
+        }
+    }
+
+    /// Panic on a plan that breaks a rule of [`FaultPlan::check`] or
+    /// names a rank outside a world of `p` ([`FaultPlan::check_ranks`]).
+    pub(crate) fn validate(&self, p: usize) {
+        if let Err(e) = self.check().and_then(|()| self.check_ranks(p)) {
             panic!("{e}");
         }
     }
@@ -935,6 +951,17 @@ mod tests {
         assert!(FaultPlan::parse("drop=1.5").is_err(), "rate above 1");
         assert!(FaultPlan::parse("part=0+9@2..1#0").is_err(), "empty window, heal attempt 0");
         assert!(FaultPlan::parse("drop=0.5,dup=0.3,delay=0.4").is_err(), "rates sum past 1");
+    }
+
+    #[test]
+    fn check_ranks_holds_every_named_rank_to_the_world() {
+        let within = "kill=7@1,cascade=6@1,slow=5x2,part=0+4@1..9#1";
+        assert_eq!(FaultPlan::parse(within).expect("parses").check_ranks(8), Ok(()));
+        for spec in ["kill=8@1", "cascade=99@1", "slow=8x2", "part=0+8@1..9#1"] {
+            let plan = FaultPlan::parse(spec).expect("parses: P is not known yet");
+            let e = plan.check_ranks(8).expect_err(spec);
+            assert!(e.contains("outside a world of 8"), "{spec}: {e}");
+        }
     }
 
     #[test]

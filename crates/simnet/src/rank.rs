@@ -158,7 +158,8 @@ pub struct Rank {
     time: f64,
     meter: Meter,
     mem: MemTracker,
-    /// Out-of-order stash for directed receives, keyed by (ctx, from index).
+    /// Out-of-order stash for directed receives, keyed by (ctx, from
+    /// index). Every entry holds at least one message.
     pending: HashMap<(Ctx, usize), VecDeque<Message>>,
     trace: Option<Vec<TraceEvent>>,
     /// Happens-before event count (see `crate::verify`): ticks on every
@@ -765,8 +766,15 @@ impl Rank {
         from: usize,
         site: &'static Location<'static>,
     ) -> Message {
-        if let Some(q) = self.pending.get_mut(&(comm.ctx, from)) {
-            if let Some(m) = q.pop_front() {
+        // The stash holds only channels with messages waiting: an entry
+        // goes when its last message is taken.
+        let key = (comm.ctx, from);
+        if let Some(q) = self.pending.get_mut(&key) {
+            let m = q.pop_front();
+            if q.is_empty() {
+                self.pending.remove(&key);
+            }
+            if let Some(m) = m {
                 return m;
             }
         }
@@ -970,7 +978,6 @@ impl Rank {
         let mut leftovers: Vec<String> = self
             .pending
             .iter()
-            .filter(|(_, q)| !q.is_empty())
             .map(|(&(ctx, from), q)| {
                 format!("{} message(s) from index {from} on ctx {ctx}", q.len())
             })
@@ -1110,6 +1117,49 @@ mod tests {
             })
         });
         assert_eq!(out.values[0], 201.0);
+    }
+
+    #[test]
+    fn a_drained_stash_holds_no_channel() {
+        // Ranks 1 and 2 queue three messages each at rank 0 before rank 3
+        // (released by their tokens) sends its three: rank 0, taking from
+        // 3 first, stashes six messages on two channels.
+        let out = World::new(4, bw()).run_async(|rank| {
+            Box::pin(async move {
+                let wc = rank.world_comm();
+                let me = rank.world_rank();
+                match me {
+                    0 => {
+                        let mut got = Vec::new();
+                        for from in [3, 2, 1] {
+                            for _ in 0..3 {
+                                got.push(rank.recv_a(&wc, from).await.payload[0]);
+                            }
+                            if from == 3 {
+                                assert_eq!(rank.pending.len(), 2, "channels 1 and 2 stashed");
+                            }
+                        }
+                        assert!(rank.pending.is_empty(), "{:?}", rank.undrained_stash());
+                        got
+                    }
+                    _ => {
+                        if me == 3 {
+                            rank.recv_a(&wc, 1).await;
+                            rank.recv_a(&wc, 2).await;
+                        }
+                        for i in 0..3 {
+                            rank.send_a(&wc, 0, &[(10 * me + i) as f64]).await;
+                        }
+                        if me != 3 {
+                            rank.send_a(&wc, 3, &[]).await;
+                        }
+                        Vec::new()
+                    }
+                }
+            })
+        });
+        let want = [30, 31, 32, 20, 21, 22, 10, 11, 12].map(f64::from);
+        assert_eq!(out.values[0], want);
     }
 
     #[test]

@@ -890,6 +890,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fault plan names rank 2, outside a world of 2")]
+    fn a_fault_plan_naming_a_rank_outside_the_world_is_malformed() {
+        let plan = FaultPlan::none().with_straggler(1, 2.0).with_kill(2, 1);
+        World::new(2, bw()).with_faults(plan).run_async(|_| Box::pin(async {}));
+    }
+
+    #[test]
     fn many_ranks_spawn_and_join() {
         let out = World::new(128, bw()).run(|r| r.world_rank());
         assert_eq!(out.values.len(), 128);

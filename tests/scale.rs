@@ -341,9 +341,9 @@ fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
 /// (100, 100, 100): t = 1, one element per block, so fiber chunks are
 /// uneven and eq. (3) holds in aggregate (the per-rank exact check
 /// needs even chunks). Release-mode cell of `cargo xtask scale-check`.
-/// Needs ~24 GB of RSS; last measured (one core, ~6 640 s at ~151
-/// ranks/sec) when every split deposit still scanned all 10^6 members,
-/// and not re-measured since those scans went away.
+/// Peaks at 6.5 GB of RSS (6.7 KB per rank) in 2–3 minutes on one core
+/// of a 2-vCPU VM, since drained mailboxes and receive stashes give their
+/// buffers back.
 #[test]
 #[ignore = "million-rank release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_6() {

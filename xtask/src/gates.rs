@@ -129,9 +129,8 @@ const FAULT_MATRIX: &[Step] = &[
 ];
 
 /// The `tests/scale.rs` cells in ascending P: the row label the test
-/// prints, the test, and whole GB above its measured `VmHWM` (0.33, 0.33,
-/// 0.20, 0.09 and 5.0 GB; the 10^6 cell's 24 GB is the last estimate, not
-/// re-measured on a host that cannot hold it). The first three are the
+/// prints, the test, and whole GB above its measured `VmHWM` (0.24, 0.24,
+/// 0.17, 0.06, 4.1 and 6.5 GB). The first three are the
 /// default-on cells: the world `pmm simulate` builds (seeded, schedule
 /// recording on) and the unseeded `run_async` default.
 const SCALE_CELLS: &[Step] = &[
@@ -139,8 +138,8 @@ const SCALE_CELLS: &[Step] = &[
     step("p1k-unseeded", "alg1_executes_on_the_default_unseeded_world_at_p_1024_under_1_gb", 1),
     step("p4k-default", "alg1_executes_on_the_default_seeded_world_at_p_4096", 1),
     step("p10k", "alg1_executes_at_p_10_4_with_exact_eq3_attribution", 1),
-    step("p100k", "alg1_executes_at_p_10_5_with_exact_eq3_attribution", 6),
-    step("p1m", "alg1_executes_at_p_10_6", 24),
+    step("p100k", "alg1_executes_at_p_10_5_with_exact_eq3_attribution", 5),
+    step("p1m", "alg1_executes_at_p_10_6", 7),
 ];
 
 pub static GATES: &[Gate] = &[
@@ -295,7 +294,7 @@ pub static GATES: &[Gate] = &[
                cells first (a skipped cell's committed row is carried over):\n\
                Algorithm 1 end-to-end on default worlds (schedule recording on)\n\
                at P = 1024 and 4096, then with recording off at P = 10^4, 10^5\n\
-               and 10^6 (~24 GB), with exact per-rank per-phase eq. (3)\n\
+               and 10^6 (~7 GB), with exact per-rank per-phase eq. (3)\n\
                attribution on integral section-5.2 grids and the happens-before\n\
                audit on in every cell (each rank's exported event count must\n\
                equal msgs_sent + msgs_recv)",
