@@ -2,8 +2,10 @@
 //! communicators, phase metering, Algorithm 1's operand gathers, and
 //! output reassembly for verification.
 
-use pmm_collectives::{all_gather_v_a, AllGatherAlgo};
-use pmm_dense::{block_range, chunk_of_block, Block2, MatRef, Matrix};
+use std::future::Future;
+
+use pmm_collectives::{all_gather_v_a, AllGatherAlgo, Counts};
+use pmm_dense::{block_range, Block2, MatRef, Matrix};
 use pmm_model::{Grid3, MatMulDims};
 use pmm_simnet::{CollectiveOp, Comm, Meter, Rank};
 
@@ -122,21 +124,25 @@ impl<'a> From<&'a Operand<'_>> for MatRef<'a> {
 /// `all_gather_v_a` enters it there (verifier registration, `Collective`
 /// trace event, scheduler yield, with the block's word count), so meters,
 /// clocks, traces and schedules are those of the gather.
-pub(crate) async fn gather_block<'m>(
-    rank: &mut Rank,
-    fiber: &Comm,
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+pub(crate) fn gather_block<'a, 'm: 'a>(
+    rank: &'a mut Rank,
+    fiber: &'a Comm,
     block: Block2,
     global: &'m Matrix,
-) -> Operand<'m> {
-    let (p, words) = (fiber.size(), block.words());
-    if p == 1 {
-        rank.collective_begin_a(fiber, CollectiveOp::AllGather, words as u64).await;
-        return Operand::InPlace(block.view(global));
+) -> impl Future<Output = Operand<'m>> + 'a {
+    async move {
+        let (p, words) = (fiber.size(), block.words());
+        if p == 1 {
+            rank.collective_begin_a(fiber, CollectiveOp::AllGather, words as u64).await;
+            return Operand::InPlace(block.view(global));
+        }
+        // The chunks are `chunk_of_block(words, p, t)`: an even split.
+        let mine = block.chunk(global, p, fiber.index());
+        let flat =
+            all_gather_v_a(rank, fiber, mine, Counts::Even(words), AllGatherAlgo::Auto).await;
+        Operand::Gathered(Matrix::from_vec(block.height(), block.width(), flat))
     }
-    let counts: Vec<usize> = (0..p).map(|t| chunk_of_block(words, p, t).len()).collect();
-    let mine = block.chunk(global, p, fiber.index());
-    let flat = all_gather_v_a(rank, fiber, mine, &counts, AllGatherAlgo::Auto).await;
-    Operand::Gathered(Matrix::from_vec(block.height(), block.width(), flat))
 }
 
 /// Reassemble a global matrix from per-coordinate owned blocks.

@@ -45,7 +45,9 @@
 //! ([`alg1_streamed`](crate::streamed::alg1_streamed)), with the same
 //! words and `t×` the gather messages.
 
-use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, ReduceScatterAlgo};
+use std::future::Future;
+
+use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, Counts, ReduceScatterAlgo};
 
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
@@ -125,9 +127,17 @@ pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Ou
 /// of this rank's owned chunks — the algorithm reads nothing else from
 /// them, except on a one-member fiber, where the chunk is the whole block
 /// and is read in place).
-pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
-    let world = rank.world_comm();
-    alg1_on_a(rank, &world, cfg, 1, a, b).await
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+pub fn alg1_a<'a>(
+    rank: &'a mut Rank,
+    cfg: &'a Alg1Config,
+    a: &'a Matrix,
+    b: &'a Matrix,
+) -> impl Future<Output = Alg1Output> + 'a {
+    async move {
+        let world = rank.world_comm();
+        alg1_on_a(rank, &world, cfg, 1, a, b).await
+    }
 }
 
 /// The one body of Algorithm 1 (see the [module docs](self)), on an
@@ -144,119 +154,133 @@ pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -
 /// (released when the next slab's are acquired), `D` after the first
 /// slab's gathers, and the last slab's buffers released with `D` after
 /// assembly.
-pub async fn alg1_on_a(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &Alg1Config,
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+pub fn alg1_on_a<'a>(
+    rank: &'a mut Rank,
+    base: &'a Comm,
+    cfg: &'a Alg1Config,
     slabs: usize,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    let dims = cfg.dims;
-    let grid = cfg.grid;
-    assert_inputs_match(dims, a, b);
-    let [p1, p2, p3] = grid.dims();
-    let coord = grid.coord_of(base.index());
-    let comms = fiber_comms_on_a(rank, base, grid).await;
+    a: &'a Matrix,
+    b: &'a Matrix,
+) -> impl Future<Output = Alg1Output> + 'a {
+    // An `async` block behind a plain `fn`, not an `async fn`, here and
+    // down the gather and reduce-scatter chain: an `async fn` keeps its
+    // arguments twice in its state (as passed, and moved into the body),
+    // and every rank of a world is one suspended copy of this state.
+    async move {
+        assert_inputs_match(cfg.dims, a, b);
+        let comms = fiber_comms_on_a(rank, base, cfg.grid).await;
 
-    // Blocks `A_{p1'p2'}` and `B_{p2'p3'}` of the global inputs, cut
-    // into `slabs` slabs of `A`-columns / `B`-rows.
-    let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
-    let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
-    let (h1, h2, h3) = (a_blk.height(), a_blk.width(), b_blk.width());
-    let slabs = slabs.clamp(1, h2.max(1));
-    let c_block_words = h1 * h3;
+        // What the rank holds across its awaits is its continuation, so
+        // the layout is worked out in scopes that end before the first
+        // gather: a local whose address is taken keeps its bytes until its
+        // scope ends.
+        let (a_blk, b_blk, slabs) = {
+            let [p1, p2, p3] = cfg.grid.dims();
+            let coord = cfg.grid.coord_of(base.index());
+            // Blocks `A_{p1'p2'}` and `B_{p2'p3'}` of the global inputs, cut
+            // into `slabs` slabs of `A`-columns / `B`-rows.
+            let a_blk = Block2::of(a.rows(), a.cols(), p1, p2, coord[0], coord[1]);
+            let b_blk = Block2::of(b.rows(), b.cols(), p2, p3, coord[1], coord[2]);
+            let slabs = slabs.clamp(1, a_blk.width().max(1));
 
-    // ----- owned input chunks (initial distribution) -----------------------
-    // The §5 footprint: this rank's share of each slab of each block. The
-    // host copies a share out only where a gather needs it (see
-    // `gather_block`).
-    let owned_words: usize = (0..slabs)
-        .map(|s| {
-            let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
-            chunk_of_block(a_slab.words(), p3, coord[2]).len()
-                + chunk_of_block(b_slab.words(), p1, coord[0]).len()
-        })
-        .sum();
-    rank.mem_acquire(owned_words as u64);
+            // ----- owned input chunks (initial distribution) -------------------
+            // The §5 footprint: this rank's share of each slab of each block.
+            // The host copies a share out only where a gather needs it (see
+            // `gather_block`).
+            let owned_words: usize = (0..slabs)
+                .map(|s| {
+                    let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
+                    chunk_of_block(a_slab.words(), p3, coord[2]).len()
+                        + chunk_of_block(b_slab.words(), p1, coord[0]).len()
+                })
+                .sum();
+            rank.mem_acquire(owned_words as u64);
+            (a_blk, b_blk, slabs)
+        };
+        let (h1, h3) = (a_blk.height(), b_blk.width());
+        let c_block_words = h1 * h3;
 
-    // D is allocated once the first slab's operands are in hand: a rank
-    // waiting in its gathers holds no accumulator.
-    let mut d = None;
-    let (mut meter_a, mut meter_b) = (Meter::default(), Meter::default());
-    let mut held = 0;
-    for s in 0..slabs {
-        let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
-        let (a_words, b_words) = (a_slab.words(), b_slab.words());
-        rank.mem_release(held);
-        held = (a_words + b_words) as u64;
+        // D is allocated once the first slab's operands are in hand: a rank
+        // waiting in its gathers holds no accumulator.
+        let mut d = None;
+        let (mut meter_a, mut meter_b) = (Meter::default(), Meter::default());
+        let mut held = 0;
+        for s in 0..slabs {
+            let (a_words, b_words) = {
+                let (a_slab, b_slab) = slab_of(&a_blk, &b_blk, slabs, s);
+                (a_slab.words(), b_slab.words())
+            };
+            rank.mem_release(held);
+            held = (a_words + b_words) as u64;
 
-        // ----- line 3: All-Gather A over fiber (p1', p2', :) ---------------
-        // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
-        // nothing, and the slab is multiplied where it lies in `a`.
-        rank.mem_acquire(a_words as u64);
-        let probe = PhaseProbe::begin(rank, "all-gather A");
-        let a_op = gather_block(rank, &comms[2], a_slab, a).await;
-        meter_a += probe.finish(rank).meter;
+            // ----- line 3: All-Gather A over fiber (p1', p2', :) ---------------
+            // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
+            // nothing, and the slab is multiplied where it lies in `a`.
+            rank.mem_acquire(a_words as u64);
+            let probe = PhaseProbe::begin(rank, "all-gather A");
+            let a_op = gather_block(rank, &comms[2], slab_of(&a_blk, &b_blk, slabs, s).0, a).await;
+            meter_a += probe.finish(rank).meter;
 
-        // ----- line 4: All-Gather B over fiber (:, p2', p3') ---------------
-        // Read in place when p1 = 1.
-        rank.mem_acquire(b_words as u64);
-        let probe = PhaseProbe::begin(rank, "all-gather B");
-        let b_op = gather_block(rank, &comms[0], b_slab, b).await;
-        meter_b += probe.finish(rank).meter;
+            // ----- line 4: All-Gather B over fiber (:, p2', p3') ---------------
+            // Read in place when p1 = 1.
+            rank.mem_acquire(b_words as u64);
+            let probe = PhaseProbe::begin(rank, "all-gather B");
+            let b_op = gather_block(rank, &comms[0], slab_of(&a_blk, &b_blk, slabs, s).1, b).await;
+            meter_b += probe.finish(rank).meter;
 
-        // ----- line 6: local computation D += A_slab · B_slab --------------
-        let d = d.get_or_insert_with(|| {
-            rank.mem_acquire(c_block_words as u64);
-            Matrix::zeros(h1, h3)
-        });
-        pmm_simnet::phase!(rank, "local multiply", {
-            gemm_acc(d, &a_op, &b_op, cfg.kernel);
-            // The model meters scalar multiplications, matching the
-            // paper's n1n2n3/P count (h1·h2·h3 of them over all slabs).
-            rank.compute((a_words * h3) as f64);
-        });
-        // Last use of the slab's operands: the host frees them here,
-        // before line 8, which never reads them. (The simulated machine's
-        // footprint is metered by `mem_acquire`/`mem_release`.)
+            // ----- line 6: local computation D += A_slab · B_slab --------------
+            let d = d.get_or_insert_with(|| {
+                rank.mem_acquire(c_block_words as u64);
+                Matrix::zeros(h1, h3)
+            });
+            pmm_simnet::phase!(rank, "local multiply", {
+                gemm_acc(d, &a_op, &b_op, cfg.kernel);
+                // The model meters scalar multiplications, matching the
+                // paper's n1n2n3/P count (h1·h2·h3 of them over all slabs).
+                rank.compute((a_words * h3) as f64);
+            });
+            // Last use of the slab's operands: the host frees them here,
+            // before line 8, which never reads them. (The simulated machine's
+            // footprint is metered by `mem_acquire`/`mem_release`.)
+        }
+
+        // ----- line 8: assemble C over fiber (p1', :, p3') ---------------------
+        // Member t of the fiber ends with chunk `chunk_of_block(h1·h3, p2, t)`
+        // of the C block: an even split.
+        let d = d.expect("at least one slab");
+        let (c_chunk, ph_c) = match cfg.assembly {
+            Assembly::ReduceScatter => {
+                let probe = PhaseProbe::begin(rank, "reduce-scatter C");
+                let c = reduce_scatter_v_a(
+                    rank,
+                    &comms[1],
+                    d.into_vec(),
+                    Counts::Even(c_block_words),
+                    ReduceScatterAlgo::Auto,
+                )
+                .await;
+                (c, probe.finish(rank))
+            }
+            Assembly::AllToAllSum => {
+                let probe = PhaseProbe::begin(rank, "all-to-all C");
+                let c = all_to_all_sum(rank, &comms[1], d.as_slice()).await;
+                (c, probe.finish(rank))
+            }
+        };
+
+        // Release the last slab's buffers and D; retain owned inputs + owned
+        // C chunk.
+        rank.mem_acquire(c_chunk.len() as u64);
+        rank.mem_release(held + c_block_words as u64);
+
+        let phases = [
+            PhaseMeter { label: "all-gather A", meter: meter_a },
+            PhaseMeter { label: "all-gather B", meter: meter_b },
+            ph_c,
+        ];
+        Alg1Output { c_chunk, phases }
     }
-
-    // ----- line 8: assemble C over fiber (p1', :, p3') ---------------------
-    let d = d.expect("at least one slab");
-    let c_counts: Vec<usize> =
-        (0..p2).map(|t| chunk_of_block(c_block_words, p2, t).len()).collect();
-    let (c_chunk, ph_c) = match cfg.assembly {
-        Assembly::ReduceScatter => {
-            let probe = PhaseProbe::begin(rank, "reduce-scatter C");
-            let c = reduce_scatter_v_a(
-                rank,
-                &comms[1],
-                d.into_vec(),
-                &c_counts,
-                ReduceScatterAlgo::Auto,
-            )
-            .await;
-            (c, probe.finish(rank))
-        }
-        Assembly::AllToAllSum => {
-            let probe = PhaseProbe::begin(rank, "all-to-all C");
-            let c = all_to_all_sum(rank, &comms[1], d.as_slice(), &c_counts).await;
-            (c, probe.finish(rank))
-        }
-    };
-
-    // Release the last slab's buffers and D; retain owned inputs + owned
-    // C chunk.
-    rank.mem_acquire(c_chunk.len() as u64);
-    rank.mem_release(held + c_block_words as u64);
-
-    let phases = [
-        PhaseMeter { label: "all-gather A", meter: meter_a },
-        PhaseMeter { label: "all-gather B", meter: meter_b },
-        ph_c,
-    ];
-    Alg1Output { c_chunk, phases }
 }
 
 /// Slab `s` of `slabs` of the blocks `A_{p1'p2'}` and `B_{p2'p3'}`: the
@@ -271,56 +295,41 @@ fn slab_of(a_blk: &Block2, b_blk: &Block2, slabs: usize, s: usize) -> (Block2, B
 }
 
 /// Reduce-scatter semantics via All-to-All + local summation (the
-/// [`Assembly::AllToAllSum`] ablation). Requires uniform `counts` (pads
-/// internally when uneven by falling back to per-destination sends of the
-/// exact segments).
-async fn all_to_all_sum(
-    rank: &mut Rank,
-    comm: &pmm_simnet::Comm,
-    data: &[f64],
-    counts: &[usize],
-) -> Vec<f64> {
+/// [`Assembly::AllToAllSum`] ablation): member `t` ends with the sum of
+/// everyone's chunk `chunk_of_block(data.len(), p, t)`. When `p` does not
+/// divide `data.len()` (or the chunks are empty) it falls back to
+/// per-destination sends of the exact segments.
+async fn all_to_all_sum(rank: &mut Rank, comm: &pmm_simnet::Comm, data: &[f64]) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
-    let uniform = counts.iter().all(|&c| c == counts[0]);
-    let offsets: Vec<usize> = {
-        let mut v = Vec::with_capacity(p + 1);
-        let mut acc = 0;
-        v.push(0);
-        for &c in counts {
-            acc += c;
-            v.push(acc);
-        }
-        v
-    };
-    assert_eq!(data.len(), offsets[p], "data length disagrees with counts");
-    let mut acc: Vec<f64> = data[offsets[me]..offsets[me + 1]].to_vec();
+    let chunk = |t: usize| chunk_of_block(data.len(), p, t);
+    let mut acc: Vec<f64> = data[chunk(me)].to_vec();
     // Temporary memory for the p−1 received chunks (the ablation's cost).
     rank.mem_acquire((data.len() - acc.len()) as u64);
-    if uniform && counts[0] > 0 {
+    let uniform = data.len() / p;
+    if data.len().is_multiple_of(p) && uniform > 0 {
         let recv = all_to_all_a(rank, comm, data).await;
         for src in 0..p {
             if src == me {
                 continue;
             }
-            let seg = &recv[src * counts[0]..(src + 1) * counts[0]];
+            let seg = &recv[src * uniform..(src + 1) * uniform];
             for (a, &s) in acc.iter_mut().zip(seg) {
                 *a += s;
             }
-            rank.compute(counts[0] as f64);
+            rank.compute(uniform as f64);
         }
     } else {
         // Uneven segments: pairwise exchange of exact segments.
         for s in 1..p {
             let to = (me + s) % p;
             let from = (me + p - s) % p;
-            let payload = &data[offsets[to]..offsets[to + 1]];
-            let msg = rank.exchange_a(comm, to, from, payload).await;
-            assert_eq!(msg.payload.len(), counts[me]);
+            let msg = rank.exchange_a(comm, to, from, &data[chunk(to)]).await;
+            assert_eq!(msg.payload.len(), acc.len());
             for (a, &v) in acc.iter_mut().zip(&msg.payload) {
                 *a += v;
             }
-            rank.compute(counts[me] as f64);
+            rank.compute(acc.len() as f64);
         }
     }
     rank.mem_release((data.len() - acc.len()) as u64);
@@ -532,6 +541,33 @@ mod tests {
             // Peak includes the owned input chunks (counted once more than
             // the analytic footprint) but must stay within ~1.5× of it.
             assert!(peak >= want && peak <= 1.5 * want, "peak {peak} vs analytic footprint {want}");
+        }
+    }
+
+    #[test]
+    fn an_alg1_continuation_stays_within_its_bytes() {
+        // Every rank of an Algorithm 1 world is one suspended `alg1_a`
+        // future, so a byte here is a megabyte at P = 10^6: see
+        // docs/PERFORMANCE.md §4, "Bytes a rank holds, by structure".
+        const CEILING: usize = 1264;
+        let dims = MatMulDims::new(4, 4, 4);
+        let cfg = Alg1Config::new(dims, Grid3::from_dims([2, 1, 1]));
+        let ab = Arc::new((Matrix::zeros(4, 4), Matrix::zeros(4, 4)));
+        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            Box::pin(async move {
+                let future = alg1_a(rank, &cfg, &ab.0, &ab.1);
+                let bytes = std::mem::size_of_val(&future);
+                future.await;
+                bytes
+            })
+        });
+        for bytes in out.values {
+            assert!(
+                bytes <= CEILING,
+                "an alg1_a future is {bytes} B, over its {CEILING} B ceiling: see \
+                 docs/PERFORMANCE.md §4 before growing what Algorithm 1 holds across an await"
+            );
         }
     }
 }

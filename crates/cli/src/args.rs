@@ -202,8 +202,8 @@ fn parse_grid_of(flags: &Flags, procs: usize) -> Result<Option<[usize; 3]>, Pars
 }
 
 /// The largest world `simulate` and `trace` execute: 2·10^6 ranks. The
-/// P = 10^6 cell of `tests/scale.rs` adds 6.7 KB per rank to the host with
-/// schedule recording off, so twice its P fills 13 GB before the logs a
+/// P = 10^6 cell of `tests/scale.rs` adds 3.9 KB per rank to the host with
+/// schedule recording off, so twice its P fills 8 GB before the logs a
 /// seeded world records.
 pub const MAX_SIM_PROCS: usize = 2_000_000;
 
@@ -257,6 +257,18 @@ fn parse_machine_param(flags: &Flags, name: &str, default: f64) -> Result<f64, P
     }
 }
 
+/// `--memory` of `bound` and `advise`: words of local memory, a positive
+/// number or `inf` (no constraint) — the values the advisor and
+/// `pmm serve` accept.
+fn parse_memory(flags: &Flags) -> Result<Option<f64>, ParseError> {
+    match parse_f64(flags, "memory", None)? {
+        Some(m) if m.is_nan() || m <= 0.0 => {
+            Err(err(format!("--memory must be a positive number of words or inf, got {m}")))
+        }
+        m => Ok(m),
+    }
+}
+
 fn parse_opt_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ParseError> {
     match flags.get(name) {
         None => Ok(None),
@@ -294,7 +306,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                     parse_f64(&flags, "procs", None)?
                         .ok_or_else(|| err("missing required flag --procs"))?,
                 )?,
-                memory: parse_f64(&flags, "memory", None)?,
+                memory: parse_memory(&flags)?,
             })
         }
         "grid" => {
@@ -310,7 +322,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Advise {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
-                memory: parse_f64(&flags, "memory", None)?,
+                memory: parse_memory(&flags)?,
                 alpha: parse_machine_param(&flags, "alpha", 1e4)?,
                 beta: parse_machine_param(&flags, "beta", 10.0)?,
                 gamma: parse_machine_param(&flags, "gamma", 1.0)?,
@@ -688,6 +700,22 @@ mod tests {
             let cmd = format!("advise --dims 8x8x8 --procs 8 --{flag} {value}");
             let e = parse_args(&argv(&cmd)).unwrap_err();
             assert!(e.to_string().contains(&format!("--{flag} must be")), "{cmd}: {e}");
+        }
+        for cmd in ["bound", "advise"] {
+            for memory in ["nan", "0", "-5", "-inf"] {
+                let cmd = format!("{cmd} --dims 4x4x4 --procs 4 --memory {memory}");
+                let e = parse_args(&argv(&cmd)).unwrap_err();
+                assert!(e.to_string().contains("--memory must be"), "{cmd}: {e}");
+            }
+            for (memory, m) in [("inf", f64::INFINITY), ("0.5", 0.5), ("9000", 9000.0)] {
+                let cmd = format!("{cmd} --dims 4x4x4 --procs 4 --memory {memory}");
+                match parse_args(&argv(&cmd)) {
+                    Ok(Command::Bound { memory, .. } | Command::Advise { memory, .. }) => {
+                        assert_eq!(memory, Some(m), "{cmd}")
+                    }
+                    other => panic!("{cmd}: {other:?}"),
+                }
+            }
         }
     }
 

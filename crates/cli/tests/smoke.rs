@@ -171,6 +171,12 @@ fn bad_procs_grid_or_fault_plan_exits_two_not_a_panic() {
         &["advise", "--dims", "8x8x8", "--procs", "8", "--alpha", "-1"],
         &["advise", "--dims", "8x8x8", "--procs", "8", "--beta", "nan"],
         &["advise", "--dims", "8x8x8", "--procs", "8", "--gamma", "inf"],
+        &["bound", "--dims", "4x4x4", "--procs", "4", "--memory", "nan"],
+        &["bound", "--dims", "4x4x4", "--procs", "4", "--memory", "0"],
+        &["bound", "--dims", "4x4x4", "--procs", "4", "--memory", "-5"],
+        &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "nan"],
+        &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "0"],
+        &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "-5"],
     ] {
         let out = pmm(args);
         let err = String::from_utf8_lossy(&out.stderr).into_owned();

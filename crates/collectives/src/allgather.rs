@@ -13,6 +13,10 @@
 //!
 //! Both move exactly `W − w_me` words per rank, i.e. `(1 − 1/p)·W` for
 //! uniform blocks, which is optimal.
+//!
+//! The block sizes are a [`Counts`]: an even split of the gathered total
+//! (what Algorithm 1 and [`all_gather_a`] pass, held as a base and a
+//! remainder) or one explicit count per member.
 
 use std::borrow::Cow;
 use std::future::Future;
@@ -21,7 +25,7 @@ use std::panic::Location;
 use pmm_model::collective::AllGatherAlgo;
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::offsets;
+use crate::counts::{Counts, Layout};
 
 /// All-Gather with uniform block sizes.
 ///
@@ -39,48 +43,59 @@ pub fn all_gather_a<'r, 'd: 'r>(
     let site = Location::caller();
     let mine = mine.into();
     async move {
-        let counts = vec![mine.len(); comm.size()];
-        all_gather_v_at(rank, comm, mine, &counts, algo, site).await
+        let lay = Layout::new(Counts::Even(mine.len() * comm.size()), comm.size());
+        all_gather_v_at(rank, comm, mine, lay, algo, site).await
     }
 }
 
 /// All-Gather with per-rank block sizes (`MPI_Allgatherv`).
 ///
-/// `counts[i]` is the contribution length of member `i` and must be known
-/// (and identical) at every rank; `counts[comm.index()] == mine.len()`.
-/// On a one-member communicator a `Vec` handed over is returned as is.
+/// `counts` gives the contribution length of every member — a
+/// [`Counts::Even`] split of the gathered total, or a `&[usize]` with one
+/// count per member — and must be known (and identical) at every rank;
+/// the count of member `comm.index()` is `mine.len()`. On a one-member
+/// communicator a `Vec` handed over is returned as is.
 #[track_caller]
-pub fn all_gather_v_a<'r, 'd: 'r>(
+pub fn all_gather_v_a<'r, 'd: 'r, 'c>(
     rank: &'r mut Rank,
     comm: &'r Comm,
     mine: impl Into<Cow<'d, [f64]>>,
-    counts: &'r [usize],
+    counts: impl Into<Counts<'c>>,
     algo: AllGatherAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    all_gather_v_at(rank, comm, mine.into(), counts, algo, Location::caller())
+    let lay = Layout::new(counts.into(), comm.size());
+    all_gather_v_at(rank, comm, mine.into(), lay, algo, Location::caller())
 }
 
-pub(crate) async fn all_gather_v_at(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: Cow<'_, [f64]>,
-    counts: &[usize],
+/// The body behind both entry points. A plain `fn` around an `async`
+/// block keeps one copy of the arguments in the suspended state, where an
+/// `async fn` keeps two.
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+pub(crate) fn all_gather_v_at<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    mine: Cow<'a, [f64]>,
+    lay: Layout,
     algo: AllGatherAlgo,
     site: &'static Location<'static>,
-) -> Vec<f64> {
-    let p = comm.size();
-    assert_eq!(counts.len(), p, "counts length must equal communicator size");
-    assert_eq!(counts[comm.index()], mine.len(), "own count disagrees with contribution");
-    rank.collective_begin_at(comm, CollectiveOp::AllGather, mine.len() as u64, site).await;
-    if p == 1 {
-        return mine.into_owned();
-    }
-    match algo.resolve(p) {
-        AllGatherAlgo::Ring => ring(rank, comm, mine, counts).await,
-        // Recursive doubling (`resolve` never returns `Auto`).
-        _ => {
-            assert!(p.is_power_of_two(), "recursive doubling requires power-of-two communicator");
-            recursive_doubling(rank, comm, mine, counts).await
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        assert_eq!(lay.len(comm.index()), mine.len(), "own count disagrees with contribution");
+        rank.collective_begin_at(comm, CollectiveOp::AllGather, mine.len() as u64, site).await;
+        if p == 1 {
+            return mine.into_owned();
+        }
+        match algo.resolve(p) {
+            AllGatherAlgo::Ring => ring(rank, comm, mine, &lay).await,
+            // Recursive doubling (`resolve` never returns `Auto`).
+            _ => {
+                assert!(
+                    p.is_power_of_two(),
+                    "recursive doubling requires power-of-two communicator"
+                );
+                recursive_doubling(rank, comm, mine, &lay).await
+            }
         }
     }
 }
@@ -88,59 +103,69 @@ pub(crate) async fn all_gather_v_at(
 /// The output buffer of a gather with this rank's own block in place —
 /// the last read of `mine`, so a buffer handed over is freed here, before
 /// the first message.
-fn seeded_output(mine: Cow<'_, [f64]>, off: &[usize], me: usize) -> Vec<f64> {
-    let mut out = vec![0.0f64; off[off.len() - 1]];
-    out[off[me]..off[me + 1]].copy_from_slice(&mine);
+fn seeded_output(mine: Cow<'_, [f64]>, lay: &Layout, me: usize) -> Vec<f64> {
+    let mut out = vec![0.0f64; lay.total()];
+    out[lay.block(me)].copy_from_slice(&mine);
     out
 }
 
-async fn ring(rank: &mut Rank, comm: &Comm, mine: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.index();
-    let off = offsets(counts);
-    let mut out = seeded_output(mine, &off, me);
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+fn ring<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    mine: Cow<'a, [f64]>,
+    lay: &'a Layout,
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        let me = comm.index();
+        let mut out = seeded_output(mine, lay, me);
 
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    // At step s we forward block (me − s mod p) rightward and receive block
-    // (me − 1 − s mod p) from the left.
-    for s in 0..p - 1 {
-        let send_block = (me + p - s) % p;
-        let recv_block = (me + p - 1 - s) % p;
-        let payload = &out[off[send_block]..off[send_block + 1]];
-        let msg = rank.exchange_a(comm, right, left, payload).await;
-        assert_eq!(msg.payload.len(), counts[recv_block], "ring block size mismatch");
-        out[off[recv_block]..off[recv_block + 1]].copy_from_slice(&msg.payload);
+        let right = (me + 1) % p;
+        let left = (me + p - 1) % p;
+        // At step s we forward block (me − s mod p) rightward and receive block
+        // (me − 1 − s mod p) from the left.
+        for s in 0..p - 1 {
+            let send_block = (me + p - s) % p;
+            let recv_block = (me + p - 1 - s) % p;
+            let payload = &out[lay.block(send_block)];
+            let msg = rank.exchange_a(comm, right, left, payload).await;
+            let dst = lay.block(recv_block);
+            assert_eq!(msg.payload.len(), dst.len(), "ring block size mismatch");
+            out[dst].copy_from_slice(&msg.payload);
+        }
+        out
     }
-    out
 }
 
-async fn recursive_doubling(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: Cow<'_, [f64]>,
-    counts: &[usize],
-) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.index();
-    let off = offsets(counts);
-    let mut out = seeded_output(mine, &off, me);
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+fn recursive_doubling<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    mine: Cow<'a, [f64]>,
+    lay: &'a Layout,
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        let me = comm.index();
+        let mut out = seeded_output(mine, lay, me);
 
-    let mut mask = 1usize;
-    while mask < p {
-        let partner = me ^ mask;
-        // After s steps each rank holds the contiguous block group
-        // [⌊me/mask⌋·mask, ⌊me/mask⌋·mask + mask).
-        let g_mine = (me / mask) * mask;
-        let g_theirs = (partner / mask) * mask;
-        let payload = &out[off[g_mine]..off[g_mine + mask]];
-        let msg = rank.exchange_a(comm, partner, partner, payload).await;
-        let expect: usize = off[g_theirs + mask] - off[g_theirs];
-        assert_eq!(msg.payload.len(), expect, "recursive-doubling block size mismatch");
-        out[off[g_theirs]..off[g_theirs + mask]].copy_from_slice(&msg.payload);
-        mask <<= 1;
+        let mut mask = 1usize;
+        while mask < p {
+            let partner = me ^ mask;
+            // After s steps each rank holds the contiguous block group
+            // [⌊me/mask⌋·mask, ⌊me/mask⌋·mask + mask).
+            let g_mine = (me / mask) * mask;
+            let g_theirs = (partner / mask) * mask;
+            let payload = &out[lay.span(g_mine, g_mine + mask)];
+            let msg = rank.exchange_a(comm, partner, partner, payload).await;
+            let dst = lay.span(g_theirs, g_theirs + mask);
+            assert_eq!(msg.payload.len(), dst.len(), "recursive-doubling block size mismatch");
+            out[dst].copy_from_slice(&msg.payload);
+            mask <<= 1;
+        }
+        out
     }
-    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use pmm_model::collective::{AllGatherAlgo, ReduceScatterAlgo};
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::all_gather_v_a;
+use crate::counts::Counts;
 use crate::reduce_scatter::reduce_scatter_v_a;
 
 /// Sum-reduce `data` across the communicator; every rank returns the full
@@ -32,11 +33,9 @@ pub fn all_reduce_a<'r, 'd: 'r>(
         if p == 1 {
             return data.into_owned();
         }
-        let base = data.len() / p;
-        let rem = data.len() % p;
-        let counts: Vec<usize> = (0..p).map(|i| base + usize::from(i < rem)).collect();
-        let seg = reduce_scatter_v_a(rank, comm, data, &counts, ReduceScatterAlgo::Auto).await;
-        all_gather_v_a(rank, comm, seg, &counts, AllGatherAlgo::Auto).await
+        let counts = Counts::Even(data.len());
+        let seg = reduce_scatter_v_a(rank, comm, data, counts, ReduceScatterAlgo::Auto).await;
+        all_gather_v_a(rank, comm, seg, counts, AllGatherAlgo::Auto).await
     }
 }
 

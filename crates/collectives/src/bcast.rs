@@ -8,6 +8,7 @@ use pmm_model::collective::{AllGatherAlgo, BcastAlgo};
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::all_gather_v_a;
+use crate::counts::Counts;
 use crate::scatter::scatter_v_a;
 
 /// Broadcast `data` from member `root`.
@@ -91,13 +92,11 @@ async fn scatter_allgather(
         "scatter-allgather bcast requires p | message length (len {} , p {p})",
         data.len()
     );
-    let chunk = data.len() / p;
-    let counts = vec![chunk; p];
-    let mine = scatter_v_a(rank, comm, data, &counts, root).await;
-    debug_assert_eq!(mine.len(), chunk);
+    let counts = Counts::Even(data.len());
+    let mine = scatter_v_a(rank, comm, data, counts, root).await;
     // Ring all-gather reassembles the full message everywhere. Blocks are
     // indexed by communicator order, matching the scatter.
-    all_gather_v_a(rank, comm, mine, &counts, AllGatherAlgo::Ring).await
+    all_gather_v_a(rank, comm, mine, counts, AllGatherAlgo::Ring).await
 }
 
 #[cfg(test)]

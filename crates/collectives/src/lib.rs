@@ -20,7 +20,14 @@
 //! trust the simulator.
 //!
 //! All "v" (vector) variants follow the MPI convention that every rank
-//! knows the full `counts` array a priori.
+//! knows every member's count a priori. The counts are a [`Counts`]:
+//! `Counts::Even(total)` splits `total` words as
+//! `pmm_dense::block_range` does — what Algorithm 1, all-reduce and the
+//! uniform wrappers pass, and what a collective then holds as a base and
+//! a remainder, with no vector per member — while a `&[usize]` (or
+//! `&Vec<usize>`) names one count per member. The two forms give the
+//! same values, meters and clocks (`tests/proptests.rs` holds them
+//! against each other).
 //!
 //! ## Passing a buffer
 //!
@@ -61,6 +68,7 @@ pub mod allgather;
 pub mod allreduce;
 pub mod alltoall;
 pub mod bcast;
+mod counts;
 pub mod reduce;
 pub mod reduce_scatter;
 pub(crate) mod scatter;
@@ -70,6 +78,7 @@ pub use allgather::{all_gather_a, all_gather_v_a};
 pub use allreduce::all_reduce_a;
 pub use alltoall::all_to_all_a;
 pub use bcast::bcast_a;
+pub use counts::Counts;
 pub use pmm_model::collective::{AllGatherAlgo, BcastAlgo, ReduceScatterAlgo};
 pub use reduce::reduce_a;
 pub use reduce_scatter::{reduce_scatter_a, reduce_scatter_v_a};

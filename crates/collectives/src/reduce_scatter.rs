@@ -18,7 +18,8 @@ use std::panic::Location;
 use pmm_model::collective::ReduceScatterAlgo;
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::{axpy1, offsets};
+use crate::counts::{Counts, Layout};
+use crate::util::axpy1;
 
 /// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
 /// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
@@ -38,108 +39,128 @@ pub fn reduce_scatter_a<'r, 'd: 'r>(
             "reduce_scatter data length {} not divisible by communicator size {p}",
             data.len()
         );
-        let counts = vec![data.len() / p; p];
-        reduce_scatter_v_at(rank, comm, data, &counts, algo, site).await
+        let lay = Layout::new(Counts::Even(data.len()), p);
+        reduce_scatter_v_at(rank, comm, data, lay, algo, site).await
     }
 }
 
 /// Reduce-Scatter with per-rank segment sizes (`MPI_Reduce_scatter`).
 ///
-/// `data.len() == counts.iter().sum()` at every rank; rank `i` receives
-/// the element-wise sum of everyone's segment `i`. Reduction additions are
+/// `counts` gives every member's segment — a [`Counts::Even`] split of
+/// `data.len()`, or a `&[usize]` with one count per member — and
+/// `data.len()` is their sum at every rank; rank `i` receives the
+/// element-wise sum of everyone's segment `i`. Reduction additions are
 /// metered as flops on the rank performing them. A `Vec` handed over
 /// becomes the accumulator (and is returned as is on a one-member
 /// communicator); a borrowed slice is copied into one.
 #[track_caller]
-pub fn reduce_scatter_v_a<'r, 'd: 'r>(
+pub fn reduce_scatter_v_a<'r, 'd: 'r, 'c>(
     rank: &'r mut Rank,
     comm: &'r Comm,
     data: impl Into<Cow<'d, [f64]>>,
-    counts: &'r [usize],
+    counts: impl Into<Counts<'c>>,
     algo: ReduceScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    reduce_scatter_v_at(rank, comm, data.into(), counts, algo, Location::caller())
+    let lay = Layout::new(counts.into(), comm.size());
+    reduce_scatter_v_at(rank, comm, data.into(), lay, algo, Location::caller())
 }
 
-pub(crate) async fn reduce_scatter_v_at(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: Cow<'_, [f64]>,
-    counts: &[usize],
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+pub(crate) fn reduce_scatter_v_at<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    data: Cow<'a, [f64]>,
+    lay: Layout,
     algo: ReduceScatterAlgo,
     site: &'static Location<'static>,
-) -> Vec<f64> {
-    let p = comm.size();
-    assert_eq!(counts.len(), p, "counts length must equal communicator size");
-    let total: usize = counts.iter().sum();
-    assert_eq!(data.len(), total, "data length disagrees with counts");
-    rank.collective_begin_at(comm, CollectiveOp::ReduceScatter, total as u64, site).await;
-    if p == 1 {
-        return data.into_owned();
-    }
-    match algo.resolve(p) {
-        ReduceScatterAlgo::Ring => ring(rank, comm, data, counts).await,
-        // Recursive halving (`resolve` never returns `Auto`).
-        _ => {
-            assert!(p.is_power_of_two(), "recursive halving requires power-of-two communicator");
-            recursive_halving(rank, comm, data, counts).await
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        let total = lay.total();
+        assert_eq!(data.len(), total, "data length disagrees with counts");
+        rank.collective_begin_at(comm, CollectiveOp::ReduceScatter, total as u64, site).await;
+        if p == 1 {
+            return data.into_owned();
+        }
+        match algo.resolve(p) {
+            ReduceScatterAlgo::Ring => ring(rank, comm, data, &lay).await,
+            // Recursive halving (`resolve` never returns `Auto`).
+            _ => {
+                assert!(
+                    p.is_power_of_two(),
+                    "recursive halving requires power-of-two communicator"
+                );
+                recursive_halving(rank, comm, data, &lay).await
+            }
         }
     }
 }
 
-async fn ring(rank: &mut Rank, comm: &Comm, data: Cow<'_, [f64]>, counts: &[usize]) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.index();
-    let off = offsets(counts);
-    let mut acc = data.into_owned();
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+fn ring<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    data: Cow<'a, [f64]>,
+    lay: &'a Layout,
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        let me = comm.index();
+        let mut acc = data.into_owned();
 
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    // Segment j starts at rank j+1 and travels rightward, accumulating; it
-    // arrives fully reduced at rank j after p−1 steps. At step s this rank
-    // sends segment (me − 1 − s mod p) and receives (me − 2 − s mod p).
-    for s in 0..p - 1 {
-        let send_seg = (me + p - 1 - s) % p;
-        let recv_seg = (me + 2 * p - 2 - s) % p;
-        let payload = &acc[off[send_seg]..off[send_seg + 1]];
-        let msg = rank.exchange_a(comm, right, left, payload).await;
-        assert_eq!(msg.payload.len(), counts[recv_seg], "ring segment size mismatch");
-        axpy1(&mut acc[off[recv_seg]..off[recv_seg + 1]], &msg.payload);
-        rank.compute(counts[recv_seg] as f64);
+        let right = (me + 1) % p;
+        let left = (me + p - 1) % p;
+        // Segment j starts at rank j+1 and travels rightward, accumulating; it
+        // arrives fully reduced at rank j after p−1 steps. At step s this rank
+        // sends segment (me − 1 − s mod p) and receives (me − 2 − s mod p).
+        for s in 0..p - 1 {
+            let send_seg = (me + p - 1 - s) % p;
+            let recv_seg = (me + 2 * p - 2 - s) % p;
+            let payload = &acc[lay.block(send_seg)];
+            let msg = rank.exchange_a(comm, right, left, payload).await;
+            let dst = lay.block(recv_seg);
+            assert_eq!(msg.payload.len(), dst.len(), "ring segment size mismatch");
+            let words = dst.len();
+            axpy1(&mut acc[dst], &msg.payload);
+            rank.compute(words as f64);
+        }
+        acc[lay.block(me)].to_vec()
     }
-    acc[off[me]..off[me + 1]].to_vec()
 }
 
-async fn recursive_halving(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: Cow<'_, [f64]>,
-    counts: &[usize],
-) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.index();
-    let off = offsets(counts);
-    let mut acc = data.into_owned();
+#[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+fn recursive_halving<'a>(
+    rank: &'a mut Rank,
+    comm: &'a Comm,
+    data: Cow<'a, [f64]>,
+    lay: &'a Layout,
+) -> impl Future<Output = Vec<f64>> + 'a {
+    async move {
+        let p = comm.size();
+        let me = comm.index();
+        let mut acc = data.into_owned();
 
-    // Active segment-index window [lo, hi); halves every step.
-    let (mut lo, mut hi) = (0usize, p);
-    while hi - lo > 1 {
-        let size = hi - lo;
-        let mid = lo + size / 2;
-        let (keep_lo, keep_hi, partner) =
-            if me < mid { (lo, mid, me + size / 2) } else { (mid, hi, me - size / 2) };
-        let (send_lo, send_hi) = if me < mid { (mid, hi) } else { (lo, mid) };
-        let payload = &acc[off[send_lo]..off[send_hi]];
-        let msg = rank.exchange_a(comm, partner, partner, payload).await;
-        let keep_words = off[keep_hi] - off[keep_lo];
-        assert_eq!(msg.payload.len(), keep_words, "halving segment size mismatch");
-        axpy1(&mut acc[off[keep_lo]..off[keep_hi]], &msg.payload);
-        rank.compute(keep_words as f64);
-        lo = keep_lo;
-        hi = keep_hi;
+        // Active segment-index window [lo, hi); halves every step.
+        let (mut lo, mut hi) = (0usize, p);
+        while hi - lo > 1 {
+            let size = hi - lo;
+            let mid = lo + size / 2;
+            let (keep_lo, keep_hi, partner) =
+                if me < mid { (lo, mid, me + size / 2) } else { (mid, hi, me - size / 2) };
+            let (send_lo, send_hi) = if me < mid { (mid, hi) } else { (lo, mid) };
+            let payload = &acc[lay.span(send_lo, send_hi)];
+            let msg = rank.exchange_a(comm, partner, partner, payload).await;
+            let keep = lay.span(keep_lo, keep_hi);
+            let keep_words = keep.len();
+            assert_eq!(msg.payload.len(), keep_words, "halving segment size mismatch");
+            axpy1(&mut acc[keep], &msg.payload);
+            rank.compute(keep_words as f64);
+            lo = keep_lo;
+            hi = keep_hi;
+        }
+        debug_assert_eq!(lo, me);
+        acc[lay.block(me)].to_vec()
     }
-    debug_assert_eq!(lo, me);
-    acc[off[me]..off[me + 1]].to_vec()
 }
 
 #[cfg(test)]
@@ -154,9 +175,9 @@ mod tests {
     }
 
     fn expected_segment(me: usize, p: usize, counts: &[usize]) -> Vec<f64> {
-        let off = crate::util::offsets(counts);
+        let lay = Layout::new(counts.into(), p);
         let sum_r: f64 = (0..p).map(|r| (r * 1000) as f64).sum();
-        (off[me]..off[me + 1]).map(|e| sum_r + (p as f64) * e as f64).collect()
+        lay.block(me).map(|e| sum_r + (p as f64) * e as f64).collect()
     }
 
     fn check(p: usize, counts: Vec<usize>, algo: ReduceScatterAlgo) {

@@ -12,25 +12,25 @@ use std::panic::Location;
 
 use pmm_simnet::{CollectiveOp, Comm, Rank};
 
-use crate::util::offsets;
+use crate::counts::{Counts, Layout};
 
 /// Scatter: the root provides `data` as the concatenation of per-member
 /// blocks (`counts`, communicator order); every rank returns its own
 /// block (binomial tree). Non-roots pass any `data` (ignored). A `Vec`
 /// handed over at the root becomes the buffer the subtrees are peeled off.
 #[track_caller]
-pub(crate) fn scatter_v_a<'r, 'd: 'r>(
+pub(crate) fn scatter_v_a<'r, 'd: 'r, 'c>(
     rank: &'r mut Rank,
     comm: &'r Comm,
     data: impl Into<Cow<'d, [f64]>>,
-    counts: &'r [usize],
+    counts: impl Into<Counts<'c>>,
     root: usize,
 ) -> impl Future<Output = Vec<f64>> + 'r {
     let site = Location::caller();
     let data = data.into();
+    let lay = Layout::new(counts.into(), comm.size());
     async move {
         let p = comm.size();
-        assert_eq!(counts.len(), p, "counts length must equal communicator size");
         assert!(root < p, "root out of communicator");
         rank.collective_begin_at(comm, CollectiveOp::Scatter, data.len() as u64, site).await;
         if p == 1 {
@@ -39,8 +39,12 @@ pub(crate) fn scatter_v_a<'r, 'd: 'r>(
         let me = comm.index();
         let vrank = (me + p - root) % p;
         let unvrank = |v: usize| (v + root) % p;
-        let vcounts: Vec<usize> = (0..p).map(|v| counts[unvrank(v)]).collect();
-        let voff = offsets(&vcounts);
+        let total = lay.total();
+        // Words of virtual members 0..v: members root, root + 1, …, wrapping.
+        let voff = |v: usize| match (root + v).checked_sub(p) {
+            None => lay.start(root + v) - lay.start(root),
+            Some(wrapped) => total - lay.start(root) + lay.start(wrapped),
+        };
 
         // The root rearranges into virtual order (members root, root + 1,
         // …, wrapping: a rotation by the words ahead of the root's own
@@ -48,9 +52,9 @@ pub(crate) fn scatter_v_a<'r, 'd: 'r>(
         let mut buf: Vec<f64>;
         let mut span: usize;
         if me == root {
-            assert_eq!(data.len(), voff[p], "scatter data length disagrees with counts");
+            assert_eq!(data.len(), total, "scatter data length disagrees with counts");
             buf = data.into_owned();
-            buf.rotate_left(counts[..root].iter().sum());
+            buf.rotate_left(lay.start(root));
             span = p;
         } else {
             drop(data);
@@ -65,7 +69,7 @@ pub(crate) fn scatter_v_a<'r, 'd: 'r>(
             if vrank & mask != 0 {
                 let parent = unvrank(vrank - mask);
                 let subtree = mask.min(p - vrank);
-                let expect = voff[vrank + subtree] - voff[vrank];
+                let expect = voff(vrank + subtree) - voff(vrank);
                 let msg = rank.recv_a(comm, parent).await;
                 assert_eq!(msg.payload.len(), expect, "scatter subtree size mismatch");
                 buf = msg.payload;
@@ -92,8 +96,8 @@ pub(crate) fn scatter_v_a<'r, 'd: 'r>(
             if vrank + mask < p && mask < span {
                 let child_v = vrank + mask;
                 let child_span = span - mask;
-                let start = voff[child_v] - voff[vrank];
-                let end = voff[child_v + child_span] - voff[vrank];
+                let start = voff(child_v) - voff(vrank);
+                let end = voff(child_v + child_span) - voff(vrank);
                 let payload = buf[start..end].to_vec();
                 rank.send_a(comm, unvrank(child_v), &payload).await;
                 buf.truncate(start);
@@ -103,7 +107,7 @@ pub(crate) fn scatter_v_a<'r, 'd: 'r>(
         }
 
         debug_assert_eq!(span, 1);
-        debug_assert_eq!(buf.len(), counts[me]);
+        debug_assert_eq!(buf.len(), lay.len(me));
         buf
     }
 }

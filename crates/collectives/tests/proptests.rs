@@ -6,8 +6,9 @@ use std::borrow::Cow;
 
 use pmm_collectives::{
     all_gather_v_a, all_reduce_a, all_to_all_a, bcast_a, reduce_a, reduce_scatter_v_a,
-    AllGatherAlgo, BcastAlgo, ReduceScatterAlgo,
+    AllGatherAlgo, BcastAlgo, Counts, ReduceScatterAlgo,
 };
+use pmm_dense::block_range;
 use pmm_simnet::{LocalBoxFuture, MachineParams, Rank, World, WorldResult};
 use proptest::prelude::*;
 
@@ -58,6 +59,69 @@ where
         )
     };
     assert_eq!(rendered(&lent), rendered(&handed), "{label}: rendered traces");
+}
+
+/// Run `program` twice on the same seeded world — handed `None`, it passes
+/// `Counts::Even(total)`; handed the explicit `block_range(total, p, i)`
+/// counts, it passes those — and hold the values, per-rank meters, clocks
+/// and event counts of the two runs against each other.
+fn assert_even_is_explicit<F>(label: &str, p: usize, total: usize, program: F)
+where
+    F: for<'a> Fn(&'a mut Rank, Option<Vec<usize>>) -> LocalBoxFuture<'a, Vec<f64>> + Send + Sync,
+{
+    let explicit: Vec<usize> = (0..p).map(|i| block_range(total, p, i).len()).collect();
+    let world = World::new(p, MachineParams::new(3.0, 1.0, 0.5)).with_seed(total as u64);
+    let even = world.run_async(|rank| program(rank, None));
+    let each = world.run_async(|rank| program(rank, Some(explicit.clone())));
+    assert_eq!(even.values, each.values, "{label}: values");
+    for (r, (e, x)) in even.reports.iter().zip(&each.reports).enumerate() {
+        assert_eq!(
+            (e.meter, e.time, e.final_stamp),
+            (x.meter, x.time, x.final_stamp),
+            "{label}: rank {r} meter / clock / event count"
+        );
+    }
+}
+
+/// All-gather of every member's `block_range(total, p, me)` share.
+fn even_gather(p: usize, total: usize, algo: AllGatherAlgo) {
+    let label = format!("all_gather_v {algo:?} {total} over {p}");
+    assert_even_is_explicit(&label, p, total, move |rank, explicit| {
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            let me = rank.world_rank();
+            let mine = block(me, block_range(total, p, me).len());
+            let counts = explicit.as_deref().map_or(Counts::Even(total), Counts::from);
+            all_gather_v_a(rank, &comm, &mine, counts, algo).await
+        })
+    });
+}
+
+/// Reduce-scatter of a `total`-word buffer into `block_range` segments.
+fn even_scatter(p: usize, total: usize, algo: ReduceScatterAlgo) {
+    let label = format!("reduce_scatter_v {algo:?} {total} over {p}");
+    assert_even_is_explicit(&label, p, total, move |rank, explicit| {
+        Box::pin(async move {
+            let comm = rank.world_comm();
+            let data = block(rank.world_rank(), total);
+            let counts = explicit.as_deref().map_or(Counts::Even(total), Counts::from);
+            reduce_scatter_v_a(rank, &comm, &data, counts, algo).await
+        })
+    });
+}
+
+#[test]
+fn an_even_split_over_a_wide_fiber_is_its_explicit_counts() {
+    // One word over 100 members (Algorithm 1's blocks at P = 10^6 on
+    // the 100^3 grid), and the splits around it.
+    for total in [0, 1, 99, 100, 101, 250] {
+        even_gather(100, total, AllGatherAlgo::Ring);
+        even_scatter(100, total, ReduceScatterAlgo::Ring);
+    }
+    for total in [1, 63, 65] {
+        even_gather(64, total, AllGatherAlgo::RecursiveDoubling);
+        even_scatter(64, total, ReduceScatterAlgo::RecursiveHalving);
+    }
 }
 
 proptest! {
@@ -114,7 +178,21 @@ proptest! {
     }
 
     #[test]
-    fn all_gather_v_any_profile(p in 2usize..9, cs in (2usize..9).prop_flat_map(counts)) {
+    fn all_gather_v_any_profile(
+        p in 2usize..9,
+        cs in (2usize..9).prop_flat_map(counts),
+        total in 0usize..40,
+    ) {
+        // An even split — remainders and empty chunks included — is the
+        // same run as its explicit counts.
+        let mut algos = vec![AllGatherAlgo::Ring, AllGatherAlgo::Auto];
+        if p.is_power_of_two() {
+            algos.push(AllGatherAlgo::RecursiveDoubling);
+        }
+        for algo in algos {
+            even_gather(p, total, algo);
+        }
+
         let cs = &cs[..p.min(cs.len())];
         if cs.len() != p { return Ok(()); }
         let cs = cs.to_vec();
@@ -139,7 +217,15 @@ proptest! {
     }
 
     #[test]
-    fn reduce_scatter_v_any_profile(p in 2usize..9, seed in 0u64..100) {
+    fn reduce_scatter_v_any_profile(p in 2usize..9, seed in 0u64..100, total in 0usize..40) {
+        let mut algos = vec![ReduceScatterAlgo::Ring, ReduceScatterAlgo::Auto];
+        if p.is_power_of_two() {
+            algos.push(ReduceScatterAlgo::RecursiveHalving);
+        }
+        for algo in algos {
+            even_scatter(p, total, algo);
+        }
+
         let cs: Vec<usize> = (0..p).map(|i| (seed as usize + i * 3) % 5).collect();
         let total: usize = cs.iter().sum();
         let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {

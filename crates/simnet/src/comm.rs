@@ -1,15 +1,14 @@
 //! Communicator descriptors.
 //!
 //! A [`Comm`] names a group of ranks and a context on the fabric; it is a
-//! cheap, clonable handle (the member list and the context's mailboxes
-//! are shared). All messaging goes through [`Rank`](crate::Rank) methods
-//! that take a `&Comm`, because the rank owns the meters and the clock.
+//! cheap, clonable handle (the context's id, member list and mailboxes
+//! are one shared group). All messaging goes through
+//! [`Rank`](crate::Rank) methods that take a `&Comm`, because the rank
+//! owns the meters and the clock.
 
-use std::cell::Cell;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::fabric::{Ctx, Mailboxes};
+use crate::fabric::{Ctx, Group, Mailbox};
 
 /// A communicator: an ordered group of world ranks sharing a context.
 ///
@@ -18,36 +17,22 @@ use crate::fabric::{Ctx, Mailboxes};
 /// ranks within a sub-communicator.
 #[derive(Clone)]
 pub struct Comm {
-    pub(crate) ctx: Ctx,
-    /// World ranks of the members, in communicator order.
-    pub(crate) members: Arc<Vec<usize>>,
-    /// The context's mailboxes, in member order.
-    pub(crate) mailboxes: Mailboxes,
-    /// This rank's index within `members`.
-    pub(crate) my_index: usize,
-    /// This rank's count of splits issued on the context, shared by every
-    /// clone of the handle, so successive splits on the same parent
-    /// rendezvous correctly (all members must issue splits in the same
-    /// order).
-    pub(crate) split_seq: Rc<Cell<u64>>,
+    /// The context, its members and their mailboxes.
+    group: Arc<Group>,
+    /// This rank's index within the group.
+    my_index: usize,
 }
 
 impl Comm {
-    pub(crate) fn new(
-        ctx: Ctx,
-        members: Arc<Vec<usize>>,
-        mailboxes: Mailboxes,
-        my_index: usize,
-    ) -> Comm {
-        debug_assert!(my_index < members.len());
-        debug_assert_eq!(mailboxes.len(), members.len());
-        Comm { ctx, members, mailboxes, my_index, split_seq: Rc::new(Cell::new(0)) }
+    pub(crate) fn new(group: Arc<Group>, my_index: usize) -> Comm {
+        debug_assert!(my_index < group.members.len());
+        Comm { group, my_index }
     }
 
     /// Number of members.
     #[inline]
     pub fn size(&self) -> usize {
-        self.members.len()
+        self.group.members.len()
     }
 
     /// This rank's index within the communicator.
@@ -59,31 +44,36 @@ impl Comm {
     /// The context id (diagnostics, trace filtering).
     #[inline]
     pub fn ctx(&self) -> Ctx {
-        self.ctx
+        self.group.ctx
     }
 
     /// World rank of member `index`.
     #[inline]
     pub fn world_rank_of(&self, index: usize) -> usize {
-        self.members[index]
+        self.group.members[index]
     }
 
     /// The members' world ranks in communicator order.
     pub fn members(&self) -> &[usize] {
-        &self.members
+        &self.group.members
     }
 
+    /// The context's mailboxes, in member order.
+    pub(crate) fn mailboxes(&self) -> &[Mailbox] {
+        &self.group.mailboxes
+    }
+
+    /// The sequence number of this member's next split of the context;
+    /// every handle of the member counts in one sequence.
     pub(crate) fn next_split_seq(&self) -> u64 {
-        let s = self.split_seq.get();
-        self.split_seq.set(s + 1);
-        s
+        self.group.mailboxes[self.my_index].next_split_seq()
     }
 }
 
 impl std::fmt::Debug for Comm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Comm")
-            .field("ctx", &self.ctx)
+            .field("ctx", &self.ctx())
             .field("size", &self.size())
             .field("index", &self.my_index)
             .finish()

@@ -118,14 +118,28 @@ pub struct Message {
     /// `crate::verify`).
     pub(crate) stamp: u64,
     /// Reliable-delivery metadata (sequence number + checksum); present
-    /// iff the world runs with a fault plan.
-    pub(crate) meta: Option<MsgMeta>,
+    /// iff the world runs with a fault plan, and boxed so a fault-free
+    /// message carries one null pointer for it.
+    pub(crate) meta: Option<Box<MsgMeta>>,
 }
 
-/// One member's receive queue on one communicator context. Only its
-/// owner ever takes from (and so blocks on) it.
+/// One member's receive queue on one communicator context, with the
+/// member's count of splits issued on the context. Only its owner ever
+/// takes from (and so blocks on) the queue or counts a split.
 pub(crate) struct Mailbox {
     q: Mutex<VecDeque<Message>>,
+    /// Splits this member has issued on the context, so successive
+    /// splits on the same parent rendezvous correctly (all members must
+    /// issue splits in the same order). Every handle of the member on
+    /// the context counts in it.
+    split_seq: AtomicU64,
+}
+
+impl Mailbox {
+    /// The sequence number of the owner's next split on the context.
+    pub(crate) fn next_split_seq(&self) -> u64 {
+        self.split_seq.fetch_add(1, Ordering::Relaxed)
+    }
 }
 
 /// Slots a drained queue may keep: `VecDeque`'s first allocation for a
@@ -146,29 +160,25 @@ fn pop_front(q: &mut VecDeque<Message>) -> Option<Message> {
     m
 }
 
-/// The mailboxes of one communicator context, indexed by member.
-pub(crate) type Mailboxes = Arc<[Mailbox]>;
-
-/// Result of a communicator split for a single color.
+/// One communicator context: its id, its members and their mailboxes.
 ///
-/// `members` and `mailboxes` are shared behind `Arc`s: the group is
-/// computed once at the rendezvous and every member's `Comm` points at
-/// the same allocations, so a world-sized split costs one member list per
-/// *group*, not one per rank (an O(P^2) memory term at 10^5–10^6 ranks
-/// otherwise).
-#[derive(Clone)]
-pub(crate) struct SplitGroup {
+/// A group is computed once — by the fabric for the world, at the
+/// rendezvous for a split — and every member's `Comm` points at the same
+/// allocation, so a world-sized split costs one member list per *group*,
+/// not one per rank (an O(P^2) memory term at 10^5–10^6 ranks otherwise).
+pub(crate) struct Group {
     pub ctx: Ctx,
-    /// World ranks of the members, ordered by `(key, parent index)`.
-    pub members: Arc<Vec<usize>>,
-    /// The group's mailboxes, in member order.
-    pub mailboxes: Mailboxes,
+    /// World ranks of the members, in communicator order (for a split,
+    /// ordered by `(key, parent index)`).
+    pub members: Box<[usize]>,
+    /// The members' mailboxes, in member order.
+    pub mailboxes: Box<[Mailbox]>,
 }
 
 /// What a completed rendezvous computed.
 struct SplitResult {
     /// color -> group.
-    groups: HashMap<i64, SplitGroup>,
+    groups: HashMap<i64, Arc<Group>>,
     /// Each depositor's index within its group, by parent index (unread
     /// for members that opted out or never deposited).
     index_in_group: Vec<usize>,
@@ -466,10 +476,10 @@ impl Future for BatonYield<'_> {
 /// behind an `Arc`.
 pub struct Fabric {
     next_ctx: AtomicU64,
-    /// Every context's mailbox slab — written once per communicator,
-    /// read only by the cold paths (drain audit, watchdog hint);
-    /// messages go through the slab a `Comm` carries.
-    mailboxes: Mutex<HashMap<Ctx, Mailboxes>>,
+    /// Every context's group — written once per communicator, read only
+    /// by the cold paths (drain audit, watchdog hint); messages go
+    /// through the group a `Comm` carries.
+    groups: Mutex<HashMap<Ctx, Arc<Group>>>,
     splits: Mutex<HashMap<(Ctx, u64), Arc<SplitCell>>>,
     /// Zero-cost world barrier, for callers that need to delimit phases
     /// without perturbing the metered costs.
@@ -497,7 +507,7 @@ impl Fabric {
     pub(crate) fn new(world_size: usize) -> Fabric {
         let fabric = Fabric {
             next_ctx: AtomicU64::new(1),
-            mailboxes: Mutex::new(HashMap::new()),
+            groups: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
             barrier: Mutex::new(BarrierState {
                 arrived: vec![false; world_size],
@@ -511,27 +521,29 @@ impl Fabric {
             hosts: Box::default(),
             woken: Box::default(),
         };
-        fabric.new_mailboxes(WORLD_CTX, world_size);
+        fabric.new_group(WORLD_CTX, (0..world_size).collect());
         fabric
     }
 
-    /// Allocate and register the mailbox slab of the `size`-member
-    /// context `ctx`.
-    fn new_mailboxes(&self, ctx: Ctx, size: usize) -> Mailboxes {
-        let slab: Mailboxes =
-            (0..size).map(|_| Mailbox { q: Mutex::new(VecDeque::new()) }).collect();
-        lock_unpoisoned(&self.mailboxes).insert(ctx, slab.clone());
-        slab
+    /// Allocate and register the group of context `ctx`: `members` and
+    /// one empty mailbox each.
+    fn new_group(&self, ctx: Ctx, members: Box<[usize]>) -> Arc<Group> {
+        let mailboxes = (0..members.len())
+            .map(|_| Mailbox { q: Mutex::new(VecDeque::new()), split_seq: AtomicU64::new(0) })
+            .collect();
+        let group = Arc::new(Group { ctx, members, mailboxes });
+        lock_unpoisoned(&self.groups).insert(ctx, group.clone());
+        group
     }
 
-    /// The registered mailbox slab of `ctx`, if the context exists.
-    fn mailboxes_of(&self, ctx: Ctx) -> Option<Mailboxes> {
-        lock_unpoisoned(&self.mailboxes).get(&ctx).cloned()
+    /// The registered group of `ctx`, if the context exists.
+    fn group_of(&self, ctx: Ctx) -> Option<Arc<Group>> {
+        lock_unpoisoned(&self.groups).get(&ctx).cloned()
     }
 
-    /// The world communicator's mailboxes.
-    pub(crate) fn world_mailboxes(&self) -> Mailboxes {
-        self.mailboxes_of(WORLD_CTX).expect("the world's mailboxes are created with the fabric")
+    /// The world communicator's group.
+    pub(crate) fn world_group(&self) -> Arc<Group> {
+        self.group_of(WORLD_CTX).expect("the world's group is created with the fabric")
     }
 
     /// Give every rank of this world an OS thread as host (sync-closure
@@ -1068,43 +1080,49 @@ impl Fabric {
     /// (epoch moves past the watermark) the wait returns `None` — after
     /// draining anything already queued — so the caller can surface a
     /// typed failure instead of hanging on a corpse.
-    #[allow(clippy::too_many_arguments)] // the mailbox plus its deadlock-report metadata
-    pub(crate) async fn take_any_a(
-        &self,
-        mailboxes: &[Mailbox],
+    ///
+    /// An `async` block behind a plain `fn`: an `async fn` would keep its
+    /// arguments twice in the state every blocked receive suspends in.
+    // Not an `async fn`: that would hold the arguments twice in its state.
+    #[allow(clippy::manual_async_fn, clippy::too_many_arguments)]
+    pub(crate) fn take_any_a<'a>(
+        &'a self,
+        mailboxes: &'a [Mailbox],
         ctx: Ctx,
         index: usize,
         me_world: usize,
         from_world: usize,
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
-    ) -> Option<Message> {
-        let mb = &mailboxes[index];
-        {
-            let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = pop_front(&mut q) {
-                self.det_touch(Resource::Mailbox { ctx, index });
-                return Some(m);
+    ) -> impl Future<Output = Option<Message>> + 'a {
+        async move {
+            let mb = &mailboxes[index];
+            {
+                let mut q = lock_unpoisoned(&mb.q);
+                if let Some(m) = pop_front(&mut q) {
+                    self.det_touch(Resource::Mailbox { ctx, index });
+                    return Some(m);
+                }
+                if self.recv_fault_kicked(fault_watch, from_world) {
+                    return None;
+                }
             }
-            if self.recv_fault_kicked(fault_watch, from_world) {
-                return None;
-            }
-        }
-        self.verify.set_wait(
-            me_world,
-            WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
-        );
-        loop {
-            self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
-            let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = pop_front(&mut q) {
-                self.det_touch(Resource::Mailbox { ctx, index });
-                self.verify.clear_wait(me_world);
-                return Some(m);
-            }
-            if self.recv_fault_kicked(fault_watch, from_world) {
-                self.verify.clear_wait(me_world);
-                return None;
+            self.verify.set_wait(
+                me_world,
+                WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
+            );
+            loop {
+                self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
+                let mut q = lock_unpoisoned(&mb.q);
+                if let Some(m) = pop_front(&mut q) {
+                    self.det_touch(Resource::Mailbox { ctx, index });
+                    self.verify.clear_wait(me_world);
+                    return Some(m);
+                }
+                if self.recv_fault_kicked(fault_watch, from_world) {
+                    self.verify.clear_wait(me_world);
+                    return None;
+                }
             }
         }
     }
@@ -1218,10 +1236,8 @@ impl Fabric {
             for (i, &(_, parent_idx, _)) in v.iter().enumerate() {
                 index_in_group[parent_idx] = i;
             }
-            let members: Vec<usize> = v.into_iter().map(|(_, _, w)| w).collect();
-            let ctx = self.alloc_ctx();
-            let mailboxes = self.new_mailboxes(ctx, members.len());
-            groups.insert(c, SplitGroup { ctx, members: Arc::new(members), mailboxes });
+            let members = v.into_iter().map(|(_, _, w)| w).collect();
+            groups.insert(c, self.new_group(self.alloc_ctx(), members));
         }
         st.result = Some(Arc::new(SplitResult { groups, index_in_group }));
     }
@@ -1249,7 +1265,7 @@ impl Fabric {
         key: i64,
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
-    ) -> Result<Option<(SplitGroup, usize)>, FaultKick> {
+    ) -> Result<Option<(Arc<Group>, usize)>, FaultKick> {
         let cell = self.split_cell(parent_ctx, parent_members, seq);
         let completed = self.split_deposit(
             &cell,
@@ -1353,7 +1369,7 @@ impl Fabric {
         my_parent_index: usize,
         my_world_rank: usize,
         color: i64,
-    ) -> Option<(SplitGroup, usize)> {
+    ) -> Option<(Arc<Group>, usize)> {
         let mut st = lock_unpoisoned(cell);
         let result = st
             .result
@@ -1401,10 +1417,10 @@ impl Fabric {
     /// Count of messages posted but never taken, per mailbox (strict-drain
     /// audit).
     pub(crate) fn residual_messages(&self) -> Vec<(Ctx, usize, usize)> {
-        let map = lock_unpoisoned(&self.mailboxes);
+        let map = lock_unpoisoned(&self.groups);
         let mut out: Vec<(Ctx, usize, usize)> = map
             .iter()
-            .flat_map(|(&ctx, slab)| slab.iter().enumerate().map(move |(i, mb)| (ctx, i, mb)))
+            .flat_map(|(&ctx, g)| g.mailboxes.iter().enumerate().map(move |(i, mb)| (ctx, i, mb)))
             .filter_map(|(ctx, index, mb)| {
                 let n = lock_unpoisoned(&mb.q).len();
                 (n > 0).then_some((ctx, index, n))
@@ -1442,8 +1458,8 @@ impl Fabric {
             progressable[r] = match &v.wait {
                 None => !v.done,
                 Some(WaitInfo { kind: WaitKind::Recv { ctx_index, .. }, ctx, .. }) => self
-                    .mailboxes_of(*ctx)
-                    .is_some_and(|slab| !lock_unpoisoned(&slab[*ctx_index].q).is_empty()),
+                    .group_of(*ctx)
+                    .is_some_and(|g| !lock_unpoisoned(&g.mailboxes[*ctx_index].q).is_empty()),
                 Some(w) => missing[&(w.ctx, w.kind)].is_none(),
             };
         }
@@ -1633,7 +1649,7 @@ mod tests {
 
     fn take_now(
         fabric: &Fabric,
-        slab: &Mailboxes,
+        slab: &[Mailbox],
         ctx: Ctx,
         watch: Option<u64>,
     ) -> Option<Message> {
@@ -1647,7 +1663,7 @@ mod tests {
         r: usize,
         color: i64,
         key: i64,
-    ) -> Option<(SplitGroup, usize)> {
+    ) -> Option<(Arc<Group>, usize)> {
         poll_now(fabric.split_a(WORLD_CTX, members, seq, r, r, color, key, here(), None))
             .expect("no fault watch, so no kick")
     }
@@ -1664,9 +1680,10 @@ mod tests {
     #[test]
     fn post_and_take_roundtrip() {
         let fabric = Fabric::new(1);
-        let world = fabric.world_mailboxes();
-        fabric.post(&world, WORLD_CTX, 0, 0, msg(3, 1.5, vec![1.0, 2.0]));
-        let m = take_now(&fabric, &world, WORLD_CTX, None).unwrap();
+        let world = fabric.world_group();
+        let world = &world.mailboxes;
+        fabric.post(world, WORLD_CTX, 0, 0, msg(3, 1.5, vec![1.0, 2.0]));
+        let m = take_now(&fabric, world, WORLD_CTX, None).unwrap();
         assert_eq!(m.from, 3);
         assert_eq!(m.sent_at, 1.5);
         assert_eq!(m.payload, vec![1.0, 2.0]);
@@ -1675,18 +1692,19 @@ mod tests {
     #[test]
     fn a_drained_mailbox_gives_back_its_backlog_and_stays_fifo() {
         let fabric = Fabric::new(1);
-        let world = fabric.world_mailboxes();
+        let world = fabric.world_group();
+        let world = &world.mailboxes;
         let capacity = || lock_unpoisoned(&world[0].q).capacity();
-        fabric.post(&world, WORLD_CTX, 0, 0, msg(0, 0.0, vec![]));
+        fabric.post(world, WORLD_CTX, 0, 0, msg(0, 0.0, vec![]));
         let first = capacity();
-        take_now(&fabric, &world, WORLD_CTX, None).unwrap();
+        take_now(&fabric, world, WORLD_CTX, None).unwrap();
         for round in 0..2 {
             for from in 0..32 {
-                fabric.post(&world, WORLD_CTX, 0, 0, msg(from, 0.0, vec![from as f64]));
+                fabric.post(world, WORLD_CTX, 0, 0, msg(from, 0.0, vec![from as f64]));
             }
             assert!(capacity() >= 32);
             for from in 0..32 {
-                let m = take_now(&fabric, &world, WORLD_CTX, None).unwrap();
+                let m = take_now(&fabric, world, WORLD_CTX, None).unwrap();
                 assert_eq!((m.from, m.payload[0]), (from, from as f64), "round {round}");
             }
             assert!(capacity() <= first, "round {round}: {} slots kept, {first} first", capacity());
@@ -1696,11 +1714,12 @@ mod tests {
     #[test]
     fn messages_between_contexts_are_isolated() {
         let fabric = Fabric::new(1);
-        let (seven, eight) = (fabric.new_mailboxes(7, 1), fabric.new_mailboxes(8, 1));
-        fabric.post(&seven, 7, 0, 0, msg(0, 0.0, vec![7.0]));
-        fabric.post(&eight, 8, 0, 0, msg(0, 0.0, vec![8.0]));
-        assert_eq!(take_now(&fabric, &eight, 8, None).unwrap().payload, vec![8.0]);
-        assert_eq!(take_now(&fabric, &seven, 7, None).unwrap().payload, vec![7.0]);
+        let (seven, eight) = (fabric.new_group(7, [0].into()), fabric.new_group(8, [0].into()));
+        let (seven, eight) = (&seven.mailboxes, &eight.mailboxes);
+        fabric.post(seven, 7, 0, 0, msg(0, 0.0, vec![7.0]));
+        fabric.post(eight, 8, 0, 0, msg(0, 0.0, vec![8.0]));
+        assert_eq!(take_now(&fabric, eight, 8, None).unwrap().payload, vec![8.0]);
+        assert_eq!(take_now(&fabric, seven, 7, None).unwrap().payload, vec![7.0]);
     }
 
     #[test]
@@ -1716,19 +1735,19 @@ mod tests {
         let (groups, indices): (Vec<_>, Vec<_>) =
             handles.into_iter().map(|h| h.join().unwrap().unwrap()).unzip();
         // ranks 0 and 2 share color 0; members sorted by key (descending rank)
-        assert_eq!(*groups[0].members, vec![2, 0]);
-        assert_eq!(*groups[2].members, vec![2, 0]);
-        assert_eq!(*groups[1].members, vec![3, 1]);
-        assert_eq!(*groups[3].members, vec![3, 1]);
+        assert_eq!(*groups[0].members, [2, 0]);
+        assert_eq!(*groups[2].members, [2, 0]);
+        assert_eq!(*groups[1].members, [3, 1]);
+        assert_eq!(*groups[3].members, [3, 1]);
         // each member is handed its own index in that order
         assert_eq!(indices, vec![1, 1, 0, 0]);
         // distinct colors got distinct contexts
         assert_ne!(groups[0].ctx, groups[1].ctx);
         assert_eq!(groups[0].ctx, groups[2].ctx);
-        // one mailbox per member, one slab per group, registered under its ctx
+        // one mailbox per member, one group per color, registered under its ctx
         assert_eq!(groups[0].mailboxes.len(), 2);
-        assert!(Arc::ptr_eq(&groups[0].mailboxes, &groups[2].mailboxes));
-        assert!(Arc::ptr_eq(&groups[1].mailboxes, &fabric.mailboxes_of(groups[1].ctx).unwrap()));
+        assert!(Arc::ptr_eq(&groups[0], &groups[2]));
+        assert!(Arc::ptr_eq(&groups[1], &fabric.group_of(groups[1].ctx).unwrap()));
     }
 
     #[test]
@@ -1737,7 +1756,7 @@ mod tests {
         let h0 = host(&fabric, 0, |f| split_now(f, &[0, 1], 0, 0, 0, 0));
         let h1 = host(&fabric, 1, |f| split_now(f, &[0, 1], 0, 1, -1, 0));
         assert!(h1.join().unwrap().is_none());
-        assert_eq!(*h0.join().unwrap().unwrap().0.members, vec![0]);
+        assert_eq!(*h0.join().unwrap().unwrap().0.members, [0]);
     }
 
     #[test]
@@ -1770,7 +1789,7 @@ mod tests {
         // rank 0 is progressable, and rank 1 (waiting on rank 0) inherits
         // that via the fixpoint.
         let fabric = Fabric::new(2);
-        fabric.post(&fabric.world_mailboxes(), WORLD_CTX, 0, 0, msg(1, 0.0, vec![1.0]));
+        fabric.post(&fabric.world_group().mailboxes, WORLD_CTX, 0, 0, msg(1, 0.0, vec![1.0]));
         fabric.verify.set_wait(0, recv_wait(1, 0));
         fabric.verify.set_wait(1, recv_wait(0, 1));
         let mut prev = None;
@@ -1824,7 +1843,7 @@ mod tests {
         let fabric = hosted(2, false);
         let h = host(&fabric, 0, |f| {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                take_now(f, &f.world_mailboxes(), WORLD_CTX, None);
+                take_now(f, &f.world_group().mailboxes, WORLD_CTX, None);
             }));
             caught.expect_err("take_any_a must panic out of an aborted world")
         });
@@ -1840,12 +1859,13 @@ mod tests {
     #[test]
     fn residual_messages_reports_undrained_mailboxes() {
         let fabric = Fabric::new(2);
-        let (world, three) = (fabric.world_mailboxes(), fabric.new_mailboxes(3, 2));
-        fabric.post(&world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![1.0]));
-        fabric.post(&world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![2.0]));
-        fabric.post(&three, 3, 0, 0, msg(1, 0.0, vec![3.0]));
+        let (world, three) = (fabric.world_group(), fabric.new_group(3, [0, 1].into()));
+        let (world, three) = (&world.mailboxes, &three.mailboxes);
+        fabric.post(world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![1.0]));
+        fabric.post(world, WORLD_CTX, 1, 1, msg(0, 0.0, vec![2.0]));
+        fabric.post(three, 3, 0, 0, msg(1, 0.0, vec![3.0]));
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2), (3, 0, 1)]);
-        take_now(&fabric, &three, 3, None);
+        take_now(&fabric, three, 3, None);
         assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2)]);
     }
 
@@ -1930,7 +1950,8 @@ mod tests {
     fn fault_kick_interrupts_blocked_take_any() {
         let fabric = hosted(2, true);
         let watch = Some(fabric.fault_epoch());
-        let h = host(&fabric, 0, move |f| take_now(f, &f.world_mailboxes(), WORLD_CTX, watch));
+        let h =
+            host(&fabric, 0, move |f| take_now(f, &f.world_group().mailboxes, WORLD_CTX, watch));
         until_blocked(&fabric, &[0]);
         fabric.mark_rank_dead(1, "rank 1 killed by fault-plan entry kill=1@1".to_string());
         assert!(h.join().unwrap().is_none(), "wait must be kicked, not served");

@@ -169,6 +169,19 @@ pub struct Rank {
     /// Last sender stamp observed per (ctx, sender index), to assert
     /// per-channel monotonicity (no duplicated or reordered delivery).
     last_seen: HashMap<(Ctx, usize), u64>,
+    /// Fault-epoch watermark while inside a fault-catching scope
+    /// ([`catch_failures_async!`](crate::catch_failures_async)); when
+    /// the fabric's epoch moves past it, blocking operations raise a
+    /// typed failure instead of waiting on a dead rank.
+    fault_watch: Option<u64>,
+    /// This rank's fault-plan state; `Some` iff the world runs with a
+    /// fault plan, so a fault-free rank holds one null pointer for it.
+    faults: Option<Box<RankFaults>>,
+}
+
+/// What a rank keeps only under a fault plan: its entries in the plan
+/// and the reliable-delivery sequence numbers.
+struct RankFaults {
     /// Operation index at which the fault plan kills this rank, if any.
     kill_at: Option<u64>,
     /// Fault epoch at which a cascade entry kills this rank, if any
@@ -178,13 +191,8 @@ pub struct Rank {
     /// every local busy-time advance).
     slowdown: f64,
     /// Communication operations entered so far (the kill schedule's
-    /// clock; only ticked when a fault plan is attached).
+    /// clock).
     op_count: u64,
-    /// Fault-epoch watermark while inside a fault-catching scope
-    /// ([`catch_failures_async!`](crate::catch_failures_async)); when
-    /// the fabric's epoch moves past it, blocking operations raise a
-    /// typed failure instead of waiting on a dead rank.
-    fault_watch: Option<u64>,
     /// Reliable-delivery send sequence numbers per (ctx, receiver index).
     send_seq: HashMap<(Ctx, usize), u64>,
     /// Next expected receive sequence number per (ctx, sender index).
@@ -194,21 +202,22 @@ pub struct Rank {
 impl Rank {
     pub(crate) fn new(
         world_rank: usize,
-        world_members: Arc<Vec<usize>>,
         fabric: Arc<Fabric>,
         params: MachineParams,
         mem_limit: Option<u64>,
         trace: bool,
     ) -> Rank {
-        let world = Comm::new(WORLD_CTX, world_members, fabric.world_mailboxes(), world_rank);
-        let (kill_at, cascade_at, slowdown) = match fabric.fault() {
-            Some(f) => (
-                f.plan.kill_at(world_rank),
-                f.plan.cascade_at(world_rank),
-                f.plan.slowdown_of(f.seed, world_rank),
-            ),
-            None => (None, None, 1.0),
-        };
+        let world = Comm::new(fabric.world_group(), world_rank);
+        let faults = fabric.fault().map(|f| {
+            Box::new(RankFaults {
+                kill_at: f.plan.kill_at(world_rank),
+                cascade_at: f.plan.cascade_at(world_rank),
+                slowdown: f.plan.slowdown_of(f.seed, world_rank),
+                op_count: 0,
+                send_seq: HashMap::new(),
+                recv_seq: HashMap::new(),
+            })
+        });
         Rank {
             world_rank,
             world,
@@ -221,14 +230,16 @@ impl Rank {
             trace: if trace { Some(Vec::new()) } else { None },
             stamp: 0,
             last_seen: HashMap::new(),
-            kill_at,
-            cascade_at,
-            slowdown,
-            op_count: 0,
             fault_watch: None,
-            send_seq: HashMap::new(),
-            recv_seq: HashMap::new(),
+            faults,
         }
+    }
+
+    /// Straggler factor from the fault plan: exactly 1.0 without one (or
+    /// without a straggler entry), keeping fault-free clocks
+    /// bitwise-identical to the unfaulted model.
+    fn slowdown(&self) -> f64 {
+        self.faults.as_ref().map_or(1.0, |f| f.slowdown)
     }
 
     /// Tear this rank down if the verifier has aborted the world (called
@@ -245,13 +256,11 @@ impl Rank {
     /// inside a catching scope, advance the kill clock, and die here if
     /// the fault plan says so. No-op without a fault plan.
     fn fault_tick(&mut self) {
-        if self.fabric.fault().is_none() {
-            return;
-        }
+        let Some(faults) = &self.faults else { return };
         // Cascade entries fire before peer-death observation: a rank
         // slated to die *because* the epoch moved must die, not merely
         // observe the death that armed it.
-        if let Some(at_epoch) = self.cascade_at {
+        if let Some(at_epoch) = faults.cascade_at {
             if self.fabric.fault_epoch() >= at_epoch {
                 let seed_note = match self.fabric.sched_repro().and_then(|r| r.env()) {
                     Some(env) => format!("{env}, "),
@@ -269,8 +278,10 @@ impl Rank {
         if self.fault_kicked() {
             self.raise_peer_failure();
         }
-        self.op_count += 1;
-        if self.kill_at == Some(self.op_count) {
+        let Some(faults) = &mut self.faults else { return };
+        faults.op_count += 1;
+        let op_count = faults.op_count;
+        if faults.kill_at == Some(op_count) {
             let seed_note = match self.fabric.sched_repro().and_then(|r| r.env()) {
                 Some(env) => format!("{env}, "),
                 None => String::new(),
@@ -278,7 +289,7 @@ impl Rank {
             let fault_seed = self.fabric.fault().map_or(0, |f| f.seed);
             let detail = format!(
                 "rank {} killed by fault-plan entry kill={}@{} (replay: {}fault seed {:#x})",
-                self.world_rank, self.world_rank, self.op_count, seed_note, fault_seed
+                self.world_rank, self.world_rank, op_count, seed_note, fault_seed
             );
             self.fabric.mark_rank_dead(self.world_rank, detail.clone());
             std::panic::panic_any(FaultPanic(RankFailed { rank: self.world_rank, detail }));
@@ -363,34 +374,29 @@ impl Rank {
         let fabric = self.fabric.clone();
         let start = self.time;
         let from = comm.index();
-        let to_world = comm.world_rank_of(to);
-        let post = |stamp, sent_at, payload: Vec<f64>, meta| {
-            let msg = Message { from, sent_at, payload, stamp, meta };
-            fabric.post(&comm.mailboxes, comm.ctx, to, to_world, msg);
+        let (ctx, to_world) = (comm.ctx(), comm.world_rank_of(to));
+        let post = |stamp, sent_at, payload: Vec<f64>, meta: Option<MsgMeta>| {
+            let msg = Message { from, sent_at, payload, stamp, meta: meta.map(Box::new) };
+            fabric.post(comm.mailboxes(), ctx, to, to_world, msg);
         };
-        let Some(fstate) = fabric.fault() else {
+        let (Some(fstate), Some(faults)) = (fabric.fault(), &mut self.faults) else {
             post(self.next_stamp(), start, payload.to_vec(), None);
             return start;
         };
         let w = payload.len() as u64;
         let seq = {
-            let counter = self.send_seq.entry((comm.ctx, to)).or_insert(0);
+            let counter = faults.send_seq.entry((ctx, to)).or_insert(0);
             let seq = *counter;
             *counter += 1;
             seq
         };
+        let per_copy = faults.slowdown * (self.params.alpha + self.params.beta * w as f64);
         let meta = Some(MsgMeta { seq, check: fault::checksum(payload) });
         let plan = &fstate.plan;
-        let per_copy = self.slowdown * (self.params.alpha + self.params.beta * w as f64);
         let mut sent_at = start;
         for attempt in 0..=plan.max_retries {
-            let tx = fault::Transmission {
-                ctx: comm.ctx,
-                from_world: self.world_rank,
-                to_world,
-                seq,
-                attempt,
-            };
+            let tx =
+                fault::Transmission { ctx, from_world: self.world_rank, to_world, seq, attempt };
             match plan.decide(fstate.seed, tx) {
                 FaultAction::Deliver => {
                     post(self.next_stamp(), sent_at, payload.to_vec(), meta);
@@ -436,8 +442,8 @@ impl Rank {
         }
         let report = format!(
             "pmm-fault: rank {} exhausted {} retransmission(s) of message #{seq} to world rank \
-             {to_world} on ctx {} — delivery failed under fault plan [{plan}] (fault seed {:#x})",
-            self.world_rank, plan.max_retries, comm.ctx, fstate.seed
+             {to_world} on ctx {ctx} — delivery failed under fault plan [{plan}] (fault seed {:#x})",
+            self.world_rank, plan.max_retries, fstate.seed
         );
         fabric.abort(report);
         fabric.verify.abort_panic(self.world_rank);
@@ -451,8 +457,10 @@ impl Rank {
     /// or the goodput meters. Messages without metadata (no fault plan)
     /// are always accepted.
     fn fault_accept(&mut self, ctx: Ctx, msg: &Message) -> bool {
-        let Some(meta) = msg.meta else { return true };
-        let expected = self.recv_seq.entry((ctx, msg.from)).or_insert(0);
+        let (Some(meta), Some(faults)) = (msg.meta.as_deref(), &mut self.faults) else {
+            return true;
+        };
+        let expected = faults.recv_seq.entry((ctx, msg.from)).or_insert(0);
         if meta.seq == *expected && fault::checksum(&msg.payload) == meta.check {
             *expected += 1;
             return true;
@@ -461,7 +469,7 @@ impl Rank {
         self.meter.retry_words_recv += w;
         self.meter.retry_msgs_recv += 1;
         self.time = self.time.max(msg.sent_at)
-            + self.slowdown * (self.params.alpha + self.params.beta * w as f64);
+            + self.slowdown() * (self.params.alpha + self.params.beta * w as f64);
         false
     }
 
@@ -616,9 +624,7 @@ impl Rank {
         debug_assert!(flops >= 0.0);
         let t0 = self.time;
         self.meter.flops += flops;
-        // `slowdown` is exactly 1.0 without a straggler entry, keeping
-        // fault-free clocks bitwise-identical to the unfaulted model.
-        self.time += self.slowdown * (self.params.gamma * flops);
+        self.time += self.slowdown() * (self.params.gamma * flops);
         if self.trace.is_some() {
             let t1 = self.time;
             self.trace_event(WORLD_CTX, TraceOp::Compute { flops }, 0, 0, t0, t1);
@@ -643,14 +649,14 @@ impl Rank {
         self.meter.words_sent += w;
         self.meter.msgs_sent += 1;
         let sent_at = self.transmit(comm, to, payload);
-        self.time = sent_at + self.slowdown * (self.params.alpha + self.params.beta * w as f64);
+        self.time = sent_at + self.slowdown() * (self.params.alpha + self.params.beta * w as f64);
         if self.trace.is_some() {
             let (t1, retry) = (self.time, self.meter.retry_words_sent - retry_before);
             let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
-            self.trace_event(comm.ctx, op, w, retry, t0, t1);
+            self.trace_event(comm.ctx(), op, w, retry, t0, t1);
         }
         // Under a schedule: record the post and yield the baton.
-        self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
+        self.fabric.yield_post(self.world_rank, comm.ctx(), comm.world_rank_of(to), w).await;
     }
 
     /// Receive the next message from member `from` of `comm`, suspending
@@ -672,17 +678,17 @@ impl Rank {
             let t0 = self.time;
             let retry_before = self.meter.retry_words_recv;
             let msg = self.match_directed(comm, from, site).await;
-            self.observe_stamp(comm.ctx, from, comm.world_rank_of(from), msg.stamp);
+            self.observe_stamp(comm.ctx(), from, comm.world_rank_of(from), msg.stamp);
             let w = msg.payload.len() as u64;
             self.meter.words_recv += w;
             self.meter.msgs_recv += 1;
             // Transfer occupies the receiver from when both sides are ready.
             self.time = self.time.max(msg.sent_at)
-                + self.slowdown * (self.params.alpha + self.params.beta * w as f64);
+                + self.slowdown() * (self.params.alpha + self.params.beta * w as f64);
             if self.trace.is_some() {
                 let (t1, retry) = (self.time, self.meter.retry_words_recv - retry_before);
                 let op = TraceOp::Recv { from_world: comm.world_rank_of(from) };
-                self.trace_event(comm.ctx, op, w, retry, t0, t1);
+                self.trace_event(comm.ctx(), op, w, retry, t0, t1);
             }
             msg
         }
@@ -740,70 +746,73 @@ impl Rank {
                 // duplex transfer is charged once, on the receive half below.
                 let retry = self.meter.retry_words_sent - retry_sent_before;
                 let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
-                self.trace_event(comm.ctx, op, ws, retry, t_entry, t_entry);
+                self.trace_event(comm.ctx(), op, ws, retry, t_entry, t_entry);
             }
-            self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
+            self.fabric.yield_post(self.world_rank, comm.ctx(), comm.world_rank_of(to), ws).await;
             let msg = self.match_directed(comm, from, site).await;
-            self.observe_stamp(comm.ctx, from, comm.world_rank_of(from), msg.stamp);
+            self.observe_stamp(comm.ctx(), from, comm.world_rank_of(from), msg.stamp);
             let wr = msg.payload.len() as u64;
             self.meter.words_recv += wr;
             self.meter.msgs_recv += 1;
             let wmax = ws.max(wr) as f64;
             self.time = tx_start.max(msg.sent_at)
-                + self.slowdown * (self.params.alpha + self.params.beta * wmax);
+                + self.slowdown() * (self.params.alpha + self.params.beta * wmax);
             if self.trace.is_some() {
                 let (t1, retry) = (self.time, self.meter.retry_words_recv - retry_recv_before);
                 let op = TraceOp::Recv { from_world: comm.world_rank_of(from) };
-                self.trace_event(comm.ctx, op, wr, retry, t_entry, t1);
+                self.trace_event(comm.ctx(), op, wr, retry, t_entry, t1);
             }
             msg
         }
     }
 
-    async fn match_directed(
-        &mut self,
-        comm: &Comm,
+    #[allow(clippy::manual_async_fn)] // an `async fn` holds its arguments twice
+    fn match_directed<'a>(
+        &'a mut self,
+        comm: &'a Comm,
         from: usize,
         site: &'static Location<'static>,
-    ) -> Message {
-        // The stash holds only channels with messages waiting: an entry
-        // goes when its last message is taken.
-        let key = (comm.ctx, from);
-        if let Some(q) = self.pending.get_mut(&key) {
-            let m = q.pop_front();
-            if q.is_empty() {
-                self.pending.remove(&key);
+    ) -> impl Future<Output = Message> + 'a {
+        async move {
+            // The stash holds only channels with messages waiting: an entry
+            // goes when its last message is taken.
+            let key = (comm.ctx(), from);
+            if let Some(q) = self.pending.get_mut(&key) {
+                let m = q.pop_front();
+                if q.is_empty() {
+                    self.pending.remove(&key);
+                }
+                if let Some(m) = m {
+                    return m;
+                }
             }
-            if let Some(m) = m {
-                return m;
+            let from_world = comm.world_rank_of(from);
+            loop {
+                let taken = self
+                    .fabric
+                    .take_any_a(
+                        comm.mailboxes(),
+                        comm.ctx(),
+                        comm.index(),
+                        self.world_rank,
+                        from_world,
+                        site,
+                        self.fault_watch,
+                    )
+                    .await;
+                let Some(msg) = taken else {
+                    // Kicked out of the blocking wait: a rank died while we
+                    // were waiting inside a fault-catching scope.
+                    self.raise_peer_failure();
+                };
+                if !self.fault_accept(comm.ctx(), &msg) {
+                    continue;
+                }
+                if msg.from == from {
+                    return msg;
+                }
+                self.pending.entry((comm.ctx(), msg.from)).or_default().push_back(msg);
             }
-        }
-        let from_world = comm.world_rank_of(from);
-        loop {
-            let taken = self
-                .fabric
-                .take_any_a(
-                    &comm.mailboxes,
-                    comm.ctx,
-                    comm.index(),
-                    self.world_rank,
-                    from_world,
-                    site,
-                    self.fault_watch,
-                )
-                .await;
-            let Some(msg) = taken else {
-                // Kicked out of the blocking wait: a rank died while we
-                // were waiting inside a fault-catching scope.
-                self.raise_peer_failure();
-            };
-            if !self.fault_accept(comm.ctx, &msg) {
-                continue;
-            }
-            if msg.from == from {
-                return msg;
-            }
-            self.pending.entry((comm.ctx, msg.from)).or_default().push_back(msg);
         }
     }
 
@@ -836,7 +845,7 @@ impl Rank {
             let result = self
                 .fabric
                 .split_a(
-                    comm.ctx,
+                    comm.ctx(),
                     comm.members(),
                     seq,
                     comm.index(),
@@ -850,9 +859,7 @@ impl Rank {
             match result {
                 Err(FaultKick) => self.raise_peer_failure(),
                 Ok(None) => None,
-                Ok(Some((group, my_index))) => {
-                    Some(Comm::new(group.ctx, group.members, group.mailboxes, my_index))
-                }
+                Ok(Some((group, my_index))) => Some(Comm::new(group, my_index)),
             }
         }
     }
@@ -876,7 +883,7 @@ impl Rank {
             let result = self
                 .fabric
                 .split_a(
-                    wc.ctx,
+                    wc.ctx(),
                     wc.members(),
                     RECOVERY_SPLIT_SEQ_BASE + round,
                     wc.index(),
@@ -888,9 +895,7 @@ impl Rank {
                 )
                 .await;
             match result {
-                Ok(Some((group, my_index))) => {
-                    Comm::new(group.ctx, group.members, group.mailboxes, my_index)
-                }
+                Ok(Some((group, my_index))) => Comm::new(group, my_index),
                 Ok(None) | Err(FaultKick) => panic!(
                     "rank {}: recovery split round {round} failed — fabric bug (color 0 cannot \
                      opt out, and recovery splits do not watch the fault epoch)",
@@ -952,7 +957,7 @@ impl Rank {
     ) {
         self.check_abort();
         if let Err(report) = self.fabric.verify.register_collective(
-            comm.ctx,
+            comm.ctx(),
             comm.size(),
             comm.index(),
             self.world_rank,
@@ -965,7 +970,7 @@ impl Rank {
         }
         if self.trace.is_some() {
             let now = self.time;
-            self.trace_event(comm.ctx, TraceOp::Collective { op, elems }, 0, 0, now, now);
+            self.trace_event(comm.ctx(), TraceOp::Collective { op, elems }, 0, 0, now, now);
         }
         // Under a schedule: collective entries are trace events and
         // yield points, so schedules interleave across collectives too.
@@ -1339,14 +1344,36 @@ mod tests {
                                 stamp: rank.next_stamp(),
                                 meta: None,
                             };
-                            rank.fabric.post(&wc.mailboxes, wc.ctx, 0, 0, m.clone());
-                            rank.fabric.post(&wc.mailboxes, wc.ctx, 0, 0, m);
+                            rank.fabric.post(wc.mailboxes(), wc.ctx(), 0, 0, m.clone());
+                            rank.fabric.post(wc.mailboxes(), wc.ctx(), 0, 0, m);
                         }
                     })
                 })
                 .expect_err("a duplicated stamp must fail the run");
             let want = "happens-before violation at rank 0: sender clock 1 from world rank 1";
             assert!(failure.report.contains(want), "P = {p}: {}", failure.report);
+        }
+    }
+
+    #[test]
+    fn a_rank_its_handles_and_its_messages_stay_within_their_bytes() {
+        // Each is held once per simulated rank (a `Comm` once per fiber,
+        // a `Message` once per queued or in-flight message), so a byte
+        // here is a megabyte at P = 10^6. docs/PERFORMANCE.md §4, "Bytes
+        // a rank holds, by structure", measures what each costs;
+        // fault-only state sits behind one pointer in `Rank` and
+        // `Message`.
+        let sizes = [
+            ("Message", std::mem::size_of::<Message>(), 56),
+            ("Comm", std::mem::size_of::<Comm>(), 16),
+            ("Rank", std::mem::size_of::<Rank>(), 320),
+        ];
+        for (name, size, ceiling) in sizes {
+            assert!(
+                size <= ceiling,
+                "size_of::<{name}>() = {size} B, over its {ceiling} B ceiling: see \
+                 docs/PERFORMANCE.md §4 before growing a per-rank structure"
+            );
         }
     }
 }

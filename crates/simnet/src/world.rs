@@ -359,7 +359,6 @@ impl World {
         fabric.sched_start();
         Run {
             fabric: Arc::new(fabric),
-            members: Arc::new((0..self.size).collect()),
             params: self.params,
             mem_limit: self.mem_limit,
             trace: self.trace,
@@ -608,7 +607,6 @@ impl World {
 /// that is the same on every host.
 struct Run {
     fabric: Arc<Fabric>,
-    members: Arc<Vec<usize>>,
     params: MachineParams,
     mem_limit: Option<u64>,
     trace: bool,
@@ -617,14 +615,7 @@ struct Run {
 
 impl Run {
     fn rank(&self, r: usize) -> Rank {
-        Rank::new(
-            r,
-            self.members.clone(),
-            self.fabric.clone(),
-            self.params,
-            self.mem_limit,
-            self.trace,
-        )
+        Rank::new(r, self.fabric.clone(), self.params, self.mem_limit, self.trace)
     }
 
     /// Close a rank whose program returned `value`: run the per-rank

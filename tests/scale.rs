@@ -341,9 +341,11 @@ fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
 /// (100, 100, 100): t = 1, one element per block, so fiber chunks are
 /// uneven and eq. (3) holds in aggregate (the per-rank exact check
 /// needs even chunks). Release-mode cell of `cargo xtask scale-check`.
-/// Peaks at 6.5 GB of RSS (6.7 KB per rank) in 2–3 minutes on one core
-/// of a 2-vCPU VM, since drained mailboxes and receive stashes give their
-/// buffers back.
+/// Peaks at 3.8 GB of RSS (3.9 KB per rank) in about 3 minutes on one
+/// core of a 2-vCPU VM: drained mailboxes and receive stashes give their
+/// buffers back, the collectives hold an even split as a base and a
+/// remainder, and a rank's continuation, `Rank`, `Comm` and `Message`
+/// carry no fault-only or per-handle state.
 #[test]
 #[ignore = "million-rank release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_6() {
