@@ -46,7 +46,7 @@ pub enum Command {
     /// `pmm sweep --dims AxBxC --procs P1,P2,…`
     Sweep { dims: MatMulDims, procs: Vec<f64> },
     /// `pmm serve [--port N] [--oneshot] [--workers N] [--queue-depth N]
-    /// [--deadline-ms N] [--read-timeout-ms N] [--max-line N] [--cache N]`
+    /// [--deadline-ms N] [--read-timeout-ms N] [--max-line N]`
     Serve(ServeOpts),
     /// `pmm calibrate [--budget-secs S] [--out FILE]`
     Calibrate { budget_secs: f64, out: Option<String> },
@@ -77,8 +77,6 @@ pub struct ServeOpts {
     pub read_timeout_ms: Option<u64>,
     /// `--max-line N` override.
     pub max_line: Option<usize>,
-    /// `--cache N` override.
-    pub cache: Option<usize>,
 }
 
 /// A parse failure with a user-facing message.
@@ -387,7 +385,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 "deadline-ms",
                 "read-timeout-ms",
                 "max-line",
-                "cache",
             ])?;
             Ok(Command::Serve(ServeOpts {
                 port: parse_opt_int(&flags, "port")?,
@@ -397,7 +394,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 deadline_ms: parse_opt_int(&flags, "deadline-ms")?,
                 read_timeout_ms: parse_opt_int(&flags, "read-timeout-ms")?,
                 max_line: parse_opt_int(&flags, "max-line")?,
-                cache: parse_opt_int(&flags, "cache")?,
             }))
         }
         "calibrate" => {
@@ -463,7 +459,6 @@ USAGE:
       Bound/case/grid table over a list of processor counts.
   pmm serve    [--port N] [--oneshot] [--workers N] [--queue-depth N]
                [--deadline-ms N] [--read-timeout-ms N] [--max-line N]
-               [--cache N]
       Hardened advisor service speaking a line protocol (ADVISE / STATS
       / PING → one OK/ERR/SHED/TIMEOUT line each) over stdin/stdout, or
       TCP with --port (or PMM_SERVE_PORT). Overloads shed, deadlines
@@ -611,7 +606,7 @@ mod tests {
         assert_eq!(parse_args(&argv("serve")).unwrap(), Command::Serve(ServeOpts::default()));
         let c = parse_args(&argv(
             "serve --port 7070 --oneshot --workers 2 --queue-depth 16 --deadline-ms 50 \
-             --read-timeout-ms 250 --max-line 512 --cache 64",
+             --read-timeout-ms 250 --max-line 512",
         ))
         .unwrap();
         assert_eq!(
@@ -624,7 +619,6 @@ mod tests {
                 deadline_ms: Some(50),
                 read_timeout_ms: Some(250),
                 max_line: Some(512),
-                cache: Some(64),
             })
         );
         // `--oneshot` is position-independent.

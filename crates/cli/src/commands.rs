@@ -405,9 +405,6 @@ pub fn serve_config(opts: &ServeOpts) -> ServeConfig {
     if let Some(v) = opts.max_line {
         config.max_line_bytes = v.max(16);
     }
-    if let Some(v) = opts.cache {
-        config.cache_capacity = v;
-    }
     config
 }
 

@@ -177,6 +177,7 @@ fn bad_procs_grid_or_fault_plan_exits_two_not_a_panic() {
         &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "nan"],
         &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "0"],
         &["advise", "--dims", "4x4x4", "--procs", "4", "--memory", "-5"],
+        &["serve", "--cache", "64"],
     ] {
         let out = pmm(args);
         let err = String::from_utf8_lossy(&out.stderr).into_owned();

@@ -1,19 +1,18 @@
 //! Request execution: one parsed line in, one [`Response`] out.
 //!
-//! The engine owns the memoized recommendation cache and the service
-//! counters but knows nothing about transports, queues, or threads —
-//! `server.rs` wraps it in the bounded-queue worker pool. [`Engine::
-//! handle`] is *allowed to panic* (that is the point of the `__PANIC`
-//! chaos verb); the worker pool calls it under `catch_unwind` and turns
-//! a panic into a structured `ERR internal` while the worker survives.
+//! The engine owns the service counters and answers `ADVISE` straight
+//! from the advisor, but knows nothing about transports, queues, or
+//! threads — `server.rs` wraps it in the bounded-queue worker pool.
+//! [`Engine::handle`] is *allowed to panic* (that is the point of the
+//! `__PANIC` chaos verb); the worker pool calls it under `catch_unwind`
+//! and turns a panic into a structured `ERR internal` while the worker
+//! survives.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
-use pmm_core::advisor::Recommendation;
+use pmm_core::advisor::{try_recommend, Recommendation};
 use pmm_model::AlgPlan;
 
-use crate::cache::{cached_recommend, CacheOutcome, RecCache};
 use crate::protocol::{parse_request, Request, Response};
 use crate::stats::Stats;
 use crate::ServeConfig;
@@ -22,7 +21,6 @@ use crate::ServeConfig;
 #[derive(Debug)]
 pub struct Engine {
     config: ServeConfig,
-    cache: Mutex<RecCache>,
     stats: Stats,
     started: Instant,
 }
@@ -38,14 +36,9 @@ fn plan_tokens(plan: &AlgPlan) -> String {
 }
 
 impl Engine {
-    /// An engine with a fresh cache and zeroed counters.
+    /// An engine with zeroed counters.
     pub fn new(config: ServeConfig) -> Engine {
-        Engine {
-            cache: Mutex::new(RecCache::new(config.cache_capacity)),
-            config,
-            stats: Stats::default(),
-            started: Instant::now(),
-        }
+        Engine { config, stats: Stats::default(), started: Instant::now() }
     }
 
     /// The live counters (shared with transports, which tally responses
@@ -72,25 +65,15 @@ impl Engine {
         };
         match request {
             Request::Advise { n1, n2, n3, p, m_words, params } => {
-                let (result, outcome) =
-                    cached_recommend(&self.cache, n1, n2, n3, p, m_words, params);
-                match outcome {
-                    CacheOutcome::Hit => Stats::bump(&self.stats.cache_hits),
-                    CacheOutcome::Miss => Stats::bump(&self.stats.cache_misses),
-                    CacheOutcome::Uncacheable => {}
-                }
-                match result {
-                    Ok(recs) => Response::Ok(render_advice(&recs, n1, n2, n3, p, outcome)),
+                match try_recommend(n1, n2, n3, p, m_words, params) {
+                    Ok(recs) => Response::Ok(render_advice(&recs, n1, n2, n3, p)),
                     Err(e) => e.into(),
                 }
             }
             Request::Stats => {
                 let snap = self.stats.snapshot();
-                let cache_size =
-                    self.cache.lock().unwrap_or_else(|poison| poison.into_inner()).len();
                 Response::Ok(format!(
-                    "{} cache_size={cache_size} workers={} queue_depth={} deadline_ms={} \
-                     uptime_ms={}",
+                    "{} workers={} queue_depth={} deadline_ms={} uptime_ms={}",
                     snap.render(),
                     self.config.workers,
                     self.config.queue_depth,
@@ -112,24 +95,12 @@ impl Engine {
 }
 
 /// The `OK advise …` payload: the winning plan, its full predicted
-/// cost, the regime, and whether the ranking came from the cache.
-fn render_advice(
-    recs: &[Recommendation],
-    n1: u64,
-    n2: u64,
-    n3: u64,
-    p: u64,
-    outcome: CacheOutcome,
-) -> String {
+/// cost, the regime, and how many alternatives were ranked.
+fn render_advice(recs: &[Recommendation], n1: u64, n2: u64, n3: u64, p: u64) -> String {
     let best = &recs[0];
     let case = pmm_model::MatMulDims::new(n1, n2, n3).sorted().classify(p as f64);
-    let cache = match outcome {
-        CacheOutcome::Hit => "hit",
-        CacheOutcome::Miss => "miss",
-        CacheOutcome::Uncacheable => "bypass",
-    };
     format!(
-        "advise case={case} {} time={} words={} msgs={} flops={} mem={} alts={} cache={cache}",
+        "advise case={case} {} time={} words={} msgs={} flops={} mem={} alts={}",
         plan_tokens(&best.plan),
         best.time,
         best.cost.words,
@@ -150,24 +121,16 @@ mod tests {
     }
 
     #[test]
-    fn advise_round_trip_reports_case_strategy_and_cache_state() {
+    fn advise_round_trip_reports_case_and_strategy() {
         let e = engine(false);
-        let r1 = e.handle(b"ADVISE 96 24 6 36 inf 0 1 0");
-        match &r1 {
+        match e.handle(b"ADVISE 96 24 6 36 inf 0 1 0") {
             Response::Ok(p) => {
                 assert!(p.contains("case=2D"), "{p}");
                 assert!(p.contains("algo="), "{p}");
-                assert!(p.contains("cache=miss"), "{p}");
+                assert!(!p.contains("cache="), "{p}");
             }
             other => panic!("expected OK, got {other:?}"),
         }
-        let r2 = e.handle(b"ADVISE 96 24 6 36 inf 0 1 0");
-        match &r2 {
-            Response::Ok(p) => assert!(p.contains("cache=hit"), "{p}"),
-            other => panic!("expected OK, got {other:?}"),
-        }
-        assert_eq!(e.stats().snapshot().cache_hits, 1);
-        assert_eq!(e.stats().snapshot().cache_misses, 1);
     }
 
     #[test]
@@ -218,8 +181,7 @@ mod tests {
         match e.handle(b"STATS") {
             Response::Ok(p) => {
                 assert!(p.starts_with("stats "), "{p}");
-                assert!(p.contains("cache_misses=1"), "{p}");
-                assert!(p.contains("cache_size=1"), "{p}");
+                assert!(p.contains("workers=4"), "{p}");
                 assert!(p.contains("queue_depth="), "{p}");
                 assert!(p.contains("deadline_ms="), "{p}");
             }

@@ -18,9 +18,8 @@
 //! * **Panic isolation.** Worker threads run each request under
 //!   `catch_unwind`: a poisoned request returns `ERR internal` and the
 //!   worker survives to serve the next one.
-//! * **Memoization.** Lemma-2/KKT rankings are cached keyed by the
-//!   case-classified aspect ratios ([`cache`]); hit/miss/shed/timeout
-//!   counters are exposed over the wire via the `STATS` verb.
+//! * **Observable.** Request, shed, timeout and panic counters are
+//!   exposed over the wire via the `STATS` verb.
 //! * **Graceful shutdown.** Draining completes every in-flight query
 //!   before the workers exit.
 //!
@@ -43,13 +42,11 @@
 
 use std::time::Duration;
 
-pub mod cache;
 pub mod engine;
 pub mod protocol;
 pub mod server;
 pub mod stats;
 
-pub use cache::{CacheKey, CacheOutcome, RecCache};
 pub use engine::Engine;
 pub use protocol::{parse_request, ErrCode, Request, Response};
 pub use server::{oneshot, read_line_bounded, serve_stdio, LineRead, Server, TcpService};
@@ -72,8 +69,6 @@ pub struct ServeConfig {
     /// Maximum request-line length in bytes; longer lines are answered
     /// with `ERR line-too-long` and streamed to the bin unbuffered.
     pub max_line_bytes: usize,
-    /// Recommendation-cache capacity in entries (0 disables).
-    pub cache_capacity: usize,
     /// Enable the `__PANIC`/`__SLEEP` chaos verbs (test harnesses only;
     /// off by default so production traffic cannot trigger them).
     pub chaos_verbs: bool,
@@ -87,7 +82,6 @@ impl Default for ServeConfig {
             deadline: Duration::from_millis(250),
             read_timeout: Duration::from_secs(5),
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            cache_capacity: 4096,
             chaos_verbs: false,
         }
     }
@@ -100,10 +94,10 @@ fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
 impl ServeConfig {
     /// Defaults overridden by the `PMM_SERVE_*` environment:
     /// `PMM_SERVE_WORKERS`, `PMM_SERVE_QUEUE_DEPTH`,
-    /// `PMM_SERVE_DEADLINE_MS`, `PMM_SERVE_READ_TIMEOUT_MS`,
-    /// `PMM_SERVE_MAX_LINE`, and `PMM_SERVE_CACHE`. Unset or unparsable
-    /// variables keep the default (the service must come up even with a
-    /// hostile environment).
+    /// `PMM_SERVE_DEADLINE_MS`, `PMM_SERVE_READ_TIMEOUT_MS` and
+    /// `PMM_SERVE_MAX_LINE`. Unset or unparsable variables keep the
+    /// default (the service must come up even with a hostile
+    /// environment).
     pub fn from_env() -> ServeConfig {
         let mut cfg = ServeConfig::default();
         if let Some(v) = env_parse::<usize>("PMM_SERVE_WORKERS") {
@@ -120,9 +114,6 @@ impl ServeConfig {
         }
         if let Some(v) = env_parse::<usize>("PMM_SERVE_MAX_LINE") {
             cfg.max_line_bytes = v.max(16);
-        }
-        if let Some(v) = env_parse::<usize>("PMM_SERVE_CACHE") {
-            cfg.cache_capacity = v;
         }
         cfg
     }

@@ -2,10 +2,9 @@
 //!
 //! All counters are relaxed atomics: they are monotonically increasing
 //! tallies used for observability and for the chaos harness's
-//! invariants (shed rate, cache hit rate, zero lost requests), not for
-//! synchronization. A [`StatsSnapshot`] is a plain copy taken at one
-//! moment; `received == ok + errors + shed + timeouts` holds once the
-//! queue is drained.
+//! invariants (shed rate, zero lost requests), not for synchronization.
+//! A [`StatsSnapshot`] is a plain copy taken at one moment; `received ==
+//! ok + errors + shed + timeouts` holds once the queue is drained.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,10 +62,6 @@ counters! {
     /// Worker panics caught by the isolation boundary (each also counts
     /// one `errors`).
     panics,
-    /// Recommendation cache hits.
-    cache_hits,
-    /// Recommendation cache misses (cold computes).
-    cache_misses,
     /// Connections accepted (TCP mode).
     connections,
     /// Connections dropped for stalling past the read timeout.
@@ -106,7 +101,7 @@ mod tests {
         let s = Stats::default();
         s.received.store(10, Ordering::Relaxed);
         s.shed.store(3, Ordering::Relaxed);
-        s.cache_hits.store(7, Ordering::Relaxed);
+        s.panics.store(7, Ordering::Relaxed);
         let snap = s.snapshot();
         assert_eq!(snap.received, 10);
         assert_eq!(snap.shed, 3);
@@ -114,9 +109,9 @@ mod tests {
         assert!(rendered.starts_with("stats "));
         assert!(rendered.contains("received=10"));
         assert!(rendered.contains("shed=3"));
-        assert!(rendered.contains("cache_hits=7"));
-        assert!(rendered.contains("panics=0"));
+        assert!(rendered.contains("panics=7"));
+        assert!(rendered.contains("timeouts=0"));
         // One token per counter plus the leading word.
-        assert_eq!(rendered.split_whitespace().count(), 12);
+        assert_eq!(rendered.split_whitespace().count(), 10);
     }
 }

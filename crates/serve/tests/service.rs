@@ -8,7 +8,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmm_serve::{Response, ServeConfig, Server, TcpService};
+use pmm_core::advisor::try_recommend;
+use pmm_model::{AlgPlan, Case, MachineParams, MatMulDims};
+use pmm_serve::{Engine, Response, ServeConfig, Server, TcpService};
 
 fn cfg() -> ServeConfig {
     ServeConfig {
@@ -17,7 +19,6 @@ fn cfg() -> ServeConfig {
         deadline: Duration::from_millis(200),
         read_timeout: Duration::from_millis(300),
         max_line_bytes: 256,
-        cache_capacity: 64,
         chaos_verbs: true,
     }
 }
@@ -272,6 +273,54 @@ fn stats_totals_reconcile_after_drain() {
     assert_eq!(snap.ok, 3);
     assert_eq!(snap.errors, 3);
     assert_eq!(snap.panics, 1);
-    assert_eq!(snap.cache_hits, 1);
-    assert_eq!(snap.cache_misses, 1);
+}
+
+/// The value of `key=` in an `OK advise …` payload.
+fn field<'a>(payload: &'a str, key: &str) -> &'a str {
+    payload
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {payload}"))
+}
+
+#[test]
+fn advise_answers_are_the_advisors_first_choice_in_every_regime() {
+    // Sorted, (96, 24, 6) has thresholds m/n = 4 (1D/2D) and mn/k² = 64
+    // (2D/3D), so these P probe 1D, both boundaries (`classify` puts a
+    // boundary P in the sparser regime), 2D and 3D.
+    let (n1, n2, n3) = (96u64, 24u64, 6u64);
+    let probes =
+        [(2, Case::OneD), (4, Case::OneD), (36, Case::TwoD), (64, Case::TwoD), (512, Case::ThreeD)];
+    // A finite budget comfortably above the floor, so the memory
+    // constraint takes part in the ranking.
+    let finite = 4.0 * (n1 * n2 + n1 * n3 + n2 * n3) as f64 / 36.0;
+    let queries = probes
+        .iter()
+        .map(|&(p, case)| (p, f64::INFINITY, case))
+        .chain(std::iter::once((36, finite, Case::TwoD)));
+    let engine = Engine::new(ServeConfig::default());
+    for (p, m, case) in queries {
+        assert_eq!(MatMulDims::new(n1, n2, n3).sorted().classify(p as f64), case, "P={p}");
+        let line = format!("ADVISE {n1} {n2} {n3} {p} {m}");
+        let answer = engine.handle(line.as_bytes());
+        let Response::Ok(payload) = &answer else { panic!("{line}: {answer:?}") };
+        let best = &try_recommend(n1, n2, n3, p, m, MachineParams::TYPICAL_CLUSTER)
+            .expect("probe query is feasible")[0];
+        assert_eq!(field(payload, "case"), case.to_string(), "{line}: {payload}");
+        match &best.plan {
+            AlgPlan::Alg1 { grid: [p1, p2, p3] } => {
+                assert_eq!(field(payload, "algo"), "alg1", "{line}: {payload}");
+                assert_eq!(field(payload, "grid"), format!("{p1}x{p2}x{p3}"), "{line}");
+            }
+            AlgPlan::TwoFiveD { q, c } => {
+                assert_eq!(field(payload, "algo"), "2.5d", "{line}: {payload}");
+                assert_eq!(field(payload, "q"), q.to_string(), "{line}");
+                assert_eq!(field(payload, "c"), c.to_string(), "{line}");
+            }
+            other => panic!("the advisor ranks no {other}"),
+        }
+        let time: f64 = field(payload, "time").parse().expect("time= is a number");
+        assert_eq!(time.to_bits(), best.time.to_bits(), "{line}: {payload}");
+        assert_eq!(engine.handle(line.as_bytes()).render(), answer.render(), "{line} repeated");
+    }
 }

@@ -748,7 +748,9 @@ impl Fabric {
     /// The canonical replay recipe for this fabric's schedule, if
     /// deterministic mode is on. In prefix mode the recipe names the
     /// choices *actually made so far* (not just the configured prefix),
-    /// so a failure deep in the canonical completion still replays.
+    /// so a failure deep in the canonical completion still replays;
+    /// with recording off it names the configured prefix, which replays
+    /// the same run because the canonical completion is deterministic.
     pub(crate) fn sched_repro(&self) -> Option<Repro> {
         let det = self.det.as_ref()?;
         let st = lock_unpoisoned(&det.st);
@@ -758,7 +760,8 @@ impl Fabric {
     fn sched_repro_locked(det: &DetState, st: &SchedInner) -> Repro {
         match &det.schedule {
             Schedule::Seeded(seed) => Repro::Seed(*seed),
-            Schedule::Prefix(_) => Repro::Prefix(st.choices.chosen().to_vec()),
+            Schedule::Prefix(_) if st.record => Repro::Prefix(st.choices.chosen().to_vec()),
+            Schedule::Prefix(prefix) => Repro::Prefix(prefix.clone()),
         }
     }
 
@@ -935,7 +938,7 @@ impl Fabric {
             "pmm-simnet: schedule prefix diverged at choice #{at}: the prefix demands rank \
              {wanted}, which is not runnable there — the prefix does not name a reachable \
              branch of this program's schedule tree\n\
-             choices made before the divergence: {}\n",
+             replay: {}\n",
             repro.hint()
         )
     }

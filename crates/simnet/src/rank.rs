@@ -166,9 +166,11 @@ pub struct Rank {
     /// posted copy and every accepted receive; its value after a send's
     /// tick is the stamp that message carries.
     stamp: u64,
-    /// Last sender stamp observed per (ctx, sender index), to assert
-    /// per-channel monotonicity (no duplicated or reordered delivery).
-    last_seen: HashMap<(Ctx, usize), u64>,
+    /// Last sender stamp observed per (ctx, sender index), sorted by
+    /// channel, to assert per-channel monotonicity (no duplicated or
+    /// reordered delivery). A rank hears on a handful of channels, so a
+    /// sorted vector beats a map's separate table.
+    last_seen: Vec<((Ctx, usize), u64)>,
     /// Fault-epoch watermark while inside a fault-catching scope
     /// ([`catch_failures_async!`](crate::catch_failures_async)); when
     /// the fabric's epoch moves past it, blocking operations raise a
@@ -229,7 +231,7 @@ impl Rank {
             pending: HashMap::new(),
             trace: if trace { Some(Vec::new()) } else { None },
             stamp: 0,
-            last_seen: HashMap::new(),
+            last_seen: Vec::new(),
             fault_watch: None,
             faults,
         }
@@ -484,7 +486,14 @@ impl Rank {
     /// must strictly increase (per-channel FIFO, no duplication). Ticks
     /// the event count.
     fn observe_stamp(&mut self, ctx: Ctx, from_index: usize, sender_world: usize, stamp: u64) {
-        let last = self.last_seen.insert((ctx, from_index), stamp);
+        let channel = (ctx, from_index);
+        let last = match self.last_seen.binary_search_by_key(&channel, |&(c, _)| c) {
+            Ok(i) => Some(std::mem::replace(&mut self.last_seen[i].1, stamp)),
+            Err(i) => {
+                self.last_seen.insert(i, (channel, stamp));
+                None
+            }
+        };
         assert!(
             last.is_none_or(|l| stamp > l),
             "pmm-verify: happens-before violation at rank {}: sender clock {stamp} from world \
@@ -565,14 +574,6 @@ impl Rank {
     /// Release previously acquired working memory.
     pub fn mem_release(&mut self, words: u64) {
         self.mem.release(words);
-    }
-
-    /// Place a marker in the trace (no cost, no-op when tracing is off).
-    pub fn mark(&mut self, label: impl Into<String>) {
-        if self.trace.is_some() {
-            let now = self.time;
-            self.trace_event(WORLD_CTX, TraceOp::Mark(label.into()), 0, 0, now, now);
-        }
     }
 
     /// Open a named phase scope in the trace (no cost, no-op when tracing
@@ -1265,7 +1266,6 @@ mod tests {
         let out = World::new(2, bw()).with_trace(true).run_async(|rank| {
             Box::pin(async move {
                 let wc = rank.world_comm();
-                rank.mark("phase-1");
                 if rank.world_rank() == 0 {
                     rank.send_a(&wc, 1, &[1.0, 2.0]).await;
                 } else {
@@ -1274,9 +1274,8 @@ mod tests {
             })
         });
         let t0 = out.reports[0].trace.as_ref().unwrap();
-        assert_eq!(t0[0].op, TraceOp::Mark("phase-1".into()));
         assert_eq!(
-            t0[1],
+            t0[0],
             TraceEvent {
                 ctx: 0,
                 op: TraceOp::Send { to_world: 1 },
@@ -1287,9 +1286,9 @@ mod tests {
             }
         );
         let t1 = out.reports[1].trace.as_ref().unwrap();
-        assert_eq!(t1[1].op, TraceOp::Recv { from_world: 0 });
-        assert_eq!(t1[1].words, 2);
-        assert_eq!(t1[1].t1, 2.0);
+        assert_eq!(t1[0].op, TraceOp::Recv { from_world: 0 });
+        assert_eq!(t1[0].words, 2);
+        assert_eq!(t1[0].t1, 2.0);
     }
 
     #[test]

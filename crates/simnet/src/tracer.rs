@@ -96,8 +96,6 @@ pub enum TraceOp {
         /// The phase label (must match the open scope).
         label: &'static str,
     },
-    /// A caller-placed marker with no cost (see [`Rank::mark`](crate::Rank::mark)).
-    Mark(String),
 }
 
 /// One entry of a rank's structured trace: the operation, the
@@ -105,8 +103,8 @@ pub enum TraceOp {
 /// word counts, and the logical-clock interval it occupied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Communicator context the operation ran on (`0` = world; phase and
-    /// mark events use the world context).
+    /// Communicator context the operation ran on (`0` = world; phase
+    /// events use the world context).
     pub ctx: Ctx,
     /// The operation.
     pub op: TraceOp,
@@ -540,14 +538,6 @@ impl Tracer {
                 );
                 common(out, e.t0);
                 let _ = write!(out, ",\"args\":{{\"ctx\":{},\"elems\":{elems}}}", e.ctx);
-            }
-            TraceOp::Mark(label) => {
-                let _ = write!(
-                    out,
-                    "\"name\":{},\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",",
-                    json_str(label)
-                );
-                common(out, e.t0);
             }
         }
         out.push('}');

@@ -1009,15 +1009,21 @@ mod tests {
 
     #[test]
     fn diverging_prefix_aborts_with_a_prefix_repro() {
-        let err = std::panic::catch_unwind(|| {
-            World::new(2, bw())
-                .with_schedule(Schedule::Prefix(vec![1, 1, 1, 1, 1, 1, 1, 1]))
-                .run_async(|_| Box::pin(async {}))
-        })
-        .expect_err("a prefix that demands a finished rank must abort");
-        let msg = err.downcast_ref::<String>().expect("panic message is a String");
-        assert!(msg.contains("schedule prefix diverged"), "{msg}");
-        assert!(msg.contains("PMM_SCHEDULE=prefix:1"), "{msg}");
+        // With recording off no pick is logged, so the recipe must be the
+        // configured prefix: the empty one would replay the canonical
+        // schedule, which does not diverge.
+        for record in [true, false] {
+            let err = std::panic::catch_unwind(|| {
+                World::new(2, bw())
+                    .with_schedule(Schedule::Prefix(vec![1, 1, 1, 1, 1, 1, 1, 1]))
+                    .with_schedule_recording(record)
+                    .run_async(|_| Box::pin(async {}))
+            })
+            .expect_err("a prefix that demands a finished rank must abort");
+            let msg = err.downcast_ref::<String>().expect("panic message is a String");
+            assert!(msg.contains("schedule prefix diverged"), "record {record}: {msg}");
+            assert!(msg.contains("PMM_SCHEDULE=prefix:1"), "record {record}: {msg}");
+        }
     }
 
     /// Rank 0 receives from rank 1, which never sends.
