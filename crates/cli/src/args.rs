@@ -52,8 +52,9 @@ pub enum Command {
     Calibrate { budget_secs: f64, out: Option<String> },
     /// `pmm experiment <name> | all | --list` (`which`, resolved by the registry)
     Experiment { which: String },
-    /// `pmm help` / `-h` / `--help`
-    Help,
+    /// `pmm help` / `-h` / `--help` (`None`), or `pmm <command> --help`
+    /// / `-h` (that command's name)
+    Help(Option<&'static str>),
 }
 
 /// Parsed `pmm serve` options: flag overrides layered on top of the
@@ -287,14 +288,25 @@ fn parse_f64(flags: &Flags, name: &str, default: Option<f64>) -> Result<Option<f
     }
 }
 
+/// The commands [`parse_args`] knows, as typed.
+const COMMANDS: [&str; 9] =
+    ["bound", "grid", "advise", "simulate", "trace", "sweep", "serve", "calibrate", "experiment"];
+
 /// Parse a full argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = args.first() else {
-        return Ok(Command::Help);
+        return Ok(Command::Help(None));
     };
     let rest = &args[1..];
+    // `pmm <command> --help` (or `-h`, anywhere after a known command)
+    // asks for that command's usage, whatever else the line holds.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        if let Some(&known) = COMMANDS.iter().find(|&&c| c == cmd) {
+            return Ok(Command::Help(Some(known)));
+        }
+    }
     match cmd.as_str() {
-        "help" | "-h" | "--help" => Ok(Command::Help),
+        "help" | "-h" | "--help" => Ok(Command::Help(None)),
         "bound" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory"])?;
@@ -414,6 +426,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
+/// The usage text: all of [`HELP`], or one command's entry of it.
+pub fn usage(command: Option<&str>) -> String {
+    /// The command whose entry `line` opens, if it opens one.
+    fn entry_of(line: &str) -> Option<&str> {
+        line.strip_prefix("  pmm ").and_then(|l| l.split(' ').next())
+    }
+    let Some(command) = command else { return HELP.to_string() };
+    let entry: String = HELP
+        .lines()
+        .skip_while(|line| entry_of(line) != Some(command))
+        .enumerate()
+        .take_while(|(i, line)| *i == 0 || entry_of(line).is_none())
+        .map(|(_, line)| format!("{line}\n"))
+        .collect();
+    format!("USAGE:\n{entry}")
+}
+
 /// The help text.
 pub const HELP: &str = "\
 pmm — tight memory-independent parallel matmul communication bounds (SPAA 2022)
@@ -480,6 +509,8 @@ USAGE:
       results/<name>.txt holds. Exits 1 on a failed check, 2 on an
       unlisted name.
   pmm help
+      Print this usage; pmm <command> --help (or -h) prints that
+      command's entry alone.
 ";
 
 #[cfg(test)]
@@ -661,9 +692,20 @@ mod tests {
 
     #[test]
     fn help_variants() {
-        assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse_args(&argv("--help")).unwrap(), Command::Help);
-        assert_eq!(parse_args(&[]).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help(None));
+        assert_eq!(parse_args(&argv("--help")).unwrap(), Command::Help(None));
+        assert_eq!(parse_args(&[]).unwrap(), Command::Help(None));
+        for cmd in COMMANDS {
+            let help = Command::Help(Some(cmd));
+            assert_eq!(parse_args(&argv(&format!("{cmd} --help"))).unwrap(), help);
+            assert_eq!(parse_args(&argv(&format!("{cmd} --procs 4 -h"))).unwrap(), help);
+            // One entry of the usage, naming the command and no other.
+            let text = usage(Some(cmd));
+            assert!(text.starts_with(&format!("USAGE:\n  pmm {cmd} ")), "{text}");
+            assert_eq!(text.matches("\n  pmm ").count(), 1, "{text}");
+        }
+        assert!(parse_args(&argv("frobnicate --help")).is_err(), "unknown commands stay errors");
+        assert!(parse_args(&argv("simulate --dims")).is_err(), "a flag still needs its value");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::Kernel;
 use pmm_model::{alg1_prediction, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
-use pmm_simnet::{seed_from_env, ChoiceLog, FaultPlan, HostMem, ScheduleTrace, World, WorldResult};
+use pmm_simnet::{seed_from_env, FaultPlan, HostMem, World, WorldResult};
 
 use crate::args::ServeOpts;
 
@@ -186,12 +186,11 @@ fn simulate_clean(
 }
 
 /// The schedule summary line of `pmm simulate` / `pmm trace`: the replay
-/// seed, what the scheduler's two logs of the run hold, and what the run
-/// cost the host in memory — the process's peak RSS and the bytes per
-/// rank the world run added to it (`host_before` is read ahead of the
-/// run; `n/a` where `/proc` is missing).
+/// seed, the number of picks the scheduler made, and what the run cost
+/// the host in memory — the process's peak RSS and the bytes per rank
+/// the world run added to it (`host_before` is read ahead of the run;
+/// `n/a` where `/proc` is missing).
 fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>, host_before: Option<HostMem>) -> String {
-    let log = out.choice_points.as_ref();
     let (peak_mb, per_rank) = match HostMem::read().zip(host_before) {
         Some((after, before)) => (
             format!("{:.1}", after.peak_rss_bytes as f64 / 1e6),
@@ -201,11 +200,8 @@ fn schedule_line<T>(sched_seed: u64, out: &WorldResult<T>, host_before: Option<H
     };
     format!(
         "schedule     : deterministic, seed {sched_seed} (replay with PMM_SEED={sched_seed}; \
-         {} picks, choice-log bytes {}, schedule-trace bytes {}, host peak RSS {peak_mb} MB, \
-         host bytes/rank {per_rank})",
-        log.map_or(0, ChoiceLog::len),
-        log.map_or(0, ChoiceLog::heap_bytes),
-        out.schedule_trace.as_ref().map_or(0, ScheduleTrace::heap_bytes)
+         {} picks, host peak RSS {peak_mb} MB, host bytes/rank {per_rank})",
+        out.picks
     )
 }
 

@@ -1,7 +1,7 @@
 //! The `pmm` binary: see [`pmm_cli::args::HELP`].
 
 use pmm_bench::experiments::{dispatch, EXPERIMENTS};
-use pmm_cli::args::{parse_args, Command, HELP};
+use pmm_cli::args::{parse_args, usage, Command, HELP};
 use pmm_cli::commands;
 use pmm_dense::{kernel_from_env, Kernel};
 
@@ -18,7 +18,7 @@ fn kernel() -> Kernel {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
-        Ok(Command::Help) => print!("{HELP}"),
+        Ok(Command::Help(command)) => print!("{}", usage(command)),
         Ok(Command::Bound { dims, procs, memory }) => {
             print!("{}", commands::bound(dims, procs, memory));
         }

@@ -30,18 +30,21 @@ fn hand_or_lend(buf: &[f64], hand: bool) -> Cow<'_, [f64]> {
     }
 }
 
-/// Run `program` twice on the same seeded, traced world — lending every
+/// Run `program` twice on the same seeded, recorded, traced world — lending every
 /// rank's buffer, then handing it over, from one call site so the
 /// recorded collective site is the same — and hold everything the two
 /// runs expose against each other: values, per-rank meters, clocks,
-/// memory peaks and event counts, and the rendered schedule and event
-/// traces.
+/// memory peaks and event counts, the rendered choice log and the
+/// rendered event trace.
 fn assert_handing_over_changes_nothing<F>(label: &str, p: usize, seed: u64, program: F)
 where
     F: for<'a> Fn(&'a mut Rank, bool) -> LocalBoxFuture<'a, Vec<f64>> + Send + Sync,
 {
     // α, β, γ all non-zero: the clock sees messages, words and flops.
-    let world = World::new(p, MachineParams::new(3.0, 1.0, 0.5)).with_seed(seed).with_trace(true);
+    let world = World::new(p, MachineParams::new(3.0, 1.0, 0.5))
+        .with_seed(seed)
+        .with_schedule_recording(true)
+        .with_trace(true);
     let lent = world.run_async(|rank| program(rank, false));
     let handed = world.run_async(|rank| program(rank, true));
     assert_eq!(lent.values, handed.values, "{label}: values");
@@ -54,7 +57,7 @@ where
     }
     let rendered = |out: &WorldResult<Vec<f64>>| {
         (
-            out.schedule_trace.as_ref().expect("seeded runs record a schedule").render(),
+            out.choice_points.as_ref().expect("recorded runs keep their choice log").render(),
             out.tracer().expect("traced run").chrome_json(),
         )
     };

@@ -217,7 +217,11 @@ where
         }
 
         let schedule = Schedule::Prefix(node.prefix.clone());
-        let outcome = world.clone().with_schedule(schedule).try_run_async(&program);
+        let outcome = world
+            .clone()
+            .with_schedule(schedule)
+            .with_schedule_recording(true)
+            .try_run_async(&program);
         report.runs += 1;
 
         let unrecorded = ChoiceLog::default();

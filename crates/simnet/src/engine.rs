@@ -22,8 +22,8 @@
 //! scheduler baton among themselves; without, they free-run.
 //!
 //! There is one implementation of every primitive and one deterministic
-//! scheduler (`SchedInner` in `fabric.rs`): picks, `SchedEvent` logs,
-//! the `ChoiceLog`, meters, and simulated clocks are byte-identical
+//! scheduler (`SchedInner` in `fabric.rs`): picks, the `ChoiceLog`,
+//! meters, and simulated clocks are byte-identical
 //! between a loop-hosted and a thread-hosted run of the same program
 //! under the same `Schedule` (`tests/engine_equivalence.rs`).
 

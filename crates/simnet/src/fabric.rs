@@ -77,10 +77,8 @@ use std::time::Duration;
 
 use crate::fault::{FaultKick, FaultPlan, FaultState, MsgMeta};
 use crate::readyset::ReadySet;
-use crate::trace::{BlockPoint, ChoiceLog, Repro, Resource, SchedEvent, Schedule, ScheduleTrace};
-use crate::verify::{
-    lock_unpoisoned, CollectiveOp, Missing, RankSlot, VerifyState, WaitInfo, WaitKind,
-};
+use crate::trace::{ChoiceLog, Repro, Resource, Schedule};
+use crate::verify::{lock_unpoisoned, Missing, RankSlot, VerifyState, WaitInfo, WaitKind};
 
 /// Identifier of a communicator context. Every communicator created during
 /// a run has a distinct context, so traffic on different communicators can
@@ -257,14 +255,15 @@ struct SchedInner {
     /// prefix-replay mode).
     rng: u64,
     /// Next index into the prefix when the schedule is
-    /// [`Schedule::Prefix`]; counts picks either way.
+    /// [`Schedule::Prefix`]; counts picks either way (the run's
+    /// [`WorldResult::picks`](crate::WorldResult::picks)).
     cursor: usize,
     status: Vec<RankStatus>,
     /// The rank holding the execution baton, if any.
     current: Option<usize>,
-    /// Whether to keep the event log and the [`ChoiceLog`]: O(1) work
-    /// per pick and per status transition, O(picks) memory — which is
-    /// all that turning it off saves.
+    /// Whether to keep the [`ChoiceLog`]: O(1) work per pick, touch and
+    /// status transition, O(picks) memory — which is all that leaving it
+    /// off saves.
     record: bool,
     /// Order-statistics mirror of the `Ready` entries of `status`;
     /// `select(k)` is the k-th smallest runnable rank.
@@ -279,8 +278,6 @@ struct SchedInner {
     /// Wake lists of the shared resources (split cells, the barrier),
     /// keyed by blocking resource.
     waiters: HashMap<Resource, Vec<usize>>,
-    /// Totally-ordered event log (appended under this mutex).
-    events: Vec<SchedEvent>,
     /// First-class pick stream: the rank chosen at every pick, the
     /// fabric resources its segment touched (filled in as it executes),
     /// and every change `mark_blocked` / `mark_unblocked` / `mark_done`
@@ -293,12 +290,6 @@ struct SchedInner {
 }
 
 impl SchedInner {
-    fn push_event(&mut self, ev: SchedEvent) {
-        if self.record {
-            self.events.push(ev);
-        }
-    }
-
     /// Log that `r` joined (`ready`) or left the runnable set.
     fn log_transition(&mut self, r: usize, ready: bool) {
         if self.record {
@@ -376,9 +367,9 @@ impl SchedInner {
 /// resolved by the [`Schedule`]: a [`splitmix64`] draw when seeded, or
 /// by following a recorded choice prefix (then always picking the
 /// smallest runnable rank — the *canonical completion*) when replaying.
-/// All scheduling decisions and fabric events are appended to `events`
-/// under one mutex, so the log is totally ordered and identical
-/// `(program, schedule)` pairs replay byte-identically.
+/// Every pick is made under one mutex, so the [`ChoiceLog`] it records
+/// (when asked to) is totally ordered and identical `(program, schedule)`
+/// pairs replay byte-identically.
 struct DetState {
     schedule: Schedule,
     /// Copy of [`SchedInner::record`], readable without the lock.
@@ -407,18 +398,21 @@ enum PickOutcome {
     },
 }
 
-/// What a [`BatonYield`] does on its first poll (the scheduler-visible
-/// event of the yield point it encodes).
+/// What a [`BatonYield`] does on its first poll, before it hands the
+/// baton on.
 #[derive(Debug, Clone, Copy)]
 enum YieldAction {
-    Post { ctx: Ctx, to_world: usize, words: u64 },
-    Collective { ctx: Ctx, op: CollectiveOp, elems: u64 },
-    Block(BlockPoint),
+    /// Nothing: a send yields with the rank still runnable.
+    Post,
+    /// Charge the context's collective ledger to the segment.
+    Collective { ctx: Ctx },
+    /// Block the rank on the resource whose check failed.
+    Block(Resource),
 }
 
 /// The one suspension point of every rank program: a future whose first
-/// poll performs a scheduler yield (recording the event and handing the
-/// baton to the next pick) and which completes when `rank` may run again.
+/// poll performs a scheduler yield (updating the rank's state and handing
+/// the baton to the next pick) and which completes when `rank` may run again.
 ///
 /// This `poll` is the only code that knows how a rank is hosted (see the
 /// module docs). The loop executor upholds the invariant that only the
@@ -715,8 +709,8 @@ impl Fabric {
     /// [`Schedule`]. Must be called before any rank starts (the world
     /// does this between constructing the fabric and starting its
     /// hosts); every rank begins runnable and [`Fabric::sched_start`]
-    /// makes the first pick. `record` controls whether the event log and
-    /// the [`ChoiceLog`] are kept — see the `SchedInner` field docs.
+    /// makes the first pick. `record` controls whether the [`ChoiceLog`]
+    /// is kept — see the `SchedInner` field docs.
     pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool) {
         let n = self.verify.world_size();
         let rng = match &schedule {
@@ -738,7 +732,6 @@ impl Fabric {
                 blocked: 0,
                 blocked_on: vec![None; n],
                 waiters: HashMap::new(),
-                events: Vec::new(),
                 choices: ChoiceLog::new(n),
                 ready_probe: READY_PROBE.with_borrow(Option::is_some).then(Vec::new),
             }),
@@ -765,20 +758,10 @@ impl Fabric {
         }
     }
 
-    /// Extract the recorded schedule trace (deterministic mode only).
-    /// Prefix-replay runs report seed 0 in the trace header; their
-    /// identity is the choice prefix, not a seed.
-    pub(crate) fn take_sched_trace(&self) -> Option<ScheduleTrace> {
-        let det = self.det.as_ref()?;
-        let mut st = lock_unpoisoned(&det.st);
-        if !st.record {
-            return None;
-        }
-        let seed = match &det.schedule {
-            Schedule::Seeded(seed) => *seed,
-            Schedule::Prefix(_) => 0,
-        };
-        Some(ScheduleTrace { seed, events: std::mem::take(&mut st.events) })
+    /// Number of picks the scheduler made (0 without a schedule),
+    /// recorded or not.
+    pub(crate) fn sched_picks(&self) -> usize {
+        self.det.as_ref().map_or(0, |det| lock_unpoisoned(&det.st).cursor)
     }
 
     /// Extract the recorded [`ChoiceLog`] (deterministic mode only), and
@@ -876,7 +859,6 @@ impl Fabric {
         let Some(det) = &self.det else { return };
         let mut st = lock_unpoisoned(&det.st);
         st.mark_done(r);
-        st.push_event(SchedEvent::Done { rank: r });
         if st.current == Some(r) {
             st.current = None;
             // On a failed pick the rank is already gone, so nobody is
@@ -921,7 +903,6 @@ impl Fabric {
         st.cursor += 1;
         if st.record {
             st.choices.push_pick(r);
-            st.events.push(SchedEvent::Pick { rank: r });
         }
         if let Some(sets) = &mut st.ready_probe {
             sets.push(st.ready.members());
@@ -987,74 +968,47 @@ impl Fabric {
         BatonYield { fabric: self, rank, action: None }
     }
 
-    /// Record a message post in the schedule trace and yield the baton
-    /// (the sender stays runnable and may be re-picked immediately).
-    pub(crate) fn yield_post(
-        &self,
-        from_world: usize,
-        ctx: Ctx,
-        to_world: usize,
-        words: u64,
-    ) -> BatonYield<'_> {
-        BatonYield {
-            fabric: self,
-            rank: from_world,
-            action: Some(YieldAction::Post { ctx, to_world, words }),
-        }
+    /// Yield the baton after a message post (the sender stays runnable
+    /// and may be re-picked immediately).
+    pub(crate) fn yield_post(&self, from_world: usize) -> BatonYield<'_> {
+        BatonYield { fabric: self, rank: from_world, action: Some(YieldAction::Post) }
     }
 
-    /// Record a collective entry in the schedule trace and yield the
-    /// baton, exactly like [`Fabric::yield_post`]. The ledger
-    /// registration that precedes this call is part of the segment's
-    /// footprint.
-    pub(crate) fn yield_collective(
-        &self,
-        rank: usize,
-        ctx: Ctx,
-        op: CollectiveOp,
-        elems: u64,
-    ) -> BatonYield<'_> {
-        BatonYield { fabric: self, rank, action: Some(YieldAction::Collective { ctx, op, elems }) }
+    /// Yield the baton at a collective entry on context `ctx`, exactly
+    /// like [`Fabric::yield_post`]. The ledger registration that precedes
+    /// this call is part of the segment's footprint.
+    pub(crate) fn yield_collective(&self, rank: usize, ctx: Ctx) -> BatonYield<'_> {
+        BatonYield { fabric: self, rank, action: Some(YieldAction::Collective { ctx }) }
     }
 
-    /// Release the baton at a blocking point whose condition is unmet.
-    /// The await completes once this rank may run again; the caller then
-    /// re-checks its condition and re-blocks if still unmet. Under a
-    /// schedule this detects deadlock synchronously: if no rank is
-    /// runnable while some rank is blocked, every blocked rank has
-    /// re-checked its condition since the last event that could have met
-    /// it (a post re-readies the mailbox owner, a split completion or
+    /// Release the baton at a blocking point whose condition, a check of
+    /// `res`, is unmet. The await completes once this rank may run again;
+    /// the caller then re-checks its condition and re-blocks if still
+    /// unmet. Under a schedule this detects deadlock synchronously: if no
+    /// rank is runnable while some rank is blocked, every blocked rank
+    /// has re-checked its condition since the last event that could have
+    /// met it (a post re-readies the mailbox owner, a split completion or
     /// barrier release its waiters, a death everyone), so no wake-up can
     /// ever come — abort with a deadlock report.
-    pub(crate) fn yield_block(&self, rank: usize, point: BlockPoint) -> BatonYield<'_> {
-        BatonYield { fabric: self, rank, action: Some(YieldAction::Block(point)) }
+    pub(crate) fn yield_block(&self, rank: usize, res: Resource) -> BatonYield<'_> {
+        BatonYield { fabric: self, rank, action: Some(YieldAction::Block(res)) }
     }
 
-    /// First-poll action of a [`BatonYield`]: log the event, update rank
-    /// state, and hand the baton to the next pick. Returns whether the
-    /// pick handed the baton straight back to the yielding rank.
+    /// First-poll action of a [`BatonYield`]: update the segment's
+    /// footprint and the rank's state, and hand the baton to the next
+    /// pick. Returns whether the pick handed the baton straight back to
+    /// the yielding rank.
     fn sched_yield_action(&self, det: &DetState, rank: usize, action: YieldAction) -> bool {
         let mut st = lock_unpoisoned(&det.st);
         match action {
-            YieldAction::Post { ctx, to_world, words } => {
-                st.push_event(SchedEvent::Post { from_world: rank, ctx, to_world, words });
-            }
-            YieldAction::Collective { ctx, op, elems } => {
-                st.push_event(SchedEvent::Collective { rank, ctx, op, elems });
-                st.choices.push_touch(Resource::Ledger { ctx });
-            }
-            YieldAction::Block(point) => {
+            YieldAction::Post => {}
+            YieldAction::Collective { ctx } => st.choices.push_touch(Resource::Ledger { ctx }),
+            YieldAction::Block(res) => {
                 // The failed condition check *read* the blocking
                 // resource: a reordering against whoever writes it would
                 // change what this segment observed, so it belongs to the
                 // footprint.
-                let res = match point {
-                    BlockPoint::Recv { ctx, index } => Resource::Mailbox { ctx, index },
-                    BlockPoint::Split { ctx, seq } => Resource::SplitCell { ctx, seq },
-                    BlockPoint::Barrier { .. } => Resource::Barrier,
-                };
                 st.mark_blocked(rank, res);
-                st.push_event(SchedEvent::Block { rank, point });
                 st.choices.push_touch(res);
             }
         }
@@ -1115,7 +1069,7 @@ impl Fabric {
                 WaitInfo { kind: WaitKind::Recv { from_world, ctx_index: index }, ctx, site },
             );
             loop {
-                self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
+                self.yield_block(me_world, Resource::Mailbox { ctx, index }).await;
                 let mut q = lock_unpoisoned(&mb.q);
                 if let Some(m) = pop_front(&mut q) {
                     self.det_touch(Resource::Mailbox { ctx, index });
@@ -1182,7 +1136,7 @@ impl Fabric {
         }
         let Some(entered_gen) = self.barrier_arrive(me_world, site) else { return };
         loop {
-            self.yield_block(me_world, BlockPoint::Barrier { generation: entered_gen }).await;
+            self.yield_block(me_world, Resource::Barrier).await;
             if lock_unpoisoned(&self.barrier).generation != entered_gen {
                 break;
             }
@@ -1282,7 +1236,7 @@ impl Fabric {
         );
         if !completed {
             while !self.fault_kicked(fault_watch) {
-                self.yield_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq }).await;
+                self.yield_block(my_world_rank, Resource::SplitCell { ctx: parent_ctx, seq }).await;
                 if lock_unpoisoned(&cell).result.is_some() {
                     break;
                 }

@@ -69,10 +69,12 @@
 //! Reproducibility note: every run is scheduled by one deterministic
 //! scheduler — the canonical schedule (smallest runnable rank first) by
 //! default, a seeded one under [`World::with_seed`] — which serializes
-//! rank progress at every blocking point and records a byte-identical
-//! [`ScheduleTrace`]. See the [`trace`] module for golden-trace replay
-//! ([`ScheduleTrace::assert_matches`]), the [`fuzz_schedules`] harness,
-//! and the `PMM_SEED` replay knob ([`seed_from_env`]).
+//! rank progress at every blocking point. A world built with
+//! [`World::with_schedule_recording`]`(true)` also records every pick in
+//! a byte-identical [`ChoiceLog`]. See the [`trace`] module for
+//! golden-log replay ([`ChoiceLog::assert_matches`]), the
+//! [`fuzz_schedules`] harness, and the `PMM_SEED` replay knob
+//! ([`seed_from_env`]).
 //!
 //! Robustness note: [`World::with_faults`] attaches a seeded [`FaultPlan`]
 //! that drops, duplicates, corrupts, or delays messages (absorbed by a
@@ -106,9 +108,8 @@ pub use hostmem::HostMem;
 pub use meter::{MemTracker, Meter};
 pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank};
 pub use trace::{
-    fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, BlockPoint, ChoiceLog,
-    ChoicePoint, ChoicePoints, Repro, Resource, SchedEvent, Schedule, ScheduleDivergence,
-    ScheduleTrace, SCHEDULE_ENV, SEED_ENV,
+    fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, ChoiceLog, ChoicePoint,
+    ChoicePoints, Repro, Resource, Schedule, ScheduleDivergence, SCHEDULE_ENV, SEED_ENV,
 };
 pub use tracer::{Attribution, CriticalPath, PhaseDiff, PhaseTotals, TraceEvent, TraceOp, Tracer};
 pub use verify::{CollectiveOp, VerifyConfig};

@@ -656,8 +656,8 @@ impl Rank {
             let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
             self.trace_event(comm.ctx(), op, w, retry, t0, t1);
         }
-        // Under a schedule: record the post and yield the baton.
-        self.fabric.yield_post(self.world_rank, comm.ctx(), comm.world_rank_of(to), w).await;
+        // Under a schedule: yield the baton.
+        self.fabric.yield_post(self.world_rank).await;
     }
 
     /// Receive the next message from member `from` of `comm`, suspending
@@ -749,7 +749,7 @@ impl Rank {
                 let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
                 self.trace_event(comm.ctx(), op, ws, retry, t_entry, t_entry);
             }
-            self.fabric.yield_post(self.world_rank, comm.ctx(), comm.world_rank_of(to), ws).await;
+            self.fabric.yield_post(self.world_rank).await;
             let msg = self.match_directed(comm, from, site).await;
             self.observe_stamp(comm.ctx(), from, comm.world_rank_of(from), msg.stamp);
             let wr = msg.payload.len() as u64;
@@ -973,9 +973,9 @@ impl Rank {
             let now = self.time;
             self.trace_event(comm.ctx(), TraceOp::Collective { op, elems }, 0, 0, now, now);
         }
-        // Under a schedule: collective entries are trace events and
-        // yield points, so schedules interleave across collectives too.
-        self.fabric.yield_collective(self.world_rank, comm.ctx(), op, elems).await;
+        // Under a schedule: collective entries are yield points, so
+        // schedules interleave across collectives too.
+        self.fabric.yield_collective(self.world_rank, comm.ctx()).await;
     }
 
     /// Description of messages received but never consumed by a directed

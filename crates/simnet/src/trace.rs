@@ -1,21 +1,24 @@
-//! Deterministic-schedule event traces: recording, canonical rendering,
-//! golden-trace replay assertions, and a schedule fuzzer.
+//! Deterministic-schedule records: the choice log, its canonical
+//! rendering and golden-log replay assertion, and a schedule fuzzer.
 //!
-//! When a [`World`] is built with [`World::with_seed`], the fabric runs a
-//! cooperative seeded scheduler (see `fabric.rs`): exactly one rank
-//! executes at a time, the baton is handed over at every blocking point
-//! (mailbox receive, split rendezvous, barrier) and at every send /
-//! collective entry, and ties among runnable ranks are broken with a
-//! seeded PRNG. Every scheduling decision and every fabric event is
-//! appended to a totally-ordered log — the [`ScheduleTrace`] returned in
-//! [`WorldResult::schedule_trace`] — so identical `(program, seed)` pairs
-//! produce **byte-identical** traces ([`ScheduleTrace::render`]).
+//! When a [`World`] runs under a [`Schedule`] (every
+//! [`World::run_async`], and [`World::run`] built with
+//! [`World::with_seed`]), the fabric runs a cooperative scheduler (see
+//! `fabric.rs`): exactly one rank executes at a time, the baton is
+//! handed over at every blocking point (mailbox receive, split
+//! rendezvous, barrier) and at every send / collective entry, and ties
+//! among runnable ranks are broken by the schedule. A world built with
+//! [`World::with_schedule_recording`]`(true)` logs every pick in a
+//! [`ChoiceLog`] — the chosen rank, the resources its segment touched,
+//! and the runnable-set changes it made — returned in
+//! [`WorldResult::choice_points`], so identical `(program, schedule)`
+//! pairs produce **byte-identical** logs ([`ChoiceLog::render`]).
 //!
 //! On top of that this module provides:
 //!
-//! * [`ScheduleTrace::assert_matches`] — golden-trace replay: assert a
-//!   re-run reproduced a recorded schedule, reporting the first
-//!   divergence with seed and repro command on failure;
+//! * [`ChoiceLog::assert_matches`] — golden-log replay: assert a re-run
+//!   reproduced a recorded schedule, reporting the first divergent pick
+//!   with a repro command on failure;
 //! * [`fuzz_schedules`] — re-run one program under N seeds and diff the
 //!   final values and [`RankReport`] accounting, catching
 //!   schedule-dependent results;
@@ -24,8 +27,11 @@
 //!   replayed exactly by the next.
 //!
 //! [`World`]: crate::World
+//! [`World::run`]: crate::World::run
+//! [`World::run_async`]: crate::World::run_async
 //! [`World::with_seed`]: crate::World::with_seed
-//! [`WorldResult::schedule_trace`]: crate::WorldResult
+//! [`World::with_schedule_recording`]: crate::World::with_schedule_recording
+//! [`WorldResult::choice_points`]: crate::WorldResult
 //! [`RankReport`]: crate::RankReport
 
 use std::collections::BTreeSet;
@@ -34,7 +40,6 @@ use std::fmt::Write as _;
 use crate::engine::LocalBoxFuture;
 use crate::fabric::Ctx;
 use crate::rank::Rank;
-use crate::verify::CollectiveOp;
 use crate::world::World;
 
 /// Environment variable consulted by [`seed_from_env`].
@@ -155,7 +160,13 @@ impl ChoiceLog {
     }
 
     /// Record that `rank` joined (`ready`) or left the runnable set.
+    /// No-op before the first pick: only a world that aborts at its
+    /// first pick retires ranks then, and it has no pick whose runnable
+    /// set that changes.
     pub(crate) fn push_transition(&mut self, rank: usize, ready: bool) {
+        if self.chosen.is_empty() {
+            return;
+        }
         // `new` checked that every rank of the world fits.
         self.transitions.push(Transition { pick: self.chosen.len(), rank: rank as u32, ready });
     }
@@ -203,13 +214,104 @@ impl ChoiceLog {
         ChoicePoints { log: self, pick: 0, applied: 0, ready: (0..self.world_size).collect() }
     }
 
-    /// Bytes this log holds on the heap (reserved capacity included).
+    /// Bytes of the entries this log stores (length × element size; the
+    /// capacity its vectors reserve beyond that is not counted).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.chosen.capacity() * size_of::<usize>()
-            + self.touched.capacity() * size_of::<Resource>()
-            + self.touched_start.capacity() * size_of::<usize>()
-            + self.transitions.capacity() * size_of::<Transition>()
+        self.chosen.len() * size_of::<usize>()
+            + self.touched.len() * size_of::<Resource>()
+            + self.touched_start.len() * size_of::<usize>()
+            + self.transitions.len() * size_of::<Transition>()
+    }
+
+    /// The runnable-set changes the segment of pick `i` made.
+    fn changes(&self, i: usize) -> &[Transition] {
+        let lo = self.transitions.partition_point(|t| t.pick <= i);
+        let hi = self.transitions.partition_point(|t| t.pick <= i + 1);
+        &self.transitions[lo..hi]
+    }
+
+    /// One line of [`ChoiceLog::render`]: the chosen rank, the
+    /// runnable-set changes its segment made (`+r` joined, `-r` left),
+    /// and its footprint — e.g. `r1 -1 +0 | mbox0.1 ledger2`.
+    fn render_pick(&self, i: usize) -> String {
+        let mut line = format!("r{}", self.chosen[i]);
+        for t in self.changes(i) {
+            let _ = write!(line, " {}{}", if t.ready { '+' } else { '-' }, t.rank);
+        }
+        line.push_str(" |");
+        for res in self.touched(i) {
+            let _ = write!(line, " {res}");
+        }
+        line
+    }
+
+    /// Canonical text rendering: a header, then one line per pick (see
+    /// `render_pick`). Two runs of the same `(program, schedule)` pair
+    /// render to identical bytes.
+    pub fn render(&self) -> String {
+        let mut out = format!("# choice log: {} ranks, {} picks\n", self.world_size, self.len());
+        for i in 0..self.len() {
+            out.push_str(&self.render_pick(i));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Index of the first pick at which `self` and `other` differ — in
+    /// the chosen rank, the footprint or the runnable-set changes — or
+    /// the shorter length on a prefix match, or `None` when identical.
+    pub fn first_divergence(&self, other: &ChoiceLog) -> Option<usize> {
+        if self.world_size != other.world_size {
+            return Some(0);
+        }
+        let n = self.len().min(other.len());
+        (0..n)
+            .find(|&i| {
+                self.chosen[i] != other.chosen[i]
+                    || self.touched(i) != other.touched(i)
+                    || self.changes(i) != other.changes(i)
+            })
+            .or((self.len() != other.len()).then_some(n))
+    }
+
+    /// Golden-log replay assertion: panic with the first divergence and
+    /// `repro`'s replay recipe unless `replay` reproduced this log pick
+    /// for pick.
+    #[track_caller]
+    pub fn assert_matches(&self, replay: &ChoiceLog, repro: &Repro) {
+        if let Some(i) = self.first_divergence(replay) {
+            let show = |log: &ChoiceLog| {
+                if i < log.len() {
+                    log.render_pick(i)
+                } else {
+                    "<end of log>".to_string()
+                }
+            };
+            panic!(
+                "schedule replay diverged from the golden choice log at pick {i}:\n  \
+                 golden: {}\n  replay: {}\n\
+                 golden has {} picks on {} ranks, replay has {} on {}; {}",
+                show(self),
+                show(replay),
+                self.len(),
+                self.world_size,
+                replay.len(),
+                replay.world_size,
+                repro.hint()
+            );
+        }
+    }
+}
+
+impl std::fmt::Display for Resource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Resource::Mailbox { ctx, index } => write!(f, "mbox{ctx}.{index}"),
+            Resource::SplitCell { ctx, seq } => write!(f, "split{ctx}.{seq}"),
+            Resource::Barrier => write!(f, "barrier"),
+            Resource::Ledger { ctx } => write!(f, "ledger{ctx}"),
+        }
     }
 }
 
@@ -395,166 +497,6 @@ pub fn schedule_from_env(default: Schedule) -> Schedule {
     }
 }
 
-/// The blocking point a rank yielded the scheduler baton at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockPoint {
-    /// Blocked in a directed mailbox receive.
-    Recv {
-        /// Communicator context of the receive.
-        ctx: Ctx,
-        /// This rank's mailbox index within the communicator.
-        index: usize,
-    },
-    /// Blocked in a communicator-split rendezvous.
-    Split {
-        /// Parent communicator context.
-        ctx: Ctx,
-        /// Per-parent split sequence number.
-        seq: u64,
-    },
-    /// Blocked in the zero-cost world barrier.
-    Barrier {
-        /// Barrier generation the rank entered on.
-        generation: u64,
-    },
-}
-
-/// One event of a deterministic schedule, in global order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// The scheduler handed the baton to `rank`.
-    Pick {
-        /// World rank now running.
-        rank: usize,
-    },
-    /// `rank` released the baton at a blocking point.
-    Block {
-        /// World rank that blocked.
-        rank: usize,
-        /// Where it blocked.
-        point: BlockPoint,
-    },
-    /// A message was posted (and the sender yielded the baton).
-    Post {
-        /// Sender's world rank.
-        from_world: usize,
-        /// Communicator context the message travels on.
-        ctx: Ctx,
-        /// Receiver's world rank.
-        to_world: usize,
-        /// Message size in words.
-        words: u64,
-    },
-    /// A rank entered a collective (hook at every collective entry point).
-    Collective {
-        /// World rank entering.
-        rank: usize,
-        /// Communicator context of the collective.
-        ctx: Ctx,
-        /// Operation kind.
-        op: CollectiveOp,
-        /// Element count the rank brought.
-        elems: u64,
-    },
-    /// `rank`'s program finished (normally or by panic).
-    Done {
-        /// World rank that finished.
-        rank: usize,
-    },
-}
-
-impl std::fmt::Display for SchedEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedEvent::Pick { rank } => write!(f, "pick r{rank}"),
-            SchedEvent::Block { rank, point } => match point {
-                BlockPoint::Recv { ctx, index } => {
-                    write!(f, "block r{rank} recv ctx{ctx} idx{index}")
-                }
-                BlockPoint::Split { ctx, seq } => {
-                    write!(f, "block r{rank} split ctx{ctx} seq{seq}")
-                }
-                BlockPoint::Barrier { generation } => {
-                    write!(f, "block r{rank} barrier gen{generation}")
-                }
-            },
-            SchedEvent::Post { from_world, ctx, to_world, words } => {
-                write!(f, "post r{from_world}->r{to_world} ctx{ctx} w{words}")
-            }
-            SchedEvent::Collective { rank, ctx, op, elems } => {
-                write!(f, "coll r{rank} ctx{ctx} {op}[{elems}]")
-            }
-            SchedEvent::Done { rank } => write!(f, "done r{rank}"),
-        }
-    }
-}
-
-/// The totally-ordered event log of one deterministic run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleTrace {
-    /// The scheduler seed the run used.
-    pub seed: u64,
-    /// Events in global schedule order.
-    pub events: Vec<SchedEvent>,
-}
-
-impl ScheduleTrace {
-    /// Bytes the event log holds on the heap (reserved capacity
-    /// included).
-    pub fn heap_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<SchedEvent>()
-    }
-
-    /// Canonical text rendering: a seed header plus one line per event.
-    /// Two runs of the same `(program, seed)` pair render to identical
-    /// bytes — the determinism contract tests compare these strings.
-    pub fn render(&self) -> String {
-        let mut out =
-            format!("# schedule seed {:#018x} ({} events)\n", self.seed, self.events.len());
-        for e in &self.events {
-            let _ = writeln!(out, "{e}");
-        }
-        out
-    }
-
-    /// Index of the first event where `self` and `other` differ, or the
-    /// shorter length on a prefix match, or `None` when identical.
-    pub fn first_divergence(&self, other: &ScheduleTrace) -> Option<usize> {
-        let n = self.events.len().min(other.events.len());
-        (0..n)
-            .find(|&i| self.events[i] != other.events[i])
-            .or((self.events.len() != other.events.len()).then_some(n))
-    }
-
-    /// Golden-trace replay assertion: panic with the first divergence
-    /// (and a seed repro command) unless `replay` reproduced this trace
-    /// event for event.
-    #[track_caller]
-    pub fn assert_matches(&self, replay: &ScheduleTrace) {
-        assert_eq!(
-            self.seed,
-            replay.seed,
-            "golden-trace replay compared runs with different seeds; {}",
-            repro_hint(self.seed)
-        );
-        if let Some(i) = self.first_divergence(replay) {
-            let show = |t: &ScheduleTrace| {
-                t.events.get(i).map_or("<end of trace>".to_string(), |e| e.to_string())
-            };
-            panic!(
-                "schedule replay diverged from the golden trace at event {i}:\n  \
-                 golden: {}\n  replay: {}\n\
-                 golden has {} events, replay has {}; {}",
-                show(self),
-                show(replay),
-                self.events.len(),
-                replay.events.len(),
-                repro_hint(self.seed)
-            );
-        }
-    }
-}
-
 /// One-line repro command for a failing seed — printed in every
 /// deterministic-mode failure message. Shorthand for
 /// [`Repro::Seed`]`(seed).hint()`.
@@ -614,7 +556,7 @@ impl std::error::Error for ScheduleDivergence {}
 /// Schedule fuzzer: run the async `program` on (a clone of) `world` once
 /// per seed and diff the final per-rank values, meters, clocks, and
 /// memory peaks against the first seed's run. A correct program's *results* must not
-/// depend on the schedule even though its event trace does; any
+/// depend on the schedule even though its choice log does; any
 /// divergence is returned with the failing seed and a repro command.
 pub fn fuzz_schedules<T, F>(
     world: &World,
@@ -670,50 +612,84 @@ where
 mod tests {
     use super::*;
 
-    fn trace(seed: u64, events: Vec<SchedEvent>) -> ScheduleTrace {
-        ScheduleTrace { seed, events }
+    /// A 4-rank log of three picks: rank 0 posts to rank 1's mailbox
+    /// and blocks on its own (touching it twice), rank 1 is woken, then
+    /// rank 1 registers a collective and finishes.
+    fn three_picks() -> ChoiceLog {
+        let mut log = ChoiceLog::new(4);
+        log.push_pick(0);
+        log.push_touch(Resource::Mailbox { ctx: 0, index: 1 });
+        log.push_touch(Resource::Mailbox { ctx: 0, index: 0 });
+        log.push_touch(Resource::Mailbox { ctx: 0, index: 0 });
+        log.push_transition(0, false);
+        log.push_pick(1);
+        log.push_touch(Resource::Ledger { ctx: 2 });
+        log.push_pick(1);
+        log.push_transition(1, false);
+        log
     }
 
     #[test]
-    fn render_is_one_line_per_event_with_seed_header() {
-        let t = trace(
-            7,
-            vec![
-                SchedEvent::Pick { rank: 0 },
-                SchedEvent::Post { from_world: 0, ctx: 2, to_world: 3, words: 16 },
-                SchedEvent::Block { rank: 1, point: BlockPoint::Recv { ctx: 0, index: 1 } },
-                SchedEvent::Collective { rank: 2, ctx: 1, op: CollectiveOp::AllGather, elems: 5 },
-                SchedEvent::Done { rank: 0 },
-            ],
+    fn render_is_one_line_per_pick_with_a_header() {
+        assert_eq!(
+            three_picks().render(),
+            "# choice log: 4 ranks, 3 picks\n\
+             r0 -0 | mbox0.1 mbox0.0\n\
+             r1 | ledger2\n\
+             r1 -1 |\n"
         );
-        let s = t.render();
-        assert!(s.starts_with("# schedule seed 0x0000000000000007 (5 events)\n"), "{s}");
-        assert!(s.contains("pick r0\n"), "{s}");
-        assert!(s.contains("post r0->r3 ctx2 w16\n"), "{s}");
-        assert!(s.contains("block r1 recv ctx0 idx1\n"), "{s}");
-        assert!(s.contains("coll r2 ctx1 all_gather[5]\n"), "{s}");
-        assert!(s.contains("done r0\n"), "{s}");
+        let mut aborted = ChoiceLog::new(2);
+        aborted.push_transition(1, false);
+        assert_eq!(aborted.render(), "# choice log: 2 ranks, 0 picks\n");
+        assert_eq!(aborted.heap_bytes(), 0, "a retirement before the first pick is not logged");
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_stored_entries() {
+        use std::mem::size_of;
+        // 3 picks (a chosen rank and a footprint start each), 3 distinct
+        // touches, 2 transitions — and nothing for reserved capacity.
+        let want =
+            3 * 2 * size_of::<usize>() + 3 * size_of::<Resource>() + 2 * size_of::<Transition>();
+        assert_eq!(three_picks().heap_bytes(), want);
+        assert_eq!(want, 48 + 72 + 32, "on a 64-bit target");
+        assert_eq!(ChoiceLog::new(4).heap_bytes(), 0);
     }
 
     #[test]
     fn first_divergence_finds_edits_and_length_changes() {
-        let a = trace(1, vec![SchedEvent::Pick { rank: 0 }, SchedEvent::Done { rank: 0 }]);
-        assert_eq!(a.first_divergence(&a), None);
-        let edited = trace(1, vec![SchedEvent::Pick { rank: 1 }, SchedEvent::Done { rank: 0 }]);
-        assert_eq!(a.first_divergence(&edited), Some(0));
-        let truncated = trace(1, vec![SchedEvent::Pick { rank: 0 }]);
-        assert_eq!(a.first_divergence(&truncated), Some(1));
+        let a = three_picks();
+        assert_eq!(a.first_divergence(&a.clone()), None);
+        let mut chosen = a.clone();
+        chosen.chosen[1] = 2;
+        assert_eq!(a.first_divergence(&chosen), Some(1));
+        let mut footprint = a.clone();
+        footprint.touched[2] = Resource::Barrier;
+        assert_eq!(a.first_divergence(&footprint), Some(1));
+        let mut change = a.clone();
+        change.transitions[1].ready = true;
+        assert_eq!(a.first_divergence(&change), Some(2));
+        let mut truncated = a.clone();
+        truncated.chosen.pop();
+        truncated.touched_start.pop();
+        truncated.transitions.pop();
+        assert_eq!(a.first_divergence(&truncated), Some(2));
+        assert_eq!(truncated.first_divergence(&a), Some(2));
     }
 
     #[test]
-    fn assert_matches_panics_with_seed_and_divergence() {
-        let golden = trace(9, vec![SchedEvent::Pick { rank: 0 }]);
-        let replay = trace(9, vec![SchedEvent::Pick { rank: 2 }]);
-        let err = std::panic::catch_unwind(|| golden.assert_matches(&replay))
+    fn assert_matches_panics_with_the_divergent_pick_and_the_repro() {
+        let golden = three_picks();
+        let mut replay = golden.clone();
+        replay.chosen[0] = 3;
+        let err = std::panic::catch_unwind(|| golden.assert_matches(&replay, &Repro::Seed(9)))
             .expect_err("diverging replay must panic");
         let msg = err.downcast_ref::<String>().expect("panic message is a String");
-        assert!(msg.contains("event 0"), "{msg}");
+        assert!(msg.contains("at pick 0"), "{msg}");
+        assert!(msg.contains("golden: r0 -0 | mbox0.1 mbox0.0"), "{msg}");
+        assert!(msg.contains("replay: r3 -0 |"), "{msg}");
         assert!(msg.contains("PMM_SEED=9"), "{msg}");
+        golden.assert_matches(&golden.clone(), &Repro::Seed(9));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultPanic, FaultPlan};
 use crate::meter::Meter;
 use crate::rank::Rank;
-use crate::trace::{ChoiceLog, Repro, Schedule, ScheduleTrace};
+use crate::trace::{ChoiceLog, Repro, Schedule};
 use crate::tracer::{TraceEvent, Tracer};
 use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig};
 
@@ -100,7 +100,7 @@ impl World {
             verify: VerifyConfig::default(),
             schedule: None,
             faults: None,
-            record_schedule: true,
+            record_schedule: false,
         }
     }
 
@@ -108,9 +108,9 @@ impl World {
     /// serialized at every blocking point (mailbox receive, split
     /// rendezvous, barrier) and at every send / collective entry, with
     /// ties among runnable ranks broken by a PRNG seeded with `seed`.
-    /// Identical `(program, seed)` pairs produce byte-identical schedule
-    /// traces ([`WorldResult::schedule_trace`]); failure reports name the
-    /// seed and a `PMM_SEED=` repro command. See also
+    /// Identical `(program, seed)` pairs make identical picks (recorded
+    /// on request: [`World::with_schedule_recording`]); failure reports
+    /// name the seed and a `PMM_SEED=` repro command. See also
     /// [`seed_from_env`](crate::trace::seed_from_env) and
     /// [`fuzz_schedules`](crate::trace::fuzz_schedules).
     #[must_use]
@@ -122,7 +122,7 @@ impl World {
     /// [`Schedule`]: either [`Schedule::Seeded`] (what [`World::with_seed`]
     /// is sugar for) or [`Schedule::Prefix`] — replay a recorded choice
     /// prefix pick by pick, then complete canonically by always picking
-    /// the smallest runnable rank. Prefix runs record the same trace and
+    /// the smallest runnable rank. Prefix runs record the same
     /// [`ChoiceLog`] as seeded runs ([`WorldResult::choice_points`]),
     /// which is what schedule-space exploration (`pmm-explore`) drives:
     /// each explored branch is just a `World` run with a longer prefix.
@@ -132,13 +132,13 @@ impl World {
         self
     }
 
-    /// Toggle recording of the [`ScheduleTrace`] and the [`ChoiceLog`] on
-    /// deterministic runs (on by default). Recording costs O(1) host time
-    /// per pick and per event; what turning it off saves is the logs'
-    /// memory, a few tens of bytes per pick and per event, which the
-    /// 10^5–10^6-rank runs do without. With recording off,
-    /// [`WorldResult::schedule_trace`] and [`WorldResult::choice_points`]
-    /// are `None` even on seeded runs.
+    /// Toggle recording of the [`ChoiceLog`] on deterministic runs (off
+    /// by default). Recording costs O(1) host time per pick, touch and
+    /// runnable-set change, and tens of bytes of memory per pick, which
+    /// only the explorer, replays and the tests that read the log need.
+    /// With recording off, [`WorldResult::choice_points`] is `None` even
+    /// on seeded runs; [`WorldResult::picks`] counts the picks either
+    /// way.
     #[must_use]
     pub fn with_schedule_recording(mut self, record: bool) -> World {
         self.record_schedule = record;
@@ -289,12 +289,7 @@ impl World {
                 format!("pmm-simnet: rank {rank} panicked: {}", panic_message(&*payload))
             }
         };
-        RunFailure {
-            report,
-            repro: raw.repro,
-            schedule_trace: raw.schedule_trace,
-            choice_points: raw.choice_points,
-        }
+        RunFailure { report, repro: raw.repro, choice_points: raw.choice_points }
     }
 
     /// Run an **async** rank program: every rank is a resumable
@@ -320,7 +315,7 @@ impl World {
     /// panic, verifier abort, unhandled rank failure, strict-drain
     /// violation — as a [`RunFailure`] value instead of panicking. The
     /// failure carries whatever the scheduler recorded before the run
-    /// died (trace, [`ChoiceLog`], replay recipe), which is what lets
+    /// died ([`ChoiceLog`], replay recipe), which is what lets
     /// schedule-space exploration keep walking the choice tree through
     /// failing branches.
     pub fn try_run_async<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
@@ -539,7 +534,6 @@ impl World {
         let fail = |error: RunError| RunFailureRaw {
             error,
             repro: fabric.sched_repro().unwrap_or(Repro::Unseeded),
-            schedule_trace: fabric.take_sched_trace(),
             choice_points: fabric.take_choice_log(),
         };
         // A genuine panic is the program's own and wins; then the
@@ -596,7 +590,7 @@ impl World {
             params: self.params,
             values,
             reports,
-            schedule_trace: fabric.take_sched_trace(),
+            picks: fabric.sched_picks(),
             choice_points: fabric.take_choice_log(),
         })
     }
@@ -698,7 +692,6 @@ enum RunError {
 struct RunFailureRaw {
     error: RunError,
     repro: Repro,
-    schedule_trace: Option<ScheduleTrace>,
     choice_points: Option<ChoiceLog>,
 }
 
@@ -727,11 +720,8 @@ pub struct RunFailure {
     pub report: String,
     /// Canonical replay recipe for this run's schedule.
     pub repro: Repro,
-    /// Schedule trace recorded up to the failure; `Some` iff the run was
-    /// deterministic.
-    pub schedule_trace: Option<ScheduleTrace>,
     /// [`ChoiceLog`] recorded up to the failure; `Some` iff the run was
-    /// deterministic.
+    /// deterministic and recorded its schedule.
     pub choice_points: Option<ChoiceLog>,
 }
 
@@ -771,13 +761,13 @@ pub struct WorldResult<T> {
     pub values: Vec<T>,
     /// Per-rank reports, indexed by world rank.
     pub reports: Vec<RankReport>,
-    /// The recorded schedule trace; `Some` iff the world ran under
-    /// [`World::with_seed`] / [`World::with_schedule`]. Byte-identical
-    /// across runs of the same `(program, schedule)` pair — see
-    /// [`ScheduleTrace::render`].
-    pub schedule_trace: Option<ScheduleTrace>,
+    /// Number of picks the deterministic scheduler made, recorded or
+    /// not; 0 for a free-running [`World::run`].
+    pub picks: usize,
     /// The recorded scheduler pick stream; `Some` iff the world ran
-    /// deterministically. Per pick: the chosen rank, the fabric
+    /// deterministically with [`World::with_schedule_recording`]`(true)`.
+    /// Byte-identical across runs of the same `(program, schedule)` pair
+    /// (see [`ChoiceLog::render`]). Per pick: the chosen rank, the fabric
     /// resources the chosen segment touched, and (rebuilt on demand from
     /// the logged transitions) the runnable set — the raw material for
     /// schedule-space exploration (replay any prefix of
@@ -922,25 +912,30 @@ mod tests {
         })
     }
 
+    /// A world of `p` ranks that records its schedule.
+    fn recorded(p: usize) -> World {
+        World::new(p, bw()).with_schedule_recording(true)
+    }
+
     #[test]
-    fn same_seed_gives_byte_identical_traces() {
-        let run = || World::new(6, bw()).with_seed(42).run_async(gather_program);
-        let (a, b) = (run(), run());
-        let ta = a.schedule_trace.expect("seeded run records a trace");
-        let tb = b.schedule_trace.expect("seeded run records a trace");
-        assert!(!ta.events.is_empty());
-        assert_eq!(ta.render(), tb.render(), "same (program, seed) must replay byte-identically");
-        ta.assert_matches(&tb);
+    fn same_seed_gives_byte_identical_choice_logs() {
+        let world = recorded(6).with_seed(42);
+        let (a, b) = (world.run_async(gather_program), world.run_async(gather_program));
+        let la = a.choice_points.expect("recorded run keeps its choice log");
+        let lb = b.choice_points.expect("recorded run keeps its choice log");
+        assert!(!la.is_empty());
+        assert_eq!(la.render(), lb.render(), "same (program, seed) must replay byte-identically");
+        la.assert_matches(&lb, &world.repro());
     }
 
     #[test]
     fn different_seeds_change_the_schedule_but_not_the_result() {
-        let run = |s| World::new(6, bw()).with_seed(s).run_async(gather_program);
+        let run = |s| recorded(6).with_seed(s).run_async(gather_program);
         let outs: Vec<_> = (0u64..8).map(run).collect();
         assert!(
             outs.windows(2).any(|w| {
-                let (x, y) = (w[0].schedule_trace.as_ref(), w[1].schedule_trace.as_ref());
-                x.expect("trace").events != y.expect("trace").events
+                let (x, y) = (w[0].choice_points.as_ref(), w[1].choice_points.as_ref());
+                x.expect("recorded") != y.expect("recorded")
             }),
             "8 seeds on a 6-rank gather should exercise more than one schedule"
         );
@@ -951,14 +946,14 @@ mod tests {
 
     #[test]
     fn free_running_threads_record_no_schedule() {
-        let out = World::new(2, bw()).run(|r| poll_now(gather_program(r)));
-        assert!(out.schedule_trace.is_none());
+        let out = recorded(2).run(|r| poll_now(gather_program(r)));
         assert!(out.choice_points.is_none());
+        assert_eq!(out.picks, 0);
     }
 
     #[test]
     fn choice_points_record_ready_sets_and_footprints() {
-        let out = World::new(4, bw()).with_seed(11).run_async(gather_program);
+        let out = recorded(4).with_seed(11).run_async(gather_program);
         let choices = out.choice_points.expect("deterministic run records choice points");
         assert!(!choices.is_empty());
         assert_eq!(choices.iter().count(), choices.len());
@@ -978,33 +973,26 @@ mod tests {
 
     #[test]
     fn full_prefix_replay_reproduces_the_seeded_run() {
-        let seeded = World::new(5, bw()).with_seed(3).run_async(gather_program);
-        let prefix = seeded.choice_points.as_ref().expect("choices").chosen().to_vec();
-        let replay = World::new(5, bw())
-            .with_schedule(Schedule::Prefix(prefix.clone()))
-            .run_async(gather_program);
+        let seeded = recorded(5).with_seed(3).run_async(gather_program);
+        let golden = seeded.choice_points.expect("choices");
+        let world = recorded(5).with_schedule(Schedule::Prefix(golden.chosen().to_vec()));
+        let replay = world.run_async(gather_program);
         assert_eq!(replay.values, seeded.values);
-        assert_eq!(
-            seeded.schedule_trace.expect("trace").events,
-            replay.schedule_trace.expect("trace").events,
-            "replaying the full chosen prefix must reproduce the event log"
-        );
-        assert_eq!(replay.choice_points.expect("choices").chosen(), prefix);
+        // Chosen ranks, footprints and runnable-set changes all reproduce.
+        golden.assert_matches(&replay.choice_points.expect("choices"), &world.repro());
     }
 
     #[test]
     fn empty_prefix_is_the_canonical_schedule_and_is_deterministic() {
-        let run = || {
-            World::new(4, bw())
-                .with_schedule(Schedule::Prefix(Vec::new()))
-                .run_async(gather_program)
-        };
-        let (a, b) = (run(), run());
+        let world = recorded(4).with_schedule(Schedule::Prefix(Vec::new()));
+        let (a, b) = (world.run_async(gather_program), world.run_async(gather_program));
         assert_eq!(a.values, b.values);
-        assert_eq!(
-            a.schedule_trace.expect("trace").events,
-            b.schedule_trace.expect("trace").events
-        );
+        let canonical = a.choice_points.expect("choices");
+        canonical.assert_matches(&b.choice_points.expect("choices"), &world.repro());
+        assert_eq!(a.picks, canonical.len());
+        assert_eq!(b.picks, canonical.len());
+        // The canonical schedule picks the smallest runnable rank.
+        assert!(canonical.iter().all(|cp| cp.chosen == cp.ready[0]));
     }
 
     #[test]
@@ -1038,9 +1026,8 @@ mod tests {
 
     #[test]
     fn try_run_async_captures_deadlock_as_a_value_with_choices() {
-        let failure = World::new(2, bw())
-            .try_run_async(recv_from_silent_peer)
-            .expect_err("deadlocked run must fail");
+        let failure =
+            recorded(2).try_run_async(recv_from_silent_peer).expect_err("deadlocked run must fail");
         assert!(failure.report.contains("deadlock detected"), "{}", failure.report);
         assert!(matches!(failure.repro, crate::trace::Repro::Prefix(_)), "{:?}", failure.repro);
         assert!(failure.to_string().contains("PMM_SCHEDULE=prefix:"), "{failure}");
@@ -1076,14 +1063,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_recording_off_drops_artifacts_but_not_results() {
-        let out = World::new(6, bw())
-            .with_seed(9)
-            .with_schedule_recording(false)
-            .run_async(gather_program);
+    fn schedule_recording_is_off_by_default_and_drops_the_log_but_not_results() {
+        let out = World::new(6, bw()).with_seed(9).run_async(gather_program);
         assert_eq!(out.values[0], 15.0);
-        assert!(out.schedule_trace.is_none());
         assert!(out.choice_points.is_none());
+        let logged = recorded(6).with_seed(9).run_async(gather_program);
+        assert_eq!(out.picks, logged.choice_points.expect("recorded").len());
     }
 
     #[test]

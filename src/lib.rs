@@ -97,7 +97,7 @@ pub mod prelude {
     pub use pmm_simnet::{
         fuzz_schedules, schedule_from_env, seed_from_env, Attribution, ChoiceLog, ChoicePoint,
         Comm, CriticalPath, FaultPlan, HostMem, LocalBoxFuture, Meter, Rank, RankFailed, Repro,
-        Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World,
-        WorldResult, SCHEDULE_ENV,
+        Resource, RunFailure, Schedule, TraceEvent, TraceOp, Tracer, World, WorldResult,
+        SCHEDULE_ENV,
     };
 }

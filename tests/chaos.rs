@@ -63,17 +63,11 @@ fn run_chaos(
     p: usize,
     sched_seed: u64,
     faults: FaultPlan,
-    at_scale: bool,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
     let (a, b) = inputs(dims);
     let (a, b) = (Arc::new(a), Arc::new(b));
-    let mut world =
+    let world =
         World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(faults);
-    if at_scale {
-        // The schedule logs' memory (tens of bytes per pick and per
-        // event) is the one cost of recording — off at scale.
-        world = world.with_schedule_recording(false);
-    }
     world.run_async(move |rank| {
         let (plan, a, b) = (plan.clone(), a.clone(), b.clone());
         Box::pin(async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await })
@@ -166,7 +160,7 @@ fn chaos_cert_all_six_algorithms() {
     for plan in all_plans() {
         let alg = plan.algorithm();
         let t0 = Instant::now();
-        let out = run_chaos(&plan, dims, 10, 0xC0DE, tier1_plan(), false);
+        let out = run_chaos(&plan, dims, 10, 0xC0DE, tier1_plan());
         let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
         assert!(killed.detail.contains("kill=2@3"), "{alg}: {}", killed.detail);
         let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
@@ -189,8 +183,7 @@ fn chaos_cert_replays_byte_identically() {
     // hashes, so the whole chaos run is a deterministic function of the
     // triple.
     let dims = MatMulDims::new(24, 24, 24);
-    let run =
-        || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, 10, 0xC0DE, tier1_plan(), false);
+    let run = || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, 10, 0xC0DE, tier1_plan());
     let (first, again) = (run(), run());
     assert_eq!(first.values, again.values, "per-rank results must replay byte-identically");
     for (w, (x, y)) in first.reports.iter().zip(&again.reports).enumerate() {
@@ -244,7 +237,7 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
                 }
                 let label = format!("{alg}/p{p}/{class}");
                 let t0 = Instant::now();
-                let out = run_chaos(&plan, dims, p, 0x50AB, faults, false);
+                let out = run_chaos(&plan, dims, p, 0x50AB, faults);
                 // Run goodput exactness is asserted on the tier-1
                 // cert's divisible grid; the soak checks bitwise
                 // correctness, exact restore goodput, and the upper
@@ -284,7 +277,7 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
         2,
     );
     let t0 = Instant::now();
-    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, p, 3, plan, true);
+    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, p, 3, plan);
     let secs = t0.elapsed().as_secs_f64();
 
     let killed = out.values[10_000].as_ref().expect_err("rank 10000 was killed");

@@ -4,9 +4,9 @@
 //! configurations `tests/algorithms_agree.rs` runs):
 //!
 //! 1. **Replayability** — two runs of the same `(program, seed)` pair
-//!    produce byte-identical schedule traces, checked both as rendered
-//!    strings and event-by-event via `ScheduleTrace::assert_matches`
-//!    (the golden-trace replay assertion).
+//!    record byte-identical choice logs, checked both as rendered
+//!    strings and pick-by-pick via `ChoiceLog::assert_matches` (the
+//!    golden-log replay assertion).
 //! 2. **Schedule-independence** — different seeds pick genuinely
 //!    different rank interleavings, yet every numeric result, meter
 //!    total, simulated time and peak memory is identical across seeds
@@ -47,14 +47,14 @@ fn alg1_program(rank: &mut Rank) -> LocalBoxFuture<'_, Vec<f64>> {
 
 #[test]
 fn same_seed_replays_a_byte_identical_trace_on_alg1() {
-    let golden = alg1_world().with_seed(0xA11CE).run_async(alg1_program);
-    let replay = alg1_world().with_seed(0xA11CE).run_async(alg1_program);
-    let golden_trace = golden.schedule_trace.expect("seeded run records a trace");
-    let replay_trace = replay.schedule_trace.expect("seeded run records a trace");
-    // Byte-identical renders, and the event-level golden assertion.
-    assert_eq!(golden_trace.render(), replay_trace.render());
-    golden_trace.assert_matches(&replay_trace);
-    assert!(!golden_trace.events.is_empty(), "a 12-rank run schedules events");
+    let world = alg1_world().with_seed(0xA11CE).with_schedule_recording(true);
+    let (golden, replay) = (world.run_async(alg1_program), world.run_async(alg1_program));
+    let golden_log = golden.choice_points.expect("recorded run keeps its choice log");
+    let replay_log = replay.choice_points.expect("recorded run keeps its choice log");
+    // Byte-identical renders, and the pick-level golden assertion.
+    assert_eq!(golden_log.render(), replay_log.render());
+    golden_log.assert_matches(&replay_log, &world.repro());
+    assert!(golden_log.len() > 12, "a 12-rank run makes picks");
     // The replay also reproduces every value and meter bit-for-bit.
     assert_eq!(golden.values, replay.values);
 }
@@ -70,15 +70,16 @@ fn different_seeds_schedule_differently_but_compute_identically() {
 
     // ... while at least one seed actually picks a different
     // interleaving (otherwise the fuzzer would be vacuous).
-    let traces: Vec<String> = seeds
+    let logs: Vec<String> = seeds
         .iter()
         .map(|&s| {
-            let out = world.clone().with_seed(s).run_async(alg1_program);
-            out.schedule_trace.expect("seeded").render()
+            let out =
+                world.clone().with_seed(s).with_schedule_recording(true).run_async(alg1_program);
+            out.choice_points.expect("recorded").render()
         })
         .collect();
     assert!(
-        traces.iter().any(|t| t != &traces[0]),
+        logs.iter().any(|t| t != &logs[0]),
         "all {} seeds produced the same schedule — the fuzzer explores nothing",
         seeds.len()
     );
@@ -125,18 +126,18 @@ fn zero_fault_plan_is_meter_identical_to_no_plan() {
     // A `FaultPlan::none()` world (reliable-delivery machinery armed, but
     // every fault probability zero and no kills/stragglers) must be
     // indistinguishable from a plain world: same values, same meters, same
-    // clocks, byte-identical schedule trace. This is the CI guard that the
+    // clocks, byte-identical choice log. This is the CI guard that the
     // fault layer costs nothing — in results *or* determinism — when off.
-    let plain = alg1_world().with_seed(0xC1EA4).run_async(alg1_program);
-    let armed =
-        alg1_world().with_seed(0xC1EA4).with_faults(FaultPlan::none()).run_async(alg1_program);
+    let world = alg1_world().with_seed(0xC1EA4).with_schedule_recording(true);
+    let plain = world.run_async(alg1_program);
+    let armed = world.clone().with_faults(FaultPlan::none()).run_async(alg1_program);
     assert_eq!(plain.values, armed.values, "values must match bitwise");
     for (r, (p, a)) in plain.reports.iter().zip(&armed.reports).enumerate() {
         assert_eq!(p.meter, a.meter, "every meter field must match, rank {r}");
         assert_eq!(p.time, a.time, "per-rank clocks must match, rank {r}");
         assert_eq!(a.meter.retry_overhead_words(), 0, "no-fault run retransmits nothing");
     }
-    let pt = plain.schedule_trace.expect("seeded");
-    let at = armed.schedule_trace.expect("seeded");
-    assert_eq!(pt.render(), at.render(), "schedule traces must be byte-identical");
+    let pl = plain.choice_points.expect("recorded");
+    let al = armed.choice_points.expect("recorded");
+    assert_eq!(pl.render(), al.render(), "choice logs must be byte-identical");
 }

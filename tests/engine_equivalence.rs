@@ -7,8 +7,8 @@
 //! deterministic scheduler, so the two runs must be *observationally
 //! identical*: same values, same meters, same simulated clocks, same
 //! memory peaks, same happens-before event counts, and a byte-identical
-//! `ScheduleTrace` and `ChoiceLog` for the same `(program, schedule)`
-//! pair. This suite pins that on
+//! `ChoiceLog` for the same `(program, schedule)` pair. This suite pins
+//! that on
 //!
 //! * the pinned `(program, seed)` workloads of `tests/determinism.rs`
 //!   (Algorithm 1 P = 12, Cannon P = 9, SUMMA P = 6, 2.5D P = 8);
@@ -68,24 +68,29 @@ fn plan_program(
     }
 }
 
-/// Assert every observable artifact of two runs matches — a thread-hosted
-/// and a loop-hosted run of one program, or two programs that must be
-/// indistinguishable: values, per-rank meters/clocks/memory/event counts,
-/// the rendered + event-level schedule trace, and the whole `ChoiceLog`.
+/// A world of `p` ranks that records its schedule.
+fn recorded(p: usize) -> World {
+    World::new(p, MachineParams::BANDWIDTH_ONLY).with_schedule_recording(true)
+}
+
+/// Assert every observable artifact of two runs of a recorded world
+/// matches — a thread-hosted and a loop-hosted run of one program, or
+/// two programs that must be indistinguishable: values, per-rank
+/// meters/clocks/memory/event counts, the pick count, and the whole
+/// `ChoiceLog` (chosen ranks, footprints and every runnable-set
+/// transition), rendered and pick by pick.
 fn assert_same_run<T>(label: &str, x: &WorldResult<T>, y: &WorldResult<T>)
 where
     T: PartialEq + std::fmt::Debug,
 {
     assert_same_outcome(label, x, y);
+    assert_eq!(x.picks, y.picks, "{label}: pick counts diverge");
     let (t, e) = (
-        x.schedule_trace.as_ref().expect("deterministic runs record a trace"),
-        y.schedule_trace.as_ref().expect("deterministic runs record a trace"),
+        x.choice_points.as_ref().expect("recorded runs keep a choice log"),
+        y.choice_points.as_ref().expect("recorded runs keep a choice log"),
     );
-    assert_eq!(t.render(), e.render(), "{label}: schedule traces are not byte-identical");
-    t.assert_matches(e);
-    // Chosen ranks, footprints and every runnable-set transition.
-    assert!(x.choice_points.is_some(), "{label}: deterministic runs record a choice log");
-    assert!(x.choice_points == y.choice_points, "{label}: choice logs diverge");
+    assert_eq!(t.render(), e.render(), "{label}: choice logs are not byte-identical");
+    t.assert_matches(e, &Repro::Prefix(t.chosen().to_vec()));
 }
 
 /// The schedule-free half of [`assert_same_run`]: values and per-rank
@@ -135,7 +140,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
     };
     let ab = inputs(dims);
     for seed in [0xA11CE_u64, 0xC1EA4, 0, 5] {
-        let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(seed);
+        let world = recorded(12).with_seed(seed);
         // Compare the chunk bits *and* the per-phase meters.
         let view = |out: Alg1Output| -> (Vec<f64>, Vec<(String, Meter)>) {
             let phases = out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
@@ -151,10 +156,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
             })
         });
         assert_same_run(&format!("alg1 seed {seed}"), &threads, &out);
-        assert!(
-            out.schedule_trace.expect("seeded run records a trace").events.len() > 12,
-            "seed {seed}: a 12-rank Algorithm 1 run schedules real events"
-        );
+        assert!(out.picks > 12, "seed {seed}: a 12-rank Algorithm 1 run makes real picks");
     }
 }
 
@@ -167,7 +169,7 @@ fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg = Alg1Config::new(dims, Grid3::new(2, 3, 2));
     let ab = inputs(dims);
-    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+    let world = recorded(12).with_seed(0xA11CE);
     let per_rank = world.run(|rank| {
         let (a, b) = (ab.0.clone(), ab.1.clone());
         poll_now(alg1_a(rank, &cfg, &a, &b))
@@ -284,7 +286,7 @@ where
 /// (p3 = 1) or `B`'s (p1 = 1) has one member, Algorithm 1 and its
 /// streamed variant are the same run as the programs that copy the block
 /// out and all-gather it — values, meters, clocks, memory peaks, event
-/// counts, schedule trace, choice log and Chrome export — under a seeded
+/// counts, choice log and Chrome export — under a seeded
 /// and the canonical schedule, on both hosts. A degenerate all-gather
 /// entered with another word count, or not at all, fails here.
 #[test]
@@ -296,9 +298,7 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
         let cfg =
             Alg1Config { dims, grid, kernel: Kernel::Blocked, assembly: Assembly::ReduceScatter };
         for schedule in [Schedule::Seeded(0xA11CE), Schedule::Prefix(vec![])] {
-            let world = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY)
-                .with_schedule(schedule.clone())
-                .with_trace(true);
+            let world = recorded(grid.size()).with_schedule(schedule.clone()).with_trace(true);
             let label = format!("{:?} under {schedule:?}", grid.dims());
             assert_indistinguishable(
                 &format!("alg1 on {label}"),
@@ -340,7 +340,7 @@ fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
         AlgPlan::Summa { pr: 2, pc: 3 },
         AlgPlan::TwoFiveD { q: 2, c: 2 },
     ] {
-        let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+        let world = recorded(plan.active()).with_seed(0xA11CE);
         assert_hosts_agree(&format!("{plan}"), &world, plan_program(plan, dims, &ab));
     }
 }
@@ -389,7 +389,7 @@ fn sync_entry(plan: &AlgPlan, dims: MatMulDims) -> SyncEntry {
 /// through the `_on_a` bodies: on the thread host, each of the six runs
 /// the same program as `run_plan_a` of its plan on the loop — values (as
 /// the executor's `CShare`), meters, clocks, memory peaks, event counts,
-/// and the schedule trace. CARMA's trace is exempt: the executor first
+/// and the choice log. CARMA's log is exempt: the executor first
 /// splits off its active sub-machine, one unmetered collective more.
 #[test]
 fn benchmark_sync_entry_points_run_the_executors_programs() {
@@ -403,7 +403,7 @@ fn benchmark_sync_entry_points_run_the_executors_programs() {
         AlgPlan::TwoFiveD { q: 2, c: 2 },
         AlgPlan::Carma { p: 8 },
     ] {
-        let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE);
+        let world = recorded(plan.active()).with_seed(0xA11CE);
         let label = format!("{plan}: sync entry point vs run_plan_a");
         let sync_entry = sync_entry(&plan, dims);
         let threads = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
@@ -452,7 +452,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
         .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"))
         .grid;
     let ab = inputs(dims);
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(seed);
+    let world = recorded(p).with_seed(seed);
 
     // Algorithm 1 with the all-to-all assembly ablation, which no plan
     // names.
@@ -513,7 +513,7 @@ fn engines_agree_with_a_fault_plan_armed() {
         .with_drop(0.10)
         .with_duplicate(0.05)
         .with_delay(0.05);
-    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
+    let world = recorded(12).with_seed(0xA11CE).with_faults(plan);
     let ab = inputs(dims);
     let out = assert_hosts_agree("alg1 with faults", &world, |rank| {
         let cfg = cfg.clone();
@@ -534,7 +534,7 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
     // the first death, a healing partition, a straggler storm, and
     // background message faults. Every per-rank Result (typed
     // RankFailed on the casualties, full Recovered on the survivors),
-    // every meter, clock, and the rendered schedule trace must be
+    // every meter, clock, and the rendered choice log must be
     // byte-identical across hosts.
     let dims = MatMulDims::new(24, 24, 24);
     let plan = FaultPlan::none()
@@ -545,7 +545,7 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         .with_cascade(7, 1)
         .with_partition(vec![0, 1], 5..20, 2)
         .with_storm(0.3, 2.0);
-    let world = World::new(9, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
+    let world = recorded(9).with_seed(0xA11CE).with_faults(plan);
     let ab = inputs(dims);
     let out = assert_hosts_agree("recovery multi-fault", &world, |rank| {
         let ab = Arc::clone(&ab);
@@ -570,7 +570,7 @@ fn hosts_agree_on_a_kill_caught_and_rallied_from() {
     // kicked out of the ring, rally at the barrier, rebuild a
     // communicator over themselves and finish a second ring on it.
     let plan = FaultPlan::none().with_seed(9).with_kill(2, 2);
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(0xA11CE).with_faults(plan);
+    let world = recorded(4).with_seed(0xA11CE).with_faults(plan);
     let out = assert_hosts_agree("caught kill", &world, |rank| {
         Box::pin(async move {
             let wc = rank.world_comm();
@@ -650,7 +650,7 @@ proptest! {
             .with_duplicate(dup)
             .with_delay(delay);
         plan.max_retries = 64;
-        let world = World::new(4, MachineParams::BANDWIDTH_ONLY)
+        let world = recorded(4)
             .with_seed(seed)
             .with_faults(plan);
         assert_hosts_agree(

@@ -138,8 +138,11 @@ where
     assert_eq!(distinct.len(), explored.len(), "{label}: explored pick streams must be distinct");
 
     for (choices, want_fp) in &explored {
-        let replay =
-            world.clone().with_schedule(Schedule::Prefix(choices.clone())).try_run_async(program);
+        let replay = world
+            .clone()
+            .with_schedule(Schedule::Prefix(choices.clone()))
+            .with_schedule_recording(true)
+            .try_run_async(program);
         assert_eq!(
             fingerprint(replay.as_ref()),
             *want_fp,
@@ -447,6 +450,7 @@ fn pmm_schedule_prefix_replays_on_the_event_loop() {
     let replay = world
         .clone()
         .with_schedule(parsed)
+        .with_schedule_recording(true)
         .try_run_async(ring3)
         .expect("prefix replay must succeed");
     assert_eq!(fingerprint(Ok(&replay)), want_fp, "prefix replay diverged from the explored run");
@@ -565,7 +569,7 @@ proptest! {
         prefix_quarters in 0usize..5,
     ) {
         let prog = generate(prog_seed);
-        let mut world = world_for(&prog).with_seed(sched_seed);
+        let mut world = world_for(&prog).with_seed(sched_seed).with_schedule_recording(true);
         if faulty == 1 {
             let plan = FaultPlan::none()
                 .with_seed(prog_seed)

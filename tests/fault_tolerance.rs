@@ -52,7 +52,8 @@ fn fault_rate_from_env(default: f64) -> f64 {
 }
 
 /// Run Algorithm 1 under the generic recovery wrapper on a faulty world
-/// and return the per-rank results plus reports.
+/// that records its schedule, and return the per-rank results plus
+/// reports and the choice log.
 fn run_recovery(
     dims: MatMulDims,
     p: usize,
@@ -60,16 +61,18 @@ fn run_recovery(
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
     let ab = inputs(dims);
-    World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan).run_async(
-        move |rank| {
+    World::new(p, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(sched_seed)
+        .with_schedule_recording(true)
+        .with_faults(plan)
+        .run_async(move |rank| {
             let ab = Arc::clone(&ab);
             Box::pin(async move {
                 let (a, b) = &*ab;
                 let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
                 run_recoverable_a(rank, &alg1, dims, Kernel::Naive, a, b).await
             })
-        },
-    )
+        })
 }
 
 /// Assemble C from the survivors' shares and assert bitwise equality with
@@ -159,7 +162,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
     }
 
     // Byte-identical replay from the printed seed: values, meters, times,
-    // and schedule traces all reproduce.
+    // and choice logs all reproduce.
     let replay = run_recovery(dims, 9, 7, plan);
     for (w, (x, y)) in out.values.iter().zip(&replay.values).enumerate() {
         match (x, y) {
@@ -175,8 +178,8 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
         assert_eq!(x.meter, y.meter, "rank {w} meter must replay exactly");
         assert_eq!(x.time, y.time, "rank {w} clock must replay exactly");
     }
-    let (ta, tb) = (out.schedule_trace.expect("seeded"), replay.schedule_trace.expect("seeded"));
-    assert_eq!(ta.render(), tb.render(), "schedule must replay byte-identically");
+    let (la, lb) = (out.choice_points.expect("recorded"), replay.choice_points.expect("recorded"));
+    assert_eq!(la.render(), lb.render(), "schedule must replay byte-identically");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! 2. **meters** — words/messages/flops charged per rank are identical
 //!    (the algorithms meter `h1·h2·h3` multiply-adds analytically, never
 //!    "what the kernel did");
-//! 3. **schedule traces** — the seeded rank interleaving is byte-stable
+//! 3. **choice logs** — the seeded rank interleaving is byte-stable
 //!    across tiers, so `PMM_SEED` repro lines stay valid whatever kernel
 //!    a host selects;
 //! 4. **structured traces** — per-phase word attribution and the trace
@@ -24,25 +24,27 @@ fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
     ))
 }
 
-/// Run Algorithm 1 on a 2×3×2 grid with the given kernel, seeded and
-/// traced, returning the world result.
+/// Run Algorithm 1 on a 2×3×2 grid with the given kernel, seeded,
+/// recorded and traced, returning the world result.
 fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
     let ab = inputs(dims);
-    World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xBEEF).with_trace(true).run_async(
-        move |rank| {
+    World::new(12, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(0xBEEF)
+        .with_schedule_recording(true)
+        .with_trace(true)
+        .run_async(move |rank| {
             let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
             Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        },
-    )
+        })
 }
 
 #[test]
 fn kernel_choice_never_alters_outputs_meters_or_traces() {
     let baseline = run_with(Kernel::Naive);
-    let base_trace = baseline.schedule_trace.as_ref().expect("seeded run records a trace");
+    let base_log = baseline.choice_points.as_ref().expect("recorded run keeps its choice log");
     let base_tracer = baseline.tracer().expect("tracing was enabled");
     let base_attr = base_tracer.phase_totals();
     let base_cp = base_tracer.critical_path();
@@ -57,11 +59,11 @@ fn kernel_choice_never_alters_outputs_meters_or_traces() {
         for (r, (base, other)) in baseline.reports.iter().zip(&run.reports).enumerate() {
             assert_eq!(base.meter, other.meter, "tier {kernel} changed rank {r}'s meter");
         }
-        // 3. Byte-identical schedule trace (same seed, same interleaving).
-        let trace = run.schedule_trace.as_ref().expect("seeded run records a trace");
+        // 3. Byte-identical choice log (same seed, same interleaving).
+        let log = run.choice_points.as_ref().expect("recorded run keeps its choice log");
         assert_eq!(
-            base_trace.render(),
-            trace.render(),
+            base_log.render(),
+            log.render(),
             "tier {kernel} changed the scheduled interleaving"
         );
         // 4. Identical per-phase attribution and critical path.

@@ -17,11 +17,10 @@
 //! happens-before audit included, which every cell proves by holding
 //! each rank's exported event count to `msgs_sent + msgs_recv`.
 //!
-//! The `*-default` cells run the same check on the world `pmm simulate`
-//! builds — schedule recording on — so the path users take has a
-//! baseline too, and one cell pins the default *unseeded* P = 1024
-//! world under 1 GB. Every world that records its schedule is also
-//! held to a pick count linear in its messages.
+//! The `*-default` cells run the same check on the seeded world `pmm
+//! simulate` builds, so the path users take has a baseline too, and one
+//! cell pins the default *unseeded* P = 1024 world under 1 GB. Every
+//! world is also held to a pick count linear in its messages.
 //!
 //! Each test prints a `SCALE: key=value ...` line — host time
 //! (`ranks_per_sec`) and host memory (`peak_rss_kb`, and
@@ -35,10 +34,10 @@ use std::time::Instant;
 
 use pmm::prelude::*;
 
-/// The documented at-scale configuration: no schedule logs (their
-/// memory is the one cost of recording).
+/// The at-scale world: every default (the canonical schedule, no
+/// schedule log).
 fn at_scale(p: usize) -> World {
-    World::new(p, MachineParams::BANDWIDTH_ONLY).with_schedule_recording(false)
+    World::new(p, MachineParams::BANDWIDTH_ONLY)
 }
 
 /// Execute Algorithm 1 on the event loop of `world`, one rank per grid
@@ -47,9 +46,9 @@ fn at_scale(p: usize) -> World {
 /// prediction (requires evenly-chunked fiber collectives); aggregate
 /// per-phase traffic is checked always, and the tracer's per-phase
 /// totals where the world arms it. `max_rss_kb` bounds the process's
-/// `VmHWM` after the run. A world that recorded its schedule must have
-/// made a number of picks linear in its messages. Failures name the size
-/// of the schedule logs.
+/// `VmHWM` after the run. Every world must have made a number of picks
+/// linear in its messages. Failures name the pick count and the size of
+/// the choice log, if the world records one.
 fn scale_point(
     label: &str,
     dims: MatMulDims,
@@ -93,13 +92,9 @@ fn scale_point(
     let host_bytes_per_rank =
         host.zip(host_before).map_or(0, |(after, before)| after.bytes_per_rank_since(&before, p));
 
-    let picks = out.choice_points.as_ref().map_or(0, ChoiceLog::len);
+    let picks = out.picks;
     let choice_log_bytes = out.choice_points.as_ref().map_or(0, ChoiceLog::heap_bytes);
-    let schedule_trace_bytes = out.schedule_trace.as_ref().map_or(0, ScheduleTrace::heap_bytes);
-    let logs = format!(
-        "{picks} picks, choice log {choice_log_bytes} bytes, schedule trace \
-         {schedule_trace_bytes} bytes"
-    );
+    let logs = format!("{picks} picks, choice log {choice_log_bytes} bytes");
     if let Some(max_kb) = max_rss_kb {
         assert!(rss_kb < max_kb, "{label}: VmHWM {rss_kb} kB, budget {max_kb} kB ({logs})");
     }
@@ -109,14 +104,12 @@ fn scale_point(
     // (1.9 per message measured at P = 1024). Re-readying every blocked
     // rank at every post made it O(P) per message — 4.9 million picks
     // for the 10 240 messages of the P = 1024 cells.
-    if out.choice_points.is_some() {
-        let msgs: u64 = out.reports.iter().map(|r| r.meter.msgs_sent).sum();
-        let ceiling = 4 * (msgs as usize + 4 * p);
-        assert!(
-            picks <= ceiling,
-            "{label}: {picks} picks for {msgs} messages on {p} ranks, ceiling {ceiling}"
-        );
-    }
+    let msgs: u64 = out.reports.iter().map(|r| r.meter.msgs_sent).sum();
+    let ceiling = 4 * (msgs as usize + 4 * p);
+    assert!(
+        picks <= ceiling,
+        "{label}: {picks} picks for {msgs} messages on {p} ranks, ceiling {ceiling}"
+    );
 
     // Executed, not predicted: P live per-rank reports with real
     // meters and per-phase attribution from the run itself.
@@ -180,7 +173,7 @@ fn scale_point(
         "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} exact={exact} trace={} \
          secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={rss_kb} \
          host_bytes_per_rank={host_bytes_per_rank} picks={picks} \
-         choice_log_bytes={choice_log_bytes} schedule_trace_bytes={schedule_trace_bytes}",
+         choice_log_bytes={choice_log_bytes}",
         grid_arr[0],
         grid_arr[1],
         grid_arr[2],
@@ -202,7 +195,7 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
 }
 
 /// Executed on a `World` with *no* knob set — the canonical schedule
-/// (the smallest runnable rank is picked next), recording on —
+/// (the smallest runnable rank is picked next), no schedule log —
 /// Algorithm 1 verifies and stays under `scale_point`'s pick ceiling in
 /// the 3D regime (P = 64, 384 messages) and the 2D regime (P = 256,
 /// 2 048 messages).
@@ -358,7 +351,7 @@ const DEFAULT_CELL_SEED: u64 = 0x5eed;
 
 /// The benchmark's `alg1_words_2d` program — P = 1024 on the §5.2 grid
 /// [32, 32, 1] of (4096, 4096, 64), Theorem 3's middle case — on the
-/// world `pmm simulate` builds: seeded, schedule recording on.
+/// world `pmm simulate` builds: seeded, no schedule log.
 /// Release-mode cell of `cargo xtask scale-check`.
 #[test]
 #[ignore = "default-world release cell; run via cargo xtask scale-check"]

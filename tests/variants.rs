@@ -202,26 +202,31 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// Fingerprint of `plan` on `p` ranks (α = β = γ = 1, seeded schedule,
-/// traced): hashes of the values (phase labels included), of every
-/// rank's `(meter, clock, memory peak, event count)`, of the schedule
-/// trace and of the Chrome export.
+/// recorded, traced): hashes of the values (phase labels included), of
+/// every rank's `(meter, clock, memory peak, event count)`, of the
+/// rendered `ChoiceLog` and of the Chrome export.
 fn fingerprint(plan: &AlgPlan, dims: MatMulDims, p: usize) -> [u64; 4] {
-    let world = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).with_seed(11).with_trace(true);
+    let world = World::new(p, MachineParams::new(1.0, 1.0, 1.0))
+        .with_seed(11)
+        .with_schedule_recording(true)
+        .with_trace(true);
     let out = run_plan_in(&world, plan, dims);
     let ranks: Vec<_> =
         out.reports.iter().map(|r| (r.meter, r.time, r.peak_mem_words, r.final_stamp)).collect();
     [
         fnv1a(&format!("{:?}", out.values)),
         fnv1a(&format!("{ranks:?}")),
-        fnv1a(&out.schedule_trace.as_ref().expect("seeded").render()),
+        fnv1a(&out.choice_points.as_ref().expect("recorded").render()),
         fnv1a(&out.tracer().expect("traced").chrome_json()),
     ]
 }
 
 /// Assert each of `plans` runs on `p` ranks as the recorded program:
 /// `want` is the [`fingerprint`] recorded while Cannon and streamed
-/// Algorithm 1 still had bodies of their own. A change that moves a
-/// fingerprint on purpose records the new one and says why.
+/// Algorithm 1 still had bodies of their own (its schedule part
+/// re-recorded as the choice-log hash on a tree where the hashes of the
+/// former event log still held). A change that moves a fingerprint on
+/// purpose records the new one and says why.
 fn assert_runs_as_recorded(plans: &[AlgPlan], dims: MatMulDims, p: usize, want: [u64; 4]) {
     for plan in plans {
         let got = fingerprint(plan, dims, p);
@@ -241,11 +246,11 @@ fn streamed_alg1_with_one_slab_is_alg1() {
     #[rustfmt::skip]
     let recorded = [
         ([2, 3, 2], d(24, 12, 18),
-         [0x4fc816d4b90819ff, 0x1fd2a35aac5d52f9, 0x42e91e489d5eb8ac, 0x3f3ea4f5e085ff34]),
+         [0x4fc816d4b90819ff, 0x1fd2a35aac5d52f9, 0x504c8eb6d75bdde5, 0x3f3ea4f5e085ff34]),
         ([2, 2, 3], d(25, 13, 17),
-         [0x12d938e37b77f45a, 0x743184345d710c9a, 0x2a2c21af93f6dff0, 0x819a6ff444602c39]),
+         [0x12d938e37b77f45a, 0x743184345d710c9a, 0xf0ff37bb6bc2eb48, 0x819a6ff444602c39]),
         ([4, 1, 1], d(64, 16, 16),
-         [0x84ad5d2068445b69, 0x583a6607fd169db1, 0x8303e68d6f6908e3, 0x0fdab8a32ae55fa1]),
+         [0x84ad5d2068445b69, 0x583a6607fd169db1, 0xfb1b549a650fd5a0, 0x0fdab8a32ae55fa1]),
     ];
     for (grid, dims, want) in recorded {
         assert_runs_as_recorded(&plans(grid), dims, grid.iter().product(), want);
@@ -260,11 +265,11 @@ fn twofived_with_one_layer_is_cannon() {
     #[rustfmt::skip]
     let recorded = [
         (3, d(24, 12, 18), 9,
-         [0x6d308be7de022481, 0x0b97180d4d3bceb0, 0x0db1e90dbcb784b0, 0x51596a2a95cb80ec]),
+         [0x6d308be7de022481, 0x0b97180d4d3bceb0, 0x607c45a630e251a8, 0x51596a2a95cb80ec]),
         (3, d(25, 13, 17), 9,
-         [0x1482275bddc25374, 0x3751b9dd5555d6ed, 0x99fe33a63718f0c2, 0xb82f2be16e0c18ee]),
+         [0x1482275bddc25374, 0x3751b9dd5555d6ed, 0x607c45a630e251a8, 0xb82f2be16e0c18ee]),
         (2, d(10, 7, 9), 7,
-         [0xbce42bce01823094, 0x004c349eef25bd64, 0xc2d62705be5ddfaf, 0x8d4e9e815fbbc4bc]),
+         [0xbce42bce01823094, 0x004c349eef25bd64, 0x5c888cd437e2603a, 0x8d4e9e815fbbc4bc]),
     ];
     for (q, dims, p, want) in recorded {
         assert_runs_as_recorded(&plans(q), dims, p, want);
@@ -279,11 +284,11 @@ fn the_other_bodies_run_as_recorded() {
     #[rustfmt::skip]
     let recorded = [
         (AlgPlan::TwoFiveD { q: 2, c: 2 }, d(16, 16, 16), 8,
-         [0x1e04551af474528d, 0x147e6d2b5d167191, 0xdb4d0f70ca2e4201, 0x38a2e59a68a7d072]),
+         [0x1e04551af474528d, 0x147e6d2b5d167191, 0xd46bfd0e25500861, 0x38a2e59a68a7d072]),
         (AlgPlan::Summa { pr: 2, pc: 3 }, d(24, 12, 18), 6,
-         [0x4b1f4efd9dc7c6fc, 0xce01025d3d6dd4a1, 0x5131c0507c67623d, 0xd735d8dfdb68de0d]),
+         [0x4b1f4efd9dc7c6fc, 0xce01025d3d6dd4a1, 0x9a93ccfc8e381c72, 0xd735d8dfdb68de0d]),
         (AlgPlan::Carma { p: 8 }, d(16, 16, 16), 8,
-         [0x63bf00e7664fd4e3, 0x59d58bfd75fc1e11, 0xaa8fd6600a001e89, 0x4aabff3496937681]),
+         [0x63bf00e7664fd4e3, 0x59d58bfd75fc1e11, 0x902efb04e84a0fc0, 0x4aabff3496937681]),
     ];
     for (plan, dims, p, want) in recorded {
         assert_runs_as_recorded(&[plan], dims, p, want);

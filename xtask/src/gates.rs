@@ -131,8 +131,8 @@ const FAULT_MATRIX: &[Step] = &[
 /// The `tests/scale.rs` cells in ascending P: the row label the test
 /// prints, the test, and whole GB above its measured `VmHWM` (0.24, 0.24,
 /// 0.16, 0.05, 3.9 and 3.8 GB). The first three are the
-/// default-on cells: the world `pmm simulate` builds (seeded, schedule
-/// recording on) and the unseeded `run_async` default.
+/// default-world cells: the world `pmm simulate` builds (seeded) and the
+/// unseeded `run_async` default.
 const SCALE_CELLS: &[Step] = &[
     step("p1k-default", "alg1_executes_on_the_default_seeded_world_at_p_1024", 1),
     step("p1k-unseeded", "alg1_executes_on_the_default_unseeded_world_at_p_1024_under_1_gb", 1),
@@ -292,9 +292,9 @@ pub static GATES: &[Gate] = &[
         help: "tests/scale.rs (release, event loop), one process per cell in\n\
                ascending P so a spent budget or short memory drops the biggest\n\
                cells first (a skipped cell's committed row is carried over):\n\
-               Algorithm 1 end-to-end on default worlds (schedule recording on)\n\
-               at P = 1024 and 4096, then with recording off at P = 10^4, 10^5\n\
-               and 10^6 (~5 GB), with exact per-rank per-phase eq. (3)\n\
+               Algorithm 1 end-to-end on the seeded and unseeded default\n\
+               worlds at P = 1024 and 4096, then at P = 10^4, 10^5 and 10^6\n\
+               (~5 GB), with exact per-rank per-phase eq. (3)\n\
                attribution on integral section-5.2 grids and the happens-before\n\
                audit on in every cell (each rank's exported event count must\n\
                equal msgs_sent + msgs_recv)",
@@ -423,8 +423,8 @@ pub static GATES: &[Gate] = &[
                crates/bench/src/experiments): standard output held byte for byte\n\
                to results/<name>.txt, which is rewritten either way; fails on a\n\
                failed self-check or a differing line, naming the file and the\n\
-               line; strong_scaling (P = 262 144 executed, 4.1 GB) is skipped and\n\
-               its file left alone when MemAvailable is under 5 GB",
+               line; strong_scaling (P = 262 144 executed, 1.3 GB) is skipped and\n\
+               its file left alone when MemAvailable is under 2 GB",
         run: Run::Fn(crate::experiments),
         ..GATE
     },

@@ -301,8 +301,8 @@ fn mem_available_gb() -> Option<u64> {
 
 /// Whole GB above the measured peak RSS of the experiments that need more
 /// than a CI runner always has: `strong_scaling`'s P = 262 144 row peaks
-/// at 4.1 GB on the default (recording) world.
-const EXPERIMENT_NEED_GB: &[(&str, u64)] = &[("strong_scaling", 5)];
+/// at 1.3 GB.
+const EXPERIMENT_NEED_GB: &[(&str, u64)] = &[("strong_scaling", 2)];
 
 /// The text-artifact gate: every name `pmm experiment --list` prints is
 /// run (release) and its standard output held byte for byte to
