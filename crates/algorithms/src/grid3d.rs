@@ -47,10 +47,10 @@
 
 use std::future::Future;
 
-use pmm_collectives::{all_to_all_a, reduce_scatter_v_a, Counts, ReduceScatterAlgo};
+use pmm_collectives::{reduce_scatter_a, ReduceScatterAlgo};
 
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
-use pmm_model::{Grid3, MatMulDims};
+use pmm_model::{alg1_price, AlgPlan, Grid3, MatMulDims, Traffic};
 use pmm_simnet::{poll_now, Comm, Meter, Rank};
 
 use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
@@ -97,6 +97,49 @@ pub struct Alg1Output {
     /// Traffic per phase: `[All-Gather A, All-Gather B, assemble C]`, the
     /// two gathers summed over the slabs of a streamed run.
     pub phases: [PhaseMeter; 3],
+}
+
+/// The labels of Algorithm 1's three phases, in [`Alg1Output::phases`]
+/// order: the phase scopes a traced run records.
+pub const ALG1_PHASES: [&str; 3] = ["all-gather A", "all-gather B", "reduce-scatter C"];
+
+impl Alg1Output {
+    /// Each phase's metered goodput, in [`Alg1Output::phases`] order: what
+    /// [`alg1_price`] prices.
+    pub fn traffic(&self) -> [Traffic; 3] {
+        self.phases.each_ref().map(|phase| phase.meter.traffic())
+    }
+}
+
+/// Hold an Algorithm 1 run of `plan` (plain or streamed) to its integer
+/// price, rank by rank and phase by phase, on any layout. `outputs`
+/// yields each rank's index in the communicator the plan ran on with its
+/// output. The error names the first rank and phase whose words sent,
+/// words received or messages differ from [`alg1_price`].
+///
+/// Panics if `plan` is not an Algorithm 1 plan.
+pub fn check_alg1_price<'a>(
+    dims: MatMulDims,
+    plan: &AlgPlan,
+    outputs: impl IntoIterator<Item = (usize, &'a Alg1Output)>,
+) -> Result<(), String> {
+    let (grid, slabs) = match *plan {
+        AlgPlan::Alg1 { grid } => (grid, 1),
+        AlgPlan::Alg1Streamed { grid, slabs } => (grid, slabs),
+        _ => panic!("{plan} is not an Algorithm 1 plan"),
+    };
+    for (rank, out) in outputs {
+        let price = alg1_price(dims, grid, slabs, rank);
+        for ((phase, metered), price) in out.phases.iter().zip(out.traffic()).zip(price) {
+            if metered != price {
+                let label = phase.label;
+                return Err(format!(
+                    "rank {rank} phase '{label}': metered {metered:?}, priced {price:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Extract the chunk of `A` owned initially by the processor at `coord`:
@@ -218,14 +261,14 @@ pub fn alg1_on_a<'a>(
             // A one-member fiber (p3 = 1, every 1D and 2D grid of §5.2) moves
             // nothing, and the slab is multiplied where it lies in `a`.
             rank.mem_acquire(a_words as u64);
-            let probe = PhaseProbe::begin(rank, "all-gather A");
+            let probe = PhaseProbe::begin(rank, ALG1_PHASES[0]);
             let a_op = gather_block(rank, &comms[2], slab_of(&a_blk, &b_blk, slabs, s).0, a).await;
             meter_a += probe.finish(rank).meter;
 
             // ----- line 4: All-Gather B over fiber (:, p2', p3') ---------------
             // Read in place when p1 = 1.
             rank.mem_acquire(b_words as u64);
-            let probe = PhaseProbe::begin(rank, "all-gather B");
+            let probe = PhaseProbe::begin(rank, ALG1_PHASES[1]);
             let b_op = gather_block(rank, &comms[0], slab_of(&a_blk, &b_blk, slabs, s).1, b).await;
             meter_b += probe.finish(rank).meter;
 
@@ -251,15 +294,9 @@ pub fn alg1_on_a<'a>(
         let d = d.expect("at least one slab");
         let (c_chunk, ph_c) = match cfg.assembly {
             Assembly::ReduceScatter => {
-                let probe = PhaseProbe::begin(rank, "reduce-scatter C");
-                let c = reduce_scatter_v_a(
-                    rank,
-                    &comms[1],
-                    d.into_vec(),
-                    Counts::Even(c_block_words),
-                    ReduceScatterAlgo::Auto,
-                )
-                .await;
+                let probe = PhaseProbe::begin(rank, ALG1_PHASES[2]);
+                let c =
+                    reduce_scatter_a(rank, &comms[1], d.into_vec(), ReduceScatterAlgo::Auto).await;
                 (c, probe.finish(rank))
             }
             Assembly::AllToAllSum => {
@@ -275,8 +312,8 @@ pub fn alg1_on_a<'a>(
         rank.mem_release(held + c_block_words as u64);
 
         let phases = [
-            PhaseMeter { label: "all-gather A", meter: meter_a },
-            PhaseMeter { label: "all-gather B", meter: meter_b },
+            PhaseMeter { label: ALG1_PHASES[0], meter: meter_a },
+            PhaseMeter { label: ALG1_PHASES[1], meter: meter_b },
             ph_c,
         ];
         Alg1Output { c_chunk, phases }
@@ -296,9 +333,8 @@ fn slab_of(a_blk: &Block2, b_blk: &Block2, slabs: usize, s: usize) -> (Block2, B
 
 /// Reduce-scatter semantics via All-to-All + local summation (the
 /// [`Assembly::AllToAllSum`] ablation): member `t` ends with the sum of
-/// everyone's chunk `chunk_of_block(data.len(), p, t)`. When `p` does not
-/// divide `data.len()` (or the chunks are empty) it falls back to
-/// per-destination sends of the exact segments.
+/// everyone's chunk `chunk_of_block(data.len(), p, t)`, exchanged pairwise
+/// (`p − 1` rounds), on any split.
 async fn all_to_all_sum(rank: &mut Rank, comm: &pmm_simnet::Comm, data: &[f64]) -> Vec<f64> {
     let p = comm.size();
     let me = comm.index();
@@ -306,31 +342,15 @@ async fn all_to_all_sum(rank: &mut Rank, comm: &pmm_simnet::Comm, data: &[f64]) 
     let mut acc: Vec<f64> = data[chunk(me)].to_vec();
     // Temporary memory for the p−1 received chunks (the ablation's cost).
     rank.mem_acquire((data.len() - acc.len()) as u64);
-    let uniform = data.len() / p;
-    if data.len().is_multiple_of(p) && uniform > 0 {
-        let recv = all_to_all_a(rank, comm, data).await;
-        for src in 0..p {
-            if src == me {
-                continue;
-            }
-            let seg = &recv[src * uniform..(src + 1) * uniform];
-            for (a, &s) in acc.iter_mut().zip(seg) {
-                *a += s;
-            }
-            rank.compute(uniform as f64);
+    for s in 1..p {
+        let to = (me + s) % p;
+        let from = (me + p - s) % p;
+        let msg = rank.exchange_a(comm, to, from, &data[chunk(to)]).await;
+        assert_eq!(msg.payload.len(), acc.len());
+        for (a, &v) in acc.iter_mut().zip(&msg.payload) {
+            *a += v;
         }
-    } else {
-        // Uneven segments: pairwise exchange of exact segments.
-        for s in 1..p {
-            let to = (me + s) % p;
-            let from = (me + p - s) % p;
-            let msg = rank.exchange_a(comm, to, from, &data[chunk(to)]).await;
-            assert_eq!(msg.payload.len(), acc.len());
-            for (a, &v) in acc.iter_mut().zip(&msg.payload) {
-                *a += v;
-            }
-            rank.compute(acc.len() as f64);
-        }
+        rank.compute(acc.len() as f64);
     }
     rank.mem_release((data.len() - acc.len()) as u64);
     acc
@@ -357,7 +377,7 @@ pub fn assemble_c(dims: MatMulDims, grid: Grid3, chunks: &[Vec<f64>]) -> Matrix 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmm_core::gridopt::{alg1_cost_words, best_grid};
+    use pmm_core::gridopt::best_grid;
     use pmm_core::theorem3::lower_bound;
     use pmm_dense::{gemm as serial_gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
@@ -448,22 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_cost_equals_eq3_exactly_on_divisible_grids() {
-        // The §5.1 analysis: per-processor critical-path words == eq. (3).
-        let dims = MatMulDims::new(24, 12, 8);
-        for grid in [[2, 2, 2], [4, 3, 1], [2, 3, 4], [1, 2, 2], [6, 1, 2]] {
-            let (_, out) = run(dims, grid, Assembly::ReduceScatter);
-            let want = alg1_cost_words(dims, grid);
-            let got = out.critical_path_time();
-            assert!((got - want).abs() < 1e-9, "grid {grid:?}: measured {got} vs eq3 {want}");
-            // And every rank moves the same volume (balanced schedule).
-            for r in &out.reports {
-                assert_eq!(r.meter.duplex_words() as f64, want, "grid {grid:?}");
-            }
-        }
-    }
-
-    #[test]
     fn attains_lower_bound_exactly_with_optimal_grid() {
         // Tightness (the paper's headline): measured == Theorem 3 bound in
         // all three cases, on instances where both the blocks and the
@@ -482,34 +486,6 @@ mod tests {
                 "P={p} ({want_case}): measured {got} vs bound {bound}"
             );
         }
-    }
-
-    #[test]
-    fn phase_traffic_matches_per_matrix_pattern() {
-        // Fig. 2 narrative: on a 1D grid only B is communicated; on the
-        // 12×3×1-style 2D grid only B and C; on 3D all three.
-        let dims = MatMulDims::new(96, 24, 6);
-        let phase_words = |grid: [usize; 3]| -> [u64; 3] {
-            let (_, out) = run(dims, grid, Assembly::ReduceScatter);
-            let mut w = [0u64; 3];
-            for rep in &out.values {
-                for (i, ph) in rep.phases.iter().enumerate() {
-                    w[i] += ph.meter.words_sent;
-                }
-            }
-            w
-        };
-        let w1 = phase_words([3, 1, 1]);
-        assert_eq!(w1[0], 0, "1D: A not communicated");
-        assert!(w1[1] > 0, "1D: B all-gathered");
-        assert_eq!(w1[2], 0, "1D: C not communicated");
-
-        let w2 = phase_words([12, 3, 1]);
-        assert_eq!(w2[0], 0, "2D (r=1): A not communicated");
-        assert!(w2[1] > 0 && w2[2] > 0, "2D: B and C communicated");
-
-        let w3 = phase_words([4, 2, 2]);
-        assert!(w3.iter().all(|&x| x > 0), "3D: all matrices communicated");
     }
 
     #[test]

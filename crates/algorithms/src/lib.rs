@@ -54,7 +54,10 @@ pub mod twofived;
 
 pub use cannon::{cannon, CannonConfig, CannonOutput};
 pub use common::{assemble_from_blocks, fiber_comms_a, fiber_comms_on_a, PhaseMeter, PhaseProbe};
-pub use grid3d::{alg1, alg1_a, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
+pub use grid3d::{
+    alg1, alg1_a, alg1_on_a, assemble_c, check_alg1_price, Alg1Config, Alg1Output, Assembly,
+    ALG1_PHASES,
+};
 pub use recovery::{
     assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };

@@ -76,6 +76,18 @@ pub enum CShare {
     Flat(Option<Vec<f64>>),
 }
 
+impl CShare {
+    /// The Algorithm 1 output (chunk and per-phase meters) of one rank of
+    /// an [`AlgPlan::Alg1`] / [`AlgPlan::Alg1Streamed`] run; panics on
+    /// another algorithm's share.
+    pub fn alg1(&self) -> &Alg1Output {
+        match self {
+            CShare::Chunk(out) => out,
+            other => panic!("expected an Algorithm 1 chunk, got {other:?}"),
+        }
+    }
+}
+
 /// Result of a successful [`run_recoverable_a`] call on one survivor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {

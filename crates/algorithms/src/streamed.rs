@@ -109,24 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_plain_alg1_bandwidth_on_divisible_instances() {
-        // Streamed with divisible slabs moves exactly the same words as
-        // plain Algorithm 1 (different distribution, same traffic).
-        let dims = MatMulDims::new(24, 24, 24);
-        let grid = [2usize, 2, 2];
-        let (_, streamed) = run(dims, grid, 3);
-
-        let (a, b) = (random_int_matrix(24, 24, -3..4, 71), random_int_matrix(24, 24, -3..4, 72));
-        let (_, plain) = run_on_world(&AlgPlan::Alg1 { grid }, dims, a, b);
-        for r in 0..8 {
-            assert_eq!(
-                streamed.reports[r].meter.words_sent, plain.reports[r].meter.words_sent,
-                "rank {r}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "global inputs disagree with dims")]
     fn rejects_global_inputs_of_other_dims() {
         // 12 × 8 under dims that say 8 × 12: same word count, another

@@ -1,10 +1,12 @@
 //! Property-based tests for the distributed algorithms: Algorithm 1
-//! computes the right product and meters exactly eq. (3) across random
-//! dimensions and random grids (divisible or not), and Cannon/SUMMA agree
-//! on random instances.
+//! computes the right product and meters exactly its integer eq. (3)
+//! price across random dimensions and random grids (divisible or not),
+//! and Cannon/SUMMA agree on random instances.
 
-use pmm_algs::{alg1_a, assemble_c, assemble_recovered, run_plan_a, Alg1Config, Assembly};
-use pmm_core::gridopt::alg1_cost_words;
+use pmm_algs::{
+    alg1_a, assemble_c, assemble_recovered, check_alg1_price, run_plan_a, Alg1Config, Assembly,
+    CShare,
+};
 use pmm_dense::{gemm, random_int_matrix, Kernel};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{MachineParams, World};
@@ -41,39 +43,31 @@ proptest! {
     }
 
     #[test]
-    fn alg1_meters_eq3_exactly_when_divisible(
-        b1 in 1u64..5, b2 in 1u64..5, b3 in 1u64..5, // block edges
-        p1 in 1usize..4, p2 in 1usize..4, p3 in 1usize..4,
-        chunk_mult in 1u64..3,
+    fn alg1_meters_its_price_on_every_rank_of_any_layout(
+        n1 in 1u64..24, n2 in 1u64..24, n3 in 1u64..24,
+        p1 in 1usize..5, p2 in 1usize..5, p3 in 1usize..5,
+        slabs in 1usize..5,
     ) {
-        // Construct dims so blocks AND fiber chunks divide evenly:
-        // n_i = p_i · b_i · (chunk_mult · lcm-ish slack via P).
-        let pall = (p1 * p2 * p3) as u64;
-        let dims = MatMulDims::new(
-            p1 as u64 * b1 * pall * chunk_mult,
-            p2 as u64 * b2 * pall,
-            p3 as u64 * b3 * pall,
-        );
-        let grid = [p1, p2, p3];
-        prop_assume!(dims.divisible_by(grid));
-        let g = Grid3::from_dims(grid);
-        let cfg = Alg1Config::new(dims, g);
-        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        prop_assume!(n1 * n2 * n3 <= 200_000); // keep local gemm cheap
+        // Ragged dimensions, blocks and fiber chunks, empty ones included:
+        // every rank's per-phase words and messages are its integer price,
+        // plain and streamed.
+        let (dims, grid) = (MatMulDims::new(n1, n2, n3), [p1, p2, p3]);
         let ab = Arc::new((
-            random_int_matrix(n1, n2, -1..2, 1),
-            random_int_matrix(n2, n3, -1..2, 2),
+            random_int_matrix(n1 as usize, n2 as usize, -1..2, 1),
+            random_int_matrix(n2 as usize, n3 as usize, -1..2, 2),
         ));
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move {
-                alg1_a(rank, &cfg, &ab.0, &ab.1).await;
-                rank.time()
-            })
-        });
-        let want = alg1_cost_words(dims, grid);
-        for (r, &t) in out.values.iter().enumerate() {
-            prop_assert!((t - want).abs() < 1e-6, "rank {r}: {t} vs eq3 {want}");
+        for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs }] {
+            let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
+            let out = world.run_async(|rank| {
+                let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+                })
+            });
+            let outputs = out.values.iter().map(CShare::alg1).enumerate();
+            let checked = check_alg1_price(dims, &plan, outputs);
+            prop_assert!(checked.is_ok(), "{} on {}: {:?}", plan, dims, checked);
         }
     }
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::measure::{alg1_output, Inputs};
+use crate::measure::Inputs;
 use crate::{print_table, Checks};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::TraceOp;
@@ -30,7 +30,7 @@ pub fn run(checks: &mut Checks) {
     // ---- owned vs gathered data sizes (dark vs light shading) -------------
     let block = n / 3 * n / 3; // 6x6 = 36 words per face block
     let chunk = block / 3; // spread over the 3-processor fiber
-    let phases = &alg1_output(&out.values[hero]).phases;
+    let phases = &out.values[hero].alg1().phases;
     let rows: Vec<Vec<String>> = ["A (block A_13)", "B (block B_31)", "C (block C_11)"]
         .iter()
         .zip(phases)

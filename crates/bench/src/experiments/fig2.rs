@@ -8,7 +8,7 @@
 //! instance with identical aspect ratios (768×192×48 — same thresholds,
 //! same grids), confirming the per-matrix traffic the figure describes.
 
-use crate::measure::{alg1_output, Inputs};
+use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
@@ -94,7 +94,7 @@ pub fn run(checks: &mut Checks) {
         // Traffic attributed per phase, max over ranks (balanced anyway).
         let mut per_phase = [0u64; 3];
         for v in &out.values {
-            for (i, ph) in alg1_output(v).phases.iter().enumerate() {
+            for (i, ph) in v.alg1().phases.iter().enumerate() {
                 per_phase[i] = per_phase[i].max(ph.meter.duplex_words());
             }
         }

@@ -7,9 +7,10 @@
 //! from the event trace — measured words vs the eq. (3) prediction vs
 //! that phase's share of the critical path — and checks that:
 //!
-//! * every phase's measured words equal its eq. (3) term exactly (the
-//!   §5.2 optimal grids of this instance divide the dimensions at all
-//!   three `P`, so the attribution has no slack);
+//! * every rank's measured words and messages in every phase equal its
+//!   integer price (`pmm_model::alg1_price`), which on these grids is
+//!   the eq. (3) term (the §5.2 optimal grids of this instance divide
+//!   the dimensions at all three `P`);
 //! * the phases that eq. (3) says are free really move zero words (the
 //!   1D grid touches only `B`; the 2D grid also leaves `A` resident);
 //! * the critical path recovered from the trace equals the simulator's
@@ -19,7 +20,7 @@ use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_model::{alg1_prediction, AlgPlan, Grid3, MatMulDims};
+use pmm_model::{alg1_prediction, alg1_price, AlgPlan, Grid3, MatMulDims};
 
 pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(768, 192, 48);
@@ -60,7 +61,8 @@ pub fn run(checks: &mut Checks) {
             .collect();
         print_table(&["phase", "eq.(3)", "measured w/rank", "critical-path share"], &rows);
 
-        let attribution = tracer.attribution(&expected);
+        let attribution =
+            tracer.attribution(expected.map(|(label, _)| label), |r| alg1_price(dims, grid, 1, r));
         checks.check(format!("P={p}: every phase matches eq. (3) exactly"), attribution.matches());
         for (label, want) in expected {
             if want == 0.0 {

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pmm_algs::{assemble_recovered, run_plan_a, Alg1Output, CShare};
+use pmm_algs::{assemble_recovered, run_plan_a, CShare};
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
 use pmm_model::{AlgPlan, MachineParams, MatMulDims};
 use pmm_simnet::{World, WorldResult};
@@ -81,15 +81,6 @@ impl Inputs {
         let out = self.run(&world, plan, Kernel::default());
         assert!(self.product_is_correct(plan, &out), "{plan:?} on {}: wrong product", self.dims);
         out
-    }
-}
-
-/// The Algorithm 1 output (chunk and per-phase meters) of one rank of an
-/// [`AlgPlan::Alg1`] / [`AlgPlan::Alg1Streamed`] run.
-pub fn alg1_output(share: &CShare) -> &Alg1Output {
-    match share {
-        CShare::Chunk(out) => out,
-        other => panic!("expected an Algorithm 1 chunk, got {other:?}"),
     }
 }
 

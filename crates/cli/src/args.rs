@@ -96,8 +96,21 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// Parse `AxBxC` into a dimension triple.
+/// Parse `AxBxC` into a dimension triple, or `(AxB)·(BxC)`, the form in
+/// which `MatMulDims` displays itself (and `pmm` prints it).
 pub fn parse_dims(s: &str) -> Result<MatMulDims, ParseError> {
+    if let Some((a, b)) = s.split_once('·') {
+        fn pair(m: &str) -> Option<(&str, &str)> {
+            m.strip_prefix('(')?.strip_suffix(')')?.split_once(['x', 'X'])
+        }
+        let ((n1, n2), (inner, n3)) = pair(a)
+            .zip(pair(b))
+            .ok_or_else(|| err(format!("--dims expects N1xN2xN3 or (N1xN2)·(N2xN3), got '{s}'")))?;
+        if n2 != inner {
+            return Err(err(format!("--dims '{s}': inner dimensions {n2} and {inner} differ")));
+        }
+        return parse_dims(&format!("{n1}x{n2}x{n3}"));
+    }
     let parts: Vec<&str> = s.split(['x', 'X']).collect();
     if parts.len() != 3 {
         return Err(err(format!("--dims expects N1xN2xN3, got '{s}'")));
@@ -461,8 +474,9 @@ USAGE:
                [--faults SPEC]
       Run Algorithm 1 on the simulated machine (ranks are continuations
       on a single-threaded event loop, so P up to 10^5-10^6 executes for
-      real), verify the product, and report measured communication vs
-      the bound. --faults injects seeded message faults and rank
+      real), verify the product and every rank's per-phase words and
+      messages against its integer eq. (3) price, and report measured
+      communication vs the bound. --faults injects seeded message faults and rank
       failures (recovered by checkpointed re-planning onto the optimal
       grid of the survivors);
       SPEC is comma-separated key=value pairs: drop/dup/corrupt/delay
@@ -475,12 +489,12 @@ USAGE:
       storm=RATExFACTOR (straggler storm: a RATE fraction of messages
       slowed by FACTOR), slow=RANKxFACTOR — e.g.
       --faults drop=0.05,kill=2@5,cascade=7@1,part=0+1@2..30#2,seed=0xFA.
-      Exits nonzero if the product is wrong or a failure is not
-      recovered.
+      Exits nonzero if the product or a rank's price is wrong, or a
+      failure is not recovered.
   pmm trace    --dims N1xN2xN3 --procs P [--grid AxBxC] [--seed S]
                [--out FILE]
       Run Algorithm 1 with structured tracing on: report the per-phase
-      cost attribution against the eq. (3) prediction, the critical-path
+      cost attribution against each rank's eq. (3) price, the critical-path
       breakdown, and a compact text trace. --out writes the full event
       trace as Chrome trace_event JSON (load in Perfetto or
       chrome://tracing). Exits nonzero if the product is wrong.
@@ -516,9 +530,34 @@ USAGE:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmm_model::Grid3;
+    use proptest::prelude::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    proptest! {
+        // What `pmm` prints, it reads back: dimensions in their own
+        // `Display` form and as `N1xN2xN3`, and grids. (Generated fault
+        // plans round-trip in `tests/fault_tolerance.rs`.)
+        #[test]
+        fn dims_display_round_trips_through_parse_dims(
+            n1 in 1u64..1_000_000, n2 in 1u64..1_000_000, n3 in 1u64..1_000_000,
+        ) {
+            let dims = MatMulDims::new(n1, n2, n3);
+            prop_assert_eq!(parse_dims(&dims.to_string()).ok(), Some(dims));
+            prop_assert_eq!(parse_dims(&format!("{n1}x{n2}x{n3}")).ok(), Some(dims));
+            prop_assert!(parse_dims(&format!("({n1}x{n2})·({}x{n3})", n2 + 1)).is_err());
+        }
+
+        #[test]
+        fn grid_display_round_trips_through_parse_grid(
+            p1 in 1usize..10_000, p2 in 1usize..10_000, p3 in 1usize..10_000,
+        ) {
+            let grid = Grid3::new(p1, p2, p3);
+            prop_assert_eq!(parse_grid(&grid.to_string()).ok(), Some(grid.dims()));
+        }
     }
 
     #[test]
@@ -575,6 +614,10 @@ mod tests {
                 assert_eq!(plan.seed, Some(0xFA));
                 assert_eq!(plan.kills.len(), 1);
                 assert_eq!((plan.kills[0].rank, plan.kills[0].at_op), (4, 5));
+                // The plan line `simulate` prints reads back as the plan.
+                let again = format!("simulate --dims 24x24x24 --procs 9 --faults {plan}");
+                let again = parse_args(&argv(&again)).unwrap();
+                assert!(matches!(again, Command::Simulate { faults: Some(p), .. } if p == plan));
             }
             other => panic!("wrong parse: {other:?}"),
         }

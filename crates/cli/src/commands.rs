@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pmm_algs::{assemble_recovered, run_recoverable_a, CShare};
+use pmm_algs::{assemble_recovered, check_alg1_price, run_recoverable_a, CShare, ALG1_PHASES};
 use pmm_bench::calibrate::calibrate as run_probes;
 use pmm_bench::measure::Inputs;
 use pmm_core::advisor::recommend;
@@ -12,7 +12,7 @@ use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
 use pmm_dense::Kernel;
-use pmm_model::{alg1_prediction, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims};
+use pmm_model::{alg1_price, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, FaultPlan, HostMem, World, WorldResult};
 
@@ -171,6 +171,7 @@ fn simulate_clean(
     let schedule = schedule_line(sched_seed, &out, host_before);
     let correct = inputs.product_is_correct(&plan, &out);
 
+    let priced = check_alg1_price(dims, &plan, out.values.iter().map(CShare::alg1).enumerate());
     let measured = out.critical_path_time();
     let predicted = alg1_cost_words(dims, grid);
     let bound = lower_bound(dims, procs as f64).bound;
@@ -178,11 +179,15 @@ fn simulate_clean(
     let _ = writeln!(s, "simulated {dims} on grid {g} ({procs} ranks, seed {seed})");
     let _ = writeln!(s, "{schedule}");
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
+    let _ = match &priced {
+        Ok(()) => writeln!(s, "per rank     : every rank's phases match the integer price ✓"),
+        Err(mismatch) => writeln!(s, "per rank     : DIVERGES at {mismatch} ✗"),
+    };
     let _ = writeln!(s, "measured     : {measured:.3} words/processor (critical path)");
     let _ = writeln!(s, "eq.(3) model : {predicted:.3}");
     let _ = writeln!(s, "lower bound  : {bound:.3}");
     let _ = writeln!(s, "peak memory  : {} words/rank (max)", out.max_peak_mem_words());
-    (s, u8::from(!correct))
+    (s, u8::from(!correct || priced.is_err()))
 }
 
 /// The schedule summary line of `pmm simulate` / `pmm trace`: the replay
@@ -315,12 +320,7 @@ pub fn trace(
     let correct = inputs.product_is_correct(&plan, &out);
 
     let tracer = out.tracer().expect("tracing was enabled");
-    let pred = alg1_prediction(dims, grid);
-    let attribution = tracer.attribution(&[
-        ("all-gather A", pred.allgather_a),
-        ("all-gather B", pred.allgather_b),
-        ("reduce-scatter C", pred.reduce_c),
-    ]);
+    let attribution = tracer.attribution(ALG1_PHASES, |r| alg1_price(dims, grid, 1, r));
     let bound = lower_bound(dims, procs as f64).bound;
     let cp = tracer.critical_path();
 
@@ -331,7 +331,7 @@ pub fn trace(
     let _ = writeln!(s);
     let _ = write!(s, "{}", tracer.render_text());
     let _ = writeln!(s);
-    let _ = writeln!(s, "per-phase attribution vs eq. (3):");
+    let _ = writeln!(s, "per-phase attribution vs eq. (3), priced per rank:");
     let _ = write!(s, "{attribution}");
     let _ = writeln!(s);
     let _ = writeln!(s, "critical path: {:.3} words (lower bound {bound:.3})", cp.total);

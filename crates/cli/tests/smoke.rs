@@ -91,6 +91,26 @@ fn simulate_verified_product_exits_zero() {
 }
 
 #[test]
+fn simulate_and_trace_price_every_rank_exactly_on_ragged_layouts() {
+    // A grid that does not divide 13 × 7 × 11, and a grid that divides
+    // 10 × 4 × 9 but splits the A and C blocks unevenly over their fibers.
+    // `trace` printed `DIVERGES (8 rank(s))` on every phase of the first
+    // while the run was correct: it held each rank to eq. (3)'s fraction.
+    for (dims, procs, grid) in [("13x7x11", "8", "2x2x2"), ("10x4x9", "12", "2x2x3")] {
+        let args = ["--dims", dims, "--procs", procs, "--grid", grid];
+        let out = pmm(&[&["trace"][..], &args].concat());
+        let text = stdout(&out);
+        assert!(out.status.success(), "trace {grid}: exit {:?}\n{text}", out.status);
+        assert!(text.contains("all phases match the prediction exactly"), "{text}");
+        assert!(!text.contains("DIVERGES"), "{text}");
+        let out = pmm(&[&["simulate"][..], &args].concat());
+        let text = stdout(&out);
+        assert!(out.status.success(), "simulate {grid}: exit {:?}\n{text}", out.status);
+        assert!(text.contains("every rank's phases match the integer price ✓"), "{text}");
+    }
+}
+
+#[test]
 fn simulate_with_faults_recovers_and_exits_zero() {
     let out = pmm(&[
         "simulate",

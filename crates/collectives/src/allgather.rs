@@ -256,47 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_matches_cost_model_ring() {
-        let (p, w) = (6usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                let mine = vec![1.0; w];
-                all_gather_a(rank, &comm, &mine, AllGatherAlgo::Ring).await;
-                rank.time()
-            })
-        });
-        let model = collective::all_gather_cost(AllGatherAlgo::Ring, p, w);
-        // words moved per rank: (p-1) * w, both directions; duplex clock = (p-1)*w
-        for r in 0..p {
-            assert_eq!(out.reports[r].meter.words_sent, ((p - 1) * w) as u64);
-            assert_eq!(out.reports[r].meter.words_recv, ((p - 1) * w) as u64);
-            assert_eq!(out.values[r], model.words);
-        }
-        assert_eq!(model.words, ((p - 1) * w) as f64);
-    }
-
-    #[test]
-    fn bandwidth_matches_cost_model_recursive_doubling() {
-        let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                let mine = vec![1.0; w];
-                all_gather_a(rank, &comm, &mine, AllGatherAlgo::RecursiveDoubling).await;
-                rank.time()
-            })
-        });
-        let model = collective::all_gather_cost(AllGatherAlgo::RecursiveDoubling, p, w);
-        for r in 0..p {
-            assert_eq!(out.values[r], model.words, "clock vs model at rank {r}");
-            assert_eq!(out.reports[r].meter.words_sent, model.words as u64);
-        }
-        // (1 - 1/p) * W where W = p*w
-        assert_eq!(model.words, ((p - 1) * w) as f64);
-    }
-
-    #[test]
     fn latency_matches_cost_model() {
         let params = MachineParams::new(1.0, 0.0, 0.0); // count messages only
         for (algo, p) in [(AllGatherAlgo::Ring, 6), (AllGatherAlgo::RecursiveDoubling, 8)] {

@@ -10,7 +10,7 @@ use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::all_gather_v_a;
 use crate::counts::Counts;
-use crate::reduce_scatter::reduce_scatter_v_a;
+use crate::reduce_scatter::reduce_scatter_a;
 
 /// Sum-reduce `data` across the communicator; every rank returns the full
 /// element-wise sum. A `Vec` handed over becomes the reduction's
@@ -33,9 +33,9 @@ pub fn all_reduce_a<'r, 'd: 'r>(
         if p == 1 {
             return data.into_owned();
         }
-        let counts = Counts::Even(data.len());
-        let seg = reduce_scatter_v_a(rank, comm, data, counts, ReduceScatterAlgo::Auto).await;
-        all_gather_v_a(rank, comm, seg, counts, AllGatherAlgo::Auto).await
+        let total = data.len();
+        let seg = reduce_scatter_a(rank, comm, data, ReduceScatterAlgo::Auto).await;
+        all_gather_v_a(rank, comm, seg, Counts::Even(total), AllGatherAlgo::Auto).await
     }
 }
 

@@ -21,8 +21,9 @@ use pmm_simnet::{CollectiveOp, Comm, Rank};
 use crate::counts::{Counts, Layout};
 use crate::util::axpy1;
 
-/// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
-/// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
+/// Reduce-Scatter of `data` split evenly over the members
+/// (`Counts::Even(data.len())`, any length): rank `i` receives the sum of
+/// everyone's `i`-th chunk.
 #[track_caller]
 pub fn reduce_scatter_a<'r, 'd: 'r>(
     rank: &'r mut Rank,
@@ -30,18 +31,9 @@ pub fn reduce_scatter_a<'r, 'd: 'r>(
     data: impl Into<Cow<'d, [f64]>>,
     algo: ReduceScatterAlgo,
 ) -> impl Future<Output = Vec<f64>> + 'r {
-    let site = Location::caller();
     let data = data.into();
-    async move {
-        let p = comm.size();
-        assert!(
-            data.len().is_multiple_of(p),
-            "reduce_scatter data length {} not divisible by communicator size {p}",
-            data.len()
-        );
-        let lay = Layout::new(Counts::Even(data.len()), p);
-        reduce_scatter_v_at(rank, comm, data, lay, algo, site).await
-    }
+    let lay = Layout::new(Counts::Even(data.len()), comm.size());
+    reduce_scatter_v_at(rank, comm, data, lay, algo, Location::caller())
 }
 
 /// Reduce-Scatter with per-rank segment sizes (`MPI_Reduce_scatter`).
@@ -255,33 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_flops_match_cost_model() {
-        for (algo, p) in
-            [(ReduceScatterAlgo::Ring, 6usize), (ReduceScatterAlgo::RecursiveHalving, 8)]
-        {
-            let w = 4usize; // words per segment
-            let total = p * w;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-                Box::pin(async move {
-                    let comm = rank.world_comm();
-                    let data = vec![1.0; total];
-                    reduce_scatter_a(rank, &comm, &data, algo).await;
-                    rank.time()
-                })
-            });
-            let model = collective::reduce_scatter_cost(algo, p, w);
-            for r in 0..p {
-                assert_eq!(out.values[r], model.words, "{algo:?} clock at rank {r}");
-                assert_eq!(out.reports[r].meter.words_sent, model.words as u64);
-                assert_eq!(out.reports[r].meter.flops, model.flops, "{algo:?} flops");
-            }
-            // (1 - 1/p)·W with W = p·w
-            assert_eq!(model.words, ((p - 1) * w) as f64);
-            assert_eq!(model.flops, ((p - 1) * w) as f64);
-        }
-    }
-
-    #[test]
     fn latency_matches_cost_model() {
         let params = MachineParams::new(1.0, 0.0, 0.0);
         for (algo, p, want) in
@@ -321,16 +286,5 @@ mod tests {
         for v in &out.values {
             assert_eq!(v, &want);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn uniform_requires_divisible_length() {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                reduce_scatter_a(rank, &comm, &[1.0; 4], ReduceScatterAlgo::Ring).await;
-            })
-        });
     }
 }

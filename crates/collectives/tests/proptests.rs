@@ -306,48 +306,63 @@ proptest! {
     }
 
     #[test]
-    fn measured_equals_cost_model_for_all_collectives(
-        p in 2usize..10,
-        w in 1usize..24,
+    fn every_member_moves_the_model_member_traffic_on_any_even_split(
+        p in 1usize..10,
+        total in 0usize..30,
     ) {
-        use pmm_collectives::{all_gather_a, reduce_scatter_a};
-        use pmm_model::collective;
+        use pmm_model::collective::{all_gather_cost, reduce_scatter_cost};
 
-        // All-Gather (every algorithm valid at this p).
-        let mut algos = vec![AllGatherAlgo::Ring];
+        // `total` need not divide by `p`, and may be below it (empty
+        // blocks): each member's words sent, words received and messages
+        // are `member_traffic`'s, and a reduce-scatter adds every word it
+        // receives. The closed-form costs take uniform blocks; on those,
+        // each member's clock is the cost's words.
+        let uniform = total.is_multiple_of(p).then_some(total / p);
+        let mut gathers = vec![AllGatherAlgo::Ring];
+        let mut scatters = vec![ReduceScatterAlgo::Ring];
         if p.is_power_of_two() {
-            algos.push(AllGatherAlgo::RecursiveDoubling);
+            gathers.push(AllGatherAlgo::RecursiveDoubling);
+            scatters.push(ReduceScatterAlgo::RecursiveHalving);
         }
-        for algo in algos {
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
+        let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
+        for algo in gathers {
+            let out = world.run_async(move |rank| {
                 Box::pin(async move {
-                    let comm = rank.world_comm();
-                    all_gather_a(rank, &comm, vec![1.0; w], algo).await;
-                    rank.time()
+                    let (comm, me) = (rank.world_comm(), rank.world_rank());
+                    let mine = block(me, block_range(total, p, me).len());
+                    all_gather_v_a(rank, &comm, mine, Counts::Even(total), algo).await;
+                    (rank.meter(), rank.time())
                 })
             });
-            let model = collective::all_gather_cost(algo, p, w);
-            for (r, &t) in out.values.iter().enumerate() {
-                prop_assert!(
-                    (t - model.words).abs() < 1e-9,
-                    "{:?} p={} w={} rank {}: {} vs {}", algo, p, w, r, t, model.words
-                );
+            let clock = uniform.map(|w| all_gather_cost(algo, p, w).words);
+            for (me, &(meter, time)) in out.values.iter().enumerate() {
+                let want = algo.member_traffic(p, total as u64, me);
+                prop_assert_eq!(meter.traffic(), want, "{:?} {}/{}: member {}", algo, total, p, me);
+                prop_assert!(clock.is_none_or(|c| c == time), "{:?} clock {}", algo, time);
             }
         }
-
-        // Reduce-Scatter (auto) — words and flops.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                reduce_scatter_a(rank, &comm, vec![1.0; p * w], ReduceScatterAlgo::Auto).await;
-                (rank.time(), rank.meter().flops)
-            })
-        });
-        let model = collective::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
-        for (r, &(t, f)) in out.values.iter().enumerate() {
-            prop_assert!((t - model.words).abs() < 1e-9, "RS p={} rank {}", p, r);
-            prop_assert!((f - model.flops).abs() < 1e-9, "RS flops p={} rank {}", p, r);
+        for algo in scatters {
+            let out = world.run_async(move |rank| {
+                Box::pin(async move {
+                    let comm = rank.world_comm();
+                    let data = block(rank.world_rank(), total);
+                    reduce_scatter_v_a(rank, &comm, data, Counts::Even(total), algo).await;
+                    (rank.meter(), rank.time())
+                })
+            });
+            let clock = uniform.map(|w| reduce_scatter_cost(algo, p, w).words);
+            for (me, &(meter, time)) in out.values.iter().enumerate() {
+                let want = algo.member_traffic(p, total as u64, me);
+                prop_assert_eq!(meter.traffic(), want, "{:?} {}/{}: member {}", algo, total, p, me);
+                prop_assert_eq!(meter.flops, want.recv as f64, "{:?} additions", algo);
+                prop_assert!(clock.is_none_or(|c| c == time), "{:?} clock {}", algo, time);
+            }
         }
+    }
+
+    #[test]
+    fn measured_all_reduce_equals_cost_model(p in 2usize..10, w in 1usize..24) {
+        use pmm_model::collective;
 
         // All-Reduce Rabenseifner when p | total (always true here).
         let total = p * w;
@@ -360,25 +375,7 @@ proptest! {
         });
         let model = collective::all_reduce_cost(p, total);
         for &t in &out.values {
-            prop_assert!((t - model.words).abs() < 1e-9, "AR p={}", p);
+            prop_assert_eq!(t, model.words, "AR p={}", p);
         }
-    }
-
-    #[test]
-    fn conservation_of_words_across_any_collective(p in 2usize..8, w in 1usize..10) {
-        // Whatever the collective, globally sent == received.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                let mine = vec![1.0; w];
-                all_gather_v_a(rank, &comm, &mine, &vec![w; p], AllGatherAlgo::Ring).await;
-                let data = vec![1.0; p * w];
-                reduce_scatter_v_a(rank, &comm, &data, &vec![w; p], ReduceScatterAlgo::Auto).await;
-                rank.meter()
-            })
-        });
-        let sent: u64 = out.values.iter().map(|m| m.words_sent).sum();
-        let recv: u64 = out.values.iter().map(|m| m.words_recv).sum();
-        prop_assert_eq!(sent, recv);
     }
 }

@@ -19,8 +19,69 @@
 //! that §5.1 of the paper relies on: the bandwidth-optimal All-Gather and
 //! Reduce-Scatter on `p` ranks cost `(1 − 1/p)·W` words, where `W = p·w`
 //! is the gathered (resp. reduced) data volume per rank.
+//!
+//! On an even split of `W` words that `p` does not divide, the members
+//! move different counts. `member_traffic` of each of the two selectors
+//! gives one member's exact integer [`Traffic`] on any such split.
+
+use std::ops::AddAssign;
 
 use crate::cost::Cost;
+
+/// What one rank moves: the words it sends and receives and the messages
+/// it sends. Under every schedule here a member receives as many
+/// messages as it sends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// Words sent.
+    pub sent: u64,
+    /// Words received.
+    pub recv: u64,
+    /// Messages sent.
+    pub msgs: u64,
+}
+
+impl Traffic {
+    /// `max(sent, recv)`: what a full-duplex link charges, the per-rank
+    /// volume eq. (3) counts.
+    pub fn duplex(&self) -> u64 {
+        self.sent.max(self.recv)
+    }
+}
+
+impl AddAssign for Traffic {
+    fn add_assign(&mut self, rhs: Traffic) {
+        self.sent += rhs.sent;
+        self.recv += rhs.recv;
+        self.msgs += rhs.msgs;
+    }
+}
+
+/// Words ahead of member `i` of `total` split evenly over `p`: `total / p`
+/// each, the first `total % p` one more (`Counts::Even`'s split, and
+/// `pmm_dense::block_range`'s, stated here because the model crate sits
+/// below both).
+fn even_start(total: u64, p: u64, i: u64) -> u64 {
+    i * (total / p) + i.min(total % p)
+}
+
+/// Words of member `i` of `total` split evenly over `p`.
+pub(crate) fn even_len(total: u64, p: u64, i: u64) -> u64 {
+    even_start(total, p, i + 1) - even_start(total, p, i)
+}
+
+/// Words of the aligned groups of `1, 2, 4, …, p/2` members that contain
+/// `me`: what recursive doubling sends, and recursive halving receives.
+fn nested_groups(total: u64, p: u64, me: u64) -> u64 {
+    let mut words = 0;
+    let mut size = 1;
+    while size < p {
+        let lo = me / size * size;
+        words += even_start(total, p, lo + size) - even_start(total, p, lo);
+        size <<= 1;
+    }
+    words
+}
 
 /// `⌈log2 p⌉` for `p ≥ 1`.
 fn ceil_log2(p: usize) -> f64 {
@@ -60,6 +121,24 @@ impl AllGatherAlgo {
             }
         }
     }
+
+    /// What member `me` of `p` moves in an all-gather of `total` words
+    /// split evenly over the members (`Counts::Even(total)`). It receives
+    /// every block but its own. The ring sends every block but its right
+    /// neighbour's; recursive doubling sends the groups of `1, 2, …, p/2`
+    /// blocks it holds before each step.
+    pub fn member_traffic(self, p: usize, total: u64, me: usize) -> Traffic {
+        if p <= 1 {
+            return Traffic::default();
+        }
+        let (n, me) = (p as u64, me as u64);
+        let recv = total - even_len(total, n, me);
+        let sent = match self.resolve(p) {
+            AllGatherAlgo::Ring => total - even_len(total, n, (me + 1) % n),
+            _ => nested_groups(total, n, me),
+        };
+        Traffic { sent, recv, msgs: self.messages(p) as u64 }
+    }
 }
 
 /// Schedule of a Reduce-Scatter (`pmm_collectives::reduce_scatter_v_a`).
@@ -91,6 +170,24 @@ impl ReduceScatterAlgo {
             ReduceScatterAlgo::Ring => AllGatherAlgo::Ring.messages(p),
             _ => AllGatherAlgo::RecursiveDoubling.messages(p),
         }
+    }
+
+    /// What member `me` of `p` moves in a reduce-scatter of `total`
+    /// words whose segments split evenly over the members
+    /// (`Counts::Even(total)`). It sends every segment but its own. The
+    /// ring receives every segment but its left neighbour's; recursive
+    /// halving receives the halves of `p/2, …, 2, 1` segments it keeps.
+    pub fn member_traffic(self, p: usize, total: u64, me: usize) -> Traffic {
+        if p <= 1 {
+            return Traffic::default();
+        }
+        let (n, me) = (p as u64, me as u64);
+        let sent = total - even_len(total, n, me);
+        let recv = match self.resolve(p) {
+            ReduceScatterAlgo::Ring => total - even_len(total, n, (me + n - 1) % n),
+            _ => nested_groups(total, n, me),
+        };
+        Traffic { sent, recv, msgs: self.messages(p) as u64 }
     }
 }
 
@@ -237,6 +334,21 @@ mod tests {
         assert_eq!(reduce_scatter_cost(ReduceScatterAlgo::Auto, 1, 100), Cost::ZERO);
         assert_eq!(bcast_cost(BcastAlgo::Binomial, 1, 100), Cost::ZERO);
         assert_eq!(all_reduce_cost(1, 100), Cost::ZERO);
+    }
+
+    #[test]
+    fn member_traffic_of_a_ragged_split_by_hand() {
+        let t = |sent, recv, msgs| Traffic { sent, recv, msgs };
+        // 7 words over 3: blocks 3, 2, 2. The ring gather skips its right
+        // neighbour's block, the ring reduce-scatter its left one's.
+        assert_eq!(AllGatherAlgo::Ring.member_traffic(3, 7, 2), t(4, 5, 2));
+        assert_eq!(ReduceScatterAlgo::Ring.member_traffic(3, 7, 1), t(5, 4, 2));
+        // 5 words over 4: blocks 2, 1, 1, 1. Member 2 sends {2}, then
+        // {2, 3}; halving keeps {2, 3}, then {2}.
+        assert_eq!(AllGatherAlgo::RecursiveDoubling.member_traffic(4, 5, 2), t(3, 4, 2));
+        assert_eq!(ReduceScatterAlgo::RecursiveHalving.member_traffic(4, 5, 2), t(4, 3, 2));
+        // Fewer words than members: empty blocks still cost a message.
+        assert_eq!(AllGatherAlgo::Ring.member_traffic(5, 2, 4), t(1, 2, 4));
     }
 
     #[test]

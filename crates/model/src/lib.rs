@@ -32,10 +32,12 @@ pub mod grid;
 pub mod predict;
 
 pub use calib::{fit_affine, fit_through_origin, MachineCalibration};
+pub use collective::Traffic;
 pub use cost::{Cost, MachineParams};
 pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
-    alg1_prediction, carma_split_dim, plan_prediction, recovery_prediction, restore_words_total,
-    Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction, RecoveryPrediction,
+    alg1_prediction, alg1_price, carma_split_dim, plan_prediction, recovery_prediction,
+    restore_words_total, Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction,
+    RecoveryPrediction,
 };

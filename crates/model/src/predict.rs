@@ -17,8 +17,11 @@
 //! grid optimizer and the Theorem 3 tightness checks.
 //!
 //! All three terms are exact (not asymptotic) when the grid divides the
-//! dimensions, because the bandwidth-optimal collectives move exactly
-//! `(1 − 1/p) · data` words per processor.
+//! dimensions and every block splits evenly over its fiber, because the
+//! bandwidth-optimal collectives then move exactly `(1 − 1/p) · data`
+//! words per processor. [`alg1_price`] is the integer price of each rank
+//! on every layout: what its three phase meters read, even, ragged,
+//! plain or streamed.
 //!
 //! The module also prices whole runs of each of the six [`AlgPlan`]s, in
 //! one place: [`plan_prediction`] states each plan's schedule once and
@@ -27,9 +30,12 @@
 //! which the advisor ranks candidates. [`recovery_prediction`] prices
 //! the attempts of a recovery run from it.
 
-use crate::collective::{bcast_cost, reduce_cost, AllGatherAlgo, BcastAlgo, ReduceScatterAlgo};
+use crate::collective::{
+    bcast_cost, even_len, reduce_cost, AllGatherAlgo, BcastAlgo, ReduceScatterAlgo, Traffic,
+};
 use crate::cost::Cost;
 use crate::dims::MatMulDims;
+use crate::grid::Grid3;
 
 /// Predicted per-processor communication words of Algorithm 1, split by
 /// phase (see the module docs for the eq. 3 correspondence).
@@ -83,6 +89,50 @@ pub fn alg1_prediction(dims: MatMulDims, grid: [usize; 3]) -> Alg1Prediction {
         allgather_b: (1.0 - 1.0 / p1) * n2 * n3 / (p2 * p3),
         reduce_c: (1.0 - 1.0 / p2) * n1 * n3 / (p1 * p3),
     }
+}
+
+/// The integer price of one rank of an Algorithm 1 run: for each phase
+/// (all-gather `A`, all-gather `B`, reduce-scatter `C`), the words the
+/// rank sends and receives and the messages it sends — what its three
+/// phase meters read. `rank` is the rank's grid index
+/// ([`Grid3::coord_of`]), which is its index in the communicator the run
+/// was laid out on. `slabs = 1` prices [`AlgPlan::Alg1`], more prices
+/// [`AlgPlan::Alg1Streamed`].
+///
+/// The price runs the executor's own arithmetic on any layout. The
+/// rank's blocks are even splits of the dimensions (`block_range`). The
+/// slab count is clamped to the rank's inner extent, and each slab is an
+/// even split of it. Each block or slab splits evenly over its fiber
+/// (`Counts::Even`), and each member moves what the schedule `Auto`
+/// resolves to moves ([`AllGatherAlgo::member_traffic`],
+/// [`ReduceScatterAlgo::member_traffic`]). Where the grid divides the
+/// dimensions and every block splits evenly over its fiber, each phase's
+/// duplex words are the [`alg1_prediction`] term.
+///
+/// ```
+/// use pmm_model::{alg1_price, MatMulDims, Traffic};
+///
+/// // 13 × 7 × 11 on 2 × 2 × 2: rank 7's block of A is 6 × 3, split 9 + 9
+/// // over its fiber; its block of B is 3 × 5, split 8 + 7, and it holds
+/// // the 7. Every fiber of two is one exchange.
+/// let [a, b, _] = alg1_price(MatMulDims::new(13, 7, 11), [2, 2, 2], 1, 7);
+/// assert_eq!(a, Traffic { sent: 9, recv: 9, msgs: 1 });
+/// assert_eq!(b, Traffic { sent: 7, recv: 8, msgs: 1 });
+/// ```
+pub fn alg1_price(dims: MatMulDims, grid: [usize; 3], slabs: usize, rank: usize) -> [Traffic; 3] {
+    let [c1, c2, c3] = Grid3::from_dims(grid).coord_of(rank);
+    let [p1, p2, p3] = grid;
+    let [h1, h2, h3] = [(dims.n1, p1, c1), (dims.n2, p2, c2), (dims.n3, p3, c3)]
+        .map(|(n, p, c)| even_len(n, p as u64, c as u64));
+    let slabs = (slabs as u64).clamp(1, h2.max(1));
+    let mut price = [Traffic::default(); 3];
+    for s in 0..slabs {
+        let w = even_len(h2, slabs, s);
+        price[0] += AllGatherAlgo::Auto.member_traffic(p3, h1 * w, c3);
+        price[1] += AllGatherAlgo::Auto.member_traffic(p1, w * h3, c1);
+    }
+    price[2] = ReduceScatterAlgo::Auto.member_traffic(p2, h1 * h3, c2);
+    price
 }
 
 /// One of the six executable algorithms together with its layout: the
@@ -175,13 +225,6 @@ impl std::fmt::Display for AlgPlan {
             AlgPlan::Carma { p } => write!(f, "carma[{p}]"),
         }
     }
-}
-
-/// Length of part `i` of `0..n` split into `parts` (extras spread over
-/// the first parts — the same convention as `pmm_dense::block_range`,
-/// mirrored here because the model crate sits below the dense crate).
-fn part_len(n: u64, parts: u64, i: u64) -> u64 {
-    n / parts + u64::from(i < n % parts)
 }
 
 fn lcm(a: u64, b: u64) -> u64 {
@@ -310,13 +353,16 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             };
             let gathers = AllGatherAlgo::Auto.messages(p3) + AllGatherAlgo::Auto.messages(p1);
             let p = p1 * p2 * p3;
+            // Each fiber member sends its chunk to every other member:
+            // P × eq. (3), in integer terms.
+            let relayed = |fiber: usize, block: u64| (fiber - 1) as f64 * block as f64;
             PlanPrediction {
                 cost: Cost {
                     messages: gathers * slabs as f64 + ReduceScatterAlgo::Auto.messages(p2),
                     words: eq3.total(),
                     flops: dims.mults() / p as f64 + eq3.reduce_c,
                 },
-                words_total: p as f64 * eq3.total(),
+                words_total: relayed(p3, n1 * n2) + relayed(p1, n2 * n3) + relayed(p2, n1 * n3),
             }
         }
         AlgPlan::Summa { pr, pc } => {
@@ -326,17 +372,17 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             let s = lcm(rows, cols);
             // The critical path is priced at rank (0, 0), which holds the
             // largest blocks.
-            let (h1, h3) = (part_len(n1, rows, 0), part_len(n3, cols, 0));
+            let (h1, h3) = (even_len(n1, rows, 0), even_len(n3, cols, 0));
             let mut cost = Cost::flops(dims.mults() / (pr * pc) as f64);
             let mut total = 0.0;
             for t in 0..s {
-                let w = part_len(n2, s, t);
+                let w = even_len(n2, s, t);
                 cost += bcast(pc, h1 * w) + bcast(pr, w * h3);
                 for i in 0..rows {
-                    total += bcast_words_total(part_len(n1, rows, i) * w, cols);
+                    total += bcast_words_total(even_len(n1, rows, i) * w, cols);
                 }
                 for j in 0..cols {
-                    total += bcast_words_total(w * part_len(n3, cols, j), rows);
+                    total += bcast_words_total(w * even_len(n3, cols, j), rows);
                 }
             }
             PlanPrediction { cost, words_total: total }
@@ -363,8 +409,8 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             for l in 0..c {
                 let shift = (l * (q / c)) % q;
                 let home = (q - shift) % q;
-                skew += (n1 - part_len(n1, q, home)) as f64 * f2
-                    + f2 * (n3 - part_len(n3, q, home)) as f64;
+                skew += (n1 - even_len(n1, q, home)) as f64 * f2
+                    + f2 * (n3 - even_len(n3, q, home)) as f64;
             }
             let rotate = (q - c) as f64 * inputs;
             let reduce = (c - 1) as f64 * f1 * f3;
@@ -417,9 +463,6 @@ pub struct AttemptPrediction {
     /// ([`PlanPrediction::words_total`]); exact for the successful attempt, an
     /// upper bound for abandoned ones (a kill truncates them partway).
     pub run_words_total: f64,
-    /// Per-rank eq. (3) phase terms when the plan is an Algorithm 1
-    /// grid (plain or streamed); `None` for the other algorithms.
-    pub alg1_phases: Option<Alg1Prediction>,
 }
 
 /// Predicted goodput cost of a checkpointed recovery run: one entry per
@@ -467,12 +510,6 @@ pub fn recovery_prediction(
                 plan: plan.clone(),
                 restore_words_total: restore_words_total(dims, s),
                 run_words_total: plan_prediction(dims, plan).words_total,
-                alg1_phases: match *plan {
-                    AlgPlan::Alg1 { grid } | AlgPlan::Alg1Streamed { grid, .. } => {
-                        Some(alg1_prediction(dims, grid))
-                    }
-                    _ => None,
-                },
             })
             .collect(),
     }
@@ -503,15 +540,6 @@ mod tests {
         assert_eq!(p.allgather_a, 0.0);
         assert_eq!(p.reduce_c, 0.0);
         assert!(p.allgather_b > 0.0);
-    }
-
-    #[test]
-    fn alg1_run_total_is_p_times_eq3() {
-        let dims = MatMulDims::new(24, 24, 24);
-        let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
-        assert_eq!(words_total(dims, &plan), 8.0 * alg1_prediction(dims, [2, 2, 2]).total());
-        let streamed = AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs: 3 };
-        assert_eq!(words_total(dims, &streamed), words_total(dims, &plan));
     }
 
     #[test]
@@ -681,7 +709,6 @@ mod tests {
         let pred = recovery_prediction(dims, &plans, &[9, 8]);
         assert_eq!(pred.attempts.len(), 2);
         assert_eq!(pred.last().plan, plans[1]);
-        assert!(pred.last().alg1_phases.is_some());
         assert_eq!(
             pred.total_upper_bound_words(),
             2.0 * restore_words_total(dims, 9)

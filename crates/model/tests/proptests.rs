@@ -1,7 +1,11 @@
 //! Property-based tests for the model vocabulary: cost algebra laws, grid
-//! combinatorics, dimension sorting and case classification.
+//! combinatorics, dimension sorting and case classification, and the
+//! integer price of Algorithm 1 against its closed forms.
 
-use pmm_model::{Case, Cost, Grid3, MachineParams, MatMulDims};
+use pmm_model::{
+    alg1_prediction, alg1_price, plan_prediction, AlgPlan, Case, Cost, Grid3, MachineParams,
+    MatMulDims,
+};
 use proptest::prelude::*;
 
 fn cost() -> impl Strategy<Value = Cost> {
@@ -112,5 +116,50 @@ proptest! {
         let s = d.sorted();
         prop_assert!((d.total_words() - s.total_words()).abs() < 1e-9);
         prop_assert!((d.mults() - s.mults()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn alg1_price_is_eq3_on_every_rank_of_an_even_layout(
+        b1 in 1u64..4, b2 in 1u64..4, b3 in 1u64..4,
+        p1 in 1usize..5, p2 in 1usize..5, p3 in 1usize..5,
+    ) {
+        // Blocks that are multiples of P split evenly over every fiber.
+        let pall = (p1 * p2 * p3) as u64;
+        let grid = [p1, p2, p3];
+        let dims = MatMulDims::new(
+            p1 as u64 * b1 * pall, p2 as u64 * b2 * pall, p3 as u64 * b3 * pall,
+        );
+        // The closed form is an integer here, but `(1 − 1/p)·…` rounds in
+        // f64 (4608.000000000001 for 4608), so it is compared rounded.
+        let eq3 = alg1_prediction(dims, grid).phases().map(|w| w.round() as u64);
+        for r in 0..Grid3::from_dims(grid).size() {
+            let price = alg1_price(dims, grid, 1, r);
+            prop_assert_eq!(price.map(|t| [t.sent, t.recv]), eq3.map(|w| [w, w]), "rank {}", r);
+        }
+    }
+
+    #[test]
+    fn alg1_price_sums_to_the_plan_goodput_on_any_layout(
+        n1 in 1u64..40, n2 in 1u64..40, n3 in 1u64..40,
+        p1 in 1usize..6, p2 in 1usize..6, p3 in 1usize..6,
+        slabs in 1usize..6,
+    ) {
+        let (dims, grid) = (MatMulDims::new(n1, n2, n3), [p1, p2, p3]);
+        for (plan, t) in [
+            (AlgPlan::Alg1 { grid }, 1),
+            (AlgPlan::Alg1Streamed { grid, slabs }, slabs),
+        ] {
+            let (mut sent, mut recv) = ([0u64; 3], [0u64; 3]);
+            for r in 0..Grid3::from_dims(grid).size() {
+                for (i, phase) in alg1_price(dims, grid, t, r).iter().enumerate() {
+                    sent[i] += phase.sent;
+                    recv[i] += phase.recv;
+                }
+            }
+            // Every word sent is received, phase by phase.
+            prop_assert_eq!(sent, recv, "{} on {}", plan, dims);
+            let total: u64 = sent.iter().sum();
+            prop_assert_eq!(total as f64, plan_prediction(dims, &plan).words_total, "{}", plan);
+        }
     }
 }

@@ -4,6 +4,8 @@
 use std::fmt;
 use std::ops::AddAssign;
 
+use pmm_model::Traffic;
+
 /// Cumulative traffic and compute counters for one rank.
 ///
 /// Word counts are exact integers (one `f64` element = one word, following
@@ -76,6 +78,12 @@ impl Meter {
     /// per-rank volume to compare against the lower bounds.
     pub fn duplex_words(&self) -> u64 {
         self.words_sent.max(self.words_recv)
+    }
+
+    /// The goodput words sent and received and messages sent, as the
+    /// model prices one rank's phase (`pmm_model::alg1_price`).
+    pub fn traffic(&self) -> Traffic {
+        Traffic { sent: self.words_sent, recv: self.words_recv, msgs: self.msgs_sent }
     }
 
     /// Total words moved in either direction.

@@ -53,6 +53,8 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
+use pmm_model::Traffic;
+
 use crate::fabric::Ctx;
 use crate::verify::CollectiveOp;
 
@@ -131,6 +133,8 @@ pub struct PhaseTotals {
     pub sent: Vec<u64>,
     /// Words received per world rank inside this phase.
     pub recv: Vec<u64>,
+    /// Messages sent per world rank inside this phase.
+    pub msgs: Vec<u64>,
 }
 
 impl PhaseTotals {
@@ -144,6 +148,12 @@ impl PhaseTotals {
     /// balanced phase charges every rank equally).
     pub fn max_duplex(&self) -> u64 {
         (0..self.sent.len()).map(|r| self.duplex(r)).max().unwrap_or(0)
+    }
+
+    /// What rank `r` sent, received and how many messages it sent in
+    /// this phase.
+    pub fn traffic(&self, r: usize) -> Traffic {
+        Traffic { sent: self.sent[r], recv: self.recv[r], msgs: self.msgs[r] }
     }
 }
 
@@ -180,12 +190,12 @@ impl CriticalPath {
 pub struct PhaseDiff {
     /// The phase label.
     pub label: String,
-    /// Words per rank the model predicts for this phase.
-    pub predicted: f64,
+    /// Maximum predicted duplex words over all ranks.
+    pub predicted_max: u64,
     /// Maximum measured duplex words over all ranks.
     pub measured_max: u64,
-    /// Number of ranks whose measured duplex words differ from the
-    /// prediction.
+    /// Number of ranks whose measured traffic (words sent, received and
+    /// messages) differs from the prediction.
     pub ranks_diverging: usize,
 }
 
@@ -228,7 +238,7 @@ impl fmt::Display for Attribution {
             writeln!(
                 f,
                 "{:wid$}  {:>14}  {:>14}  {verdict}",
-                row.label, row.predicted, row.measured_max
+                row.label, row.predicted_max, row.measured_max
             )?;
         }
         match &self.first_divergent {
@@ -307,10 +317,19 @@ impl Tracer {
                 let Some(label) = labels[r][i] else { continue };
                 let entry = by_label.entry(label.to_string()).or_insert_with(|| {
                     order.push(label.to_string());
-                    PhaseTotals { label: label.to_string(), sent: vec![0; p], recv: vec![0; p] }
+                    let zeros = vec![0; p];
+                    PhaseTotals {
+                        label: label.to_string(),
+                        sent: zeros.clone(),
+                        recv: zeros.clone(),
+                        msgs: zeros,
+                    }
                 });
                 match e.op {
-                    TraceOp::Send { .. } => entry.sent[r] += e.words,
+                    TraceOp::Send { .. } => {
+                        entry.sent[r] += e.words;
+                        entry.msgs[r] += 1;
+                    }
                     TraceOp::Recv { .. } => entry.recv[r] += e.words,
                     _ => {}
                 }
@@ -422,36 +441,34 @@ impl Tracer {
     }
 
     /// Diff measured per-phase goodput against a model prediction:
-    /// `expected` lists `(phase label, predicted duplex words per rank)`
-    /// pairs (e.g. zipped from
-    /// `pmm_model::alg1_prediction(dims, grid).phases()`). A phase
-    /// diverges if *any* rank's duplex words differ from the prediction;
-    /// the report names the first divergent phase in the order given.
-    pub fn attribution(&self, expected: &[(&str, f64)]) -> Attribution {
+    /// `labels` names the phases, and `expected(r)` gives world rank
+    /// `r`'s predicted traffic in each, in the same order (e.g.
+    /// `|r| pmm_model::alg1_price(dims, grid, 1, r)`). A phase diverges
+    /// if *any* rank's words sent, words received or messages differ
+    /// from its prediction; the report names the first divergent phase
+    /// in the order given.
+    pub fn attribution<const N: usize>(
+        &self,
+        labels: [&str; N],
+        expected: impl Fn(usize) -> [Traffic; N],
+    ) -> Attribution {
         let totals = self.phase_totals();
-        let rows: Vec<PhaseDiff> = expected
+        let expected: Vec<[Traffic; N]> = (0..self.streams.len()).map(expected).collect();
+        let rows: Vec<PhaseDiff> = labels
             .iter()
-            .map(|&(label, predicted)| {
+            .enumerate()
+            .map(|(i, &label)| {
+                let predicted_max = expected.iter().map(|e| e[i].duplex()).max().unwrap_or(0);
                 let found = totals.iter().find(|t| t.label == label);
-                match found {
-                    Some(t) => {
-                        let ranks_diverging =
-                            (0..t.sent.len()).filter(|&r| t.duplex(r) as f64 != predicted).count();
-                        PhaseDiff {
-                            label: label.to_string(),
-                            predicted,
-                            measured_max: t.max_duplex(),
-                            ranks_diverging,
-                        }
-                    }
+                let (measured_max, ranks_diverging) = match found {
+                    Some(t) => (
+                        t.max_duplex(),
+                        expected.iter().enumerate().filter(|(r, e)| t.traffic(*r) != e[i]).count(),
+                    ),
                     // A predicted phase that never ran diverges on every rank.
-                    None => PhaseDiff {
-                        label: label.to_string(),
-                        predicted,
-                        measured_max: 0,
-                        ranks_diverging: self.streams.len(),
-                    },
-                }
+                    None => (0, self.streams.len()),
+                };
+                PhaseDiff { label: label.to_string(), predicted_max, measured_max, ranks_diverging }
             })
             .collect();
         let first_divergent = rows.iter().find(|r| r.diverges()).map(|r| r.label.clone());
@@ -661,6 +678,7 @@ mod tests {
         assert_eq!(totals[0].label, "p");
         assert_eq!(totals[0].sent, vec![10, 0]);
         assert_eq!(totals[0].recv, vec![0, 10]);
+        assert_eq!(totals[0].msgs, vec![1, 0]);
         assert_eq!(totals[0].max_duplex(), 10);
     }
 
@@ -698,13 +716,17 @@ mod tests {
     #[test]
     fn attribution_flags_the_first_divergent_phase() {
         let t = two_rank_trace();
-        let exact = t.attribution(&[("p", 10.0)]);
+        let sends = |sent, recv, msgs| [Traffic { sent, recv, msgs }];
+        let exact =
+            t.attribution(["p"], |r| if r == 0 { sends(10, 0, 1) } else { sends(0, 10, 0) });
         assert!(exact.matches(), "{exact}");
-        let off = t.attribution(&[("p", 12.0)]);
+        assert_eq!(exact.rows[0].predicted_max, 10);
+        // Rank 1 is expected to send what it received: it alone diverges.
+        let off = t.attribution(["p"], |_| sends(10, 0, 1));
         assert_eq!(off.first_divergent.as_deref(), Some("p"));
-        assert_eq!(off.rows[0].ranks_diverging, 2);
+        assert_eq!(off.rows[0].ranks_diverging, 1);
         assert!(off.to_string().contains("first divergent phase: p"), "{off}");
-        let missing = t.attribution(&[("q", 4.0)]);
+        let missing = t.attribution(["q"], |_| sends(0, 0, 0));
         assert_eq!(missing.first_divergent.as_deref(), Some("q"));
     }
 

@@ -68,8 +68,9 @@ pub use pmm_simnet as simnet;
 pub mod prelude {
     pub use pmm_algs::{
         alg1_a, assemble_c, assemble_from_blocks, assemble_recovered, carma_a, carma_assemble_c,
-        carma_shares, near_square_factors, plan_for, run_plan_a, run_recoverable_a, Alg1Config,
-        Alg1Output, Assembly, CShare, CannonConfig, Recovered, SummaConfig, TwoFiveDConfig,
+        carma_shares, check_alg1_price, near_square_factors, plan_for, run_plan_a,
+        run_recoverable_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig, Recovered,
+        SummaConfig, TwoFiveDConfig, ALG1_PHASES,
     };
     pub use pmm_collectives::{
         all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, BcastAlgo,
@@ -84,9 +85,9 @@ pub mod prelude {
     pub use pmm_core::theorem3::{corollary4, lower_bound, BoundReport};
     pub use pmm_dense::{gemm, random_int_matrix, random_matrix, Kernel, Matrix};
     pub use pmm_model::{
-        alg1_prediction, plan_prediction, recovery_prediction, restore_words_total, Alg1Prediction,
-        AlgPlan, AttemptPrediction, Case, Cost, Grid3, MachineParams, MatMulDims, MatrixId,
-        PlanPrediction, RecoveryPrediction, SortedDims,
+        alg1_prediction, alg1_price, plan_prediction, recovery_prediction, restore_words_total,
+        Alg1Prediction, AlgPlan, AttemptPrediction, Case, Cost, Grid3, MachineParams, MatMulDims,
+        MatrixId, PlanPrediction, RecoveryPrediction, SortedDims, Traffic,
     };
     // `Strategy` is aliased so the prelude can coexist with proptest's
     // `Strategy` trait in downstream glob imports.

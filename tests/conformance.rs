@@ -9,9 +9,11 @@
 //! (a) **bitwise** agreement with the serial dense reference (integer
 //!     inputs make every f64 sum exact, so agreement is independent of
 //!     summation order);
-//! (b) per-rank, per-phase traffic of Algorithm 1 matches the eq. 3
-//!     prediction from `pmm-model` exactly on evenly-chunked grids, and
-//!     in aggregate on every divisible grid;
+//! (b) per-rank, per-phase traffic of Algorithm 1, plain and streamed,
+//!     equals its integer price (`pmm_model::alg1_price`: words sent,
+//!     words received and messages) at every point and on four ragged
+//!     layouts off the sweep, and where every rank pays the same price
+//!     the critical path is that price;
 //! (c) no algorithm's measured critical-path words beat the Theorem 3
 //!     lower bound, and Algorithm 1 on the §5.2 optimal grid attains it
 //!     exactly wherever that grid is integral (including both regime
@@ -88,41 +90,19 @@ fn sweep() -> Vec<Point> {
     ]
 }
 
-/// The grid each point runs Algorithm 1 on: the exact §5.2 optimum at
-/// tight points, otherwise the best factorization that divides the
-/// dimensions (where measured cost is still predictable).
+/// The grid each point runs Algorithm 1 on: the best integer grid of
+/// §5.2, which at tight points must divide the dimensions.
 fn chosen_grid(pt: &Point) -> (Grid3, [usize; 3], f64) {
-    let choice = if pt.tight {
-        let c = best_grid(pt.dims, pt.p);
-        assert!(
-            pt.dims.divisible_by(c.grid),
-            "{} ({} P={}): tight point's grid {:?} must divide",
-            pt.label,
-            pt.dims,
-            pt.p,
-            c.grid
-        );
-        c
-    } else {
-        best_divisible_grid(pt.dims, pt.p)
-            .unwrap_or_else(|| panic!("{}: no divisible factorization of {}", pt.label, pt.p))
-    };
+    let choice = best_grid(pt.dims, pt.p);
+    assert!(
+        !pt.tight || pt.dims.divisible_by(choice.grid),
+        "{} ({} P={}): tight point's grid {:?} must divide",
+        pt.label,
+        pt.dims,
+        pt.p,
+        choice.grid
+    );
     (Grid3::from_dims(choice.grid), choice.grid, choice.cost_words)
-}
-
-/// Eq. 3 is phase-by-phase exact iff every fiber collective works on
-/// even chunks: the gathered/reduced block of each phase must split
-/// evenly over its fiber.
-fn phase_exact(dims: MatMulDims, grid: [usize; 3]) -> bool {
-    let [p1, p2, p3] = grid;
-    if !dims.divisible_by(grid) {
-        return false;
-    }
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let a_block = (n1 / p1) * (n2 / p2);
-    let b_block = (n2 / p2) * (n3 / p3);
-    let c_block = (n1 / p1) * (n3 / p3);
-    a_block % p3 == 0 && b_block % p1 == 0 && c_block % p2 == 0
 }
 
 #[test]
@@ -156,67 +136,57 @@ fn sweep_spans_all_regimes_and_both_boundaries() {
     assert_eq!(boundaries, 2, "one point on each regime boundary");
 }
 
+/// Run Algorithm 1, plain and streamed, on `grid` and hold each rank's
+/// words sent, words received and messages to its integer price, phase
+/// by phase. Where every rank pays the same price, the phases run in
+/// lockstep and the critical path is that price's duplex words. (The
+/// critical path of a ragged layout is not priced.)
+fn assert_priced(dims: MatMulDims, grid: [usize; 3], label: &str, seed: u64) {
+    let price = |r| alg1_price(dims, grid, 1, r);
+    for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }] {
+        let out = run(dims, &plan, seed);
+        let outputs = out.values.iter().map(CShare::alg1).enumerate();
+        if let Err(mismatch) = check_alg1_price(dims, &plan, outputs) {
+            panic!("{label} ({dims} {plan}): {mismatch} [PMM_SEED={seed}]");
+        }
+        if plan.algorithm() == "alg1" && (1..plan.active()).all(|r| price(r) == price(0)) {
+            let words: u64 = price(0).iter().map(Traffic::duplex).sum();
+            let measured = out.critical_path_time();
+            assert_eq!(measured, words as f64, "{label} ({dims} {plan}) [PMM_SEED={seed}]");
+        }
+    }
+}
+
 #[test]
 fn grid3d_traffic_matches_eq3_prediction_per_rank_and_phase() {
     let seed = seed();
     for pt in sweep() {
-        let (grid, grid_arr, cost_words) = chosen_grid(&pt);
-        let dims = pt.dims;
-        let pred = alg1_prediction(dims, grid_arr);
+        let (_, grid, cost_words) = chosen_grid(&pt);
+        let pred = alg1_prediction(pt.dims, grid);
         assert!(
             (pred.total() - cost_words).abs() <= 1e-12 * cost_words.max(1.0),
             "{}: prediction total disagrees with the grid optimizer",
             pt.label
         );
-        let cfg =
-            Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-        let ab = inputs(dims);
-        let out =
-            World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(move |r| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
-            });
-        let exact = phase_exact(dims, grid_arr);
-        // Per-rank, per-phase: each fiber collective moves exactly the
-        // eq. 3 term on evenly-chunked grids.
-        if exact {
-            for (r, v) in out.values.iter().enumerate() {
-                for (phase, want) in v.phases.iter().zip(pred.phases()) {
-                    assert_eq!(
-                        phase.meter.duplex_words() as f64,
-                        want,
-                        "{} ({dims} P={} grid {grid_arr:?}): rank {r} phase '{}' \
-                         [PMM_SEED={seed}]",
-                        pt.label,
-                        pt.p,
-                        phase.label
-                    );
-                }
-            }
-        }
-        // Aggregate (holds on every divisible grid, even with uneven
-        // fiber chunks): total received words per phase are P times the
-        // eq. 3 term.
-        for (i, want) in pred.phases().iter().enumerate() {
-            let got: u64 = out.values.iter().map(|v| v.phases[i].meter.words_recv).sum();
-            assert!(
-                (got as f64 - pt.p as f64 * want).abs() < 1e-6,
-                "{} ({dims} P={}): phase {i} aggregate {got} vs {} [PMM_SEED={seed}]",
-                pt.label,
-                pt.p,
-                pt.p as f64 * want
-            );
-        }
-        if exact {
-            let measured = out.critical_path_time();
-            assert!(
-                (measured - pred.total()).abs() <= 1e-9 * pred.total().max(1.0),
-                "{} ({dims} P={}): measured {measured} vs eq3 {} [PMM_SEED={seed}]",
-                pt.label,
-                pt.p,
-                pred.total()
-            );
-        }
+        assert_priced(pt.dims, grid, pt.label, seed);
+    }
+}
+
+/// Layouts on which eq. (3)'s closed form is no rank's price: grids that
+/// do not divide the dimensions, a divisible grid whose blocks split
+/// unevenly over their fibers (ring and recursive schedules), and
+/// one-word blocks on fibers of three, where most chunks are empty — the
+/// `p1m` scale cell's layout in small.
+#[test]
+fn ragged_layouts_meter_their_price_per_rank_and_phase() {
+    let seed = seed();
+    for (dims, grid, label) in [
+        (MatMulDims::new(13, 7, 11), [2, 2, 2], "grid does not divide the dimensions"),
+        (MatMulDims::new(25, 13, 17), [3, 2, 4], "grid does not divide, ring fibers"),
+        (MatMulDims::new(10, 4, 9), [2, 2, 3], "divisible grid, blocks split unevenly"),
+        (MatMulDims::new(3, 3, 3), [3, 3, 3], "one-word blocks, empty chunks"),
+    ] {
+        assert_priced(dims, grid, label, seed);
     }
 }
 
@@ -235,18 +205,23 @@ fn plans(pt: &Point, grid: [usize; 3]) -> Vec<AlgPlan> {
     alg1.into_iter().chain(baselines.into_iter().filter(|plan| plan.active() == pt.p)).collect()
 }
 
-/// Run `plan` at a sweep point: returns the assembled product and the
-/// measured critical-path words (bandwidth-only machine).
-fn run_plan(pt: &Point, plan: &AlgPlan, seed: u64) -> (Matrix, f64) {
-    let (dims, ab) = (pt.dims, inputs(pt.dims));
-    let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
+/// Run `plan` on a bandwidth-only world of its size under `seed`.
+fn run(dims: MatMulDims, plan: &AlgPlan, seed: u64) -> WorldResult<CShare> {
+    let ab = inputs(dims);
+    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
         let (plan, ab) = (plan.clone(), Arc::clone(&ab));
         Box::pin(async move {
             let comm = r.world_comm();
             run_plan_a(r, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
         })
-    });
-    (assemble_recovered(dims, plan, &out.values), out.critical_path_time())
+    })
+}
+
+/// Run `plan` at a sweep point: returns the assembled product and the
+/// measured critical-path words (bandwidth-only machine).
+fn run_plan(pt: &Point, plan: &AlgPlan, seed: u64) -> (Matrix, f64) {
+    let out = run(pt.dims, plan, seed);
+    (assemble_recovered(pt.dims, plan, &out.values), out.critical_path_time())
 }
 
 /// Algorithm 1 with the all-to-all assembly ablation, which no plan names.

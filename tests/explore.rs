@@ -14,7 +14,7 @@
 //! * **Schedule independence of Algorithm 1** — on a budgeted frontier
 //!   of a 4-rank grid run, every explored schedule must produce bitwise
 //!   identical results/meters and per-phase traffic matching the eq. 3
-//!   prediction (`pmm_model::alg1_prediction`).
+//!   integer price (`pmm_model::alg1_price`).
 //! * **Generator soak** — synthesized valid-and-invalid rank programs
 //!   are run against the verifier; the intent oracle tolerates zero
 //!   false positives and zero false negatives. `PMM_EXPLORE_PROGRAMS`
@@ -256,11 +256,10 @@ fn event_loop_reproduces_the_barrier4_certificate() {
 fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
     // A real Algorithm 1 run on a 4-rank [2,2,1] grid, explored on a
     // budgeted frontier: every schedule must reproduce the same values
-    // and meters, and aggregate per-phase traffic must match the eq. 3
-    // prediction from `pmm_model::alg1_prediction`.
+    // and meters, and every rank's per-phase traffic must be its integer
+    // price, `pmm_model::alg1_price`.
     let dims = MatMulDims::new(4, 4, 2);
     let grid = [2usize, 2, 1];
-    let pred = alg1_prediction(dims, grid);
     let p = 4usize;
     let cfg = Alg1Config {
         dims,
@@ -284,23 +283,15 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
                 // Digest: C chunk bits + per-phase traffic (bitwise
                 // comparable across schedules).
                 let c_bits: Vec<u64> = out.c_chunk.iter().map(|x| x.to_bits()).collect();
-                let phase_words: Vec<(u64, u64)> = out
-                    .phases
-                    .iter()
-                    .map(|ph| (ph.meter.words_recv, ph.meter.words_sent))
-                    .collect();
-                (c_bits, phase_words)
+                (c_bits, out.traffic())
             })
         },
         &ExploreConfig::budgeted(48, budget),
         |out| {
-            for (i, want) in pred.phases().iter().enumerate() {
-                let got: u64 = out.values.iter().map(|v| v.1[i].0).sum();
-                let expect = p as f64 * want;
-                if (got as f64 - expect).abs() > 1e-6 {
-                    return Err(format!(
-                        "phase {i} aggregate words_recv {got} vs eq. 3 prediction {expect}"
-                    ));
+            for (r, (_, traffic)) in out.values.iter().enumerate() {
+                let price = alg1_price(dims, grid, 1, r);
+                if *traffic != price {
+                    return Err(format!("rank {r} traffic {traffic:?} vs its price {price:?}"));
                 }
             }
             Ok(())

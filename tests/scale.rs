@@ -8,7 +8,7 @@
 //! `World::run_async` at scale, on **integral §5.2 optimal grids**
 //! (`best_grid` returns exactly the grid we pin, and it divides the
 //! dimensions), and hold the *measured* per-rank, per-phase traffic to
-//! the `pmm_model::alg1_prediction` eq. (3) terms exactly.
+//! each rank's integer eq. (3) price, `pmm_model::alg1_price`, exactly.
 //!
 //! Executed-path guarantees (no closed-form fallback): every rank
 //! returns a real `Alg1Output` with per-phase meters from the run, the
@@ -41,20 +41,18 @@ fn at_scale(p: usize) -> World {
 }
 
 /// Execute Algorithm 1 on the event loop of `world`, one rank per grid
-/// point, and check the product and the eq. (3) attribution. `exact`
-/// additionally pins every rank's per-phase duplex words to the
-/// prediction (requires evenly-chunked fiber collectives); aggregate
-/// per-phase traffic is checked always, and the tracer's per-phase
-/// totals where the world arms it. `max_rss_kb` bounds the process's
-/// `VmHWM` after the run. Every world must have made a number of picks
-/// linear in its messages. Failures name the pick count and the size of
-/// the choice log, if the world records one.
+/// point, and check the product and every rank's per-phase words and
+/// messages against its integer price (`alg1_price`), from its meters
+/// and, where the world arms the tracer, from the trace. Where every rank pays the
+/// same price, the critical path must be that price. `max_rss_kb` bounds
+/// the process's `VmHWM` after the run. Every world must have made a
+/// number of picks linear in its messages. Failures name the pick count
+/// and the size of the choice log, if the world records one.
 fn scale_point(
     label: &str,
     dims: MatMulDims,
     grid_arr: [usize; 3],
     kernel: Kernel,
-    exact: bool,
     world: World,
     max_rss_kb: Option<u64>,
 ) {
@@ -68,7 +66,6 @@ fn scale_point(
         "{label}: pinned grid is not a §5.2 optimum"
     );
     assert!(dims.divisible_by(grid_arr), "{label}: §5.2 grid must divide the dimensions");
-    let pred = alg1_prediction(dims, grid_arr);
 
     let grid = Grid3::from_dims(grid_arr);
     let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
@@ -127,40 +124,23 @@ fn scale_point(
         );
     }
 
-    // Eq. (3), per rank and per phase where the fiber chunks are even.
-    if exact {
-        for (r, v) in out.values.iter().enumerate() {
-            for (phase, want) in v.phases.iter().zip(pred.phases()) {
-                assert_eq!(
-                    phase.meter.duplex_words() as f64,
-                    want,
-                    "{label}: rank {r} phase '{}' missed the eq. (3) term ({logs})",
-                    phase.label
-                );
-            }
-        }
-        // On the §5.2 optimum the measured critical path *is* the
-        // prediction total (and the Theorem 3 bound wherever tight).
-        let measured = out.critical_path_time();
-        assert!(
-            (measured - pred.total()).abs() <= 1e-9 * pred.total().max(1.0),
-            "{label}: measured critical path {measured} vs eq. (3) total {}",
-            pred.total()
-        );
+    // Eq. (3), per rank and per phase, as each rank's integer price.
+    let plan = AlgPlan::Alg1 { grid: grid_arr };
+    if let Err(mismatch) = check_alg1_price(dims, &plan, out.values.iter().enumerate()) {
+        panic!("{label}: {mismatch} ({logs})");
     }
-    // Aggregate per-phase traffic (holds on every divisible grid).
-    for (i, want) in pred.phases().iter().enumerate() {
-        let got: u64 = out.values.iter().map(|v| v.phases[i].meter.words_recv).sum();
-        assert!(
-            (got as f64 - p as f64 * want).abs() < 1e-6,
-            "{label}: phase {i} aggregate words {got} vs eq. (3) {}",
-            p as f64 * want
-        );
+    // A layout on which every rank pays the same price runs its phases
+    // in lockstep: the critical path is that price's duplex words. (The
+    // critical path of a ragged layout such as `p1m`'s is not priced.)
+    let price = |r| alg1_price(dims, grid_arr, 1, r);
+    if (1..p).all(|r| price(r) == price(0)) {
+        let words: u64 = price(0).iter().map(Traffic::duplex).sum();
+        assert_eq!(out.critical_path_time(), words as f64, "{label}: critical path");
     }
     let tracer = out.tracer();
     if let Some(tracer) = &tracer {
-        let totals = tracer.phase_totals();
-        assert!(!totals.is_empty(), "{label}: traced run attributes per-phase goodput");
+        let attribution = tracer.attribution(ALG1_PHASES, price);
+        assert!(attribution.matches(), "{label}: the trace's phases disagree:\n{attribution}");
     }
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     assert!(
@@ -170,7 +150,7 @@ fn scale_point(
 
     let rate = p as f64 / secs.max(1e-9);
     println!(
-        "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} exact={exact} trace={} \
+        "SCALE: label={label} p={p} grid={}x{}x{} dims={}x{}x{} trace={} \
          secs={secs:.3} ranks_per_sec={rate:.0} peak_rss_kb={rss_kb} \
          host_bytes_per_rank={host_bytes_per_rank} picks={picks} \
          choice_log_bytes={choice_log_bytes}",
@@ -191,7 +171,7 @@ fn scale_point(
 #[test]
 fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
     let dims = MatMulDims::new(250, 200, 200);
-    scale_point("p10k", dims, [25, 20, 20], Kernel::Naive, true, at_scale(10_000), None);
+    scale_point("p10k", dims, [25, 20, 20], Kernel::Naive, at_scale(10_000), None);
 }
 
 /// Executed on a `World` with *no* knob set — the canonical schedule
@@ -203,8 +183,8 @@ fn alg1_executes_at_p_10_4_with_exact_eq3_attribution() {
 fn pick_count_is_linear_in_messages_on_a_world_with_no_knob_set() {
     let world = |p| World::new(p, MachineParams::BANDWIDTH_ONLY);
     let (cube, slab) = (MatMulDims::new(96, 96, 96), MatMulDims::new(512, 512, 16));
-    scale_point("p64-noknob", cube, [4, 4, 4], Kernel::Blocked, true, world(64), None);
-    scale_point("p256-noknob", slab, [16, 16, 1], Kernel::Blocked, true, world(256), None);
+    scale_point("p64-noknob", cube, [4, 4, 4], Kernel::Blocked, world(64), None);
+    scale_point("p256-noknob", slab, [16, 16, 1], Kernel::Blocked, world(256), None);
 }
 
 /// Host seconds of one rendezvous-only world of `p` ranks at the
@@ -327,13 +307,14 @@ fn recorded_pick_cost_is_independent_of_p() {
 #[ignore = "large-P release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
     let (dims, world) = (MatMulDims::new(1000, 1000, 800), at_scale(100_000).with_trace(true));
-    scale_point("p100k", dims, [50, 50, 40], Kernel::Naive, true, world, None);
+    scale_point("p100k", dims, [50, 50, 40], Kernel::Naive, world, None);
 }
 
 /// P = 10^6 on the integral §5.2 grid [100, 100, 100] of
-/// (100, 100, 100): t = 1, one element per block, so fiber chunks are
-/// uneven and eq. (3) holds in aggregate (the per-rank exact check
-/// needs even chunks). Release-mode cell of `cargo xtask scale-check`.
+/// (100, 100, 100): t = 1, one element per block, so one member of each
+/// 100-rank fiber holds the block's one word and the other 99 hold none.
+/// Each rank is still held to its integer price, per phase. Release-mode
+/// cell of `cargo xtask scale-check`.
 /// Peaks at 3.8 GB of RSS (3.9 KB per rank) in about 3 minutes on one
 /// core of a 2-vCPU VM: drained mailboxes and receive stashes give their
 /// buffers back, the collectives hold an even split as a base and a
@@ -343,7 +324,7 @@ fn alg1_executes_at_p_10_5_with_exact_eq3_attribution() {
 #[ignore = "million-rank release cell; run via cargo xtask scale-check"]
 fn alg1_executes_at_p_10_6() {
     let dims = MatMulDims::new(100, 100, 100);
-    scale_point("p1m", dims, [100, 100, 100], Kernel::Naive, false, at_scale(1_000_000), None);
+    scale_point("p1m", dims, [100, 100, 100], Kernel::Naive, at_scale(1_000_000), None);
 }
 
 /// The schedule seed of the default-world cells (the benchmark's).
@@ -358,7 +339,7 @@ const DEFAULT_CELL_SEED: u64 = 0x5eed;
 fn alg1_executes_on_the_default_seeded_world_at_p_1024() {
     let dims = MatMulDims::new(4096, 4096, 64);
     let world = World::new(1024, MachineParams::BANDWIDTH_ONLY).with_seed(DEFAULT_CELL_SEED);
-    scale_point("p1k-default", dims, [32, 32, 1], Kernel::Blocked, true, world, None);
+    scale_point("p1k-default", dims, [32, 32, 1], Kernel::Blocked, world, None);
 }
 
 /// The same default seeded world at P = 4096, on the grid [64, 64, 1] of
@@ -369,7 +350,7 @@ fn alg1_executes_on_the_default_seeded_world_at_p_1024() {
 fn alg1_executes_on_the_default_seeded_world_at_p_4096() {
     let dims = MatMulDims::new(2048, 2048, 64);
     let world = World::new(4096, MachineParams::BANDWIDTH_ONLY).with_seed(DEFAULT_CELL_SEED);
-    scale_point("p4k-default", dims, [64, 64, 1], Kernel::Blocked, true, world, Some(1 << 20));
+    scale_point("p4k-default", dims, [64, 64, 1], Kernel::Blocked, world, Some(1 << 20));
 }
 
 /// `run_async` on a `World` with *no* knob set: the canonical schedule
@@ -381,5 +362,5 @@ fn alg1_executes_on_the_default_seeded_world_at_p_4096() {
 fn alg1_executes_on_the_default_unseeded_world_at_p_1024_under_1_gb() {
     let dims = MatMulDims::new(4096, 4096, 64);
     let world = World::new(1024, MachineParams::BANDWIDTH_ONLY);
-    scale_point("p1k-unseeded", dims, [32, 32, 1], Kernel::Blocked, true, world, Some(1 << 20));
+    scale_point("p1k-unseeded", dims, [32, 32, 1], Kernel::Blocked, world, Some(1 << 20));
 }

@@ -5,10 +5,11 @@
 //! Theorem 3 regimes plus both boundaries) and asserts that the trace is
 //! a faithful, deterministic account of the run:
 //!
-//! (a) per-phase word totals extracted from the event trace equal the
-//!     meter-diff phase accounting the algorithm itself reports, and on
-//!     evenly-chunked grids equal the eq. (3) prediction **exactly**
-//!     (`Tracer::attribution` reports no divergent phase);
+//! (a) every rank's per-phase words and messages, from the event trace
+//!     (`Tracer::attribution` reports no divergent phase) and from the
+//!     meter-diff phase accounting the algorithm itself reports, equal
+//!     its integer price (`pmm_model::alg1_price`) **exactly** on every
+//!     layout, ragged ones included;
 //! (b) the trace's critical-path total reproduces the simulator's clock
 //!     (`WorldResult::critical_path_time`) and is never below any rank's
 //!     duplex goodput words;
@@ -46,26 +47,9 @@ fn sweep() -> Vec<(MatMulDims, usize)> {
     vec![(a, 2), (a, 4), (a, 8), (a, 16), (a, 64), (b, 64)]
 }
 
-/// The grid a sweep point runs on: the best factorization that divides
-/// the dimensions (always exists for these points).
-fn divisible_grid(dims: MatMulDims, p: usize) -> [usize; 3] {
-    best_divisible_grid(dims, p)
-        .unwrap_or_else(|| panic!("no divisible factorization of {p} for {dims}"))
-        .grid
-}
-
-/// Eq. (3) is phase-by-phase exact iff every fiber collective works on
-/// even chunks (same predicate as the conformance suite).
-fn phase_exact(dims: MatMulDims, grid: [usize; 3]) -> bool {
-    let [p1, p2, p3] = grid;
-    if !dims.divisible_by(grid) {
-        return false;
-    }
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let a_block = (n1 / p1) * (n2 / p2);
-    let b_block = (n2 / p2) * (n3 / p3);
-    let c_block = (n1 / p1) * (n3 / p3);
-    a_block % p3 == 0 && b_block % p1 == 0 && c_block % p2 == 0
+/// The grid a sweep point runs on: the best integer grid of §5.2.
+fn grid_of(dims: MatMulDims, p: usize) -> [usize; 3] {
+    best_grid(dims, p).grid
 }
 
 fn traced_run(
@@ -87,61 +71,29 @@ fn traced_run(
 #[test]
 fn trace_phase_words_match_the_meter_diff_accounting() {
     let seed = seed();
-    for (dims, p) in sweep() {
-        let grid = divisible_grid(dims, p);
+    // The sweep, then a grid that does not divide the dimensions and a
+    // divisible grid whose blocks split unevenly over their fibers. The
+    // trace's per-phase words and messages (`attribution`) and the
+    // algorithm's own phase meters are each held to every rank's integer
+    // price, so they agree with each other too.
+    let sweep = sweep().into_iter().map(|(dims, p)| (dims, grid_of(dims, p)));
+    let ragged = [(MatMulDims::new(13, 7, 11), [2, 2, 2]), (MatMulDims::new(10, 4, 9), [2, 2, 3])];
+    for (dims, grid) in sweep.chain(ragged) {
         let out = traced_run(dims, grid, seed);
         let tracer = out.tracer().expect("tracing was on");
-        let totals = tracer.phase_totals();
-        // Every meter-diff phase the algorithm reports must appear in the
-        // trace with identical per-rank sent/received words.
-        for (r, v) in out.values.iter().enumerate() {
-            for ph in &v.phases {
-                let t = totals
-                    .iter()
-                    .find(|t| t.label == ph.label)
-                    .unwrap_or_else(|| panic!("phase '{}' missing from trace", ph.label));
-                assert_eq!(
-                    (t.sent[r], t.recv[r]),
-                    (ph.meter.words_sent, ph.meter.words_recv),
-                    "{dims} P={p} grid {grid:?}: rank {r} phase '{}' [PMM_SEED={seed}]",
-                    ph.label
-                );
-            }
-        }
+        let attribution = tracer.attribution(ALG1_PHASES, |r| alg1_price(dims, grid, 1, r));
+        assert!(attribution.matches(), "{dims} grid {grid:?} [PMM_SEED={seed}]:\n{attribution}");
+        let metered =
+            check_alg1_price(dims, &AlgPlan::Alg1 { grid }, out.values.iter().enumerate());
+        assert_eq!(metered, Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
     }
-}
-
-#[test]
-fn attribution_is_exact_on_evenly_chunked_grids() {
-    let seed = seed();
-    let mut exact_points = 0;
-    for (dims, p) in sweep() {
-        let grid = divisible_grid(dims, p);
-        if !phase_exact(dims, grid) {
-            continue;
-        }
-        exact_points += 1;
-        let out = traced_run(dims, grid, seed);
-        let tracer = out.tracer().expect("tracing was on");
-        let pred = alg1_prediction(dims, grid);
-        let attribution = tracer.attribution(&[
-            ("all-gather A", pred.allgather_a),
-            ("all-gather B", pred.allgather_b),
-            ("reduce-scatter C", pred.reduce_c),
-        ]);
-        assert!(
-            attribution.matches(),
-            "{dims} P={p} grid {grid:?} [PMM_SEED={seed}]:\n{attribution}"
-        );
-    }
-    assert!(exact_points >= 3, "sweep must retain enough evenly-chunked points");
 }
 
 #[test]
 fn critical_path_reproduces_the_clock_and_dominates_goodput() {
     let seed = seed();
     for (dims, p) in sweep() {
-        let grid = divisible_grid(dims, p);
+        let grid = grid_of(dims, p);
         let out = traced_run(dims, grid, seed);
         let tracer = out.tracer().expect("tracing was on");
         let cp = tracer.critical_path();
@@ -171,7 +123,7 @@ fn chrome_json_export_is_byte_stable_for_a_pinned_run() {
     // Golden stability: the same (program, seed) must serialize to the
     // same bytes, run to run — CI and goldens diff this output.
     let dims = MatMulDims::new(96, 24, 12);
-    let grid = divisible_grid(dims, 8);
+    let grid = grid_of(dims, 8);
     let seed = seed();
     let first = traced_run(dims, grid, seed).tracer().expect("tracing was on").chrome_json();
     let second = traced_run(dims, grid, seed).tracer().expect("tracing was on").chrome_json();

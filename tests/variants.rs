@@ -320,8 +320,7 @@ fn streamed_phase_meters_keep_every_retransmitted_word() {
         let out = run_plan_in(&world, &plan, dims);
         let (mut phases, mut meters) = (Meter::default(), Meter::default());
         for (share, report) in out.values.iter().zip(&out.reports) {
-            let CShare::Chunk(alg1) = share else { panic!("{plan}: expected a chunk") };
-            for phase in &alg1.phases {
+            for phase in &share.alg1().phases {
                 phases += phase.meter;
             }
             meters += report.meter;

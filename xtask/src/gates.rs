@@ -212,17 +212,20 @@ pub static GATES: &[Gate] = &[
     Gate {
         name: "conformance",
         help: "tests/conformance.rs — all regimes x all algorithms — under each\n\
-               seed of the pinned matrix; a failure names the PMM_SEED that\n\
-               replays it",
+               seed of the pinned matrix: bitwise products, the Theorem 3 floor,\n\
+               and every Algorithm 1 rank's per-phase words and messages equal\n\
+               to its integer price, ragged layouts included; a failure names\n\
+               the PMM_SEED that replays it",
         run: Run::Cargo("test --release --test conformance"),
         steps: SEED_MATRIX,
         ..GATE
     },
     Gate {
         name: "trace-check",
-        help: "tests/trace_attribution.rs under the pinned seed matrix: per-phase\n\
-               words from the structured trace must equal the eq. (3)\n\
-               prediction, the trace critical path must reproduce the simulator\n\
+        help: "tests/trace_attribution.rs under the pinned seed matrix: each\n\
+               rank's per-phase words and messages from the structured trace\n\
+               must equal its integer eq. (3) price on every layout, ragged ones\n\
+               included, the trace critical path must reproduce the simulator\n\
                clock, and the Chrome export must be byte-stable",
         run: Run::Cargo("test --release --test trace_attribution"),
         steps: SEED_MATRIX,
@@ -294,8 +297,9 @@ pub static GATES: &[Gate] = &[
                cells first (a skipped cell's committed row is carried over):\n\
                Algorithm 1 end-to-end on the seeded and unseeded default\n\
                worlds at P = 1024 and 4096, then at P = 10^4, 10^5 and 10^6\n\
-               (~5 GB), with exact per-rank per-phase eq. (3)\n\
-               attribution on integral section-5.2 grids and the happens-before\n\
+               (~5 GB), every rank's per-phase words and messages equal to its\n\
+               integer eq. (3) price (P = 10^6 included) on integral\n\
+               section-5.2 grids, and the happens-before\n\
                audit on in every cell (each rank's exported event count must\n\
                equal msgs_sent + msgs_recv)",
         budget: Some((300, Via::Clock)),
