@@ -68,24 +68,53 @@ fn traced_run(
     )
 }
 
+/// The sweep on its best grids, then a grid that does not divide the
+/// dimensions and a divisible grid whose blocks split unevenly over their
+/// fibers.
+fn layouts() -> Vec<(MatMulDims, [usize; 3])> {
+    let sweep = sweep().into_iter().map(|(dims, p)| (dims, grid_of(dims, p)));
+    let ragged = [(MatMulDims::new(13, 7, 11), [2, 2, 2]), (MatMulDims::new(10, 4, 9), [2, 2, 3])];
+    sweep.chain(ragged).collect()
+}
+
 #[test]
 fn trace_phase_words_match_the_meter_diff_accounting() {
     let seed = seed();
-    // The sweep, then a grid that does not divide the dimensions and a
-    // divisible grid whose blocks split unevenly over their fibers. The
-    // trace's per-phase words and messages (`attribution`) and the
-    // algorithm's own phase meters are each held to every rank's integer
-    // price, so they agree with each other too.
-    let sweep = sweep().into_iter().map(|(dims, p)| (dims, grid_of(dims, p)));
-    let ragged = [(MatMulDims::new(13, 7, 11), [2, 2, 2]), (MatMulDims::new(10, 4, 9), [2, 2, 3])];
-    for (dims, grid) in sweep.chain(ragged) {
+    // The algorithm's own phase meters are held to every rank's integer
+    // price, and the trace's per-phase totals to those meters.
+    for (dims, grid) in layouts() {
+        let out = traced_run(dims, grid, seed);
+        let metered =
+            check_alg1_price(dims, &AlgPlan::Alg1 { grid }, out.values.iter().enumerate());
+        assert_eq!(metered, Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
+        let totals = out.tracer().expect("tracing was on").phase_totals();
+        for (r, v) in out.values.iter().enumerate() {
+            for ph in &v.phases {
+                let t = totals
+                    .iter()
+                    .find(|t| t.label == ph.label)
+                    .unwrap_or_else(|| panic!("phase '{}' missing from trace", ph.label));
+                assert_eq!(
+                    (t.sent[r], t.recv[r]),
+                    (ph.meter.words_sent, ph.meter.words_recv),
+                    "{dims} grid {grid:?}: rank {r} phase '{}' [PMM_SEED={seed}]",
+                    ph.label
+                );
+            }
+        }
+    }
+}
+
+/// Evenly chunked grids, and ragged ones too: the trace's per-phase words
+/// and messages equal every rank's integer price on any layout.
+#[test]
+fn attribution_is_exact_on_evenly_chunked_grids() {
+    let seed = seed();
+    for (dims, grid) in layouts() {
         let out = traced_run(dims, grid, seed);
         let tracer = out.tracer().expect("tracing was on");
         let attribution = tracer.attribution(ALG1_PHASES, |r| alg1_price(dims, grid, 1, r));
         assert!(attribution.matches(), "{dims} grid {grid:?} [PMM_SEED={seed}]:\n{attribution}");
-        let metered =
-            check_alg1_price(dims, &AlgPlan::Alg1 { grid }, out.values.iter().enumerate());
-        assert_eq!(metered, Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
     }
 }
 
