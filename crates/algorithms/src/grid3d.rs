@@ -51,7 +51,7 @@ use pmm_collectives::{reduce_scatter_a, ReduceScatterAlgo};
 
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Block2, Kernel, Matrix};
 use pmm_model::{alg1_price, AlgPlan, Grid3, MatMulDims, Traffic};
-use pmm_simnet::{poll_now, Comm, Meter, Rank};
+use pmm_simnet::{poll_now, CollectiveOp, Comm, Meter, Rank};
 
 use crate::common::{assert_inputs_match, fiber_comms_on_a, gather_block, PhaseMeter, PhaseProbe};
 
@@ -113,29 +113,44 @@ impl Alg1Output {
 
 /// Hold an Algorithm 1 run of `plan` (plain or streamed) to its integer
 /// price, rank by rank and phase by phase, on any layout. `outputs`
-/// yields each rank's index in the communicator the plan ran on with its
-/// output. The error names the first rank and phase whose words sent,
-/// words received or messages differ from [`alg1_price`].
+/// yields each rank's output in its index order in the communicator the
+/// plan ran on. The error names the first rank and phase whose words
+/// sent, words received or messages differ from [`alg1_price`].
+///
+/// Given the run's `critical_path`, a plain run on which every rank pays
+/// the same price is also held to it: its phases run in lockstep, so the
+/// critical path is that price's duplex words. (The critical path of a
+/// ragged layout is not priced.)
 ///
 /// Panics if `plan` is not an Algorithm 1 plan.
 pub fn check_alg1_price<'a>(
     dims: MatMulDims,
     plan: &AlgPlan,
-    outputs: impl IntoIterator<Item = (usize, &'a Alg1Output)>,
+    outputs: impl IntoIterator<Item = &'a Alg1Output>,
+    critical_path: Option<f64>,
 ) -> Result<(), String> {
     let (grid, slabs) = match *plan {
         AlgPlan::Alg1 { grid } => (grid, 1),
         AlgPlan::Alg1Streamed { grid, slabs } => (grid, slabs),
         _ => panic!("{plan} is not an Algorithm 1 plan"),
     };
-    for (rank, out) in outputs {
-        let price = alg1_price(dims, grid, slabs, rank);
-        for ((phase, metered), price) in out.phases.iter().zip(out.traffic()).zip(price) {
+    let price = |rank| alg1_price(dims, grid, slabs, rank);
+    for (rank, out) in outputs.into_iter().enumerate() {
+        for ((phase, metered), price) in out.phases.iter().zip(out.traffic()).zip(price(rank)) {
             if metered != price {
                 let label = phase.label;
                 return Err(format!(
                     "rank {rank} phase '{label}': metered {metered:?}, priced {price:?}"
                 ));
+            }
+        }
+    }
+    let plain = matches!(plan, AlgPlan::Alg1 { .. });
+    if let Some(path) = critical_path.filter(|_| plain) {
+        if (1..plan.active()).all(|r| price(r) == price(0)) {
+            let words: u64 = price(0).iter().map(Traffic::duplex).sum();
+            if path != words as f64 {
+                return Err(format!("critical path {path}, priced {words} on every rank"));
             }
         }
     }
@@ -334,8 +349,10 @@ fn slab_of(a_blk: &Block2, b_blk: &Block2, slabs: usize, s: usize) -> (Block2, B
 /// Reduce-scatter semantics via All-to-All + local summation (the
 /// [`Assembly::AllToAllSum`] ablation): member `t` ends with the sum of
 /// everyone's chunk `chunk_of_block(data.len(), p, t)`, exchanged pairwise
-/// (`p − 1` rounds), on any split.
+/// (`p − 1` rounds), on any split. Registered as an All-to-All, so the
+/// collective-matching lint checks every member's call.
 async fn all_to_all_sum(rank: &mut Rank, comm: &pmm_simnet::Comm, data: &[f64]) -> Vec<f64> {
+    rank.collective_begin_a(comm, CollectiveOp::AllToAll, data.len() as u64).await;
     let p = comm.size();
     let me = comm.index();
     let chunk = |t: usize| chunk_of_block(data.len(), p, t);

@@ -65,8 +65,8 @@ proptest! {
                     run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
                 })
             });
-            let outputs = out.values.iter().map(CShare::alg1).enumerate();
-            let checked = check_alg1_price(dims, &plan, outputs);
+            let outputs = out.values.iter().map(CShare::alg1);
+            let checked = check_alg1_price(dims, &plan, outputs, Some(out.critical_path_time()));
             prop_assert!(checked.is_ok(), "{} on {}: {:?}", plan, dims, checked);
         }
     }

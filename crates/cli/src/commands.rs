@@ -171,8 +171,8 @@ fn simulate_clean(
     let schedule = schedule_line(sched_seed, &out, host_before);
     let correct = inputs.product_is_correct(&plan, &out);
 
-    let priced = check_alg1_price(dims, &plan, out.values.iter().map(CShare::alg1).enumerate());
     let measured = out.critical_path_time();
+    let priced = check_alg1_price(dims, &plan, out.values.iter().map(CShare::alg1), Some(measured));
     let predicted = alg1_cost_words(dims, grid);
     let bound = lower_bound(dims, procs as f64).bound;
     let mut s = String::new();

@@ -316,7 +316,7 @@ proptest! {
         // blocks): each member's words sent, words received and messages
         // are `member_traffic`'s, and a reduce-scatter adds every word it
         // receives. The closed-form costs take uniform blocks; on those,
-        // each member's clock is the cost's words.
+        // each member's clock is the cost's words and its flops the cost's.
         let uniform = total.is_multiple_of(p).then_some(total / p);
         let mut gathers = vec![AllGatherAlgo::Ring];
         let mut scatters = vec![ReduceScatterAlgo::Ring];
@@ -334,11 +334,14 @@ proptest! {
                     (rank.meter(), rank.time())
                 })
             });
-            let clock = uniform.map(|w| all_gather_cost(algo, p, w).words);
+            let cost = uniform.map(|w| all_gather_cost(algo, p, w));
             for (me, &(meter, time)) in out.values.iter().enumerate() {
                 let want = algo.member_traffic(p, total as u64, me);
                 prop_assert_eq!(meter.traffic(), want, "{:?} {}/{}: member {}", algo, total, p, me);
-                prop_assert!(clock.is_none_or(|c| c == time), "{:?} clock {}", algo, time);
+                prop_assert!(
+                    cost.is_none_or(|c| (c.words, c.flops) == (time, meter.flops)),
+                    "{:?} clock {} flops {}", algo, time, meter.flops
+                );
             }
         }
         for algo in scatters {
@@ -350,12 +353,15 @@ proptest! {
                     (rank.meter(), rank.time())
                 })
             });
-            let clock = uniform.map(|w| reduce_scatter_cost(algo, p, w).words);
+            let cost = uniform.map(|w| reduce_scatter_cost(algo, p, w));
             for (me, &(meter, time)) in out.values.iter().enumerate() {
                 let want = algo.member_traffic(p, total as u64, me);
                 prop_assert_eq!(meter.traffic(), want, "{:?} {}/{}: member {}", algo, total, p, me);
                 prop_assert_eq!(meter.flops, want.recv as f64, "{:?} additions", algo);
-                prop_assert!(clock.is_none_or(|c| c == time), "{:?} clock {}", algo, time);
+                prop_assert!(
+                    cost.is_none_or(|c| (c.words, c.flops) == (time, meter.flops)),
+                    "{:?} clock {} flops {}", algo, time, meter.flops
+                );
             }
         }
     }

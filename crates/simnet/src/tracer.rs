@@ -8,8 +8,8 @@
 //! operation occupied on its rank. The per-world [`Tracer`] collects the
 //! per-rank streams and builds three artifacts on top:
 //!
-//! * [`Tracer::phase_totals`] — per-phase, per-rank goodput word counts
-//!   (the quantity eq. (3) of the paper predicts phase by phase);
+//! * [`Tracer::phase_totals`] — per-phase, per-rank goodput words and
+//!   messages (the quantity eq. (3) of the paper predicts phase by phase);
 //! * [`Tracer::critical_path`] — a backward walk over the dependency
 //!   chain that realized the final clock, attributing every word of the
 //!   longest chain to the phase that spent it;
@@ -44,8 +44,7 @@
 //! );
 //! let phases = tracer.phase_totals();
 //! assert_eq!(phases[0].label, "exchange");
-//! assert_eq!(phases[0].sent[0], 4);
-//! assert_eq!(phases[0].recv[1], 4);
+//! assert_eq!((phases[0].ranks[0].sent, phases[0].ranks[1].recv), (4, 4));
 //! // The longest dependency chain is the one 4-word transfer.
 //! assert_eq!(tracer.critical_path().total, 4.0);
 //! ```
@@ -124,36 +123,21 @@ pub struct TraceEvent {
 }
 
 /// Per-phase goodput totals extracted from a trace: for one phase label,
-/// the words each rank sent and received while that phase was open.
+/// what each rank sent and received while that phase was open.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTotals {
     /// The phase label (innermost open scope wins for nested phases).
     pub label: String,
-    /// Words sent per world rank inside this phase.
-    pub sent: Vec<u64>,
-    /// Words received per world rank inside this phase.
-    pub recv: Vec<u64>,
-    /// Messages sent per world rank inside this phase.
-    pub msgs: Vec<u64>,
+    /// Per world rank: words sent, words received and messages sent
+    /// inside this phase.
+    pub ranks: Vec<Traffic>,
 }
 
 impl PhaseTotals {
-    /// Duplex words of rank `r` in this phase: `max(sent, recv)` — the
-    /// bandwidth term a full-duplex link pays, and what eq. (3) predicts.
-    pub fn duplex(&self, r: usize) -> u64 {
-        self.sent[r].max(self.recv[r])
-    }
-
     /// Maximum duplex words over all ranks (the per-processor cost a
     /// balanced phase charges every rank equally).
     pub fn max_duplex(&self) -> u64 {
-        (0..self.sent.len()).map(|r| self.duplex(r)).max().unwrap_or(0)
-    }
-
-    /// What rank `r` sent, received and how many messages it sent in
-    /// this phase.
-    pub fn traffic(&self, r: usize) -> Traffic {
-        Traffic { sent: self.sent[r], recv: self.recv[r], msgs: self.msgs[r] }
+        self.ranks.iter().map(Traffic::duplex).max().unwrap_or(0)
     }
 }
 
@@ -317,20 +301,12 @@ impl Tracer {
                 let Some(label) = labels[r][i] else { continue };
                 let entry = by_label.entry(label.to_string()).or_insert_with(|| {
                     order.push(label.to_string());
-                    let zeros = vec![0; p];
-                    PhaseTotals {
-                        label: label.to_string(),
-                        sent: zeros.clone(),
-                        recv: zeros.clone(),
-                        msgs: zeros,
-                    }
+                    PhaseTotals { label: label.to_string(), ranks: vec![Traffic::default(); p] }
                 });
+                let moved = &mut entry.ranks[r];
                 match e.op {
-                    TraceOp::Send { .. } => {
-                        entry.sent[r] += e.words;
-                        entry.msgs[r] += 1;
-                    }
-                    TraceOp::Recv { .. } => entry.recv[r] += e.words,
+                    TraceOp::Send { .. } => *moved += Traffic { sent: e.words, recv: 0, msgs: 1 },
+                    TraceOp::Recv { .. } => moved.recv += e.words,
                     _ => {}
                 }
             }
@@ -463,7 +439,7 @@ impl Tracer {
                 let (measured_max, ranks_diverging) = match found {
                     Some(t) => (
                         t.max_duplex(),
-                        expected.iter().enumerate().filter(|(r, e)| t.traffic(*r) != e[i]).count(),
+                        t.ranks.iter().zip(&expected).filter(|(moved, e)| **moved != e[i]).count(),
                     ),
                     // A predicted phase that never ran diverges on every rank.
                     None => (0, self.streams.len()),
@@ -676,9 +652,8 @@ mod tests {
         let totals = t.phase_totals();
         assert_eq!(totals.len(), 1);
         assert_eq!(totals[0].label, "p");
-        assert_eq!(totals[0].sent, vec![10, 0]);
-        assert_eq!(totals[0].recv, vec![0, 10]);
-        assert_eq!(totals[0].msgs, vec![1, 0]);
+        let t = |sent, recv, msgs| Traffic { sent, recv, msgs };
+        assert_eq!(totals[0].ranks, vec![t(10, 0, 1), t(0, 10, 0)]);
         assert_eq!(totals[0].max_duplex(), 10);
     }
 

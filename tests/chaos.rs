@@ -121,8 +121,8 @@ fn certify_cell(
         "{label}: final-attempt run goodput must match the model exactly"
     );
     if let AlgPlan::Alg1 { .. } | AlgPlan::Alg1Streamed { .. } = plan {
-        let outputs = shares.iter().map(CShare::alg1).enumerate();
-        if let Err(mismatch) = check_alg1_price(dims, &plan, outputs) {
+        if let Err(mismatch) = check_alg1_price(dims, &plan, shares.iter().map(CShare::alg1), None)
+        {
             panic!("{label}: {mismatch}");
         }
     }

@@ -138,21 +138,15 @@ fn sweep_spans_all_regimes_and_both_boundaries() {
 
 /// Run Algorithm 1, plain and streamed, on `grid` and hold each rank's
 /// words sent, words received and messages to its integer price, phase
-/// by phase. Where every rank pays the same price, the phases run in
-/// lockstep and the critical path is that price's duplex words. (The
-/// critical path of a ragged layout is not priced.)
+/// by phase, and the critical path where every rank pays the same price.
 fn assert_priced(dims: MatMulDims, grid: [usize; 3], label: &str, seed: u64) {
-    let price = |r| alg1_price(dims, grid, 1, r);
     for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }] {
         let out = run(dims, &plan, seed);
-        let outputs = out.values.iter().map(CShare::alg1).enumerate();
-        if let Err(mismatch) = check_alg1_price(dims, &plan, outputs) {
+        let outputs = out.values.iter().map(CShare::alg1);
+        if let Err(mismatch) =
+            check_alg1_price(dims, &plan, outputs, Some(out.critical_path_time()))
+        {
             panic!("{label} ({dims} {plan}): {mismatch} [PMM_SEED={seed}]");
-        }
-        if plan.algorithm() == "alg1" && (1..plan.active()).all(|r| price(r) == price(0)) {
-            let words: u64 = price(0).iter().map(Traffic::duplex).sum();
-            let measured = out.critical_path_time();
-            assert_eq!(measured, words as f64, "{label} ({dims} {plan}) [PMM_SEED={seed}]");
         }
     }
 }

@@ -76,7 +76,11 @@ fn run_recovery(
 }
 
 /// Assemble C from the survivors' shares and assert bitwise equality with
-/// the serial reference; returns (survivors, final plan, attempts).
+/// the serial reference. For an Algorithm 1 plan, also hold every
+/// survivor of the final attempt to its per-phase integer price (its
+/// grid index is its index among the survivors): goodput words and
+/// messages, whatever faults the run absorbed. Returns (survivors, final
+/// plan, attempts).
 fn check_recovered_product(
     dims: MatMulDims,
     out: &WorldResult<Result<Recovered, RankFailed>>,
@@ -99,26 +103,13 @@ fn check_recovered_product(
         .collect();
     let c = assemble_recovered(dims, &plan, &shares);
     assert_eq!(c, reference(dims), "recovered product must be bitwise-correct");
-    (survivors, plan, ok.attempts())
-}
-
-/// Hold every survivor of the final attempt, an Algorithm 1 `plan`, to
-/// its per-phase integer price: goodput words and messages, whatever
-/// faults the run absorbed. A survivor's grid index is its index among
-/// the survivors.
-fn check_price(
-    dims: MatMulDims,
-    plan: &AlgPlan,
-    out: &WorldResult<Result<Recovered, RankFailed>>,
-    survivors: &[usize],
-) {
-    let outputs = survivors
-        .iter()
-        .map(|&w| out.values[w].as_ref().expect("survivor").share.alg1())
-        .enumerate();
-    if let Err(mismatch) = check_alg1_price(dims, plan, outputs) {
-        panic!("{plan} on {dims}: {mismatch}");
+    if let AlgPlan::Alg1 { .. } | AlgPlan::Alg1Streamed { .. } = plan {
+        if let Err(mismatch) = check_alg1_price(dims, &plan, shares.iter().map(CShare::alg1), None)
+        {
+            panic!("{plan} on {dims}: {mismatch}");
+        }
     }
+    (survivors, plan, ok.attempts())
 }
 
 // ---------------------------------------------------------------------------
@@ -156,11 +147,10 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
     assert_eq!(attempts, 2, "one abandoned attempt, one successful");
 
     // Retry overhead is real (≥5% drops must retransmit something) and
-    // strictly separated from goodput: the successful attempt's per-phase
-    // goodput matches eq. (3) on the recovery grid *exactly*.
+    // strictly separated from goodput: `check_recovered_product` held the
+    // successful attempt's per-phase goodput to its price *exactly*.
     let total_retry: u64 = out.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
     assert!(total_retry > 0, "8% drops over 9 ranks must cause retransmissions");
-    check_price(dims, &plan_used, &out, &survivors);
 
     // Byte-identical replay from the printed seed: values, meters, times,
     // and choice logs all reproduce.
@@ -192,7 +182,7 @@ fn recovery_goodput_matches_model_recovery_prediction() {
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
     assert_eq!(pred.attempts.len(), ok.attempts());
     // Final attempt: every survivor's per-phase goodput is its price.
-    check_price(dims, &ok.plan, &out, &ok.survivors);
+    check_recovered_product(dims, &out);
     // The redistribution ring and the algorithm run sum to the model's
     // totals exactly across survivors …
     let survivors: Vec<&Recovered> = out.values.iter().filter_map(|v| v.as_ref().ok()).collect();
@@ -312,11 +302,10 @@ fn sweep_regime(p: usize, kill_rank: usize, kill_op: u64) {
         let out = run_recovery(dims, p, sched_seed, plan);
         let failed = out.values[kill_rank].as_ref().expect_err("killed rank errors");
         assert_eq!(failed.rank, kill_rank);
-        let (survivors, plan_used, _) = check_recovered_product(dims, &out);
-        assert_eq!(survivors.len(), p - 1);
         // Every survivor's goodput is its price on the recovery grid,
         // ragged or not.
-        check_price(dims, &plan_used, &out, &survivors);
+        let (survivors, _, _) = check_recovered_product(dims, &out);
+        assert_eq!(survivors.len(), p - 1);
     }
 }
 

@@ -43,11 +43,12 @@ fn at_scale(p: usize) -> World {
 /// Execute Algorithm 1 on the event loop of `world`, one rank per grid
 /// point, and check the product and every rank's per-phase words and
 /// messages against its integer price (`alg1_price`), from its meters
-/// and, where the world arms the tracer, from the trace. Where every rank pays the
-/// same price, the critical path must be that price. `max_rss_kb` bounds
-/// the process's `VmHWM` after the run. Every world must have made a
-/// number of picks linear in its messages. Failures name the pick count
-/// and the size of the choice log, if the world records one.
+/// and, where the world arms the tracer, from the trace. Where every
+/// rank pays the same price, the critical path must be that price.
+/// `max_rss_kb` bounds the process's `VmHWM` after the run. Every world
+/// must have made a number of picks linear in its messages. Failures
+/// name the pick count and the size of the choice log, if the world
+/// records one.
 fn scale_point(
     label: &str,
     dims: MatMulDims,
@@ -124,22 +125,15 @@ fn scale_point(
         );
     }
 
-    // Eq. (3), per rank and per phase, as each rank's integer price.
-    let plan = AlgPlan::Alg1 { grid: grid_arr };
-    if let Err(mismatch) = check_alg1_price(dims, &plan, out.values.iter().enumerate()) {
+    // Eq. (3), per rank and per phase, as each rank's integer price, and
+    // the critical path on layouts where every rank pays the same price.
+    let (plan, path) = (AlgPlan::Alg1 { grid: grid_arr }, Some(out.critical_path_time()));
+    if let Err(mismatch) = check_alg1_price(dims, &plan, &out.values, path) {
         panic!("{label}: {mismatch} ({logs})");
-    }
-    // A layout on which every rank pays the same price runs its phases
-    // in lockstep: the critical path is that price's duplex words. (The
-    // critical path of a ragged layout such as `p1m`'s is not priced.)
-    let price = |r| alg1_price(dims, grid_arr, 1, r);
-    if (1..p).all(|r| price(r) == price(0)) {
-        let words: u64 = price(0).iter().map(Traffic::duplex).sum();
-        assert_eq!(out.critical_path_time(), words as f64, "{label}: critical path");
     }
     let tracer = out.tracer();
     if let Some(tracer) = &tracer {
-        let attribution = tracer.attribution(ALG1_PHASES, price);
+        let attribution = tracer.attribution(ALG1_PHASES, |r| alg1_price(dims, grid_arr, 1, r));
         assert!(attribution.matches(), "{label}: the trace's phases disagree:\n{attribution}");
     }
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();

@@ -80,27 +80,19 @@ fn layouts() -> Vec<(MatMulDims, [usize; 3])> {
 #[test]
 fn trace_phase_words_match_the_meter_diff_accounting() {
     let seed = seed();
-    // The algorithm's own phase meters are held to every rank's integer
-    // price, and the trace's per-phase totals to those meters.
+    // The algorithm's own phase meters (and, where every rank pays the
+    // same price, the clock) are held to every rank's integer price, and
+    // the trace's per-phase totals to those meters.
     for (dims, grid) in layouts() {
         let out = traced_run(dims, grid, seed);
-        let metered =
-            check_alg1_price(dims, &AlgPlan::Alg1 { grid }, out.values.iter().enumerate());
+        let path = Some(out.critical_path_time());
+        let metered = check_alg1_price(dims, &AlgPlan::Alg1 { grid }, &out.values, path);
         assert_eq!(metered, Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
         let totals = out.tracer().expect("tracing was on").phase_totals();
-        for (r, v) in out.values.iter().enumerate() {
-            for ph in &v.phases {
-                let t = totals
-                    .iter()
-                    .find(|t| t.label == ph.label)
-                    .unwrap_or_else(|| panic!("phase '{}' missing from trace", ph.label));
-                assert_eq!(
-                    (t.sent[r], t.recv[r]),
-                    (ph.meter.words_sent, ph.meter.words_recv),
-                    "{dims} grid {grid:?}: rank {r} phase '{}' [PMM_SEED={seed}]",
-                    ph.label
-                );
-            }
+        for (i, label) in ALG1_PHASES.into_iter().enumerate() {
+            let traced = totals.iter().find(|t| t.label == label).map(|t| &t.ranks);
+            let metered: Vec<_> = out.values.iter().map(|v| v.traffic()[i]).collect();
+            assert_eq!(traced, Some(&metered), "{dims} grid {grid:?}: '{label}' [PMM_SEED={seed}]");
         }
     }
 }
