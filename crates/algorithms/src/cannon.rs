@@ -61,46 +61,31 @@ pub fn cannon(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> Ca
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{run_on_world, CShare};
-    use pmm_dense::{gemm, random_int_matrix};
+    use crate::Inputs;
     use pmm_model::AlgPlan;
-
-    fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
-        run_on_world(&AlgPlan::Cannon { q }, dims, a, b)
-    }
-
-    fn reference(dims: MatMulDims) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
-        gemm(&a, &b, Kernel::Naive)
-    }
 
     #[test]
     fn correct_square_divisible() {
-        let dims = MatMulDims::new(12, 12, 12);
+        let inputs = Inputs::random_int(MatMulDims::new(12, 12, 12), 5);
         for q in [1usize, 2, 3, 4] {
-            let (c, _) = run(dims, q);
-            assert_eq!(c, reference(dims), "q={q}");
+            inputs.measure(&AlgPlan::Cannon { q }, false);
         }
     }
 
     #[test]
     fn correct_rectangular_and_uneven() {
         for dims in [MatMulDims::new(9, 6, 12), MatMulDims::new(7, 5, 11)] {
+            let inputs = Inputs::random_int(dims, 5);
             for q in [2usize, 3] {
-                let (c, _) = run(dims, q);
-                assert_eq!(c, reference(dims), "{dims} q={q}");
+                inputs.measure(&AlgPlan::Cannon { q }, false);
             }
         }
     }
 
     #[test]
     fn single_rank_no_communication() {
-        let dims = MatMulDims::new(5, 4, 3);
-        let (c, out) = run(dims, 1);
-        assert_eq!(c, reference(dims));
+        let inputs = Inputs::random_int(MatMulDims::new(5, 4, 3), 5);
+        let out = inputs.measure(&AlgPlan::Cannon { q: 1 }, false);
         assert_eq!(out.total_words_sent(), 0.0);
     }
 
@@ -111,8 +96,8 @@ mod tests {
         // with i>0, j>0 send exactly q·(|A|+|B|)/P − (blocks they keep).
         let n = 12u64;
         let q = 3usize;
-        let dims = MatMulDims::square(n);
-        let (_, out) = run(dims, q);
+        let out =
+            Inputs::random_int(MatMulDims::square(n), 5).measure(&AlgPlan::Cannon { q }, false);
         let block = (n as usize / q) * (n as usize / q);
         // Rank (1,1): skew A (1) + skew B (1) + 2 rotations × 2 matrices.
         let m = &out.reports[q + 1].meter;
@@ -129,12 +114,9 @@ mod tests {
         use pmm_core::gridopt::best_grid;
 
         let dims = MatMulDims::new(64, 16, 16); // m/n = 4 ⇒ P=4 is 1D case
-        let q = 2usize; // P = 4
-        let (_, cannon_out) = run(dims, q);
-
-        let plan = AlgPlan::Alg1 { grid: best_grid(dims, 4).grid };
-        let (a, b) = (random_int_matrix(64, 16, -3..4, 5), random_int_matrix(16, 16, -3..4, 6));
-        let (_, alg1_out) = run_on_world(&plan, dims, a, b);
+        let inputs = Inputs::random_int(dims, 5);
+        let cannon_out = inputs.measure(&AlgPlan::Cannon { q: 2 }, false); // P = 4
+        let alg1_out = inputs.measure(&AlgPlan::Alg1 { grid: best_grid(dims, 4).grid }, false);
         assert!(
             alg1_out.critical_path_time() < cannon_out.critical_path_time(),
             "Alg1 {} should beat Cannon {}",

@@ -394,36 +394,35 @@ pub fn assemble_c(dims: MatMulDims, grid: Grid3, chunks: &[Vec<f64>]) -> Matrix 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Inputs;
     use pmm_core::gridopt::best_grid;
     use pmm_core::theorem3::lower_bound;
-    use pmm_dense::{gemm as serial_gemm, random_int_matrix};
-    use pmm_simnet::{MachineParams, World};
+    use pmm_dense::random_int_matrix;
+    use pmm_simnet::{MachineParams, World, WorldResult};
     use std::sync::Arc;
 
-    /// Run Algorithm 1 on a world sized to `grid`, return (C, result).
-    fn run(
-        dims: MatMulDims,
-        grid: [usize; 3],
-        assembly: Assembly,
-    ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
-        let grid = Grid3::from_dims(grid);
-        let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let ab = Arc::new((
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-        ));
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        });
-        let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        (assemble_c(dims, grid, &chunks), out)
+    /// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
+    fn inputs(dims: MatMulDims) -> Inputs {
+        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+        Inputs::new(
+            dims,
+            random_int_matrix(n1, n2, -3..4, 11),
+            random_int_matrix(n2, n3, -3..4, 22),
+        )
     }
 
-    fn reference(dims: MatMulDims) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
-        serial_gemm(&a, &b, Kernel::Naive)
+    /// Run Algorithm 1 with `assembly` on a world sized to `grid` and hold
+    /// its product to the oracle.
+    fn run(inputs: &Inputs, grid: [usize; 3], assembly: Assembly) -> WorldResult<Alg1Output> {
+        let (dims, grid) = (inputs.dims, Grid3::from_dims(grid));
+        let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
+        });
+        let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
+        assert_eq!(assemble_c(dims, grid, &chunks), *inputs.want(), "{assembly:?} on {grid:?}");
+        out
     }
 
     #[test]
@@ -444,43 +443,36 @@ mod tests {
 
     #[test]
     fn correct_on_divisible_3d_grid() {
-        let dims = MatMulDims::new(12, 8, 6);
-        let (c, _) = run(dims, [2, 2, 3], Assembly::ReduceScatter);
-        assert_eq!(c, reference(dims), "Alg1 product disagrees with serial reference");
+        run(&inputs(MatMulDims::new(12, 8, 6)), [2, 2, 3], Assembly::ReduceScatter);
     }
 
     #[test]
     fn correct_on_1d_and_2d_grids() {
-        let dims = MatMulDims::new(12, 9, 5);
+        let inputs = inputs(MatMulDims::new(12, 9, 5));
         for grid in [[4, 1, 1], [1, 3, 1], [1, 1, 5], [3, 3, 1], [2, 1, 5]] {
-            let (c, _) = run(dims, grid, Assembly::ReduceScatter);
-            assert_eq!(c, reference(dims), "grid {grid:?}");
+            run(&inputs, grid, Assembly::ReduceScatter);
         }
     }
 
     #[test]
     fn correct_on_non_divisible_dims() {
-        let dims = MatMulDims::new(13, 7, 11);
+        let inputs = inputs(MatMulDims::new(13, 7, 11));
         for grid in [[2, 2, 2], [3, 2, 1], [2, 3, 4]] {
-            let (c, _) = run(dims, grid, Assembly::ReduceScatter);
-            assert_eq!(c, reference(dims), "grid {grid:?}");
+            run(&inputs, grid, Assembly::ReduceScatter);
         }
     }
 
     #[test]
     fn correct_with_all_to_all_assembly() {
-        let dims = MatMulDims::new(12, 8, 6);
+        let inputs = inputs(MatMulDims::new(12, 8, 6));
         for grid in [[2, 2, 3], [1, 4, 1], [2, 3, 2]] {
-            let (c, _) = run(dims, grid, Assembly::AllToAllSum);
-            assert_eq!(c, reference(dims), "grid {grid:?}");
+            run(&inputs, grid, Assembly::AllToAllSum);
         }
     }
 
     #[test]
     fn single_processor_no_communication() {
-        let dims = MatMulDims::new(6, 5, 4);
-        let (c, out) = run(dims, [1, 1, 1], Assembly::ReduceScatter);
-        assert_eq!(c, reference(dims));
+        let out = run(&inputs(MatMulDims::new(6, 5, 4)), [1, 1, 1], Assembly::ReduceScatter);
         assert_eq!(out.total_words_sent(), 0.0);
     }
 
@@ -491,11 +483,11 @@ mod tests {
         // per-fiber chunks divide evenly (same aspect ratios as the
         // paper's §5.3 example: m/n = 4, mn/k² = 64).
         let dims = MatMulDims::new(768, 192, 48);
+        let inputs = inputs(dims);
         for (p, want_case) in [(3usize, "1D"), (36, "2D"), (512, "3D")] {
             let choice = best_grid(dims, p);
             assert!(dims.divisible_by(choice.grid), "P={p} grid {:?}", choice.grid);
-            let (c, out) = run(dims, choice.grid, Assembly::ReduceScatter);
-            assert_eq!(c, reference(dims));
+            let out = run(&inputs, choice.grid, Assembly::ReduceScatter);
             let bound = lower_bound(dims, p as f64).bound;
             let got = out.critical_path_time();
             assert!(
@@ -507,10 +499,10 @@ mod tests {
 
     #[test]
     fn alltoall_assembly_same_bandwidth_more_latency() {
-        let dims = MatMulDims::new(16, 16, 16);
+        let inputs = inputs(MatMulDims::new(16, 16, 16));
         let grid = [2, 4, 2];
-        let (_, rs) = run(dims, grid, Assembly::ReduceScatter);
-        let (_, aa) = run(dims, grid, Assembly::AllToAllSum);
+        let rs = run(&inputs, grid, Assembly::ReduceScatter);
+        let aa = run(&inputs, grid, Assembly::AllToAllSum);
         assert_eq!(
             rs.reports[0].meter.words_sent, aa.reports[0].meter.words_sent,
             "assembly variants move the same words"
@@ -527,7 +519,7 @@ mod tests {
         use pmm_core::memlimit::alg1_memory_words;
         let dims = MatMulDims::new(24, 24, 24);
         let grid = [2, 2, 2];
-        let (_, out) = run(dims, grid, Assembly::ReduceScatter);
+        let out = run(&inputs(dims), grid, Assembly::ReduceScatter);
         let want = alg1_memory_words(dims, grid);
         for rep in &out.reports {
             let peak = rep.peak_mem_words as f64;

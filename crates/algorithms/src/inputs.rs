@@ -1,6 +1,6 @@
-//! How a harness obtains a measured row: a problem's shared inputs, an
-//! [`AlgPlan`], and `pmm_algs`'s one executor ([`run_plan_a`]) give an
-//! executed [`WorldResult`].
+//! The one harness that executes a plan: a problem's shared inputs, an
+//! [`AlgPlan`], and the one executor ([`run_plan_a`]) give an executed
+//! [`WorldResult`] whose product is held to the oracle.
 //!
 //! The global inputs are generated once per problem ([`Inputs`]) and
 //! shared by every rank of every world run on them — a copy per rank is
@@ -12,13 +12,26 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pmm_algs::{assemble_recovered, run_plan_a, CShare};
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
 use pmm_model::{AlgPlan, MachineParams, MatMulDims};
 use pmm_simnet::{World, WorldResult};
 
+use crate::recovery::{assemble_recovered, run_plan_a, CShare};
+
 /// The global `A` and `B` of one problem, held once on the host, and (on
 /// first use) the product every run on them must assemble to.
+///
+/// ```
+/// use pmm_algs::Inputs;
+/// use pmm_dense::Kernel;
+/// use pmm_model::{AlgPlan, MachineParams, MatMulDims};
+/// use pmm_simnet::World;
+///
+/// let inputs = Inputs::random_int(MatMulDims::new(8, 8, 8), 1);
+/// let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
+/// let out = inputs.run(&World::new(8, MachineParams::BANDWIDTH_ONLY), &plan, Kernel::Naive);
+/// assert!(inputs.product_is_correct(&plan, &out));
+/// ```
 pub struct Inputs {
     /// Problem dimensions.
     pub dims: MatMulDims,

@@ -33,19 +33,23 @@
 //!   checkpointed failure recovery ([`run_recoverable_a`]) on top of it:
 //!   checkpoint ring, typed rank-failure detection, re-plan onto the
 //!   survivors, redistribute, resume.
+//! * [`inputs`] — the one harness that executes a plan ([`Inputs`]): a
+//!   problem's inputs generated once and shared by every rank, ranks
+//!   hosted on the event loop, the product held to the naive oracle.
 //!
 //! Every executed algorithm consumes the *initial distribution* it
 //! specifies (each rank extracts only its owned part of the input),
 //! returns its owned part of `C`, and reports per-phase traffic meters.
-//! Tests reassemble the distributed output ([`assemble_recovered`]) and
-//! compare it bit-for-bit against a serial reference on integer-valued
-//! inputs.
+//! [`Inputs`] reassembles the distributed output ([`assemble_recovered`])
+//! and compares it bit-for-bit against the serial oracle on
+//! integer-valued inputs.
 
 #![warn(missing_docs)]
 
 pub mod cannon;
 pub mod common;
 pub mod grid3d;
+pub mod inputs;
 pub mod recovery;
 pub mod recursive;
 pub mod streamed;
@@ -58,6 +62,7 @@ pub use grid3d::{
     alg1, alg1_a, alg1_on_a, assemble_c, check_alg1_price, Alg1Config, Alg1Output, Assembly,
     ALG1_PHASES,
 };
+pub use inputs::Inputs;
 pub use recovery::{
     assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };

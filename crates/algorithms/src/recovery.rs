@@ -49,7 +49,7 @@
 
 use pmm_core::gridopt::best_grid;
 use pmm_dense::{Kernel, Matrix};
-use pmm_model::{AlgPlan, Grid3, MatMulDims};
+use pmm_model::{summa_panels, AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
@@ -57,7 +57,7 @@ use crate::grid3d::{
     alg1_on_a, assemble_c, owned_a_chunk, owned_b_chunk, Alg1Config, Alg1Output, Assembly,
 };
 use crate::recursive::{carma_a, carma_assemble_c, carma_shares};
-use crate::summa::{lcm, near_square_factors, summa_on_a, SummaConfig};
+use crate::summa::{near_square_factors, summa_on_a, SummaConfig};
 use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
 /// One rank's share of `C` from [`run_plan_a`] — the per-algorithm
@@ -175,7 +175,7 @@ fn owned_inputs(plan: &AlgPlan, dims: MatMulDims, idx: usize, a: &Matrix, b: &Ma
             // Block-cyclic panels: A panel t on process column t mod pc,
             // B panel t on process row t mod pr.
             let (i, j) = (idx / pc, idx % pc);
-            let s = lcm(pr, pc);
+            let s = summa_panels(pr, pc);
             let mut v = Vec::new();
             for t in 0..s {
                 if t % pc == j {
@@ -447,59 +447,27 @@ fn block_share(share: &CShare, i: usize, j: usize) -> Matrix {
     }
 }
 
-/// Unit-test helper: run `plan` with the naive kernel on a bandwidth-only
-/// world of its own size, every rank reading the one shared pair of
-/// inputs; returns the assembled `C` and the run.
-#[cfg(test)]
-pub(crate) fn run_on_world(
-    plan: &AlgPlan,
-    dims: MatMulDims,
-    a: Matrix,
-    b: Matrix,
-) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-    use pmm_simnet::{MachineParams, World};
-    use std::sync::Arc;
-
-    let ab = Arc::new((a, b));
-    let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
-    let out = world.run_async(|rank| {
-        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
-        Box::pin(async move {
-            let comm = rank.world_comm();
-            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-        })
-    });
-    (assemble_recovered(dims, plan, &out.values), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use pmm_dense::{gemm, random_int_matrix};
+    use crate::Inputs;
     use pmm_simnet::{FaultPlan, MachineParams, World, WorldResult};
-
-    fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-        (
-            random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 91),
-            random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 92),
-        )
-    }
 
     /// Run `plan`'s algorithm with checkpointed recovery on `world`,
     /// every rank reading the one shared pair of inputs.
     fn run_plan(
         world: &World,
         plan: &AlgPlan,
-        dims: MatMulDims,
-        ab: &Arc<(Matrix, Matrix)>,
+        inputs: &Inputs,
     ) -> WorldResult<Result<Recovered, RankFailed>> {
+        let dims = inputs.dims;
         world.run_async(|rank| {
-            let (plan, ab) = (plan.clone(), Arc::clone(ab));
-            Box::pin(async move {
-                run_recoverable_a(rank, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-            })
+            let (plan, a, b) = (plan.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+            Box::pin(
+                async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await },
+            )
         })
     }
 
@@ -537,12 +505,13 @@ mod tests {
     #[test]
     fn owned_inputs_partition_the_inputs_exactly() {
         let dims = MatMulDims::new(12, 8, 10);
-        let (a, b) = inputs(dims);
+        let inputs = Inputs::random_int(dims, 91);
         let total = (dims.n1 * dims.n2 + dims.n2 * dims.n3) as usize;
         for alg in all_plans() {
             for p in [1usize, 4, 6, 9] {
                 let plan = plan_for(&alg, dims, p);
-                let words: usize = (0..p).map(|i| owned_inputs(&plan, dims, i, &a, &b).len()).sum();
+                let words: usize =
+                    (0..p).map(|i| owned_inputs(&plan, dims, i, &inputs.a, &inputs.b).len()).sum();
                 assert_eq!(words, total, "{plan} on p={p}");
             }
         }
@@ -550,21 +519,19 @@ mod tests {
 
     #[test]
     fn fault_free_recovery_is_bitwise_correct_for_all_six() {
-        let dims = MatMulDims::new(12, 8, 16);
-        let ab = Arc::new(inputs(dims));
-        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
+        let inputs = Inputs::random_int(MatMulDims::new(12, 8, 16), 91);
         for alg in all_plans() {
             for p in [4usize, 6] {
                 if matches!(alg, AlgPlan::Carma { .. }) && p == 6 {
                     continue; // CARMA splits need even dims at each level
                 }
-                let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, dims, &ab);
+                let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, &inputs);
                 let ok: Vec<Recovered> =
                     out.values.into_iter().map(|v| v.expect("no faults")).collect();
                 let plan = ok[0].plan.clone();
                 let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
-                let got = assemble_recovered(dims, &plan, &shares);
-                assert_eq!(got, want, "{plan} on p={p}");
+                let got = assemble_recovered(inputs.dims, &plan, &shares);
+                assert_eq!(got, *inputs.want(), "{plan} on p={p}");
                 for v in &ok {
                     assert_eq!(v.attempts(), 1);
                     assert_eq!(v.survivors, (0..p).collect::<Vec<_>>());
@@ -575,9 +542,7 @@ mod tests {
 
     #[test]
     fn kill_recovers_on_all_six() {
-        let dims = MatMulDims::new(12, 8, 16);
-        let ab = Arc::new(inputs(dims));
-        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
+        let inputs = Inputs::random_int(MatMulDims::new(12, 8, 16), 91);
         // The canonical schedule and a fixed handful of seeded ones: the
         // kill lands at a different point of the survivors' progress in
         // each. Seeds 2 and 4 are schedules on which Cannon's row split
@@ -590,7 +555,7 @@ mod tests {
         for world in worlds {
             for alg in all_plans() {
                 // 4 survivors: power of two, square, 2×2.
-                let out = run_plan(&world, &alg, dims, &ab);
+                let out = run_plan(&world, &alg, &inputs);
                 let label = format!("{} [{}]", alg.algorithm(), world.repro().note());
                 let ok: Vec<&Recovered> =
                     out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
@@ -599,7 +564,8 @@ mod tests {
                 assert_eq!(ok[0].survivors, vec![0, 1, 3, 4], "{label}");
                 assert!(ok[0].attempts() >= 2, "{label}: retried after the kill");
                 let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
-                assert_eq!(assemble_recovered(dims, &plan, &shares), want, "{label}: {plan}");
+                let got = assemble_recovered(inputs.dims, &plan, &shares);
+                assert_eq!(got, *inputs.want(), "{label}: {plan}");
             }
         }
     }
@@ -607,17 +573,16 @@ mod tests {
     #[test]
     fn restore_goodput_matches_the_model_exactly() {
         use pmm_model::restore_words_total;
-        let dims = MatMulDims::new(12, 8, 16);
-        let ab = Arc::new(inputs(dims));
+        let inputs = Inputs::random_int(MatMulDims::new(12, 8, 16), 91);
         for alg in all_plans() {
             let p = 4usize;
-            let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, dims, &ab);
+            let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, &inputs);
             let restore: u64 = out
                 .values
                 .iter()
                 .map(|v| v.as_ref().expect("no faults").restore_meter.words_sent)
                 .sum();
-            assert_eq!(restore as f64, restore_words_total(dims, p), "{}", alg.algorithm());
+            assert_eq!(restore as f64, restore_words_total(inputs.dims, p), "{}", alg.algorithm());
         }
     }
 }

@@ -319,7 +319,7 @@ fn place_c_n2(
 mod tests {
     use super::*;
     use pmm_core::theorem3::lower_bound;
-    use pmm_model::plan_prediction;
+    use pmm_model::{plan_prediction, AlgPlan};
 
     /// Words per rank the CARMA recursion moves on `p` ranks.
     fn words_per_rank(dims: MatMulDims, p: u64) -> f64 {
@@ -378,26 +378,7 @@ mod tests {
 
     // ----- executed CARMA ---------------------------------------------------
 
-    use crate::recovery::{run_on_world, CShare};
-    use pmm_dense::random_int_matrix;
-    use pmm_model::AlgPlan;
-
-    fn run_carma(
-        dims: MatMulDims,
-        p: usize,
-        seed: u64,
-    ) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let a = random_int_matrix(n1, n2, -3..4, seed);
-        let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-        run_on_world(&AlgPlan::Carma { p }, dims, a, b)
-    }
-
-    fn reference(dims: MatMulDims, seed: u64) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, seed);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, seed + 1);
-        gemm(&a, &b, Kernel::Naive)
-    }
+    use crate::Inputs;
 
     #[test]
     fn executed_carma_is_correct() {
@@ -409,8 +390,7 @@ mod tests {
             (MatMulDims::new(64, 16, 8), 16),
             (MatMulDims::new(8, 32, 8), 8), // contracted dim dominates
         ] {
-            let (c, _) = run_carma(dims, p, 91);
-            assert_eq!(c, reference(dims, 91), "{dims} P={p}");
+            Inputs::random_int(dims, 91).measure(&AlgPlan::Carma { p }, false);
         }
     }
 
@@ -425,7 +405,7 @@ mod tests {
             (MatMulDims::new(64, 16, 32), 16),
             (MatMulDims::new(128, 8, 8), 8),
         ] {
-            let (_, out) = run_carma(dims, p, 13);
+            let out = Inputs::random_int(dims, 13).measure(&AlgPlan::Carma { p }, false);
             let want = plan_prediction(dims, &AlgPlan::Carma { p });
             let got = out.critical_path_time();
             let words = want.cost.words;
@@ -439,10 +419,9 @@ mod tests {
         // Every rank's input share is exactly 1/P of each matrix.
         let dims = MatMulDims::new(32, 16, 8);
         let p = 8usize;
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -1..2, 5);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -1..2, 6);
+        let inputs = Inputs::random_int(dims, 5);
         for r in 0..p {
-            let (sa, sb) = carma_shares(p, r, &a, &b);
+            let (sa, sb) = carma_shares(p, r, &inputs.a, &inputs.b);
             assert_eq!(sa.len() as f64, dims.words_of(pmm_model::MatrixId::A) / p as f64);
             assert_eq!(sb.len() as f64, dims.words_of(pmm_model::MatrixId::B) / p as f64);
         }
@@ -450,7 +429,8 @@ mod tests {
 
     #[test]
     fn executed_carma_is_load_balanced() {
-        let (_, out) = run_carma(MatMulDims::square(32), 8, 3);
+        let out =
+            Inputs::random_int(MatMulDims::square(32), 3).measure(&AlgPlan::Carma { p: 8 }, false);
         let flops: Vec<f64> = out.reports.iter().map(|r| r.meter.flops).collect();
         for f in &flops {
             assert_eq!(*f, flops[0], "compute must be perfectly balanced");

@@ -49,43 +49,26 @@ pub fn alg1_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{run_on_world, CShare};
-    use pmm_dense::{gemm, random_int_matrix};
+    use crate::Inputs;
+    use pmm_dense::random_int_matrix;
     use pmm_model::AlgPlan;
-
-    fn run(
-        dims: MatMulDims,
-        grid: [usize; 3],
-        slabs: usize,
-    ) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let (a, b) = (random_int_matrix(n1, n2, -3..4, 71), random_int_matrix(n2, n3, -3..4, 72));
-        run_on_world(&AlgPlan::Alg1Streamed { grid, slabs }, dims, a, b)
-    }
-
-    fn reference(dims: MatMulDims) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 71);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 72);
-        gemm(&a, &b, Kernel::Naive)
-    }
 
     #[test]
     fn correct_for_various_slab_counts() {
-        let dims = MatMulDims::new(16, 24, 12);
+        let inputs = Inputs::random_int(MatMulDims::new(16, 24, 12), 71);
         for grid in [[2usize, 2, 2], [1, 4, 2], [4, 3, 1]] {
             for slabs in [1usize, 2, 3, 5, 100] {
-                let (c, _) = run(dims, grid, slabs);
-                assert_eq!(c, reference(dims), "grid {grid:?} slabs {slabs}");
+                inputs.measure(&AlgPlan::Alg1Streamed { grid, slabs }, false);
             }
         }
     }
 
     #[test]
     fn bandwidth_unchanged_latency_grows_memory_shrinks() {
-        let dims = MatMulDims::new(32, 64, 32);
+        let inputs = Inputs::random_int(MatMulDims::new(32, 64, 32), 71);
         let grid = [2usize, 2, 2];
-        let (_, one) = run(dims, grid, 1);
-        let (_, eight) = run(dims, grid, 8);
+        let one = inputs.measure(&AlgPlan::Alg1Streamed { grid, slabs: 1 }, false);
+        let eight = inputs.measure(&AlgPlan::Alg1Streamed { grid, slabs: 8 }, false);
 
         // Same words moved (per rank, both directions).
         for r in 0..8 {
@@ -115,17 +98,17 @@ mod tests {
         // partition.
         let dims = MatMulDims::new(8, 12, 6);
         let (a, b) = (random_int_matrix(12, 8, -3..4, 1), random_int_matrix(12, 6, -3..4, 2));
-        run_on_world(&AlgPlan::Alg1Streamed { grid: [2, 1, 1], slabs: 2 }, dims, a, b);
+        Inputs::new(dims, a, b)
+            .measure(&AlgPlan::Alg1Streamed { grid: [2, 1, 1], slabs: 2 }, false);
     }
 
     #[test]
     fn more_slabs_than_inner_dim_degenerates_gracefully() {
         // Inner extent h2 = 4 / 2 = 2: 64 slabs clamp to 2, one column
         // each, and send exactly the messages 2 slabs send.
-        let dims = MatMulDims::new(6, 4, 6);
-        let (c, many) = run(dims, [2, 2, 1], 64);
-        assert_eq!(c, reference(dims));
-        let (_, two) = run(dims, [2, 2, 1], 2);
+        let inputs = Inputs::random_int(MatMulDims::new(6, 4, 6), 71);
+        let many = inputs.measure(&AlgPlan::Alg1Streamed { grid: [2, 2, 1], slabs: 64 }, false);
+        let two = inputs.measure(&AlgPlan::Alg1Streamed { grid: [2, 2, 1], slabs: 2 }, false);
         assert_eq!(many.values, two.values);
         for (r, (x, y)) in many.reports.iter().zip(&two.reports).enumerate() {
             assert_eq!(x.meter, y.meter, "rank {r}");

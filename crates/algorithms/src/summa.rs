@@ -2,12 +2,12 @@
 //! (van de Geijn & Watts; the baseline §2.4 algorithms outperform).
 //!
 //! `P = pr × pc` processors. `C` is distributed as `pr × pc` blocks. The
-//! inner dimension is partitioned into `s = lcm(pr, pc)` panels; panel `t`
-//! of `A` (block `(i, t)` of the `pr × s` partition) lives on process
-//! column `t mod pc`, and panel `t` of `B` on process row `t mod pr`
-//! (block-cyclic layout). Each step broadcasts one `A` panel along each
-//! process row and one `B` panel down each process column, then
-//! accumulates.
+//! inner dimension is partitioned into `s = lcm(pr, pc)` panels
+//! ([`summa_panels`]); panel `t` of `A` (block `(i, t)` of the `pr × s`
+//! partition) lives on process column `t mod pc`, and panel `t` of `B` on
+//! process row `t mod pr` (block-cyclic layout). Each step broadcasts one
+//! `A` panel along each process row and one `B` panel down each process
+//! column, then accumulates.
 //!
 //! Broadcasts use the van-de-Geijn scatter–all-gather algorithm when the
 //! panel size divides evenly (bandwidth `2(1 − 1/p)·w`), falling back to a
@@ -18,7 +18,7 @@
 
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 
-use pmm_model::MatMulDims;
+use pmm_model::{summa_panels, MatMulDims};
 use pmm_simnet::{poll_now, Comm, Rank};
 
 use pmm_collectives::{bcast_a, BcastAlgo};
@@ -41,17 +41,6 @@ pub struct SummaConfig {
 pub struct SummaOutput {
     /// This rank's `C` block (block `(i, j)` of the `pr × pc` partition).
     pub c_block: Matrix,
-}
-
-/// Least common multiple: the number of SUMMA panels on a `pr × pc` grid.
-pub(crate) fn lcm(a: usize, b: usize) -> usize {
-    fn gcd(mut a: usize, mut b: usize) -> usize {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    }
-    a / gcd(a, b) * b
 }
 
 /// [`summa_on_a`] on the world, driven to completion in one
@@ -84,7 +73,7 @@ pub async fn summa_on_a(
     let row = rank.split_a(base, i as i64, j as i64).await.expect("row comm");
     let col = rank.split_a(base, (pr + j) as i64, i as i64).await.expect("col comm");
 
-    let s = lcm(pr, pc);
+    let s = summa_panels(pr, pc);
     let my_rows = block_range(n1, pr, i).len();
     let my_cols = block_range(n3, pc, j).len();
     let mut c = Matrix::zeros(my_rows, my_cols);
@@ -161,54 +150,37 @@ async fn bcast_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{run_on_world, CShare};
-    use pmm_dense::{gemm, random_int_matrix};
+    use crate::Inputs;
     use pmm_model::AlgPlan;
-
-    fn run(dims: MatMulDims, pr: usize, pc: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
-        run_on_world(&AlgPlan::Summa { pr, pc }, dims, a, b)
-    }
-
-    fn reference(dims: MatMulDims) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
-        gemm(&a, &b, Kernel::Naive)
-    }
 
     #[test]
     fn correct_on_square_grids() {
-        let dims = MatMulDims::new(12, 12, 12);
+        let inputs = Inputs::random_int(MatMulDims::new(12, 12, 12), 15);
         for q in [1usize, 2, 3] {
-            let (c, _) = run(dims, q, q);
-            assert_eq!(c, reference(dims), "grid {q}x{q}");
+            inputs.measure(&AlgPlan::Summa { pr: q, pc: q }, false);
         }
     }
 
     #[test]
     fn correct_on_rectangular_grids() {
-        let dims = MatMulDims::new(12, 6, 8);
+        let inputs = Inputs::random_int(MatMulDims::new(12, 6, 8), 15);
         for (pr, pc) in [(2usize, 3usize), (3, 2), (4, 1), (1, 4), (2, 4)] {
-            let (c, _) = run(dims, pr, pc);
-            assert_eq!(c, reference(dims), "grid {pr}x{pc}");
+            inputs.measure(&AlgPlan::Summa { pr, pc }, false);
         }
     }
 
     #[test]
     fn correct_on_uneven_dims() {
-        let dims = MatMulDims::new(7, 11, 5);
+        let inputs = Inputs::random_int(MatMulDims::new(7, 11, 5), 15);
         for (pr, pc) in [(2usize, 2usize), (3, 2)] {
-            let (c, _) = run(dims, pr, pc);
-            assert_eq!(c, reference(dims), "grid {pr}x{pc}");
+            inputs.measure(&AlgPlan::Summa { pr, pc }, false);
         }
     }
 
     #[test]
     fn single_rank_no_communication() {
-        let dims = MatMulDims::new(4, 4, 4);
-        let (c, out) = run(dims, 1, 1);
-        assert_eq!(c, reference(dims));
+        let inputs = Inputs::random_int(MatMulDims::new(4, 4, 4), 15);
+        let out = inputs.measure(&AlgPlan::Summa { pr: 1, pc: 1 }, false);
         assert_eq!(out.total_words_sent(), 0.0);
     }
 
@@ -219,7 +191,7 @@ mod tests {
         // path, every step synchronizes the row/column).
         let dims = MatMulDims::new(24, 24, 24);
         let (pr, pc) = (2usize, 2usize);
-        let (_, out) = run(dims, pr, pc);
+        let out = Inputs::random_int(dims, 15).measure(&AlgPlan::Summa { pr, pc }, false);
         let a_stripe = (24.0 / pr as f64) * 24.0;
         let b_stripe = 24.0 * (24.0 / pc as f64);
         let want =

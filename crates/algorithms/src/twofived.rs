@@ -201,49 +201,33 @@ pub async fn twofived_on_a(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{run_on_world, CShare};
-    use pmm_dense::{gemm, random_int_matrix};
+    use crate::{CShare, Inputs};
     use pmm_model::AlgPlan;
-
-    fn run(dims: MatMulDims, q: usize, c: usize) -> (Matrix, pmm_simnet::WorldResult<CShare>) {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
-        run_on_world(&AlgPlan::TwoFiveD { q, c }, dims, a, b)
-    }
-
-    fn reference(dims: MatMulDims) -> Matrix {
-        let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
-        let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
-        gemm(&a, &b, Kernel::Naive)
-    }
 
     #[test]
     fn correct_at_c1_degenerates_to_cannon() {
-        let dims = MatMulDims::new(12, 12, 12);
-        let (cmat, _) = run(dims, 3, 1);
-        assert_eq!(cmat, reference(dims));
+        let inputs = Inputs::random_int(MatMulDims::new(12, 12, 12), 25);
+        inputs.measure(&AlgPlan::TwoFiveD { q: 3, c: 1 }, false);
     }
 
     #[test]
     fn correct_with_replication() {
-        let dims = MatMulDims::new(8, 8, 8);
+        let inputs = Inputs::random_int(MatMulDims::new(8, 8, 8), 25);
         for (q, c) in [(2usize, 2usize), (4, 2), (4, 4)] {
-            let (cmat, _) = run(dims, q, c);
-            assert_eq!(cmat, reference(dims), "q={q} c={c}");
+            inputs.measure(&AlgPlan::TwoFiveD { q, c }, false);
         }
     }
 
     #[test]
     fn correct_rectangular() {
-        let dims = MatMulDims::new(12, 8, 4);
-        let (cmat, _) = run(dims, 4, 2);
-        assert_eq!(cmat, reference(dims));
+        let inputs = Inputs::random_int(MatMulDims::new(12, 8, 4), 25);
+        inputs.measure(&AlgPlan::TwoFiveD { q: 4, c: 2 }, false);
     }
 
     #[test]
     fn non_layer0_ranks_return_none() {
-        let dims = MatMulDims::new(8, 8, 8);
-        let (_, out) = run(dims, 2, 2);
+        let inputs = Inputs::random_int(MatMulDims::new(8, 8, 8), 25);
+        let out = inputs.measure(&AlgPlan::TwoFiveD { q: 2, c: 2 }, false);
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(matches!(v, CShare::Block(Some(_))), r < 4, "rank {r}");
         }
@@ -255,10 +239,9 @@ mod tests {
         // The replicated version does q/c shift steps instead of q; at this
         // P the saving exceeds the replication + reduction overhead, the
         // memory-for-communication trade §6.2 discusses.
-        let dims = MatMulDims::new(32, 32, 32);
-        let (_, repl) = run(dims, 16, 4); // P = 1024
-        let (a, b) = (random_int_matrix(32, 32, -3..4, 25), random_int_matrix(32, 32, -3..4, 26));
-        let (_, flat) = run_on_world(&AlgPlan::Cannon { q: 32 }, dims, a, b);
+        let inputs = Inputs::random_int(MatMulDims::new(32, 32, 32), 25);
+        let repl = inputs.measure(&AlgPlan::TwoFiveD { q: 16, c: 4 }, false); // P = 1024
+        let flat = inputs.measure(&AlgPlan::Cannon { q: 32 }, false);
         assert!(
             repl.critical_path_time() < flat.critical_path_time(),
             "2.5D (c=4) {} should beat 2D (c=1) {}",
@@ -270,8 +253,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "c | q")]
     fn rejects_c_not_dividing_q() {
-        let dims = MatMulDims::new(8, 8, 8);
-        let (a, b) = (random_int_matrix(8, 8, -1..2, 1), random_int_matrix(8, 8, -1..2, 2));
-        run_on_world(&AlgPlan::TwoFiveD { q: 3, c: 2 }, dims, a, b);
+        let inputs = Inputs::random_int(MatMulDims::new(8, 8, 8), 1);
+        inputs.measure(&AlgPlan::TwoFiveD { q: 3, c: 2 }, false);
     }
 }

@@ -38,13 +38,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use pmm_algs::Inputs;
 use pmm_dense::{gemm, random_matrix, Kernel};
 use pmm_model::{
     fit_affine, fit_through_origin, AlgPlan, MachineCalibration, MachineParams, MatMulDims,
 };
 use pmm_simnet::{Meter, World};
-
-use crate::measure::Inputs;
 
 /// Payload sizes (words) the ping-pong probe sweeps. Spread over two
 /// orders of magnitude so the affine fit separates intercept from slope.

@@ -7,8 +7,8 @@
 //! regime punishes anything that communicates the big matrix; crossovers
 //! track `P = m/n` and `P = mn/k²`.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{plan_prediction, AlgPlan, MatMulDims};

@@ -10,10 +10,9 @@
 //! exactly. This cross-validates the executed simulator against the
 //! closed form the other experiments assert their runs against.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
-use pmm_core::gridopt::alg1_cost_words;
-use pmm_model::{AlgPlan, Grid3, MatMulDims};
+use pmm_algs::Inputs;
+use pmm_model::{alg1_prediction, AlgPlan, Grid3, MatMulDims};
 
 pub fn run(checks: &mut Checks) {
     // 96 = 2^5·3, 48, 24: every factorization of the P values below gives
@@ -30,7 +29,7 @@ pub fn run(checks: &mut Checks) {
                 continue;
             }
             n_grids += 1;
-            let predicted = alg1_cost_words(dims, grid);
+            let predicted = alg1_prediction(dims, grid).total();
             let measured = inputs.measure(&AlgPlan::Alg1 { grid }, false).critical_path_time();
             let exact = (measured - predicted).abs() < 1e-9;
             checks.check(format!("P={p} grid {grid:?}: measured == eq3"), exact);

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::measure::Inputs;
 use crate::{print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::TraceOp;
 

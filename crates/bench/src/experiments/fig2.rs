@@ -8,23 +8,11 @@
 //! instance with identical aspect ratios (768×192×48 — same thresholds,
 //! same grids), confirming the per-matrix traffic the figure describes.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_model::{AlgPlan, MatMulDims};
-
-/// Per-matrix eq. 3 communication terms for a grid, in words/processor:
-/// `[A, B, C]`.
-fn per_matrix_words(dims: MatMulDims, grid: [usize; 3]) -> [f64; 3] {
-    let [p1, p2, p3] = grid.map(|x| x as f64);
-    let (n1, n2, n3) = (dims.n1 as f64, dims.n2 as f64, dims.n3 as f64);
-    [
-        (1.0 - 1.0 / p3) * n1 * n2 / (p1 * p2),
-        (1.0 - 1.0 / p1) * n2 * n3 / (p2 * p3),
-        (1.0 - 1.0 / p2) * n1 * n3 / (p1 * p3),
-    ]
-}
+use pmm_model::{alg1_prediction, AlgPlan, MatMulDims};
 
 pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(9600, 2400, 600);
@@ -35,7 +23,7 @@ pub fn run(checks: &mut Checks) {
         let choice = best_grid(dims, p);
         let [p1, p2, p3] = choice.grid;
         let tile = [9600 / p1 as u64, 2400 / p2 as u64, 600 / p3 as u64];
-        let w = per_matrix_words(dims, choice.grid);
+        let w = alg1_prediction(dims, choice.grid).phases();
         let r = lower_bound(dims, p as f64);
         let dim_label = format!("{}D", choice.grid3().effective_dimensionality().max(1));
         rows.push(vec![
@@ -62,14 +50,14 @@ pub fn run(checks: &mut Checks) {
     // Paper's narrative checks (§5.3):
     let g3 = best_grid(dims, 3);
     checks.check("P=3 grid is 3x1x1", g3.grid == [3, 1, 1]);
-    let w = per_matrix_words(dims, g3.grid);
+    let w = alg1_prediction(dims, g3.grid).phases();
     checks.check("P=3: only B communicated", w[0] == 0.0 && w[1] > 0.0 && w[2] == 0.0);
     let (tile_m, tile_n) = (9600 / g3.grid[0] as u64, 2400 / g3.grid[1] as u64);
     checks.check("P=3: tile is not a cube (m/p ≠ n/q)", tile_m != tile_n);
 
     let g36 = best_grid(dims, 36);
     checks.check("P=36 grid is 12x3x1", g36.grid == [12, 3, 1]);
-    let w = per_matrix_words(dims, g36.grid);
+    let w = alg1_prediction(dims, g36.grid).phases();
     checks.check("P=36: B and C communicated, A not", w[0] == 0.0 && w[1] > 0.0 && w[2] > 0.0);
     let (tile_m, tile_n, tile_k) =
         (9600 / g36.grid[0] as u64, 2400 / g36.grid[1] as u64, 600 / g36.grid[2] as u64);
@@ -77,7 +65,7 @@ pub fn run(checks: &mut Checks) {
 
     let g512 = best_grid(dims, 512);
     checks.check("P=512 grid is 32x8x2", g512.grid == [32, 8, 2]);
-    let w = per_matrix_words(dims, g512.grid);
+    let w = alg1_prediction(dims, g512.grid).phases();
     checks.check("P=512: all three matrices communicated", w.iter().all(|&x| x > 0.0));
     let (tile_m, tile_n, tile_k) =
         (9600 / g512.grid[0] as u64, 2400 / g512.grid[1] as u64, 600 / g512.grid[2] as u64);
@@ -98,11 +86,11 @@ pub fn run(checks: &mut Checks) {
                 per_phase[i] = per_phase[i].max(ph.meter.duplex_words());
             }
         }
-        let model = per_matrix_words(small, choice.grid);
+        let model = alg1_prediction(small, choice.grid).phases();
         for i in 0..3 {
             checks.check(
                 format!("scaled P={p}: measured phase {i} == eq3 term"),
-                (per_phase[i] as f64 - model[i]).abs() < 1e-9,
+                per_phase[i] as f64 == model[i],
             );
         }
         rows.push(vec![

@@ -16,8 +16,8 @@
 //! * the critical path recovered from the trace equals the simulator's
 //!   clock, and its total equals the Theorem 3 lower bound.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{alg1_prediction, alg1_price, AlgPlan, Grid3, MatMulDims};

@@ -8,11 +8,11 @@
 //! in the 3D regime — perfect strong scaling of communication is
 //! impossible once the memory-independent bound binds.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
-use pmm_core::gridopt::{alg1_cost_words, best_divisible_grid};
+use pmm_algs::Inputs;
+use pmm_core::gridopt::best_divisible_grid;
 use pmm_core::theorem3::lower_bound;
-use pmm_model::{AlgPlan, MatMulDims};
+use pmm_model::{alg1_prediction, AlgPlan, MatMulDims};
 
 pub fn run(checks: &mut Checks) {
     let n = 512u64;
@@ -24,7 +24,7 @@ pub fn run(checks: &mut Checks) {
     let mut prev_total = 0.0f64;
     for p in [1usize, 8, 64, 512, 4096, 32768, 262144] {
         let choice = best_divisible_grid(dims, p).expect("divisible grid");
-        let predicted = alg1_cost_words(dims, choice.grid);
+        let predicted = alg1_prediction(dims, choice.grid).total();
         let bound = lower_bound(dims, p as f64).bound;
 
         let measured =
@@ -53,8 +53,8 @@ pub fn run(checks: &mut Checks) {
 
     // The P^{1/3} law: between cubic P values, total/n² should scale by
     // (P2/P1)^{1/3} up to the lower-order offset.
-    let t1 = alg1_cost_words(dims, [8, 8, 8]) * 512.0;
-    let t2 = alg1_cost_words(dims, [16, 16, 16]) * 4096.0;
+    let t1 = alg1_prediction(dims, [8, 8, 8]).total() * 512.0;
+    let t2 = alg1_prediction(dims, [16, 16, 16]).total() * 4096.0;
     let growth = t2 / t1;
     println!("\ntotal-communication growth 512 → 4096 (8× more processors): {growth:.3}x");
     println!("P^(1/3) law predicts ≈ 2x (plus lower-order effects)");

@@ -6,8 +6,8 @@
 //! This is the executable version of the paper's headline claim: the
 //! constants 1, 2, 3 are not just lower bounds — they are attained.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::{corollary4, lower_bound};
 use pmm_dense::Kernel;

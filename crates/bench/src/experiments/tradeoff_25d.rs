@@ -5,8 +5,8 @@
 //! memory use, bracketed by the 2D regime at `c = 1` and the
 //! memory-independent bound below.
 
-use crate::measure::Inputs;
 use crate::{fnum, print_table, Checks};
+use pmm_algs::Inputs;
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{AlgPlan, MatMulDims};
 

@@ -4,9 +4,6 @@
 //!   entry of [`experiments::EXPERIMENTS`] (`pmm experiment --list` prints
 //!   the table; `cargo xtask experiments` holds each entry's output to
 //!   `results/<name>.txt`);
-//! * [`measure`] — the one path by which a harness executes an algorithm:
-//!   inputs generated once and shared by every rank, ranks hosted on the
-//!   event loop, the product checked against the naive oracle;
 //! * [`calibrate`] — the measured-hardware probes shared by `kernel_bench`,
 //!   `calibrated_crossover`, `pmm calibrate` and `cargo xtask calibrate`
 //!   (see `docs/PERFORMANCE.md`);
@@ -16,7 +13,6 @@
 
 pub mod calibrate;
 pub mod experiments;
-pub mod measure;
 
 use std::fmt::Display;
 

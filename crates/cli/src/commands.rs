@@ -4,15 +4,18 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pmm_algs::{assemble_recovered, check_alg1_price, run_recoverable_a, CShare, ALG1_PHASES};
+use pmm_algs::{
+    assemble_recovered, check_alg1_price, run_recoverable_a, CShare, Inputs, ALG1_PHASES,
+};
 use pmm_bench::calibrate::calibrate as run_probes;
-use pmm_bench::measure::Inputs;
 use pmm_core::advisor::recommend;
-use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
+use pmm_core::gridopt::{best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
 use pmm_dense::Kernel;
-use pmm_model::{alg1_price, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims};
+use pmm_model::{
+    alg1_prediction, alg1_price, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims,
+};
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, FaultPlan, HostMem, World, WorldResult};
 
@@ -173,7 +176,13 @@ fn simulate_clean(
 
     let measured = out.critical_path_time();
     let priced = check_alg1_price(dims, &plan, out.values.iter().map(CShare::alg1), Some(measured));
-    let predicted = alg1_cost_words(dims, grid);
+    // Each phase's largest duplex price over the ranks: the closed form
+    // is that price only where every rank pays the same.
+    let price_max = (0..procs).fold([0u64; 3], |most, r| {
+        let price = alg1_price(dims, grid, 1, r);
+        std::array::from_fn(|i| most[i].max(price[i].duplex()))
+    });
+    let predicted = alg1_prediction(dims, grid).total();
     let bound = lower_bound(dims, procs as f64).bound;
     let mut s = String::new();
     let _ = writeln!(s, "simulated {dims} on grid {g} ({procs} ranks, seed {seed})");
@@ -184,7 +193,9 @@ fn simulate_clean(
         Err(mismatch) => writeln!(s, "per rank     : DIVERGES at {mismatch} ✗"),
     };
     let _ = writeln!(s, "measured     : {measured:.3} words/processor (critical path)");
-    let _ = writeln!(s, "eq.(3) model : {predicted:.3}");
+    let [a, b, c] = price_max;
+    let _ = writeln!(s, "price        : {a} / {b} / {c} words (A / B / C phase, max over ranks)");
+    let _ = writeln!(s, "closed form  : {predicted:.3} words/processor (eq. (3))");
     let _ = writeln!(s, "lower bound  : {bound:.3}");
     let _ = writeln!(s, "peak memory  : {} words/rank (max)", out.max_peak_mem_words());
     (s, u8::from(!correct || priced.is_err()))

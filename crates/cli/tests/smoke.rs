@@ -107,6 +107,10 @@ fn simulate_and_trace_price_every_rank_exactly_on_ragged_layouts() {
         let text = stdout(&out);
         assert!(out.status.success(), "simulate {grid}: exit {:?}\n{text}", out.status);
         assert!(text.contains("every rank's phases match the integer price ✓"), "{text}");
+        if grid == "2x2x2" {
+            let want = "price        : 14 / 12 / 21 words (A / B / C phase, max over ranks)";
+            assert!(text.contains(want), "{text}");
+        }
     }
 }
 

@@ -17,9 +17,10 @@
 
 use std::fmt;
 
-use pmm_model::{plan_prediction, AlgPlan, Cost, Grid3, MachineParams, MatMulDims};
+use pmm_model::{
+    alg1_prediction, plan_prediction, AlgPlan, Cost, Grid3, MachineParams, MatMulDims,
+};
 
-use crate::gridopt::alg1_cost_words;
 use crate::memlimit::{alg1_memory_words, min_memory_words};
 
 /// A costed candidate.
@@ -222,7 +223,7 @@ pub fn recommend(
         if mem > m_words {
             continue;
         }
-        let cost = alg1_cost_words(dims, grid);
+        let cost = alg1_prediction(dims, grid).total();
         let at = cheapest.partition_point(|kept| kept.0.total_cmp(&cost).is_le());
         if at < 3 {
             cheapest.insert(at, (cost, grid, mem));

@@ -38,15 +38,6 @@ impl GridChoice {
     }
 }
 
-/// Predicted per-processor communication cost (in words, critical path) of
-/// Algorithm 1 on `grid` — the exact eq. (3), including the `(1 − 1/p)`
-/// collective factors. Exact when the grid divides the dimensions.
-pub fn alg1_cost_words(dims: MatMulDims, grid: [usize; 3]) -> f64 {
-    // Delegates to the per-phase eq. 3 evaluation in `pmm-model`, so the
-    // grid optimizer and the conformance oracles share one formula.
-    alg1_prediction(dims, grid).total()
-}
-
 /// The continuous (possibly fractional) optimal grid in **sorted order**
 /// `(p, q, r)` aligned with `(m, n, k)` (§5.2).
 pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
@@ -61,7 +52,8 @@ pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
     }
 }
 
-/// Exact optimal integer grid: minimizes [`alg1_cost_words`] over **all**
+/// Exact optimal integer grid: minimizes eq. (3)
+/// ([`alg1_prediction`]`.total()`) over **all**
 /// ordered factorizations `p1·p2·p3 = P`. Ties break toward the
 /// lexicographically smallest grid in sorted order, so results are
 /// deterministic.
@@ -78,7 +70,7 @@ pub fn best_grid(dims: MatMulDims, p: usize) -> GridChoice {
     let case = dims.sorted().classify(p as f64);
     let mut best: Option<([usize; 3], f64)> = None;
     for f in Grid3::factorizations(p) {
-        let cost = alg1_cost_words(dims, f);
+        let cost = alg1_prediction(dims, f).total();
         match &best {
             Some((_, c)) if *c <= cost => {}
             _ => best = Some((f, cost)),
@@ -99,7 +91,7 @@ pub fn best_divisible_grid(dims: MatMulDims, p: usize) -> Option<GridChoice> {
         if !dims.divisible_by(f) {
             continue;
         }
-        let cost = alg1_cost_words(dims, f);
+        let cost = alg1_prediction(dims, f).total();
         match &best {
             Some((_, c)) if *c <= cost => {}
             _ => best = Some((f, cost)),
@@ -174,7 +166,7 @@ mod tests {
         for p in [6usize, 24, 36, 60, 512, 729] {
             let bound = lower_bound(PAPER, p as f64).bound;
             for f in Grid3::factorizations(p) {
-                let c = alg1_cost_words(PAPER, f);
+                let c = alg1_prediction(PAPER, f).total();
                 assert!(
                     c >= bound - 1e-6 * bound.max(1.0),
                     "P={p} grid {f:?}: cost {c} below bound {bound}"
@@ -186,9 +178,9 @@ mod tests {
     #[test]
     fn eq3_special_cases() {
         // Single processor: no communication.
-        assert_eq!(alg1_cost_words(PAPER, [1, 1, 1]), 0.0);
+        assert_eq!(alg1_prediction(PAPER, [1, 1, 1]).total(), 0.0);
         // 1D grid (P,1,1): only B is all-gathered: (1-1/P)·n2·n3.
-        let c = alg1_cost_words(PAPER, [3, 1, 1]);
+        let c = alg1_prediction(PAPER, [3, 1, 1]).total();
         let want = (1.0 - 1.0 / 3.0) * 2400.0 * 600.0;
         assert!((c - want).abs() < 1e-9);
     }

@@ -51,7 +51,7 @@ pub mod theorem3;
 
 pub use advisor::{recommend, try_recommend, AdvisorError, Recommendation};
 pub use genbound::{GenBoundProblem, GenBoundSolution};
-pub use gridopt::{alg1_cost_words, best_grid, continuous_grid, GridChoice};
+pub use gridopt::{best_grid, continuous_grid, GridChoice};
 pub use kkt::{certificate_for, verify_kkt, KktReport};
 pub use optproblem::{OptProblem, OptSolution};
 pub use theorem3::{corollary4, lower_bound, BoundReport};

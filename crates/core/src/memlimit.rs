@@ -156,11 +156,11 @@ mod tests {
     #[test]
     fn memory_footprint_equals_cost_plus_owned() {
         // §6.2: footprint = communication (eq. 3) + (mn+mk+nk)/P.
-        use crate::gridopt::alg1_cost_words;
+        use pmm_model::alg1_prediction;
         for p in [3usize, 36, 512] {
             let g = best_grid(PAPER, p).grid;
             let lhs = alg1_memory_words(PAPER, g);
-            let rhs = alg1_cost_words(PAPER, g) + min_memory_words(PAPER, p as f64);
+            let rhs = alg1_prediction(PAPER, g).total() + min_memory_words(PAPER, p as f64);
             assert!((lhs - rhs).abs() < 1e-9 * lhs, "P={p}: {lhs} vs {rhs}");
         }
     }

@@ -38,6 +38,6 @@ pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
     alg1_prediction, alg1_price, carma_split_dim, plan_prediction, recovery_prediction,
-    restore_words_total, Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction,
+    restore_words_total, summa_panels, Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction,
     RecoveryPrediction,
 };

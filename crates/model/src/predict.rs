@@ -63,7 +63,9 @@ impl Alg1Prediction {
 }
 
 /// Evaluate eq. (3) phase by phase for `dims` on `grid` (iteration-space
-/// order `[p1, p2, p3]`, aligned with `n1, n2, n3`).
+/// order `[p1, p2, p3]`, aligned with `n1, n2, n3`). Each term is one
+/// division of exact integers, `(p3 − 1)·n1·n2 / (p1·p2·p3)` and its two
+/// rotations, so a term that is a whole number of words is that number.
 ///
 /// # Example
 ///
@@ -82,12 +84,13 @@ impl Alg1Prediction {
 /// assert_eq!(pred.reduce_c, 0.0);
 /// ```
 pub fn alg1_prediction(dims: MatMulDims, grid: [usize; 3]) -> Alg1Prediction {
-    let [p1, p2, p3] = grid.map(|x| x as f64);
-    let (n1, n2, n3) = (dims.n1 as f64, dims.n2 as f64, dims.n3 as f64);
+    let [p1, p2, p3] = grid.map(|x| x as u128);
+    let (n1, n2, n3) = (u128::from(dims.n1), u128::from(dims.n2), u128::from(dims.n3));
+    let term = |fiber: u128, words: u128| ((fiber - 1) * words) as f64 / (p1 * p2 * p3) as f64;
     Alg1Prediction {
-        allgather_a: (1.0 - 1.0 / p3) * n1 * n2 / (p1 * p2),
-        allgather_b: (1.0 - 1.0 / p1) * n2 * n3 / (p2 * p3),
-        reduce_c: (1.0 - 1.0 / p2) * n1 * n3 / (p1 * p3),
+        allgather_a: term(p3, n1 * n2),
+        allgather_b: term(p1, n2 * n3),
+        reduce_c: term(p2, n1 * n3),
     }
 }
 
@@ -227,17 +230,6 @@ impl std::fmt::Display for AlgPlan {
     }
 }
 
-fn lcm(a: u64, b: u64) -> u64 {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    a / gcd(a, b) * b
-}
-
 /// Total words a binomial-tree scatter of `w` words over `k` ranks
 /// sends: each non-root receives its subtree's payload exactly once, so
 /// the total is `chunk · Σ_{v=1}^{k-1} min(lowbit(v), k − v)` for
@@ -284,6 +276,26 @@ pub fn carma_split_dim<T: PartialOrd>(n1: T, n2: T, n3: T) -> usize {
     } else {
         1
     }
+}
+
+/// The number of panels SUMMA splits the contracted dimension into on a
+/// `pr × pc` grid, `lcm(pr, pc)`: panel `t` of `A` lives on process
+/// column `t mod pc`, panel `t` of `B` on process row `t mod pr`. The
+/// executed SUMMA in `pmm-algs` and the SUMMA arm of [`plan_prediction`]
+/// both loop over them.
+///
+/// ```
+/// use pmm_model::summa_panels;
+///
+/// assert_eq!(summa_panels(2, 3), 6);
+/// assert_eq!(summa_panels(4, 2), 4);
+/// ```
+pub fn summa_panels(pr: usize, pc: usize) -> usize {
+    let (mut a, mut b) = (pr, pc);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    pr / a * pc
 }
 
 /// What one clean run of an [`AlgPlan`] moves and costs
@@ -369,7 +381,7 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             let bcast =
                 |k: usize, w: u64| bcast_cost(BcastAlgo::by_length(k, w as usize), k, w as usize);
             let (rows, cols) = (pr as u64, pc as u64);
-            let s = lcm(rows, cols);
+            let s = summa_panels(pr, pc) as u64;
             // The critical path is priced at rank (0, 0), which holds the
             // largest blocks.
             let (h1, h3) = (even_len(n1, rows, 0), even_len(n3, cols, 0));
@@ -531,6 +543,8 @@ mod tests {
         assert_eq!(p.allgather_b, (1.0 - 1.0 / 2.0) * 32.0 / 6.0);
         assert_eq!(p.reduce_c, (1.0 - 1.0 / 2.0) * 48.0 / 6.0);
         assert_eq!(p.total(), p.phases().iter().sum::<f64>());
+        // Whole-word terms are whole: (1 − 1/3)·9 = 6, not 6.000000000000001.
+        assert_eq!(alg1_prediction(MatMulDims::new(1, 9, 3), [1, 1, 3]).total(), 6.0);
     }
 
     #[test]

@@ -21,8 +21,10 @@ fn main() {
     println!("lower bound: {bound:.0} words/processor\n");
     println!("{:>10} {:>14} {:>14} {:>10}", "grid", "predicted", "measured", "vs bound");
 
-    let mut rows: Vec<([usize; 3], f64)> =
-        Grid3::factorizations(p).into_iter().map(|g| (g, alg1_cost_words(dims, g))).collect();
+    let mut rows: Vec<([usize; 3], f64)> = Grid3::factorizations(p)
+        .into_iter()
+        .map(|g| (g, alg1_prediction(dims, g).total()))
+        .collect();
     rows.sort_by(|a, b| a.1.total_cmp(&b.1));
 
     let ab = Arc::new((random_int_matrix(768, 96, -2..3, 3), random_int_matrix(96, 96, -2..3, 4)));

@@ -69,8 +69,8 @@ pub mod prelude {
     pub use pmm_algs::{
         alg1_a, assemble_c, assemble_from_blocks, assemble_recovered, carma_a, carma_assemble_c,
         carma_shares, check_alg1_price, near_square_factors, plan_for, run_plan_a,
-        run_recoverable_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig, Recovered,
-        SummaConfig, TwoFiveDConfig, ALG1_PHASES,
+        run_recoverable_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig, Inputs,
+        Recovered, SummaConfig, TwoFiveDConfig, ALG1_PHASES,
     };
     pub use pmm_collectives::{
         all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, BcastAlgo,
@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use pmm_core::advisor::{recommend, Recommendation};
     pub use pmm_core::genbound::{GenBoundProblem, GenBoundSolution};
-    pub use pmm_core::gridopt::{alg1_cost_words, best_divisible_grid, best_grid};
+    pub use pmm_core::gridopt::{best_divisible_grid, best_grid};
     pub use pmm_core::memlimit::{alg1_memory_words, limited_memory_report, min_memory_words};
     pub use pmm_core::optproblem::{OptProblem, OptSolution};
     pub use pmm_core::prior::{MemDependentBound, PriorBound};

@@ -5,39 +5,24 @@
 use pmm::prelude::*;
 use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    ))
+/// Integer inputs of `dims`: `A` from seed 101, `B` from seed 202.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
 }
 
-fn reference(dims: MatMulDims) -> Matrix {
-    let ab = inputs(dims);
-    gemm(&ab.0, &ab.1, Kernel::Naive)
-}
-
-/// Run `plan` with `kernel` on a bandwidth-only world of the plan's size.
-fn run_plan(
-    plan: &AlgPlan,
-    dims: MatMulDims,
-    kernel: Kernel,
-    ab: &Arc<(Matrix, Matrix)>,
-) -> WorldResult<CShare> {
-    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (plan, ab) = (plan.clone(), Arc::clone(ab));
-        Box::pin(async move {
-            let comm = rank.world_comm();
-            run_plan_a(rank, &comm, &plan, dims, kernel, &ab.0, &ab.1).await
-        })
-    })
+/// Run `plan` with `kernel` on a bandwidth-only world of the plan's size
+/// and hold its product to the oracle.
+fn run_plan(inputs: &Inputs, plan: &AlgPlan, kernel: Kernel) -> WorldResult<CShare> {
+    let out = inputs.run(&World::new(plan.active(), MachineParams::BANDWIDTH_ONLY), plan, kernel);
+    assert!(inputs.product_is_correct(plan, &out), "{plan} with {kernel:?}");
+    out
 }
 
 #[test]
 fn all_algorithms_produce_the_same_product() {
     let dims = MatMulDims::new(24, 12, 18);
-    let want = reference(dims);
-    let ab = inputs(dims);
+    let inputs = inputs(dims);
 
     // Algorithm 1 with reduce-scatter assembly (P = 12), Cannon (P = 9),
     // SUMMA (P = 6, 2×3) and 2.5D (q = 2, c = 2 → P = 8).
@@ -47,19 +32,18 @@ fn all_algorithms_produce_the_same_product() {
         AlgPlan::Summa { pr: 2, pc: 3 },
         AlgPlan::TwoFiveD { q: 2, c: 2 },
     ] {
-        let out = run_plan(&plan, dims, Kernel::Naive, &ab);
-        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{plan}");
+        run_plan(&inputs, &plan, Kernel::Naive);
     }
 
     // Algorithm 1, all-to-all assembly.
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
     let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    assert_eq!(assemble_c(dims, grid, &chunks), want, "alg1/all-to-all");
+    assert_eq!(assemble_c(dims, grid, &chunks), *inputs.want(), "alg1/all-to-all");
 }
 
 #[test]
@@ -68,8 +52,8 @@ fn alg1_beats_or_matches_every_baseline_on_its_optimal_grid() {
     // critical-path words never exceed any baseline's at equal P.
     let dims = MatMulDims::new(48, 24, 24);
     let p = 64usize;
-    let ab = inputs(dims);
-    let time = |plan: &AlgPlan| run_plan(plan, dims, Kernel::Naive, &ab).critical_path_time();
+    let inputs = inputs(dims);
+    let time = |plan: &AlgPlan| run_plan(&inputs, plan, Kernel::Naive).critical_path_time();
 
     let alg1_t = time(&AlgPlan::Alg1 { grid: best_grid(dims, p).grid });
     let bound = lower_bound(dims, p as f64).bound;
@@ -86,12 +70,8 @@ fn alg1_beats_or_matches_every_baseline_on_its_optimal_grid() {
 
 #[test]
 fn kernels_do_not_change_distributed_results() {
-    let dims = MatMulDims::new(40, 24, 16);
-    let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
-    let want = reference(dims);
-    let ab = inputs(dims);
+    let inputs = inputs(MatMulDims::new(40, 24, 16));
     for kernel in Kernel::ALL {
-        let out = run_plan(&plan, dims, kernel, &ab);
-        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{kernel:?}");
+        run_plan(&inputs, &AlgPlan::Alg1 { grid: [2, 2, 2] }, kernel);
     }
 }

@@ -126,7 +126,7 @@ proptest! {
         let dims = MatMulDims::new(m, n, k);
         let bound = lower_bound(dims, p as f64).bound;
         for grid in Grid3::factorizations(p) {
-            let c = alg1_cost_words(dims, grid);
+            let c = alg1_prediction(dims, grid).total();
             prop_assert!(
                 c >= bound - 1e-6 * bound.max(1.0),
                 "grid {grid:?}: {c} < bound {bound}"
@@ -142,7 +142,7 @@ proptest! {
         let dims = MatMulDims::new(m, n, k);
         let best = best_grid(dims, p);
         for grid in Grid3::factorizations(p) {
-            prop_assert!(best.cost_words <= alg1_cost_words(dims, grid) + 1e-9);
+            prop_assert!(best.cost_words <= alg1_prediction(dims, grid).total() + 1e-9);
         }
     }
 

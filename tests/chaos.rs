@@ -30,18 +30,6 @@ use std::time::Instant;
 
 use pmm::prelude::*;
 
-fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
-    (
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 31),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 32),
-    )
-}
-
-fn reference(dims: MatMulDims) -> Matrix {
-    let (a, b) = inputs(dims);
-    gemm(&a, &b, Kernel::Naive)
-}
-
 /// One plan per algorithm, in one-rank layouts (recovery lays out every
 /// attempt itself).
 fn all_plans() -> [AlgPlan; 6] {
@@ -55,22 +43,20 @@ fn all_plans() -> [AlgPlan; 6] {
     ]
 }
 
-/// Run `plan`'s algorithm under recovery on a faulty world. Inputs are
-/// generated once and `Arc`-shared across rank programs (required at
-/// large `P`).
+/// Run `plan`'s algorithm under recovery on a faulty world, every rank
+/// reading the one shared copy of `inputs` (required at large `P`).
 fn run_chaos(
     plan: &AlgPlan,
-    dims: MatMulDims,
+    inputs: &Inputs,
     p: usize,
     sched_seed: u64,
     faults: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
-    let (a, b) = inputs(dims);
-    let (a, b) = (Arc::new(a), Arc::new(b));
+    let dims = inputs.dims;
     let world =
         World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(faults);
-    world.run_async(move |rank| {
-        let (plan, a, b) = (plan.clone(), a.clone(), b.clone());
+    world.run_async(|rank| {
+        let (plan, a, b) = (plan.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
         Box::pin(async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await })
     })
 }
@@ -84,9 +70,9 @@ fn run_chaos(
 fn certify_cell(
     label: &str,
     out: &WorldResult<Result<Recovered, RankFailed>>,
-    dims: MatMulDims,
-    c_ref: &Matrix,
+    inputs: &Inputs,
 ) -> (usize, usize, AlgPlan) {
+    let dims = inputs.dims;
     let ok = out
         .values
         .iter()
@@ -104,7 +90,7 @@ fn certify_cell(
         .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
         .collect();
     let c = assemble_recovered(dims, &plan, &shares);
-    assert_eq!(&c, c_ref, "{label}: recovered product must be bitwise-correct");
+    assert_eq!(&c, inputs.want(), "{label}: recovered product must be bitwise-correct");
 
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
     let alive: Vec<&Recovered> = out.values.iter().filter_map(|v| v.as_ref().ok()).collect();
@@ -156,17 +142,16 @@ fn chaos_cert_all_six_algorithms() {
     // to 2 × 4, Cannon to a 2 × 2 torus with 4 idle survivors, 2.5D to
     // q = 2, c = 2 (exercising the layered reassembly), CARMA keeps all
     // 8 (power of two).
-    let dims = MatMulDims::new(24, 24, 24);
-    let c_ref = reference(dims);
+    let inputs = Inputs::random_int(MatMulDims::new(24, 24, 24), 31);
     for plan in all_plans() {
         let alg = plan.algorithm();
         let t0 = Instant::now();
-        let out = run_chaos(&plan, dims, 10, 0xC0DE, tier1_plan());
+        let out = run_chaos(&plan, &inputs, 10, 0xC0DE, tier1_plan());
         let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
         assert!(killed.detail.contains("kill=2@3"), "{alg}: {}", killed.detail);
         let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
         assert!(cascaded.detail.contains("cascade=7@1"), "{alg}: {}", cascaded.detail);
-        let (attempts, nsurv, plan) = certify_cell(alg, &out, dims, &c_ref);
+        let (attempts, nsurv, plan) = certify_cell(alg, &out, &inputs);
         assert_eq!(nsurv, 8, "{alg}");
         assert!(attempts >= 2, "{alg}: the kills force at least one re-plan");
         println!(
@@ -183,8 +168,8 @@ fn chaos_cert_replays_byte_identically() {
     // meter, and clock must reproduce — multi-fault plans are pure
     // hashes, so the whole chaos run is a deterministic function of the
     // triple.
-    let dims = MatMulDims::new(24, 24, 24);
-    let run = || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, 10, 0xC0DE, tier1_plan());
+    let inputs = Inputs::random_int(MatMulDims::new(24, 24, 24), 31);
+    let run = || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, &inputs, 10, 0xC0DE, tier1_plan());
     let (first, again) = (run(), run());
     assert_eq!(first.values, again.values, "per-rank results must replay byte-identically");
     for (w, (x, y)) in first.reports.iter().zip(&again.reports).enumerate() {
@@ -224,8 +209,7 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
         })
     });
     let budget = std::time::Duration::from_secs(budget);
-    let dims = MatMulDims::new(96, 24, 12);
-    let c_ref = reference(dims);
+    let inputs = Inputs::random_int(MatMulDims::new(96, 24, 12), 31);
     let start = Instant::now();
     let (mut ran, mut skipped) = (0u32, 0u32);
     for plan in all_plans() {
@@ -238,8 +222,8 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
                 }
                 let label = format!("{alg}/p{p}/{class}");
                 let t0 = Instant::now();
-                let out = run_chaos(&plan, dims, p, 0x50AB, faults);
-                let (attempts, nsurv, layout) = certify_cell(&label, &out, dims, &c_ref);
+                let out = run_chaos(&plan, &inputs, p, 0x50AB, faults);
+                let (attempts, nsurv, layout) = certify_cell(&label, &out, &inputs);
                 ran += 1;
                 println!(
                     "CHAOS: cell=soak algorithm={alg} p={p} class={class} survivors={nsurv} \
@@ -266,7 +250,7 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
 #[test]
 #[ignore = "release cell; run via cargo xtask chaos-soak"]
 fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
-    let dims = MatMulDims::new(250, 200, 200);
+    let inputs = Inputs::random_int(MatMulDims::new(250, 200, 200), 31);
     let p = 10_001;
     let plan = FaultPlan::none().with_seed(0xC0A7).with_kill(10_000, 2).with_partition(
         vec![0, 1, 2, 3],
@@ -274,15 +258,14 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
         2,
     );
     let t0 = Instant::now();
-    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, dims, p, 3, plan);
+    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, &inputs, p, 3, plan);
     let secs = t0.elapsed().as_secs_f64();
 
     let killed = out.values[10_000].as_ref().expect_err("rank 10000 was killed");
     assert!(killed.detail.contains("kill=10000@2"), "{}", killed.detail);
-    let c_ref = reference(dims);
     // `certify_cell` holds every one of the 10^4 survivors to its
     // per-phase price on the recovery grid.
-    let (attempts, nsurv, layout) = certify_cell("p10k", &out, dims, &c_ref);
+    let (attempts, nsurv, layout) = certify_cell("p10k", &out, &inputs);
     assert_eq!(nsurv, 10_000, "all other ranks survive");
     assert_eq!(layout, AlgPlan::Alg1 { grid: [25, 20, 20] }, "the §5.2 grid of 10^4 survivors");
     assert_eq!(attempts, 2, "one abandoned attempt, one successful");

@@ -36,16 +36,10 @@ fn seed() -> u64 {
     s
 }
 
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    ))
-}
-
-fn reference(dims: MatMulDims) -> Matrix {
-    let ab = inputs(dims);
-    gemm(&ab.0, &ab.1, Kernel::Naive)
+/// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 11), random_int_matrix(n2, n3, -3..4, 22))
 }
 
 /// One sweep point. `interior` is the Theorem 3 case strictly containing
@@ -140,8 +134,9 @@ fn sweep_spans_all_regimes_and_both_boundaries() {
 /// words sent, words received and messages to its integer price, phase
 /// by phase, and the critical path where every rank pays the same price.
 fn assert_priced(dims: MatMulDims, grid: [usize; 3], label: &str, seed: u64) {
+    let inputs = inputs(dims);
     for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }] {
-        let out = run(dims, &plan, seed);
+        let out = run(&inputs, &plan, seed);
         let outputs = out.values.iter().map(CShare::alg1);
         if let Err(mismatch) =
             check_alg1_price(dims, &plan, outputs, Some(out.critical_path_time()))
@@ -200,35 +195,29 @@ fn plans(pt: &Point, grid: [usize; 3]) -> Vec<AlgPlan> {
 }
 
 /// Run `plan` on a bandwidth-only world of its size under `seed`.
-fn run(dims: MatMulDims, plan: &AlgPlan, seed: u64) -> WorldResult<CShare> {
-    let ab = inputs(dims);
-    World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
-        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
-        Box::pin(async move {
-            let comm = r.world_comm();
-            run_plan_a(r, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-        })
-    })
+fn run(inputs: &Inputs, plan: &AlgPlan, seed: u64) -> WorldResult<CShare> {
+    let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(seed);
+    inputs.run(&world, plan, Kernel::Naive)
 }
 
-/// Run `plan` at a sweep point: returns the assembled product and the
-/// measured critical-path words (bandwidth-only machine).
-fn run_plan(pt: &Point, plan: &AlgPlan, seed: u64) -> (Matrix, f64) {
-    let out = run(pt.dims, plan, seed);
-    (assemble_recovered(pt.dims, plan, &out.values), out.critical_path_time())
+/// Run `plan` at a sweep point: returns whether the product is right and
+/// the measured critical-path words (bandwidth-only machine).
+fn run_plan(inputs: &Inputs, plan: &AlgPlan, seed: u64) -> (bool, f64) {
+    let out = run(inputs, plan, seed);
+    (inputs.product_is_correct(plan, &out), out.critical_path_time())
 }
 
 /// Algorithm 1 with the all-to-all assembly ablation, which no plan names.
-fn run_alg1_all_to_all(pt: &Point, grid: Grid3, seed: u64) -> (Matrix, f64) {
-    let dims = pt.dims;
+fn run_alg1_all_to_all(inputs: &Inputs, grid: Grid3, seed: u64) -> (bool, f64) {
+    let dims = inputs.dims;
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
-    let ab = inputs(dims);
-    let out = World::new(pt.p, MachineParams::BANDWIDTH_ONLY).with_seed(seed).run_async(|r| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(r, &cfg, &ab.0, &ab.1).await })
+    let world = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed);
+    let out = world.run_async(|r| {
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+        Box::pin(async move { alg1_a(r, &cfg, &a, &b).await })
     });
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    (assemble_c(dims, grid, &chunks), out.critical_path_time())
+    (assemble_c(dims, grid, &chunks) == *inputs.want(), out.critical_path_time())
 }
 
 #[test]
@@ -236,20 +225,20 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
     let seed = seed();
     for pt in sweep() {
         let (grid, grid_arr, _) = chosen_grid(&pt);
-        let want = reference(pt.dims);
+        let inputs = inputs(pt.dims);
         let report = lower_bound(pt.dims, pt.p as f64);
         let runs = plans(&pt, grid_arr)
             .into_iter()
-            .map(|plan| (plan.to_string(), run_plan(&pt, &plan, seed)))
-            .chain([("alg1/all-to-all".to_string(), run_alg1_all_to_all(&pt, grid, seed))]);
+            .map(|plan| (plan.to_string(), run_plan(&inputs, &plan, seed)))
+            .chain([("alg1/all-to-all".to_string(), run_alg1_all_to_all(&inputs, grid, seed))]);
         let mut ran = 0;
-        for (name, (got, measured)) in runs {
+        for (name, (correct, measured)) in runs {
             ran += 1;
             // (a) bitwise agreement: integer inputs make f64 arithmetic
             // exact, so every schedule and summation order must produce
             // the same bits.
-            assert_eq!(
-                got, want,
+            assert!(
+                correct,
                 "{name} at {} ({} P={}) diverges from the dense reference [PMM_SEED={seed}]",
                 pt.label, pt.dims, pt.p
             );
@@ -268,7 +257,7 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
         // Tight points: Algorithm 1 on the §5.2 grid attains the bound
         // exactly — the paper's constants 1/2/3, not just the Θ-class.
         if pt.tight {
-            let (_, t) = run_plan(&pt, &AlgPlan::Alg1 { grid: grid_arr }, seed);
+            let t = run(&inputs, &AlgPlan::Alg1 { grid: grid_arr }, seed).critical_path_time();
             assert!(
                 (t - report.bound).abs() <= 1e-9 * report.bound.max(1.0),
                 "{} ({} P={} grid {grid_arr:?}): measured {t} must equal the bound {} \

@@ -20,13 +20,11 @@
 use pmm::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// The global inputs of a workload, generated once and shared by every
-/// rank.
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    ))
+/// The global inputs of a workload (`A` from seed 101, `B` from seed
+/// 202), generated once and shared by every rank.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
 }
 
 /// The world of the `algorithms_agree` Algorithm 1 workload: P = 12.
@@ -37,12 +35,13 @@ fn alg1_world() -> World {
 /// Its program: Algorithm 1 on a 2 × 3 × 2 grid, every rank reading the
 /// one shared pair of inputs; returns the rank's C chunk.
 fn alg1_program(rank: &mut Rank) -> LocalBoxFuture<'_, Vec<f64>> {
-    static INPUTS: OnceLock<Arc<(Matrix, Matrix)>> = OnceLock::new();
+    static INPUTS: OnceLock<Inputs> = OnceLock::new();
     let dims = MatMulDims::new(24, 12, 18);
-    let ab = Arc::clone(INPUTS.get_or_init(|| inputs(dims)));
+    let inputs = INPUTS.get_or_init(|| inputs(dims));
+    let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+    Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
 }
 
 #[test]
@@ -90,8 +89,7 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     // Cannon, P = 9 (torus exchanges stress the split + sendrecv paths);
     // SUMMA, P = 6 (broadcast pipelines); 2.5D, P = 8 (replicated layers
     // + reduction).
-    let dims = MatMulDims::new(24, 12, 18);
-    let ab = inputs(dims);
+    let inputs = inputs(MatMulDims::new(24, 12, 18));
     for plan in [
         AlgPlan::Cannon { q: 3 },
         AlgPlan::Summa { pr: 2, pc: 3 },
@@ -99,10 +97,11 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     ] {
         let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
         fuzz_schedules(&world, &[1, 2, 3], |rank| {
-            let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+            let (plan, a, b) = (plan.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+            let dims = inputs.dims;
             Box::pin(async move {
                 let comm = rank.world_comm();
-                run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+                run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &a, &b).await
             })
         })
         .unwrap_or_else(|d| panic!("{plan}: {d}"));

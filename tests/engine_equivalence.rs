@@ -42,28 +42,26 @@ use pmm::simnet::{phase, poll_now};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The global inputs of a run, generated once and shared by every rank
-/// of both hosts' worlds.
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    ))
+/// The global inputs of a run (`A` from seed 101, `B` from seed 202),
+/// generated once and shared by every rank of both hosts' worlds.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
 }
 
 /// `run_plan_a` of `plan` on the world communicator, every rank reading
-/// the one shared pair of inputs.
+/// the one shared copy of `inputs` — what [`Inputs::run`] runs on the
+/// loop, as a program the thread host can run too.
 fn plan_program(
     plan: AlgPlan,
-    dims: MatMulDims,
-    ab: &Arc<(Matrix, Matrix)>,
+    inputs: &Inputs,
 ) -> impl for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, CShare> + Send + Sync {
-    let ab = Arc::clone(ab);
+    let (dims, a, b) = (inputs.dims, Arc::clone(&inputs.a), Arc::clone(&inputs.b));
     move |rank| {
-        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
+        let (plan, a, b) = (plan.clone(), Arc::clone(&a), Arc::clone(&b));
         Box::pin(async move {
             let comm = rank.world_comm();
-            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
+            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &a, &b).await
         })
     }
 }
@@ -138,7 +136,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     for seed in [0xA11CE_u64, 0xC1EA4, 0, 5] {
         let world = recorded(12).with_seed(seed);
         // Compare the chunk bits *and* the per-phase meters.
@@ -146,14 +144,10 @@ fn engines_agree_on_the_pinned_alg1_workload() {
             let phases = out.phases.iter().map(|ph| (ph.label.to_string(), ph.meter)).collect();
             (out.c_chunk, phases)
         };
-        let threads = world.run(|rank| view(poll_now(alg1_a(rank, &cfg, &ab.0, &ab.1))));
+        let threads = world.run(|rank| view(poll_now(alg1_a(rank, &cfg, &a, &b))));
         let out = world.run_async(|rank| {
-            let cfg = cfg.clone();
-            let ab = Arc::clone(&ab);
-            Box::pin(async move {
-                let (a, b) = &*ab;
-                view(alg1_a(rank, &cfg, a, b).await)
-            })
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+            Box::pin(async move { view(alg1_a(rank, &cfg, &a, &b).await) })
         });
         assert_same_run(&format!("alg1 seed {seed}"), &threads, &out);
         assert!(out.picks > 12, "seed {seed}: a 12-rank Algorithm 1 run makes real picks");
@@ -168,18 +162,18 @@ fn engines_agree_on_the_pinned_alg1_workload() {
 fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg = Alg1Config::new(dims, Grid3::new(2, 3, 2));
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     let world = recorded(12).with_seed(0xA11CE);
     let per_rank = world.run(|rank| {
-        let (a, b) = (ab.0.clone(), ab.1.clone());
+        let (a, b) = (Matrix::clone(&a), Matrix::clone(&b));
         poll_now(alg1_a(rank, &cfg, &a, &b))
     });
     let shared = world.run_async(|rank| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
     assert_same_run("alg1, shared vs per-rank inputs", &per_rank, &shared);
-    assert_eq!(Arc::strong_count(&ab), 1, "the shared run holds no copy past its end");
+    assert_eq!(Arc::strong_count(&a), 1, "the shared run holds no copy past its end");
 }
 
 /// Algorithm 1 the way it ran before operands were read in place: every
@@ -292,7 +286,7 @@ where
 #[test]
 fn operands_read_in_place_are_indistinguishable_from_the_gather() {
     let dims = MatMulDims::new(13, 7, 11);
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     for grid in [[4, 2, 1], [1, 3, 1], [2, 1, 1], [1, 2, 2]] {
         let grid = Grid3::from_dims(grid);
         let cfg =
@@ -304,27 +298,27 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
                 &format!("alg1 on {label}"),
                 &world,
                 |rank| {
-                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                    Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+                    let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+                    Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
                 },
                 |rank| {
-                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                    Box::pin(async move { alg1_extracting(rank, &cfg, 1, &ab.0, &ab.1).await })
+                    let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+                    Box::pin(async move { alg1_extracting(rank, &cfg, 1, &a, &b).await })
                 },
             );
             assert_indistinguishable(
                 &format!("streamed on {label}"),
                 &world,
                 |rank| {
-                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                    let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
                     Box::pin(async move {
                         let comm = rank.world_comm();
-                        alg1_on_a(rank, &comm, &cfg, 3, &ab.0, &ab.1).await
+                        alg1_on_a(rank, &comm, &cfg, 3, &a, &b).await
                     })
                 },
                 |rank| {
-                    let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-                    Box::pin(async move { alg1_extracting(rank, &cfg, 3, &ab.0, &ab.1).await })
+                    let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+                    Box::pin(async move { alg1_extracting(rank, &cfg, 3, &a, &b).await })
                 },
             );
         }
@@ -333,15 +327,14 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
 
 #[test]
 fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
-    let dims = MatMulDims::new(24, 12, 18);
-    let ab = inputs(dims);
+    let inputs = inputs(MatMulDims::new(24, 12, 18));
     for plan in [
         AlgPlan::Cannon { q: 3 },
         AlgPlan::Summa { pr: 2, pc: 3 },
         AlgPlan::TwoFiveD { q: 2, c: 2 },
     ] {
         let world = recorded(plan.active()).with_seed(0xA11CE);
-        assert_hosts_agree(&format!("{plan}"), &world, plan_program(plan, dims, &ab));
+        assert_hosts_agree(&format!("{plan}"), &world, plan_program(plan, &inputs));
     }
 }
 
@@ -394,7 +387,7 @@ fn sync_entry(plan: &AlgPlan, dims: MatMulDims) -> SyncEntry {
 #[test]
 fn benchmark_sync_entry_points_run_the_executors_programs() {
     let dims = MatMulDims::new(24, 12, 18);
-    let ab = inputs(dims);
+    let inputs = inputs(dims);
     for plan in [
         AlgPlan::Alg1 { grid: [2, 3, 2] },
         AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 },
@@ -406,8 +399,8 @@ fn benchmark_sync_entry_points_run_the_executors_programs() {
         let world = recorded(plan.active()).with_seed(0xA11CE);
         let label = format!("{plan}: sync entry point vs run_plan_a");
         let sync_entry = sync_entry(&plan, dims);
-        let threads = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
-        let event = world.run_async(plan_program(plan.clone(), dims, &ab));
+        let threads = world.run(|rank| sync_entry(rank, &inputs.a, &inputs.b));
+        let event = world.run_async(plan_program(plan.clone(), &inputs));
         if matches!(plan, AlgPlan::Carma { .. }) {
             assert_same_outcome(&label, &threads, &event);
         } else {
@@ -425,8 +418,7 @@ fn benchmark_sync_entry_points_run_the_executors_programs() {
 #[test]
 fn sync_entry_points_run_free_at_p64_on_the_default_stack() {
     let dims = MatMulDims::square(64);
-    let ab = inputs(dims);
-    let want = gemm(&ab.0, &ab.1, Kernel::Naive);
+    let inputs = inputs(dims);
     let world = World::new(64, MachineParams::BANDWIDTH_ONLY);
     for plan in [
         AlgPlan::Alg1 { grid: [4, 4, 4] },
@@ -437,8 +429,8 @@ fn sync_entry_points_run_free_at_p64_on_the_default_stack() {
         AlgPlan::Carma { p: 64 },
     ] {
         let sync_entry = sync_entry(&plan, dims);
-        let out = world.run(|rank| sync_entry(rank, &ab.0, &ab.1));
-        assert_eq!(assemble_recovered(dims, &plan, &out.values), want, "{plan}");
+        let out = world.run(|rank| sync_entry(rank, &inputs.a, &inputs.b));
+        assert!(inputs.product_is_correct(&plan, &out), "{plan}");
     }
 }
 
@@ -451,7 +443,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let grid = best_divisible_grid(dims, p)
         .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"))
         .grid;
-    let ab = inputs(dims);
+    let inputs = inputs(dims);
     let world = recorded(p).with_seed(seed);
 
     // Algorithm 1 with the all-to-all assembly ablation, which no plan
@@ -460,8 +452,8 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let cfg =
         Alg1Config { dims, grid: grid3, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
     assert_hosts_agree(&format!("{label}: alg1/all-to-all"), &world, |rank| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
     });
 
     let baselines = [
@@ -473,7 +465,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     .map(|alg| plan_for(&alg, dims, p));
     let alg1 = [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }];
     for plan in alg1.into_iter().chain(baselines.into_iter().filter(|plan| plan.active() == p)) {
-        assert_hosts_agree(&format!("{label}: {plan}"), &world, plan_program(plan, dims, &ab));
+        assert_hosts_agree(&format!("{label}: {plan}"), &world, plan_program(plan, &inputs));
     }
 }
 
@@ -514,14 +506,10 @@ fn engines_agree_with_a_fault_plan_armed() {
         .with_duplicate(0.05)
         .with_delay(0.05);
     let world = recorded(12).with_seed(0xA11CE).with_faults(plan);
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     let out = assert_hosts_agree("alg1 with faults", &world, |rank| {
-        let cfg = cfg.clone();
-        let ab = Arc::clone(&ab);
-        Box::pin(async move {
-            let (a, b) = &*ab;
-            alg1_a(rank, &cfg, a, b).await.c_chunk
-        })
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
     });
     let retries: u64 = out.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
     assert!(retries > 0, "a 10% drop rate must force at least one retransmission");
@@ -546,13 +534,12 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         .with_partition(vec![0, 1], 5..20, 2)
         .with_storm(0.3, 2.0);
     let world = recorded(9).with_seed(0xA11CE).with_faults(plan);
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     let out = assert_hosts_agree("recovery multi-fault", &world, |rank| {
-        let ab = Arc::clone(&ab);
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
         Box::pin(async move {
-            let (a, b) = &*ab;
             let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
-            run_recoverable_a(rank, &alg1, dims, Kernel::Naive, a, b).await
+            run_recoverable_a(rank, &alg1, dims, Kernel::Naive, &a, &b).await
         })
     });
     assert!(out.values[4].is_err() && out.values[7].is_err(), "both casualties report failure");

@@ -30,16 +30,10 @@ use pmm_simnet::{FaultPlan, RankFailed};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    ))
-}
-
-fn reference(dims: MatMulDims) -> Matrix {
-    let ab = inputs(dims);
-    gemm(&ab.0, &ab.1, Kernel::Naive)
+/// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 11), random_int_matrix(n2, n3, -3..4, 22))
 }
 
 /// Fault rate for the sweep tests: `PMM_FAULT_RATE` (a float) when set —
@@ -55,36 +49,36 @@ fn fault_rate_from_env(default: f64) -> f64 {
 /// that records its schedule, and return the per-rank results plus
 /// reports and the choice log.
 fn run_recovery(
-    dims: MatMulDims,
+    inputs: &Inputs,
     p: usize,
     sched_seed: u64,
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
-    let ab = inputs(dims);
+    let dims = inputs.dims;
     World::new(p, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_schedule_recording(true)
         .with_faults(plan)
-        .run_async(move |rank| {
-            let ab = Arc::clone(&ab);
+        .run_async(|rank| {
+            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
             Box::pin(async move {
-                let (a, b) = &*ab;
                 let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
-                run_recoverable_a(rank, &alg1, dims, Kernel::Naive, a, b).await
+                run_recoverable_a(rank, &alg1, dims, Kernel::Naive, &a, &b).await
             })
         })
 }
 
 /// Assemble C from the survivors' shares and assert bitwise equality with
-/// the serial reference. For an Algorithm 1 plan, also hold every
+/// the oracle's product. For an Algorithm 1 plan, also hold every
 /// survivor of the final attempt to its per-phase integer price (its
 /// grid index is its index among the survivors): goodput words and
 /// messages, whatever faults the run absorbed. Returns (survivors, final
 /// plan, attempts).
 fn check_recovered_product(
-    dims: MatMulDims,
+    inputs: &Inputs,
     out: &WorldResult<Result<Recovered, RankFailed>>,
 ) -> (Vec<usize>, AlgPlan, usize) {
+    let dims = inputs.dims;
     let ok = out
         .values
         .iter()
@@ -102,7 +96,7 @@ fn check_recovered_product(
         .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
         .collect();
     let c = assemble_recovered(dims, &plan, &shares);
-    assert_eq!(c, reference(dims), "recovered product must be bitwise-correct");
+    assert_eq!(c, *inputs.want(), "recovered product must be bitwise-correct");
     if let AlgPlan::Alg1 { .. } | AlgPlan::Alg1Streamed { .. } = plan {
         if let Err(mismatch) = check_alg1_price(dims, &plan, shares.iter().map(CShare::alg1), None)
         {
@@ -122,7 +116,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
     // splits, so op 6 lands inside the All-Gather phase of the first
     // attempt. Rank 4 is not the root of anything special — a mid-grid
     // casualty.
-    let dims = MatMulDims::new(24, 24, 24);
+    let inputs = inputs(MatMulDims::new(24, 24, 24));
     let plan = FaultPlan::none()
         .with_seed(0xFA)
         .with_drop(0.08)
@@ -130,7 +124,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
         .with_corrupt(0.02)
         .with_delay(0.03)
         .with_kill(4, 6);
-    let out = run_recovery(dims, 9, 7, plan.clone());
+    let out = run_recovery(&inputs, 9, 7, plan.clone());
 
     // The killed rank gets a typed error naming the fault-plan entry and
     // the replay seed — not a deadlock, not a panic.
@@ -141,7 +135,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
 
     // Survivors agree, recover on the §5.2 grid for 8 ranks, and the
     // product is bitwise-correct.
-    let (survivors, plan_used, attempts) = check_recovered_product(dims, &out);
+    let (survivors, plan_used, attempts) = check_recovered_product(&inputs, &out);
     assert_eq!(survivors, vec![0, 1, 2, 3, 5, 6, 7, 8]);
     assert_eq!(plan_used, AlgPlan::Alg1 { grid: [2, 2, 2] }, "best grid for 8 ranks on a cube");
     assert_eq!(attempts, 2, "one abandoned attempt, one successful");
@@ -154,7 +148,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
 
     // Byte-identical replay from the printed seed: values, meters, times,
     // and choice logs all reproduce.
-    let replay = run_recovery(dims, 9, 7, plan);
+    let replay = run_recovery(&inputs, 9, 7, plan);
     for (w, (x, y)) in out.values.iter().zip(&replay.values).enumerate() {
         match (x, y) {
             (Ok(a), Ok(b)) => {
@@ -175,14 +169,14 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
 
 #[test]
 fn recovery_goodput_matches_model_recovery_prediction() {
-    let dims = MatMulDims::new(24, 24, 24);
+    let inputs = inputs(MatMulDims::new(24, 24, 24));
     let plan = FaultPlan::none().with_seed(3).with_kill(4, 6);
-    let out = run_recovery(dims, 9, 1, plan);
+    let out = run_recovery(&inputs, 9, 1, plan);
     let ok = out.values[0].as_ref().expect("rank 0 survives");
-    let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
+    let pred = recovery_prediction(inputs.dims, &ok.attempt_plans, &ok.attempt_survivors);
     assert_eq!(pred.attempts.len(), ok.attempts());
     // Final attempt: every survivor's per-phase goodput is its price.
-    check_recovered_product(dims, &out);
+    check_recovered_product(&inputs, &out);
     // The redistribution ring and the algorithm run sum to the model's
     // totals exactly across survivors …
     let survivors: Vec<&Recovered> = out.values.iter().filter_map(|v| v.as_ref().ok()).collect();
@@ -206,15 +200,15 @@ fn recovery_goodput_matches_model_recovery_prediction() {
 
 #[test]
 fn cascading_kills_shrink_the_grid_twice() {
-    let dims = MatMulDims::new(24, 24, 24);
+    let inputs = inputs(MatMulDims::new(24, 24, 24));
     // Rank 4 dies by direct kill; rank 7 is armed to die once the fault
     // epoch reaches 1 (i.e. after the first death is detected).
     let plan = FaultPlan::none().with_seed(0xCA5).with_kill(4, 6).with_cascade(7, 1);
-    let out = run_recovery(dims, 9, 11, plan);
+    let out = run_recovery(&inputs, 9, 11, plan);
     assert!(out.values[4].is_err(), "rank 4 killed directly");
     let cascaded = out.values[7].as_ref().expect_err("rank 7 killed by cascade");
     assert!(cascaded.detail.contains("cascade=7@1"), "{}", cascaded.detail);
-    let (survivors, plan_used, attempts) = check_recovered_product(dims, &out);
+    let (survivors, plan_used, attempts) = check_recovered_product(&inputs, &out);
     assert_eq!(survivors, vec![0, 1, 2, 3, 5, 6, 8]);
     assert!(attempts >= 2, "at least one abandoned attempt");
     assert_eq!(plan_used.active(), 7);
@@ -225,16 +219,15 @@ fn healing_partition_delays_but_does_not_break_delivery() {
     let dims = MatMulDims::new(24, 12, 18);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
+    let Inputs { a, b, .. } = inputs(dims);
     let run = |plan: Option<FaultPlan>| {
-        let cfg = cfg.clone();
         let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(2);
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let ab = inputs(dims);
-        world.run_async(move |rank: &mut Rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        world.run_async(|rank: &mut Rank| {
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
         })
     };
     let clean = run(None);
@@ -256,16 +249,15 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
     let dims = MatMulDims::new(24, 12, 18);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
+    let Inputs { a, b, .. } = inputs(dims);
     let run = |plan: Option<FaultPlan>| {
-        let cfg = cfg.clone();
         let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let ab = inputs(dims);
-        world.run_async(move |rank: &mut Rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        world.run_async(|rank: &mut Rank| {
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
         })
     };
     let clean = run(None);
@@ -289,7 +281,7 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
 /// One sweep cell: P ranks, a kill of `kill_rank` at `kill_op`, and
 /// message faults at the env-controlled rate, across several seeds.
 fn sweep_regime(p: usize, kill_rank: usize, kill_op: u64) {
-    let dims = MatMulDims::new(96, 24, 12);
+    let inputs = inputs(MatMulDims::new(96, 24, 12));
     let rate = fault_rate_from_env(0.05);
     for sched_seed in [1u64, 0xC0FFEE] {
         let mut plan = FaultPlan::none()
@@ -299,12 +291,12 @@ fn sweep_regime(p: usize, kill_rank: usize, kill_op: u64) {
             .with_corrupt(rate * 0.2)
             .with_kill(kill_rank, kill_op);
         plan.timeout = 4.0;
-        let out = run_recovery(dims, p, sched_seed, plan);
+        let out = run_recovery(&inputs, p, sched_seed, plan);
         let failed = out.values[kill_rank].as_ref().expect_err("killed rank errors");
         assert_eq!(failed.rank, kill_rank);
         // Every survivor's goodput is its price on the recovery grid,
         // ragged or not.
-        let (survivors, _, _) = check_recovered_product(dims, &out);
+        let (survivors, _, _) = check_recovered_product(&inputs, &out);
         assert_eq!(survivors.len(), p - 1);
     }
 }
@@ -471,10 +463,10 @@ fn fault_decisions_are_schedule_independent_across_seeds() {
         .with_partition(vec![0, 1], 3..9, 2)
         .with_storm(0.25, 3.0);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_faults(plan);
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     fuzz_schedules(&world, &[1, 2, 3, 4], |rank| {
-        let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-        Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
     })
     .unwrap_or_else(|d| panic!("{d}"));
 }
@@ -488,15 +480,15 @@ fn summa_recovers_on_near_square_survivor_grid() {
     let dims = MatMulDims::new(12, 6, 8);
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
-    let ab = inputs(dims);
+    let inputs = inputs(dims);
     let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
         .with_seed(5)
         .with_faults(plan)
-        .run_async(move |rank| {
-            let ab = Arc::clone(&ab);
+        .run_async(|rank| {
+            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
             Box::pin(async move {
                 let summa = AlgPlan::Summa { pr: 1, pc: 1 };
-                run_recoverable_a(rank, &summa, dims, Kernel::Naive, &ab.0, &ab.1).await
+                run_recoverable_a(rank, &summa, dims, Kernel::Naive, &a, &b).await
             })
         });
     assert!(out.values[3].is_err(), "killed rank reports failure");
@@ -505,7 +497,7 @@ fn summa_recovers_on_near_square_survivor_grid() {
     assert_eq!(ok.plan, AlgPlan::Summa { pr, pc });
     assert_eq!(ok.survivors, vec![0, 1, 2, 4, 5]);
     assert!(ok.attempts() >= 2);
-    let (survivors, plan_used, _) = check_recovered_product(dims, &out);
+    let (survivors, plan_used, _) = check_recovered_product(&inputs, &out);
     assert_eq!(survivors.len(), 5);
     assert_eq!(plan_used.algorithm(), "summa");
 }
@@ -546,16 +538,15 @@ fn straggler_slows_the_clock_without_changing_traffic() {
     let dims = MatMulDims::new(24, 12, 18);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
+    let Inputs { a, b, .. } = inputs(dims);
     let run = |plan: Option<FaultPlan>| {
-        let cfg = cfg.clone();
         let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        let ab = inputs(dims);
-        world.run_async(move |rank: &mut Rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await.c_chunk })
+        world.run_async(|rank: &mut Rank| {
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
         })
     };
     let clean = run(None);

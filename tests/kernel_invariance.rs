@@ -17,11 +17,10 @@
 use pmm::prelude::*;
 use std::sync::Arc;
 
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 101),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 202),
-    ))
+/// Integer inputs of `dims`: `A` from seed 101, `B` from seed 202.
+fn inputs(dims: MatMulDims) -> Inputs {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
 }
 
 /// Run Algorithm 1 on a 2×3×2 grid with the given kernel, seeded,
@@ -30,14 +29,14 @@ fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
-    let ab = inputs(dims);
+    let Inputs { a, b, .. } = inputs(dims);
     World::new(12, MachineParams::BANDWIDTH_ONLY)
         .with_seed(0xBEEF)
         .with_schedule_recording(true)
         .with_trace(true)
         .run_async(move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
         })
 }
 
@@ -88,10 +87,9 @@ fn env_selected_kernel_is_output_invariant_for_the_cli_reference() {
     // PMM_KERNEL (`kernel_from_env`) picks the kernel of a CLI run and
     // the CLI checks the run against the pinned naive oracle: whatever
     // tier the variable names equals that reference bitwise.
-    let dims = MatMulDims::new(24, 12, 18);
-    let ab = inputs(dims);
-    let oracle = gemm(&ab.0, &ab.1, Kernel::Naive);
+    let inputs = inputs(MatMulDims::new(24, 12, 18));
     for kernel in Kernel::ALL {
-        assert_eq!(oracle, gemm(&ab.0, &ab.1, kernel), "tier {kernel} diverged from the oracle");
+        let product = gemm(&inputs.a, &inputs.b, kernel);
+        assert_eq!(*inputs.want(), product, "tier {kernel} diverged from the oracle");
     }
 }

@@ -62,7 +62,7 @@ fn scale_point(
     // The pinned grid must be an integral §5.2 optimum (`best_grid`'s
     // pick, or tied with it), not just some divisible factorization.
     assert_eq!(
-        alg1_cost_words(dims, grid_arr),
+        alg1_prediction(dims, grid_arr).total(),
         best_grid(dims, p).cost_words,
         "{label}: pinned grid is not a §5.2 optimum"
     );

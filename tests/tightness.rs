@@ -83,7 +83,7 @@ fn measured_equals_eq3_prediction_on_divisible_grids() {
     for grid in [[2usize, 2, 2], [4, 2, 1], [1, 3, 4], [6, 4, 2], [2, 6, 1]] {
         assert!(dims.divisible_by(grid));
         let measured = measure(dims, grid);
-        let predicted = alg1_cost_words(dims, grid);
+        let predicted = alg1_prediction(dims, grid).total();
         assert!(
             (measured - predicted).abs() <= 1e-9,
             "grid {grid:?}: measured {measured} vs eq.3 {predicted}"

@@ -20,7 +20,6 @@
 //! so `cargo xtask trace-check` can sweep the pinned replay seeds.
 
 use pmm::prelude::*;
-use std::sync::Arc;
 
 /// Default schedule seed; override with `PMM_SEED`.
 const DEFAULT_SEED: u64 = 0x00C0_FFEE;
@@ -29,13 +28,6 @@ fn seed() -> u64 {
     let s = seed_from_env(DEFAULT_SEED);
     eprintln!("trace_attribution: schedule seed {s} (replay with PMM_SEED={s})");
     s
-}
-
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    ))
 }
 
 /// The conformance sweep's (dims, P) points: instance A walks
@@ -52,20 +44,17 @@ fn grid_of(dims: MatMulDims, p: usize) -> [usize; 3] {
     best_grid(dims, p).grid
 }
 
-fn traced_run(
-    dims: MatMulDims,
-    grid: [usize; 3],
-    seed: u64,
-) -> pmm::simnet::WorldResult<Alg1Output> {
-    let g = Grid3::from_dims(grid);
-    let cfg = Alg1Config::new(dims, g);
-    let ab = inputs(dims);
-    World::new(g.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).with_trace(true).run_async(
-        move |rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
-            Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
-        },
-    )
+/// Algorithm 1 on `grid`, traced, on integer inputs (`A` from seed 11,
+/// `B` from seed 22).
+fn traced_run(dims: MatMulDims, grid: [usize; 3], seed: u64) -> WorldResult<CShare> {
+    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
+    let inputs = Inputs::new(
+        dims,
+        random_int_matrix(n1, n2, -3..4, 11),
+        random_int_matrix(n2, n3, -3..4, 22),
+    );
+    let world = World::new(grid.iter().product(), MachineParams::BANDWIDTH_ONLY);
+    inputs.run(&world.with_seed(seed).with_trace(true), &AlgPlan::Alg1 { grid }, Kernel::default())
 }
 
 /// The sweep on its best grids, then a grid that does not divide the
@@ -86,12 +75,13 @@ fn trace_phase_words_match_the_meter_diff_accounting() {
     for (dims, grid) in layouts() {
         let out = traced_run(dims, grid, seed);
         let path = Some(out.critical_path_time());
-        let metered = check_alg1_price(dims, &AlgPlan::Alg1 { grid }, &out.values, path);
+        let outputs = out.values.iter().map(CShare::alg1);
+        let metered = check_alg1_price(dims, &AlgPlan::Alg1 { grid }, outputs, path);
         assert_eq!(metered, Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
         let totals = out.tracer().expect("tracing was on").phase_totals();
         for (i, label) in ALG1_PHASES.into_iter().enumerate() {
             let traced = totals.iter().find(|t| t.label == label).map(|t| &t.ranks);
-            let metered: Vec<_> = out.values.iter().map(|v| v.traffic()[i]).collect();
+            let metered: Vec<_> = out.values.iter().map(|v| v.alg1().traffic()[i]).collect();
             assert_eq!(traced, Some(&metered), "{dims} grid {grid:?}: '{label}' [PMM_SEED={seed}]");
         }
     }

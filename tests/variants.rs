@@ -6,41 +6,6 @@
 //! each pinned to its recorded run.
 
 use pmm::prelude::*;
-use std::sync::Arc;
-
-fn inputs(dims: MatMulDims) -> Arc<(Matrix, Matrix)> {
-    Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 301),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 302),
-    ))
-}
-
-/// Run `plan` on a bandwidth-only world of the plan's size.
-fn run_plan(plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
-    run_plan_on(plan, dims, MachineParams::BANDWIDTH_ONLY)
-}
-
-/// Run `plan` on a world of the plan's size under `params`.
-fn run_plan_on(plan: &AlgPlan, dims: MatMulDims, params: MachineParams) -> WorldResult<CShare> {
-    run_plan_in(&World::new(plan.active(), params), plan, dims)
-}
-
-/// Run `plan` on the world communicator of `world`.
-fn run_plan_in(world: &World, plan: &AlgPlan, dims: MatMulDims) -> WorldResult<CShare> {
-    let ab = inputs(dims);
-    world.run_async(|rank| {
-        let (plan, ab) = (plan.clone(), Arc::clone(&ab));
-        Box::pin(async move {
-            let comm = rank.world_comm();
-            run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-        })
-    })
-}
-
-fn reference(dims: MatMulDims) -> Matrix {
-    let ab = inputs(dims);
-    gemm(&ab.0, &ab.1, Kernel::Naive)
-}
 
 #[test]
 fn streamed_alg1_is_tight_too() {
@@ -49,15 +14,13 @@ fn streamed_alg1_is_tight_too() {
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
     let plan = AlgPlan::Alg1Streamed { grid: best_grid(dims, p).grid, slabs: 4 };
-    let out = run_plan(&plan, dims);
+    let out = Inputs::random_int(dims, 301).measure(&plan, false);
     let bound = lower_bound(dims, p as f64).bound;
     let measured = out.critical_path_time();
     assert!(
         (measured - bound).abs() < 1e-9 * bound,
         "streamed measured {measured} vs bound {bound}"
     );
-    // And the product is right.
-    assert_eq!(assemble_recovered(dims, &plan, &out.values), reference(dims));
 }
 
 #[test]
@@ -68,15 +31,14 @@ fn carma_is_tight_on_pow2_square_instances() {
     for (n, p) in [(64u64, 8usize), (64, 64), (128, 512)] {
         let dims = MatMulDims::square(n);
         let plan = AlgPlan::Carma { p };
-        let out = run_plan(&plan, dims);
+        // `measure` also holds the reassembled product to the oracle.
+        let out = Inputs::random_int(dims, 301).measure(&plan, false);
         let bound = corollary4(n, p as f64);
         let measured = out.critical_path_time();
         assert!(
             (measured - bound).abs() < 1e-9 * bound,
             "n={n} P={p}: CARMA measured {measured} vs bound {bound}"
         );
-        // Reassembled product matches the serial reference.
-        assert_eq!(assemble_recovered(dims, &plan, &out.values), reference(dims), "n={n} P={p}");
     }
 }
 
@@ -87,7 +49,7 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let recs = recommend(dims, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY);
     let best = recs.first().expect("at least one plan");
     assert_eq!(best.plan.algorithm(), "alg1", "unlimited memory: Algorithm 1 wins");
-    let measured = run_plan(&best.plan, dims).critical_path_time();
+    let measured = Inputs::random_int(dims, 301).measure(&best.plan, false).critical_path_time();
     assert!(
         (measured - best.cost.words).abs() < 1e-9,
         "advisor predicted {} words, measured {measured}",
@@ -101,9 +63,10 @@ fn advisor_prices_alg1_messages_and_words_as_executed() {
     // power-of-two fiber (log2 p messages) and the ring otherwise
     // (p − 1): the advisor must price each fiber by the same rule.
     let dims = MatMulDims::new(120, 24, 30);
+    let inputs = Inputs::random_int(dims, 301);
     for grid in [[5, 1, 1], [6, 2, 1], [2, 2, 2], [3, 1, 1]] {
         let plan = AlgPlan::Alg1 { grid };
-        let executed = run_plan(&plan, dims).critical_path_cost();
+        let executed = inputs.measure(&plan, false).critical_path_cost();
         let advised = plan_prediction(dims, &plan).cost;
         assert_eq!(advised.messages, executed.messages, "grid {grid:?}: messages");
         assert!((advised.words - executed.words).abs() < 1e-9, "grid {grid:?}: words");
@@ -118,10 +81,13 @@ fn advisor_predicts_every_candidates_executed_makespan() {
     // execute (binomial replication and reduction for 2.5D).
     let dims = MatMulDims::square(48);
     let params = MachineParams::new(4.0, 1.0, 0.25);
+    let inputs = Inputs::random_int(dims, 301);
     let mut twofived = 0;
     for p in [32usize, 64] {
         for rec in recommend(dims, p, f64::INFINITY, params) {
-            let measured = run_plan_on(&rec.plan, dims, params).critical_path_time();
+            let measured = inputs
+                .run(&World::new(rec.plan.active(), params), &rec.plan, Kernel::Naive)
+                .critical_path_time();
             assert!(
                 (measured - rec.time).abs() <= 1e-9 * rec.time,
                 "P={p} {}: advisor predicted {}, executed {measured}",
@@ -142,6 +108,9 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
     // words to the word.
     let d = MatMulDims::new;
     let params = MachineParams::new(4.0, 1.0, 0.25);
+    let run = |plan: &AlgPlan, dims| {
+        Inputs::random_int(dims, 301).run(&World::new(plan.active(), params), plan, Kernel::Naive)
+    };
     let divisible = [
         (AlgPlan::Alg1 { grid: [2, 2, 2] }, d(24, 24, 24)),
         (AlgPlan::Alg1 { grid: [2, 3, 2] }, d(24, 12, 18)),
@@ -157,7 +126,7 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
         (AlgPlan::Carma { p: 16 }, d(64, 16, 32)),
     ];
     for (plan, dims) in divisible {
-        let out = run_plan_on(&plan, dims, params);
+        let out = run(&plan, dims);
         let pred = plan_prediction(dims, &plan);
         let (want, got) = (params.time(pred.cost), out.critical_path_time());
         assert!((got - want).abs() <= 1e-9 * want, "{plan} on {dims}: predicted {want}, ran {got}");
@@ -174,7 +143,7 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
     ];
     let carma = (AlgPlan::Carma { p: 8 }, d(48, 20, 12));
     for (plan, dims) in ragged.into_iter().map(|plan| (plan, d(25, 13, 17))).chain([carma]) {
-        let out = run_plan_on(&plan, dims, params);
+        let out = run(&plan, dims);
         let pred = plan_prediction(dims, &plan);
         assert_eq!(pred.words_total, out.total_words_sent(), "{plan} on {dims}: goodput");
     }
@@ -182,11 +151,11 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
 
 #[test]
 fn streamed_variant_trades_latency_for_memory_monotonically() {
-    let dims = MatMulDims::new(64, 96, 64);
+    let inputs = Inputs::random_int(MatMulDims::new(64, 96, 64), 301);
     let mut prev_msgs = 0u64;
     let mut prev_peak = u64::MAX;
     for slabs in [1usize, 2, 4, 8] {
-        let out = run_plan(&AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs }, dims);
+        let out = inputs.measure(&AlgPlan::Alg1Streamed { grid: [2, 2, 2], slabs }, false);
         let msgs = out.reports[0].meter.msgs_sent;
         let peak = out.max_peak_mem_words();
         assert!(msgs >= prev_msgs, "slabs={slabs}: messages must not decrease");
@@ -210,7 +179,7 @@ fn fingerprint(plan: &AlgPlan, dims: MatMulDims, p: usize) -> [u64; 4] {
         .with_seed(11)
         .with_schedule_recording(true)
         .with_trace(true);
-    let out = run_plan_in(&world, plan, dims);
+    let out = Inputs::random_int(dims, 301).run(&world, plan, Kernel::Naive);
     let ranks: Vec<_> =
         out.reports.iter().map(|r| (r.meter, r.time, r.peak_mem_words, r.final_stamp)).collect();
     [
@@ -302,6 +271,7 @@ fn streamed_phase_meters_keep_every_retransmitted_word() {
     let dims = MatMulDims::new(24, 12, 18);
     let faults = FaultPlan::none().with_seed(9).with_drop(0.2);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(3).with_faults(faults);
+    let inputs = Inputs::random_int(dims, 301);
     let counters = |m: &Meter| {
         [
             m.words_sent,
@@ -317,7 +287,7 @@ fn streamed_phase_meters_keep_every_retransmitted_word() {
     for plan in
         [AlgPlan::Alg1 { grid: [2, 3, 2] }, AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 }]
     {
-        let out = run_plan_in(&world, &plan, dims);
+        let out = inputs.run(&world, &plan, Kernel::Naive);
         let (mut phases, mut meters) = (Meter::default(), Meter::default());
         for (share, report) in out.values.iter().zip(&out.reports) {
             for phase in &share.alg1().phases {
