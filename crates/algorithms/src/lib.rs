@@ -35,14 +35,17 @@
 //!   survivors, redistribute, resume.
 //! * [`inputs`] — the one harness that executes a plan ([`Inputs`]): a
 //!   problem's inputs generated once and shared by every rank, ranks
-//!   hosted on the event loop, the product held to the naive oracle.
+//!   hosted on the event loop, healthy or under recovery, and the one
+//!   certificate every run is held to ([`Inputs::check`],
+//!   [`Inputs::check_recovered`]).
 //!
 //! Every executed algorithm consumes the *initial distribution* it
 //! specifies (each rank extracts only its owned part of the input),
 //! returns its owned part of `C`, and reports per-phase traffic meters.
 //! [`Inputs`] reassembles the distributed output ([`assemble_recovered`])
 //! and compares it bit-for-bit against the serial oracle on
-//! integer-valued inputs.
+//! integer-valued inputs, its goodput with the plan's price, and each
+//! Algorithm 1 rank's phase meters with its integer eq. (3) price.
 
 #![warn(missing_docs)]
 

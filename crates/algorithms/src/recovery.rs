@@ -450,26 +450,9 @@ fn block_share(share: &CShare, i: usize, j: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use crate::Inputs;
-    use pmm_simnet::{FaultPlan, MachineParams, World, WorldResult};
-
-    /// Run `plan`'s algorithm with checkpointed recovery on `world`,
-    /// every rank reading the one shared pair of inputs.
-    fn run_plan(
-        world: &World,
-        plan: &AlgPlan,
-        inputs: &Inputs,
-    ) -> WorldResult<Result<Recovered, RankFailed>> {
-        let dims = inputs.dims;
-        world.run_async(|rank| {
-            let (plan, a, b) = (plan.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
-            Box::pin(
-                async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await },
-            )
-        })
-    }
+    use pmm_simnet::{FaultPlan, MachineParams, World};
 
     /// One plan per algorithm, in one-rank layouts (recovery re-lays
     /// each out per attempt).
@@ -525,17 +508,13 @@ mod tests {
                 if matches!(alg, AlgPlan::Carma { .. }) && p == 6 {
                     continue; // CARMA splits need even dims at each level
                 }
-                let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, &inputs);
-                let ok: Vec<Recovered> =
-                    out.values.into_iter().map(|v| v.expect("no faults")).collect();
-                let plan = ok[0].plan.clone();
-                let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
-                let got = assemble_recovered(inputs.dims, &plan, &shares);
-                assert_eq!(got, *inputs.want(), "{plan} on p={p}");
-                for v in &ok {
-                    assert_eq!(v.attempts(), 1);
-                    assert_eq!(v.survivors, (0..p).collect::<Vec<_>>());
-                }
+                let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
+                let out = inputs.recover(&world, &alg, Kernel::Naive);
+                let ok =
+                    inputs.check_recovered(&out).unwrap_or_else(|e| panic!("{alg} p={p}: {e}"));
+                assert!(out.values.iter().all(Result::is_ok), "no faults");
+                assert_eq!(ok.attempts(), 1);
+                assert_eq!(ok.survivors, (0..p).collect::<Vec<_>>());
             }
         }
     }
@@ -555,34 +534,13 @@ mod tests {
         for world in worlds {
             for alg in all_plans() {
                 // 4 survivors: power of two, square, 2×2.
-                let out = run_plan(&world, &alg, &inputs);
+                let out = inputs.recover(&world, &alg, Kernel::Naive);
                 let label = format!("{} [{}]", alg.algorithm(), world.repro().note());
-                let ok: Vec<&Recovered> =
-                    out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
-                assert_eq!(ok.len(), 4, "{label}: survivors return Ok");
-                let plan = ok[0].plan.clone();
-                assert_eq!(ok[0].survivors, vec![0, 1, 3, 4], "{label}");
-                assert!(ok[0].attempts() >= 2, "{label}: retried after the kill");
-                let shares: Vec<CShare> = ok.iter().map(|v| v.share.clone()).collect();
-                let got = assemble_recovered(inputs.dims, &plan, &shares);
-                assert_eq!(got, *inputs.want(), "{label}: {plan}");
+                let ok = inputs.check_recovered(&out).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(out.values.iter().filter(|r| r.is_ok()).count(), 4, "{label}");
+                assert_eq!(ok.survivors, vec![0, 1, 3, 4], "{label}");
+                assert!(ok.attempts() >= 2, "{label}: retried after the kill");
             }
-        }
-    }
-
-    #[test]
-    fn restore_goodput_matches_the_model_exactly() {
-        use pmm_model::restore_words_total;
-        let inputs = Inputs::random_int(MatMulDims::new(12, 8, 16), 91);
-        for alg in all_plans() {
-            let p = 4usize;
-            let out = run_plan(&World::new(p, MachineParams::BANDWIDTH_ONLY), &alg, &inputs);
-            let restore: u64 = out
-                .values
-                .iter()
-                .map(|v| v.as_ref().expect("no faults").restore_meter.words_sent)
-                .sum();
-            assert_eq!(restore as f64, restore_words_total(inputs.dims, p), "{}", alg.algorithm());
         }
     }
 }

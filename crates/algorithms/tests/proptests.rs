@@ -1,13 +1,11 @@
 //! Property-based tests for the distributed algorithms: Algorithm 1
 //! computes the right product and meters exactly its integer eq. (3)
 //! price across random dimensions and random grids (divisible or not),
-//! and Cannon/SUMMA agree on random instances.
+//! and Cannon/SUMMA pass the certificate (`Inputs::check`: product and
+//! goodput) on random instances.
 
-use pmm_algs::{
-    alg1_a, assemble_c, assemble_recovered, check_alg1_price, run_plan_a, Alg1Config, Assembly,
-    CShare,
-};
-use pmm_dense::{gemm, random_int_matrix, Kernel};
+use pmm_algs::{alg1_a, assemble_c, check_alg1_price, Alg1Config, Assembly, CShare, Inputs};
+use pmm_dense::{random_int_matrix, Kernel};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{MachineParams, World};
 use proptest::prelude::*;
@@ -28,18 +26,15 @@ proptest! {
         let assembly =
             if assembly_pick == 0 { Assembly::ReduceScatter } else { Assembly::AllToAllSum };
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let ab = Arc::new((
-            random_int_matrix(n1 as usize, n2 as usize, -3..4, seed),
-            random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1),
-        ));
+        let inputs = Inputs::random_int(dims, seed);
         let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+            let (cfg, a, b) = (cfg.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
             Box::pin(async move {
-                alg1_a(rank, &cfg, &ab.0, &ab.1).await
+                alg1_a(rank, &cfg, &a, &b).await
             })
         });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-        prop_assert_eq!(assemble_c(dims, grid, &chunks), gemm(&ab.0, &ab.1, Kernel::Naive));
+        prop_assert_eq!(&assemble_c(dims, grid, &chunks), inputs.want());
     }
 
     #[test]
@@ -49,22 +44,21 @@ proptest! {
         slabs in 1usize..5,
     ) {
         // Ragged dimensions, blocks and fiber chunks, empty ones included:
-        // every rank's per-phase words and messages are its integer price,
-        // plain and streamed.
+        // every run passes its certificate (product, goodput, every rank's
+        // per-phase words and messages at its integer price), plain and
+        // streamed, and where every rank pays the same price the critical
+        // path is that price.
         let (dims, grid) = (MatMulDims::new(n1, n2, n3), [p1, p2, p3]);
-        let ab = Arc::new((
+        let inputs = Inputs::new(
+            dims,
             random_int_matrix(n1 as usize, n2 as usize, -1..2, 1),
             random_int_matrix(n2 as usize, n3 as usize, -1..2, 2),
-        ));
+        );
         for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs }] {
             let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY);
-            let out = world.run_async(|rank| {
-                let (plan, ab) = (plan.clone(), Arc::clone(&ab));
-                Box::pin(async move {
-                    let comm = rank.world_comm();
-                    run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-                })
-            });
+            let out = inputs.run(&world, &plan, Kernel::Naive);
+            let certified = inputs.check(&plan, &out);
+            prop_assert!(certified.is_ok(), "{} on {}: {:?}", plan, dims, certified);
             let outputs = out.values.iter().map(CShare::alg1);
             let checked = check_alg1_price(dims, &plan, outputs, Some(out.critical_path_time()));
             prop_assert!(checked.is_ok(), "{} on {}: {:?}", plan, dims, checked);
@@ -77,22 +71,12 @@ proptest! {
         q in 1usize..4,
         seed in 0u64..500,
     ) {
-        let dims = MatMulDims::new(n1, n2, n3);
-        let ab = Arc::new((
-            random_int_matrix(n1 as usize, n2 as usize, -3..4, seed),
-            random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1),
-        ));
-        let want = gemm(&ab.0, &ab.1, Kernel::Naive);
-
+        let inputs = Inputs::random_int(MatMulDims::new(n1, n2, n3), seed);
         for plan in [AlgPlan::Cannon { q }, AlgPlan::Summa { pr: q, pc: q }] {
-            let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-                let (plan, ab) = (plan.clone(), Arc::clone(&ab));
-                Box::pin(async move {
-                    let comm = rank.world_comm();
-                    run_plan_a(rank, &comm, &plan, dims, Kernel::Naive, &ab.0, &ab.1).await
-                })
-            });
-            prop_assert_eq!(&assemble_recovered(dims, &plan, &out.values), &want, "{}", plan);
+            let world = World::new(q * q, MachineParams::BANDWIDTH_ONLY);
+            let out = inputs.run(&world, &plan, Kernel::Naive);
+            let certified = inputs.check(&plan, &out);
+            prop_assert!(certified.is_ok(), "{}: {:?}", plan, certified);
         }
     }
 }

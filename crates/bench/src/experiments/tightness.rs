@@ -18,9 +18,10 @@ fn measure(inputs: &Inputs, grid: [usize; 3], checks: &mut Checks) -> f64 {
     let plan = AlgPlan::Alg1 { grid };
     let world = World::new(grid.iter().product(), MachineParams::BANDWIDTH_ONLY);
     let out = inputs.run(&world, &plan, Kernel::default());
-    // Verify numerical correctness too — tight *and* right.
-    let correct = inputs.product_is_correct(&plan, &out);
-    checks.check(format!("{} grid {grid:?}: product correct", inputs.dims), correct);
+    // Verify the run too — tight *and* right: product, goodput and every
+    // rank's price.
+    let certified = inputs.check(&plan, &out);
+    checks.check(format!("{} grid {grid:?}: {certified:?}", inputs.dims), certified.is_ok());
     out.critical_path_time()
 }
 

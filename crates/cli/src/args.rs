@@ -474,11 +474,13 @@ USAGE:
                [--faults SPEC]
       Run Algorithm 1 on the simulated machine (ranks are continuations
       on a single-threaded event loop, so P up to 10^5-10^6 executes for
-      real), verify the product and every rank's per-phase words and
-      messages against its integer eq. (3) price, and report measured
-      communication vs the bound. --faults injects seeded message faults and rank
-      failures (recovered by checkpointed re-planning onto the optimal
-      grid of the survivors);
+      real), certify the run (product, total goodput, and every rank's
+      per-phase words and messages against its integer eq. (3) price),
+      and report measured communication vs the bound. --faults injects
+      seeded message faults and rank failures (recovered by checkpointed
+      re-planning onto the optimal grid of the survivors; the certificate
+      also holds the survivors to one survivor set and the checkpoint /
+      redistribution goodput to the recovery model);
       SPEC is comma-separated key=value pairs: drop/dup/corrupt/delay
       (rates), timeout, cap, retries, seed (fault seed),
       kill=RANK@OP (repeatable), cascade=RANK@EPOCH (kill RANK at its
@@ -489,15 +491,16 @@ USAGE:
       storm=RATExFACTOR (straggler storm: a RATE fraction of messages
       slowed by FACTOR), slow=RANKxFACTOR — e.g.
       --faults drop=0.05,kill=2@5,cascade=7@1,part=0+1@2..30#2,seed=0xFA.
-      Exits nonzero if the product or a rank's price is wrong, or a
-      failure is not recovered.
+      Exits nonzero if a check of the certificate fails (the
+      `certificate` line names it), or a failure is not recovered.
   pmm trace    --dims N1xN2xN3 --procs P [--grid AxBxC] [--seed S]
                [--out FILE]
       Run Algorithm 1 with structured tracing on: report the per-phase
       cost attribution against each rank's eq. (3) price, the critical-path
       breakdown, and a compact text trace. --out writes the full event
       trace as Chrome trace_event JSON (load in Perfetto or
-      chrome://tracing). Exits nonzero if the product is wrong.
+      chrome://tracing). Exits nonzero if the run fails its certificate
+      (product, total goodput, every rank's price).
   pmm sweep    --dims N1xN2xN3 --procs P1,P2,...
       Bound/case/grid table over a list of processor counts.
   pmm serve    [--port N] [--oneshot] [--workers N] [--queue-depth N]

@@ -2,11 +2,8 @@
 //! `String` (printed by `main`), so commands are unit-testable.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use pmm_algs::{
-    assemble_recovered, check_alg1_price, run_recoverable_a, CShare, Inputs, ALG1_PHASES,
-};
+use pmm_algs::{check_alg1_price, CShare, Inputs, ALG1_PHASES};
 use pmm_bench::calibrate::calibrate as run_probes;
 use pmm_core::advisor::recommend;
 use pmm_core::gridopt::{best_grid, continuous_grid};
@@ -137,7 +134,8 @@ pub fn advise(
 }
 
 /// `pmm simulate`, full form: returns the report and the process exit
-/// code (`0` = product verified, `1` = wrong product or a fault the run
+/// code (`0` = the run passed its certificate, [`Inputs::check`] or
+/// [`Inputs::check_recovered`]; `1` = it failed one, or a fault the run
 /// could not recover from). `kernel` multiplies every rank's local
 /// blocks.
 pub fn simulate_run(
@@ -172,7 +170,7 @@ fn simulate_clean(
     let host_before = HostMem::read();
     let out = inputs.run(&world, &plan, kernel);
     let schedule = schedule_line(sched_seed, &out, host_before);
-    let correct = inputs.product_is_correct(&plan, &out);
+    let certified = inputs.check(&plan, &out);
 
     let measured = out.critical_path_time();
     let priced = check_alg1_price(dims, &plan, out.values.iter().map(CShare::alg1), Some(measured));
@@ -187,7 +185,7 @@ fn simulate_clean(
     let mut s = String::new();
     let _ = writeln!(s, "simulated {dims} on grid {g} ({procs} ranks, seed {seed})");
     let _ = writeln!(s, "{schedule}");
-    let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
+    let _ = writeln!(s, "{}", certificate_line(&certified));
     let _ = match &priced {
         Ok(()) => writeln!(s, "per rank     : every rank's phases match the integer price ✓"),
         Err(mismatch) => writeln!(s, "per rank     : DIVERGES at {mismatch} ✗"),
@@ -198,7 +196,16 @@ fn simulate_clean(
     let _ = writeln!(s, "closed form  : {predicted:.3} words/processor (eq. (3))");
     let _ = writeln!(s, "lower bound  : {bound:.3}");
     let _ = writeln!(s, "peak memory  : {} words/rank (max)", out.max_peak_mem_words());
-    (s, u8::from(!correct || priced.is_err()))
+    (s, u8::from(certified.is_err() || priced.is_err()))
+}
+
+/// The `certificate` line of `pmm simulate` / `pmm trace`: whether the
+/// run passed every check of its certificate, or the first it failed.
+fn certificate_line<T>(certified: &Result<T, String>) -> String {
+    match certified {
+        Ok(_) => "certificate  : correct ✓".to_string(),
+        Err(failed) => format!("certificate  : FAILS {failed} ✗"),
+    }
 }
 
 /// The schedule summary line of `pmm simulate` / `pmm trace`: the replay
@@ -238,13 +245,7 @@ fn simulate_faulty(
         .with_seed(sched_seed)
         .with_faults(plan.clone());
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        world.run_async(|rank| {
-            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
-            Box::pin(async move {
-                let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
-                run_recoverable_a(rank, &alg1, dims, kernel, &a, &b).await
-            })
-        })
+        inputs.recover(&world, &AlgPlan::Alg1 { grid: [1, 1, 1] }, kernel)
     }));
     let mut s = String::new();
     let _ = writeln!(s, "simulated {dims} on {procs} ranks under faults [{plan}] (seed {seed})");
@@ -272,25 +273,20 @@ fn simulate_faulty(
             let _ = writeln!(s, "rank failure : {failed}");
         }
     }
-    let plan_used = ok.plan.clone();
-    let survivors = ok.survivors.clone();
     let _ = writeln!(
         s,
         "recovery     : {} attempt(s); survivors {:?} on layout {}",
         ok.attempts(),
-        survivors,
-        plan_used
+        ok.survivors,
+        ok.plan
     );
-    let shares: Vec<CShare> = survivors
-        .iter()
-        .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
-        .collect();
-    let correct = assemble_recovered(dims, &plan_used, &shares) == *inputs.want();
-    let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
+    let certified = inputs.check_recovered(&out);
+    let _ = writeln!(s, "{}", certificate_line(&certified));
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
-    let goodput = out.reports[survivors[0]].meter.words_sent;
+    let goodput = out.reports[ok.survivors[0]].meter.words_sent;
     let retry: u64 = out.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
-    let _ = writeln!(s, "goodput      : {goodput} words on rank {} (all attempts)", survivors[0]);
+    let _ =
+        writeln!(s, "goodput      : {goodput} words on rank {} (all attempts)", ok.survivors[0]);
     let _ = writeln!(
         s,
         "model        : final attempt {:.0} words total across ranks (+{:.0} restore); \
@@ -300,15 +296,16 @@ fn simulate_faulty(
         pred.total_upper_bound_words()
     );
     let _ = writeln!(s, "retry waste  : {retry} words total across ranks (separate from goodput)");
-    (s, u8::from(!correct))
+    (s, u8::from(certified.is_err()))
 }
 
 /// `pmm trace`: run Algorithm 1 with structured tracing on, report the
 /// per-phase cost attribution against eq. (3) and the critical-path
 /// breakdown, and (with `--out`) write the Chrome trace_event JSON.
 ///
-/// Exit code: `0` = product verified and (if requested) the trace file
-/// written; `1` = wrong product or the trace file could not be written.
+/// Exit code: `0` = the run passed [`Inputs::check`] and (if requested)
+/// the trace file was written; `1` = it failed a check or the trace file
+/// could not be written.
 /// `kernel` multiplies every rank's local blocks.
 pub fn trace(
     dims: MatMulDims,
@@ -328,7 +325,7 @@ pub fn trace(
     let host_before = HostMem::read();
     let out = inputs.run(&world, &plan, kernel);
     let schedule = schedule_line(sched_seed, &out, host_before);
-    let correct = inputs.product_is_correct(&plan, &out);
+    let certified = inputs.check(&plan, &out);
 
     let tracer = out.tracer().expect("tracing was enabled");
     let attribution = tracer.attribution(ALG1_PHASES, |r| alg1_price(dims, grid, 1, r));
@@ -338,7 +335,7 @@ pub fn trace(
     let mut s = String::new();
     let _ = writeln!(s, "traced {dims} on grid {g} ({procs} ranks, seed {seed})");
     let _ = writeln!(s, "{schedule}");
-    let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
+    let _ = writeln!(s, "{}", certificate_line(&certified));
     let _ = writeln!(s);
     let _ = write!(s, "{}", tracer.render_text());
     let _ = writeln!(s);
@@ -346,7 +343,7 @@ pub fn trace(
     let _ = write!(s, "{attribution}");
     let _ = writeln!(s);
     let _ = writeln!(s, "critical path: {:.3} words (lower bound {bound:.3})", cp.total);
-    let mut code = u8::from(!correct);
+    let mut code = u8::from(certified.is_err());
     if let Some(path) = out_path {
         match std::fs::write(path, tracer.chrome_json()) {
             Ok(()) => {

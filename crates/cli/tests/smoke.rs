@@ -129,7 +129,7 @@ fn simulate_with_faults_recovers_and_exits_zero() {
     ]);
     let text = stdout(&out);
     assert!(out.status.success(), "exit: {:?}\n{text}", out.status);
-    assert!(text.contains("correct ✓"), "{text}");
+    assert!(text.contains("certificate  : correct ✓"), "{text}");
     assert!(text.contains("rank 4"), "must report the killed rank: {text}");
     assert!(text.contains("kill=4@5"), "must name the fault-plan entry: {text}");
 }
@@ -327,7 +327,7 @@ fn serve_oneshot_malformed_query_exits_nonzero_with_structured_error() {
 fn advise_and_grid_answer_a_highly_composite_p_in_bounded_time() {
     // P = 963 761 198 400 has 6720 divisors and 1.8 million grids; the
     // 2.5D walk over every divisor c of P used not to finish in 60 s.
-    for (cmd, best) in [("advise", "alg1[9867x9792x9975]"), ("grid", "grid     : 9792x9975x9867")] {
+    for (cmd, best) in [("advise", "alg1[9867x9792x9975]"), ("grid", "grid     : 9792x9867x9975")] {
         let t0 = std::time::Instant::now();
         let out = pmm(&[cmd, "--dims", "4096x4096x4096", "--procs", "963761198400"]);
         let secs = t0.elapsed().as_secs_f64();

@@ -54,9 +54,10 @@ pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
 
 /// Exact optimal integer grid: minimizes eq. (3)
 /// ([`alg1_prediction`]`.total()`) over **all**
-/// ordered factorizations `p1·p2·p3 = P`. Ties break toward the
-/// lexicographically smallest grid in sorted order, so results are
-/// deterministic.
+/// ordered factorizations `p1·p2·p3 = P`. Grids are compared by eq. (3)'s
+/// integer numerator over their shared denominator `P`, so equal-cost
+/// grids tie exactly, and a tie goes to the lexicographically smallest
+/// `[p1, p2, p3]`.
 ///
 /// ```
 /// use pmm_core::gridopt::best_grid;
@@ -64,20 +65,12 @@ pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
 /// // Fig. 2(b): P = 36 on the paper's instance → the 12x3x1 grid.
 /// let choice = best_grid(MatMulDims::new(9600, 2400, 600), 36);
 /// assert_eq!(choice.grid, [12, 3, 1]);
+/// // [2, 3, 4] and [3, 2, 4] both cost 1024 words on a 64-cube.
+/// assert_eq!(best_grid(MatMulDims::square(64), 24).grid, [2, 3, 4]);
 /// ```
 pub fn best_grid(dims: MatMulDims, p: usize) -> GridChoice {
     assert!(p >= 1, "P must be >= 1");
-    let case = dims.sorted().classify(p as f64);
-    let mut best: Option<([usize; 3], f64)> = None;
-    for f in Grid3::factorizations(p) {
-        let cost = alg1_prediction(dims, f).total();
-        match &best {
-            Some((_, c)) if *c <= cost => {}
-            _ => best = Some((f, cost)),
-        }
-    }
-    let (grid, cost_words) = best.expect("at least one factorization");
-    GridChoice { grid, cost_words, case }
+    best_factorization(dims, p, false).expect("at least one factorization")
 }
 
 /// Like [`best_grid`] but restricted to factorizations whose factors
@@ -85,19 +78,24 @@ pub fn best_grid(dims: MatMulDims, p: usize) -> GridChoice {
 /// cost equals eq. (3) *exactly*. Returns `None` if no divisible
 /// factorization exists.
 pub fn best_divisible_grid(dims: MatMulDims, p: usize) -> Option<GridChoice> {
+    best_factorization(dims, p, true)
+}
+
+/// The cheapest factorization of `p` (one dividing the dimensions if
+/// `divisible`), ties to the first in [`Grid3::factorizations`]'
+/// (lexicographic) order.
+fn best_factorization(dims: MatMulDims, p: usize, divisible: bool) -> Option<GridChoice> {
+    let (n1, n2, n3) = (u128::from(dims.n1), u128::from(dims.n2), u128::from(dims.n3));
+    // eq. (3) times P: (p3 − 1)·n1n2 + (p1 − 1)·n2n3 + (p2 − 1)·n1n3.
+    let numerator = |f: &[usize; 3]| {
+        let [p1, p2, p3] = f.map(|x| x as u128 - 1);
+        p3 * n1 * n2 + p1 * n2 * n3 + p2 * n1 * n3
+    };
+    let admitted =
+        Grid3::factorizations(p).into_iter().filter(|&f| !divisible || dims.divisible_by(f));
+    let grid = admitted.min_by_key(numerator)?;
     let case = dims.sorted().classify(p as f64);
-    let mut best: Option<([usize; 3], f64)> = None;
-    for f in Grid3::factorizations(p) {
-        if !dims.divisible_by(f) {
-            continue;
-        }
-        let cost = alg1_prediction(dims, f).total();
-        match &best {
-            Some((_, c)) if *c <= cost => {}
-            _ => best = Some((f, cost)),
-        }
-    }
-    best.map(|(grid, cost_words)| GridChoice { grid, cost_words, case })
+    Some(GridChoice { grid, cost_words: alg1_prediction(dims, grid).total(), case })
 }
 
 #[cfg(test)]
@@ -203,6 +201,17 @@ mod tests {
         assert_eq!(best_grid(dims, 8).grid, [2, 2, 2]);
         assert_eq!(best_grid(dims, 27).grid, [3, 3, 3]);
         assert_eq!(best_grid(dims, 64).grid, [4, 4, 4]);
+    }
+
+    #[test]
+    fn equal_cost_grids_tie_exactly_toward_the_smallest() {
+        // 6·4096/24 = 1024 words on both; summed in f64 the later one
+        // came out 1023.9999999999999.
+        let cube = MatMulDims::square(64);
+        assert_eq!(alg1_prediction(cube, [2, 3, 4]).total(), 1024.0);
+        assert_eq!(best_grid(cube, 24).grid, [2, 3, 4]);
+        let divisible = best_divisible_grid(MatMulDims::square(48), 24);
+        assert_eq!(divisible.map(|c| c.grid), Some([2, 3, 4]));
     }
 
     #[test]

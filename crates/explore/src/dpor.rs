@@ -42,7 +42,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use pmm_simnet::{
-    ChoiceLog, LocalBoxFuture, Rank, Repro, Resource, RunFailure, Schedule, World, WorldResult,
+    rank_divergence, ChoiceLog, LocalBoxFuture, Rank, RankReport, Repro, Resource, RunFailure,
+    Schedule, World, WorldResult,
 };
 
 /// How the explorer walks the choice tree.
@@ -363,56 +364,6 @@ fn push_siblings(
     }
 }
 
-/// One rank's summary used for the bitwise schedule-independence check.
-#[derive(Debug, Clone, PartialEq)]
-struct RankSummary {
-    meter: pmm_simnet::Meter,
-    time: f64,
-    peak_mem_words: u64,
-}
-
-/// The standard schedule-independence oracle shared by the checked
-/// exploration entry points: the first explored schedule sets the
-/// baseline; every later one must match it bitwise in per-rank values,
-/// meters, clocks, and memory peaks, and no schedule may fail.
-#[derive(Default)]
-struct IndependenceChecker {
-    baseline: Option<(Vec<String>, Vec<RankSummary>)>,
-}
-
-impl IndependenceChecker {
-    fn check<T: std::fmt::Debug>(&mut self, out: &WorldResult<T>) -> Result<(), String> {
-        let values: Vec<String> = out.values.iter().map(|v| format!("{v:?}")).collect();
-        let summaries: Vec<RankSummary> = out
-            .reports
-            .iter()
-            .map(|r| RankSummary { meter: r.meter, time: r.time, peak_mem_words: r.peak_mem_words })
-            .collect();
-        match &self.baseline {
-            None => {
-                self.baseline = Some((values, summaries));
-            }
-            Some((base_vals, base_sums)) => {
-                for r in 0..base_vals.len() {
-                    if values[r] != base_vals[r] {
-                        return Err(format!(
-                            "schedule-dependent result: rank {r} value {} vs baseline {}",
-                            values[r], base_vals[r]
-                        ));
-                    }
-                    if summaries[r] != base_sums[r] {
-                        return Err(format!(
-                            "schedule-dependent accounting: rank {r} {:?} vs baseline {:?}",
-                            summaries[r], base_sums[r]
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Explore and assert, on every explored schedule, that the program
 /// produced bitwise-identical per-rank values, meters, clocks, and
 /// memory peaks as the first explored schedule, that no schedule fails
@@ -430,10 +381,17 @@ where
     F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
     C: FnMut(&WorldResult<T>) -> Result<(), String>,
 {
-    let mut indep = IndependenceChecker::default();
+    // The first explored schedule's values (as printed: `T` need not be
+    // `Clone`) and reports are the baseline every later one is diffed against.
+    let mut baseline: Option<(Vec<String>, Vec<RankReport>)> = None;
     explore_outcomes(world, program, cfg, |_choices, outcome| {
         let out = outcome.map_err(|fail| format!("schedule fails: {}", fail.report))?;
-        indep.check(out)?;
+        let values: Vec<String> = out.values.iter().map(|v| format!("{v:?}")).collect();
+        let (base_values, base) =
+            baseline.get_or_insert_with(|| (values.clone(), out.reports.clone()));
+        if let Some(detail) = rank_divergence((base_values, base), (&values, &out.reports)) {
+            return Err(format!("schedule-dependent result: {detail}"));
+        }
         check(out)
     })
 }

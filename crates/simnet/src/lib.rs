@@ -108,8 +108,9 @@ pub use hostmem::HostMem;
 pub use meter::{MemTracker, Meter};
 pub use rank::{catch_fault_panics, FaultWatch, MemoryLimitExceeded, Rank};
 pub use trace::{
-    fuzz_schedules, repro_hint, schedule_from_env, seed_from_env, ChoiceLog, ChoicePoint,
-    ChoicePoints, Repro, Resource, Schedule, ScheduleDivergence, SCHEDULE_ENV, SEED_ENV,
+    fuzz_schedules, rank_divergence, repro_hint, schedule_from_env, seed_from_env, ChoiceLog,
+    ChoicePoint, ChoicePoints, Repro, Resource, Schedule, ScheduleDivergence, SCHEDULE_ENV,
+    SEED_ENV,
 };
 pub use tracer::{Attribution, CriticalPath, PhaseDiff, PhaseTotals, TraceEvent, TraceOp, Tracer};
 pub use verify::{CollectiveOp, VerifyConfig};

@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use crate::engine::LocalBoxFuture;
 use crate::fabric::Ctx;
 use crate::rank::Rank;
-use crate::world::World;
+use crate::world::{RankReport, World};
 
 /// Environment variable consulted by [`seed_from_env`].
 pub const SEED_ENV: &str = "PMM_SEED";
@@ -575,37 +575,45 @@ where
             baseline = Some((seed, out));
             continue;
         };
-        let fail = |detail: String| ScheduleDivergence {
-            baseline_seed: *seed0,
-            failing_seed: seed,
-            detail,
-        };
-        for r in 0..out.values.len() {
-            if out.values[r] != base.values[r] {
-                return Err(fail(format!(
-                    "rank {r} value {:?} vs baseline {:?}",
-                    out.values[r], base.values[r]
-                )));
-            }
-            let (a, b) = (&out.reports[r], &base.reports[r]);
-            if a.meter != b.meter {
-                return Err(fail(format!(
-                    "rank {r} meter [{}] vs baseline [{}]",
-                    a.meter, b.meter
-                )));
-            }
-            if a.time != b.time {
-                return Err(fail(format!("rank {r} clock {} vs baseline {}", a.time, b.time)));
-            }
-            if a.peak_mem_words != b.peak_mem_words {
-                return Err(fail(format!(
-                    "rank {r} peak memory {} vs baseline {} words",
-                    a.peak_mem_words, b.peak_mem_words
-                )));
-            }
+        if let Some(detail) =
+            rank_divergence((&base.values, &base.reports), (&out.values, &out.reports))
+        {
+            return Err(ScheduleDivergence { baseline_seed: *seed0, failing_seed: seed, detail });
         }
     }
     Ok(())
+}
+
+/// The first rank on which a run of a program differs from a `baseline`
+/// run of it in what must not depend on the schedule: its value, meter,
+/// clock or memory peak (each run as its per-rank values and reports).
+/// `None` if the two agree on every rank. [`fuzz_schedules`] and the
+/// explorer's schedule-independence oracle both diff their runs with it.
+pub fn rank_divergence<T: PartialEq + std::fmt::Debug>(
+    (base_values, base): (&[T], &[RankReport]),
+    (values, reports): (&[T], &[RankReport]),
+) -> Option<String> {
+    for (r, (b, a)) in base.iter().zip(reports).enumerate() {
+        if values[r] != base_values[r] {
+            return Some(format!(
+                "rank {r} value {:?} vs baseline {:?}",
+                values[r], base_values[r]
+            ));
+        }
+        if a.meter != b.meter {
+            return Some(format!("rank {r} meter [{}] vs baseline [{}]", a.meter, b.meter));
+        }
+        if a.time != b.time {
+            return Some(format!("rank {r} clock {} vs baseline {}", a.time, b.time));
+        }
+        if a.peak_mem_words != b.peak_mem_words {
+            return Some(format!(
+                "rank {r} peak memory {} vs baseline {} words",
+                a.peak_mem_words, b.peak_mem_words
+            ));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -724,6 +732,22 @@ mod tests {
         assert!(Repro::Unseeded.hint().contains("with_seed"));
         assert!(Repro::Seed(9).note().contains("schedule seed 9"));
         assert!(Repro::Prefix(vec![1]).note().contains("1 choices"));
+    }
+
+    #[test]
+    fn rank_divergence_names_the_first_rank_and_field_that_differ() {
+        let meter = crate::meter::Meter::default();
+        let report =
+            RankReport { meter, time: 1.0, peak_mem_words: 4, trace: None, final_stamp: 0 };
+        let base = vec![report.clone(), report];
+        let values = [1, 2];
+        assert_eq!(rank_divergence((&values, &base), (&values, &base)), None);
+        let moved = rank_divergence((&values, &base), (&[1, 3], &base));
+        assert_eq!(moved.as_deref(), Some("rank 1 value 3 vs baseline 2"));
+        let mut slow = base.clone();
+        slow[0].time = 2.0;
+        let slowed = rank_divergence((&values, &base), (&values, &slow));
+        assert_eq!(slowed.as_deref(), Some("rank 0 clock 2 vs baseline 1"));
     }
 
     #[test]

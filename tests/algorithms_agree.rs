@@ -12,10 +12,11 @@ fn inputs(dims: MatMulDims) -> Inputs {
 }
 
 /// Run `plan` with `kernel` on a bandwidth-only world of the plan's size
-/// and hold its product to the oracle.
+/// and hold it to [`Inputs::check`]: the oracle's product, the plan's
+/// goodput and, for Algorithm 1, every rank's price.
 fn run_plan(inputs: &Inputs, plan: &AlgPlan, kernel: Kernel) -> WorldResult<CShare> {
     let out = inputs.run(&World::new(plan.active(), MachineParams::BANDWIDTH_ONLY), plan, kernel);
-    assert!(inputs.product_is_correct(plan, &out), "{plan} with {kernel:?}");
+    assert_eq!(inputs.check(plan, &out), Ok(()), "{plan} with {kernel:?}");
     out
 }
 

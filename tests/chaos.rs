@@ -4,15 +4,14 @@
 //! The tier-1 cell (`chaos_cert_all_six_algorithms`) arms one pinned
 //! plan — a direct kill, a cascading kill, a healing partition, a
 //! straggler storm, and background drops — against all six algorithms
-//! through the generic [`run_recoverable_a`] wrapper and asserts
-//!
-//! * the product reassembled from the survivors' shares is **bitwise**
-//!   equal to the serial reference,
-//! * the final attempt's checkpoint/redistribution goodput and run
-//!   goodput each equal `pmm_model::recovery_prediction` **exactly**
-//!   (to the word, across survivors), and an Algorithm 1 survivor's
-//!   per-phase words and messages equal its `pmm_model::alg1_price`,
-//! * whole-run goodput stays under the prediction's upper bound.
+//! through the generic recovery wrapper ([`Inputs::recover`]) and holds
+//! each run to [`Inputs::check_recovered`]: the survivors agree, the
+//! product reassembled from their shares is **bitwise** equal to the
+//! serial reference, the final attempt's checkpoint/redistribution and
+//! run goodput each equal `pmm_model::recovery_prediction` **exactly**
+//! (to the word, across survivors), an Algorithm 1 survivor's per-phase
+//! words and messages equal its `pmm_model::alg1_price`, and whole-run
+//! goodput stays under the prediction's upper bound.
 //!
 //! The `#[ignore]`d release cells extend the certification to a
 //! (algorithm × Theorem-3 regime × plan class) soak and to a
@@ -25,7 +24,6 @@
 //! the same recovery is byte-identical is `tests/engine_equivalence.rs`'s
 //! job.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pmm::prelude::*;
@@ -43,82 +41,10 @@ fn all_plans() -> [AlgPlan; 6] {
     ]
 }
 
-/// Run `plan`'s algorithm under recovery on a faulty world, every rank
-/// reading the one shared copy of `inputs` (required at large `P`).
-fn run_chaos(
-    plan: &AlgPlan,
-    inputs: &Inputs,
-    p: usize,
-    sched_seed: u64,
-    faults: FaultPlan,
-) -> WorldResult<Result<Recovered, RankFailed>> {
-    let dims = inputs.dims;
-    let world =
-        World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(faults);
-    world.run_async(|rank| {
-        let (plan, a, b) = (plan.clone(), Arc::clone(&inputs.a), Arc::clone(&inputs.b));
-        Box::pin(async move { run_recoverable_a(rank, &plan, dims, Kernel::Naive, &a, &b).await })
-    })
-}
-
-/// Certify one chaos cell: survivors agree, the reassembled product is
-/// bitwise-correct, the final attempt's restore and run goodput match
-/// `recovery_prediction` exactly on any layout, an Algorithm 1 layout's
-/// survivors each meter their integer price per phase (by their index
-/// among the survivors), and the whole run respects the model upper
-/// bound. Returns (attempts, survivor count, final plan).
-fn certify_cell(
-    label: &str,
-    out: &WorldResult<Result<Recovered, RankFailed>>,
-    inputs: &Inputs,
-) -> (usize, usize, AlgPlan) {
-    let dims = inputs.dims;
-    let ok = out
-        .values
-        .iter()
-        .find_map(|v| v.as_ref().ok())
-        .unwrap_or_else(|| panic!("{label}: no survivor succeeded"));
-    let survivors = ok.survivors.clone();
-    let plan = ok.plan.clone();
-    for &w in &survivors {
-        let v = out.values[w].as_ref().unwrap_or_else(|e| panic!("{label}: survivor {w}: {e}"));
-        assert_eq!(v.survivors, survivors, "{label}: survivors disagree");
-        assert_eq!(v.plan, plan, "{label}: layouts disagree");
-    }
-    let shares: Vec<CShare> = survivors
-        .iter()
-        .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
-        .collect();
-    let c = assemble_recovered(dims, &plan, &shares);
-    assert_eq!(&c, inputs.want(), "{label}: recovered product must be bitwise-correct");
-
-    let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
-    let alive: Vec<&Recovered> = out.values.iter().filter_map(|v| v.as_ref().ok()).collect();
-    let restore: u64 = alive.iter().map(|v| v.restore_meter.words_sent).sum();
-    assert_eq!(
-        restore as f64,
-        pred.last().restore_words_total,
-        "{label}: checkpoint/redistribution goodput must match the model exactly"
-    );
-    let run: u64 = alive.iter().map(|v| v.run_meter.words_sent).sum();
-    assert_eq!(
-        run as f64,
-        pred.last().run_words_total,
-        "{label}: final-attempt run goodput must match the model exactly"
-    );
-    if let AlgPlan::Alg1 { .. } | AlgPlan::Alg1Streamed { .. } = plan {
-        if let Err(mismatch) = check_alg1_price(dims, &plan, shares.iter().map(CShare::alg1), None)
-        {
-            panic!("{label}: {mismatch}");
-        }
-    }
-    let whole: f64 = out.reports.iter().map(|r| r.meter.words_sent as f64).sum();
-    assert!(
-        whole <= pred.total_upper_bound_words() + 1e-9,
-        "{label}: whole-run goodput {whole} exceeds the model upper bound {}",
-        pred.total_upper_bound_words()
-    );
-    (ok.attempts(), survivors.len(), plan)
+/// A bandwidth-only world of `p` ranks under schedule `sched_seed` and
+/// `faults`.
+fn chaos_world(p: usize, sched_seed: u64, faults: FaultPlan) -> World {
+    World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(faults)
 }
 
 /// The pinned tier-1 multi-fault plan: a kill, a cascade armed on the
@@ -146,12 +72,13 @@ fn chaos_cert_all_six_algorithms() {
     for plan in all_plans() {
         let alg = plan.algorithm();
         let t0 = Instant::now();
-        let out = run_chaos(&plan, &inputs, 10, 0xC0DE, tier1_plan());
+        let out = inputs.recover(&chaos_world(10, 0xC0DE, tier1_plan()), &plan, Kernel::Naive);
         let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
         assert!(killed.detail.contains("kill=2@3"), "{alg}: {}", killed.detail);
         let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
         assert!(cascaded.detail.contains("cascade=7@1"), "{alg}: {}", cascaded.detail);
-        let (attempts, nsurv, plan) = certify_cell(alg, &out, &inputs);
+        let ok = inputs.check_recovered(&out).unwrap_or_else(|e| panic!("{alg}: {e}"));
+        let (attempts, nsurv, plan) = (ok.attempts(), ok.survivors.len(), &ok.plan);
         assert_eq!(nsurv, 8, "{alg}");
         assert!(attempts >= 2, "{alg}: the kills force at least one re-plan");
         println!(
@@ -169,7 +96,8 @@ fn chaos_cert_replays_byte_identically() {
     // hashes, so the whole chaos run is a deterministic function of the
     // triple.
     let inputs = Inputs::random_int(MatMulDims::new(24, 24, 24), 31);
-    let run = || run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, &inputs, 10, 0xC0DE, tier1_plan());
+    let world = chaos_world(10, 0xC0DE, tier1_plan());
+    let run = || inputs.recover(&world, &AlgPlan::Alg1 { grid: [1, 1, 1] }, Kernel::Naive);
     let (first, again) = (run(), run());
     assert_eq!(first.values, again.values, "per-rank results must replay byte-identically");
     for (w, (x, y)) in first.reports.iter().zip(&again.reports).enumerate() {
@@ -222,8 +150,9 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
                 }
                 let label = format!("{alg}/p{p}/{class}");
                 let t0 = Instant::now();
-                let out = run_chaos(&plan, &inputs, p, 0x50AB, faults);
-                let (attempts, nsurv, layout) = certify_cell(&label, &out, &inputs);
+                let out = inputs.recover(&chaos_world(p, 0x50AB, faults), &plan, Kernel::Naive);
+                let ok = inputs.check_recovered(&out).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let (attempts, nsurv, layout) = (ok.attempts(), ok.survivors.len(), &ok.plan);
                 ran += 1;
                 println!(
                     "CHAOS: cell=soak algorithm={alg} p={p} class={class} survivors={nsurv} \
@@ -258,16 +187,18 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
         2,
     );
     let t0 = Instant::now();
-    let out = run_chaos(&AlgPlan::Alg1 { grid: [1, 1, 1] }, &inputs, p, 3, plan);
+    let out =
+        inputs.recover(&chaos_world(p, 3, plan), &AlgPlan::Alg1 { grid: [1, 1, 1] }, Kernel::Naive);
     let secs = t0.elapsed().as_secs_f64();
 
     let killed = out.values[10_000].as_ref().expect_err("rank 10000 was killed");
     assert!(killed.detail.contains("kill=10000@2"), "{}", killed.detail);
-    // `certify_cell` holds every one of the 10^4 survivors to its
+    // The certificate holds every one of the 10^4 survivors to its
     // per-phase price on the recovery grid.
-    let (attempts, nsurv, layout) = certify_cell("p10k", &out, &inputs);
+    let ok = inputs.check_recovered(&out).unwrap_or_else(|e| panic!("p10k: {e}"));
+    let (attempts, nsurv, layout) = (ok.attempts(), ok.survivors.len(), &ok.plan);
     assert_eq!(nsurv, 10_000, "all other ranks survive");
-    assert_eq!(layout, AlgPlan::Alg1 { grid: [25, 20, 20] }, "the §5.2 grid of 10^4 survivors");
+    assert_eq!(*layout, AlgPlan::Alg1 { grid: [25, 20, 20] }, "the §5.2 grid of 10^4 survivors");
     assert_eq!(attempts, 2, "one abandoned attempt, one successful");
     let rate = nsurv as f64 * attempts as f64 / secs.max(1e-9);
     println!(

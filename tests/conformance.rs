@@ -8,7 +8,8 @@
 //!
 //! (a) **bitwise** agreement with the serial dense reference (integer
 //!     inputs make every f64 sum exact, so agreement is independent of
-//!     summation order);
+//!     summation order), and every plan's goodput equal to its price
+//!     (`Inputs::check`);
 //! (b) per-rank, per-phase traffic of Algorithm 1, plain and streamed,
 //!     equals its integer price (`pmm_model::alg1_price`: words sent,
 //!     words received and messages) at every point and on four ragged
@@ -194,21 +195,21 @@ fn plans(pt: &Point, grid: [usize; 3]) -> Vec<AlgPlan> {
     alg1.into_iter().chain(baselines.into_iter().filter(|plan| plan.active() == pt.p)).collect()
 }
 
-/// Run `plan` on a bandwidth-only world of its size under `seed`.
+/// Run `plan` on a bandwidth-only world of its size under `seed`, held
+/// to [`Inputs::check`]: bitwise product, priced goodput and, for
+/// Algorithm 1, every rank's price.
 fn run(inputs: &Inputs, plan: &AlgPlan, seed: u64) -> WorldResult<CShare> {
     let world = World::new(plan.active(), MachineParams::BANDWIDTH_ONLY).with_seed(seed);
-    inputs.run(&world, plan, Kernel::Naive)
+    let out = inputs.run(&world, plan, Kernel::Naive);
+    if let Err(failed) = inputs.check(plan, &out) {
+        panic!("{plan} on {}: {failed} [PMM_SEED={seed}]", inputs.dims);
+    }
+    out
 }
 
-/// Run `plan` at a sweep point: returns whether the product is right and
-/// the measured critical-path words (bandwidth-only machine).
-fn run_plan(inputs: &Inputs, plan: &AlgPlan, seed: u64) -> (bool, f64) {
-    let out = run(inputs, plan, seed);
-    (inputs.product_is_correct(plan, &out), out.critical_path_time())
-}
-
-/// Algorithm 1 with the all-to-all assembly ablation, which no plan names.
-fn run_alg1_all_to_all(inputs: &Inputs, grid: Grid3, seed: u64) -> (bool, f64) {
+/// Algorithm 1 with the all-to-all assembly ablation, which no plan
+/// names: its product is asserted, its critical-path words returned.
+fn run_alg1_all_to_all(inputs: &Inputs, grid: Grid3, seed: u64) -> f64 {
     let dims = inputs.dims;
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::AllToAllSum };
     let world = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed);
@@ -217,7 +218,9 @@ fn run_alg1_all_to_all(inputs: &Inputs, grid: Grid3, seed: u64) -> (bool, f64) {
         Box::pin(async move { alg1_a(r, &cfg, &a, &b).await })
     });
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    (assemble_c(dims, grid, &chunks) == *inputs.want(), out.critical_path_time())
+    let c = assemble_c(dims, grid, &chunks);
+    assert_eq!(c, *inputs.want(), "alg1/all-to-all on {dims} diverges [PMM_SEED={seed}]");
+    out.critical_path_time()
 }
 
 #[test]
@@ -227,21 +230,16 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
         let (grid, grid_arr, _) = chosen_grid(&pt);
         let inputs = inputs(pt.dims);
         let report = lower_bound(pt.dims, pt.p as f64);
+        // (a) bitwise agreement: integer inputs make f64 arithmetic exact,
+        // so every schedule and summation order must produce the same
+        // bits; `run` also holds goodput and prices.
         let runs = plans(&pt, grid_arr)
             .into_iter()
-            .map(|plan| (plan.to_string(), run_plan(&inputs, &plan, seed)))
+            .map(|plan| (plan.to_string(), run(&inputs, &plan, seed).critical_path_time()))
             .chain([("alg1/all-to-all".to_string(), run_alg1_all_to_all(&inputs, grid, seed))]);
         let mut ran = 0;
-        for (name, (correct, measured)) in runs {
+        for (name, measured) in runs {
             ran += 1;
-            // (a) bitwise agreement: integer inputs make f64 arithmetic
-            // exact, so every schedule and summation order must produce
-            // the same bits.
-            assert!(
-                correct,
-                "{name} at {} ({} P={}) diverges from the dense reference [PMM_SEED={seed}]",
-                pt.label, pt.dims, pt.p
-            );
             // (c) the Theorem 3 floor.
             assert!(
                 measured >= report.bound - 1e-9 * report.bound.max(1.0),

@@ -430,7 +430,7 @@ fn sync_entry_points_run_free_at_p64_on_the_default_stack() {
     ] {
         let sync_entry = sync_entry(&plan, dims);
         let out = world.run(|rank| sync_entry(rank, &inputs.a, &inputs.b));
-        assert!(inputs.product_is_correct(&plan, &out), "{plan}");
+        assert_eq!(inputs.check(&plan, &out), Ok(()), "{plan}");
     }
 }
 

@@ -8,6 +8,9 @@
 //! eq. (3) per-phase prediction on the recovery grid.
 //!
 //! Around it:
+//! * the certificate every recovered run here is held to
+//!   ([`Inputs::check_recovered`]), and the check it names for each
+//!   way of tampering with a recovered run;
 //! * a fault-rate × seed sweep across the three Theorem 3 regimes (1D /
 //!   2D / 3D-leaning processor counts), driven by `cargo xtask
 //!   fault-sweep` via the `PMM_FAULT_RATE` env knob;
@@ -19,7 +22,7 @@
 //!   fault plan — fault decisions are schedule-independent by
 //!   construction, so values *and* retry meters agree across seeds;
 //! * SUMMA recovery on its near-square shrunken grid through the
-//!   generic [`run_recoverable_a`] wrapper;
+//!   generic recovery wrapper ([`Inputs::recover`]);
 //! * the uncaught-kill path: `try_run_async` reports a typed rank
 //!   failure naming the kill site and the replay seed, never a deadlock
 //!   (`tests/engine_equivalence.rs` holds the thread host's report to
@@ -45,65 +48,27 @@ fn fault_rate_from_env(default: f64) -> f64 {
     }
 }
 
-/// Run Algorithm 1 under the generic recovery wrapper on a faulty world
-/// that records its schedule, and return the per-rank results plus
-/// reports and the choice log.
-fn run_recovery(
-    inputs: &Inputs,
-    p: usize,
-    sched_seed: u64,
-    plan: FaultPlan,
-) -> WorldResult<Result<Recovered, RankFailed>> {
-    let dims = inputs.dims;
+/// A faulty world of `p` ranks under schedule `sched_seed` that records
+/// its schedule.
+fn recovery_world(p: usize, sched_seed: u64, faults: FaultPlan) -> World {
     World::new(p, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_schedule_recording(true)
-        .with_faults(plan)
-        .run_async(|rank| {
-            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
-            Box::pin(async move {
-                let alg1 = AlgPlan::Alg1 { grid: [1, 1, 1] };
-                run_recoverable_a(rank, &alg1, dims, Kernel::Naive, &a, &b).await
-            })
-        })
+        .with_faults(faults)
 }
 
-/// Assemble C from the survivors' shares and assert bitwise equality with
-/// the oracle's product. For an Algorithm 1 plan, also hold every
-/// survivor of the final attempt to its per-phase integer price (its
-/// grid index is its index among the survivors): goodput words and
-/// messages, whatever faults the run absorbed. Returns (survivors, final
-/// plan, attempts).
-fn check_recovered_product(
+/// Run Algorithm 1 under the generic recovery wrapper on `world`.
+fn recover_alg1(inputs: &Inputs, world: &World) -> WorldResult<Result<Recovered, RankFailed>> {
+    inputs.recover(world, &AlgPlan::Alg1 { grid: [1, 1, 1] }, Kernel::Naive)
+}
+
+/// Hold a recovered run to [`Inputs::check_recovered`]; returns a
+/// survivor's [`Recovered`].
+fn certified<'a>(
     inputs: &Inputs,
-    out: &WorldResult<Result<Recovered, RankFailed>>,
-) -> (Vec<usize>, AlgPlan, usize) {
-    let dims = inputs.dims;
-    let ok = out
-        .values
-        .iter()
-        .find_map(|v| v.as_ref().ok())
-        .expect("at least one rank must survive and succeed");
-    let survivors = ok.survivors.clone();
-    let plan = ok.plan.clone();
-    for &w in &survivors {
-        let v = out.values[w].as_ref().unwrap_or_else(|e| panic!("survivor {w} failed: {e}"));
-        assert_eq!(v.survivors, survivors, "survivors disagree across ranks");
-        assert_eq!(v.plan, plan, "recovery layouts disagree across ranks");
-    }
-    let shares: Vec<CShare> = survivors
-        .iter()
-        .map(|&w| out.values[w].as_ref().expect("survivor").share.clone())
-        .collect();
-    let c = assemble_recovered(dims, &plan, &shares);
-    assert_eq!(c, *inputs.want(), "recovered product must be bitwise-correct");
-    if let AlgPlan::Alg1 { .. } | AlgPlan::Alg1Streamed { .. } = plan {
-        if let Err(mismatch) = check_alg1_price(dims, &plan, shares.iter().map(CShare::alg1), None)
-        {
-            panic!("{plan} on {dims}: {mismatch}");
-        }
-    }
-    (survivors, plan, ok.attempts())
+    out: &'a WorldResult<Result<Recovered, RankFailed>>,
+) -> &'a Recovered {
+    inputs.check_recovered(out).unwrap_or_else(|failed| panic!("{}: {failed}", inputs.dims))
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +89,8 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
         .with_corrupt(0.02)
         .with_delay(0.03)
         .with_kill(4, 6);
-    let out = run_recovery(&inputs, 9, 7, plan.clone());
+    let world = recovery_world(9, 7, plan);
+    let out = recover_alg1(&inputs, &world);
 
     // The killed rank gets a typed error naming the fault-plan entry and
     // the replay seed — not a deadlock, not a panic.
@@ -135,20 +101,20 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
 
     // Survivors agree, recover on the §5.2 grid for 8 ranks, and the
     // product is bitwise-correct.
-    let (survivors, plan_used, attempts) = check_recovered_product(&inputs, &out);
-    assert_eq!(survivors, vec![0, 1, 2, 3, 5, 6, 7, 8]);
-    assert_eq!(plan_used, AlgPlan::Alg1 { grid: [2, 2, 2] }, "best grid for 8 ranks on a cube");
-    assert_eq!(attempts, 2, "one abandoned attempt, one successful");
+    let ok = certified(&inputs, &out);
+    assert_eq!(ok.survivors, vec![0, 1, 2, 3, 5, 6, 7, 8]);
+    assert_eq!(ok.plan, AlgPlan::Alg1 { grid: [2, 2, 2] }, "best grid for 8 ranks on a cube");
+    assert_eq!(ok.attempts(), 2, "one abandoned attempt, one successful");
 
     // Retry overhead is real (≥5% drops must retransmit something) and
-    // strictly separated from goodput: `check_recovered_product` held the
+    // strictly separated from goodput: the certificate held the
     // successful attempt's per-phase goodput to its price *exactly*.
     let total_retry: u64 = out.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
     assert!(total_retry > 0, "8% drops over 9 ranks must cause retransmissions");
 
     // Byte-identical replay from the printed seed: values, meters, times,
     // and choice logs all reproduce.
-    let replay = run_recovery(&inputs, 9, 7, plan);
+    let replay = recover_alg1(&inputs, &world);
     for (w, (x, y)) in out.values.iter().zip(&replay.values).enumerate() {
         match (x, y) {
             (Ok(a), Ok(b)) => {
@@ -169,29 +135,36 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
 
 #[test]
 fn recovery_goodput_matches_model_recovery_prediction() {
+    // The certificate holds the redistribution ring and the algorithm
+    // run to the model's totals exactly across survivors, every
+    // survivor's per-phase goodput to its price, and whole-run goodput
+    // (the abandoned attempt's partial traffic included) to the model's
+    // upper bound.
     let inputs = inputs(MatMulDims::new(24, 24, 24));
-    let plan = FaultPlan::none().with_seed(3).with_kill(4, 6);
-    let out = run_recovery(&inputs, 9, 1, plan);
-    let ok = out.values[0].as_ref().expect("rank 0 survives");
+    let faults = FaultPlan::none().with_seed(3).with_kill(4, 6);
+    let mut out = recover_alg1(&inputs, &recovery_world(9, 1, faults));
+    let ok = certified(&inputs, &out);
     let pred = recovery_prediction(inputs.dims, &ok.attempt_plans, &ok.attempt_survivors);
     assert_eq!(pred.attempts.len(), ok.attempts());
-    // Final attempt: every survivor's per-phase goodput is its price.
-    check_recovered_product(&inputs, &out);
-    // The redistribution ring and the algorithm run sum to the model's
-    // totals exactly across survivors …
-    let survivors: Vec<&Recovered> = out.values.iter().filter_map(|v| v.as_ref().ok()).collect();
-    let restore: u64 = survivors.iter().map(|v| v.restore_meter.words_sent).sum();
-    let run: u64 = survivors.iter().map(|v| v.run_meter.words_sent).sum();
-    assert_eq!(restore as f64, pred.last().restore_words_total, "redistribution goodput");
-    assert_eq!(run as f64, pred.last().run_words_total, "final-attempt run goodput");
-    // … and whole-run goodput (including the abandoned attempt's partial
-    // traffic) stays within the model's upper bound.
-    let whole: u64 = ok.survivors.iter().map(|&w| out.reports[w].meter.words_sent).sum();
-    assert!(
-        (whole as f64) <= pred.total_upper_bound_words() + 1e-9,
-        "{whole} goodput words exceed the recovery upper bound {}",
-        pred.total_upper_bound_words()
-    );
+    // And it bites: each way of tampering with one survivor's result
+    // fails the check that names it.
+    for check in ["product:", "goodput:", "restore:", "survivors:"] {
+        let kept = out.values[1].clone();
+        let tampered = out.values[1].as_mut().expect("rank 1 survives");
+        match check {
+            "product:" => {
+                if let CShare::Chunk(chunk) = &mut tampered.share {
+                    chunk.c_chunk[0] += 1.0;
+                }
+            }
+            "goodput:" => tampered.run_meter.words_sent += 1,
+            "restore:" => tampered.restore_meter.words_sent += 1,
+            _ => tampered.survivors.retain(|&w| w != 8),
+        }
+        let failed = inputs.check_recovered(&out).map(|_| ()).expect_err(check);
+        assert!(failed.starts_with(check), "{check} {failed}");
+        out.values[1] = kept;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,14 +177,14 @@ fn cascading_kills_shrink_the_grid_twice() {
     // Rank 4 dies by direct kill; rank 7 is armed to die once the fault
     // epoch reaches 1 (i.e. after the first death is detected).
     let plan = FaultPlan::none().with_seed(0xCA5).with_kill(4, 6).with_cascade(7, 1);
-    let out = run_recovery(&inputs, 9, 11, plan);
+    let out = recover_alg1(&inputs, &recovery_world(9, 11, plan));
     assert!(out.values[4].is_err(), "rank 4 killed directly");
     let cascaded = out.values[7].as_ref().expect_err("rank 7 killed by cascade");
     assert!(cascaded.detail.contains("cascade=7@1"), "{}", cascaded.detail);
-    let (survivors, plan_used, attempts) = check_recovered_product(&inputs, &out);
-    assert_eq!(survivors, vec![0, 1, 2, 3, 5, 6, 8]);
-    assert!(attempts >= 2, "at least one abandoned attempt");
-    assert_eq!(plan_used.active(), 7);
+    let ok = certified(&inputs, &out);
+    assert_eq!(ok.survivors, vec![0, 1, 2, 3, 5, 6, 8]);
+    assert!(ok.attempts() >= 2, "at least one abandoned attempt");
+    assert_eq!(ok.plan.active(), 7);
 }
 
 #[test]
@@ -291,13 +264,12 @@ fn sweep_regime(p: usize, kill_rank: usize, kill_op: u64) {
             .with_corrupt(rate * 0.2)
             .with_kill(kill_rank, kill_op);
         plan.timeout = 4.0;
-        let out = run_recovery(&inputs, p, sched_seed, plan);
+        let out = recover_alg1(&inputs, &recovery_world(p, sched_seed, plan));
         let failed = out.values[kill_rank].as_ref().expect_err("killed rank errors");
         assert_eq!(failed.rank, kill_rank);
         // Every survivor's goodput is its price on the recovery grid,
         // ragged or not.
-        let (survivors, _, _) = check_recovered_product(&inputs, &out);
-        assert_eq!(survivors.len(), p - 1);
+        assert_eq!(certified(&inputs, &out).survivors.len(), p - 1);
     }
 }
 
@@ -481,25 +453,14 @@ fn summa_recovers_on_near_square_survivor_grid() {
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
     let inputs = inputs(dims);
-    let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(5)
-        .with_faults(plan)
-        .run_async(|rank| {
-            let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
-            Box::pin(async move {
-                let summa = AlgPlan::Summa { pr: 1, pc: 1 };
-                run_recoverable_a(rank, &summa, dims, Kernel::Naive, &a, &b).await
-            })
-        });
+    let world = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_faults(plan);
+    let out = inputs.recover(&world, &AlgPlan::Summa { pr: 1, pc: 1 }, Kernel::Naive);
     assert!(out.values[3].is_err(), "killed rank reports failure");
-    let ok = out.values[0].as_ref().expect("rank 0 survives");
+    let ok = certified(&inputs, &out);
     let (pr, pc) = pmm_algs::near_square_factors(5);
     assert_eq!(ok.plan, AlgPlan::Summa { pr, pc });
     assert_eq!(ok.survivors, vec![0, 1, 2, 4, 5]);
     assert!(ok.attempts() >= 2);
-    let (survivors, plan_used, _) = check_recovered_product(&inputs, &out);
-    assert_eq!(survivors.len(), 5);
-    assert_eq!(plan_used.algorithm(), "summa");
 }
 
 // ---------------------------------------------------------------------------

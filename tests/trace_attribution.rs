@@ -45,7 +45,7 @@ fn grid_of(dims: MatMulDims, p: usize) -> [usize; 3] {
 }
 
 /// Algorithm 1 on `grid`, traced, on integer inputs (`A` from seed 11,
-/// `B` from seed 22).
+/// `B` from seed 22), held to [`Inputs::check`].
 fn traced_run(dims: MatMulDims, grid: [usize; 3], seed: u64) -> WorldResult<CShare> {
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
     let inputs = Inputs::new(
@@ -53,8 +53,11 @@ fn traced_run(dims: MatMulDims, grid: [usize; 3], seed: u64) -> WorldResult<CSha
         random_int_matrix(n1, n2, -3..4, 11),
         random_int_matrix(n2, n3, -3..4, 22),
     );
-    let world = World::new(grid.iter().product(), MachineParams::BANDWIDTH_ONLY);
-    inputs.run(&world.with_seed(seed).with_trace(true), &AlgPlan::Alg1 { grid }, Kernel::default())
+    let (world, plan) =
+        (World::new(grid.iter().product(), MachineParams::BANDWIDTH_ONLY), AlgPlan::Alg1 { grid });
+    let out = inputs.run(&world.with_seed(seed).with_trace(true), &plan, Kernel::default());
+    assert_eq!(inputs.check(&plan, &out), Ok(()), "{dims} grid {grid:?} [PMM_SEED={seed}]");
+    out
 }
 
 /// The sweep on its best grids, then a grid that does not divide the

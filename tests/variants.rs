@@ -7,6 +7,15 @@
 
 use pmm::prelude::*;
 
+/// Run `plan` on `world` with the naive kernel, held to
+/// [`Inputs::check`]: the oracle's product, the plan's goodput and, for
+/// Algorithm 1, every rank's price.
+fn checked(inputs: &Inputs, world: &World, plan: &AlgPlan) -> WorldResult<CShare> {
+    let out = inputs.run(world, plan, Kernel::Naive);
+    assert_eq!(inputs.check(plan, &out), Ok(()), "{plan} on {}", inputs.dims);
+    out
+}
+
 #[test]
 fn streamed_alg1_is_tight_too() {
     // The §6.2 low-memory variant moves exactly the same words, so it also
@@ -85,9 +94,8 @@ fn advisor_predicts_every_candidates_executed_makespan() {
     let mut twofived = 0;
     for p in [32usize, 64] {
         for rec in recommend(dims, p, f64::INFINITY, params) {
-            let measured = inputs
-                .run(&World::new(rec.plan.active(), params), &rec.plan, Kernel::Naive)
-                .critical_path_time();
+            let world = World::new(rec.plan.active(), params);
+            let measured = checked(&inputs, &world, &rec.plan).critical_path_time();
             assert!(
                 (measured - rec.time).abs() <= 1e-9 * rec.time,
                 "P={p} {}: advisor predicted {}, executed {measured}",
@@ -104,12 +112,12 @@ fn advisor_predicts_every_candidates_executed_makespan() {
 fn every_plan_kind_is_priced_at_its_executed_makespan() {
     // Each of the six plan kinds at two layouts that divide the
     // dimensions: the predicted cost is the executed makespan under a
-    // full α-β-γ machine, and the goodput total is every rank's sent
-    // words to the word.
+    // full α-β-γ machine, and (held by `checked`) the goodput total is
+    // every rank's sent words to the word.
     let d = MatMulDims::new;
     let params = MachineParams::new(4.0, 1.0, 0.25);
     let run = |plan: &AlgPlan, dims| {
-        Inputs::random_int(dims, 301).run(&World::new(plan.active(), params), plan, Kernel::Naive)
+        checked(&Inputs::random_int(dims, 301), &World::new(plan.active(), params), plan)
     };
     let divisible = [
         (AlgPlan::Alg1 { grid: [2, 2, 2] }, d(24, 24, 24)),
@@ -130,7 +138,6 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
         let pred = plan_prediction(dims, &plan);
         let (want, got) = (params.time(pred.cost), out.critical_path_time());
         assert!((got - want).abs() <= 1e-9 * want, "{plan} on {dims}: predicted {want}, ran {got}");
-        assert_eq!(pred.words_total, out.total_words_sent(), "{plan} on {dims}: goodput");
     }
     // One ragged layout per kind (CARMA: dimensions that are not powers
     // of two): the goodput total stays exact.
@@ -143,9 +150,7 @@ fn every_plan_kind_is_priced_at_its_executed_makespan() {
     ];
     let carma = (AlgPlan::Carma { p: 8 }, d(48, 20, 12));
     for (plan, dims) in ragged.into_iter().map(|plan| (plan, d(25, 13, 17))).chain([carma]) {
-        let out = run(&plan, dims);
-        let pred = plan_prediction(dims, &plan);
-        assert_eq!(pred.words_total, out.total_words_sent(), "{plan} on {dims}: goodput");
+        run(&plan, dims);
     }
 }
 
@@ -179,7 +184,7 @@ fn fingerprint(plan: &AlgPlan, dims: MatMulDims, p: usize) -> [u64; 4] {
         .with_seed(11)
         .with_schedule_recording(true)
         .with_trace(true);
-    let out = Inputs::random_int(dims, 301).run(&world, plan, Kernel::Naive);
+    let out = checked(&Inputs::random_int(dims, 301), &world, plan);
     let ranks: Vec<_> =
         out.reports.iter().map(|r| (r.meter, r.time, r.peak_mem_words, r.final_stamp)).collect();
     [
@@ -287,7 +292,7 @@ fn streamed_phase_meters_keep_every_retransmitted_word() {
     for plan in
         [AlgPlan::Alg1 { grid: [2, 3, 2] }, AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 }]
     {
-        let out = inputs.run(&world, &plan, Kernel::Naive);
+        let out = checked(&inputs, &world, &plan);
         let (mut phases, mut meters) = (Meter::default(), Meter::default());
         for (share, report) in out.values.iter().zip(&out.reports) {
             for phase in &share.alg1().phases {
