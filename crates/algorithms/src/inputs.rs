@@ -3,8 +3,9 @@
 //! and the one executor ([`run_plan_a`], or [`run_recoverable_a`] under
 //! faults) give an executed [`WorldResult`] that [`Inputs::check`] /
 //! [`Inputs::check_recovered`] hold to the oracle's product, the plan's
-//! priced goodput and, for Algorithm 1, every rank's integer eq. (3)
-//! price.
+//! priced goodput, for Algorithm 1 every rank's integer eq. (3) price,
+//! and, on a bandwidth-only world with an even layout, Theorem 3's bound
+//! exactly ([`cmp_bound`]).
 //!
 //! The global inputs are generated once per problem ([`Inputs`]) and
 //! shared by every rank of every world run on them — a copy per rank is
@@ -12,17 +13,30 @@
 //! host the ranks on [`World::run_async`], so `P` is bounded by memory,
 //! not by OS threads, and the product is checked against the pinned
 //! oracle `Kernel::Naive`, never against the kernel under test. Closed
-//! forms (eq. (3), Theorem 3) are what callers assert these runs
-//! *against*, never a substitute.
+//! forms (eq. (3), Theorem 3) are what these runs are held *against*,
+//! never a substitute.
 
+use std::cmp::Ordering;
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
+use pmm_core::theorem3::{cmp_bound, lower_bound};
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
 use pmm_model::{plan_prediction, recovery_prediction, AlgPlan, MachineParams, MatMulDims};
 use pmm_simnet::{RankFailed, World, WorldResult};
 
 use crate::grid3d::check_alg1_price;
-use crate::recovery::{assemble_recovered, run_plan_a, run_recoverable_a, CShare, Recovered};
+use crate::recovery::{
+    assemble_recovered, even_layout, run_plan_a, run_recoverable_a, CShare, Recovered,
+};
+
+static BOUND_TALLY: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+
+/// How many runs certified in this process took the `bound:` check:
+/// `[held, skipped: world not bandwidth-only, skipped: layout not even]`.
+pub fn bound_tally() -> [u64; 3] {
+    BOUND_TALLY.each_ref().map(|n| n.load(atomic::Ordering::Relaxed))
+}
 
 /// The global `A` and `B` of one problem, held once on the host, and (on
 /// first use) the product every run on them must assemble to.
@@ -106,21 +120,25 @@ impl Inputs {
     /// The certificate of a finished [`Inputs::run`] of `plan`: the
     /// shares assemble to [`Inputs::want`]; the words sent over all ranks
     /// equal the plan's priced goodput ([`plan_prediction`]`.words_total`);
-    /// and on an Algorithm 1 plan every rank meters its per-phase price
-    /// ([`check_alg1_price`]). The `Err` names the first check that
-    /// failed.
+    /// on an Algorithm 1 plan every rank meters its per-phase price
+    /// ([`check_alg1_price`]); and, on a bandwidth-only world where the
+    /// plan gives every active rank an equal share at the start and at
+    /// the end, the critical path is not below Theorem 3's bound
+    /// ([`cmp_bound`]; other runs are counted in [`bound_tally`]). The
+    /// `Err` names the first check that failed.
     pub fn check(&self, plan: &AlgPlan, out: &WorldResult<CShare>) -> Result<(), String> {
-        self.certify(plan, &out.values, words_sent(out))
+        self.certify(plan, &out.values, words_sent(out), out)
     }
 
     /// The certificate of a finished [`Inputs::recover`] run: the
     /// survivors agree on the survivor set and the final layout; on that
-    /// layout their shares, their final attempt's run goodput and (on
-    /// Algorithm 1) their per-phase meters pass [`Inputs::check`]'s
-    /// checks; their checkpoint / redistribution goodput equals
-    /// [`recovery_prediction`]'s; and the whole run's goodput stays under
-    /// its upper bound. Returns a survivor's [`Recovered`]; the `Err`
-    /// names the first check that failed.
+    /// layout their shares, their final attempt's run goodput, (on
+    /// Algorithm 1) their per-phase meters and the whole run's critical
+    /// path pass [`Inputs::check`]'s checks; their checkpoint /
+    /// redistribution goodput equals [`recovery_prediction`]'s; and the
+    /// whole run's goodput stays under its upper bound. Returns a
+    /// survivor's [`Recovered`]; the `Err` names the first check that
+    /// failed.
     pub fn check_recovered<'a>(
         &self,
         out: &'a WorldResult<Result<Recovered, RankFailed>>,
@@ -138,7 +156,8 @@ impl Inputs {
             }
             shares.push(v.share.clone());
         }
-        self.certify(&ok.plan, &shares, alive.iter().map(|v| v.run_meter.words_sent).sum())?;
+        let run_sent = alive.iter().map(|v| v.run_meter.words_sent).sum();
+        self.certify(&ok.plan, &shares, run_sent, out)?;
         let pred = recovery_prediction(self.dims, &ok.attempt_plans, &ok.attempt_survivors);
         let restore = alive.iter().map(|v| v.restore_meter.words_sent).sum();
         held_to("restore", restore, pred.last().restore_words_total)?;
@@ -152,8 +171,20 @@ impl Inputs {
     /// The checks every run answers to, healthy or recovered: `shares`
     /// (in the order of the communicator `plan` ran on) assemble to
     /// [`Inputs::want`], `sent` words of goodput are `plan`'s priced
-    /// total, and each Algorithm 1 share meters its rank's price.
-    fn certify(&self, plan: &AlgPlan, shares: &[CShare], sent: u64) -> Result<(), String> {
+    /// total, each Algorithm 1 share meters its rank's price, and
+    /// (`bound:`) a run on a [`MachineParams::BANDWIDTH_ONLY`] world with
+    /// an [`even_layout`] moves at least Theorem 3's bound along its
+    /// critical path, compared exactly by [`words_vs_bound`] at
+    /// `P = plan.active()`. Other runs skip the bound and are counted
+    /// ([`bound_tally`]): 2.5D with `c > 1`, for one, starts with all of
+    /// `A` and `B` on layer 0.
+    fn certify<T>(
+        &self,
+        plan: &AlgPlan,
+        shares: &[CShare],
+        sent: u64,
+        out: &WorldResult<T>,
+    ) -> Result<(), String> {
         let dims = self.dims;
         if assemble_recovered(dims, plan, shares) != *self.want() {
             return Err(format!("product: {plan} on {dims} does not assemble to the oracle's"));
@@ -163,7 +194,18 @@ impl Inputs {
             check_alg1_price(dims, plan, shares.iter().map(CShare::alg1), None)
                 .map_err(|mismatch| format!("price: {plan} on {dims}: {mismatch}"))?;
         }
-        Ok(())
+        let tally = if out.params != MachineParams::BANDWIDTH_ONLY {
+            1
+        } else {
+            2 * usize::from(!even_layout(plan, dims, shares, &self.a, &self.b))
+        };
+        BOUND_TALLY[tally].fetch_add(1, atomic::Ordering::Relaxed);
+        let (p, words) = (plan.active(), out.critical_path_time());
+        if tally > 0 || words_vs_bound(dims, p, words).is_ge() {
+            return Ok(());
+        }
+        let bound = lower_bound(dims, p as f64).bound;
+        Err(format!("bound: {plan} on {dims}: {words} critical-path words, Theorem 3 {bound:.3}"))
     }
 
     /// A measured row: `plan` executed on a bandwidth-only world of its
@@ -178,6 +220,14 @@ impl Inputs {
         }
         out
     }
+}
+
+/// A run's critical-path `words` on `p` ranks against Theorem 3, exactly
+/// ([`cmp_bound`]). On a bandwidth-only world the clock is a whole word
+/// count; one that fault delays left fractional is rounded up, so that
+/// `Less` still means below the bound.
+pub fn words_vs_bound(dims: MatMulDims, p: usize, words: f64) -> Ordering {
+    cmp_bound(dims, p as u64, p as u128 * words.ceil() as u128)
 }
 
 /// Goodput words sent over all ranks of `out`.
@@ -213,16 +263,25 @@ mod tests {
         ] {
             assert_eq!(inputs.measure(&plan, false).values.len(), plan.active(), "{plan:?}");
         }
-        // The certificate bites: one wrong word of one chunk fails the
-        // product, one word more on one rank the goodput.
+        // The certificate bites: one word off the critical path of a run
+        // that attains the bound (Corollary 4: 3·16²/4 − 3·16²/8 = 96)
+        // fails the bound, one wrong word of one chunk the product, one
+        // word more on one rank the goodput.
         let plan = AlgPlan::Alg1 { grid: [2, 2, 2] };
         let mut out = inputs.measure(&plan, false);
+        assert_eq!(out.critical_path_time(), 96.0);
+        out.reports.iter_mut().for_each(|r| r.time -= 1.0);
+        assert!(inputs.check(&plan, &out).is_err_and(|e| e.starts_with("bound:")));
         out.reports[3].meter.words_sent += 1;
         assert!(inputs.check(&plan, &out).is_err_and(|e| e.starts_with("goodput:")));
         if let CShare::Chunk(chunk) = &mut out.values[0] {
             chunk.c_chunk[0] += 1.0;
         }
         assert!(inputs.check(&plan, &out).is_err_and(|e| e.starts_with("product:")));
+        // 2.5D with c > 1 starts with A and B on layer 0: not held to it.
+        let skipped = bound_tally()[2];
+        inputs.measure(&AlgPlan::TwoFiveD { q: 2, c: 2 }, false);
+        assert!(bound_tally()[2] > skipped);
         // One copy of each input, however many worlds ran on it.
         assert_eq!(Arc::strong_count(&inputs.a), 1);
     }

@@ -77,6 +77,15 @@ pub enum CShare {
 }
 
 impl CShare {
+    /// The words of `C` this share holds.
+    fn words(&self) -> usize {
+        match self {
+            CShare::Chunk(out) => out.c_chunk.len(),
+            CShare::Block(block) => block.as_ref().map_or(0, |c| c.rows() * c.cols()),
+            CShare::Flat(flat) => flat.as_ref().map_or(0, Vec::len),
+        }
+    }
+
     /// The Algorithm 1 output (chunk and per-phase meters) of one rank of
     /// an [`AlgPlan::Alg1`] / [`AlgPlan::Alg1Streamed`] run; panics on
     /// another algorithm's share.
@@ -156,6 +165,23 @@ pub fn plan_for(plan: &AlgPlan, dims: MatMulDims, p: usize) -> AlgPlan {
         }
         AlgPlan::Carma { .. } => AlgPlan::Carma { p: 1 << p.ilog2() },
     }
+}
+
+/// Whether `plan` starts every active rank with as many words of `a` and
+/// `b` ([`owned_inputs`]) and ends it with as many of `C` (its share in
+/// `shares`) as every other: the even layouts Theorem 3's offset
+/// `(mn+mk+nk)/P` assumes.
+pub(crate) fn even_layout(
+    plan: &AlgPlan,
+    dims: MatMulDims,
+    shares: &[CShare],
+    a: &Matrix,
+    b: &Matrix,
+) -> bool {
+    let active = plan.active();
+    let start: Vec<usize> = (0..active).map(|i| owned_inputs(plan, dims, i, a, b).len()).collect();
+    let end: Vec<usize> = shares[..active].iter().map(CShare::words).collect();
+    [start, end].iter().all(|words| words.iter().all(|&w| w == words[0]))
 }
 
 /// The input blocks member `idx` of the attempt communicator owns under

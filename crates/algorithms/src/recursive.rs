@@ -318,6 +318,7 @@ fn place_c_n2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::words_vs_bound;
     use pmm_core::theorem3::lower_bound;
     use pmm_model::{plan_prediction, AlgPlan};
 
@@ -339,7 +340,8 @@ mod tests {
         for p in [2u64, 4, 32, 256, 4096, 65536] {
             let w = words_per_rank(dims, p);
             let b = lower_bound(dims, p as f64).bound;
-            assert!(w >= b * 0.99, "P={p}: CARMA {w} below bound {b}?!");
+            let above = words_vs_bound(dims, p as usize, w).is_ge();
+            assert!(above, "P={p}: CARMA {w} below bound {b}?!");
             assert!(w <= 8.0 * b.max(1.0), "P={p}: CARMA {w} not within 8× of bound {b}");
         }
     }
@@ -352,8 +354,7 @@ mod tests {
         ] {
             for p in ps {
                 let w = words_per_rank(dims, p);
-                let b = lower_bound(dims, p as f64).bound;
-                assert!(w >= b * (1.0 - 1e-9), "{dims} P={p}: {w} < bound {b}");
+                assert!(words_vs_bound(dims, p as usize, w).is_ge(), "{dims} P={p}: {w} words");
             }
         }
     }

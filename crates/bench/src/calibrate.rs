@@ -190,23 +190,25 @@ pub struct CellRun {
 /// Run Algorithm 1 on `dims` over `grid` in a simnet world and return
 /// the best wall time plus the run's meter totals.
 ///
-/// Inputs are generated once outside the timed region and shared across
-/// ranks ([`Inputs::run`]), so the wall clock prices only the run itself.
+/// Inputs and their oracle product are computed once outside the timed
+/// region and shared across ranks ([`Inputs::run`]), and each run is held
+/// to [`Inputs::check`] after its clock stops, so the wall clock prices
+/// only the run itself.
 /// The event-loop simulator is single-threaded, so meters *summed over
 /// ranks* (not critical-path maxima) are the right predictor basis.
 pub fn alg1_cell_run(dims: MatMulDims, grid: [usize; 3], kernel: Kernel, reps: usize) -> CellRun {
     let p: usize = grid.iter().product();
-    let inputs = Inputs::new(
-        dims,
-        random_matrix(dims.n1 as usize, dims.n2 as usize, 11),
-        random_matrix(dims.n2 as usize, dims.n3 as usize, 13),
-    );
+    let inputs = Inputs::random_int(dims, 11);
+    inputs.want();
     let plan = AlgPlan::Alg1 { grid };
     let mut run = CellRun { wall_secs: f64::INFINITY, msgs: 0.0, words: 0.0, flops: 0.0 };
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let out = inputs.run(&World::new(p, MachineParams::BANDWIDTH_ONLY), &plan, kernel);
         run.wall_secs = run.wall_secs.min(t0.elapsed().as_secs_f64());
+        if let Err(failed) = inputs.check(&plan, &out) {
+            panic!("calibration probe {plan} on {dims}: {failed}");
+        }
         let total = |of: fn(&Meter) -> f64| out.reports.iter().map(|r| of(&r.meter)).sum::<f64>();
         run.msgs = total(|m| m.msgs_sent as f64);
         run.words = total(|m| m.words_sent as f64);

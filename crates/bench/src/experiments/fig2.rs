@@ -11,8 +11,8 @@
 use crate::{fnum, print_table, Checks};
 use pmm_algs::Inputs;
 use pmm_core::gridopt::best_grid;
-use pmm_core::theorem3::lower_bound;
-use pmm_model::{alg1_prediction, AlgPlan, MatMulDims};
+use pmm_core::theorem3::{cmp_bound, lower_bound};
+use pmm_model::{alg1_prediction, alg1_relayed, AlgPlan, MatMulDims};
 
 pub fn run(checks: &mut Checks) {
     let dims = MatMulDims::new(9600, 2400, 600);
@@ -37,9 +37,10 @@ pub fn run(checks: &mut Checks) {
             fnum(choice.cost_words),
             fnum(r.bound),
         ]);
+        let p_eq3 = alg1_relayed(dims, choice.grid).iter().sum();
         checks.check(
             format!("P={p}: grid cost equals bound"),
-            (choice.cost_words - r.bound).abs() < 1e-6 * r.bound,
+            cmp_bound(dims, p as u64, p_eq3).is_eq(),
         );
     }
     print_table(

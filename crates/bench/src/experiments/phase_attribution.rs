@@ -17,7 +17,7 @@
 //!   clock, and its total equals the Theorem 3 lower bound.
 
 use crate::{fnum, print_table, Checks};
-use pmm_algs::Inputs;
+use pmm_algs::{words_vs_bound, Inputs};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{alg1_prediction, alg1_price, AlgPlan, Grid3, MatMulDims};
@@ -31,7 +31,7 @@ pub fn run(checks: &mut Checks) {
         let choice = best_grid(dims, p);
         let grid = choice.grid;
         let g = Grid3::from_dims(grid);
-        let case = dims.sorted().classify(p as f64);
+        let case = dims.sorted().classify(p as u64);
         checks.check(format!("P={p}: optimal grid {grid:?} divides"), dims.divisible_by(grid));
 
         let out = inputs.measure(&AlgPlan::Alg1 { grid }, true);
@@ -71,14 +71,11 @@ pub fn run(checks: &mut Checks) {
             }
         }
         let clock = out.critical_path_time();
-        checks.check(
-            format!("P={p}: trace critical path equals the clock"),
-            (cp.total - clock).abs() <= 1e-9 * clock.max(1.0),
-        );
+        checks.check(format!("P={p}: trace critical path equals the clock"), cp.total == clock);
         let bound = lower_bound(dims, p as f64).bound;
         checks.check(
             format!("P={p}: critical path attains the Theorem 3 bound"),
-            (cp.total - bound).abs() <= 1e-9 * bound.max(1.0),
+            words_vs_bound(dims, p, cp.total).is_eq(),
         );
         println!(
             "critical path {} = bound {} ({} cross-rank hop(s), ends at rank {})\n",

@@ -29,8 +29,7 @@ pub fn run(checks: &mut Checks) {
 
         let measured =
             inputs.measure(&AlgPlan::Alg1 { grid: choice.grid }, false).critical_path_time();
-        checks
-            .check(format!("P={p}: measured == closed form"), (measured - predicted).abs() < 1e-9);
+        checks.check(format!("P={p}: measured == closed form"), measured == predicted);
         let total = predicted * p as f64;
         if p > 1 {
             checks.check(format!("P={p}: total communication grows"), total > prev_total);

@@ -7,7 +7,7 @@
 //! constants 1, 2, 3 are not just lower bounds — they are attained.
 
 use crate::{fnum, print_table, Checks};
-use pmm_algs::Inputs;
+use pmm_algs::{words_vs_bound, Inputs};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::{corollary4, lower_bound};
 use pmm_dense::Kernel;
@@ -42,16 +42,17 @@ pub fn run(checks: &mut Checks) {
         if !rect.divisible_by(choice.grid) {
             continue;
         }
-        let cont = pmm_core::gridopt::continuous_grid(rect.sorted(), p as f64);
+        let cont = pmm_core::gridopt::continuous_grid(rect.sorted(), p as u64);
         let integral = cont.iter().all(|&x| (x - x.round()).abs() < 1e-9);
         let measured = measure(&inputs, choice.grid, checks);
-        let exact = (measured - r.bound).abs() <= 1e-9 * r.bound.max(1.0);
+        let tight = words_vs_bound(rect, p, measured);
+        let exact = tight.is_eq();
         if integral {
             checks.check(format!("{rect} P={p}: measured == bound"), exact);
         } else {
             checks.check(
                 format!("{rect} P={p}: integer grid within 20% of bound"),
-                measured <= 1.2 * r.bound && measured >= r.bound,
+                measured <= 1.2 * r.bound && tight.is_ge(),
             );
         }
         rows.push(vec![
@@ -78,7 +79,7 @@ pub fn run(checks: &mut Checks) {
         let q = (p as f64).cbrt().round() as usize;
         let measured = measure(&Inputs::random_int(dims, 7), [q, q, q], checks);
         let bound = corollary4(n, p as f64);
-        let exact = (measured - bound).abs() <= 1e-9 * bound.max(1.0);
+        let exact = words_vs_bound(dims, p, measured).is_eq();
         checks.check(format!("square n={n} P={p}: measured == corollary4"), exact);
         rows.push(vec![
             n.to_string(),

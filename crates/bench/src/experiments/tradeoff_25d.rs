@@ -6,7 +6,7 @@
 //! memory-independent bound below.
 
 use crate::{fnum, print_table, Checks};
-use pmm_algs::Inputs;
+use pmm_algs::{words_vs_bound, Inputs};
 use pmm_core::theorem3::lower_bound;
 use pmm_model::{AlgPlan, MatMulDims};
 
@@ -33,7 +33,8 @@ pub fn run(checks: &mut Checks) {
             let out = inputs.measure(&AlgPlan::TwoFiveD { q, c }, false);
             let words = out.critical_path_time();
             let mem = out.max_peak_mem_words() as f64;
-            checks.check(format!("P={p} q={q} c={c}: above the bound"), words >= bound - 1e-9);
+            let above = words_vs_bound(dims, p, words).is_ge();
+            checks.check(format!("P={p} q={q} c={c}: above the bound"), above);
             if c == 1 {
                 flat_words = words;
                 flat_mem = mem;

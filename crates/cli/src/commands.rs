@@ -8,10 +8,11 @@ use pmm_bench::calibrate::calibrate as run_probes;
 use pmm_core::advisor::recommend;
 use pmm_core::gridopt::{best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
-use pmm_core::theorem3::lower_bound;
+use pmm_core::theorem3::{cmp_bound, lower_bound};
 use pmm_dense::Kernel;
 use pmm_model::{
-    alg1_prediction, alg1_price, recovery_prediction, AlgPlan, Grid3, MachineParams, MatMulDims,
+    alg1_prediction, alg1_price, alg1_relayed, recovery_prediction, AlgPlan, Grid3, MachineParams,
+    MatMulDims,
 };
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, FaultPlan, HostMem, World, WorldResult};
@@ -65,7 +66,7 @@ pub fn bound(dims: MatMulDims, procs: f64, memory: Option<f64>) -> String {
 /// `pmm grid`.
 pub fn grid(dims: MatMulDims, procs: usize) -> String {
     let choice = best_grid(dims, procs);
-    let cont = continuous_grid(dims.sorted(), procs as f64);
+    let cont = continuous_grid(dims.sorted(), procs as u64);
     let bound = lower_bound(dims, procs as f64).bound;
     let mut out = String::new();
     let _ = writeln!(out, "problem          : {dims} on P = {procs}");
@@ -81,7 +82,7 @@ pub fn grid(dims: MatMulDims, procs: usize) -> String {
         out,
         "gap              : {:.2}% {}",
         100.0 * (choice.cost_words / bound.max(1e-300) - 1.0),
-        if (choice.cost_words - bound).abs() <= 1e-9 * bound.max(1.0) {
+        if cmp_bound(dims, procs as u64, alg1_relayed(dims, choice.grid).iter().sum()).is_eq() {
             "(attains the bound exactly)"
         } else {
             "(continuous grid not integral at this P)"

@@ -252,7 +252,8 @@ pub fn recommend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorem3::lower_bound;
+    use crate::theorem3::{cmp_bound, lower_bound};
+    use pmm_model::alg1_relayed;
 
     const SQ: MatMulDims = MatMulDims { n1: 4096, n2: 4096, n3: 4096 };
 
@@ -263,8 +264,8 @@ mod tests {
         assert!(!recs.is_empty());
         assert_eq!(recs[0].plan, AlgPlan::Alg1 { grid: [8, 8, 8] });
         // And its words equal the Theorem 3 bound.
-        let bound = lower_bound(SQ, p as f64).bound;
-        assert!((recs[0].cost.words - bound).abs() < 1e-6 * bound);
+        let p_eq3 = alg1_relayed(SQ, [8, 8, 8]).iter().sum();
+        assert_eq!(cmp_bound(SQ, p as u64, p_eq3), std::cmp::Ordering::Equal);
     }
 
     #[test]

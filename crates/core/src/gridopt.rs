@@ -16,7 +16,7 @@
 //! continuous solution, and the right tool when `P` or the dimensions
 //! don't divide nicely).
 
-use pmm_model::{alg1_prediction, Case, Grid3, MatMulDims, SortedDims};
+use pmm_model::{alg1_prediction, alg1_relayed, Case, Grid3, MatMulDims, SortedDims};
 
 /// A chosen processor grid with its predicted Algorithm 1 cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +40,11 @@ impl GridChoice {
 
 /// The continuous (possibly fractional) optimal grid in **sorted order**
 /// `(p, q, r)` aligned with `(m, n, k)` (§5.2).
-pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
+pub fn continuous_grid(dims: SortedDims, p: u64) -> [f64; 3] {
     let (m, n, k) = (dims.m as f64, dims.n as f64, dims.k as f64);
-    match dims.classify(p) {
+    let case = dims.classify(p);
+    let p = p as f64;
+    match case {
         Case::OneD => [p, 1.0, 1.0],
         Case::TwoD => [(p * m / n).sqrt(), (p * n / m).sqrt(), 1.0],
         Case::ThreeD => {
@@ -55,9 +57,9 @@ pub fn continuous_grid(dims: SortedDims, p: f64) -> [f64; 3] {
 /// Exact optimal integer grid: minimizes eq. (3)
 /// ([`alg1_prediction`]`.total()`) over **all**
 /// ordered factorizations `p1·p2·p3 = P`. Grids are compared by eq. (3)'s
-/// integer numerator over their shared denominator `P`, so equal-cost
-/// grids tie exactly, and a tie goes to the lexicographically smallest
-/// `[p1, p2, p3]`.
+/// integer numerator over their shared denominator `P` ([`alg1_relayed`]),
+/// so equal-cost grids tie exactly, and a tie goes to the
+/// lexicographically smallest `[p1, p2, p3]`.
 ///
 /// ```
 /// use pmm_core::gridopt::best_grid;
@@ -85,23 +87,18 @@ pub fn best_divisible_grid(dims: MatMulDims, p: usize) -> Option<GridChoice> {
 /// `divisible`), ties to the first in [`Grid3::factorizations`]'
 /// (lexicographic) order.
 fn best_factorization(dims: MatMulDims, p: usize, divisible: bool) -> Option<GridChoice> {
-    let (n1, n2, n3) = (u128::from(dims.n1), u128::from(dims.n2), u128::from(dims.n3));
-    // eq. (3) times P: (p3 − 1)·n1n2 + (p1 − 1)·n2n3 + (p2 − 1)·n1n3.
-    let numerator = |f: &[usize; 3]| {
-        let [p1, p2, p3] = f.map(|x| x as u128 - 1);
-        p3 * n1 * n2 + p1 * n2 * n3 + p2 * n1 * n3
-    };
     let admitted =
         Grid3::factorizations(p).into_iter().filter(|&f| !divisible || dims.divisible_by(f));
-    let grid = admitted.min_by_key(numerator)?;
-    let case = dims.sorted().classify(p as f64);
+    let grid = admitted.min_by_key(|&f| alg1_relayed(dims, f).iter().sum::<u128>())?;
+    let case = dims.sorted().classify(p as u64);
     Some(GridChoice { grid, cost_words: alg1_prediction(dims, grid).total(), case })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorem3::lower_bound;
+    use crate::theorem3::cmp_bound;
+    use std::cmp::Ordering;
 
     const PAPER: MatMulDims = MatMulDims { n1: 9600, n2: 2400, n3: 600 };
 
@@ -123,9 +120,9 @@ mod tests {
     #[test]
     fn continuous_grid_matches_integer_grid_on_nice_instances() {
         let s = PAPER.sorted();
-        assert_eq!(continuous_grid(s, 3.0), [3.0, 1.0, 1.0]);
-        assert_eq!(continuous_grid(s, 36.0), [12.0, 3.0, 1.0]);
-        let g = continuous_grid(s, 512.0);
+        assert_eq!(continuous_grid(s, 3), [3.0, 1.0, 1.0]);
+        assert_eq!(continuous_grid(s, 36), [12.0, 3.0, 1.0]);
+        let g = continuous_grid(s, 512);
         assert!((g[0] - 32.0).abs() < 1e-9);
         assert!((g[1] - 8.0).abs() < 1e-9);
         assert!((g[2] - 2.0).abs() < 1e-9);
@@ -134,11 +131,17 @@ mod tests {
     #[test]
     fn continuous_grid_multiplies_to_p() {
         let s = PAPER.sorted();
-        for p in [1.0, 5.0, 17.0, 36.0, 100.0, 512.0, 9999.0] {
+        for p in [1, 5, 17, 36, 100, 512, 9999] {
             let g = continuous_grid(s, p);
             let prod = g[0] * g[1] * g[2];
-            assert!((prod - p).abs() < 1e-6 * p, "P={p}: product {prod}");
+            assert!((prod - p as f64).abs() < 1e-6 * p as f64, "P={p}: product {prod}");
         }
+    }
+
+    /// Eq. (3) on `grid` against Theorem 3 at its `P`, exactly.
+    fn eq3_vs_bound(grid: [usize; 3]) -> Ordering {
+        let p = grid.iter().product::<usize>() as u64;
+        cmp_bound(PAPER, p, alg1_relayed(PAPER, grid).iter().sum())
     }
 
     #[test]
@@ -146,14 +149,7 @@ mod tests {
         // The tightness claim at the formula level: with the §5.2 grid,
         // eq. (3) equals Theorem 3's bound.
         for p in [3usize, 36, 512] {
-            let choice = best_grid(PAPER, p);
-            let bound = lower_bound(PAPER, p as f64).bound;
-            assert!(
-                (choice.cost_words - bound).abs() < 1e-6 * bound.max(1.0),
-                "P={p}: eq3 {} vs bound {}",
-                choice.cost_words,
-                bound
-            );
+            assert_eq!(eq3_vs_bound(best_grid(PAPER, p).grid), Ordering::Equal, "P={p}");
         }
     }
 
@@ -162,13 +158,8 @@ mod tests {
         // Any grid's predicted cost is ≥ the bound (Theorem 3 applies to
         // every parallelization).
         for p in [6usize, 24, 36, 60, 512, 729] {
-            let bound = lower_bound(PAPER, p as f64).bound;
             for f in Grid3::factorizations(p) {
-                let c = alg1_prediction(PAPER, f).total();
-                assert!(
-                    c >= bound - 1e-6 * bound.max(1.0),
-                    "P={p} grid {f:?}: cost {c} below bound {bound}"
-                );
+                assert_ne!(eq3_vs_bound(f), Ordering::Less, "P={p} grid {f:?}");
             }
         }
     }

@@ -54,7 +54,7 @@ pub use genbound::{GenBoundProblem, GenBoundSolution};
 pub use gridopt::{best_grid, continuous_grid, GridChoice};
 pub use kkt::{certificate_for, verify_kkt, KktReport};
 pub use optproblem::{OptProblem, OptSolution};
-pub use theorem3::{corollary4, lower_bound, BoundReport};
+pub use theorem3::{cmp_bound, corollary4, lower_bound, BoundReport};
 
 // Re-export the shared vocabulary.
 pub use pmm_model::{Case, MatMulDims, MatrixId, SortedDims};

@@ -95,8 +95,15 @@ impl OptProblem {
     }
 
     /// Which case the instance falls in (boundaries resolve downward, where
-    /// the adjacent formulas coincide).
+    /// the adjacent formulas coincide): [`SortedDims::classify`] when `P`
+    /// and the dimensions are whole, the same two comparisons in `f64`
+    /// only for a fractional instance (the continuity probes).
     pub fn case(&self) -> Case {
+        let whole = |x: f64| x.fract() == 0.0 && x < u64::MAX as f64;
+        if [self.m, self.n, self.k, self.p].into_iter().all(whole) {
+            let [m, n, k, p] = [self.m, self.n, self.k, self.p].map(|x| x as u64);
+            return SortedDims { m, n, k, axes: [0, 1, 2] }.classify(p);
+        }
         if self.p <= self.m / self.n {
             Case::OneD
         } else if self.p <= self.m * self.n / (self.k * self.k) {

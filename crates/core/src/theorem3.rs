@@ -1,5 +1,7 @@
 //! Theorem 3 and Corollary 4 — the memory-independent lower bounds.
 
+use std::cmp::Ordering;
+
 use pmm_model::{Case, MatMulDims};
 
 use crate::optproblem::OptProblem;
@@ -47,6 +49,46 @@ pub fn lower_bound(dims: MatMulDims, p: f64) -> BoundReport {
         Case::ThreeD => ((m * n * k / p).powf(2.0 / 3.0), 3.0),
     };
     BoundReport { case: sol.case, d, offset, bound: (d - offset).max(0.0), leading_term, constant }
+}
+
+/// Theorem 3 held exactly: `p_words` is `P × W` for a whole word count
+/// `W` (a run's critical-path words, or [`alg1_relayed`]'s eq. (3)
+/// numerator), and the result orders `W` against the bound
+/// `D − (mn+mk+nk)/P` without taking a root. With `S = mn + mk + nk`, in
+/// the case [`SortedDims::classify`] decides, it compares
+///
+/// - 1D: `P·W` with `(P−1)·nk`;
+/// - 2D: `(P·W + mk + nk)²` with `4·P·mnk²`;
+/// - 3D: `(P·W + S)³` with `27·P·(mnk)²`.
+///
+/// `Equal` is the paper's tightness. The arithmetic is `u128`: a left
+/// side that overflows compares `Greater`, a right side that overflows
+/// (the left in range) `Less`.
+///
+/// [`alg1_relayed`]: pmm_model::alg1_relayed
+/// [`SortedDims::classify`]: pmm_model::SortedDims::classify
+pub fn cmp_bound(dims: MatMulDims, p: u64, p_words: u128) -> Ordering {
+    let s = dims.sorted();
+    let [m, n, k, pp] = [s.m, s.n, s.k, p].map(u128::from);
+    let product = |xs: &[u128]| xs.iter().try_fold(1u128, |acc, &x| acc.checked_mul(x));
+    // The left side's offset, `mk + nk` (2D) or `S` (3D), plus `P·W`.
+    let plus = |offset: Option<u128>| offset?.checked_add(p_words);
+    let (left, right) = match s.classify(p) {
+        Case::OneD => (Some(p_words), product(&[pp - 1, n, k])),
+        Case::TwoD => {
+            let x = plus(product(&[m + n, k]));
+            (x.and_then(|x| product(&[x, x])), product(&[4 * pp, m * n, k * k]))
+        }
+        Case::ThreeD => {
+            let x = plus(product(&[m + n, k]).and_then(|w| w.checked_add(m * n)));
+            (x.and_then(|x| product(&[x, x, x])), product(&[27 * pp, m * n, k, m * n, k]))
+        }
+    };
+    match (left, right) {
+        (None, _) => Ordering::Greater,
+        (Some(_), None) => Ordering::Less,
+        (Some(l), Some(r)) => l.cmp(&r),
+    }
 }
 
 /// Corollary 4: for square `n × n` multiplication the bound simplifies to
@@ -97,6 +139,16 @@ mod tests {
             assert!((r.bound - want).abs() < 1e-6 * want, "P={p}");
             assert_eq!(r.constant, 3.0);
         }
+    }
+
+    #[test]
+    fn an_overflowing_left_side_compares_greater() {
+        let cube = MatMulDims::square(1 << 20);
+        let tall = MatMulDims::new(1 << 40, 1 << 20, 1);
+        assert_eq!(cmp_bound(cube, 8, u128::MAX), Ordering::Greater);
+        assert_eq!(cmp_bound(tall, 1 << 21, u128::MAX), Ordering::Greater);
+        // Corollary 4 near the top of the range: 27·P·(mnk)² is 2^127.8.
+        assert_eq!(cmp_bound(cube, 8, 3 << 40), Ordering::Equal);
     }
 
     #[test]

@@ -187,16 +187,20 @@ impl SortedDims {
         (self.m as f64 * self.n as f64) / (self.k as f64 * self.k as f64)
     }
 
-    /// Which of Theorem 3's cases applies for `p` processors.
+    /// Which of Theorem 3's cases applies for `p` processors, decided in
+    /// integers: 1D iff `P·n ≤ m`, 2D iff `P·k² ≤ m·n`, 3D otherwise.
+    /// This is the one decision for a whole `P`; every product fits in
+    /// `u128` except `P·k²`, which is then past `m·n`.
     ///
     /// At the thresholds the adjacent formulas coincide (the optimal
     /// solutions are continuous in `P`, see Lemma 2); we deterministically
     /// return the lower-dimensionality case there.
-    pub fn classify(&self, p: f64) -> Case {
-        assert!(p >= 1.0, "P must be >= 1");
-        if p <= self.threshold_1d_2d() {
+    pub fn classify(&self, p: u64) -> Case {
+        assert!(p >= 1, "P must be >= 1");
+        let [m, n, k, p] = [self.m, self.n, self.k, p].map(u128::from);
+        if p * n <= m {
             Case::OneD
-        } else if p <= self.threshold_2d_3d() {
+        } else if (k * k).checked_mul(p).is_some_and(|pk2| pk2 <= m * n) {
             Case::TwoD
         } else {
             Case::ThreeD
@@ -248,9 +252,9 @@ mod tests {
         let s = d.sorted();
         assert_eq!(s.threshold_1d_2d(), 4.0);
         assert_eq!(s.threshold_2d_3d(), 64.0);
-        assert_eq!(s.classify(3.0), Case::OneD);
-        assert_eq!(s.classify(36.0), Case::TwoD);
-        assert_eq!(s.classify(512.0), Case::ThreeD);
+        assert_eq!(s.classify(3), Case::OneD);
+        assert_eq!(s.classify(36), Case::TwoD);
+        assert_eq!(s.classify(512), Case::ThreeD);
     }
 
     #[test]
@@ -258,16 +262,16 @@ mod tests {
         let s = MatMulDims::square(1000).sorted();
         assert_eq!(s.threshold_1d_2d(), 1.0);
         assert_eq!(s.threshold_2d_3d(), 1.0);
-        for p in [1.0, 2.0, 8.0, 1e6] {
-            assert_eq!(s.classify(p), if p <= 1.0 { Case::OneD } else { Case::ThreeD });
+        for p in [1, 2, 8, 1_000_000] {
+            assert_eq!(s.classify(p), if p == 1 { Case::OneD } else { Case::ThreeD });
         }
     }
 
     #[test]
     fn boundaries_classify_to_lower_case() {
         let s = MatMulDims::new(9600, 2400, 600).sorted();
-        assert_eq!(s.classify(4.0), Case::OneD);
-        assert_eq!(s.classify(64.0), Case::TwoD);
+        assert_eq!(s.classify(4), Case::OneD);
+        assert_eq!(s.classify(64), Case::TwoD);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use cost::{Cost, MachineParams};
 pub use dims::{Case, MatMulDims, MatrixId, SortedDims};
 pub use grid::{divisors, Coord3, Grid3};
 pub use predict::{
-    alg1_prediction, alg1_price, carma_split_dim, plan_prediction, recovery_prediction,
-    restore_words_total, summa_panels, Alg1Prediction, AlgPlan, AttemptPrediction, PlanPrediction,
-    RecoveryPrediction,
+    alg1_prediction, alg1_price, alg1_relayed, carma_split_dim, plan_prediction,
+    recovery_prediction, restore_words_total, summa_panels, Alg1Prediction, AlgPlan,
+    AttemptPrediction, PlanPrediction, RecoveryPrediction,
 };

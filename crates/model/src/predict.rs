@@ -84,14 +84,26 @@ impl Alg1Prediction {
 /// assert_eq!(pred.reduce_c, 0.0);
 /// ```
 pub fn alg1_prediction(dims: MatMulDims, grid: [usize; 3]) -> Alg1Prediction {
-    let [p1, p2, p3] = grid.map(|x| x as u128);
+    let p = grid.iter().map(|&x| x as u128).product::<u128>() as f64;
+    let [allgather_a, allgather_b, reduce_c] = alg1_relayed(dims, grid).map(|w| w as f64 / p);
+    Alg1Prediction { allgather_a, allgather_b, reduce_c }
+}
+
+/// `P ×` eq. (3), phase by phase, in integers: `(p3 − 1)·n1·n2`,
+/// `(p1 − 1)·n2·n3` and `(p2 − 1)·n1·n3`, the words all members of all
+/// fibers send in each phase (each sends its chunk to every other
+/// member). [`alg1_prediction`] divides each by `P`; the sum is the
+/// numerator grids are ranked and Theorem 3 is compared by.
+///
+/// ```
+/// use pmm_model::{alg1_relayed, MatMulDims};
+///
+/// assert_eq!(alg1_relayed(MatMulDims::new(8, 8, 8), [2, 2, 2]), [64, 64, 64]);
+/// ```
+pub fn alg1_relayed(dims: MatMulDims, grid: [usize; 3]) -> [u128; 3] {
+    let [p1, p2, p3] = grid.map(|x| x as u128 - 1);
     let (n1, n2, n3) = (u128::from(dims.n1), u128::from(dims.n2), u128::from(dims.n3));
-    let term = |fiber: u128, words: u128| ((fiber - 1) * words) as f64 / (p1 * p2 * p3) as f64;
-    Alg1Prediction {
-        allgather_a: term(p3, n1 * n2),
-        allgather_b: term(p1, n2 * n3),
-        reduce_c: term(p2, n1 * n3),
-    }
+    [p3 * n1 * n2, p1 * n2 * n3, p2 * n1 * n3]
 }
 
 /// The integer price of one rank of an Algorithm 1 run: for each phase
@@ -365,16 +377,13 @@ pub fn plan_prediction(dims: MatMulDims, plan: &AlgPlan) -> PlanPrediction {
             };
             let gathers = AllGatherAlgo::Auto.messages(p3) + AllGatherAlgo::Auto.messages(p1);
             let p = p1 * p2 * p3;
-            // Each fiber member sends its chunk to every other member:
-            // P × eq. (3), in integer terms.
-            let relayed = |fiber: usize, block: u64| (fiber - 1) as f64 * block as f64;
             PlanPrediction {
                 cost: Cost {
                     messages: gathers * slabs as f64 + ReduceScatterAlgo::Auto.messages(p2),
                     words: eq3.total(),
                     flops: dims.mults() / p as f64 + eq3.reduce_c,
                 },
-                words_total: relayed(p3, n1 * n2) + relayed(p1, n2 * n3) + relayed(p2, n1 * n3),
+                words_total: alg1_relayed(dims, [p1, p2, p3]).iter().sum::<u128>() as f64,
             }
         }
         AlgPlan::Summa { pr, pc } => {

@@ -103,7 +103,7 @@ proptest! {
         let s = MatMulDims::new(a, b, c).sorted();
         let order = |case: Case| match case { Case::OneD => 0, Case::TwoD => 1, Case::ThreeD => 2 };
         let mut prev = 0;
-        for p in [1.0, 2.0, 4.0, 16.0, 256.0, 65536.0, 1e9] {
+        for p in [1, 2, 4, 16, 256, 65536, 1_000_000_000] {
             let cur = order(s.classify(p));
             prop_assert!(cur >= prev, "case regressed at P={p}");
             prev = cur;

@@ -98,7 +98,7 @@ impl Engine {
 /// cost, the regime, and how many alternatives were ranked.
 fn render_advice(recs: &[Recommendation], n1: u64, n2: u64, n3: u64, p: u64) -> String {
     let best = &recs[0];
-    let case = pmm_model::MatMulDims::new(n1, n2, n3).sorted().classify(p as f64);
+    let case = pmm_model::MatMulDims::new(n1, n2, n3).sorted().classify(p);
     format!(
         "advise case={case} {} time={} words={} msgs={} flops={} mem={} alts={}",
         plan_tokens(&best.plan),

@@ -300,7 +300,7 @@ fn advise_answers_are_the_advisors_first_choice_in_every_regime() {
         .chain(std::iter::once((36, finite, Case::TwoD)));
     let engine = Engine::new(ServeConfig::default());
     for (p, m, case) in queries {
-        assert_eq!(MatMulDims::new(n1, n2, n3).sorted().classify(p as f64), case, "P={p}");
+        assert_eq!(MatMulDims::new(n1, n2, n3).sorted().classify(p), case, "P={p}");
         let line = format!("ADVISE {n1} {n2} {n3} {p} {m}");
         let answer = engine.handle(line.as_bytes());
         let Response::Ok(payload) = &answer else { panic!("{line}: {answer:?}") };

@@ -91,7 +91,7 @@ fn main() {
         "grid {} on the 12.5×-scaled instance: measured {measured:.0} words, bound {bound:.0}",
         choice.grid3()
     );
-    assert!((measured - bound).abs() < 1e-9 * bound);
+    assert_eq!(words_vs_bound(small, 36, measured), std::cmp::Ordering::Equal);
     println!("measured == bound, to the word ✓ (constants 1/2/3 are tight)");
 
     // ---------------------------------------------------------------- §5.3

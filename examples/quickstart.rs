@@ -57,8 +57,9 @@ fn main() {
     let measured = out.critical_path_time();
     println!("measured  : {measured:.1} words/processor on the critical path");
     println!("bound     : {:.1}", report.bound);
-    assert!(
-        (measured - report.bound).abs() < 1e-9 * report.bound,
+    assert_eq!(
+        words_vs_bound(dims, p, measured),
+        std::cmp::Ordering::Equal,
         "Algorithm 1 with the optimal grid attains the bound exactly"
     );
     println!("tight     : measured == bound ✓ (constants 1/2/3 are attainable)");

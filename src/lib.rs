@@ -38,7 +38,7 @@
 //!     Box::pin(async move { alg1_a(rank, &cfg, &ab.0, &ab.1).await })
 //! });
 //! let measured = out.critical_path_time();
-//! assert!((measured - report.bound).abs() < 1e-6 * report.bound);
+//! assert_eq!(words_vs_bound(dims, 36, measured), std::cmp::Ordering::Equal);
 //! ```
 //!
 //! ## Crate map
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use pmm_algs::{
         alg1_a, assemble_c, assemble_from_blocks, assemble_recovered, carma_a, carma_assemble_c,
         carma_shares, check_alg1_price, near_square_factors, plan_for, run_plan_a,
-        run_recoverable_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig, Inputs,
-        Recovered, SummaConfig, TwoFiveDConfig, ALG1_PHASES,
+        run_recoverable_a, words_vs_bound, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig,
+        Inputs, Recovered, SummaConfig, TwoFiveDConfig, ALG1_PHASES,
     };
     pub use pmm_collectives::{
         all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, BcastAlgo,
@@ -82,12 +82,13 @@ pub mod prelude {
     pub use pmm_core::memlimit::{alg1_memory_words, limited_memory_report, min_memory_words};
     pub use pmm_core::optproblem::{OptProblem, OptSolution};
     pub use pmm_core::prior::{MemDependentBound, PriorBound};
-    pub use pmm_core::theorem3::{corollary4, lower_bound, BoundReport};
+    pub use pmm_core::theorem3::{cmp_bound, corollary4, lower_bound, BoundReport};
     pub use pmm_dense::{gemm, random_int_matrix, random_matrix, Kernel, Matrix};
     pub use pmm_model::{
-        alg1_prediction, alg1_price, plan_prediction, recovery_prediction, restore_words_total,
-        Alg1Prediction, AlgPlan, AttemptPrediction, Case, Cost, Grid3, MachineParams, MatMulDims,
-        MatrixId, PlanPrediction, RecoveryPrediction, SortedDims, Traffic,
+        alg1_prediction, alg1_price, alg1_relayed, plan_prediction, recovery_prediction,
+        restore_words_total, Alg1Prediction, AlgPlan, AttemptPrediction, Case, Cost, Grid3,
+        MachineParams, MatMulDims, MatrixId, PlanPrediction, RecoveryPrediction, SortedDims,
+        Traffic,
     };
     // `Strategy` is aliased so the prelude can coexist with proptest's
     // `Strategy` trait in downstream glob imports.

@@ -124,13 +124,31 @@ proptest! {
         p in 1usize..256,
     ) {
         let dims = MatMulDims::new(m, n, k);
-        let bound = lower_bound(dims, p as f64).bound;
         for grid in Grid3::factorizations(p) {
-            let c = alg1_prediction(dims, grid).total();
-            prop_assert!(
-                c >= bound - 1e-6 * bound.max(1.0),
-                "grid {grid:?}: {c} < bound {bound}"
-            );
+            let p_eq3 = alg1_relayed(dims, grid).iter().sum();
+            prop_assert!(cmp_bound(dims, p as u64, p_eq3).is_ge(), "grid {grid:?} below the bound");
+        }
+    }
+
+    #[test]
+    fn exact_comparator_agrees_with_the_floating_bound(
+        (uniform, pinned) in (instance(), regime_pinned_instance()),
+        on_a_boundary in 0u8..2,
+        offset in -3i64..4,
+    ) {
+        let (m, n, k, p) = if on_a_boundary == 1 { pinned } else { uniform };
+        // Whole word counts around the f64 bound: wherever the two differ
+        // by more than 1e-6 relative, the exact comparison orders them as
+        // the f64 bound does, and both read the case of the one integer
+        // decision.
+        let (dims, p) = (MatMulDims::new(m, n, k), p as u64);
+        let r = lower_bound(dims, p as f64);
+        prop_assert_eq!(r.case, dims.sorted().classify(p));
+        let words = (r.bound.round() as i64 + offset).max(0) as f64;
+        if (words - r.bound).abs() > 1e-6 * r.bound.max(1.0) {
+            let want = words.partial_cmp(&r.bound).expect("finite");
+            let got = cmp_bound(dims, p, u128::from(p) * words as u128);
+            prop_assert_eq!(got, want, "{} P={}: {} words vs bound {}", dims, p, words, r.bound);
         }
     }
 
@@ -142,7 +160,8 @@ proptest! {
         let dims = MatMulDims::new(m, n, k);
         let best = best_grid(dims, p);
         for grid in Grid3::factorizations(p) {
-            prop_assert!(best.cost_words <= alg1_prediction(dims, grid).total() + 1e-9);
+            let p_eq3 = |g: [usize; 3]| alg1_relayed(dims, g).iter().sum::<u128>();
+            prop_assert!(p_eq3(best.grid) <= p_eq3(grid), "{grid:?} beats {:?}", best.grid);
         }
     }
 

@@ -82,8 +82,8 @@ fn chaos_cert_all_six_algorithms() {
         assert_eq!(nsurv, 8, "{alg}");
         assert!(attempts >= 2, "{alg}: the kills force at least one re-plan");
         println!(
-            "CHAOS: cell=cert algorithm={alg} p=10 survivors={nsurv} attempts={attempts} \
-             layout={plan} recovered=1 secs={:.3}",
+            "CHAOS: label=cert/{alg} cell=cert algorithm={alg} p=10 survivors={nsurv} \
+             attempts={attempts} layout={plan} recovered=1 secs={:.3}",
             t0.elapsed().as_secs_f64()
         );
     }
@@ -155,8 +155,8 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
                 let (attempts, nsurv, layout) = (ok.attempts(), ok.survivors.len(), &ok.plan);
                 ran += 1;
                 println!(
-                    "CHAOS: cell=soak algorithm={alg} p={p} class={class} survivors={nsurv} \
-                     attempts={attempts} layout={layout} recovered=1 secs={:.3}",
+                    "CHAOS: label=soak/{label} cell=soak algorithm={alg} p={p} class={class} \
+                     survivors={nsurv} attempts={attempts} layout={layout} recovered=1 secs={:.3}",
                     t0.elapsed().as_secs_f64()
                 );
             }
@@ -202,7 +202,7 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
     assert_eq!(attempts, 2, "one abandoned attempt, one successful");
     let rate = nsurv as f64 * attempts as f64 / secs.max(1e-9);
     println!(
-        "CHAOS: cell=p10k algorithm=alg1 p={p} survivors={nsurv} \
+        "CHAOS: label=p10k cell=p10k algorithm=alg1 p={p} survivors={nsurv} \
          attempts={attempts} layout={layout} recovered=1 secs={secs:.3} ranks_per_sec={rate:.0}"
     );
 }

@@ -113,7 +113,7 @@ fn sweep_spans_all_regimes_and_both_boundaries() {
         match pt.interior {
             Some(case) => {
                 assert_eq!(
-                    pt.dims.sorted().classify(pt.p as f64),
+                    pt.dims.sorted().classify(pt.p as u64),
                     case,
                     "{} ({} P={})",
                     pt.label,
@@ -153,9 +153,10 @@ fn grid3d_traffic_matches_eq3_prediction_per_rank_and_phase() {
     for pt in sweep() {
         let (_, grid, cost_words) = chosen_grid(&pt);
         let pred = alg1_prediction(pt.dims, grid);
-        assert!(
-            (pred.total() - cost_words).abs() <= 1e-12 * cost_words.max(1.0),
-            "{}: prediction total disagrees with the grid optimizer",
+        assert_eq!(
+            pred.total(),
+            cost_words,
+            "{}: prediction total vs the grid optimizer",
             pt.label
         );
         assert_priced(pt.dims, grid, pt.label, seed);
@@ -242,7 +243,7 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
             ran += 1;
             // (c) the Theorem 3 floor.
             assert!(
-                measured >= report.bound - 1e-9 * report.bound.max(1.0),
+                words_vs_bound(pt.dims, pt.p, measured).is_ge(),
                 "{name} at {} ({} P={}): measured {measured} beats the bound {} \
                  [PMM_SEED={seed}]",
                 pt.label,
@@ -257,7 +258,7 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
         if pt.tight {
             let t = run(&inputs, &AlgPlan::Alg1 { grid: grid_arr }, seed).critical_path_time();
             assert!(
-                (t - report.bound).abs() <= 1e-9 * report.bound.max(1.0),
+                words_vs_bound(pt.dims, pt.p, t).is_eq(),
                 "{} ({} P={} grid {grid_arr:?}): measured {t} must equal the bound {} \
                  [PMM_SEED={seed}]",
                 pt.label,

@@ -6,6 +6,7 @@
 //! each pinned to its recorded run.
 
 use pmm::prelude::*;
+use std::cmp::Ordering;
 
 /// Run `plan` on `world` with the naive kernel, held to
 /// [`Inputs::check`]: the oracle's product, the plan's goodput and, for
@@ -23,13 +24,8 @@ fn streamed_alg1_is_tight_too() {
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
     let plan = AlgPlan::Alg1Streamed { grid: best_grid(dims, p).grid, slabs: 4 };
-    let out = Inputs::random_int(dims, 301).measure(&plan, false);
-    let bound = lower_bound(dims, p as f64).bound;
-    let measured = out.critical_path_time();
-    assert!(
-        (measured - bound).abs() < 1e-9 * bound,
-        "streamed measured {measured} vs bound {bound}"
-    );
+    let measured = Inputs::random_int(dims, 301).measure(&plan, false).critical_path_time();
+    assert_eq!(words_vs_bound(dims, p, measured), Ordering::Equal, "streamed: {measured} words");
 }
 
 #[test]
@@ -41,13 +37,9 @@ fn carma_is_tight_on_pow2_square_instances() {
         let dims = MatMulDims::square(n);
         let plan = AlgPlan::Carma { p };
         // `measure` also holds the reassembled product to the oracle.
-        let out = Inputs::random_int(dims, 301).measure(&plan, false);
-        let bound = corollary4(n, p as f64);
-        let measured = out.critical_path_time();
-        assert!(
-            (measured - bound).abs() < 1e-9 * bound,
-            "n={n} P={p}: CARMA measured {measured} vs bound {bound}"
-        );
+        let measured = Inputs::random_int(dims, 301).measure(&plan, false).critical_path_time();
+        let tight = words_vs_bound(dims, p, measured);
+        assert_eq!(tight, Ordering::Equal, "n={n} P={p}: CARMA measured {measured}");
     }
 }
 
@@ -59,11 +51,7 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let best = recs.first().expect("at least one plan");
     assert_eq!(best.plan.algorithm(), "alg1", "unlimited memory: Algorithm 1 wins");
     let measured = Inputs::random_int(dims, 301).measure(&best.plan, false).critical_path_time();
-    assert!(
-        (measured - best.cost.words).abs() < 1e-9,
-        "advisor predicted {} words, measured {measured}",
-        best.cost.words
-    );
+    assert_eq!(measured, best.cost.words, "advisor predicted words vs measured");
 }
 
 #[test]

@@ -346,26 +346,29 @@ impl Reader<'_> {
     }
 }
 
-/// Which side of `factor × committed` a re-run value must stay on.
+/// Which side of `factor × committed` a re-run value must stay on, or
+/// (a count that repeats run to run) that it must equal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum At {
     Least,
     Most,
+    Equal,
 }
 
 impl At {
     pub fn symbol(self) -> &'static str {
-        if self == At::Least {
-            ">="
-        } else {
-            "<="
+        match self {
+            At::Least => ">=",
+            At::Most => "<=",
+            At::Equal => "==",
         }
     }
 }
 
 /// One regression bound of a gate: `field` of `row` must be at least /
-/// at most `factor ×` its value in the committed artifact. `row` is
-/// `"summary"`, a row id, or `"*"` for every row the re-run executed.
+/// at most / exactly `factor ×` its value in the committed artifact. `row` is
+/// `"summary"`, a row id, or `"*"` for every row with an id that the
+/// re-run executed.
 #[derive(Debug, Clone, Copy)]
 pub struct Bound {
     pub row: &'static str,
@@ -388,6 +391,7 @@ pub fn check(
     let mut verdicts = Vec::new();
     for bound in bounds {
         let executed = fresh.rows.iter().filter(|r| !r.is("carried")).map(|r| r.str(id_field));
+        let executed = executed.filter(|id| !id.is_empty());
         let ids: Vec<&str> = if bound.row == "*" { executed.collect() } else { vec![bound.row] };
         for id in ids {
             let read = |art: &Artifact| art.find(id_field, id).and_then(|r| r.num(bound.field));
@@ -397,6 +401,7 @@ pub fn check(
                 (Some(_), None, _) => true,
                 (Some(v), Some(b), At::Least) => v >= bound.factor * b,
                 (Some(v), Some(b), At::Most) => v <= bound.factor * b,
+                (Some(v), Some(b), At::Equal) => v == bound.factor * b,
             };
             let mut verdict = Row::default().with("row", id).with("field", bound.field);
             for (key, n) in [("value", value), ("baseline", baseline)] {
@@ -568,6 +573,21 @@ mod tests {
             ["scale-check", "row p1k-default", "peak_rss_kb", "501004 <= 1.25 x committed 325580"],
         ]) {
             assert!(named.iter().all(|part| failure.contains(part)), "{failure}");
+        }
+    }
+
+    #[test]
+    fn an_equality_bound_fails_a_count_one_off_either_way() {
+        const PICKS: Bound = Bound { row: "*", field: "picks", at: At::Equal, factor: 1.0 };
+        let picks = |n: f64| Artifact {
+            rows: vec![Row::default().with("label", "p10k").with("picks", n)],
+            ..Artifact::default()
+        };
+        let verdict = |n: f64| check(&[PICKS], "label", &picks(n), Some(&picks(1_029_997.0)));
+        assert!(verdict(1_029_997.0)[0].is("ok"));
+        for off in [1_029_996.0, 1_029_998.0] {
+            let failed = describe("scale-check", &verdict(off)[0]);
+            assert!(failed.contains("== 1 x committed 1029997") && failed.ends_with("FAILED"));
         }
     }
 

@@ -108,6 +108,11 @@ const fn ceiling(row: &'static str, field: &'static str, factor: f64) -> Bound {
     Bound { row, field, at: At::Most, factor }
 }
 
+/// A count that repeats run to run: any change is a change of behaviour.
+const fn equal(row: &'static str, field: &'static str) -> Bound {
+    Bound { row, field, at: At::Equal, factor: 1.0 }
+}
+
 /// The pinned seed matrix of the conformance and trace-attribution
 /// gates: arbitrary but fixed, so CI failures replay locally with the
 /// printed `PMM_SEED`.
@@ -316,11 +321,13 @@ pub static GATES: &[Gate] = &[
             // a fraction of a percent: 25 % is a copy of a block coming
             // back, not noise. Bytes per rank repeat within 0.2 % over
             // three runs, and are where a per-rank structure that grows
-            // shows: 5 % is 194 B a rank at P = 10^6.
+            // shows: 5 % is 194 B a rank at P = 10^6. A cell's scheduler
+            // picks are fixed by its seed (the unseeded default included).
             bounds: &[
                 floor("*", "ranks_per_sec", 0.5),
                 ceiling("*", "peak_rss_kb", 1.25),
                 ceiling("*", "host_bytes_per_rank", 1.05),
+                equal("*", "picks"),
             ],
         }),
         ..GATE
@@ -337,11 +344,17 @@ pub static GATES: &[Gate] = &[
         artifact: Some(Spec {
             file: "BENCH_chaos.json",
             grammar: Grammar { marker: "CHAOS:", kinds: &[] },
-            id_field: "",
+            id_field: "label",
             summary: Some(chaos_summary),
             // The committed rate is 1, so this is "100 % recovery over at
-            // least one cell" (no cell reads as rate 0).
-            bounds: &[floor("summary", "recovery_success_rate", 1.0)],
+            // least one cell" (no cell reads as rate 0). A cell's
+            // survivors and attempts are fixed by its seed and fault
+            // plan: three runs repeated every cell.
+            bounds: &[
+                floor("summary", "recovery_success_rate", 1.0),
+                equal("*", "survivors"),
+                equal("*", "attempts"),
+            ],
         }),
         ..GATE
     },
@@ -351,19 +364,29 @@ pub static GATES: &[Gate] = &[
                exhaustive interleaving certificates for the pinned collective\n\
                workloads, budgeted frontier exploration of Algorithm 1, and a\n\
                1000-program generator soak against the intent oracle; a failing\n\
-               schedule prints its PMM_SCHEDULE=prefix:... repro line",
+               schedule prints its PMM_SCHEDULE=prefix:... repro line; every\n\
+               walk runs three times and its median time is the one counted",
         budget: Some((300, Via::Env("PMM_EXPLORE_BUDGET_SECS"))),
         run: Run::Cargo("test --release --test explore -- --nocapture --test-threads=1"),
         steps: &[under(&[("PMM_EXPLORE_PROGRAMS", "1000")])],
         artifact: Some(Spec {
             file: "BENCH_explore.json",
             grammar: Grammar { marker: "DPOR:", kinds: &[] },
-            id_field: "",
+            id_field: "workload",
             summary: Some(dpor_summary),
-            // Event-loop replays on a shared 2-vCPU VM: 35 560-43 350
-            // schedules/s over four runs (the thread-hosted walk read
-            // 2 543 on the same VM, run alongside).
-            bounds: &[floor("summary", "schedules_per_sec", 0.5)],
+            // Each walk's time is the median of three walks in the run.
+            // The counts are the scheduler's, and repeat exactly.
+            bounds: &[
+                floor("summary", "schedules_per_sec", 0.5),
+                equal("summary", "schedules_explored"),
+                equal("summary", "world_runs"),
+                equal("summary", "states_pruned"),
+                equal("soak", "valid"),
+                equal("soak", "mismatch"),
+                equal("soak", "deadlock"),
+                equal("soak", "disorder"),
+                equal("soak", "undrained"),
+            ],
         }),
         ..GATE
     },
