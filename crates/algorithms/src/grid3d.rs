@@ -399,16 +399,6 @@ mod tests {
     use pmm_simnet::{MachineParams, World, WorldResult};
     use std::sync::Arc;
 
-    /// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
-    fn inputs(dims: MatMulDims) -> Inputs {
-        let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        Inputs::new(
-            dims,
-            random_int_matrix(n1, n2, -3..4, 11),
-            random_int_matrix(n2, n3, -3..4, 22),
-        )
-    }
-
     /// Run Algorithm 1 with `assembly` on a world sized to `grid` and hold
     /// its product to the oracle.
     fn run(inputs: &Inputs, grid: [usize; 3], assembly: Assembly) -> WorldResult<Alg1Output> {
@@ -441,12 +431,16 @@ mod tests {
 
     #[test]
     fn correct_on_divisible_3d_grid() {
-        run(&inputs(MatMulDims::new(12, 8, 6)), [2, 2, 3], Assembly::ReduceScatter);
+        run(
+            &Inputs::seeded(MatMulDims::new(12, 8, 6), [11, 22]),
+            [2, 2, 3],
+            Assembly::ReduceScatter,
+        );
     }
 
     #[test]
     fn correct_on_1d_and_2d_grids() {
-        let inputs = inputs(MatMulDims::new(12, 9, 5));
+        let inputs = Inputs::seeded(MatMulDims::new(12, 9, 5), [11, 22]);
         for grid in [[4, 1, 1], [1, 3, 1], [1, 1, 5], [3, 3, 1], [2, 1, 5]] {
             run(&inputs, grid, Assembly::ReduceScatter);
         }
@@ -454,7 +448,7 @@ mod tests {
 
     #[test]
     fn correct_on_non_divisible_dims() {
-        let inputs = inputs(MatMulDims::new(13, 7, 11));
+        let inputs = Inputs::seeded(MatMulDims::new(13, 7, 11), [11, 22]);
         for grid in [[2, 2, 2], [3, 2, 1], [2, 3, 4]] {
             run(&inputs, grid, Assembly::ReduceScatter);
         }
@@ -462,7 +456,7 @@ mod tests {
 
     #[test]
     fn correct_with_all_to_all_assembly() {
-        let inputs = inputs(MatMulDims::new(12, 8, 6));
+        let inputs = Inputs::seeded(MatMulDims::new(12, 8, 6), [11, 22]);
         for grid in [[2, 2, 3], [1, 4, 1], [2, 3, 2]] {
             run(&inputs, grid, Assembly::AllToAllSum);
         }
@@ -470,13 +464,17 @@ mod tests {
 
     #[test]
     fn single_processor_no_communication() {
-        let out = run(&inputs(MatMulDims::new(6, 5, 4)), [1, 1, 1], Assembly::ReduceScatter);
+        let out = run(
+            &Inputs::seeded(MatMulDims::new(6, 5, 4), [11, 22]),
+            [1, 1, 1],
+            Assembly::ReduceScatter,
+        );
         assert_eq!(out.total_words_sent(), 0.0);
     }
 
     #[test]
     fn alltoall_assembly_same_bandwidth_more_latency() {
-        let inputs = inputs(MatMulDims::new(16, 16, 16));
+        let inputs = Inputs::seeded(MatMulDims::new(16, 16, 16), [11, 22]);
         let grid = [2, 4, 2];
         let rs = run(&inputs, grid, Assembly::ReduceScatter);
         let aa = run(&inputs, grid, Assembly::AllToAllSum);
@@ -496,7 +494,7 @@ mod tests {
         use pmm_core::memlimit::alg1_memory_words;
         let dims = MatMulDims::new(24, 24, 24);
         let grid = [2, 2, 2];
-        let out = run(&inputs(dims), grid, Assembly::ReduceScatter);
+        let out = run(&Inputs::seeded(dims, [11, 22]), grid, Assembly::ReduceScatter);
         let want = alg1_memory_words(dims, grid);
         for rep in &out.reports {
             let peak = rep.peak_mem_words as f64;

@@ -17,7 +17,6 @@
 //! never a substitute.
 
 use std::cmp::Ordering;
-use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
 use pmm_core::theorem3::{cmp_bound, lower_bound};
@@ -29,14 +28,6 @@ use crate::grid3d::check_alg1_price;
 use crate::recovery::{
     assemble_recovered, even_layout, run_plan_a, run_recoverable_a, CShare, Recovered,
 };
-
-static BOUND_TALLY: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
-
-/// How many runs certified in this process took the `bound:` check:
-/// `[held, skipped: world not bandwidth-only, skipped: layout not even]`.
-pub fn bound_tally() -> [u64; 3] {
-    BOUND_TALLY.each_ref().map(|n| n.load(atomic::Ordering::Relaxed))
-}
 
 /// The global `A` and `B` of one problem, held once on the host, and (on
 /// first use) the product every run on them must assemble to.
@@ -71,12 +62,13 @@ impl Inputs {
     /// Small-integer inputs (`A` from `seed`, `B` from `seed + 1`), so
     /// every kernel and every summation order gives the same bits.
     pub fn random_int(dims: MatMulDims, seed: u64) -> Inputs {
+        Inputs::seeded(dims, [seed, seed + 1])
+    }
+
+    /// [`Inputs::random_int`] with `A` from `seeds[0]`, `B` from `seeds[1]`.
+    pub fn seeded(dims: MatMulDims, [a, b]: [u64; 2]) -> Inputs {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        Inputs::new(
-            dims,
-            random_int_matrix(n1, n2, -3..4, seed),
-            random_int_matrix(n2, n3, -3..4, seed + 1),
-        )
+        Inputs::new(dims, random_int_matrix(n1, n2, -3..4, a), random_int_matrix(n2, n3, -3..4, b))
     }
 
     /// `A·B` by the pinned oracle `Kernel::Naive`, computed once.
@@ -124,8 +116,7 @@ impl Inputs {
     /// ([`check_alg1_price`]); and, on a bandwidth-only world where the
     /// plan gives every active rank an equal share at the start and at
     /// the end, the critical path is not below Theorem 3's bound
-    /// ([`cmp_bound`]; other runs are counted in [`bound_tally`]). The
-    /// `Err` names the first check that failed.
+    /// ([`cmp_bound`]). The `Err` names the first check that failed.
     pub fn check(&self, plan: &AlgPlan, out: &WorldResult<CShare>) -> Result<(), String> {
         self.certify(plan, &out.values, words_sent(out), out)
     }
@@ -175,9 +166,9 @@ impl Inputs {
     /// (`bound:`) a run on a [`MachineParams::BANDWIDTH_ONLY`] world with
     /// an [`even_layout`] moves at least Theorem 3's bound along its
     /// critical path, compared exactly by [`words_vs_bound`] at
-    /// `P = plan.active()`. Other runs skip the bound and are counted
-    /// ([`bound_tally`]): 2.5D with `c > 1`, for one, starts with all of
-    /// `A` and `B` on layer 0.
+    /// `P = plan.active()`. Other runs skip the bound: 2.5D with `c > 1`,
+    /// for one, starts with all of `A` and `B` on layer 0, and a clock
+    /// that fault delays left fractional is not a word count.
     fn certify<T>(
         &self,
         plan: &AlgPlan,
@@ -194,18 +185,14 @@ impl Inputs {
             check_alg1_price(dims, plan, shares.iter().map(CShare::alg1), None)
                 .map_err(|mismatch| format!("price: {plan} on {dims}: {mismatch}"))?;
         }
-        let tally = if out.params != MachineParams::BANDWIDTH_ONLY {
-            1
-        } else {
-            2 * usize::from(!even_layout(plan, dims, shares, &self.a, &self.b))
-        };
-        BOUND_TALLY[tally].fetch_add(1, atomic::Ordering::Relaxed);
         let (p, words) = (plan.active(), out.critical_path_time());
-        if tally > 0 || words_vs_bound(dims, p, words).is_ge() {
-            return Ok(());
+        let held = out.params == MachineParams::BANDWIDTH_ONLY && words.fract() == 0.0;
+        if held && even_layout(plan, dims) && words_vs_bound(dims, p, words).is_lt() {
+            let bound = lower_bound(dims, p as f64).bound;
+            let path = format!("{words} critical-path words");
+            return Err(format!("bound: {plan} on {dims}: {path}, Theorem 3 {bound:.3}"));
         }
-        let bound = lower_bound(dims, p as f64).bound;
-        Err(format!("bound: {plan} on {dims}: {words} critical-path words, Theorem 3 {bound:.3}"))
+        Ok(())
     }
 
     /// A measured row: `plan` executed on a bandwidth-only world of its
@@ -222,12 +209,16 @@ impl Inputs {
     }
 }
 
-/// A run's critical-path `words` on `p` ranks against Theorem 3, exactly
-/// ([`cmp_bound`]). On a bandwidth-only world the clock is a whole word
-/// count; one that fault delays left fractional is rounded up, so that
-/// `Less` still means below the bound.
+/// A whole count of critical-path `words` on `p` ranks (a bandwidth-only
+/// world's clock) against Theorem 3, exactly ([`cmp_bound`]).
+///
+/// # Panics
+///
+/// If `words` is not a whole number: a fractional count has no exact
+/// comparison here.
 pub fn words_vs_bound(dims: MatMulDims, p: usize, words: f64) -> Ordering {
-    cmp_bound(dims, p as u64, p as u128 * words.ceil() as u128)
+    assert!(words >= 0.0 && words.fract() == 0.0, "{words} is not a whole word count");
+    cmp_bound(dims, p as u64, p as u128 * words as u128)
 }
 
 /// Goodput words sent over all ranks of `out`.
@@ -278,10 +269,6 @@ mod tests {
             chunk.c_chunk[0] += 1.0;
         }
         assert!(inputs.check(&plan, &out).is_err_and(|e| e.starts_with("product:")));
-        // 2.5D with c > 1 starts with A and B on layer 0: not held to it.
-        let skipped = bound_tally()[2];
-        inputs.measure(&AlgPlan::TwoFiveD { q: 2, c: 2 }, false);
-        assert!(bound_tally()[2] > skipped);
         // One copy of each input, however many worlds ran on it.
         assert_eq!(Arc::strong_count(&inputs.a), 1);
     }

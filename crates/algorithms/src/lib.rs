@@ -65,7 +65,7 @@ pub use grid3d::{
     alg1, alg1_a, alg1_on_a, assemble_c, check_alg1_price, Alg1Config, Alg1Output, Assembly,
     ALG1_PHASES,
 };
-pub use inputs::{bound_tally, words_vs_bound, Inputs};
+pub use inputs::{words_vs_bound, Inputs};
 pub use recovery::{
     assemble_recovered, plan_for, run_plan_a, run_recoverable_a, CShare, Recovered,
 };

@@ -49,7 +49,7 @@
 
 use pmm_core::gridopt::best_grid;
 use pmm_dense::{Kernel, Matrix};
-use pmm_model::{summa_panels, AlgPlan, Grid3, MatMulDims};
+use pmm_model::{carma_split_dim, summa_panels, AlgPlan, Grid3, MatMulDims};
 use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
@@ -77,15 +77,6 @@ pub enum CShare {
 }
 
 impl CShare {
-    /// The words of `C` this share holds.
-    fn words(&self) -> usize {
-        match self {
-            CShare::Chunk(out) => out.c_chunk.len(),
-            CShare::Block(block) => block.as_ref().map_or(0, |c| c.rows() * c.cols()),
-            CShare::Flat(flat) => flat.as_ref().map_or(0, Vec::len),
-        }
-    }
-
     /// The Algorithm 1 output (chunk and per-phase meters) of one rank of
     /// an [`AlgPlan::Alg1`] / [`AlgPlan::Alg1Streamed`] run; panics on
     /// another algorithm's share.
@@ -167,21 +158,42 @@ pub fn plan_for(plan: &AlgPlan, dims: MatMulDims, p: usize) -> AlgPlan {
     }
 }
 
-/// Whether `plan` starts every active rank with as many words of `a` and
-/// `b` ([`owned_inputs`]) and ends it with as many of `C` (its share in
-/// `shares`) as every other: the even layouts Theorem 3's offset
-/// `(mn+mk+nk)/P` assumes.
-pub(crate) fn even_layout(
-    plan: &AlgPlan,
-    dims: MatMulDims,
-    shares: &[CShare],
-    a: &Matrix,
-    b: &Matrix,
-) -> bool {
-    let active = plan.active();
-    let start: Vec<usize> = (0..active).map(|i| owned_inputs(plan, dims, i, a, b).len()).collect();
-    let end: Vec<usize> = shares[..active].iter().map(CShare::words).collect();
-    [start, end].iter().all(|words| words.iter().all(|&w| w == words[0]))
+/// Whether `plan` starts every active rank with as many words of `A` and
+/// of `B`, and ends it with as many of `C`, as every other — the even
+/// layouts Theorem 3's offset `(mn+mk+nk)/P` assumes — read off the
+/// dimensions: every block, panel, chunk and flat half the layout cuts
+/// divides evenly.
+pub(crate) fn even_layout(plan: &AlgPlan, dims: MatMulDims) -> bool {
+    let [n1, n2, n3] = [dims.n1, dims.n2, dims.n3].map(|n| n as usize);
+    let divide = |pairs: &[(usize, usize)]| pairs.iter().all(|&(n, p)| n.is_multiple_of(p));
+    match *plan {
+        AlgPlan::Alg1 { grid: [p1, p2, p3] } | AlgPlan::Alg1Streamed { grid: [p1, p2, p3], .. } => {
+            // Blocks of A, B and C, each cut into chunks along the third
+            // grid dimension.
+            let (b1, b2, b3) = (n1 / p1, n2 / p2, n3 / p3);
+            divide(&[(n1, p1), (n2, p2), (n3, p3), (b1 * b2, p3), (b2 * b3, p1), (b1 * b3, p2)])
+        }
+        AlgPlan::Summa { pr, pc } => divide(&[(n1, pr), (n2, summa_panels(pr, pc)), (n3, pc)]),
+        AlgPlan::Cannon { q } | AlgPlan::TwoFiveD { q, c: 1 } => {
+            divide(&[(n1, q), (n2, q), (n3, q)])
+        }
+        // A, B and C live on layer 0 only.
+        AlgPlan::TwoFiveD { .. } => false,
+        AlgPlan::Carma { p } => {
+            // Each level halves one dimension and, flat, the matrix that
+            // lacks it (B at an n1 split, C at n2, A at n3).
+            let (mut n, mut flat) = ([n1, n2, n3], [1usize; 3]);
+            for _ in 0..p.ilog2() {
+                let s = carma_split_dim(n[0], n[1], n[2]);
+                if n[s] % 2 == 1 {
+                    return false;
+                }
+                n[s] /= 2;
+                flat[s] *= 2;
+            }
+            divide(&[(n[0] * n[1], flat[2]), (n[1] * n[2], flat[0]), (n[0] * n[2], flat[1])])
+        }
+    }
 }
 
 /// The input blocks member `idx` of the attempt communicator owns under
@@ -524,6 +536,37 @@ mod tests {
                 assert_eq!(words, total, "{plan} on p={p}");
             }
         }
+    }
+
+    #[test]
+    fn even_layout_agrees_with_the_words_every_rank_starts_and_ends_with() {
+        let c_words = |share: &CShare| match share {
+            CShare::Chunk(out) => out.c_chunk.len(),
+            CShare::Block(block) => block.as_ref().map_or(0, |c| c.rows() * c.cols()),
+            CShare::Flat(flat) => flat.as_ref().map_or(0, Vec::len),
+        };
+        let same = |words: Vec<usize>| words.iter().all(|&w| w == words[0]);
+        for dims in [MatMulDims::square(8), MatMulDims::new(12, 6, 6), MatMulDims::new(6, 3, 3)] {
+            let inputs = Inputs::random_int(dims, 3);
+            for plan in [
+                AlgPlan::Alg1 { grid: [2, 2, 2] },
+                AlgPlan::Alg1 { grid: [3, 2, 1] },
+                AlgPlan::Alg1Streamed { grid: [2, 1, 2], slabs: 2 },
+                AlgPlan::Summa { pr: 2, pc: 3 },
+                AlgPlan::Cannon { q: 2 },
+                AlgPlan::TwoFiveD { q: 2, c: 2 },
+                AlgPlan::Carma { p: 2 },
+            ] {
+                let active = plan.active();
+                let out = inputs.measure(&plan, false);
+                let start = (0..active).map(|i| owned_inputs(&plan, dims, i, &inputs.a, &inputs.b));
+                let start = same(start.map(|v| v.len()).collect());
+                let end = same(out.values[..active].iter().map(c_words).collect());
+                assert_eq!(even_layout(&plan, dims), start && end, "{plan} on {dims}");
+            }
+        }
+        assert!(even_layout(&AlgPlan::Alg1 { grid: [2, 2, 2] }, MatMulDims::square(8)));
+        assert!(!even_layout(&AlgPlan::TwoFiveD { q: 2, c: 2 }, MatMulDims::square(8)));
     }
 
     #[test]

@@ -327,6 +327,13 @@ mod tests {
         plan_prediction(dims, &AlgPlan::Carma { p: p as usize }).cost.words
     }
 
+    /// Whether `w` words on `p` ranks are not below Theorem 3's bound,
+    /// decided exactly on `w`'s whole part: `⌊w⌋` not below it is `w`
+    /// not below it.
+    fn above(dims: MatMulDims, p: u64, w: f64) -> bool {
+        words_vs_bound(dims, p as usize, w.floor()).is_ge()
+    }
+
     #[test]
     fn zero_for_single_processor() {
         assert_eq!(words_per_rank(MatMulDims::square(1000), 1), 0.0);
@@ -340,8 +347,7 @@ mod tests {
         for p in [2u64, 4, 32, 256, 4096, 65536] {
             let w = words_per_rank(dims, p);
             let b = lower_bound(dims, p as f64).bound;
-            let above = words_vs_bound(dims, p as usize, w).is_ge();
-            assert!(above, "P={p}: CARMA {w} below bound {b}?!");
+            assert!(above(dims, p, w), "P={p}: CARMA {w} below bound {b}?!");
             assert!(w <= 8.0 * b.max(1.0), "P={p}: CARMA {w} not within 8× of bound {b}");
         }
     }
@@ -354,7 +360,7 @@ mod tests {
         ] {
             for p in ps {
                 let w = words_per_rank(dims, p);
-                assert!(words_vs_bound(dims, p as usize, w).is_ge(), "{dims} P={p}: {w} words");
+                assert!(above(dims, p, w), "{dims} P={p}: {w} words");
             }
         }
     }

@@ -10,7 +10,7 @@
 use crate::{fnum, print_table, Checks};
 use pmm_algs::{words_vs_bound, Inputs};
 use pmm_core::gridopt::best_grid;
-use pmm_core::theorem3::{cmp_bound, lower_bound};
+use pmm_core::theorem3::lower_bound;
 use pmm_model::{plan_prediction, AlgPlan, MatMulDims};
 
 /// Measured critical-path words of `plan`.
@@ -45,9 +45,8 @@ pub fn run(checks: &mut Checks) {
         }
         let a1_above = words_vs_bound(dims, p, a1).is_ge();
         checks.check(format!("{label}: alg1 within 1e-9 or above bound"), a1_above);
-        // The model's P·W is its goodput total: a whole word count.
-        let p_model = (carma_model * p as f64) as u128;
-        let model_above = cmp_bound(dims, p as u64, p_model).is_ge();
+        // ⌊W⌋ not below the bound is W not below it.
+        let model_above = words_vs_bound(dims, p, carma_model.floor()).is_ge();
         checks.check(format!("{label}: CARMA model >= bound"), model_above);
         checks.check(format!("{label}: executed CARMA == model"), carma_meas == carma_model);
         let carma = carma_meas;

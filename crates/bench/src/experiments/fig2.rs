@@ -37,11 +37,12 @@ pub fn run(checks: &mut Checks) {
             fnum(choice.cost_words),
             fnum(r.bound),
         ]);
-        let p_eq3 = alg1_relayed(dims, choice.grid).iter().sum();
-        checks.check(
-            format!("P={p}: grid cost equals bound"),
-            cmp_bound(dims, p as u64, p_eq3).is_eq(),
-        );
+        // The reported cost is eq. (3)'s numerator over P, and that
+        // numerator is Theorem 3's bound exactly.
+        let p_eq3: u128 = alg1_relayed(dims, choice.grid).iter().sum();
+        let reported = choice.cost_words * p as f64 == p_eq3 as f64;
+        let tight = cmp_bound(dims, p as u64, p_eq3).is_eq();
+        checks.check(format!("P={p}: grid cost equals bound"), reported && tight);
     }
     print_table(
         &["P", "dim", "grid", "tile m×n×k", "A words", "B words", "C words", "total", "bound"],

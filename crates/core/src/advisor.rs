@@ -263,8 +263,10 @@ mod tests {
         let recs = recommend(SQ, p, f64::INFINITY, MachineParams::BANDWIDTH_ONLY);
         assert!(!recs.is_empty());
         assert_eq!(recs[0].plan, AlgPlan::Alg1 { grid: [8, 8, 8] });
-        // And its words equal the Theorem 3 bound.
-        let p_eq3 = alg1_relayed(SQ, [8, 8, 8]).iter().sum();
+        // And its words are eq. (3) on that grid, which equals the
+        // Theorem 3 bound.
+        let p_eq3: u128 = alg1_relayed(SQ, [8, 8, 8]).iter().sum();
+        assert_eq!(recs[0].cost.words * p as f64, p_eq3 as f64);
         assert_eq!(cmp_bound(SQ, p as u64, p_eq3), std::cmp::Ordering::Equal);
     }
 

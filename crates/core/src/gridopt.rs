@@ -149,7 +149,10 @@ mod tests {
         // The tightness claim at the formula level: with the §5.2 grid,
         // eq. (3) equals Theorem 3's bound.
         for p in [3usize, 36, 512] {
-            assert_eq!(eq3_vs_bound(best_grid(PAPER, p).grid), Ordering::Equal, "P={p}");
+            let choice = best_grid(PAPER, p);
+            let p_eq3: u128 = alg1_relayed(PAPER, choice.grid).iter().sum();
+            assert_eq!(choice.cost_words * p as f64, p_eq3 as f64, "P={p}");
+            assert_eq!(eq3_vs_bound(choice.grid), Ordering::Equal, "P={p}");
         }
     }
 

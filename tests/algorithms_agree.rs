@@ -5,12 +5,6 @@
 use pmm::prelude::*;
 use std::sync::Arc;
 
-/// Integer inputs of `dims`: `A` from seed 101, `B` from seed 202.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
-}
-
 /// Run `plan` with `kernel` on a bandwidth-only world of the plan's size
 /// and hold it to [`Inputs::check`]: the oracle's product, the plan's
 /// goodput and, for Algorithm 1, every rank's price.
@@ -23,7 +17,7 @@ fn run_plan(inputs: &Inputs, plan: &AlgPlan, kernel: Kernel) -> WorldResult<CSha
 #[test]
 fn all_algorithms_produce_the_same_product() {
     let dims = MatMulDims::new(24, 12, 18);
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [101, 202]);
 
     // Algorithm 1 with reduce-scatter assembly (P = 12), Cannon (P = 9),
     // SUMMA (P = 6, 2×3) and 2.5D (q = 2, c = 2 → P = 8).
@@ -53,7 +47,7 @@ fn alg1_beats_or_matches_every_baseline_on_its_optimal_grid() {
     // critical-path words never exceed any baseline's at equal P.
     let dims = MatMulDims::new(48, 24, 24);
     let p = 64usize;
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [101, 202]);
     let time = |plan: &AlgPlan| run_plan(&inputs, plan, Kernel::Naive).critical_path_time();
 
     let alg1_t = time(&AlgPlan::Alg1 { grid: best_grid(dims, p).grid });
@@ -70,7 +64,7 @@ fn alg1_beats_or_matches_every_baseline_on_its_optimal_grid() {
 
 #[test]
 fn kernels_do_not_change_distributed_results() {
-    let inputs = inputs(MatMulDims::new(40, 24, 16));
+    let inputs = Inputs::seeded(MatMulDims::new(40, 24, 16), [101, 202]);
     for kernel in Kernel::ALL {
         run_plan(&inputs, &AlgPlan::Alg1 { grid: [2, 2, 2] }, kernel);
     }

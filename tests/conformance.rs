@@ -37,12 +37,6 @@ fn seed() -> u64 {
     s
 }
 
-/// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 11), random_int_matrix(n2, n3, -3..4, 22))
-}
-
 /// One sweep point. `interior` is the Theorem 3 case strictly containing
 /// `P`, or `None` when `P` sits exactly on a regime boundary. `tight`
 /// marks points whose §5.2 optimal grid is integral and divides the
@@ -135,7 +129,7 @@ fn sweep_spans_all_regimes_and_both_boundaries() {
 /// words sent, words received and messages to its integer price, phase
 /// by phase, and the critical path where every rank pays the same price.
 fn assert_priced(dims: MatMulDims, grid: [usize; 3], label: &str, seed: u64) {
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [11, 22]);
     for plan in [AlgPlan::Alg1 { grid }, AlgPlan::Alg1Streamed { grid, slabs: 2 }] {
         let out = run(&inputs, &plan, seed);
         let outputs = out.values.iter().map(CShare::alg1);
@@ -229,7 +223,7 @@ fn all_algorithms_agree_bitwise_and_respect_theorem3() {
     let seed = seed();
     for pt in sweep() {
         let (grid, grid_arr, _) = chosen_grid(&pt);
-        let inputs = inputs(pt.dims);
+        let inputs = Inputs::seeded(pt.dims, [11, 22]);
         let report = lower_bound(pt.dims, pt.p as f64);
         // (a) bitwise agreement: integer inputs make f64 arithmetic exact,
         // so every schedule and summation order must produce the same

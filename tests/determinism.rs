@@ -20,13 +20,6 @@
 use pmm::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// The global inputs of a workload (`A` from seed 101, `B` from seed
-/// 202), generated once and shared by every rank.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
-}
-
 /// The world of the `algorithms_agree` Algorithm 1 workload: P = 12.
 fn alg1_world() -> World {
     World::new(12, MachineParams::BANDWIDTH_ONLY)
@@ -37,7 +30,7 @@ fn alg1_world() -> World {
 fn alg1_program(rank: &mut Rank) -> LocalBoxFuture<'_, Vec<f64>> {
     static INPUTS: OnceLock<Inputs> = OnceLock::new();
     let dims = MatMulDims::new(24, 12, 18);
-    let inputs = INPUTS.get_or_init(|| inputs(dims));
+    let inputs = INPUTS.get_or_init(|| Inputs::seeded(dims, [101, 202]));
     let (a, b) = (Arc::clone(&inputs.a), Arc::clone(&inputs.b));
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
@@ -89,7 +82,7 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     // Cannon, P = 9 (torus exchanges stress the split + sendrecv paths);
     // SUMMA, P = 6 (broadcast pipelines); 2.5D, P = 8 (replicated layers
     // + reduction).
-    let inputs = inputs(MatMulDims::new(24, 12, 18));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 12, 18), [101, 202]);
     for plan in [
         AlgPlan::Cannon { q: 3 },
         AlgPlan::Summa { pr: 2, pc: 3 },

@@ -42,13 +42,6 @@ use pmm::simnet::{phase, poll_now};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The global inputs of a run (`A` from seed 101, `B` from seed 202),
-/// generated once and shared by every rank of both hosts' worlds.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
-}
-
 /// `run_plan_a` of `plan` on the world communicator, every rank reading
 /// the one shared copy of `inputs` — what [`Inputs::run`] runs on the
 /// loop, as a program the thread host can run too.
@@ -136,7 +129,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     for seed in [0xA11CE_u64, 0xC1EA4, 0, 5] {
         let world = recorded(12).with_seed(seed);
         // Compare the chunk bits *and* the per-phase meters.
@@ -162,7 +155,7 @@ fn engines_agree_on_the_pinned_alg1_workload() {
 fn shared_inputs_on_the_loop_and_per_rank_copies_on_threads_are_the_same_run() {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg = Alg1Config::new(dims, Grid3::new(2, 3, 2));
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     let world = recorded(12).with_seed(0xA11CE);
     let per_rank = world.run(|rank| {
         let (a, b) = (Matrix::clone(&a), Matrix::clone(&b));
@@ -286,7 +279,7 @@ where
 #[test]
 fn operands_read_in_place_are_indistinguishable_from_the_gather() {
     let dims = MatMulDims::new(13, 7, 11);
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     for grid in [[4, 2, 1], [1, 3, 1], [2, 1, 1], [1, 2, 2]] {
         let grid = Grid3::from_dims(grid);
         let cfg =
@@ -327,7 +320,7 @@ fn operands_read_in_place_are_indistinguishable_from_the_gather() {
 
 #[test]
 fn engines_agree_on_the_pinned_cannon_summa_and_twofived_workloads() {
-    let inputs = inputs(MatMulDims::new(24, 12, 18));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 12, 18), [101, 202]);
     for plan in [
         AlgPlan::Cannon { q: 3 },
         AlgPlan::Summa { pr: 2, pc: 3 },
@@ -387,7 +380,7 @@ fn sync_entry(plan: &AlgPlan, dims: MatMulDims) -> SyncEntry {
 #[test]
 fn benchmark_sync_entry_points_run_the_executors_programs() {
     let dims = MatMulDims::new(24, 12, 18);
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [101, 202]);
     for plan in [
         AlgPlan::Alg1 { grid: [2, 3, 2] },
         AlgPlan::Alg1Streamed { grid: [2, 3, 2], slabs: 2 },
@@ -418,7 +411,7 @@ fn benchmark_sync_entry_points_run_the_executors_programs() {
 #[test]
 fn sync_entry_points_run_free_at_p64_on_the_default_stack() {
     let dims = MatMulDims::square(64);
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [101, 202]);
     let world = World::new(64, MachineParams::BANDWIDTH_ONLY);
     for plan in [
         AlgPlan::Alg1 { grid: [4, 4, 4] },
@@ -443,7 +436,7 @@ fn regime_point(p: usize, seed: u64, label: &str) {
     let grid = best_divisible_grid(dims, p)
         .unwrap_or_else(|| panic!("{label}: no divisible factorization of {p}"))
         .grid;
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [101, 202]);
     let world = recorded(p).with_seed(seed);
 
     // Algorithm 1 with the all-to-all assembly ablation, which no plan
@@ -506,7 +499,7 @@ fn engines_agree_with_a_fault_plan_armed() {
         .with_duplicate(0.05)
         .with_delay(0.05);
     let world = recorded(12).with_seed(0xA11CE).with_faults(plan);
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     let out = assert_hosts_agree("alg1 with faults", &world, |rank| {
         let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
         Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
@@ -534,7 +527,7 @@ fn engines_agree_on_checkpointed_recovery_under_a_multi_fault_plan() {
         .with_partition(vec![0, 1], 5..20, 2)
         .with_storm(0.3, 2.0);
     let world = recorded(9).with_seed(0xA11CE).with_faults(plan);
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     let out = assert_hosts_agree("recovery multi-fault", &world, |rank| {
         let (a, b) = (Arc::clone(&a), Arc::clone(&b));
         Box::pin(async move {

@@ -285,25 +285,17 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
     let dims = MatMulDims::new(4, 4, 2);
     let grid = [2usize, 2, 1];
     let p = 4usize;
-    let cfg = Alg1Config {
-        dims,
-        grid: Grid3::from_dims(grid),
-        kernel: Kernel::Naive,
-        assembly: Assembly::ReduceScatter,
-    };
+    let cfg = Alg1Config { kernel: Kernel::Naive, ..Alg1Config::new(dims, Grid3::from_dims(grid)) };
     let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
     let budget = Duration::from_secs(env_u64("PMM_EXPLORE_BUDGET_SECS", 60).max(10) / 2);
-    let ab = Arc::new((
-        random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11),
-        random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22),
-    ));
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [11, 22]);
     let (report, secs) = timed("alg1-2x2x1", || {
         explore_checked(
             &world,
             |rank| {
-                let (cfg, ab) = (cfg.clone(), Arc::clone(&ab));
+                let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
                 Box::pin(async move {
-                    let out = alg1_a(rank, &cfg, &ab.0, &ab.1).await;
+                    let out = alg1_a(rank, &cfg, &a, &b).await;
                     // Digest: C chunk bits + per-phase traffic (bitwise
                     // comparable across schedules).
                     let c_bits: Vec<u64> = out.c_chunk.iter().map(|x| x.to_bits()).collect();

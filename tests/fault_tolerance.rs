@@ -33,12 +33,6 @@ use pmm_simnet::{FaultPlan, RankFailed};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Integer inputs of `dims`: `A` from seed 11, `B` from seed 22.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 11), random_int_matrix(n2, n3, -3..4, 22))
-}
-
 /// Fault rate for the sweep tests: `PMM_FAULT_RATE` (a float) when set —
 /// the `cargo xtask fault-sweep` matrix exports it — else `default`.
 fn fault_rate_from_env(default: f64) -> f64 {
@@ -62,6 +56,19 @@ fn recover_alg1(inputs: &Inputs, world: &World) -> WorldResult<Result<Recovered,
     inputs.recover(world, &AlgPlan::Alg1 { grid: [1, 1, 1] }, Kernel::Naive)
 }
 
+/// Algorithm 1 on 24×12×18 over a 2×3×2 grid on `world` (12 ranks):
+/// every rank's `C` chunk.
+fn alg1_chunks(world: World) -> WorldResult<Vec<f64>> {
+    let dims = MatMulDims::new(24, 12, 18);
+    let grid = Grid3::new(2, 3, 2);
+    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [11, 22]);
+    world.run_async(|rank: &mut Rank| {
+        let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
+        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
+    })
+}
+
 /// Hold a recovered run to [`Inputs::check_recovered`]; returns a
 /// survivor's [`Recovered`].
 fn certified<'a>(
@@ -81,7 +88,7 @@ fn killed_rank_mid_allgather_recovers_bitwise_on_surviving_grid() {
     // splits, so op 6 lands inside the All-Gather phase of the first
     // attempt. Rank 4 is not the root of anything special — a mid-grid
     // casualty.
-    let inputs = inputs(MatMulDims::new(24, 24, 24));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 24, 24), [11, 22]);
     let plan = FaultPlan::none()
         .with_seed(0xFA)
         .with_drop(0.08)
@@ -140,7 +147,7 @@ fn recovery_goodput_matches_model_recovery_prediction() {
     // survivor's per-phase goodput to its price, and whole-run goodput
     // (the abandoned attempt's partial traffic included) to the model's
     // upper bound.
-    let inputs = inputs(MatMulDims::new(24, 24, 24));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 24, 24), [11, 22]);
     let faults = FaultPlan::none().with_seed(3).with_kill(4, 6);
     let mut out = recover_alg1(&inputs, &recovery_world(9, 1, faults));
     let ok = certified(&inputs, &out);
@@ -173,7 +180,7 @@ fn recovery_goodput_matches_model_recovery_prediction() {
 
 #[test]
 fn cascading_kills_shrink_the_grid_twice() {
-    let inputs = inputs(MatMulDims::new(24, 24, 24));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 24, 24), [11, 22]);
     // Rank 4 dies by direct kill; rank 7 is armed to die once the fault
     // epoch reaches 1 (i.e. after the first death is detected).
     let plan = FaultPlan::none().with_seed(0xCA5).with_kill(4, 6).with_cascade(7, 1);
@@ -189,25 +196,12 @@ fn cascading_kills_shrink_the_grid_twice() {
 
 #[test]
 fn healing_partition_delays_but_does_not_break_delivery() {
-    let dims = MatMulDims::new(24, 12, 18);
-    let grid = Grid3::new(2, 3, 2);
-    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let Inputs { a, b, .. } = inputs(dims);
-    let run = |plan: Option<FaultPlan>| {
-        let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(2);
-        if let Some(p) = plan {
-            world = world.with_faults(p);
-        }
-        world.run_async(|rank: &mut Rank| {
-            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
-            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
-        })
-    };
-    let clean = run(None);
+    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(2);
+    let clean = alg1_chunks(world.clone());
     // Ranks {0,1,2} cut off from the rest for seq window [0, 40), healing
     // at attempt 2: every cut-crossing copy with attempt < 2 blackholes.
-    let parted =
-        run(Some(FaultPlan::none().with_seed(0x9A97).with_partition(vec![0, 1, 2], 0..40, 2)));
+    let cut = FaultPlan::none().with_seed(0x9A97).with_partition(vec![0, 1, 2], 0..40, 2);
+    let parted = alg1_chunks(world.with_faults(cut));
     assert_eq!(clean.values, parted.values, "a healed partition must not change results");
     let retry: u64 = parted.reports.iter().map(|r| r.meter.retry_overhead_words()).sum();
     assert!(retry > 0, "cut-crossing copies must have been retransmitted");
@@ -219,22 +213,10 @@ fn healing_partition_delays_but_does_not_break_delivery() {
 
 #[test]
 fn straggler_storm_slows_the_clock_without_changing_traffic() {
-    let dims = MatMulDims::new(24, 12, 18);
-    let grid = Grid3::new(2, 3, 2);
-    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let Inputs { a, b, .. } = inputs(dims);
-    let run = |plan: Option<FaultPlan>| {
-        let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
-        if let Some(p) = plan {
-            world = world.with_faults(p);
-        }
-        world.run_async(|rank: &mut Rank| {
-            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
-            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
-        })
-    };
-    let clean = run(None);
-    let stormed = run(Some(FaultPlan::none().with_seed(0x570).with_storm(0.5, 6.0)));
+    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
+    let clean = alg1_chunks(world.clone());
+    let stormed =
+        alg1_chunks(world.with_faults(FaultPlan::none().with_seed(0x570).with_storm(0.5, 6.0)));
     assert_eq!(clean.values, stormed.values, "a storm must not change results");
     for (c, s) in clean.reports.iter().zip(&stormed.reports) {
         assert_eq!(c.meter, s.meter, "a storm must not change any meter");
@@ -254,7 +236,7 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
 /// One sweep cell: P ranks, a kill of `kill_rank` at `kill_op`, and
 /// message faults at the env-controlled rate, across several seeds.
 fn sweep_regime(p: usize, kill_rank: usize, kill_op: u64) {
-    let inputs = inputs(MatMulDims::new(96, 24, 12));
+    let inputs = Inputs::seeded(MatMulDims::new(96, 24, 12), [11, 22]);
     let rate = fault_rate_from_env(0.05);
     for sched_seed in [1u64, 0xC0FFEE] {
         let mut plan = FaultPlan::none()
@@ -435,7 +417,7 @@ fn fault_decisions_are_schedule_independent_across_seeds() {
         .with_partition(vec![0, 1], 3..9, 2)
         .with_storm(0.25, 3.0);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_faults(plan);
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [11, 22]);
     fuzz_schedules(&world, &[1, 2, 3, 4], |rank| {
         let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
         Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
@@ -452,7 +434,7 @@ fn summa_recovers_on_near_square_survivor_grid() {
     let dims = MatMulDims::new(12, 6, 8);
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
-    let inputs = inputs(dims);
+    let inputs = Inputs::seeded(dims, [11, 22]);
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_faults(plan);
     let out = inputs.recover(&world, &AlgPlan::Summa { pr: 1, pc: 1 }, Kernel::Naive);
     assert!(out.values[3].is_err(), "killed rank reports failure");
@@ -496,22 +478,9 @@ fn uncaught_kill_reports_rank_failure_not_deadlock() {
 
 #[test]
 fn straggler_slows_the_clock_without_changing_traffic() {
-    let dims = MatMulDims::new(24, 12, 18);
-    let grid = Grid3::new(2, 3, 2);
-    let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let Inputs { a, b, .. } = inputs(dims);
-    let run = |plan: Option<FaultPlan>| {
-        let mut world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
-        if let Some(p) = plan {
-            world = world.with_faults(p);
-        }
-        world.run_async(|rank: &mut Rank| {
-            let (cfg, a, b) = (cfg.clone(), Arc::clone(&a), Arc::clone(&b));
-            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await.c_chunk })
-        })
-    };
-    let clean = run(None);
-    let slowed = run(Some(FaultPlan::none().with_straggler(5, 4.0)));
+    let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(1);
+    let clean = alg1_chunks(world.clone());
+    let slowed = alg1_chunks(world.with_faults(FaultPlan::none().with_straggler(5, 4.0)));
     assert_eq!(clean.values, slowed.values, "straggler must not change results");
     for (c, s) in clean.reports.iter().zip(&slowed.reports) {
         assert_eq!(c.meter, s.meter, "straggler must not change any meter");

@@ -17,19 +17,13 @@
 use pmm::prelude::*;
 use std::sync::Arc;
 
-/// Integer inputs of `dims`: `A` from seed 101, `B` from seed 202.
-fn inputs(dims: MatMulDims) -> Inputs {
-    let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    Inputs::new(dims, random_int_matrix(n1, n2, -3..4, 101), random_int_matrix(n2, n3, -3..4, 202))
-}
-
 /// Run Algorithm 1 on a 2×3×2 grid with the given kernel, seeded,
 /// recorded and traced, returning the world result.
 fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let dims = MatMulDims::new(24, 12, 18);
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
-    let Inputs { a, b, .. } = inputs(dims);
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [101, 202]);
     World::new(12, MachineParams::BANDWIDTH_ONLY)
         .with_seed(0xBEEF)
         .with_schedule_recording(true)
@@ -87,7 +81,7 @@ fn env_selected_kernel_is_output_invariant_for_the_cli_reference() {
     // PMM_KERNEL (`kernel_from_env`) picks the kernel of a CLI run and
     // the CLI checks the run against the pinned naive oracle: whatever
     // tier the variable names equals that reference bitwise.
-    let inputs = inputs(MatMulDims::new(24, 12, 18));
+    let inputs = Inputs::seeded(MatMulDims::new(24, 12, 18), [101, 202]);
     for kernel in Kernel::ALL {
         let product = gemm(&inputs.a, &inputs.b, kernel);
         assert_eq!(*inputs.want(), product, "tier {kernel} diverged from the oracle");

@@ -73,10 +73,7 @@ fn scale_point(
     // Inputs are generated once and shared (`Arc`) across all P rank
     // programs, keeping input setup O(n1·n2 + n2·n3) rather than
     // O(P · matrix size).
-    let (a, b) = (
-        std::sync::Arc::new(random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11)),
-        std::sync::Arc::new(random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22)),
-    );
+    let Inputs { a, b, .. } = Inputs::seeded(dims, [11, 22]);
     let host_before = HostMem::read();
     let t0 = Instant::now();
     let out = world.run_async(|rank| {

@@ -14,16 +14,18 @@ fn measure(inputs: &Inputs, grid: [usize; 3]) -> f64 {
 #[test]
 fn alg1_attains_theorem3_exactly_in_every_case() {
     // Instances with fully divisible blocks *and* fiber chunks, one per
-    // case, and the paper-shaped 768×192×48 (m/n = 4, mn/k² = 64) at
-    // both boundaries, P = m/n and P = mn/k², where adjacent cases meet.
+    // case, and two shaped like 768×192×48 (m/n = 4, mn/k² = 64): that
+    // one in all three cases, and 192×48×12 at both boundaries, P = m/n
+    // and P = mn/k², where adjacent cases meet.
     let paper = Inputs::random_int(MatMulDims::new(768, 192, 48), 1);
     let other = |dims| Inputs::random_int(dims, 1);
+    let quarter = other(MatMulDims::new(192, 48, 12));
     for (inputs, p, want_case) in [
         (&paper, 3usize, Case::OneD),
-        (&paper, 4, Case::OneD),
         (&paper, 36, Case::TwoD),
-        (&paper, 64, Case::TwoD),
         (&paper, 512, Case::ThreeD),
+        (&quarter, 4, Case::OneD),
+        (&quarter, 64, Case::TwoD),
         // square instances are always 3D for P > 1
         (&other(MatMulDims::square(96)), 8, Case::ThreeD),
         (&other(MatMulDims::square(144)), 27, Case::ThreeD),
